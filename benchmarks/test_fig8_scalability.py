@@ -9,7 +9,6 @@ to keep the NumPy benchmark fast; the relative growth rates are what the
 benchmark asserts.
 """
 
-import json
 import time
 
 from repro.baselines import MondrianBaseline, MondrianConfig
@@ -18,7 +17,7 @@ from repro.corpus import CorpusGenerator, CorpusSpec
 from repro.evaluation import predict_cases
 from repro.features import FeatureConfig
 from repro.models import ModelConfig, SheetEncoder
-from repro.service import RecommendationRequest, ShardedWorkspace, Workspace
+from repro.service import RecommendationRequest, Workspace
 
 from conftest import CORPUS_ORDER
 
@@ -148,11 +147,7 @@ def test_fig8_scalability(benchmark, encoder, workloads_timestamp, report_writer
     assert mondrian_offline_growth > auto_offline_growth
 
 
-#: Shard counts swept by the sharded-serving variant (1 = the unsharded
-#: baseline topology, served through the same coordinator code path).
-SHARD_COUNTS = (1, 2, 4)
-
-#: Serving configurations compared by the sharded benchmark.  "before"
+#: Serving configurations compared by the two-tier benchmark.  "before"
 #: pins every serve-path optimization off — the seed-equivalent engine —
 #: while "after" turns on the whole two-tier stack: BLAS tier-1 scan over
 #: an int8 scan store with deterministic re-rank, cross-request
@@ -175,23 +170,19 @@ SERVING_MODES = {
 }
 
 #: Acceptance floor: "after" must serve the stream at least this many
-#: times faster than "before" on the unsharded topology.
-MIN_UNSHARDED_SPEEDUP = 3.0
+#: times faster than "before".
+MIN_SPEEDUP = 3.0
 
 
-def test_fig8_sharded_scaling(benchmark, encoder, workloads_timestamp, report_writer, results_dir):
-    """Fig. 8 sharded variant: serve-path throughput vs shard count,
-    before/after the two-tier scoring + serve-path-reuse stack.
+def test_fig8_two_tier_speedup(benchmark, encoder, workloads_timestamp, report_writer):
+    """Fig. 8 serving variant: serve-path throughput before/after the
+    two-tier scoring + serve-path-reuse stack.
 
     Builds the largest sweep corpus once, then serves an identical
-    request stream through a plain :class:`Workspace` and through
-    :class:`ShardedWorkspace` at each shard count, in both serving modes,
-    measuring offline indexing time (shards fit in parallel) and
-    end-to-end serving throughput/latency.  Responses must be
-    bit-identical across *every* topology — sharding is a pure execution
-    strategy — and across *both* modes — the optimizations are exact —
-    which doubles as the benchmark-scale parity check for the invariant
-    suite.  Emits ``BENCH_fig8_sharded.json`` next to the text report.
+    request stream through a :class:`Workspace` in both serving modes,
+    measuring offline indexing time and end-to-end serving
+    throughput/latency.  Responses must be bit-identical across both
+    modes — the optimizations are exact.
     """
     reference = _build_reference_pool(SWEEP_SIZES[-1])
     query_cases = workloads_timestamp["PGE"].cases[:8]
@@ -205,122 +196,62 @@ def test_fig8_sharded_scaling(benchmark, encoder, workloads_timestamp, report_wr
         for index, case in enumerate(query_cases * 6)
     ]
 
-    def measure(workspace):
-        workspace.serve_batch(requests[: len(query_cases)])  # warm caches
-        start = time.perf_counter()
-        responses = workspace.serve_batch(requests)
-        elapsed = time.perf_counter() - start
-        return responses, {
-            "throughput_rps": len(requests) / elapsed,
-            "p50_seconds": workspace.latency.percentile(0.5),
-            "p99_seconds": workspace.latency.percentile(0.99),
-        }
-
     def run_sweep():
         results = {}
         reference_responses = None
         for mode, knobs in SERVING_MODES.items():
             config = AutoFormulaConfig(**knobs)
-            results[mode] = {}
-
             start = time.perf_counter()
-            plain = Workspace(f"fig8-plain-{mode}", AutoFormula(encoder, config))
-            plain.add_workbooks(reference)
+            workspace = Workspace(f"fig8-{mode}", AutoFormula(encoder, config))
+            workspace.add_workbooks(reference)
             offline_seconds = time.perf_counter() - start
-            baseline_responses, row = measure(plain)
-            row["offline_seconds"] = offline_seconds
-            results[mode]["unsharded"] = row
-            baseline_keys = [
-                (r.formula, r.confidence, r.abstain_reason) for r in baseline_responses
-            ]
+            workspace.serve_batch(requests[: len(query_cases)])  # warm caches
+            start = time.perf_counter()
+            responses = workspace.serve_batch(requests)
+            elapsed = time.perf_counter() - start
+            results[mode] = {
+                "offline_seconds": offline_seconds,
+                "throughput_rps": len(requests) / elapsed,
+                "p50_seconds": workspace.latency.percentile(0.5),
+                "p99_seconds": workspace.latency.percentile(0.99),
+            }
+            keys = [(r.formula, r.confidence, r.abstain_reason) for r in responses]
             if reference_responses is None:
-                reference_responses = baseline_keys
+                reference_responses = keys
             else:
                 # The whole optimization stack is exact: "after" answers
                 # must match "before" bit for bit.
-                assert baseline_keys == reference_responses, (
+                assert keys == reference_responses, (
                     f"serving mode {mode!r} diverged from the baseline engine"
                 )
-
-            for n_shards in SHARD_COUNTS:
-                start = time.perf_counter()
-                sharded = ShardedWorkspace(
-                    f"fig8-sharded-{mode}-{n_shards}",
-                    lambda: AutoFormula(encoder, config),
-                    n_shards,
-                )
-                sharded.add_workbooks(reference)
-                offline_seconds = time.perf_counter() - start
-                responses, row = measure(sharded)
-                row["offline_seconds"] = offline_seconds
-                results[mode][f"sharded K={n_shards}"] = row
-                # Sharding must not change a single answer.
-                assert [
-                    (r.formula, r.confidence, r.abstain_reason) for r in responses
-                ] == baseline_keys, (
-                    f"sharded K={n_shards} diverged from unsharded serving ({mode})"
-                )
-                sharded.close()
         return results
 
     results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
 
     lines = [
-        "Figure 8 (sharded variant): serve-path scaling vs shard count,",
-        "before/after two-tier scoring (int8 scan store) + embedding reuse",
-        "+ duplicate collapsing.  Responses are bit-identical across all",
-        "topologies and both modes.",
+        "Figure 8 (serving variant): serve-path throughput before/after",
+        "two-tier scoring (int8 scan store) + embedding reuse + duplicate",
+        "collapsing.  Responses are bit-identical across both modes.",
         f"corpus: {len(reference)} workbooks; stream: {len(requests)} requests",
         "",
     ]
-    header = (
-        f"{'mode':8s} {'topology':14s} {'offline (s)':>12s} "
+    lines.append(
+        f"{'mode':8s} {'offline (s)':>12s} "
         f"{'throughput (req/s)':>20s} {'p50 (s)':>10s} {'p99 (s)':>10s}"
     )
-    lines.append(header)
-    for mode, topologies in results.items():
-        for label, row in topologies.items():
-            lines.append(
-                f"{mode:8s} {label:14s} {row['offline_seconds']:>12.3f} "
-                f"{row['throughput_rps']:>20.1f} {row['p50_seconds']:>10.4f} "
-                f"{row['p99_seconds']:>10.4f}"
-            )
-    speedup = (
-        results["after"]["unsharded"]["throughput_rps"]
-        / results["before"]["unsharded"]["throughput_rps"]
-    )
-    lines.append("")
-    lines.append(f"unsharded after/before speedup: {speedup:.2f}x")
-    report_writer("fig8_sharded_scaling", lines)
-
-    # The machine-readable companion (uploaded as a CI artifact).
-    payload = {
-        "benchmark": "fig8_sharded_scaling",
-        "corpus_workbooks": len(reference),
-        "stream_requests": len(requests),
-        "shard_counts": list(SHARD_COUNTS),
-        "modes": {mode: dict(knobs) for mode, knobs in SERVING_MODES.items()},
-        "results": results,
-        "unsharded_speedup": speedup,
-    }
-    (results_dir / "BENCH_fig8_sharded.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-    # Shape assertions, deliberately tolerant of machine variance on the
-    # sharding axis: the coordinator overhead must stay bounded and the
-    # widest fan-out must not be the slowest way to serve the stream.
-    for mode in SERVING_MODES:
-        base = results[mode]["unsharded"]["throughput_rps"]
-        for n_shards in SHARD_COUNTS:
-            assert results[mode][f"sharded K={n_shards}"]["throughput_rps"] >= 0.25 * base
-        assert (
-            results[mode][f"sharded K={SHARD_COUNTS[-1]}"]["throughput_rps"]
-            >= 0.8 * results[mode]["sharded K=1"]["throughput_rps"]
+    for mode, row in results.items():
+        lines.append(
+            f"{mode:8s} {row['offline_seconds']:>12.3f} "
+            f"{row['throughput_rps']:>20.1f} {row['p50_seconds']:>10.4f} "
+            f"{row['p99_seconds']:>10.4f}"
         )
+    speedup = results["after"]["throughput_rps"] / results["before"]["throughput_rps"]
+    lines.append("")
+    lines.append(f"after/before speedup: {speedup:.2f}x")
+    report_writer("fig8_two_tier_speedup", lines)
+
     # The acceptance floor for this figure: the optimization stack serves
     # the same stream >= 3x faster at bit-identical answers.
-    assert speedup >= MIN_UNSHARDED_SPEEDUP, (
-        f"after/before unsharded speedup {speedup:.2f}x below "
-        f"{MIN_UNSHARDED_SPEEDUP}x"
+    assert speedup >= MIN_SPEEDUP, (
+        f"after/before speedup {speedup:.2f}x below {MIN_SPEEDUP}x"
     )

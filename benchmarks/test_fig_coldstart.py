@@ -11,6 +11,7 @@ exactly like the fresh one (the restore-parity acceptance invariant,
 spot-checked here end to end).
 """
 
+import gc
 import tempfile
 import time
 from pathlib import Path
@@ -34,6 +35,10 @@ def test_fig_coldstart(benchmark, encoder, workloads_timestamp, report_writer):
             reference = _build_reference_pool(size)
             directory = Path(tempfile.mkdtemp(prefix=f"coldstart_{size}_")) / "snap"
 
+            # Each phase is one sample: collect first, so a full collection
+            # of the session's garbage (tens of ms) lands outside the clock
+            # instead of inside whichever phase the allocation count picks.
+            gc.collect()
             start = time.perf_counter()
             fresh = Workspace(f"fresh-{size}", AutoFormula(encoder, config))
             fresh.add_workbooks(reference)
@@ -49,6 +54,7 @@ def test_fig_coldstart(benchmark, encoder, workloads_timestamp, report_writer):
             fresh.save(directory)
             save_seconds[size] = time.perf_counter() - start
 
+            gc.collect()
             start = time.perf_counter()
             restored = Workspace.load(directory, AutoFormula(encoder, config))
             restored_responses = restored.serve_batch(

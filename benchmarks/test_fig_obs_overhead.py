@@ -11,10 +11,10 @@ Two claims back the ``repro.obs`` tentpole:
    disabled p50 (documented target: <= 5%).  Full (100%) sampling is
    reported for context.
 
-2. **Legibility** — one sharded recommend produces a single span tree
-   showing the per-shard three-phase plan (S1 fan-out with tier-1 scan /
-   tier-2 re-rank, S2 scoring, S3 re-grounding) plus an edit's
-   incremental-recalculation trace.  Both trees are committed to
+2. **Legibility** — one recommend produces a single span tree showing
+   the staged plan (S1 sheet search with tier-1 scan / tier-2 re-rank,
+   S2 scoring with in-line S3 re-grounding) plus an edit's
+   incremental-recalculation trace.  Both trees are written to
    ``benchmarks/results/fig_obs_trace.json`` — the artifact the
    EXPERIMENTS.md trace-reading guide walks through — and the CI slow
    job uploads them.
@@ -29,7 +29,7 @@ import time
 from repro.core import AutoFormula, AutoFormulaConfig
 from repro.corpus import sample_test_cases, split_corpus
 from repro.obs import get_tracer
-from repro.service import FormulaService, RecommendationRequest, ShardedWorkspace
+from repro.service import FormulaService, RecommendationRequest, Workspace
 
 #: Interleaved measurement rounds per tracer mode (drift cancels out).
 N_ROUNDS = 4
@@ -47,7 +47,7 @@ MODES = (
 
 
 def _serving_workload(encoder, corpora):
-    """An unsharded workspace plus a pool of distinct warm requests."""
+    """A workspace plus a pool of distinct warm requests."""
     test_workbooks, references = split_corpus(corpora["PGE"], 0.15, "timestamp")
     cases = sample_test_cases("PGE", test_workbooks, max_per_sheet=2, seed=0)
     service = FormulaService(
@@ -106,7 +106,7 @@ def test_fig_obs_overhead(encoder, corpora, report_writer):
     lines = [
         "Observability overhead: traced vs untraced serving p50",
         f"({len(requests)} distinct requests x {N_ROUNDS} interleaved rounds "
-        "per mode, unsharded PGE workspace, query-embedding reuse off)",
+        "per mode, PGE workspace, query-embedding reuse off)",
         "",
         f"{'tracer mode':>12} {'p50 ms':>9} {'vs disabled':>12}",
     ]
@@ -147,12 +147,12 @@ def _collect_names(node, into):
 
 
 def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
-    """Capture and commit one sharded recommend's full span tree.
+    """Capture one recommend's full span tree.
 
-    The corpus is every enterprise's reference workbooks combined so each
-    of the two shards holds a sheet pool large enough for the two-tier
-    scorer to engage — the captured S1 spans then show the tier-1 scan
-    and tier-2 re-rank explicitly.
+    The corpus is every enterprise's reference workbooks combined so the
+    sheet pool is large enough for the two-tier scorer to engage — the
+    captured S1 span then shows the tier-1 scan and tier-2 re-rank
+    explicitly.
     """
     references, cases, seen = [], [], set()
     for name, corpus in corpora.items():
@@ -163,13 +163,12 @@ def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
             ref for ref in refs if not (ref.name in seen or seen.add(ref.name))
         )
         cases.extend(sample_test_cases(name, test_workbooks, max_per_sheet=1, seed=0))
-    workspace = ShardedWorkspace(
+    workspace = Workspace(
         "traced",
-        lambda: AutoFormula(
+        AutoFormula(
             encoder,
             AutoFormulaConfig(scoring_mode="two_tier", storage_dtype="int8"),
         ),
-        2,
     )
     tracer = get_tracer()
     try:
@@ -177,8 +176,8 @@ def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
         tracer.configure(enabled=True, sample_rate=1.0, slow_threshold_s=0.0)
         tracer.reset()
 
-        # One accepted recommend (PGE is highly templated, so the merged
-        # S2 winner passes the acceptance gate and S3 runs).
+        # One accepted recommend (PGE is highly templated, so the S2
+        # winner passes the acceptance gate and S3 runs).
         recommend_tree = None
         for case in cases:
             tracer.reset()
@@ -208,15 +207,12 @@ def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
     finally:
         tracer.configure(enabled=False, sample_rate=1.0, slow_threshold_s=0.25)
         tracer.reset()
-        workspace.close()
 
     names = _collect_names(recommend_tree["root"], set())
-    assert recommend_tree["root"]["name"] == "sharded.serve"
+    assert recommend_tree["root"]["name"] == "workspace.serve"
     for required in (
-        "shard.s1", "s1.shard", "s1.sheet_hits",
+        "s1.sheet_hits", "s2.score",
         "index.search", "index.tier1", "index.tier2",
-        "shard.s2", "s2.shard", "s2.score",
-        "shard.s3", "s3.shard", "s3.adapt",
     ):
         assert required in names, f"recommend trace is missing {required!r}"
     searches = [
@@ -233,7 +229,7 @@ def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
     artifact = results_dir / "fig_obs_trace.json"
     artifact.write_text(
         json.dumps(
-            {"sharded_recommend": recommend_tree, "edit_recalculate": edit_tree},
+            {"recommend": recommend_tree, "edit_recalculate": edit_tree},
             indent=2,
         )
         + "\n",
@@ -242,8 +238,8 @@ def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
     report_writer(
         "fig_obs_trace",
         [
-            "End-to-end trace capture: one sharded recommend + one edit",
-            f"(full trees in {artifact.name}; 2 shards, two-tier int8 index)",
+            "End-to-end trace capture: one recommend + one edit",
+            f"(full trees in {artifact.name}; two-tier int8 index)",
             "",
             f"recommend trace: {recommend_tree['n_spans']} spans, "
             f"{recommend_tree['duration_ms']:.1f} ms, "

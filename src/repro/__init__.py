@@ -55,7 +55,6 @@ from repro.service import (
     FormulaService,
     RecommendationRequest,
     RecommendationResponse,
-    ShardedWorkspace,
     Workspace,
 )
 from repro.server import (
@@ -99,7 +98,6 @@ __all__ = [
     "FormulaService",
     "RecommendationRequest",
     "RecommendationResponse",
-    "ShardedWorkspace",
     "Workspace",
     "FormulaClient",
     "FormulaServer",

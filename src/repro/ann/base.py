@@ -4,7 +4,7 @@ Scoring runs in one of two modes (``scoring_mode``):
 
 * ``"deterministic"`` — the single-tier path: every candidate is scored
   with the fixed-order einsum scorer whose distances are bit-identical
-  across pool shapes (what sharded/unsharded parity relies on).
+  across pool shapes (what batch/one-at-a-time parity relies on).
 * ``"two_tier"`` — tier 1 scores the pool with BLAS matmul over a
   pluggable storage backend (``storage_dtype`` of ``float32``,
   ``float16``, or symmetric per-vector-scaled ``int8``); tier 2 re-scores
@@ -485,8 +485,9 @@ class VectorIndex(abc.ABC):
         # depending on operand shapes, so the same (query, vector) pair can
         # score a few ULPs apart in pools of different sizes.  Unoptimized
         # einsum accumulates each element in fixed order regardless of shape,
-        # which is what lets a sharded corpus (scoring per-shard sub-pools)
-        # reproduce a single index's distances bit-for-bit.
+        # which is what lets a batch of queries, or a mutated or restored
+        # index whose store shape differs from a fresh fit's, reproduce
+        # one-at-a-time fresh-fit distances bit-for-bit.
         distances = (
             sq_norms[None, :]
             - 2.0 * np.einsum("ij,kj->ik", queries, matrix)

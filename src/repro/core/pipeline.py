@@ -87,7 +87,7 @@ class _ReferenceSheet:
 @dataclass(frozen=True)
 class ScoredPrediction:
     """One target cell's best S2 hit, with the keys needed to merge
-    candidate predictions *across* predictors deterministically.
+    candidate predictions from disjoint sheet subsets deterministically.
 
     Returned by :meth:`AutoFormula.predict_batch_scored`.  ``prediction``
     is ``None`` when the hit failed the acceptance threshold or S3
@@ -96,8 +96,8 @@ class ScoredPrediction:
     in the ``sheet_ids`` sequence the caller passed — the caller's own
     candidate ordering — and ``formula_index`` is the formula's position
     within that sheet, so ``(distance, sheet_rank, formula_index)``
-    reproduces the single-index pool tie-break when bests from several
-    shards are compared.
+    reproduces the single-pool tie-break when bests from several subsets
+    are compared.
     """
 
     prediction: Optional[Prediction]
@@ -608,17 +608,6 @@ class AutoFormula(FormulaPredictor):
             if reference is not None
         )
 
-    @property
-    def sheet_id_watermark(self) -> int:
-        """Stable sheet ids assigned so far (tombstones included).
-
-        Stable ids are never renumbered, so the sheets of the next
-        ``add_workbooks`` call get ids ``watermark, watermark + 1, ...`` in
-        corpus order — which is how a sharding coordinator maps its global
-        sheet bookkeeping onto each shard's ids without peeking inside.
-        """
-        return len(self._reference_sheets)
-
     # ------------------------------------------------------------- persistence
 
     def snapshot_state(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
@@ -781,7 +770,7 @@ class AutoFormula(FormulaPredictor):
         """Resident-byte accounting of both vector indexes (JSON-ready).
 
         See :meth:`repro.ann.VectorIndex.memory_stats`; ``total_bytes``
-        sums both indexes so serving layers can aggregate across shards.
+        sums both indexes.
         """
         sheet = self._sheet_index.memory_stats() if self._sheet_index is not None else None
         formula = (
@@ -835,10 +824,9 @@ class AutoFormula(FormulaPredictor):
     def sheet_query_vector(self, target_sheet: Sheet) -> np.ndarray:
         """The S1 query-side embedding of a target sheet.
 
-        Exposed so a sharding coordinator can embed the query *once* and
-        pass it to every shard's :meth:`sheet_hits` instead of paying the
-        full-sheet featurization per shard.  Depends only on the shared
-        encoder, so every shard would compute the identical vector.
+        Exposed so a staged caller can embed the query *once* and pass it
+        to :meth:`sheet_hits` (of this or any other predictor over the same
+        encoder: the vector depends only on the encoder).
         """
         return self._sheet_vector(target_sheet)
 
@@ -847,7 +835,7 @@ class AutoFormula(FormulaPredictor):
     ) -> np.ndarray:
         """The S2 query-side embeddings of the target cells (center-blanked).
 
-        The coordinator-side counterpart of :meth:`sheet_query_vector` for
+        The counterpart of :meth:`sheet_query_vector` for
         :meth:`predict_batch_scored`'s ``target_vectors`` argument.
         """
         return self._region_vectors(target_sheet, list(target_cells), blank_center=True)
@@ -863,10 +851,8 @@ class AutoFormula(FormulaPredictor):
 
         Hit keys are *stable sheet ids* usable with
         :meth:`predict_batch_scored`.  ``k`` defaults to the configured
-        ``top_k_sheets``.  A sharding coordinator runs this on every shard
-        (passing the once-computed ``query_vector``) and merges the hits by
-        ``(distance, global corpus order)`` before handing each shard its
-        slice of the merged candidate list.
+        ``top_k_sheets``; ``query_vector`` takes a once-computed
+        :meth:`sheet_query_vector` instead of re-embedding the sheet.
         """
         if not self._reference_sheets or self._sheet_index is None or len(self._sheet_index) == 0:
             return []
@@ -900,12 +886,12 @@ class AutoFormula(FormulaPredictor):
         bests from disjoint sheet subsets can be merged deterministically.
 
         ``target_vectors`` optionally carries the query-side region
-        embeddings (see :meth:`region_query_vectors`) so a coordinator
-        fanning one batch across shards encodes the targets once.  With
-        ``adapt=False`` the expensive S3 re-grounding is skipped and every
-        returned ``prediction`` is ``None``: a coordinator first merges the
-        per-shard bests, then runs :meth:`adapt_batch` only on each cell's
-        *winning* shard instead of adapting a losing candidate per shard.
+        embeddings (see :meth:`region_query_vectors`) so a caller scoring
+        one batch against several sheet subsets encodes the targets once.
+        With ``adapt=False`` the expensive S3 re-grounding is skipped and
+        every returned ``prediction`` is ``None``: the caller first merges
+        the per-subset bests, then runs :meth:`adapt_batch` only on each
+        cell's winner instead of adapting every losing candidate.
         Raises ``KeyError`` if a sheet id refers to a removed sheet.
         """
         cells = list(target_cells)
@@ -966,8 +952,8 @@ class AutoFormula(FormulaPredictor):
         """S3 re-grounding for already-chosen S2 winners.
 
         Each item is ``(target cell, stable sheet id, formula index, S2
-        distance)`` — what a sharding coordinator knows about a cell's
-        winning hit after merging :meth:`predict_batch_scored` results.
+        distance)`` — what a staged caller knows about a cell's winning
+        hit after merging :meth:`predict_batch_scored` results.
         Returns the finished predictions (``None`` where re-grounding
         fails), identical to what the un-split pipeline would produce.
         The caller is responsible for the acceptance-threshold check.

@@ -32,11 +32,10 @@ class SheetKeyedLRU:
     tensors, reduced tensors, target-region embeddings).
 
     Access is guarded by an internal mutex so one cache can be shared by
-    concurrent serving threads (e.g. the shards of a
-    ``ShardedWorkspace`` featurizing the same target sheet through one
-    encoder).  Cached values are deterministic functions of their sheet, so
-    a miss raced by two threads at worst computes the value twice — the
-    entries themselves never get corrupted.
+    concurrent serving threads (e.g. two workspaces featurizing the same
+    target sheet through one encoder).  Cached values are deterministic
+    functions of their sheet, so a miss raced by two threads at worst
+    computes the value twice — the entries themselves never get corrupted.
     """
 
     def __init__(self, max_entries: int) -> None:

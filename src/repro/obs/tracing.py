@@ -6,8 +6,7 @@ attributes — that nest into per-request *traces*:
 
 * The **current span** rides a ``contextvars.ContextVar``, so nesting
   works across ``async`` task switches for free and crosses explicit
-  thread hops via :meth:`Tracer.attach` (executor dispatch) or
-  ``contextvars.copy_context().run`` (the shard fan-out).
+  thread hops via :meth:`Tracer.attach` (executor dispatch).
 * A span opened with no active trace becomes the **root** of a new
   trace; the HTTP layer seeds the trace id from an ``X-Trace-Id``
   request header so multi-process topologies inherit context for free.
@@ -161,8 +160,8 @@ class Trace:
     def __init__(self, trace_id: str, tracer: "Tracer", sampled: bool) -> None:
         self.trace_id = trace_id
         self.tracer = tracer
-        #: Append-ordered; concurrent appends (shard fan-out threads) are
-        #: serialized by ``_lock``.
+        #: Append-ordered; concurrent appends (threads that
+        #: :meth:`Tracer.attach` one span) are serialized by ``_lock``.
         self.spans: List[Span] = []
         self.sampled = sampled
         self._next_span_id = 0

@@ -15,12 +15,10 @@ workspace reloadable:
   snapshot — the same op vocabulary as :mod:`repro.testing`'s workload
   generator — replayed on load and *compacted* into a fresh snapshot by
   ``save()``.
-* **Restore wiring** lives on the workspaces themselves:
+* **Restore wiring** lives on the workspace itself:
   :meth:`~repro.service.Workspace.save` /
-  :meth:`~repro.service.Workspace.load` (and the sharded counterparts,
-  including :meth:`~repro.service.ShardedWorkspace.load_shard` for
-  per-process shard workers) rebuild serving state whose answers are
-  bit-identical to a fresh fit on the equivalent corpus — the
+  :meth:`~repro.service.Workspace.load` rebuild serving state whose
+  answers are bit-identical to a fresh fit on the equivalent corpus — the
   fresh-fit-parity invariant checker in ``repro.testing`` is the
   acceptance harness.
 """

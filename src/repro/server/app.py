@@ -19,10 +19,10 @@ DELETE      ``/v1/workspaces/{ws}/workbooks/{name}``       remove a workbook
 
 Every dispatched request runs under an ``http.request`` root span of the
 process-global tracer (:mod:`repro.obs`): an incoming ``X-Trace-Id``
-header seeds the trace id (so upstream callers and future process-shard
-workers share one trace), the response always echoes ``X-Trace-Id``
-back, and 4xx/5xx bodies carry ``trace_id`` so client-side failures are
-joinable against the server-side trace.
+header seeds the trace id (so upstream callers and this server share
+one trace), the response always echoes ``X-Trace-Id`` back, and 4xx/5xx
+bodies carry ``trace_id`` so client-side failures are joinable against
+the server-side trace.
 
 Serving requests flow admission control → per-workspace micro-batcher →
 ``serve_batch`` on a thread-pool executor (see ``repro.server.batching``);

@@ -19,14 +19,9 @@ API around three pieces:
   (:class:`RecommendationRequest`, :class:`RecommendationResponse`)
   carrying provenance, per-request latency, and typed
   :class:`AbstainReason` values instead of bare ``None``;
-* :class:`ShardedWorkspace` — the same serving surface over a corpus
-  partitioned across K predictor shards (hash-by-sheet placement,
-  thread-pool fan-out, deterministic score merge), answering
-  bit-identically to the unsharded workspace wherever the underlying
-  index kinds search exactly;
 * :class:`~repro.service.concurrency.ReadWriteLock` — the
-  writer-preferring reader-writer lock both workspace types use so
-  concurrent serves interleave safely with corpus mutation.
+  writer-preferring reader-writer lock a workspace uses so concurrent
+  serves interleave safely with corpus mutation.
 """
 
 from repro.service.types import (
@@ -36,7 +31,6 @@ from repro.service.types import (
 )
 from repro.service.concurrency import ReadWriteLock
 from repro.service.workspace import Workspace
-from repro.service.sharding import ShardedWorkspace, shard_of_sheet
 from repro.service.facade import FormulaService
 
 __all__ = [
@@ -45,7 +39,5 @@ __all__ = [
     "RecommendationResponse",
     "ReadWriteLock",
     "Workspace",
-    "ShardedWorkspace",
-    "shard_of_sheet",
     "FormulaService",
 ]

@@ -6,8 +6,7 @@ mutations.  The promise is implemented with one reader-writer lock per
 workspace (many concurrent serves *or* one exclusive mutation) plus
 internal locks inside the shared caches (`repro.features.SheetKeyedLRU`,
 `repro.embedding.CachingEmbedder`, the cell-feature LRU) so that several
-workspaces — or the shards of one :class:`~repro.service.ShardedWorkspace`
-— can drive one trained encoder from different threads.
+workspaces can drive one trained encoder from different threads.
 """
 
 from __future__ import annotations

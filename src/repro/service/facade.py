@@ -4,20 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.core.config import AutoFormulaConfig
 from repro.core.interface import FormulaPredictor
 from repro.core.pipeline import AutoFormula
 from repro.models.encoder import SheetEncoder
 from repro.persistence.snapshot import SnapshotFormatError, read_manifest
-from repro.service.sharding import ShardedWorkspace
 from repro.service.workspace import Workspace
 from repro.sheet.workbook import Workbook
-
-#: Anything the registry serves: plain or sharded workspaces share the
-#: typed serving surface (``recommend`` / ``serve_batch`` / mutation).
-AnyWorkspace = Union[Workspace, ShardedWorkspace]
 
 
 class FormulaService:
@@ -38,7 +33,7 @@ class FormulaService:
     ) -> None:
         self._encoder = encoder
         self._config = config
-        self._workspaces: Dict[str, AnyWorkspace] = {}
+        self._workspaces: Dict[str, Workspace] = {}
 
     # ---------------------------------------------------------- configuration
 
@@ -74,6 +69,14 @@ class FormulaService:
 
     # ------------------------------------------------------------- workspaces
 
+    def _default_predictor(self) -> AutoFormula:
+        if self._encoder is None:
+            raise ValueError(
+                "this service was built without an encoder, so it cannot "
+                "construct the default AutoFormula predictor"
+            )
+        return AutoFormula(self._encoder, self._config or AutoFormulaConfig())
+
     def create_workspace(
         self,
         name: str,
@@ -84,110 +87,56 @@ class FormulaService:
         if name in self._workspaces:
             raise ValueError(f"workspace {name!r} already exists")
         if predictor is None:
-            if self._encoder is None:
-                raise ValueError(
-                    "a predictor is required: this service was built without "
-                    "an encoder, so it cannot construct the default AutoFormula"
-                )
-            predictor = AutoFormula(self._encoder, self._config or AutoFormulaConfig())
+            predictor = self._default_predictor()
         workspace = Workspace(name, predictor, encoder=self._encoder)
-        workspace.add_workbooks(workbooks)
-        self._workspaces[name] = workspace
-        return workspace
-
-    def create_sharded_workspace(
-        self,
-        name: str,
-        n_shards: int,
-        predictor_factory: Optional[Callable[[], FormulaPredictor]] = None,
-        workbooks: Sequence[Workbook] = (),
-    ) -> ShardedWorkspace:
-        """Create (and register) a :class:`ShardedWorkspace`.
-
-        ``predictor_factory`` builds one predictor per shard; it defaults
-        to fresh :class:`AutoFormula` instances over the service's shared
-        encoder and config, so a sharded workspace answers bit-identically
-        to :meth:`create_workspace` on the same corpus (see
-        ``repro.service.sharding``).
-        """
-        if name in self._workspaces:
-            raise ValueError(f"workspace {name!r} already exists")
-        if predictor_factory is None:
-            if self._encoder is None:
-                raise ValueError(
-                    "a predictor_factory is required: this service was built "
-                    "without an encoder, so it cannot construct the default "
-                    "AutoFormula shards"
-                )
-            encoder = self._encoder
-            config = self._config or AutoFormulaConfig()
-            predictor_factory = lambda: AutoFormula(encoder, config)  # noqa: E731
-        workspace = ShardedWorkspace(name, predictor_factory, n_shards)
         workspace.add_workbooks(workbooks)
         self._workspaces[name] = workspace
         return workspace
 
     # ------------------------------------------------------------- durability
 
-    def _default_predictor_factory(self) -> Callable[[], FormulaPredictor]:
-        if self._encoder is None:
-            raise ValueError(
-                "this service was built without an encoder, so it cannot "
-                "construct the default AutoFormula predictors a snapshot "
-                "restore needs"
-            )
-        encoder = self._encoder
-        config = self._config or AutoFormulaConfig()
-        return lambda: AutoFormula(encoder, config)
-
     def save_workspace(self, name: str, directory: Union[str, Path]) -> Path:
         """Snapshot the workspace called ``name`` to ``directory``.
 
-        Delegates to :meth:`Workspace.save` / :meth:`ShardedWorkspace.save`
-        — afterwards the workspace keeps appending its mutations to the
-        snapshot's log, so the snapshot stays reloadable and current.
+        Delegates to :meth:`Workspace.save` — afterwards the workspace
+        keeps appending its mutations to the snapshot's log, so the
+        snapshot stays reloadable and current.
         """
         return self._workspaces[name].save(directory)
 
     def load_workspace(
         self, directory: Union[str, Path], name: Optional[str] = None
-    ) -> AnyWorkspace:
+    ) -> Workspace:
         """Restore (and register) a workspace from a snapshot directory.
 
-        The manifest's ``kind`` field decides whether a plain or sharded
-        workspace is rebuilt; predictors are constructed from the
-        service's shared encoder and config, exactly as
-        :meth:`create_workspace` / :meth:`create_sharded_workspace` would.
-        ``name`` overrides the snapshot's stored workspace name.
+        The predictor is constructed from the service's shared encoder
+        and config, exactly as :meth:`create_workspace` would.  ``name``
+        overrides the snapshot's stored workspace name.  A manifest of
+        any other ``kind`` raises :class:`SnapshotFormatError`.
         """
         manifest = read_manifest(directory)
         kind = manifest.get("kind")
         registered = str(name or manifest.get("name") or "restored")
         if registered in self._workspaces:
             raise ValueError(f"workspace {registered!r} already exists")
-        if kind == "workspace":
-            workspace: AnyWorkspace = Workspace.load(
-                directory,
-                self._default_predictor_factory()(),
-                encoder=self._encoder,
-                name=registered,
-            )
-        elif kind == "sharded_workspace":
-            workspace = ShardedWorkspace.load(
-                directory, self._default_predictor_factory(), name=registered
-            )
-        else:
+        if kind != "workspace":
             raise SnapshotFormatError(
                 f"snapshot at {directory} holds unknown workspace kind {kind!r}"
             )
+        workspace = Workspace.load(
+            directory,
+            self._default_predictor(),
+            encoder=self._encoder,
+            name=registered,
+        )
         self._workspaces[registered] = workspace
         return workspace
 
-    def workspace(self, name: str) -> AnyWorkspace:
+    def workspace(self, name: str) -> Workspace:
         """The workspace called ``name`` (raises ``KeyError`` if missing)."""
         return self._workspaces[name]
 
-    def drop_workspace(self, name: str) -> AnyWorkspace:
+    def drop_workspace(self, name: str) -> Workspace:
         """Unregister and return the workspace called ``name``."""
         workspace = self._workspaces.pop(name)
         return workspace
@@ -196,13 +145,13 @@ class FormulaService:
         """Registered workspace names, in creation order."""
         return list(self._workspaces)
 
-    def __getitem__(self, name: str) -> AnyWorkspace:
+    def __getitem__(self, name: str) -> Workspace:
         return self.workspace(name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._workspaces
 
-    def __iter__(self) -> Iterator[AnyWorkspace]:
+    def __iter__(self) -> Iterator[Workspace]:
         return iter(self._workspaces.values())
 
     def __len__(self) -> int:

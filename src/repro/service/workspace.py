@@ -49,10 +49,8 @@ def sheet_engine(
 ) -> FormulaEngine:
     """Get (or build and cache) the recalculation engine for an indexed sheet.
 
-    Shared by :class:`Workspace` and
-    :class:`~repro.service.sharding.ShardedWorkspace` so the staleness
-    rule — rebuild when the cached engine no longer points at this exact
-    sheet object — lives in one place.
+    The staleness rule: rebuild when the cached engine no longer points
+    at this exact sheet object.
     """
     key = (workbook_name, sheet.name)
     engine = cache.get(key)
@@ -153,19 +151,26 @@ class Workspace:
         """The wrapped prediction method."""
         return self._predictor
 
+    # Registry reads replay a restored workspace's pending log first, so
+    # they never report the snapshot's corpus instead of the current one.
+
     @property
     def workbook_names(self) -> List[str]:
         """Names of the indexed workbooks, in insertion order."""
+        self._ensure_log_replayed()
         return list(self._workbooks)
 
     def workbooks(self) -> List[Workbook]:
         """The indexed workbooks, in insertion order (re-adds go last)."""
+        self._ensure_log_replayed()
         return list(self._workbooks.values())
 
     def __len__(self) -> int:
+        self._ensure_log_replayed()
         return len(self._workbooks)
 
     def __contains__(self, workbook_name: str) -> bool:
+        self._ensure_log_replayed()
         return workbook_name in self._workbooks
 
     def add_workbooks(self, workbooks: Iterable[Workbook]) -> None:
@@ -260,7 +265,7 @@ class Workspace:
         recommendations see the new content.  Re-indexing follows the
         remove + re-add protocol, so the workbook moves to the end of the
         corpus order exactly as an explicit remove/add pair would, keeping
-        fresh-fit and sharded parity intact.  Returns the engine's
+        fresh-fit parity intact.  Returns the engine's
         :class:`~repro.formula.engine.RecalcReport`.
 
         Raises ``KeyError`` if the workbook is not indexed or has no sheet
@@ -576,6 +581,7 @@ class Workspace:
         stats = getattr(self._predictor, "memory_stats", None)
         if stats is None:
             return {"total_bytes": 0}
+        self._ensure_log_replayed()
         with self._rwlock.read_lock():
             return stats()
 

@@ -1,9 +1,9 @@
 """Deterministic workload simulation and invariant testing.
 
-The serving layer's hardest guarantees — sharded/unsharded parity,
-mutation/fresh-fit parity, tombstone accounting, provenance consistency —
-are easy to regress silently: a stale index position or a wrong merge
-tie-break changes *which* formula wins, not whether serving crashes.
+The serving layer's hardest guarantees — mutation/fresh-fit parity,
+tombstone accounting, provenance consistency — are easy to regress
+silently: a stale index position or a wrong tie-break changes *which*
+formula wins, not whether serving crashes.
 This package makes those guarantees testable at scale:
 
 * :func:`generate_workload` builds a reproducible multi-tenant stream of
@@ -13,8 +13,8 @@ This package makes those guarantees testable at scale:
 * ``repro.testing.invariants`` contains white-box checkers that audit
   index state and compare response streams bit-for-bit.
 
-``tests/test_simulation.py`` drives these against plain and sharded
-workspaces across multiple seeds and index kinds.
+``tests/test_simulation.py`` drives these against workspaces across
+multiple seeds and index kinds.
 """
 
 from repro.testing.workload import (
@@ -31,7 +31,6 @@ from repro.testing.invariants import (
     assert_matches_fresh_fit,
     assert_response_wellformed,
     assert_responses_match,
-    assert_sharded_consistent,
     assert_tombstone_accounting,
     response_signature,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "assert_matches_fresh_fit",
     "assert_response_wellformed",
     "assert_responses_match",
-    "assert_sharded_consistent",
     "assert_tombstone_accounting",
     "response_signature",
 ]

@@ -3,8 +3,8 @@
 These functions encode, as executable assertions, the guarantees the
 engine's earlier PRs promised in prose:
 
-* **Serving parity** — two workspaces over the same corpus (e.g. sharded
-  vs unsharded, or mutated vs freshly fitted) answer every request with
+* **Serving parity** — two workspaces over the same corpus (e.g.
+  mutated vs freshly fitted, or restored vs live) answer every request with
   the same formula, confidence, provenance and abstain reason
   (:func:`assert_responses_match`, :func:`assert_matches_fresh_fit`).
 * **Tombstone accounting** — after any add/remove history, an
@@ -15,9 +15,6 @@ engine's earlier PRs promised in prose:
 * **Provenance consistency** — an accepted response cites a reference
   workbook that is actually indexed, and the typed response fields are
   mutually consistent (:func:`assert_response_wellformed`).
-* **Shard bookkeeping** — a sharded workspace's placement maps, global
-  sequence numbers and per-shard predictors tell one coherent story
-  (:func:`assert_sharded_consistent`).
 
 The checkers are *white-box on purpose*: they reach into predictor
 internals (``_reference_sheets``, ``_formula_positions``) because the
@@ -157,33 +154,6 @@ def assert_tombstone_accounting(predictor) -> None:
                 f"formula search surfaced formula of tombstoned sheet {sheet_id}"
             )
             assert int(local) < len(references[int(sheet_id)].formulas)
-
-
-def assert_sharded_consistent(sharded) -> None:
-    """Audit a :class:`~repro.service.ShardedWorkspace`'s bookkeeping."""
-    total_sheets = sum(len(workbook) for workbook in sharded.workbooks())
-    assert sum(sharded.shard_sizes()) == total_sheets, (
-        f"shards hold {sum(sharded.shard_sizes())} sheets for a corpus of "
-        f"{total_sheets}"
-    )
-    placed = {
-        name: sorted(entries) for name, entries in sharded._placements.items()
-    }
-    assert set(placed) == set(sharded.workbook_names), (
-        "placement map and workbook registry disagree"
-    )
-    sequences_seen = []
-    for shard, seqs in enumerate(sharded._global_seq):
-        predictor = sharded.predictors[shard]
-        assert predictor.n_reference_sheets == len(seqs), (
-            f"shard {shard}: predictor holds {predictor.n_reference_sheets} live "
-            f"sheets, coordinator expects {len(seqs)}"
-        )
-        assert_tombstone_accounting(predictor)
-        sequences_seen.extend(seqs.values())
-    assert len(sequences_seen) == len(set(sequences_seen)), (
-        "duplicate global sequence numbers across shards"
-    )
 
 
 # ------------------------------------------------------------ fresh-fit parity

@@ -7,8 +7,8 @@ tenants, generated entirely from an integer seed.  Two calls to :func:`generate_
 produce the same tenants, the same synthetic workbooks, the same
 operation order and the same request batches; replaying the stream
 against any workspace implementation therefore produces comparable
-response streams, which is how the invariant suite checks
-sharded-vs-unsharded parity and mutated-vs-fresh-fit parity (see
+response streams, which is how the invariant suite checks replay
+determinism and mutated-vs-fresh-fit parity (see
 ``repro.testing.invariants``).
 
 ``edit`` operations drive the live-editing workload: a numeric cell of an
@@ -18,8 +18,7 @@ workbook is re-indexed (edit → incremental recalc → re-recommend).
 Because edits mutate sheet contents, :func:`replay_workload` indexes a
 private :meth:`~repro.sheet.workbook.Workbook.copy` of each added
 workbook: the generator's pools stay pristine, so two replays of one
-workload — or a plain and a sharded replay compared for parity — start
-from identical corpus state.
+workload start from identical corpus state.
 
 The generator never emits an invalid operation: a remove against an
 empty tenant, an add with the pool exhausted, or an edit with nothing
@@ -62,8 +61,8 @@ class WorkloadConfig:
     only approximately.  Corpus
     parameters are deliberately small: simulations are meant to run in a
     test suite, and small per-tenant corpora also keep the approximate
-    index kinds (IVF, LSH) in their exact-fallback regime, where sharded
-    serving is provably bit-identical to unsharded serving.
+    index kinds (IVF, LSH) in their exact-fallback regime, where a mutated
+    index is provably bit-identical to a fresh fit.
     """
 
     n_tenants: int = 2

@@ -1,6 +1,6 @@
 """Concurrency smoke tests: serving under concurrent corpus mutation.
 
-N threads hammer one workspace (plain and sharded) with mixed
+N threads hammer one workspace with mixed
 recommend/mutate operations.  The suite asserts the serving layer's
 concurrency contract: no operation ever raises, responses are always
 well-formed, and once a removal has completed, no later-started serve
@@ -15,7 +15,6 @@ from repro import (
     AutoFormula,
     AutoFormulaConfig,
     RecommendationRequest,
-    ShardedWorkspace,
     Workspace,
 )
 from repro.evaluation.latency import LatencyRecorder
@@ -132,52 +131,38 @@ class TestWorkspaceUnderConcurrency:
         assert_matches_fresh_fit(workspace, factory, cases, context="post-hammer")
 
 
-class TestShardedWorkspaceUnderConcurrency:
-    def test_mixed_recommend_and_mutate_never_raises_or_goes_stale(self, assets):
+    def test_concurrent_serves_answer_identically(self, assets):
         pool, cases, factory = assets
-        with ShardedWorkspace("hammer-sharded", factory, 3) as workspace:
-            workspace.add_workbooks(pool)
-            churn_name = pool[0].name
-            errors, removed_event, post = _hammer(workspace, pool, cases, churn_name)
-            assert not errors, f"concurrent ops raised: {errors[:3]}"
-            assert removed_event.is_set()
-            _assert_no_stale(post, churn_name, workspace)
-            from repro.testing import assert_sharded_consistent
+        workspace = Workspace("parallel", factory())
+        workspace.add_workbooks(pool)
+        requests = [
+            RecommendationRequest(case.target_sheet, case.target_cell)
+            for case in cases
+        ]
+        reference = workspace.serve_batch(requests)
+        collected = [None] * N_THREADS
+        errors = []
 
-            assert_sharded_consistent(workspace)
+        def serve(slot):
+            try:
+                collected[slot] = workspace.serve_batch(requests)
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
 
-    def test_concurrent_serves_pipeline_across_shards(self, assets):
-        pool, cases, factory = assets
-        with ShardedWorkspace("parallel", factory, 2) as workspace:
-            workspace.add_workbooks(pool)
-            requests = [
-                RecommendationRequest(case.target_sheet, case.target_cell)
-                for case in cases
-            ]
-            reference = workspace.serve_batch(requests)
-            collected = [None] * N_THREADS
-            errors = []
+        threads = [
+            threading.Thread(target=serve, args=(slot,))
+            for slot in range(N_THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not errors
+        from repro.testing import assert_responses_match
 
-            def serve(slot):
-                try:
-                    collected[slot] = workspace.serve_batch(requests)
-                except BaseException as error:  # noqa: BLE001
-                    errors.append(error)
-
-            threads = [
-                threading.Thread(target=serve, args=(slot,))
-                for slot in range(N_THREADS)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not errors
-            from repro.testing import assert_responses_match
-
-            for responses in collected:
-                assert responses is not None
-                assert_responses_match(reference, responses, context="concurrent serve")
+        for responses in collected:
+            assert responses is not None
+            assert_responses_match(reference, responses, context="concurrent serve")
 
 
 class TestReadWriteLock:

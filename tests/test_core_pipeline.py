@@ -225,6 +225,83 @@ class TestBatchPrediction:
                 assert many.confidence == pytest.approx(one.confidence, abs=1e-6)
                 assert many.details["reference_cell"] == one.details["reference_cell"]
 
+    @pytest.mark.parametrize("kind", ["exact", "ivf", "lsh"])
+    def test_staged_api_composes_to_predict_batch(self, trained_encoder, pge_workload, kind):
+        """The public stages, driven from outside — embed once, S1, S2 with
+        S3 deferred, threshold, S3 on the winners — must reproduce
+        ``predict_batch`` exactly (formula, confidence, provenance), and S2
+        bests scored over disjoint sheet subsets must merge back into the
+        full-list result by ``(distance, sheet_rank, formula_index)``."""
+        cases, reference = pge_workload
+        system = AutoFormula(
+            trained_encoder,
+            AutoFormulaConfig(sheet_index_kind=kind, formula_index_kind=kind),
+        )
+        system.fit(reference)
+        threshold = system.config.acceptance_threshold
+        accepted = abstained = 0
+        for case in cases[:12]:
+            sheet = case.target_sheet
+            # Off-sheet and header cells make every group multi-cell and
+            # give it cells that abstain.
+            cells = [
+                case.target_cell,
+                CellAddress(sheet.n_rows + 40, sheet.n_cols + 15),
+                CellAddress(0, 0),
+            ]
+            expected = system.predict_batch(sheet, cells)
+
+            query = system.sheet_query_vector(sheet)
+            sheet_ids = [int(hit.key) for hit in system.sheet_hits(sheet, query_vector=query)]
+            assert sheet_ids
+            vectors = system.region_query_vectors(sheet, cells)
+            scored = system.predict_batch_scored(
+                sheet, cells, sheet_ids, target_vectors=vectors, adapt=False
+            )
+            assert all(item.prediction is None for item in scored)
+            winners = [
+                position
+                for position, item in enumerate(scored)
+                if item.distance <= threshold
+            ]
+            adapted = system.adapt_batch(
+                sheet,
+                [
+                    (
+                        cells[position],
+                        sheet_ids[scored[position].sheet_rank],
+                        scored[position].formula_index,
+                        scored[position].distance,
+                    )
+                    for position in winners
+                ],
+            )
+            staged = [None] * len(cells)
+            for position, prediction in zip(winners, adapted):
+                staged[position] = prediction
+            assert staged == expected
+            accepted += sum(prediction is not None for prediction in expected)
+            abstained += sum(prediction is None for prediction in expected)
+
+            # Restricted sheet_ids: score the even- and odd-ranked hit
+            # sheets separately and merge the bests.
+            merged = [None] * len(cells)
+            for ranks in (range(0, len(sheet_ids), 2), range(1, len(sheet_ids), 2)):
+                subset = [sheet_ids[rank] for rank in ranks]
+                partial = system.predict_batch_scored(
+                    sheet, cells, subset, target_vectors=vectors, adapt=False
+                )
+                for position, item in enumerate(partial):
+                    if item is None:
+                        continue
+                    key = (item.distance, ranks[item.sheet_rank], item.formula_index)
+                    if merged[position] is None or key < merged[position]:
+                        merged[position] = key
+            assert merged == [
+                (item.distance, item.sheet_rank, item.formula_index) for item in scored
+            ]
+        assert accepted and abstained
+
     def test_predict_batch_empty(self, fitted_system):
         assert fitted_system.predict_batch(Sheet(), []) == []
 

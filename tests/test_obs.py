@@ -7,8 +7,8 @@ sampling plus the always-capture slow log, near-free disabled spans, the
 unified counter/gauge/histogram registry (N-thread hammer: no lost
 increments), the bounded-memory reservoir percentile estimator, the true
 in-flight gauge under a stalled flush, trace-id propagation through HTTP
-(headers, error bodies, ``SchemaError``), and the per-shard /
-per-stage span tree of a sharded recommend.
+(headers, error bodies, ``SchemaError``), and the per-stage span tree
+of a recommend.
 """
 
 import threading
@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import AutoFormula, AutoFormulaConfig, FormulaService, ShardedWorkspace
+from repro import AutoFormula, AutoFormulaConfig, FormulaService, Workspace
 from repro.evaluation.latency import LatencyRecorder
 from repro.obs import MetricsRegistry, get_tracer, trace_tree
 from repro.obs.tracing import _NOOP_SPAN, Tracer
@@ -59,16 +59,6 @@ def _span_names(node, into=None):
     for child in node["children"]:
         _span_names(child, into)
     return into
-
-
-def _find_spans(node, name, found=None):
-    """All nodes named ``name`` anywhere under ``node`` (pre-order)."""
-    found = [] if found is None else found
-    if node["name"] == name:
-        found.append(node)
-    for child in node["children"]:
-        _find_spans(child, name, found)
-    return found
 
 
 # ------------------------------------------------------------------- tracer
@@ -502,55 +492,49 @@ class TestServerObservability:
             assert client.stats()["in_flight"] == 0
 
 
-# ------------------------------------------------------------- sharded trace
+# ----------------------------------------------------------- recommend trace
 
 
-class TestShardedTraceTree:
-    def test_sharded_recommend_produces_per_shard_stage_spans(
+class TestRecommendTraceTree:
+    def test_recommend_produces_per_stage_spans(
         self, tracer, trained_encoder, pge_corpus
     ):
         from repro.corpus import sample_test_cases, split_corpus
 
         test_workbooks, reference_workbooks = split_corpus(pge_corpus, 0.15, "timestamp")
         cases = sample_test_cases("PGE", test_workbooks, max_per_sheet=2, seed=0)
-        workspace = ShardedWorkspace(
-            "traced", lambda: AutoFormula(trained_encoder, _config("exact")), 3
-        )
-        try:
-            workspace.add_workbooks(reference_workbooks[:6])
-            tracer.reset()
-            case = cases[0]
-            workspace.recommend(RecommendationRequest(case.target_sheet, case.target_cell))
-        finally:
-            workspace.close()
+        workspace = Workspace("traced", AutoFormula(trained_encoder, _config("exact")))
+        workspace.add_workbooks(reference_workbooks[:6])
+        tracer.reset()
+        case = cases[0]
+        workspace.recommend(RecommendationRequest(case.target_sheet, case.target_cell))
 
         recent = tracer.recent_traces()
-        assert recent, "sharded serve must produce a sampled trace"
+        assert recent, "a serve must produce a sampled trace"
         tree = recent[-1]
         root = tree["root"]
-        assert root["name"] == "sharded.serve"
+        assert root["name"] == "workspace.serve"
         assert root["attributes"]["workspace"] == "traced"
-        assert root["attributes"]["n_shards"] == 3
+        assert root["attributes"]["n_requests"] == 1
         assert tree["orphans"] == []
 
-        # Phase 1: one s1.shard child per populated shard, distinct ids.
-        (s1,) = _find_spans(root, "shard.s1")
-        s1_children = [node for node in s1["children"] if node["name"] == "s1.shard"]
-        assert len(s1_children) == s1["attributes"]["n_shards"] >= 1
-        shard_ids = [node["attributes"]["shard"] for node in s1_children]
-        assert len(set(shard_ids)) == len(shard_ids)
-        # Each shard's S1 work nests the stage span, which nests the
-        # index scan.
-        for node in s1_children:
-            names = _span_names(node)
-            assert "s1.sheet_hits" in names
-            assert "index.search" in names
+        # The stages are siblings under the serve span, in pipeline order,
+        # and each nests its own index scan.  (In-line S3 runs inside
+        # ``s2.score``; ``s3.adapt`` belongs to the staged ``adapt_batch``.)
+        assert [node["name"] for node in root["children"]] == [
+            "s1.sheet_hits",
+            "s2.score",
+        ]
+        s1, s2 = root["children"]
+        assert s1["attributes"]["n_hits"] >= 1
+        assert s2["attributes"]["n_cells"] == 1
+        for stage in (s1, s2):
+            assert "index.search" in _span_names(stage)
 
-        # Phase 2: scoring spans nest under their shard spans.
-        (s2,) = _find_spans(root, "shard.s2")
-        s2_children = [node for node in s2["children"] if node["name"] == "s2.shard"]
-        assert len(s2_children) == s2["attributes"]["n_shards"] >= 1
-        assert any("s2.score" in _span_names(node) for node in s2_children)
+        # The staged S3 entry point opens its own span.
+        tracer.reset()
+        workspace.predictor.adapt_batch(case.target_sheet, [])
+        assert tracer.recent_traces()[-1]["root"]["name"] == "s3.adapt"
 
         # Spans carry usable timings: every child fits inside the root.
         def check_bounds(node):

@@ -5,8 +5,8 @@ workspace restored from snapshot (+ mutation-log tail) must answer
 bit-identically to a fresh fit on the equivalent corpus, across the
 exact/lsh/ivf index kinds.  The rest of the suite covers the mechanics:
 format-version enforcement, lazy log replay, compaction, tombstone
-state, memory-mapped loading, per-shard worker restore, and the service
-facade's save/load round trip.
+state, memory-mapped loading, and the service facade's save/load round
+trip.
 """
 
 import json
@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import AutoFormula, AutoFormulaConfig, FormulaService, ShardedWorkspace, Workspace
+from repro import AutoFormula, AutoFormulaConfig, FormulaService, Workspace
 from repro.persistence import (
     MutationLog,
     MutationLogError,
@@ -134,30 +134,6 @@ class TestRestoreParity:
         )
         assert restored.workbook_names == workspace.workbook_names
 
-    def test_sharded_restore_matches_fresh_unsharded_fit(
-        self, trained_encoder, kind, tmp_path
-    ):
-        workload = generate_workload(47, CHURN_WORKLOAD)
-        config = _config(kind)
-        factory = lambda: AutoFormula(trained_encoder, config)  # noqa: E731
-        replay = replay_workload(
-            workload, lambda tenant: ShardedWorkspace(tenant, factory, 3)
-        )
-        ((tenant, workspace),) = replay.workspaces.items()
-        workspace.save(tmp_path / "snap")
-        restored = ShardedWorkspace.load(tmp_path / "snap", factory)
-        try:
-            assert restored.shard_sizes() == workspace.shard_sizes()
-            assert_matches_fresh_fit(
-                restored,
-                factory,
-                workload.cases[tenant],
-                context=f"sharded restored kind={kind}",
-            )
-        finally:
-            restored.close()
-            workspace.close()
-
 
 @pytest.mark.parametrize("storage_dtype", ("float16", "int8"))
 class TestQuantizedRestoreParity:
@@ -241,6 +217,36 @@ class TestMutationLog:
         # Replayed ops must not be re-appended to the log they came from.
         assert len(MutationLog(mutation_log_path(directory))) == 1
 
+    def test_registry_reads_replay_the_pending_log(self, trained_encoder, tmp_path):
+        """A restored workspace must describe its current corpus — snapshot
+        plus log tail — before anything has been served."""
+        workspace, __, config = _churned_workspace(trained_encoder, "exact")
+        directory = tmp_path / "snap"
+        workspace.save(directory)
+        removed = workspace.remove_workbook(workspace.workbook_names[0])
+        for name in ("added-a", "added-b"):
+            added = Workbook(name)
+            sheet = added.add_sheet("S")
+            sheet.set("A1", 1.0)
+            sheet.set("A2", 2.0)
+            sheet.set("A3", formula="=SUM(A1:A2)")
+            workspace.add_workbook(added)
+
+        def restore():
+            restored = Workspace.load(directory, AutoFormula(trained_encoder, config))
+            assert len(restored._pending_ops) == 3
+            return restored
+
+        assert len(restore()) == len(workspace)
+        assert removed.name not in restore()
+        assert "added-b" in restore()
+        assert restore().workbook_names == workspace.workbook_names
+        assert [wb.name for wb in restore().workbooks()] == workspace.workbook_names
+        assert (
+            restore().memory_stats()["total_bytes"]
+            == workspace.memory_stats()["total_bytes"]
+        )
+
     def test_save_compacts_the_log(self, trained_encoder, tmp_path):
         workspace, __, config = _churned_workspace(trained_encoder, "exact")
         directory = tmp_path / "snap"
@@ -316,14 +322,25 @@ class TestSnapshotFormat:
             read_manifest(tmp_path)
 
     def test_kind_mismatch_raises(self, trained_encoder, tmp_path):
-        workspace, __, config = _churned_workspace(trained_encoder, "exact")
-        directory = tmp_path / "snap"
-        workspace.save(directory)
-        factory = lambda: AutoFormula(trained_encoder, config)  # noqa: E731
-        with pytest.raises(SnapshotFormatError, match="not a sharded workspace"):
-            ShardedWorkspace.load(directory, factory)
-        with pytest.raises(SnapshotFormatError, match="not a sharded workspace"):
-            ShardedWorkspace.load_shard(directory, 0, factory)
+        # No code writes this kind any more; a snapshot left on disk by an
+        # older build must be refused by name, not misread as a workspace.
+        (tmp_path / "manifest.json").write_text(
+            json.dumps(
+                {
+                    "format_version": SNAPSHOT_FORMAT_VERSION,
+                    "kind": "sharded_workspace",
+                    "name": "old",
+                    "n_shards": 2,
+                }
+            )
+        )
+        config = _config("exact")
+        with pytest.raises(SnapshotFormatError, match="'sharded_workspace'"):
+            Workspace.load(tmp_path, AutoFormula(trained_encoder, config))
+        service = FormulaService(trained_encoder, config)
+        with pytest.raises(SnapshotFormatError, match="'sharded_workspace'"):
+            service.load_workspace(tmp_path)
+        assert "old" not in service
 
     def test_config_mismatch_raises(self, trained_encoder, tmp_path):
         workspace, __, config = _churned_workspace(trained_encoder, "exact")
@@ -355,38 +372,6 @@ class TestSnapshotFormat:
         assert not isinstance(eager.predictor.sheet_index._matrix, np.memmap)
 
 
-# ------------------------------------------------------------ process shards
-
-
-class TestShardWorkers:
-    def test_load_shard_restores_each_slice(self, trained_encoder, tmp_path):
-        config = _config("exact")
-        factory = lambda: AutoFormula(trained_encoder, config)  # noqa: E731
-        workload = generate_workload(11, CHURN_WORKLOAD)
-        replay = replay_workload(
-            workload, lambda tenant: ShardedWorkspace(tenant, factory, 3)
-        )
-        ((tenant, workspace),) = replay.workspaces.items()
-        directory = tmp_path / "snap"
-        workspace.save(directory)
-        case = workload.cases[tenant][0]
-        for shard in range(3):
-            predictor, sequences = ShardedWorkspace.load_shard(
-                directory, shard, factory
-            )
-            # The worker's routing metadata matches the coordinator's ...
-            assert sequences == workspace._global_seq[shard]
-            # ... and its S1 stage answers exactly like the live shard.
-            live = workspace._predictors[shard].sheet_hits(case.target_sheet)
-            loaded = predictor.sheet_hits(case.target_sheet)
-            assert [(hit.key, hit.distance) for hit in live] == [
-                (hit.key, hit.distance) for hit in loaded
-            ]
-        with pytest.raises(ValueError, match="out of range"):
-            ShardedWorkspace.load_shard(directory, 7, factory)
-        workspace.close()
-
-
 # ----------------------------------------------------------------- facade
 
 
@@ -410,24 +395,6 @@ class TestServiceFacade:
                 [restored.recommend(request)],
                 context="facade reload",
             )
-
-    def test_load_workspace_detects_sharded_kind(self, trained_encoder, tmp_path):
-        service = FormulaService(trained_encoder, _config("exact"))
-        workspace = service.create_sharded_workspace("tenant", 2)
-        workbook = Workbook("wb")
-        sheet = workbook.add_sheet("S")
-        sheet.set("A1", 1.0)
-        sheet.set("A2", 2.0)
-        sheet.set("A3", formula="=SUM(A1:A2)")
-        workspace.add_workbook(workbook)
-        service.save_workspace("tenant", tmp_path / "snap")
-        restored = service.load_workspace(tmp_path / "snap", name="reloaded")
-        try:
-            assert isinstance(restored, ShardedWorkspace)
-            assert restored.workbook_names == ["wb"]
-        finally:
-            restored.close()
-            workspace.close()
 
     def test_duplicate_name_rejected_on_load(self, trained_encoder, tmp_path):
         service = FormulaService(trained_encoder, _config("exact"))

@@ -11,7 +11,6 @@ from repro import (
     FormulaService,
     RecommendationRequest,
     RecommendationResponse,
-    ShardedWorkspace,
     Workspace,
 )
 from repro.baselines import WeakSupervisionBaseline
@@ -303,7 +302,7 @@ class TestFacade:
 
 
 class TestEditCell:
-    """The live-edit surface: contracts shared by plain and sharded."""
+    """The live-edit surface's contracts."""
 
     @pytest.fixture()
     def edit_target(self, workload):
@@ -319,141 +318,37 @@ class TestEditCell:
         )
         return workbook, sheet, address
 
-    def _workspaces(self, trained_encoder, workbooks):
-        plain = Workspace("t", AutoFormula(trained_encoder, _config("exact")))
-        plain.add_workbooks([wb.copy() for wb in workbooks])
-        sharded = ShardedWorkspace(
-            "t", lambda: AutoFormula(trained_encoder, _config("exact")), 3
-        )
-        sharded.add_workbooks([wb.copy() for wb in workbooks])
-        return plain, sharded
+    def _workspace(self, trained_encoder, workbooks):
+        workspace = Workspace("t", AutoFormula(trained_encoder, _config("exact")))
+        workspace.add_workbooks([wb.copy() for wb in workbooks])
+        return workspace
 
     def test_requires_exactly_one_operand(self, trained_encoder, workload, edit_target):
         reference_workbooks, __ = workload
         workbook, sheet, address = edit_target
-        for workspace in self._workspaces(trained_encoder, reference_workbooks[:2]):
-            with pytest.raises(ValueError, match="value=.*formula="):
-                workspace.edit_cell(workbook.name, sheet.name, address)
-            with pytest.raises(ValueError, match="not both"):
-                workspace.edit_cell(
-                    workbook.name, sheet.name, address, value=1.0, formula="=1"
-                )
-            with pytest.raises(KeyError):
-                workspace.edit_cell("ghost.xlsx", sheet.name, address, value=1.0)
-            with pytest.raises(KeyError):
-                workspace.edit_cell(workbook.name, "ghost sheet", address, value=1.0)
+        workspace = self._workspace(trained_encoder, reference_workbooks[:2])
+        with pytest.raises(ValueError, match="value=.*formula="):
+            workspace.edit_cell(workbook.name, sheet.name, address)
+        with pytest.raises(ValueError, match="not both"):
+            workspace.edit_cell(
+                workbook.name, sheet.name, address, value=1.0, formula="=1"
+            )
+        with pytest.raises(KeyError):
+            workspace.edit_cell("ghost.xlsx", sheet.name, address, value=1.0)
+        with pytest.raises(KeyError):
+            workspace.edit_cell(workbook.name, "ghost sheet", address, value=1.0)
 
     def test_edit_applies_and_moves_workbook_to_corpus_end(
         self, trained_encoder, workload, edit_target
     ):
         reference_workbooks, __ = workload
         workbook, sheet, address = edit_target
-        plain, sharded = self._workspaces(trained_encoder, reference_workbooks[:3])
-        for workspace in (plain, sharded):
-            report = workspace.edit_cell(workbook.name, sheet.name, address, value=77.25)
-            assert report.total >= 0
-            edited = next(wb for wb in workspace.workbooks() if wb.name == workbook.name)
-            assert edited.get_sheet(sheet.name).get(address).value == 77.25
-            assert workspace.workbook_names[-1] == workbook.name
-        sharded.close()
-
-
-class _FaultInjectingAutoFormula(AutoFormula):
-    """AutoFormula whose next add/remove can be made to explode."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.fail_next_add = False
-        self.fail_next_remove = False
-
-    def add_workbooks(self, workbooks):
-        if self.fail_next_add:
-            self.fail_next_add = False
-            raise RuntimeError("injected add failure")
-        return super().add_workbooks(workbooks)
-
-    def remove_workbook(self, workbook_name):
-        if self.fail_next_remove:
-            self.fail_next_remove = False
-            raise RuntimeError("injected remove failure")
-        return super().remove_workbook(workbook_name)
-
-
-class TestShardedMutationFailure:
-    """Shard mutation failures must leave a consistent, retryable corpus."""
-
-    def _sharded(self, trained_encoder):
-        return ShardedWorkspace(
-            "faulty",
-            lambda: _FaultInjectingAutoFormula(trained_encoder, AutoFormulaConfig()),
-            2,
-        )
-
-    def test_failed_add_leaves_corpus_unchanged(self, trained_encoder, workload):
-        from repro.testing import assert_sharded_consistent
-
-        references, cases = workload
-        workspace = self._sharded(trained_encoder)
-        workspace.add_workbooks(references[:2])
-        before_names = workspace.workbook_names
-        before_sizes = workspace.shard_sizes()
-        baseline = workspace.recommend(
-            RecommendationRequest(cases[0].target_sheet, cases[0].target_cell)
-        )
-
-        shard = next(
-            index
-            for index, size in enumerate(workspace.shard_sizes())
-            if size or index == 0
-        )
-        workspace.predictors[shard].fail_next_add = True
-        with pytest.raises(RuntimeError, match="injected add failure"):
-            workspace.add_workbooks(references[2:4])
-
-        assert workspace.workbook_names == before_names
-        assert workspace.shard_sizes() == before_sizes
-        assert_sharded_consistent(workspace)
-        after = workspace.recommend(
-            RecommendationRequest(cases[0].target_sheet, cases[0].target_cell)
-        )
-        assert after.formula == baseline.formula
-        # And the add is retryable once the fault clears.
-        workspace.add_workbooks(references[2:4])
-        assert references[2].name in workspace and references[3].name in workspace
-        assert_sharded_consistent(workspace)
-        workspace.close()
-
-    def test_failed_remove_keeps_workbook_registered_and_is_retryable(
-        self, trained_encoder, workload
-    ):
-        from repro.sheet import Sheet, Workbook
-        from repro.testing import assert_sharded_consistent
-
-        references, __ = workload
-        workspace = self._sharded(trained_encoder)
-        workspace.add_workbooks(references[:2])
-        # A workbook guaranteed to span both shards, so one shard can
-        # succeed before the other one fails.
-        spanning = Workbook(name="spanning.xlsx")
-        for index in range(8):
-            sheet = spanning.add_sheet(Sheet(f"S{index}"))
-            sheet.set("A1", float(index))
-        workspace.add_workbook(spanning)
-        placement_shards = {
-            shard for shard, __ in workspace._placements["spanning.xlsx"]
-        }
-        assert placement_shards == {0, 1}, "placement did not span both shards"
-
-        workspace.predictors[max(placement_shards)].fail_next_remove = True
-        with pytest.raises(RuntimeError, match="injected remove failure"):
-            workspace.remove_workbook("spanning.xlsx")
-        assert "spanning.xlsx" in workspace  # still registered
-
-        removed = workspace.remove_workbook("spanning.xlsx")  # retry succeeds
-        assert removed is spanning
-        assert "spanning.xlsx" not in workspace
-        assert_sharded_consistent(workspace)
-        workspace.close()
+        workspace = self._workspace(trained_encoder, reference_workbooks[:3])
+        report = workspace.edit_cell(workbook.name, sheet.name, address, value=77.25)
+        assert report.total >= 0
+        edited = next(wb for wb in workspace.workbooks() if wb.name == workbook.name)
+        assert edited.get_sheet(sheet.name).get(address).value == 77.25
+        assert workspace.workbook_names[-1] == workbook.name
 
 
 class TestBaselineWorkspace:

@@ -1,21 +1,20 @@
 """Workload-simulation property suite: the serving layer's invariants.
 
 Drives the deterministic workload generator (``repro.testing``) against
-plain and sharded workspaces and asserts the guarantees the service layer
-documents: sharded/unsharded bit-parity across index kinds and simulator
-seeds, mutated-corpus/fresh-fit parity, tombstone accounting after every
-mutation, and response-provenance consistency.
+workspaces and asserts the guarantees the service layer documents:
+replay determinism, mutated-corpus/fresh-fit parity across index kinds,
+tombstone accounting after every mutation, incremental == full-pass
+recalculation under edit streams, and response-provenance consistency.
 """
 
 import pytest
 
-from repro import AutoFormula, AutoFormulaConfig, ShardedWorkspace, Workspace
+from repro import AutoFormula, AutoFormulaConfig, RecommendationRequest, Workspace
 from repro.testing import (
     WorkloadConfig,
     assert_matches_fresh_fit,
     assert_response_wellformed,
     assert_responses_match,
-    assert_sharded_consistent,
     assert_tombstone_accounting,
     generate_workload,
     replay_workload,
@@ -25,8 +24,7 @@ from repro.testing import (
 SIMULATOR_SEEDS = (11, 29, 47)
 
 #: Small on purpose: fast, and it keeps IVF/LSH in the exact-fallback
-#: regime where sharded serving is provably bit-identical (see
-#: ``repro.service.sharding``).
+#: regime where a mutated index is provably bit-identical to a fresh fit.
 SMALL_WORKLOAD = WorkloadConfig(
     n_tenants=1,
     n_steps=8,
@@ -138,60 +136,6 @@ class TestWorkloadDeterminism:
 
 
 @pytest.mark.parametrize("kind", ["exact", "lsh", "ivf"])
-@pytest.mark.parametrize("seed", SIMULATOR_SEEDS)
-class TestShardedParity:
-    """Sharded serving must be bit-identical to unsharded serving."""
-
-    N_SHARDS = 3
-
-    def test_sharded_matches_unsharded_under_churn(self, trained_encoder, kind, seed):
-        workload = generate_workload(seed, SMALL_WORKLOAD)
-        config = _config(kind)
-
-        plain = replay_workload(
-            workload,
-            lambda tenant: Workspace(tenant, AutoFormula(trained_encoder, config)),
-        )
-
-        def audit(op, workspace):
-            if op.kind in ("add", "remove"):
-                assert_sharded_consistent(workspace)
-
-        sharded = replay_workload(
-            workload,
-            lambda tenant: ShardedWorkspace(
-                tenant,
-                lambda: AutoFormula(trained_encoder, config),
-                self.N_SHARDS,
-            ),
-            after_step=audit,
-        )
-
-        served_steps = 0
-        for left, right in zip(plain.outcomes, sharded.outcomes):
-            assert left.step == right.step and left.kind == right.kind
-            assert_responses_match(
-                left.responses,
-                right.responses,
-                context=f"kind={kind} seed={seed} step={left.step}",
-            )
-            assert left.evaluation == right.evaluation
-            served_steps += bool(left.responses)
-        assert served_steps > 0, "workload never exercised the serving path"
-
-        # Provenance consistency on the final corpus state.
-        for tenant, workspace in sharded.workspaces.items():
-            for case in workload.cases[tenant]:
-                from repro.service import RecommendationRequest
-
-                response = workspace.recommend(
-                    RecommendationRequest(case.target_sheet, case.target_cell)
-                )
-                assert_response_wellformed(response, workspace)
-            workspace.close()
-
-
-@pytest.mark.parametrize("kind", ["exact", "lsh", "ivf"])
 class TestFreshFitParity:
     """After arbitrary churn, serving equals a fresh fit on the corpus."""
 
@@ -218,28 +162,6 @@ class TestFreshFitParity:
                 context=f"kind={kind} tenant={tenant}",
             )
 
-    def test_sharded_workspace_matches_fresh_unsharded_fit(self, trained_encoder, kind):
-        """The acceptance invariant, stated directly: a sharded workspace
-        answers like a fresh *unsharded* fit on the equivalent corpus."""
-        workload = generate_workload(SIMULATOR_SEEDS[1], SMALL_WORKLOAD)
-        config = _config(kind)
-        replay = replay_workload(
-            workload,
-            lambda tenant: ShardedWorkspace(
-                tenant, lambda: AutoFormula(trained_encoder, config), 4
-            ),
-        )
-        for tenant, workspace in replay.workspaces.items():
-            if not len(workspace):
-                continue
-            assert_matches_fresh_fit(
-                workspace,
-                lambda: AutoFormula(trained_encoder, config),
-                workload.cases[tenant],
-                context=f"kind={kind} tenant={tenant} sharded",
-            )
-            workspace.close()
-
 
 @pytest.mark.parametrize("seed", SIMULATOR_SEEDS)
 class TestEditRecalcParity:
@@ -248,8 +170,7 @@ class TestEditRecalcParity:
     The acceptance invariant of the formula engine, stated over the
     simulator: for every simulator seed × edit stream, the sheets served
     after engine-incremental recalculation are value-identical to a fresh
-    full-pass evaluation of the final sheet state, and sharded serving of
-    the edited corpus stays bit-identical to unsharded serving.
+    full-pass evaluation of the final sheet state.
     """
 
     @staticmethod
@@ -283,34 +204,6 @@ class TestEditRecalcParity:
                 for sheet in workbook:
                     self._assert_full_pass_identical(sheet)
 
-    def test_sharded_serving_matches_unsharded_under_edits(self, trained_encoder, seed):
-        workload = generate_workload(seed, EDIT_WORKLOAD)
-        config = _config("exact")
-        plain = replay_workload(
-            workload,
-            lambda tenant: Workspace(tenant, AutoFormula(trained_encoder, config)),
-        )
-        sharded = replay_workload(
-            workload,
-            lambda tenant: ShardedWorkspace(
-                tenant, lambda: AutoFormula(trained_encoder, config), 3
-            ),
-        )
-        for left, right in zip(plain.outcomes, sharded.outcomes):
-            assert left.recalc == right.recalc
-            assert_responses_match(
-                left.responses, right.responses, context=f"edit seed={seed} step={left.step}"
-            )
-        for tenant, workspace in sharded.workspaces.items():
-            if len(workspace):
-                assert_matches_fresh_fit(
-                    workspace,
-                    lambda: AutoFormula(trained_encoder, config),
-                    workload.cases[tenant],
-                    context=f"edit seed={seed} tenant={tenant} sharded",
-                )
-            workspace.close()
-
 
 @pytest.mark.slow
 class TestLongSimulationStress:
@@ -334,24 +227,20 @@ class TestLongSimulationStress:
 
         def audit(op, workspace):
             if op.kind in ("add", "remove"):
-                assert_sharded_consistent(workspace)
+                assert_tombstone_accounting(workspace.predictor)
 
-        plain = replay_workload(
+        replay = replay_workload(
             workload,
             lambda tenant: Workspace(tenant, AutoFormula(trained_encoder, config)),
-        )
-        sharded = replay_workload(
-            workload,
-            lambda tenant: ShardedWorkspace(
-                tenant, lambda: AutoFormula(trained_encoder, config), 4
-            ),
             after_step=audit,
         )
-        for left, right in zip(plain.outcomes, sharded.outcomes):
-            assert_responses_match(
-                left.responses, right.responses, context=f"stress step {left.step}"
-            )
-        for tenant, workspace in sharded.workspaces.items():
+        for tenant, workspace in replay.workspaces.items():
+            # Provenance consistency on the final corpus state.
+            for case in workload.cases[tenant]:
+                response = workspace.recommend(
+                    RecommendationRequest(case.target_sheet, case.target_cell)
+                )
+                assert_response_wellformed(response, workspace)
             if len(workspace):
                 assert_matches_fresh_fit(
                     workspace,
@@ -359,7 +248,6 @@ class TestLongSimulationStress:
                     workload.cases[tenant],
                     context=f"stress tenant={tenant}",
                 )
-            workspace.close()
 
 
 class TestInvariantCheckers:
