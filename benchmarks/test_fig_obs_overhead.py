@@ -149,10 +149,10 @@ def _collect_names(node, into):
 def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
     """Capture one recommend's full span tree.
 
-    The corpus is every enterprise's reference workbooks combined so the
-    sheet pool is large enough for the two-tier scorer to engage — the
-    captured S1 span then shows the tier-1 scan and tier-2 re-rank
-    explicitly.
+    The corpus is every enterprise's reference workbooks combined.  One
+    query over a few hundred sheets is far below the scorer's gate, so
+    the gate is lowered on this workspace's indexes: the captured search
+    spans then show the tier-1 scan and tier-2 re-rank explicitly.
     """
     references, cases, seen = [], [], set()
     for name, corpus in corpora.items():
@@ -163,16 +163,12 @@ def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
             ref for ref in refs if not (ref.name in seen or seen.add(ref.name))
         )
         cases.extend(sample_test_cases(name, test_workbooks, max_per_sheet=1, seed=0))
-    workspace = Workspace(
-        "traced",
-        AutoFormula(
-            encoder,
-            AutoFormulaConfig(scoring_mode="two_tier", storage_dtype="int8"),
-        ),
-    )
+    workspace = Workspace("traced", AutoFormula(encoder, AutoFormulaConfig()))
     tracer = get_tracer()
     try:
         workspace.add_workbooks(references)
+        for index in (workspace.predictor.sheet_index, workspace.predictor.formula_index):
+            index.tier1_min_pairs = 2
         tracer.configure(enabled=True, sample_rate=1.0, slow_threshold_s=0.0)
         tracer.reset()
 
@@ -239,7 +235,7 @@ def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
         "fig_obs_trace",
         [
             "End-to-end trace capture: one recommend + one edit",
-            f"(full trees in {artifact.name}; two-tier int8 index)",
+            f"(full trees in {artifact.name}; scorer gate lowered to show both tiers)",
             "",
             f"recommend trace: {recommend_tree['n_spans']} spans, "
             f"{recommend_tree['duration_ms']:.1f} ms, "

@@ -23,6 +23,7 @@ __all__ = [
     "LSHIndex",
     "IVFIndex",
     "create_index",
+    "canonical_index_kind",
     "KNOWN_INDEX_KINDS",
 ]
 
@@ -40,11 +41,19 @@ _INDEX_BUILDERS = {
 KNOWN_INDEX_KINDS = frozenset(_INDEX_BUILDERS)
 
 
-def create_index(kind: str, dimension: int, **kwargs) -> VectorIndex:
-    """Factory for index construction from configuration strings."""
+def canonical_index_kind(kind: str) -> str:
+    """The one spelling of ``kind``: stripped, lower-case, and an alias
+    resolved to the first name registered for the same index class
+    (``flat`` / ``brute`` → ``exact``).  Raises ``ValueError`` when unknown.
+    """
     builder = _INDEX_BUILDERS.get(kind.strip().lower())
     if builder is None:
         raise ValueError(
             f"unknown index kind {kind!r}; expected one of {sorted(KNOWN_INDEX_KINDS)}"
         )
-    return builder(dimension, **kwargs)
+    return next(name for name, other in _INDEX_BUILDERS.items() if other is builder)
+
+
+def create_index(kind: str, dimension: int, **kwargs) -> VectorIndex:
+    """Factory for index construction from configuration strings."""
+    return _INDEX_BUILDERS[canonical_index_kind(kind)](dimension, **kwargs)

@@ -1,28 +1,28 @@
-"""Common vector-index interface with two-tier scoring.
+"""Common vector-index interface: one scoring engine with two paths.
 
-Scoring runs in one of two modes (``scoring_mode``):
+Every search is answered by the same engine; which path a call takes is
+decided from the work it does, ``pairs = n_queries * pool``, never from
+an option:
 
-* ``"deterministic"`` — the single-tier path: every candidate is scored
-  with the fixed-order einsum scorer whose distances are bit-identical
-  across pool shapes (what batch/one-at-a-time parity relies on).
-* ``"two_tier"`` — tier 1 scores the pool with BLAS matmul over a
-  pluggable storage backend (``storage_dtype`` of ``float32``,
-  ``float16``, or symmetric per-vector-scaled ``int8``); tier 2 re-scores
-  only a provably sufficient top slice with the same fixed-order einsum
-  on the exact ``float32`` store, so the *final* rankings and distances
-  remain bit-identical to the deterministic path.  When the slice needed
-  to guarantee that exceeds ``ceil(k * tier1_overfetch)`` the affected
-  rows transparently fall back to the one-tier scorer.
+* few pairs — the plain path: every candidate is scored with the
+  fixed-order einsum scorer whose distances are bit-identical across
+  pool shapes (what batch/one-at-a-time parity relies on).
+* at least ``VectorIndex.tier1_min_pairs`` pairs — tier 1 scores the
+  pool with one BLAS matmul (ULP drift allowed); tier 2 re-scores only a
+  provably sufficient top slice with the same fixed-order einsum, so the
+  *final* rankings and distances are bit-identical to the plain path.
+  When the slice needed to guarantee that exceeds ``max(4k, 16)`` the
+  affected rows transparently fall back to the plain scorer.
 
 Why the re-rank is sound: tier-1 distances are computed as
-``sq_norms - 2 * x @ v_hat + ||x||^2`` where ``sq_norms`` are the *exact*
-float32 squared norms — so the only approximation is the cross term, and
-``|d_hat - d| <= 2 * ||x|| * ||v - v_hat|| + fp_slack``.  Per-vector
-reconstruction errors ``||v - v_hat||`` are computed once at add time;
-with ``M`` bounding the per-row error, every candidate of the exact top-k
-(boundary ties included) must score within ``t + 2M`` of the tier-1
-k-th-smallest ``t``, and every candidate whose exact distance clamps to
-zero must score within ``M`` — the slice takes the union of both sets.
+``sq_norms - 2 * x @ v + ||x||^2`` where ``sq_norms`` are the stored
+float32 squared norms — so the only approximation is the rounding of the
+BLAS cross term and the subtract/add chain, ``|d_hat - d| <= M`` with
+``M`` a generous per-row bound on that slack.  Every candidate of the
+exact top-k (boundary ties included) must then score within ``t + 2M``
+of the tier-1 k-th-smallest ``t``, and every candidate whose exact
+distance clamps to zero must score within ``M`` — the slice takes the
+union of both sets.
 """
 
 from __future__ import annotations
@@ -39,23 +39,26 @@ import numpy as np
 # this low-level index layer has no business depending on.
 from repro.obs.tracing import get_tracer
 
-#: Accepted ``scoring_mode`` spellings.
-VALID_SCORING_MODES = ("deterministic", "two_tier")
-
-#: Accepted ``storage_dtype`` spellings for the tier-1 scan store.
-VALID_STORAGE_DTYPES = ("float32", "float16", "int8")
-
-_CODE_DTYPES = {"float16": np.float16, "int8": np.int8}
-
-#: Rows of the scan store dequantized per chunk in a tier-1 full scan, so
-#: the float32 temporary stays bounded regardless of corpus size.
-_TIER1_CHUNK_ROWS = 32768
-
-#: Largest finite float16 magnitude; codes are clipped here so quantizing
-#: out-of-range values can never produce non-finite reconstructions.
-_F16_MAX = 65504.0
-
 _EPS32 = float(np.finfo(np.float32).eps)
+
+
+def _slice_budget(k: int) -> int:
+    """Largest slice tier 2 is willing to re-rank for one row."""
+    return max(4 * k, 16)
+
+
+def _pack_mask(mask: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Left-pack each row's selected column numbers (ascending), padded to
+    the widest row: ``(columns, valid)``; padding slots hold column 0."""
+    columns = np.zeros((mask.shape[0], int(counts.max())), dtype=np.int64)
+    valid = np.zeros(columns.shape, dtype=bool)
+    row_index, col_index = np.nonzero(mask)
+    slot = np.arange(row_index.size) - np.repeat(
+        np.concatenate(([0], np.cumsum(counts)[:-1])), counts
+    )
+    columns[row_index, slot] = col_index
+    valid[row_index, slot] = True
+    return columns, valid
 
 
 @dataclass(frozen=True)
@@ -85,67 +88,29 @@ class VectorIndex(abc.ABC):
     caller receives an old-position → new-position remap so any pools it
     holds can be rewritten).
 
-    The exact ``float32`` matrix is always kept — it is what tier-2
-    re-ranking, snapshots, and restore-parity are defined against.  A
-    quantized ``storage_dtype`` adds a parallel scan store (``codes`` +
-    per-vector ``scales`` for int8 + per-vector reconstruction errors)
-    that tier 1 streams instead of the float32 matrix; after a
-    memory-mapped restore the float32 matrix can stay cold on disk while
-    the small code store is the working set.
+    The ``float32`` matrix is the only store: the tier-1 scan, the tier-2
+    re-rank, snapshots and restore-parity are all defined against it.
     """
 
     #: Dead fraction of the store above which ``remove_batch`` compacts.
     compaction_fraction: float = 0.5
 
-    #: Smallest pool for which tier 1 is engaged; below this the exact
-    #: scorer wins outright.  Class-level so tests can lower it to force
-    #: two-tier scoring on tiny pools.
-    tier1_min_pool: int = 64
+    #: Pairs (``n_queries * pool``) a call must score before the BLAS scan
+    #: + exact re-rank replaces the plain scorer.  Fixed from the sweep in
+    #: DESIGN.md "Scoring: one engine, two paths": every swept point below
+    #: it is faster on the plain path, every point from it up is faster
+    #: (or level) on the BLAS path.  Class-level so tests can lower it to
+    #: force tier 1 on tiny pools; nothing else sets it.
+    tier1_min_pairs: int = 2000
 
-    def __init__(
-        self,
-        dimension: int,
-        *,
-        scoring_mode: str = "deterministic",
-        storage_dtype: str = "float32",
-        tier1_overfetch: float = 4.0,
-    ) -> None:
+    def __init__(self, dimension: int) -> None:
         if dimension <= 0:
             raise ValueError("dimension must be positive")
-        if scoring_mode not in VALID_SCORING_MODES:
-            raise ValueError(
-                f"unknown scoring_mode {scoring_mode!r}; expected one of {VALID_SCORING_MODES}"
-            )
-        if storage_dtype not in VALID_STORAGE_DTYPES:
-            raise ValueError(
-                f"unknown storage_dtype {storage_dtype!r}; expected one of {VALID_STORAGE_DTYPES}"
-            )
-        if storage_dtype != "float32" and scoring_mode != "two_tier":
-            raise ValueError(
-                f"storage_dtype={storage_dtype!r} requires scoring_mode='two_tier': the "
-                "deterministic path scores the exact float32 store and would never read "
-                "the quantized codes"
-            )
-        if not tier1_overfetch >= 1.0:
-            raise ValueError("tier1_overfetch must be >= 1.0")
         self._dimension = dimension
-        self._scoring_mode = scoring_mode
-        self._storage_dtype = storage_dtype
-        self._tier1_overfetch = float(tier1_overfetch)
         self._keys: List[Hashable] = []
         self._matrix = np.empty((0, dimension), dtype=np.float32)
         self._sq_norms = np.empty((0,), dtype=np.float32)
         self._alive = np.empty((0,), dtype=bool)
-        if storage_dtype == "float32":
-            self._codes: Optional[np.ndarray] = None
-            self._scales: Optional[np.ndarray] = None
-            self._recon_errs: Optional[np.ndarray] = None
-        else:
-            self._codes = np.empty((0, dimension), dtype=_CODE_DTYPES[storage_dtype])
-            self._scales = (
-                np.empty((0,), dtype=np.float32) if storage_dtype == "int8" else None
-            )
-            self._recon_errs = np.empty((0,), dtype=np.float32)
         self._size = 0
         self._n_dead = 0
         #: Memoized live-position array for full scans over a store with
@@ -159,21 +124,6 @@ class VectorIndex(abc.ABC):
     def dimension(self) -> int:
         """Vector dimensionality accepted by the index."""
         return self._dimension
-
-    @property
-    def scoring_mode(self) -> str:
-        """``"deterministic"`` (one-tier) or ``"two_tier"``."""
-        return self._scoring_mode
-
-    @property
-    def storage_dtype(self) -> str:
-        """Dtype of the tier-1 scan store (``float32``/``float16``/``int8``)."""
-        return self._storage_dtype
-
-    @property
-    def tier1_overfetch(self) -> float:
-        """Slice budget multiplier: tier 2 re-ranks at most ``ceil(k * this)``."""
-        return self._tier1_overfetch
 
     def __len__(self) -> int:
         """Number of *live* (non-tombstoned) vectors."""
@@ -229,12 +179,6 @@ class VectorIndex(abc.ABC):
         block = self._matrix[start : start + count]
         self._sq_norms[start : start + count] = np.einsum("ij,ij->i", block, block)
         self._alive[start : start + count] = True
-        if self._codes is not None:
-            codes, scales, errs = self._quantize_block(block)
-            self._codes[start : start + count] = codes
-            if self._scales is not None:
-                self._scales[start : start + count] = scales
-            self._recon_errs[start : start + count] = errs
         self._keys.extend(keys)
         self._size += count
         self._live_scan = None
@@ -351,17 +295,6 @@ class VectorIndex(abc.ABC):
         alive = np.zeros((new_capacity,), dtype=bool)
         alive[: self._size] = self._alive[: self._size]
         self._alive = alive
-        if self._codes is not None:
-            codes = np.empty((new_capacity, self._dimension), dtype=self._codes.dtype)
-            codes[: self._size] = self._codes[: self._size]
-            self._codes = codes
-            errs = np.empty((new_capacity,), dtype=np.float32)
-            errs[: self._size] = self._recon_errs[: self._size]
-            self._recon_errs = errs
-            if self._scales is not None:
-                scales = np.empty((new_capacity,), dtype=np.float32)
-                scales[: self._size] = self._scales[: self._size]
-                self._scales = scales
 
     def _live(self, positions: np.ndarray) -> np.ndarray:
         """``positions`` with tombstoned entries dropped (order preserved)."""
@@ -376,11 +309,6 @@ class VectorIndex(abc.ABC):
         remap[live_positions] = np.arange(live_positions.size, dtype=np.int64)
         self._matrix = self._matrix[live_positions]
         self._sq_norms = self._sq_norms[live_positions]
-        if self._codes is not None:
-            self._codes = self._codes[live_positions]
-            self._recon_errs = self._recon_errs[live_positions]
-            if self._scales is not None:
-                self._scales = self._scales[live_positions]
         self._keys = [self._keys[int(position)] for position in live_positions]
         self._size = live_positions.size
         self._n_dead = 0
@@ -388,44 +316,6 @@ class VectorIndex(abc.ABC):
         self._live_scan = None
         self._rebuild()
         return remap
-
-    # ----------------------------------------------------------- quantization
-
-    def _quantize_block(
-        self, block: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-        """Quantize a float32 block to the scan dtype.
-
-        Returns ``(codes, scales, reconstruction_errors)`` where ``scales``
-        is ``None`` for float16 and the errors are per-vector L2 distances
-        ``||v - v_hat||`` — the quantity the tier-1 over-fetch bound needs.
-        Quantization is a pure function of the float32 values, so
-        recomputing it (e.g. when restoring an old snapshot that predates
-        quantized persistence) reproduces the codes bit-for-bit.
-        """
-        block = np.ascontiguousarray(block, dtype=np.float32)
-        if self._storage_dtype == "float16":
-            codes = np.clip(block, -_F16_MAX, _F16_MAX).astype(np.float16)
-            scales = None
-            recon = codes.astype(np.float32)
-        else:
-            peak = np.max(np.abs(block), axis=1) if block.size else np.zeros(block.shape[0])
-            scales = np.where(peak > 0.0, peak / 127.0, 1.0).astype(np.float32)
-            codes = np.clip(
-                np.rint(block / scales[:, None]), -127.0, 127.0
-            ).astype(np.int8)
-            recon = codes.astype(np.float32) * scales[:, None]
-        delta = block - recon
-        errs = np.sqrt(np.einsum("ij,ij->i", delta, delta)).astype(np.float32)
-        return codes, scales, errs
-
-    def _dequantize_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Float32 reconstruction of scan-store rows (any integer fancy index)."""
-        codes = self._codes[rows]
-        block = codes.astype(np.float32)
-        if self._scales is not None:
-            block *= self._scales[rows][..., None]
-        return block
 
     # ---------------------------------------------------------------- scoring
 
@@ -437,34 +327,33 @@ class VectorIndex(abc.ABC):
         ``positions=None`` scores against the whole store through the
         contiguous matrix view (no gather copy) — the full-scan hot path.
         With tombstones present the full scan gathers live rows instead.
-        In two-tier mode, pools big enough to be worth it go through the
-        tier-1 scan + tier-2 re-rank; everything else (and any row whose
-        guaranteed slice overflows the over-fetch budget) takes the
-        one-tier deterministic scorer.
+        Calls that score at least ``tier1_min_pairs`` pairs go through
+        the tier-1 scan + tier-2 re-rank; everything else (and any row
+        whose guaranteed slice overflows the slice budget) takes the
+        plain deterministic scorer.
         """
         if positions is None and self._n_dead:
             if self._live_scan is None:
                 self._live_scan = np.flatnonzero(self._alive[: self._size])
             positions = self._live_scan
         pool = self._size if positions is None else int(positions.size)
-        if self._scoring_mode == "two_tier" and pool >= max(self.tier1_min_pool, 2):
-            budget = self._slice_budget(k)
-            if pool >= 2 * budget:
-                with get_tracer().span(
-                    "index.search",
-                    mode="two_tier",
-                    pool=pool,
-                    k=k,
-                    n_queries=queries.shape[0],
-                    overfetch_budget=budget,
-                ) as span:
-                    results = self._score_two_tier(queries, positions, pool, k, budget)
-                    if results is not None:
-                        return results
-                    # Every row's guaranteed slice overflowed the budget;
-                    # the one-tier scorer over the shared pool is cheaper.
-                    span.set_attribute("mode", "two_tier_overflow")
-                    return self._score_exact(queries, positions, k)
+        budget = _slice_budget(k)
+        if queries.shape[0] * pool >= self.tier1_min_pairs and pool >= 2 * budget:
+            with get_tracer().span(
+                "index.search",
+                mode="two_tier",
+                pool=pool,
+                k=k,
+                n_queries=queries.shape[0],
+                overfetch_budget=budget,
+            ) as span:
+                results = self._score_two_tier(queries, positions, pool, k, budget)
+                if results is not None:
+                    return results
+                # Every row's guaranteed slice overflowed the budget;
+                # the plain scorer over the shared pool is cheaper.
+                span.set_attribute("mode", "two_tier_overflow")
+                return self._score_exact(queries, positions, k)
         with get_tracer().span(
             "index.search", mode="exact", pool=pool, k=k, n_queries=queries.shape[0]
         ):
@@ -473,7 +362,7 @@ class VectorIndex(abc.ABC):
     def _score_exact(
         self, queries: np.ndarray, positions: Optional[np.ndarray], k: int
     ) -> List[List[SearchResult]]:
-        """The one-tier deterministic scorer over a shared candidate pool."""
+        """The plain deterministic scorer over a shared candidate pool."""
         if positions is None:
             matrix = self._matrix[: self._size]
             sq_norms = self._sq_norms[: self._size]
@@ -508,36 +397,14 @@ class VectorIndex(abc.ABC):
             )
         return results
 
-    def _slice_budget(self, k: int) -> int:
-        """Largest slice tier 2 is willing to re-rank for one row."""
-        return max(int(math.ceil(k * self._tier1_overfetch)), 16)
-
-    def _tier1_cross(self, queries: np.ndarray, positions: Optional[np.ndarray], pool: int) -> np.ndarray:
-        """BLAS cross term ``x @ v_hat.T`` against the scan store.
-
-        Quantized stores are dequantized in bounded chunks so the float32
-        temporary never exceeds ``_TIER1_CHUNK_ROWS`` rows; a float32 store
-        multiplies straight against the (possibly gathered) matrix.
-        """
-        if self._codes is None:
-            base = self._matrix[: self._size] if positions is None else self._matrix[positions]
-            return queries @ base.T
-        out = np.empty((queries.shape[0], pool), dtype=np.float32)
-        for lo in range(0, pool, _TIER1_CHUNK_ROWS):
-            hi = min(pool, lo + _TIER1_CHUNK_ROWS)
-            rows = np.arange(lo, hi) if positions is None else positions[lo:hi]
-            out[:, lo:hi] = queries @ self._dequantize_rows(rows).T
-        return out
-
-    def _tier1_margin(self, qq: np.ndarray, sq_norms: np.ndarray, max_err: float) -> np.ndarray:
-        """Per-row bound ``M`` on ``|d_hat - d|`` (quantization + fp slack)."""
+    def _tier1_margin(self, qq: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+        """Per-row bound ``M`` on ``|d_hat - d|``: the float32 rounding slack."""
         x_norm = np.sqrt(np.maximum(qq, 0.0))
         v_max = math.sqrt(max(float(sq_norms.max()), 0.0)) if sq_norms.size else 0.0
         # Generous cover for float32 rounding in the BLAS dot and the
         # subtract/add chain: length-D accumulations each contribute
         # O(D * eps * magnitude), with an 8x headroom factor.
-        slack = 8.0 * self._dimension * _EPS32 * ((x_norm + v_max) ** 2 + 1.0)
-        return 2.0 * x_norm * max_err + slack
+        return 8.0 * self._dimension * _EPS32 * ((x_norm + v_max) ** 2 + 1.0)
 
     def _score_two_tier(
         self,
@@ -550,21 +417,18 @@ class VectorIndex(abc.ABC):
         """Tier-1 scan + per-row guaranteed slice + tier-2 exact re-rank.
 
         Returns ``None`` when every row's slice overflows ``budget`` (the
-        caller then runs the one-tier scorer on the shared pool, which is
+        caller then runs the plain scorer on the shared pool, which is
         cheaper than gathering per-row full-pool slices).
         """
-        kk = min(k, pool)
         with get_tracer().span("index.tier1", pool=pool, k=k) as tier1_span:
             qq = np.einsum("ij,ij->i", queries, queries)
-            sq_norms = self._sq_norms[: self._size] if positions is None else self._sq_norms[positions]
-            approx = sq_norms[None, :] - 2.0 * self._tier1_cross(queries, positions, pool) + qq[:, None]
-            if self._recon_errs is None:
-                max_err = 0.0
+            if positions is None:
+                matrix, sq_norms = self._matrix[: self._size], self._sq_norms[: self._size]
             else:
-                errs = self._recon_errs[: self._size] if positions is None else self._recon_errs[positions]
-                max_err = float(errs.max()) if errs.size else 0.0
-            margin = self._tier1_margin(qq, sq_norms, max_err)
-            kth = np.partition(approx, kk - 1, axis=1)[:, kk - 1]
+                matrix, sq_norms = self._matrix[positions], self._sq_norms[positions]
+            approx = sq_norms[None, :] - 2.0 * (queries @ matrix.T) + qq[:, None]
+            margin = self._tier1_margin(qq, sq_norms)
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]  # pool >= 8k
             # Slice rule (see module docstring): everything within 2M of the
             # tier-1 k-th smallest, plus everything whose exact distance could
             # clamp to zero and tie there (d <= 0 implies d_hat <= M).
@@ -583,17 +447,8 @@ class VectorIndex(abc.ABC):
             n_rows=int(ok_rows.size),
             fallback_rows=int(bad_rows.size),
         ):
-            row_index, col_index = np.nonzero(mask[ok_rows])
-            ok_counts = counts[ok_rows]
-            width = int(ok_counts.max())
-            padded = np.zeros((ok_rows.size, width), dtype=np.int64)
-            valid = np.zeros((ok_rows.size, width), dtype=bool)
-            slot = np.arange(row_index.size) - np.repeat(
-                np.concatenate(([0], np.cumsum(ok_counts)[:-1])), ok_counts
-            )
-            padded[row_index, slot] = col_index
-            valid[row_index, slot] = True
-            absolute = padded if positions is None else positions[padded]
+            columns, valid = _pack_mask(mask[ok_rows], counts[ok_rows])
+            absolute = columns if positions is None else positions[columns]
             for row, hits in zip(ok_rows, self._score_padded(queries[ok_rows], absolute, valid, k)):
                 results[int(row)] = hits
             if bad_rows.size:
@@ -612,7 +467,7 @@ class VectorIndex(abc.ABC):
         same fixed order as the shared-pool ``"ij,kj->ik"`` scorer, so the
         per-pair distances are bit-identical to :meth:`_score_exact` —
         which is what lets the vectorized ragged path and the tier-2
-        re-rank reproduce the one-tier rankings exactly.
+        re-rank reproduce the plain path's rankings exactly.
         """
         gathered = self._matrix[absolute]
         distances = (
@@ -642,10 +497,11 @@ class VectorIndex(abc.ABC):
 
         Replaces the historical one-row-at-a-time loop: pools are padded to
         the widest row and scored through :meth:`_score_padded` (bit-equal
-        to scoring each row alone).  In two-tier mode the padded pools are
-        first scanned by tier 1 and shrunk to guaranteed slices; rows whose
-        slice overflows the budget keep their full pool, which makes the
-        re-rank the exact scorer for that row.
+        to scoring each row alone).  Calls that score at least
+        ``tier1_min_pairs`` padded pairs are first scanned by tier 1 and
+        shrunk to guaranteed slices; rows whose slice overflows the budget
+        keep their full pool, which makes the re-rank the plain scorer for
+        that row.
         """
         sizes = np.asarray([pool.size for pool in pools], dtype=np.int64)
         width = int(sizes.max())
@@ -654,9 +510,8 @@ class VectorIndex(abc.ABC):
         for r, pool in enumerate(pools):
             padded[r, : pool.size] = pool
             valid[r, : pool.size] = True
-        if self._scoring_mode == "two_tier" and width >= max(self.tier1_min_pool, 2):
-            budget = self._slice_budget(k)
-            shrunk = self._tier1_shrink_padded(queries, padded, valid, sizes, k, budget)
+        if len(pools) * width >= self.tier1_min_pairs:
+            shrunk = self._tier1_shrink_padded(queries, padded, valid, sizes, k, _slice_budget(k))
             if shrunk is not None:
                 padded, valid = shrunk
         return self._score_padded(queries, padded, valid, k)
@@ -676,45 +531,28 @@ class VectorIndex(abc.ABC):
         guaranteed slice overflows it, keep their full pool (the re-rank is
         then exact for those rows).  Returns ``None`` when no row shrank.
         """
-        if self._codes is None:
-            gathered = self._matrix[padded]
-        else:
-            gathered = self._dequantize_rows(padded)
+        shrinkable = sizes > budget
+        if not bool(shrinkable.any()):
+            return None
+        gathered = self._matrix[padded]
         qq = np.einsum("ij,ij->i", queries, queries)
         sq_norms = self._sq_norms[padded]
         cross = np.matmul(gathered, queries[:, :, None])[:, :, 0]
         approx = sq_norms - 2.0 * cross + qq[:, None]
         approx[~valid] = np.inf
-        if self._recon_errs is None:
-            max_err = 0.0
-        else:
-            row_errs = np.where(valid, self._recon_errs[padded], 0.0)
-            max_err = float(row_errs.max()) if row_errs.size else 0.0
-        margin = self._tier1_margin(qq, np.where(valid, sq_norms, 0.0).ravel(), max_err)
-        shrinkable = sizes > max(budget, k)
-        if not bool(shrinkable.any()):
-            return None
-        mask = valid.copy()
-        for r in np.flatnonzero(shrinkable):
-            row = approx[r]
-            kth = np.partition(row, k - 1)[k - 1]
-            threshold = max(kth + 2.0 * float(margin[r]), float(margin[r]))
-            row_mask = (row <= threshold) & valid[r]
-            if int(row_mask.sum()) <= budget:
-                mask[r] = row_mask
-        if bool((mask == valid).all()):
-            return None
+        margin = self._tier1_margin(qq, np.where(valid, sq_norms, 0.0).ravel())
+        # Same slice rule as ``_score_two_tier``; padding scores ``inf``, so it
+        # never enters a slice (a shrinkable row is wider than ``k``).
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        mask = approx <= np.maximum(kth + 2.0 * margin, margin)[:, None]
         counts = mask.sum(axis=1)
-        width = int(counts.max())
-        new_padded = np.zeros((padded.shape[0], width), dtype=np.int64)
-        new_valid = np.zeros((padded.shape[0], width), dtype=bool)
-        row_index, col_index = np.nonzero(mask)
-        slot = np.arange(row_index.size) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        )
-        new_padded[row_index, slot] = padded[row_index, col_index]
-        new_valid[row_index, slot] = True
-        return new_padded, new_valid
+        keep = ~shrinkable | (counts > budget)
+        if bool(keep.all()):
+            return None
+        mask[keep] = valid[keep]
+        counts[keep] = sizes[keep]
+        columns, new_valid = _pack_mask(mask, counts)
+        return np.take_along_axis(padded, columns, axis=1), new_valid
 
     # ------------------------------------------------------------ observability
 
@@ -722,11 +560,8 @@ class VectorIndex(abc.ABC):
         """JSON-ready resident-byte accounting for the ``/stats`` surface.
 
         ``bytes`` covers the occupied rows (capacity slack excluded);
-        ``scan_bytes`` is what one tier-1 full scan streams (the quantized
-        code store when present, the float32 matrix otherwise);
-        ``quantization_savings_bytes`` is how much smaller that scan store
-        is than a float32 scan would be; ``tombstone_bytes`` is the share
-        of all stores pinned by removed-but-uncompacted rows.
+        ``tombstone_bytes`` is the share pinned by removed-but-uncompacted
+        rows.
         """
         size = self._size
         by_array: Dict[str, int] = {
@@ -734,27 +569,13 @@ class VectorIndex(abc.ABC):
             "sq_norms": int(self._sq_norms[:size].nbytes),
             "alive": int(self._alive[:size].nbytes),
         }
-        scan_bytes = by_array["float32_matrix"]
-        if self._codes is not None:
-            by_array["codes"] = int(self._codes[:size].nbytes)
-            by_array["recon_errors"] = int(self._recon_errs[:size].nbytes)
-            scan_bytes = by_array["codes"] + by_array["recon_errors"]
-            if self._scales is not None:
-                by_array["scales"] = int(self._scales[:size].nbytes)
-                scan_bytes += by_array["scales"]
         total = sum(by_array.values())
         row_bytes = total // size if size else 0
         return {
             "vectors": int(len(self)),
             "tombstones": int(self._n_dead),
             "dimension": int(self._dimension),
-            "scoring_mode": self._scoring_mode,
-            "storage_dtype": self._storage_dtype,
             "bytes": dict(by_array, total=int(total)),
-            "scan_bytes": int(scan_bytes),
-            "quantization_savings_bytes": int(
-                max(by_array["float32_matrix"] - scan_bytes, 0) if self._codes is not None else 0
-            ),
             "tombstone_bytes": int(self._n_dead * row_bytes),
         }
 
@@ -769,21 +590,13 @@ class VectorIndex(abc.ABC):
         them alongside these blocks.  ``sq_norms`` is persisted rather than
         recomputed on load — restored distances must be bit-identical to
         the live index's, and recomputation could differ in accumulation
-        order.  Quantized stores additionally export their ``codes`` /
-        ``scales`` / ``recon_errors`` blocks so a memory-mapped restore can
-        page the scan store lazily instead of re-quantizing up front.
+        order.
         """
-        state = {
+        return {
             "matrix": self._matrix[: self._size],
             "sq_norms": self._sq_norms[: self._size],
             "alive": self._alive[: self._size],
         }
-        if self._codes is not None:
-            state["codes"] = self._codes[: self._size]
-            state["recon_errors"] = self._recon_errs[: self._size]
-            if self._scales is not None:
-                state["scales"] = self._scales[: self._size]
-        return state
 
     def restore_store(
         self,
@@ -791,26 +604,17 @@ class VectorIndex(abc.ABC):
         matrix: np.ndarray,
         sq_norms: np.ndarray,
         alive: np.ndarray,
-        codes: Optional[np.ndarray] = None,
-        scales: Optional[np.ndarray] = None,
-        recon_errors: Optional[np.ndarray] = None,
     ) -> None:
         """Adopt a previously exported store (the snapshot-load path).
 
-        ``matrix``, ``sq_norms``, and the quantized blocks may be read-only
-        memory-maps: every write path reallocates first (``_ensure_capacity``
-        copies on the next add because capacity equals size after a restore,
-        and compaction gathers into a fresh array), so the mmap backing is
-        never written through.  ``alive`` is copied because removals flip
+        ``matrix`` and ``sq_norms`` may be read-only memory-maps: every write
+        path reallocates first (``_ensure_capacity`` copies on the next add
+        because capacity equals size after a restore, and compaction gathers
+        into a fresh array), so the mmap backing is never written through.  ``alive`` is copied because removals flip
         its entries in place.  Derived structures (inverted lists, hash
         buckets, quantizers) are rebuilt through the same ``_rebuild``
         hook compaction uses, which is what makes a restored index answer
         exactly like a freshly built one over the same live vectors.
-
-        Quantized blocks are optional: a snapshot written without them
-        (or with a different ``storage_dtype``) restores by re-quantizing
-        the exact matrix, which reproduces the same codes bit-for-bit
-        because quantization is a pure function of the float32 values.
         """
         matrix = np.asanyarray(matrix)
         if matrix.ndim != 2 or matrix.shape[1] != self._dimension:
@@ -835,28 +639,6 @@ class VectorIndex(abc.ABC):
         self._size = size
         self._n_dead = size - int(np.count_nonzero(self._alive))
         self._live_scan = None
-        if self._storage_dtype != "float32":
-            expected = _CODE_DTYPES[self._storage_dtype]
-            adoptable = (
-                codes is not None
-                and recon_errors is not None
-                and np.asanyarray(codes).dtype == expected
-                and np.asanyarray(codes).shape == (size, self._dimension)
-                and len(recon_errors) == size
-                and (self._storage_dtype != "int8" or (scales is not None and len(scales) == size))
-            )
-            if adoptable:
-                self._codes = np.asanyarray(codes)
-                self._recon_errs = np.asanyarray(recon_errors).astype(np.float32, copy=False)
-                self._scales = (
-                    np.asanyarray(scales).astype(np.float32, copy=False)
-                    if self._storage_dtype == "int8"
-                    else None
-                )
-            else:
-                self._codes, self._scales, self._recon_errs = self._quantize_block(
-                    np.asarray(self._matrix[:size], dtype=np.float32)
-                )
         self._rebuild()
 
     # --------------------------------------------------------------- subclass

@@ -10,12 +10,7 @@ from repro.ann.base import VectorIndex
 
 
 class ExactIndex(VectorIndex):
-    """Scores every stored vector; exact but O(n) per query.
-
-    Scoring-mode / storage keyword arguments are inherited from
-    :class:`VectorIndex` — in ``two_tier`` mode even the "exact" index
-    scans with tier-1 BLAS and re-ranks the guaranteed slice exactly.
-    """
+    """Scores every stored vector; exact but O(n) per query."""
 
     def _candidates(self, query: np.ndarray, k: int) -> Optional[np.ndarray]:
         return None

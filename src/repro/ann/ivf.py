@@ -49,17 +49,8 @@ class IVFIndex(VectorIndex):
         kmeans_iterations: int = 10,
         seed: int = 0,
         retrain_growth_factor: float = 2.0,
-        *,
-        scoring_mode: str = "deterministic",
-        storage_dtype: str = "float32",
-        tier1_overfetch: float = 4.0,
     ) -> None:
-        super().__init__(
-            dimension,
-            scoring_mode=scoring_mode,
-            storage_dtype=storage_dtype,
-            tier1_overfetch=tier1_overfetch,
-        )
+        super().__init__(dimension)
         if n_clusters <= 0 or n_probe <= 0:
             raise ValueError("n_clusters and n_probe must be positive")
         if retrain_growth_factor <= 1.0:

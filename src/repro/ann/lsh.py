@@ -28,17 +28,8 @@ class LSHIndex(VectorIndex):
         n_tables: int = 8,
         n_bits: int = 12,
         seed: int = 0,
-        *,
-        scoring_mode: str = "deterministic",
-        storage_dtype: str = "float32",
-        tier1_overfetch: float = 4.0,
     ) -> None:
-        super().__init__(
-            dimension,
-            scoring_mode=scoring_mode,
-            storage_dtype=storage_dtype,
-            tier1_overfetch=tier1_overfetch,
-        )
+        super().__init__(dimension)
         if n_tables <= 0 or n_bits <= 0:
             raise ValueError("n_tables and n_bits must be positive")
         if n_bits > 62:

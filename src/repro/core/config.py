@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ann import KNOWN_INDEX_KINDS
-from repro.ann.base import VALID_SCORING_MODES, VALID_STORAGE_DTYPES
+from repro.ann import canonical_index_kind
 
 
 @dataclass
@@ -42,18 +41,6 @@ class AutoFormulaConfig:
     #: Which model drives which search: "both" (paper), "coarse_only" or
     #: "fine_only" (the Figure 14 ablation).
     granularity: str = "both"
-    #: Index scoring architecture: "deterministic" scores every candidate
-    #: with the fixed-order einsum (the historical path); "two_tier" scans
-    #: with BLAS over the storage backend and exactly re-ranks a guaranteed
-    #: top slice — final rankings stay bit-identical either way.
-    scoring_mode: str = "deterministic"
-    #: Tier-1 scan store dtype: "float32", "float16", or symmetric "int8"
-    #: with per-vector scales.  Non-float32 requires ``scoring_mode ==
-    #: "two_tier"`` (the deterministic path never reads quantized codes).
-    storage_dtype: str = "float32"
-    #: Tier-2 re-ranks at most ``ceil(k * tier1_overfetch)`` candidates per
-    #: query row before falling back to one-tier scoring for that row.
-    tier1_overfetch: float = 4.0
     #: Reuse query-side sheet embeddings across requests: vectors are keyed
     #: by sheet identity + mutation version (and by the wire-layer content
     #: hash when present), so coalesced batches and repeated requests for
@@ -80,27 +67,10 @@ class AutoFormulaConfig:
             raise ValueError("acceptance_threshold must be in (0, 4]")
         if self.max_cached_target_sheets <= 0:
             raise ValueError("max_cached_target_sheets must be positive")
-        for label, kind in (
-            ("sheet_index_kind", self.sheet_index_kind),
-            ("formula_index_kind", self.formula_index_kind),
-        ):
-            if kind.strip().lower() not in KNOWN_INDEX_KINDS:
-                raise ValueError(
-                    f"unknown {label} {kind!r}; expected one of {sorted(KNOWN_INDEX_KINDS)}"
-                )
-        if self.scoring_mode not in VALID_SCORING_MODES:
-            raise ValueError(
-                f"unknown scoring_mode {self.scoring_mode!r}; "
-                f"expected one of {VALID_SCORING_MODES}"
-            )
-        if self.storage_dtype not in VALID_STORAGE_DTYPES:
-            raise ValueError(
-                f"unknown storage_dtype {self.storage_dtype!r}; "
-                f"expected one of {VALID_STORAGE_DTYPES}"
-            )
-        if self.storage_dtype != "float32" and self.scoring_mode != "two_tier":
-            raise ValueError(
-                f"storage_dtype={self.storage_dtype!r} requires scoring_mode='two_tier'"
-            )
-        if not self.tier1_overfetch >= 1.0:
-            raise ValueError("tier1_overfetch must be >= 1.0")
+        for label in ("sheet_index_kind", "formula_index_kind"):
+            # One spelling from here on: the snapshot echo, the restore-time
+            # comparison and create_index must all see the same string.
+            try:
+                setattr(self, label, canonical_index_kind(getattr(self, label)))
+            except ValueError as error:
+                raise ValueError(f"{label}: {error}") from None

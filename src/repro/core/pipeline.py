@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.ann import SearchResult, create_index
+from repro.ann import SearchResult, canonical_index_kind, create_index
 from repro.core.config import AutoFormulaConfig
 from repro.core.interface import FormulaPredictor, Prediction
 from repro.features.window import SheetKeyedLRU, gather_windows
@@ -449,17 +449,8 @@ class AutoFormula(FormulaPredictor):
             if self.config.granularity == "coarse_only"
             else self.encoder.fine_dimension
         )
-        index_kwargs = dict(
-            scoring_mode=self.config.scoring_mode,
-            storage_dtype=self.config.storage_dtype,
-            tier1_overfetch=self.config.tier1_overfetch,
-        )
-        self._sheet_index = create_index(
-            self.config.sheet_index_kind, sheet_dimension, **index_kwargs
-        )
-        self._formula_index = create_index(
-            self.config.formula_index_kind, region_dimension, **index_kwargs
-        )
+        self._sheet_index = create_index(self.config.sheet_index_kind, sheet_dimension)
+        self._formula_index = create_index(self.config.formula_index_kind, region_dimension)
         self._formula_positions = []
         self._sheet_positions = []
         self._sheet_store_size = 0
@@ -627,13 +618,6 @@ class AutoFormula(FormulaPredictor):
             "granularity": self.config.granularity,
             "sheet_index_kind": self.config.sheet_index_kind,
             "formula_index_kind": self.config.formula_index_kind,
-            # Informational: the scan-store layout this snapshot's arrays
-            # were written with.  Restore does NOT require a match — the
-            # exact float32 store is authoritative and quantized codes are
-            # a pure function of it, so a predictor configured differently
-            # simply re-derives (or ignores) the scan store.
-            "scoring_mode": self.config.scoring_mode,
-            "storage_dtype": self.config.storage_dtype,
             "fitted": self._sheet_index is not None,
             "sheet_store_size": int(self._sheet_store_size),
             "formula_store_size": int(self._formula_store_size),
@@ -700,12 +684,15 @@ class AutoFormula(FormulaPredictor):
         IVF store under an LSH config would not reproduce the snapshotting
         predictor's answers.  Raises ``ValueError`` on any mismatch.
         """
-        for field, mine in (
-            ("granularity", self.config.granularity),
-            ("sheet_index_kind", self.config.sheet_index_kind),
-            ("formula_index_kind", self.config.formula_index_kind),
-        ):
-            theirs = state.get(field)
+        snapshot = {
+            "granularity": state.get("granularity"),
+            # Snapshots written before kinds were canonicalised may hold an
+            # alias ("flat", " Exact "); resolve it before comparing.
+            "sheet_index_kind": canonical_index_kind(str(state.get("sheet_index_kind"))),
+            "formula_index_kind": canonical_index_kind(str(state.get("formula_index_kind"))),
+        }
+        for field, theirs in snapshot.items():
+            mine = getattr(self.config, field)
             if theirs != mine:
                 raise ValueError(
                     f"snapshot was taken with {field}={theirs!r}, this predictor "
@@ -738,18 +725,12 @@ class AutoFormula(FormulaPredictor):
             arrays["sheet_matrix"],
             arrays["sheet_sq_norms"],
             arrays["sheet_alive"],
-            codes=arrays.get("sheet_codes"),
-            scales=arrays.get("sheet_scales"),
-            recon_errors=arrays.get("sheet_recon_errors"),
         )
         self._formula_index.restore_store(
             [(int(sheet_id), int(local)) for sheet_id, local in arrays["formula_keys"]],
             arrays["formula_matrix"],
             arrays["formula_sq_norms"],
             arrays["formula_alive"],
-            codes=arrays.get("formula_codes"),
-            scales=arrays.get("formula_scales"),
-            recon_errors=arrays.get("formula_recon_errors"),
         )
         self._sheet_positions = [
             None if position < 0 else int(position)

@@ -108,14 +108,6 @@ class ServerConfig:
     max_body_bytes: int = 32 * 1024 * 1024
     #: Budget :meth:`FormulaServer.stop` allows the drain before closing.
     drain_timeout_s: float = 10.0
-    #: Index scoring architecture override ("deterministic"/"two_tier");
-    #: ``None`` keeps the service's own config.  Applied via
-    #: :meth:`FormulaService.configure_scoring` at server construction, so
-    #: it affects workspaces created through the server's endpoints.
-    scoring_mode: Optional[str] = None
-    #: Tier-1 scan store dtype override ("float32"/"float16"/"int8");
-    #: ``None`` keeps the service's own config.
-    storage_dtype: Optional[str] = None
     #: Enable request tracing (the process-global ``repro.obs`` tracer is
     #: configured from these knobs at server construction).
     tracing_enabled: bool = True
@@ -160,11 +152,6 @@ class FormulaServer:
     def __init__(self, service: FormulaService, config: Optional[ServerConfig] = None) -> None:
         self.service = service
         self.config = config or ServerConfig()
-        if self.config.scoring_mode is not None or self.config.storage_dtype is not None:
-            service.configure_scoring(
-                scoring_mode=self.config.scoring_mode,
-                storage_dtype=self.config.storage_dtype,
-            )
         self.metrics = ServerMetrics()
         self.tracer = get_tracer().configure(
             enabled=self.config.tracing_enabled,
@@ -551,16 +538,14 @@ class FormulaServer:
             name: self.service.workspace(name).latency.summary()
             for name in self.service.workspace_names()
         }
-        scoring = self.service.effective_config
+        predictor_config = self.service.effective_config
         body["config"] = {
             "max_batch_size": self.config.max_batch_size,
             "max_batch_wait_s": self.config.max_batch_wait_s,
             "queue_limit": self.config.admission.queue_limit,
             "rate_limit_per_tenant": self.config.admission.rate_limit_per_tenant,
-            "scoring_mode": scoring.scoring_mode,
-            "storage_dtype": scoring.storage_dtype,
-            "reuse_query_embeddings": scoring.reuse_query_embeddings,
-            "collapse_duplicate_cells": scoring.collapse_duplicate_cells,
+            "reuse_query_embeddings": predictor_config.reuse_query_embeddings,
+            "collapse_duplicate_cells": predictor_config.collapse_duplicate_cells,
         }
         return body
 

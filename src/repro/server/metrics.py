@@ -130,7 +130,7 @@ class ServerMetrics:
 
         The callback returns a JSON-ready dict (see
         :meth:`repro.service.workspace.Workspace.memory_stats` — bytes by
-        array/dtype, tombstone overhead, quantization savings) and is
+        array, tombstone overhead) and is
         sampled at snapshot time so ``/stats`` reports the live footprint.
         A scalar ``workspace.index_bytes{workspace=...}`` gauge mirrors
         the ``total_bytes`` field into the registry for Prometheus.

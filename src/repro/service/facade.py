@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
@@ -41,31 +40,6 @@ class FormulaService:
     def effective_config(self) -> AutoFormulaConfig:
         """The config new default predictors are built with (never ``None``)."""
         return self._config or AutoFormulaConfig()
-
-    def configure_scoring(
-        self,
-        scoring_mode: Optional[str] = None,
-        storage_dtype: Optional[str] = None,
-        tier1_overfetch: Optional[float] = None,
-    ) -> AutoFormulaConfig:
-        """Override the index scoring knobs for future default predictors.
-
-        Only the passed (non-``None``) knobs change; everything else in the
-        service config is kept.  Existing workspaces are untouched — the
-        knobs take effect in workspaces created or loaded afterwards.
-        Returns the resulting config (validated by ``AutoFormulaConfig``).
-        """
-        overrides = {
-            key: value
-            for key, value in (
-                ("scoring_mode", scoring_mode),
-                ("storage_dtype", storage_dtype),
-                ("tier1_overfetch", tier1_overfetch),
-            )
-            if value is not None
-        }
-        self._config = dataclasses.replace(self.effective_config, **overrides)
-        return self._config
 
     # ------------------------------------------------------------- workspaces
 

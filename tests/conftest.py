@@ -10,6 +10,7 @@ import pytest
 from repro.corpus import build_enterprise_corpus, build_training_universe
 from repro.features import FeatureConfig
 from repro.models import ModelConfig, TrainingConfig, train_models
+from repro.obs import get_tracer
 from repro.sheet import Sheet, Workbook
 from repro.weaksup import generate_training_pairs
 
@@ -28,6 +29,23 @@ def _seed_global_rngs(request):
     seed = request.config.getoption("--repro-seed", 20240521)
     random.seed(seed)
     np.random.seed(seed % (2**32))
+
+
+@pytest.fixture()
+def tracer():
+    """The global tracer, enabled for the test and restored after.
+
+    The tracer is process-global state; every test that flips it on must
+    leave it disabled so unrelated tests keep paying the no-op price.
+    """
+    instance = get_tracer()
+    instance.configure(enabled=True, sample_rate=1.0, slow_threshold_s=0.25)
+    instance.reset()
+    try:
+        yield instance
+    finally:
+        instance.configure(enabled=False, sample_rate=1.0, slow_threshold_s=0.25)
+        instance.reset()
 
 
 @pytest.fixture(scope="session")

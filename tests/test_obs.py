@@ -35,23 +35,6 @@ from test_server import _stub_service, _target_sheet
 from test_service import _config
 
 
-@pytest.fixture()
-def tracer():
-    """The global tracer, enabled for the test and restored after.
-
-    The tracer is process-global state; every test that flips it on must
-    leave it disabled so unrelated tests keep paying the no-op price.
-    """
-    instance = get_tracer()
-    instance.configure(enabled=True, sample_rate=1.0, slow_threshold_s=0.25)
-    instance.reset()
-    try:
-        yield instance
-    finally:
-        instance.configure(enabled=False, sample_rate=1.0, slow_threshold_s=0.25)
-        instance.reset()
-
-
 def _span_names(node, into=None):
     """Flatten a trace-tree node into the set of span names it contains."""
     into = set() if into is None else into

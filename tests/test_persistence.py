@@ -135,64 +135,68 @@ class TestRestoreParity:
         assert restored.workbook_names == workspace.workbook_names
 
 
-@pytest.mark.parametrize("storage_dtype", ("float16", "int8"))
-class TestQuantizedRestoreParity:
-    """Quantized scan stores snapshot and restore bit-identically.
+class TestOlderSnapshots:
+    """Snapshots written by earlier builds of format version 1 still load."""
 
-    The snapshot additionally persists the ``codes`` / ``scales`` /
-    ``recon_errors`` blocks, the restore adopts them (memory-mapped),
-    and the restored workspace still answers exactly like a fresh fit —
-    the same acceptance invariant as the float32 suite.
-    """
-
-    def test_quantized_snapshot_restore_matches_fresh_fit(
-        self, trained_encoder, storage_dtype, tmp_path
+    @pytest.mark.parametrize("mmap", (True, False))
+    def test_quantized_blocks_and_scoring_keys_are_ignored(
+        self, trained_encoder, mmap, tmp_path
     ):
-        workspace, cases, config = _churned_workspace(
-            trained_encoder,
-            "exact",
-            scoring_mode="two_tier",
-            storage_dtype=storage_dtype,
-        )
+        """The layout a build with an int8 scan store left on disk: six
+        extra ``.npy`` blocks listed in the manifest and two scoring keys
+        in the predictor state.  The float32 store is all a restore needs."""
+        workspace, cases, config = _churned_workspace(trained_encoder, "exact")
         directory = tmp_path / "snap"
         workspace.save(directory)
-        # The quantized scan store is persisted alongside the exact matrix.
-        codes = np.load(directory / "arrays" / "sheet_codes.npy")
-        assert codes.dtype == np.dtype(storage_dtype)
-        assert (directory / "arrays" / "formula_codes.npy").exists()
-        assert (directory / "arrays" / "sheet_recon_errors.npy").exists()
-        if storage_dtype == "int8":
-            assert (directory / "arrays" / "sheet_scales.npy").exists()
-        restored = Workspace.load(directory, AutoFormula(trained_encoder, config))
+        manifest = read_manifest(directory)
+        for prefix in ("sheet", "formula"):
+            n, d = np.load(directory / "arrays" / f"{prefix}_matrix.npy").shape
+            for name, block in (
+                ("codes", np.ones((n, d), dtype=np.int8)),
+                ("scales", np.ones(n, dtype=np.float32)),
+                ("recon_errors", np.ones(n, dtype=np.float32)),
+            ):
+                np.save(directory / "arrays" / f"{prefix}_{name}.npy", block)
+                manifest["arrays"].append(f"{prefix}_{name}")
+        manifest["predictor_state"].update(scoring_mode="two_tier", storage_dtype="int8")
+        assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION == 1
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        restored = Workspace.load(
+            directory, AutoFormula(trained_encoder, config), mmap=mmap
+        )
         assert_matches_fresh_fit(
             restored,
             lambda: AutoFormula(trained_encoder, config),
             cases,
-            context=f"quantized restored dtype={storage_dtype}",
+            context=f"older snapshot mmap={mmap}",
         )
         assert_tombstone_accounting(restored.predictor)
 
-    def test_plain_snapshot_restores_into_quantized_config(
-        self, trained_encoder, storage_dtype, tmp_path
+    @pytest.mark.parametrize("alias", ("flat", " Exact "))
+    def test_index_kind_alias_restores_under_canonical_name(
+        self, trained_encoder, alias, tmp_path
     ):
-        """Scoring mode/storage dtype are serving-side knobs, not snapshot
-        format: a float32 deterministic snapshot loads into a two-tier
-        quantized predictor (codes re-derived from the exact matrix) and
-        still answers bit-identically to a fresh quantized fit."""
-        workspace, cases, config = _churned_workspace(trained_encoder, "exact")
+        """Every spelling of a kind is one kind: save under an alias, load
+        under the canonical name — also when the manifest itself holds the
+        alias, as snapshots written before canonicalisation do."""
+        workspace, cases, __ = _churned_workspace(trained_encoder, alias)
         directory = tmp_path / "snap"
         workspace.save(directory)
-        assert not (directory / "arrays" / "sheet_codes.npy").exists()
-        quantized = _config(
-            "exact", scoring_mode="two_tier", storage_dtype=storage_dtype
-        )
-        restored = Workspace.load(directory, AutoFormula(trained_encoder, quantized))
-        assert_matches_fresh_fit(
-            restored,
-            lambda: AutoFormula(trained_encoder, quantized),
-            cases,
-            context=f"plain snapshot into dtype={storage_dtype}",
-        )
+        config = _config("exact")
+
+        def assert_restores(context):
+            assert_matches_fresh_fit(
+                Workspace.load(directory, AutoFormula(trained_encoder, config)),
+                lambda: AutoFormula(trained_encoder, config),
+                cases,
+                context=context,
+            )
+
+        assert_restores(f"saved under {alias!r}")
+        manifest = read_manifest(directory)
+        manifest["predictor_state"].update(sheet_index_kind=alias, formula_index_kind=alias)
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        assert_restores(f"manifest holds {alias!r}")
 
 
 # ------------------------------------------------------------ log mechanics

@@ -102,8 +102,7 @@ class TestProtocolBasics:
             assert "acme" in stats["queue_depths"]
             assert "p99_seconds" in stats["workspaces"]["acme"]
             assert stats["config"]["max_batch_size"] >= 1
-            assert stats["config"]["scoring_mode"] == "deterministic"
-            assert stats["config"]["storage_dtype"] == "float32"
+            assert stats["config"]["reuse_query_embeddings"] is True
             # Index memory is gauged per workspace; the stub predictor
             # reports the zero footprint, real AutoFormula byte counts are
             # covered in tests/test_two_tier.py.

@@ -1,14 +1,13 @@
-"""Two-tier scoring acceptance suite.
+"""One scoring engine, two paths: acceptance suite.
 
-The contract under test: ``scoring_mode="two_tier"`` (BLAS tier-1 scan
-over a float32/float16/int8 scan store + exact einsum re-rank of a
-guaranteed slice) returns **bit-identical** final rankings and distances
-to the historical one-tier deterministic scorer, across index kinds,
-pool sizes, storage dtypes, and tombstone patterns — including the
-automatic per-row fallback when the guaranteed slice overflows the
-over-fetch budget.  Alongside: quantized store persistence/restore
-parity, index memory accounting, serve-loop duplicate collapsing, and
-cross-request query-embedding reuse.
+Which path a search takes — the plain fixed-order einsum, or the BLAS
+tier-1 scan + exact re-rank of a guaranteed slice — is chosen from the
+pairs it scores (``n_queries * pool`` vs ``VectorIndex.tier1_min_pairs``);
+the *answer* never depends on it: rankings and distances are
+**bit-identical** across index kinds, pool sizes, ``k`` and tombstone
+patterns, through the overflow fallback, and with a batch and its single
+requests on different sides of the gate.  Alongside: index memory
+accounting, duplicate collapsing and query-embedding reuse.
 """
 
 import numpy as np
@@ -16,9 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AutoFormula, AutoFormulaConfig, Workspace
+from repro import AutoFormula, AutoFormulaConfig, ServerConfig, Workspace
 from repro.ann import create_index
-from repro.ann.base import VALID_STORAGE_DTYPES
 from repro.server.metrics import ServerMetrics
 from repro.server.schemas import SheetInterner
 from repro.sheet.io import sheet_to_dict
@@ -26,6 +24,9 @@ from repro.service import RecommendationRequest
 from repro.sheet import CellAddress, Sheet, Workbook
 
 INDEX_KINDS = ("exact", "ivf", "lsh")
+
+#: A gate no call can reach: the index always takes the plain path.
+UNREACHABLE = 1 << 62
 
 
 def _make_pool(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -49,256 +50,195 @@ def _make_pool(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return pool
 
 
-def _build_pair(kind, dtype, n, d, seed, remove_fraction, overfetch):
-    """A (deterministic, two-tier) index pair fed identical mutations."""
+def _gated_index(kind, d, gate):
+    index = create_index(kind, d)
+    index.tier1_min_pairs = gate
+    return index
+
+
+def _build_pair(kind, n, d, seed, remove_fraction):
+    """A (plain-only, tier-1-on-everything) index pair fed identical mutations."""
     rng = np.random.default_rng(seed)
     data = _make_pool(rng, n, d)
     keys = [f"v{i}" for i in range(n)]
-    reference = create_index(kind, d)
-    two_tier = create_index(
-        kind,
-        d,
-        scoring_mode="two_tier",
-        storage_dtype=dtype,
-        tier1_overfetch=overfetch,
-    )
+    plain = _gated_index(kind, d, UNREACHABLE)
     # Force tier-1 engagement on the tiny pools hypothesis generates.
-    two_tier.tier1_min_pool = 2
-    reference.add_batch(keys, data)
-    two_tier.add_batch(keys, data)
+    blas = _gated_index(kind, d, 2)
+    plain.add_batch(keys, data)
+    blas.add_batch(keys, data)
     n_remove = int(n * remove_fraction)
     if n_remove:
         dead = rng.choice(n, size=n_remove, replace=False)
-        reference.remove_batch(dead)
-        two_tier.remove_batch(dead)
+        plain.remove_batch(dead)
+        blas.remove_batch(dead)
     queries = _make_pool(rng, 5, d)
-    return reference, two_tier, queries, rng
+    return plain, blas, queries, rng
 
 
 @st.composite
 def parity_cases(draw):
     return dict(
         kind=draw(st.sampled_from(INDEX_KINDS)),
-        dtype=draw(st.sampled_from(VALID_STORAGE_DTYPES)),
         n=draw(st.integers(min_value=1, max_value=160)),
         d=draw(st.integers(min_value=2, max_value=24)),
         k=draw(st.integers(min_value=1, max_value=12)),
         seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
         remove_fraction=draw(st.sampled_from((0.0, 0.25, 0.6))),
-        overfetch=draw(st.sampled_from((1.0, 2.0, 4.0))),
     )
 
 
-class TestTwoTierParity:
-    """Final rankings must be bit-identical to the one-tier scorer."""
+class TestTwoPathParity:
+    """Final rankings must be bit-identical on both sides of the gate."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=parity_cases())
     def test_search_batch_bit_identical(self, case):
         k = case.pop("k")
-        reference, two_tier, queries, rng = _build_pair(**case)
-        assert reference.search_batch(queries, k) == two_tier.search_batch(queries, k)
+        plain, blas, queries, rng = _build_pair(**case)
+        assert plain.search_batch(queries, k) == blas.search_batch(queries, k)
 
     @settings(max_examples=40, deadline=None)
     @given(case=parity_cases())
     def test_positions_pool_bit_identical(self, case):
         """The S2-style caller-provided candidate-pool path."""
         k = case.pop("k")
-        reference, two_tier, queries, rng = _build_pair(**case)
-        alive = np.flatnonzero(reference._alive[: reference._size])
+        plain, blas, queries, rng = _build_pair(**case)
+        alive = np.flatnonzero(plain._alive[: plain._size])
         if alive.size < 2:
             return
         pool = np.sort(rng.choice(alive, size=max(alive.size // 2, 2), replace=False))
-        assert reference.search_batch(queries, k, positions=pool) == two_tier.search_batch(
+        assert plain.search_batch(queries, k, positions=pool) == blas.search_batch(
             queries, k, positions=pool
         )
 
     @pytest.mark.parametrize("kind", INDEX_KINDS)
-    @pytest.mark.parametrize("dtype", VALID_STORAGE_DTYPES)
-    def test_overflow_falls_back_bit_identical(self, kind, dtype):
-        """A pool of near-identical vectors overflows any slice budget:
-        every row must fall back to one-tier scoring, still bit-equal."""
+    def test_overflow_falls_back_bit_identical(self, kind):
+        """A pool of near-identical vectors overflows the slice budget:
+        every row must fall back to the plain scorer, still bit-equal."""
         rng = np.random.default_rng(3)
         d, n = 8, 120
         data = np.tile(rng.standard_normal((1, d)).astype(np.float32), (n, 1))
         data += rng.standard_normal((n, d)).astype(np.float32) * 1e-7
         keys = list(range(n))
-        reference = create_index(kind, d)
-        two_tier = create_index(
-            kind, d, scoring_mode="two_tier", storage_dtype=dtype, tier1_overfetch=1.0
-        )
-        two_tier.tier1_min_pool = 2
-        reference.add_batch(keys, data)
-        two_tier.add_batch(keys, data)
+        plain = _gated_index(kind, d, UNREACHABLE)
+        blas = _gated_index(kind, d, 2)
+        plain.add_batch(keys, data)
+        blas.add_batch(keys, data)
         queries = data[:4] + rng.standard_normal((4, d)).astype(np.float32) * 1e-7
-        assert reference.search_batch(queries, 3) == two_tier.search_batch(queries, 3)
+        assert plain.search_batch(queries, 3) == blas.search_batch(queries, 3)
 
     def test_search_single_matches_batch_row(self):
-        index = create_index("exact", 6, scoring_mode="two_tier", storage_dtype="int8")
-        index.tier1_min_pool = 2
+        """A batch above the gate and its rows below it answer alike."""
+        index = _gated_index("exact", 6, 200)
         rng = np.random.default_rng(5)
         index.add_batch(list(range(100)), _make_pool(rng, 100, 6))
-        query = rng.standard_normal(6).astype(np.float32)
-        assert index.search(query, 4) == index.search_batch(query[None, :], 4)[0]
+        queries = rng.standard_normal((4, 6)).astype(np.float32)
+        batch = index.search_batch(queries, 4)  # 4 x 100 pairs: tier 1
+        assert [index.search(query, 4) for query in queries] == batch  # 1 x 100: plain
 
 
-class TestStorageBackends:
-    """Quantization mechanics of the pluggable scan store."""
+def _search_span(tracer, search):
+    """Run ``search`` and return (its hits, its ``index.search`` span attributes)."""
+    tracer.reset()
+    hits = search()
+    root = tracer.recent_traces()[-1]["root"]
+    assert root["name"] == "index.search"
+    return hits, root["attributes"]
 
-    def test_int8_codes_and_scales(self):
-        index = create_index("exact", 4, scoring_mode="two_tier", storage_dtype="int8")
-        vectors = np.array(
-            [[1.0, -2.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0]], dtype=np.float32
-        )
-        index.add_batch(["a", "b"], vectors)
-        assert index._codes.dtype == np.int8
-        # Peak magnitude maps to +/-127; the zero vector stays all-zero
-        # codes with a benign scale of 1.0 and zero reconstruction error.
-        assert int(np.abs(index._codes[0]).max()) == 127
-        assert not index._codes[1].any()
-        assert float(index._scales[1]) == 1.0
-        assert float(index._recon_errs[1]) == 0.0
-        recon = index._codes[:2].astype(np.float32) * index._scales[:2, None]
-        errors = np.linalg.norm(vectors - recon, axis=1)
-        assert np.allclose(errors, index._recon_errs[:2], rtol=1e-5, atol=1e-7)
 
-    def test_float16_codes_stay_finite(self):
-        index = create_index("exact", 2, scoring_mode="two_tier", storage_dtype="float16")
-        index.add_batch(["big"], np.array([[1e9, -1e9]], dtype=np.float32))
-        assert np.isfinite(index._codes[: index._size].astype(np.float32)).all()
-        assert np.isfinite(index._recon_errs[: index._size]).all()
+class TestGate:
+    """The default gate picks the path from the pairs a call scores."""
 
-    def test_quantized_store_survives_compaction(self):
-        index = create_index("exact", 3, scoring_mode="two_tier", storage_dtype="int8")
-        index.tier1_min_pool = 2
-        rng = np.random.default_rng(7)
-        data = _make_pool(rng, 40, 3)
-        index.add_batch(list(range(40)), data)
-        dead = list(range(24))  # 60% dead: exceeds compaction_fraction
-        remap = index.remove_batch(dead)
-        assert remap is not None and index.n_tombstones == 0
-        fresh = create_index("exact", 3, scoring_mode="two_tier", storage_dtype="int8")
-        fresh.tier1_min_pool = 2
-        kept = list(range(24, 40))
-        fresh.add_batch(kept, data[kept])
-        np.testing.assert_array_equal(index._codes[: index._size], fresh._codes[: fresh._size])
-        np.testing.assert_array_equal(index._scales[: index._size], fresh._scales[: fresh._size])
-        queries = _make_pool(rng, 3, 3)
-        assert index.search_batch(queries, 4) == fresh.search_batch(queries, 4)
-
-    def test_invalid_modes_rejected(self):
-        with pytest.raises(ValueError):
-            create_index("exact", 4, scoring_mode="fast")
-        with pytest.raises(ValueError):
-            create_index("exact", 4, scoring_mode="two_tier", storage_dtype="int4")
-        # Quantized storage without the re-ranking tier would silently
-        # never read the codes; constructing it is an error.
-        with pytest.raises(ValueError):
-            create_index("exact", 4, scoring_mode="deterministic", storage_dtype="int8")
-        with pytest.raises(ValueError):
-            create_index("exact", 4, scoring_mode="two_tier", tier1_overfetch=0.5)
-        with pytest.raises(ValueError):
-            AutoFormulaConfig(scoring_mode="deterministic", storage_dtype="float16")
-        with pytest.raises(ValueError):
-            AutoFormulaConfig(scoring_mode="warp")
+    @pytest.mark.parametrize(
+        "pool, n_queries, mode",
+        [(500, 1, "exact"), (200, 4, "exact"), (5000, 1, "two_tier"), (500, 16, "two_tier")],
+    )
+    def test_default_gate_picks_path_by_pairs(self, tracer, pool, n_queries, mode):
+        rng = np.random.default_rng(pool + n_queries)
+        index = create_index("exact", 16)
+        store = pool + 100  # full scan and a strict-subset positions pool, same side
+        index.add_batch(list(range(store)), rng.standard_normal((store, 16)).astype(np.float32))
+        queries = rng.standard_normal((n_queries, 16)).astype(np.float32)
+        for positions in (None, np.sort(rng.choice(store, size=pool, replace=False))):
+            hits, attributes = _search_span(
+                tracer, lambda: index.search_batch(queries, 3, positions=positions)
+            )
+            assert attributes["mode"] == mode
+            assert attributes["n_queries"] == n_queries
+            assert attributes["pool"] == (store if positions is None else pool)
+            assert hits == index._score_exact(queries, positions, 3)
 
     @pytest.mark.parametrize("kind", INDEX_KINDS)
-    def test_factory_forwards_scoring_kwargs(self, kind):
-        index = create_index(
-            kind, 8, scoring_mode="two_tier", storage_dtype="float16", tier1_overfetch=2.0
-        )
-        assert index.scoring_mode == "two_tier"
-        assert index.storage_dtype == "float16"
-        assert index.tier1_overfetch == 2.0
+    def test_batch_and_singles_on_opposite_sides(self, tracer, trained_encoder, pge_corpus, kind):
+        """One ``serve_batch`` group crosses the gate in S2 while the same
+        requests one at a time stay under it; the responses are equal."""
+        from repro.corpus import split_corpus
 
+        test_workbooks, references = split_corpus(pge_corpus, 0.15, "timestamp")
+        source = max(
+            (sheet for workbook in test_workbooks for sheet in workbook),
+            key=lambda sheet: sheet.n_formulas(),
+        )
+        target = source.copy()
+        cells = [address for address, cell in source.cells() if cell.has_formula][:4]
+        for address in cells:  # one shared target sheet, every asked cell blank
+            target.set(address, value=None, formula=None, style=source.get(address).style)
+        requests = [RecommendationRequest(target, address) for address in cells]
+        config = AutoFormulaConfig(sheet_index_kind=kind, formula_index_kind=kind)
+        workspace = Workspace("gate", AutoFormula(trained_encoder, config))
+        workspace.add_workbooks(references)
 
-class TestQuantizedRestore:
-    """store_state/restore_store round trips of the quantized store."""
+        def s2_search(tree):
+            """Span attributes of the S2 index search in one serve trace."""
+            (s2,) = [node for node in tree["root"]["children"] if node["name"] == "s2.score"]
+            (search,) = [node for node in s2["children"] if node["name"] == "index.search"]
+            return search["attributes"]
 
-    @pytest.mark.parametrize("dtype", ("float16", "int8"))
-    def test_restore_adopts_persisted_codes(self, dtype):
-        rng = np.random.default_rng(11)
-        source = create_index("exact", 5, scoring_mode="two_tier", storage_dtype=dtype)
-        source.tier1_min_pool = 2
-        source.add_batch(list(range(60)), _make_pool(rng, 60, 5))
-        source.remove_batch([2, 9])
-        state = source.store_state()
-        assert state["codes"].dtype == np.dtype(dtype)
-        restored = create_index("exact", 5, scoring_mode="two_tier", storage_dtype=dtype)
-        restored.tier1_min_pool = 2
-        restored.restore_store(
-            list(source._keys),
-            state["matrix"],
-            state["sq_norms"],
-            state["alive"],
-            codes=state["codes"],
-            scales=state.get("scales"),
-            recon_errors=state["recon_errors"],
-        )
-        queries = _make_pool(rng, 4, 5)
-        assert restored.search_batch(queries, 5) == source.search_batch(queries, 5)
+        workspace.recommend(requests[0])
+        pool = s2_search(tracer.recent_traces()[-1])["pool"]
+        assert pool >= 32 and len(requests) >= 2  # tier 1 can engage, for the group only
+        workspace.predictor.formula_index.tier1_min_pairs = pool + 1
+        tracer.reset()
+        singles = [workspace.recommend(request) for request in requests]
+        assert {s2_search(tree)["mode"] for tree in tracer.recent_traces()} == {"exact"}
+        batch = workspace.serve_batch(requests)
+        assert s2_search(tracer.recent_traces()[-1])["mode"].startswith("two_tier")
+        assert [_response_key(r) for r in batch] == [_response_key(r) for r in singles]
 
-    def test_restore_requantizes_when_codes_missing(self):
-        """Old snapshots (no quantized blocks) restore by re-deriving the
-        codes from the exact matrix — bit-identical, since quantization is
-        a pure function of the float32 values."""
-        rng = np.random.default_rng(13)
-        source = create_index("exact", 5, scoring_mode="two_tier", storage_dtype="int8")
-        source.tier1_min_pool = 2
-        source.add_batch(list(range(50)), _make_pool(rng, 50, 5))
-        state = source.store_state()
-        restored = create_index("exact", 5, scoring_mode="two_tier", storage_dtype="int8")
-        restored.tier1_min_pool = 2
-        restored.restore_store(
-            list(source._keys), state["matrix"], state["sq_norms"], state["alive"]
-        )
-        np.testing.assert_array_equal(
-            restored._codes[: restored._size], source._codes[: source._size]
-        )
-        np.testing.assert_array_equal(
-            restored._scales[: restored._size], source._scales[: source._size]
-        )
-        queries = _make_pool(rng, 4, 5)
-        assert restored.search_batch(queries, 5) == source.search_batch(queries, 5)
+    def test_removed_options_raise_type_error(self):
+        """The options are gone, not ignored."""
+        with pytest.raises(TypeError):
+            AutoFormulaConfig(scoring_mode="two_tier")
+        with pytest.raises(TypeError):
+            create_index("exact", 4, storage_dtype="int8")
+        with pytest.raises(TypeError):
+            ServerConfig(scoring_mode="two_tier")
 
 
 class TestMemoryStats:
     """The /stats index-memory surface."""
 
     def test_index_memory_accounting(self):
-        index = create_index("exact", 16, scoring_mode="two_tier", storage_dtype="int8")
+        index = create_index("exact", 16)
         rng = np.random.default_rng(17)
         index.add_batch(list(range(100)), _make_pool(rng, 100, 16))
         index.remove_batch([0, 1, 2])
         stats = index.memory_stats()
         assert stats["vectors"] == 97
         assert stats["tombstones"] == 3
-        assert stats["storage_dtype"] == "int8"
         assert stats["bytes"]["float32_matrix"] == 100 * 16 * 4
-        assert stats["bytes"]["codes"] == 100 * 16  # one byte per component
         assert stats["bytes"]["total"] == sum(
             value for key, value in stats["bytes"].items() if key != "total"
         )
-        # The int8 scan store is ~4x smaller than a float32 scan.
-        assert stats["scan_bytes"] < stats["bytes"]["float32_matrix"] // 2
-        assert stats["quantization_savings_bytes"] > 0
         assert stats["tombstone_bytes"] > 0
 
-    def test_float32_store_reports_no_savings(self):
-        index = create_index("exact", 8)
-        index.add_batch(["a"], np.ones((1, 8), dtype=np.float32))
-        stats = index.memory_stats()
-        assert stats["quantization_savings_bytes"] == 0
-        assert stats["scan_bytes"] == stats["bytes"]["float32_matrix"]
-
     def test_workspace_memory_stats(self, trained_encoder):
-        config = AutoFormulaConfig(scoring_mode="two_tier", storage_dtype="int8")
-        workspace = Workspace("w", AutoFormula(trained_encoder, config))
+        workspace = Workspace("w", AutoFormula(trained_encoder, AutoFormulaConfig()))
         workspace.add_workbook(_survey_workbook())
         stats = workspace.memory_stats()
-        assert stats["total_bytes"] > 0
-        assert stats["sheet_index"]["storage_dtype"] == "int8"
-        assert stats["formula_index"]["quantization_savings_bytes"] > 0
+        assert stats["total_bytes"] == sum(
+            stats[name]["bytes"]["total"] for name in ("sheet_index", "formula_index")
+        ) > 0
 
     def test_server_metrics_memory_gauges(self):
         metrics = ServerMetrics()
@@ -326,6 +266,18 @@ def _target_sheet(n_rows: int = 12) -> Sheet:
         sheet.set((row, 0), float(row + 3))
         sheet.set((row, 1), float((row + 3) * 2))
     return sheet
+
+
+def _spied_workspace(trained_encoder, record):
+    """A survey workspace with embedding reuse on, and the list that
+    collects ``record(sheet)`` for every sheet its predictor encodes."""
+    predictor = AutoFormula(trained_encoder, AutoFormulaConfig(reuse_query_embeddings=True))
+    workspace = Workspace("w", predictor)
+    workspace.add_workbook(_survey_workbook())
+    encodes = []
+    original = predictor._encode_sheet_vector
+    predictor._encode_sheet_vector = lambda sheet: (encodes.append(record(sheet)), original(sheet))[1]
+    return workspace, encodes
 
 
 def _response_key(response):
@@ -363,16 +315,7 @@ class TestServeLoopSatellites:
         ]
 
     def test_query_embedding_reused_across_batches(self, trained_encoder):
-        config = AutoFormulaConfig(reuse_query_embeddings=True)
-        predictor = AutoFormula(trained_encoder, config)
-        workspace = Workspace("w", predictor)
-        workspace.add_workbook(_survey_workbook())
-        encodes = []
-        original = predictor._encode_sheet_vector
-        predictor._encode_sheet_vector = lambda sheet: (
-            encodes.append(id(sheet)),
-            original(sheet),
-        )[1]
+        workspace, encodes = _spied_workspace(trained_encoder, id)
         target = _target_sheet()
         requests = [
             RecommendationRequest(sheet=target, cell=CellAddress(row, 2)) for row in (4, 6)
@@ -383,16 +326,7 @@ class TestServeLoopSatellites:
         assert [_response_key(r) for r in first] == [_response_key(r) for r in second]
 
     def test_content_key_shares_embeddings_across_objects(self, trained_encoder):
-        config = AutoFormulaConfig(reuse_query_embeddings=True)
-        predictor = AutoFormula(trained_encoder, config)
-        workspace = Workspace("w", predictor)
-        workspace.add_workbook(_survey_workbook())
-        encodes = []
-        original = predictor._encode_sheet_vector
-        predictor._encode_sheet_vector = lambda sheet: (
-            encodes.append(id(sheet)),
-            original(sheet),
-        )[1]
+        workspace, encodes = _spied_workspace(trained_encoder, id)
         # Two *distinct* sheet objects carrying the interner's content key,
         # as produced by byte-identical wire payloads after cache eviction.
         interner = SheetInterner(max_entries=1)
@@ -407,16 +341,7 @@ class TestServeLoopSatellites:
         assert encodes == [id(sheet_a)]  # content hit: sheet_b never encoded
 
     def test_edited_sheet_reencodes(self, trained_encoder):
-        config = AutoFormulaConfig(reuse_query_embeddings=True)
-        predictor = AutoFormula(trained_encoder, config)
-        workspace = Workspace("w", predictor)
-        workspace.add_workbook(_survey_workbook())
-        encodes = []
-        original = predictor._encode_sheet_vector
-        predictor._encode_sheet_vector = lambda sheet: (
-            encodes.append(sheet.version),
-            original(sheet),
-        )[1]
+        workspace, encodes = _spied_workspace(trained_encoder, lambda sheet: sheet.version)
         target = _target_sheet()
         workspace.serve_batch([RecommendationRequest(sheet=target, cell=CellAddress(4, 2))])
         target.set((0, 0), 99.0)  # bumps the sheet's mutation version
