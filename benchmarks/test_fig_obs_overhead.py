@@ -13,7 +13,7 @@ Two claims back the ``repro.obs`` tentpole:
 
 2. **Legibility** — one recommend produces a single span tree showing
    the staged plan (S1 sheet search with tier-1 scan / tier-2 re-rank,
-   S2 scoring with in-line S3 re-grounding) plus an edit's
+   S2 scoring, S3 re-grounding) plus an edit's
    incremental-recalculation trace.  Both trees are written to
    ``benchmarks/results/fig_obs_trace.json`` — the artifact the
    EXPERIMENTS.md trace-reading guide walks through — and the CI slow
@@ -207,7 +207,7 @@ def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
     names = _collect_names(recommend_tree["root"], set())
     assert recommend_tree["root"]["name"] == "workspace.serve"
     for required in (
-        "s1.sheet_hits", "s2.score",
+        "s1.sheet_hits", "s2.score", "s3.adapt",
         "index.search", "index.tier1", "index.tier2",
     ):
         assert required in names, f"recommend trace is missing {required!r}"

@@ -36,7 +36,7 @@ REQUESTS_PER_SHEET = 16
 #: Concurrent swarm clients (each owns one keep-alive connection).
 CONCURRENCY = 16
 #: Each mode is measured this many times and the best run is kept.
-N_REPEATS = 2
+N_REPEATS = 3
 
 MODES = (
     ("one-at-a-time", ServerConfig(max_batch_size=1, executor_workers=4)),

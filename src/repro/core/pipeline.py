@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -13,7 +14,7 @@ from repro.ann import SearchResult, canonical_index_kind, create_index
 from repro.core.config import AutoFormulaConfig
 from repro.core.interface import FormulaPredictor, Prediction
 from repro.features.window import SheetKeyedLRU, gather_windows
-from repro.formula.ast_nodes import CellReference, RangeReference
+from repro.formula.ast_nodes import ASTNode
 from repro.formula.parser import parse_formula
 from repro.formula.template import formula_references, instantiate_template
 from repro.formula.tokenizer import FormulaSyntaxError
@@ -52,10 +53,189 @@ def _reference_parameter_cells(
     return cells
 
 
-def _dedupe_coords(coords: np.ndarray) -> np.ndarray:
-    """Drop duplicate (row, col) rows, keeping first-occurrence order."""
-    flat = coords[:, 0] * (int(coords[:, 1].max()) + 1) + coords[:, 1]
-    return coords[np.sort(np.unique(flat, return_index=True)[1])]
+def _coordinates(cells: Sequence[CellAddress]) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column arrays of a list of cells."""
+    return (
+        np.array([cell.row for cell in cells], dtype=np.int64),
+        np.array([cell.col for cell in cells], dtype=np.int64),
+    )
+
+
+def _rectangle(
+    anchor: Tuple[int, int], extent: Tuple[int, int], reach: Tuple[int, int]
+) -> Optional[Tuple[int, int, int, int]]:
+    """``(row_lo, row_hi, col_lo, col_hi)`` of the +/- ``reach`` neighborhood
+    of ``anchor`` clamped to a sheet of ``extent`` rows x columns, or ``None``
+    when the neighborhood misses the sheet.  An empty axis still has cell 0,
+    so a 0x0 sheet has the one candidate ``(0, 0)``."""
+    row_lo = max(anchor[0] - reach[0], 0)
+    row_hi = min(anchor[0] + reach[0], max(extent[0] - 1, 0))
+    col_lo = max(anchor[1] - reach[1], 0)
+    col_hi = min(anchor[1] + reach[1], max(extent[1] - 1, 0))
+    if row_lo > row_hi or col_lo > col_hi:
+        return None
+    return row_lo, row_hi, col_lo, col_hi
+
+
+def _rectangle_cells(bounds: Tuple[int, int, int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column of every cell of a rectangle, row-major."""
+    row_lo, row_hi, col_lo, col_hi = bounds
+    width = col_hi - col_lo + 1
+    rows, cols = np.divmod(np.arange((row_hi - row_lo + 1) * width), width)
+    rows += row_lo
+    cols += col_lo
+    return rows, cols
+
+
+def _candidate_cells(
+    anchors: Sequence[Tuple[int, int]], extent: Tuple[int, int], reach: Tuple[int, int]
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Rows and columns of the S3 candidates of one parameter, or ``None``
+    when no anchor's neighborhood touches the sheet.
+
+    The first anchor's clamped rectangle comes row-major, then the cells of
+    the second's that lie outside the first.  That is the first-occurrence
+    order of the two rectangles enumerated one after the other, so equal
+    scores keep resolving toward the primary anchor, top-left first.
+    """
+    rectangles = [
+        bounds
+        for anchor in anchors
+        if (bounds := _rectangle(anchor, extent, reach)) is not None
+    ]
+    if not rectangles:
+        return None
+    rows, cols = _rectangle_cells(rectangles[0])
+    if len(rectangles) == 2:
+        row_lo, row_hi, col_lo, col_hi = rectangles[0]
+        more_rows, more_cols = _rectangle_cells(rectangles[1])
+        outside = (
+            (more_rows < row_lo) | (more_rows > row_hi)
+            | (more_cols < col_lo) | (more_cols > col_hi)
+        )
+        rows = np.concatenate([rows, more_rows[outside]])
+        cols = np.concatenate([cols, more_cols[outside]])
+    return rows, cols
+
+
+class _RegionStore:
+    """Region embeddings of one sheet's cells, as rows of one matrix.
+
+    ``_slots`` maps a cell of the sheet's used extent to its row of
+    ``_matrix`` (-1 until the cell is embedded); reference parameters may
+    point outside the extent, and those few cells live in ``_overflow``.
+    A cell's row never changes once assigned, so slots handed out stay
+    valid while the matrix grows.  The store serves one state of its sheet:
+    target stores sit in a version-checked :class:`SheetKeyedLRU`, reference
+    stores are rebuilt with their sheet's index entry.
+
+    Concurrent readers reach one store (the workspace read lock admits
+    parallel serves of the same target sheet), so filling and reading run
+    under ``_mutex``.
+    """
+
+    def __init__(self, sheet: Sheet, dimension: int, capacity: int = 0) -> None:
+        self._slots = np.full(
+            (max(sheet.n_rows, 1), max(sheet.n_cols, 1)), -1, dtype=np.int32
+        )
+        self._overflow: Dict[Tuple[int, int], int] = {}
+        self._matrix = np.empty((capacity, dimension), dtype=np.float32)
+        self._size = 0
+        self._mutex = threading.Lock()
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _on_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return (rows < self._slots.shape[0]) & (cols < self._slots.shape[1])
+
+    def _lookup(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        try:
+            return self._slots[rows, cols]
+        except IndexError:  # some cell lies outside the used extent
+            inside = self._on_grid(rows, cols)
+            slots = np.full(len(rows), -1, dtype=self._slots.dtype)
+            slots[inside] = self._slots[rows[inside], cols[inside]]
+            for position in np.flatnonzero(~inside):
+                key = (int(rows[position]), int(cols[position]))
+                slots[position] = self._overflow.get(key, -1)
+            return slots
+
+    def _append(self, rows: np.ndarray, cols: np.ndarray, vectors: np.ndarray) -> None:
+        size = self._size + len(rows)
+        if size > len(self._matrix):
+            # Grow by half at most, and never past one row per cell of the
+            # extent: a doubling matrix showed up in peak RSS.
+            capacity = max(size, min(len(self._matrix) * 3 // 2, self._slots.size))
+            grown = np.empty((capacity, self._matrix.shape[1]), dtype=np.float32)
+            grown[: self._size] = self._matrix[: self._size]
+            self._matrix = grown
+        self._matrix[self._size : size] = vectors
+        inside = self._on_grid(rows, cols)
+        new_slots = np.arange(self._size, size)
+        self._slots[rows[inside], cols[inside]] = new_slots[inside]
+        for position in np.flatnonzero(~inside):
+            key = (int(rows[position]), int(cols[position]))
+            self._overflow[key] = int(new_slots[position])
+        self._size = size
+
+    def slots_of(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        embed: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> Tuple[np.ndarray, int]:
+        """Matrix rows of the cells ``(rows[i], cols[i])`` and how many of
+        these lookups found their cell not stored yet.
+
+        All cells not stored yet go through one ``embed(rows, cols)`` call,
+        in first-occurrence order with repeats dropped.
+        """
+        with self._mutex:
+            slots = self._lookup(rows, cols)
+            missing = np.flatnonzero(slots < 0)
+            if not missing.size:
+                return slots, 0
+            n_missing = len(missing)
+            keys = rows[missing] * (int(cols.max()) + 1) + cols[missing]
+            missing = missing[np.sort(np.unique(keys, return_index=True)[1])]
+            rows_missing, cols_missing = rows[missing], cols[missing]
+            self._append(rows_missing, cols_missing, embed(rows_missing, cols_missing))
+            return self._lookup(rows, cols), n_missing
+
+    def vectors(self, slots: np.ndarray) -> np.ndarray:
+        """The stored vectors of ``slots`` as a fresh C-contiguous matrix."""
+        with self._mutex:
+            return self._matrix[slots]
+
+
+@dataclass
+class _AdaptationPlan:
+    """What S3 needs from one reference formula, worked out once.
+
+    ``cells`` are the unique parameter cells as ``(row, col)`` and ``slots``
+    their rows in the owning reference sheet's region store; ``references``
+    lists the formula's parameters in template order, each as indexes into
+    ``cells``: one for a cell, two (start, end) for a range.
+    """
+
+    formula_cell: CellAddress
+    ast: ASTNode
+    references: List[Tuple[int, ...]]
+    cells: List[Tuple[int, int]]
+    slots: np.ndarray
+
+    def instantiate(self, mapped: Sequence[CellAddress]) -> str:
+        """The formula with ``cells[i]`` re-grounded to ``mapped[i]``."""
+        return instantiate_template(
+            self.ast,
+            [
+                mapped[ends[0]]
+                if len(ends) == 1
+                else RangeAddress(mapped[ends[0]], mapped[ends[1]])
+                for ends in self.references
+            ],
+        )
 
 
 @dataclass
@@ -82,6 +262,11 @@ class _ReferenceSheet:
     workbook_name: str
     sheet: Sheet
     formulas: List[_ReferenceFormula]
+    #: Region embeddings of the formulas' parameter cells.
+    store: _RegionStore
+    #: Adaptation plans by formula position, built on first use (``None``
+    #: for a formula that does not parse: S3 abstains on it every time).
+    plans: Dict[int, Optional[_AdaptationPlan]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -191,13 +376,12 @@ class AutoFormula(FormulaPredictor):
         #: at index internals, and rewritten on compaction remaps.
         self._sheet_store_size = 0
         self._formula_store_size = 0
-        #: Bounded LRU of per-cell fine-embedding caches for target sheets.
+        #: Bounded LRU of target sheets' region stores (S3 candidate vectors).
         self._target_cache = SheetKeyedLRU(self.config.max_cached_target_sheets)
-        #: Region embeddings of reference parameter cells, keyed by
-        #: (sheet id, row, col).  Reference sheets are pinned by
-        #: ``_reference_sheets`` for the lifetime of a fit, so the ids stay
-        #: valid; the cache is cleared (and re-bounded) on every ``fit``.
-        self._reference_region_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
+        #: Target-store lookups since construction, for ``region_store_stats``.
+        self._store_stats_mutex = threading.Lock()
+        self._store_hits = 0
+        self._store_misses = 0
         #: Bounded LRU of model-reduced per-sheet tensors (the fine model's
         #: per-cell prefix applied to a sheet's padded feature tensor once,
         #: instead of once per overlapping window).
@@ -205,11 +389,10 @@ class AutoFormula(FormulaPredictor):
         self._reduced_padding: Optional[np.ndarray] = None
         self._fine_fast = _UNSET
         #: Cross-request S1 query-embedding reuse (off when
-        #: ``config.reuse_query_embeddings`` is false): an identity-keyed
-        #: LRU holding ``(sheet version, vector)`` plus a content-hash-keyed
-        #: LRU for distinct sheet objects carrying the wire layer's
-        #: ``content_key``.  Both are version-checked, so an edited sheet
-        #: always re-encodes.
+        #: ``config.reuse_query_embeddings`` is false): a sheet-keyed LRU
+        #: plus a content-hash-keyed LRU for distinct sheet objects carrying
+        #: the wire layer's ``content_key``.  Both are version-checked, so
+        #: an edited sheet always re-encodes.
         self._query_vector_cache = SheetKeyedLRU(
             max(self.config.max_cached_target_sheets, 8)
         )
@@ -230,21 +413,18 @@ class AutoFormula(FormulaPredictor):
         """
         if not self.config.reuse_query_embeddings:
             return self._encode_sheet_vector(sheet)
-        version = sheet.version
-        cached = self._query_vector_cache.get(sheet)
-        if cached is not None and cached[0] == version:
-            return cached[1]
+        vector = self._query_vector_cache.get(sheet)
+        if vector is not None:
+            return vector
         content_key = getattr(sheet, "content_key", None)
         if content_key is not None:
-            vector = self._query_vector_by_content.get((content_key, version))
-            if vector is not None:
-                self._query_vector_cache.put(sheet, (version, vector))
-                return vector
-        vector = self._encode_sheet_vector(sheet)
-        vector.flags.writeable = False
-        self._query_vector_cache.put(sheet, (version, vector))
-        if content_key is not None:
-            self._query_vector_by_content.put((content_key, version), vector)
+            vector = self._query_vector_by_content.get((content_key, sheet.version))
+        if vector is None:
+            vector = self._encode_sheet_vector(sheet)
+            vector.flags.writeable = False
+            if content_key is not None:
+                self._query_vector_by_content.put((content_key, sheet.version), vector)
+        self._query_vector_cache.put(sheet, vector)
         return vector
 
     def _encode_sheet_vector(self, sheet: Sheet) -> np.ndarray:
@@ -252,6 +432,12 @@ class AutoFormula(FormulaPredictor):
         if self.config.granularity == "fine_only":
             return self.encoder.fine_model.forward(window)[0]
         return self.encoder.coarse_model.forward(window)[0]
+
+    @property
+    def _region_dimension(self) -> int:
+        if self.config.granularity == "coarse_only":
+            return self.encoder.coarse_dimension
+        return self.encoder.fine_dimension
 
     def _region_vectors(
         self, sheet: Sheet, centers: Sequence[CellAddress], blank_center: bool = False
@@ -262,19 +448,21 @@ class AutoFormula(FormulaPredictor):
         formula-region comparison uses this so that an already-filled
         reference cell and a still-empty target cell embed comparably.
         """
-        if not centers:
-            dim = (
-                self.encoder.coarse_dimension
-                if self.config.granularity == "coarse_only"
-                else self.encoder.fine_dimension
-            )
-            return np.zeros((0, dim), dtype=np.float32)
+        return self._region_vectors_at(sheet, *_coordinates(centers), blank_center)
+
+    def _region_vectors_at(
+        self, sheet: Sheet, rows: np.ndarray, cols: np.ndarray, blank_center: bool = False
+    ) -> np.ndarray:
+        """:meth:`_region_vectors` of the cells ``(rows[i], cols[i])``."""
+        if not len(rows):
+            return np.zeros((0, self._region_dimension), dtype=np.float32)
         if self.config.granularity != "coarse_only":
-            vectors = self._fine_region_vectors_fast(sheet, list(centers), blank_center)
+            vectors = self._fine_region_vectors_fast(sheet, rows, cols, blank_center)
             if vectors is not None:
                 return vectors
+        centers = [CellAddress(row, col) for row, col in zip(rows.tolist(), cols.tolist())]
         windows = self.encoder.featurizer.featurize_regions(
-            sheet, list(centers), blank_center=blank_center
+            sheet, centers, blank_center=blank_center
         )
         if self.config.granularity == "coarse_only":
             return self.encoder.coarse_model.forward(windows)
@@ -339,7 +527,7 @@ class AutoFormula(FormulaPredictor):
         return reduced
 
     def _fine_region_vectors_fast(
-        self, sheet: Sheet, centers: List[CellAddress], blank_center: bool
+        self, sheet: Sheet, center_rows: np.ndarray, center_cols: np.ndarray, blank_center: bool
     ) -> Optional[np.ndarray]:
         """Fine region embeddings via the reduced per-sheet tensor, or
         ``None`` when the fast path does not apply."""
@@ -352,52 +540,41 @@ class AutoFormula(FormulaPredictor):
         cols = self.encoder.featurizer.config.window_cols
         padding = self._reduced_padding_features()
         windows = gather_windows(
-            reduced, centers, sheet.n_rows, sheet.n_cols, rows, cols, padding
+            reduced, center_rows, center_cols, sheet.n_rows, sheet.n_cols, rows, cols, padding
         )
         if blank_center:
             windows[:, rows // 2, cols // 2] = padding
         __, normalizer = self._fine_fast_path()
-        return normalizer.forward(windows.reshape(len(centers), -1), training=False)
+        return normalizer.forward(windows.reshape(len(center_rows), -1), training=False)
 
-    def _target_region_vectors(self, sheet: Sheet, centers: Sequence[CellAddress]) -> np.ndarray:
-        """Region embeddings on a target sheet, memoized per cell in the LRU."""
-        cache: Optional[Dict[Tuple[int, int], np.ndarray]] = self._target_cache.get(sheet)
-        if cache is None:
-            cache = {}
-            self._target_cache.put(sheet, cache)
-        missing = [center for center in centers if (center.row, center.col) not in cache]
-        if missing:
-            vectors = self._region_vectors(sheet, missing)
-            for center, vector in zip(missing, vectors):
-                cache[(center.row, center.col)] = vector
-        return np.stack([cache[(center.row, center.col)] for center in centers])
+    def _target_store(self, sheet: Sheet) -> _RegionStore:
+        """The region store of a target sheet at its current version."""
+        store = self._target_cache.get(sheet)
+        if store is None:
+            store = _RegionStore(sheet, self._region_dimension)
+            self._target_cache.put(sheet, store)
+        return store
 
-    def _reference_region_vector(self, sheet: Sheet, center: CellAddress) -> np.ndarray:
-        """Region embedding of one reference parameter cell, memoized."""
-        key = (id(sheet), center.row, center.col)
-        vector = self._reference_region_cache.get(key)
-        if vector is None:
-            vector = self._region_vectors(sheet, [center])[0]
-            self._reference_region_cache[key] = vector
-        return vector
+    def _reference_store(
+        self, sheet: Sheet, parameter_cells: Sequence[CellAddress] = ()
+    ) -> _RegionStore:
+        """A reference sheet's region store, sized for and filled with
+        ``parameter_cells`` in one forward pass."""
+        store = _RegionStore(sheet, self._region_dimension, capacity=len(parameter_cells))
+        if parameter_cells:
+            store.slots_of(*_coordinates(parameter_cells), partial(self._region_vectors_at, sheet))
+        return store
 
-    def _warm_reference_cache(self, sheet: Sheet, centers: Sequence[CellAddress]) -> None:
-        """Embed any uncached reference parameter regions in one forward pass."""
-        missing = [
-            center
-            for center in centers
-            if (id(sheet), center.row, center.col) not in self._reference_region_cache
-        ]
-        if not missing:
-            return
-        vectors = self._region_vectors(sheet, missing)
-        for center, vector in zip(missing, vectors):
-            self._reference_region_cache[(id(sheet), center.row, center.col)] = vector
-
-    def _warm_target_cache(self, sheet: Sheet, centers: Sequence[CellAddress]) -> None:
-        """Embed any uncached target candidate regions in one forward pass."""
-        if centers:
-            self._target_region_vectors(sheet, centers)
+    def region_store_stats(self) -> Dict[str, int]:
+        """Target region-store accounting: candidate lookups that found
+        their cell stored (``hit``) or not (``miss``; a cell two parameters
+        of a cold request both reach counts twice, and is embedded once)
+        since construction, and the ``cells`` held by the cached stores
+        now."""
+        with self._store_stats_mutex:
+            hits, misses = self._store_hits, self._store_misses
+        cells = sum(len(store) for store in self._target_cache.values())
+        return {"hit": hits, "miss": misses, "cells": cells}
 
     # ---------------------------------------------------------------- offline
 
@@ -430,7 +607,6 @@ class AutoFormula(FormulaPredictor):
         """Offline phase: embed and index every reference sheet and formula."""
         self._reference_sheets = []
         self._target_cache.clear()
-        self._reference_region_cache.clear()
         self._reduced_cache.clear()
         self._query_vector_cache.clear()
         self._query_vector_by_content.clear()
@@ -444,13 +620,10 @@ class AutoFormula(FormulaPredictor):
             if self.config.granularity == "fine_only"
             else self.encoder.coarse_dimension
         )
-        region_dimension = (
-            self.encoder.coarse_dimension
-            if self.config.granularity == "coarse_only"
-            else self.encoder.fine_dimension
-        )
         self._sheet_index = create_index(self.config.sheet_index_kind, sheet_dimension)
-        self._formula_index = create_index(self.config.formula_index_kind, region_dimension)
+        self._formula_index = create_index(
+            self.config.formula_index_kind, self._region_dimension
+        )
         self._formula_positions = []
         self._sheet_positions = []
         self._sheet_store_size = 0
@@ -475,9 +648,9 @@ class AutoFormula(FormulaPredictor):
             # Pre-embed every formula's parameter regions while this sheet's
             # feature tensor is hot, so online S3 re-grounding never has to
             # re-featurize a reference sheet.
-            self._warm_reference_cache(sheet, self._parameter_cells(formulas))
+            store = self._reference_store(sheet, self._parameter_cells(formulas))
             self._reference_sheets.append(
-                _ReferenceSheet(workbook_name=workbook_name, sheet=sheet, formulas=formulas)
+                _ReferenceSheet(workbook_name, sheet, formulas, store)
             )
             self._formula_index.add_batch(
                 [(sheet_id, local) for local in range(len(formulas))], embeddings
@@ -542,18 +715,6 @@ class AutoFormula(FormulaPredictor):
         ]
         if not removed_ids:
             raise KeyError(f"workbook {workbook_name!r} is not indexed")
-
-        # Purge cached reference-region embeddings of the removed sheets:
-        # the cache is keyed by id(sheet), and dropping the sheet objects
-        # below would allow id reuse to serve stale vectors.
-        dead_sheet_object_ids = {
-            id(self._reference_sheets[sheet_id].sheet) for sheet_id in removed_ids
-        }
-        self._reference_region_cache = {
-            key: vector
-            for key, vector in self._reference_region_cache.items()
-            if key[0] not in dead_sheet_object_ids
-        }
 
         dead_formula_positions = [
             self._formula_positions[sheet_id]
@@ -713,6 +874,8 @@ class AutoFormula(FormulaPredictor):
                         _ReferenceFormula(sheet_id, CellAddress.from_a1(a1), formula)
                         for a1, formula in entry["formulas"]
                     ],
+                    # Filled formula by formula, as plans are first built.
+                    store=self._reference_store(sheet),
                 )
             )
         self._reference_sheets = references
@@ -900,30 +1063,33 @@ class AutoFormula(FormulaPredictor):
         # S2: one matmul scoring all target regions against the pool.
         with get_tracer().span(
             "s2.score", n_cells=len(cells), pool_size=int(pool.size), adapt=adapt
-        ) as span:
+        ):
             if target_vectors is None:
                 target_vectors = self._region_vectors(target_sheet, cells, blank_center=True)
             hit_lists = self._formula_index.search_batch(target_vectors, k=1, positions=pool)
 
-            results: List[Optional[ScoredPrediction]] = []
-            n_adapted = 0
-            for target_cell, hits in zip(cells, hit_lists):
-                if not hits:
-                    results.append(None)
-                    continue
-                distance = hits[0].distance
-                sheet_position, local = hits[0].key
-                sheet_rank = rank_of[int(sheet_position)]
-                if not adapt or distance > self.config.acceptance_threshold:
-                    results.append(ScoredPrediction(None, distance, sheet_rank, int(local)))
-                    continue
-                prediction = self._adapt_hit(
-                    target_sheet, target_cell, int(sheet_position), int(local), distance
-                )
-                n_adapted += 1
-                results.append(ScoredPrediction(prediction, distance, sheet_rank, int(local)))
-            span.set_attribute("n_adapted", n_adapted)
-            return results
+        results: List[Optional[ScoredPrediction]] = []
+        winners: List[Tuple[CellAddress, int, int, float]] = []
+        winner_positions: List[int] = []
+        for target_cell, hits in zip(cells, hit_lists):
+            if not hits:
+                results.append(None)
+                continue
+            distance = hits[0].distance
+            sheet_position, local = hits[0].key
+            if adapt and distance <= self.config.acceptance_threshold:
+                winner_positions.append(len(results))
+                winners.append((target_cell, int(sheet_position), int(local), distance))
+            results.append(
+                ScoredPrediction(None, distance, rank_of[int(sheet_position)], int(local))
+            )
+        if winners:
+            # S3 on the accepted hits, through the staged entry point.
+            for position, prediction in zip(
+                winner_positions, self.adapt_batch(target_sheet, winners)
+            ):
+                results[position] = replace(results[position], prediction=prediction)
+        return results
 
     def adapt_batch(
         self,
@@ -936,72 +1102,109 @@ class AutoFormula(FormulaPredictor):
         distance)`` — what a staged caller knows about a cell's winning
         hit after merging :meth:`predict_batch_scored` results.
         Returns the finished predictions (``None`` where re-grounding
-        fails), identical to what the un-split pipeline would produce.
-        The caller is responsible for the acceptance-threshold check.
+        fails), identical to what the un-split pipeline would produce:
+        :meth:`predict_batch_scored` adapts its own winners through this
+        method.  The caller is responsible for the acceptance-threshold
+        check.
         """
-        with get_tracer().span("s3.adapt", n_items=len(items)):
-            return [
-                self._adapt_hit(target_sheet, cell, int(sheet_id), int(local), distance)
-                for cell, sheet_id, local, distance in items
-            ]
-
-    def _adapt_hit(
-        self,
-        target_sheet: Sheet,
-        target_cell: CellAddress,
-        sheet_position: int,
-        local: int,
-        distance: float,
-    ) -> Optional[Prediction]:
-        """S3 for one winning (sheet, formula) hit, packaged as a Prediction."""
-        reference = self._reference_sheets[sheet_position]
-        reference_formula = reference.formulas[local]
-        confidence = max(0.0, 1.0 - distance / 4.0)
-        predicted = self._adapt_formula(
-            reference.sheet, reference_formula, target_sheet, target_cell
-        )
-        if predicted is None:
-            return None
-        return Prediction(
-            formula=predicted,
-            confidence=confidence,
-            details={
-                "reference_workbook": reference.workbook_name,
-                "reference_sheet": reference.sheet.name,
-                "reference_cell": reference_formula.address.to_a1(),
-                "reference_formula": reference_formula.formula,
-                "s2_distance": distance,
-            },
-        )
+        with get_tracer().span("s3.adapt", n_items=len(items)) as span:
+            if not items:
+                return []
+            store = self._target_store(target_sheet)
+            predictions: List[Optional[Prediction]] = []
+            n_params = n_candidates = n_misses = 0
+            for target_cell, sheet_id, local, distance in items:
+                reference = self._reference_sheets[int(sheet_id)]
+                reference_formula = reference.formulas[int(local)]
+                plan = self._adaptation_plan(reference, int(local))
+                if plan is None:
+                    predictions.append(None)
+                    continue
+                mapped, candidates, misses = self._map_parameters(
+                    reference, plan, store, target_sheet, target_cell
+                )
+                n_params += len(mapped)
+                n_candidates += candidates
+                n_misses += misses
+                try:
+                    formula = plan.instantiate(mapped)
+                except ValueError:
+                    predictions.append(None)
+                    continue
+                predictions.append(
+                    Prediction(
+                        formula=formula,
+                        confidence=max(0.0, 1.0 - distance / 4.0),
+                        details={
+                            "reference_workbook": reference.workbook_name,
+                            "reference_sheet": reference.sheet.name,
+                            "reference_cell": reference_formula.address.to_a1(),
+                            "reference_formula": reference_formula.formula,
+                            "s2_distance": distance,
+                        },
+                    )
+                )
+            with self._store_stats_mutex:
+                self._store_hits += n_candidates - n_misses
+                self._store_misses += n_misses
+            span.set_attribute("n_params", n_params)
+            span.set_attribute("n_candidates", n_candidates)
+            span.set_attribute("n_region_misses", n_misses)
+            return predictions
 
     # --------------------------------------------------------------------- S3
 
-    def _candidate_grid(
-        self, target_sheet: Sheet, center_row: int, center_col: int
-    ) -> Optional[np.ndarray]:
-        """(n, 2) row/col array of the +/- neighborhood around an anchor."""
-        rows = self.config.neighborhood_rows
-        cols = self.config.neighborhood_cols
-        max_row = max(target_sheet.n_rows - 1, 0)
-        max_col = max(target_sheet.n_cols - 1, 0)
-        row_lo, row_hi = max(center_row - rows, 0), min(center_row + rows, max_row)
-        col_lo, col_hi = max(center_col - cols, 0), min(center_col + cols, max_col)
-        if row_lo > row_hi or col_lo > col_hi:
+    def _adaptation_plan(
+        self, reference: _ReferenceSheet, local: int
+    ) -> Optional[_AdaptationPlan]:
+        """The plan of one reference formula, built on first use (``None``
+        for a formula that does not parse)."""
+        plan = reference.plans.get(local, _UNSET)
+        if plan is not _UNSET:
+            return plan
+        try:
+            ast = parse_formula(reference.formulas[local].formula)
+        except FormulaSyntaxError:
+            reference.plans[local] = None
             return None
-        grid_rows, grid_cols = np.meshgrid(
-            np.arange(row_lo, row_hi + 1), np.arange(col_lo, col_hi + 1), indexing="ij"
+        references = formula_references(ast)
+        unique = _reference_parameter_cells(references)
+        index_of = {cell: index for index, cell in enumerate(unique)}
+        slots = np.empty(0, dtype=np.int32)
+        if unique:
+            # A restored predictor's reference stores start empty: this is
+            # where a formula's parameter regions are embedded, in one pass.
+            slots, __ = reference.store.slots_of(
+                *_coordinates(unique), partial(self._region_vectors_at, reference.sheet)
+            )
+        plan = _AdaptationPlan(
+            formula_cell=reference.formulas[local].address,
+            ast=ast,
+            references=[
+                (index_of[item.start], index_of[item.end])
+                if isinstance(item, RangeAddress)
+                else (index_of[item],)
+                for item in references
+            ],
+            cells=[(cell.row, cell.col) for cell in unique],
+            slots=slots,
         )
-        return np.stack([grid_rows.ravel(), grid_cols.ravel()], axis=1)
+        reference.plans[local] = plan
+        return plan
 
-    def _map_cell(
+    def _map_parameters(
         self,
-        reference_sheet: Sheet,
-        reference_cell: CellAddress,
-        reference_formula_cell: CellAddress,
+        reference: _ReferenceSheet,
+        plan: _AdaptationPlan,
+        store: _RegionStore,
         target_sheet: Sheet,
         target_cell: CellAddress,
-    ) -> CellAddress:
-        """Map one reference parameter cell into the target sheet.
+    ) -> Tuple[List[CellAddress], int, int]:
+        """Map each unique parameter cell of ``plan`` into the target sheet,
+        whose region store is ``store``.
+
+        Also returns the number of candidates scored and how many of them
+        were not in the store yet.
 
         The primary anchor translates the parameter by the displacement
         between the reference formula cell and the target cell (Algorithm 2
@@ -1014,118 +1217,47 @@ class AutoFormula(FormulaPredictor):
         small locality penalty breaks embedding ties in favour of the
         nearest anchor.
         """
-        row_delta = target_cell.row - reference_formula_cell.row
-        col_delta = target_cell.col - reference_formula_cell.col
+        row_delta = target_cell.row - plan.formula_cell.row
+        col_delta = target_cell.col - plan.formula_cell.col
+        extent = (target_sheet.n_rows, target_sheet.n_cols)
+        reach = (self.config.neighborhood_rows, self.config.neighborhood_cols)
         anchors = [
-            (reference_cell.row + row_delta, reference_cell.col + col_delta),
-            (reference_cell.row, reference_cell.col),
+            ((row + row_delta, col + col_delta), (row, col)) for row, col in plan.cells
         ]
-        grids = [
-            grid
-            for anchor_row, anchor_col in anchors
-            if (grid := self._candidate_grid(target_sheet, anchor_row, anchor_col)) is not None
-        ]
-        if not grids:
-            return CellAddress(max(anchors[0][0], 0), max(anchors[0][1], 0))
-        # De-duplicate while keeping first-occurrence order (primary-anchor
-        # candidates first), so ties keep breaking the same way the original
-        # sequential scan did.
-        coords = _dedupe_coords(np.concatenate(grids, axis=0))
-        candidates = [CellAddress(int(row), int(col)) for row, col in coords]
-
-        reference_vector = self._reference_region_vector(reference_sheet, reference_cell)
-        candidate_vectors = self._target_region_vectors(target_sheet, candidates)
-        distances = np.sum((candidate_vectors - reference_vector) ** 2, axis=1)
-        penalties = np.minimum.reduce(
-            [
-                np.abs(coords[:, 0] - anchor_row) + np.abs(coords[:, 1] - anchor_col)
-                for anchor_row, anchor_col in anchors
-            ]
-        ).astype(np.float32)
-        scores = distances + self.config.locality_penalty * penalties
-        return candidates[int(np.argmin(scores))]
-
-    def _prepare_adaptation(
-        self,
-        references: Sequence[Union[CellAddress, RangeAddress]],
-        reference_sheet: Sheet,
-        reference_formula: _ReferenceFormula,
-        target_sheet: Sheet,
-        target_cell: CellAddress,
-    ) -> None:
-        """Warm both region caches for every parameter in two forward passes.
-
-        ``_map_cell`` then runs on cache hits only: without this, each
-        parameter (and each end of each range) would trigger its own fine
-        forward pass over its reference region and its ~(2d+1)^2 candidate
-        neighborhood, most of which overlap between parameters.
-        """
-        unique_params = _reference_parameter_cells(references)
-        if not unique_params:
-            return
-        self._warm_reference_cache(reference_sheet, unique_params)
-
-        row_delta = target_cell.row - reference_formula.address.row
-        col_delta = target_cell.col - reference_formula.address.col
-        grids = []
-        for cell in unique_params:
-            for anchor_row, anchor_col in (
-                (cell.row + row_delta, cell.col + col_delta),
-                (cell.row, cell.col),
-            ):
-                grid = self._candidate_grid(target_sheet, anchor_row, anchor_col)
-                if grid is not None:
-                    grids.append(grid)
-        if not grids:
-            return
-        coords = _dedupe_coords(np.concatenate(grids, axis=0))
-        self._warm_target_cache(
-            target_sheet, [CellAddress(int(row), int(col)) for row, col in coords]
-        )
-
-    def _adapt_formula(
-        self,
-        reference_sheet: Sheet,
-        reference_formula: _ReferenceFormula,
-        target_sheet: Sheet,
-        target_cell: CellAddress,
-    ) -> Optional[str]:
-        """Instantiate the reference template with re-grounded parameters."""
-        try:
-            ast = parse_formula(reference_formula.formula)
-        except FormulaSyntaxError:
-            return None
-        references = formula_references(ast)
-        self._prepare_adaptation(references, reference_sheet, reference_formula, target_sheet, target_cell)
-        mapped: List[Union[CellAddress, RangeAddress]] = []
-        for reference in references:
-            if isinstance(reference, RangeAddress):
-                start = self._map_cell(
-                    reference_sheet,
-                    reference.start,
-                    reference_formula.address,
-                    target_sheet,
-                    target_cell,
-                )
-                end = self._map_cell(
-                    reference_sheet,
-                    reference.end,
-                    reference_formula.address,
-                    target_sheet,
-                    target_cell,
-                )
-                mapped.append(RangeAddress(start, end))
-            else:
-                mapped.append(
-                    self._map_cell(
-                        reference_sheet,
-                        reference,
-                        reference_formula.address,
-                        target_sheet,
-                        target_cell,
-                    )
-                )
-        try:
-            return instantiate_template(ast, mapped)
-        except ValueError:
-            return None
+        candidates = [_candidate_cells(pair, extent, reach) for pair in anchors]
+        found = [cells for cells in candidates if cells is not None]
+        n_misses = 0
+        if found:
+            # One lookup for the whole formula, so everything it is missing
+            # is embedded in a single forward pass.
+            slots, n_misses = store.slots_of(
+                np.concatenate([rows for rows, __ in found]),
+                np.concatenate([cols for __, cols in found]),
+                partial(self._region_vectors_at, target_sheet),
+            )
+            vectors = store.vectors(slots)
+            reference_vectors = reference.store.vectors(plan.slots)
+        mapped: List[CellAddress] = []
+        offset = 0
+        for index, (pair, cells) in enumerate(zip(anchors, candidates)):
+            if cells is None:
+                mapped.append(CellAddress(max(pair[0][0], 0), max(pair[0][1], 0)))
+                continue
+            rows, cols = cells
+            candidate_vectors = vectors[offset : offset + len(rows)]
+            offset += len(rows)
+            # np.sum((candidates - reference) ** 2, axis=1), the expression
+            # the sequential scan used, computed in place on our private
+            # gather: the same float32 operations on the same values, so
+            # ties keep breaking the way they always have.
+            np.subtract(candidate_vectors, reference_vectors[index], out=candidate_vectors)
+            np.square(candidate_vectors, out=candidate_vectors)
+            distances = np.sum(candidate_vectors, axis=1)
+            (moved_row, moved_col), (own_row, own_col) = pair
+            penalties = np.minimum(
+                np.abs(rows - moved_row) + np.abs(cols - moved_col),
+                np.abs(rows - own_row) + np.abs(cols - own_col),
+            ).astype(np.float32)
+            best = int(np.argmin(distances + self.config.locality_penalty * penalties))
+            mapped.append(CellAddress(int(rows[best]), int(cols[best])))
+        return mapped, offset, n_misses

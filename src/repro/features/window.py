@@ -27,9 +27,12 @@ class SheetKeyedLRU:
     """Bounded LRU of per-sheet values keyed by ``id(sheet)``.
 
     Each entry pins the sheet object, so an ``id()`` can never be recycled
-    while its entry is alive; eviction is deterministic (least recently
-    used first).  Shared by every sheet-keyed cache in the system (feature
-    tensors, reduced tensors, target-region embeddings).
+    while its entry is alive, and records the ``sheet.version`` it was put
+    at: a sheet mutated in place since then misses, so no cache built on
+    this class can serve values derived from a sheet's earlier content.
+    Eviction is deterministic (least recently used first).  Shared by every
+    sheet-keyed cache in the system (feature tensors, reduced tensors,
+    query vectors, target region stores).
 
     Access is guarded by an internal mutex so one cache can be shared by
     concurrent serving threads (e.g. two workspaces featurizing the same
@@ -42,25 +45,29 @@ class SheetKeyedLRU:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[int, Tuple[Sheet, object]]" = OrderedDict()
+        self._entries: "OrderedDict[int, Tuple[Sheet, int, object]]" = OrderedDict()
         self._mutex = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, sheet: Sheet):
-        """The cached value for ``sheet`` (refreshing recency), or ``None``."""
+        """The value cached for ``sheet`` at its current version (refreshing
+        recency), or ``None``."""
         with self._mutex:
             entry = self._entries.get(id(sheet))
             if entry is None or entry[0] is not sheet:
                 return None
+            if entry[1] != sheet.version:
+                del self._entries[id(sheet)]
+                return None
             self._entries.move_to_end(id(sheet))
-            return entry[1]
+            return entry[2]
 
     def put(self, sheet: Sheet, value) -> None:
         """Insert/refresh ``sheet``'s value, evicting LRU entries over bound."""
         with self._mutex:
-            self._entries[id(sheet)] = (sheet, value)
+            self._entries[id(sheet)] = (sheet, sheet.version, value)
             self._entries.move_to_end(id(sheet))
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -69,6 +76,11 @@ class SheetKeyedLRU:
         """Cached sheets, least recently used first."""
         with self._mutex:
             return [entry[0] for entry in self._entries.values()]
+
+    def values(self):
+        """Cached values, least recently used first."""
+        with self._mutex:
+            return [entry[2] for entry in self._entries.values()]
 
     def clear(self) -> None:
         with self._mutex:
@@ -124,7 +136,8 @@ def window_from_padded(
 
 def gather_windows(
     tensor: np.ndarray,
-    centers,
+    center_rows: np.ndarray,
+    center_cols: np.ndarray,
     n_rows: int,
     n_cols: int,
     window_rows: int,
@@ -133,6 +146,7 @@ def gather_windows(
 ) -> np.ndarray:
     """All windows in one vectorized gather from a padded per-sheet tensor.
 
+    The windows are centered on the cells ``(center_rows[i], center_cols[i])``.
     ``tensor`` must have a ``window_rows // 2`` / ``window_cols // 2`` border
     around the sheet's ``n_rows`` x ``n_cols`` used extent, so a window
     centered on an in-extent cell is exactly the tensor block whose top-left
@@ -141,10 +155,8 @@ def gather_windows(
     outside the used extent (a query on an empty part of the sheet) fall
     back to a per-window rectangle copy against the same tensor.
     """
-    count = len(centers)
+    count = len(center_rows)
     dim = tensor.shape[-1]
-    center_rows = np.fromiter((center.row for center in centers), dtype=np.int64, count=count)
-    center_cols = np.fromiter((center.col for center in centers), dtype=np.int64, count=count)
     in_extent = (
         (center_rows >= 0) & (center_rows < n_rows) & (center_cols >= 0) & (center_cols < n_cols)
     )
@@ -154,11 +166,12 @@ def gather_windows(
         gathered = view[center_rows[in_extent], center_cols[in_extent]]
         windows[in_extent] = np.moveaxis(gathered, 1, -1)
     for position in np.flatnonzero(~in_extent):
-        top, left = region_window_bounds(centers[int(position)], window_rows, window_cols)
+        # Padded coordinates of a window's top-left are its center's sheet
+        # coordinates: the border is half a window wide.
         windows[position] = window_from_padded(
             tensor,
-            top + window_rows // 2,
-            left + window_cols // 2,
+            int(center_rows[position]),
+            int(center_cols[position]),
             window_rows,
             window_cols,
             padding_vector,
@@ -328,7 +341,8 @@ class WindowFeaturizer:
         else:
             windows = gather_windows(
                 self._sheet_tensor(sheet),
-                centers,
+                np.array([center.row for center in centers], dtype=np.int64),
+                np.array([center.col for center in centers], dtype=np.int64),
                 sheet.n_rows,
                 sheet.n_cols,
                 rows,

@@ -519,6 +519,9 @@ class FormulaServer:
             stats = getattr(workspace, "memory_stats", None)
             if stats is not None:
                 self.metrics.register_memory_gauge(name, stats)
+            store_stats = getattr(workspace.predictor, "region_store_stats", None)
+            if store_stats is not None:
+                self.metrics.register_region_store_gauges(name, store_stats)
             # Adopt the workspace's serving-latency recorder into the
             # registry so /metrics exposes it without double recording.
             recorder = getattr(workspace, "latency", None)

@@ -53,6 +53,9 @@ COLLAPSED_DUPLICATES = "collapsed_duplicates"
 ADMITTED_TO_BATCHER = "batch_admitted"
 COMPLETED_BY_BATCHER = "batch_completed"
 
+#: Fields of ``AutoFormula.region_store_stats`` mirrored as gauges.
+_REGION_STORE_FIELDS = ("hit", "miss", "cells")
+
 
 class ServerMetrics:
     """Thread-safe aggregate of the serving front-end's vital signs."""
@@ -146,15 +149,35 @@ class ServerMetrics:
             "workspace.index_bytes", labels={"workspace": name}, fn=total_bytes
         )
 
+    def register_region_store_gauges(
+        self, name: str, stats: Callable[[], Dict[str, int]]
+    ) -> None:
+        """Mirror a workspace's S3 region-store accounting into the registry.
+
+        ``stats`` is :meth:`repro.core.pipeline.AutoFormula.region_store_stats`;
+        its ``hit`` / ``miss`` / ``cells`` fields become the callback gauges
+        ``workspace.region_store_<field>{workspace=...}``.  Pruned together
+        with the workspace's memory gauge.
+        """
+        for field in _REGION_STORE_FIELDS:
+            self.registry.gauge(
+                f"workspace.region_store_{field}",
+                labels={"workspace": name},
+                fn=lambda field=field: stats()[field],
+            )
+
     def prune_memory_gauges(self, keep: Sequence[str]) -> None:
-        """Drop memory gauges for workspaces that no longer exist."""
+        """Drop the gauges of workspaces that no longer exist."""
         keep_set = set(keep)
         with self._mutex:
             stale = [name for name in self._memory_gauges if name not in keep_set]
             for name in stale:
                 del self._memory_gauges[name]
         for name in stale:
-            self.registry.remove("workspace.index_bytes", labels={"workspace": name})
+            labels = {"workspace": name}
+            self.registry.remove("workspace.index_bytes", labels=labels)
+            for field in _REGION_STORE_FIELDS:
+                self.registry.remove(f"workspace.region_store_{field}", labels=labels)
 
     # ------------------------------------------------------------- reporting
 

@@ -171,11 +171,17 @@ def assert_matches_fresh_fit(
     (insertion order, re-adds at the end — exactly what
     ``workspace.workbooks()`` reports).  A brand-new predictor is fitted
     on it and compared prediction-by-prediction against the workspace's
-    serving path.
+    serving path.  The factory usually hands the fresh predictor the
+    workspace's own encoder, so the encoder's feature-tensor cache is
+    cleared first: the comparison must not inherit what the workspace left
+    there (a stale tensor would make both sides agree on a wrong answer).
     """
     from repro.service.types import RecommendationRequest  # local: avoid cycle
 
     fresh = predictor_factory()
+    encoder = getattr(fresh, "encoder", None)
+    if encoder is not None:
+        encoder.featurizer.clear_cache()
     fresh.fit(workspace.workbooks())
     prefix = f"{context}: " if context else ""
     for case in cases:

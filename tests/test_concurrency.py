@@ -7,13 +7,16 @@ well-formed, and once a removal has completed, no later-started serve
 returns a recommendation grounded in the removed (tombstoned) workbook.
 """
 
+import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro import (
     AutoFormula,
     AutoFormulaConfig,
+    CellAddress,
     RecommendationRequest,
     Workspace,
 )
@@ -163,6 +166,78 @@ class TestWorkspaceUnderConcurrency:
         for responses in collected:
             assert responses is not None
             assert_responses_match(reference, responses, context="concurrent serve")
+
+
+    def test_cold_region_store_filled_by_racing_serves(self, assets):
+        """N threads ask overlapping cells of one *shared* target sheet whose
+        region store is cold, so their S3 fills race: every answer must equal
+        the serial answer and the store must come out consistent."""
+        pool, cases, factory = assets
+        workspace = Workspace("store", factory())
+        workspace.add_workbooks(pool)
+        case = cases[0]
+        cells = [case.target_cell] + [
+            CellAddress(max(case.target_cell.row + row, 0), max(case.target_cell.col + col, 0))
+            for row, col in ((-1, 0), (1, 0), (0, -1), (0, 1), (-2, 0), (2, 1), (3, 0))
+        ]
+        # Serial answers come from a copy: the shared sheet's store stays cold.
+        serial_sheet = case.target_sheet.copy()
+        serial = workspace.serve_batch(
+            [RecommendationRequest(serial_sheet, cell) for cell in cells]
+        )
+        assert any(response.accepted for response in serial)
+
+        n_threads = 3 * N_THREADS  # more workers than cores
+        shared = case.target_sheet.copy()
+        collected = [None] * n_threads
+        errors = []
+        gate = threading.Barrier(n_threads)
+
+        def serve(slot):
+            try:
+                # Overlapping windows over the cells, a different one per thread.
+                picks = [(slot + step) % len(cells) for step in range(5)]
+                gate.wait(timeout=30)
+                responses = workspace.serve_batch(
+                    [RecommendationRequest(shared, cells[pick]) for pick in picks]
+                )
+                collected[slot] = (picks, responses)
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=serve, args=(slot,)) for slot in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "deadlocked thread"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, f"concurrent serves raised: {errors[:3]}"
+        from repro.testing import assert_responses_match
+
+        for picks, responses in collected:
+            assert_responses_match(
+                [serial[pick] for pick in picks], responses, context="racing fills"
+            )
+
+        # Every assigned slot is a distinct row below the fill mark, holding
+        # exactly the embedding of its cell.
+        predictor = workspace.predictor
+        store = predictor._target_cache.get(shared)
+        assert store is not None and len(store) > 0
+        rows, cols = np.nonzero(store._slots >= 0)
+        slots = store._slots[rows, cols]
+        assert sorted(slots.tolist()) == list(range(len(store)))
+        expected = predictor._region_vectors(
+            shared, [CellAddress(int(row), int(col)) for row, col in zip(rows, cols)]
+        )
+        assert np.array_equal(store.vectors(slots), expected)
 
 
 class TestReadWriteLock:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import AutoFormula, AutoFormulaConfig
+from repro.core.pipeline import _candidate_cells
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
-from repro.formula.template import extract_template
-from repro.sheet import CellAddress, Sheet, Workbook
+from repro.formula.parser import parse_formula
+from repro.formula.template import extract_template, formula_references, instantiate_template
+from repro.sheet import CellAddress, RangeAddress, Sheet, Workbook
 
 
 @pytest.fixture(scope="module")
@@ -310,13 +312,26 @@ class TestBatchPrediction:
         sheet = Sheet()
         assert system.predict_batch(sheet, [CellAddress(0, 0), CellAddress(1, 1)]) == [None, None]
 
-    def test_target_cache_is_bounded_lru(self, trained_encoder, pge_workload):
+    def test_target_stores_are_a_bounded_versioned_lru(self, trained_encoder, pge_workload):
         """Predicting across many target sheets must not grow memory without
-        bound: the per-sheet embedding cache evicts least-recently-used."""
+        bound: the per-sheet region stores evict least-recently-used, and a
+        sheet mutated in place starts a new store."""
         __, reference = pge_workload
         config = AutoFormulaConfig(max_cached_target_sheets=2)
         system = AutoFormula(trained_encoder, config)
         system.fit(reference)
+        embed_calls = []
+
+        def gather(sheet, cell):
+            store = system._target_store(sheet)
+
+            def counting(rows, cols):
+                embed_calls.append(len(rows))
+                return system._region_vectors_at(sheet, rows, cols)
+
+            slots, __ = store.slots_of(np.array([cell.row]), np.array([cell.col]), counting)
+            return store, store.vectors(slots)[0]
+
         sheets = []
         for index in range(5):
             sheet = Sheet(f"target-{index}")
@@ -324,14 +339,45 @@ class TestBatchPrediction:
                 sheet.set((row, 0), f"label {row}")
                 sheet.set((row, 1), float(row * index))
             sheets.append(sheet)
-            system._target_region_vectors(sheet, [CellAddress(6, 1)])
+            gather(sheet, CellAddress(6, 1))
             assert len(system._target_cache) <= 2
         # deterministic LRU order: the two most recent sheets survive
         assert system._target_cache.sheets() == sheets[-2:]
-        # cached vectors are reused and eviction does not change values
-        vector = system._target_region_vectors(sheets[-1], [CellAddress(6, 1)])
-        fresh = system._region_vectors(sheets[-1], [CellAddress(6, 1)])
-        assert np.allclose(vector, fresh)
+        # a touch refreshes recency, so the *other* survivor is evicted next
+        store, vector = gather(sheets[-2], CellAddress(6, 1))
+        assert system._target_cache.sheets() == [sheets[-1], sheets[-2]]
+        # stored vectors are reused, and equal a fresh embedding
+        assert embed_calls == [1] * 5
+        assert np.array_equal(vector, system._region_vectors(sheets[-2], [CellAddress(6, 1)])[0])
+        # an in-place mutation invalidates the store with everything in it
+        sheets[-2].set((6, 1), "now text")
+        fresh_store, vector = gather(sheets[-2], CellAddress(6, 1))
+        assert fresh_store is not store and len(fresh_store) == 1
+        assert embed_calls == [1] * 6
+        assert np.array_equal(vector, system._region_vectors(sheets[-2], [CellAddress(6, 1)])[0])
+        assert system.region_store_stats()["cells"] == sum(
+            len(held) for held in system._target_cache.values()
+        )
+
+    def test_in_place_mutation_of_a_target_sheet_is_seen(self, fitted_system, pge_workload):
+        """Regression: the per-sheet caches were keyed on ``id(sheet)``
+        alone, so a target sheet overwritten through ``set`` kept getting
+        the answer of its old content."""
+        cases, __ = pge_workload
+        case = next(
+            case
+            for case in cases
+            if fitted_system.predict(case.target_sheet, case.target_cell) is not None
+        )
+        sheet = case.target_sheet.copy()
+        before = fitted_system.predict(sheet, case.target_cell)
+        assert before is not None
+        for address, cell in list(sheet.cells()):
+            if not cell.has_formula:
+                sheet.set(address, f"zzz {address.row} qqq {address.col}")
+        after = fitted_system.predict(sheet, case.target_cell)
+        assert after == fitted_system.predict(sheet.copy(), case.target_cell)
+        assert after != before
 
     def test_invalid_cache_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -366,3 +412,177 @@ class TestIndexChoices:
         system = AutoFormula(trained_encoder, AutoFormulaConfig(sheet_index_kind=kind))
         run = run_method_on_cases(system, reference, cases[:15], "PGE")
         assert run.metrics.recall > 0.4
+
+
+# ---------------------------------------------------------------------- S3
+
+def _naive_candidates(anchors, extent, reach):
+    """Both neighborhoods cell by cell, first occurrence kept."""
+    max_row, max_col = max(extent[0] - 1, 0), max(extent[1] - 1, 0)
+    seen = []
+    for anchor_row, anchor_col in anchors:
+        for row in range(max(anchor_row - reach[0], 0), min(anchor_row + reach[0], max_row) + 1):
+            for col in range(max(anchor_col - reach[1], 0), min(anchor_col + reach[1], max_col) + 1):
+                if (row, col) not in seen:
+                    seen.append((row, col))
+    return seen
+
+
+def _naive_map_cell(system, reference_sheet, parameter, formula_cell, target_sheet, target_cell):
+    """The S3 oracle: one candidate at a time, one embedding at a time."""
+    config = system.config
+    anchors = [
+        (
+            parameter.row + target_cell.row - formula_cell.row,
+            parameter.col + target_cell.col - formula_cell.col,
+        ),
+        (parameter.row, parameter.col),
+    ]
+    candidates = _naive_candidates(
+        anchors,
+        (target_sheet.n_rows, target_sheet.n_cols),
+        (config.neighborhood_rows, config.neighborhood_cols),
+    )
+    if not candidates:
+        return CellAddress(max(anchors[0][0], 0), max(anchors[0][1], 0))
+    reference_vector = system._region_vectors(reference_sheet, [parameter])[0]
+    best, best_score = None, None
+    for row, col in candidates:
+        vector = system._region_vectors(target_sheet, [CellAddress(row, col)])
+        distance = np.sum((vector - reference_vector) ** 2, axis=1)[0]
+        penalty = np.float32(
+            min(abs(row - anchor_row) + abs(col - anchor_col) for anchor_row, anchor_col in anchors)
+        )
+        score = distance + config.locality_penalty * penalty
+        if best is None or score < best_score:
+            best, best_score = CellAddress(row, col), score
+    return best
+
+
+def _naive_adapt(system, reference_sheet, formula_cell, target_sheet, target_cell):
+    formula = reference_sheet.get(formula_cell).formula
+    ast = parse_formula(formula)
+    mapped = []
+    for reference in formula_references(ast):
+        ends = (
+            (reference.start, reference.end)
+            if isinstance(reference, RangeAddress)
+            else (reference,)
+        )
+        cells = [
+            _naive_map_cell(system, reference_sheet, end, formula_cell, target_sheet, target_cell)
+            for end in ends
+        ]
+        mapped.append(RangeAddress(*cells) if len(cells) == 2 else cells[0])
+    return instantiate_template(ast, mapped)
+
+
+def _table_sheet(name, n_rows, n_cols, rng):
+    sheet = Sheet(name)
+    for row in range(n_rows):
+        for col in range(n_cols):
+            if rng.random() < 0.8:
+                value = f"label {rng.integers(5)}" if col == 0 else float(rng.integers(1000))
+                sheet.set((row, col), value)
+    if n_rows and n_cols:
+        sheet.set((n_rows - 1, n_cols - 1), 1.0)  # pin the extent
+    return sheet
+
+
+class TestRegrounding:
+    """The array S3 against a deliberately naive per-candidate loop."""
+
+    def test_candidate_order_matches_nested_loops(self, rng):
+        cases = [
+            # (anchors, extent, reach)
+            ([(3, 3), (3, 3)], (10, 10), (2, 1)),  # coincident anchors
+            ([(-9, 2), (4, 2)], (10, 10), (2, 1)),  # primary off-sheet
+            ([(4, 2), (40, 2)], (10, 10), (2, 1)),  # secondary past the extent
+            ([(-9, -9), (99, 99)], (10, 10), (2, 1)),  # both off-sheet
+            ([(0, 0), (5, 5)], (0, 0), (8, 2)),  # 0x0 sheet
+            ([(7, 7), (0, 1)], (1, 1), (8, 2)),  # 1x1 sheet
+            ([(2, 2), (3, 1)], (4, 3), (8, 8)),  # neighborhoods larger than the sheet
+        ]
+        for __ in range(300):
+            extent = (int(rng.integers(0, 14)), int(rng.integers(0, 9)))
+            anchors = [
+                (int(rng.integers(-12, 26)), int(rng.integers(-6, 15))) for __ in range(2)
+            ]
+            cases.append((anchors, extent, (int(rng.integers(1, 10)), int(rng.integers(1, 4)))))
+        for anchors, extent, reach in cases:
+            expected = _naive_candidates(anchors, extent, reach)
+            found = _candidate_cells(anchors, extent, reach)
+            if not expected:
+                assert found is None
+                continue
+            rows, cols = found
+            assert list(zip(rows.tolist(), cols.tolist())) == expected
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "=SUM(B2:B6)",
+            "=B2+B2*C3",  # the same cell twice
+            "=SUM(B2:B6)/B6",  # a range end referenced again as a cell
+            "=SUM(A1:C40)+F30",  # parameters outside the reference's used extent
+            "=1+2",  # no parameters at all
+        ],
+    )
+    def test_adapt_batch_matches_naive_oracle(self, trained_encoder, rng, formula):
+        reference = _table_sheet("reference", 9, 4, rng)
+        formula_cell = CellAddress(7, 2)
+        reference.set(formula_cell, formula=formula)
+        system = AutoFormula(trained_encoder, AutoFormulaConfig())
+        system.fit([reference])
+        targets = [
+            (Sheet("empty"), [CellAddress(0, 0), CellAddress(12, 3)]),  # 0x0
+            (_table_sheet("one", 1, 1, rng), [CellAddress(0, 0), CellAddress(5, 1)]),
+            (_table_sheet("small", 3, 2, rng), [CellAddress(2, 1), CellAddress(0, 0)]),
+        ]
+        for index in range(4):
+            sheet = _table_sheet(f"random-{index}", int(rng.integers(4, 30)), int(rng.integers(2, 7)), rng)
+            cells = [formula_cell]  # zero displacement: coincident anchors
+            cells += [
+                CellAddress(int(rng.integers(0, 45)), int(rng.integers(0, 9))) for __ in range(3)
+            ]
+            targets.append((sheet, cells))
+        for sheet, cells in targets:
+            adapted = system.adapt_batch(sheet, [(cell, 0, 0, 0.1) for cell in cells])
+            assert [prediction.formula for prediction in adapted] == [
+                _naive_adapt(system, reference, formula_cell, sheet, cell) for cell in cells
+            ]
+
+    def test_unparseable_reference_formula_abstains_from_the_cached_plan(self, trained_encoder, rng):
+        reference = _table_sheet("reference", 6, 3, rng)
+        reference.set((5, 2), formula="=SUM(B2:")
+        system = AutoFormula(trained_encoder, AutoFormulaConfig())
+        system.fit([reference])
+        target = _table_sheet("target", 6, 3, rng)
+        item = (CellAddress(5, 2), 0, 0, 0.1)
+        assert system.adapt_batch(target, [item]) == [None]
+        assert system._reference_sheets[0].plans == {0: None}
+        assert system.adapt_batch(target, [item, item]) == [None, None]
+
+    def test_store_accounting_counts_every_lookup_once(self, tracer, trained_encoder, rng):
+        # B2 and B6 sit 4 rows apart: their +/- 8-row neighborhoods share
+        # most cells, so a cold request reaches shared cells more than once.
+        reference = _table_sheet("reference", 9, 4, rng)
+        reference.set((7, 2), formula="=SUM(B2:B6)")
+        system = AutoFormula(trained_encoder, AutoFormulaConfig())
+        system.fit([reference])
+        target = _table_sheet("target", 12, 4, rng)
+        item = (CellAddress(7, 2), 0, 0, 0.1)
+        stats, spans = [], []
+        for __ in range(2):
+            tracer.reset()
+            system.adapt_batch(target, [item])
+            stats.append(system.region_store_stats())
+            spans.append(tracer.recent_traces()[-1]["root"]["attributes"])
+        (cold, warm), (first, second) = stats, spans
+        # Nothing was stored before the first request: none of its lookups
+        # hit, and the cells its parameters share were embedded once.
+        assert (cold["hit"], cold["miss"]) == (0, first["n_candidates"])
+        assert first["n_region_misses"] == first["n_candidates"]
+        assert 0 < cold["cells"] < cold["miss"]
+        assert (warm["hit"], warm["miss"]) == (second["n_candidates"], cold["miss"])
+        assert second["n_region_misses"] == 0 and warm["cells"] == cold["cells"]

@@ -488,9 +488,17 @@ class TestRecommendTraceTree:
         cases = sample_test_cases("PGE", test_workbooks, max_per_sheet=2, seed=0)
         workspace = Workspace("traced", AutoFormula(trained_encoder, _config("exact")))
         workspace.add_workbooks(reference_workbooks[:6])
+        case = next(
+            case
+            for case in cases
+            if workspace.recommend(
+                RecommendationRequest(case.target_sheet, case.target_cell)
+            ).accepted
+        )
         tracer.reset()
-        case = cases[0]
-        workspace.recommend(RecommendationRequest(case.target_sheet, case.target_cell))
+        # A copy: the accepted case's own sheet has a warm region store.
+        target = case.target_sheet.copy()
+        workspace.recommend(RecommendationRequest(target, case.target_cell))
 
         recent = tracer.recent_traces()
         assert recent, "a serve must produce a sampled trace"
@@ -501,23 +509,35 @@ class TestRecommendTraceTree:
         assert root["attributes"]["n_requests"] == 1
         assert tree["orphans"] == []
 
-        # The stages are siblings under the serve span, in pipeline order,
-        # and each nests its own index scan.  (In-line S3 runs inside
-        # ``s2.score``; ``s3.adapt`` belongs to the staged ``adapt_batch``.)
+        # The stages are siblings under the serve span, in pipeline order;
+        # the two searches nest their index scans.  S3 is one span whether
+        # it runs in-line or through the staged ``adapt_batch``.
         assert [node["name"] for node in root["children"]] == [
             "s1.sheet_hits",
             "s2.score",
+            "s3.adapt",
         ]
-        s1, s2 = root["children"]
+        s1, s2, s3 = root["children"]
         assert s1["attributes"]["n_hits"] >= 1
         assert s2["attributes"]["n_cells"] == 1
         for stage in (s1, s2):
             assert "index.search" in _span_names(stage)
+        cold = s3["attributes"]
+        assert cold["n_items"] == 1 and cold["n_params"] >= 1
+        assert 0 < cold["n_region_misses"] <= cold["n_candidates"]
 
-        # The staged S3 entry point opens its own span.
+        # Asked again, every candidate region comes from the sheet's store.
+        stats = workspace.predictor.region_store_stats()
+        assert set(stats) == {"hit", "miss", "cells"}
+        assert stats["cells"] > 0 and stats["miss"] >= cold["n_region_misses"]
         tracer.reset()
-        workspace.predictor.adapt_batch(case.target_sheet, [])
-        assert tracer.recent_traces()[-1]["root"]["name"] == "s3.adapt"
+        workspace.recommend(RecommendationRequest(target, case.target_cell))
+        warm = tracer.recent_traces()[-1]["root"]["children"][-1]["attributes"]
+        assert warm["n_region_misses"] == 0
+        assert warm["n_candidates"] == cold["n_candidates"]
+        after = workspace.predictor.region_store_stats()
+        assert after["hit"] == stats["hit"] + warm["n_candidates"]
+        assert (after["miss"], after["cells"]) == (stats["miss"], stats["cells"])
 
         # Spans carry usable timings: every child fits inside the root.
         def check_bounds(node):

@@ -213,6 +213,19 @@ class TestWireParity:
                     RecommendationRequest(case.target_sheet, case.target_cell)
                 )
                 self._assert_wire_matches_direct(wire, direct_response)
+            # The S3 region stores report through the registry (gauges are
+            # registered per workspace when /stats is read).
+            client.stats()
+            gauges = {
+                line.split(" ")[0]: float(line.split(" ")[1])
+                for line in client.metrics_text().splitlines()
+                if line.startswith("workspace_region_store_")
+            }
+            assert set(gauges) == {
+                f'workspace_region_store_{field}{{workspace="pge"}}'
+                for field in ("hit", "miss", "cells")
+            }
+            assert gauges['workspace_region_store_miss{workspace="pge"}'] > 0
 
     def test_coalesced_burst_parity_and_ratio(self, trained_encoder, serving_corpus):
         references, cases, direct_workspace = serving_corpus

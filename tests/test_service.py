@@ -17,6 +17,7 @@ from repro.baselines import WeakSupervisionBaseline
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
 from repro.sheet import CellAddress
+from repro.testing import assert_matches_fresh_fit
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +350,35 @@ class TestEditCell:
         edited = next(wb for wb in workspace.workbooks() if wb.name == workbook.name)
         assert edited.get_sheet(sheet.name).get(address).value == 77.25
         assert workspace.workbook_names[-1] == workbook.name
+
+
+    def test_edits_are_indexed_from_the_edited_content(self, trained_encoder, workload):
+        """Regression: with a corpus small enough to sit in the featurizer's
+        tensor cache, ``edit_cell`` re-indexed the edited sheet from its
+        cached *pre-edit* tensor, and a fresh fit through the same encoder
+        inherited the stale tensor and agreed with it."""
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks)
+        n_edits = 0
+        for workbook in workspace.workbooks():
+            for sheet in workbook:
+                numeric = [
+                    address
+                    for address, cell in sheet.cells()
+                    if not cell.has_formula
+                    and isinstance(cell.value, (int, float))
+                    and not isinstance(cell.value, bool)
+                ]
+                for address in numeric[::2]:
+                    workspace.edit_cell(workbook.name, sheet.name, address, value=f"text {n_edits}")
+                    n_edits += 1
+        assert n_edits > 50
+        assert_matches_fresh_fit(
+            workspace,
+            lambda: AutoFormula(trained_encoder, _config("exact")),
+            cases,
+            context="after value-to-text edits",
+        )
 
 
 class TestBaselineWorkspace:

@@ -245,8 +245,11 @@ class TestMemoryStats:
         metrics.register_memory_gauge("main", lambda: {"total_bytes": 123})
         snapshot = metrics.snapshot()
         assert snapshot["index_memory"] == {"main": {"total_bytes": 123}}
+        metrics.register_region_store_gauges("main", lambda: {"hit": 5, "miss": 2, "cells": 2})
+        assert metrics.registry.snapshot()["workspace"]["region_store_hit"] == {"workspace=main": 5}
         metrics.prune_memory_gauges([])
         assert metrics.snapshot()["index_memory"] == {}
+        assert metrics.registry.names() == ["server.inflight", "server.queue_wait"]
 
 
 def _survey_workbook(n_rows: int = 12) -> Workbook:
