@@ -86,7 +86,8 @@ class VectorIndex(abc.ABC):
     every search path excludes dead positions, and once the dead fraction
     exceeds ``compaction_fraction`` the store is compacted in place (the
     caller receives an old-position → new-position remap so any pools it
-    holds can be rewritten).
+    holds can be rewritten).  Replacing a vector is not a removal:
+    :meth:`update_batch` overwrites live rows where they sit.
 
     The ``float32`` matrix is the only store: the tier-1 scan, the tier-2
     re-rank, snapshots and restore-parity are all defined against it.
@@ -196,18 +197,9 @@ class VectorIndex(abc.ABC):
         positions) so callers can rewrite any position pools they hold.
         Returns ``None`` when no compaction took place.
         """
-        positions = np.asarray(list(positions), dtype=np.int64).reshape(-1)
+        positions = self._checked_live_positions(positions, "remove_batch")
         if positions.size == 0:
             return None
-        if int(positions.min()) < 0 or int(positions.max()) >= self._size:
-            raise IndexError(
-                f"positions must be in [0, {self._size}), got range "
-                f"[{int(positions.min())}, {int(positions.max())}]"
-            )
-        if np.unique(positions).size != positions.size:
-            raise ValueError("duplicate positions in remove_batch")
-        if not bool(np.all(self._alive[positions])):
-            raise ValueError("remove_batch called on an already-removed position")
         self._alive[positions] = False
         self._n_dead += positions.size
         self._live_scan = None
@@ -215,6 +207,37 @@ class VectorIndex(abc.ABC):
         if self._n_dead > self.compaction_fraction * self._size:
             return self._compact()
         return None
+
+    def update_batch(self, positions: Sequence[int], vectors: np.ndarray) -> None:
+        """Overwrite the live vectors stored at ``positions`` where they sit.
+
+        Keys, positions and liveness stay as they are, so nothing is
+        tombstoned and every position pool a caller holds remains valid.
+        Dead, duplicate and out-of-range positions are rejected as
+        :meth:`remove_batch` rejects them.  Position-keyed derived
+        structures go through the ``_rebuild`` hook, so the index then
+        answers like a fresh one over the same live vectors: a no-op for
+        the exact index, a lazy quantizer retrain for IVF (what a removal
+        already costs), a re-hash of the whole store for LSH.
+        """
+        positions = self._checked_live_positions(positions, "update_batch")
+        vectors = np.asarray(vectors, dtype=np.float32)
+        if vectors.shape != (positions.size, self._dimension):
+            raise ValueError(
+                f"{positions.size} positions need vectors of shape "
+                f"({positions.size}, {self._dimension}), got {vectors.shape}"
+            )
+        if positions.size == 0:
+            return
+        if not (self._matrix.flags.writeable and self._sq_norms.flags.writeable):
+            # A restored store may be a read-only memory map: move it to
+            # private memory first, as every other write path does.
+            self._matrix = np.array(self._matrix[: self._size])
+            self._sq_norms = np.array(self._sq_norms[: self._size])
+        self._matrix[positions] = vectors
+        block = self._matrix[positions]
+        self._sq_norms[positions] = np.einsum("ij,ij->i", block, block)
+        self._rebuild()
 
     def search(self, query: np.ndarray, k: int = 1) -> List[SearchResult]:
         """Return (up to) the ``k`` nearest stored vectors to ``query``."""
@@ -279,6 +302,23 @@ class VectorIndex(abc.ABC):
         return [hits if hits is not None else [] for hits in results]
 
     # --------------------------------------------------------------- internal
+
+    def _checked_live_positions(self, positions: Sequence[int], caller: str) -> np.ndarray:
+        """``positions`` as an int64 array, after checking that every one is
+        in range, live and named once."""
+        positions = np.asarray(list(positions), dtype=np.int64).reshape(-1)
+        if positions.size == 0:
+            return positions
+        if int(positions.min()) < 0 or int(positions.max()) >= self._size:
+            raise IndexError(
+                f"positions must be in [0, {self._size}), got range "
+                f"[{int(positions.min())}, {int(positions.max())}]"
+            )
+        if np.unique(positions).size != positions.size:
+            raise ValueError(f"duplicate positions in {caller}")
+        if not bool(np.all(self._alive[positions])):
+            raise ValueError(f"{caller} called on an already-removed position")
+        return positions
 
     def _ensure_capacity(self, extra: int) -> None:
         needed = self._size + extra
@@ -609,9 +649,11 @@ class VectorIndex(abc.ABC):
 
         ``matrix`` and ``sq_norms`` may be read-only memory-maps: every write
         path reallocates first (``_ensure_capacity`` copies on the next add
-        because capacity equals size after a restore, and compaction gathers
-        into a fresh array), so the mmap backing is never written through.  ``alive`` is copied because removals flip
-        its entries in place.  Derived structures (inverted lists, hash
+        because capacity equals size after a restore, compaction gathers
+        into a fresh array, and ``update_batch`` copies a read-only store
+        before overwriting rows), so the mmap backing is never written
+        through.  ``alive`` is copied because removals flip its entries in
+        place.  Derived structures (inverted lists, hash
         buckets, quantizers) are rebuilt through the same ``_rebuild``
         hook compaction uses, which is what makes a restored index answer
         exactly like a freshly built one over the same live vectors.
@@ -650,9 +692,10 @@ class VectorIndex(abc.ABC):
         """Hook for subclasses: ``positions`` were just tombstoned."""
 
     def _rebuild(self) -> None:
-        """Hook for subclasses: compaction renumbered every stored position,
+        """Hook for subclasses: compaction renumbered every stored position
+        (or a restore / ``update_batch`` replaced the vectors behind them),
         so position-keyed derived structures (buckets, inverted lists) must
-        be rebuilt from the compacted store."""
+        be rebuilt from the store as it now is."""
 
     @abc.abstractmethod
     def _candidates(self, query: np.ndarray, k: int) -> Optional[np.ndarray]:

@@ -148,5 +148,6 @@ class IVFIndex(VectorIndex):
         self._reset_quantizer()
 
     def _rebuild(self) -> None:
-        """Compaction renumbered positions; retrain lazily on next query."""
+        """Positions were renumbered or vectors replaced; retrain lazily on
+        the next query."""
         self._reset_quantizer()

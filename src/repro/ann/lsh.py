@@ -70,7 +70,8 @@ class LSHIndex(VectorIndex):
         return positions
 
     def _rebuild(self) -> None:
-        """Re-hash the compacted store (same hyperplanes, new positions)."""
+        """Re-hash the whole store (same hyperplanes; positions renumbered by
+        a compaction, or vectors replaced by ``update_batch``)."""
         self._tables = [defaultdict(list) for __ in range(self._n_tables)]
         if self._size:
             self._on_add_batch(0, self._matrix[: self._size])

@@ -39,7 +39,8 @@ class FormulaPredictor(abc.ABC):
     name: str = "predictor"
 
     #: Whether the fitted corpus can be mutated in place via
-    #: ``add_workbooks`` / ``remove_workbook`` after ``fit``.  Methods that
+    #: ``add_workbooks`` / ``remove_workbook`` / ``reindex_sheet`` after
+    #: ``fit``.  Methods that
     #: leave this ``False`` are refit from scratch by the service layer
     #: (``repro.service``) whenever a workspace's corpus changes; methods
     #: that set it ``True`` guarantee that incremental mutation produces

@@ -127,7 +127,8 @@ class _RegionStore:
     A cell's row never changes once assigned, so slots handed out stay
     valid while the matrix grows.  The store serves one state of its sheet:
     target stores sit in a version-checked :class:`SheetKeyedLRU`, reference
-    stores are rebuilt with their sheet's index entry.
+    stores are re-embedded (:meth:`refresh`) or rebuilt when their sheet is
+    re-indexed.
 
     Concurrent readers reach one store (the workspace read lock admits
     parallel serves of the same target sheet), so filling and reading run
@@ -207,6 +208,22 @@ class _RegionStore:
         """The stored vectors of ``slots`` as a fresh C-contiguous matrix."""
         with self._mutex:
             return self._matrix[slots]
+
+    def refresh(self, embed: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
+        """Re-embed every stored cell into the row it already has: the
+        sheet's content changed, the cells stored and the slots handed out
+        did not.  One ``embed(rows, cols)`` call, cells in slot order."""
+        with self._mutex:
+            if not self._size:
+                return
+            rows = np.empty(self._size, dtype=np.int64)
+            cols = np.empty(self._size, dtype=np.int64)
+            grid_rows, grid_cols = np.nonzero(self._slots >= 0)
+            slots = self._slots[grid_rows, grid_cols]
+            rows[slots], cols[slots] = grid_rows, grid_cols
+            for (row, col), slot in self._overflow.items():
+                rows[slot], cols[slot] = row, col
+            self._matrix[: self._size] = embed(rows, cols)
 
 
 @dataclass
@@ -338,17 +355,19 @@ class AutoFormula(FormulaPredictor):
     featurizes/encodes every target region of a sheet in one forward pass.
 
     The indexed corpus is mutable after :meth:`fit`: :meth:`add_workbooks`
-    appends new reference sheets without touching the existing ones, and
+    appends new reference sheets without touching the existing ones,
     :meth:`remove_workbook` tombstones a workbook's sheets out of both
-    vector indexes (see :meth:`repro.ann.VectorIndex.remove_batch`).
-    Predictions stay bit-identical to a fresh ``fit`` on the equivalent
-    corpus (adds in order; removed-then-re-added workbooks at the end),
-    with one deliberate exception: under ``"ivf"`` index kinds, adding to
-    an *already-queried* predictor keeps the trained quantizer and assigns
-    the new vectors incrementally (recall-tested, retrained on 2x growth)
-    rather than paying a k-means retrain per add — exact/LSH kinds, adds
-    before the first query, and every removal remain exactly
-    refit-equivalent.
+    vector indexes (see :meth:`repro.ann.VectorIndex.remove_batch`), and
+    :meth:`reindex_sheet` re-embeds one sheet that was edited in place over
+    the rows it already owns, keeping its stable id and its place in the
+    corpus.  Predictions stay bit-identical to a fresh ``fit`` on the
+    equivalent corpus (sheets in the order they were added; an edit never
+    moves one), with one deliberate exception: under ``"ivf"`` index
+    kinds, adding to an *already-queried* predictor keeps the trained
+    quantizer and assigns the new vectors incrementally (recall-tested,
+    retrained on 2x growth) rather than paying a k-means retrain per add —
+    exact/LSH kinds, adds before the first query, and every removal and
+    re-index remain exactly refit-equivalent.
     """
 
     name = "Auto-Formula"
@@ -363,6 +382,11 @@ class AutoFormula(FormulaPredictor):
         self.config = config or AutoFormulaConfig()
         #: Reference sheets by stable sheet id; removed sheets become None.
         self._reference_sheets: List[Optional[_ReferenceSheet]] = []
+        #: Stable ids of each indexed workbook's sheets, and of each indexed
+        #: sheet object (by ``id()``: its registry entry pins the object), so
+        #: no mutation walks the whole registry.
+        self._workbook_sheet_ids: Dict[str, List[int]] = {}
+        self._sheet_ids: Dict[int, int] = {}
         self._sheet_index = None
         self._formula_index = None
         #: Per reference sheet (by stable id): physical positions of its
@@ -427,11 +451,16 @@ class AutoFormula(FormulaPredictor):
         self._query_vector_cache.put(sheet, vector)
         return vector
 
+    @property
+    def _sheet_model(self):
+        """The model behind sheet-level embeddings."""
+        if self.config.granularity == "fine_only":
+            return self.encoder.fine_model
+        return self.encoder.coarse_model
+
     def _encode_sheet_vector(self, sheet: Sheet) -> np.ndarray:
         window = self.encoder.featurizer.featurize_sheet(sheet)[None, ...]
-        if self.config.granularity == "fine_only":
-            return self.encoder.fine_model.forward(window)[0]
-        return self.encoder.coarse_model.forward(window)[0]
+        return self._sheet_model.forward(window)[0]
 
     @property
     def _region_dimension(self) -> int:
@@ -606,6 +635,8 @@ class AutoFormula(FormulaPredictor):
     def fit(self, reference_workbooks: Sequence[Union[Workbook, Sheet]]) -> None:
         """Offline phase: embed and index every reference sheet and formula."""
         self._reference_sheets = []
+        self._workbook_sheet_ids = {}
+        self._sheet_ids = {}
         self._target_cache.clear()
         self._reduced_cache.clear()
         self._query_vector_cache.clear()
@@ -638,13 +669,7 @@ class AutoFormula(FormulaPredictor):
         sheet_windows: List[np.ndarray] = []
         for offset, (workbook_name, sheet) in enumerate(sheets):
             sheet_id = base_id + offset
-            formula_cells = sheet.formula_cells()
-            centers = [address for address, __ in formula_cells]
-            embeddings = self._region_vectors(sheet, centers, blank_center=True)
-            formulas = [
-                _ReferenceFormula(sheet_id, address, cell.formula or "")
-                for address, cell in formula_cells
-            ]
+            formulas, embeddings = self._formula_entries(sheet_id, sheet)
             # Pre-embed every formula's parameter regions while this sheet's
             # feature tensor is hot, so online S3 re-grounding never has to
             # re-featurize a reference sheet.
@@ -652,32 +677,59 @@ class AutoFormula(FormulaPredictor):
             self._reference_sheets.append(
                 _ReferenceSheet(workbook_name, sheet, formulas, store)
             )
-            self._formula_index.add_batch(
-                [(sheet_id, local) for local in range(len(formulas))], embeddings
-            )
-            self._formula_positions.append(
-                np.arange(
-                    self._formula_store_size,
-                    self._formula_store_size + len(formulas),
-                    dtype=np.int64,
-                )
-            )
-            self._formula_store_size += len(formulas)
+            self._workbook_sheet_ids.setdefault(workbook_name, []).append(sheet_id)
+            self._sheet_ids[id(sheet)] = sheet_id
+            self._formula_positions.append(self._append_formula_rows(sheet_id, embeddings))
             sheet_windows.append(self.encoder.featurizer.featurize_sheet(sheet))
 
-        windows = np.stack(sheet_windows)
-        model = (
-            self.encoder.fine_model
-            if self.config.granularity == "fine_only"
-            else self.encoder.coarse_model
-        )
         self._sheet_index.add_batch(
-            list(range(base_id, base_id + len(sheets))), model.forward(windows)
+            list(range(base_id, base_id + len(sheets))),
+            self._sheet_model.forward(np.stack(sheet_windows)),
         )
         self._sheet_positions.extend(
             range(self._sheet_store_size, self._sheet_store_size + len(sheets))
         )
         self._sheet_store_size += len(sheets)
+
+    def _formula_entries(
+        self, sheet_id: int, sheet: Sheet
+    ) -> Tuple[List[_ReferenceFormula], np.ndarray]:
+        """The sheet's formula cells as registry entries, with their
+        center-blanked region embeddings (one forward pass)."""
+        formula_cells = sheet.formula_cells()
+        embeddings = self._region_vectors(
+            sheet, [address for address, __ in formula_cells], blank_center=True
+        )
+        formulas = [
+            _ReferenceFormula(sheet_id, address, cell.formula or "")
+            for address, cell in formula_cells
+        ]
+        return formulas, embeddings
+
+    def _append_formula_rows(self, sheet_id: int, embeddings: np.ndarray) -> np.ndarray:
+        """Append a sheet's formula embeddings to the formula index; returns
+        the physical positions they landed on."""
+        count = len(embeddings)
+        self._formula_index.add_batch(
+            [(sheet_id, local) for local in range(count)], embeddings
+        )
+        positions = np.arange(
+            self._formula_store_size, self._formula_store_size + count, dtype=np.int64
+        )
+        self._formula_store_size += count
+        return positions
+
+    def _remove_formula_rows(self, positions: np.ndarray) -> None:
+        """Tombstone formula-index rows, following a compaction's remap."""
+        if not positions.size:
+            return
+        remap = self._formula_index.remove_batch(positions)
+        if remap is not None:
+            self._formula_positions = [
+                remap[kept] if kept is not None else None
+                for kept in self._formula_positions
+            ]
+            self._formula_store_size = len(self._formula_index)
 
     # ------------------------------------------------------- corpus mutation
 
@@ -708,27 +760,13 @@ class AutoFormula(FormulaPredictor):
         physical-position bookkeeping.  Returns the number of sheets removed
         and raises ``KeyError`` if the workbook is not indexed.
         """
-        removed_ids = [
-            sheet_id
-            for sheet_id, reference in enumerate(self._reference_sheets)
-            if reference is not None and reference.workbook_name == workbook_name
-        ]
+        removed_ids = self._workbook_sheet_ids.get(workbook_name)
         if not removed_ids:
             raise KeyError(f"workbook {workbook_name!r} is not indexed")
 
-        dead_formula_positions = [
-            self._formula_positions[sheet_id]
-            for sheet_id in removed_ids
-            if self._formula_positions[sheet_id].size
-        ]
-        if dead_formula_positions:
-            remap = self._formula_index.remove_batch(np.concatenate(dead_formula_positions))
-            if remap is not None:
-                self._formula_positions = [
-                    remap[positions] if positions is not None else None
-                    for positions in self._formula_positions
-                ]
-                self._formula_store_size = len(self._formula_index)
+        self._remove_formula_rows(
+            np.concatenate([self._formula_positions[sheet_id] for sheet_id in removed_ids])
+        )
 
         sheet_remap = self._sheet_index.remove_batch(
             [self._sheet_positions[sheet_id] for sheet_id in removed_ids]
@@ -740,11 +778,67 @@ class AutoFormula(FormulaPredictor):
             ]
             self._sheet_store_size = len(self._sheet_index)
 
+        del self._workbook_sheet_ids[workbook_name]
         for sheet_id in removed_ids:
+            self._sheet_ids.pop(id(self._reference_sheets[sheet_id].sheet), None)
             self._reference_sheets[sheet_id] = None
             self._formula_positions[sheet_id] = None
             self._sheet_positions[sheet_id] = None
         return len(removed_ids)
+
+    def reindex_sheet(self, sheet: Sheet) -> Dict[str, object]:
+        """Re-index one reference sheet whose content was edited in place.
+
+        Recomputes exactly what indexing computes for this one sheet — its
+        S2 formula-region rows, the region store behind S3, its S1 sheet
+        vector — and writes the result over the rows the sheet already
+        owns.  The sheet keeps its stable id and its place in the corpus, so
+        answers equal a fresh :meth:`fit` on the same workbooks in the same
+        order.
+
+        When the formula list (addresses and texts) is what was indexed —
+        every value edit — the formula rows are overwritten where they sit,
+        the region store is re-embedded slot by slot and the cached
+        adaptation plans stay.  Otherwise the sheet's formula rows alone are
+        replaced (tombstone + append: no answer depends on physical order in
+        the formula index) and its store and plans are rebuilt.  The S1 row
+        is overwritten either way.
+
+        Bit-safety rule: every forward pass here has the batch shape a
+        fresh fit uses for this sheet — the fine prefix over the *whole*
+        sheet tensor, then a row-wise gather and ``L2Normalize``; one sheet
+        window through the sheet model, as indexing a one-sheet workbook
+        does.  Do not reduce only the cells an edit touched: BLAS picks its
+        kernel from the operand shapes, and ``X[idx] @ W`` is not bitwise
+        ``(X @ W)[idx]``.
+
+        Returns ``n_formulas``, ``formulas_changed`` and ``n_store_cells``
+        for the caller's span; raises ``KeyError`` if the sheet is not
+        indexed.
+        """
+        sheet_id = self._sheet_ids.get(id(sheet))
+        if sheet_id is None:
+            raise KeyError(f"sheet {sheet.name!r} is not indexed")
+        reference = self._reference_sheets[sheet_id]
+        formulas, embeddings = self._formula_entries(sheet_id, sheet)
+        changed = formulas != reference.formulas
+        if changed:
+            self._remove_formula_rows(self._formula_positions[sheet_id])
+            self._formula_positions[sheet_id] = self._append_formula_rows(sheet_id, embeddings)
+            reference.formulas = formulas
+            reference.store = self._reference_store(sheet, self._parameter_cells(formulas))
+            reference.plans = {}
+        else:
+            self._formula_index.update_batch(self._formula_positions[sheet_id], embeddings)
+            reference.store.refresh(partial(self._region_vectors_at, sheet))
+        self._sheet_index.update_batch(
+            [self._sheet_positions[sheet_id]], self._encode_sheet_vector(sheet)[None, :]
+        )
+        return {
+            "n_formulas": len(formulas),
+            "formulas_changed": changed,
+            "n_store_cells": len(reference.store),
+        }
 
     @property
     def n_reference_sheets(self) -> int:
@@ -879,6 +973,10 @@ class AutoFormula(FormulaPredictor):
                 )
             )
         self._reference_sheets = references
+        for sheet_id, reference in enumerate(references):
+            if reference is not None:
+                self._workbook_sheet_ids.setdefault(reference.workbook_name, []).append(sheet_id)
+                self._sheet_ids[id(reference.sheet)] = sheet_id
         if not state.get("fitted", False):
             self._sheet_index = None
             self._formula_index = None

@@ -522,6 +522,9 @@ class FormulaServer:
             store_stats = getattr(workspace.predictor, "region_store_stats", None)
             if store_stats is not None:
                 self.metrics.register_region_store_gauges(name, store_stats)
+            reindex_stats = getattr(workspace, "reindex_stats", None)
+            if reindex_stats is not None:
+                self.metrics.register_reindex_gauges(name, reindex_stats)
             # Adopt the workspace's serving-latency recorder into the
             # registry so /metrics exposes it without double recording.
             recorder = getattr(workspace, "latency", None)

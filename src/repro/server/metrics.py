@@ -53,8 +53,13 @@ COLLAPSED_DUPLICATES = "collapsed_duplicates"
 ADMITTED_TO_BATCHER = "batch_admitted"
 COMPLETED_BY_BATCHER = "batch_completed"
 
-#: Fields of ``AutoFormula.region_store_stats`` mirrored as gauges.
-_REGION_STORE_FIELDS = ("hit", "miss", "cells")
+#: Per-workspace stats dicts mirrored field by field as callback gauges
+#: ``<family>_<field>{workspace=...}``: ``AutoFormula.region_store_stats``
+#: and ``Workspace.reindex_stats``.
+_MIRRORED_STATS = {
+    "workspace.region_store": ("hit", "miss", "cells"),
+    "workspace.reindex": ("same", "changed"),
+}
 
 
 class ServerMetrics:
@@ -159,9 +164,27 @@ class ServerMetrics:
         ``workspace.region_store_<field>{workspace=...}``.  Pruned together
         with the workspace's memory gauge.
         """
-        for field in _REGION_STORE_FIELDS:
+        self._mirror_stats("workspace.region_store", name, stats)
+
+    def register_reindex_gauges(
+        self, name: str, stats: Callable[[], Dict[str, int]]
+    ) -> None:
+        """Mirror a workspace's in-place re-index counts into the registry.
+
+        ``stats`` is :meth:`repro.service.workspace.Workspace.reindex_stats`;
+        its ``same`` / ``changed`` counts (edits that left the sheet's
+        formula list as it was / changed it) become the callback gauges
+        ``workspace.reindex_<shape>{workspace=...}``.  Pruned together with
+        the workspace's memory gauge.
+        """
+        self._mirror_stats("workspace.reindex", name, stats)
+
+    def _mirror_stats(
+        self, family: str, name: str, stats: Callable[[], Dict[str, int]]
+    ) -> None:
+        for field in _MIRRORED_STATS[family]:
             self.registry.gauge(
-                f"workspace.region_store_{field}",
+                f"{family}_{field}",
                 labels={"workspace": name},
                 fn=lambda field=field: stats()[field],
             )
@@ -176,8 +199,9 @@ class ServerMetrics:
         for name in stale:
             labels = {"workspace": name}
             self.registry.remove("workspace.index_bytes", labels=labels)
-            for field in _REGION_STORE_FIELDS:
-                self.registry.remove(f"workspace.region_store_{field}", labels=labels)
+            for family, fields in _MIRRORED_STATS.items():
+                for field in fields:
+                    self.registry.remove(f"{family}_{field}", labels=labels)
 
     # ------------------------------------------------------------- reporting
 

@@ -85,13 +85,15 @@ class Workspace:
 
     A workspace owns a :class:`FormulaPredictor` and the set of workbooks
     it is fitted on, keyed by workbook name.  Corpus mutation goes through
-    :meth:`add_workbooks` / :meth:`remove_workbook`: predictors that
-    declare ``supports_incremental_corpus`` (Auto-Formula) are mutated in
-    place, all others are refit on the updated corpus — either way the
-    workspace stays consistent with its workbook set, and predictions are
-    identical to a fresh fit on the equivalent corpus (for ``"ivf"`` index
-    kinds, adds into an already-queried workspace are the documented
-    approximate exception — see :class:`~repro.core.AutoFormula`).
+    :meth:`add_workbooks` / :meth:`remove_workbook` / :meth:`edit_cell`:
+    predictors that declare ``supports_incremental_corpus`` (Auto-Formula)
+    are mutated in place, all others are refit on the updated corpus —
+    either way the workspace stays consistent with its workbook set, and
+    predictions are identical to a fresh fit on the equivalent corpus: the
+    workbooks in the order they were added, which an edit never changes
+    (for ``"ivf"`` index kinds, adds into an already-queried workspace are
+    the documented approximate exception — see
+    :class:`~repro.core.AutoFormula`).
 
     Serving goes through :meth:`recommend` / :meth:`serve_batch`, which
     answer with frozen :class:`RecommendationResponse` objects and record
@@ -104,9 +106,9 @@ class Workspace:
     corpus mutation takes an exclusive (write) lock on a writer-preferring
     :class:`~repro.service.concurrency.ReadWriteLock`, so any number of
     concurrent recommends interleave with ``add_workbooks`` /
-    ``remove_workbook`` without ever observing a half-mutated index.  The
-    predictor-internal caches raced by concurrent reads are individually
-    thread-safe (see ``repro.service.concurrency``).
+    ``remove_workbook`` / ``edit_cell`` without ever observing a
+    half-mutated index.  The predictor-internal caches raced by concurrent
+    reads are individually thread-safe (see ``repro.service.concurrency``).
     """
 
     def __init__(
@@ -131,6 +133,9 @@ class Workspace:
         #: O(dirty subgraph).  Keyed by (workbook name, sheet name); an
         #: entry is dropped when its workbook leaves the corpus.
         self._engines: Dict[Tuple[str, str], FormulaEngine] = {}
+        #: In-place re-indexes since construction, by whether the edited
+        #: sheet's formula list was unchanged (``same``) or not (``changed``).
+        self._reindex_counts = {"same": 0, "changed": 0}
         self._autofill: Optional[ValueAutoFill] = None
         self._autofill_version = -1
         self._detector: Optional[FormulaErrorDetector] = None
@@ -156,12 +161,13 @@ class Workspace:
 
     @property
     def workbook_names(self) -> List[str]:
-        """Names of the indexed workbooks, in insertion order."""
+        """Names of the indexed workbooks, in the order they were added."""
         self._ensure_log_replayed()
         return list(self._workbooks)
 
     def workbooks(self) -> List[Workbook]:
-        """The indexed workbooks, in insertion order (re-adds go last)."""
+        """The indexed workbooks, in the order they were added (an edit
+        never moves one; a removed and re-added workbook goes last)."""
         self._ensure_log_replayed()
         return list(self._workbooks.values())
 
@@ -261,11 +267,13 @@ class Workspace:
         cached :class:`~repro.formula.engine.FormulaEngine` (pass ``value``
         for a plain value, ``formula`` for a formula), dependent formulas
         are recalculated incrementally — O(dirty subgraph), not O(all
-        formulas) — and the edited workbook is re-indexed so subsequent
-        recommendations see the new content.  Re-indexing follows the
-        remove + re-add protocol, so the workbook moves to the end of the
-        corpus order exactly as an explicit remove/add pair would, keeping
-        fresh-fit parity intact.  Returns the engine's
+        formulas) — and the edited *sheet* is re-indexed over the index rows
+        it already owns (:meth:`AutoFormula.reindex_sheet
+        <repro.core.pipeline.AutoFormula.reindex_sheet>`), so subsequent
+        recommendations see the new content.  The workbook keeps its place
+        in the corpus order and its sibling sheets are not touched; answers
+        equal a fresh fit on :meth:`workbooks`.  Predictors that cannot
+        re-index in place are refit.  Returns the engine's
         :class:`~repro.formula.engine.RecalcReport`.
 
         Raises ``KeyError`` if the workbook is not indexed or has no sheet
@@ -282,29 +290,22 @@ class Workspace:
         ), self._rwlock.write_lock():
             if workbook_name not in self._workbooks:
                 raise KeyError(workbook_name)
-            workbook = self._workbooks[workbook_name]
-            sheet = workbook.get_sheet(sheet_name)
+            sheet = self._workbooks[workbook_name].get_sheet(sheet_name)
             engine = sheet_engine(self._engines, workbook_name, sheet)
             if formula is not None:
                 engine.set_formula(address, formula)
             else:
                 engine.set_value(address, value)
             report = engine.recalculate()
-            # Mirror the predictor's remove + re-add corpus order.
-            self._workbooks.pop(workbook_name)
-            self._workbooks[workbook_name] = workbook
             if self._incremental and self._fitted:
-                if len(workbook):
-                    try:
-                        self._predictor.remove_workbook(workbook_name)
-                        self._predictor.add_workbooks([workbook])
-                    except Exception:
-                        # A half-applied remove/add would leave the
-                        # predictor disagreeing with the registry (which
-                        # still lists the workbook); a full refit on the
-                        # registry restores consistency.  If the refit
-                        # itself fails, that error propagates.
-                        self._refit()
+                try:
+                    self._reindex_sheet(sheet)
+                except Exception:
+                    # A half-applied re-index would leave the predictor
+                    # disagreeing with the sheet it serves; a full refit on
+                    # the registry restores consistency.  If the refit
+                    # itself fails, that error propagates.
+                    self._refit()
             else:
                 self._refit()
             self._log(
@@ -312,6 +313,19 @@ class Workspace:
             )
             self._corpus_version += 1
             return report
+
+    def _reindex_sheet(self, sheet: Sheet) -> None:
+        with get_tracer().span("workspace.reindex_sheet") as span:
+            outcome = self._predictor.reindex_sheet(sheet)
+            for key, attribute in outcome.items():
+                span.set_attribute(key, attribute)
+        self._reindex_counts["changed" if outcome["formulas_changed"] else "same"] += 1
+
+    def reindex_stats(self) -> Dict[str, int]:
+        """How many edits re-indexed their sheet with its formula list
+        unchanged (``same``: rows overwritten in place) and changed
+        (``changed``: the sheet's formula rows replaced)."""
+        return dict(self._reindex_counts)
 
     def _refit(self) -> None:
         self._predictor.fit(self.workbooks())

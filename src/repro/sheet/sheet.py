@@ -130,7 +130,7 @@ class Sheet:
 
     def formula_cells(self) -> List[Tuple[CellAddress, Cell]]:
         """All cells that contain formulas, sorted by address."""
-        return [(addr, cell) for addr, cell in self.cells() if cell.has_formula]
+        return sorted(item for item in self._cells.items() if item[1].has_formula)
 
     def cells_in_range(self, cell_range: RangeAddress) -> Iterator[Tuple[CellAddress, Cell]]:
         """Iterate ``(address, cell)`` for every address in ``cell_range``.

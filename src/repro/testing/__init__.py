@@ -29,6 +29,7 @@ from repro.testing.workload import (
 )
 from repro.testing.invariants import (
     assert_matches_fresh_fit,
+    assert_no_tombstones,
     assert_response_wellformed,
     assert_responses_match,
     assert_tombstone_accounting,
@@ -45,6 +46,7 @@ __all__ = [
     "generate_workload",
     "replay_workload",
     "assert_matches_fresh_fit",
+    "assert_no_tombstones",
     "assert_response_wellformed",
     "assert_responses_match",
     "assert_tombstone_accounting",

@@ -7,11 +7,12 @@ engine's earlier PRs promised in prose:
   mutated vs freshly fitted, or restored vs live) answer every request with
   the same formula, confidence, provenance and abstain reason
   (:func:`assert_responses_match`, :func:`assert_matches_fresh_fit`).
-* **Tombstone accounting** — after any add/remove history, an
+* **Tombstone accounting** — after any add/remove/edit history, an
   Auto-Formula predictor's live bookkeeping, its vector indexes' live
   counts and its stable-id maps agree, and no search path can ever
   surface a tombstoned sheet or formula
-  (:func:`assert_tombstone_accounting`).
+  (:func:`assert_tombstone_accounting`); a history of adds and value
+  edits alone leaves no tombstone at all (:func:`assert_no_tombstones`).
 * **Provenance consistency** — an accepted response cites a reference
   workbook that is actually indexed, and the typed response fields are
   mutually consistent (:func:`assert_response_wellformed`).
@@ -85,8 +86,9 @@ def assert_response_wellformed(response: RecommendationResponse, workspace) -> N
 def assert_tombstone_accounting(predictor) -> None:
     """Audit an Auto-Formula predictor's live/tombstone bookkeeping.
 
-    Verifies that (1) live counts agree between the reference-sheet
-    registry and both vector indexes, (2) every live sheet's recorded
+    Verifies that (0) the workbook → ids and sheet → id lookups mirror the
+    reference-sheet registry, (1) live counts agree between the registry
+    and both vector indexes, (2) every live sheet's recorded
     physical positions are alive in the stores and every tombstoned
     sheet's bookkeeping was cleared, and (3) exhaustive searches surface
     only live sheets/formulas — i.e. no search path can return a
@@ -96,6 +98,15 @@ def assert_tombstone_accounting(predictor) -> None:
     live_ids = [
         sheet_id for sheet_id, ref in enumerate(references) if ref is not None
     ]
+    by_workbook = {}
+    for sheet_id in live_ids:
+        by_workbook.setdefault(references[sheet_id].workbook_name, []).append(sheet_id)
+    assert predictor._workbook_sheet_ids == by_workbook, (
+        "workbook → sheet-id lookup disagrees with the reference-sheet registry"
+    )
+    assert predictor._sheet_ids == {
+        id(references[sheet_id].sheet): sheet_id for sheet_id in live_ids
+    }, "sheet → sheet-id lookup disagrees with the reference-sheet registry"
     if predictor.sheet_index is None:
         assert not live_ids, "fitted sheets but no sheet index"
         return
@@ -156,6 +167,24 @@ def assert_tombstone_accounting(predictor) -> None:
             assert int(local) < len(references[int(sheet_id)].formulas)
 
 
+def assert_no_tombstones(predictor) -> None:
+    """Neither index holds a dead row.
+
+    What a history without removals must leave behind: adds append, and a
+    value edit overwrites the rows its sheet already owns (only an edit
+    that changes a sheet's formula list tombstones that sheet's old formula
+    rows).
+    """
+    for label, index in (
+        ("sheet", predictor.sheet_index),
+        ("formula", predictor.formula_index),
+    ):
+        assert index is None or index.n_tombstones == 0, (
+            f"{label} index holds {index.n_tombstones} tombstones after a "
+            "history without removals"
+        )
+
+
 # ------------------------------------------------------------ fresh-fit parity
 
 
@@ -167,9 +196,10 @@ def assert_matches_fresh_fit(
 ) -> None:
     """A mutated workspace must predict like a fresh fit on its corpus.
 
-    The *equivalent corpus* is the workspace's current workbook list
-    (insertion order, re-adds at the end — exactly what
-    ``workspace.workbooks()`` reports).  A brand-new predictor is fitted
+    The *equivalent corpus* is the workspace's current workbook list in
+    insertion order — exactly what ``workspace.workbooks()`` reports.  An
+    edit keeps its workbook's place; only a remove followed by an add moves
+    one (to the end).  A brand-new predictor is fitted
     on it and compared prediction-by-prediction against the workspace's
     serving path.  The factory usually hands the fresh predictor the
     workspace's own encoder, so the encoder's feature-tensor cache is

@@ -14,7 +14,8 @@ determinism and mutated-vs-fresh-fit parity (see
 ``edit`` operations drive the live-editing workload: a numeric cell of an
 indexed sheet is overwritten, the workspace recalculates the sheet's
 formulas incrementally through its dependency-graph engine, and the
-workbook is re-indexed (edit → incremental recalc → re-recommend).
+edited sheet is re-indexed in place (edit → incremental recalc →
+re-recommend).
 Because edits mutate sheet contents, :func:`replay_workload` indexes a
 private :meth:`~repro.sheet.workbook.Workbook.copy` of each added
 workbook: the generator's pools stay pristine, so two replays of one

@@ -417,6 +417,109 @@ class TestRemoveBatch:
         assert index.search(vectors[1], k=1)[0].key == 1  # retrains lazily
 
 
+class TestUpdateBatch:
+    """In-place overwrite of live rows: same keys, same positions, no
+    tombstones, answers identical to a freshly built index."""
+
+    @pytest.fixture(params=["exact", "lsh", "ivf"])
+    def kind(self, request):
+        return request.param
+
+    @staticmethod
+    def _hits(index, queries, k=5, positions=None):
+        return [
+            [(hit.key, hit.distance) for hit in hits]
+            for hits in index.search_batch(queries, k=k, positions=positions)
+        ]
+
+    def test_matches_fresh_index_over_the_same_live_vectors(self, kind):
+        """Full scans, ``search`` and ``positions=`` pools, with tombstones
+        elsewhere in the store, after the index was queried (IVF trained)."""
+        old = _random_vectors(80, 16, seed=1)
+        new = _random_vectors(80, 16, seed=2)
+        index = create_index(kind, 16)
+        index.add_batch(list(range(80)), old)
+        index.search(old[0], k=1)
+        index.remove_batch([3, 40, 41])
+        updated = np.array([0, 7, 39, 42, 79])
+        index.update_batch(updated, new[updated])
+        assert index.n_tombstones == 3 and len(index) == 77
+
+        live = np.setdiff1d(np.arange(80), [3, 40, 41])
+        vectors = old.copy()
+        vectors[updated] = new[updated]
+        fresh = create_index(kind, 16)
+        fresh.add_batch(live.tolist(), vectors[live])
+
+        queries = np.concatenate([new[updated], old[updated], old[10:14]])
+        assert self._hits(index, queries) == self._hits(fresh, queries)
+        for query in queries[:4]:
+            assert [(hit.key, hit.distance) for hit in index.search(query, k=3)] == [
+                (hit.key, hit.distance) for hit in fresh.search(query, k=3)
+            ]
+        pool = np.array([0, 3, 5, 7, 39, 40, 42, 60], dtype=np.int64)
+        fresh_pool = np.searchsorted(live, np.setdiff1d(pool, [3, 40]))
+        assert self._hits(index, queries, k=4, positions=pool) == self._hits(
+            fresh, queries, k=4, positions=fresh_pool
+        )
+        # The overwritten rows answer for their new vectors only.
+        assert index.search(new[7], k=1)[0].key == 7
+        assert index.search(old[7], k=1)[0].distance > 1e-3
+
+    def test_invalid_updates_rejected(self, kind):
+        vectors = _random_vectors(10, 8, seed=5)
+        index = create_index(kind, 8)
+        index.add_batch(list(range(10)), vectors)
+        with pytest.raises(IndexError):
+            index.update_batch([10], vectors[:1])
+        with pytest.raises(IndexError):
+            index.update_batch([-1], vectors[:1])
+        with pytest.raises(ValueError, match="duplicate"):
+            index.update_batch([2, 2], vectors[:2])
+        index.remove_batch([2])
+        with pytest.raises(ValueError, match="already-removed"):
+            index.update_batch([2], vectors[:1])
+        with pytest.raises(ValueError, match="shape"):
+            index.update_batch([1, 3], vectors[:1])
+        with pytest.raises(ValueError, match="shape"):
+            index.update_batch([1], np.ones((1, 9), dtype=np.float32))
+        index.update_batch([], np.empty((0, 8), dtype=np.float32))
+        # Nothing was written by the rejected calls.
+        assert np.array_equal(index.vectors, vectors)
+
+    def test_update_on_memory_mapped_store_leaves_the_files_alone(self, kind, tmp_path):
+        vectors = _random_vectors(40, 8, seed=6)
+        source = create_index(kind, 8)
+        source.add_batch(list(range(40)), vectors)
+        for name, block in source.store_state().items():
+            np.save(tmp_path / f"{name}.npy", block)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        restored = create_index(kind, 8)
+        restored.restore_store(
+            list(range(40)),
+            np.load(tmp_path / "matrix.npy", mmap_mode="r"),
+            np.load(tmp_path / "sq_norms.npy", mmap_mode="r"),
+            np.load(tmp_path / "alive.npy", mmap_mode="r"),
+        )
+        replacement = _random_vectors(2, 8, seed=7)
+        restored.update_batch([4, 9], replacement)
+        assert restored.search(replacement[1], k=1)[0].key == 9
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+        source.update_batch([4, 9], replacement)
+        assert self._hits(restored, vectors[:6]) == self._hits(source, vectors[:6])
+
+    def test_ivf_retrains_after_an_update(self):
+        index = IVFIndex(8, n_clusters=4, n_probe=2)
+        vectors = _random_vectors(40, 8, seed=7)
+        index.add_batch(list(range(40)), vectors)
+        index.search(vectors[0], k=1)
+        assert index._centroids is not None
+        index.update_batch([0], vectors[1:2])
+        assert index._centroids is None  # the quantizer a removal also resets
+
+
 class TestFactory:
     def test_known_kinds(self):
         assert isinstance(create_index("exact", 4), ExactIndex)

@@ -240,6 +240,84 @@ class TestWorkspaceUnderConcurrency:
         assert np.array_equal(store.vectors(slots), expected)
 
 
+    def test_in_place_edits_racing_serves_answer_from_one_corpus_state(self, assets):
+        """An edit overwrites index rows that serves are reading.  One cell
+        toggles between two values, so the corpus has exactly two states:
+        every answer served during the race must be one state's answer in
+        full, never a mix of a new S1 row with old S2 rows or an old
+        reference store."""
+        from repro.testing import response_signature
+
+        pool, cases, factory = assets
+        requests = [
+            RecommendationRequest(case.target_sheet, case.target_cell) for case in cases
+        ]
+        # One cited workbook alone, so no unedited sibling copy can take
+        # over its answers.
+        probe = Workspace("probe", factory())
+        probe.add_workbooks(pool)
+        cited = next(r for r in probe.serve_batch(requests) if r.accepted).provenance
+        name, sheet_name = cited["reference_workbook"], cited["reference_sheet"]
+        workspace = Workspace("edits", factory())
+        workspace.add_workbooks([wb.copy() for wb in pool if wb.name == name])
+        sheet = workspace.workbooks()[0].get_sheet(sheet_name)
+
+        def answers():
+            return [response_signature(r) for r in workspace.serve_batch(requests)]
+
+        values = (123456.0, "a note")
+        states = None
+        for address, cell in list(sheet.cells()):
+            if cell.has_formula or not isinstance(cell.value, (int, float)):
+                continue
+            per_value = []
+            for value in values:
+                workspace.edit_cell(name, sheet_name, address, value=value)
+                per_value.append(answers())
+            if per_value[0] != per_value[1]:
+                states = per_value
+                break
+        assert states is not None, "no edit of the cited sheet moves an answer"
+
+        n_servers, errors, served = 3 * N_THREADS, [], []
+        done = threading.Event()
+
+        def server():
+            try:
+                while not done.is_set():
+                    served.append(answers())
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+
+        def editor():
+            try:
+                for round_ in range(40):
+                    workspace.edit_cell(name, sheet_name, address, value=values[round_ % 2])
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=server) for __ in range(n_servers)]
+            threads.append(threading.Thread(target=editor))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "deadlocked thread"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, f"concurrent ops raised: {errors[:3]}"
+        assert served
+        for batch in served:
+            assert batch in states, "a serve saw a half re-indexed sheet"
+        assert answers() == states[1]
+        assert workspace.reindex_stats()["same"] >= 42
+
+
 class TestReadWriteLock:
     def test_readers_share_writers_exclude(self):
         lock = ReadWriteLock()

@@ -475,6 +475,49 @@ class TestServerObservability:
             assert client.stats()["in_flight"] == 0
 
 
+    def test_edit_trace_and_reindex_gauges(self, trained_encoder, pge_corpus):
+        """An edit's trace has the re-index as its own span, and ``/metrics``
+        counts re-indexes by shape."""
+        from repro.corpus import split_corpus
+
+        __, references = split_corpus(pge_corpus, 0.15, "timestamp")
+        service = FormulaService(trained_encoder, AutoFormulaConfig())
+        service.create_workspace("pge", workbooks=[wb.copy() for wb in references[3:5]])
+        config = ServerConfig(trace_sample_rate=1.0)
+        with start_server_in_background(service, config) as handle:
+            client = FormulaClient(handle.host, handle.port)
+            name = references[3].name
+            client.edit_cell("pge", name, "Regional Summary", "B12", value=3.5)
+            client.edit_cell("pge", name, "Regional Summary", "B13", value=4.5)
+            client.edit_cell("pge", name, "Regional Summary", "B20", formula="=B19*2")
+
+            # The edit runs on the executor thread, as its own trace.
+            edits = [
+                tree["root"]
+                for tree in client.traces()["recent"]
+                if tree["root"]["name"] == "workspace.edit_cell"
+            ]
+            assert len(edits) == 3
+            spans = [
+                next(child for child in root["children"] if child["name"] == "workspace.reindex_sheet")
+                for root in edits
+            ]
+            assert [span["attributes"]["formulas_changed"] for span in spans] == [False, False, True]
+            assert [span["attributes"]["n_formulas"] for span in spans] == [8, 8, 9]
+            assert all(span["attributes"]["n_store_cells"] > 0 for span in spans)
+
+            client.stats()  # per-workspace gauges are registered when /stats is read
+            gauges = {
+                line.split(" ")[0]: float(line.split(" ")[1])
+                for line in client.metrics_text().splitlines()
+                if line.startswith("workspace_reindex_")
+            }
+            assert gauges == {
+                'workspace_reindex_same{workspace="pge"}': 2.0,
+                'workspace_reindex_changed{workspace="pge"}': 1.0,
+            }
+
+
 # ----------------------------------------------------------- recommend trace
 
 

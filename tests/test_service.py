@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -17,7 +18,7 @@ from repro.baselines import WeakSupervisionBaseline
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
 from repro.sheet import CellAddress
-from repro.testing import assert_matches_fresh_fit
+from repro.testing import assert_matches_fresh_fit, assert_responses_match
 
 
 @pytest.fixture(scope="module")
@@ -302,27 +303,95 @@ class TestFacade:
         assert references[0].name not in workspace
 
 
+def _numeric_cells(sheet):
+    return [
+        address
+        for address, cell in sheet.cells()
+        if not cell.has_formula
+        and isinstance(cell.value, (int, float))
+        and not isinstance(cell.value, bool)
+    ]
+
+
+def _indexed(predictor):
+    """What the indexes hold for every live sheet, in corpus order: the
+    formula side as exact bytes, the sheet vectors as one array."""
+    rows, sheet_vectors = [], []
+    for sheet_id, reference in enumerate(predictor._reference_sheets):
+        if reference is None:
+            continue
+        positions = predictor._formula_positions[sheet_id]
+        rows.append(
+            (
+                reference.workbook_name,
+                reference.sheet.name,
+                [(formula.address, formula.formula) for formula in reference.formulas],
+                predictor.formula_index.vectors[positions].tobytes(),
+            )
+        )
+        sheet_vectors.append(predictor.sheet_index.vectors[predictor._sheet_positions[sheet_id]])
+    return rows, np.stack(sheet_vectors)
+
+
+def _assert_indexed_alike(predictor, fresh):
+    rows, sheet_vectors = _indexed(predictor)
+    fresh_rows, fresh_sheet_vectors = _indexed(fresh)
+    assert rows == fresh_rows
+    # A re-indexed sheet's S1 row comes from a one-window forward, a fresh
+    # fit's from the stacked one: sgemv and sgemm may round the last Linear
+    # an ulp apart (as for any workbook added on its own), never more.
+    np.testing.assert_allclose(sheet_vectors, fresh_sheet_vectors, rtol=0, atol=1e-6)
+
+
+def _owned_rows(predictor, sheet):
+    """Positions and bytes of the index rows one reference sheet owns."""
+    sheet_id = predictor._sheet_ids[id(sheet)]
+    positions = predictor._formula_positions[sheet_id]
+    return (
+        predictor._sheet_positions[sheet_id],
+        predictor.sheet_index.vectors[predictor._sheet_positions[sheet_id]].tobytes(),
+        positions.tolist(),
+        predictor.formula_index.vectors[positions].tobytes(),
+    )
+
+
 class TestEditCell:
-    """The live-edit surface's contracts."""
+    """The live-edit surface's contracts: an edit re-indexes one sheet over
+    the rows it owns, and live == fresh fit == restored afterwards."""
+
+    #: The sheet of the module workload that most test cases cite.
+    WORKBOOK, SHEET, SIBLING = "sales_003_003.xlsx", "Regional Summary", "Sales Log"
 
     @pytest.fixture()
     def edit_target(self, workload):
         reference_workbooks, __ = workload
         workbook = reference_workbooks[0]
         sheet = next(s for s in workbook if s.n_formulas())
-        address = next(
-            addr
-            for addr, cell in sheet.cells()
-            if not cell.has_formula
-            and isinstance(cell.value, (int, float))
-            and not isinstance(cell.value, bool)
-        )
-        return workbook, sheet, address
+        return workbook, sheet, _numeric_cells(sheet)[0]
 
-    def _workspace(self, trained_encoder, workbooks):
+    def _workspace(self, trained_encoder, workbooks, directory=None):
         workspace = Workspace("t", AutoFormula(trained_encoder, _config("exact")))
         workspace.add_workbooks([wb.copy() for wb in workbooks])
+        if directory is not None:
+            workspace.save(directory)  # every later edit lands in the log tail
         return workspace
+
+    @staticmethod
+    def _serve(workspace, cases):
+        return workspace.serve_batch(
+            [RecommendationRequest(case.target_sheet, case.target_cell) for case in cases]
+        )
+
+    def _assert_parity(self, workspace, trained_encoder, cases, directory):
+        """live == fresh fit (fresh featurizer, answers and stored vectors)
+        == restored from the pre-edit snapshot + the log tail."""
+        fresh = AutoFormula(trained_encoder, _config("exact"))
+        assert_matches_fresh_fit(workspace, lambda: fresh, cases)
+        _assert_indexed_alike(workspace.predictor, fresh)
+        restored = Workspace.load(directory, AutoFormula(trained_encoder, _config("exact")))
+        assert restored.workbook_names == workspace.workbook_names
+        assert_responses_match(self._serve(workspace, cases), self._serve(restored, cases))
+        _assert_indexed_alike(restored.predictor, fresh)
 
     def test_requires_exactly_one_operand(self, trained_encoder, workload, edit_target):
         reference_workbooks, __ = workload
@@ -339,18 +408,151 @@ class TestEditCell:
         with pytest.raises(KeyError):
             workspace.edit_cell(workbook.name, "ghost sheet", address, value=1.0)
 
-    def test_edit_applies_and_moves_workbook_to_corpus_end(
+    def test_value_edits_keep_corpus_order_and_leave_no_tombstones(
         self, trained_encoder, workload, edit_target
     ):
         reference_workbooks, __ = workload
         workbook, sheet, address = edit_target
         workspace = self._workspace(trained_encoder, reference_workbooks[:3])
+        names = workspace.workbook_names
         report = workspace.edit_cell(workbook.name, sheet.name, address, value=77.25)
         assert report.total >= 0
         edited = next(wb for wb in workspace.workbooks() if wb.name == workbook.name)
         assert edited.get_sheet(sheet.name).get(address).value == 77.25
-        assert workspace.workbook_names[-1] == workbook.name
+        for n_edits, target in enumerate(workspace.workbooks()):
+            for target_sheet in target:
+                for cell in _numeric_cells(target_sheet)[:3]:
+                    workspace.edit_cell(target.name, target_sheet.name, cell, value=float(n_edits))
+        assert workspace.workbook_names == names
+        predictor = workspace.predictor
+        assert predictor.sheet_index.n_tombstones == 0
+        assert predictor.formula_index.n_tombstones == 0
+        assert workspace.reindex_stats()["changed"] == 0
+        assert workspace.reindex_stats()["same"] > 3
 
+    def test_value_edit(self, trained_encoder, workload, tmp_path):
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        sheet = workspace.workbooks()[3].get_sheet(self.SHEET)
+        before = _owned_rows(workspace.predictor, sheet)
+        answers = self._serve(workspace, cases)
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "B12", value="not a number")
+        after = _owned_rows(workspace.predictor, sheet)
+        # Same rows, new content — and the answers that cite the sheet moved.
+        assert (after[0], after[2]) == (before[0], before[2])
+        assert after[1] != before[1] and after[3] != before[3]
+        assert [r.confidence for r in self._serve(workspace, cases)] != [
+            r.confidence for r in answers
+        ]
+        self._assert_parity(workspace, trained_encoder, cases, tmp_path)
+
+    def test_new_text_on_a_formula_cell(self, trained_encoder, workload, tmp_path):
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "C4", formula="=SUMIF(A10:A40,A4,B10:B40)")
+        cited = [r for r in self._serve(workspace, cases) if r.provenance.get("reference_cell") == "C4"]
+        assert cited and cited[0].provenance["reference_formula"] == "=SUMIF(A10:A40,A4,B10:B40)"
+        assert workspace.reindex_stats() == {"same": 0, "changed": 1}
+        self._assert_parity(workspace, trained_encoder, cases, tmp_path)
+
+    def test_formula_written_into_a_value_cell(self, trained_encoder, workload, tmp_path):
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        n_formulas = workspace.predictor.n_reference_formulas
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "B20", formula="=B19*2")
+        assert workspace.predictor.n_reference_formulas == n_formulas + 1
+        self._assert_parity(workspace, trained_encoder, cases, tmp_path)
+
+    def test_value_written_over_a_formula_cell(self, trained_encoder, workload, tmp_path):
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        sheet = workspace.workbooks()[3].get_sheet(self.SHEET)
+        n_old = len(_owned_rows(workspace.predictor, sheet)[2])
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "C4", value=12.5)
+        # Only this sheet's old formula rows are tombstoned; its S1 row stays.
+        assert workspace.predictor.formula_index.n_tombstones == n_old
+        assert workspace.predictor.sheet_index.n_tombstones == 0
+        assert len(_owned_rows(workspace.predictor, sheet)[2]) == n_old - 1
+        assert all(
+            r.provenance.get("reference_cell") != "C4" or r.provenance["reference_sheet"] != self.SHEET
+            for r in self._serve(workspace, cases)
+        )
+        self._assert_parity(workspace, trained_encoder, cases, tmp_path)
+
+    def test_edit_that_grows_the_used_extent(self, trained_encoder, workload, tmp_path):
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        sheet = workspace.workbooks()[3].get_sheet(self.SHEET)
+        extent = (sheet.n_rows, sheet.n_cols)
+        workspace.edit_cell(
+            self.WORKBOOK, self.SHEET, CellAddress(extent[0] + 2, extent[1] + 1), value="note"
+        )
+        assert (sheet.n_rows, sheet.n_cols) == (extent[0] + 3, extent[1] + 2)
+        self._assert_parity(workspace, trained_encoder, cases, tmp_path)
+
+    def test_sibling_sheet_rows_are_untouched(self, trained_encoder, workload, tmp_path):
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        sibling = workspace.workbooks()[3].get_sheet(self.SIBLING)
+        assert sibling.n_formulas()
+        before = _owned_rows(workspace.predictor, sibling)
+        store = workspace.predictor._reference_sheets[
+            workspace.predictor._sheet_ids[id(sibling)]
+        ].store
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "B12", value=1.5)
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "B20", formula="=B19*2")
+        assert _owned_rows(workspace.predictor, sibling) == before
+        assert workspace.predictor._reference_sheets[
+            workspace.predictor._sheet_ids[id(sibling)]
+        ].store is store
+        self._assert_parity(workspace, trained_encoder, cases, tmp_path)
+
+    def test_restored_workspace_edited_before_its_first_serve(
+        self, trained_encoder, workload, tmp_path
+    ):
+        reference_workbooks, cases = workload
+        live = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        restored = Workspace.load(tmp_path, AutoFormula(trained_encoder, _config("exact")))
+        for workspace in (live, restored):
+            # The restored reference stores are still empty here.
+            workspace.edit_cell(self.WORKBOOK, self.SHEET, "A34", value=123456.0)
+        assert_responses_match(self._serve(live, cases), self._serve(restored, cases))
+        assert_matches_fresh_fit(
+            restored, lambda: AutoFormula(trained_encoder, _config("exact")), cases
+        )
+
+    def test_edit_inside_a_parameter_window_refreshes_the_reference_store(
+        self, trained_encoder, workload, tmp_path
+    ):
+        """S3 reads the reference side from the sheet's region store, which
+        no index search touches: left stale, the re-grounded range of the
+        cited ``SUMIF`` keeps following the pre-edit column."""
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        predictor = workspace.predictor
+        sheet = workspace.workbooks()[3].get_sheet(self.SHEET)
+        reference = predictor._reference_sheets[predictor._sheet_ids[id(sheet)]]
+        self._serve(workspace, cases)  # builds the cited formulas' plans
+        local = next(i for i, f in enumerate(reference.formulas) if f.address.to_a1() == "C4")
+        plan = reference.plans[local]
+        stored = reference.store.vectors(plan.slots).tobytes()
+        # A34 sits in the window of the parameter cell A44 (the range's end).
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "A34", value=123456.0)
+        fresh = AutoFormula(trained_encoder, _config("exact"))
+        assert_matches_fresh_fit(workspace, lambda: fresh, cases)
+
+        # The same through the store itself: the plan and its slots stayed,
+        # the vectors behind them are the fresh fit's.
+        assert reference.plans[local] is plan
+        assert reference.store.vectors(plan.slots).tobytes() != stored
+        fresh_reference = fresh._reference_sheets[fresh._sheet_ids[id(sheet)]]
+        fresh_plan = fresh._adaptation_plan(fresh_reference, local)
+        assert fresh_plan.cells == plan.cells
+        assert (
+            reference.store.vectors(plan.slots).tobytes()
+            == fresh_reference.store.vectors(fresh_plan.slots).tobytes()
+        )
+        self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
     def test_edits_are_indexed_from_the_edited_content(self, trained_encoder, workload):
         """Regression: with a corpus small enough to sit in the featurizer's
@@ -362,14 +564,7 @@ class TestEditCell:
         n_edits = 0
         for workbook in workspace.workbooks():
             for sheet in workbook:
-                numeric = [
-                    address
-                    for address, cell in sheet.cells()
-                    if not cell.has_formula
-                    and isinstance(cell.value, (int, float))
-                    and not isinstance(cell.value, bool)
-                ]
-                for address in numeric[::2]:
+                for address in _numeric_cells(sheet)[::2]:
                     workspace.edit_cell(workbook.name, sheet.name, address, value=f"text {n_edits}")
                     n_edits += 1
         assert n_edits > 50

@@ -3,8 +3,10 @@
 Drives the deterministic workload generator (``repro.testing``) against
 workspaces and asserts the guarantees the service layer documents:
 replay determinism, mutated-corpus/fresh-fit parity across index kinds,
-tombstone accounting after every mutation, incremental == full-pass
-recalculation under edit streams, and response-provenance consistency.
+tombstone accounting after every mutation, live == fresh fit == restored
+after edit streams (which leave no tombstones and move no workbook),
+incremental == full-pass recalculation under edit streams, and
+response-provenance consistency.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from repro import AutoFormula, AutoFormulaConfig, RecommendationRequest, Workspa
 from repro.testing import (
     WorkloadConfig,
     assert_matches_fresh_fit,
+    assert_no_tombstones,
     assert_response_wellformed,
     assert_responses_match,
     assert_tombstone_accounting,
@@ -144,7 +147,7 @@ class TestFreshFitParity:
         config = _config(kind)
 
         def audit(op, workspace):
-            if op.kind in ("add", "remove"):
+            if op.kind in ("add", "remove", "edit"):
                 assert_tombstone_accounting(workspace.predictor)
 
         replay = replay_workload(
@@ -160,6 +163,59 @@ class TestFreshFitParity:
                 lambda: AutoFormula(trained_encoder, config),
                 workload.cases[tenant],
                 context=f"kind={kind} tenant={tenant}",
+            )
+
+    @pytest.mark.parametrize("seed", SIMULATOR_SEEDS)
+    def test_edit_stream_matches_fresh_fit_and_restore(
+        self, trained_encoder, kind, seed, tmp_path
+    ):
+        """Every edit re-indexes one sheet where it sits: the registry order
+        only ever changes by an add or a remove, a stream without removes
+        leaves no tombstone, and at the end live == fresh fit == a restore
+        that replays the whole stream from the mutation log."""
+        workload = generate_workload(seed, EDIT_WORKLOAD)
+        config = _config(kind)
+        removed_from = set()
+
+        def workspace_for(tenant):
+            workspace = Workspace(tenant, AutoFormula(trained_encoder, config))
+            workspace.save(tmp_path / tenant)  # the whole stream lands in the log
+            return workspace
+
+        names_before = {}
+
+        def audit(op, workspace):
+            if op.kind in ("add", "remove", "edit"):
+                assert_tombstone_accounting(workspace.predictor)
+            if op.kind == "remove":
+                removed_from.add(op.tenant)
+            elif op.tenant not in removed_from:
+                assert_no_tombstones(workspace.predictor)
+            if op.kind == "edit":
+                assert workspace.workbook_names == names_before[op.tenant]
+            names_before[op.tenant] = workspace.workbook_names
+
+        replay = replay_workload(workload, workspace_for, after_step=audit)
+        assert replay.outcomes_of_kind("edit")
+        for tenant, workspace in replay.workspaces.items():
+            if not len(workspace):
+                continue
+            cases = workload.cases[tenant]
+            assert_matches_fresh_fit(
+                workspace,
+                lambda: AutoFormula(trained_encoder, config),
+                cases,
+                context=f"edits kind={kind} seed={seed}",
+            )
+            restored = Workspace.load(tmp_path / tenant, AutoFormula(trained_encoder, config))
+            assert restored.workbook_names == workspace.workbook_names
+            requests = [
+                RecommendationRequest(case.target_sheet, case.target_cell) for case in cases
+            ]
+            assert_responses_match(
+                workspace.serve_batch(requests),
+                restored.serve_batch(requests),
+                context=f"restored kind={kind} seed={seed}",
             )
 
 
@@ -226,7 +282,7 @@ class TestLongSimulationStress:
         config = _config("exact")
 
         def audit(op, workspace):
-            if op.kind in ("add", "remove"):
+            if op.kind in ("add", "remove", "edit"):
                 assert_tombstone_accounting(workspace.predictor)
 
         replay = replay_workload(
