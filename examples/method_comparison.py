@@ -6,14 +6,12 @@ is mounted in its own workspace of one FormulaService, fitted on the same
 reference corpus, and evaluated on the same cases.
 
 Run with:  python examples/method_comparison.py [corpus]
-           python examples/method_comparison.py [corpus] --legacy
            (corpus is one of PGE, Cisco, TI, Enron; default PGE)
 """
 
 import sys
 
 from repro import (
-    AutoFormula,
     AutoFormulaConfig,
     FormulaService,
     ModelConfig,
@@ -31,7 +29,7 @@ from repro.baselines import (
     SpreadsheetCoderBaseline,
     WeakSupervisionBaseline,
 )
-from repro.evaluation import prepare_corpus_evaluation, run_method_on_cases
+from repro.evaluation import prepare_corpus_evaluation
 
 
 def build_baselines():
@@ -107,38 +105,5 @@ def main(corpus_name: str) -> None:
     )
 
 
-def legacy_main(corpus_name: str) -> None:
-    """The pre-service direct runner API, kept exercised side by side."""
-    encoder, workload = prepare(corpus_name)
-    methods = [AutoFormula(encoder, AutoFormulaConfig())] + build_baselines()
-
-    print(f"{'method':40s} {'R':>6s} {'P':>6s} {'F1':>6s}")
-    print("-" * 62)
-    for method in methods:
-        run = run_method_on_cases(
-            method, workload.reference_workbooks, workload.cases, corpus_name
-        )
-        metrics = run.metrics
-        print(f"{method.name[:40]:40s} {metrics.recall:6.2f} {metrics.precision:6.2f} {metrics.f1:6.2f}")
-
-    print("\nExample Auto-Formula predictions:")
-    system = methods[0]
-    shown = 0
-    for case in workload.cases:
-        prediction = system.predict(case.target_sheet, case.target_cell)
-        if prediction is None:
-            continue
-        status = "hit " if prediction.formula == case.ground_truth else "miss"
-        print(f"  [{status}] {case.sheet_name}!{case.target_cell.to_a1():6s} {prediction.formula}")
-        shown += 1
-        if shown >= 8:
-            break
-
-
 if __name__ == "__main__":
-    arguments = [argument for argument in sys.argv[1:] if argument != "--legacy"]
-    corpus = arguments[0] if arguments else "PGE"
-    if "--legacy" in sys.argv[1:]:
-        legacy_main(corpus)
-    else:
-        main(corpus)
+    main(sys.argv[1] if len(sys.argv) > 1 else "PGE")

@@ -10,14 +10,10 @@ This walks the full pipeline end to end on a small synthetic organization:
 4. serve typed recommendation requests for held-out target cells (the
    online phase).
 
-Run with:  python examples/quickstart.py            (service API)
-           python examples/quickstart.py --legacy   (direct predictor API)
+Run with:  python examples/quickstart.py
 """
 
-import sys
-
 from repro import (
-    AutoFormula,
     AutoFormulaConfig,
     FormulaService,
     ModelConfig,
@@ -33,7 +29,7 @@ from repro.formula import FormulaEngine
 
 
 def train_encoder():
-    """Steps 1-2: weak supervision plus triplet training (shared by both APIs)."""
+    """Steps 1-2: weak supervision plus triplet training."""
     print("1) Building training universe and weak-supervision pairs ...")
     universe = build_training_universe(n_families=8, copies_per_family=3, n_singletons=6)
     pairs = generate_training_pairs(universe)
@@ -121,40 +117,5 @@ def main() -> None:
     )
 
 
-def legacy_main() -> None:
-    """The pre-service direct predictor API, kept exercised side by side."""
-    encoder = train_encoder()
-
-    print("3) Indexing the organization's existing workbooks (PGE corpus) ...")
-    corpus = build_enterprise_corpus("PGE")
-    test_workbooks, reference_workbooks = split_corpus(corpus, 0.15, "timestamp")
-    system = AutoFormula(encoder, AutoFormulaConfig())
-    system.fit(reference_workbooks)
-    print(
-        f"   indexed {system.n_reference_sheets} sheets "
-        f"and {system.n_reference_formulas} reference formulas"
-    )
-
-    print("4) Recommending formulas for held-out target cells ...")
-    cases = sample_test_cases("PGE", test_workbooks, max_per_sheet=3)
-    shown = 0
-    for case in cases:
-        prediction = system.predict(case.target_sheet, case.target_cell)
-        if prediction is None:
-            continue
-        shown += 1
-        match = "HIT " if prediction.formula == case.ground_truth else "MISS"
-        print(
-            f"   [{match}] {case.workbook_name}/{case.sheet_name}!{case.target_cell.to_a1()}"
-        )
-        print(f"          recommended : {prediction.formula}   (confidence {prediction.confidence:.2f})")
-        print(f"          ground truth: {case.ground_truth}")
-        if shown >= 5:
-            break
-
-
 if __name__ == "__main__":
-    if "--legacy" in sys.argv[1:]:
-        legacy_main()
-    else:
-        main()
+    main()

@@ -97,6 +97,10 @@ def main() -> None:
         print(f"   batch sizes       : {stats['batch_size_histogram']}")
         print(f"   coalescing ratio  : {stats['coalescing_ratio']:.2f}")
         print(f"   sheet cache       : {stats['sheet_cache']}")
+        caches = ", ".join(
+            f"{name} {counts['hit']}/{counts['miss']}" for name, counts in stats["caches"].items()
+        )
+        print(f"   caches (hit/miss) : {caches}")
         recommend_stats = stats["endpoints"].get("recommend", {})
         if recommend_stats.get("count"):
             print(
@@ -117,6 +121,9 @@ def main() -> None:
         assert any(
             line.startswith('server_endpoint_seconds{endpoint="recommend"') for line in lines
         ), "missing recommend latency summary"
+        # Every cache reports through one gauge family, by instance name.
+        for gauge in ('cache_hit{cache="cell_features"}', 'cache_size{cache="interned_sheets"}'):
+            assert any(line.startswith(gauge + " ") for line in lines), f"missing {gauge}"
         print(f"   /metrics -> {len(lines)} exposition lines (shape ok)")
 
         traces = client.traces()

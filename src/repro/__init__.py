@@ -35,7 +35,6 @@ from repro.sheet import Cell, CellAddress, CellStyle, RangeAddress, Sheet, Workb
 from repro.formula import (
     ErrorValue,
     FormulaEngine,
-    FormulaEvaluator,
     RecalcReport,
     extract_template,
     instantiate_template,
@@ -74,7 +73,6 @@ __all__ = [
     "RangeAddress",
     "Sheet",
     "Workbook",
-    "FormulaEvaluator",
     "FormulaEngine",
     "RecalcReport",
     "ErrorValue",

@@ -18,6 +18,10 @@ class AutoFormulaConfig:
     rows than columns); ``acceptance_threshold`` is the maximum S2 squared
     embedding distance at which the system still emits a prediction
     (abstaining otherwise keeps precision high at the cost of recall).
+
+    Every field moves answers or memory.  What is bit-identical either way
+    — caching query embeddings, collapsing duplicate requests — is not an
+    option: the pipeline and the workspace always do it.
     """
 
     top_k_sheets: int = 3
@@ -34,24 +38,13 @@ class AutoFormulaConfig:
     #: formulas of ``top_k_sheets`` sheets, so S2 is one vectorized scoring
     #: pass over that pool.
     formula_index_kind: str = "exact"
-    #: Number of target sheets whose fine-embedding caches are retained
-    #: between ``predict`` calls (least-recently-used sheets are evicted
-    #: first, deterministically).
+    #: Number of target sheets whose query embedding, reduced tensor and S3
+    #: region store are retained between ``predict`` calls (least recently
+    #: used sheets are evicted first, deterministically).
     max_cached_target_sheets: int = 8
     #: Which model drives which search: "both" (paper), "coarse_only" or
     #: "fine_only" (the Figure 14 ablation).
     granularity: str = "both"
-    #: Reuse query-side sheet embeddings across requests: vectors are keyed
-    #: by sheet identity + mutation version (and by the wire-layer content
-    #: hash when present), so coalesced batches and repeated requests for
-    #: the same sheet encode once.  Bit-identical either way — the cache
-    #: returns the exact vector the encoder would produce.
-    reuse_query_embeddings: bool = True
-    #: Collapse duplicate (sheet, cell) requests inside one ``serve_batch``
-    #: call: the prediction is computed once and fanned out to every
-    #: requester.  Bit-identical either way — predictions are deterministic
-    #: per (sheet, cell).
-    collapse_duplicate_cells: bool = True
 
     def __post_init__(self) -> None:
         if self.top_k_sheets <= 0:

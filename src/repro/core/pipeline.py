@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -13,7 +12,7 @@ import numpy as np
 from repro.ann import SearchResult, canonical_index_kind, create_index
 from repro.core.config import AutoFormulaConfig
 from repro.core.interface import FormulaPredictor, Prediction
-from repro.features.window import SheetKeyedLRU, gather_windows
+from repro.features.window import MAX_CACHED_TENSOR_BYTES, gather_windows, sheet_cache
 from repro.formula.ast_nodes import ASTNode
 from repro.formula.parser import parse_formula
 from repro.formula.template import formula_references, instantiate_template
@@ -126,7 +125,7 @@ class _RegionStore:
     point outside the extent, and those few cells live in ``_overflow``.
     A cell's row never changes once assigned, so slots handed out stay
     valid while the matrix grows.  The store serves one state of its sheet:
-    target stores sit in a version-checked :class:`SheetKeyedLRU`, reference
+    target stores sit in a version-checked :func:`sheet_cache`, reference
     stores are re-embedded (:meth:`refresh`) or rebuilt when their sheet is
     re-indexed.
 
@@ -308,42 +307,6 @@ class ScoredPrediction:
     formula_index: int
 
 
-class _ContentKeyedVectorLRU:
-    """Bounded, thread-safe ``(content key, version) -> vector`` cache.
-
-    The wire layer's :class:`~repro.server.schemas.SheetInterner` stamps
-    decoded sheets with their content hash; this cache lets two *distinct*
-    sheet objects with identical content (e.g. the same payload arriving
-    after the interner evicted its entry) share one query embedding.
-    Vectors are stored read-only.
-    """
-
-    def __init__(self, max_entries: int) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self._max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[str, int], np.ndarray]" = OrderedDict()
-        self._mutex = threading.Lock()
-
-    def get(self, key: Tuple[str, int]) -> Optional[np.ndarray]:
-        with self._mutex:
-            vector = self._entries.get(key)
-            if vector is not None:
-                self._entries.move_to_end(key)
-            return vector
-
-    def put(self, key: Tuple[str, int], vector: np.ndarray) -> None:
-        with self._mutex:
-            self._entries[key] = vector
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._mutex:
-            self._entries.clear()
-
-
 class AutoFormula(FormulaPredictor):
     """Formula recommendation by similar-sheet / similar-region retrieval.
 
@@ -400,29 +363,22 @@ class AutoFormula(FormulaPredictor):
         #: at index internals, and rewritten on compaction remaps.
         self._sheet_store_size = 0
         self._formula_store_size = 0
-        #: Bounded LRU of target sheets' region stores (S3 candidate vectors).
-        self._target_cache = SheetKeyedLRU(self.config.max_cached_target_sheets)
+        # Three caches of per-target-sheet values share one entry bound.
+        bound = self.config.max_cached_target_sheets
+        #: Target sheets' region stores (S3 candidate vectors).
+        self._target_cache = sheet_cache("target_stores", bound)
         #: Target-store lookups since construction, for ``region_store_stats``.
         self._store_stats_mutex = threading.Lock()
         self._store_hits = 0
         self._store_misses = 0
-        #: Bounded LRU of model-reduced per-sheet tensors (the fine model's
-        #: per-cell prefix applied to a sheet's padded feature tensor once,
-        #: instead of once per overlapping window).
-        self._reduced_cache = SheetKeyedLRU(self.config.max_cached_target_sheets)
+        #: Model-reduced per-sheet tensors (the fine model's per-cell prefix
+        #: applied to a sheet's padded feature tensor once, instead of once
+        #: per overlapping window).
+        self._reduced_cache = sheet_cache("reduced_tensors", bound, MAX_CACHED_TENSOR_BYTES)
         self._reduced_padding: Optional[np.ndarray] = None
         self._fine_fast = _UNSET
-        #: Cross-request S1 query-embedding reuse (off when
-        #: ``config.reuse_query_embeddings`` is false): a sheet-keyed LRU
-        #: plus a content-hash-keyed LRU for distinct sheet objects carrying
-        #: the wire layer's ``content_key``.  Both are version-checked, so
-        #: an edited sheet always re-encodes.
-        self._query_vector_cache = SheetKeyedLRU(
-            max(self.config.max_cached_target_sheets, 8)
-        )
-        self._query_vector_by_content = _ContentKeyedVectorLRU(
-            4 * max(self.config.max_cached_target_sheets, 8)
-        )
+        #: S1 query embeddings, reused within and across requests.
+        self._query_vector_cache = sheet_cache("query_vectors", bound)
 
     # --------------------------------------------------------------- encoding
 
@@ -430,25 +386,15 @@ class AutoFormula(FormulaPredictor):
         """Sheet-level embedding (coarse model, unless fine-only ablation).
 
         Query-side only — reference sheets are embedded in bulk by
-        ``_index_sheets``.  With ``reuse_query_embeddings`` on, the vector
-        is cached by sheet identity + mutation version (and by the wire
-        layer's content hash when the sheet carries one), so repeated
-        requests for the same sheet within and across batches encode once.
+        ``_index_sheets``.  The vector is cached by sheet identity +
+        mutation version, so repeated requests for the same sheet within
+        and across batches encode once and an edited sheet re-encodes.
         """
-        if not self.config.reuse_query_embeddings:
-            return self._encode_sheet_vector(sheet)
         vector = self._query_vector_cache.get(sheet)
-        if vector is not None:
-            return vector
-        content_key = getattr(sheet, "content_key", None)
-        if content_key is not None:
-            vector = self._query_vector_by_content.get((content_key, sheet.version))
         if vector is None:
             vector = self._encode_sheet_vector(sheet)
             vector.flags.writeable = False
-            if content_key is not None:
-                self._query_vector_by_content.put((content_key, sheet.version), vector)
-        self._query_vector_cache.put(sheet, vector)
+            vector = self._query_vector_cache.put(sheet, vector)
         return vector
 
     @property
@@ -552,8 +498,7 @@ class AutoFormula(FormulaPredictor):
         for layer in prefix:
             block = layer.forward(block, training=False)
         reduced = block.reshape(height, width, -1)
-        self._reduced_cache.put(sheet, reduced)
-        return reduced
+        return self._reduced_cache.put(sheet, reduced)
 
     def _fine_region_vectors_fast(
         self, sheet: Sheet, center_rows: np.ndarray, center_cols: np.ndarray, blank_center: bool
@@ -580,8 +525,7 @@ class AutoFormula(FormulaPredictor):
         """The region store of a target sheet at its current version."""
         store = self._target_cache.get(sheet)
         if store is None:
-            store = _RegionStore(sheet, self._region_dimension)
-            self._target_cache.put(sheet, store)
+            store = self._target_cache.put(sheet, _RegionStore(sheet, self._region_dimension))
         return store
 
     def _reference_store(
@@ -640,7 +584,6 @@ class AutoFormula(FormulaPredictor):
         self._target_cache.clear()
         self._reduced_cache.clear()
         self._query_vector_cache.clear()
-        self._query_vector_by_content.clear()
         # The encoder's models (weights or whole objects) may have changed
         # since the last fit; drop everything derived from them.
         self._reduced_padding = None

@@ -10,20 +10,20 @@ relies on: textually/semantically similar strings receive nearby vectors.
   384 dimensions by default (the Sentence-BERT stand-in).
 * :class:`WordAveragingEmbedder` — word-level hashing only, 50 dimensions by
   default and noticeably cheaper (the GloVe stand-in).
-* :class:`CachingEmbedder` — memoizes any embedder, since corpora repeat the
-  same strings many times.
+
+Neither is memoized here: repeated cell texts are absorbed one level up, by
+the cell-feature cache of :class:`repro.features.CellFeaturizer`, which keys
+on everything a feature vector depends on (the text included).
 """
 
 from repro.embedding.base import TextEmbedder
 from repro.embedding.hashed import HashedSemanticEmbedder
 from repro.embedding.word_average import WordAveragingEmbedder
-from repro.embedding.caching import CachingEmbedder
 
 __all__ = [
     "TextEmbedder",
     "HashedSemanticEmbedder",
     "WordAveragingEmbedder",
-    "CachingEmbedder",
     "create_embedder",
 ]
 

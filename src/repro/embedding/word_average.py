@@ -10,12 +10,16 @@ the paper's quality/efficiency trade-off between the two content embedders.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
+from repro.cache import LRU
 from repro.embedding.base import TextEmbedder
 from repro.embedding.hashed import _stable_hash
+
+#: Word vectors kept per embedder (a vocabulary, not a working set).
+_MAX_CACHED_WORDS = 50_000
 
 
 class WordAveragingEmbedder(TextEmbedder):
@@ -23,12 +27,11 @@ class WordAveragingEmbedder(TextEmbedder):
 
     name = "glove"
 
-    def __init__(self, dimension: int = 50, vocabulary_cache_size: int = 50_000) -> None:
+    def __init__(self, dimension: int = 50) -> None:
         if dimension <= 0:
             raise ValueError("dimension must be positive")
         self._dimension = dimension
-        self._cache_size = vocabulary_cache_size
-        self._word_vectors: Dict[str, np.ndarray] = {}
+        self._word_vectors = LRU("word_vectors", _MAX_CACHED_WORDS)
 
     @property
     def dimension(self) -> int:
@@ -41,9 +44,7 @@ class WordAveragingEmbedder(TextEmbedder):
         rng = np.random.default_rng(_stable_hash(word) % (2**32))
         vector = rng.standard_normal(self._dimension).astype(np.float32)
         vector /= float(np.linalg.norm(vector)) or 1.0
-        if len(self._word_vectors) < self._cache_size:
-            self._word_vectors[word] = vector
-        return vector
+        return self._word_vectors.put(word, vector)
 
     def _tokens(self, text: str) -> List[str]:
         cleaned = "".join(char.lower() if char.isalnum() else " " for char in text)

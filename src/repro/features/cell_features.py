@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import List, Optional
 
 import numpy as np
 
+from repro.cache import LRU
 from repro.embedding import TextEmbedder
 from repro.features.config import FeatureConfig
 from repro.sheet.cell import Cell, CellType, syntactic_pattern
@@ -29,6 +28,8 @@ _N_PATTERN_FEATURES = 8
 _N_STYLE_FEATURES = 16
 #: Extra indicator features (cell validity inside the sheet bounds).
 _N_INDICATOR_FEATURES = 1
+#: Feature vectors kept per featurizer.
+_MAX_CACHED_CELLS = 100_000
 
 
 class CellFeaturizer:
@@ -52,20 +53,17 @@ class CellFeaturizer:
         self,
         config: FeatureConfig,
         embedder: Optional[TextEmbedder] = None,
-        max_cached_cells: int = 100_000,
     ) -> None:
         self._config = config
         self._embedder = embedder or config.create_embedder()
         self._content_dim = config.content_embedding_dim
-        self._max_cached_cells = max_cached_cells
-        #: LRU over full feature vectors, keyed by the cell *content* that
-        #: determines them: (value, has-formula, style, validity).  Corpora
-        #: repeat the same headers, labels and styles across thousands of
-        #: cells, so this removes most per-cell Python work.  Guarded by a
-        #: mutex: one featurizer is shared by every concurrent serving
-        #: thread driving the same encoder.
-        self._cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._cache_mutex = threading.Lock()
+        #: Full feature vectors, keyed by the cell *content* that determines
+        #: them: (value, has-formula, style, validity).  Corpora repeat the
+        #: same headers, labels and styles across thousands of cells, so
+        #: this removes most per-cell Python work (text embedding included).
+        #: One featurizer is shared by every concurrent serving thread
+        #: driving the same encoder.
+        self._cache = LRU("cell_features", _MAX_CACHED_CELLS)
 
     # ----------------------------------------------------------------- layout
 
@@ -164,22 +162,12 @@ class CellFeaturizer:
         except TypeError:  # unhashable exotic value; compute uncached
             key = None
         if key is not None:
-            with self._cache_mutex:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    return cached
+            cached = self._cache.get(key)
+            if cached is not None:
+                return cached
         vector = self._featurize_uncached(cell, valid)
         vector.setflags(write=False)
-        if key is not None:
-            with self._cache_mutex:
-                existing = self._cache.get(key)
-                if existing is not None:
-                    return existing
-                self._cache[key] = vector
-                if len(self._cache) > self._max_cached_cells:
-                    self._cache.popitem(last=False)
-        return vector
+        return vector if key is None else self._cache.put(key, vector)
 
     def _featurize_uncached(self, cell: Cell, valid: bool) -> np.ndarray:
         parts: List[np.ndarray] = []

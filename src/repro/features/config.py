@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.embedding import CachingEmbedder, TextEmbedder, create_embedder
+from repro.embedding import TextEmbedder, create_embedder
 
 
 @dataclass
@@ -29,8 +29,8 @@ class FeatureConfig:
     PAPER_WINDOW_COLS = 10
 
     def create_embedder(self) -> TextEmbedder:
-        """Instantiate (and cache) the configured content embedder."""
-        return CachingEmbedder(create_embedder(self.embedder_name, self.content_embedding_dim))
+        """Instantiate the configured content embedder."""
+        return create_embedder(self.embedder_name, self.content_embedding_dim)
 
     @property
     def window_cells(self) -> int:

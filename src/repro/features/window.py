@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from operator import attrgetter
 from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.cache import LRU
 from repro.features.cell_features import CellFeaturizer
 from repro.features.config import FeatureConfig
 from repro.sheet.addressing import CellAddress
@@ -21,70 +21,22 @@ from repro.sheet.sheet import Sheet
 #: cells (tiny stored count, enormous bounding box) fall back to the sparse
 #: path instead of materializing hundreds of megabytes.
 _MAX_DENSE_BYTES = 1 << 25  # 32 MiB per sheet tensor
+#: Sheets whose padded tensors are kept per featurizer.
+_MAX_CACHED_SHEETS = 64
+#: Byte budget of a cache of per-sheet tensors (the padded tensors here,
+#: the pipeline's reduced tensors), beside its entry bound: entries alone
+#: would admit ``_MAX_CACHED_SHEETS * _MAX_DENSE_BYTES`` = 2 GiB of two-cell
+#: sheets with far-flung cells.  9x the largest footprint the benchmark
+#: corpora reach at 64 entries (29.3 MiB), so no measured workload meets it.
+MAX_CACHED_TENSOR_BYTES = 1 << 28  # 256 MiB
 
 
-class SheetKeyedLRU:
-    """Bounded LRU of per-sheet values keyed by ``id(sheet)``.
-
-    Each entry pins the sheet object, so an ``id()`` can never be recycled
-    while its entry is alive, and records the ``sheet.version`` it was put
-    at: a sheet mutated in place since then misses, so no cache built on
-    this class can serve values derived from a sheet's earlier content.
-    Eviction is deterministic (least recently used first).  Shared by every
-    sheet-keyed cache in the system (feature tensors, reduced tensors,
-    query vectors, target region stores).
-
-    Access is guarded by an internal mutex so one cache can be shared by
-    concurrent serving threads (e.g. two workspaces featurizing the same
-    target sheet through one encoder).  Cached values are deterministic
-    functions of their sheet, so a miss raced by two threads at worst
-    computes the value twice — the entries themselves never get corrupted.
-    """
-
-    def __init__(self, max_entries: int) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[int, Tuple[Sheet, int, object]]" = OrderedDict()
-        self._mutex = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, sheet: Sheet):
-        """The value cached for ``sheet`` at its current version (refreshing
-        recency), or ``None``."""
-        with self._mutex:
-            entry = self._entries.get(id(sheet))
-            if entry is None or entry[0] is not sheet:
-                return None
-            if entry[1] != sheet.version:
-                del self._entries[id(sheet)]
-                return None
-            self._entries.move_to_end(id(sheet))
-            return entry[2]
-
-    def put(self, sheet: Sheet, value) -> None:
-        """Insert/refresh ``sheet``'s value, evicting LRU entries over bound."""
-        with self._mutex:
-            self._entries[id(sheet)] = (sheet, sheet.version, value)
-            self._entries.move_to_end(id(sheet))
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def sheets(self):
-        """Cached sheets, least recently used first."""
-        with self._mutex:
-            return [entry[0] for entry in self._entries.values()]
-
-    def values(self):
-        """Cached values, least recently used first."""
-        with self._mutex:
-            return [entry[2] for entry in self._entries.values()]
-
-    def clear(self) -> None:
-        with self._mutex:
-            self._entries.clear()
+def sheet_cache(name: str, max_entries: int, max_bytes: Optional[int] = None) -> LRU:
+    """An :class:`~repro.cache.LRU` of per-sheet values: keyed by sheet
+    identity (the entry pins the sheet) and valid only for the
+    ``sheet.version`` it was filled at, so a sheet mutated in place misses
+    and nothing derived from its earlier content is served."""
+    return LRU(name, max_entries, max_bytes, token_of=attrgetter("version"))
 
 
 def region_window_bounds(
@@ -186,25 +138,22 @@ class WindowFeaturizer:
     own region window), so each sheet is featurized *once* into a padded
     per-sheet feature tensor — interior cells carry their real features,
     the border carries invalid-padding features — and every window is then
-    a vectorized gather from that tensor.  Tensors live in a bounded LRU
-    keyed per sheet; the LRU entry pins the sheet object so ``id()`` values
-    cannot be recycled while cached, and eviction is deterministic (least
-    recently used first).  Call :meth:`clear_cache` between unrelated
-    workloads to release memory early.
+    a vectorized gather from that tensor.  Tensors live in a
+    :func:`sheet_cache` bounded by entries and by bytes.  Call
+    :meth:`clear_cache` between unrelated workloads to release memory early.
     """
 
     def __init__(
         self,
         config: Optional[FeatureConfig] = None,
         featurizer: Optional[CellFeaturizer] = None,
-        max_cached_sheets: int = 64,
     ) -> None:
-        if max_cached_sheets <= 0:
-            raise ValueError("max_cached_sheets must be positive")
         self.config = config or FeatureConfig()
         self.cell_featurizer = featurizer or CellFeaturizer(self.config)
-        #: Padded per-sheet feature tensors, LRU-bounded.
-        self._tensor_cache = SheetKeyedLRU(max_cached_sheets)
+        #: Padded per-sheet feature tensors.
+        self._tensor_cache = sheet_cache(
+            "sheet_tensors", _MAX_CACHED_SHEETS, MAX_CACHED_TENSOR_BYTES
+        )
         self._padding_vector: Optional[np.ndarray] = None
         self._empty_vector: Optional[np.ndarray] = None
 
@@ -254,8 +203,7 @@ class WindowFeaturizer:
     def _sheet_tensor(self, sheet: Sheet) -> np.ndarray:
         tensor = self._tensor_cache.get(sheet)
         if tensor is None:
-            tensor = self._build_tensor(sheet)
-            self._tensor_cache.put(sheet, tensor)
+            tensor = self._tensor_cache.put(sheet, self._build_tensor(sheet))
         return tensor
 
     def _densifiable(self, sheet: Sheet) -> bool:

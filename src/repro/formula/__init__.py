@@ -7,10 +7,10 @@ instantiation used by prediction step S3, an evaluator with a library of
 common spreadsheet functions, and the classification utilities used by the
 sensitivity analyses (formula complexity and formula type, Figures 10-11).
 
-Evaluation is backed by :class:`~repro.formula.engine.FormulaEngine`, an
-incremental dependency-graph recalculation engine with Excel-style error
-values (``repro.formula.errors``); :class:`FormulaEvaluator` is the thin
-compatibility facade over it.
+Evaluation is :class:`~repro.formula.engine.FormulaEngine`, an incremental
+dependency-graph recalculation engine.  A failure is a value, not an
+exception: ``evaluate_formula`` / ``evaluate_cell`` return an Excel-style
+error value (``repro.formula.errors``; test with :func:`is_error_value`).
 """
 
 from repro.formula.tokenizer import Token, TokenType, tokenize, FormulaSyntaxError
@@ -46,7 +46,6 @@ from repro.formula.errors import (
     is_error_value,
 )
 from repro.formula.engine import FormulaEngine, RecalcReport
-from repro.formula.evaluator import FormulaEvaluator, EvaluationError
 from repro.formula.classify import (
     FormulaCategory,
     classify_formula,
@@ -77,8 +76,6 @@ __all__ = [
     "instantiate_template",
     "formula_references",
     "shift_formula",
-    "FormulaEvaluator",
-    "EvaluationError",
     "FormulaEngine",
     "RecalcReport",
     "ErrorValue",

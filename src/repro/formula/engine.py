@@ -1,11 +1,11 @@
 """Incremental dependency-graph recalculation engine.
 
-The seed evaluator (`repro.formula.evaluator`) treated every evaluation as
-a one-shot: a per-instance value cache that was never invalidated when the
-sheet mutated, exception-based failures that aborted whole-sheet
-recalculation, and ``recalculate()`` silently keeping stale values when a
-formula failed.  :class:`FormulaEngine` replaces that substrate with the
-model real spreadsheets use:
+The seed evaluator (since deleted) treated every evaluation as a one-shot:
+a per-instance value cache that was never invalidated when the sheet
+mutated, exception-based failures that aborted whole-sheet recalculation,
+and ``recalculate()`` silently keeping stale values when a formula failed.
+:class:`FormulaEngine` replaces that substrate with the model real
+spreadsheets use:
 
 * **Dependency graph.**  Every formula cell's AST is parsed once and its
   *precedents* — the single cells and rectangular ranges it references —
@@ -33,9 +33,6 @@ model real spreadsheets use:
   falls back to a full resync instead of serving stale values.  Edits
   made through the engine keep the watermark current, preserving the
   incremental fast path.
-
-The public surface of the old evaluator survives as a thin facade
-(:class:`~repro.formula.evaluator.FormulaEvaluator`) over this engine.
 """
 
 from __future__ import annotations

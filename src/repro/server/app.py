@@ -45,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.cache import stats as cache_stats
 from repro.obs import get_tracer
 from repro.server.admission import AdmissionConfig, AdmissionController
 from repro.server.batching import BatcherPool
@@ -521,10 +522,9 @@ class FormulaServer:
                 self.metrics.register_memory_gauge(name, stats)
             store_stats = getattr(workspace.predictor, "region_store_stats", None)
             if store_stats is not None:
-                self.metrics.register_region_store_gauges(name, store_stats)
-            reindex_stats = getattr(workspace, "reindex_stats", None)
-            if reindex_stats is not None:
-                self.metrics.register_reindex_gauges(name, reindex_stats)
+                self.metrics.mirror_stats("workspace.region_store", name, store_stats)
+            self.metrics.mirror_stats("workspace.reindex", name, workspace.reindex_stats)
+            self.metrics.mirror_stats("workspace.serve", name, workspace.serve_stats)
             # Adopt the workspace's serving-latency recorder into the
             # registry so /metrics exposes it without double recording.
             recorder = getattr(workspace, "latency", None)
@@ -533,8 +533,10 @@ class FormulaServer:
                     "workspace.latency", labels={"workspace": name}, recorder=recorder
                 )
         self.metrics.prune_memory_gauges(names)
+        self.metrics.mirror_cache_stats(cache_stats)
         body = self.metrics.snapshot()
         body["tracing"] = self.tracer.stats()
+        body["caches"] = cache_stats()
         body["sheet_cache"] = {
             "entries": len(self._interner),
             "hits": self._interner.hits,
@@ -544,14 +546,11 @@ class FormulaServer:
             name: self.service.workspace(name).latency.summary()
             for name in self.service.workspace_names()
         }
-        predictor_config = self.service.effective_config
         body["config"] = {
             "max_batch_size": self.config.max_batch_size,
             "max_batch_wait_s": self.config.max_batch_wait_s,
             "queue_limit": self.config.admission.queue_limit,
             "rate_limit_per_tenant": self.config.admission.rate_limit_per_tenant,
-            "reuse_query_embeddings": predictor_config.reuse_query_embeddings,
-            "collapse_duplicate_cells": predictor_config.collapse_duplicate_cells,
         }
         return body
 

@@ -18,12 +18,13 @@ serving — the benchmark baseline — with everything else unchanged.
 
 Coalescing also enables *duplicate collapsing*: the sheet interner
 content-addresses request sheets, so two wire requests carrying the same
-sheet bytes and target cell resolve to one ``(sheet identity, cell)``
-key.  A batch computes each distinct key once and fans the result out to
-every duplicate (classic request coalescing, as in cache-stampede
-protection) — sound here because serving is read-only and predictions
-are a pure function of ``(corpus, sheet, cell)``.  Duplicates differ
-only in their echoed ``request_id``.
+sheet bytes and target cell arrive as one ``(sheet identity, cell)``.
+The batcher does not look: it hands ``serve_batch`` the whole batch and
+maps the responses back one to one, and the workspace — the one place
+that collapses, for in-process callers too — computes each distinct key
+once and fans the result out (classic request coalescing, as in
+cache-stampede protection).  Duplicates differ only in their echoed
+``request_id``.
 
 Each response is resolved onto its request's future together with the
 batch size it rode in and its queue wait, so latency attribution
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
@@ -44,7 +44,6 @@ from repro.obs import get_tracer
 from repro.obs.tracing import Span
 from repro.server.metrics import (
     ADMITTED_TO_BATCHER,
-    COLLAPSED_DUPLICATES,
     COMPLETED_BY_BATCHER,
     SERVED,
     SERVER_ERRORS,
@@ -86,7 +85,8 @@ class _Pending:
 
 
 class WorkspaceBatcher:
-    """Coalesces one workspace's serving requests into engine batches."""
+    """Coalesces one workspace's serving requests into engine batches:
+    one ``serve_batch`` call per batch, response ``i`` to request ``i``."""
 
     def __init__(
         self,
@@ -213,21 +213,7 @@ class WorkspaceBatcher:
 
     async def _execute(self, batch: List[_Pending]) -> None:
         loop = asyncio.get_running_loop()
-        # Collapse duplicates: requests whose sheet (interned, so identity
-        # equals content) and cell coincide are computed once; everyone
-        # else in the batch gets the shared result fanned back out.
-        slot_of: Dict[tuple, int] = {}
-        slots: List[int] = []
-        requests: List[RecommendationRequest] = []
-        for pending in batch:
-            key = (id(pending.request.sheet), pending.request.cell.row, pending.request.cell.col)
-            slot = slot_of.get(key)
-            if slot is None:
-                slot = slot_of[key] = len(requests)
-                requests.append(pending.request)
-            slots.append(slot)
-        if len(requests) < len(batch):
-            self._metrics.count(COLLAPSED_DUPLICATES, len(batch) - len(requests))
+        requests = [pending.request for pending in batch]
         dispatched_at = time.monotonic()
         self._metrics.observe_batch(len(batch))
         for pending in batch:
@@ -247,9 +233,7 @@ class WorkspaceBatcher:
         def _serve_in_leader_context() -> List[RecommendationResponse]:
             with tracer.attach(leader_span):
                 with tracer.span(
-                    "batch.flush",
-                    batch_size=len(batch),
-                    unique_requests=len(requests),
+                    "batch.flush", batch_size=len(batch)
                 ) if leader_span is not None else _NULL_CONTEXT:
                     return self.workspace.serve_batch(requests)
 
@@ -267,13 +251,9 @@ class WorkspaceBatcher:
             self._outstanding -= len(batch)
             self._metrics.count(COMPLETED_BY_BATCHER, len(batch))
         self._metrics.count(SERVED, len(batch))
-        for pending, slot in zip(batch, slots):
+        for pending, response in zip(batch, responses):
             if pending.future.cancelled():
                 continue
-            response = responses[slot]
-            if response.request is not pending.request:
-                # A collapsed duplicate: same outcome, its own request echo.
-                response = dataclasses.replace(response, request=pending.request)
             pending.future.set_result(
                 ServedResult(
                     response=response,

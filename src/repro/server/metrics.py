@@ -53,12 +53,20 @@ COLLAPSED_DUPLICATES = "collapsed_duplicates"
 ADMITTED_TO_BATCHER = "batch_admitted"
 COMPLETED_BY_BATCHER = "batch_completed"
 
-#: Per-workspace stats dicts mirrored field by field as callback gauges
-#: ``<family>_<field>{workspace=...}``: ``AutoFormula.region_store_stats``
-#: and ``Workspace.reindex_stats``.
+#: Stats dicts kept by the layers below, mirrored field by field as
+#: callback gauges ``<family>_<field>{<label>=<name>}`` (see
+#: :meth:`ServerMetrics.mirror_stats`): per workspace
+#: ``AutoFormula.region_store_stats`` (S3 candidate lookups that found their
+#: cell stored / not, cells held), ``Workspace.reindex_stats`` (edits that
+#: left the sheet's formula list as it was / changed it) and
+#: ``Workspace.serve_stats`` (the workspace, not the batcher, collapses
+#: duplicate requests, so that is where they are counted); per cache name
+#: ``repro.cache.stats()``.
 _MIRRORED_STATS = {
     "workspace.region_store": ("hit", "miss", "cells"),
     "workspace.reindex": ("same", "changed"),
+    "workspace.serve": (COLLAPSED_DUPLICATES,),
+    "cache": ("hit", "miss", "evict", "size"),
 }
 
 
@@ -154,40 +162,32 @@ class ServerMetrics:
             "workspace.index_bytes", labels={"workspace": name}, fn=total_bytes
         )
 
-    def register_region_store_gauges(
-        self, name: str, stats: Callable[[], Dict[str, int]]
+    def mirror_stats(
+        self,
+        family: str,
+        name: str,
+        stats: Callable[[], Dict[str, int]],
+        label: str = "workspace",
     ) -> None:
-        """Mirror a workspace's S3 region-store accounting into the registry.
-
-        ``stats`` is :meth:`repro.core.pipeline.AutoFormula.region_store_stats`;
-        its ``hit`` / ``miss`` / ``cells`` fields become the callback gauges
-        ``workspace.region_store_<field>{workspace=...}``.  Pruned together
-        with the workspace's memory gauge.
-        """
-        self._mirror_stats("workspace.region_store", name, stats)
-
-    def register_reindex_gauges(
-        self, name: str, stats: Callable[[], Dict[str, int]]
-    ) -> None:
-        """Mirror a workspace's in-place re-index counts into the registry.
-
-        ``stats`` is :meth:`repro.service.workspace.Workspace.reindex_stats`;
-        its ``same`` / ``changed`` counts (edits that left the sheet's
-        formula list as it was / changed it) become the callback gauges
-        ``workspace.reindex_<shape>{workspace=...}``.  Pruned together with
-        the workspace's memory gauge.
-        """
-        self._mirror_stats("workspace.reindex", name, stats)
-
-    def _mirror_stats(
-        self, family: str, name: str, stats: Callable[[], Dict[str, int]]
-    ) -> None:
+        """Mirror ``stats()`` — one of the ``_MIRRORED_STATS`` families —
+        into the registry.  The layers below have no registry handle, so
+        their counts are read through callback gauges, not registry
+        counters.  Workspace-labelled gauges are pruned together with the
+        workspace's memory gauge; registering again rebinds the callback."""
         for field in _MIRRORED_STATS[family]:
             self.registry.gauge(
                 f"{family}_{field}",
-                labels={"workspace": name},
+                labels={label: name},
                 fn=lambda field=field: stats()[field],
             )
+
+    def mirror_cache_stats(self, stats: Callable[[], Dict[str, Dict[str, int]]]) -> None:
+        """Mirror :func:`repro.cache.stats`: one gauge family
+        ``cache_hit|miss|evict|size{cache=...}`` over every cache name alive
+        now (a name whose instances have all gone reads NaN, like any gauge
+        whose callback fails)."""
+        for cache in stats():
+            self.mirror_stats("cache", cache, lambda cache=cache: stats()[cache], label="cache")
 
     def prune_memory_gauges(self, keep: Sequence[str]) -> None:
         """Drop the gauges of workspaces that no longer exist."""
@@ -224,6 +224,9 @@ class ServerMetrics:
             gauge_names = sorted(self._queue_gauge_names)
             memory_gauges = dict(self._memory_gauges)
         counters = {key: self.counter(key) for key in counter_keys}
+        counters[COLLAPSED_DUPLICATES] = int(
+            sum(self.registry.gauge_values("workspace.serve_collapsed_duplicates").values())
+        )
         batch_sizes = {
             labels[0][1]: count
             for labels, count in self.registry.counter_values("server.batch_size").items()

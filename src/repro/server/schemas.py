@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.cache import LRU
 from repro.formula.engine import RecalcReport
 from repro.obs import current_trace_id, get_tracer
 from repro.service.types import RecommendationRequest, RecommendationResponse
@@ -85,54 +85,49 @@ def _json_safe(value):
 
 
 class SheetInterner:
-    """Content-addressed cache of deserialized sheets (bounded LRU).
+    """Content-addressed cache of deserialized sheets (the ``interned_sheets``
+    :class:`~repro.cache.LRU`, keyed by the payload's sha256).
 
     Two wire requests carrying byte-identical sheet payloads resolve to the
     *same* ``Sheet`` object, so the workspace's by-sheet-identity batch
-    grouping and the featurization caches see one sheet, not N copies.
+    grouping, its duplicate collapsing and the predictor's per-sheet caches
+    see one sheet, not N copies.  A payload the interner has evicted decodes
+    to a new object and is cold downstream: nothing below keys on content.
     Interned sheets are served read-only by construction: the server never
     mutates a request sheet, and edits go through the workbook endpoints.
-
-    The interner is confined to the server's event-loop thread (requests
-    are decoded before they are handed to the executor), so it needs no
-    lock.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self._max_entries = max_entries
-        self._entries: "OrderedDict[str, Sheet]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self._sheets = LRU("interned_sheets", max_entries)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._sheets)
+
+    @property
+    def hits(self) -> int:
+        """Payloads answered with an already interned sheet."""
+        return self._sheets.hits
+
+    @property
+    def misses(self) -> int:
+        """Payloads that had to be deserialized."""
+        return self._sheets.misses
 
     def intern(self, sheet_data: Dict[str, object]) -> Sheet:
         """The shared ``Sheet`` for this payload (deserializing on miss)."""
         key = hashlib.sha256(
             json.dumps(sheet_data, sort_keys=True, separators=(",", ":")).encode("utf-8")
         ).hexdigest()
-        sheet = self._entries.get(key)
+        sheet = self._sheets.get(key)
         if sheet is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
             return sheet
-        self.misses += 1
         try:
             sheet = sheet_from_dict(sheet_data)
         except SchemaError:
             raise
         except Exception as exc:
             raise SchemaError(f"malformed sheet payload: {exc}") from exc
-        # Stamp the content hash so query-embedding caches downstream can
-        # recognize byte-identical sheets even across interner evictions.
-        sheet.content_key = key
-        self._entries[key] = sheet
-        while len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
-        return sheet
+        return self._sheets.put(key, sheet)
 
 
 # ---------------------------------------------------------------- recommend

@@ -3,10 +3,9 @@
 The serving layer promises that concurrent ``recommend``/``serve_batch``
 calls interleave safely with ``add_workbooks``/``remove_workbook``
 mutations.  The promise is implemented with one reader-writer lock per
-workspace (many concurrent serves *or* one exclusive mutation) plus
-internal locks inside the shared caches (`repro.features.SheetKeyedLRU`,
-`repro.embedding.CachingEmbedder`, the cell-feature LRU) so that several
-workspaces can drive one trained encoder from different threads.
+workspace (many concurrent serves *or* one exclusive mutation) plus the
+mutex inside every shared cache (each is a `repro.cache.LRU`) so that
+several workspaces can drive one trained encoder from different threads.
 """
 
 from __future__ import annotations

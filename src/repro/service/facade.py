@@ -34,13 +34,6 @@ class FormulaService:
         self._config = config
         self._workspaces: Dict[str, Workspace] = {}
 
-    # ---------------------------------------------------------- configuration
-
-    @property
-    def effective_config(self) -> AutoFormulaConfig:
-        """The config new default predictors are built with (never ``None``)."""
-        return self._config or AutoFormulaConfig()
-
     # ------------------------------------------------------------- workspaces
 
     def _default_predictor(self) -> AutoFormula:

@@ -136,6 +136,11 @@ class Workspace:
         #: In-place re-indexes since construction, by whether the edited
         #: sheet's formula list was unchanged (``same``) or not (``changed``).
         self._reindex_counts = {"same": 0, "changed": 0}
+        #: Requests answered from another request's prediction in the same
+        #: ``serve_batch`` call.  Serves run concurrently under the read
+        #: lock, so the count has its own mutex.
+        self._collapsed_duplicates = 0
+        self._serve_counts_mutex = threading.Lock()
         self._autofill: Optional[ValueAutoFill] = None
         self._autofill_version = -1
         self._detector: Optional[FormulaErrorDetector] = None
@@ -486,7 +491,12 @@ class Workspace:
         Requests are grouped by target sheet and each group is dispatched
         through the predictor's vectorized :meth:`predict_batch`, so a batch
         returns exactly what sequential single-request serving would while
-        sharing per-sheet featurization and retrieval.  Each response's
+        sharing per-sheet featurization and retrieval.  Duplicate
+        ``(sheet, cell)`` requests are collapsed, for every predictor and
+        only here: a prediction is a pure function of (corpus, sheet, cell),
+        so each distinct cell of a group is predicted once and the result
+        fanned out to every requester, each keeping its own ``request``
+        echo (:meth:`serve_stats` counts them).  Each response's
         ``latency_seconds`` is its amortized share of its group's wall
         clock, recorded on :attr:`latency`.
         """
@@ -495,14 +505,14 @@ class Workspace:
             return []
         with get_tracer().span(
             "workspace.serve", workspace=self.name, n_requests=len(requests)
-        ):
+        ) as span:
             self._ensure_log_replayed()
             self._ensure_fitted_for_serving()
             with self._rwlock.read_lock():
-                return self._serve_batch_locked(requests)
+                return self._serve_batch_locked(requests, span)
 
     def _serve_batch_locked(
-        self, requests: List[RecommendationRequest]
+        self, requests: List[RecommendationRequest], span
     ) -> List[RecommendationResponse]:
         if not self._workbooks:
             # Empty-corpus abstains never reach the predictor; recording
@@ -516,28 +526,19 @@ class Workspace:
         for position, request in enumerate(requests):
             groups.setdefault(id(request.sheet), []).append(position)
 
-        # Predictions are deterministic per (sheet, cell), so duplicate
-        # cells inside a group can be computed once and fanned out to every
-        # requester — bit-identical to computing each copy.
-        collapse = bool(
-            getattr(getattr(self._predictor, "config", None), "collapse_duplicate_cells", False)
-        )
         responses: List[Optional[RecommendationResponse]] = [None] * len(requests)
+        n_collapsed = 0
         for positions in groups.values():
             sheet = requests[positions[0]].sheet
-            cells = [requests[position].cell for position in positions]
-            slots = list(range(len(positions)))
-            if collapse:
-                unique_cells: List = []
-                slot_of: Dict[object, int] = {}
-                for index, cell in enumerate(cells):
-                    slot = slot_of.get(cell)
-                    if slot is None:
-                        slot = len(unique_cells)
-                        slot_of[cell] = slot
-                        unique_cells.append(cell)
-                    slots[index] = slot
-                cells = unique_cells
+            # Distinct cells in first-occurrence order; slots[i] is the cell
+            # (and prediction) of the group's i-th request.
+            slot_of: Dict[CellAddress, int] = {}
+            slots = [
+                slot_of.setdefault(requests[position].cell, len(slot_of))
+                for position in positions
+            ]
+            cells = list(slot_of)
+            n_collapsed += len(positions) - len(cells)
             start = time.perf_counter()
             predictions = self._predictor.predict_batch(sheet, cells)
             per_request = (time.perf_counter() - start) / len(positions)
@@ -563,6 +564,10 @@ class Workspace:
                         provenance=dict(prediction.details),
                         latency_seconds=per_request,
                     )
+        span.set_attribute("n_collapsed", n_collapsed)
+        if n_collapsed:
+            with self._serve_counts_mutex:
+                self._collapsed_duplicates += n_collapsed
         # Every slot is filled: the groups partition range(len(requests))
         # and each group produced exactly one response per position.
         return responses  # type: ignore[return-value]
@@ -584,6 +589,12 @@ class Workspace:
         )
 
     # ---------------------------------------------------------- observability
+
+    def serve_stats(self) -> Dict[str, int]:
+        """``collapsed_duplicates``: requests since construction that were
+        answered from another request's prediction in their batch."""
+        with self._serve_counts_mutex:
+            return {"collapsed_duplicates": self._collapsed_duplicates}
 
     def memory_stats(self) -> Dict[str, object]:
         """Index memory footprint of the predictor (JSON-ready).

@@ -35,11 +35,6 @@ class Sheet:
         self._n_rows = 0
         self._n_cols = 0
         self._version = 0
-        #: Content hash stamped by the wire layer's ``SheetInterner`` on
-        #: decoded sheets (``None`` for locally built sheets).  Paired with
-        #: :attr:`version`, it lets query-embedding caches recognize two
-        #: distinct sheet objects with byte-identical content.
-        self.content_key: Optional[str] = None
 
     @property
     def version(self) -> int:

@@ -340,12 +340,10 @@ class TestBatchPrediction:
                 sheet.set((row, 1), float(row * index))
             sheets.append(sheet)
             gather(sheet, CellAddress(6, 1))
+            # the configured bound reaches the cache (its LRU behaviour is
+            # tests/test_cache.py's)
             assert len(system._target_cache) <= 2
-        # deterministic LRU order: the two most recent sheets survive
-        assert system._target_cache.sheets() == sheets[-2:]
-        # a touch refreshes recency, so the *other* survivor is evicted next
         store, vector = gather(sheets[-2], CellAddress(6, 1))
-        assert system._target_cache.sheets() == [sheets[-1], sheets[-2]]
         # stored vectors are reused, and equal a fresh embedding
         assert embed_calls == [1] * 5
         assert np.array_equal(vector, system._region_vectors(sheets[-2], [CellAddress(6, 1)])[0])

@@ -16,7 +16,7 @@ from repro.corpus import (
     sample_test_cases,
     split_corpus,
 )
-from repro.formula import FormulaEvaluator, parse_formula
+from repro.formula import FormulaEngine, parse_formula
 from repro.formula.template import extract_template
 from repro.weaksup import HypothesisTest, SheetNameStatistics
 
@@ -82,7 +82,7 @@ class TestTemplates:
         template = SurveyTemplate(5, rng)
         workbook = template.instantiate(rng, 0)
         responses = workbook.sheets[1]
-        evaluator = FormulaEvaluator(responses)
+        evaluator = FormulaEngine(responses)
         for address, cell in responses.formula_cells():
             if "COUNTIF" not in (cell.formula or ""):
                 continue

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.embedding import (
-    CachingEmbedder,
     HashedSemanticEmbedder,
     WordAveragingEmbedder,
     create_embedder,
@@ -74,43 +73,6 @@ class TestSemanticNeighbourhoods:
 
     def test_glove_standin_cheaper_than_sbert_standin(self):
         assert WordAveragingEmbedder().dimension < HashedSemanticEmbedder().dimension
-
-
-class TestCachingEmbedder:
-    def test_results_identical_to_inner(self):
-        inner = HashedSemanticEmbedder(64)
-        caching = CachingEmbedder(inner)
-        assert np.allclose(caching.embed("Revenue"), inner.embed("Revenue"))
-
-    def test_cache_grows_and_hits(self):
-        caching = CachingEmbedder(HashedSemanticEmbedder(64))
-        caching.embed("a")
-        caching.embed("a")
-        caching.embed("b")
-        assert caching.cache_size == 2
-
-    def test_eviction_bound(self):
-        caching = CachingEmbedder(HashedSemanticEmbedder(16), max_entries=3)
-        for text in "abcdef":
-            caching.embed(text)
-        assert caching.cache_size == 3
-
-    def test_cached_vectors_are_read_only(self):
-        """Regression: a caller mutating the returned array must not be able
-        to corrupt future cache hits."""
-        caching = CachingEmbedder(HashedSemanticEmbedder(32))
-        first = caching.embed("Revenue")
-        with pytest.raises(ValueError):
-            first[0] = 123.0
-        second = caching.embed("Revenue")
-        assert np.allclose(second, HashedSemanticEmbedder(32).embed("Revenue"))
-
-    def test_cache_hit_returns_unchanged_values(self):
-        inner = HashedSemanticEmbedder(16)
-        caching = CachingEmbedder(inner)
-        expected = inner.embed("Total").copy()
-        for __ in range(3):
-            assert np.array_equal(caching.embed("Total"), expected)
 
 
 class TestFactory:

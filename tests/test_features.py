@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.features import CellFeaturizer, FeatureConfig, WindowFeaturizer, region_window_bounds
+from repro.features.window import MAX_CACHED_TENSOR_BYTES
 from repro.sheet import Cell, CellAddress, CellStyle, Sheet
 
 
@@ -66,6 +67,20 @@ class TestCellFeaturizer:
         sim_related = float(np.dot(left[content], right[content]))
         sim_unrelated = float(np.dot(left[content], other[content]))
         assert sim_related > sim_unrelated
+
+    def test_cached_vectors_are_read_only_and_equal_the_embedder(self, featurizer):
+        """The cell-feature cache is the only memo of text embeddings: a hit
+        is the same frozen array, so a caller cannot corrupt later lookups,
+        and its content block is the embedder's vector bit for bit."""
+        first = featurizer.featurize(Cell(value="Revenue"))
+        with pytest.raises(ValueError):
+            first[0] = 123.0
+        again = featurizer.featurize(Cell(value="Revenue"))
+        assert again is first
+        expected = featurizer.embedder.embed("Revenue")
+        assert expected.dtype == np.float32
+        assert np.array_equal(again[:16], expected[:16])
+        assert np.array_equal(again, CellFeaturizer(featurizer._config).featurize(Cell(value="Revenue")))
 
 
 class TestWindowBounds:
@@ -159,3 +174,30 @@ class TestWindowFeaturizer:
         featurizer.clear_cache()
         third = featurizer.featurize_sheet(sheet)
         assert np.allclose(first, third)
+
+    def test_tensor_cache_is_bounded_in_bytes(self):
+        """Regression: 64 entries of up to 32 MiB each let two-cell sheets
+        with far-flung cells pin ~2 GiB.  Twelve of them (363 MiB of padded
+        tensors) stay under the byte budget, most recent kept, and an
+        evicted sheet is simply featurized again."""
+        featurizer = WindowFeaturizer()
+        sheets = []
+        for index in range(12):
+            sheet = Sheet(f"far-{index}")
+            sheet.set("A1", float(index))
+            sheet.set("L6500", "end")
+            sheets.append(sheet)
+        total = sum(featurizer.padded_sheet_tensor(sheet).nbytes for sheet in sheets)
+        each = total // 12
+        assert each > 30 << 20 and total > 360 << 20
+        stats = featurizer._tensor_cache.stats()
+        kept = MAX_CACHED_TENSOR_BYTES // each
+        assert stats["bytes"] == kept * each <= MAX_CACHED_TENSOR_BYTES
+        assert stats["size"] == kept < 12 and stats["evict"] == 12 - kept
+        for sheet in sheets[-kept:]:  # the most recent ones are the ones held
+            featurizer.padded_sheet_tensor(sheet)
+        assert featurizer._tensor_cache.stats() == {**stats, "hit": kept}
+        centers = [CellAddress(0, 0), CellAddress(6499, 11), CellAddress(3000, 5)]
+        evicted = featurizer.featurize_regions(sheets[0], centers)
+        featurizer.clear_cache()
+        assert np.array_equal(evicted, WindowFeaturizer().featurize_regions(sheets[0], centers))

@@ -1,11 +1,22 @@
-"""Tests for the formula evaluator and the built-in function library."""
+"""Tests for direct formula evaluation (``FormulaEngine.evaluate_formula`` /
+``evaluate_cell`` / ``recalculate``) and the built-in function library.
+
+A failed evaluation is an Excel-style error *value*, never an exception.
+"""
 
 import datetime
 
 import pytest
 
-from repro.formula import EvaluationError, FormulaEvaluator
-from repro.formula.functions import FunctionError, criterion_matcher
+from repro.formula import (
+    CYCLE_ERROR,
+    DIV0_ERROR,
+    NAME_ERROR,
+    VALUE_ERROR,
+    FormulaEngine,
+    is_error_value,
+)
+from repro.formula.functions import criterion_matcher
 from repro.sheet import Sheet
 
 
@@ -26,8 +37,13 @@ def data_sheet() -> Sheet:
 
 
 @pytest.fixture()
-def evaluator(data_sheet) -> FormulaEvaluator:
-    return FormulaEvaluator(data_sheet)
+def evaluator(data_sheet) -> FormulaEngine:
+    return FormulaEngine(data_sheet)
+
+
+def assert_error(value, kind) -> None:
+    """``value`` is the error value ``kind`` (not the equal plain string)."""
+    assert is_error_value(value) and value == kind, repr(value)
 
 
 class TestAggregation:
@@ -56,8 +72,7 @@ class TestAggregation:
         assert evaluator.evaluate_formula("=PRODUCT(A1:A2)") == 200
 
     def test_stdev_requires_two_values(self, evaluator):
-        with pytest.raises((FunctionError, EvaluationError)):
-            evaluator.evaluate_formula("=STDEV(A1:A1)")
+        assert_error(evaluator.evaluate_formula("=STDEV(A1:A1)"), DIV0_ERROR)
 
 
 class TestConditionalAggregation:
@@ -121,8 +136,7 @@ class TestLogicAndLookup:
         assert evaluator.evaluate_formula('=VLOOKUP("item2",B1:C5,2)') == "North"
 
     def test_vlookup_missing_raises(self, evaluator):
-        with pytest.raises((FunctionError, EvaluationError)):
-            evaluator.evaluate_formula('=VLOOKUP("missing",B1:C5,2)')
+        assert_error(evaluator.evaluate_formula('=VLOOKUP("missing",B1:C5,2)'), VALUE_ERROR)
 
     def test_index_and_match(self, evaluator):
         assert evaluator.evaluate_formula("=INDEX(A1:C5,2,3)") == "South"
@@ -172,39 +186,36 @@ class TestEvaluatorMechanics:
         assert evaluator.evaluate_formula("=50%") == 0.5
 
     def test_division_by_zero_raises(self, evaluator):
-        with pytest.raises(EvaluationError):
-            evaluator.evaluate_formula("=A1/0")
+        assert_error(evaluator.evaluate_formula("=A1/0"), DIV0_ERROR)
 
     def test_unknown_function_raises(self, evaluator):
-        with pytest.raises(EvaluationError):
-            evaluator.evaluate_formula("=NOTAFUNCTION(A1)")
+        assert_error(evaluator.evaluate_formula("=NOTAFUNCTION(A1)"), NAME_ERROR)
 
     def test_transitive_formula_evaluation(self):
         sheet = Sheet()
         sheet.set("A1", 2)
         sheet.set("A2", formula="=A1*10")
         sheet.set("A3", formula="=A2+5")
-        assert FormulaEvaluator(sheet).evaluate_cell("A3") == 25
+        assert FormulaEngine(sheet).evaluate_cell("A3") == 25
 
     def test_circular_reference_detected(self):
         sheet = Sheet()
         sheet.set("A1", formula="=A2")
         sheet.set("A2", formula="=A1")
-        with pytest.raises(EvaluationError):
-            FormulaEvaluator(sheet).evaluate_cell("A1")
+        assert_error(FormulaEngine(sheet).evaluate_cell("A1"), CYCLE_ERROR)
 
     def test_recalculate_writes_values(self):
         sheet = Sheet()
         sheet.set("A1", 3)
         sheet.set("A2", 4)
         sheet.set("A3", formula="=SUM(A1:A2)")
-        report = FormulaEvaluator(sheet).recalculate()
+        report = FormulaEngine(sheet).recalculate()
         assert (report.recalculated, report.errored) == (1, 0)
         assert report.total == 1
         assert sheet.get("A3").value == 7
 
     def test_evaluate_cell_plain_value(self, data_sheet):
-        assert FormulaEvaluator(data_sheet).evaluate_cell("A1") == 10
+        assert FormulaEngine(data_sheet).evaluate_cell("A1") == 10
 
 
 class TestSeedRegressions:
@@ -213,7 +224,7 @@ class TestSeedRegressions:
     def test_evaluate_formula_sees_sheet_mutation(self, data_sheet):
         # Seed bug: the per-instance value cache was never invalidated, so
         # the second evaluation returned the pre-edit sum (150).
-        evaluator = FormulaEvaluator(data_sheet)
+        evaluator = FormulaEngine(data_sheet)
         assert evaluator.evaluate_formula("=SUM(A1:A5)") == 150
         data_sheet.set("A1", 1000)
         assert evaluator.evaluate_formula("=SUM(A1:A5)") == 1140
@@ -224,7 +235,7 @@ class TestSeedRegressions:
         sheet = Sheet()
         sheet.set("A1", 2)
         sheet.set("A2", formula="=A1*10")
-        evaluator = FormulaEvaluator(sheet)
+        evaluator = FormulaEngine(sheet)
         evaluator.recalculate()
         assert sheet.get("A2").value == 20
         sheet.set("A1", 5)
@@ -255,7 +266,7 @@ class TestSeedRegressions:
         sheet.set("B1", formula="=A1/0")
         sheet.set("B2", formula="=B1+1")
         sheet.set("C1", formula="=A1*2")
-        report = FormulaEvaluator(sheet).recalculate()
+        report = FormulaEngine(sheet).recalculate()
         assert (report.recalculated, report.errored) == (1, 2)
         assert sheet.get("B1").value == "#DIV/0!"
         assert sheet.get("B2").value == "#DIV/0!"

@@ -13,7 +13,7 @@ from repro.evaluation import (
     run_method_on_cases,
 )
 from repro.baselines import SpreadsheetCoderBaseline, WeakSupervisionBaseline
-from repro.formula import FormulaEvaluator, parse_formula
+from repro.formula import FormulaEngine, is_error_value, parse_formula
 from repro.formula.tokenizer import FormulaSyntaxError
 
 
@@ -82,14 +82,11 @@ class TestEndToEndQuality:
                     continue
                 ast = parse_formula(result.prediction.formula)  # must not raise
                 assert ast is not None
-                evaluator = FormulaEvaluator(result.case.target_sheet)
-                try:
-                    evaluator.evaluate_formula(result.prediction.formula)
-                except Exception:
-                    # evaluation may legitimately fail (e.g. lookup misses), but
-                    # parsing must always succeed; count how many evaluate cleanly
-                    continue
-                checked += 1
+                engine = FormulaEngine(result.case.target_sheet)
+                # evaluation may legitimately fail (e.g. lookup misses), but
+                # parsing must always succeed; count how many evaluate cleanly
+                if not is_error_value(engine.evaluate_formula(result.prediction.formula)):
+                    checked += 1
         assert checked > 10
 
     def test_pr_curve_reaches_high_precision(self, auto_formula_runs):

@@ -102,7 +102,12 @@ class TestProtocolBasics:
             assert "acme" in stats["queue_depths"]
             assert "p99_seconds" in stats["workspaces"]["acme"]
             assert stats["config"]["max_batch_size"] >= 1
-            assert stats["config"]["reuse_query_embeddings"] is True
+            assert set(stats["config"]) == {
+                "max_batch_size", "max_batch_wait_s", "queue_limit", "rate_limit_per_tenant",
+            }
+            # Every cache reports itself; the counts are process-wide.
+            assert stats["caches"]["interned_sheets"]["miss"] >= 1
+            assert set(stats["caches"]["interned_sheets"]) == {"hit", "miss", "evict", "size"}
             # Index memory is gauged per workspace; the stub predictor
             # reports the zero footprint, real AutoFormula byte counts are
             # covered in tests/test_two_tier.py.
@@ -215,17 +220,31 @@ class TestWireParity:
                 self._assert_wire_matches_direct(wire, direct_response)
             # The S3 region stores report through the registry (gauges are
             # registered per workspace when /stats is read).
-            client.stats()
-            gauges = {
+            stats = client.stats()
+            metrics = {
                 line.split(" ")[0]: float(line.split(" ")[1])
                 for line in client.metrics_text().splitlines()
-                if line.startswith("workspace_region_store_")
+                if not line.startswith("#")
             }
-            assert set(gauges) == {
+            gauges = {
+                name for name in metrics if name.startswith("workspace_region_store_")
+            }
+            assert gauges == {
                 f'workspace_region_store_{field}{{workspace="pge"}}'
                 for field in ("hit", "miss", "cells")
             }
-            assert gauges['workspace_region_store_miss{workspace="pge"}'] > 0
+            assert metrics['workspace_region_store_miss{workspace="pge"}'] > 0
+            # One gauge family covers every cache, by instance name.
+            caches = (
+                "cell_features", "sheet_tensors", "reduced_tensors",
+                "target_stores", "query_vectors", "interned_sheets",
+            )
+            for cache in caches:
+                for field in ("hit", "miss", "evict", "size"):
+                    assert f'cache_{field}{{cache="{cache}"}}' in metrics, (cache, field)
+                assert metrics[f'cache_miss{{cache="{cache}"}}'] > 0, cache
+            assert set(caches) <= set(stats["caches"])
+            assert stats["caches"]["sheet_tensors"]["bytes"] > 0
 
     def test_coalesced_burst_parity_and_ratio(self, trained_encoder, serving_corpus):
         references, cases, direct_workspace = serving_corpus

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from repro import AutoFormula, AutoFormulaConfig, ServerConfig, Workspace
 from repro.ann import create_index
+from repro.core.interface import FormulaPredictor, Prediction
 from repro.server.metrics import ServerMetrics
-from repro.server.schemas import SheetInterner
-from repro.sheet.io import sheet_to_dict
 from repro.service import RecommendationRequest
 from repro.sheet import CellAddress, Sheet, Workbook
 
@@ -245,7 +244,9 @@ class TestMemoryStats:
         metrics.register_memory_gauge("main", lambda: {"total_bytes": 123})
         snapshot = metrics.snapshot()
         assert snapshot["index_memory"] == {"main": {"total_bytes": 123}}
-        metrics.register_region_store_gauges("main", lambda: {"hit": 5, "miss": 2, "cells": 2})
+        metrics.mirror_stats(
+            "workspace.region_store", "main", lambda: {"hit": 5, "miss": 2, "cells": 2}
+        )
         assert metrics.registry.snapshot()["workspace"]["region_store_hit"] == {"workspace=main": 5}
         metrics.prune_memory_gauges([])
         assert metrics.snapshot()["index_memory"] == {}
@@ -272,9 +273,9 @@ def _target_sheet(n_rows: int = 12) -> Sheet:
 
 
 def _spied_workspace(trained_encoder, record):
-    """A survey workspace with embedding reuse on, and the list that
-    collects ``record(sheet)`` for every sheet its predictor encodes."""
-    predictor = AutoFormula(trained_encoder, AutoFormulaConfig(reuse_query_embeddings=True))
+    """A survey workspace, and the list that collects ``record(sheet)`` for
+    every sheet its predictor encodes."""
+    predictor = AutoFormula(trained_encoder, AutoFormulaConfig())
     workspace = Workspace("w", predictor)
     workspace.add_workbook(_survey_workbook())
     encodes = []
@@ -286,35 +287,77 @@ def _spied_workspace(trained_encoder, record):
 def _response_key(response):
     return (
         response.formula,
-        response.confidence,
+        repr(response.confidence),
         response.abstain_reason,
         response.provenance,
     )
+
+
+class _CountingPredictor(FormulaPredictor):
+    """A predictor with no ``config``: answers from the cell alone, abstains
+    on row 7, and counts the cells it is asked for."""
+
+    name = "counting"
+
+    def __init__(self) -> None:
+        self.cells_predicted = 0
+
+    def fit(self, reference_workbooks):
+        pass
+
+    def predict(self, target_sheet, target_cell):
+        return self.predict_batch(target_sheet, [target_cell])[0]
+
+    def predict_batch(self, target_sheet, target_cells):
+        self.cells_predicted += len(target_cells)
+        return [
+            None
+            if cell.row == 7
+            else Prediction(f"=SUM(A1:A{cell.row + 1})", 1.0 / (cell.row + 3), {"row": cell.row})
+            for cell in target_cells
+        ]
+
+
+def _assert_batch_equals_one_at_a_time(predictor):
+    """``serve_batch`` == ``recommend`` per request on everything but the
+    latency, duplicates predicted once, each caller's own echo kept."""
+    workspace = Workspace("w", predictor)
+    workspace.add_workbook(_survey_workbook())
+    targets = [_target_sheet(), _target_sheet()]
+    requests = [
+        RecommendationRequest(sheet=targets[which], cell=CellAddress(row, 2), request_id=str(i))
+        for i, (which, row) in enumerate(
+            [(0, 4), (0, 4), (1, 4), (0, 7), (0, 4), (1, 4), (0, 7), (0, 9)]
+        )
+    ]
+    batch = workspace.serve_batch(requests)
+    assert workspace.serve_stats() == {"collapsed_duplicates": 8 - 4}  # 4 distinct (sheet, cell)
+    singles = [workspace.recommend(request) for request in requests]
+    assert [_response_key(r) for r in batch] == [_response_key(r) for r in singles]
+    assert workspace.serve_stats() == {"collapsed_duplicates": 8 - 4}
+    for responses in (batch, singles):
+        assert [r.request for r in responses] == requests
+    return batch
 
 
 class TestServeLoopSatellites:
     """Duplicate collapsing and cross-request query-embedding reuse."""
 
     def test_collapse_duplicates_bit_identical(self, trained_encoder):
-        target = _target_sheet()
-        requests = [
-            RecommendationRequest(sheet=target, cell=CellAddress(row, 2), request_id=str(i))
-            for i, row in enumerate([4, 4, 7, 4, 7, 9])
-        ]
-        outputs = {}
-        for collapse in (False, True):
-            config = AutoFormulaConfig(
-                collapse_duplicate_cells=collapse, reuse_query_embeddings=False
-            )
-            workspace = Workspace("w", AutoFormula(trained_encoder, config))
-            workspace.add_workbook(_survey_workbook())
-            outputs[collapse] = workspace.serve_batch(requests)
-        assert [_response_key(r) for r in outputs[True]] == [
-            _response_key(r) for r in outputs[False]
-        ]
-        # The request echo is per-caller even for collapsed duplicates.
-        assert [r.request.request_id for r in outputs[True]] == [
-            str(i) for i in range(len(requests))
+        # A threshold nothing misses: the answers compared are formulas
+        # with float confidences, not a row of abstentions.
+        config = AutoFormulaConfig(acceptance_threshold=4.0)
+        batch = _assert_batch_equals_one_at_a_time(AutoFormula(trained_encoder, config))
+        assert all(response.accepted for response in batch)
+
+    def test_duplicates_collapse_for_a_predictor_without_a_config(self):
+        """Fails at the parent: collapsing was read off ``predictor.config``,
+        so a baseline was collapsed over the wire but not in process."""
+        predictor = _CountingPredictor()
+        batch = _assert_batch_equals_one_at_a_time(predictor)
+        assert predictor.cells_predicted == 4 + 8  # the batch, then 8 singles
+        assert [response.accepted for response in batch] == [
+            True, True, True, False, True, True, False, True,
         ]
 
     def test_query_embedding_reused_across_batches(self, trained_encoder):
@@ -327,21 +370,6 @@ class TestServeLoopSatellites:
         second = workspace.serve_batch(requests)
         assert encodes == [id(target)]  # one encode across both batches
         assert [_response_key(r) for r in first] == [_response_key(r) for r in second]
-
-    def test_content_key_shares_embeddings_across_objects(self, trained_encoder):
-        workspace, encodes = _spied_workspace(trained_encoder, id)
-        # Two *distinct* sheet objects carrying the interner's content key,
-        # as produced by byte-identical wire payloads after cache eviction.
-        interner = SheetInterner(max_entries=1)
-        payload = sheet_to_dict(_target_sheet())
-        sheet_a = interner.intern(payload)
-        interner.intern(sheet_to_dict(Sheet("evict")))  # evict sheet_a
-        sheet_b = interner.intern(payload)
-        assert sheet_a is not sheet_b
-        assert sheet_a.content_key == sheet_b.content_key is not None
-        workspace.serve_batch([RecommendationRequest(sheet=sheet_a, cell=CellAddress(4, 2))])
-        workspace.serve_batch([RecommendationRequest(sheet=sheet_b, cell=CellAddress(4, 2))])
-        assert encodes == [id(sheet_a)]  # content hit: sheet_b never encoded
 
     def test_edited_sheet_reencodes(self, trained_encoder):
         workspace, encodes = _spied_workspace(trained_encoder, lambda sheet: sheet.version)
