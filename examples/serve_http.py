@@ -7,9 +7,10 @@ like a client application would:
    into a FormulaService workspace (the offline phase),
 2. start the asyncio JSON-over-HTTP server on a background thread
    (`start_server_in_background`, ephemeral port),
-3. serve recommendation requests over the wire — first one at a time,
-   then as a concurrent client swarm whose same-sheet requests the
-   server coalesces into single engine batches,
+3. serve recommendation requests over the wire — first one at a time
+   (a lone request is dispatched at once: there is no batch timer), then
+   as a concurrent client swarm whose requests gather behind the batch
+   that is running and ride the next one together,
 4. apply a live cell edit through the edit endpoint (incremental recalc
    plus re-index),
 5. read the server's observability surface (/stats): admission counters,
@@ -51,7 +52,7 @@ def main() -> None:
     cases = sample_test_cases("PGE", test_workbooks, max_per_sheet=3)
 
     print("2) Starting the HTTP server on an ephemeral port ...")
-    config = ServerConfig(max_batch_size=8, max_batch_wait_s=0.01)
+    config = ServerConfig(max_batch_size=8)
     with start_server_in_background(service, config) as handle:
         print(f"   listening on {handle.base_url}")
         client = FormulaClient(handle.host, handle.port)
@@ -63,12 +64,20 @@ def main() -> None:
         print(
             f"   single request: {response['formula']!r} "
             f"(confidence {response['confidence'] or 0.0:.2f}, "
-            f"rode a batch of {response['batch_size']})"
+            f"rode a batch of {response['batch_size']}, "
+            f"queued {response['queue_seconds'] * 1000:.2f} ms)"
         )
+        # Batch while busy: a request that finds its workspace idle does
+        # not wait for company.
+        assert response["batch_size"] == 1, response["batch_size"]
+        assert any(
+            line.startswith('server_batch_dispatch_total{reason="idle"} ')
+            for line in client.metrics_text().splitlines()
+        ), "missing batch_dispatch{reason=\"idle\"}"
 
-        # A swarm of concurrent clients asking about the same sheets: the
-        # micro-batcher coalesces simultaneous arrivals into one engine
-        # batch per workspace, so they share featurization and retrieval.
+        # A swarm of concurrent clients asking about the same sheets: what
+        # arrives while a batch is running goes out as the next engine
+        # batch, so the requests share featurization and retrieval.
         tasks = [
             (sheet_to_dict(case.target_sheet), case.target_cell.to_a1())
             for case in cases[:12]
@@ -93,6 +102,11 @@ def main() -> None:
 
         print("5) Reading the observability surface ...")
         stats = client.stats()
+        # The batch cap and the admission bounds: there is no batch window.
+        assert set(stats["config"]) == {
+            "max_batch_size", "queue_limit", "rate_limit_per_tenant",
+        }, stats["config"]
+        print(f"   config            : {stats['config']}")
         print(f"   counters          : {stats['counters']}")
         print(f"   batch sizes       : {stats['batch_size_histogram']}")
         print(f"   coalescing ratio  : {stats['coalescing_ratio']:.2f}")

@@ -25,9 +25,10 @@ bodies carry ``trace_id`` so client-side failures are joinable against
 the server-side trace.
 
 Serving requests flow admission control → per-workspace micro-batcher →
-``serve_batch`` on a thread-pool executor (see ``repro.server.batching``);
-mutations run directly on the executor, serialized against serving by the
-workspace's own reader-writer lock.  Rejections carry ``Retry-After``.
+``serve_batch`` on a thread-pool executor, one batch per workspace at a
+time and no batch timer (see ``repro.server.batching``); mutations run
+directly on the executor, serialized against serving by the workspace's
+own reader-writer lock.  Rejections carry ``Retry-After``.
 
 :func:`start_server_in_background` runs the whole event loop on a daemon
 thread and hands back a :class:`ServerHandle` — the shape tests, examples
@@ -96,12 +97,12 @@ class ServerConfig:
     #: 0 binds an ephemeral port (read it back from ``ServerHandle.port``).
     port: int = 0
     #: Coalescing cap: requests per ``serve_batch`` dispatch (1 = off).
+    #: There is no coalescing window: a batch gathers only behind the one
+    #: that is running (``repro.server.batching``).
     max_batch_size: int = 16
-    #: Coalescing window: how long an open batch waits for company.
-    max_batch_wait_s: float = 0.002
     #: Admission policy (queue bound, per-tenant rate limit, drain hint).
     admission: AdmissionConfig = AdmissionConfig()
-    #: Thread-pool width for serve/mutation execution.
+    #: Thread-pool width: one serve per workspace at a time, plus mutations.
     executor_workers: int = 4
     #: Interned-sheet cache entries (content-addressed request sheets).
     sheet_cache_entries: int = 256
@@ -167,7 +168,6 @@ class FormulaServer:
             self._executor,
             self.metrics,
             max_batch_size=self.config.max_batch_size,
-            max_batch_wait_s=self.config.max_batch_wait_s,
         )
         self._interner = SheetInterner(self.config.sheet_cache_entries)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -356,6 +356,7 @@ class FormulaServer:
                 return 200, self._stats_body(), {}
             if segments == ["metrics"] and request.method == "GET":
                 endpoint = "metrics"
+                self._sync_workspaces()
                 return (
                     200,
                     _RawBody(
@@ -408,6 +409,7 @@ class FormulaServer:
         try:
             return self.service.workspace(name)
         except KeyError:
+            self._batchers.retire(name)  # dropped since it was last served
             raise KeyError(f"workspace {name!r}")
 
     # --------------------------------------------------------------- handlers
@@ -510,10 +512,15 @@ class FormulaServer:
             "workspaces": self.service.workspace_names(),
         }
 
-    def _stats_body(self) -> Dict[str, object]:
-        # Memory gauges are (re-)registered lazily: workspaces appear and
-        # disappear through the service API, and registration by name is
-        # idempotent, so /stats always reports the current registry.
+    def _sync_workspaces(self) -> None:
+        """Bring the per-workspace instruments in line with the service.
+
+        Workspaces appear and disappear through the service API, which
+        the server does not see, so both scrape endpoints (``/stats`` and
+        ``/metrics``) call this first: registration by name is idempotent
+        and rebinds to the current workspace object, and whatever belongs
+        to a workspace that is gone — gauges and batcher — is let go.
+        """
         names = self.service.workspace_names()
         for name in names:
             workspace = self.service.workspace(name)
@@ -533,7 +540,11 @@ class FormulaServer:
                     "workspace.latency", labels={"workspace": name}, recorder=recorder
                 )
         self.metrics.prune_memory_gauges(names)
+        self._batchers.retain(names)
         self.metrics.mirror_cache_stats(cache_stats)
+
+    def _stats_body(self) -> Dict[str, object]:
+        self._sync_workspaces()
         body = self.metrics.snapshot()
         body["tracing"] = self.tracer.stats()
         body["caches"] = cache_stats()
@@ -548,7 +559,6 @@ class FormulaServer:
         }
         body["config"] = {
             "max_batch_size": self.config.max_batch_size,
-            "max_batch_wait_s": self.config.max_batch_wait_s,
             "queue_limit": self.config.admission.queue_limit,
             "rate_limit_per_tenant": self.config.admission.rate_limit_per_tenant,
         }

@@ -1,44 +1,48 @@
-"""The micro-batching serve loop: coalesce, dispatch, attribute.
+"""The micro-batching serve loop: batch while busy.
 
-One :class:`WorkspaceBatcher` runs per workspace.  Requests admitted by
-the admission controller are appended to the workspace's ingress queue;
-the batcher's collector task takes the first request, then keeps
-collecting until either ``max_batch_size`` requests are in hand or
-``max_batch_wait_s`` has elapsed since the batch opened, and dispatches
-the whole batch as *one* ``workspace.serve_batch`` call on the shared
-thread-pool executor.  Concurrently arriving requests for one workspace
-therefore ride the engine's vectorized batch path (shared featurization
-and retrieval) instead of paying per-request serving N times.
+One :class:`WorkspaceBatcher` runs per workspace and keeps at most one
+``workspace.serve_batch`` call in flight.  Its collector takes what has
+queued up (at most ``max_batch_size`` requests), dispatches it as *one*
+``serve_batch`` on the shared thread-pool executor and **awaits that
+dispatch**; requests admitted meanwhile pile up and are the next batch.
+There is no timer and no knob: a request that finds its workspace idle
+is dispatched at once, riders gather only behind a batch that is already
+running, and batch size follows load — 1 when requests trickle in, the
+cap when they flood — so concurrent requests still share the engine's
+vectorized batch path and nobody waits for company that does not come.
+One serve per workspace is deliberate: two serves of one workspace on
+two threads of one process ran at 0.51-0.84 of one (the GIL; DESIGN.md
+"Why there is no batch timer").  The executor's other threads serve
+mutations and other workspaces.
 
-Dispatch does not block collection: each flush runs as its own task, so
-while one batch executes in the pool the collector is already filling
-the next (the workspace read-lock admits any number of concurrent
-serves).  ``max_batch_size=1`` degenerates to one-request-at-a-time
-serving — the benchmark baseline — with everything else unchanged.
+The one thing that holds a request back is the *idle sweep*: a collector
+woken from an empty queue yields to the event loop (``sleep(0)``, never a
+clock) for as long as the turns keep adding requests.  A wave of N
+clients that fire together reaches the queue over several loop turns;
+without the sweep the first is served alone while the loop thread
+decodes its N-1 siblings beside it.
 
 Coalescing also enables *duplicate collapsing*: the sheet interner
 content-addresses request sheets, so two wire requests carrying the same
 sheet bytes and target cell arrive as one ``(sheet identity, cell)``.
 The batcher does not look: it hands ``serve_batch`` the whole batch and
-maps the responses back one to one, and the workspace — the one place
-that collapses, for in-process callers too — computes each distinct key
-once and fans the result out (classic request coalescing, as in
-cache-stampede protection).  Duplicates differ only in their echoed
-``request_id``.
-
-Each response is resolved onto its request's future together with the
-batch size it rode in and its queue wait, so latency attribution
-(queue + amortized predictor share) survives coalescing.
+maps the responses back one to one; the workspace — the one place that
+collapses, for in-process callers too — computes each distinct key once
+and fans the result out (duplicates differ only in their echoed
+``request_id``).  Each response resolves its request's future with the
+batch size it rode in and its queue wait, so latency attribution (queue
++ amortized predictor share) survives coalescing.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import time
+from collections import deque
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from time import monotonic
+from typing import Deque, Dict, Iterable, List, Optional, Set
 
 from repro.obs import get_tracer
 from repro.obs.tracing import Span
@@ -51,16 +55,25 @@ from repro.server.metrics import (
 )
 from repro.service.types import RecommendationRequest, RecommendationResponse
 
-#: Queue sentinel that tells a collector task to finish and exit.
-_STOP = object()
-
 #: Reusable stand-in when a batch has no traced leader to host a span.
 _NULL_CONTEXT = contextlib.nullcontext()
+
+#: Consecutive loop turns without an arrival that end the idle sweep: the
+#: depth of asyncio's read path, not a tunable.  Bytes the selector has seen
+#: take three turns to reach the queue (reader callback feeds the stream,
+#: connection task wakes, decodes and submits), so after three quiet turns
+#: nothing was on its way when the sweep began.
+_QUIET_TURNS = 3
 
 
 @dataclass(frozen=True)
 class ServedResult:
-    """One request's outcome, annotated with serving attribution."""
+    """One request's outcome, annotated with serving attribution.
+
+    ``queue_seconds`` is enqueue → dispatch: the time spent behind the
+    batch that was running on arrival, ≈ 0 (the idle sweep's few loop
+    turns) for a request that found its workspace idle.
+    """
 
     response: RecommendationResponse
     batch_size: int
@@ -80,13 +93,13 @@ class _Pending:
 
     request: RecommendationRequest
     future: "asyncio.Future[ServedResult]"
-    enqueued_at: float = field(default_factory=time.monotonic)
-    span: Optional[Span] = None
+    enqueued_at: float
+    span: Optional[Span]
 
 
 class WorkspaceBatcher:
     """Coalesces one workspace's serving requests into engine batches:
-    one ``serve_batch`` call per batch, response ``i`` to request ``i``."""
+    one ``serve_batch`` call in flight, response ``i`` to request ``i``."""
 
     def __init__(
         self,
@@ -94,55 +107,41 @@ class WorkspaceBatcher:
         executor: Executor,
         metrics: ServerMetrics,
         max_batch_size: int = 16,
-        max_batch_wait_s: float = 0.002,
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if max_batch_wait_s < 0:
-            raise ValueError("max_batch_wait_s must be non-negative")
         self.workspace = workspace
         self._executor = executor
         self._metrics = metrics
         self.max_batch_size = max_batch_size
-        self.max_batch_wait_s = max_batch_wait_s
-        self._queue: "asyncio.Queue[object]" = asyncio.Queue()
-        self._inflight: set = set()
+        self._queue: Deque[_Pending] = deque()
+        self._arrived = asyncio.Event()
         self._outstanding = 0
         self._collector: Optional[asyncio.Task] = None
         self._stopped = False
 
     # ------------------------------------------------------------- lifecycle
 
-    def start(self) -> None:
-        """Start the collector task (idempotent)."""
-        if self._collector is None:
-            self._collector = asyncio.get_running_loop().create_task(self._run())
-
     def queue_depth(self) -> int:
-        """Admitted requests not yet answered (queued + in-flight).
-
-        This — not the raw queue size — is the backpressure signal the
-        admission controller bounds: the collector pops the queue the
-        moment it opens a batch, so raw queue size would read ~0 even
-        with the executor saturated and batches stacked up behind it.
-        """
+        """Admitted requests not yet answered: queued *and* in the running
+        batch, which a raw queue length would miss.  This is the
+        backpressure signal the admission controller bounds."""
         return self._outstanding
 
-    async def drain(self) -> None:
-        """Finish everything queued, then stop the collector.
-
-        The caller must have stopped admission first; anything enqueued
-        before the drain is still served, which is what makes shutdown
-        graceful rather than request-dropping.
-        """
-        if self._stopped:
-            return
+    def close(self) -> Optional[asyncio.Task]:
+        """Refuse new submits; returns the collector task, which serves
+        what is already queued (in order, in capped batches) and exits."""
         self._stopped = True
-        self._queue.put_nowait(_STOP)
-        if self._collector is not None:
-            await self._collector
-        if self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+        self._arrived.set()
+        return self._collector
+
+    async def drain(self) -> None:
+        """Serve everything already admitted, then stop: what makes
+        shutdown graceful rather than request-dropping.  (The caller has
+        stopped admission; ``submit`` raises from here on.)"""
+        collector = self.close()
+        if collector is not None:
+            await collector
 
     # --------------------------------------------------------------- ingress
 
@@ -150,72 +149,57 @@ class WorkspaceBatcher:
         """Enqueue one admitted request; resolves when its batch completes."""
         if self._stopped:
             raise RuntimeError("batcher is draining")
-        future: "asyncio.Future[ServedResult]" = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        if self._collector is None:
+            self._collector = loop.create_task(self._run())
+        future: "asyncio.Future[ServedResult]" = loop.create_future()
         self._outstanding += 1
         self._metrics.count(ADMITTED_TO_BATCHER)
-        self._queue.put_nowait(
-            _Pending(
-                request=request,
-                future=future,
-                span=get_tracer().current_span(),
-            )
-        )
+        self._queue.append(_Pending(request, future, monotonic(), get_tracer().current_span()))
+        self._arrived.set()
         return future
 
     # ------------------------------------------------------------ collection
 
     async def _run(self) -> None:
+        queue = self._queue
+        idle = True  # no batch is running; False for what gathered behind one
         while True:
-            head = await self._queue.get()
-            if head is _STOP:
-                return
-            batch = [head]
-            stop_seen = await self._fill(batch)
-            self._flush(batch)
-            if stop_seen:
-                return
+            while not queue:
+                if self._stopped:
+                    return
+                idle = True
+                self._arrived.clear()
+                await self._arrived.wait()
+            if idle:
+                await self._sweep()
+            batch = [queue.popleft() for __ in range(min(len(queue), self.max_batch_size))]
+            if self._stopped:
+                reason = "drain"
+            elif len(batch) == self.max_batch_size:
+                reason = "full"
+            else:
+                reason = "idle" if idle else "busy"
+            await self._serve(batch, reason)
+            idle = False
 
-    async def _fill(self, batch: List[_Pending]) -> bool:
-        """Collect up to the batch cap within the coalescing window.
-
-        Returns whether the stop sentinel was consumed while collecting
-        (the current batch is still flushed — drain never drops work).
-        """
-        if self.max_batch_size == 1:
-            return False
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.max_batch_wait_s
-        while len(batch) < self.max_batch_size:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                # Window closed: sweep whatever is already queued, no wait.
-                while len(batch) < self.max_batch_size and not self._queue.empty():
-                    item = self._queue.get_nowait()
-                    if item is _STOP:
-                        return True
-                    batch.append(item)
-                return False
-            try:
-                item = await asyncio.wait_for(self._queue.get(), remaining)
-            except asyncio.TimeoutError:
-                return False
-            if item is _STOP:
-                return True
-            batch.append(item)
-        return False
+    async def _sweep(self) -> None:
+        """The idle sweep: yield while each loop turn adds a request — at
+        most ``_QUIET_TURNS`` turns per request and ``max_batch_size``
+        requests, so the wait is bounded in turns and reads no clock."""
+        queue = self._queue
+        quiet, seen = 0, len(queue)
+        while quiet < _QUIET_TURNS and seen < self.max_batch_size and not self._stopped:
+            await asyncio.sleep(0)
+            quiet = quiet + 1 if len(queue) == seen else 0
+            seen = len(queue)
 
     # ------------------------------------------------------------- dispatch
 
-    def _flush(self, batch: List[_Pending]) -> None:
-        task = asyncio.get_running_loop().create_task(self._execute(batch))
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
-
-    async def _execute(self, batch: List[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
+    async def _serve(self, batch: List[_Pending], reason: str) -> None:
         requests = [pending.request for pending in batch]
-        dispatched_at = time.monotonic()
-        self._metrics.observe_batch(len(batch))
+        dispatched_at = monotonic()
+        self._metrics.observe_batch(len(batch), reason)
         for pending in batch:
             queue_seconds = dispatched_at - pending.enqueued_at
             self._metrics.observe_queue_wait(queue_seconds)
@@ -238,7 +222,7 @@ class WorkspaceBatcher:
                     return self.workspace.serve_batch(requests)
 
         try:
-            responses = await loop.run_in_executor(
+            responses = await asyncio.get_running_loop().run_in_executor(
                 self._executor, _serve_in_leader_context
             )
         except Exception as exc:
@@ -252,15 +236,10 @@ class WorkspaceBatcher:
             self._metrics.count(COMPLETED_BY_BATCHER, len(batch))
         self._metrics.count(SERVED, len(batch))
         for pending, response in zip(batch, responses):
-            if pending.future.cancelled():
-                continue
-            pending.future.set_result(
-                ServedResult(
-                    response=response,
-                    batch_size=len(batch),
-                    queue_seconds=dispatched_at - pending.enqueued_at,
+            if not pending.future.cancelled():
+                pending.future.set_result(
+                    ServedResult(response, len(batch), dispatched_at - pending.enqueued_at)
                 )
-            )
 
 
 class BatcherPool:
@@ -271,32 +250,51 @@ class BatcherPool:
         executor: Executor,
         metrics: ServerMetrics,
         max_batch_size: int = 16,
-        max_batch_wait_s: float = 0.002,
     ) -> None:
         self._executor = executor
         self._metrics = metrics
         self._max_batch_size = max_batch_size
-        self._max_batch_wait_s = max_batch_wait_s
         self._batchers: Dict[str, WorkspaceBatcher] = {}
+        #: Collectors of retired batchers that are still serving their queue.
+        self._retiring: Set[asyncio.Task] = set()
 
     def batcher_for(self, name: str, workspace) -> WorkspaceBatcher:
         batcher = self._batchers.get(name)
-        if batcher is None or batcher.workspace is not workspace:
+        if batcher is not None and batcher.workspace is not workspace:
+            # Dropped and re-created under the same name.
+            self.retire(name)
+            batcher = None
+        if batcher is None:
             batcher = WorkspaceBatcher(
-                workspace,
-                self._executor,
-                self._metrics,
-                max_batch_size=self._max_batch_size,
-                max_batch_wait_s=self._max_batch_wait_s,
+                workspace, self._executor, self._metrics, self._max_batch_size
             )
-            batcher.start()
             self._metrics.register_queue_gauge(name, batcher.queue_depth)
             self._batchers[name] = batcher
         return batcher
+
+    def retire(self, name: str) -> None:
+        """Forget the batcher and queue gauge of a dropped or replaced
+        workspace.  What it has queued is still answered, by the workspace
+        that admitted it; after that nothing here references it."""
+        batcher = self._batchers.pop(name, None)
+        if batcher is None:
+            return
+        self._metrics.remove_queue_gauge(name)
+        collector = batcher.close()
+        if collector is not None and not collector.done():
+            self._retiring.add(collector)
+            collector.add_done_callback(self._retiring.discard)
+
+    def retain(self, names: Iterable[str]) -> None:
+        """Retire the batcher of every workspace not in ``names``."""
+        for name in set(self._batchers).difference(names):
+            self.retire(name)
 
     def queue_depth(self, name: str) -> int:
         batcher = self._batchers.get(name)
         return batcher.queue_depth() if batcher is not None else 0
 
     async def drain_all(self) -> None:
-        await asyncio.gather(*(batcher.drain() for batcher in self._batchers.values()))
+        await asyncio.gather(
+            *(batcher.drain() for batcher in self._batchers.values()), *self._retiring
+        )

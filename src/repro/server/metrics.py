@@ -11,14 +11,19 @@ through ``registry.snapshot()``:
 * admission counters (``server.<key>``) — accepted / rejected (by
   reason) / shed-on-drain / served / errored requests;
 * the micro-batcher's batch-size distribution (labeled counter
-  ``server.batch_size{size=N}``) and the derived *coalescing ratio*
-  (requests served per ``serve_batch`` dispatch);
+  ``server.batch_size{size=N}``), why each batch went out when it did
+  (``server.batch_dispatch{reason=idle|busy|full|drain}``: its head found
+  the workspace idle / it gathered behind a running batch / it hit
+  ``max_batch_size`` / it was flushed by a drain) and the derived
+  *coalescing ratio* (requests served per ``serve_batch`` dispatch);
+* the **queue wait** histogram (``server.queue_wait``): enqueue →
+  dispatch per request, i.e. the time spent behind the batch that was
+  running when the request arrived — ≈ 0 for a request that found its
+  workspace idle (there is no batch timer to wait out);
 * an **in-flight gauge** (``server.inflight``): requests admitted to a
-  batcher minus requests completed.  The old per-batcher "queue depth"
-  read ``qsize()`` which was always ~0 because the collector pops
-  immediately; admitted-minus-completed counts work that has been
-  accepted but whose future has not resolved, which is the number an
-  operator actually wants under a stalled flush;
+  batcher minus requests completed — queued behind the running batch or
+  executing in it — which is the number an operator wants under a
+  stalled batch, and what admission control bounds per workspace;
 * per-endpoint wall-clock latency as registry histograms
   (``server.endpoint{endpoint=...}``) backed by bounded-memory
   reservoir :class:`~repro.evaluation.latency.LatencyRecorder`
@@ -70,6 +75,11 @@ _MIRRORED_STATS = {
 }
 
 
+def _by_label(readings: Dict) -> Dict[str, object]:
+    """``{label value: reading}`` of a one-label instrument family."""
+    return {labels[0][1]: reading for labels, reading in readings.items()}
+
+
 class ServerMetrics:
     """Thread-safe aggregate of the serving front-end's vital signs."""
 
@@ -84,7 +94,6 @@ class ServerMetrics:
         # Key sets drive snapshot() shape; values always come from the
         # registry so there is exactly one copy of every number.
         self._counter_keys = set()
-        self._queue_gauge_names = set()
         self._memory_gauges: Dict[str, Callable[[], Dict[str, object]]] = {}
         self._queue_wait = self.registry.histogram(
             "server.queue_wait", reservoir_size=latency_window
@@ -105,13 +114,17 @@ class ServerMetrics:
     def counter(self, key: str) -> int:
         return self.registry.counter_value(f"server.{key}")
 
-    def observe_batch(self, size: int) -> None:
-        """One ``serve_batch`` dispatch that carried ``size`` requests."""
+    def observe_batch(self, size: int, reason: str) -> None:
+        """One ``serve_batch`` dispatch that carried ``size`` requests and
+        went out for ``reason`` (``idle`` / ``busy`` / ``full`` / ``drain``)."""
         self.count(BATCHES)
         self.count(BATCHED_REQUESTS, size)
         self.registry.counter("server.batch_size", labels={"size": str(size)}).inc()
+        self.registry.counter("server.batch_dispatch", labels={"reason": reason}).inc()
 
     def observe_queue_wait(self, seconds: float) -> None:
+        """One request's enqueue → dispatch time: what it spent behind a
+        running batch (≈ 0 when it found its workspace idle)."""
         self._queue_wait.observe(max(seconds, 0.0))
 
     def endpoint_recorder(self, endpoint: str) -> Histogram:
@@ -130,14 +143,16 @@ class ServerMetrics:
 
         The callback should report *admitted minus completed* (see
         :meth:`repro.server.batching.WorkspaceBatcher.queue_depth`), not a
-        raw queue ``qsize`` — the collector pops eagerly so ``qsize`` is
-        ~0 even while dozens of requests sit in a stalled flush.
+        raw queue length, which misses the requests of the running batch.
+        Re-registering a name rebinds the callback.
         """
-        with self._mutex:
-            self._queue_gauge_names.add(name)
         self.registry.gauge(
             "server.queue_depth", labels={"workspace": name}, fn=depth
         )
+
+    def remove_queue_gauge(self, name: str) -> None:
+        """Drop the depth gauge of a retired batcher."""
+        self.registry.remove("server.queue_depth", labels={"workspace": name})
 
     def register_memory_gauge(
         self, name: str, stats: Callable[[], Dict[str, object]]
@@ -199,6 +214,7 @@ class ServerMetrics:
         for name in stale:
             labels = {"workspace": name}
             self.registry.remove("workspace.index_bytes", labels=labels)
+            self.registry.remove("workspace.latency", labels=labels)
             for family, fields in _MIRRORED_STATS.items():
                 for field in fields:
                     self.registry.remove(f"{family}_{field}", labels=labels)
@@ -221,30 +237,25 @@ class ServerMetrics:
         """One JSON-ready view of every metric (the ``/stats`` body)."""
         with self._mutex:
             counter_keys = sorted(self._counter_keys)
-            gauge_names = sorted(self._queue_gauge_names)
             memory_gauges = dict(self._memory_gauges)
         counters = {key: self.counter(key) for key in counter_keys}
         counters[COLLAPSED_DUPLICATES] = int(
             sum(self.registry.gauge_values("workspace.serve_collapsed_duplicates").values())
         )
-        batch_sizes = {
-            labels[0][1]: count
-            for labels, count in self.registry.counter_values("server.batch_size").items()
-        }
-        batch_sizes = {
-            size: batch_sizes[size] for size in sorted(batch_sizes, key=int)
-        }
-        depths = {
-            labels[0][1]: int(value)
-            for labels, value in self.registry.gauge_values("server.queue_depth").items()
-        }
+        counters["batch_dispatch"] = _by_label(
+            self.registry.counter_values("server.batch_dispatch")
+        )
+        batch_sizes = _by_label(self.registry.counter_values("server.batch_size"))
+        depths = _by_label(self.registry.gauge_values("server.queue_depth"))
         batches = counters.get(BATCHES, 0)
         coalescing = counters.get(BATCHED_REQUESTS, 0) / batches if batches else 0.0
         return {
             "counters": counters,
-            "batch_size_histogram": batch_sizes,
+            "batch_size_histogram": {
+                size: batch_sizes[size] for size in sorted(batch_sizes, key=int)
+            },
             "coalescing_ratio": coalescing,
-            "queue_depths": {name: depths.get(name, 0) for name in gauge_names},
+            "queue_depths": {name: int(depths[name]) for name in sorted(depths)},
             "in_flight": self.inflight(),
             "queue_wait": self._queue_wait.summary(),
             "index_memory": {name: stats() for name, stats in memory_gauges.items()},

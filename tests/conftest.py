@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import logging
 import random
 
 import numpy as np
@@ -46,6 +48,29 @@ def tracer():
     finally:
         instance.configure(enabled=False, sample_rate=1.0, slow_threshold_s=0.25)
         instance.reset()
+
+
+@pytest.fixture()
+def fail_on_asyncio_errors():
+    """Fail a test that leaves an ERROR record on the ``asyncio`` logger.
+
+    That is where the event loop reports what nobody awaited: a pending
+    task destroyed with its loop ("Task was destroyed but it is
+    pending!"), an exception no one retrieved.  The server modules opt in
+    (``pytestmark`` / ``usefixtures``); collecting garbage before the
+    check makes the test that orphaned a task the one that fails.
+    """
+    records = []
+    handler = logging.Handler(level=logging.ERROR)
+    handler.emit = records.append
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield
+        gc.collect()
+    finally:
+        logger.removeHandler(handler)
+    assert not records, [record.getMessage() for record in records]
 
 
 @pytest.fixture(scope="session")

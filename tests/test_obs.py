@@ -31,7 +31,7 @@ from repro.server import (
 from repro.server.schemas import SchemaError, decode_recommend_payload
 from repro.service import RecommendationRequest
 
-from test_server import _stub_service, _target_sheet
+from test_server import TIMEOUT, _Gate, _stub_service, _target_sheet
 from test_service import _config
 
 
@@ -362,6 +362,7 @@ class TestReservoirRecorder:
 # ------------------------------------------------------------------- server
 
 
+@pytest.mark.usefixtures("fail_on_asyncio_errors")
 class TestServerObservability:
     def test_trace_header_echo_and_error_bodies(self):
         config = ServerConfig(trace_sample_rate=1.0)
@@ -445,10 +446,11 @@ class TestServerObservability:
 
     def test_inflight_gauge_sees_stalled_flush(self):
         """Regression for the /stats queue-depth bug: while a batch is
-        stuck in the (slow) flush, admitted-minus-completed must be > 0,
+        stuck in the (gated) serve, admitted-minus-completed must be > 0,
         and must return to 0 once the batch drains."""
-        config = ServerConfig(max_batch_wait_s=0.0)
-        with start_server_in_background(_stub_service(delay_seconds=0.6), config) as handle:
+        service = _stub_service()
+        gate = _Gate(service.workspace("acme"))
+        with start_server_in_background(service) as handle:
             client = FormulaClient(handle.host, handle.port)
             errors = []
 
@@ -462,18 +464,13 @@ class TestServerObservability:
 
             worker = threading.Thread(target=fire)
             worker.start()
-            observed = 0
-            deadline = time.time() + 5.0
-            while time.time() < deadline:
-                observed = client.stats()["in_flight"]
-                if observed > 0:
-                    break
-                time.sleep(0.02)
-            worker.join()
+            assert gate.entered.wait(TIMEOUT)
+            observed = client.stats()["in_flight"]
+            gate.open()
+            worker.join(TIMEOUT)
             assert not errors
             assert observed > 0
             assert client.stats()["in_flight"] == 0
-
 
     def test_edit_trace_and_reindex_gauges(self, trained_encoder, pge_corpus):
         """An edit's trace has the re-index as its own span, and ``/metrics``
@@ -506,7 +503,6 @@ class TestServerObservability:
             assert [span["attributes"]["n_formulas"] for span in spans] == [8, 8, 9]
             assert all(span["attributes"]["n_store_cells"] > 0 for span in spans)
 
-            client.stats()  # per-workspace gauges are registered when /stats is read
             gauges = {
                 line.split(" ")[0]: float(line.split(" ")[1])
                 for line in client.metrics_text().splitlines()

@@ -5,10 +5,16 @@ direct ``FormulaService`` calls, coalesced-batch parity with sequential
 serving, admission-control status codes (429 rate limit, 503 shed/drain
 with ``Retry-After``), graceful drain, and the observability surface
 (``/stats`` queue depth, batch histogram, coalescing ratio, p50/p99).
+
+Coalescing outcomes are made deterministic with a *gate* on the
+workspace's ``serve_batch`` (see :class:`_Gate`), not with a batch
+window: there is none — a batch gathers only behind one that is running.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -32,13 +38,18 @@ from repro.sheet.io import sheet_to_dict
 from repro.testing import WorkloadConfig, generate_workload
 
 
+pytestmark = pytest.mark.usefixtures("fail_on_asyncio_errors")
+
+#: Upper bound on every blocking wait, so a regression fails instead of hanging.
+TIMEOUT = 30.0
+
+
 class _StubPredictor(FormulaPredictor):
     """Cheap deterministic predictor; optional per-batch serving delay."""
 
-    name = "stub"
-
-    def __init__(self, delay_seconds: float = 0.0):
+    def __init__(self, delay_seconds: float = 0.0, name: str = "stub"):
         self.delay_seconds = delay_seconds
+        self.name = name
         self.cells_predicted = 0
 
     def fit(self, reference_workbooks):
@@ -57,17 +68,78 @@ class _StubPredictor(FormulaPredictor):
         ]
 
 
-def _stub_service(delay_seconds: float = 0.0) -> FormulaService:
-    service = FormulaService()
+def _stub_workbook() -> Workbook:
     workbook = Workbook(name="wb1")
     sheet = workbook.add_sheet("Data")
     sheet.set("A1", 1.0)
     sheet.set("A2", 2.0)
     sheet.set("A3", formula="=SUM(A1:A2)")
+    return workbook
+
+
+def _stub_service(delay_seconds: float = 0.0) -> FormulaService:
+    service = FormulaService()
     service.create_workspace(
-        "acme", predictor=_StubPredictor(delay_seconds), workbooks=[workbook]
+        "acme", predictor=_StubPredictor(delay_seconds), workbooks=[_stub_workbook()]
     )
     return service
+
+
+class _Gate:
+    """Holds a workspace's ``serve_batch`` calls until the test opens it.
+
+    The first call to reach a closed gate sets ``entered``: from then on
+    the workspace is *busy*, so everything admitted meanwhile queues
+    behind that batch — which is how these tests get a coalesced batch
+    without timing anything.
+    """
+
+    def __init__(self, workspace) -> None:
+        self.entered = threading.Event()
+        self._open = threading.Event()
+        serve_batch = workspace.serve_batch
+
+        def gated(requests):
+            self.entered.set()
+            assert self._open.wait(TIMEOUT), "the test never opened the gate"
+            return serve_batch(requests)
+
+        workspace.serve_batch = gated
+
+    def open(self) -> None:
+        self._open.set()
+
+
+def _wait_until(predicate, what: str) -> None:
+    deadline = time.monotonic() + TIMEOUT
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.01)
+
+
+def _swarm_behind_gate(handle, gate, workspace_name, tasks):
+    """Fire ``tasks`` concurrently at a gated workspace; open the gate once
+    all of them are admitted.  Whatever the first arrivals' batch took
+    (the idle sweep decides), the rest went out as *one* batch behind it."""
+    outcome = {}
+
+    def fire():
+        outcome["result"] = run_client_swarm(
+            handle.host, handle.port, workspace_name, tasks, concurrency=len(tasks)
+        )
+
+    swarm = threading.Thread(target=fire)
+    swarm.start()
+    assert gate.entered.wait(TIMEOUT)
+    client = FormulaClient(handle.host, handle.port)
+    _wait_until(
+        lambda: client.stats()["queue_depths"][workspace_name] == len(tasks),
+        "the whole burst to be admitted",
+    )
+    gate.open()
+    swarm.join(TIMEOUT)
+    assert not swarm.is_alive()
+    return outcome["result"]
 
 
 def _target_sheet() -> Sheet:
@@ -103,8 +175,10 @@ class TestProtocolBasics:
             assert "p99_seconds" in stats["workspaces"]["acme"]
             assert stats["config"]["max_batch_size"] >= 1
             assert set(stats["config"]) == {
-                "max_batch_size", "max_batch_wait_s", "queue_limit", "rate_limit_per_tenant",
+                "max_batch_size", "queue_limit", "rate_limit_per_tenant",
             }
+            # A lone request found its workspace idle and did not wait.
+            assert stats["counters"]["batch_dispatch"] == {"idle": 1}
             # Every cache reports itself; the counts are process-wide.
             assert stats["caches"]["interned_sheets"]["miss"] >= 1
             assert set(stats["caches"]["interned_sheets"]) == {"hit", "miss", "evict", "size"}
@@ -175,6 +249,88 @@ class TestProtocolBasics:
             assert excinfo.value.status == 404
 
 
+    def test_metrics_read_first_has_the_workspace_gauges(self):
+        """A scraper that never reads ``/stats`` still gets every
+        per-workspace family (they used to be registered by ``/stats``)."""
+        with start_server_in_background(_stub_service()) as handle:
+            client = FormulaClient(handle.host, handle.port)
+            client.recommend("acme", _target_sheet(), "A3")
+            names = {
+                line.split(" ")[0]
+                for line in client.metrics_text().splitlines()
+                if not line.startswith("#")
+            }
+        for family in (
+            "workspace_index_bytes",
+            "workspace_reindex_same",
+            "workspace_reindex_changed",
+            "workspace_serve_collapsed_duplicates",
+            "server_queue_depth",
+        ):
+            assert f'{family}{{workspace="acme"}}' in names, family
+        assert 'workspace_latency_seconds_count{workspace="acme"}' in names
+        assert 'cache_size{cache="interned_sheets"}' in names
+        assert 'server_batch_dispatch_total{reason="idle"}' in names
+
+
+class TestWorkspaceLifecycle:
+    def test_remount_answers_admitted_work_and_lets_the_old_workspace_go(self):
+        """Drop + re-create a workspace under its name while the old one
+        has a batch in flight and two requests queued: all three are
+        answered (by the workspace that admitted them), the new workspace
+        serves at once, no collector task is orphaned (the module's
+        ``fail_on_asyncio_errors`` fixture) and nothing pins the old
+        workspace afterwards."""
+        service = _stub_service()
+        gate = _Gate(service.workspace("acme"))
+        old_workspace = weakref.ref(service.workspace("acme"))
+        answers = {}
+
+        def ask(request_id):
+            answers[request_id] = FormulaClient(handle.host, handle.port).recommend(
+                "acme", _target_sheet(), "A3", request_id=request_id
+            )
+
+        with start_server_in_background(service) as handle:
+            client = FormulaClient(handle.host, handle.port)
+            client.stats()  # binds the per-workspace gauges to the old workspace
+            askers = [threading.Thread(target=ask, args=(f"old-{i}",)) for i in range(3)]
+            askers[0].start()
+            assert gate.entered.wait(TIMEOUT)
+            for asker in askers[1:]:
+                asker.start()
+            _wait_until(
+                lambda: client.stats()["queue_depths"]["acme"] == 3, "two requests to queue"
+            )
+
+            service.drop_workspace("acme")
+            service.create_workspace(
+                "acme", predictor=_StubPredictor(name="stub-2"), workbooks=[_stub_workbook()]
+            )
+            # The new workspace is not stuck behind the old one's gate.
+            fresh = client.recommend("acme", _target_sheet(), "A3")
+            assert fresh["method"] == "stub-2" and fresh["batch_size"] == 1
+            assert client.stats()["queue_depths"] == {"acme": 0}
+
+            gate.open()
+            for asker in askers:
+                asker.join(TIMEOUT)
+            assert sorted(answers) == ["old-0", "old-1", "old-2"]
+            assert {answer["method"] for answer in answers.values()} == {"stub"}
+            assert {answer["formula"] for answer in answers.values()} == {"=SUM(A1:A3)"}
+
+            # Dropped for good: the next scrape lets go of everything.
+            service.drop_workspace("acme")
+            assert client.stats()["queue_depths"] == {}
+            assert "workspace=" not in client.metrics_text()
+            with pytest.raises(ServerError) as excinfo:
+                client.recommend("acme", _target_sheet(), "A3")
+            assert excinfo.value.status == 404
+        del gate
+        gc.collect()
+        assert old_workspace() is None
+
+
 # -------------------------------------------------------------------- parity
 
 
@@ -218,14 +374,14 @@ class TestWireParity:
                     RecommendationRequest(case.target_sheet, case.target_cell)
                 )
                 self._assert_wire_matches_direct(wire, direct_response)
-            # The S3 region stores report through the registry (gauges are
-            # registered per workspace when /stats is read).
-            stats = client.stats()
+            # The S3 region stores report through the registry; a scraper
+            # need not have read /stats first for the gauges to exist.
             metrics = {
                 line.split(" ")[0]: float(line.split(" ")[1])
                 for line in client.metrics_text().splitlines()
                 if not line.startswith("#")
             }
+            stats = client.stats()
             gauges = {
                 name for name in metrics if name.startswith("workspace_region_store_")
             }
@@ -249,24 +405,27 @@ class TestWireParity:
     def test_coalesced_burst_parity_and_ratio(self, trained_encoder, serving_corpus):
         references, cases, direct_workspace = serving_corpus
         service = FormulaService(trained_encoder, AutoFormulaConfig())
-        service.create_workspace("pge", workbooks=references)
-        # Burst: every case fired concurrently; generous window + cap equal
-        # to the burst size make the coalescing outcome deterministic.
-        config = ServerConfig(max_batch_size=len(cases), max_batch_wait_s=0.25)
+        gate = _Gate(service.create_workspace("pge", workbooks=references))
+        # Burst: every case fired concurrently at a gated workspace, cap
+        # equal to the burst size: the coalescing outcome is deterministic.
+        config = ServerConfig(max_batch_size=len(cases))
         with start_server_in_background(service, config) as handle:
             tasks = [
                 (sheet_to_dict(case.target_sheet), case.target_cell.to_a1())
                 for case in cases
             ]
-            result = run_client_swarm(
-                handle.host, handle.port, "pge", tasks, concurrency=len(tasks)
-            )
+            result = _swarm_behind_gate(handle, gate, "pge", tasks)
             stats = FormulaClient(handle.host, handle.port).stats()
 
         assert result.statuses == [200] * len(cases)
         # The burst actually coalesced: fewer batches than requests.
         assert stats["coalescing_ratio"] > 1.0
         assert max(response["batch_size"] for response in result.responses) > 1
+        # Exactly: the first arrivals' batch, and one batch behind it.
+        assert stats["counters"]["batches"] <= 2
+        assert sum(
+            int(size) * count for size, count in stats["batch_size_histogram"].items()
+        ) == len(cases)
 
         # Bit-parity: each wire response equals the direct sequential serve.
         by_id = {response["request_id"]: response for response in result.responses}
@@ -299,23 +458,23 @@ class TestWireParity:
         config = AutoFormulaConfig()
         service = FormulaService(trained_encoder, config)
         workbooks = [op.workbook for op in workload.ops if op.kind == "add"]
-        service.create_workspace(
-            tenant, workbooks=[workbook.copy() for workbook in workbooks]
+        gate = _Gate(
+            service.create_workspace(
+                tenant, workbooks=[workbook.copy() for workbook in workbooks]
+            )
         )
         direct = FormulaService(trained_encoder, config).create_workspace(
             "direct", workbooks=[workbook.copy() for workbook in workbooks]
         )
 
         burst = serve_ops[0]
-        server_config = ServerConfig(max_batch_size=len(burst.cases), max_batch_wait_s=0.25)
+        server_config = ServerConfig(max_batch_size=len(burst.cases))
         with start_server_in_background(service, server_config) as handle:
             tasks = [
                 (sheet_to_dict(case.target_sheet), case.target_cell.to_a1())
                 for case in burst.cases
             ]
-            result = run_client_swarm(
-                handle.host, handle.port, tenant, tasks, concurrency=len(tasks)
-            )
+            result = _swarm_behind_gate(handle, gate, tenant, tasks)
 
         assert result.statuses == [200] * len(burst.cases)
         direct_responses = direct.serve_batch(
@@ -333,13 +492,15 @@ class TestDuplicateCollapsing:
     def test_identical_requests_compute_once_and_fan_out(self):
         service = _stub_service()
         predictor = service.workspace("acme").predictor
-        config = ServerConfig(max_batch_size=8, max_batch_wait_s=0.25)
+        gate = _Gate(service.workspace("acme"))
+        config = ServerConfig(max_batch_size=8)
         with start_server_in_background(service, config) as handle:
             # Eight byte-identical (sheet, cell) requests fired concurrently:
-            # the interner maps them to one Sheet, the batcher collapses them
-            # to one predicted cell, and each caller still gets its own echo.
+            # the interner maps them to one Sheet, the workspace collapses
+            # each batch to one predicted cell, and each caller still gets
+            # its own echo.
             tasks = [(sheet_to_dict(_target_sheet()), "A3") for __ in range(8)]
-            result = run_client_swarm(handle.host, handle.port, "acme", tasks, concurrency=8)
+            result = _swarm_behind_gate(handle, gate, "acme", tasks)
             stats = FormulaClient(handle.host, handle.port).stats()
 
         assert result.statuses == [200] * 8
@@ -348,6 +509,7 @@ class TestDuplicateCollapsing:
         }
         assert {response["formula"] for response in result.responses} == {"=SUM(A1:A3)"}
         assert predictor.cells_predicted < 8
+        assert predictor.cells_predicted == stats["counters"]["batches"] <= 2
         assert stats["counters"]["collapsed_duplicates"] >= 8 - predictor.cells_predicted
         assert stats["counters"]["served"] == 8
 
