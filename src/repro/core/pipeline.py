@@ -498,6 +498,7 @@ class AutoFormula(FormulaPredictor):
         for layer in prefix:
             block = layer.forward(block, training=False)
         reduced = block.reshape(height, width, -1)
+        reduced.flags.writeable = False
         return self._reduced_cache.put(sheet, reduced)
 
     def _fine_region_vectors_fast(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+import itertools
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -10,6 +12,7 @@ from repro.cache import LRU
 from repro.embedding import TextEmbedder
 from repro.features.config import FeatureConfig
 from repro.sheet.cell import Cell, CellType, syntactic_pattern
+from repro.sheet.style import CellStyle
 
 #: Fixed ordering of cell types for the one-hot type feature.
 _CELL_TYPES = [
@@ -30,6 +33,9 @@ _N_STYLE_FEATURES = 16
 _N_INDICATOR_FEATURES = 1
 #: Feature vectors kept per featurizer.
 _MAX_CACHED_CELLS = 100_000
+#: A style's fields as one tuple, which C hashes and compares (the frozen
+#: dataclass itself does both in Python, per lookup).
+_style_fields = attrgetter(*CellStyle.__dataclass_fields__)
 
 
 class CellFeaturizer:
@@ -64,6 +70,9 @@ class CellFeaturizer:
         #: One featurizer is shared by every concurrent serving thread
         #: driving the same encoder.
         self._cache = LRU("cell_features", _MAX_CACHED_CELLS)
+        #: Style field tuple -> the number it contributes to a cache key.
+        self._style_ids: Dict[tuple, int] = {}
+        self._next_style_id = itertools.count()
 
     # ----------------------------------------------------------------- layout
 
@@ -148,26 +157,74 @@ class CellFeaturizer:
         features[15] = 1.0 if style.border_right else 0.0
         return features
 
+    def _keys(self, cells: Sequence[Cell], valid: bool) -> List[Optional[tuple]]:
+        """The cache key of each cell — the content that determines its
+        vector — or ``None`` for a cell that cannot be keyed (an unhashable
+        exotic value or style field): that one is never resident, reads as
+        a miss and is computed on every call.
+
+        C hashes and compares every part of a key.  A style contributes a
+        small integer interned from the tuple of its fields, so an entry
+        holds one number for its style, not twelve fields.
+        """
+        interned = self._style_ids
+        keys: List[Optional[tuple]] = []
+        for cell in cells:
+            value = cell.value
+            fields = _style_fields(cell.style)
+            try:
+                hash(value)  # cheap (a string keeps its hash); the key's own is not
+                style_id = interned.get(fields)
+                if style_id is None:
+                    if len(interned) >= _MAX_CACHED_CELLS:
+                        # Numbers are never handed out twice, so forgetting
+                        # them orphans cache entries and aliases none.
+                        interned.clear()
+                    style_id = interned.setdefault(fields, next(self._next_style_id))
+            except TypeError:
+                keys.append(None)
+                continue
+            # The type disambiguates 1 / 1.0 / True, which compare (and hash)
+            # equal as dict keys but featurize differently.
+            keys.append((type(value), value, bool(cell.formula), style_id, valid))
+        return keys
+
+    def _fill(self, key: Optional[tuple], cell: Cell, valid: bool) -> np.ndarray:
+        vector = self._featurize_uncached(cell, valid)
+        vector.setflags(write=False)
+        return vector if key is None else self._cache.put(key, vector)
+
     def featurize(self, cell: Cell, valid: bool = True) -> np.ndarray:
         """Full feature vector for a single cell.
 
         The returned array is shared through a content-keyed cache and
         marked read-only; copy it before mutating.
         """
-        try:
-            # type(value) disambiguates 1 / 1.0 / True, which compare (and
-            # hash) equal as dict keys but featurize differently.
-            key = (type(cell.value), cell.value, bool(cell.formula), cell.style, valid)
-            hash(key)
-        except TypeError:  # unhashable exotic value; compute uncached
-            key = None
-        if key is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-        vector = self._featurize_uncached(cell, valid)
-        vector.setflags(write=False)
-        return vector if key is None else self._cache.put(key, vector)
+        (key,) = self._keys((cell,), valid)
+        cached = self._cache.get(key)
+        return cached if cached is not None else self._fill(key, cell, valid)
+
+    def featurize_many(self, cells: Sequence[Cell]) -> List[np.ndarray]:
+        """:meth:`featurize` of every cell (as a valid cell), in order.
+
+        The bulk form a whole sheet goes through: all cells are looked up in
+        one cache transaction (:meth:`~repro.cache.LRU.get_many`), which
+        counts one lookup per cell exactly as the single-cell form does.  A
+        key that misses more than once is computed once.
+        """
+        keys = self._keys(cells, True)
+        vectors = self._cache.get_many(keys)
+        fresh: Dict[tuple, np.ndarray] = {}
+        for index, vector in enumerate(vectors):
+            if vector is None:
+                key = keys[index]
+                vector = fresh.get(key)
+                if vector is None:
+                    vector = self._fill(key, cells[index], True)
+                    if key is not None:
+                        fresh[key] = vector
+                vectors[index] = vector
+        return vectors
 
     def _featurize_uncached(self, cell: Cell, valid: bool) -> np.ndarray:
         parts: List[np.ndarray] = []

@@ -6,7 +6,7 @@ from operator import attrgetter
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.cache import LRU
 from repro.features.cell_features import CellFeaturizer
@@ -86,6 +86,22 @@ def window_from_padded(
     return window
 
 
+def _window_blocks(tensor: np.ndarray, window_rows: int, window_cols: int) -> np.ndarray:
+    """Every ``window_rows`` x ``window_cols`` block of ``tensor`` as a
+    read-only ``(row, col, window_row, window_col, dim)`` strided view;
+    ``[row, col]`` is the block whose top-left sits there.  Bounds-checked
+    like any array: the leading extents are exactly the positions at which
+    a whole block lies inside the tensor."""
+    height, width, dim = tensor.shape
+    row_stride, col_stride, dim_stride = tensor.strides
+    return as_strided(
+        tensor,
+        (height - window_rows + 1, width - window_cols + 1, window_rows, window_cols, dim),
+        (row_stride, col_stride, row_stride, col_stride, dim_stride),
+        writeable=False,
+    )
+
+
 def gather_windows(
     tensor: np.ndarray,
     center_rows: np.ndarray,
@@ -102,22 +118,30 @@ def gather_windows(
     ``tensor`` must have a ``window_rows // 2`` / ``window_cols // 2`` border
     around the sheet's ``n_rows`` x ``n_cols`` used extent, so a window
     centered on an in-extent cell is exactly the tensor block whose top-left
-    padded coordinate equals the center's sheet coordinate — the common case
-    is a single fancy-indexed slice of ``sliding_window_view``.  Centers
-    outside the used extent (a query on an empty part of the sheet) fall
-    back to a per-window rectangle copy against the same tensor.
+    padded coordinate equals the center's sheet coordinate.  Blocks are read
+    through :func:`_window_blocks`, so the common case — every center in the
+    extent — is one fancy-indexed copy, made in the layout it is returned
+    in.  Centers outside the used extent (a query on an empty part of the
+    sheet) fall back to a per-window rectangle copy against the same tensor.
+
+    The result is a private, writable, C-contiguous array: callers blank
+    centers in it and flatten it without another copy.
     """
-    count = len(center_rows)
-    dim = tensor.shape[-1]
     in_extent = (
         (center_rows >= 0) & (center_rows < n_rows) & (center_cols >= 0) & (center_cols < n_cols)
     )
-    windows = np.empty((count, window_rows, window_cols, dim), dtype=np.float32)
-    if in_extent.any():
-        view = sliding_window_view(tensor, (window_rows, window_cols), axis=(0, 1))
-        gathered = view[center_rows[in_extent], center_cols[in_extent]]
-        windows[in_extent] = np.moveaxis(gathered, 1, -1)
-    for position in np.flatnonzero(~in_extent):
+    outside = np.flatnonzero(~in_extent)
+    if len(center_rows) and not len(outside):
+        blocks = _window_blocks(tensor, window_rows, window_cols)
+        return np.ascontiguousarray(blocks[center_rows, center_cols], dtype=np.float32)
+    windows = np.empty(
+        (len(center_rows), window_rows, window_cols, tensor.shape[-1]), dtype=np.float32
+    )
+    inside = np.flatnonzero(in_extent)
+    if len(inside):
+        blocks = _window_blocks(tensor, window_rows, window_cols)
+        windows[inside] = blocks[center_rows[inside], center_cols[inside]]
+    for position in outside:
         # Padded coordinates of a window's top-left are its center's sheet
         # coordinates: the border is half a window wide.
         windows[position] = window_from_padded(
@@ -188,7 +212,13 @@ class WindowFeaturizer:
 
     def _build_tensor(self, sheet: Sheet) -> np.ndarray:
         """Padded feature tensor: a ``window_rows//2`` / ``window_cols//2``
-        border of invalid-padding cells around the sheet's used extent."""
+        border of invalid-padding cells around the sheet's used extent.
+
+        The stored cells are walked once, in storage order, featurized
+        against the cell cache in one transaction
+        (:meth:`CellFeaturizer.featurize_many`) and written with one scatter;
+        the result equals a cell-by-cell ``featurize`` loop byte for byte.
+        """
         rows, cols = self.config.window_rows, self.config.window_cols
         pad_row, pad_col = rows // 2, cols // 2
         height, width = self._padded_shape(sheet)
@@ -196,14 +226,21 @@ class WindowFeaturizer:
         tensor[:] = self._padding_features()
         interior = tensor[pad_row : pad_row + sheet.n_rows, pad_col : pad_col + sheet.n_cols]
         interior[:] = self._empty_features()
-        for address, cell in sheet.cells():
-            interior[address.row, address.col] = self.cell_featurizer.featurize(cell, valid=True)
+        stored = sheet.items()
+        if stored:
+            addresses, cells = zip(*stored)
+            interior[
+                [address.row for address in addresses], [address.col for address in addresses]
+            ] = np.array(self.cell_featurizer.featurize_many(cells))
         return tensor
 
     def _sheet_tensor(self, sheet: Sheet) -> np.ndarray:
         tensor = self._tensor_cache.get(sheet)
         if tensor is None:
-            tensor = self._tensor_cache.put(sheet, self._build_tensor(sheet))
+            tensor = self._build_tensor(sheet)
+            # Shared by every request on the sheet until its next edit.
+            tensor.flags.writeable = False
+            tensor = self._tensor_cache.put(sheet, tensor)
         return tensor
 
     def _densifiable(self, sheet: Sheet) -> bool:

@@ -96,7 +96,7 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0).astype(np.float32)
+        return np.where(self._mask, x, 0.0).astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         assert self._mask is not None
@@ -191,7 +191,8 @@ class Conv2D(Layer):
         batch, rows, cols, channels = x.shape
         k = self.kernel_size
         pad = k // 2
-        padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        padded = np.zeros((batch, rows + 2 * pad, cols + 2 * pad, channels), dtype=np.float32)
+        padded[:, pad : pad + rows, pad : pad + cols, :] = x
         columns = np.empty((batch, rows, cols, k * k * channels), dtype=np.float32)
         for di in range(k):
             for dj in range(k):
@@ -202,7 +203,7 @@ class Conv2D(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._input_shape = x.shape
-        self._columns = self._im2col(x.astype(np.float32))
+        self._columns = self._im2col(x)
         return self._columns @ self.params["W"] + self.params["b"]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -254,7 +255,7 @@ class AvgPool2D(Layer):
         out_rows, out_cols = rows // p, cols // p
         trimmed = x[:, : out_rows * p, : out_cols * p, :]
         reshaped = trimmed.reshape(batch, out_rows, p, out_cols, p, channels)
-        return reshaped.mean(axis=(2, 4)).astype(np.float32)
+        return reshaped.mean(axis=(2, 4)).astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         assert self._input_shape is not None
@@ -285,7 +286,7 @@ class L2Normalize(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._input = x
         self._norms = np.sqrt(np.sum(x**2, axis=-1, keepdims=True)) + self.epsilon
-        return (x / self._norms).astype(np.float32)
+        return (x / self._norms).astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         assert self._input is not None and self._norms is not None

@@ -553,10 +553,11 @@ class FormulaServer:
             "hits": self._interner.hits,
             "misses": self._interner.misses,
         }
-        body["workspaces"] = {
-            name: self.service.workspace(name).latency.summary()
-            for name in self.service.workspace_names()
+        workspaces = {
+            name: self.service.workspace(name) for name in self.service.workspace_names()
         }
+        body["workspaces"] = {name: ws.latency.summary() for name, ws in workspaces.items()}
+        body["reindex"] = {name: ws.reindex_stats() for name, ws in workspaces.items()}
         body["config"] = {
             "max_batch_size": self.config.max_batch_size,
             "queue_limit": self.config.admission.queue_limit,

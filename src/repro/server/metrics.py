@@ -63,13 +63,14 @@ COMPLETED_BY_BATCHER = "batch_completed"
 #: :meth:`ServerMetrics.mirror_stats`): per workspace
 #: ``AutoFormula.region_store_stats`` (S3 candidate lookups that found their
 #: cell stored / not, cells held), ``Workspace.reindex_stats`` (edits that
-#: left the sheet's formula list as it was / changed it) and
+#: left the sheet's formula list as it was / changed it / fell back to a
+#: full refit) and
 #: ``Workspace.serve_stats`` (the workspace, not the batcher, collapses
 #: duplicate requests, so that is where they are counted); per cache name
 #: ``repro.cache.stats()``.
 _MIRRORED_STATS = {
     "workspace.region_store": ("hit", "miss", "cells"),
-    "workspace.reindex": ("same", "changed"),
+    "workspace.reindex": ("same", "changed", "refit"),
     "workspace.serve": (COLLAPSED_DUPLICATES,),
     "cache": ("hit", "miss", "evict", "size"),
 }

@@ -134,8 +134,10 @@ class Workspace:
         #: entry is dropped when its workbook leaves the corpus.
         self._engines: Dict[Tuple[str, str], FormulaEngine] = {}
         #: In-place re-indexes since construction, by whether the edited
-        #: sheet's formula list was unchanged (``same``) or not (``changed``).
-        self._reindex_counts = {"same": 0, "changed": 0}
+        #: sheet's formula list was unchanged (``same``) or not (``changed``),
+        #: and the edits whose re-index raised and fell back to a full
+        #: ``refit``.
+        self._reindex_counts = {"same": 0, "changed": 0, "refit": 0}
         #: Requests answered from another request's prediction in the same
         #: ``serve_batch`` call.  Serves run concurrently under the read
         #: lock, so the count has its own mutex.
@@ -309,7 +311,9 @@ class Workspace:
                     # A half-applied re-index would leave the predictor
                     # disagreeing with the sheet it serves; a full refit on
                     # the registry restores consistency.  If the refit
-                    # itself fails, that error propagates.
+                    # itself fails, that error propagates.  Answers do not
+                    # show this path was taken, so it is counted.
+                    self._reindex_counts["refit"] += 1
                     self._refit()
             else:
                 self._refit()
@@ -329,7 +333,9 @@ class Workspace:
     def reindex_stats(self) -> Dict[str, int]:
         """How many edits re-indexed their sheet with its formula list
         unchanged (``same``: rows overwritten in place) and changed
-        (``changed``: the sheet's formula rows replaced)."""
+        (``changed``: the sheet's formula rows replaced), and how many fell
+        back to a full ``refit`` because the re-index raised — at equal
+        answers, so a non-zero count is the only sign of it."""
         return dict(self._reindex_counts)
 
     def _refit(self) -> None:

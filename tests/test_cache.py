@@ -153,6 +153,32 @@ class TestCounts:
         assert stats["evict"] == inserts - stats["size"] > 0
         assert stats["size"] == len(lru) == 5
 
+    def test_get_many_equals_the_same_gets_made_one_by_one(self):
+        """One transaction, same outcome: values, counts, the entries a stale
+        token drops and the recency order eviction follows — for plain keys
+        and for versioned ones, repeated keys included."""
+        rng = random.Random(11)
+        docs = [Doc() for __ in range(10)]
+        for make, keys in (
+            (lambda: LRU("test", 6), list(range(10))),
+            (lambda: versioned(6), docs),
+        ):
+            one_by_one, bulk = make(), make()
+            for __ in range(300):
+                batch = [rng.choice(keys) for __ in range(rng.randrange(0, 9))]
+                expected = [one_by_one.get(key) for key in batch]
+                assert bulk.get_many(batch) == expected
+                for key, value in zip(batch, expected):
+                    if value is None and rng.random() < 0.7:
+                        filled = object()
+                        assert one_by_one.put(key, filled) is bulk.put(key, filled)
+                if keys is docs and rng.random() < 0.3:
+                    rng.choice(docs).version += 1
+                assert bulk.values() == one_by_one.values()
+                assert bulk.stats() == one_by_one.stats()
+            assert bulk.stats()["hit"] > 100 and bulk.stats()["evict"] > 10
+        assert LRU("test", 1).get_many([]) == []
+
     def test_racing_threads_converge_on_one_resident_value(self):
         """12 threads fill the same misses: ``put`` hands every one of them
         the one resident array, answers equal serial, counts stay exact."""

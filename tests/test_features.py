@@ -83,6 +83,47 @@ class TestCellFeaturizer:
         assert np.array_equal(again, CellFeaturizer(featurizer._config).featurize(Cell(value="Revenue")))
 
 
+    def test_a_key_is_the_content_not_the_objects(self, featurizer):
+        """Equal styles on different objects share an entry; 1 / 1.0 / True,
+        equal as dict keys, do not; a formula cell is not its value."""
+        first = featurizer.featurize(Cell(value="x", style=CellStyle(bold=True, font_size=12.0)))
+        assert featurizer.featurize(Cell(value="x", style=CellStyle(bold=True, font_size=12))) is first
+        assert featurizer.featurize(Cell(value="x", style=CellStyle(bold=True))) is not first
+        vectors = [featurizer.featurize(Cell(value=value)) for value in (1, 1.0, True)]
+        assert len({id(vector) for vector in vectors}) == 3
+        assert not np.array_equal(vectors[0], vectors[2])
+        assert featurizer.featurize(Cell(value=1, formula="=A1")) is not vectors[0]
+        assert featurizer.featurize(Cell(value=1), valid=False) is not vectors[0]
+        assert featurizer._cache.stats()["size"] == 7
+
+    def test_unhashable_content_is_featurized_and_never_cached(self, featurizer):
+        for cell in (Cell(value=[1, 2]), Cell(value="x", style=CellStyle(bold=[1]))):
+            first = featurizer.featurize(cell)
+            again = featurizer.featurize(cell)
+            assert again is not first and np.array_equal(again, first)
+            assert not first.flags.writeable
+        assert np.array_equal(
+            featurizer.featurize(Cell(value="x", style=CellStyle(bold=[1]))),
+            featurizer.featurize(Cell(value="x", style=CellStyle(bold=True))),
+        )
+        assert featurizer._cache.stats() == {"hit": 0, "miss": 6, "evict": 0, "size": 1}
+
+    def test_forgetting_style_numbers_aliases_no_entry(self, featurizer, monkeypatch):
+        """The style intern table is bounded by clearing it; numbers are not
+        reused, so a style met again gets a new one and its own vectors."""
+        from repro.features import cell_features
+
+        monkeypatch.setattr(cell_features, "_MAX_CACHED_CELLS", 4)
+        styles = [CellStyle(font_size=float(size)) for size in range(8, 20)]
+        for __ in range(3):
+            for style in styles:
+                vector = featurizer.featurize(Cell(value="x", style=style))
+                expected = CellFeaturizer(featurizer._config).featurize(Cell(value="x", style=style))
+                assert np.array_equal(vector, expected)
+                assert len(featurizer._style_ids) <= 4
+        assert next(featurizer._next_style_id) == 3 * len(styles)
+
+
 class TestWindowBounds:
     def test_center_in_middle(self):
         assert region_window_bounds(CellAddress(50, 5), 20, 8) == (40, 1)

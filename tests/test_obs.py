@@ -508,9 +508,11 @@ class TestServerObservability:
                 for line in client.metrics_text().splitlines()
                 if line.startswith("workspace_reindex_")
             }
+            assert client.stats()["reindex"] == {"pge": {"same": 2, "changed": 1, "refit": 0}}
             assert gauges == {
                 'workspace_reindex_same{workspace="pge"}': 2.0,
                 'workspace_reindex_changed{workspace="pge"}': 1.0,
+                'workspace_reindex_refit{workspace="pge"}': 0.0,
             }
 
 

@@ -264,6 +264,7 @@ class TestProtocolBasics:
             "workspace_index_bytes",
             "workspace_reindex_same",
             "workspace_reindex_changed",
+            "workspace_reindex_refit",
             "workspace_serve_collapsed_duplicates",
             "server_queue_depth",
         ):

@@ -385,6 +385,8 @@ class TestEditCell:
     def _assert_parity(self, workspace, trained_encoder, cases, directory):
         """live == fresh fit (fresh featurizer, answers and stored vectors)
         == restored from the pre-edit snapshot + the log tail."""
+        # Parity cannot see an edit that fell back to a full refit.
+        assert workspace.reindex_stats()["refit"] == 0
         fresh = AutoFormula(trained_encoder, _config("exact"))
         assert_matches_fresh_fit(workspace, lambda: fresh, cases)
         _assert_indexed_alike(workspace.predictor, fresh)
@@ -427,8 +429,9 @@ class TestEditCell:
         predictor = workspace.predictor
         assert predictor.sheet_index.n_tombstones == 0
         assert predictor.formula_index.n_tombstones == 0
-        assert workspace.reindex_stats()["changed"] == 0
-        assert workspace.reindex_stats()["same"] > 3
+        stats = workspace.reindex_stats()
+        assert stats["changed"] == 0 and stats["refit"] == 0
+        assert stats["same"] > 3
 
     def test_value_edit(self, trained_encoder, workload, tmp_path):
         reference_workbooks, cases = workload
@@ -452,7 +455,7 @@ class TestEditCell:
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "C4", formula="=SUMIF(A10:A40,A4,B10:B40)")
         cited = [r for r in self._serve(workspace, cases) if r.provenance.get("reference_cell") == "C4"]
         assert cited and cited[0].provenance["reference_formula"] == "=SUMIF(A10:A40,A4,B10:B40)"
-        assert workspace.reindex_stats() == {"same": 0, "changed": 1}
+        assert workspace.reindex_stats() == {"same": 0, "changed": 1, "refit": 0}
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
     def test_formula_written_into_a_value_cell(self, trained_encoder, workload, tmp_path):
@@ -478,6 +481,45 @@ class TestEditCell:
             for r in self._serve(workspace, cases)
         )
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
+
+    def test_a_reindex_that_raises_is_refit_and_counted(
+        self, trained_encoder, workload, tmp_path, monkeypatch, tracer
+    ):
+        """The fallback keeps the answers right, so only its count (and the
+        span's ``error``) can tell that an edit paid for a full fit."""
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        predictor = workspace.predictor
+        reindex, fits = predictor.reindex_sheet, []
+
+        def raise_once(sheet):
+            monkeypatch.setattr(predictor, "reindex_sheet", reindex)
+            raise FloatingPointError("featurizer bug")
+
+        monkeypatch.setattr(predictor, "reindex_sheet", raise_once)
+        monkeypatch.setattr(
+            predictor, "fit", lambda workbooks, fit=predictor.fit: fits.append(1) or fit(workbooks)
+        )
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "B12", value=41.5)
+        assert workspace.reindex_stats() == {"same": 0, "changed": 0, "refit": 1}
+        assert len(fits) == 1
+        (edit,) = [
+            tree["root"]
+            for tree in tracer.recent_traces()
+            if tree["root"]["name"] == "workspace.edit_cell"
+        ]
+        (span,) = [
+            child for child in edit["children"] if child["name"] == "workspace.reindex_sheet"
+        ]
+        assert span["attributes"]["error"].startswith("FloatingPointError")
+        fresh = AutoFormula(trained_encoder, _config("exact"))
+        assert_matches_fresh_fit(workspace, lambda: fresh, cases)
+        # The next edit re-indexes in place again.
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "B13", value=42.5)
+        assert workspace.reindex_stats() == {"same": 1, "changed": 0, "refit": 1}
+        assert len(fits) == 1
+        fresh = AutoFormula(trained_encoder, _config("exact"))
+        assert_matches_fresh_fit(workspace, lambda: fresh, cases)
 
     def test_edit_that_grows_the_used_extent(self, trained_encoder, workload, tmp_path):
         reference_workbooks, cases = workload

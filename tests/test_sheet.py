@@ -65,6 +65,17 @@ class TestSheetIteration:
         addresses = [addr.to_a1() for addr, __ in sheet.cells()]
         assert addresses == ["A1", "B1"]
 
+    def test_items_are_the_stored_cells_in_storage_order(self):
+        sheet = Sheet()
+        assert not sheet.items()
+        sheet.set("B1", 2)
+        sheet.set("A1", 1)
+        sheet.set("C3", 3)
+        sheet.delete("C3")
+        assert [addr.to_a1() for addr, __ in sheet.items()] == ["B1", "A1"]
+        assert sorted(sheet.items()) == list(sheet.cells())
+        assert len(sheet.items()) == sheet.n_cells
+
     def test_formula_cells(self):
         sheet = Sheet()
         sheet.set("A1", 1)
