@@ -2,8 +2,10 @@
 
 Every cache in the system is a named :class:`LRU` from this module, so how a
 bounded cache evicts, locks, validates its entries and reports its traffic
-is decided here and nowhere else.  The module imports nothing from
-``repro``.
+is decided here and nowhere else.  The one exception is declared here too:
+:func:`memoized`, for a pure function looked up once per decoded cell, where
+the :class:`LRU`'s Python-level mutex would cost half of what a hit saves.
+The module imports nothing from ``repro``.
 
 Live instances are tracked process-wide (weakly, like the tracer of
 ``repro.obs`` is process-wide) so :func:`stats` can report every cache by
@@ -12,12 +14,15 @@ name without a handle being threaded from the encoder up to the server.
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional
 
 _instances: "weakref.WeakSet[LRU]" = weakref.WeakSet()
+#: name -> ``functools.lru_cache`` wrapper, for :func:`memoized` functions.
+_memos: Dict[str, Callable] = {}
 _instances_mutex = threading.Lock()
 
 
@@ -154,11 +159,42 @@ class LRU:
         return counts
 
 
+def memoized(name: str, max_entries: int, typed: bool = False):
+    """Decorator: ``functools.lru_cache`` under a name :func:`stats` reports.
+
+    For module-level pure functions of hashable arguments whose results are
+    immutable, so that every caller may be handed the one resident object.
+    A lookup is a C call (0.07 us measured against 0.44 for :meth:`LRU.get`),
+    thread-safe, and counted exactly: ``hit + miss`` is the number of calls
+    made.  ``evict`` is ``miss - size``: misses whose result is not resident,
+    which counts a call that raised (nothing is stored for it) along with
+    the entries the bound pushed out.
+    """
+
+    def decorate(function: Callable) -> Callable:
+        cached = functools.lru_cache(maxsize=max_entries, typed=typed)(function)
+        with _instances_mutex:
+            _memos[name] = cached
+        return cached
+
+    return decorate
+
+
 def stats() -> Dict[str, Dict[str, int]]:
-    """Every live cache's :meth:`LRU.stats`, summed by instance name."""
+    """Every live cache's :meth:`LRU.stats`, summed by instance name, and
+    every :func:`memoized` function's counts under its own."""
     with _instances_mutex:
         instances = list(_instances)
+        memos = list(_memos.items())
     totals: Dict[str, Dict[str, int]] = {}
+    for name, cached in memos:
+        info = cached.cache_info()
+        totals[name] = {
+            "hit": info.hits,
+            "miss": info.misses,
+            "evict": info.misses - info.currsize,
+            "size": info.currsize,
+        }
     for instance in instances:
         total = totals.setdefault(instance.name, {})
         for field, count in instance.stats().items():

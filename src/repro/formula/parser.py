@@ -34,6 +34,13 @@ from repro.formula.ast_nodes import (
 from repro.formula.tokenizer import FormulaSyntaxError, Token, TokenType, tokenize
 from repro.sheet.addressing import parse_cell_address, parse_range_address
 
+#: Deepest nesting of parentheses, function arguments and unary signs the
+#: grammar admits (Excel's own limit on nested functions is 64).  Each level
+#: costs the descent a fixed number of interpreter frames, so the limit is
+#: what turns a hostile ``((((…`` into a syntax error instead of a
+#: ``RecursionError``.
+MAX_NESTING_DEPTH = 64
+
 
 class _Parser:
     """Stateful cursor over the token stream."""
@@ -42,6 +49,7 @@ class _Parser:
         self._tokens = tokens
         self._source = source
         self._position = 0
+        self._depth = 0
 
     # -------------------------------------------------------------- utilities
 
@@ -82,8 +90,19 @@ class _Parser:
             )
         return node
 
+    def _nested(self, rule) -> ASTNode:
+        """Apply a recursive grammar rule one nesting level down."""
+        self._depth += 1
+        if self._depth > MAX_NESTING_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nests deeper than {MAX_NESTING_DEPTH} levels: {self._source[:40]!r}..."
+            )
+        node = rule()
+        self._depth -= 1
+        return node
+
     def _expression(self) -> ASTNode:
-        return self._comparison()
+        return self._nested(self._comparison)
 
     def _comparison(self) -> ASTNode:
         node = self._concat()
@@ -128,7 +147,7 @@ class _Parser:
     def _unary(self) -> ASTNode:
         if self._match(TokenType.OPERATOR, "-", "+"):
             op = self._advance().text
-            operand = self._unary()
+            operand = self._nested(self._unary)
             return UnaryOp(op, operand)
         return self._postfix()
 

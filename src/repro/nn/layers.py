@@ -3,7 +3,9 @@
 Conventions
 -----------
 * All tensors are ``float32`` NumPy arrays with a leading batch dimension.
-* ``forward(x, training)`` caches whatever the backward pass needs.
+* ``forward(x, training=True)`` caches whatever the backward pass needs;
+  an inference forward keeps nothing of its batch on the layer (the models
+  are shared by every concurrent reader and never call ``backward``).
 * ``backward(grad_output)`` returns the gradient with respect to the layer
   input and *accumulates* parameter gradients into ``layer.grads`` (so the
   same layer can be traversed several times per step, as triplet training
@@ -40,6 +42,15 @@ class Layer:
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
 
+    def _saved(self, state):
+        """Backward state kept by the last ``forward(x, training=True)``."""
+        if state is None:
+            raise RuntimeError(
+                f"{type(self).__name__}.backward needs a forward(x, training=True) "
+                "first: an inference forward keeps no backward state"
+            )
+        return state
+
 
 def _he_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     """He-normal initialization, appropriate for ReLU networks."""
@@ -61,12 +72,11 @@ class Linear(Layer):
         self._input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._input = x
+        self._input = x if training else None
         return x @ self.params["W"] + self.params["b"]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._input is not None, "backward called before forward"
-        x = self._input
+        x = self._saved(self._input)
         flat_x = x.reshape(-1, self.in_features)
         flat_grad = grad_output.reshape(-1, self.out_features)
         self.grads["W"] += (flat_x.T @ flat_grad).astype(np.float32)
@@ -95,12 +105,12 @@ class ReLU(Layer):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0).astype(np.float32, copy=False)
+        mask = x > 0
+        self._mask = mask if training else None
+        return np.where(mask, x, 0.0).astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._mask is not None
-        return np.where(self._mask, grad_output, 0.0).astype(np.float32)
+        return np.where(self._saved(self._mask), grad_output, 0.0).astype(np.float32)
 
 
 class Tanh(Layer):
@@ -111,12 +121,12 @@ class Tanh(Layer):
         self._output: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._output = np.tanh(x).astype(np.float32)
-        return self._output
+        output = np.tanh(x).astype(np.float32)
+        self._output = output if training else None
+        return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._output is not None
-        return (grad_output * (1.0 - self._output**2)).astype(np.float32)
+        return (grad_output * (1.0 - self._saved(self._output) ** 2)).astype(np.float32)
 
 
 class Dropout(Layer):
@@ -203,17 +213,18 @@ class Conv2D(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._input_shape = x.shape
-        self._columns = self._im2col(x)
-        return self._columns @ self.params["W"] + self.params["b"]
+        columns = self._im2col(x)
+        self._columns = columns if training else None
+        return columns @ self.params["W"] + self.params["b"]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._columns is not None and self._input_shape is not None
+        columns = self._saved(self._columns)
         batch, rows, cols, __ = self._input_shape
         k = self.kernel_size
         channels = self.in_channels
         fan_in = k * k * channels
 
-        flat_columns = self._columns.reshape(-1, fan_in)
+        flat_columns = columns.reshape(-1, fan_in)
         flat_grad = grad_output.reshape(-1, self.out_channels)
         self.grads["W"] += (flat_columns.T @ flat_grad).astype(np.float32)
         self.grads["b"] += flat_grad.sum(axis=0).astype(np.float32)
@@ -284,13 +295,12 @@ class L2Normalize(Layer):
         self._norms: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._input = x
-        self._norms = np.sqrt(np.sum(x**2, axis=-1, keepdims=True)) + self.epsilon
-        return (x / self._norms).astype(np.float32, copy=False)
+        norms = np.sqrt(np.sum(x**2, axis=-1, keepdims=True)) + self.epsilon
+        self._input, self._norms = (x, norms) if training else (None, None)
+        return (x / norms).astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._input is not None and self._norms is not None
-        x, norms = self._input, self._norms
+        x, norms = self._saved(self._input), self._norms
         normalized = x / norms
         dot = np.sum(grad_output * normalized, axis=-1, keepdims=True)
         return ((grad_output - normalized * dot) / norms).astype(np.float32)

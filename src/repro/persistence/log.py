@@ -134,19 +134,35 @@ def replay_pending_mutations(workspace) -> None:
             workspace._log_suspended = False
 
 
+def _decodes(line: bytes) -> bool:
+    """Whether ``line`` is whole JSON text — what tells an entry that only
+    lacks its newline from the fragment a crash mid-append leaves."""
+    try:
+        json.loads(line)
+    except ValueError:
+        return False
+    return True
+
+
 class MutationLog:
     """One append-only JSONL mutation log on disk.
 
     The log is line-buffered durable: every :meth:`append` opens, writes
     and closes the file, so a crash loses at most the entry being
-    written, never earlier ones.  Reading validates the header line's
-    ``format_version`` and every entry's op kind, raising
-    :class:`MutationLogError` rather than replaying garbage into an
-    index.
+    written, never earlier ones.  What such a crash leaves is a *torn
+    tail*: a final line with no newline that does not decode.  It was
+    never acknowledged, so :meth:`read` drops it (counting it in
+    :attr:`torn_tails`) and the next :meth:`append` cuts it off instead of
+    gluing an entry onto it.  Otherwise reading validates the header
+    line's ``format_version``, every line and every entry's op kind,
+    raising :class:`MutationLogError` rather than replaying garbage into
+    an index.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        #: Torn tails :meth:`read` has dropped.
+        self.torn_tails = 0
 
     def exists(self) -> bool:
         return self.path.exists()
@@ -156,24 +172,48 @@ class MutationLog:
         if entry.get("op") not in MUTATION_OPS:
             raise MutationLogError(f"unknown mutation op {entry.get('op')!r}")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        with self.path.open("a", encoding="utf-8") as handle:
-            if fresh:
-                handle.write(json.dumps(_HEADER) + "\n")
-            handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
+        line = json.dumps(entry, ensure_ascii=False) + "\n"
+        with self.path.open("a+b") as handle:
+            size = handle.tell()
+            if size:
+                handle.seek(size - 1)
+                if handle.read(1) != b"\n":
+                    size = self._mend_tail(handle)
+            if not size:
+                line = json.dumps(_HEADER) + "\n" + line
+            handle.write(line.encode("utf-8"))
+
+    @staticmethod
+    def _mend_tail(handle) -> int:
+        """Make an unterminated log end on a line boundary, returning its
+        size: a final line that decodes gets its newline, a torn one is cut."""
+        handle.seek(0)
+        body = handle.read()
+        start = body.rfind(b"\n") + 1
+        if _decodes(body[start:]):
+            handle.write(b"\n")
+            return len(body) + 1
+        handle.truncate(start)
+        return start
 
     def read(self) -> List[Dict[str, object]]:
         """All logged mutation entries, in append order (header validated)."""
         if not self.path.exists():
             return []
         entries: List[Dict[str, object]] = []
-        with self.path.open("r", encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
+        # Bytes split on "\n" only: str.splitlines would also break a line
+        # at a U+2028 inside a cell's text, and a torn tail may end inside
+        # a multi-byte character.
+        body = self.path.read_bytes()
+        lines = [line for line in body.split(b"\n") if line.strip()]
+        if lines and not body.endswith(b"\n") and not _decodes(lines[-1]):
+            del lines[-1]
+            self.torn_tails += 1
         if not lines:
             return []
         try:
             header = json.loads(lines[0])
-        except json.JSONDecodeError as error:
+        except ValueError as error:
             raise MutationLogError(f"corrupt mutation-log header: {error}") from error
         if not isinstance(header, dict) or header.get("kind") != "mutation-log":
             raise MutationLogError(f"{self.path} is not a mutation log")
@@ -186,7 +226,7 @@ class MutationLog:
         for number, line in enumerate(lines[1:], start=2):
             try:
                 entry = json.loads(line)
-            except json.JSONDecodeError as error:
+            except ValueError as error:
                 raise MutationLogError(
                     f"corrupt mutation log {self.path} at line {number}: {error}"
                 ) from error
@@ -204,5 +244,4 @@ class MutationLog:
     def clear(self) -> None:
         """Truncate back to a bare header (the compaction step of save)."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("w", encoding="utf-8") as handle:
-            handle.write(json.dumps(_HEADER) + "\n")
+        self.path.write_text(json.dumps(_HEADER) + "\n", encoding="utf-8")

@@ -55,8 +55,7 @@ def write_manifest(directory: Union[str, Path], manifest: Dict[str, object]) -> 
     body = dict(manifest)
     body["format_version"] = SNAPSHOT_FORMAT_VERSION
     path = directory / MANIFEST_NAME
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(body, handle, ensure_ascii=False)
+    path.write_text(json.dumps(body, ensure_ascii=False), encoding="utf-8")
     return path
 
 

@@ -532,6 +532,7 @@ class FormulaServer:
                 self.metrics.mirror_stats("workspace.region_store", name, store_stats)
             self.metrics.mirror_stats("workspace.reindex", name, workspace.reindex_stats)
             self.metrics.mirror_stats("workspace.serve", name, workspace.serve_stats)
+            self.metrics.mirror_stats("persistence.log", name, workspace.log_stats)
             # Adopt the workspace's serving-latency recorder into the
             # registry so /metrics exposes it without double recording.
             recorder = getattr(workspace, "latency", None)

@@ -64,14 +64,16 @@ COMPLETED_BY_BATCHER = "batch_completed"
 #: ``AutoFormula.region_store_stats`` (S3 candidate lookups that found their
 #: cell stored / not, cells held), ``Workspace.reindex_stats`` (edits that
 #: left the sheet's formula list as it was / changed it / fell back to a
-#: full refit) and
+#: full refit),
 #: ``Workspace.serve_stats`` (the workspace, not the batcher, collapses
-#: duplicate requests, so that is where they are counted); per cache name
+#: duplicate requests, so that is where they are counted) and
+#: ``Workspace.log_stats`` (torn mutation-log tails dropped at load); per cache name
 #: ``repro.cache.stats()``.
 _MIRRORED_STATS = {
     "workspace.region_store": ("hit", "miss", "cells"),
     "workspace.reindex": ("same", "changed", "refit"),
     "workspace.serve": (COLLAPSED_DUPLICATES,),
+    "persistence.log": ("torn_tail_total",),
     "cache": ("hit", "miss", "evict", "size"),
 }
 

@@ -154,6 +154,8 @@ class Workspace:
         self._mutation_log: Optional[MutationLog] = None
         self._pending_ops: List[Dict[str, object]] = []
         self._log_suspended = False
+        #: Torn log tails dropped when this workspace was loaded.
+        self._torn_log_tails = 0
         self._replay_mutex = threading.RLock()
 
     # ----------------------------------------------------------------- corpus
@@ -220,7 +222,7 @@ class Workspace:
                 self._fitted = True
             for workbook in workbooks:
                 self._workbooks[workbook.name] = workbook
-                self._log(add_entry(workbook))
+                self._log(add_entry, workbook)
             self._corpus_version += 1
 
     def add_workbook(self, workbook: Workbook) -> None:
@@ -256,7 +258,7 @@ class Workspace:
                 self._fitted = True
             workbook = self._workbooks.pop(workbook_name)
             drop_engines(self._engines, workbook_name)
-            self._log(remove_entry(workbook_name))
+            self._log(remove_entry, workbook_name)
             self._corpus_version += 1
             return workbook
 
@@ -317,9 +319,7 @@ class Workspace:
                     self._refit()
             else:
                 self._refit()
-            self._log(
-                edit_entry(workbook_name, sheet_name, address, value=value, formula=formula)
-            )
+            self._log(edit_entry, workbook_name, sheet_name, address, value=value, formula=formula)
             self._corpus_version += 1
             return report
 
@@ -360,10 +360,19 @@ class Workspace:
 
     # ------------------------------------------------------------- durability
 
-    def _log(self, entry: Dict[str, object]) -> None:
-        """Append one mutation entry, if a log is attached (post save/load)."""
+    def _log(self, build_entry, *args, **kwargs) -> None:
+        """Append one mutation entry, if a log is attached (post save/load).
+
+        The entry is built here, not by the caller: an ``add`` entry is the
+        whole workbook as dicts, which nobody reads without a log.
+        """
         if self._mutation_log is not None and not self._log_suspended:
-            self._mutation_log.append(entry)
+            self._mutation_log.append(build_entry(*args, **kwargs))
+
+    def log_stats(self) -> Dict[str, int]:
+        """``torn_tail_total``: half-written final log lines — what a crash
+        during an append leaves — dropped when this workspace was loaded."""
+        return {"torn_tail_total": self._torn_log_tails}
 
     def _ensure_log_replayed(self) -> None:
         """Replay a loaded snapshot's mutation-log tail on first public use."""
@@ -479,8 +488,10 @@ class Workspace:
         log = MutationLog(mutation_log_path(directory))
         workspace._mutation_log = log
         workspace._pending_ops = log.read()
+        workspace._torn_log_tails = log.torn_tails
         span.set_attribute("n_workbooks", len(workbooks))
         span.set_attribute("pending_log_entries", len(workspace._pending_ops))
+        span.set_attribute("torn_log_tails", log.torn_tails)
         return workspace
 
     # ---------------------------------------------------------------- serving

@@ -13,10 +13,16 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+from repro.cache import memoized
+
 _CELL_RE = re.compile(r"^(\$?)([A-Za-z]{1,3})(\$?)([0-9]+)$")
 _RANGE_RE = re.compile(
     r"^(\$?[A-Za-z]{1,3}\$?[0-9]+):(\$?[A-Za-z]{1,3}\$?[0-9]+)$"
 )
+
+
+#: Columns A–Z, the answer for almost every cell a sheet is written from.
+_SINGLE_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 class AddressError(ValueError):
@@ -49,6 +55,8 @@ def column_index_to_letters(index: int) -> str:
     >>> column_index_to_letters(26)
     'AA'
     """
+    if 0 <= index < 26:
+        return _SINGLE_LETTERS[index]
     if index < 0:
         raise AddressError(f"column index must be non-negative, got {index}")
     letters = []
@@ -157,7 +165,19 @@ class RangeAddress:
 
 
 def parse_cell_address(text: str) -> CellAddress:
-    """Parse ``"C41"`` (optionally with ``$`` anchors) into a :class:`CellAddress`."""
+    """Parse ``"C41"`` (optionally with ``$`` anchors) into a :class:`CellAddress`.
+
+    The sheets of one corpus name the same few hundred cells over and over
+    and addresses are frozen, so a repeated string is answered from a memo
+    with the one shared object.  A spelling longer than ``$XFD$1048576``
+    (padding, leading zeros) is parsed but never pinned, so the memo's 16384
+    entries of at most 0.35 kB (text, address, slot) hold 6 MB at worst.
+    """
+    return _parsed(text) if len(text) <= 12 else _parsed.__wrapped__(text)
+
+
+@memoized("cell_addresses", max_entries=16384)
+def _parsed(text: str) -> CellAddress:
     match = _CELL_RE.match(text.strip())
     if not match:
         raise AddressError(f"invalid cell reference: {text!r}")
@@ -165,7 +185,10 @@ def parse_cell_address(text: str) -> CellAddress:
     row = int(row_digits) - 1
     if row < 0:
         raise AddressError(f"row numbers are 1-based, got {text!r}")
-    return CellAddress(row, column_letters_to_index(letters))
+    address = CellAddress(row, column_letters_to_index(letters))
+    # "$c$7", " C7" and "C7" share the object of the canonical spelling.
+    canonical = address.to_a1()
+    return address if canonical == text else parse_cell_address(canonical)
 
 
 def parse_range_address(text: str) -> RangeAddress:

@@ -127,7 +127,7 @@ class Cell:
                 data["value"] = self.value
         if self.formula:
             data["formula"] = self.formula
-        if self.style != DEFAULT_STYLE:
+        if self.style is not DEFAULT_STYLE and self.style != DEFAULT_STYLE:
             data["style"] = self.style.to_dict()
         return data
 
@@ -141,15 +141,16 @@ class Cell:
         engine, ``is_error_value``) across a serialization round-trip.
         """
         value = data.get("value")
-        if data.get("value_kind") == "date" and isinstance(value, str):
-            value = _dt.date.fromisoformat(value)
-        elif isinstance(value, str) and value.startswith("#"):
-            # Imported lazily: at module-import time repro.formula (which
-            # pulls in this module) may still be mid-initialization.
-            from repro.formula.errors import ALL_ERROR_VALUES, ErrorValue
+        if isinstance(value, str):
+            if data.get("value_kind") == "date":
+                value = _dt.date.fromisoformat(value)
+            elif value.startswith("#"):
+                # Imported lazily: at module-import time repro.formula (which
+                # pulls in this module) may still be mid-initialization.
+                from repro.formula.errors import ALL_ERROR_VALUES, ErrorValue
 
-            if value in ALL_ERROR_VALUES:
-                value = ErrorValue(value)
+                if value in ALL_ERROR_VALUES:
+                    value = ErrorValue(value)
         style_data = data.get("style")
         style = CellStyle.from_dict(style_data) if isinstance(style_data, dict) else DEFAULT_STYLE
         return cls(value=value, formula=data.get("formula"), style=style)

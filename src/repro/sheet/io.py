@@ -59,6 +59,10 @@ def sheet_from_dict(data: Dict[str, object]) -> Sheet:
             f"sheet {sheet.name!r} has a malformed 'cells' entry: expected an "
             f"object mapping A1 addresses to cell records, got {type(cells).__name__}"
         )
+    # One loop straight into the sheet's storage, extent and version set
+    # once at the end, to what a ``set_cell`` per record would leave.
+    stored = sheet._cells
+    n_rows = n_cols = 0
     for a1, cell_data in cells.items():
         if not isinstance(cell_data, dict):
             raise WorkbookFormatError(
@@ -72,18 +76,20 @@ def sheet_from_dict(data: Dict[str, object]) -> Sheet:
                 f"sheet {sheet.name!r} has an invalid cell address {a1!r}: {error}"
             ) from error
         try:
-            cell = Cell.from_dict(cell_data)
+            stored[address] = Cell.from_dict(cell_data)
         except (TypeError, ValueError, KeyError) as error:
             raise WorkbookFormatError(
                 f"sheet {sheet.name!r} cell {a1!r} cannot be decoded: {error}"
             ) from error
-        sheet.set_cell(address, cell)
-    # Restore the stored extent, which may exceed the max written cell
-    # (deletes never shrink it); writing the private fields mirrors
-    # Sheet.copy().  Older payloads without the fields keep the derived
-    # extent.
-    sheet._n_rows = max(sheet.n_rows, int(data.get("n_rows", 0)))
-    sheet._n_cols = max(sheet.n_cols, int(data.get("n_cols", 0)))
+        if address.row >= n_rows:
+            n_rows = address.row + 1
+        if address.col >= n_cols:
+            n_cols = address.col + 1
+    sheet._version = len(cells)
+    # The stored extent may exceed the max written cell (deletes never
+    # shrink it); older payloads without the fields keep the derived extent.
+    sheet._n_rows = max(n_rows, int(data.get("n_rows", 0)))
+    sheet._n_cols = max(n_cols, int(data.get("n_cols", 0)))
     return sheet
 
 
@@ -134,8 +140,8 @@ def save_workbook_json(workbook: Workbook, path: Union[str, Path]) -> None:
     """Write a workbook to ``path`` as JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(workbook_to_dict(workbook), handle, ensure_ascii=False)
+    # dumps, not dump: dump streams through the pure-Python encoder.
+    path.write_text(json.dumps(workbook_to_dict(workbook), ensure_ascii=False), encoding="utf-8")
 
 
 def load_workbook_json(path: Union[str, Path]) -> Workbook:

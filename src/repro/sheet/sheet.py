@@ -6,7 +6,7 @@ from typing import Dict, ItemsView, Iterator, List, Optional, Tuple, Union
 
 from repro.sheet.addressing import CellAddress, RangeAddress, parse_cell_address
 from repro.sheet.cell import Cell, CellType, CellValue, EMPTY_CELL
-from repro.sheet.style import CellStyle
+from repro.sheet.style import CellStyle, DEFAULT_STYLE
 
 AddressLike = Union[str, CellAddress, Tuple[int, int]]
 
@@ -19,6 +19,12 @@ def _to_address(address: AddressLike) -> CellAddress:
         return parse_cell_address(address)
     row, col = address
     return CellAddress(int(row), int(col))
+
+
+def _row_major(item: Tuple[CellAddress, Cell]) -> Tuple[int, int]:
+    """Sort key of an ``(address, cell)`` pair: the address's own order,
+    without a dataclass ``__lt__`` call per comparison."""
+    return (item[0].row, item[0].col)
 
 
 class Sheet:
@@ -64,7 +70,7 @@ class Sheet:
     ) -> Cell:
         """Create or replace the cell at ``address`` and return it."""
         addr = _to_address(address)
-        cell = Cell(value=value, formula=formula, style=style or CellStyle())
+        cell = Cell(value=value, formula=formula, style=style or DEFAULT_STYLE)
         self._cells[addr] = cell
         self._n_rows = max(self._n_rows, addr.row + 1)
         self._n_cols = max(self._n_cols, addr.col + 1)
@@ -121,7 +127,7 @@ class Sheet:
 
     def cells(self) -> Iterator[Tuple[CellAddress, Cell]]:
         """Iterate ``(address, cell)`` pairs for all stored cells."""
-        return iter(sorted(self._cells.items()))
+        return iter(sorted(self._cells.items(), key=_row_major))
 
     def items(self) -> ItemsView[CellAddress, Cell]:
         """The ``(address, cell)`` pairs of all stored cells in storage
@@ -131,7 +137,7 @@ class Sheet:
 
     def formula_cells(self) -> List[Tuple[CellAddress, Cell]]:
         """All cells that contain formulas, sorted by address."""
-        return sorted(item for item in self._cells.items() if item[1].has_formula)
+        return sorted((item for item in self._cells.items() if item[1].has_formula), key=_row_major)
 
     def cells_in_range(self, cell_range: RangeAddress) -> Iterator[Tuple[CellAddress, Cell]]:
         """Iterate ``(address, cell)`` for every address in ``cell_range``.

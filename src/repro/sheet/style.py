@@ -8,8 +8,12 @@ attributes enumerated in Section 4.4.1 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from sys import getsizeof
 from typing import Dict, Optional, Tuple
+
+from repro.cache import memoized
 
 #: Default row height / column width, in arbitrary display units.
 DEFAULT_HEIGHT = 15.0
@@ -67,13 +71,38 @@ class CellStyle:
 
     def to_dict(self) -> Dict[str, object]:
         """Serialize to a plain dictionary (JSON friendly)."""
-        return asdict(self)
+        return dict(zip(_FIELD_NAMES, _FIELD_VALUES(self)))
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CellStyle":
-        """Reconstruct a style from :meth:`to_dict` output."""
-        known = {field: data[field] for field in cls.__dataclass_fields__ if field in data}
-        return cls(**known)  # type: ignore[arg-type]
+        """Reconstruct a style from :meth:`to_dict` output.
+
+        Styles are frozen, so every decode of one distinct value returns the
+        one shared instance (:func:`_shared`): a corpus holds a dozen
+        distinct styles on thousands of cells.
+        """
+        values = tuple(map(data.get, _FIELD_NAMES, _FIELD_DEFAULTS))
+        if sum(map(getsizeof, values)) > _MAX_SHARED_BYTES:
+            return cls(*values)  # type: ignore[arg-type]
+        return _shared(*values)
+
+
+_FIELD_NAMES = tuple(field.name for field in fields(CellStyle))
+_FIELD_DEFAULTS = tuple(field.default for field in fields(CellStyle))
+_FIELD_VALUES = attrgetter(*_FIELD_NAMES)
+
+
+#: Twelve ordinary field values weigh about 0.45 kB; a style carrying a
+#: megabyte "colour" is decoded but never pinned, so the table's 4096 entries
+#: of at most 1.5 kB (values, key, style, slot) hold 6 MB at worst.
+_MAX_SHARED_BYTES = 1024
+
+
+# Typed: 1, 1.0 and True hash alike, and ``font_size: 11`` must not be
+# answered with an 11.0 decoded earlier.
+@memoized("cell_styles", max_entries=4096, typed=True)
+def _shared(*values: object) -> CellStyle:
+    return CellStyle(*values)  # type: ignore[arg-type]
 
 
 #: A plain, unstyled cell.

@@ -146,6 +146,29 @@ class TestParser:
             parse_formula("=A1+")
 
 
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "=" + "(" * 400 + "1" + ")" * 400,
+            "=" + "SUM(" * 300 + "1" + ")" * 300,
+            "=" + "-" * 5000 + "1",
+        ],
+    )
+    def test_nesting_past_the_grammar_limit_is_a_syntax_error(self, formula):
+        # Not a RecursionError, which no caller of the parser catches.
+        with pytest.raises(FormulaSyntaxError, match="nests deeper than 64"):
+            parse_formula(formula)
+
+    def test_nesting_up_to_the_limit_parses(self):
+        from repro.formula.parser import MAX_NESTING_DEPTH
+
+        formula = "=" + "(" * (MAX_NESTING_DEPTH - 1) + "A1" + ")" * (MAX_NESTING_DEPTH - 1)
+        assert node_count(parse_formula(formula)) == MAX_NESTING_DEPTH
+        # Siblings do not add up: the depth is that of the deepest branch.
+        wide = "=SUM(" + ",".join(["((1))"] * 200) + ")"
+        assert len(parse_formula(wide).args) == 200
+
+
 class TestRendering:
     @pytest.mark.parametrize(
         "formula",

@@ -41,6 +41,35 @@ class TestNetworkBuilders:
         window = encoder.featurizer.featurize_sheet(Sheet())[None, ...]
         assert encoder.fine_model.forward(window).shape == (1, small_config.fine_embedding_dim)
 
+    def test_inference_forward_pins_nothing_of_its_batch(self, small_config):
+        """The models are shared by every concurrent reader and inference
+        never calls ``backward``: an im2col matrix, an input or a mask left
+        on a layer is memory nobody reads."""
+        encoder = SheetEncoder(small_config)
+        windows = np.repeat(encoder.featurizer.featurize_sheet(Sheet())[None, ...], 5, axis=0)
+
+        def held_arrays(model):
+            return [
+                (type(layer).__name__, name)
+                for layer in model.layers
+                for name, value in vars(layer).items()
+                if isinstance(value, np.ndarray)
+            ]
+
+        for model in (encoder.coarse_model, encoder.fine_model):
+            inference = model.forward(windows)
+            assert held_arrays(model) == []
+            with pytest.raises(RuntimeError, match=r"needs a forward\(x, training=True\)"):
+                model.backward(np.ones_like(inference))
+            # A training forward computes the same numbers and keeps its state.
+            assert np.array_equal(model.forward(windows, training=True), inference)
+            assert held_arrays(model) != []
+            model.zero_grad()
+            assert model.backward(np.ones_like(inference)).shape == windows.shape
+            # ... until the next inference forward lets it go again.
+            model.forward(windows)
+            assert held_arrays(model) == []
+
     def test_window_too_small_for_cnn_rejected(self):
         config = ModelConfig(features=FeatureConfig(window_rows=3, window_cols=3))
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ def numeric_gradient_check(model: Sequential, x: np.ndarray, n_samples: int = 4)
         return 0.5 * float(np.sum((out - target) ** 2))
 
     model.zero_grad()
-    out = model.forward(x)
+    out = model.forward(x, training=True)
     model.backward(out - target)
     analytic = {name: grad.copy() for name, __, grad in model.parameter_gradients()}
 
@@ -70,10 +70,10 @@ class TestLinear:
         layer = Linear(3, 2)
         x = np.ones((1, 3), dtype=np.float32)
         layer.zero_grad()
-        layer.forward(x)
+        layer.forward(x, training=True)
         layer.backward(np.ones((1, 2), dtype=np.float32))
         first = layer.grads["W"].copy()
-        layer.forward(x)
+        layer.forward(x, training=True)
         layer.backward(np.ones((1, 2), dtype=np.float32))
         assert np.allclose(layer.grads["W"], 2 * first)
 
@@ -82,7 +82,7 @@ class TestActivations:
     def test_relu_forward_backward(self):
         layer = ReLU()
         x = np.array([[-1.0, 2.0]], dtype=np.float32)
-        assert np.allclose(layer.forward(x), [[0.0, 2.0]])
+        assert np.allclose(layer.forward(x, training=True), [[0.0, 2.0]])
         grad = layer.backward(np.array([[5.0, 5.0]], dtype=np.float32))
         assert np.allclose(grad, [[0.0, 5.0]])
 
@@ -164,7 +164,7 @@ class TestFlattenAndNormalize:
     def test_l2_normalize_gradient_orthogonal_to_output(self):
         layer = L2Normalize()
         x = np.random.default_rng(0).standard_normal((2, 8)).astype(np.float32)
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         grad_in = layer.backward(np.ones_like(out))
         # The Jacobian of x -> x/||x|| projects out the output direction, so
         # the input gradient has no component along the normalized output.

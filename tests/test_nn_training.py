@@ -31,7 +31,7 @@ class TestOptimizers:
         initial = float(np.mean((model.forward(x) - y) ** 2))
         for __ in range(200):
             optimizer.zero_grad()
-            out = model.forward(x)
+            out = model.forward(x, training=True)
             model.backward(2 * (out - y) / len(x))
             optimizer.step()
         final = float(np.mean((model.forward(x) - y) ** 2))

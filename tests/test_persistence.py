@@ -303,6 +303,115 @@ class TestMutationLog:
             log.read()
 
 
+    def test_torn_tail_is_dropped_counted_and_cut_by_the_next_append(self, tmp_path):
+        """A crash during ``append`` leaves a final line with no newline
+        that does not decode; it was never acknowledged."""
+        path = tmp_path / "mutations.log"
+        log = MutationLog(path)
+        log.append({"op": "remove", "workbook_name": "a"})
+        log.append({"op": "remove", "workbook_name": "b"})
+        whole = path.read_bytes()
+        # Torn inside a multi-byte character, as ensure_ascii=False allows.
+        path.write_bytes(whole + '{"op": "remove", "workbook_name": "caf\u00e9'.encode()[:-1])
+        assert [entry["workbook_name"] for entry in log.read()] == ["a", "b"]
+        assert log.torn_tails == 1
+        # The next entry starts on the line boundary, not glued to the torn bytes.
+        log.append({"op": "remove", "workbook_name": "c"})
+        assert path.read_bytes().startswith(whole)
+        assert [entry["workbook_name"] for entry in MutationLog(path).read()] == ["a", "b", "c"]
+        assert MutationLog(path).torn_tails == 0
+
+    def test_torn_header_starts_the_log_afresh(self, tmp_path):
+        path = tmp_path / "mutations.log"
+        path.write_text('{"kind": "mutation-l')
+        log = MutationLog(path)
+        assert log.read() == [] and log.torn_tails == 1
+        log.append({"op": "remove", "workbook_name": "a"})
+        assert len(MutationLog(path)) == 1
+
+    def test_unterminated_entry_that_decodes_is_kept_and_terminated(self, tmp_path):
+        path = tmp_path / "mutations.log"
+        log = MutationLog(path)
+        log.append({"op": "remove", "workbook_name": "a"})
+        path.write_bytes(path.read_bytes()[:-1])
+        assert len(log) == 1 and log.torn_tails == 0
+        log.append({"op": "remove", "workbook_name": "b"})
+        assert [entry["workbook_name"] for entry in log.read()] == ["a", "b"]
+
+    def test_corrupt_line_before_the_last_still_raises(self, tmp_path):
+        path = tmp_path / "mutations.log"
+        log = MutationLog(path)
+        log.append({"op": "remove", "workbook_name": "a"})
+        with path.open("a") as handle:
+            handle.write('{"op": "remove", "workbook_na\n{"op": "remove", "workbook_name": "c"}')
+        with pytest.raises(MutationLogError, match="line 3"):
+            log.read()
+        # So does a final line that is garbage but was written whole.
+        log.clear()
+        with path.open("a") as handle:
+            handle.write('{"op": "remove", "workbook_na\n')
+        with pytest.raises(MutationLogError, match="line 2"):
+            log.read()
+
+    def test_line_separators_inside_a_cell_do_not_split_an_entry(self, tmp_path):
+        # ensure_ascii=False writes U+2028 / U+0085 raw; only "\n" ends a line.
+        log = MutationLog(tmp_path / "mutations.log")
+        from repro.persistence.log import edit_entry
+
+        log.append(edit_entry("wb", "S", "A1", value="two\u2028lines\x85here"))
+        (entry,) = log.read()
+        assert entry["cell"]["value"] == "two\u2028lines\x85here"
+
+    def test_workspace_with_a_torn_log_tail_loads_and_reports_it(self, trained_encoder, tmp_path):
+        workspace, cases, config = _churned_workspace(trained_encoder, "exact")
+        directory = tmp_path / "snap"
+        workspace.save(directory)
+        names = workspace.workbook_names
+        workspace.remove_workbook(names[0])
+        workspace.remove_workbook(names[1])
+        path = mutation_log_path(directory)
+        with path.open("a") as handle:
+            handle.write('{"op": "remove", "workbook_na')
+        restored = Workspace.load(directory, AutoFormula(trained_encoder, config))
+        assert restored.log_stats() == {"torn_tail_total": 1}
+        assert restored.workbook_names == workspace.workbook_names
+        # Mutations after the restore land behind the two whole entries.
+        restored.remove_workbook(names[2])
+        again = Workspace.load(directory, AutoFormula(trained_encoder, config))
+        assert again.log_stats() == {"torn_tail_total": 0}
+        assert again.workbook_names == names[3:]
+        assert workspace.log_stats() == {"torn_tail_total": 0}
+
+    def test_entries_are_built_only_for_an_attached_log(
+        self, trained_encoder, tmp_path, monkeypatch
+    ):
+        """Nobody reads an entry without a log, and an ``add`` entry is the
+        whole workbook as dicts."""
+        from repro.persistence import log as log_module
+
+        calls = []
+
+        def counting(workbook):
+            calls.append(workbook.name)
+            return workbook_to_dict(workbook)
+
+        workbook_to_dict = log_module.workbook_to_dict
+        monkeypatch.setattr(log_module, "workbook_to_dict", counting)
+        corpus = _churned_workspace(trained_encoder, "exact")[0].workbooks()
+        service = FormulaService(trained_encoder)
+        workspace = service.create_workspace("lazy", workbooks=corpus[:-2])
+        workspace.edit_cell(corpus[0].name, corpus[0].sheets[0].name, "A1", value=1.0)
+        assert calls == []
+        directory = tmp_path / "snap"
+        workspace.save(directory)
+        workspace.add_workbooks(corpus[-2:])
+        assert calls == [workbook.name for workbook in corpus[-2:]]
+        # Replaying the log must not re-encode what it replays.
+        restored = service.load_workspace(directory, name="restored")
+        assert len(restored) == len(corpus)
+        assert len(calls) == 2
+
+
 # ------------------------------------------------------- snapshot mechanics
 
 

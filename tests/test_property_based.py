@@ -6,6 +6,7 @@ import json
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro import cache
 from repro.ann import ExactIndex, IVFIndex, LSHIndex
 from repro.embedding import HashedSemanticEmbedder
 from repro.formula import extract_template, formula_references, instantiate_template, parse_formula
@@ -15,9 +16,10 @@ from repro.formula.template import normalize_formula, shift_formula
 from repro.formula.tokenizer import TokenType, tokenize
 from repro.nn import L2Normalize
 from repro.nn.losses import pairwise_squared_distances, triplet_loss_and_grad
-from repro.sheet import Cell, CellAddress, RangeAddress, Sheet, Workbook
-from repro.sheet import workbook_from_dict, workbook_to_dict
+from repro.sheet import Cell, CellAddress, CellStyle, RangeAddress, Sheet, Workbook
+from repro.sheet import parse_cell_address, workbook_from_dict, workbook_to_dict
 from repro.sheet.addressing import column_index_to_letters, column_letters_to_index
+from repro.sheet.style import DEFAULT_STYLE
 from repro.weaksup import SheetNameStatistics
 
 # ----------------------------------------------------------------- strategies
@@ -327,6 +329,130 @@ class TestWorkbookJsonRoundTrip:
         # The explicit blank is still "empty" to the model, the zero is not.
         assert restored_sheet.get(CellAddress(0, 0)).is_empty
         assert not restored_sheet.get(CellAddress(0, 1)).is_empty
+
+
+# ---------------------------------------------------------- the whole codec
+
+_styles = st.builds(
+    CellStyle,
+    background_color=st.sampled_from([None, "#4472C4", "#FFF2CC"]),
+    font_color=st.sampled_from([None, "#FFFFFF"]),
+    bold=st.booleans(),
+    italic=st.booleans(),
+    font_size=st.sampled_from([11.0, 12.0, 9.5]),
+    width=st.sampled_from([64.0, 120.0]),
+    border_top=st.booleans(),
+)
+
+_codec_cells = st.builds(
+    Cell,
+    value=st.none() | st.integers(-5, 5) | _scalar_cell_values,
+    formula=st.none() | st.sampled_from(["=SUM(A1:A3)", "=$B$2*2", '=IF(A1>0,"y","n")']),
+    style=st.just(DEFAULT_STYLE) | st.just(CellStyle()) | _styles,
+)
+
+_small_addresses = st.builds(CellAddress, row=st.integers(0, 40), col=st.integers(0, 30))
+
+
+@st.composite
+def _codec_workbooks(draw):
+    """Up to three sheets, each after writes, overwrites and deletes (so the
+    extent may exceed the last stored cell); a sheet may end up empty."""
+    workbook = Workbook(draw(st.text(max_size=8)), last_modified=draw(st.floats(0, 2e9)))
+    for index in range(draw(st.integers(0, 3))):
+        sheet = workbook.add_sheet(f"S{index}")
+        writes = draw(st.lists(st.tuples(_small_addresses, _codec_cells), max_size=14))
+        for address, cell in writes:
+            sheet.set_cell(address, cell)
+        for position in draw(st.sets(st.integers(0, 13), max_size=3)):
+            if position < len(writes):
+                sheet.delete(writes[position][0])
+    return workbook
+
+
+def _reference_sheet_from_dict(data):
+    """The decoder as it was: one ``set_cell`` per record."""
+    sheet = Sheet(str(data.get("name", "Sheet1")))
+    for a1, record in data.get("cells", {}).items():
+        sheet.set_cell(parse_cell_address(a1), Cell.from_dict(record))
+    sheet._n_rows = max(sheet.n_rows, int(data.get("n_rows", 0)))
+    sheet._n_cols = max(sheet.n_cols, int(data.get("n_cols", 0)))
+    return sheet
+
+
+def _typed(value):
+    return (type(value), value)
+
+
+def _sheet_state(sheet):
+    """Name, extent and every stored cell with the types of its values."""
+    cells = {
+        (address.row, address.col): (
+            _typed(cell.value),
+            cell.formula,
+            tuple(map(_typed, cell.style.to_dict().values())),
+        )
+        for address, cell in sheet.items()
+    }
+    return (sheet.name, sheet.n_rows, sheet.n_cols, cells)
+
+
+def _anchored(a1):
+    return f"${a1.rstrip('0123456789')}${a1.lstrip('ABCDEFGHIJKLMNOPQRSTUVWXYZ')}"
+
+
+class TestCodecRoundTrip:
+    """``workbook_to_dict`` -> JSON text -> ``workbook_from_dict`` over whole
+    random workbooks, against the workbook itself and the per-record decoder."""
+
+    @given(_codec_workbooks(), st.randoms(use_true_random=False))
+    @settings(max_examples=120, deadline=None)
+    def test_decoded_workbook_equals_the_original(self, workbook, random):
+        payload = json.loads(json.dumps(workbook_to_dict(workbook)))
+        for sheet_data in payload["sheets"]:
+            # ``$A$1`` spellings name the same cells.
+            sheet_data["cells"] = {
+                (_anchored(a1) if random.random() < 0.3 else a1): record
+                for a1, record in sheet_data["cells"].items()
+            }
+        decoded, again = workbook_from_dict(payload), workbook_from_dict(payload)
+        assert (decoded.name, decoded.last_modified) == (workbook.name, workbook.last_modified)
+        assert decoded.sheet_names == workbook.sheet_names
+        for sheet, sheet_data in zip(workbook, payload["sheets"]):
+            got = decoded.get_sheet(sheet.name)
+            assert _sheet_state(got) == _sheet_state(sheet)
+            reference = _reference_sheet_from_dict(sheet_data)
+            assert _sheet_state(got) == _sheet_state(reference)
+            assert got.version == reference.version == len(sheet_data["cells"])
+            # Equal addresses and equal styles of two decodes are one object.
+            for (address, cell), (twin_address, twin) in zip(
+                got.cells(), again.get_sheet(sheet.name).cells()
+            ):
+                assert address is twin_address
+                assert cell.style is twin.style
+
+    def test_every_spelling_of_an_address_is_one_object(self):
+        plain = parse_cell_address("C7")
+        assert parse_cell_address("$C$7") is plain
+        assert parse_cell_address("c$7") is plain
+        assert parse_cell_address(" C7 ") is plain
+        # A spelling longer than any canonical one is parsed, never pinned.
+        before = cache.stats()["cell_addresses"]
+        assert parse_cell_address(" " * 20 + "C7") is plain
+        after = cache.stats()["cell_addresses"]
+        assert (after["size"], after["miss"]) == (before["size"], before["miss"])
+
+    def test_int_and_float_spellings_of_a_style_stay_apart(self):
+        as_float = CellStyle.from_dict({"font_size": 12.0, "bold": True})
+        as_int = CellStyle.from_dict({"font_size": 12, "bold": 1})
+        assert as_float == as_int
+        assert type(as_int.font_size) is int and as_int.bold is not True
+        assert type(as_float.font_size) is float and as_float.bold is True
+        assert CellStyle.from_dict({"bold": True, "font_size": 12.0}) is as_float
+        # A style too large to be worth pinning is decoded, never shared.
+        huge = {"background_color": "#" + "F" * 5000}
+        assert CellStyle.from_dict(huge) == CellStyle.from_dict(huge)
+        assert CellStyle.from_dict(huge) is not CellStyle.from_dict(huge)
 
 
 # -------------------------------------------------------------------- sheet ops

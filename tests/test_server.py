@@ -248,6 +248,13 @@ class TestProtocolBasics:
                 client.edit_cell("acme", "ghost", "Data", "A1", value=1.0)
             assert excinfo.value.status == 404
 
+            # A formula nested past the grammar's limit is a 200 whose cell
+            # holds an error value, as a malformed one is: not the 500 arm.
+            deep = "=" + "(" * 400 + "1" + ")" * 400
+            result = client.edit_cell("acme", "wb1", "Data", "A5", formula=deep)
+            assert result["recalc"]["errored"] == 1
+            assert edited.get("A5").value == "#NAME?"
+            assert client.stats()["counters"].get("server_errors", 0) == 0
 
     def test_metrics_read_first_has_the_workspace_gauges(self):
         """A scraper that never reads ``/stats`` still gets every
@@ -266,6 +273,7 @@ class TestProtocolBasics:
             "workspace_reindex_changed",
             "workspace_reindex_refit",
             "workspace_serve_collapsed_duplicates",
+            "persistence_log_torn_tail_total",
             "server_queue_depth",
         ):
             assert f'{family}{{workspace="acme"}}' in names, family

@@ -466,6 +466,22 @@ class TestEditCell:
         assert workspace.predictor.n_reference_formulas == n_formulas + 1
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
+    def test_formula_nested_too_deep_is_accepted_as_an_error_value(
+        self, trained_encoder, workload, tmp_path
+    ):
+        """``((((…1…))))`` used to leave ``parse_formula`` as a RecursionError,
+        past every ``except FormulaSyntaxError``, with the edit half-applied."""
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        sheet = workspace.workbooks()[3].get_sheet(self.SHEET)
+        version, extent = sheet.version, (sheet.n_rows, sheet.n_cols)
+        deep = "=" + "(" * 400 + "1" + ")" * 400
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "B20", formula=deep)
+        cell = sheet.get("B20")
+        assert (cell.formula, cell.value) == (deep, "#NAME?")  # as "=SUM(" is
+        assert sheet.version > version and (sheet.n_rows, sheet.n_cols) == extent
+        self._assert_parity(workspace, trained_encoder, cases, tmp_path)
+
     def test_value_written_over_a_formula_cell(self, trained_encoder, workload, tmp_path):
         reference_workbooks, cases = workload
         workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)

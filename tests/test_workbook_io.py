@@ -1,17 +1,27 @@
 """Tests for workbooks and JSON (de)serialization."""
 
+import json
+import re
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
+from repro import cache
 from repro.sheet import Sheet, Workbook
 from repro.sheet.io import (
     FORMAT_VERSION,
     WorkbookFormatError,
     load_workbook_json,
     save_workbook_json,
+    sheet_from_dict,
     workbook_from_dict,
     workbook_to_dict,
 )
 from repro.sheet.style import CellStyle
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestWorkbook:
@@ -140,8 +150,6 @@ class TestWorkbookFormatValidation:
     def test_non_object_payloads_raise(self):
         with pytest.raises(WorkbookFormatError):
             workbook_from_dict(["not", "a", "workbook"])
-        from repro.sheet.io import sheet_from_dict
-
         with pytest.raises(WorkbookFormatError):
             sheet_from_dict("not a sheet")
 
@@ -149,3 +157,106 @@ class TestWorkbookFormatValidation:
         # The server layer maps ValueError to HTTP 400; the typed error
         # must stay inside that contract.
         assert issubclass(WorkbookFormatError, ValueError)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {"name": "S", "cells": [["A1", {"value": 1.0}]]},
+                "sheet 'S' has a malformed 'cells' entry: expected an object mapping "
+                "A1 addresses to cell records, got list",
+            ),
+            (
+                {"name": "S", "cells": {"A1": 3.5}},
+                "sheet 'S' cell 'A1' has a malformed record: expected an object, got float",
+            ),
+            (
+                {"name": "S", "cells": {"not-an-address": {"value": 1.0}}},
+                "sheet 'S' has an invalid cell address 'not-an-address': "
+                "invalid cell reference: 'not-an-address'",
+            ),
+            (
+                {"name": "S", "cells": {"B2": {}, "A0": {"value": 1.0}}},
+                "sheet 'S' has an invalid cell address 'A0': row numbers are 1-based, got 'A0'",
+            ),
+            (
+                {"name": "S", "cells": {"A1": {"value": "2024-13-45", "value_kind": "date"}}},
+                "sheet 'S' cell 'A1' cannot be decoded: month must be in 1..12",
+            ),
+            ("not a sheet", "sheet payload must be a JSON object, got str"),
+        ],
+    )
+    def test_every_decode_error_keeps_its_message(self, payload, message):
+        with pytest.raises(WorkbookFormatError, match=f"^{re.escape(message)}$"):
+            sheet_from_dict(payload)
+
+    def test_unhashable_style_values_are_a_format_error(self):
+        # They cannot key the shared-style table; the wire maps this to a 400.
+        payload = {"name": "S", "cells": {"A1": {"value": 1.0, "style": {"bold": []}}}}
+        with pytest.raises(WorkbookFormatError, match="cell 'A1' cannot be decoded"):
+            sheet_from_dict(payload)
+
+
+class TestOneLoopDecoder:
+    def test_two_spellings_of_one_cell_count_as_two_writes(self):
+        # What a ``set_cell`` per record left: the later record, two bumps.
+        sheet = sheet_from_dict({"cells": {"A1": {"value": 1.0}, "$A$1": {"value": 2.0}}})
+        assert (sheet.n_cells, sheet.version, sheet.get("A1").value) == (1, 2, 2.0)
+
+    def test_concurrent_decodes_agree_and_every_lookup_is_counted(self):
+        workbooks = []
+        for index in range(6):
+            workbook = Workbook(f"wb{index}")
+            sheet = workbook.add_sheet("S")
+            for row in range(40):
+                sheet.set((row, index), float(row), style=CellStyle(bold=row % 3 == 0))
+            workbooks.append(workbook)
+        payloads = [json.loads(json.dumps(workbook_to_dict(workbook))) for workbook in workbooks]
+        addresses = sum(len(sheet["cells"]) for payload in payloads for sheet in payload["sheets"])
+        styles = sum(
+            "style" in record
+            for payload in payloads
+            for sheet in payload["sheets"]
+            for record in sheet["cells"].values()
+        )
+        decoded = {}
+
+        def decode(worker):
+            decoded[worker] = [workbook_from_dict(payload) for payload in payloads * 5]
+
+        before = cache.stats()
+        threads = [threading.Thread(target=decode, args=(worker,)) for worker in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        after = cache.stats()
+        for name, lookups in (("cell_addresses", addresses), ("cell_styles", styles)):
+            moved = sum(after[name][field] - before[name][field] for field in ("hit", "miss"))
+            assert moved == lookups * 5 * len(threads)
+        for results in decoded.values():
+            for workbook, original in zip(results, workbooks * 5):
+                assert workbook_to_dict(workbook) == workbook_to_dict(original)
+
+
+def test_the_codec_encodes_in_c_and_copies_no_dataclass():
+    """``json.dump`` streams through the pure-Python encoder and
+    ``dataclasses.asdict`` deep-copies recursively: the write path uses
+    neither (a lint, kept as a test because CI has no lint step)."""
+
+    def offenders(root, pattern):
+        return [
+            f"{path.relative_to(SRC)}:{number}"
+            for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(pattern, line)
+        ]
+
+    assert offenders(SRC, r"json\.dump\(") == []
+    assert offenders(SRC / "repro" / "sheet", r"asdict") == []

@@ -10,7 +10,10 @@ workspace on the reference workbooks and writes
   snapshot state (both index matrices among them),
 * every test case's ``[formula, repr(confidence)]`` after the fit, again
   after a fixed script of 30 value edits, and from a workspace restored
-  from a snapshot of the edited one.
+  from a snapshot of the edited one,
+* sha256 of the on-disk format: the mutation log after those 30 edits and
+  one scripted add, and every corpus file and the manifest of that
+  snapshot (its array blocks are the state digests above).
 
 The output holds no time, path or commit, so two runs can be compared with
 ``cmp``.  One commit at one BLAS thread count gives one file (CI runs
@@ -54,6 +57,14 @@ def state_digests(workspace) -> dict:
     return {name: array_digest(block) for name, block in sorted(arrays.items())}
 
 
+def file_digests(directory: Path, *patterns: str) -> dict:
+    return {
+        path.relative_to(directory).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for pattern in patterns
+        for path in sorted(directory.glob(pattern))
+    }
+
+
 def answers(workspace, requests) -> list:
     responses = (workspace.recommend(request) for request in requests)
     return [[response.formula, repr(float(response.confidence))] for response in responses]
@@ -74,13 +85,19 @@ def corpus_digest(encoder, preset: str, scale: float) -> dict:
     }
     values = np.random.default_rng(bench.SCRIPT_SEED)
     targets = bench.fixed_sample(bench.value_slots(evaluation.reference_workbooks), N_EDITS)
-    for workbook, sheet, cell in targets:
-        value = float(np.round(values.uniform(1.0, 10_000.0), 2))
-        workspace.edit_cell(workbook, sheet, cell, value=value)
-    entry["state_after_edits"] = state_digests(workspace)
-    entry["answers_after_edits"] = answers(workspace, requests)
     with tempfile.TemporaryDirectory() as directory:
+        workspace.save(directory)  # attaches the mutation log: the script below is logged
+        for workbook, sheet, cell in targets:
+            value = float(np.round(values.uniform(1.0, 10_000.0), 2))
+            workspace.edit_cell(workbook, sheet, cell, value=value)
+        entry["state_after_edits"] = state_digests(workspace)
+        entry["answers_after_edits"] = answers(workspace, requests)
+        added = evaluation.test_workbooks[0]
+        workspace.add_workbook(added)
+        entry["files"] = file_digests(Path(directory), "mutations.log")
+        workspace.remove_workbook(added.name)
         workspace.save(directory)
+        entry["files"].update(file_digests(Path(directory), "manifest.json", "workbooks/*.json"))
         restored = FormulaService(encoder).load_workspace(directory)
         entry["answers_restored"] = answers(restored, requests)
     return entry
