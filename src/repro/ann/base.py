@@ -34,10 +34,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Imported from the tracing submodule directly: the ``repro.obs`` package
-# pulls in the metrics registry (and its LatencyRecorder backend), which
-# this low-level index layer has no business depending on.
-from repro.obs.tracing import get_tracer
+from repro.obs import Counter, get_tracer
 
 _EPS32 = float(np.finfo(np.float32).eps)
 
@@ -118,6 +115,10 @@ class VectorIndex(abc.ABC):
         #: tombstones (None = stale; rebuilt on demand, invalidated by
         #: add/remove/compaction).
         self._live_scan: Optional[np.ndarray] = None
+        #: The scorer's fallbacks (see :meth:`counters`).  Searches run
+        #: concurrently under the workspace's read lock, hence instruments.
+        self._fallback_rows = Counter()
+        self._overflows = Counter()
 
     # -------------------------------------------------------------- interface
 
@@ -393,6 +394,7 @@ class VectorIndex(abc.ABC):
                 # Every row's guaranteed slice overflowed the budget;
                 # the plain scorer over the shared pool is cheaper.
                 span.set_attribute("mode", "two_tier_overflow")
+                self._overflows.inc()
                 return self._score_exact(queries, positions, k)
         with get_tracer().span(
             "index.search", mode="exact", pool=pool, k=k, n_queries=queries.shape[0]
@@ -492,6 +494,7 @@ class VectorIndex(abc.ABC):
             for row, hits in zip(ok_rows, self._score_padded(queries[ok_rows], absolute, valid, k)):
                 results[int(row)] = hits
             if bad_rows.size:
+                self._fallback_rows.inc(int(bad_rows.size))
                 for row, hits in zip(bad_rows, self._score_exact(queries[bad_rows], positions, k)):
                     results[int(row)] = hits
         return results  # type: ignore[return-value]
@@ -595,6 +598,17 @@ class VectorIndex(abc.ABC):
         return np.take_along_axis(padded, columns, axis=1), new_valid
 
     # ------------------------------------------------------------ observability
+
+    def counters(self) -> Dict[str, int]:
+        """The BLAS path's fallbacks to the plain scorer since construction,
+        at equal answers, so these counts are the only sign of them: query
+        rows of a tier-2 re-rank whose guaranteed slice overflowed the
+        budget (``index.tier2_fallback_rows``) and calls in which every
+        row's did (``index.two_tier_overflow``)."""
+        return {
+            "index.tier2_fallback_rows": self._fallback_rows.value,
+            "index.two_tier_overflow": self._overflows.value,
+        }
 
     def memory_stats(self) -> Dict[str, object]:
         """JSON-ready resident-byte accounting for the ``/stats`` surface.

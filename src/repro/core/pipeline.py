@@ -19,7 +19,7 @@ from repro.formula.template import formula_references, instantiate_template
 from repro.formula.tokenizer import FormulaSyntaxError
 from repro.models.encoder import SheetEncoder
 from repro.nn.layers import Dropout, Flatten, L2Normalize, Linear, ReLU, Tanh
-from repro.obs import get_tracer
+from repro.obs import Counter, get_tracer
 from repro.sheet.addressing import CellAddress, RangeAddress
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
@@ -367,10 +367,10 @@ class AutoFormula(FormulaPredictor):
         bound = self.config.max_cached_target_sheets
         #: Target sheets' region stores (S3 candidate vectors).
         self._target_cache = sheet_cache("target_stores", bound)
-        #: Target-store lookups since construction, for ``region_store_stats``.
-        self._store_stats_mutex = threading.Lock()
-        self._store_hits = 0
-        self._store_misses = 0
+        #: Target-store lookups since construction (see :meth:`counters`);
+        #: serves run concurrently, hence instruments.
+        self._store_hits = Counter()
+        self._store_misses = Counter()
         #: Model-reduced per-sheet tensors (the fine model's per-cell prefix
         #: applied to a sheet's padded feature tensor once, instead of once
         #: per overlapping window).
@@ -539,16 +539,30 @@ class AutoFormula(FormulaPredictor):
             store.slots_of(*_coordinates(parameter_cells), partial(self._region_vectors_at, sheet))
         return store
 
-    def region_store_stats(self) -> Dict[str, int]:
-        """Target region-store accounting: candidate lookups that found
-        their cell stored (``hit``) or not (``miss``; a cell two parameters
-        of a cold request both reach counts twice, and is embedded once)
-        since construction, and the ``cells`` held by the cached stores
-        now."""
-        with self._store_stats_mutex:
-            hits, misses = self._store_hits, self._store_misses
-        cells = sum(len(store) for store in self._target_cache.values())
-        return {"hit": hits, "miss": misses, "cells": cells}
+    def counters(self) -> Dict[str, int]:
+        """Everything this predictor and its indexes count, keyed by full
+        metric name (the server mirrors each key as a gauge).
+
+        ``workspace.region_store_*`` is the target region-store accounting:
+        candidate lookups that found their cell stored (``hit``) or not
+        (``miss``; a cell two parameters of a cold request both reach
+        counts twice, and is embedded once) since construction, and the
+        ``cells`` held by the cached stores now.  The indexes' own
+        :meth:`~repro.ann.VectorIndex.counters` are summed over both (a
+        ``fit`` builds new indexes, whose counts start again).
+        """
+        counts = {
+            "workspace.region_store_hit": self._store_hits.value,
+            "workspace.region_store_miss": self._store_misses.value,
+            "workspace.region_store_cells": sum(
+                len(store) for store in self._target_cache.values()
+            ),
+        }
+        for index in (self._sheet_index, self._formula_index):
+            if index is not None:
+                for key, count in index.counters().items():
+                    counts[key] = counts.get(key, 0) + count
+        return counts
 
     # ---------------------------------------------------------------- offline
 
@@ -1186,9 +1200,8 @@ class AutoFormula(FormulaPredictor):
                         },
                     )
                 )
-            with self._store_stats_mutex:
-                self._store_hits += n_candidates - n_misses
-                self._store_misses += n_misses
+            self._store_hits.inc(n_candidates - n_misses)
+            self._store_misses.inc(n_misses)
             span.set_attribute("n_params", n_params)
             span.set_attribute("n_candidates", n_candidates)
             span.set_attribute("n_region_misses", n_misses)

@@ -18,7 +18,12 @@ from repro.cache import LRU
 from repro.embedding.base import TextEmbedder
 from repro.embedding.hashed import _stable_hash
 
-#: Word vectors kept per embedder (a vocabulary, not a working set).
+#: Word vectors kept per embedder (a vocabulary, not a working set).  The
+#: cache earns its place *behind* ``cell_features``: featurizing PGE once
+#: with the ``glove`` featurizer, ``cell_features`` takes 2 352 of 4 462 cell
+#: lookups, and of the 3 831 word lookups its misses still make, this cache
+#: takes 2 345 (61 %).  A miss is a ``default_rng`` plus a draw, 15-17 us
+#: against under 1 us for a hit: about 35-39 ms of a 115-120 ms pass.
 _MAX_CACHED_WORDS = 50_000
 
 

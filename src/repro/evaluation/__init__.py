@@ -5,6 +5,11 @@ Implements the paper's evaluation protocol (Section 5.1): a prediction is a
 parameters); recall is hits over all test cases, precision is hits over
 cases where the method chose to predict, and PR curves are traced by
 sweeping a confidence threshold over the prediction set.
+
+``measure_latency`` times a method's offline fit and online predictions
+(Figure 8).  Serving-side latency percentiles are not kept here: they are
+a :class:`repro.obs.Histogram` (``Workspace.latency``, the server's
+histograms).
 """
 
 from repro.evaluation.metrics import (
@@ -24,7 +29,7 @@ from repro.evaluation.runner import (
     overall_average,
     CorpusEvaluation,
 )
-from repro.evaluation.latency import LatencyRecorder, LatencyReport, measure_latency
+from repro.evaluation.latency import LatencyReport, measure_latency
 
 __all__ = [
     "CaseResult",
@@ -42,7 +47,6 @@ __all__ = [
     "prepare_corpus_evaluation",
     "overall_average",
     "CorpusEvaluation",
-    "LatencyRecorder",
     "LatencyReport",
     "measure_latency",
 ]

@@ -1,185 +1,16 @@
-"""Latency measurement for offline preprocessing and online prediction."""
+"""Wall-clock timing of one method's offline fit and online predictions
+(the Figure 8 experiment).  Serving-side latency — per request, with
+percentiles — is a :class:`repro.obs.Histogram` on the workspace."""
 
 from __future__ import annotations
 
-import random
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.interface import FormulaPredictor
 from repro.corpus.testcases import TestCase
 from repro.sheet.workbook import Workbook
-
-
-class LatencyRecorder:
-    """Accumulates per-request online latencies for serving-path reporting.
-
-    The service layer records one sample per recommendation request (batch
-    requests record the amortized per-request share of the batch's wall
-    clock) and reads the aggregate back through :meth:`summary`, which is
-    the serving-side counterpart of the per-workload
-    :class:`LatencyReport` used by the Figure 8 scalability experiment.
-
-    Memory is bounded for long-lived workspaces: ``count``, ``total`` /
-    ``mean`` and ``max`` are maintained as running aggregates over *every*
-    recorded sample, while percentiles are computed over a sliding window
-    of the most recent ``window_size`` samples.
-
-    ``reservoir_size`` switches the percentile store to *bounded-memory
-    reservoir mode* (the metrics registry's histogram backend): instead
-    of the most-recent window, a fixed-size uniform sample of the
-    **whole** stream is kept via Vitter's Algorithm R, so a registry with
-    hundreds of histograms stays small and percentiles approximate the
-    all-time distribution within sampling tolerance.  The reservoir's
-    replacement draws come from a private seeded ``random.Random`` —
-    never the global RNG, whose stream the test suite seeds for
-    reproducible workloads.
-
-    Recording and reading are guarded by a mutex: concurrent serving
-    threads all record on their workspace's shared recorder.
-    """
-
-    def __init__(
-        self, window_size: int = 8192, reservoir_size: Optional[int] = None
-    ) -> None:
-        if window_size <= 0:
-            raise ValueError("window_size must be positive")
-        if reservoir_size is not None and reservoir_size <= 0:
-            raise ValueError("reservoir_size must be positive")
-        self._reservoir_size = reservoir_size
-        if reservoir_size is not None:
-            # A list, not a deque: Algorithm R replaces random slots, and
-            # deque indexing is O(n) while list indexing is O(1).
-            self._window: List[float] = []
-            self._rng = random.Random(0x0B5E55)
-        else:
-            self._window = deque(maxlen=window_size)
-            self._rng = None
-        self._count = 0
-        self._total = 0.0
-        self._max = 0.0
-        self._mutex = threading.Lock()
-
-    def __len__(self) -> int:
-        """Number of samples ever recorded (not just the window)."""
-        return self._count
-
-    def record(self, seconds: float) -> None:
-        """Record one request's wall-clock latency."""
-        if seconds < 0:
-            raise ValueError("latency must be non-negative")
-        seconds = float(seconds)
-        with self._mutex:
-            self._count += 1
-            self._total += seconds
-            if seconds > self._max:
-                self._max = seconds
-            if self._reservoir_size is None:
-                self._window.append(seconds)
-            elif len(self._window) < self._reservoir_size:
-                self._window.append(seconds)
-            else:
-                # Algorithm R: the i-th sample replaces a random slot with
-                # probability reservoir_size / i, keeping the reservoir a
-                # uniform sample of everything ever recorded.
-                slot = self._rng.randrange(self._count)
-                if slot < self._reservoir_size:
-                    self._window[slot] = seconds
-
-    @property
-    def total_seconds(self) -> float:
-        return self._total
-
-    @property
-    def mean_seconds(self) -> float:
-        if not self._count:
-            return 0.0
-        return self._total / self._count
-
-    def percentile(self, fraction: float) -> float:
-        """Interpolated percentile over the recent window, ``fraction`` in [0, 1].
-
-        Uses linear interpolation between closest ranks (the same estimator
-        as ``numpy.percentile``'s default), so small windows report e.g. a
-        p50 *between* the two middle samples instead of snapping to the
-        nearest rank — nearest-rank p99 over a few dozen samples simply
-        repeated the max, which made tail regressions invisible.
-        """
-        return self.percentiles((fraction,))[0]
-
-    def percentiles(self, fractions: Sequence[float]) -> List[float]:
-        """Several interpolated percentiles from one snapshot of the window.
-
-        One lock acquisition and one sort, so callers reporting p50/p95/p99
-        together (the ``/stats`` endpoint, benchmark tables) read a
-        *consistent* set — percentiles computed one call at a time could
-        straddle a concurrent ``record``.
-        """
-        for fraction in fractions:
-            if not 0.0 <= fraction <= 1.0:
-                raise ValueError("fraction must be in [0, 1]")
-        with self._mutex:
-            window = list(self._window)
-        if not window:
-            return [0.0 for __ in fractions]
-        ordered = sorted(window)
-        last = len(ordered) - 1
-        values = []
-        for fraction in fractions:
-            position = fraction * last
-            lower = int(position)
-            upper = min(lower + 1, last)
-            weight = position - lower
-            values.append(ordered[lower] * (1.0 - weight) + ordered[upper] * weight)
-        return values
-
-    @property
-    def window_count(self) -> int:
-        """Number of samples currently in the percentile window."""
-        with self._mutex:
-            return len(self._window)
-
-    def summary(self) -> Dict[str, float]:
-        """Count, total, mean, p50/p95/p99 (recent window) and max.
-
-        ``count`` / ``total_seconds`` / ``mean_seconds`` / ``max_seconds``
-        are all-time aggregates; the percentiles cover only the most
-        recent ``window_count`` samples.  ``window_count`` is reported so
-        readers can tell the two populations apart — on a long-lived
-        workspace a p99 over the last 8k samples says nothing about the
-        millions ``count`` witnessed.
-        """
-        with self._mutex:
-            count = self._count
-            total = self._total
-            maximum = self._max
-            window = list(self._window)
-        if window:
-            ordered = sorted(window)
-            last = len(ordered) - 1
-            percentiles = []
-            for fraction in (0.5, 0.95, 0.99):
-                position = fraction * last
-                lower = int(position)
-                upper = min(lower + 1, last)
-                weight = position - lower
-                percentiles.append(ordered[lower] * (1.0 - weight) + ordered[upper] * weight)
-            p50, p95, p99 = percentiles
-        else:
-            p50 = p95 = p99 = 0.0
-        return {
-            "count": float(count),
-            "window_count": float(len(window)),
-            "total_seconds": total,
-            "mean_seconds": total / count if count else 0.0,
-            "p50_seconds": p50,
-            "p95_seconds": p95,
-            "p99_seconds": p99,
-            "max_seconds": maximum,
-        }
 
 
 @dataclass(frozen=True)

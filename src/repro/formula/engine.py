@@ -30,9 +30,9 @@ spreadsheets use:
 * **External-mutation safety.**  The engine watermarks the sheet's
   mutation :attr:`~repro.sheet.sheet.Sheet.version`; if the sheet was
   edited behind its back (plain ``sheet.set`` calls), the next operation
-  falls back to a full resync instead of serving stale values.  Edits
-  made through the engine keep the watermark current, preserving the
-  incremental fast path.
+  falls back to a full resync instead of serving stale values (counted:
+  :meth:`FormulaEngine.counters`).  Edits made through the engine keep
+  the watermark current, preserving the incremental fast path.
 """
 
 from __future__ import annotations
@@ -135,6 +135,8 @@ class FormulaEngine:
         #: whenever anything becomes dirty or values are committed).
         self._eval_memo: Dict[CellAddress, object] = {}
         self._synced_version = -1
+        #: Full resyncs forced by an edit made behind the engine's back.
+        self._external_resyncs = 0
         self._full_resync()
 
     # ------------------------------------------------------------------ state
@@ -281,7 +283,15 @@ class FormulaEngine:
 
     def _sync(self) -> None:
         if self._synced_version != self._sheet.version:
+            self._external_resyncs += 1
             self._full_resync()
+
+    def counters(self) -> Dict[str, int]:
+        """``engine.full_resync``: times the version watermark caught an
+        edit made around the engine and the whole graph was rebuilt.  The
+        values come out right either way, so this count is the only sign
+        that the O(dirty subgraph) path was lost."""
+        return {"engine.full_resync": self._external_resyncs}
 
     def _full_resync(self) -> None:
         """Rebuild the graph from scratch; everything becomes dirty."""

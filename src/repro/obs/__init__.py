@@ -8,16 +8,15 @@ Two pieces (see the submodule docstrings for the full story):
   recalc), kept in a sampled ring plus an always-capture slow-trace log;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, the single
   counter/gauge/histogram tree behind ``/stats`` and the Prometheus
-  ``/metrics`` exposition.
+  ``/metrics`` exposition, and :class:`Histogram`, the one percentile
+  store (a workspace's serving latency, every server histogram, and —
+  through :func:`repro.obs.metrics.summarize` — a client swarm's list).
 
 The tracer is **disabled by default**; the HTTP server enables it from
 ``ServerConfig`` and instrumented library layers pay one near-free
 no-op call until then.
 """
 
-# Tracing first: low-level layers (formula engine, ANN index) import the
-# tracer while this package is still initializing, so its names must bind
-# before the metrics module (which reaches into the evaluation package).
 from repro.obs.tracing import (
     Span,
     Trace,

@@ -42,7 +42,6 @@ from repro.persistence.log import (
     edit_entry,
     add_entry,
     remove_entry,
-    replay_pending_mutations,
 )
 
 __all__ = [

@@ -12,12 +12,12 @@ vocabulary as :data:`repro.testing.workload.OP_KINDS`'s mutating subset
      "address": "B2", "cell": {"value": 3.5}}
     {"op": "remove", "workbook_name": "wb"}
 
-Loading replays the entries, in order, through the workspace's public
-mutation API (:func:`apply_mutation`) — the same writer-preferring lock
-path live traffic takes — so a restore-from-snapshot+log reaches a state
-bit-identical to a fresh fit on the equivalent corpus.  ``save()``
-*compacts*: it writes a fresh snapshot of the current state and
-truncates the log back to its header.
+``Workspace.load`` replays the entries, in order and before it returns,
+through the workspace's public mutation API (:func:`apply_mutation`) — the
+same writer-preferring lock path live traffic takes — so a
+restore-from-snapshot+log reaches a state bit-identical to a fresh fit on
+the equivalent corpus.  ``save()`` *compacts*: it writes a fresh snapshot
+of the current state and truncates the log back to its header.
 
 Edit values are encoded through :meth:`repro.sheet.Cell.to_dict` /
 ``from_dict`` so dates and typed error values survive the round trip
@@ -104,34 +104,6 @@ def apply_mutation(workspace, entry: Dict[str, object]) -> None:
             )
     else:
         raise MutationLogError(f"unknown mutation op {op!r}")
-
-
-def replay_pending_mutations(workspace) -> None:
-    """Apply a loaded workspace's pending log entries, exactly once.
-
-    The lazy half of restore: :meth:`Workspace.load` parses the log but
-    defers applying it until the first public operation, which calls this
-    helper *before* taking the workspace's read/write lock.  Entries are
-    swapped out under ``_replay_mutex`` so concurrent first operations
-    replay once (later arrivals block until the replay finishes, then see
-    an empty pending list); each entry then goes through the public
-    mutation API and therefore the existing writer-preferring lock.
-    ``_log_suspended`` keeps the replayed ops from being re-appended to
-    the very log they came from.
-    """
-    if not workspace._pending_ops:
-        return
-    with workspace._replay_mutex:
-        pending = workspace._pending_ops
-        if not pending:
-            return
-        workspace._pending_ops = []
-        workspace._log_suspended = True
-        try:
-            for entry in pending:
-                apply_mutation(workspace, entry)
-        finally:
-            workspace._log_suspended = False
 
 
 def _decodes(line: bytes) -> bool:

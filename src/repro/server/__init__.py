@@ -15,8 +15,9 @@ services layering of production serving systems:
   ``serve_batch`` call;
 * ``repro.server.admission`` — per-tenant token-bucket rate limiting,
   bounded ingress queues with load shedding, graceful drain;
-* ``repro.server.metrics`` — queue depth, batch-size histogram,
-  coalescing ratio and per-endpoint latency behind ``/stats``;
+* ``repro.server.metrics`` — what the server counts (every instrument
+  lives in the server's one ``repro.obs.MetricsRegistry``, bumped by the
+  code that sees the event) and ``stats_body``, the ``/stats`` view of it;
 * ``repro.server.client`` — blocking and async clients plus the
   concurrent swarm driver used by benchmarks and CI smoke tests.
 
@@ -39,7 +40,6 @@ from repro.server.client import (
     run_client_swarm,
     run_swarm,
 )
-from repro.server.metrics import ServerMetrics
 from repro.server.schemas import SchemaError, SheetInterner
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "ServerConfig",
     "ServerError",
     "ServerHandle",
-    "ServerMetrics",
     "SheetInterner",
     "SwarmResult",
     "TokenBucket",

@@ -47,17 +47,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache import stats as cache_stats
-from repro.obs import get_tracer
+from repro.obs import MetricsRegistry, get_tracer
 from repro.server.admission import AdmissionConfig, AdmissionController
 from repro.server.batching import BatcherPool
-from repro.server.metrics import (
-    ACCEPTED,
-    REJECTED_DRAINING,
-    REJECTED_QUEUE_FULL,
-    REJECTED_RATE_LIMITED,
-    SERVER_ERRORS,
-    ServerMetrics,
-)
+from repro.server.metrics import stats_body
 from repro.server.schemas import (
     EditCellRequest,
     SchemaError,
@@ -69,12 +62,6 @@ from repro.server.schemas import (
     encode_response,
 )
 from repro.service.facade import FormulaService
-
-_REASON_COUNTERS = {
-    "rate_limited": REJECTED_RATE_LIMITED,
-    "queue_full": REJECTED_QUEUE_FULL,
-    "draining": REJECTED_DRAINING,
-}
 
 _STATUS_REASONS = {
     200: "OK",
@@ -154,7 +141,8 @@ class FormulaServer:
     def __init__(self, service: FormulaService, config: Optional[ServerConfig] = None) -> None:
         self.service = service
         self.config = config or ServerConfig()
-        self.metrics = ServerMetrics()
+        self.registry = MetricsRegistry()
+        self._accepted = self.registry.counter("server.accepted")
         self.tracer = get_tracer().configure(
             enabled=self.config.tracing_enabled,
             sample_rate=self.config.trace_sample_rate,
@@ -166,7 +154,7 @@ class FormulaServer:
         )
         self._batchers = BatcherPool(
             self._executor,
-            self.metrics,
+            self.registry,
             max_batch_size=self.config.max_batch_size,
         )
         self._interner = SheetInterner(self.config.sheet_cache_entries)
@@ -360,7 +348,7 @@ class FormulaServer:
                 return (
                     200,
                     _RawBody(
-                        self.metrics.registry.render_prometheus(),
+                        self.registry.render_prometheus(),
                         "text/plain; version=0.0.4; charset=utf-8",
                     ),
                     {},
@@ -391,11 +379,13 @@ class FormulaServer:
         except ValueError as exc:
             return 400, encode_error("invalid_request", str(exc)), {}
         except Exception as exc:  # pragma: no cover - defensive 500 path
-            self.metrics.count(SERVER_ERRORS)
+            self.registry.counter("server.server_errors").inc()
             return 500, encode_error("internal_error", f"{type(exc).__name__}: {exc}"), {}
         finally:
             span.set_attribute("endpoint", endpoint)
-            self.metrics.record_endpoint(endpoint, time.perf_counter() - started)
+            self.registry.histogram("server.endpoint", {"endpoint": endpoint}).observe(
+                time.perf_counter() - started
+            )
 
     def _parse_json(self, request: _HttpRequest) -> object:
         if not request.body:
@@ -423,13 +413,13 @@ class FormulaServer:
             workspace_name, self._batchers.queue_depth(workspace_name), n=len(requests)
         )
         if rejection is not None:
-            self.metrics.count(_REASON_COUNTERS.get(rejection.reason, rejection.reason), len(requests))
+            self.registry.counter(f"server.rejected_{rejection.reason}").inc(len(requests))
             return (
                 rejection.status,
                 encode_error(rejection.reason, retry_after=rejection.retry_after_seconds),
                 {"Retry-After": f"{max(rejection.retry_after_seconds, 0.0):.3f}"},
             )
-        self.metrics.count(ACCEPTED, len(requests))
+        self._accepted.inc(len(requests))
         batcher = self._batchers.batcher_for(workspace_name, workspace)
         futures = [batcher.submit(req) for req in requests]
         results = await asyncio.gather(*futures)
@@ -519,34 +509,41 @@ class FormulaServer:
         the server does not see, so both scrape endpoints (``/stats`` and
         ``/metrics``) call this first: registration by name is idempotent
         and rebinds to the current workspace object, and whatever belongs
-        to a workspace that is gone — gauges and batcher — is let go.
+        to a workspace that is gone — instruments and batcher — is let go.
         """
+        registry = self.registry
+        workspace_of = self.service.workspace
         names = self.service.workspace_names()
         for name in names:
-            workspace = self.service.workspace(name)
-            stats = getattr(workspace, "memory_stats", None)
-            if stats is not None:
-                self.metrics.register_memory_gauge(name, stats)
-            store_stats = getattr(workspace.predictor, "region_store_stats", None)
-            if store_stats is not None:
-                self.metrics.mirror_stats("workspace.region_store", name, store_stats)
-            self.metrics.mirror_stats("workspace.reindex", name, workspace.reindex_stats)
-            self.metrics.mirror_stats("workspace.serve", name, workspace.serve_stats)
-            self.metrics.mirror_stats("persistence.log", name, workspace.log_stats)
-            # Adopt the workspace's serving-latency recorder into the
-            # registry so /metrics exposes it without double recording.
-            recorder = getattr(workspace, "latency", None)
-            if recorder is not None:
-                self.metrics.registry.histogram(
-                    "workspace.latency", labels={"workspace": name}, recorder=recorder
-                )
-        self.metrics.prune_memory_gauges(names)
+            labels = {"workspace": name}
+            # Callbacks look the workspace up by name: they read whatever is
+            # mounted under it now, and pin no workspace object.
+            registry.gauge(
+                "workspace.index_bytes",
+                labels,
+                fn=lambda name=name: workspace_of(name).memory_stats()["total_bytes"],
+            )
+            registry.histogram("workspace.latency", labels, existing=workspace_of(name).latency)
+            registry.mirror(lambda name=name: workspace_of(name).counters(), labels)
+        registry.prune("workspace", names)
         self._batchers.retain(names)
-        self.metrics.mirror_cache_stats(cache_stats)
+        caches = cache_stats()
+        for cache in caches:
+            registry.mirror(
+                lambda cache=cache: {
+                    f"cache_{field}": count for field, count in cache_stats()[cache].items()
+                },
+                {"cache": cache},
+            )
+        registry.prune("cache", caches)
 
     def _stats_body(self) -> Dict[str, object]:
         self._sync_workspaces()
-        body = self.metrics.snapshot()
+        body = stats_body(self.registry)
+        body["index_memory"] = {
+            name: self.service.workspace(name).memory_stats()
+            for name in self.service.workspace_names()
+        }
         body["tracing"] = self.tracer.stats()
         body["caches"] = cache_stats()
         body["sheet_cache"] = {
@@ -554,11 +551,6 @@ class FormulaServer:
             "hits": self._interner.hits,
             "misses": self._interner.misses,
         }
-        workspaces = {
-            name: self.service.workspace(name) for name in self.service.workspace_names()
-        }
-        body["workspaces"] = {name: ws.latency.summary() for name, ws in workspaces.items()}
-        body["reindex"] = {name: ws.reindex_stats() for name, ws in workspaces.items()}
         body["config"] = {
             "max_batch_size": self.config.max_batch_size,
             "queue_limit": self.config.admission.queue_limit,

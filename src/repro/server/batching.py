@@ -44,15 +44,7 @@ from dataclasses import dataclass
 from time import monotonic
 from typing import Deque, Dict, Iterable, List, Optional, Set
 
-from repro.obs import get_tracer
-from repro.obs.tracing import Span
-from repro.server.metrics import (
-    ADMITTED_TO_BATCHER,
-    COMPLETED_BY_BATCHER,
-    SERVED,
-    SERVER_ERRORS,
-    ServerMetrics,
-)
+from repro.obs import MetricsRegistry, Span, get_tracer
 from repro.service.types import RecommendationRequest, RecommendationResponse
 
 #: Reusable stand-in when a batch has no traced leader to host a span.
@@ -105,15 +97,26 @@ class WorkspaceBatcher:
         self,
         workspace,
         executor: Executor,
-        metrics: ServerMetrics,
+        registry: MetricsRegistry,
         max_batch_size: int = 16,
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
         self.workspace = workspace
         self._executor = executor
-        self._metrics = metrics
+        self._registry = registry
         self.max_batch_size = max_batch_size
+        # Instruments, bound once (see ``repro.server.metrics`` for what
+        # each means); every batcher of a server shares them.  The gauge
+        # closes over the two counters, not over this batcher: the registry
+        # must not pin a batcher (and its workspace) that has been retired.
+        self._admitted = admitted = registry.counter("server.batch_admitted")
+        self._completed = completed = registry.counter("server.batch_completed")
+        registry.gauge("server.inflight", fn=lambda: admitted.value - completed.value)
+        self._served = registry.counter("server.served")
+        self._batches = registry.counter("server.batches")
+        self._batched_requests = registry.counter("server.batched_requests")
+        self._queue_wait = registry.histogram("server.queue_wait")
         self._queue: Deque[_Pending] = deque()
         self._arrived = asyncio.Event()
         self._outstanding = 0
@@ -154,7 +157,7 @@ class WorkspaceBatcher:
             self._collector = loop.create_task(self._run())
         future: "asyncio.Future[ServedResult]" = loop.create_future()
         self._outstanding += 1
-        self._metrics.count(ADMITTED_TO_BATCHER)
+        self._admitted.inc()
         self._queue.append(_Pending(request, future, monotonic(), get_tracer().current_span()))
         self._arrived.set()
         return future
@@ -199,10 +202,13 @@ class WorkspaceBatcher:
     async def _serve(self, batch: List[_Pending], reason: str) -> None:
         requests = [pending.request for pending in batch]
         dispatched_at = monotonic()
-        self._metrics.observe_batch(len(batch), reason)
+        self._batches.inc()
+        self._batched_requests.inc(len(batch))
+        self._registry.counter("server.batch_size", {"size": str(len(batch))}).inc()
+        self._registry.counter("server.batch_dispatch", {"reason": reason}).inc()
         for pending in batch:
             queue_seconds = dispatched_at - pending.enqueued_at
-            self._metrics.observe_queue_wait(queue_seconds)
+            self._queue_wait.observe(queue_seconds)
             if pending.span is not None:
                 pending.span.set_attribute("batch_size", len(batch))
                 pending.span.set_attribute("queue_seconds", queue_seconds)
@@ -226,15 +232,15 @@ class WorkspaceBatcher:
                 self._executor, _serve_in_leader_context
             )
         except Exception as exc:
-            self._metrics.count(SERVER_ERRORS, len(batch))
+            self._registry.counter("server.server_errors").inc(len(batch))
             for pending in batch:
                 if not pending.future.cancelled():
                     pending.future.set_exception(exc)
             return
         finally:
             self._outstanding -= len(batch)
-            self._metrics.count(COMPLETED_BY_BATCHER, len(batch))
-        self._metrics.count(SERVED, len(batch))
+            self._completed.inc(len(batch))
+        self._served.inc(len(batch))
         for pending, response in zip(batch, responses):
             if not pending.future.cancelled():
                 pending.future.set_result(
@@ -248,11 +254,11 @@ class BatcherPool:
     def __init__(
         self,
         executor: Executor,
-        metrics: ServerMetrics,
+        registry: MetricsRegistry,
         max_batch_size: int = 16,
     ) -> None:
         self._executor = executor
-        self._metrics = metrics
+        self._registry = registry
         self._max_batch_size = max_batch_size
         self._batchers: Dict[str, WorkspaceBatcher] = {}
         #: Collectors of retired batchers that are still serving their queue.
@@ -266,9 +272,11 @@ class BatcherPool:
             batcher = None
         if batcher is None:
             batcher = WorkspaceBatcher(
-                workspace, self._executor, self._metrics, self._max_batch_size
+                workspace, self._executor, self._registry, self._max_batch_size
             )
-            self._metrics.register_queue_gauge(name, batcher.queue_depth)
+            self._registry.gauge(
+                "server.queue_depth", {"workspace": name}, fn=batcher.queue_depth
+            )
             self._batchers[name] = batcher
         return batcher
 
@@ -279,7 +287,7 @@ class BatcherPool:
         batcher = self._batchers.pop(name, None)
         if batcher is None:
             return
-        self._metrics.remove_queue_gauge(name)
+        self._registry.remove("server.queue_depth", {"workspace": name})
         collector = batcher.close()
         if collector is not None and not collector.done():
             self._retiring.add(collector)

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.evaluation.latency import LatencyRecorder
+from repro.obs.metrics import summarize
 from repro.sheet.io import sheet_to_dict, workbook_to_dict
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
@@ -314,11 +314,10 @@ class SwarmResult:
         return self.n_requests / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def latency_summary(self) -> Dict[str, float]:
-        """count/p50/p95/p99/max over the client-observed latencies."""
-        recorder = LatencyRecorder(window_size=max(len(self.latencies), 1))
-        for seconds in self.latencies:
-            recorder.record(seconds)
-        return recorder.summary()
+        """count/p50/p95/p99/max over the client-observed latencies: exact
+        percentiles of the finished list, by the server's own estimator."""
+        latencies = self.latencies
+        return summarize(latencies, len(latencies), sum(latencies), max(latencies, default=0.0))
 
 
 async def run_swarm(

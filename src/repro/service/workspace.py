@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -11,9 +10,9 @@ from repro.core.interface import FormulaPredictor
 from repro.persistence.log import (
     MutationLog,
     add_entry,
+    apply_mutation,
     edit_entry,
     remove_entry,
-    replay_pending_mutations,
 )
 from repro.persistence.snapshot import (
     SnapshotFormatError,
@@ -26,9 +25,8 @@ from repro.persistence.snapshot import (
     sheet_resolver,
     write_manifest,
 )
-from repro.evaluation.latency import LatencyRecorder
 from repro.evaluation.runner import EvaluationRun, run_method_on_cases
-from repro.obs import get_tracer
+from repro.obs import Counter, Histogram, get_tracer
 from repro.formula.engine import FormulaEngine, RecalcReport
 from repro.service.concurrency import ReadWriteLock
 from repro.extensions.autofill import AutoFillSuggestion, ValueAutoFill
@@ -42,6 +40,17 @@ from repro.service.types import (
 from repro.sheet.addressing import CellAddress
 from repro.sheet.sheet import AddressLike, Sheet
 from repro.sheet.workbook import Workbook
+
+
+#: The metric names a workspace counts itself (see :meth:`Workspace.counters`).
+_COUNTED = (
+    "workspace.reindex_same",
+    "workspace.reindex_changed",
+    "workspace.reindex_refit",
+    "workspace.serve_collapsed_duplicates",
+    "persistence.log_replayed_total",
+    "persistence.log_torn_tail_total",
+)
 
 
 def sheet_engine(
@@ -62,10 +71,15 @@ def sheet_engine(
 
 def drop_engines(
     cache: Dict[Tuple[str, str], FormulaEngine], workbook_name: str
-) -> None:
-    """Evict a workbook's cached engines (counterpart of :func:`sheet_engine`)."""
-    for key in [key for key in cache if key[0] == workbook_name]:
-        del cache[key]
+) -> List[FormulaEngine]:
+    """Evict and return a workbook's cached engines (counterpart of
+    :func:`sheet_engine`)."""
+    return [cache.pop(key) for key in [key for key in cache if key[0] == workbook_name]]
+
+
+def _add_counts(into: Dict[str, int], counts: Dict[str, int]) -> None:
+    for key, count in counts.items():
+        into[key] = into.get(key, 0) + count
 
 
 def require_one_edit_operand(value, formula) -> None:
@@ -126,37 +140,27 @@ class Workspace:
         #: Serving = shared access, corpus mutation = exclusive access.
         self._rwlock = ReadWriteLock()
         #: Per-request serving latencies (amortized for batched requests).
-        self.latency = LatencyRecorder()
+        self.latency = Histogram()
         self._corpus_version = 0
         #: Per-sheet recalculation engines, built lazily by :meth:`edit_cell`
         #: and kept across edits so repeated edits to one sheet stay
         #: O(dirty subgraph).  Keyed by (workbook name, sheet name); an
         #: entry is dropped when its workbook leaves the corpus.
         self._engines: Dict[Tuple[str, str], FormulaEngine] = {}
-        #: In-place re-indexes since construction, by whether the edited
-        #: sheet's formula list was unchanged (``same``) or not (``changed``),
-        #: and the edits whose re-index raised and fell back to a full
-        #: ``refit``.
-        self._reindex_counts = {"same": 0, "changed": 0, "refit": 0}
-        #: Requests answered from another request's prediction in the same
-        #: ``serve_batch`` call.  Serves run concurrently under the read
-        #: lock, so the count has its own mutex.
-        self._collapsed_duplicates = 0
-        self._serve_counts_mutex = threading.Lock()
+        #: What :meth:`counters` reports of this layer, by metric name.
+        #: Instruments, because serves run concurrently under the read lock.
+        self._counts = {name: Counter() for name in _COUNTED}
+        #: Counts of engines dropped with their workbook, so that what the
+        #: engines report never goes down.
+        self._dropped_engine_counts: Dict[str, int] = {}
         self._autofill: Optional[ValueAutoFill] = None
         self._autofill_version = -1
         self._detector: Optional[FormulaErrorDetector] = None
         self._detector_version = -1
         #: Durability state (see :mod:`repro.persistence`): ``save()``
         #: attaches a mutation log and subsequent corpus mutations append
-        #: to it; ``load()`` stashes the log's tail in ``_pending_ops``
-        #: for lazy replay on first public use.
+        #: to it; ``load()`` replays the log's tail, then attaches it.
         self._mutation_log: Optional[MutationLog] = None
-        self._pending_ops: List[Dict[str, object]] = []
-        self._log_suspended = False
-        #: Torn log tails dropped when this workspace was loaded.
-        self._torn_log_tails = 0
-        self._replay_mutex = threading.RLock()
 
     # ----------------------------------------------------------------- corpus
 
@@ -165,27 +169,20 @@ class Workspace:
         """The wrapped prediction method."""
         return self._predictor
 
-    # Registry reads replay a restored workspace's pending log first, so
-    # they never report the snapshot's corpus instead of the current one.
-
     @property
     def workbook_names(self) -> List[str]:
         """Names of the indexed workbooks, in the order they were added."""
-        self._ensure_log_replayed()
         return list(self._workbooks)
 
     def workbooks(self) -> List[Workbook]:
         """The indexed workbooks, in the order they were added (an edit
         never moves one; a removed and re-added workbook goes last)."""
-        self._ensure_log_replayed()
         return list(self._workbooks.values())
 
     def __len__(self) -> int:
-        self._ensure_log_replayed()
         return len(self._workbooks)
 
     def __contains__(self, workbook_name: str) -> bool:
-        self._ensure_log_replayed()
         return workbook_name in self._workbooks
 
     def add_workbooks(self, workbooks: Iterable[Workbook]) -> None:
@@ -199,7 +196,6 @@ class Workspace:
         workbooks = list(workbooks)
         if not workbooks:
             return
-        self._ensure_log_replayed()
         with self._rwlock.write_lock():
             seen = set(self._workbooks)
             for workbook in workbooks:
@@ -238,7 +234,6 @@ class Workspace:
         :meth:`add_workbooks`, the workbook stays registered if the
         predictor mutation fails.
         """
-        self._ensure_log_replayed()
         with self._rwlock.write_lock():
             if workbook_name not in self._workbooks:
                 raise KeyError(workbook_name)
@@ -257,7 +252,8 @@ class Workspace:
                 )
                 self._fitted = True
             workbook = self._workbooks.pop(workbook_name)
-            drop_engines(self._engines, workbook_name)
+            for engine in drop_engines(self._engines, workbook_name):
+                _add_counts(self._dropped_engine_counts, engine.counters())
             self._log(remove_entry, workbook_name)
             self._corpus_version += 1
             return workbook
@@ -290,7 +286,6 @@ class Workspace:
         ``value`` / ``formula`` is provided.
         """
         require_one_edit_operand(value, formula)
-        self._ensure_log_replayed()
         with get_tracer().span(
             "workspace.edit_cell",
             workspace=self.name,
@@ -315,7 +310,7 @@ class Workspace:
                     # the registry restores consistency.  If the refit
                     # itself fails, that error propagates.  Answers do not
                     # show this path was taken, so it is counted.
-                    self._reindex_counts["refit"] += 1
+                    self._counts["workspace.reindex_refit"].inc()
                     self._refit()
             else:
                 self._refit()
@@ -328,15 +323,8 @@ class Workspace:
             outcome = self._predictor.reindex_sheet(sheet)
             for key, attribute in outcome.items():
                 span.set_attribute(key, attribute)
-        self._reindex_counts["changed" if outcome["formulas_changed"] else "same"] += 1
-
-    def reindex_stats(self) -> Dict[str, int]:
-        """How many edits re-indexed their sheet with its formula list
-        unchanged (``same``: rows overwritten in place) and changed
-        (``changed``: the sheet's formula rows replaced), and how many fell
-        back to a full ``refit`` because the re-index raised — at equal
-        answers, so a non-zero count is the only sign of it."""
-        return dict(self._reindex_counts)
+        shape = "changed" if outcome["formulas_changed"] else "same"
+        self._counts[f"workspace.reindex_{shape}"].inc()
 
     def _refit(self) -> None:
         self._predictor.fit(self.workbooks())
@@ -366,17 +354,8 @@ class Workspace:
         The entry is built here, not by the caller: an ``add`` entry is the
         whole workbook as dicts, which nobody reads without a log.
         """
-        if self._mutation_log is not None and not self._log_suspended:
+        if self._mutation_log is not None:
             self._mutation_log.append(build_entry(*args, **kwargs))
-
-    def log_stats(self) -> Dict[str, int]:
-        """``torn_tail_total``: half-written final log lines — what a crash
-        during an append leaves — dropped when this workspace was loaded."""
-        return {"torn_tail_total": self._torn_log_tails}
-
-    def _ensure_log_replayed(self) -> None:
-        """Replay a loaded snapshot's mutation-log tail on first public use."""
-        replay_pending_mutations(self)
 
     def save(self, directory: Union[str, Path]) -> Path:
         """Snapshot this workspace to ``directory`` and attach its mutation log.
@@ -384,9 +363,9 @@ class Workspace:
         Writes the corpus workbooks, the predictor's raw index state
         (contiguous float32 matrices, tombstone flags, stable-id maps) and
         a versioned manifest — the layout documented in
-        :mod:`repro.persistence.snapshot`.  Any mutation-log tail is
-        replayed first and the log is then *compacted*: truncated back to
-        its header, because the fresh snapshot now covers its entries.
+        :mod:`repro.persistence.snapshot`.  The log is then *compacted*:
+        truncated back to its header, because the fresh snapshot now
+        covers its entries.
         After ``save()`` the workspace keeps logging subsequent
         add/remove/edit calls to ``directory``'s log, so a later
         :meth:`load` restores snapshot + tail.
@@ -394,7 +373,6 @@ class Workspace:
         Requires a snapshot-capable predictor (Auto-Formula); raises
         ``TypeError`` for baselines that cannot serialize their state.
         """
-        self._ensure_log_replayed()
         directory = Path(directory)
         snapshot_state = getattr(self._predictor, "snapshot_state", None)
         if snapshot_state is None:
@@ -439,10 +417,12 @@ class Workspace:
         adopts the stored index state — memory-mapped read-only by default
         (``mmap=False`` forces eager in-memory copies), which every write
         path upgrades by reallocating before mutating.  The snapshot's
-        mutation-log tail is *not* applied here: it is stashed and
-        replayed lazily on the first public operation, under the same
-        writer-preferring lock live mutations take.  Restored answers are
-        bit-identical to a fresh fit on the equivalent corpus.
+        mutation-log tail is then replayed through the public mutation
+        API, before the log is attached (so nothing is appended back to
+        the log it came from): what is returned describes and serves the
+        current corpus, and a tail that cannot be replayed fails the load,
+        not the first request.  Restored answers are bit-identical to a
+        fresh fit on the equivalent corpus.
 
         ``predictor`` must be a fresh, configuration-compatible predictor
         (same granularity and index kinds as the saved one); mismatches
@@ -486,11 +466,14 @@ class Workspace:
             workspace._workbooks[workbook.name] = workbook
         workspace._fitted = bool(manifest.get("fitted", False))
         log = MutationLog(mutation_log_path(directory))
+        entries = log.read()
+        for entry in entries:
+            apply_mutation(workspace, entry)
         workspace._mutation_log = log
-        workspace._pending_ops = log.read()
-        workspace._torn_log_tails = log.torn_tails
+        workspace._counts["persistence.log_replayed_total"].inc(len(entries))
+        workspace._counts["persistence.log_torn_tail_total"].inc(log.torn_tails)
         span.set_attribute("n_workbooks", len(workbooks))
-        span.set_attribute("pending_log_entries", len(workspace._pending_ops))
+        span.set_attribute("replayed_log_entries", len(entries))
         span.set_attribute("torn_log_tails", log.torn_tails)
         return workspace
 
@@ -523,7 +506,6 @@ class Workspace:
         with get_tracer().span(
             "workspace.serve", workspace=self.name, n_requests=len(requests)
         ) as span:
-            self._ensure_log_replayed()
             self._ensure_fitted_for_serving()
             with self._rwlock.read_lock():
                 return self._serve_batch_locked(requests, span)
@@ -565,7 +547,7 @@ class Workspace:
                     f"{len(predictions)} predictions for {len(cells)} cells"
                 )
             for position, prediction in zip(positions, (predictions[slot] for slot in slots)):
-                self.latency.record(per_request)
+                self.latency.observe(per_request)
                 request = requests[position]
                 if prediction is None:
                     responses[position] = self._abstain(
@@ -583,8 +565,7 @@ class Workspace:
                     )
         span.set_attribute("n_collapsed", n_collapsed)
         if n_collapsed:
-            with self._serve_counts_mutex:
-                self._collapsed_duplicates += n_collapsed
+            self._counts["workspace.serve_collapsed_duplicates"].inc(n_collapsed)
         # Every slot is filled: the groups partition range(len(requests))
         # and each group produced exactly one response per position.
         return responses  # type: ignore[return-value]
@@ -607,11 +588,37 @@ class Workspace:
 
     # ---------------------------------------------------------- observability
 
-    def serve_stats(self) -> Dict[str, int]:
-        """``collapsed_duplicates``: requests since construction that were
-        answered from another request's prediction in their batch."""
-        with self._serve_counts_mutex:
-            return {"collapsed_duplicates": self._collapsed_duplicates}
+    def counters(self) -> Dict[str, int]:
+        """Every count this workspace and the layers under it keep, flat,
+        keyed by full metric name; the server mirrors each key it finds as
+        the gauge ``<key>{workspace=...}``.  This layer's own:
+
+        * ``workspace.reindex_same`` / ``_changed`` — edits that re-indexed
+          their sheet with its formula list unchanged (rows overwritten in
+          place) / changed (the sheet's formula rows replaced);
+          ``workspace.reindex_refit`` — edits whose re-index raised and
+          fell back to a full refit, at equal answers, so a non-zero count
+          is the only sign of it;
+        * ``workspace.serve_collapsed_duplicates`` — requests answered from
+          another request's prediction in the same ``serve_batch`` call;
+        * ``persistence.log_replayed_total`` / ``log_torn_tail_total`` —
+          mutation-log entries :meth:`load` replayed, and half-written
+          final lines (what a crash during an append leaves) it dropped.
+
+        Beside them: the sum of the sheet engines'
+        :meth:`~repro.formula.engine.FormulaEngine.counters` and whatever
+        the predictor's ``counters()`` reports
+        (:meth:`~repro.core.pipeline.AutoFormula.counters`).
+        """
+        counts = {name: counter.value for name, counter in self._counts.items()}
+        _add_counts(counts, self._dropped_engine_counts)
+        # list(): an edit on another thread may add an engine meanwhile.
+        for engine in list(self._engines.values()):
+            _add_counts(counts, engine.counters())
+        predictor_counters = getattr(self._predictor, "counters", None)
+        if predictor_counters is not None:
+            counts.update(predictor_counters())
+        return counts
 
     def memory_stats(self) -> Dict[str, object]:
         """Index memory footprint of the predictor (JSON-ready).
@@ -623,7 +630,6 @@ class Workspace:
         stats = getattr(self._predictor, "memory_stats", None)
         if stats is None:
             return {"total_bytes": 0}
-        self._ensure_log_replayed()
         with self._rwlock.read_lock():
             return stats()
 
@@ -631,7 +637,6 @@ class Workspace:
 
     def evaluate(self, cases: Sequence, corpus_name: str = "") -> EvaluationRun:
         """Run the evaluation harness on this workspace's fitted predictor."""
-        self._ensure_log_replayed()
         self._ensure_fitted_for_serving()
         with self._rwlock.read_lock():
             return run_method_on_cases(
@@ -658,7 +663,6 @@ class Workspace:
         (re)fitting — the common already-fitted case is a plain read, so
         extension traffic does not stall concurrent serving.
         """
-        self._ensure_log_replayed()
         if self._autofill is not None and self._autofill_version == self._corpus_version:
             return self._autofill
         with self._rwlock.write_lock():
@@ -684,7 +688,6 @@ class Workspace:
     def error_detector(self) -> FormulaErrorDetector:
         """The formula error detector, fitted on the current corpus
         (write-locked only for the rare refit, like :meth:`autofill`)."""
-        self._ensure_log_replayed()
         if self._detector is not None and self._detector_version == self._corpus_version:
             return self._detector
         with self._rwlock.write_lock():

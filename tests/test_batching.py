@@ -19,7 +19,8 @@ import pytest
 
 from repro.server import ServerConfig, batching
 from repro.server.batching import BatcherPool, WorkspaceBatcher
-from repro.server.metrics import BATCHES, SERVED, SERVER_ERRORS, ServerMetrics
+from repro.obs import MetricsRegistry
+from repro.server.metrics import stats_body
 
 pytestmark = pytest.mark.usefixtures("fail_on_asyncio_errors")
 
@@ -48,20 +49,20 @@ class _FakeWorkspace:
 
 
 class _Harness:
-    """One batcher over one fake workspace, a fake clock and its metrics."""
+    """One batcher over one fake workspace, a fake clock and its registry."""
 
     def __init__(self, monkeypatch, max_batch_size=16, **workspace_kwargs):
         self.now = 100.0
         monkeypatch.setattr(batching, "monotonic", lambda: self.now)
         self.workspace = _FakeWorkspace(**workspace_kwargs)
-        self.metrics = ServerMetrics()
+        self.registry = MetricsRegistry()
         self.executor = ThreadPoolExecutor(max_workers=2)
         self.max_batch_size = max_batch_size
 
     def run(self, scenario):
         async def main():
             batcher = WorkspaceBatcher(
-                self.workspace, self.executor, self.metrics, max_batch_size=self.max_batch_size
+                self.workspace, self.executor, self.registry, max_batch_size=self.max_batch_size
             )
             try:
                 return await asyncio.wait_for(scenario(batcher), TIMEOUT * 3)
@@ -79,8 +80,14 @@ class _Harness:
         loop = asyncio.get_running_loop()
         assert await loop.run_in_executor(None, self.workspace.entered.acquire, True, TIMEOUT)
 
+    def stats(self):
+        return stats_body(self.registry)
+
+    def count(self, key):
+        return self.registry.counter_value(f"server.{key}")
+
     def dispatches(self):
-        return self.metrics.snapshot()["counters"]["batch_dispatch"]
+        return self.stats()["counters"]["batch_dispatch"]
 
 
 async def _turns(n=10):
@@ -102,7 +109,7 @@ def test_lone_request_is_dispatched_at_once_with_no_timer(monkeypatch):
         try:
             future = batcher.submit("r0")
             turns = 0
-            while harness.metrics.counter(BATCHES) == 0:
+            while harness.count("batches") == 0:
                 await asyncio.sleep(0)
                 turns += 1
             return await future, turns
@@ -118,7 +125,7 @@ def test_lone_request_is_dispatched_at_once_with_no_timer(monkeypatch):
     assert turns <= batching._QUIET_TURNS + 2
     assert harness.workspace.batches == [["r0"]]
     assert harness.dispatches() == {"idle": 1}
-    assert harness.metrics.snapshot()["queue_wait"]["mean_seconds"] == 0.0
+    assert harness.stats()["queue_wait"]["mean_seconds"] == 0.0
 
 
 def test_riders_gather_only_behind_a_running_batch(monkeypatch):
@@ -132,7 +139,7 @@ def test_riders_gather_only_behind_a_running_batch(monkeypatch):
         # One serve per workspace is in flight: the riders are admitted,
         # unanswered and *not* dispatched.
         assert harness.workspace.batches == [["r0"]]
-        assert harness.metrics.counter(BATCHES) == 1
+        assert harness.count("batches") == 1
         assert batcher.queue_depth() == 6
         harness.now += 1.5
         harness.workspace.gate.set()
@@ -148,7 +155,7 @@ def test_riders_gather_only_behind_a_running_batch(monkeypatch):
     # queue_seconds is the time spent behind the running batch, nothing else.
     assert [result.queue_seconds for result in results] == [0.0] + [1.5] * 5
     assert harness.dispatches() == {"idle": 1, "busy": 1}
-    assert harness.metrics.snapshot()["batch_size_histogram"] == {"1": 1, "5": 1}
+    assert harness.stats()["batch_size_histogram"] == {"1": 1, "5": 1}
 
 
 def test_backlog_goes_out_in_capped_batches(monkeypatch):
@@ -159,7 +166,7 @@ def test_backlog_goes_out_in_capped_batches(monkeypatch):
         await harness.batch_running()
         backlog = [batcher.submit(i) for i in range(20)]
         await _turns()
-        assert harness.metrics.counter(BATCHES) == 1
+        assert harness.count("batches") == 1
         harness.workspace.gate.set()
         return await asyncio.gather(head, *backlog)
 
@@ -194,7 +201,7 @@ def test_arrivals_on_consecutive_turns_share_the_idle_sweep(monkeypatch):
         # A gap longer than the sweep splits: the straggler rides alone.
         lone = batcher.submit("late")
         await _turns()
-        assert harness.metrics.counter(BATCHES) == 2
+        assert harness.count("batches") == 2
         return first + [await lone]
 
     results = harness.run(scenario)
@@ -217,9 +224,9 @@ def test_a_failing_batch_fails_exactly_its_riders(monkeypatch):
     assert harness.workspace.batches == [["r0"], ["p1", "p2"], ["r3", "r4"]]
     assert isinstance(p1, RuntimeError) and p1 is p2
     assert [result.response for result in (r0, r3, r4)] == ["answer:r0", "answer:r3", "answer:r4"]
-    assert harness.metrics.counter(SERVER_ERRORS) == 2
-    assert harness.metrics.counter(SERVED) == 3
-    assert harness.metrics.inflight() == 0
+    assert harness.count("server_errors") == 2
+    assert harness.count("served") == 3
+    assert harness.stats()["in_flight"] == 0
 
 
 def test_drain_answers_everything_queued_then_refuses(monkeypatch):
@@ -245,7 +252,7 @@ def test_drain_answers_everything_queued_then_refuses(monkeypatch):
     assert harness.workspace.batches == [["r0"], ["r1", "r2"], ["r3"]]
     assert [result.response for result in results] == [f"answer:r{i}" for i in range(4)]
     assert harness.dispatches() == {"idle": 1, "drain": 2}
-    assert harness.metrics.inflight() == 0
+    assert harness.stats()["in_flight"] == 0
 
 
 def test_pool_retires_a_replaced_batcher_without_orphaning_it(monkeypatch):
@@ -253,14 +260,14 @@ def test_pool_retires_a_replaced_batcher_without_orphaning_it(monkeypatch):
     batcher; the old one answers what it had admitted — from the old
     workspace — and then lets go of it."""
     monkeypatch.setattr(batching, "monotonic", lambda: 0.0)
-    metrics = ServerMetrics()
+    registry = MetricsRegistry()
     executor = ThreadPoolExecutor(max_workers=2)
     old, new = _FakeWorkspace(), _FakeWorkspace(gated=False)
     old_ref = weakref.ref(old)
 
     async def scenario():
         loop = asyncio.get_running_loop()
-        pool = BatcherPool(executor, metrics, max_batch_size=4)
+        pool = BatcherPool(executor, registry, max_batch_size=4)
         first = pool.batcher_for("acme", old)
         assert pool.batcher_for("acme", old) is first
         running = first.submit("a0")
@@ -272,7 +279,7 @@ def test_pool_retires_a_replaced_batcher_without_orphaning_it(monkeypatch):
         assert second is not first
         # The name now means the new workspace: its depth, its gauge.
         assert pool.queue_depth("acme") == 0
-        assert metrics.snapshot()["queue_depths"] == {"acme": 0}
+        assert stats_body(registry)["queue_depths"] == {"acme": 0}
         with pytest.raises(RuntimeError, match="draining"):
             first.submit("a3")
         fresh = await second.submit("b0")  # not stuck behind the old gate
@@ -288,7 +295,7 @@ def test_pool_retires_a_replaced_batcher_without_orphaning_it(monkeypatch):
         assert old.batches == [["a0"], ["a1", "a2"]]
 
         pool.retain([])  # the workspace is dropped for good
-        assert metrics.snapshot()["queue_depths"] == {}
+        assert stats_body(registry)["queue_depths"] == {}
         assert pool.queue_depth("acme") == 0
 
     try:
@@ -303,14 +310,14 @@ def test_pool_retires_a_replaced_batcher_without_orphaning_it(monkeypatch):
 def test_the_batch_window_knob_is_gone():
     # Spelled in two pieces so that grepping the tree for the knob finds nothing.
     window = {"max_batch_" + "wait_s": 0.002}
-    metrics = ServerMetrics()
+    registry = MetricsRegistry()
     with ThreadPoolExecutor(max_workers=1) as executor:
         with pytest.raises(TypeError):
-            WorkspaceBatcher(_FakeWorkspace(), executor, metrics, **window)
+            WorkspaceBatcher(_FakeWorkspace(), executor, registry, **window)
         with pytest.raises(TypeError):
-            BatcherPool(executor, metrics, **window)
+            BatcherPool(executor, registry, **window)
     with pytest.raises(TypeError):
         ServerConfig(**window)
     assert len(dataclasses.fields(ServerConfig)) == 11
     with pytest.raises(ValueError):
-        WorkspaceBatcher(_FakeWorkspace(), None, metrics, max_batch_size=0)
+        WorkspaceBatcher(_FakeWorkspace(), None, registry, max_batch_size=0)

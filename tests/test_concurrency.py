@@ -20,7 +20,7 @@ from repro import (
     RecommendationRequest,
     Workspace,
 )
-from repro.evaluation.latency import LatencyRecorder
+from repro.obs import Histogram
 from repro.service import ReadWriteLock
 from repro.testing import WorkloadConfig, generate_workload
 
@@ -315,7 +315,7 @@ class TestWorkspaceUnderConcurrency:
         for batch in served:
             assert batch in states, "a serve saw a half re-indexed sheet"
         assert answers() == states[1]
-        assert workspace.reindex_stats()["same"] >= 42
+        assert workspace.counters()["workspace.reindex_same"] >= 42
 
 
 class TestReadWriteLock:
@@ -363,12 +363,12 @@ class TestReadWriteLock:
 
 class TestLatencyRecorderThreadSafety:
     def test_concurrent_records_all_counted(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         per_thread = 500
 
         def record():
             for index in range(per_thread):
-                recorder.record(index * 1e-6)
+                recorder.observe(index * 1e-6)
 
         threads = [threading.Thread(target=record) for __ in range(N_THREADS)]
         for thread in threads:

@@ -353,7 +353,7 @@ class TestBatchPrediction:
         assert fresh_store is not store and len(fresh_store) == 1
         assert embed_calls == [1] * 6
         assert np.array_equal(vector, system._region_vectors(sheets[-2], [CellAddress(6, 1)])[0])
-        assert system.region_store_stats()["cells"] == sum(
+        assert system.counters()["workspace.region_store_cells"] == sum(
             len(held) for held in system._target_cache.values()
         )
 
@@ -574,7 +574,12 @@ class TestRegrounding:
         for __ in range(2):
             tracer.reset()
             system.adapt_batch(target, [item])
-            stats.append(system.region_store_stats())
+            stats.append(
+                {
+                    field: system.counters()[f"workspace.region_store_{field}"]
+                    for field in ("hit", "miss", "cells")
+                }
+            )
             spans.append(tracer.recent_traces()[-1]["root"]["attributes"])
         (cold, warm), (first, second) = stats, spans
         # Nothing was stored before the first request: none of its lookups

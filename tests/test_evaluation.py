@@ -8,7 +8,6 @@ from repro.core.interface import FormulaPredictor, Prediction
 from repro.corpus import sample_test_cases, split_corpus
 from repro.corpus.testcases import TestCase
 from repro.evaluation import (
-    LatencyRecorder,
     bucket_metrics,
     bucketize_results,
     evaluate_predictions,
@@ -23,6 +22,7 @@ from repro.evaluation import (
 )
 from repro.evaluation.metrics import QualityMetrics, formulas_match
 from repro.evaluation.pr_curve import area_under_pr
+from repro.obs import Histogram
 from repro.sheet import CellAddress, Sheet
 
 
@@ -239,25 +239,29 @@ class TestLatency:
 
 
 class TestLatencyRecorder:
+    """The one percentile store, :class:`repro.obs.Histogram` (the class
+    keeps the name of the recorder it replaced)."""
+
     def test_record_and_aggregate(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         for seconds in (0.004, 0.002, 0.001, 0.003):
-            recorder.record(seconds)
+            recorder.observe(seconds)
         assert len(recorder) == 4
-        assert recorder.total_seconds == pytest.approx(0.010)
-        assert recorder.mean_seconds == pytest.approx(0.0025)
+        summary = recorder.summary()
+        assert summary["total_seconds"] == pytest.approx(0.010)
+        assert summary["mean_seconds"] == pytest.approx(0.0025)
         # Interpolated percentiles: p50 of an even count sits between the
         # two middle samples instead of snapping to the nearest rank.
         assert recorder.percentile(0.5) == pytest.approx(0.0025)
         assert recorder.percentile(1.0) == pytest.approx(0.004)
         assert recorder.percentile(0.0) == pytest.approx(0.001)
-        p50, p95, p99 = recorder.percentiles((0.5, 0.95, 0.99))
+        p50, p95, p99 = (summary[f"p{n}_seconds"] for n in (50, 95, 99))
         assert p50 == pytest.approx(0.0025)
         assert p50 <= p95 <= p99 <= 0.004
 
     def test_summary(self):
-        recorder = LatencyRecorder()
-        recorder.record(0.5)
+        recorder = Histogram()
+        recorder.observe(0.5)
         summary = recorder.summary()
         assert summary["count"] == 1.0
         assert summary["window_count"] == 1.0
@@ -266,34 +270,16 @@ class TestLatencyRecorder:
         assert summary["max_seconds"] == 0.5
 
     def test_empty_recorder(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         assert len(recorder) == 0
-        assert recorder.mean_seconds == 0.0
         assert recorder.percentile(0.95) == 0.0
-        assert recorder.summary()["count"] == 0.0
+        summary = recorder.summary()
+        assert summary["count"] == summary["mean_seconds"] == summary["p99_seconds"] == 0.0
 
     def test_invalid_inputs(self):
-        recorder = LatencyRecorder()
+        recorder = Histogram()
         with pytest.raises(ValueError):
-            recorder.record(-0.1)
+            recorder.observe(-0.1)
         with pytest.raises(ValueError):
             recorder.percentile(1.5)
-        with pytest.raises(ValueError):
-            LatencyRecorder(window_size=0)
-
-    def test_memory_bounded_window(self):
-        recorder = LatencyRecorder(window_size=4)
-        for seconds in (9.0, 9.0, 9.0, 1.0, 2.0, 3.0, 4.0):
-            recorder.record(seconds)
-        # Running aggregates cover every sample ...
-        assert len(recorder) == 7
-        assert recorder.total_seconds == pytest.approx(37.0)
-        summary = recorder.summary()
-        assert summary["max_seconds"] == 9.0
-        assert summary["count"] == 7.0
-        # ... while percentiles see only the most recent window_size, and
-        # summary says so via window_count.
-        assert summary["window_count"] == 4.0
-        assert recorder.window_count == 4
-        assert recorder.percentile(1.0) == 4.0
-        assert recorder.percentile(0.5) == 2.5
+        assert len(recorder) == 0

@@ -92,11 +92,17 @@ class TestIncrementality:
         sheet = _chain_sheet()
         engine = FormulaEngine(sheet)
         engine.recalculate()
+        engine.set_value("A2", 4)
+        engine.recalculate()
+        # Neither the construction's own resync nor an edit through the
+        # engine counts: only the watermark catching an outside edit does.
+        assert engine.counters() == {"engine.full_resync": 0}
         # Mutation behind the engine's back (plain sheet.set, no engine).
         sheet.set("A2", 40)
         report = engine.recalculate()
         assert report.total == 3  # full resync: everything recomputed
         assert sheet.get("B1").value == 43
+        assert engine.counters() == {"engine.full_resync": 1}
 
 
 class TestCyclesAndErrors:

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro import AutoFormula, AutoFormulaConfig, FormulaService, Workspace
-from repro.evaluation.latency import LatencyRecorder
-from repro.obs import MetricsRegistry, get_tracer, trace_tree
+from repro.obs import Histogram, MetricsRegistry, get_tracer, trace_tree
+from repro.obs.metrics import RESERVOIR_SIZE, summarize
 from repro.obs.tracing import _NOOP_SPAN, Tracer
 from repro.server import (
     FormulaClient,
@@ -236,8 +236,9 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("server.batch_size", labels={"size": "1"}).inc(3)
         registry.counter("server.batch_size", labels={"size": "8"}).inc()
-        values = registry.counter_values("server.batch_size")
-        assert values == {(("size", "1"),): 3, (("size", "8"),): 1}
+        assert registry.collect() == [
+            ("counter", "server.batch_size", {(("size", "1"),): 3, (("size", "8"),): 1})
+        ]
 
     def test_gauge_set_and_callback_modes(self):
         registry = MetricsRegistry()
@@ -329,12 +330,12 @@ class TestMetricsRegistry:
 
 class TestReservoirRecorder:
     def test_memory_is_bounded_but_aggregates_are_exact(self):
-        recorder = LatencyRecorder(reservoir_size=256)
+        recorder = Histogram()
         for index in range(10_000):
-            recorder.record(index / 10_000)
-        assert recorder.window_count == 256
+            recorder.observe(index / 10_000)
         assert len(recorder) == 10_000
         summary = recorder.summary()
+        assert summary["window_count"] == RESERVOIR_SIZE
         assert summary["count"] == 10_000.0
         assert summary["max_seconds"] == pytest.approx(0.9999)
         assert summary["total_seconds"] == pytest.approx(sum(i / 10_000 for i in range(10_000)))
@@ -342,21 +343,44 @@ class TestReservoirRecorder:
     def test_reservoir_percentiles_track_the_exact_window(self):
         rng = np.random.default_rng(42)
         samples = rng.uniform(0.0, 1.0, size=20_000)
-        reservoir = LatencyRecorder(reservoir_size=2048)
-        exact = LatencyRecorder(window_size=len(samples))
+        reservoir = Histogram()
         for value in samples:
-            reservoir.record(float(value))
-            exact.record(float(value))
-        for fraction, tolerance in ((0.5, 0.06), (0.95, 0.04), (0.99, 0.02)):
-            assert reservoir.percentile(fraction) == pytest.approx(
-                exact.percentile(fraction), abs=tolerance
-            )
+            reservoir.observe(float(value))
+        exact = summarize(samples.tolist(), len(samples), float(samples.sum()), float(samples.max()))
+        for fraction, key, tolerance in (
+            (0.5, "p50_seconds", 0.06), (0.95, "p95_seconds", 0.04), (0.99, "p99_seconds", 0.02),
+        ):
+            assert exact[key] == pytest.approx(np.percentile(samples, fraction * 100))
+            assert reservoir.percentile(fraction) == pytest.approx(exact[key], abs=tolerance)
 
     def test_small_streams_are_kept_verbatim(self):
-        recorder = LatencyRecorder(reservoir_size=64)
-        for value in (0.1, 0.2, 0.3):
-            recorder.record(value)
-        assert recorder.percentile(0.5) == pytest.approx(0.2)
+        """Up to ``RESERVOIR_SIZE`` observations the percentiles are exact."""
+        rng = np.random.default_rng(7)
+        samples = rng.exponential(0.01, size=RESERVOIR_SIZE)
+        recorder = Histogram()
+        for value in samples:
+            recorder.observe(float(value))
+        summary = recorder.summary()
+        assert summary["window_count"] == summary["count"] == RESERVOIR_SIZE
+        for fraction, key in ((0.5, "p50_seconds"), (0.95, "p95_seconds"), (0.99, "p99_seconds")):
+            assert summary[key] == pytest.approx(np.percentile(samples, fraction * 100), rel=1e-12)
+            assert recorder.percentile(fraction) == summary[key]
+
+    def test_the_global_random_stream_is_untouched(self):
+        import random
+
+        random.seed(1234)
+        expected = [random.random() for __ in range(5)]
+        random.seed(1234)
+        recorder = Histogram()
+        for index in range(3 * RESERVOIR_SIZE):  # far enough to draw replacement slots
+            recorder.observe(index * 1e-6)
+        assert [random.random() for __ in range(5)] == expected
+        # The private stream is seeded: two histograms keep the same sample.
+        twin = Histogram()
+        for index in range(3 * RESERVOIR_SIZE):
+            twin.observe(index * 1e-6)
+        assert twin.summary() == recorder.summary()
 
 
 # ------------------------------------------------------------------- server
@@ -516,6 +540,56 @@ class TestServerObservability:
             }
 
 
+    def test_fallback_counts_reach_metrics_from_their_own_layers(
+        self, trained_encoder, pge_corpus
+    ):
+        """The scorer's two fallbacks and the engine's full resync are keys
+        of ``VectorIndex.counters()`` / ``FormulaEngine.counters()``; the
+        predictor and the workspace fold them and the server mirrors what
+        it finds — no server file names them."""
+        from repro.corpus import split_corpus
+
+        __, references = split_corpus(pge_corpus, 0.15, "timestamp")
+        service = FormulaService(trained_encoder, AutoFormulaConfig())
+        workspace = service.create_workspace(
+            "pge", workbooks=[wb.copy() for wb in references[3:5]]
+        )
+        name = references[3].name
+
+        def gauges(client):
+            return {
+                line.split(" ")[0]: float(line.split(" ")[1])
+                for line in client.metrics_text().splitlines()
+                if line.startswith(("index_", "engine_"))
+            }
+
+        with start_server_in_background(service) as handle:
+            client = FormulaClient(handle.host, handle.port)
+            assert gauges(client) == {
+                'index_tier2_fallback_rows{workspace="pge"}': 0.0,
+                'index_two_tier_overflow{workspace="pge"}': 0.0,
+            }
+            # The engine is built by the first edit; an edit made around it
+            # is caught by the next one.
+            client.edit_cell("pge", name, "Regional Summary", "B12", value=3.5)
+            assert gauges(client)['engine_full_resync{workspace="pge"}'] == 0.0
+            workspace.workbooks()[0].get_sheet("Regional Summary").set("B13", 4.5)
+            client.edit_cell("pge", name, "Regional Summary", "B12", value=5.5)
+            # Both indexes' counts are summed.
+            workspace.predictor.sheet_index._overflows.inc(2)
+            workspace.predictor.formula_index._overflows.inc(3)
+            workspace.predictor.formula_index._fallback_rows.inc(7)
+            assert gauges(client) == {
+                'engine_full_resync{workspace="pge"}': 1.0,
+                'index_tier2_fallback_rows{workspace="pge"}': 7.0,
+                'index_two_tier_overflow{workspace="pge"}': 5.0,
+            }
+            # An engine dropped with its workbook keeps what it counted.
+            client.remove_workbook("pge", name)
+            assert gauges(client)['engine_full_resync{workspace="pge"}'] == 1.0
+            assert workspace.counters()["engine.full_resync"] == 1
+
+
 # ----------------------------------------------------------- recommend trace
 
 
@@ -568,15 +642,18 @@ class TestRecommendTraceTree:
         assert 0 < cold["n_region_misses"] <= cold["n_candidates"]
 
         # Asked again, every candidate region comes from the sheet's store.
-        stats = workspace.predictor.region_store_stats()
-        assert set(stats) == {"hit", "miss", "cells"}
+        def store_counts():
+            counts = workspace.predictor.counters()
+            return {field: counts[f"workspace.region_store_{field}"] for field in ("hit", "miss", "cells")}
+
+        stats = store_counts()
         assert stats["cells"] > 0 and stats["miss"] >= cold["n_region_misses"]
         tracer.reset()
         workspace.recommend(RecommendationRequest(target, case.target_cell))
         warm = tracer.recent_traces()[-1]["root"]["children"][-1]["attributes"]
         assert warm["n_region_misses"] == 0
         assert warm["n_candidates"] == cold["n_candidates"]
-        after = workspace.predictor.region_store_stats()
+        after = store_counts()
         assert after["hit"] == stats["hit"] + warm["n_candidates"]
         assert (after["miss"], after["cells"]) == (stats["miss"], stats["cells"])
 

@@ -4,7 +4,7 @@ The acceptance invariant is the existing fresh-fit-parity checker: a
 workspace restored from snapshot (+ mutation-log tail) must answer
 bit-identically to a fresh fit on the equivalent corpus, across the
 exact/lsh/ivf index kinds.  The rest of the suite covers the mechanics:
-format-version enforcement, lazy log replay, compaction, tombstone
+format-version enforcement, log replay at load, compaction, tombstone
 state, memory-mapped loading, and the service facade's save/load round
 trip.
 """
@@ -124,7 +124,7 @@ class TestRestoreParity:
         workspace.edit_cell(target.name, sheet.name, address, value=1234.5)
         log = MutationLog(mutation_log_path(directory))
         assert [entry["op"] for entry in log.read()] == ["remove", "add", "edit"]
-        # ... and restore = snapshot + lazy replay is still a fresh fit.
+        # ... and restore = snapshot + log replay is still a fresh fit.
         restored = Workspace.load(directory, AutoFormula(trained_encoder, config))
         assert_matches_fresh_fit(
             restored,
@@ -203,23 +203,36 @@ class TestOlderSnapshots:
 
 
 class TestMutationLog:
-    def test_lazy_replay_happens_once_on_first_use(self, trained_encoder, tmp_path):
+    def test_load_replays_the_log_tail_once(self, trained_encoder, tmp_path):
         workspace, cases, config = _churned_workspace(trained_encoder, "exact")
         directory = tmp_path / "snap"
         workspace.save(directory)
         removed = workspace.remove_workbook(workspace.workbook_names[-1])
         restored = Workspace.load(directory, AutoFormula(trained_encoder, config))
-        # Loading alone must not replay: the ops are merely pending.
-        assert len(restored._pending_ops) == 1
-        assert removed.name in restored._workbooks
+        # The tail is applied when load() returns, before any public call.
+        assert removed.name not in restored._workbooks
+        assert restored.counters()["persistence.log_replayed_total"] == 1
+        assert workspace.counters()["persistence.log_replayed_total"] == 0
         response = restored.recommend(
             RecommendationRequest(cases[0].target_sheet, cases[0].target_cell)
         )
         assert response is not None
-        assert restored._pending_ops == []
-        assert removed.name not in restored
-        # Replayed ops must not be re-appended to the log they came from.
-        assert len(MutationLog(mutation_log_path(directory))) == 1
+        # Replayed ops must not be re-appended to the log they came from;
+        # the restored workspace's own mutations are.
+        log = MutationLog(mutation_log_path(directory))
+        assert len(log) == 1
+        restored.remove_workbook(restored.workbook_names[-1])
+        assert len(log) == 2
+
+    def test_a_tail_that_cannot_be_replayed_fails_the_load(self, trained_encoder, tmp_path):
+        workspace, __, config = _churned_workspace(trained_encoder, "exact")
+        directory = tmp_path / "snap"
+        workspace.save(directory)
+        MutationLog(mutation_log_path(directory)).append(
+            {"op": "remove", "workbook_name": "never-indexed"}
+        )
+        with pytest.raises(KeyError, match="never-indexed"):
+            Workspace.load(directory, AutoFormula(trained_encoder, config))
 
     def test_registry_reads_replay_the_pending_log(self, trained_encoder, tmp_path):
         """A restored workspace must describe its current corpus — snapshot
@@ -238,7 +251,7 @@ class TestMutationLog:
 
         def restore():
             restored = Workspace.load(directory, AutoFormula(trained_encoder, config))
-            assert len(restored._pending_ops) == 3
+            assert restored.counters()["persistence.log_replayed_total"] == 3
             return restored
 
         assert len(restore()) == len(workspace)
@@ -261,9 +274,9 @@ class TestMutationLog:
         workspace.save(directory)
         assert len(log) == 0
         # The compacted snapshot already contains the remove: a reload has
-        # nothing pending and agrees with the live workspace.
+        # nothing to replay and agrees with the live workspace.
         restored = Workspace.load(directory, AutoFormula(trained_encoder, config))
-        assert restored._pending_ops == []
+        assert restored.counters()["persistence.log_replayed_total"] == 0
         assert restored.workbook_names == workspace.workbook_names
 
     def test_edit_values_survive_the_log_codec(self, tmp_path):
@@ -373,14 +386,15 @@ class TestMutationLog:
         with path.open("a") as handle:
             handle.write('{"op": "remove", "workbook_na')
         restored = Workspace.load(directory, AutoFormula(trained_encoder, config))
-        assert restored.log_stats() == {"torn_tail_total": 1}
+        assert restored.counters()["persistence.log_torn_tail_total"] == 1
+        assert restored.counters()["persistence.log_replayed_total"] == 2
         assert restored.workbook_names == workspace.workbook_names
         # Mutations after the restore land behind the two whole entries.
         restored.remove_workbook(names[2])
         again = Workspace.load(directory, AutoFormula(trained_encoder, config))
-        assert again.log_stats() == {"torn_tail_total": 0}
+        assert again.counters()["persistence.log_torn_tail_total"] == 0
         assert again.workbook_names == names[3:]
-        assert workspace.log_stats() == {"torn_tail_total": 0}
+        assert workspace.counters()["persistence.log_torn_tail_total"] == 0
 
     def test_entries_are_built_only_for_an_attached_log(
         self, trained_encoder, tmp_path, monkeypatch

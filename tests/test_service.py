@@ -29,6 +29,12 @@ def workload(pge_corpus):
     return reference_workbooks[:6], cases[:10]
 
 
+def _reindex_counts(workspace: Workspace) -> dict:
+    """``{"same", "changed", "refit"}`` of ``workspace.counters()``."""
+    counts = workspace.counters()
+    return {shape: counts[f"workspace.reindex_{shape}"] for shape in ("same", "changed", "refit")}
+
+
 def _config(kind: str) -> AutoFormulaConfig:
     return AutoFormulaConfig(sheet_index_kind=kind, formula_index_kind=kind)
 
@@ -386,7 +392,7 @@ class TestEditCell:
         """live == fresh fit (fresh featurizer, answers and stored vectors)
         == restored from the pre-edit snapshot + the log tail."""
         # Parity cannot see an edit that fell back to a full refit.
-        assert workspace.reindex_stats()["refit"] == 0
+        assert workspace.counters()["workspace.reindex_refit"] == 0
         fresh = AutoFormula(trained_encoder, _config("exact"))
         assert_matches_fresh_fit(workspace, lambda: fresh, cases)
         _assert_indexed_alike(workspace.predictor, fresh)
@@ -429,7 +435,7 @@ class TestEditCell:
         predictor = workspace.predictor
         assert predictor.sheet_index.n_tombstones == 0
         assert predictor.formula_index.n_tombstones == 0
-        stats = workspace.reindex_stats()
+        stats = _reindex_counts(workspace)
         assert stats["changed"] == 0 and stats["refit"] == 0
         assert stats["same"] > 3
 
@@ -455,7 +461,7 @@ class TestEditCell:
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "C4", formula="=SUMIF(A10:A40,A4,B10:B40)")
         cited = [r for r in self._serve(workspace, cases) if r.provenance.get("reference_cell") == "C4"]
         assert cited and cited[0].provenance["reference_formula"] == "=SUMIF(A10:A40,A4,B10:B40)"
-        assert workspace.reindex_stats() == {"same": 0, "changed": 1, "refit": 0}
+        assert _reindex_counts(workspace) == {"same": 0, "changed": 1, "refit": 0}
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
     def test_formula_written_into_a_value_cell(self, trained_encoder, workload, tmp_path):
@@ -517,7 +523,7 @@ class TestEditCell:
             predictor, "fit", lambda workbooks, fit=predictor.fit: fits.append(1) or fit(workbooks)
         )
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "B12", value=41.5)
-        assert workspace.reindex_stats() == {"same": 0, "changed": 0, "refit": 1}
+        assert _reindex_counts(workspace) == {"same": 0, "changed": 0, "refit": 1}
         assert len(fits) == 1
         (edit,) = [
             tree["root"]
@@ -532,7 +538,7 @@ class TestEditCell:
         assert_matches_fresh_fit(workspace, lambda: fresh, cases)
         # The next edit re-indexes in place again.
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "B13", value=42.5)
-        assert workspace.reindex_stats() == {"same": 1, "changed": 0, "refit": 1}
+        assert _reindex_counts(workspace) == {"same": 1, "changed": 0, "refit": 1}
         assert len(fits) == 1
         fresh = AutoFormula(trained_encoder, _config("exact"))
         assert_matches_fresh_fit(workspace, lambda: fresh, cases)

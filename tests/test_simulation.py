@@ -149,7 +149,7 @@ class TestFreshFitParity:
         def audit(op, workspace):
             if op.kind in ("add", "remove", "edit"):
                 assert_tombstone_accounting(workspace.predictor)
-                assert workspace.reindex_stats()["refit"] == 0
+                assert workspace.counters()["workspace.reindex_refit"] == 0
 
         replay = replay_workload(
             workload,
@@ -195,7 +195,7 @@ class TestFreshFitParity:
             if op.kind == "edit":
                 assert workspace.workbook_names == names_before[op.tenant]
                 # Equal answers would hide an edit that fell back to a refit.
-                assert workspace.reindex_stats()["refit"] == 0
+                assert workspace.counters()["workspace.reindex_refit"] == 0
             names_before[op.tenant] = workspace.workbook_names
 
         replay = replay_workload(workload, workspace_for, after_step=audit)
@@ -287,7 +287,7 @@ class TestLongSimulationStress:
         def audit(op, workspace):
             if op.kind in ("add", "remove", "edit"):
                 assert_tombstone_accounting(workspace.predictor)
-                assert workspace.reindex_stats()["refit"] == 0
+                assert workspace.counters()["workspace.reindex_refit"] == 0
 
         replay = replay_workload(
             workload,

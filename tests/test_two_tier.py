@@ -10,6 +10,9 @@ requests on different sides of the gate.  Alongside: index memory
 accounting, duplicate collapsing and query-embedding reuse.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 from repro import AutoFormula, AutoFormulaConfig, ServerConfig, Workspace
 from repro.ann import create_index
 from repro.core.interface import FormulaPredictor, Prediction
-from repro.server.metrics import ServerMetrics
+from repro.obs import MetricsRegistry
+from repro.server.metrics import stats_body
 from repro.service import RecommendationRequest
 from repro.sheet import CellAddress, Sheet, Workbook
 
@@ -125,6 +129,53 @@ class TestTwoPathParity:
         blas.add_batch(keys, data)
         queries = data[:4] + rng.standard_normal((4, d)).astype(np.float32) * 1e-7
         assert plain.search_batch(queries, 3) == blas.search_batch(queries, 3)
+
+    def test_fallbacks_are_counted_exactly_under_concurrent_searches(self):
+        """Half the pool is one point repeated (its queries' guaranteed
+        slices overflow the budget), half is spread out (theirs do not):
+        the mixed call re-ranks two rows and falls back on two, the
+        all-cluster call overflows outright — and N threads searching at
+        once lose no count (searches share the workspace's read lock)."""
+        rng = np.random.default_rng(11)
+        d, n = 8, 120
+        cluster = np.tile(rng.standard_normal((1, d)).astype(np.float32), (n // 2, 1))
+        spread = rng.standard_normal((n // 2, d)).astype(np.float32) * 4.0
+        data = np.concatenate([cluster, spread])
+        plain, blas = _gated_index("exact", d, UNREACHABLE), _gated_index("exact", d, 2)
+        for index in (plain, blas):
+            index.add_batch(list(range(n)), data)
+        mixed = np.concatenate([cluster[:2], spread[:2]])
+        assert blas.counters() == {"index.tier2_fallback_rows": 0, "index.two_tier_overflow": 0}
+        assert plain.search_batch(mixed, 3) == blas.search_batch(mixed, 3)
+        assert blas.counters() == {"index.tier2_fallback_rows": 2, "index.two_tier_overflow": 0}
+        assert plain.search_batch(cluster[:4], 3) == blas.search_batch(cluster[:4], 3)
+        assert blas.counters() == {"index.tier2_fallback_rows": 2, "index.two_tier_overflow": 1}
+        assert plain.counters() == {"index.tier2_fallback_rows": 0, "index.two_tier_overflow": 0}
+
+        n_threads, n_rounds = 8, 50
+        barrier = threading.Barrier(n_threads)
+
+        def worker():
+            barrier.wait()
+            for __ in range(n_rounds):
+                blas.search_batch(mixed, 3)
+                blas.search_batch(cluster[:4], 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for __ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert blas.counters() == {
+            "index.tier2_fallback_rows": 2 + 2 * n_threads * n_rounds,
+            "index.two_tier_overflow": 1 + n_threads * n_rounds,
+        }
 
     def test_search_single_matches_batch_row(self):
         """A batch above the gate and its rows below it answer alike."""
@@ -240,17 +291,29 @@ class TestMemoryStats:
         ) > 0
 
     def test_server_metrics_memory_gauges(self):
-        metrics = ServerMetrics()
-        metrics.register_memory_gauge("main", lambda: {"total_bytes": 123})
-        snapshot = metrics.snapshot()
-        assert snapshot["index_memory"] == {"main": {"total_bytes": 123}}
-        metrics.mirror_stats(
-            "workspace.region_store", "main", lambda: {"hit": 5, "miss": 2, "cells": 2}
-        )
-        assert metrics.registry.snapshot()["workspace"]["region_store_hit"] == {"workspace=main": 5}
-        metrics.prune_memory_gauges([])
-        assert metrics.snapshot()["index_memory"] == {}
-        assert metrics.registry.names() == ["server.inflight", "server.queue_wait"]
+        """A layer's ``counters()`` is mirrored key by key under a label,
+        and everything under the label goes when its owner is pruned."""
+        registry = MetricsRegistry()
+        registry.counter("server.accepted").inc()
+        labels = {"workspace": "main"}
+        registry.gauge("workspace.index_bytes", labels, fn=lambda: 123)
+        counts = {"workspace.region_store_hit": 5, "workspace.region_store_miss": 2}
+        registry.mirror(lambda: counts, labels)
+        assert registry.snapshot()["workspace"] == {
+            "index_bytes": {"workspace=main": 123},
+            "region_store_hit": {"workspace=main": 5},
+            "region_store_miss": {"workspace=main": 2},
+        }
+        # The gauges are live, and a key the layer adds appears at the next mirror.
+        counts["workspace.region_store_hit"] = 6
+        counts["index.two_tier_overflow"] = 1
+        registry.mirror(lambda: counts, labels)
+        tree = registry.snapshot()
+        assert tree["workspace"]["region_store_hit"] == {"workspace=main": 6}
+        assert tree["index"]["two_tier_overflow"] == {"workspace=main": 1}
+        registry.prune("workspace", ["other"])
+        assert registry.names() == ["server.accepted"]
+        assert stats_body(registry)["counters"]["accepted"] == 1
 
 
 def _survey_workbook(n_rows: int = 12) -> Workbook:
@@ -331,10 +394,11 @@ def _assert_batch_equals_one_at_a_time(predictor):
         )
     ]
     batch = workspace.serve_batch(requests)
-    assert workspace.serve_stats() == {"collapsed_duplicates": 8 - 4}  # 4 distinct (sheet, cell)
+    collapsed = "workspace.serve_collapsed_duplicates"
+    assert workspace.counters()[collapsed] == 8 - 4  # 4 distinct (sheet, cell)
     singles = [workspace.recommend(request) for request in requests]
     assert [_response_key(r) for r in batch] == [_response_key(r) for r in singles]
-    assert workspace.serve_stats() == {"collapsed_duplicates": 8 - 4}
+    assert workspace.counters()[collapsed] == 8 - 4
     for responses in (batch, singles):
         assert [r.request for r in responses] == requests
     return batch
