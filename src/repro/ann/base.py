@@ -23,6 +23,14 @@ exact top-k (boundary ties included) must then score within ``t + 2M``
 of the tier-1 k-th-smallest ``t``, and every candidate whose exact
 distance clamps to zero must score within ``M`` — the slice takes the
 union of both sets.
+
+Where the pool lies: a caller's ``positions`` pool (S2: the formulas of
+the top-K sheets) is mostly a handful of runs of consecutive store rows,
+because a sheet's formulas are appended together.  Both paths compute
+their cross term run by run (:meth:`VectorIndex._cross_term`): a run
+whose rows span at least ``_VIEW_MIN_BYTES`` is scored as a *view* of
+the store, everything shorter is gathered into one copy first.  Neither
+the distances nor the order of the pool's columns depend on the split.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,10 +46,47 @@ from repro.obs import Counter, get_tracer
 
 _EPS32 = float(np.finfo(np.float32).eps)
 
+#: Bytes of vectors a run of consecutive store rows must span before it is
+#: scored as a view instead of being gathered with the pool's other short
+#: runs.  A view costs one more product call and one more slice assignment
+#: (≈ 2 µs), a gathered row costs its copy; the micro-sweep in DESIGN.md
+#: "Scoring: one engine, two paths" puts the break-even at 20–40 KB of rows
+#: for dimensions 64, 320 and 1280 alike (128, 26 and 7 rows).
+_VIEW_MIN_BYTES = 32 * 1024
+
 
 def _slice_budget(k: int) -> int:
     """Largest slice tier 2 is willing to re-rank for one row."""
     return max(4 * k, 16)
+
+
+def _fixed_order_product(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``queries @ matrix.T`` without BLAS: unoptimized einsum accumulates
+    each ``(query, vector)`` element in one fixed order whatever the shapes
+    of its operands (see :meth:`VectorIndex._score_exact`)."""
+    return np.einsum("ij,kj->ik", queries, matrix)
+
+
+def _blas_product(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The tier-1 cross term: one sgemm, ULP drift between shapes allowed."""
+    return queries @ matrix.T
+
+
+#: ``_split_runs``' result: each run's offset in the pool, its length, and
+#: whether it is long enough to be scored as a view.
+_Runs = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _split_runs(positions: np.ndarray, row_bytes: int) -> _Runs:
+    """Maximal runs of consecutive values in ``positions``, in pool order:
+    ``(offsets, lengths, in_place)`` with run ``r`` at
+    ``positions[offsets[r] : offsets[r] + lengths[r]]`` and ``in_place[r]``
+    set when its rows, ``row_bytes`` each, span ``_VIEW_MIN_BYTES``."""
+    breaks = np.flatnonzero(positions[1:] - positions[:-1] != 1) + 1
+    bounds = np.empty(breaks.size + 2, dtype=np.int64)
+    bounds[0], bounds[1:-1], bounds[-1] = 0, breaks, positions.size
+    lengths = bounds[1:] - bounds[:-1]
+    return bounds[:-1], lengths, lengths * row_bytes >= _VIEW_MIN_BYTES
 
 
 def _pack_mask(mask: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -95,10 +140,13 @@ class VectorIndex(abc.ABC):
 
     #: Pairs (``n_queries * pool``) a call must score before the BLAS scan
     #: + exact re-rank replaces the plain scorer.  Fixed from the sweep in
-    #: DESIGN.md "Scoring: one engine, two paths": every swept point below
-    #: it is faster on the plain path, every point from it up is faster
-    #: (or level) on the BLAS path.  Class-level so tests can lower it to
-    #: force tier 1 on tiny pools; nothing else sets it.
+    #: DESIGN.md "Scoring: one engine, two paths": every point from it up
+    #: is faster (or level) on the BLAS path; below it the plain path is
+    #: faster on short vectors and for a single query at any width, while
+    #: several queries sharing a D=1280 pool already favour BLAS from about
+    #: 1000 pairs — a count of pairs cannot sit right for both widths, and
+    #: the short vectors hold it here.  Class-level so tests can lower it
+    #: to force tier 1 on tiny pools; nothing else sets it.
     tier1_min_pairs: int = 2000
 
     def __init__(self, dimension: int) -> None:
@@ -119,6 +167,9 @@ class VectorIndex(abc.ABC):
         #: concurrently under the workspace's read lock, hence instruments.
         self._fallback_rows = Counter()
         self._overflows = Counter()
+        #: Where shared pools lay (see :meth:`counters`).
+        self._rows_in_place = Counter()
+        self._rows_gathered = Counter()
 
     # -------------------------------------------------------------- interface
 
@@ -324,18 +375,22 @@ class VectorIndex(abc.ABC):
     def _ensure_capacity(self, extra: int) -> None:
         needed = self._size + extra
         capacity = self._matrix.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = max(needed, capacity * 2, 8)
-        matrix = np.empty((new_capacity, self._dimension), dtype=np.float32)
-        matrix[: self._size] = self._matrix[: self._size]
-        self._matrix = matrix
-        sq_norms = np.empty((new_capacity,), dtype=np.float32)
-        sq_norms[: self._size] = self._sq_norms[: self._size]
-        self._sq_norms = sq_norms
-        alive = np.zeros((new_capacity,), dtype=bool)
-        alive[: self._size] = self._alive[: self._size]
-        self._alive = alive
+        if needed > capacity:
+            self._rehouse(np.arange(self._size), max(needed, capacity * 2, 8))
+
+    def _rehouse(self, rows: np.ndarray, capacity: int) -> None:
+        """Copy store rows ``rows`` (ascending) to the front of fresh private
+        arrays of ``capacity`` rows — one copy, never in place: the current
+        store may be a read-only memory map."""
+        count = rows.size
+        matrix = np.empty((capacity, self._dimension), dtype=np.float32)
+        sq_norms = np.empty((capacity,), dtype=np.float32)
+        alive = np.zeros((capacity,), dtype=bool)
+        # ``mode="clip"``: ``take`` buffers ``out`` under the default "raise".
+        np.take(self._matrix, rows, axis=0, out=matrix[:count], mode="clip")
+        np.take(self._sq_norms, rows, out=sq_norms[:count], mode="clip")
+        np.take(self._alive, rows, out=alive[:count], mode="clip")
+        self._matrix, self._sq_norms, self._alive = matrix, sq_norms, alive
 
     def _live(self, positions: np.ndarray) -> np.ndarray:
         """``positions`` with tombstoned entries dropped (order preserved)."""
@@ -348,12 +403,12 @@ class VectorIndex(abc.ABC):
         live_positions = np.flatnonzero(self._alive[: self._size])
         remap = np.full(self._size, -1, dtype=np.int64)
         remap[live_positions] = np.arange(live_positions.size, dtype=np.int64)
-        self._matrix = self._matrix[live_positions]
-        self._sq_norms = self._sq_norms[live_positions]
+        # Sized as ``_ensure_capacity`` sizes a store that has just outgrown
+        # ``live`` rows, so the add that usually follows a removal fits.
+        self._rehouse(live_positions, max(2 * live_positions.size, 8))
         self._keys = [self._keys[int(position)] for position in live_positions]
         self._size = live_positions.size
         self._n_dead = 0
-        self._alive = np.ones(self._size, dtype=bool)
         self._live_scan = None
         self._rebuild()
         return remap
@@ -367,7 +422,8 @@ class VectorIndex(abc.ABC):
 
         ``positions=None`` scores against the whole store through the
         contiguous matrix view (no gather copy) — the full-scan hot path.
-        With tombstones present the full scan gathers live rows instead.
+        With tombstones present the full scan scores the live positions,
+        which are runs between the dead rows.
         Calls that score at least ``tier1_min_pairs`` pairs go through
         the tier-1 scan + tier-2 re-rank; everything else (and any row
         whose guaranteed slice overflows the slice budget) takes the
@@ -378,50 +434,99 @@ class VectorIndex(abc.ABC):
                 self._live_scan = np.flatnonzero(self._alive[: self._size])
             positions = self._live_scan
         pool = self._size if positions is None else int(positions.size)
+        runs = None if positions is None else _split_runs(positions, 4 * self._dimension)
+        n_runs = 1 if runs is None else int(runs[0].size)
+        # Counted here, once a search: a fallback crosses the same pool again.
+        n_in_place = pool if runs is None else int(runs[1][runs[2]].sum())
+        self._rows_in_place.inc(n_in_place)
+        self._rows_gathered.inc(pool - n_in_place)
         budget = _slice_budget(k)
         if queries.shape[0] * pool >= self.tier1_min_pairs and pool >= 2 * budget:
             with get_tracer().span(
                 "index.search",
                 mode="two_tier",
                 pool=pool,
+                runs=n_runs,
                 k=k,
                 n_queries=queries.shape[0],
                 overfetch_budget=budget,
             ) as span:
-                results = self._score_two_tier(queries, positions, pool, k, budget)
+                results = self._score_two_tier(queries, positions, runs, pool, k, budget)
                 if results is not None:
                     return results
                 # Every row's guaranteed slice overflowed the budget;
                 # the plain scorer over the shared pool is cheaper.
                 span.set_attribute("mode", "two_tier_overflow")
                 self._overflows.inc()
-                return self._score_exact(queries, positions, k)
+                return self._score_exact(queries, positions, k, runs)
         with get_tracer().span(
-            "index.search", mode="exact", pool=pool, k=k, n_queries=queries.shape[0]
+            "index.search", mode="exact", pool=pool, runs=n_runs, k=k, n_queries=queries.shape[0]
         ):
-            return self._score_exact(queries, positions, k)
+            return self._score_exact(queries, positions, k, runs)
+
+    def _cross_term(
+        self,
+        queries: np.ndarray,
+        positions: Optional[np.ndarray],
+        runs: Optional[_Runs],
+        product: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """``product(queries, vectors at positions)`` as one
+        ``(n_queries, pool)`` array, without copying the pool's long runs.
+
+        Each run of consecutive rows spanning ``_VIEW_MIN_BYTES`` is a view
+        ``self._matrix[first : first + n]`` with a product of its own,
+        written to the run's columns; the rows of all shorter runs are
+        gathered and scored together.  With the fixed-order product the
+        result is bit-identical to ``product(queries, self._matrix[positions])``
+        — each element's accumulation does not depend on how many rows
+        share its call — and the BLAS product needs no such property
+        (tier 1 is approximate by contract, to within ``_tier1_margin``).
+        ``runs`` is :func:`_split_runs` of ``positions``, when the caller
+        has it.
+        """
+        if positions is None:
+            return product(queries, self._matrix[: self._size])
+        if runs is None:
+            runs = _split_runs(positions, 4 * self._dimension)
+        offsets, lengths, in_place = runs
+        n_in_place = int(lengths[in_place].sum())
+        if n_in_place == 0:
+            return product(queries, self._matrix[positions])
+        cross = np.empty((queries.shape[0], positions.size), dtype=np.float32)
+        view_offsets = offsets[in_place]
+        for offset, first, length in zip(
+            view_offsets.tolist(), positions[view_offsets].tolist(), lengths[in_place].tolist()
+        ):
+            cross[:, offset : offset + length] = product(
+                queries, self._matrix[first : first + length]
+            )
+        if n_in_place < positions.size:
+            columns = np.flatnonzero(np.repeat(~in_place, lengths))
+            cross[:, columns] = product(queries, self._matrix[positions[columns]])
+        return cross
 
     def _score_exact(
-        self, queries: np.ndarray, positions: Optional[np.ndarray], k: int
+        self,
+        queries: np.ndarray,
+        positions: Optional[np.ndarray],
+        k: int,
+        runs: Optional[_Runs] = None,
     ) -> List[List[SearchResult]]:
         """The plain deterministic scorer over a shared candidate pool."""
-        if positions is None:
-            matrix = self._matrix[: self._size]
-            sq_norms = self._sq_norms[: self._size]
-        else:
-            matrix = self._matrix[positions]
-            sq_norms = self._sq_norms[positions]
+        sq_norms = self._sq_norms[: self._size] if positions is None else self._sq_norms[positions]
         # The cross term deliberately avoids BLAS (``queries @ matrix.T``):
         # sgemm picks different kernels — and different accumulation orders —
         # depending on operand shapes, so the same (query, vector) pair can
         # score a few ULPs apart in pools of different sizes.  Unoptimized
         # einsum accumulates each element in fixed order regardless of shape,
-        # which is what lets a batch of queries, or a mutated or restored
-        # index whose store shape differs from a fresh fit's, reproduce
-        # one-at-a-time fresh-fit distances bit-for-bit.
+        # which is what lets a batch of queries, a run of the pool scored
+        # as a view, or a mutated or restored index whose store shape
+        # differs from a fresh fit's, reproduce one-at-a-time fresh-fit
+        # distances bit-for-bit.
         distances = (
             sq_norms[None, :]
-            - 2.0 * np.einsum("ij,kj->ik", queries, matrix)
+            - 2.0 * self._cross_term(queries, positions, runs, _fixed_order_product)
             + np.einsum("ij,ij->i", queries, queries)[:, None]
         )
         np.maximum(distances, 0.0, out=distances)
@@ -452,6 +557,7 @@ class VectorIndex(abc.ABC):
         self,
         queries: np.ndarray,
         positions: Optional[np.ndarray],
+        runs: Optional[_Runs],
         pool: int,
         k: int,
         budget: int,
@@ -464,11 +570,11 @@ class VectorIndex(abc.ABC):
         """
         with get_tracer().span("index.tier1", pool=pool, k=k) as tier1_span:
             qq = np.einsum("ij,ij->i", queries, queries)
-            if positions is None:
-                matrix, sq_norms = self._matrix[: self._size], self._sq_norms[: self._size]
-            else:
-                matrix, sq_norms = self._matrix[positions], self._sq_norms[positions]
-            approx = sq_norms[None, :] - 2.0 * (queries @ matrix.T) + qq[:, None]
+            sq_norms = (
+                self._sq_norms[: self._size] if positions is None else self._sq_norms[positions]
+            )
+            cross = self._cross_term(queries, positions, runs, _blas_product)
+            approx = sq_norms[None, :] - 2.0 * cross + qq[:, None]
             margin = self._tier1_margin(qq, sq_norms)
             kth = np.partition(approx, k - 1, axis=1)[:, k - 1]  # pool >= 8k
             # Slice rule (see module docstring): everything within 2M of the
@@ -495,7 +601,8 @@ class VectorIndex(abc.ABC):
                 results[int(row)] = hits
             if bad_rows.size:
                 self._fallback_rows.inc(int(bad_rows.size))
-                for row, hits in zip(bad_rows, self._score_exact(queries[bad_rows], positions, k)):
+                fallback = self._score_exact(queries[bad_rows], positions, k, runs)
+                for row, hits in zip(bad_rows, fallback):
                     results[int(row)] = hits
         return results  # type: ignore[return-value]
 
@@ -600,14 +707,19 @@ class VectorIndex(abc.ABC):
     # ------------------------------------------------------------ observability
 
     def counters(self) -> Dict[str, int]:
-        """The BLAS path's fallbacks to the plain scorer since construction,
-        at equal answers, so these counts are the only sign of them: query
-        rows of a tier-2 re-rank whose guaranteed slice overflowed the
-        budget (``index.tier2_fallback_rows``) and calls in which every
-        row's did (``index.two_tier_overflow``)."""
+        """What answers never show, since construction.  The BLAS path's
+        fallbacks to the plain scorer: query rows of a tier-2 re-rank whose
+        guaranteed slice overflowed the budget
+        (``index.tier2_fallback_rows``) and calls in which every row's did
+        (``index.two_tier_overflow``).  And where shared pools lay: pool
+        rows scored as views of the store (``index.rows_scored_in_place``)
+        against rows copied out of it first (``index.rows_gathered``) — a
+        store fragmented into short runs pushes S2 onto the second."""
         return {
             "index.tier2_fallback_rows": self._fallback_rows.value,
             "index.two_tier_overflow": self._overflows.value,
+            "index.rows_scored_in_place": self._rows_in_place.value,
+            "index.rows_gathered": self._rows_gathered.value,
         }
 
     def memory_stats(self) -> Dict[str, object]:
@@ -664,7 +776,7 @@ class VectorIndex(abc.ABC):
         ``matrix`` and ``sq_norms`` may be read-only memory-maps: every write
         path reallocates first (``_ensure_capacity`` copies on the next add
         because capacity equals size after a restore, compaction gathers
-        into a fresh array, and ``update_batch`` copies a read-only store
+        into fresh arrays, and ``update_batch`` copies a read-only store
         before overwriting rows), so the mmap backing is never written
         through.  ``alive`` is copied because removals flip its entries in
         place.  Derived structures (inverted lists, hash

@@ -939,29 +939,29 @@ class AutoFormula(FormulaPredictor):
             self._sheet_index = None
             self._formula_index = None
             return
+        # Key and position blocks may be memory maps: one ``tolist()`` per
+        # block, not one ``__getitem__`` per row (keys stay Python ints).
         self._sheet_index.restore_store(
-            [int(key) for key in arrays["sheet_keys"]],
+            arrays["sheet_keys"].tolist(),
             arrays["sheet_matrix"],
             arrays["sheet_sq_norms"],
             arrays["sheet_alive"],
         )
         self._formula_index.restore_store(
-            [(int(sheet_id), int(local)) for sheet_id, local in arrays["formula_keys"]],
+            [tuple(key) for key in arrays["formula_keys"].tolist()],
             arrays["formula_matrix"],
             arrays["formula_sq_norms"],
             arrays["formula_alive"],
         )
         self._sheet_positions = [
-            None if position < 0 else int(position)
-            for position in arrays["sheet_positions"]
+            None if position < 0 else position
+            for position in arrays["sheet_positions"].tolist()
         ]
-        flat = np.asarray(arrays["formula_positions_flat"], dtype=np.int64)
-        offsets = arrays["formula_positions_offsets"]
+        flat = np.array(arrays["formula_positions_flat"], dtype=np.int64)
+        blocks = np.split(flat, arrays["formula_positions_offsets"][1:-1])
         self._formula_positions = [
-            None
-            if reference is None
-            else flat[int(offsets[sheet_id]) : int(offsets[sheet_id + 1])].copy()
-            for sheet_id, reference in enumerate(references)
+            None if reference is None else block
+            for reference, block in zip(references, blocks)
         ]
         self._sheet_store_size = int(state["sheet_store_size"])
         self._formula_store_size = int(state["formula_store_size"])

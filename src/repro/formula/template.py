@@ -109,19 +109,16 @@ def instantiate_template(
     template's hole count.
     """
     ast = parse_formula(formula) if isinstance(formula, str) else formula
-    template = extract_template(ast)
-    if len(parameters) != template.n_parameters:
-        raise ValueError(
-            f"template {template.signature!r} expects {template.n_parameters} "
-            f"parameters, got {len(parameters)}"
-        )
-    cursor = {"index": 0}
+    n_parameters = len(parameters)
+    holes = 0
 
     def rebuild(node: ASTNode) -> str:
+        nonlocal holes
         if isinstance(node, (CellReference, RangeReference)):
-            parameter = parameters[cursor["index"]]
-            cursor["index"] += 1
-            return parameter.to_a1()
+            holes += 1
+            # Past the last parameter the pass only counts: the mismatch is
+            # reported below, with the full hole count.
+            return parameters[holes - 1].to_a1() if holes <= n_parameters else ""
         if isinstance(node, FunctionCall):
             args = ",".join(rebuild(arg) for arg in node.args)
             return f"{node.name}({args})"
@@ -135,7 +132,13 @@ def instantiate_template(
             return f"({rebuild(node.inner)})"
         return node.to_formula()
 
-    return "=" + rebuild(ast)
+    rebuilt = rebuild(ast)
+    if holes != n_parameters:
+        raise ValueError(
+            f"template {extract_template(ast).signature!r} expects {holes} "
+            f"parameters, got {n_parameters}"
+        )
+    return "=" + rebuilt
 
 
 def shift_formula(formula: str, row_delta: int, col_delta: int) -> str:

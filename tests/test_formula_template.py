@@ -55,8 +55,16 @@ class TestInstantiation:
         assert result == "=COUNTIF(C7:C37,C41)"
 
     def test_parameter_count_mismatch_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as too_few:
             instantiate_template("=SUM(A1:A5)", [])
+        assert str(too_few.value) == "template 'SUM(_:_)' expects 1 parameters, got 0"
+        references = formula_references("=IF(A1>B1,SUM(C1:C5),0)")
+        with pytest.raises(ValueError) as too_many:
+            instantiate_template("=IF(A1>B1,SUM(C1:C5),0)", references + references[:1])
+        assert str(too_many.value) == "template 'IF(_>_,SUM(_:_),0)' expects 3 parameters, got 4"
+        with pytest.raises(ValueError) as one_short:
+            instantiate_template("=IF(A1>B1,SUM(C1:C5),0)", references[:2])
+        assert str(one_short.value) == "template 'IF(_>_,SUM(_:_),0)' expects 3 parameters, got 2"
 
     def test_identity_instantiation(self):
         references = formula_references("=SUMIF(A1:A9,B1,C1:C9)")

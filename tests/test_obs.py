@@ -565,9 +565,14 @@ class TestServerObservability:
 
         with start_server_in_background(service) as handle:
             client = FormulaClient(handle.host, handle.port)
+            untouched = {  # no search has run, and none runs below
+                'index_rows_gathered{workspace="pge"}': 0.0,
+                'index_rows_scored_in_place{workspace="pge"}': 0.0,
+            }
             assert gauges(client) == {
                 'index_tier2_fallback_rows{workspace="pge"}': 0.0,
                 'index_two_tier_overflow{workspace="pge"}': 0.0,
+                **untouched,
             }
             # The engine is built by the first edit; an edit made around it
             # is caught by the next one.
@@ -583,6 +588,7 @@ class TestServerObservability:
                 'engine_full_resync{workspace="pge"}': 1.0,
                 'index_tier2_fallback_rows{workspace="pge"}': 7.0,
                 'index_two_tier_overflow{workspace="pge"}': 5.0,
+                **untouched,
             }
             # An engine dropped with its workbook keeps what it counted.
             client.remove_workbook("pge", name)

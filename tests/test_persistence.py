@@ -499,6 +499,49 @@ class TestSnapshotFormat:
         assert not isinstance(eager.predictor.sheet_index._matrix, np.memmap)
 
 
+    def test_restored_keys_and_positions_are_python_ints(self, trained_encoder, tmp_path):
+        """The key and position blocks are read block-wise from memory maps;
+        what the indexes hand back as ``SearchResult.key`` must still be
+        ``int`` / ``(int, int)``, also with tombstoned sheets in the
+        snapshot and with a formula index that holds nothing."""
+        workspace, cases, config = _churned_workspace(trained_encoder, "exact")
+        plain = Workbook("no-formulas")
+        sheet = plain.add_sheet("Values")
+        for row in range(6):
+            sheet.set((row, 0), float(row))
+        workspace.add_workbook(plain)
+        workspace.remove_workbook(workspace.workbook_names[0])
+        live = workspace.predictor
+        assert live.formula_index.n_tombstones and None in live._formula_positions
+        empty = Workspace("empty", AutoFormula(trained_encoder, config))
+        empty.add_workbook(plain.copy())
+        assert len(empty.predictor.formula_index) == 0
+        for name, source in (("churned", workspace), ("empty", empty)):
+            source.save(tmp_path / name)
+            restored = Workspace.load(tmp_path / name, AutoFormula(trained_encoder, config)).predictor
+            expected = source.predictor
+            assert restored.sheet_index._keys == expected.sheet_index._keys
+            assert restored.formula_index._keys == expected.formula_index._keys
+            assert all(type(key) is int for key in restored.sheet_index._keys)
+            assert all(
+                type(key) is tuple and [type(part) for part in key] == [int, int]
+                for key in restored.formula_index._keys
+            )
+            assert restored._sheet_positions == expected._sheet_positions
+            assert all(
+                position is None or type(position) is int for position in restored._sheet_positions
+            )
+            assert len(restored._formula_positions) == len(expected._formula_positions)
+            for mine, theirs in zip(restored._formula_positions, expected._formula_positions):
+                assert (mine is None) == (theirs is None)
+                if mine is not None:
+                    assert mine.dtype == np.int64 and np.array_equal(mine, theirs)
+        response = Workspace.load(
+            tmp_path / "churned", AutoFormula(trained_encoder, config)
+        ).recommend(RecommendationRequest(cases[0].target_sheet, cases[0].target_cell))
+        json.dumps(response.provenance)  # a NumPy integer in it would not encode
+
+
 # ----------------------------------------------------------------- facade
 
 

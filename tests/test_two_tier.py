@@ -6,12 +6,17 @@ pairs it scores (``n_queries * pool`` vs ``VectorIndex.tier1_min_pairs``);
 the *answer* never depends on it: rankings and distances are
 **bit-identical** across index kinds, pool sizes, ``k`` and tombstone
 patterns, through the overflow fallback, and with a batch and its single
-requests on different sides of the gate.  Alongside: index memory
-accounting, duplicate collapsing and query-embedding reuse.
+requests on different sides of the gate — and, for a caller's pool, on
+whether its rows were scored as views of the store or gathered first.
+Alongside: index memory accounting, duplicate collapsing and
+query-embedding reuse.
 """
 
 import sys
+import tempfile
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AutoFormula, AutoFormulaConfig, ServerConfig, Workspace
-from repro.ann import create_index
+from repro.ann import SearchResult, create_index
 from repro.core.interface import FormulaPredictor, Prediction
 from repro.obs import MetricsRegistry
 from repro.server.metrics import stats_body
@@ -145,12 +150,17 @@ class TestTwoPathParity:
         for index in (plain, blas):
             index.add_batch(list(range(n)), data)
         mixed = np.concatenate([cluster[:2], spread[:2]])
-        assert blas.counters() == {"index.tier2_fallback_rows": 0, "index.two_tier_overflow": 0}
+
+        def fallbacks(index):
+            counts = index.counters()
+            return counts["index.tier2_fallback_rows"], counts["index.two_tier_overflow"]
+
+        assert fallbacks(blas) == (0, 0)
         assert plain.search_batch(mixed, 3) == blas.search_batch(mixed, 3)
-        assert blas.counters() == {"index.tier2_fallback_rows": 2, "index.two_tier_overflow": 0}
+        assert fallbacks(blas) == (2, 0)
         assert plain.search_batch(cluster[:4], 3) == blas.search_batch(cluster[:4], 3)
-        assert blas.counters() == {"index.tier2_fallback_rows": 2, "index.two_tier_overflow": 1}
-        assert plain.counters() == {"index.tier2_fallback_rows": 0, "index.two_tier_overflow": 0}
+        assert fallbacks(blas) == (2, 1)
+        assert fallbacks(plain) == (0, 0)
 
         n_threads, n_rounds = 8, 50
         barrier = threading.Barrier(n_threads)
@@ -172,10 +182,7 @@ class TestTwoPathParity:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert blas.counters() == {
-            "index.tier2_fallback_rows": 2 + 2 * n_threads * n_rounds,
-            "index.two_tier_overflow": 1 + n_threads * n_rounds,
-        }
+        assert fallbacks(blas) == (2 + 2 * n_threads * n_rounds, 1 + n_threads * n_rounds)
 
     def test_search_single_matches_batch_row(self):
         """A batch above the gate and its rows below it answer alike."""
@@ -185,6 +192,221 @@ class TestTwoPathParity:
         queries = rng.standard_normal((4, 6)).astype(np.float32)
         batch = index.search_batch(queries, 4)  # 4 x 100 pairs: tier 1
         assert [index.search(query, 4) for query in queries] == batch  # 1 x 100: plain
+
+
+def _gathered_reference(index, queries, positions, k):
+    """The pooled scorer in the form it had before pools were scored where
+    they lie — gather the live rows of the pool, one fixed-order einsum
+    over the copy — kept here as the reference implementation."""
+    positions = positions[index._alive[positions]]
+    distances = (
+        index._sq_norms[positions][None, :]
+        - 2.0 * np.einsum("ij,kj->ik", queries, index._matrix[positions])
+        + np.einsum("ij,ij->i", queries, queries)[:, None]
+    )
+    np.maximum(distances, 0.0, out=distances)
+    return [
+        [
+            SearchResult(index._keys[int(positions[i])], float(row[i]))
+            for i in np.argsort(row, kind="stable")[:k]
+        ]
+        for row in distances
+    ]
+
+
+def _restore_as_memory_map(index, directory):
+    """A fresh index of the same kind over ``index``'s store, its matrix and
+    norms read-only memory maps (what a lazily loaded snapshot hands over)."""
+    state = index.store_state()
+    for name in ("matrix", "sq_norms"):
+        np.save(Path(directory) / f"{name}.npy", state[name])
+    restored = type(index)(index.dimension)
+    restored.restore_store(
+        list(index._keys),
+        np.load(Path(directory) / "matrix.npy", mmap_mode="r"),
+        np.load(Path(directory) / "sq_norms.npy", mmap_mode="r"),
+        state["alive"],
+    )
+    assert isinstance(restored._matrix, np.memmap) and not restored._matrix.flags.writeable
+    return restored
+
+
+@st.composite
+def pool_cases(draw):
+    """A store, what happened to it, and the shape of a pool over it.  The
+    dimensions put the view threshold (32 KiB of rows) at 128, 64 and 32
+    rows, so run lengths of 1-200 fall on both sides of it."""
+    return dict(
+        d=draw(st.sampled_from((64, 128, 256))),
+        n=draw(st.integers(min_value=300, max_value=900)),
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        history=draw(st.sampled_from(("fresh", "memory_map", "updated", "compacted_then_added"))),
+        dead_fraction=draw(st.sampled_from((0.0, 0.05, 0.3))),
+        run_lengths=draw(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=8)),
+        n_singles=draw(st.integers(min_value=0, max_value=12)),
+        n_queries=draw(st.integers(min_value=1, max_value=6)),
+        k=draw(st.sampled_from((1, 3))),
+        gate=draw(st.sampled_from((2, 2000, UNREACHABLE))),
+    )
+
+
+def _pool_over(rng, size, run_lengths, n_singles):
+    """Runs of consecutive positions at random places in random order, with
+    scattered single positions shuffled in between (no position twice)."""
+    taken = np.zeros(size, dtype=bool)
+    pieces = []
+    for length in run_lengths + [1] * n_singles:
+        length = min(length, size)
+        first = int(rng.integers(0, size - length + 1))
+        piece = np.arange(first, first + length)
+        piece = piece[~taken[piece]]
+        taken[piece] = True
+        if piece.size:
+            pieces.append(piece)
+    order = rng.permutation(len(pieces))
+    return np.concatenate([pieces[int(i)] for i in order]).astype(np.int64)
+
+
+class TestPoolWhereItLies:
+    """A caller's pool is scored run by run — long runs of consecutive store
+    rows as views, the rest gathered — at answers equal to gathering it all."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=pool_cases())
+    def test_pooled_search_equals_the_gathered_scorer(self, case):
+        rng = np.random.default_rng(case["seed"])
+        d, n = case["d"], case["n"]
+        index = _gated_index("exact", d, case["gate"])
+        index.add_batch([("v", i) for i in range(n)], _make_pool(rng, n, d))
+        if case["history"] == "compacted_then_added":
+            index.remove_batch(rng.choice(n, size=n // 2 + 1, replace=False))  # compacts
+            assert index.n_tombstones == 0
+            extra = _make_pool(rng, n // 3, d)
+            index.add_batch([("w", i) for i in range(len(extra))], extra)
+        n_dead = int(index._size * case["dead_fraction"])
+        if n_dead:
+            assert index.remove_batch(rng.choice(index._size, size=n_dead, replace=False)) is None
+        with tempfile.TemporaryDirectory() as directory:
+            if case["history"] == "memory_map":
+                index = _restore_as_memory_map(index, directory)
+                index.tier1_min_pairs = case["gate"]
+            elif case["history"] == "updated":
+                live = np.flatnonzero(index._alive[: index._size])
+                moved = rng.choice(live, size=live.size // 3, replace=False)
+                index.update_batch(moved, _make_pool(rng, moved.size, d))
+            pool = _pool_over(rng, index._size, case["run_lengths"], case["n_singles"])
+            queries = _make_pool(rng, case["n_queries"], d)
+            k = case["k"]
+            batch = index.search_batch(queries, k, positions=pool)
+            assert batch == _gathered_reference(index, queries, pool, k)
+            assert batch == [index.search_batch(query[None, :], k, positions=pool)[0] for query in queries]
+
+    @pytest.mark.parametrize("gate", [2, UNREACHABLE])
+    def test_runs_are_counted_and_traced(self, tracer, gate):
+        """Rows in runs of at least 32 KiB (here 128 rows) are scored in
+        place, the rest gathered; the counts and the span's ``runs`` are the
+        only place that shows."""
+        rng = np.random.default_rng(23)
+        index = _gated_index("exact", 64, gate)
+        index.add_batch(list(range(1000)), _make_pool(rng, 1000, 64))
+        pool = np.concatenate(
+            [np.arange(700, 828), np.arange(100, 227), [950, 40], np.arange(400, 600)]
+        )
+        queries = _make_pool(rng, 3, 64)
+        hits, attributes = _search_span(tracer, lambda: index.search_batch(queries, 1, positions=pool))
+        assert hits == _gathered_reference(index, queries, pool, 1)
+        assert attributes["runs"] == 5 and attributes["pool"] == pool.size
+        assert attributes["mode"] == ("two_tier" if gate == 2 else "exact")
+        counts = index.counters()
+        assert counts["index.rows_scored_in_place"] == 128 + 200
+        assert counts["index.rows_gathered"] == 127 + 2
+        # A full scan is one run of the whole store; tombstones split it.
+        __, attributes = _search_span(tracer, lambda: index.search_batch(queries, 1))
+        assert attributes["runs"] == 1
+        assert index.counters()["index.rows_scored_in_place"] == 128 + 200 + 1000
+        index.remove_batch([300])
+        __, attributes = _search_span(tracer, lambda: index.search_batch(queries, 1))
+        assert attributes["runs"] == 2
+        assert index.counters()["index.rows_scored_in_place"] == 128 + 200 + 1000 + 999
+
+    def test_fallback_counts_the_pool_once(self):
+        """Rows that fall back to the plain scorer, and a search whose every
+        row does, cross the pool a second time; the counts are rows of the
+        pool, not passes over it."""
+        rng = np.random.default_rng(37)
+        d = 64
+        cluster = np.tile(rng.standard_normal((1, d)).astype(np.float32), (200, 1))
+        spread = rng.standard_normal((200, d)).astype(np.float32) * 4.0
+        index = _gated_index("exact", d, 2)
+        index.add_batch(list(range(400)), np.concatenate([cluster, spread]))
+        pool = np.concatenate([np.arange(250, 380), np.arange(0, 150), [390]])
+
+        def counts():
+            values = index.counters()
+            return [values["index." + name] for name in (
+                "rows_scored_in_place", "rows_gathered", "tier2_fallback_rows", "two_tier_overflow"
+            )]
+
+        mixed = np.concatenate([cluster[:2], spread[60:62]])  # the last two are in the pool
+        assert index.search_batch(mixed, 1, positions=pool) == _gathered_reference(index, mixed, pool, 1)
+        assert counts() == [280, 1, 2, 0]
+        index.search_batch(cluster[:4], 1, positions=pool)
+        assert counts() == [560, 2, 2, 1]
+
+    @pytest.mark.parametrize("n_queries", [1, 4])
+    def test_no_pool_sized_temporary(self, n_queries):
+        """Three sheets' formulas, 900 rows of 1280 floats: gathering them
+        is a 4.6 MB copy; scored where they lie, one search allocates less
+        than 1 MB on either path (1 query: plain, 4: BLAS + re-rank)."""
+        rng = np.random.default_rng(29)
+        d = 1280
+        index = create_index("exact", d)
+        index.add_batch(list(range(2400)), rng.standard_normal((2400, d)).astype(np.float32))
+        pool = np.concatenate([np.arange(first, first + 300) for first in (1800, 100, 900)])
+        queries = rng.standard_normal((n_queries, d)).astype(np.float32)
+        expected = _gathered_reference(index, queries, pool, 1)
+        tracemalloc.start()
+        try:
+            hits = index.search_batch(queries, 1, positions=pool)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hits == expected
+        assert peak < 1_000_000, peak
+        assert index.counters()["index.rows_gathered"] == 0
+
+
+class TestCompactionHeadRoom:
+    """``_compact`` gathers the live rows into a store with room to grow."""
+
+    @pytest.mark.parametrize("memory_map", [False, True])
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    def test_add_after_compaction_does_not_reallocate(self, kind, memory_map, tmp_path):
+        rng = np.random.default_rng(31)
+        d, n = 16, 200
+        data = _make_pool(rng, n + 60, d)
+        index = create_index(kind, d)
+        index.add_batch(list(range(n)), data[:n])
+        fresh = create_index(kind, d)
+        if memory_map:
+            index = _restore_as_memory_map(index, tmp_path)
+            mapped = index._matrix
+        dead = rng.choice(n, size=n // 2 + 1, replace=False)
+        remap = index.remove_batch(dead)
+        assert remap is not None and index.n_tombstones == 0  # compacted
+        survivors = np.setdiff1d(np.arange(n), dead)
+        assert np.array_equal(remap[survivors], np.arange(survivors.size))
+        if memory_map:  # gathered out of the map, which nothing wrote through
+            assert not isinstance(index._matrix, np.memmap) and not mapped.flags.writeable
+        store, norms, alive = index._matrix, index._sq_norms, index._alive
+        assert store.shape[0] >= 2 * len(index)
+        index.add_batch(list(range(n, n + 60)), data[n:])
+        assert index._matrix is store and index._sq_norms is norms and index._alive is alive
+        # ... and answers like an index that only ever held the live vectors.
+        fresh.add_batch([int(i) for i in survivors] + list(range(n, n + 60)), np.concatenate([data[survivors], data[n:]]))
+        queries = _make_pool(rng, 5, d)
+        assert index.search_batch(queries, 3) == fresh.search_batch(queries, 3)
+        assert np.array_equal(index.vectors, fresh.vectors)
 
 
 def _search_span(tracer, search):

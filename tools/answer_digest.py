@@ -10,7 +10,11 @@ workspace on the reference workbooks and writes
   snapshot state (both index matrices among them),
 * every test case's ``[formula, repr(confidence)]`` after the fit, again
   after a fixed script of 30 value edits, and from a workspace restored
-  from a snapshot of the edited one,
+  from a snapshot of the edited one — one request at a time, which never
+  scores the 2 000 pairs the index's BLAS scan starts at,
+* the same for every formula cell of the held-out sheets through
+  ``serve_batch`` in batches of 16 (``answers_batched``; how the
+  ``inproc_hot`` workload asks), which does: BLAS scan + exact re-rank,
 * sha256 of the on-disk format: the mutation log after those 30 edits and
   one scripted add, and every corpus file and the manifest of that
   snapshot (its array blocks are the state digests above).
@@ -44,6 +48,7 @@ import perf_workloads as bench  # noqa: E402
 from repro import FormulaService, RecommendationRequest  # noqa: E402
 
 N_EDITS = 30
+BATCH_SIZE = 16
 
 
 def array_digest(array: np.ndarray) -> str:
@@ -65,9 +70,25 @@ def file_digests(directory: Path, *patterns: str) -> dict:
     }
 
 
-def answers(workspace, requests) -> list:
-    responses = (workspace.recommend(request) for request in requests)
+def answer_rows(responses) -> list:
     return [[response.formula, repr(float(response.confidence))] for response in responses]
+
+
+def answers(workspace, requests) -> list:
+    return answer_rows(workspace.recommend(request) for request in requests)
+
+
+def batched_answers(workspace, test_workbooks) -> list:
+    requests = [
+        RecommendationRequest(sheet, address)
+        for workbook in test_workbooks
+        for sheet in workbook
+        for address, __ in sheet.formula_cells()
+    ]
+    responses = []
+    for start in range(0, len(requests), BATCH_SIZE):
+        responses.extend(workspace.serve_batch(requests[start : start + BATCH_SIZE]))
+    return answer_rows(responses)
 
 
 def corpus_digest(encoder, preset: str, scale: float) -> dict:
@@ -82,6 +103,7 @@ def corpus_digest(encoder, preset: str, scale: float) -> dict:
         "reference_workbooks": len(evaluation.reference_workbooks),
         "state": state_digests(workspace),
         "answers": answers(workspace, requests),
+        "answers_batched": batched_answers(workspace, evaluation.test_workbooks),
     }
     values = np.random.default_rng(bench.SCRIPT_SEED)
     targets = bench.fixed_sample(bench.value_slots(evaluation.reference_workbooks), N_EDITS)
@@ -119,8 +141,11 @@ def main() -> int:
         scale = bench.QUICK_SCALE if args.quick else workload.scale
         name = f"{workload.preset} x{scale:g}"
         if name not in corpora:
-            corpora[name] = corpus_digest(encoder, workload.preset, scale)
-            print(f"{name}: {len(corpora[name]['answers'])} cases", file=sys.stderr)
+            entry = corpora[name] = corpus_digest(encoder, workload.preset, scale)
+            print(
+                f"{name}: {len(entry['answers'])} cases, {len(entry['answers_batched'])} batched",
+                file=sys.stderr,
+            )
     args.out.write_text(json.dumps({"weights": weights, "corpora": corpora}, indent=1) + "\n")
     return 0
 
