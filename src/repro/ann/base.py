@@ -72,6 +72,20 @@ def _blas_product(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return queries @ matrix.T
 
 
+def tier1_margin(dimension: int, qq: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+    """Per-query bound ``M`` on ``|d_hat - d|``, the float32 rounding slack
+    between a BLAS distance ``sq_norm - 2 x.v + ||x||^2`` and one computed
+    in a fixed order, for queries of squared norms ``qq`` against vectors
+    of squared norms ``sq_norms`` in ``dimension`` dimensions.  Used by the
+    index's tier 1 and by S3's (``repro.core.pipeline``)."""
+    x_norm = np.sqrt(np.maximum(qq, 0.0))
+    v_max = math.sqrt(max(float(sq_norms.max()), 0.0)) if sq_norms.size else 0.0
+    # Generous cover for float32 rounding in the BLAS dot and the
+    # subtract/add chain: length-D accumulations each contribute
+    # O(D * eps * magnitude), with an 8x headroom factor.
+    return 8.0 * dimension * _EPS32 * ((x_norm + v_max) ** 2 + 1.0)
+
+
 #: ``_split_runs``' result: each run's offset in the pool, its length, and
 #: whether it is long enough to be scored as a view.
 _Runs = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -87,6 +101,15 @@ def _split_runs(positions: np.ndarray, row_bytes: int) -> _Runs:
     bounds[0], bounds[1:-1], bounds[-1] = 0, breaks, positions.size
     lengths = bounds[1:] - bounds[:-1]
     return bounds[:-1], lengths, lengths * row_bytes >= _VIEW_MIN_BYTES
+
+
+def _first_k(distances: np.ndarray, k: int) -> np.ndarray:
+    """Column numbers of each row's ``k`` smallest distances, ascending, ties
+    toward the lower column: a stable ``argsort`` cut at ``k`` — for
+    ``k == 1`` its first element, which ``argmin`` finds without sorting."""
+    if k == 1:
+        return np.argmin(distances, axis=1)[:, None]
+    return np.argsort(distances, axis=1, kind="stable")[:, :k]
 
 
 def _pack_mask(mask: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -159,10 +182,11 @@ class VectorIndex(abc.ABC):
         self._alive = np.empty((0,), dtype=bool)
         self._size = 0
         self._n_dead = 0
-        #: Memoized live-position array for full scans over a store with
-        #: tombstones (None = stale; rebuilt on demand, invalidated by
-        #: add/remove/compaction).
-        self._live_scan: Optional[np.ndarray] = None
+        #: Memoized live positions of a full scan over a store with
+        #: tombstones, with their ``_split_runs`` (None = stale; rebuilt on
+        #: demand, invalidated by add/remove/compaction/restore).  One
+        #: tuple, so a concurrent search never sees one without the other.
+        self._live_scan: Optional[Tuple[np.ndarray, _Runs]] = None
         #: The scorer's fallbacks (see :meth:`counters`).  Searches run
         #: concurrently under the workspace's read lock, hence instruments.
         self._fallback_rows = Counter()
@@ -429,12 +453,15 @@ class VectorIndex(abc.ABC):
         whose guaranteed slice overflows the slice budget) takes the
         plain deterministic scorer.
         """
+        runs = None
         if positions is None and self._n_dead:
             if self._live_scan is None:
-                self._live_scan = np.flatnonzero(self._alive[: self._size])
-            positions = self._live_scan
+                live = np.flatnonzero(self._alive[: self._size])
+                self._live_scan = (live, _split_runs(live, 4 * self._dimension))
+            positions, runs = self._live_scan
+        elif positions is not None:
+            runs = _split_runs(positions, 4 * self._dimension)
         pool = self._size if positions is None else int(positions.size)
-        runs = None if positions is None else _split_runs(positions, 4 * self._dimension)
         n_runs = 1 if runs is None else int(runs[0].size)
         # Counted here, once a search: a fallback crosses the same pool again.
         n_in_place = pool if runs is None else int(runs[1][runs[2]].sum())
@@ -481,7 +508,7 @@ class VectorIndex(abc.ABC):
         result is bit-identical to ``product(queries, self._matrix[positions])``
         — each element's accumulation does not depend on how many rows
         share its call — and the BLAS product needs no such property
-        (tier 1 is approximate by contract, to within ``_tier1_margin``).
+        (tier 1 is approximate by contract, to within :func:`tier1_margin`).
         ``runs`` is :func:`_split_runs` of ``positions``, when the caller
         has it.
         """
@@ -531,8 +558,7 @@ class VectorIndex(abc.ABC):
         )
         np.maximum(distances, 0.0, out=distances)
         results: List[List[SearchResult]] = []
-        for row in distances:
-            order = np.argsort(row, kind="stable")[:k]
+        for row, order in zip(distances, _first_k(distances, k)):
             results.append(
                 [
                     SearchResult(
@@ -543,15 +569,6 @@ class VectorIndex(abc.ABC):
                 ]
             )
         return results
-
-    def _tier1_margin(self, qq: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
-        """Per-row bound ``M`` on ``|d_hat - d|``: the float32 rounding slack."""
-        x_norm = np.sqrt(np.maximum(qq, 0.0))
-        v_max = math.sqrt(max(float(sq_norms.max()), 0.0)) if sq_norms.size else 0.0
-        # Generous cover for float32 rounding in the BLAS dot and the
-        # subtract/add chain: length-D accumulations each contribute
-        # O(D * eps * magnitude), with an 8x headroom factor.
-        return 8.0 * self._dimension * _EPS32 * ((x_norm + v_max) ** 2 + 1.0)
 
     def _score_two_tier(
         self,
@@ -575,7 +592,7 @@ class VectorIndex(abc.ABC):
             )
             cross = self._cross_term(queries, positions, runs, _blas_product)
             approx = sq_norms[None, :] - 2.0 * cross + qq[:, None]
-            margin = self._tier1_margin(qq, sq_norms)
+            margin = tier1_margin(self._dimension, qq, sq_norms)
             kth = np.partition(approx, k - 1, axis=1)[:, k - 1]  # pool >= 8k
             # Slice rule (see module docstring): everything within 2M of the
             # tier-1 k-th smallest, plus everything whose exact distance could
@@ -628,8 +645,7 @@ class VectorIndex(abc.ABC):
         np.maximum(distances, 0.0, out=distances)
         distances[~valid] = np.inf
         results: List[List[SearchResult]] = []
-        for r, row in enumerate(distances):
-            order = np.argsort(row, kind="stable")[:k]
+        for r, (row, order) in enumerate(zip(distances, _first_k(distances, k))):
             hits: List[SearchResult] = []
             for i in order:
                 if not valid[r, int(i)]:
@@ -690,7 +706,7 @@ class VectorIndex(abc.ABC):
         cross = np.matmul(gathered, queries[:, :, None])[:, :, 0]
         approx = sq_norms - 2.0 * cross + qq[:, None]
         approx[~valid] = np.inf
-        margin = self._tier1_margin(qq, np.where(valid, sq_norms, 0.0).ravel())
+        margin = tier1_margin(self._dimension, qq, np.where(valid, sq_norms, 0.0).ravel())
         # Same slice rule as ``_score_two_tier``; padding scores ``inf``, so it
         # never enters a slice (a shrinkable row is wider than ``k``).
         kth = np.partition(approx, k - 1, axis=1)[:, k - 1]

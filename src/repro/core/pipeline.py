@@ -5,11 +5,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.ann import SearchResult, canonical_index_kind, create_index
+from repro.ann.base import tier1_margin
 from repro.core.config import AutoFormulaConfig
 from repro.core.interface import FormulaPredictor, Prediction
 from repro.features.window import MAX_CACHED_TENSOR_BYTES, gather_windows, sheet_cache
@@ -29,6 +30,8 @@ from repro.sheet.workbook import Workbook
 _PER_CELL_LAYERS = (Linear, ReLU, Tanh, Dropout)
 
 _UNSET = object()
+
+_EPS32 = float(np.finfo(np.float32).eps)
 
 
 def _reference_parameter_cells(
@@ -76,26 +79,65 @@ def _rectangle(
     return row_lo, row_hi, col_lo, col_hi
 
 
-def _rectangle_cells(bounds: Tuple[int, int, int, int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Row and column of every cell of a rectangle, row-major."""
-    row_lo, row_hi, col_lo, col_hi = bounds
-    width = col_hi - col_lo + 1
-    rows, cols = np.divmod(np.arange((row_hi - row_lo + 1) * width), width)
-    rows += row_lo
-    cols += col_lo
-    return rows, cols
+class _Piece(NamedTuple):
+    """A clamped rectangle ``(row_lo, row_hi, col_lo, col_hi)`` of S3
+    candidates, and which of its cells are candidates: their row-major
+    offsets (``None``: all of them)."""
+
+    bounds: Tuple[int, int, int, int]
+    keep: Optional[np.ndarray]
+
+    @property
+    def size(self) -> int:
+        if self.keep is not None:
+            return self.keep.size
+        row_lo, row_hi, col_lo, col_hi = self.bounds
+        return (row_hi - row_lo + 1) * (col_hi - col_lo + 1)
+
+    def cell(self, position: int) -> CellAddress:
+        """The candidate at ``position``."""
+        row_lo, __, col_lo, col_hi = self.bounds
+        offset = position if self.keep is None else int(self.keep[position])
+        row, col = divmod(offset, col_hi - col_lo + 1)
+        return CellAddress(row_lo + row, col_lo + col)
+
+    def cells(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the candidates, in order."""
+        row_lo, __, col_lo, col_hi = self.bounds
+        offsets = np.arange(self.size) if self.keep is None else self.keep
+        rows, cols = np.divmod(offsets, col_hi - col_lo + 1)
+        return rows + row_lo, cols + col_lo
 
 
-def _candidate_cells(
+class _Candidates(NamedTuple):
+    """The S3 candidates of one parameter (see :func:`_parameter_candidates`)."""
+
+    pieces: List[_Piece]
+    #: Manhattan distance from each candidate to the nearer anchor.
+    steps: np.ndarray
+
+    def cell(self, position: int) -> CellAddress:
+        """The candidate at ``position``."""
+        for piece in self.pieces:
+            if position < piece.size:
+                return piece.cell(position)
+            position -= piece.size
+        raise IndexError(position)
+
+
+def _parameter_candidates(
     anchors: Sequence[Tuple[int, int]], extent: Tuple[int, int], reach: Tuple[int, int]
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Rows and columns of the S3 candidates of one parameter, or ``None``
-    when no anchor's neighborhood touches the sheet.
+) -> Optional[_Candidates]:
+    """The S3 candidates of one parameter with anchors ``(moved, own)``, or
+    ``None`` when no anchor's neighborhood touches the sheet.
 
     The first anchor's clamped rectangle comes row-major, then the cells of
     the second's that lie outside the first.  That is the first-occurrence
     order of the two rectangles enumerated one after the other, so equal
-    scores keep resolving toward the primary anchor, top-left first.
+    scores keep resolving toward the primary anchor, top-left first.  A
+    rectangle's steps are built from its two 1-D ranges and no per-cell row
+    or column array is made: :meth:`_Piece.cells` makes them for the cells
+    that must be embedded.
     """
     rectangles = [
         bounds
@@ -104,17 +146,87 @@ def _candidate_cells(
     ]
     if not rectangles:
         return None
-    rows, cols = _rectangle_cells(rectangles[0])
+    first = rectangles[0]
+    pieces = [_Piece(first, None)]
     if len(rectangles) == 2:
-        row_lo, row_hi, col_lo, col_hi = rectangles[0]
-        more_rows, more_cols = _rectangle_cells(rectangles[1])
-        outside = (
-            (more_rows < row_lo) | (more_rows > row_hi)
-            | (more_cols < col_lo) | (more_cols > col_hi)
+        row_lo, row_hi, col_lo, col_hi = rectangles[1]
+        # Coincident anchors (a target cell where the reference formula
+        # sits) give the same rectangle twice: nothing outside the first.
+        if row_lo < first[0] or row_hi > first[1] or col_lo < first[2] or col_hi > first[3]:
+            row_range = np.arange(row_lo, row_hi + 1)
+            col_range = np.arange(col_lo, col_hi + 1)
+            outside = ((row_range < first[0]) | (row_range > first[1]))[:, None] | (
+                (col_range < first[2]) | (col_range > first[3])
+            )
+            pieces.append(_Piece(rectangles[1], np.flatnonzero(outside)))
+    steps = []
+    for (row_lo, row_hi, col_lo, col_hi), keep in pieces:
+        block = None
+        for anchor_row, anchor_col in dict.fromkeys(anchors):
+            distance = np.add.outer(
+                np.abs(np.arange(row_lo - anchor_row, row_hi - anchor_row + 1)),
+                np.abs(np.arange(col_lo - anchor_col, col_hi - anchor_col + 1)),
+            )
+            block = distance if block is None else np.minimum(block, distance)
+        steps.append(block.ravel() if keep is None else block.ravel()[keep])
+    return _Candidates(pieces, steps[0] if len(steps) == 1 else np.concatenate(steps))
+
+
+def _closest_candidates(
+    vectors: np.ndarray,
+    sq_norms: np.ndarray,
+    references: np.ndarray,
+    reference_sq_norms: np.ndarray,
+    penalties: np.ndarray,
+    lengths: Sequence[int],
+) -> Tuple[List[int], int]:
+    """S3's choice for each parameter ``i``: the position of the first row
+    ``j`` of its block (the next ``lengths[i]`` rows of ``vectors``, norms
+    ``sq_norms``) that minimizes ``np.sum((vectors[j] - references[i]) ** 2)
+    + penalties[j]``, and how many rows were re-ranked to find them all.
+
+    That sequential expression decides, on the candidates it must see.
+    Tier 1 scores a parameter's block with one BLAS matrix-vector product
+    as ``sq_norm - 2 v.r + ||r||^2 + penalty``, within ``M``
+    (:func:`~repro.ann.base.tier1_margin`, plus the rounding of adding the
+    penalty) of the sequential score.  So the exact minimizer, and every
+    row tied with it, scores within ``2M`` of its block's tier-1 minimum:
+    that slice, in block order, is re-ranked by the sequential expression,
+    and a one-row slice is the answer as it stands.  A row's sequential
+    score does not depend on which rows share its ``np.sum`` call.
+
+    One product per block, not ``vectors @ references.T`` for the formula:
+    sgemm packs its operand into a buffer first (a second pass over the
+    gathered rows that also evicts the caches the next embedding reads)
+    and scores every block against every reference.
+    """
+    slack = 2.0 * (
+        tier1_margin(vectors.shape[1], reference_sq_norms, sq_norms)
+        + _EPS32 * float(np.abs(penalties).max())
+    )
+    best: List[int] = []
+    n_reranked = 0
+    start = 0
+    for index, length in enumerate(lengths):
+        stop = start + length
+        approx = (
+            sq_norms[start:stop]
+            - 2.0 * (vectors[start:stop] @ references[index])
+            + reference_sq_norms[index]
+            + penalties[start:stop]
         )
-        rows = np.concatenate([rows, more_rows[outside]])
-        cols = np.concatenate([cols, more_cols[outside]])
-    return rows, cols
+        kept = np.flatnonzero(approx <= approx.min() + slack[index])
+        choice = int(kept[0])
+        if kept.size > 1:
+            rows = start + kept
+            block = vectors[rows]
+            np.subtract(block, references[index], out=block)
+            np.square(block, out=block)
+            choice = int(kept[np.argmin(np.sum(block, axis=1) + penalties[rows])])
+            n_reranked += kept.size
+        best.append(choice)
+        start = stop
+    return best, n_reranked
 
 
 class _RegionStore:
@@ -140,6 +252,9 @@ class _RegionStore:
         )
         self._overflow: Dict[Tuple[int, int], int] = {}
         self._matrix = np.empty((capacity, dimension), dtype=np.float32)
+        #: Squared norms of ``_matrix``'s rows (the fixed-order einsum), for
+        #: S3's tier 1.
+        self._sq_norms = np.empty(capacity, dtype=np.float32)
         self._size = 0
         self._mutex = threading.Lock()
 
@@ -169,8 +284,11 @@ class _RegionStore:
             capacity = max(size, min(len(self._matrix) * 3 // 2, self._slots.size))
             grown = np.empty((capacity, self._matrix.shape[1]), dtype=np.float32)
             grown[: self._size] = self._matrix[: self._size]
-            self._matrix = grown
+            grown_norms = np.empty(capacity, dtype=np.float32)
+            grown_norms[: self._size] = self._sq_norms[: self._size]
+            self._matrix, self._sq_norms = grown, grown_norms
         self._matrix[self._size : size] = vectors
+        self._set_norms(self._size, size)
         inside = self._on_grid(rows, cols)
         new_slots = np.arange(self._size, size)
         self._slots[rows[inside], cols[inside]] = new_slots[inside]
@@ -178,6 +296,20 @@ class _RegionStore:
             key = (int(rows[position]), int(cols[position]))
             self._overflow[key] = int(new_slots[position])
         self._size = size
+
+    def _set_norms(self, start: int, stop: int) -> None:
+        block = self._matrix[start:stop]
+        self._sq_norms[start:stop] = np.einsum("ij,ij->i", block, block)
+
+    def grid_slots(self, pieces: Sequence[_Piece]) -> np.ndarray:
+        """Matrix rows of the cells of ``pieces`` — rectangles inside the
+        used extent — in order, -1 for a cell not stored yet."""
+        with self._mutex:
+            blocks = []
+            for (row_lo, row_hi, col_lo, col_hi), keep in pieces:
+                block = self._slots[row_lo : row_hi + 1, col_lo : col_hi + 1]
+                blocks.append(block.ravel() if keep is None else block.ravel()[keep])
+            return np.concatenate(blocks)
 
     def slots_of(
         self,
@@ -203,10 +335,11 @@ class _RegionStore:
             self._append(rows_missing, cols_missing, embed(rows_missing, cols_missing))
             return self._lookup(rows, cols), n_missing
 
-    def vectors(self, slots: np.ndarray) -> np.ndarray:
-        """The stored vectors of ``slots`` as a fresh C-contiguous matrix."""
+    def rows(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The stored vectors of ``slots`` as a fresh C-contiguous matrix,
+        and their squared norms."""
         with self._mutex:
-            return self._matrix[slots]
+            return self._matrix[slots], self._sq_norms[slots]
 
     def refresh(self, embed: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
         """Re-embed every stored cell into the row it already has: the
@@ -223,6 +356,7 @@ class _RegionStore:
             for (row, col), slot in self._overflow.items():
                 rows[slot], cols[slot] = row, col
             self._matrix[: self._size] = embed(rows, cols)
+            self._set_norms(0, self._size)
 
 
 @dataclass
@@ -371,6 +505,9 @@ class AutoFormula(FormulaPredictor):
         #: serves run concurrently, hence instruments.
         self._store_hits = Counter()
         self._store_misses = Counter()
+        #: S3 candidates scored, and those re-ranked (see :meth:`counters`).
+        self._candidates_scored = Counter()
+        self._candidates_reranked = Counter()
         #: Model-reduced per-sheet tensors (the fine model's per-cell prefix
         #: applied to a sheet's padded feature tensor once, instead of once
         #: per overlapping window).
@@ -547,7 +684,11 @@ class AutoFormula(FormulaPredictor):
         candidate lookups that found their cell stored (``hit``) or not
         (``miss``; a cell two parameters of a cold request both reach
         counts twice, and is embedded once) since construction, and the
-        ``cells`` held by the cached stores now.  The indexes' own
+        ``cells`` held by the cached stores now.  ``s3.candidates_scored`` /
+        ``s3.candidates_reranked`` are S3's candidates since construction and
+        those its tier 1 could not settle alone (rows of re-ranked slices,
+        see :func:`_closest_candidates`): a rising share means a loose bound
+        or tie-heavy sheets.  The indexes' own
         :meth:`~repro.ann.VectorIndex.counters` are summed over both (a
         ``fit`` builds new indexes, whose counts start again).
         """
@@ -557,6 +698,8 @@ class AutoFormula(FormulaPredictor):
             "workspace.region_store_cells": sum(
                 len(store) for store in self._target_cache.values()
             ),
+            "s3.candidates_scored": self._candidates_scored.value,
+            "s3.candidates_reranked": self._candidates_reranked.value,
         }
         for index in (self._sheet_index, self._formula_index):
             if index is not None:
@@ -1168,7 +1311,7 @@ class AutoFormula(FormulaPredictor):
                 return []
             store = self._target_store(target_sheet)
             predictions: List[Optional[Prediction]] = []
-            n_params = n_candidates = n_misses = 0
+            n_params = n_candidates = n_misses = n_reranked = 0
             for target_cell, sheet_id, local, distance in items:
                 reference = self._reference_sheets[int(sheet_id)]
                 reference_formula = reference.formulas[int(local)]
@@ -1176,12 +1319,13 @@ class AutoFormula(FormulaPredictor):
                 if plan is None:
                     predictions.append(None)
                     continue
-                mapped, candidates, misses = self._map_parameters(
+                mapped, candidates, misses, reranked = self._map_parameters(
                     reference, plan, store, target_sheet, target_cell
                 )
                 n_params += len(mapped)
                 n_candidates += candidates
                 n_misses += misses
+                n_reranked += reranked
                 try:
                     formula = plan.instantiate(mapped)
                 except ValueError:
@@ -1202,9 +1346,12 @@ class AutoFormula(FormulaPredictor):
                 )
             self._store_hits.inc(n_candidates - n_misses)
             self._store_misses.inc(n_misses)
+            self._candidates_scored.inc(n_candidates)
+            self._candidates_reranked.inc(n_reranked)
             span.set_attribute("n_params", n_params)
             span.set_attribute("n_candidates", n_candidates)
             span.set_attribute("n_region_misses", n_misses)
+            span.set_attribute("n_reranked", n_reranked)
             return predictions
 
     # --------------------------------------------------------------------- S3
@@ -1254,12 +1401,13 @@ class AutoFormula(FormulaPredictor):
         store: _RegionStore,
         target_sheet: Sheet,
         target_cell: CellAddress,
-    ) -> Tuple[List[CellAddress], int, int]:
+    ) -> Tuple[List[CellAddress], int, int, int]:
         """Map each unique parameter cell of ``plan`` into the target sheet,
         whose region store is ``store``.
 
-        Also returns the number of candidates scored and how many of them
-        were not in the store yet.
+        Also returns the number of candidates scored, how many of them were
+        not in the store yet and how many were re-ranked
+        (:func:`_closest_candidates`).
 
         The primary anchor translates the parameter by the displacement
         between the reference formula cell and the target cell (Algorithm 2
@@ -1279,40 +1427,36 @@ class AutoFormula(FormulaPredictor):
         anchors = [
             ((row + row_delta, col + col_delta), (row, col)) for row, col in plan.cells
         ]
-        candidates = [_candidate_cells(pair, extent, reach) for pair in anchors]
-        found = [cells for cells in candidates if cells is not None]
+        mapped = [CellAddress(max(moved[0], 0), max(moved[1], 0)) for moved, __ in anchors]
+        candidates = [_parameter_candidates(pair, extent, reach) for pair in anchors]
+        found = [index for index, cells in enumerate(candidates) if cells is not None]
+        if not found:
+            return mapped, 0, 0, 0
+        parts = [candidates[index] for index in found]
+        pieces = [piece for part in parts for piece in part.pieces]
+        slots = store.grid_slots(pieces)
+        missing = np.flatnonzero(slots < 0)
         n_misses = 0
-        if found:
-            # One lookup for the whole formula, so everything it is missing
+        if missing.size:
+            # One call for the whole formula, so everything it is missing
             # is embedded in a single forward pass.
-            slots, n_misses = store.slots_of(
-                np.concatenate([rows for rows, __ in found]),
-                np.concatenate([cols for __, cols in found]),
-                partial(self._region_vectors_at, target_sheet),
+            rows, cols = (
+                np.concatenate(axis)[missing] for axis in zip(*(piece.cells() for piece in pieces))
             )
-            vectors = store.vectors(slots)
-            reference_vectors = reference.store.vectors(plan.slots)
-        mapped: List[CellAddress] = []
-        offset = 0
-        for index, (pair, cells) in enumerate(zip(anchors, candidates)):
-            if cells is None:
-                mapped.append(CellAddress(max(pair[0][0], 0), max(pair[0][1], 0)))
-                continue
-            rows, cols = cells
-            candidate_vectors = vectors[offset : offset + len(rows)]
-            offset += len(rows)
-            # np.sum((candidates - reference) ** 2, axis=1), the expression
-            # the sequential scan used, computed in place on our private
-            # gather: the same float32 operations on the same values, so
-            # ties keep breaking the way they always have.
-            np.subtract(candidate_vectors, reference_vectors[index], out=candidate_vectors)
-            np.square(candidate_vectors, out=candidate_vectors)
-            distances = np.sum(candidate_vectors, axis=1)
-            (moved_row, moved_col), (own_row, own_col) = pair
-            penalties = np.minimum(
-                np.abs(rows - moved_row) + np.abs(cols - moved_col),
-                np.abs(rows - own_row) + np.abs(cols - own_col),
-            ).astype(np.float32)
-            best = int(np.argmin(distances + self.config.locality_penalty * penalties))
-            mapped.append(CellAddress(int(rows[best]), int(cols[best])))
-        return mapped, offset, n_misses
+            slots[missing], n_misses = store.slots_of(
+                rows, cols, partial(self._region_vectors_at, target_sheet)
+            )
+        vectors, sq_norms = store.rows(slots)
+        # ||r||^2 comes from the reference store as it is now: a value edit
+        # refreshes the store under plans that stay.
+        references, reference_sq_norms = reference.store.rows(plan.slots[found])
+        penalties = self.config.locality_penalty * np.concatenate(
+            [part.steps for part in parts]
+        ).astype(np.float32)
+        lengths = [part.steps.size for part in parts]
+        best, n_reranked = _closest_candidates(
+            vectors, sq_norms, references, reference_sq_norms, penalties, lengths
+        )
+        for index, part, position in zip(found, parts, best):
+            mapped[index] = part.cell(position)
+        return mapped, len(penalties), n_misses, n_reranked

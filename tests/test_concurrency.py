@@ -237,7 +237,7 @@ class TestWorkspaceUnderConcurrency:
         expected = predictor._region_vectors(
             shared, [CellAddress(int(row), int(col)) for row, col in zip(rows, cols)]
         )
-        assert np.array_equal(store.vectors(slots), expected)
+        assert np.array_equal(store.rows(slots)[0], expected)
 
 
     def test_in_place_edits_racing_serves_answer_from_one_corpus_state(self, assets):

@@ -1,10 +1,15 @@
 """Tests for the end-to-end Auto-Formula pipeline (S1/S2/S3)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import AutoFormula, AutoFormulaConfig
-from repro.core.pipeline import _candidate_cells
+from repro.ann.base import tier1_margin
+from repro.core import AutoFormula, AutoFormulaConfig, pipeline
+from repro.core.pipeline import _closest_candidates, _parameter_candidates, _RegionStore
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
 from repro.formula.parser import parse_formula
@@ -330,7 +335,7 @@ class TestBatchPrediction:
                 return system._region_vectors_at(sheet, rows, cols)
 
             slots, __ = store.slots_of(np.array([cell.row]), np.array([cell.col]), counting)
-            return store, store.vectors(slots)[0]
+            return store, store.rows(slots)[0][0]
 
         sheets = []
         for index in range(5):
@@ -509,12 +514,23 @@ class TestRegrounding:
             cases.append((anchors, extent, (int(rng.integers(1, 10)), int(rng.integers(1, 4)))))
         for anchors, extent, reach in cases:
             expected = _naive_candidates(anchors, extent, reach)
-            found = _candidate_cells(anchors, extent, reach)
+            found = _parameter_candidates(anchors, extent, reach)
             if not expected:
                 assert found is None
                 continue
-            rows, cols = found
+            rows, cols = (np.concatenate(axis) for axis in zip(*(p.cells() for p in found.pieces)))
             assert list(zip(rows.tolist(), cols.tolist())) == expected
+            assert [found.cell(i) for i in range(len(expected))] == [CellAddress(*c) for c in expected]
+            assert found.steps.tolist() == [
+                min(abs(row - anchor_row) + abs(col - anchor_col) for anchor_row, anchor_col in anchors)
+                for row, col in expected
+            ]
+            # The store reads the same cells, in the same order, off its grid
+            # (one slot per cell of the extent; an empty axis has cell 0).
+            store = _RegionStore(Sheet(), 1)
+            height, width = max(extent[0], 1), max(extent[1], 1)
+            store._slots = np.arange(height * width, dtype=np.int32).reshape(height, width)
+            assert store.grid_slots(found.pieces).tolist() == [r * width + c for r, c in expected]
 
     @pytest.mark.parametrize(
         "formula",
@@ -589,3 +605,247 @@ class TestRegrounding:
         assert 0 < cold["cells"] < cold["miss"]
         assert (warm["hit"], warm["miss"]) == (second["n_candidates"], cold["miss"])
         assert second["n_region_misses"] == 0 and warm["cells"] == cold["cells"]
+
+
+def _sequential_choice(vectors, references, penalties, lengths):
+    """The sequential scan S3 ran before its tier 1, block by block: each
+    block's first minimum, as a position in the block."""
+    best, offset = [], 0
+    for index, length in enumerate(lengths):
+        block = vectors[offset : offset + length]
+        scores = np.sum((block - references[index]) ** 2, axis=1) + penalties[offset : offset + length]
+        best.append(int(np.argmin(scores)))
+        offset += length
+    return best
+
+
+@st.composite
+def scorer_cases(draw):
+    """Candidate blocks built to tie: duplicated rows, a constant or zero
+    (all-padding) vector, ULP-scale noise, references that are candidates."""
+    return dict(
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        d=draw(st.sampled_from((3, 16, 64, 320))),
+        lengths=draw(st.lists(st.integers(min_value=1, max_value=90), min_size=1, max_size=4)),
+        n_distinct=draw(st.integers(min_value=1, max_value=6)),
+        noise=draw(st.sampled_from((0.0, 1e-7, 1e-3))),
+        normalized=draw(st.booleans()),
+        penalty=draw(st.sampled_from((0.0, 0.01, 1.0))),
+    )
+
+
+def _sheet_of(layout, n_rows, n_cols, rng):
+    """A tie-heavy target sheet: one row copied down, constant columns,
+    or mostly empty (its windows are all padding)."""
+    sheet = Sheet(layout)
+    base = [f"label {rng.integers(3)}"] + [float(rng.integers(4)) for __ in range(max(n_cols - 1, 0))]
+    for row in range(n_rows):
+        for col in range(n_cols):
+            if layout == "copied_rows":
+                sheet.set((row, col), base[col])
+            elif layout == "constant_columns":
+                sheet.set((row, col), base[col] if row else f"head {col}")
+            elif layout == "sparse" and rng.random() < 0.05:
+                sheet.set((row, col), float(rng.integers(3)))
+            elif layout == "table" and rng.random() < 0.8:
+                sheet.set((row, col), base[col] if rng.random() < 0.5 else float(rng.integers(1000)))
+    if n_rows and n_cols:
+        sheet.set((n_rows - 1, n_cols - 1), 1.0)  # pin the extent
+    return sheet
+
+
+@st.composite
+def regrounding_cases(draw):
+    return dict(
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        layout=draw(st.sampled_from(("copied_rows", "constant_columns", "sparse", "table"))),
+        shape=(
+            draw(st.integers(min_value=0, max_value=30)),
+            draw(st.integers(min_value=0, max_value=7)),
+        ),
+        formula=draw(st.sampled_from((
+            "=SUM(B2:B6)",
+            "=B2+B2*C3",
+            "=SUM(B2:B6)/B6",
+            "=SUM(A1:C40)+F30",  # parameters outside the reference extent
+            "=A1*D9",
+        ))),
+        store=draw(st.sampled_from(("cold", "warm", "refreshed"))),
+    )
+
+
+class TestSlicedRegrounding:
+    """S3's tier 1 selects, the sequential expression decides: the chosen
+    cell is the sequential scan's, whatever BLAS does to the product."""
+
+    @pytest.mark.parametrize("d", [1, 7, 64, 1280])
+    def test_rowwise_sum_does_not_depend_on_the_rows_beside_it(self, d):
+        """The re-rank sums a slice of the candidates; the choice is the
+        full scan's only if a row sums to the same bits in any company."""
+        rng = np.random.default_rng(d)
+        scales = rng.choice([1e-6, 1.0, 1e3], size=(300, 1))
+        x = (rng.standard_normal((300, d)) * scales).astype(np.float32)
+        x[5:9] = x[4]
+        full = np.sum(x, axis=1)
+        for n in (1, 2, 3, 67, 300):
+            rows = rng.choice(300, size=n, replace=False)
+            assert np.sum(x[rows], axis=1).tobytes() == full[rows].tobytes()
+        for row in range(0, 300, 7):
+            assert np.sum(x[row : row + 1], axis=1).tobytes() == full[row : row + 1].tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=scorer_cases())
+    def test_scorer_equals_the_sequential_scan(self, case):
+        rng = np.random.default_rng(case["seed"])
+        lengths, d = case["lengths"], case["d"]
+        n = sum(lengths)
+        base = rng.standard_normal((case["n_distinct"], d)).astype(np.float32)
+        base[0] = 0.0  # an all-padding region
+        if case["n_distinct"] > 1:
+            base[1] = 1.0  # a constant one
+        vectors = base[rng.integers(0, len(base), size=n)]
+        vectors = vectors + (rng.standard_normal((n, d)) * case["noise"]).astype(np.float32)
+        if case["normalized"]:
+            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True) + np.float32(1e-8)
+        vectors = vectors.astype(np.float32)
+        references = np.concatenate([
+            vectors[rng.integers(0, n, size=len(lengths))][: len(lengths) // 2 + 1],
+            base[rng.integers(0, len(base), size=len(lengths))],
+        ])[: len(lengths)]
+        penalties = case["penalty"] * rng.integers(0, 12, size=n).astype(np.float32)
+        sq_norms = np.einsum("ij,ij->i", vectors, vectors)
+        reference_sq_norms = np.einsum("ij,ij->i", references, references)
+        best, n_reranked = _closest_candidates(
+            vectors.copy(), sq_norms, references, reference_sq_norms, penalties, lengths
+        )
+        assert best == _sequential_choice(vectors, references, penalties, lengths)
+        assert 0 <= n_reranked <= n
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=regrounding_cases())
+    def test_adapt_batch_equals_the_sequential_scan(self, trained_encoder, case):
+        """Through the pipeline: clipped and off-sheet anchors, coincident
+        anchors (the formula's own cell), parameters outside the reference
+        extent, on cold, warm and ``refresh``-ed stores."""
+        rng = np.random.default_rng(case["seed"])
+        reference = _table_sheet("reference", 9, 4, rng)
+        formula_cell = CellAddress(7, 2)
+        reference.set(formula_cell, formula=case["formula"])
+        system = AutoFormula(trained_encoder, AutoFormulaConfig())
+        system.fit([reference])
+        target = _sheet_of(case["layout"], *case["shape"], rng)
+        cells = [formula_cell] + [
+            CellAddress(int(rng.integers(0, 40)), int(rng.integers(0, 10))) for __ in range(3)
+        ]
+        items = [(cell, 0, 0, 0.1) for cell in cells]
+        if case["store"] != "cold":
+            system.adapt_batch(target, items)
+        if case["store"] == "refreshed":
+            reference.set((3, 1), 123456.0)  # inside B2:B6's windows
+            system.reindex_sheet(reference)
+        adapted = system.adapt_batch(target, items)
+        assert [prediction.formula for prediction in adapted] == [
+            self._sequential_formula(system, target, cell) for cell in cells
+        ]
+
+    @staticmethod
+    def _sequential_formula(system, target, target_cell):
+        """The sequential scan over the stored vectors of the candidates."""
+        reference = system._reference_sheets[0]
+        plan = system._adaptation_plan(reference, 0)
+        store = system._target_store(target)
+        references = reference.store.rows(plan.slots)[0]
+        config = system.config
+        mapped = []
+        for index, (row, col) in enumerate(plan.cells):
+            row_delta = target_cell.row - plan.formula_cell.row
+            col_delta = target_cell.col - plan.formula_cell.col
+            anchors = [(row + row_delta, col + col_delta), (row, col)]
+            cells = _naive_candidates(
+                anchors,
+                (target.n_rows, target.n_cols),
+                (config.neighborhood_rows, config.neighborhood_cols),
+            )
+            if not cells:
+                mapped.append(CellAddress(max(anchors[0][0], 0), max(anchors[0][1], 0)))
+                continue
+            rows, cols = (np.array(axis) for axis in zip(*cells))
+            slots, misses = store.slots_of(rows, cols, partial(system._region_vectors_at, target))
+            assert misses == 0  # adapt_batch stored every candidate
+            steps = np.array(
+                [min(abs(r - ar) + abs(c - ac) for ar, ac in anchors) for r, c in cells],
+                dtype=np.float32,
+            )
+            [best] = _sequential_choice(
+                store.rows(slots)[0],
+                references[index : index + 1],
+                config.locality_penalty * steps,
+                [len(cells)],
+            )
+            mapped.append(CellAddress(*cells[best]))
+        return plan.instantiate(mapped)
+
+    def test_ties_are_reranked_and_counted(self, tracer, trained_encoder, rng):
+        """A row copied down the sheet embeds to equal vectors away from the
+        edges: tier 1 cannot settle those slices, the sequential expression
+        does (its choice is the sequential scan's), and the counts and the
+        span say how many rows it took."""
+        reference = _sheet_of("copied_rows", 60, 4, rng)
+        reference.set((40, 2), formula="=SUM(B25:B30)")
+        # No locality penalty: every interior cell of column B ties exactly.
+        system = AutoFormula(trained_encoder, AutoFormulaConfig(locality_penalty=0.0))
+        system.fit([reference])
+        counts = system.counters()
+        assert (counts["s3.candidates_scored"], counts["s3.candidates_reranked"]) == (0, 0)
+        spans = []
+        for target in (reference.copy(), _table_sheet("target", 12, 4, rng)):
+            tracer.reset()
+            [prediction] = system.adapt_batch(target, [(CellAddress(40, 2), 0, 0, 0.1)])
+            assert prediction.formula == self._sequential_formula(system, target, CellAddress(40, 2))
+            spans.append(tracer.recent_traces()[-1]["root"]["attributes"])
+        assert spans[0]["n_reranked"] > 2 * spans[0]["n_params"]
+        counts = system.counters()
+        assert counts["s3.candidates_scored"] == sum(span["n_candidates"] for span in spans)
+        assert counts["s3.candidates_reranked"] == sum(span["n_reranked"] for span in spans)
+
+    def test_reference_norms_are_read_at_call_time(self, monkeypatch, trained_encoder, rng):
+        """A value edit refreshes a reference store under the plans that
+        read it: answers must equal a fresh fit's, the refreshed norms must
+        be the refreshed rows', and the ``||r||^2`` S3 bounds its tier 1
+        with must be the store's now — not one kept from an earlier call."""
+        reference = _table_sheet("reference", 12, 4, rng)
+        reference.set((10, 2), formula="=SUM(B2:B6)+C8")
+        workbook = Workbook("reference.xlsx")
+        workbook.add_sheet(reference)
+        system = AutoFormula(trained_encoder, AutoFormulaConfig())
+        system.fit([workbook])
+        target = _table_sheet("target", 16, 4, rng)
+        items = [(CellAddress(row, 2), 0, 0, 0.1) for row in (10, 13, 4)]
+        system.adapt_batch(target, items)  # builds the plan
+        store = system._reference_sheets[0].store
+        plan = system._reference_sheets[0].plans[0]
+
+        reference.set((3, 1), 987654.0)  # inside B2:B6's windows
+        system.reindex_sheet(reference)
+        fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
+        fresh.fit([workbook])
+        assert system._reference_sheets[0].plans[0] is plan
+        assert system.adapt_batch(target, items) == fresh.adapt_batch(target, items)
+        vectors, norms = store.rows(plan.slots)
+        assert norms.tobytes() == np.einsum("ij,ij->i", vectors, vectors).tobytes()
+        fresh_reference = fresh._reference_sheets[0]
+        fresh_plan = fresh_reference.plans[0]
+        assert norms.tobytes() == fresh_reference.store.rows(fresh_plan.slots)[1].tobytes()
+
+        # Re-embed at twice the length: every ||r||^2 moves by 4x.
+        store.refresh(lambda rows, cols: 2.0 * system._region_vectors_at(reference, rows, cols))
+        seen = []
+
+        def spy(dimension, qq, sq_norms):
+            seen.append(qq.copy())
+            return tier1_margin(dimension, qq, sq_norms)
+
+        monkeypatch.setattr(pipeline, "tier1_margin", spy)
+        system.adapt_batch(target, items[:1])
+        assert seen and seen[0].tobytes() == store.rows(plan.slots)[1].tobytes()
+        assert np.allclose(seen[0], 4.0 * norms)

@@ -92,6 +92,8 @@ METRIC_FAMILIES = {
     "index_rows_gathered": ("gauge", ("workspace",)),
     "index_rows_scored_in_place": ("gauge", ("workspace",)),
     "persistence_log_torn_tail_total": ("gauge", ("workspace",)),
+    "s3_candidates_reranked": ("gauge", ("workspace",)),
+    "s3_candidates_scored": ("gauge", ("workspace",)),
     "server_accepted_total": ("counter", ()),
     "server_batch_admitted_total": ("counter", ()),
     "server_batch_completed_total": ("counter", ()),

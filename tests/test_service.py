@@ -599,7 +599,7 @@ class TestEditCell:
         self._serve(workspace, cases)  # builds the cited formulas' plans
         local = next(i for i, f in enumerate(reference.formulas) if f.address.to_a1() == "C4")
         plan = reference.plans[local]
-        stored = reference.store.vectors(plan.slots).tobytes()
+        stored = reference.store.rows(plan.slots)[0].tobytes()
         # A34 sits in the window of the parameter cell A44 (the range's end).
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "A34", value=123456.0)
         fresh = AutoFormula(trained_encoder, _config("exact"))
@@ -608,13 +608,13 @@ class TestEditCell:
         # The same through the store itself: the plan and its slots stayed,
         # the vectors behind them are the fresh fit's.
         assert reference.plans[local] is plan
-        assert reference.store.vectors(plan.slots).tobytes() != stored
+        assert reference.store.rows(plan.slots)[0].tobytes() != stored
         fresh_reference = fresh._reference_sheets[fresh._sheet_ids[id(sheet)]]
         fresh_plan = fresh._adaptation_plan(fresh_reference, local)
         assert fresh_plan.cells == plan.cells
         assert (
-            reference.store.vectors(plan.slots).tobytes()
-            == fresh_reference.store.vectors(fresh_plan.slots).tobytes()
+            reference.store.rows(plan.slots)[0].tobytes()
+            == fresh_reference.store.rows(fresh_plan.slots)[0].tobytes()
         )
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
