@@ -522,8 +522,9 @@ class AutoFormula(FormulaPredictor):
     def _sheet_vector(self, sheet: Sheet) -> np.ndarray:
         """Sheet-level embedding (coarse model, unless fine-only ablation).
 
-        Query-side only — reference sheets are embedded in bulk by
-        ``_index_sheets``.  The vector is cached by sheet identity +
+        Query-side: reference sheets go through the same one-sheet
+        :meth:`_encode_sheet_vector` uncached, in ``_index_sheets`` and
+        ``reindex_sheet``.  The vector is cached by sheet identity +
         mutation version, so repeated requests for the same sheet within
         and across batches encode once and an edited sheet re-encodes.
         """
@@ -767,7 +768,7 @@ class AutoFormula(FormulaPredictor):
         if not sheets:
             return
         base_id = len(self._reference_sheets)
-        sheet_windows: List[np.ndarray] = []
+        sheet_vectors: List[np.ndarray] = []
         for offset, (workbook_name, sheet) in enumerate(sheets):
             sheet_id = base_id + offset
             formulas, embeddings = self._formula_entries(sheet_id, sheet)
@@ -781,11 +782,12 @@ class AutoFormula(FormulaPredictor):
             self._workbook_sheet_ids.setdefault(workbook_name, []).append(sheet_id)
             self._sheet_ids[id(sheet)] = sheet_id
             self._formula_positions.append(self._append_formula_rows(sheet_id, embeddings))
-            sheet_windows.append(self.encoder.featurizer.featurize_sheet(sheet))
+            # One forward per sheet, as ``reindex_sheet`` and the query side
+            # run it: a stacked forward rounds every row differently.
+            sheet_vectors.append(self._encode_sheet_vector(sheet))
 
         self._sheet_index.add_batch(
-            list(range(base_id, base_id + len(sheets))),
-            self._sheet_model.forward(np.stack(sheet_windows)),
+            list(range(base_id, base_id + len(sheets))), np.stack(sheet_vectors)
         )
         self._sheet_positions.extend(
             range(self._sheet_store_size, self._sheet_store_size + len(sheets))
@@ -908,8 +910,8 @@ class AutoFormula(FormulaPredictor):
         Bit-safety rule: every forward pass here has the batch shape a
         fresh fit uses for this sheet — the fine prefix over the *whole*
         sheet tensor, then a row-wise gather and ``L2Normalize``; one sheet
-        window through the sheet model, as indexing a one-sheet workbook
-        does.  Do not reduce only the cells an edit touched: BLAS picks its
+        window through the sheet model, as indexing does for every sheet.
+        Do not reduce only the cells an edit touched: BLAS picks its
         kernel from the operand shapes, and ``X[idx] @ W`` is not bitwise
         ``(X @ W)[idx]``.
 

@@ -6,7 +6,9 @@ engine's earlier PRs promised in prose:
 * **Serving parity** — two workspaces over the same corpus (e.g.
   mutated vs freshly fitted, or restored vs live) answer every request with
   the same formula, confidence, provenance and abstain reason
-  (:func:`assert_responses_match`, :func:`assert_matches_fresh_fit`).
+  (:func:`assert_responses_match`, :func:`assert_matches_fresh_fit`), and
+  a mutated predictor holds a fresh fit's index rows byte for byte
+  (:func:`assert_same_index_rows`).
 * **Tombstone accounting** — after any add/remove/edit history, an
   Auto-Formula predictor's live bookkeeping, its vector indexes' live
   counts and its stable-id maps agree, and no search path can ever
@@ -188,6 +190,44 @@ def assert_no_tombstones(predictor) -> None:
 # ------------------------------------------------------------ fresh-fit parity
 
 
+def _live_rows(predictor):
+    """An Auto-Formula predictor's live index rows as bytes, keyed as a
+    fresh fit on the same corpus keys them: the S1 rows in corpus order,
+    each with its workbook and sheet names, and the S2 rows by ``(corpus
+    position of the sheet, formula number)``, each with its cell and text."""
+    sheet_rows, formula_rows = [], {}
+    for sheet_id, reference in enumerate(predictor._reference_sheets):
+        if reference is None:
+            continue
+        position = predictor._sheet_positions[sheet_id]
+        for local, (formula, row) in enumerate(
+            zip(reference.formulas, predictor._formula_positions[sheet_id])
+        ):
+            formula_rows[(len(sheet_rows), local)] = (
+                formula.address.to_a1(),
+                formula.formula,
+                predictor.formula_index.vectors[row].tobytes(),
+            )
+        sheet_rows.append(
+            (
+                reference.workbook_name,
+                reference.sheet.name,
+                predictor.sheet_index.vectors[position].tobytes(),
+            )
+        )
+    return sheet_rows, formula_rows
+
+
+def assert_same_index_rows(predictor, other, context: str = "") -> None:
+    """Two Auto-Formula predictors over one corpus hold the same live S1
+    and S2 rows, byte for byte (see :func:`_live_rows` for the keys): fit,
+    add, edit and restore all write what a fresh fit writes."""
+    prefix = f"{context}: " if context else ""
+    (sheets, formulas), (other_sheets, other_formulas) = _live_rows(predictor), _live_rows(other)
+    assert sheets == other_sheets, f"{prefix}live S1 rows differ"
+    assert formulas == other_formulas, f"{prefix}live S2 rows differ"
+
+
 def assert_matches_fresh_fit(
     workspace,
     predictor_factory: Callable[[], object],
@@ -200,8 +240,12 @@ def assert_matches_fresh_fit(
     insertion order — exactly what ``workspace.workbooks()`` reports.  An
     edit keeps its workbook's place; only a remove followed by an add moves
     one (to the end).  A brand-new predictor is fitted
-    on it and compared prediction-by-prediction against the workspace's
-    serving path.  The factory usually hands the fresh predictor the
+    on it, its live index rows are compared with the workspace predictor's
+    byte for byte (:func:`assert_same_index_rows`), and it is compared
+    prediction-by-prediction against the workspace's serving path.  Both
+    sides run this package's pipeline, so a bug common to them passes
+    here: ``repro.testing.reference`` is the independent check.  The
+    factory usually hands the fresh predictor the
     workspace's own encoder, so the encoder's feature-tensor cache is
     cleared first: the comparison must not inherit what the workspace left
     there (a stale tensor would make both sides agree on a wrong answer).
@@ -213,6 +257,7 @@ def assert_matches_fresh_fit(
     if encoder is not None:
         encoder.featurizer.clear_cache()
     fresh.fit(workspace.workbooks())
+    assert_same_index_rows(workspace.predictor, fresh, context)
     prefix = f"{context}: " if context else ""
     for case in cases:
         expected = fresh.predict(case.target_sheet, case.target_cell)

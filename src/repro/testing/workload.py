@@ -40,6 +40,7 @@ from repro.corpus.testcases import TestCase, sample_test_cases
 from repro.formula.template import normalize_formula
 from repro.service.types import RecommendationRequest, RecommendationResponse
 from repro.sheet.addressing import CellAddress
+from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
 
 #: Operation kinds a workload can contain, in weight order.  ``serve``
@@ -444,3 +445,50 @@ def replay_workload(
         if after_step is not None:
             after_step(op, workspace)
     return result
+
+
+# ---------------------------------------------------------- tie-heavy inputs
+
+#: The layouts :func:`tie_heavy_sheet` builds.
+TIE_LAYOUTS = ("copied_rows", "constant_columns", "sparse", "table")
+
+
+def tie_heavy_sheet(layout: str, n_rows: int, n_cols: int, rng: np.random.Generator) -> Sheet:
+    """A sheet whose regions tie: one row copied down (``"copied_rows"``),
+    constant columns under a header row (``"constant_columns"``), mostly
+    empty so its windows are nearly all padding (``"sparse"``), or a
+    ``"table"`` that repeats one row's values half the time.  Its last cell
+    pins the extent."""
+    sheet = Sheet(layout)
+    base = [f"label {rng.integers(3)}"] + [float(rng.integers(4)) for __ in range(max(n_cols - 1, 0))]
+    for row in range(n_rows):
+        for col in range(n_cols):
+            if layout == "copied_rows":
+                sheet.set((row, col), base[col])
+            elif layout == "constant_columns":
+                sheet.set((row, col), base[col] if row else f"head {col}")
+            elif layout == "sparse" and rng.random() < 0.05:
+                sheet.set((row, col), float(rng.integers(3)))
+            elif layout == "table" and rng.random() < 0.8:
+                sheet.set((row, col), base[col] if rng.random() < 0.5 else float(rng.integers(1000)))
+    if n_rows and n_cols:
+        sheet.set((n_rows - 1, n_cols - 1), 1.0)
+    return sheet
+
+
+def tie_heavy_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """``n`` float32 vectors of ``d`` dimensions built to tie under a
+    distance: drawn from a small base set with noise that is often zero or
+    ULP-scale, so exact duplicates, near-duplicates (distances that can
+    clamp to 0.0) and a zero vector all occur."""
+    base = rng.standard_normal((max(n // 4, 1), d)).astype(np.float32)
+    rows = base[rng.integers(0, base.shape[0], size=n)]
+    noise = rng.standard_normal((n, d)).astype(np.float32) * rng.choice(
+        [0.0, 1e-7, 0.1], size=(n, 1)
+    )
+    vectors = (rows + noise).astype(np.float32)
+    if n >= 6:
+        vectors[:3] = vectors[3:6]
+    if n >= 8:
+        vectors[7] = 0.0
+    return vectors

@@ -1,7 +1,5 @@
 """Tests for the end-to-end Auto-Formula pipeline (S1/S2/S3)."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +10,10 @@ from repro.core import AutoFormula, AutoFormulaConfig, pipeline
 from repro.core.pipeline import _closest_candidates, _parameter_candidates, _RegionStore
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
-from repro.formula.parser import parse_formula
-from repro.formula.template import extract_template, formula_references, instantiate_template
-from repro.sheet import CellAddress, RangeAddress, Sheet, Workbook
+from repro.formula.template import extract_template
+from repro.sheet import CellAddress, Sheet, Workbook
+from repro.testing.reference import ReferenceAutoFormula, candidates, closest
+from repro.testing.workload import tie_heavy_sheet
 
 
 @pytest.fixture(scope="module")
@@ -210,27 +209,22 @@ class TestOnlinePrediction:
 
 
 class TestBatchPrediction:
-    def test_predict_batch_matches_sequential_predict(self, fitted_system, pge_workload):
-        """The vectorized batch path must return exactly the predictions the
-        sequential path does, abstentions included."""
-        cases, __ = pge_workload
+    def test_predict_batch_matches_sequential_predict(
+        self, trained_encoder, fitted_system, pge_workload
+    ):
+        """The vectorized batch path must return exactly what the reference
+        predicts one cell at a time, abstentions included."""
+        cases, reference_workbooks = pge_workload
+        reference = ReferenceAutoFormula.over(trained_encoder, fitted_system.config)
         by_sheet = {}
         for case in cases:
             by_sheet.setdefault(id(case.target_sheet), (case.target_sheet, []))[1].append(
                 case.target_cell
             )
         for sheet, cells in by_sheet.values():
-            sequential = [fitted_system.predict(sheet, cell) for cell in cells]
-            batched = fitted_system.predict_batch(sheet, cells)
-            assert len(batched) == len(sequential)
-            for one, many in zip(sequential, batched):
-                if one is None:
-                    assert many is None
-                    continue
-                assert many is not None
-                assert many.formula == one.formula
-                assert many.confidence == pytest.approx(one.confidence, abs=1e-6)
-                assert many.details["reference_cell"] == one.details["reference_cell"]
+            assert fitted_system.predict_batch(sheet, cells) == [
+                reference.predict(reference_workbooks, sheet, cell) for cell in cells
+            ]
 
     @pytest.mark.parametrize("kind", ["exact", "ivf", "lsh"])
     def test_staged_api_composes_to_predict_batch(self, trained_encoder, pge_workload, kind):
@@ -419,67 +413,6 @@ class TestIndexChoices:
 
 # ---------------------------------------------------------------------- S3
 
-def _naive_candidates(anchors, extent, reach):
-    """Both neighborhoods cell by cell, first occurrence kept."""
-    max_row, max_col = max(extent[0] - 1, 0), max(extent[1] - 1, 0)
-    seen = []
-    for anchor_row, anchor_col in anchors:
-        for row in range(max(anchor_row - reach[0], 0), min(anchor_row + reach[0], max_row) + 1):
-            for col in range(max(anchor_col - reach[1], 0), min(anchor_col + reach[1], max_col) + 1):
-                if (row, col) not in seen:
-                    seen.append((row, col))
-    return seen
-
-
-def _naive_map_cell(system, reference_sheet, parameter, formula_cell, target_sheet, target_cell):
-    """The S3 oracle: one candidate at a time, one embedding at a time."""
-    config = system.config
-    anchors = [
-        (
-            parameter.row + target_cell.row - formula_cell.row,
-            parameter.col + target_cell.col - formula_cell.col,
-        ),
-        (parameter.row, parameter.col),
-    ]
-    candidates = _naive_candidates(
-        anchors,
-        (target_sheet.n_rows, target_sheet.n_cols),
-        (config.neighborhood_rows, config.neighborhood_cols),
-    )
-    if not candidates:
-        return CellAddress(max(anchors[0][0], 0), max(anchors[0][1], 0))
-    reference_vector = system._region_vectors(reference_sheet, [parameter])[0]
-    best, best_score = None, None
-    for row, col in candidates:
-        vector = system._region_vectors(target_sheet, [CellAddress(row, col)])
-        distance = np.sum((vector - reference_vector) ** 2, axis=1)[0]
-        penalty = np.float32(
-            min(abs(row - anchor_row) + abs(col - anchor_col) for anchor_row, anchor_col in anchors)
-        )
-        score = distance + config.locality_penalty * penalty
-        if best is None or score < best_score:
-            best, best_score = CellAddress(row, col), score
-    return best
-
-
-def _naive_adapt(system, reference_sheet, formula_cell, target_sheet, target_cell):
-    formula = reference_sheet.get(formula_cell).formula
-    ast = parse_formula(formula)
-    mapped = []
-    for reference in formula_references(ast):
-        ends = (
-            (reference.start, reference.end)
-            if isinstance(reference, RangeAddress)
-            else (reference,)
-        )
-        cells = [
-            _naive_map_cell(system, reference_sheet, end, formula_cell, target_sheet, target_cell)
-            for end in ends
-        ]
-        mapped.append(RangeAddress(*cells) if len(cells) == 2 else cells[0])
-    return instantiate_template(ast, mapped)
-
-
 def _table_sheet(name, n_rows, n_cols, rng):
     sheet = Sheet(name)
     for row in range(n_rows):
@@ -493,7 +426,7 @@ def _table_sheet(name, n_rows, n_cols, rng):
 
 
 class TestRegrounding:
-    """The array S3 against a deliberately naive per-candidate loop."""
+    """The array S3 against the reference's nested loops."""
 
     def test_candidate_order_matches_nested_loops(self, rng):
         cases = [
@@ -513,7 +446,7 @@ class TestRegrounding:
             ]
             cases.append((anchors, extent, (int(rng.integers(1, 10)), int(rng.integers(1, 4)))))
         for anchors, extent, reach in cases:
-            expected = _naive_candidates(anchors, extent, reach)
+            expected = candidates(anchors, extent, reach)
             found = _parameter_candidates(anchors, extent, reach)
             if not expected:
                 assert found is None
@@ -548,6 +481,7 @@ class TestRegrounding:
         reference.set(formula_cell, formula=formula)
         system = AutoFormula(trained_encoder, AutoFormulaConfig())
         system.fit([reference])
+        oracle = ReferenceAutoFormula.over(trained_encoder, system.config)
         targets = [
             (Sheet("empty"), [CellAddress(0, 0), CellAddress(12, 3)]),  # 0x0
             (_table_sheet("one", 1, 1, rng), [CellAddress(0, 0), CellAddress(5, 1)]),
@@ -563,7 +497,7 @@ class TestRegrounding:
         for sheet, cells in targets:
             adapted = system.adapt_batch(sheet, [(cell, 0, 0, 0.1) for cell in cells])
             assert [prediction.formula for prediction in adapted] == [
-                _naive_adapt(system, reference, formula_cell, sheet, cell) for cell in cells
+                oracle.adapt(reference, formula_cell, formula, sheet, cell) for cell in cells
             ]
 
     def test_unparseable_reference_formula_abstains_from_the_cached_plan(self, trained_encoder, rng):
@@ -607,18 +541,6 @@ class TestRegrounding:
         assert second["n_region_misses"] == 0 and warm["cells"] == cold["cells"]
 
 
-def _sequential_choice(vectors, references, penalties, lengths):
-    """The sequential scan S3 ran before its tier 1, block by block: each
-    block's first minimum, as a position in the block."""
-    best, offset = [], 0
-    for index, length in enumerate(lengths):
-        block = vectors[offset : offset + length]
-        scores = np.sum((block - references[index]) ** 2, axis=1) + penalties[offset : offset + length]
-        best.append(int(np.argmin(scores)))
-        offset += length
-    return best
-
-
 @st.composite
 def scorer_cases(draw):
     """Candidate blocks built to tie: duplicated rows, a constant or zero
@@ -634,49 +556,10 @@ def scorer_cases(draw):
     )
 
 
-def _sheet_of(layout, n_rows, n_cols, rng):
-    """A tie-heavy target sheet: one row copied down, constant columns,
-    or mostly empty (its windows are all padding)."""
-    sheet = Sheet(layout)
-    base = [f"label {rng.integers(3)}"] + [float(rng.integers(4)) for __ in range(max(n_cols - 1, 0))]
-    for row in range(n_rows):
-        for col in range(n_cols):
-            if layout == "copied_rows":
-                sheet.set((row, col), base[col])
-            elif layout == "constant_columns":
-                sheet.set((row, col), base[col] if row else f"head {col}")
-            elif layout == "sparse" and rng.random() < 0.05:
-                sheet.set((row, col), float(rng.integers(3)))
-            elif layout == "table" and rng.random() < 0.8:
-                sheet.set((row, col), base[col] if rng.random() < 0.5 else float(rng.integers(1000)))
-    if n_rows and n_cols:
-        sheet.set((n_rows - 1, n_cols - 1), 1.0)  # pin the extent
-    return sheet
-
-
-@st.composite
-def regrounding_cases(draw):
-    return dict(
-        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
-        layout=draw(st.sampled_from(("copied_rows", "constant_columns", "sparse", "table"))),
-        shape=(
-            draw(st.integers(min_value=0, max_value=30)),
-            draw(st.integers(min_value=0, max_value=7)),
-        ),
-        formula=draw(st.sampled_from((
-            "=SUM(B2:B6)",
-            "=B2+B2*C3",
-            "=SUM(B2:B6)/B6",
-            "=SUM(A1:C40)+F30",  # parameters outside the reference extent
-            "=A1*D9",
-        ))),
-        store=draw(st.sampled_from(("cold", "warm", "refreshed"))),
-    )
-
-
 class TestSlicedRegrounding:
     """S3's tier 1 selects, the sequential expression decides: the chosen
-    cell is the sequential scan's, whatever BLAS does to the product."""
+    cell is the reference's one-row-at-a-time scan's, whatever BLAS does to
+    the product."""
 
     @pytest.mark.parametrize("d", [1, 7, 64, 1280])
     def test_rowwise_sum_does_not_depend_on_the_rows_beside_it(self, d):
@@ -718,90 +601,33 @@ class TestSlicedRegrounding:
         best, n_reranked = _closest_candidates(
             vectors.copy(), sq_norms, references, reference_sq_norms, penalties, lengths
         )
-        assert best == _sequential_choice(vectors, references, penalties, lengths)
+        starts = np.cumsum([0] + lengths)
+        assert best == [
+            closest(vectors[start:stop], reference, penalties[start:stop])
+            for reference, start, stop in zip(references, starts, starts[1:])
+        ]
         assert 0 <= n_reranked <= n
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=regrounding_cases())
-    def test_adapt_batch_equals_the_sequential_scan(self, trained_encoder, case):
-        """Through the pipeline: clipped and off-sheet anchors, coincident
-        anchors (the formula's own cell), parameters outside the reference
-        extent, on cold, warm and ``refresh``-ed stores."""
-        rng = np.random.default_rng(case["seed"])
-        reference = _table_sheet("reference", 9, 4, rng)
-        formula_cell = CellAddress(7, 2)
-        reference.set(formula_cell, formula=case["formula"])
-        system = AutoFormula(trained_encoder, AutoFormulaConfig())
-        system.fit([reference])
-        target = _sheet_of(case["layout"], *case["shape"], rng)
-        cells = [formula_cell] + [
-            CellAddress(int(rng.integers(0, 40)), int(rng.integers(0, 10))) for __ in range(3)
-        ]
-        items = [(cell, 0, 0, 0.1) for cell in cells]
-        if case["store"] != "cold":
-            system.adapt_batch(target, items)
-        if case["store"] == "refreshed":
-            reference.set((3, 1), 123456.0)  # inside B2:B6's windows
-            system.reindex_sheet(reference)
-        adapted = system.adapt_batch(target, items)
-        assert [prediction.formula for prediction in adapted] == [
-            self._sequential_formula(system, target, cell) for cell in cells
-        ]
-
-    @staticmethod
-    def _sequential_formula(system, target, target_cell):
-        """The sequential scan over the stored vectors of the candidates."""
-        reference = system._reference_sheets[0]
-        plan = system._adaptation_plan(reference, 0)
-        store = system._target_store(target)
-        references = reference.store.rows(plan.slots)[0]
-        config = system.config
-        mapped = []
-        for index, (row, col) in enumerate(plan.cells):
-            row_delta = target_cell.row - plan.formula_cell.row
-            col_delta = target_cell.col - plan.formula_cell.col
-            anchors = [(row + row_delta, col + col_delta), (row, col)]
-            cells = _naive_candidates(
-                anchors,
-                (target.n_rows, target.n_cols),
-                (config.neighborhood_rows, config.neighborhood_cols),
-            )
-            if not cells:
-                mapped.append(CellAddress(max(anchors[0][0], 0), max(anchors[0][1], 0)))
-                continue
-            rows, cols = (np.array(axis) for axis in zip(*cells))
-            slots, misses = store.slots_of(rows, cols, partial(system._region_vectors_at, target))
-            assert misses == 0  # adapt_batch stored every candidate
-            steps = np.array(
-                [min(abs(r - ar) + abs(c - ac) for ar, ac in anchors) for r, c in cells],
-                dtype=np.float32,
-            )
-            [best] = _sequential_choice(
-                store.rows(slots)[0],
-                references[index : index + 1],
-                config.locality_penalty * steps,
-                [len(cells)],
-            )
-            mapped.append(CellAddress(*cells[best]))
-        return plan.instantiate(mapped)
 
     def test_ties_are_reranked_and_counted(self, tracer, trained_encoder, rng):
         """A row copied down the sheet embeds to equal vectors away from the
         edges: tier 1 cannot settle those slices, the sequential expression
-        does (its choice is the sequential scan's), and the counts and the
+        does (its choice is the reference's), and the counts and the
         span say how many rows it took."""
-        reference = _sheet_of("copied_rows", 60, 4, rng)
+        reference = tie_heavy_sheet("copied_rows", 60, 4, rng)
         reference.set((40, 2), formula="=SUM(B25:B30)")
         # No locality penalty: every interior cell of column B ties exactly.
         system = AutoFormula(trained_encoder, AutoFormulaConfig(locality_penalty=0.0))
         system.fit([reference])
+        oracle = ReferenceAutoFormula.over(trained_encoder, system.config)
         counts = system.counters()
         assert (counts["s3.candidates_scored"], counts["s3.candidates_reranked"]) == (0, 0)
         spans = []
         for target in (reference.copy(), _table_sheet("target", 12, 4, rng)):
             tracer.reset()
             [prediction] = system.adapt_batch(target, [(CellAddress(40, 2), 0, 0, 0.1)])
-            assert prediction.formula == self._sequential_formula(system, target, CellAddress(40, 2))
+            assert prediction.formula == oracle.adapt(
+                reference, CellAddress(40, 2), "=SUM(B25:B30)", target, CellAddress(40, 2)
+            )
             spans.append(tracer.recent_traces()[-1]["root"]["attributes"])
         assert spans[0]["n_reranked"] > 2 * spans[0]["n_params"]
         counts = system.counters()

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import cache
-from repro.ann import ExactIndex, IVFIndex, LSHIndex
+from repro.ann import IVFIndex, LSHIndex
 from repro.embedding import HashedSemanticEmbedder
 from repro.formula import extract_template, formula_references, instantiate_template, parse_formula
 from repro.formula.engine import FormulaEngine
@@ -556,18 +556,6 @@ class TestNNProperties:
 
 
 class TestANNProperties:
-    @given(st.integers(5, 60), st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_exact_index_top1_matches_brute_force(self, n, seed):
-        rng = np.random.default_rng(seed)
-        vectors = rng.standard_normal((n, 8)).astype(np.float32)
-        index = ExactIndex(8)
-        index.add_batch(list(range(n)), vectors)
-        query = rng.standard_normal(8).astype(np.float32)
-        hit = index.search(query, k=1)[0]
-        brute = int(np.argmin(np.sum((vectors - query) ** 2, axis=1)))
-        assert hit.key == brute
-
     @given(st.integers(10, 80), st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_approximate_indexes_return_valid_keys(self, n, seed):

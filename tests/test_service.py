@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -18,7 +17,11 @@ from repro.baselines import WeakSupervisionBaseline
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
 from repro.sheet import CellAddress
-from repro.testing import assert_matches_fresh_fit, assert_responses_match
+from repro.testing import (
+    assert_matches_fresh_fit,
+    assert_responses_match,
+    assert_same_index_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,32 +130,6 @@ class TestIncrementalParity:
 
 
 class TestServeBatch:
-    def test_batch_matches_sequential_serving(self, trained_encoder, workload):
-        references, cases = workload
-        service = FormulaService(trained_encoder)
-        workspace = service.create_workspace("batch", workbooks=references)
-
-        # Interleave sheets so grouping and reassembly are both exercised.
-        interleaved = sorted(range(len(cases)), key=lambda position: position % 3)
-        requests = [
-            RecommendationRequest(
-                cases[position].target_sheet,
-                cases[position].target_cell,
-                request_id=str(position),
-            )
-            for position in interleaved
-        ]
-        batched = workspace.serve_batch(requests)
-        assert [response.request.request_id for response in batched] == [
-            str(position) for position in interleaved
-        ]
-        for request, from_batch in zip(requests, batched):
-            single = workspace.recommend(request)
-            assert from_batch.formula == single.formula
-            assert from_batch.confidence == single.confidence
-            assert from_batch.provenance == single.provenance
-            assert from_batch.abstain_reason == single.abstain_reason
-
     def test_latency_recorded_per_request(self, trained_encoder, workload):
         references, cases = workload
         service = FormulaService(trained_encoder)
@@ -319,36 +296,6 @@ def _numeric_cells(sheet):
     ]
 
 
-def _indexed(predictor):
-    """What the indexes hold for every live sheet, in corpus order: the
-    formula side as exact bytes, the sheet vectors as one array."""
-    rows, sheet_vectors = [], []
-    for sheet_id, reference in enumerate(predictor._reference_sheets):
-        if reference is None:
-            continue
-        positions = predictor._formula_positions[sheet_id]
-        rows.append(
-            (
-                reference.workbook_name,
-                reference.sheet.name,
-                [(formula.address, formula.formula) for formula in reference.formulas],
-                predictor.formula_index.vectors[positions].tobytes(),
-            )
-        )
-        sheet_vectors.append(predictor.sheet_index.vectors[predictor._sheet_positions[sheet_id]])
-    return rows, np.stack(sheet_vectors)
-
-
-def _assert_indexed_alike(predictor, fresh):
-    rows, sheet_vectors = _indexed(predictor)
-    fresh_rows, fresh_sheet_vectors = _indexed(fresh)
-    assert rows == fresh_rows
-    # A re-indexed sheet's S1 row comes from a one-window forward, a fresh
-    # fit's from the stacked one: sgemv and sgemm may round the last Linear
-    # an ulp apart (as for any workbook added on its own), never more.
-    np.testing.assert_allclose(sheet_vectors, fresh_sheet_vectors, rtol=0, atol=1e-6)
-
-
 def _owned_rows(predictor, sheet):
     """Positions and bytes of the index rows one reference sheet owns."""
     sheet_id = predictor._sheet_ids[id(sheet)]
@@ -395,11 +342,10 @@ class TestEditCell:
         assert workspace.counters()["workspace.reindex_refit"] == 0
         fresh = AutoFormula(trained_encoder, _config("exact"))
         assert_matches_fresh_fit(workspace, lambda: fresh, cases)
-        _assert_indexed_alike(workspace.predictor, fresh)
         restored = Workspace.load(directory, AutoFormula(trained_encoder, _config("exact")))
         assert restored.workbook_names == workspace.workbook_names
         assert_responses_match(self._serve(workspace, cases), self._serve(restored, cases))
-        _assert_indexed_alike(restored.predictor, fresh)
+        assert_same_index_rows(restored.predictor, fresh)
 
     def test_requires_exactly_one_operand(self, trained_encoder, workload, edit_target):
         reference_workbooks, __ = workload

@@ -1,19 +1,18 @@
-"""One scoring engine, two paths: acceptance suite.
+"""One scoring engine, two paths: the mechanisms.
 
 Which path a search takes — the plain fixed-order einsum, or the BLAS
 tier-1 scan + exact re-rank of a guaranteed slice — is chosen from the
-pairs it scores (``n_queries * pool`` vs ``VectorIndex.tier1_min_pairs``);
-the *answer* never depends on it: rankings and distances are
-**bit-identical** across index kinds, pool sizes, ``k`` and tombstone
-patterns, through the overflow fallback, and with a batch and its single
-requests on different sides of the gate — and, for a caller's pool, on
-whether its rows were scored as views of the store or gathered first.
-Alongside: index memory accounting, duplicate collapsing and
-query-embedding reuse.
+pairs it scores (``n_queries * pool`` vs ``VectorIndex.tier1_min_pairs``),
+and a caller's pool is scored run by run, long runs as views of the
+store.  The answers of the exact index on either path, for any pool, are
+the reference k-NN's (``tests/test_reference.py``); here: the IVF / LSH
+candidate pools on both sides of the gate (which the exact reference
+cannot follow), the overflow fallback, the counts and spans that show
+the path, the allocation bound, compaction head-room, index memory
+accounting, duplicate collapsing and query-embedding reuse.
 """
 
 import sys
-import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -30,32 +29,13 @@ from repro.obs import MetricsRegistry
 from repro.server.metrics import stats_body
 from repro.service import RecommendationRequest
 from repro.sheet import CellAddress, Sheet, Workbook
+from repro.testing.reference import answer_of, knn
+from repro.testing.workload import tie_heavy_vectors
 
 INDEX_KINDS = ("exact", "ivf", "lsh")
 
 #: A gate no call can reach: the index always takes the plain path.
 UNREACHABLE = 1 << 62
-
-
-def _make_pool(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """A duplicate-heavy, tie-provoking vector pool.
-
-    Rows are drawn from a small base set with noise that is often zero or
-    tiny, so exact duplicates, near-duplicates (ULP-scale distances that
-    can clamp to 0.0), and a zero vector all occur — the patterns that
-    stress stable-sort tie-breaking and the clamped-tie slice rule.
-    """
-    base = rng.standard_normal((max(n // 4, 1), d)).astype(np.float32)
-    rows = base[rng.integers(0, base.shape[0], size=n)]
-    noise = rng.standard_normal((n, d)).astype(np.float32) * rng.choice(
-        [0.0, 1e-7, 0.1], size=(n, 1)
-    )
-    pool = (rows + noise).astype(np.float32)
-    if n >= 6:
-        pool[:3] = pool[3:6]
-    if n >= 8:
-        pool[7] = 0.0
-    return pool
 
 
 def _gated_index(kind, d, gate):
@@ -67,7 +47,7 @@ def _gated_index(kind, d, gate):
 def _build_pair(kind, n, d, seed, remove_fraction):
     """A (plain-only, tier-1-on-everything) index pair fed identical mutations."""
     rng = np.random.default_rng(seed)
-    data = _make_pool(rng, n, d)
+    data = tie_heavy_vectors(rng, n, d)
     keys = [f"v{i}" for i in range(n)]
     plain = _gated_index(kind, d, UNREACHABLE)
     # Force tier-1 engagement on the tiny pools hypothesis generates.
@@ -79,14 +59,14 @@ def _build_pair(kind, n, d, seed, remove_fraction):
         dead = rng.choice(n, size=n_remove, replace=False)
         plain.remove_batch(dead)
         blas.remove_batch(dead)
-    queries = _make_pool(rng, 5, d)
+    queries = tie_heavy_vectors(rng, 5, d)
     return plain, blas, queries, rng
 
 
 @st.composite
 def parity_cases(draw):
     return dict(
-        kind=draw(st.sampled_from(INDEX_KINDS)),
+        kind=draw(st.sampled_from(("ivf", "lsh"))),
         n=draw(st.integers(min_value=1, max_value=160)),
         d=draw(st.integers(min_value=2, max_value=24)),
         k=draw(st.integers(min_value=1, max_value=12)),
@@ -101,23 +81,10 @@ class TestTwoPathParity:
     @settings(max_examples=80, deadline=None)
     @given(case=parity_cases())
     def test_search_batch_bit_identical(self, case):
+        """IVF / LSH candidate pools: the ragged path's tier 1."""
         k = case.pop("k")
         plain, blas, queries, rng = _build_pair(**case)
         assert plain.search_batch(queries, k) == blas.search_batch(queries, k)
-
-    @settings(max_examples=40, deadline=None)
-    @given(case=parity_cases())
-    def test_positions_pool_bit_identical(self, case):
-        """The S2-style caller-provided candidate-pool path."""
-        k = case.pop("k")
-        plain, blas, queries, rng = _build_pair(**case)
-        alive = np.flatnonzero(plain._alive[: plain._size])
-        if alive.size < 2:
-            return
-        pool = np.sort(rng.choice(alive, size=max(alive.size // 2, 2), replace=False))
-        assert plain.search_batch(queries, k, positions=pool) == blas.search_batch(
-            queries, k, positions=pool
-        )
 
     @pytest.mark.parametrize("kind", INDEX_KINDS)
     def test_overflow_falls_back_bit_identical(self, kind):
@@ -184,33 +151,13 @@ class TestTwoPathParity:
         assert not any(thread.is_alive() for thread in threads)
         assert fallbacks(blas) == (2 + 2 * n_threads * n_rounds, 1 + n_threads * n_rounds)
 
-    def test_search_single_matches_batch_row(self):
-        """A batch above the gate and its rows below it answer alike."""
-        index = _gated_index("exact", 6, 200)
-        rng = np.random.default_rng(5)
-        index.add_batch(list(range(100)), _make_pool(rng, 100, 6))
-        queries = rng.standard_normal((4, 6)).astype(np.float32)
-        batch = index.search_batch(queries, 4)  # 4 x 100 pairs: tier 1
-        assert [index.search(query, 4) for query in queries] == batch  # 1 x 100: plain
 
-
-def _gathered_reference(index, queries, positions, k):
-    """The pooled scorer in the form it had before pools were scored where
-    they lie — gather the live rows of the pool, one fixed-order einsum
-    over the copy — kept here as the reference implementation."""
-    positions = positions[index._alive[positions]]
-    distances = (
-        index._sq_norms[positions][None, :]
-        - 2.0 * np.einsum("ij,kj->ik", queries, index._matrix[positions])
-        + np.einsum("ij,ij->i", queries, queries)[:, None]
-    )
-    np.maximum(distances, 0.0, out=distances)
+def _reference_hits(vectors, queries, pool, k):
+    """The reference k-NN over ``vectors[pool]``, each row keyed by its
+    store position."""
     return [
-        [
-            SearchResult(index._keys[int(positions[i])], float(row[i]))
-            for i in np.argsort(row, kind="stable")[:k]
-        ]
-        for row in distances
+        [SearchResult(int(pool[row]), distance) for row, distance in hits]
+        for hits in knn(queries, vectors[pool], k)
     ]
 
 
@@ -231,75 +178,9 @@ def _restore_as_memory_map(index, directory):
     return restored
 
 
-@st.composite
-def pool_cases(draw):
-    """A store, what happened to it, and the shape of a pool over it.  The
-    dimensions put the view threshold (32 KiB of rows) at 128, 64 and 32
-    rows, so run lengths of 1-200 fall on both sides of it."""
-    return dict(
-        d=draw(st.sampled_from((64, 128, 256))),
-        n=draw(st.integers(min_value=300, max_value=900)),
-        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
-        history=draw(st.sampled_from(("fresh", "memory_map", "updated", "compacted_then_added"))),
-        dead_fraction=draw(st.sampled_from((0.0, 0.05, 0.3))),
-        run_lengths=draw(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=8)),
-        n_singles=draw(st.integers(min_value=0, max_value=12)),
-        n_queries=draw(st.integers(min_value=1, max_value=6)),
-        k=draw(st.sampled_from((1, 3))),
-        gate=draw(st.sampled_from((2, 2000, UNREACHABLE))),
-    )
-
-
-def _pool_over(rng, size, run_lengths, n_singles):
-    """Runs of consecutive positions at random places in random order, with
-    scattered single positions shuffled in between (no position twice)."""
-    taken = np.zeros(size, dtype=bool)
-    pieces = []
-    for length in run_lengths + [1] * n_singles:
-        length = min(length, size)
-        first = int(rng.integers(0, size - length + 1))
-        piece = np.arange(first, first + length)
-        piece = piece[~taken[piece]]
-        taken[piece] = True
-        if piece.size:
-            pieces.append(piece)
-    order = rng.permutation(len(pieces))
-    return np.concatenate([pieces[int(i)] for i in order]).astype(np.int64)
-
-
 class TestPoolWhereItLies:
     """A caller's pool is scored run by run — long runs of consecutive store
-    rows as views, the rest gathered — at answers equal to gathering it all."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=pool_cases())
-    def test_pooled_search_equals_the_gathered_scorer(self, case):
-        rng = np.random.default_rng(case["seed"])
-        d, n = case["d"], case["n"]
-        index = _gated_index("exact", d, case["gate"])
-        index.add_batch([("v", i) for i in range(n)], _make_pool(rng, n, d))
-        if case["history"] == "compacted_then_added":
-            index.remove_batch(rng.choice(n, size=n // 2 + 1, replace=False))  # compacts
-            assert index.n_tombstones == 0
-            extra = _make_pool(rng, n // 3, d)
-            index.add_batch([("w", i) for i in range(len(extra))], extra)
-        n_dead = int(index._size * case["dead_fraction"])
-        if n_dead:
-            assert index.remove_batch(rng.choice(index._size, size=n_dead, replace=False)) is None
-        with tempfile.TemporaryDirectory() as directory:
-            if case["history"] == "memory_map":
-                index = _restore_as_memory_map(index, directory)
-                index.tier1_min_pairs = case["gate"]
-            elif case["history"] == "updated":
-                live = np.flatnonzero(index._alive[: index._size])
-                moved = rng.choice(live, size=live.size // 3, replace=False)
-                index.update_batch(moved, _make_pool(rng, moved.size, d))
-            pool = _pool_over(rng, index._size, case["run_lengths"], case["n_singles"])
-            queries = _make_pool(rng, case["n_queries"], d)
-            k = case["k"]
-            batch = index.search_batch(queries, k, positions=pool)
-            assert batch == _gathered_reference(index, queries, pool, k)
-            assert batch == [index.search_batch(query[None, :], k, positions=pool)[0] for query in queries]
+    rows as views, the rest gathered — at the reference's answers."""
 
     @pytest.mark.parametrize("gate", [2, UNREACHABLE])
     def test_runs_are_counted_and_traced(self, tracer, gate):
@@ -308,13 +189,14 @@ class TestPoolWhereItLies:
         only place that shows."""
         rng = np.random.default_rng(23)
         index = _gated_index("exact", 64, gate)
-        index.add_batch(list(range(1000)), _make_pool(rng, 1000, 64))
+        data = tie_heavy_vectors(rng, 1000, 64)
+        index.add_batch(list(range(1000)), data)
         pool = np.concatenate(
             [np.arange(700, 828), np.arange(100, 227), [950, 40], np.arange(400, 600)]
         )
-        queries = _make_pool(rng, 3, 64)
+        queries = tie_heavy_vectors(rng, 3, 64)
         hits, attributes = _search_span(tracer, lambda: index.search_batch(queries, 1, positions=pool))
-        assert hits == _gathered_reference(index, queries, pool, 1)
+        assert hits == _reference_hits(data, queries, pool, 1)
         assert attributes["runs"] == 5 and attributes["pool"] == pool.size
         assert attributes["mode"] == ("two_tier" if gate == 2 else "exact")
         counts = index.counters()
@@ -338,7 +220,8 @@ class TestPoolWhereItLies:
         cluster = np.tile(rng.standard_normal((1, d)).astype(np.float32), (200, 1))
         spread = rng.standard_normal((200, d)).astype(np.float32) * 4.0
         index = _gated_index("exact", d, 2)
-        index.add_batch(list(range(400)), np.concatenate([cluster, spread]))
+        data = np.concatenate([cluster, spread])
+        index.add_batch(list(range(400)), data)
         pool = np.concatenate([np.arange(250, 380), np.arange(0, 150), [390]])
 
         def counts():
@@ -348,7 +231,7 @@ class TestPoolWhereItLies:
             )]
 
         mixed = np.concatenate([cluster[:2], spread[60:62]])  # the last two are in the pool
-        assert index.search_batch(mixed, 1, positions=pool) == _gathered_reference(index, mixed, pool, 1)
+        assert index.search_batch(mixed, 1, positions=pool) == _reference_hits(data, mixed, pool, 1)
         assert counts() == [280, 1, 2, 0]
         index.search_batch(cluster[:4], 1, positions=pool)
         assert counts() == [560, 2, 2, 1]
@@ -361,10 +244,11 @@ class TestPoolWhereItLies:
         rng = np.random.default_rng(29)
         d = 1280
         index = create_index("exact", d)
-        index.add_batch(list(range(2400)), rng.standard_normal((2400, d)).astype(np.float32))
+        data = rng.standard_normal((2400, d)).astype(np.float32)
+        index.add_batch(list(range(2400)), data)
         pool = np.concatenate([np.arange(first, first + 300) for first in (1800, 100, 900)])
         queries = rng.standard_normal((n_queries, d)).astype(np.float32)
-        expected = _gathered_reference(index, queries, pool, 1)
+        expected = _reference_hits(data, queries, pool, 1)
         tracemalloc.start()
         try:
             hits = index.search_batch(queries, 1, positions=pool)
@@ -384,7 +268,7 @@ class TestCompactionHeadRoom:
     def test_add_after_compaction_does_not_reallocate(self, kind, memory_map, tmp_path):
         rng = np.random.default_rng(31)
         d, n = 16, 200
-        data = _make_pool(rng, n + 60, d)
+        data = tie_heavy_vectors(rng, n + 60, d)
         index = create_index(kind, d)
         index.add_batch(list(range(n)), data[:n])
         fresh = create_index(kind, d)
@@ -404,7 +288,7 @@ class TestCompactionHeadRoom:
         assert index._matrix is store and index._sq_norms is norms and index._alive is alive
         # ... and answers like an index that only ever held the live vectors.
         fresh.add_batch([int(i) for i in survivors] + list(range(n, n + 60)), np.concatenate([data[survivors], data[n:]]))
-        queries = _make_pool(rng, 5, d)
+        queries = tie_heavy_vectors(rng, 5, d)
         assert index.search_batch(queries, 3) == fresh.search_batch(queries, 3)
         assert np.array_equal(index.vectors, fresh.vectors)
 
@@ -440,43 +324,6 @@ class TestGate:
             assert attributes["pool"] == (store if positions is None else pool)
             assert hits == index._score_exact(queries, positions, 3)
 
-    @pytest.mark.parametrize("kind", INDEX_KINDS)
-    def test_batch_and_singles_on_opposite_sides(self, tracer, trained_encoder, pge_corpus, kind):
-        """One ``serve_batch`` group crosses the gate in S2 while the same
-        requests one at a time stay under it; the responses are equal."""
-        from repro.corpus import split_corpus
-
-        test_workbooks, references = split_corpus(pge_corpus, 0.15, "timestamp")
-        source = max(
-            (sheet for workbook in test_workbooks for sheet in workbook),
-            key=lambda sheet: sheet.n_formulas(),
-        )
-        target = source.copy()
-        cells = [address for address, cell in source.cells() if cell.has_formula][:4]
-        for address in cells:  # one shared target sheet, every asked cell blank
-            target.set(address, value=None, formula=None, style=source.get(address).style)
-        requests = [RecommendationRequest(target, address) for address in cells]
-        config = AutoFormulaConfig(sheet_index_kind=kind, formula_index_kind=kind)
-        workspace = Workspace("gate", AutoFormula(trained_encoder, config))
-        workspace.add_workbooks(references)
-
-        def s2_search(tree):
-            """Span attributes of the S2 index search in one serve trace."""
-            (s2,) = [node for node in tree["root"]["children"] if node["name"] == "s2.score"]
-            (search,) = [node for node in s2["children"] if node["name"] == "index.search"]
-            return search["attributes"]
-
-        workspace.recommend(requests[0])
-        pool = s2_search(tracer.recent_traces()[-1])["pool"]
-        assert pool >= 32 and len(requests) >= 2  # tier 1 can engage, for the group only
-        workspace.predictor.formula_index.tier1_min_pairs = pool + 1
-        tracer.reset()
-        singles = [workspace.recommend(request) for request in requests]
-        assert {s2_search(tree)["mode"] for tree in tracer.recent_traces()} == {"exact"}
-        batch = workspace.serve_batch(requests)
-        assert s2_search(tracer.recent_traces()[-1])["mode"].startswith("two_tier")
-        assert [_response_key(r) for r in batch] == [_response_key(r) for r in singles]
-
     def test_removed_options_raise_type_error(self):
         """The options are gone, not ignored."""
         with pytest.raises(TypeError):
@@ -493,7 +340,7 @@ class TestMemoryStats:
     def test_index_memory_accounting(self):
         index = create_index("exact", 16)
         rng = np.random.default_rng(17)
-        index.add_batch(list(range(100)), _make_pool(rng, 100, 16))
+        index.add_batch(list(range(100)), tie_heavy_vectors(rng, 100, 16))
         index.remove_batch([0, 1, 2])
         stats = index.memory_stats()
         assert stats["vectors"] == 97
@@ -569,15 +416,6 @@ def _spied_workspace(trained_encoder, record):
     return workspace, encodes
 
 
-def _response_key(response):
-    return (
-        response.formula,
-        repr(response.confidence),
-        response.abstain_reason,
-        response.provenance,
-    )
-
-
 class _CountingPredictor(FormulaPredictor):
     """A predictor with no ``config``: answers from the cell alone, abstains
     on row 7, and counts the cells it is asked for."""
@@ -619,7 +457,7 @@ def _assert_batch_equals_one_at_a_time(predictor):
     collapsed = "workspace.serve_collapsed_duplicates"
     assert workspace.counters()[collapsed] == 8 - 4  # 4 distinct (sheet, cell)
     singles = [workspace.recommend(request) for request in requests]
-    assert [_response_key(r) for r in batch] == [_response_key(r) for r in singles]
+    assert [answer_of(r) for r in batch] == [answer_of(r) for r in singles]
     assert workspace.counters()[collapsed] == 8 - 4
     for responses in (batch, singles):
         assert [r.request for r in responses] == requests
@@ -655,7 +493,7 @@ class TestServeLoopSatellites:
         first = workspace.serve_batch(requests)
         second = workspace.serve_batch(requests)
         assert encodes == [id(target)]  # one encode across both batches
-        assert [_response_key(r) for r in first] == [_response_key(r) for r in second]
+        assert [answer_of(r) for r in first] == [answer_of(r) for r in second]
 
     def test_edited_sheet_reencodes(self, trained_encoder):
         workspace, encodes = _spied_workspace(trained_encoder, lambda sheet: sheet.version)
