@@ -1,10 +1,17 @@
-"""The one bounded cache: a thread-safe LRU that validates and counts itself.
+"""Bounded caches that count themselves: :class:`LRU` and :func:`memoized`.
 
-Every cache in the system is a named :class:`LRU` from this module, so how a
-bounded cache evicts, locks, validates its entries and reports its traffic
-is decided here and nowhere else.  The one exception is declared here too:
-:func:`memoized`, for a pure function looked up once per decoded cell, where
-the :class:`LRU`'s Python-level mutex would cost half of what a hit saves.
+Every cache in the system comes from this module, so how a bounded cache
+evicts, locks, validates its entries and reports its traffic is decided here
+and nowhere else.  The rule for picking one of the two:
+
+* :class:`LRU` for values derived from versioned objects (checked against a
+  token at every lookup) or weighed in bytes — sheet tensors, query vectors,
+  cell features;
+* :func:`memoized` for pure functions of small hashable arguments whose
+  results are immutable — parsed addresses, styles, formula trees, token
+  hashes, shared feature parts — where a lookup is one C call and the
+  :class:`LRU`'s Python-level mutex would cost much of what a hit saves.
+
 The module imports nothing from ``repro``.
 
 Live instances are tracked process-wide (weakly, like the tracer of
@@ -166,9 +173,11 @@ def memoized(name: str, max_entries: int, typed: bool = False):
     immutable, so that every caller may be handed the one resident object.
     A lookup is a C call (0.07 us measured against 0.44 for :meth:`LRU.get`),
     thread-safe, and counted exactly: ``hit + miss`` is the number of calls
-    made.  ``evict`` is ``miss - size``: misses whose result is not resident,
-    which counts a call that raised (nothing is stored for it) along with
-    the entries the bound pushed out.
+    made (a call with an unhashable argument raises ``TypeError`` before it
+    is counted; callers that accept one compute it through ``__wrapped__``).
+    ``evict`` is ``miss - size``: misses whose result is not resident, which
+    counts a call that raised (nothing is stored for it) along with the
+    entries the bound pushed out.
     """
 
     def decorate(function: Callable) -> Callable:

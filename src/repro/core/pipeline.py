@@ -761,7 +761,9 @@ class AutoFormula(FormulaPredictor):
         self._sheet_positions = []
         self._sheet_store_size = 0
         self._formula_store_size = 0
-        self._index_sheets(self._flatten(reference_workbooks))
+        sheets = self._flatten(reference_workbooks)
+        with get_tracer().span("core.fit", sheets=len(sheets)):
+            self._index_sheets(sheets)
 
     def _index_sheets(self, sheets: Sequence[Tuple[str, Sheet]]) -> None:
         """Embed and index new reference sheets, appended after existing ones."""

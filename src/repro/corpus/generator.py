@@ -12,6 +12,7 @@ from repro.corpus.templates import (
     SingletonTemplate,
     WorkbookTemplate,
 )
+from repro.obs import get_tracer
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
 
@@ -88,23 +89,25 @@ class CorpusGenerator:
         corpus = EnterpriseCorpus(name=spec.name)
         low, high = spec.timestamp_range
 
-        for family_index in range(spec.n_families):
-            template_cls = spec.template_classes[family_index % len(spec.template_classes)]
-            template = template_cls(family_index, rng)
-            n_copies = int(rng.integers(spec.min_copies, spec.max_copies + 1))
-            for copy_index in range(n_copies):
+        with get_tracer().span("corpus.generate", corpus=spec.name) as span:
+            for family_index in range(spec.n_families):
+                template_cls = spec.template_classes[family_index % len(spec.template_classes)]
+                template = template_cls(family_index, rng)
+                n_copies = int(rng.integers(spec.min_copies, spec.max_copies + 1))
+                for copy_index in range(n_copies):
+                    timestamp = float(rng.uniform(low, high))
+                    corpus.workbooks.append(
+                        template.instantiate(rng, copy_index, last_modified=timestamp)
+                    )
+
+            for singleton_index in range(spec.n_singletons):
+                template = SingletonTemplate(1000 + singleton_index, rng)
                 timestamp = float(rng.uniform(low, high))
-                corpus.workbooks.append(
-                    template.instantiate(rng, copy_index, last_modified=timestamp)
-                )
+                corpus.workbooks.append(template.instantiate(rng, 0, last_modified=timestamp))
 
-        for singleton_index in range(spec.n_singletons):
-            template = SingletonTemplate(1000 + singleton_index, rng)
-            timestamp = float(rng.uniform(low, high))
-            corpus.workbooks.append(template.instantiate(rng, 0, last_modified=timestamp))
-
-        order = rng.permutation(len(corpus.workbooks))
-        corpus.workbooks = [corpus.workbooks[int(i)] for i in order]
+            order = rng.permutation(len(corpus.workbooks))
+            corpus.workbooks = [corpus.workbooks[int(i)] for i in order]
+            span.set_attribute("workbooks", len(corpus.workbooks))
         return corpus
 
     def generate_training_universe(

@@ -16,11 +16,19 @@ from typing import Iterable, List
 
 import numpy as np
 
+from repro.cache import memoized
 from repro.embedding.base import TextEmbedder
 
 
+@memoized("token_hashes", max_entries=32768)
 def _stable_hash(token: str) -> int:
-    """A deterministic 64-bit hash (Python's builtin ``hash`` is salted)."""
+    """A deterministic 64-bit hash (Python's builtin ``hash`` is salted).
+
+    Memoized: one blake2b per distinct word or character n-gram.  One
+    set-up of a benchmark workload hashes 9-12 k distinct tokens about 15
+    times each; an entry of an ordinary token is ~0.25 kB, so a full memo
+    holds ~8 MB.
+    """
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 

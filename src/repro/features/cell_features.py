@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cache import LRU
+from repro.cache import LRU, memoized
 from repro.embedding import TextEmbedder
 from repro.features.config import FeatureConfig
 from repro.sheet.cell import Cell, CellType, syntactic_pattern
@@ -36,6 +36,56 @@ _MAX_CACHED_CELLS = 100_000
 #: A style's fields as one tuple, which C hashes and compares (the frozen
 #: dataclass itself does both in Python, per lookup).
 _style_fields = attrgetter(*CellStyle.__dataclass_fields__)
+
+_ONE_HOTS = np.eye(len(_CELL_TYPES), dtype=np.float32)
+_ONE_HOTS.setflags(write=False)
+#: The cell-type part of each type: a read-only row of one shared matrix.
+_TYPE_PARTS = dict(zip(_CELL_TYPES, _ONE_HOTS))
+
+
+# Bounds of the part memos: one set-up of a benchmark workload meets 149-161
+# distinct patterns and 15-16 distinct styles.
+@memoized("pattern_features", max_entries=512)
+def _pattern_part(pattern: str) -> np.ndarray:
+    """The syntactic-pattern part of a cell whose value has ``pattern``
+    (read-only: one array is shared by every cell with that pattern)."""
+    features = np.zeros(_N_PATTERN_FEATURES, dtype=np.float32)
+    if pattern:
+        length = len(pattern)
+        features[0] = min(length / 32.0, 1.0)
+        features[1] = pattern.count("D") / length
+        features[2] = pattern.count("L") / length
+        features[3] = pattern.count("S") / length
+        features[4] = 1.0 if "-" in pattern or "/" in pattern else 0.0
+        features[5] = 1.0 if "." in pattern else 0.0
+        features[6] = 1.0 if "$" in pattern or "%" in pattern else 0.0
+        features[7] = 1.0 if pattern[0] == "D" else 0.0
+    features.setflags(write=False)
+    return features
+
+
+@memoized("style_features", max_entries=64)
+def _style_part(style: CellStyle) -> np.ndarray:
+    """The style part of a cell with ``style`` (read-only, shared by every
+    cell with an equal style).  Styles share an entry exactly when they
+    share a style number in :meth:`CellFeaturizer._keys` (equal fields): a
+    ``font_size`` of 11 or 11.0, a ``bold`` of 1 or True, which truth and
+    float arithmetic turn into the same features."""
+    features = np.zeros(_N_STYLE_FEATURES, dtype=np.float32)
+    features[0:3] = style.background_rgb()
+    features[3:6] = style.font_rgb()
+    features[6] = 1.0 if style.bold else 0.0
+    features[7] = 1.0 if style.italic else 0.0
+    features[8] = 1.0 if style.underline else 0.0
+    features[9] = min(style.font_size / 24.0, 2.0)
+    features[10] = min(style.height / 60.0, 2.0)
+    features[11] = min(style.width / 200.0, 2.0)
+    features[12] = 1.0 if style.border_top else 0.0
+    features[13] = 1.0 if style.border_bottom else 0.0
+    features[14] = 1.0 if style.border_left else 0.0
+    features[15] = 1.0 if style.border_right else 0.0
+    features.setflags(write=False)
+    return features
 
 
 class CellFeaturizer:
@@ -116,47 +166,6 @@ class CellFeaturizer:
         padded[: vector.shape[0]] = vector
         return padded
 
-    @staticmethod
-    def _type_features(cell: Cell) -> np.ndarray:
-        one_hot = np.zeros(len(_CELL_TYPES), dtype=np.float32)
-        one_hot[_CELL_TYPES.index(cell.cell_type)] = 1.0
-        return one_hot
-
-    @staticmethod
-    def _pattern_features(cell: Cell) -> np.ndarray:
-        pattern = syntactic_pattern(cell.value)
-        features = np.zeros(_N_PATTERN_FEATURES, dtype=np.float32)
-        if not pattern:
-            return features
-        length = len(pattern)
-        features[0] = min(length / 32.0, 1.0)
-        features[1] = pattern.count("D") / length
-        features[2] = pattern.count("L") / length
-        features[3] = pattern.count("S") / length
-        features[4] = 1.0 if "-" in pattern or "/" in pattern else 0.0
-        features[5] = 1.0 if "." in pattern else 0.0
-        features[6] = 1.0 if "$" in pattern or "%" in pattern else 0.0
-        features[7] = 1.0 if pattern and pattern[0] == "D" else 0.0
-        return features
-
-    @staticmethod
-    def _style_features(cell: Cell) -> np.ndarray:
-        style = cell.style
-        features = np.zeros(_N_STYLE_FEATURES, dtype=np.float32)
-        features[0:3] = style.background_rgb()
-        features[3:6] = style.font_rgb()
-        features[6] = 1.0 if style.bold else 0.0
-        features[7] = 1.0 if style.italic else 0.0
-        features[8] = 1.0 if style.underline else 0.0
-        features[9] = min(style.font_size / 24.0, 2.0)
-        features[10] = min(style.height / 60.0, 2.0)
-        features[11] = min(style.width / 200.0, 2.0)
-        features[12] = 1.0 if style.border_top else 0.0
-        features[13] = 1.0 if style.border_bottom else 0.0
-        features[14] = 1.0 if style.border_left else 0.0
-        features[15] = 1.0 if style.border_right else 0.0
-        return features
-
     def _keys(self, cells: Sequence[Cell], valid: bool) -> List[Optional[tuple]]:
         """The cache key of each cell — the content that determines its
         vector — or ``None`` for a cell that cannot be keyed (an unhashable
@@ -227,11 +236,15 @@ class CellFeaturizer:
         return vectors
 
     def _featurize_uncached(self, cell: Cell, valid: bool) -> np.ndarray:
+        """The vector of one cell key.  Only the text embedding is computed
+        here per key; the type, pattern and style parts are shared across
+        keys (:data:`_TYPE_PARTS`, :func:`_pattern_part`,
+        :func:`_style_part`)."""
         parts: List[np.ndarray] = []
         if self._config.use_content_features:
             parts.append(self._semantic_features(cell))
-            parts.append(self._type_features(cell))
-            parts.append(self._pattern_features(cell))
+            parts.append(_TYPE_PARTS[cell.cell_type])
+            parts.append(_pattern_part(syntactic_pattern(cell.value)))
         else:
             parts.append(
                 np.zeros(
@@ -240,7 +253,10 @@ class CellFeaturizer:
                 )
             )
         if self._config.use_style_features:
-            parts.append(self._style_features(cell))
+            try:
+                parts.append(_style_part(cell.style))
+            except TypeError:  # an unhashable field: computed, never cached
+                parts.append(_style_part.__wrapped__(cell.style))
         else:
             parts.append(np.zeros(_N_STYLE_FEATURES, dtype=np.float32))
         parts.append(np.array([1.0 if valid else 0.0], dtype=np.float32))

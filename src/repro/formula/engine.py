@@ -32,7 +32,11 @@ spreadsheets use:
   edited behind its back (plain ``sheet.set`` calls), the next operation
   falls back to a full resync instead of serving stale values (counted:
   :meth:`FormulaEngine.counters`).  Edits made through the engine keep
-  the watermark current, preserving the incremental fast path.
+  the watermark current, preserving the incremental fast path.  A
+  recalculation commits its values through
+  :meth:`~repro.sheet.sheet.Sheet.commit_values`, which moves the version
+  when a value changed — so every cache keyed by it sees the new values —
+  and the watermark moves along.
 """
 
 from __future__ import annotations
@@ -241,17 +245,17 @@ class FormulaEngine:
             # the pass runs, reads of not-yet-committed members go through the
             # memo, never the cell.
             memo: Dict[CellAddress, object] = {}
-            recalculated = errored = 0
+            committed: List[Tuple[CellAddress, object]] = []
             for address in sorted(self._dirty):
                 value = self._cell_value(address, frozenset(), 0, memo)
-                cell = self._sheet.get(address)
-                if not cell.has_formula:
-                    continue
-                cell.value = value
-                if is_error_value(value):
-                    errored += 1
-                else:
-                    recalculated += 1
+                if self._sheet.get(address).has_formula:
+                    committed.append((address, value))
+            # One commit, one version bump if anything changed; the watermark
+            # moves with it, since the engine made the change itself.
+            self._sheet.commit_values(committed)
+            self._synced_version = self._sheet.version
+            errored = sum(1 for __, value in committed if is_error_value(value))
+            recalculated = len(committed) - errored
             self._dirty = set()
             self._eval_memo.clear()
             span.set_attribute("recalculated", recalculated)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 
 class FormulaSyntaxError(ValueError):
@@ -67,10 +67,18 @@ def tokenize(formula: str) -> List[Token]:
 
     Raises :class:`FormulaSyntaxError` on any unrecognized character.
     """
+    return list(iter_tokens(formula))
+
+
+def iter_tokens(formula: str) -> Iterator[Token]:
+    """:func:`tokenize`, one token at a time, ending with the ``EOF`` token.
+
+    The parser reads this stream, so a formula it rejects early (one too
+    tall, say) is never lexed past the point of rejection.
+    """
     text = formula.strip()
     if text.startswith("="):
         text = text[1:]
-    tokens: List[Token] = []
     position = 0
     length = len(text)
     while position < length:
@@ -84,12 +92,11 @@ def tokenize(formula: str) -> List[Token]:
             lexeme = match.group(0)
             if token_type is TokenType.IDENT and lexeme.upper() in _BOOLEANS:
                 token_type = TokenType.BOOLEAN
-            tokens.append(Token(token_type, lexeme, position))
+            yield Token(token_type, lexeme, position)
             position = match.end()
             break
         else:
             raise FormulaSyntaxError(
                 f"unexpected character {text[position]!r} at position {position} in {formula!r}"
             )
-    tokens.append(Token(TokenType.EOF, "", length))
-    return tokens
+    yield Token(TokenType.EOF, "", length)

@@ -11,6 +11,7 @@ from repro.models.config import ModelConfig, TrainingConfig
 from repro.models.encoder import SheetEncoder
 from repro.nn import Adam, SGD, Sequential, semi_hard_triplets
 from repro.nn.losses import triplet_loss_and_grad
+from repro.obs import get_tracer
 from repro.weaksup.augmentation import augment_region_sheet, augment_sheet
 from repro.weaksup.pairs import TrainingPairs
 
@@ -174,14 +175,16 @@ class TripletTrainer:
             n_coarse_pairs=len(pairs.positive_sheet_pairs),
             n_fine_pairs=len(pairs.positive_region_pairs),
         )
-        coarse_anchor, coarse_positive, coarse_negative = self._coarse_tensors(pairs)
-        history.coarse_losses = self._train_model(
-            self.encoder.coarse_model, coarse_anchor, coarse_positive, coarse_negative
-        )
-        fine_anchor, fine_positive, fine_negative = self._fine_tensors(pairs)
-        history.fine_losses = self._train_model(
-            self.encoder.fine_model, fine_anchor, fine_positive, fine_negative
-        )
+        tracer = get_tracer()
+        with tracer.span("models.train", epochs=self.config.epochs):
+            with tracer.span("models.train.tensors", model="coarse"):
+                coarse = self._coarse_tensors(pairs)
+            with tracer.span("models.train.loop", model="coarse"):
+                history.coarse_losses = self._train_model(self.encoder.coarse_model, *coarse)
+            with tracer.span("models.train.tensors", model="fine"):
+                fine = self._fine_tensors(pairs)
+            with tracer.span("models.train.loop", model="fine"):
+                history.fine_losses = self._train_model(self.encoder.fine_model, *fine)
         return history
 
 

@@ -63,11 +63,20 @@ from repro.server.schemas import (
 )
 from repro.service.facade import FormulaService
 
+#: Seconds a connection may take to deliver a request once its first byte
+#: has arrived (head and body), and may sit idle between two requests.  A
+#: stalled request is answered 408, an idle connection closed without a
+#: response; both are counted as ``server.read_timeouts``.  Without it one
+#: client that sends half a request line pins a connection and its handler
+#: task forever.
+READ_TIMEOUT_S = 30.0
+
 _STATUS_REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
@@ -241,11 +250,32 @@ class FormulaServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader) -> Optional[_HttpRequest]:
+        """The connection's next request, or ``None`` once there is none:
+        the client closed the connection, or left it idle for
+        :data:`READ_TIMEOUT_S`.  A request that takes longer than that to
+        arrive is a 408."""
         try:
-            header_blob = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean EOF between keep-alive requests
+            async with asyncio.timeout(READ_TIMEOUT_S):
+                first = await reader.readexactly(1)
+        except asyncio.IncompleteReadError:
+            return None  # clean EOF between keep-alive requests
+        except TimeoutError:
+            self.registry.counter("server.read_timeouts").inc()
+            return None
+        try:
+            async with asyncio.timeout(READ_TIMEOUT_S):
+                return await self._read_rest(first, reader)
+        except TimeoutError:
+            self.registry.counter("server.read_timeouts").inc()
+            raise _HttpError(
+                408, "request_timeout", f"request not received within {READ_TIMEOUT_S:g} s"
+            )
+
+    async def _read_rest(self, first: bytes, reader: asyncio.StreamReader) -> _HttpRequest:
+        """The request whose first byte is ``first``."""
+        try:
+            header_blob = first + await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError:
             raise _HttpError(400, "bad_request", "truncated request head")
         except asyncio.LimitOverrunError:
             raise _HttpError(400, "bad_request", "request head too large")

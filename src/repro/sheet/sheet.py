@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, ItemsView, Iterator, List, Optional, Tuple, Union
+import math
+from typing import Dict, ItemsView, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.sheet.addressing import CellAddress, RangeAddress, parse_cell_address
 from repro.sheet.cell import Cell, CellType, CellValue, EMPTY_CELL
@@ -19,6 +20,15 @@ def _to_address(address: AddressLike) -> CellAddress:
         return parse_cell_address(address)
     row, col = address
     return CellAddress(int(row), int(col))
+
+
+def _same_value(old: CellValue, new: CellValue) -> bool:
+    """Whether a cell showing ``old`` shows the same content with ``new``:
+    equal and of one type (``1``, ``1.0`` and ``True`` are three values),
+    and a zero of the same sign.  NaN is never the same."""
+    if type(old) is not type(new) or old != new:
+        return False
+    return type(new) is not float or math.copysign(1.0, old) == math.copysign(1.0, new)
 
 
 def _row_major(item: Tuple[CellAddress, Cell]) -> Tuple[int, int]:
@@ -51,7 +61,8 @@ class Sheet:
         detect mutations made behind their back and resynchronize instead
         of serving stale values.  In-place edits of a :class:`Cell` object
         obtained from :meth:`get` are *not* observable here — mutate
-        through :meth:`set`/:meth:`set_cell` (or the engine) instead.
+        through :meth:`set`/:meth:`set_cell` (or the engine, which commits
+        what it computes through :meth:`commit_values`) instead.
         """
         return self._version
 
@@ -84,6 +95,19 @@ class Sheet:
         self._n_rows = max(self._n_rows, addr.row + 1)
         self._n_cols = max(self._n_cols, addr.col + 1)
         self._version += 1
+
+    def commit_values(self, values: Iterable[Tuple[CellAddress, CellValue]]) -> None:
+        """Write computed values into the stored cells at their addresses, in
+        place — a recalculation's commit — and bump :attr:`version` once if
+        any cell's content changed, so that state derived from the sheet
+        (feature tensors, query vectors) is not served from before it."""
+        changed = False
+        for address, value in values:
+            cell = self._cells[address]
+            changed = changed or not _same_value(cell.value, value)
+            cell.value = value
+        if changed:
+            self._version += 1
 
     def delete(self, address: AddressLike) -> None:
         """Remove the cell at ``address`` if present (extent is not shrunk)."""

@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.formula.template import normalize_formula
 from repro.formula.tokenizer import FormulaSyntaxError
+from repro.obs import get_tracer
 from repro.sheet.addressing import CellAddress
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
@@ -117,37 +118,40 @@ def generate_training_pairs(
     described in Section 4.2.
     """
     rng = np.random.default_rng(seed)
-    stats = statistics or SheetNameStatistics.from_workbooks(workbooks)
-    test = HypothesisTest(stats, alpha=alpha)
-    pairs = TrainingPairs()
+    with get_tracer().span("weaksup.pairs") as span:
+        stats = statistics or SheetNameStatistics.from_workbooks(workbooks)
+        test = HypothesisTest(stats, alpha=alpha)
+        pairs = TrainingPairs()
 
-    workbook_list = list(workbooks)
-    candidate_pairs = list(itertools.combinations(range(len(workbook_list)), 2))
-    if len(candidate_pairs) > max_workbook_pairs:
-        chosen = rng.choice(len(candidate_pairs), size=max_workbook_pairs, replace=False)
-        candidate_pairs = [candidate_pairs[int(i)] for i in chosen]
+        workbook_list = list(workbooks)
+        candidate_pairs = list(itertools.combinations(range(len(workbook_list)), 2))
+        if len(candidate_pairs) > max_workbook_pairs:
+            chosen = rng.choice(len(candidate_pairs), size=max_workbook_pairs, replace=False)
+            candidate_pairs = [candidate_pairs[int(i)] for i in chosen]
 
-    for left_index, right_index in candidate_pairs:
-        left_workbook = workbook_list[left_index]
-        right_workbook = workbook_list[right_index]
-        result = test.test(left_workbook, right_workbook)
-        if result.similar:
-            for left_sheet, right_sheet in zip(left_workbook.sheets, right_workbook.sheets):
-                pairs.positive_sheet_pairs.append(
-                    SheetPair(left_sheet, right_sheet, positive=True)
-                )
-                positives = _positive_region_pairs(left_sheet, right_sheet)
-                pairs.positive_region_pairs.extend(positives)
-                for positive in positives:
-                    negative = _negative_region_pair(left_sheet, right_sheet, positive)
-                    if negative is not None:
-                        pairs.negative_region_pairs.append(negative)
-        elif not test.shares_any_name(left_workbook, right_workbook):
-            if len(pairs.negative_sheet_pairs) < max_negative_sheet_pairs:
-                left_sheet = left_workbook.sheets[int(rng.integers(len(left_workbook.sheets)))]
-                right_sheet = right_workbook.sheets[int(rng.integers(len(right_workbook.sheets)))]
-                pairs.negative_sheet_pairs.append(
-                    SheetPair(left_sheet, right_sheet, positive=False)
-                )
-
+        for left_index, right_index in candidate_pairs:
+            left_workbook = workbook_list[left_index]
+            right_workbook = workbook_list[right_index]
+            result = test.test(left_workbook, right_workbook)
+            if result.similar:
+                for left_sheet, right_sheet in zip(left_workbook.sheets, right_workbook.sheets):
+                    pairs.positive_sheet_pairs.append(
+                        SheetPair(left_sheet, right_sheet, positive=True)
+                    )
+                    positives = _positive_region_pairs(left_sheet, right_sheet)
+                    pairs.positive_region_pairs.extend(positives)
+                    for positive in positives:
+                        negative = _negative_region_pair(left_sheet, right_sheet, positive)
+                        if negative is not None:
+                            pairs.negative_region_pairs.append(negative)
+            elif not test.shares_any_name(left_workbook, right_workbook):
+                if len(pairs.negative_sheet_pairs) < max_negative_sheet_pairs:
+                    left_sheet = left_workbook.sheets[int(rng.integers(len(left_workbook.sheets)))]
+                    right_sheet = right_workbook.sheets[int(rng.integers(len(right_workbook.sheets)))]
+                    pairs.negative_sheet_pairs.append(
+                        SheetPair(left_sheet, right_sheet, positive=False)
+                    )
+        span.set_attribute("workbooks", len(workbook_list))
+        for kind, count in pairs.summary().items():
+            span.set_attribute(kind, count)
     return pairs

@@ -241,6 +241,31 @@ class TestProcessWideStats:
         gc.collect()
         assert name not in cache.stats()
 
+    def test_the_program_memos_report_every_call(self):
+        """Formula trees, token hashes and the featurizer's shared parts are
+        :func:`memoized`: each reports under its name, ``hit + miss`` moves
+        by the calls made, and a repeat hands back the resident object."""
+        from repro.embedding.hashed import _stable_hash
+        from repro.features.cell_features import _pattern_part, _style_part
+        from repro.formula import parse_formula
+        from repro.sheet import CellStyle
+
+        calls = {
+            "parsed_formulas": (parse_formula, "=SUM(B1:B9)*2"),
+            "token_hashes": (_stable_hash, "qzx"),
+            "pattern_features": (_pattern_part, "LLL-DD"),
+            "style_features": (_style_part, CellStyle(italic=True, font_size=9.0)),
+        }
+        before = cache.stats()
+        for function, argument in calls.values():
+            first = function(argument)
+            assert all(function(argument) is first for __ in range(4))
+        after = cache.stats()
+        for name in calls:
+            moved = {field: after[name][field] - before[name][field] for field in ("hit", "miss")}
+            assert moved["hit"] + moved["miss"] == 5 and moved["hit"] >= 4, name
+            assert set(after[name]) == {"hit", "miss", "evict", "size"}
+
 
 def test_no_other_module_hand_rolls_an_lru():
     """The structural half of "one implementation": nothing in ``src/``

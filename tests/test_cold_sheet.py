@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import AutoFormula
-from repro.features import FeatureConfig, WindowFeaturizer, window as window_module
+from repro.features import FeatureConfig, WindowFeaturizer, cell_features, window as window_module
 from repro.features.window import _window_blocks, gather_windows, window_from_padded
 from repro.formula.errors import ErrorValue
 from repro.models import ModelConfig, SheetEncoder, TrainingConfig, train_models
 from repro.nn import Conv2D
 from repro.sheet import Cell, CellAddress, CellStyle, Sheet
+from repro.sheet.cell import syntactic_pattern
 
 CONFIG = FeatureConfig(window_rows=10, window_cols=6, content_embedding_dim=16)
 TIMEOUT = 60.0
@@ -102,6 +103,49 @@ def sheets(draw):
             address, Cell(value=draw(cell_values), formula=formula, style=draw(cell_styles))
         )
     return sheet
+
+
+# ------------------------------------------------------ shared feature parts
+
+_UNHASHABLE_STYLE = CellStyle(bold=[1])
+
+
+class TestSharedFeatureParts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Cell,
+                value=cell_values,
+                formula=st.sampled_from([None, "=SUM(A1:A3)"]),
+                style=cell_styles | st.just(_UNHASHABLE_STYLE),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_a_vector_does_not_depend_on_what_the_part_memos_hold(self, cells):
+        """The type, pattern and style parts are shared across cell keys and
+        read-only; building a vector from them gives the bytes a build from
+        emptied memos does, unhashable styles included (computed, never
+        cached)."""
+        featurizer = WindowFeaturizer(CONFIG).cell_featurizer
+        warm = [featurizer._featurize_uncached(cell, True).tobytes() for cell in cells]
+        cell_features._pattern_part.cache_clear()
+        cell_features._style_part.cache_clear()
+        assert [featurizer._featurize_uncached(cell, True).tobytes() for cell in cells] == warm
+        hashable = {cell.style for cell in cells if cell.style is not _UNHASHABLE_STYLE}
+        assert cell_features._style_part.cache_info().currsize == len(hashable)
+        for cell in cells:
+            style = cell.style
+            parts = (
+                cell_features._TYPE_PARTS[cell.cell_type],
+                cell_features._pattern_part(syntactic_pattern(cell.value)),
+                cell_features._style_part.__wrapped__(style)
+                if style is _UNHASHABLE_STYLE
+                else cell_features._style_part(style),
+            )
+            assert not any(part.flags.writeable for part in parts)
 
 
 # ------------------------------------------------------ the bulk tensor build

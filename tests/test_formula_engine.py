@@ -12,6 +12,7 @@ from repro.formula import (
     FormulaEngine,
     is_error_value,
 )
+from repro.features import FeatureConfig, WindowFeaturizer
 from repro.sheet import CellAddress, Sheet
 
 
@@ -103,6 +104,67 @@ class TestIncrementality:
         assert report.total == 3  # full resync: everything recomputed
         assert sheet.get("B1").value == 43
         assert engine.counters() == {"engine.full_resync": 1}
+
+
+class TestRecalculationMovesTheVersion:
+    def test_a_version_keyed_tensor_sees_the_recalculated_values(self):
+        """Fails at the parent: the values were written into the cells in
+        place, the version stayed, and the sheet's cached tensor was the one
+        from before the recalculation."""
+        sheet = Sheet()
+        sheet.set("A1", 1.0)
+        sheet.set("A2", 2.0)
+        sheet.set("A3", formula="=A1+A2")
+        featurizer = WindowFeaturizer(FeatureConfig(window_rows=8, window_cols=4, content_embedding_dim=16))
+        stale = featurizer.featurize_sheet(sheet)
+        version = sheet.version
+        engine = FormulaEngine(sheet)
+        engine.recalculate()
+        assert sheet.get("A3").value == 3.0 and sheet.version == version + 1
+        fresh = WindowFeaturizer(featurizer.config).featurize_sheet(sheet)
+        assert not np.array_equal(fresh, stale)
+        assert np.array_equal(featurizer.featurize_sheet(sheet), fresh)
+        # The engine made the change itself: its watermark moved along.
+        engine.set_value("A1", 5.0)
+        engine.recalculate()
+        assert sheet.get("A3").value == 7.0
+        assert engine.counters() == {"engine.full_resync": 0}
+
+    def test_the_version_moves_once_and_only_when_a_value_changed(self):
+        sheet = _chain_sheet()
+        engine = FormulaEngine(sheet)
+        version = sheet.version
+        engine.recalculate()
+        assert sheet.version == version + 1  # three new values, one bump
+        engine.set_value("A2", 4)  # the same value: every formula recomputes to itself
+        version = sheet.version
+        assert engine.recalculate().total == 2
+        assert sheet.version == version
+        engine.set_formula("C1", "=A1*1")  # written without a value
+        version = sheet.version
+        engine.recalculate()
+        assert sheet.get("C1").value == 3 and sheet.version == version + 1
+
+    @pytest.mark.parametrize(
+        "old, new, same",
+        [
+            (3.0, 3.0, True),
+            (3, 3.0, False),
+            (1, True, False),
+            (0.0, -0.0, False),
+            (float("nan"), float("nan"), False),
+            ("#DIV/0!", DIV0_ERROR, False),
+            (DIV0_ERROR, ErrorValue("#DIV/0!"), True),
+            (None, 0.0, False),
+        ],
+    )
+    def test_what_counts_as_a_changed_value(self, old, new, same):
+        sheet = Sheet()
+        sheet.set("A1", old, formula="=1")
+        version = sheet.version
+        sheet.commit_values([(CellAddress(0, 0), new)])
+        assert sheet.get("A1").value is new
+        assert sheet.version == version + (not same)
 
 
 class TestCyclesAndErrors:

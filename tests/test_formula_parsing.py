@@ -12,11 +12,19 @@ from repro.formula import (
     StringLiteral,
     BooleanLiteral,
     UnaryOp,
+    FormulaEngine,
+    classify_formula,
+    extract_template,
+    formula_references,
+    instantiate_template,
     node_count,
     parse_formula,
     tokenize,
 )
+from repro.formula.parser import MAX_AST_HEIGHT, MAX_NESTING_DEPTH
+from repro.formula.template import normalize_formula
 from repro.formula.tokenizer import TokenType
+from repro.sheet import Sheet
 
 
 class TestTokenizer:
@@ -167,6 +175,69 @@ class TestParser:
         # Siblings do not add up: the depth is that of the deepest branch.
         wide = "=SUM(" + ",".join(["((1))"] * 200) + ")"
         assert len(parse_formula(wide).args) == 200
+
+
+def _height(node) -> int:
+    return 1 + max(map(_height, node.children()), default=0)
+
+
+def _tallest(shape: str, leaf: str = "1") -> str:
+    """A formula exactly :data:`MAX_AST_HEIGHT` levels high, ``leaf`` at the
+    bottom of its longest path."""
+    if shape == "plus":
+        return "=" + leaf + "+1" * (MAX_AST_HEIGHT - 1)
+    if shape == "percent":
+        return "=" + leaf + "%" * (MAX_AST_HEIGHT - 1)
+    depth = MAX_NESTING_DEPTH - 1  # nested calls, a chain inside
+    return "=" + "SUM(" * depth + leaf + "*1" * (MAX_AST_HEIGHT - depth - 1) + ")" * depth
+
+
+class TestHeightBound:
+    @pytest.mark.parametrize("shape", ["plus", "percent", "calls"])
+    def test_up_to_the_bound_parses_one_more_level_does_not(self, shape):
+        tallest = _tallest(shape)
+        assert _height(parse_formula(tallest)) == MAX_AST_HEIGHT
+        with pytest.raises(FormulaSyntaxError, match=f"taller than {MAX_AST_HEIGHT}"):
+            parse_formula(tallest + ("%" if shape == "percent" else "+1"))
+        # The extra level may sit on either side of the tallest subtree.
+        with pytest.raises(FormulaSyntaxError, match=f"taller than {MAX_AST_HEIGHT}"):
+            parse_formula("=1^" + tallest[1:])
+
+    def test_the_probe_is_rejected_without_lexing_the_rest(self, monkeypatch):
+        """``=1+1+…`` with 3 001 terms used to parse into a tree 3 000 levels
+        high that every walker overflowed on; the parser stops at the bound,
+        having read two tokens a level."""
+        from repro.formula import parser
+
+        lexed = []
+        stream = parser.iter_tokens
+        monkeypatch.setattr(
+            parser, "iter_tokens", lambda text: (lexed.append(t) or t for t in stream(text))
+        )
+        with pytest.raises(FormulaSyntaxError, match="taller than"):
+            parser._parsed.__wrapped__("=1" + "+1" * 3000)
+        assert len(lexed) == 2 * (MAX_AST_HEIGHT + 1)
+
+    @pytest.mark.parametrize("shape", ["plus", "calls"])
+    @pytest.mark.parametrize("link", ["={}+1", "=SUM({0}:{0})"])
+    def test_the_tallest_formula_evaluates_renders_and_templates_at_the_end_of_a_chain(
+        self, shape, link
+    ):
+        """The bound's reason: at the bottom of the engine's 64-deep chain,
+        the tallest tree still evaluates — as does everything that walks it."""
+        sheet = Sheet()
+        for row in range(1, 64):
+            sheet.set(f"A{row}", formula=link.format(f"A{row + 1}"))
+        tallest = _tallest(shape, leaf="A65")
+        sheet.set("A64", formula=tallest)
+        sheet.set("A65", 2.0)
+        FormulaEngine(sheet).recalculate()
+        assert isinstance(sheet.get("A1").value, float)
+        tree = parse_formula(tallest)
+        assert normalize_formula(tree.to_formula()) == normalize_formula(tallest)
+        assert instantiate_template(tree, formula_references(tree)) == normalize_formula(tallest)
+        assert extract_template(tree).n_parameters == 1
+        assert classify_formula(tree).value == "math"
 
 
 class TestRendering:

@@ -596,6 +596,51 @@ class TestServerObservability:
             assert workspace.counters()["engine.full_resync"] == 1
 
 
+# ------------------------------------------------------------ set-up spans
+
+
+class TestSetUpSpans:
+    def test_each_set_up_phase_is_one_trace_whatever_the_corpus_size(self, tracer):
+        """Corpus generation, weak supervision, training and the fit each
+        open one span (training one per model and step below it), so a
+        set-up's time is attributed by phase from the program's own spans."""
+        from repro import build_training_universe, generate_training_pairs, train_models
+        from repro.features import FeatureConfig
+        from repro.models import ModelConfig, TrainingConfig
+
+        roots = {}
+        for n_families in (2, 4):
+            tracer.reset()
+            universe = build_training_universe(n_families=n_families, copies_per_family=2, n_singletons=1)
+            pairs = generate_training_pairs(universe, seed=0)
+            model_config = ModelConfig(features=FeatureConfig(window_rows=10, window_cols=4))
+            encoder, __ = train_models(pairs, model_config, TrainingConfig(epochs=1, seed=0))
+            AutoFormula(encoder, AutoFormulaConfig()).fit(universe)
+            trees = tracer.recent_traces()
+            assert all(tree["orphans"] == [] for tree in trees)
+            roots[n_families] = [
+                (tree["root"]["name"], sorted(_span_names(tree["root"]) - {"index.search"}))
+                for tree in trees
+            ]
+            fit = trees[-1]["root"]
+            assert fit["attributes"]["sheets"] == sum(len(workbook) for workbook in universe)
+            train = trees[2]["root"]
+            assert [(child["name"], child["attributes"]["model"]) for child in train["children"]] == [
+                ("models.train.tensors", "coarse"),
+                ("models.train.loop", "coarse"),
+                ("models.train.tensors", "fine"),
+                ("models.train.loop", "fine"),
+            ]
+        # Below a phase only what it runs per sheet: the generator's
+        # recalculations (and the fit's index scans, left out above).
+        assert roots[2] == roots[4] == [
+            ("corpus.generate", ["corpus.generate", "engine.recalculate"]),
+            ("weaksup.pairs", ["weaksup.pairs"]),
+            ("models.train", ["models.train", "models.train.loop", "models.train.tensors"]),
+            ("core.fit", ["core.fit"]),
+        ]
+
+
 # ----------------------------------------------------------- recommend trace
 
 

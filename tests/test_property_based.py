@@ -1,19 +1,30 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import dataclasses
 import datetime
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import cache
 from repro.ann import IVFIndex, LSHIndex
 from repro.embedding import HashedSemanticEmbedder
-from repro.formula import extract_template, formula_references, instantiate_template, parse_formula
+from repro.formula import (
+    FunctionCall,
+    extract_template,
+    formula_references,
+    instantiate_template,
+    parse_formula,
+    walk,
+)
+from repro.formula import parser
 from repro.formula.engine import FormulaEngine
 from repro.formula.errors import ALL_ERROR_VALUES, ErrorValue
+from repro.formula.parser import MAX_AST_HEIGHT
 from repro.formula.template import normalize_formula, shift_formula
-from repro.formula.tokenizer import TokenType, tokenize
+from repro.formula.tokenizer import FormulaSyntaxError, TokenType, tokenize
 from repro.nn import L2Normalize
 from repro.nn.losses import pairwise_squared_distances, triplet_loss_and_grad
 from repro.sheet import Cell, CellAddress, CellStyle, RangeAddress, Sheet, Workbook
@@ -113,8 +124,43 @@ def _compose(children):
     return compound()
 
 
-#: Deeply structured formulas covering every grammar production.
-rich_formulas = st.recursive(_atoms, _compose, max_leaves=12)
+_CHAIN_OPS = [["+", "-"], ["*", "/"], ["^"], ["&"], ["=", "<>", "<="]]
+#: No ranges down a chain: a hundred of them would make evaluation, not
+#: height, the cost of an example.
+_chain_atoms = st.one_of(_number_literals(), _string_literals(), _cell_tokens())
+
+
+@st.composite
+def _tall_formulas(draw):
+    """Height-hostile formulas: long operator and ``%`` chains around calls,
+    signs and groupings, up to exactly the parser's height bound (the height
+    is tracked as the text is built, one known step at a time)."""
+    text, height = draw(_atoms), 1
+    for __ in range(draw(st.integers(1, 12))):
+        room = MAX_AST_HEIGHT - height
+        if room < 2:
+            break
+        kind = draw(st.integers(0, 3))
+        if kind == 0:  # (text) op atom op atom ...: a left-deep chain
+            ops = draw(st.sampled_from(_CHAIN_OPS))
+            n = draw(st.integers(1, room - 1) | st.just(room - 1))
+            text = f"({text})" + "".join(
+                draw(st.sampled_from(ops)) + draw(_chain_atoms) for __ in range(n)
+            )
+            height += 1 + n
+        elif kind == 1:  # (text)%%...
+            n = draw(st.integers(1, room - 1) | st.just(room - 1))
+            text, height = f"({text})" + "%" * n, height + 1 + n
+        elif kind == 2:
+            text, height = f"{draw(st.sampled_from(_FUNCTION_NAMES))}({text},{draw(_atoms)})", height + 1
+        else:
+            text, height = f"-({text})", height + 2
+    return text
+
+
+#: Deeply structured formulas covering every grammar production, and tall
+#: ones up to the parser's height bound.
+rich_formulas = st.one_of(st.recursive(_atoms, _compose, max_leaves=12), _tall_formulas())
 
 
 # ------------------------------------------------------------------ addressing
@@ -216,6 +262,39 @@ class TestParserRoundTrip:
         tokens = tokenize(formula)
         spaced = " ".join(token.text for token in tokens if token.text)
         assert parse_formula(spaced) == parse_formula(formula)
+
+
+class TestParseMemo:
+    """``parse_formula`` hands every caller of a string one shared tree."""
+
+    @given(rich_formulas)
+    @settings(max_examples=150, deadline=None)
+    def test_one_frozen_tree_per_string_equal_to_a_fresh_parse(self, formula):
+        tree = parse_formula(formula)
+        if len(formula) <= parser._MAX_PINNED_LENGTH:
+            assert parse_formula(formula) is tree
+        fresh = parser._parsed.__wrapped__(formula)
+        assert fresh is not tree
+        for node, twin in zip(walk(tree), walk(fresh), strict=True):
+            assert type(node) is type(twin) and node == twin
+            for field in dataclasses.fields(node):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, field.name, None)
+            if isinstance(node, FunctionCall):
+                assert isinstance(node.args, tuple)
+
+    @given(rich_formulas, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_an_error_is_raised_on_every_call_and_never_resident(self, formula, too_tall):
+        broken = f"({formula})" + "%" * MAX_AST_HEIGHT if too_tall else f"{formula})"
+        before = cache.stats()["parsed_formulas"]
+        for __ in range(2):
+            with pytest.raises(FormulaSyntaxError, match="taller than" if too_tall else "trailing"):
+                parse_formula(broken)
+        after = cache.stats()["parsed_formulas"]
+        looked_up = 2 if len(broken) <= parser._MAX_PINNED_LENGTH else 0
+        assert (after["hit"] - before["hit"], after["miss"] - before["miss"]) == (0, looked_up)
+        assert after["size"] == before["size"]
 
 
 # -------------------------------------------------------- workbook JSON I/O

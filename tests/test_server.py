@@ -12,6 +12,7 @@ window: there is none — a batch gathers only behind one that is running.
 """
 
 import gc
+import socket
 import threading
 import time
 import weakref
@@ -21,6 +22,7 @@ import pytest
 from repro import AutoFormulaConfig, FormulaService
 from repro.core.interface import FormulaPredictor, Prediction
 from repro.corpus import sample_test_cases, split_corpus
+from repro.server import app as app_module
 from repro.server import (
     AdmissionConfig,
     FormulaClient,
@@ -254,6 +256,14 @@ class TestProtocolBasics:
             result = client.edit_cell("acme", "wb1", "Data", "A5", formula=deep)
             assert result["recalc"]["errored"] == 1
             assert edited.get("A5").value == "#NAME?"
+            # So is one taller than the parser's bound, at a small cost in
+            # CPU time (server and client share this process).
+            tall = "=1" + "+1" * 3000
+            started = time.process_time()
+            result = client.edit_cell("acme", "wb1", "Data", "A6", formula=tall)
+            assert time.process_time() - started < 0.010
+            assert result["recalc"]["errored"] == 1
+            assert edited.get("A6").value == "#NAME?"
             assert client.stats()["counters"].get("server_errors", 0) == 0
 
     def test_metrics_read_first_has_the_workspace_gauges(self):
@@ -595,6 +605,47 @@ class TestAdmissionControl:
         shutdown.join(timeout=5)
         # The in-flight request was served to completion, not dropped.
         assert inflight_result["response"]["formula"] == "=SUM(A1:A3)"
+
+
+class TestReadTimeouts:
+    def test_stalled_and_idle_connections_are_closed_beside_a_busy_client(self, monkeypatch):
+        """A client that stops mid-head or mid-body gets a 408 and a closed
+        connection; one that opens a connection and sends nothing is closed
+        without a response.  Before the timeout each of them pinned its
+        connection and handler task for good."""
+        bound = 0.3
+        monkeypatch.setattr(app_module, "READ_TIMEOUT_S", bound)
+        head = b"POST /v1/workspaces/acme/recommend HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+        with start_server_in_background(_stub_service()) as handle:
+            stalled = {}
+            try:
+                for name, sent in (("mid_head", head[:20]), ("mid_body", head + b'{"ce'), ("idle", b"")):
+                    stalled[name] = socket.create_connection((handle.host, handle.port), TIMEOUT)
+                    stalled[name].sendall(sent)
+                started = time.monotonic()
+                with FormulaClient(handle.host, handle.port) as client:
+                    answered = 0
+                    while time.monotonic() - started < 2 * bound:
+                        assert client.recommend("acme", _target_sheet(), "A3")["formula"] == "=SUM(A1:A3)"
+                        answered += 1
+                assert answered >= 10
+                for name, sock in stalled.items():
+                    sock.settimeout(bound)  # closed by now: the reads return at once
+                    received = b""
+                    while chunk := sock.recv(4096):
+                        received += chunk
+                    if name == "idle":
+                        assert received == b""
+                    else:
+                        assert received.startswith(b"HTTP/1.1 408 Request Timeout\r\n"), name
+                        assert b'"error": "request_timeout"' in received
+            finally:
+                for sock in stalled.values():
+                    sock.close()
+            with FormulaClient(handle.host, handle.port) as probe:
+                counters = probe.stats()["counters"]
+        assert counters["read_timeouts"] == 3
+        assert "server_errors" not in counters
 
 
 # ----------------------------------------------------------------- internals

@@ -1,6 +1,7 @@
 """Tests for the service layer: workspaces, mutation parity, typed serving."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -432,6 +433,24 @@ class TestEditCell:
         cell = sheet.get("B20")
         assert (cell.formula, cell.value) == (deep, "#NAME?")  # as "=SUM(" is
         assert sheet.version > version and (sheet.n_rows, sheet.n_cols) == extent
+        self._assert_parity(workspace, trained_encoder, cases, tmp_path)
+
+    def test_formula_too_tall_is_an_error_value_in_under_10_ms(
+        self, trained_encoder, workload, tmp_path
+    ):
+        """``=1+1+…`` with 3 001 terms used to parse into a tree 3 000 levels
+        high, and the edit's recalculation then raised RecursionError."""
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        sheet = workspace.workbooks()[3].get_sheet(self.SHEET)
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "B21", value=1.0)  # builds the engine
+        tall = "=1" + "+1" * 3000
+        # This thread's CPU time: neither a stalled box nor an idle BLAS
+        # thread spinning beside it counts (≈ 4 ms, as an ordinary edit's 3).
+        started = time.thread_time()
+        report = workspace.edit_cell(self.WORKBOOK, self.SHEET, "B20", formula=tall)
+        assert time.thread_time() - started < 0.010
+        assert report.errored >= 1 and sheet.get("B20").value == "#NAME?"  # and its dependents
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
     def test_value_written_over_a_formula_cell(self, trained_encoder, workload, tmp_path):
