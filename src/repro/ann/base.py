@@ -1,20 +1,22 @@
-"""Common vector-index interface: one scoring engine with two paths.
+"""Stored vectors and nearest-vector selection: one row store, one rule.
 
-Every search is answered by the same engine; which path a call takes is
-decided from the work it does, ``pairs = n_queries * pool``, never from
-an option:
+Vectors live in a :class:`RowStore`.  The index's k-NN (S1, S2) and S3's
+closest candidate (:func:`closest_in_blocks`) select alike: BLAS tier 1
+scores, :func:`tier1_slice` keeps what may win, a fixed-order expression
+decides.  Which path an index search takes is decided from the work it
+does, ``pairs = n_queries * pool``, never from an option:
 
 * few pairs — the plain path: every candidate is scored with the
   fixed-order einsum scorer whose distances are bit-identical across
   pool shapes (what batch/one-at-a-time parity relies on).
-* at least ``VectorIndex.tier1_min_pairs`` pairs — tier 1 scores the
-  pool with one BLAS matmul (ULP drift allowed); tier 2 re-scores only a
-  provably sufficient top slice with the same fixed-order einsum, so the
+* at least ``VectorIndex.tier1_min_pairs`` pairs over a shared pool —
+  tier 1 scores the pool with one BLAS matmul (ULP drift allowed); tier 2
+  re-scores only the slice with the same fixed-order einsum, so the
   *final* rankings and distances are bit-identical to the plain path.
-  When the slice needed to guarantee that exceeds ``max(4k, 16)`` the
-  affected rows transparently fall back to the plain scorer.
+  When the slice exceeds ``max(4k, 16)`` the affected rows transparently
+  fall back to the plain scorer.
 
-Why the re-rank is sound: tier-1 distances are computed as
+Why the slice is sound: tier-1 distances are computed as
 ``sq_norms - 2 * x @ v + ||x||^2`` where ``sq_norms`` are the stored
 float32 squared norms — so the only approximation is the rounding of the
 BLAS cross term and the subtract/add chain, ``|d_hat - d| <= M`` with
@@ -72,18 +74,76 @@ def _blas_product(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return queries @ matrix.T
 
 
-def tier1_margin(dimension: int, qq: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+def _tier1_margin(dimension: int, qq: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
     """Per-query bound ``M`` on ``|d_hat - d|``, the float32 rounding slack
     between a BLAS distance ``sq_norm - 2 x.v + ||x||^2`` and one computed
     in a fixed order, for queries of squared norms ``qq`` against vectors
-    of squared norms ``sq_norms`` in ``dimension`` dimensions.  Used by the
-    index's tier 1 and by S3's (``repro.core.pipeline``)."""
+    of squared norms ``sq_norms`` in ``dimension`` dimensions."""
     x_norm = np.sqrt(np.maximum(qq, 0.0))
     v_max = math.sqrt(max(float(sq_norms.max()), 0.0)) if sq_norms.size else 0.0
     # Generous cover for float32 rounding in the BLAS dot and the
     # subtract/add chain: length-D accumulations each contribute
     # O(D * eps * magnitude), with an 8x headroom factor.
     return 8.0 * dimension * _EPS32 * ((x_norm + v_max) ** 2 + 1.0)
+
+
+def tier1_slice(approx: np.ndarray, margin, k: int) -> np.ndarray:
+    """The rows tier 1 cannot rule out, along the last axis of ``approx``:
+    ``approx <= max(kth + 2M, M)``, ``kth`` the k-th smallest tier-1 score
+    and ``M`` the ``margin`` of the row (see the module docstring)."""
+    kth = approx.min(axis=-1) if k == 1 else np.partition(approx, k - 1, axis=-1)[..., k - 1]
+    return approx <= np.maximum(kth + 2.0 * margin, margin)[..., None]
+
+
+def closest_in_blocks(
+    vectors: np.ndarray,
+    sq_norms: np.ndarray,
+    references: np.ndarray,
+    reference_sq_norms: np.ndarray,
+    penalties: np.ndarray,
+    lengths: Sequence[int],
+) -> Tuple[List[int], int]:
+    """S3's choice for each parameter ``i``: the position of the first row
+    ``j`` of its block (the next ``lengths[i]`` rows of ``vectors``, norms
+    ``sq_norms``) that minimizes ``np.sum((vectors[j] - references[i]) ** 2)
+    + penalties[j]``, and how many rows were re-ranked to find them all.
+
+    Tier 1 scores a block with one BLAS matrix-vector product as
+    ``sq_norm - 2 v.r + ||r||^2 + penalty``, within ``M`` (the index's
+    margin plus the rounding of adding the penalty) of the sequential score;
+    :func:`tier1_slice` with ``k = 1`` keeps the rows that may win, and the
+    sequential expression re-ranks them in block order (a row's ``np.sum``
+    does not depend on the rows beside it).  One product per block, not
+    ``vectors @ references.T``: sgemm packs its operand into a buffer first,
+    a second pass over the rows, and scores every block against every
+    reference.
+    """
+    margin = _tier1_margin(vectors.shape[1], reference_sq_norms, sq_norms) + _EPS32 * float(
+        np.abs(penalties).max()
+    )
+    best: List[int] = []
+    n_reranked = 0
+    start = 0
+    for index, length in enumerate(lengths):
+        stop = start + length
+        approx = (
+            sq_norms[start:stop]
+            - 2.0 * (vectors[start:stop] @ references[index])
+            + reference_sq_norms[index]
+            + penalties[start:stop]
+        )
+        kept = np.flatnonzero(tier1_slice(approx, margin[index], 1))
+        choice = int(kept[0])
+        if kept.size > 1:
+            rows = start + kept
+            block = vectors[rows]
+            np.subtract(block, references[index], out=block)
+            np.square(block, out=block)
+            choice = int(kept[np.argmin(np.sum(block, axis=1) + penalties[rows])])
+            n_reranked += kept.size
+        best.append(choice)
+        start = stop
+    return best, n_reranked
 
 
 #: ``_split_runs``' result: each run's offset in the pool, its length, and
@@ -126,6 +186,78 @@ def _pack_mask(mask: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.nda
     return columns, valid
 
 
+class RowStore:
+    """Float32 rows and their fixed-order ``einsum("ij,ij->i")`` squared
+    norms: every write stores the rows, then their norms read back from the
+    store.  Capacity grows by half, to at least what a write needs, and
+    past ``limit`` rows only when the write needs more.  Rows adopted
+    read-only (a memory map) are copied to private memory before the first
+    write.  No lock: the owner's lock guards the store."""
+
+    def __init__(self, dimension: int, capacity: int = 0, limit: Optional[int] = None) -> None:
+        self._rows = np.empty((capacity, dimension), dtype=np.float32)
+        self._norms = np.empty((capacity,), dtype=np.float32)
+        self._size, self._limit = 0, limit
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def capacity(self) -> int:
+        return self._rows.shape[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[: self._size]
+
+    @property
+    def norms(self) -> np.ndarray:
+        return self._norms[: self._size]
+
+    def append(self, vectors: np.ndarray) -> int:
+        """Store ``vectors`` after the last row; returns the first one's position."""
+        start = self._size
+        self._reserve(start + len(vectors))
+        self._size += len(vectors)
+        self.overwrite(slice(start, self._size), vectors)
+        return start
+
+    def overwrite(self, positions, vectors: np.ndarray) -> None:
+        """Replace the rows at ``positions`` (an index array or a slice)."""
+        self._reserve(self._size)
+        self._rows[positions] = vectors
+        block = self._rows[positions]
+        self._norms[positions] = np.einsum("ij,ij->i", block, block)
+
+    def take(self, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of the rows at ``positions`` and of their norms."""
+        return self._rows[positions], self._norms[positions]
+
+    def rehouse(self, capacity: int, keep: Optional[np.ndarray] = None) -> None:
+        """Move the rows at ``keep`` (ascending; default all), renumbered from
+        0, into fresh private arrays of ``capacity`` rows: one copy, never
+        in place."""
+        keep = np.arange(self._size) if keep is None else keep
+        rows = np.empty((capacity, self._rows.shape[1]), dtype=np.float32)
+        norms = np.empty((capacity,), dtype=np.float32)
+        # ``mode="clip"``: ``take`` buffers ``out`` under the default "raise".
+        np.take(self._rows, keep, axis=0, out=rows[: keep.size], mode="clip")
+        np.take(self._norms, keep, out=norms[: keep.size], mode="clip")
+        self._rows, self._norms, self._size = rows, norms, keep.size
+
+    def adopt(self, rows: np.ndarray, norms: np.ndarray) -> None:
+        """Serve ``rows`` and ``norms`` as they are (the snapshot-load path)."""
+        self._rows, self._norms, self._size = rows, norms, rows.shape[0]
+
+    def _reserve(self, needed: int) -> None:
+        capacity = self.capacity
+        if needed > capacity:
+            grown = capacity * 3 // 2
+            self.rehouse(max(needed, grown if self._limit is None else min(grown, self._limit)))
+        elif not (self._rows.flags.writeable and self._norms.flags.writeable):
+            self.rehouse(capacity)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """A single nearest-neighbour hit."""
@@ -141,11 +273,11 @@ class VectorIndex(abc.ABC):
     representation models are L2-normalized, the ranking is equivalent to a
     cosine-similarity ranking.
 
-    Vectors live in one contiguous ``float32`` matrix that grows
-    geometrically, so both single and batched queries score candidates with
-    vectorized slices of that matrix — no per-query re-stacking of Python
-    lists.  Ties in distance break deterministically toward the candidate at
-    the lowest scored position.
+    Vectors live in one :class:`RowStore`, so both single and batched
+    queries score candidates with vectorized slices of its contiguous
+    matrix — no per-query re-stacking of Python lists.  Ties in distance
+    break deterministically toward the candidate at the lowest scored
+    position.
 
     Removal is tombstone-based: :meth:`remove_batch` marks positions dead,
     every search path excludes dead positions, and once the dead fraction
@@ -154,8 +286,8 @@ class VectorIndex(abc.ABC):
     holds can be rewritten).  Replacing a vector is not a removal:
     :meth:`update_batch` overwrites live rows where they sit.
 
-    The ``float32`` matrix is the only store: the tier-1 scan, the tier-2
-    re-rank, snapshots and restore-parity are all defined against it.
+    The row store is the only store: the tier-1 scan, the tier-2 re-rank,
+    snapshots and restore-parity are all defined against it.
     """
 
     #: Dead fraction of the store above which ``remove_batch`` compacts.
@@ -177,10 +309,8 @@ class VectorIndex(abc.ABC):
             raise ValueError("dimension must be positive")
         self._dimension = dimension
         self._keys: List[Hashable] = []
-        self._matrix = np.empty((0, dimension), dtype=np.float32)
-        self._sq_norms = np.empty((0,), dtype=np.float32)
+        self._store = RowStore(dimension)
         self._alive = np.empty((0,), dtype=bool)
-        self._size = 0
         self._n_dead = 0
         #: Memoized live positions of a full scan over a store with
         #: tombstones, with their ``_split_runs`` (None = stale; rebuilt on
@@ -191,6 +321,7 @@ class VectorIndex(abc.ABC):
         #: concurrently under the workspace's read lock, hence instruments.
         self._fallback_rows = Counter()
         self._overflows = Counter()
+        self._exact_fallback_rows = Counter()
         #: Where shared pools lay (see :meth:`counters`).
         self._rows_in_place = Counter()
         self._rows_gathered = Counter()
@@ -204,7 +335,7 @@ class VectorIndex(abc.ABC):
 
     def __len__(self) -> int:
         """Number of *live* (non-tombstoned) vectors."""
-        return self._size - self._n_dead
+        return len(self._store) - self._n_dead
 
     @property
     def n_tombstones(self) -> int:
@@ -219,18 +350,13 @@ class VectorIndex(abc.ABC):
         matrix is reallocated by a later ``add``.  Rows tombstoned by
         :meth:`remove_batch` are still present until compaction.
         """
-        view = self._matrix[: self._size]
+        view = self._store.rows
         view.flags.writeable = False
         return view
 
     def add(self, key: Hashable, vector: np.ndarray) -> None:
         """Add one vector under ``key``."""
-        vector = np.asarray(vector, dtype=np.float32).reshape(-1)
-        if vector.shape[0] != self._dimension:
-            raise ValueError(
-                f"vector has dimension {vector.shape[0]}, index expects {self._dimension}"
-            )
-        self.add_batch([key], vector[None, :])
+        self.add_batch([key], np.asarray(vector, dtype=np.float32).reshape(1, -1))
 
     def add_batch(self, keys: Sequence[Hashable], vectors: np.ndarray) -> None:
         """Add many vectors at once (one append plus one subclass hook)."""
@@ -249,17 +375,11 @@ class VectorIndex(abc.ABC):
             raise ValueError(f"{len(keys)} keys for {vectors.shape[0]} vectors")
         if not keys:
             return
-        count = len(keys)
-        self._ensure_capacity(count)
-        start = self._size
-        self._matrix[start : start + count] = vectors
-        block = self._matrix[start : start + count]
-        self._sq_norms[start : start + count] = np.einsum("ij,ij->i", block, block)
-        self._alive[start : start + count] = True
+        start = self._store.append(vectors)
+        self._alive = np.concatenate((self._alive, np.ones(len(keys), dtype=bool)))
         self._keys.extend(keys)
-        self._size += count
         self._live_scan = None
-        self._on_add_batch(start, block)
+        self._on_add_batch(start, self._store.rows[start:])
 
     def remove_batch(self, positions: Sequence[int]) -> Optional[np.ndarray]:
         """Tombstone the vectors stored at ``positions``.
@@ -280,7 +400,7 @@ class VectorIndex(abc.ABC):
         self._n_dead += positions.size
         self._live_scan = None
         self._on_remove_batch(positions)
-        if self._n_dead > self.compaction_fraction * self._size:
+        if self._n_dead > self.compaction_fraction * len(self._store):
             return self._compact()
         return None
 
@@ -305,24 +425,12 @@ class VectorIndex(abc.ABC):
             )
         if positions.size == 0:
             return
-        if not (self._matrix.flags.writeable and self._sq_norms.flags.writeable):
-            # A restored store may be a read-only memory map: move it to
-            # private memory first, as every other write path does.
-            self._matrix = np.array(self._matrix[: self._size])
-            self._sq_norms = np.array(self._sq_norms[: self._size])
-        self._matrix[positions] = vectors
-        block = self._matrix[positions]
-        self._sq_norms[positions] = np.einsum("ij,ij->i", block, block)
+        self._store.overwrite(positions, vectors)
         self._rebuild()
 
     def search(self, query: np.ndarray, k: int = 1) -> List[SearchResult]:
         """Return (up to) the ``k`` nearest stored vectors to ``query``."""
-        query = np.asarray(query, dtype=np.float32).reshape(-1)
-        if query.shape[0] != self._dimension:
-            raise ValueError(
-                f"query has dimension {query.shape[0]}, index expects {self._dimension}"
-            )
-        return self.search_batch(query[None, :], k)[0]
+        return self.search_batch(np.asarray(query, dtype=np.float32).reshape(1, -1), k)[0]
 
     def search_batch(
         self,
@@ -346,7 +454,7 @@ class VectorIndex(abc.ABC):
                 f"queries must have shape (n, {self._dimension}), got {queries.shape}"
             )
         n_queries = queries.shape[0]
-        n_alive = self._size - self._n_dead
+        n_alive = len(self)
         if n_alive == 0 or k <= 0:
             return [[] for __ in range(n_queries)]
         if positions is not None:
@@ -385,9 +493,10 @@ class VectorIndex(abc.ABC):
         positions = np.asarray(list(positions), dtype=np.int64).reshape(-1)
         if positions.size == 0:
             return positions
-        if int(positions.min()) < 0 or int(positions.max()) >= self._size:
+        size = len(self._store)
+        if int(positions.min()) < 0 or int(positions.max()) >= size:
             raise IndexError(
-                f"positions must be in [0, {self._size}), got range "
+                f"positions must be in [0, {size}), got range "
                 f"[{int(positions.min())}, {int(positions.max())}]"
             )
         if np.unique(positions).size != positions.size:
@@ -396,25 +505,11 @@ class VectorIndex(abc.ABC):
             raise ValueError(f"{caller} called on an already-removed position")
         return positions
 
-    def _ensure_capacity(self, extra: int) -> None:
-        needed = self._size + extra
-        capacity = self._matrix.shape[0]
-        if needed > capacity:
-            self._rehouse(np.arange(self._size), max(needed, capacity * 2, 8))
-
-    def _rehouse(self, rows: np.ndarray, capacity: int) -> None:
-        """Copy store rows ``rows`` (ascending) to the front of fresh private
-        arrays of ``capacity`` rows — one copy, never in place: the current
-        store may be a read-only memory map."""
-        count = rows.size
-        matrix = np.empty((capacity, self._dimension), dtype=np.float32)
-        sq_norms = np.empty((capacity,), dtype=np.float32)
-        alive = np.zeros((capacity,), dtype=bool)
-        # ``mode="clip"``: ``take`` buffers ``out`` under the default "raise".
-        np.take(self._matrix, rows, axis=0, out=matrix[:count], mode="clip")
-        np.take(self._sq_norms, rows, out=sq_norms[:count], mode="clip")
-        np.take(self._alive, rows, out=alive[:count], mode="clip")
-        self._matrix, self._sq_norms, self._alive = matrix, sq_norms, alive
+    def _scan_all(self) -> None:
+        """What ``_candidates`` returns when its probe gives up and the
+        whole store is scanned instead — counted."""
+        self._exact_fallback_rows.inc()
+        return None
 
     def _live(self, positions: np.ndarray) -> np.ndarray:
         """``positions`` with tombstoned entries dropped (order preserved)."""
@@ -424,14 +519,14 @@ class VectorIndex(abc.ABC):
 
     def _compact(self) -> np.ndarray:
         """Drop tombstoned rows and renumber; returns the old→new remap."""
-        live_positions = np.flatnonzero(self._alive[: self._size])
-        remap = np.full(self._size, -1, dtype=np.int64)
+        live_positions = np.flatnonzero(self._alive)
+        remap = np.full(len(self._store), -1, dtype=np.int64)
         remap[live_positions] = np.arange(live_positions.size, dtype=np.int64)
-        # Sized as ``_ensure_capacity`` sizes a store that has just outgrown
-        # ``live`` rows, so the add that usually follows a removal fits.
-        self._rehouse(live_positions, max(2 * live_positions.size, 8))
+        # Twice the live rows, so the add that usually follows a removal
+        # fits without a second copy of the store.
+        self._store.rehouse(max(2 * live_positions.size, 8), live_positions)
+        self._alive = np.ones(live_positions.size, dtype=bool)
         self._keys = [self._keys[int(position)] for position in live_positions]
-        self._size = live_positions.size
         self._n_dead = 0
         self._live_scan = None
         self._rebuild()
@@ -456,12 +551,12 @@ class VectorIndex(abc.ABC):
         runs = None
         if positions is None and self._n_dead:
             if self._live_scan is None:
-                live = np.flatnonzero(self._alive[: self._size])
+                live = np.flatnonzero(self._alive)
                 self._live_scan = (live, _split_runs(live, 4 * self._dimension))
             positions, runs = self._live_scan
         elif positions is not None:
             runs = _split_runs(positions, 4 * self._dimension)
-        pool = self._size if positions is None else int(positions.size)
+        pool = len(self._store) if positions is None else int(positions.size)
         n_runs = 1 if runs is None else int(runs[0].size)
         # Counted here, once a search: a fallback crosses the same pool again.
         n_in_place = pool if runs is None else int(runs[1][runs[2]].sum())
@@ -502,35 +597,34 @@ class VectorIndex(abc.ABC):
         ``(n_queries, pool)`` array, without copying the pool's long runs.
 
         Each run of consecutive rows spanning ``_VIEW_MIN_BYTES`` is a view
-        ``self._matrix[first : first + n]`` with a product of its own,
+        ``matrix[first : first + n]`` of the store with a product of its own,
         written to the run's columns; the rows of all shorter runs are
         gathered and scored together.  With the fixed-order product the
-        result is bit-identical to ``product(queries, self._matrix[positions])``
+        result is bit-identical to ``product(queries, matrix[positions])``
         — each element's accumulation does not depend on how many rows
         share its call — and the BLAS product needs no such property
-        (tier 1 is approximate by contract, to within :func:`tier1_margin`).
+        (tier 1 is approximate by contract, to within :func:`_tier1_margin`).
         ``runs`` is :func:`_split_runs` of ``positions``, when the caller
         has it.
         """
+        matrix = self._store.rows
         if positions is None:
-            return product(queries, self._matrix[: self._size])
+            return product(queries, matrix)
         if runs is None:
             runs = _split_runs(positions, 4 * self._dimension)
         offsets, lengths, in_place = runs
         n_in_place = int(lengths[in_place].sum())
         if n_in_place == 0:
-            return product(queries, self._matrix[positions])
+            return product(queries, matrix[positions])
         cross = np.empty((queries.shape[0], positions.size), dtype=np.float32)
         view_offsets = offsets[in_place]
         for offset, first, length in zip(
             view_offsets.tolist(), positions[view_offsets].tolist(), lengths[in_place].tolist()
         ):
-            cross[:, offset : offset + length] = product(
-                queries, self._matrix[first : first + length]
-            )
+            cross[:, offset : offset + length] = product(queries, matrix[first : first + length])
         if n_in_place < positions.size:
             columns = np.flatnonzero(np.repeat(~in_place, lengths))
-            cross[:, columns] = product(queries, self._matrix[positions[columns]])
+            cross[:, columns] = product(queries, matrix[positions[columns]])
         return cross
 
     def _score_exact(
@@ -541,7 +635,7 @@ class VectorIndex(abc.ABC):
         runs: Optional[_Runs] = None,
     ) -> List[List[SearchResult]]:
         """The plain deterministic scorer over a shared candidate pool."""
-        sq_norms = self._sq_norms[: self._size] if positions is None else self._sq_norms[positions]
+        sq_norms = self._store.norms if positions is None else self._store.norms[positions]
         # The cross term deliberately avoids BLAS (``queries @ matrix.T``):
         # sgemm picks different kernels — and different accumulation orders —
         # depending on operand shapes, so the same (query, vector) pair can
@@ -587,18 +681,10 @@ class VectorIndex(abc.ABC):
         """
         with get_tracer().span("index.tier1", pool=pool, k=k) as tier1_span:
             qq = np.einsum("ij,ij->i", queries, queries)
-            sq_norms = (
-                self._sq_norms[: self._size] if positions is None else self._sq_norms[positions]
-            )
+            sq_norms = self._store.norms if positions is None else self._store.norms[positions]
             cross = self._cross_term(queries, positions, runs, _blas_product)
             approx = sq_norms[None, :] - 2.0 * cross + qq[:, None]
-            margin = tier1_margin(self._dimension, qq, sq_norms)
-            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]  # pool >= 8k
-            # Slice rule (see module docstring): everything within 2M of the
-            # tier-1 k-th smallest, plus everything whose exact distance could
-            # clamp to zero and tie there (d <= 0 implies d_hat <= M).
-            threshold = np.maximum(kth + 2.0 * margin, margin)
-            mask = approx <= threshold[:, None]
+            mask = tier1_slice(approx, _tier1_margin(self._dimension, qq, sq_norms), k)
             counts = mask.sum(axis=1)
             ok = counts <= budget
             tier1_span.set_attribute("max_slice", int(counts.max()))
@@ -636,9 +722,9 @@ class VectorIndex(abc.ABC):
         which is what lets the vectorized ragged path and the tier-2
         re-rank reproduce the plain path's rankings exactly.
         """
-        gathered = self._matrix[absolute]
+        gathered, sq_norms = self._store.take(absolute)
         distances = (
-            self._sq_norms[absolute]
+            sq_norms
             - 2.0 * np.einsum("rd,rld->rl", queries, gathered)
             + np.einsum("ij,ij->i", queries, queries)[:, None]
         )
@@ -659,66 +745,14 @@ class VectorIndex(abc.ABC):
     def _score_ragged(
         self, queries: np.ndarray, pools: List[np.ndarray], k: int
     ) -> List[List[SearchResult]]:
-        """Score rows with private candidate pools in one padded call.
-
-        Replaces the historical one-row-at-a-time loop: pools are padded to
-        the widest row and scored through :meth:`_score_padded` (bit-equal
-        to scoring each row alone).  Calls that score at least
-        ``tier1_min_pairs`` padded pairs are first scanned by tier 1 and
-        shrunk to guaranteed slices; rows whose slice overflows the budget
-        keep their full pool, which makes the re-rank the plain scorer for
-        that row.
-        """
-        sizes = np.asarray([pool.size for pool in pools], dtype=np.int64)
-        width = int(sizes.max())
-        padded = np.zeros((len(pools), width), dtype=np.int64)
-        valid = np.zeros((len(pools), width), dtype=bool)
-        for r, pool in enumerate(pools):
-            padded[r, : pool.size] = pool
-            valid[r, : pool.size] = True
-        if len(pools) * width >= self.tier1_min_pairs:
-            shrunk = self._tier1_shrink_padded(queries, padded, valid, sizes, k, _slice_budget(k))
-            if shrunk is not None:
-                padded, valid = shrunk
+        """Score rows with private candidate pools (IVF and LSH probes) in
+        one call: padded to the widest and scored through
+        :meth:`_score_padded`, bit-equal to scoring each row alone."""
+        sizes = np.asarray([pool.size for pool in pools])
+        valid = np.arange(sizes.max()) < sizes[:, None]
+        padded = np.zeros(valid.shape, dtype=np.int64)
+        padded[valid] = np.concatenate(pools)
         return self._score_padded(queries, padded, valid, k)
-
-    def _tier1_shrink_padded(
-        self,
-        queries: np.ndarray,
-        padded: np.ndarray,
-        valid: np.ndarray,
-        sizes: np.ndarray,
-        k: int,
-        budget: int,
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Tier-1 scan of padded per-row pools → per-row guaranteed slices.
-
-        Rows whose pool is already within the slice budget, or whose
-        guaranteed slice overflows it, keep their full pool (the re-rank is
-        then exact for those rows).  Returns ``None`` when no row shrank.
-        """
-        shrinkable = sizes > budget
-        if not bool(shrinkable.any()):
-            return None
-        gathered = self._matrix[padded]
-        qq = np.einsum("ij,ij->i", queries, queries)
-        sq_norms = self._sq_norms[padded]
-        cross = np.matmul(gathered, queries[:, :, None])[:, :, 0]
-        approx = sq_norms - 2.0 * cross + qq[:, None]
-        approx[~valid] = np.inf
-        margin = tier1_margin(self._dimension, qq, np.where(valid, sq_norms, 0.0).ravel())
-        # Same slice rule as ``_score_two_tier``; padding scores ``inf``, so it
-        # never enters a slice (a shrinkable row is wider than ``k``).
-        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
-        mask = approx <= np.maximum(kth + 2.0 * margin, margin)[:, None]
-        counts = mask.sum(axis=1)
-        keep = ~shrinkable | (counts > budget)
-        if bool(keep.all()):
-            return None
-        mask[keep] = valid[keep]
-        counts[keep] = sizes[keep]
-        columns, new_valid = _pack_mask(mask, counts)
-        return np.take_along_axis(padded, columns, axis=1), new_valid
 
     # ------------------------------------------------------------ observability
 
@@ -730,8 +764,12 @@ class VectorIndex(abc.ABC):
         (``index.two_tier_overflow``).  And where shared pools lay: pool
         rows scored as views of the store (``index.rows_scored_in_place``)
         against rows copied out of it first (``index.rows_gathered``) — a
-        store fragmented into short runs pushes S2 onto the second."""
+        store fragmented into short runs pushes S2 onto the second.  And
+        query rows whose IVF / LSH probe gave up and scanned the whole store
+        (``index.exact_fallback_rows``: a small IVF index, no candidates,
+        fewer than k; always 0 for the exact index)."""
         return {
+            "index.exact_fallback_rows": self._exact_fallback_rows.value,
             "index.tier2_fallback_rows": self._fallback_rows.value,
             "index.two_tier_overflow": self._overflows.value,
             "index.rows_scored_in_place": self._rows_in_place.value,
@@ -745,11 +783,11 @@ class VectorIndex(abc.ABC):
         ``tombstone_bytes`` is the share pinned by removed-but-uncompacted
         rows.
         """
-        size = self._size
+        size = len(self._store)
         by_array: Dict[str, int] = {
-            "float32_matrix": int(self._matrix[:size].nbytes),
-            "sq_norms": int(self._sq_norms[:size].nbytes),
-            "alive": int(self._alive[:size].nbytes),
+            "float32_matrix": int(self._store.rows.nbytes),
+            "sq_norms": int(self._store.norms.nbytes),
+            "alive": int(self._alive.nbytes),
         }
         total = sum(by_array.values())
         row_bytes = total // size if size else 0
@@ -764,7 +802,7 @@ class VectorIndex(abc.ABC):
     # ------------------------------------------------------------- persistence
 
     def store_state(self) -> Dict[str, np.ndarray]:
-        """The raw store, sized to ``_size``, for snapshot serialization.
+        """The raw store, sized to its stored rows, for snapshot serialization.
 
         Keys are deliberately *not* included: they are caller-provided
         hashables whose encoding the owner of the index knows (stable sheet
@@ -775,9 +813,9 @@ class VectorIndex(abc.ABC):
         order.
         """
         return {
-            "matrix": self._matrix[: self._size],
-            "sq_norms": self._sq_norms[: self._size],
-            "alive": self._alive[: self._size],
+            "matrix": self._store.rows,
+            "sq_norms": self._store.norms,
+            "alive": self._alive,
         }
 
     def restore_store(
@@ -789,12 +827,8 @@ class VectorIndex(abc.ABC):
     ) -> None:
         """Adopt a previously exported store (the snapshot-load path).
 
-        ``matrix`` and ``sq_norms`` may be read-only memory-maps: every write
-        path reallocates first (``_ensure_capacity`` copies on the next add
-        because capacity equals size after a restore, compaction gathers
-        into fresh arrays, and ``update_batch`` copies a read-only store
-        before overwriting rows), so the mmap backing is never written
-        through.  ``alive`` is copied because removals flip its entries in
+        ``matrix`` and ``sq_norms`` may be read-only memory-maps, which the
+        row store never writes through.  ``alive`` is copied because removals flip its entries in
         place.  Derived structures (inverted lists, hash
         buckets, quantizers) are rebuilt through the same ``_rebuild``
         hook compaction uses, which is what makes a restored index answer
@@ -812,15 +846,11 @@ class VectorIndex(abc.ABC):
                 f"inconsistent restored store: {len(keys)} keys, {size} vectors, "
                 f"{len(sq_norms)} norms, {len(alive)} liveness flags"
             )
-        if matrix.dtype != np.float32:
-            matrix = matrix.astype(np.float32)
-        self._matrix = matrix
-        self._sq_norms = np.asanyarray(sq_norms)
-        if self._sq_norms.dtype != np.float32:
-            self._sq_norms = self._sq_norms.astype(np.float32)
+        self._store.adopt(
+            matrix.astype(np.float32, copy=False), np.asanyarray(sq_norms, dtype=np.float32)
+        )
         self._alive = np.array(alive, dtype=bool)
         self._keys = list(keys)
-        self._size = size
         self._n_dead = size - int(np.count_nonzero(self._alive))
         self._live_scan = None
         self._rebuild()

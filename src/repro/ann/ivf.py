@@ -95,8 +95,8 @@ class IVFIndex(VectorIndex):
     def _train(self) -> None:
         # Train on live vectors only: a store with tombstones must quantize
         # exactly like a fresh index built from the surviving vectors.
-        live_positions = np.flatnonzero(self._alive[: self._size])
-        matrix = self._matrix[live_positions]
+        live_positions = np.flatnonzero(self._alive)
+        matrix = self._store.rows[live_positions]
         centroids = _kmeans(matrix, self._n_clusters, self._kmeans_iterations, self._seed)
         assignment = self._assign(matrix, centroids)
         lists: Dict[int, List[int]] = {}
@@ -115,7 +115,7 @@ class IVFIndex(VectorIndex):
 
     def _candidates(self, query: np.ndarray, k: int) -> Optional[np.ndarray]:
         if len(self) < 2 * self._n_clusters:
-            return None
+            return self._scan_all()
         if self._needs_training():
             # Double-checked: concurrent searches racing on a stale
             # quantizer train it once; later arrivals re-check and skip.
@@ -129,10 +129,10 @@ class IVFIndex(VectorIndex):
         for cluster in probe_order:
             candidates.extend(self._lists.get(int(cluster), ()))
         if not candidates:
-            return None
+            return self._scan_all()
         positions = self._live(np.sort(np.asarray(candidates, dtype=np.int64)))
         if positions.size < k:
-            return None
+            return self._scan_all()
         return positions
 
     def _reset_quantizer(self) -> None:

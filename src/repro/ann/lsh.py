@@ -61,17 +61,17 @@ class LSHIndex(VectorIndex):
             signature = int(self._signatures(table, block)[0])
             candidates.update(self._tables[table].get(signature, ()))
         if not candidates:
-            return None  # fall back to exact scan
+            return self._scan_all()
         positions = self._live(
             np.sort(np.fromiter(candidates, dtype=np.int64, count=len(candidates)))
         )
         if positions.size < k:
-            return None  # fall back to exact scan
+            return self._scan_all()
         return positions
 
     def _rebuild(self) -> None:
         """Re-hash the whole store (same hyperplanes; positions renumbered by
         a compaction, or vectors replaced by ``update_batch``)."""
         self._tables = [defaultdict(list) for __ in range(self._n_tables)]
-        if self._size:
-            self._on_add_batch(0, self._matrix[: self._size])
+        if len(self._store):
+            self._on_add_batch(0, self._store.rows)

@@ -10,7 +10,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from repro.ann import SearchResult, canonical_index_kind, create_index
-from repro.ann.base import tier1_margin
+from repro.ann.base import RowStore, closest_in_blocks
 from repro.core.config import AutoFormulaConfig
 from repro.core.interface import FormulaPredictor, Prediction
 from repro.features.window import MAX_CACHED_TENSOR_BYTES, gather_windows, sheet_cache
@@ -30,8 +30,6 @@ from repro.sheet.workbook import Workbook
 _PER_CELL_LAYERS = (Linear, ReLU, Tanh, Dropout)
 
 _UNSET = object()
-
-_EPS32 = float(np.finfo(np.float32).eps)
 
 
 def _reference_parameter_cells(
@@ -172,78 +170,21 @@ def _parameter_candidates(
     return _Candidates(pieces, steps[0] if len(steps) == 1 else np.concatenate(steps))
 
 
-def _closest_candidates(
-    vectors: np.ndarray,
-    sq_norms: np.ndarray,
-    references: np.ndarray,
-    reference_sq_norms: np.ndarray,
-    penalties: np.ndarray,
-    lengths: Sequence[int],
-) -> Tuple[List[int], int]:
-    """S3's choice for each parameter ``i``: the position of the first row
-    ``j`` of its block (the next ``lengths[i]`` rows of ``vectors``, norms
-    ``sq_norms``) that minimizes ``np.sum((vectors[j] - references[i]) ** 2)
-    + penalties[j]``, and how many rows were re-ranked to find them all.
-
-    That sequential expression decides, on the candidates it must see.
-    Tier 1 scores a parameter's block with one BLAS matrix-vector product
-    as ``sq_norm - 2 v.r + ||r||^2 + penalty``, within ``M``
-    (:func:`~repro.ann.base.tier1_margin`, plus the rounding of adding the
-    penalty) of the sequential score.  So the exact minimizer, and every
-    row tied with it, scores within ``2M`` of its block's tier-1 minimum:
-    that slice, in block order, is re-ranked by the sequential expression,
-    and a one-row slice is the answer as it stands.  A row's sequential
-    score does not depend on which rows share its ``np.sum`` call.
-
-    One product per block, not ``vectors @ references.T`` for the formula:
-    sgemm packs its operand into a buffer first (a second pass over the
-    gathered rows that also evicts the caches the next embedding reads)
-    and scores every block against every reference.
-    """
-    slack = 2.0 * (
-        tier1_margin(vectors.shape[1], reference_sq_norms, sq_norms)
-        + _EPS32 * float(np.abs(penalties).max())
-    )
-    best: List[int] = []
-    n_reranked = 0
-    start = 0
-    for index, length in enumerate(lengths):
-        stop = start + length
-        approx = (
-            sq_norms[start:stop]
-            - 2.0 * (vectors[start:stop] @ references[index])
-            + reference_sq_norms[index]
-            + penalties[start:stop]
-        )
-        kept = np.flatnonzero(approx <= approx.min() + slack[index])
-        choice = int(kept[0])
-        if kept.size > 1:
-            rows = start + kept
-            block = vectors[rows]
-            np.subtract(block, references[index], out=block)
-            np.square(block, out=block)
-            choice = int(kept[np.argmin(np.sum(block, axis=1) + penalties[rows])])
-            n_reranked += kept.size
-        best.append(choice)
-        start = stop
-    return best, n_reranked
-
-
 class _RegionStore:
-    """Region embeddings of one sheet's cells, as rows of one matrix.
+    """Region embeddings of one sheet's cells, as rows of one row store.
 
     ``_slots`` maps a cell of the sheet's used extent to its row of
-    ``_matrix`` (-1 until the cell is embedded); reference parameters may
+    ``_store`` (-1 until the cell is embedded); reference parameters may
     point outside the extent, and those few cells live in ``_overflow``.
     A cell's row never changes once assigned, so slots handed out stay
-    valid while the matrix grows.  The store serves one state of its sheet:
+    valid while the store grows.  The store serves one state of its sheet:
     target stores sit in a version-checked :func:`sheet_cache`, reference
     stores are re-embedded (:meth:`refresh`) or rebuilt when their sheet is
     re-indexed.
 
     Concurrent readers reach one store (the workspace read lock admits
     parallel serves of the same target sheet), so filling and reading run
-    under ``_mutex``.
+    under ``_mutex``, which guards grid and rows together.
     """
 
     def __init__(self, sheet: Sheet, dimension: int, capacity: int = 0) -> None:
@@ -251,15 +192,13 @@ class _RegionStore:
             (max(sheet.n_rows, 1), max(sheet.n_cols, 1)), -1, dtype=np.int32
         )
         self._overflow: Dict[Tuple[int, int], int] = {}
-        self._matrix = np.empty((capacity, dimension), dtype=np.float32)
-        #: Squared norms of ``_matrix``'s rows (the fixed-order einsum), for
-        #: S3's tier 1.
-        self._sq_norms = np.empty(capacity, dtype=np.float32)
-        self._size = 0
+        # Never past one row per cell of the extent: a doubling matrix
+        # showed up in peak RSS.
+        self._store = RowStore(dimension, capacity, limit=self._slots.size)
         self._mutex = threading.Lock()
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._store)
 
     def _on_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return (rows < self._slots.shape[0]) & (cols < self._slots.shape[1])
@@ -277,29 +216,12 @@ class _RegionStore:
             return slots
 
     def _append(self, rows: np.ndarray, cols: np.ndarray, vectors: np.ndarray) -> None:
-        size = self._size + len(rows)
-        if size > len(self._matrix):
-            # Grow by half at most, and never past one row per cell of the
-            # extent: a doubling matrix showed up in peak RSS.
-            capacity = max(size, min(len(self._matrix) * 3 // 2, self._slots.size))
-            grown = np.empty((capacity, self._matrix.shape[1]), dtype=np.float32)
-            grown[: self._size] = self._matrix[: self._size]
-            grown_norms = np.empty(capacity, dtype=np.float32)
-            grown_norms[: self._size] = self._sq_norms[: self._size]
-            self._matrix, self._sq_norms = grown, grown_norms
-        self._matrix[self._size : size] = vectors
-        self._set_norms(self._size, size)
+        new_slots = np.arange(self._store.append(vectors), len(self._store))
         inside = self._on_grid(rows, cols)
-        new_slots = np.arange(self._size, size)
         self._slots[rows[inside], cols[inside]] = new_slots[inside]
         for position in np.flatnonzero(~inside):
             key = (int(rows[position]), int(cols[position]))
             self._overflow[key] = int(new_slots[position])
-        self._size = size
-
-    def _set_norms(self, start: int, stop: int) -> None:
-        block = self._matrix[start:stop]
-        self._sq_norms[start:stop] = np.einsum("ij,ij->i", block, block)
 
     def grid_slots(self, pieces: Sequence[_Piece]) -> np.ndarray:
         """Matrix rows of the cells of ``pieces`` — rectangles inside the
@@ -339,24 +261,24 @@ class _RegionStore:
         """The stored vectors of ``slots`` as a fresh C-contiguous matrix,
         and their squared norms."""
         with self._mutex:
-            return self._matrix[slots], self._sq_norms[slots]
+            return self._store.take(slots)
 
     def refresh(self, embed: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
         """Re-embed every stored cell into the row it already has: the
         sheet's content changed, the cells stored and the slots handed out
         did not.  One ``embed(rows, cols)`` call, cells in slot order."""
         with self._mutex:
-            if not self._size:
+            size = len(self._store)
+            if not size:
                 return
-            rows = np.empty(self._size, dtype=np.int64)
-            cols = np.empty(self._size, dtype=np.int64)
+            rows = np.empty(size, dtype=np.int64)
+            cols = np.empty(size, dtype=np.int64)
             grid_rows, grid_cols = np.nonzero(self._slots >= 0)
             slots = self._slots[grid_rows, grid_cols]
             rows[slots], cols[slots] = grid_rows, grid_cols
             for (row, col), slot in self._overflow.items():
                 rows[slot], cols[slot] = row, col
-            self._matrix[: self._size] = embed(rows, cols)
-            self._set_norms(0, self._size)
+            self._store.overwrite(slice(0, size), embed(rows, cols))
 
 
 @dataclass
@@ -688,8 +610,8 @@ class AutoFormula(FormulaPredictor):
         ``cells`` held by the cached stores now.  ``s3.candidates_scored`` /
         ``s3.candidates_reranked`` are S3's candidates since construction and
         those its tier 1 could not settle alone (rows of re-ranked slices,
-        see :func:`_closest_candidates`): a rising share means a loose bound
-        or tie-heavy sheets.  The indexes' own
+        see :func:`~repro.ann.base.closest_in_blocks`): a rising share means
+        a loose bound or tie-heavy sheets.  The indexes' own
         :meth:`~repro.ann.VectorIndex.counters` are summed over both (a
         ``fit`` builds new indexes, whose counts start again).
         """
@@ -1411,7 +1333,7 @@ class AutoFormula(FormulaPredictor):
 
         Also returns the number of candidates scored, how many of them were
         not in the store yet and how many were re-ranked
-        (:func:`_closest_candidates`).
+        (:func:`~repro.ann.base.closest_in_blocks`).
 
         The primary anchor translates the parameter by the displacement
         between the reference formula cell and the target cell (Algorithm 2
@@ -1458,7 +1380,7 @@ class AutoFormula(FormulaPredictor):
             [part.steps for part in parts]
         ).astype(np.float32)
         lengths = [part.steps.size for part in parts]
-        best, n_reranked = _closest_candidates(
+        best, n_reranked = closest_in_blocks(
             vectors, sq_norms, references, reference_sq_norms, penalties, lengths
         )
         for index, part, position in zip(found, parts, best):

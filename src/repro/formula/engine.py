@@ -75,11 +75,21 @@ from repro.formula.functions import (
     _flatten,
     _truthy,
 )
-from repro.formula.parser import parse_formula
+from repro.formula.parser import MAX_AST_HEIGHT, parse_with_height
 from repro.formula.tokenizer import FormulaSyntaxError
 from repro.obs.tracing import get_tracer
 from repro.sheet.addressing import AddressError, CellAddress, RangeAddress
 from repro.sheet.sheet import AddressLike, Sheet, _to_address
+
+#: Formula cells on one evaluation path; the next one down is ``#REF!``.
+MAX_CHAIN_CELLS = 64
+
+#: Summed tree height of the formulas on one evaluation path, each charged
+#: in full as the path enters it; a formula that takes the path past it is
+#: ``#REF!``.  It admits every chain of two-level links the chain bound does
+#: (a 128-high tree under 63 ``=SUM(A2:B3)`` links is 254): the deepest takes
+#: 764 frames below ``recalculate``, 772 in a server executor thread.
+MAX_PATH_HEIGHT = 2 * MAX_AST_HEIGHT
 
 
 class RecalcReport(NamedTuple):
@@ -118,11 +128,11 @@ class FormulaEngine:
     recompute only the affected subgraph.
     """
 
-    def __init__(self, sheet: Sheet, max_depth: int = 64) -> None:
+    def __init__(self, sheet: Sheet) -> None:
         self._sheet = sheet
-        self._max_depth = max_depth
-        #: Parsed AST per formula cell (an ErrorValue when parsing failed).
-        self._asts: Dict[CellAddress, object] = {}
+        #: Parsed AST per formula cell and its height (an ErrorValue and 0
+        #: when parsing failed).
+        self._asts: Dict[CellAddress, Tuple[object, int]] = {}
         #: Single-cell precedent -> formula cells referencing it directly.
         self._cell_dependents: Dict[CellAddress, Set[CellAddress]] = {}
         #: Formula cell -> its single-cell precedents (for edge removal).
@@ -275,8 +285,8 @@ class FormulaEngine:
         the parser's contract for caller-supplied text.
         """
         self._sync()
-        ast = parse_formula(formula)
-        return self._evaluate_node(ast, frozenset(), 0, self._eval_memo)
+        ast, height = parse_with_height(formula)
+        return self._evaluate_node(ast, frozenset(), height, self._eval_memo)
 
     def evaluate_cell(self, address: AddressLike) -> object:
         """Evaluate the cell at ``address`` (its formula, or its stored value)."""
@@ -311,8 +321,7 @@ class FormulaEngine:
         self._synced_version = self._sheet.version
 
     def _register(self, address: CellAddress) -> None:
-        ast = self._parse(self._sheet.get(address).formula or "")
-        self._asts[address] = ast
+        ast, __ = self._asts[address] = self._parse(self._sheet.get(address).formula or "")
         if isinstance(ast, ErrorValue):
             self._precedent_cells[address] = frozenset()
             return
@@ -349,13 +358,13 @@ class FormulaEngine:
         return dependents
 
     @staticmethod
-    def _parse(formula: str):
+    def _parse(formula: str) -> Tuple[object, int]:
         try:
-            return parse_formula(formula)
+            return parse_with_height(formula)
         except AddressError:
-            return REF_ERROR
+            return REF_ERROR, 0
         except FormulaSyntaxError:
-            return NAME_ERROR
+            return NAME_ERROR, 0
 
     # -------------------------------------------------------------- internals
 
@@ -363,7 +372,7 @@ class FormulaEngine:
         self,
         address: CellAddress,
         visiting: FrozenSet[CellAddress],
-        depth: int,
+        height: int,
         memo: Dict[CellAddress, object],
     ) -> object:
         cell = self._sheet.get(address)
@@ -377,15 +386,17 @@ class FormulaEngine:
             return cell.value
         if address in visiting:
             return CYCLE_ERROR
-        if depth >= self._max_depth:
+        parsed = self._asts.get(address)
+        if parsed is None:  # formula cell unknown to the graph: parse transiently
+            parsed = self._parse(cell.formula or "")
+        ast, ast_height = parsed
+        height += ast_height
+        if len(visiting) >= MAX_CHAIN_CELLS or height > MAX_PATH_HEIGHT:
             return REF_ERROR
-        ast = self._asts.get(address)
-        if ast is None:  # formula cell unknown to the graph: parse transiently
-            ast = self._parse(cell.formula or "")
         if isinstance(ast, ErrorValue):
             value: object = ast
         else:
-            value = self._evaluate_node(ast, visiting | {address}, depth + 1, memo)
+            value = self._evaluate_node(ast, visiting | {address}, height, memo)
         memo[address] = value
         return value
 
@@ -393,33 +404,33 @@ class FormulaEngine:
         self,
         node: ASTNode,
         visiting: FrozenSet[CellAddress],
-        depth: int,
+        height: int,
         memo: Dict[CellAddress, object],
     ) -> object:
         if isinstance(node, (NumberLiteral, StringLiteral, BooleanLiteral)):
             return node.value
         if isinstance(node, Grouping):
-            return self._evaluate_node(node.inner, visiting, depth, memo)
+            return self._evaluate_node(node.inner, visiting, height, memo)
         if isinstance(node, CellReference):
-            return self._cell_value(node.address, visiting, depth, memo)
+            return self._cell_value(node.address, visiting, height, memo)
         if isinstance(node, RangeReference):
             cell_range = node.range
             if cell_range.n_cols == 1 or cell_range.n_rows == 1:
                 return [
-                    self._cell_value(addr, visiting, depth, memo)
+                    self._cell_value(addr, visiting, height, memo)
                     for addr in cell_range.cells()
                 ]
             # Two-dimensional ranges evaluate to a list of rows so lookup
             # functions (VLOOKUP / INDEX / MATCH) see the table structure.
             return [
                 [
-                    self._cell_value(CellAddress(row, col), visiting, depth, memo)
+                    self._cell_value(CellAddress(row, col), visiting, height, memo)
                     for col in range(cell_range.start.col, cell_range.end.col + 1)
                 ]
                 for row in range(cell_range.start.row, cell_range.end.row + 1)
             ]
         if isinstance(node, UnaryOp):
-            operand = self._evaluate_node(node.operand, visiting, depth, memo)
+            operand = self._evaluate_node(node.operand, visiting, height, memo)
             if is_error_value(operand):
                 return operand
             number = self._as_number(operand)
@@ -433,22 +444,22 @@ class FormulaEngine:
                 return number / 100.0
             return NAME_ERROR
         if isinstance(node, BinaryOp):
-            return self._evaluate_binary(node, visiting, depth, memo)
+            return self._evaluate_binary(node, visiting, height, memo)
         if isinstance(node, FunctionCall):
-            return self._evaluate_call(node, visiting, depth, memo)
+            return self._evaluate_call(node, visiting, height, memo)
         return VALUE_ERROR
 
     def _evaluate_binary(
         self,
         node: BinaryOp,
         visiting: FrozenSet[CellAddress],
-        depth: int,
+        height: int,
         memo: Dict[CellAddress, object],
     ) -> object:
-        left = self._evaluate_node(node.left, visiting, depth, memo)
+        left = self._evaluate_node(node.left, visiting, height, memo)
         if is_error_value(left):
             return left
-        right = self._evaluate_node(node.right, visiting, depth, memo)
+        right = self._evaluate_node(node.right, visiting, height, memo)
         if is_error_value(right):
             return right
         op = node.op
@@ -488,7 +499,7 @@ class FormulaEngine:
         self,
         node: FunctionCall,
         visiting: FrozenSet[CellAddress],
-        depth: int,
+        height: int,
         memo: Dict[CellAddress, object],
     ) -> object:
         name = node.name
@@ -497,29 +508,29 @@ class FormulaEngine:
             # the untaken arm (e.g. a guarded division) cannot leak out.
             if not 1 <= len(node.args) <= 3:
                 return VALUE_ERROR
-            condition = self._evaluate_node(node.args[0], visiting, depth, memo)
+            condition = self._evaluate_node(node.args[0], visiting, height, memo)
             if is_error_value(condition):
                 return condition
             if _truthy(condition):
                 if len(node.args) >= 2:
-                    return self._evaluate_node(node.args[1], visiting, depth, memo)
+                    return self._evaluate_node(node.args[1], visiting, height, memo)
                 return True
             if len(node.args) == 3:
-                return self._evaluate_node(node.args[2], visiting, depth, memo)
+                return self._evaluate_node(node.args[2], visiting, height, memo)
             return False
         if name == "IFERROR":
             if not 1 <= len(node.args) <= 2:
                 return VALUE_ERROR
-            value = self._evaluate_node(node.args[0], visiting, depth, memo)
+            value = self._evaluate_node(node.args[0], visiting, height, memo)
             if not is_error_value(value):
                 return value
             if len(node.args) == 2:
-                return self._evaluate_node(node.args[1], visiting, depth, memo)
+                return self._evaluate_node(node.args[1], visiting, height, memo)
             return ""
         function = BUILTIN_FUNCTIONS.get(name)
         if function is None:
             return NAME_ERROR
-        args = [self._evaluate_node(arg, visiting, depth, memo) for arg in node.args]
+        args = [self._evaluate_node(arg, visiting, height, memo) for arg in node.args]
         error = first_error(_flatten(args))
         if error is not None:
             return error

@@ -9,7 +9,8 @@ whole-sheet recalculation.  The lattice is small and flat:
 ``#DIV/0!``     division by zero (also AVERAGE/STDEV/MOD-style
                 aggregations over empty numeric sets)
 ``#REF!``       a reference that cannot be resolved (unparseable
-                address text, evaluation deeper than ``max_depth``)
+                address text, an evaluation path past the engine's
+                bounds)
 ``#CYCLE!``     the cell participates in (or depends on) a circular
                 reference chain
 ``#VALUE!``     an operand or argument of the wrong type

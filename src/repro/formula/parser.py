@@ -47,10 +47,10 @@ MAX_NESTING_DEPTH = 64
 #: to a leaf.  The operator loops iterate, so nesting alone does not bound
 #: it — ``=1+1+…+1`` with n terms is n levels high — and every walker of a
 #: tree (evaluation, rendering, templates) recurses one to three frames per
-#: level.  At 128, evaluating the tallest tree as the last cell of the
-#: engine's 64-deep reference chain of ``=SUM(A2:A2)`` links takes at most
-#: 704 frames above the caller, rendering or templating it 258 — no more
-#: than parsing the deepest nest takes (711) — of Python's default 1000.
+#: level.  At 128, rendering or templating the tallest tree takes 258
+#: frames — no more than parsing the deepest nest takes (711) — of Python's
+#: default 1000; evaluation, which follows references into other formulas,
+#: bounds their summed height (``repro.formula.engine.MAX_PATH_HEIGHT``).
 #: Excel admits taller formulas (a sum of 255 terms written with ``+``);
 #: those are syntax errors here, and ``#NAME?`` in a cell.
 MAX_AST_HEIGHT = 128
@@ -111,14 +111,14 @@ class _Parser:
 
     # ---------------------------------------------------------------- grammar
 
-    def parse(self) -> ASTNode:
-        node, __ = self._expression()
+    def parse(self) -> _Parsed:
+        parsed = self._expression()
         token = self._token
         if token.type is not TokenType.EOF:
             raise FormulaSyntaxError(
                 f"unexpected trailing token {token.text!r} in {self._source!r}"
             )
-        return node
+        return parsed
 
     def _nested(self, rule) -> _Parsed:
         """Apply a recursive grammar rule one nesting level down."""
@@ -231,6 +231,12 @@ def parse_formula(formula: str) -> ASTNode:
     S3) parses them again.  An error is raised again on every call and
     never cached.
     """
+    return parse_with_height(formula)[0]
+
+
+def parse_with_height(formula: str) -> _Parsed:
+    """:func:`parse_formula`, and the tree's height (nodes on its longest
+    root-to-leaf path), which the parser counts anyway."""
     if len(formula) <= _MAX_PINNED_LENGTH:
         return _parsed(formula)
     return _parsed.__wrapped__(formula)
@@ -239,5 +245,5 @@ def parse_formula(formula: str) -> ASTNode:
 # 4096 entries: one set-up of a benchmark workload parses 857-1067 distinct
 # formulas.
 @memoized("parsed_formulas", max_entries=4096)
-def _parsed(formula: str) -> ASTNode:
+def _parsed(formula: str) -> _Parsed:
     return _Parser(formula).parse()

@@ -283,7 +283,9 @@ class Workspace:
 
         Raises ``KeyError`` if the workbook is not indexed or has no sheet
         called ``sheet_name``, and ``ValueError`` unless exactly one of
-        ``value`` / ``formula`` is provided.
+        ``value`` / ``formula`` is provided.  An edit whose write or
+        recalculation raises leaves the workspace as it was, its sheet's
+        version aside, and re-raises.
         """
         require_one_edit_operand(value, formula)
         with get_tracer().span(
@@ -296,11 +298,21 @@ class Workspace:
                 raise KeyError(workbook_name)
             sheet = self._workbooks[workbook_name].get_sheet(sheet_name)
             engine = sheet_engine(self._engines, workbook_name, sheet)
-            if formula is not None:
-                engine.set_formula(address, formula)
-            else:
-                engine.set_value(address, value)
-            report = engine.recalculate()
+            old = sheet.get(address) if address in sheet else None
+            extent = (sheet.n_rows, sheet.n_cols)
+            try:
+                if formula is not None:
+                    engine.set_formula(address, formula)
+                else:
+                    engine.set_value(address, value)
+                report = engine.recalculate()
+            except BaseException:
+                # All or nothing: the sheet goes back to what the index and
+                # the log know, and the engine, whose graph saw the edit, goes.
+                sheet.restore_cell(address, old, extent)
+                _add_counts(self._dropped_engine_counts, engine.counters())
+                del self._engines[(workbook_name, sheet.name)]
+                raise
             if self._incremental and self._fitted:
                 try:
                     self._reindex_sheet(sheet)

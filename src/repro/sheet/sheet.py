@@ -109,6 +109,18 @@ class Sheet:
         if changed:
             self._version += 1
 
+    def restore_cell(
+        self, address: AddressLike, cell: Optional[Cell], extent: Tuple[int, int]
+    ) -> None:
+        """Put back what an edit found: the cell at ``address`` (``None``: no
+        cell) and the extent ``(n_rows, n_cols)``.  The version moves on."""
+        addr = _to_address(address)
+        self._cells.pop(addr, None)
+        if cell is not None:
+            self._cells[addr] = cell
+        self._n_rows, self._n_cols = extent
+        self._version += 1
+
     def delete(self, address: AddressLike) -> None:
         """Remove the cell at ``address`` if present (extent is not shrunk)."""
         if self._cells.pop(_to_address(address), None) is not None:

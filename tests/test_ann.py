@@ -12,6 +12,25 @@ def _random_vectors(n: int, dim: int, seed: int = 0) -> np.ndarray:
     return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
 
 
+def _filled(index, n: int, seed: int = 0):
+    """``index`` holding ``n`` random unit vectors keyed ``0 .. n-1``, and them."""
+    vectors = _random_vectors(n, index.dimension, seed)
+    index.add_batch(list(range(n)), vectors)
+    return index, vectors
+
+
+def _recall_at_5(approximate_index, vectors: np.ndarray, n_queries: int) -> float:
+    exact = ExactIndex(vectors.shape[1])
+    exact.add_batch(list(range(len(vectors))), vectors)
+    approximate_index.add_batch(list(range(len(vectors))), vectors)
+    hits = 0
+    for query in vectors[:n_queries]:
+        truth = {hit.key for hit in exact.search(query, k=5)}
+        approx = {hit.key for hit in approximate_index.search(query, k=5)}
+        hits += len(truth & approx)
+    return hits / (n_queries * 5)
+
+
 @pytest.fixture(params=["exact", "lsh", "ivf"])
 def index_factory(request):
     kind = request.param
@@ -29,25 +48,19 @@ class TestIndexContract:
         assert index.search(np.zeros(8, dtype=np.float32), k=3) == []
 
     def test_self_query_returns_self(self, index_factory):
-        index = index_factory(16)
-        vectors = _random_vectors(50, 16)
-        index.add_batch(list(range(50)), vectors)
+        index, vectors = _filled(index_factory(16), 50)
         for position in [0, 10, 49]:
             hits = index.search(vectors[position], k=1)
             assert hits[0].key == position
             assert hits[0].distance == pytest.approx(0.0, abs=1e-5)
 
     def test_k_limits_results(self, index_factory):
-        index = index_factory(8)
-        vectors = _random_vectors(20, 8)
-        index.add_batch(list(range(20)), vectors)
+        index, vectors = _filled(index_factory(8), 20)
         assert len(index.search(vectors[0], k=5)) == 5
         assert len(index.search(vectors[0], k=100)) <= 20
 
     def test_results_sorted_by_distance(self, index_factory):
-        index = index_factory(8)
-        vectors = _random_vectors(30, 8)
-        index.add_batch(list(range(30)), vectors)
+        index, vectors = _filled(index_factory(8), 30)
         hits = index.search(vectors[3], k=10)
         distances = [hit.distance for hit in hits]
         assert distances == sorted(distances)
@@ -82,24 +95,13 @@ class TestApproximateRecall:
         vectors = centroids[assignment] + 0.15 * rng.standard_normal((n, dim)).astype(np.float32)
         return (vectors / np.linalg.norm(vectors, axis=1, keepdims=True)).astype(np.float32)
 
-    def _recall_at_5(self, approximate_index, vectors: np.ndarray, n_queries: int = 30) -> float:
-        exact = ExactIndex(vectors.shape[1])
-        exact.add_batch(list(range(len(vectors))), vectors)
-        approximate_index.add_batch(list(range(len(vectors))), vectors)
-        hits = 0
-        for query in vectors[:n_queries]:
-            truth = {hit.key for hit in exact.search(query, k=5)}
-            approx = {hit.key for hit in approximate_index.search(query, k=5)}
-            hits += len(truth & approx)
-        return hits / (n_queries * 5)
-
     def test_lsh_recall_against_exact(self):
         vectors = self._clustered_vectors(400, 32)
-        assert self._recall_at_5(LSHIndex(32, n_tables=12, n_bits=8, seed=0), vectors) > 0.6
+        assert _recall_at_5(LSHIndex(32, n_tables=12, n_bits=8, seed=0), vectors, 30) > 0.6
 
     def test_ivf_recall_against_exact(self):
         vectors = self._clustered_vectors(400, 32)
-        assert self._recall_at_5(IVFIndex(32, n_clusters=16, n_probe=4, seed=0), vectors) > 0.6
+        assert _recall_at_5(IVFIndex(32, n_clusters=16, n_probe=4, seed=0), vectors, 30) > 0.6
 
     def test_small_indexes_fall_back_to_exact(self):
         dim = 16
@@ -111,9 +113,7 @@ class TestApproximateRecall:
 
     def test_ivf_rebuilds_after_additions(self):
         dim = 8
-        index = IVFIndex(dim, n_clusters=4, n_probe=2)
-        first = _random_vectors(40, dim, seed=3)
-        index.add_batch(list(range(40)), first)
+        index, first = _filled(IVFIndex(dim, n_clusters=4, n_probe=2), 40, seed=3)
         index.search(first[0], k=1)  # trains the index
         extra = _random_vectors(10, dim, seed=4)
         index.add_batch(list(range(40, 50)), extra)
@@ -125,24 +125,13 @@ class TestRandomCorpusRecall:
     """Recall-vs-exact parity on *uniform random* corpora (no cluster
     structure to help the coarse quantizer or the hash tables)."""
 
-    def _recall_at_5(self, approximate_index, vectors: np.ndarray, n_queries: int = 40) -> float:
-        exact = ExactIndex(vectors.shape[1])
-        exact.add_batch(list(range(len(vectors))), vectors)
-        approximate_index.add_batch(list(range(len(vectors))), vectors)
-        hits = 0
-        for query in vectors[:n_queries]:
-            truth = {hit.key for hit in exact.search(query, k=5)}
-            approx = {hit.key for hit in approximate_index.search(query, k=5)}
-            hits += len(truth & approx)
-        return hits / (n_queries * 5)
-
     def test_lsh_recall_on_random_corpus(self):
         vectors = _random_vectors(300, 24, seed=11)
-        assert self._recall_at_5(LSHIndex(24, n_tables=12, n_bits=6, seed=1), vectors) > 0.5
+        assert _recall_at_5(LSHIndex(24, n_tables=12, n_bits=6, seed=1), vectors, 40) > 0.5
 
     def test_ivf_recall_on_random_corpus(self):
         vectors = _random_vectors(300, 24, seed=11)
-        assert self._recall_at_5(IVFIndex(24, n_clusters=12, n_probe=5, seed=1), vectors) > 0.6
+        assert _recall_at_5(IVFIndex(24, n_clusters=12, n_probe=5, seed=1), vectors, 40) > 0.6
 
 
 class TestExactScanFallback:
@@ -152,27 +141,21 @@ class TestExactScanFallback:
     @pytest.mark.parametrize("kind", ["lsh", "ivf"])
     def test_k_larger_than_candidate_pool_matches_exact(self, kind):
         dim = 16
-        vectors = _random_vectors(30, dim, seed=2)
-        exact = ExactIndex(dim)
-        exact.add_batch(list(range(30)), vectors)
-        index = create_index(kind, dim)
-        index.add_batch(list(range(30)), vectors)
+        exact, vectors = _filled(ExactIndex(dim), 30, seed=2)
+        index, __ = _filled(create_index(kind, dim), 30, seed=2)
         for query in vectors[:5]:
             truth = [hit.key for hit in exact.search(query, k=25)]
             approx = [hit.key for hit in index.search(query, k=25)]
             assert approx == truth
 
     def test_ivf_below_training_threshold_is_exact(self):
-        dim = 8
-        index = IVFIndex(dim, n_clusters=8, n_probe=1)
-        vectors = _random_vectors(10, dim, seed=5)  # < 2 * n_clusters
-        index.add_batch(list(range(10)), vectors)
-        exact = ExactIndex(dim)
-        exact.add_batch(list(range(10)), vectors)
-        for query in vectors:
-            assert [h.key for h in index.search(query, k=3)] == [
-                h.key for h in exact.search(query, k=3)
-            ]
+        vectors = _random_vectors(10, 8, seed=5)  # < 2 * n_clusters
+        index, exact = IVFIndex(8, n_clusters=8, n_probe=1), ExactIndex(8)
+        for built in (index, exact):
+            built.add_batch(list(range(10)), vectors)
+        assert index.search_batch(vectors, k=3) == exact.search_batch(vectors, k=3)
+        assert index.counters()["index.exact_fallback_rows"] == 10  # every probe gave up
+        assert exact.counters()["index.exact_fallback_rows"] == 0
 
 
 class TestLSHDeterminism:
@@ -201,9 +184,7 @@ class TestLSHDeterminism:
         assert tied == sorted(tied)
 
     def test_candidate_positions_sorted(self):
-        index = LSHIndex(8, n_tables=4, n_bits=2, seed=0)
-        vectors = _random_vectors(60, 8, seed=9)
-        index.add_batch(list(range(60)), vectors)
+        index, vectors = _filled(LSHIndex(8, n_tables=4, n_bits=2, seed=0), 60, seed=9)
         candidates = index._candidates(vectors[0], k=1)
         if candidates is not None:
             assert np.all(np.diff(candidates) > 0)
@@ -212,9 +193,7 @@ class TestLSHDeterminism:
 class TestIVFIncrementalAdd:
     def test_adds_assign_to_existing_centroids_without_retraining(self):
         dim = 8
-        index = IVFIndex(dim, n_clusters=4, n_probe=2)
-        first = _random_vectors(40, dim, seed=3)
-        index.add_batch(list(range(40)), first)
+        index, first = _filled(IVFIndex(dim, n_clusters=4, n_probe=2), 40, seed=3)
         index.search(first[0], k=1)  # trains the quantizer
         trained_size = index._trained_size
         centroids = index._centroids.copy()
@@ -229,9 +208,7 @@ class TestIVFIncrementalAdd:
 
     def test_retrains_after_doubling(self):
         dim = 8
-        index = IVFIndex(dim, n_clusters=4, n_probe=2, retrain_growth_factor=2.0)
-        first = _random_vectors(40, dim, seed=3)
-        index.add_batch(list(range(40)), first)
+        index, first = _filled(IVFIndex(dim, n_clusters=4, n_probe=2, retrain_growth_factor=2.0), 40, seed=3)
         index.search(first[0], k=1)
         extra = _random_vectors(40, dim, seed=4)
         index.add_batch(list(range(40, 80)), extra)
@@ -252,9 +229,7 @@ class TestIVFIncrementalAdd:
 class TestBatchedSearch:
     @pytest.fixture(params=["exact", "lsh", "ivf"])
     def filled_index(self, request):
-        vectors = _random_vectors(80, 16, seed=8)
-        index = create_index(request.param, 16)
-        index.add_batch(list(range(80)), vectors)
+        index, vectors = _filled(create_index(request.param, 16), 80, seed=8)
         return index, vectors
 
     def test_search_batch_matches_sequential_search(self, filled_index):
@@ -269,9 +244,7 @@ class TestBatchedSearch:
         assert index.search_batch(np.zeros((3, 4), dtype=np.float32), k=2) == [[], [], []]
 
     def test_positions_restrict_the_candidate_pool(self):
-        vectors = _random_vectors(50, 8, seed=10)
-        index = ExactIndex(8)
-        index.add_batch(list(range(50)), vectors)
+        index, vectors = _filled(ExactIndex(8), 50, seed=10)
         pool = np.array([3, 7, 11, 19], dtype=np.int64)
         hits = index.search_batch(vectors[:5], k=2, positions=pool)
         for per_query in hits:
@@ -312,9 +285,7 @@ class TestRemoveBatch:
         return request.param
 
     def test_removed_vectors_never_returned(self, kind):
-        vectors = _random_vectors(40, 16, seed=0)
-        index = create_index(kind, 16)
-        index.add_batch(list(range(40)), vectors)
+        index, vectors = _filled(create_index(kind, 16), 40, seed=0)
         index.search(vectors[0], k=1)  # trains IVF, if applicable
         index.remove_batch([3, 7])
         assert len(index) == 38
@@ -326,9 +297,7 @@ class TestRemoveBatch:
     def test_matches_fresh_index_over_survivors(self, kind):
         """After removal (and the IVF retrain it forces), results must be
         identical to an index freshly built from the surviving vectors."""
-        vectors = _random_vectors(60, 16, seed=1)
-        index = create_index(kind, 16)
-        index.add_batch(list(range(60)), vectors)
+        index, vectors = _filled(create_index(kind, 16), 60, seed=1)
         index.search(vectors[0], k=1)
         index.remove_batch(list(range(0, 60, 2)))  # evens out, 50% (no compaction)
         assert index.n_tombstones == 30
@@ -343,9 +312,7 @@ class TestRemoveBatch:
             assert got == expected
 
     def test_compaction_returns_remap(self, kind):
-        vectors = _random_vectors(30, 8, seed=2)
-        index = create_index(kind, 8)
-        index.add_batch(list(range(30)), vectors)
+        index, vectors = _filled(create_index(kind, 8), 30, seed=2)
         removed = list(range(20))
         remap = index.remove_batch(removed)  # 20/30 > 0.5 -> compaction
         assert remap is not None
@@ -373,9 +340,7 @@ class TestRemoveBatch:
             assert index.search(vectors[position], k=1)[0].key == position
 
     def test_positions_pool_excludes_tombstones(self, kind):
-        vectors = _random_vectors(20, 8, seed=4)
-        index = create_index(kind, 8)
-        index.add_batch(list(range(20)), vectors)
+        index, vectors = _filled(create_index(kind, 8), 20, seed=4)
         index.remove_batch([5])
         hits = index.search_batch(
             vectors[5:6], k=3, positions=np.array([4, 5, 6], dtype=np.int64)
@@ -383,9 +348,7 @@ class TestRemoveBatch:
         assert {hit.key for hit in hits[0]} == {4, 6}
 
     def test_invalid_removals_rejected(self, kind):
-        vectors = _random_vectors(10, 8, seed=5)
-        index = create_index(kind, 8)
-        index.add_batch(list(range(10)), vectors)
+        index, vectors = _filled(create_index(kind, 8), 10, seed=5)
         with pytest.raises(IndexError):
             index.remove_batch([10])
         with pytest.raises(ValueError):
@@ -396,18 +359,14 @@ class TestRemoveBatch:
         assert index.remove_batch([]) is None
 
     def test_remove_everything(self, kind):
-        vectors = _random_vectors(10, 8, seed=6)
-        index = create_index(kind, 8)
-        index.add_batch(list(range(10)), vectors)
+        index, vectors = _filled(create_index(kind, 8), 10, seed=6)
         index.remove_batch(list(range(10)))
         assert len(index) == 0
         assert index.search(vectors[0], k=3) == []
 
     def test_ivf_retrains_on_surviving_corpus_after_removal(self):
         dim = 8
-        index = IVFIndex(dim, n_clusters=4, n_probe=2)
-        vectors = _random_vectors(40, dim, seed=7)
-        index.add_batch(list(range(40)), vectors)
+        index, vectors = _filled(IVFIndex(dim, n_clusters=4, n_probe=2), 40, seed=7)
         index.search(vectors[0], k=1)  # train
         assert index._centroids is not None
         index.remove_batch([0])
@@ -465,9 +424,7 @@ class TestUpdateBatch:
         assert index.search(old[7], k=1)[0].distance > 1e-3
 
     def test_invalid_updates_rejected(self, kind):
-        vectors = _random_vectors(10, 8, seed=5)
-        index = create_index(kind, 8)
-        index.add_batch(list(range(10)), vectors)
+        index, vectors = _filled(create_index(kind, 8), 10, seed=5)
         with pytest.raises(IndexError):
             index.update_batch([10], vectors[:1])
         with pytest.raises(IndexError):
@@ -486,9 +443,7 @@ class TestUpdateBatch:
         assert np.array_equal(index.vectors, vectors)
 
     def test_update_on_memory_mapped_store_leaves_the_files_alone(self, kind, tmp_path):
-        vectors = _random_vectors(40, 8, seed=6)
-        source = create_index(kind, 8)
-        source.add_batch(list(range(40)), vectors)
+        source, vectors = _filled(create_index(kind, 8), 40, seed=6)
         for name, block in source.store_state().items():
             np.save(tmp_path / f"{name}.npy", block)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
@@ -509,9 +464,7 @@ class TestUpdateBatch:
         assert self._hits(restored, vectors[:6]) == self._hits(source, vectors[:6])
 
     def test_ivf_retrains_after_an_update(self):
-        index = IVFIndex(8, n_clusters=4, n_probe=2)
-        vectors = _random_vectors(40, 8, seed=7)
-        index.add_batch(list(range(40)), vectors)
+        index, vectors = _filled(IVFIndex(8, n_clusters=4, n_probe=2), 40, seed=7)
         index.search(vectors[0], k=1)
         assert index._centroids is not None
         index.update_batch([0], vectors[1:2])

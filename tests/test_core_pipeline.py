@@ -2,17 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.ann.base import tier1_margin
-from repro.core import AutoFormula, AutoFormulaConfig, pipeline
-from repro.core.pipeline import _closest_candidates, _parameter_candidates, _RegionStore
+from repro.ann import base
+from repro.core import AutoFormula, AutoFormulaConfig
+from repro.core.pipeline import _parameter_candidates, _RegionStore
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
 from repro.formula.template import extract_template
 from repro.sheet import CellAddress, Sheet, Workbook
-from repro.testing.reference import ReferenceAutoFormula, candidates, closest
+from repro.testing.reference import ReferenceAutoFormula, candidates
 from repro.testing.workload import tie_heavy_sheet
 
 
@@ -541,21 +539,6 @@ class TestRegrounding:
         assert second["n_region_misses"] == 0 and warm["cells"] == cold["cells"]
 
 
-@st.composite
-def scorer_cases(draw):
-    """Candidate blocks built to tie: duplicated rows, a constant or zero
-    (all-padding) vector, ULP-scale noise, references that are candidates."""
-    return dict(
-        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
-        d=draw(st.sampled_from((3, 16, 64, 320))),
-        lengths=draw(st.lists(st.integers(min_value=1, max_value=90), min_size=1, max_size=4)),
-        n_distinct=draw(st.integers(min_value=1, max_value=6)),
-        noise=draw(st.sampled_from((0.0, 1e-7, 1e-3))),
-        normalized=draw(st.booleans()),
-        penalty=draw(st.sampled_from((0.0, 0.01, 1.0))),
-    )
-
-
 class TestSlicedRegrounding:
     """S3's tier 1 selects, the sequential expression decides: the chosen
     cell is the reference's one-row-at-a-time scan's, whatever BLAS does to
@@ -575,38 +558,6 @@ class TestSlicedRegrounding:
             assert np.sum(x[rows], axis=1).tobytes() == full[rows].tobytes()
         for row in range(0, 300, 7):
             assert np.sum(x[row : row + 1], axis=1).tobytes() == full[row : row + 1].tobytes()
-
-    @settings(max_examples=150, deadline=None)
-    @given(case=scorer_cases())
-    def test_scorer_equals_the_sequential_scan(self, case):
-        rng = np.random.default_rng(case["seed"])
-        lengths, d = case["lengths"], case["d"]
-        n = sum(lengths)
-        base = rng.standard_normal((case["n_distinct"], d)).astype(np.float32)
-        base[0] = 0.0  # an all-padding region
-        if case["n_distinct"] > 1:
-            base[1] = 1.0  # a constant one
-        vectors = base[rng.integers(0, len(base), size=n)]
-        vectors = vectors + (rng.standard_normal((n, d)) * case["noise"]).astype(np.float32)
-        if case["normalized"]:
-            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True) + np.float32(1e-8)
-        vectors = vectors.astype(np.float32)
-        references = np.concatenate([
-            vectors[rng.integers(0, n, size=len(lengths))][: len(lengths) // 2 + 1],
-            base[rng.integers(0, len(base), size=len(lengths))],
-        ])[: len(lengths)]
-        penalties = case["penalty"] * rng.integers(0, 12, size=n).astype(np.float32)
-        sq_norms = np.einsum("ij,ij->i", vectors, vectors)
-        reference_sq_norms = np.einsum("ij,ij->i", references, references)
-        best, n_reranked = _closest_candidates(
-            vectors.copy(), sq_norms, references, reference_sq_norms, penalties, lengths
-        )
-        starts = np.cumsum([0] + lengths)
-        assert best == [
-            closest(vectors[start:stop], reference, penalties[start:stop])
-            for reference, start, stop in zip(references, starts, starts[1:])
-        ]
-        assert 0 <= n_reranked <= n
 
     def test_ties_are_reranked_and_counted(self, tracer, trained_encoder, rng):
         """A row copied down the sheet embeds to equal vectors away from the
@@ -665,13 +616,13 @@ class TestSlicedRegrounding:
 
         # Re-embed at twice the length: every ||r||^2 moves by 4x.
         store.refresh(lambda rows, cols: 2.0 * system._region_vectors_at(reference, rows, cols))
-        seen = []
+        seen, margin = [], base._tier1_margin
 
         def spy(dimension, qq, sq_norms):
             seen.append(qq.copy())
-            return tier1_margin(dimension, qq, sq_norms)
+            return margin(dimension, qq, sq_norms)
 
-        monkeypatch.setattr(pipeline, "tier1_margin", spy)
+        monkeypatch.setattr(base, "_tier1_margin", spy)
         system.adapt_batch(target, items[:1])
         assert seen and seen[0].tobytes() == store.rows(plan.slots)[1].tobytes()
         assert np.allclose(seen[0], 4.0 * norms)

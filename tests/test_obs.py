@@ -566,6 +566,7 @@ class TestServerObservability:
         with start_server_in_background(service) as handle:
             client = FormulaClient(handle.host, handle.port)
             untouched = {  # no search has run, and none runs below
+                'index_exact_fallback_rows{workspace="pge"}': 0.0,
                 'index_rows_gathered{workspace="pge"}': 0.0,
                 'index_rows_scored_in_place{workspace="pge"}': 0.0,
             }

@@ -483,7 +483,7 @@ class TestSnapshotFormat:
         directory = tmp_path / "snap"
         workspace.save(directory)
         restored = Workspace.load(directory, AutoFormula(trained_encoder, config))
-        matrix = restored.predictor.sheet_index._matrix
+        matrix = restored.predictor.sheet_index._store.rows
         assert isinstance(matrix, np.memmap)
         assert not matrix.flags.writeable
         # Serving works off the map; mutation reallocates and still works.
@@ -496,7 +496,7 @@ class TestSnapshotFormat:
         eager = Workspace.load(
             directory, AutoFormula(trained_encoder, config), mmap=False
         )
-        assert not isinstance(eager.predictor.sheet_index._matrix, np.memmap)
+        assert not isinstance(eager.predictor.sheet_index._store.rows, np.memmap)
 
 
     def test_restored_keys_and_positions_are_python_ints(self, trained_encoder, tmp_path):

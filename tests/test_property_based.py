@@ -273,7 +273,7 @@ class TestParseMemo:
         tree = parse_formula(formula)
         if len(formula) <= parser._MAX_PINNED_LENGTH:
             assert parse_formula(formula) is tree
-        fresh = parser._parsed.__wrapped__(formula)
+        fresh, __ = parser._parsed.__wrapped__(formula)
         assert fresh is not tree
         for node, twin in zip(walk(tree), walk(fresh), strict=True):
             assert type(node) is type(twin) and node == twin

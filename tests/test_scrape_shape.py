@@ -89,6 +89,7 @@ METRIC_FAMILIES = {
     "cache_hit": ("gauge", ("cache",)),
     "cache_miss": ("gauge", ("cache",)),
     "cache_size": ("gauge", ("cache",)),
+    "index_exact_fallback_rows": ("gauge", ("workspace",)),
     "index_rows_gathered": ("gauge", ("workspace",)),
     "index_rows_scored_in_place": ("gauge", ("workspace",)),
     "persistence_log_torn_tail_total": ("gauge", ("workspace",)),

@@ -264,6 +264,11 @@ class TestProtocolBasics:
             assert time.process_time() - started < 0.010
             assert result["recalc"]["errored"] == 1
             assert edited.get("A6").value == "#NAME?"
+            for row in range(1, 7):  # and a chain of 120-term formulas, top-down
+                started = time.process_time()
+                client.edit_cell("acme", "wb1", "Data", f"C{row}", formula=f"=C{row + 1}" + "+1" * 119)
+                assert time.process_time() - started < 0.010
+            assert edited.get("C1").value == "#REF!"
             assert client.stats()["counters"].get("server_errors", 0) == 0
 
     def test_metrics_read_first_has_the_workspace_gauges(self):

@@ -17,6 +17,7 @@ from repro import (
 from repro.baselines import WeakSupervisionBaseline
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
+from repro.formula.engine import FormulaEngine
 from repro.sheet import CellAddress
 from repro.testing import (
     assert_matches_fresh_fit,
@@ -451,6 +452,23 @@ class TestEditCell:
         report = workspace.edit_cell(self.WORKBOOK, self.SHEET, "B20", formula=tall)
         assert time.thread_time() - started < 0.010
         assert report.errored >= 1 and sheet.get("B20").value == "#NAME?"  # and its dependents
+        self._assert_parity(workspace, trained_encoder, cases, tmp_path)
+
+    def test_an_edit_that_raises_leaves_the_workspace_as_it_was(
+        self, trained_encoder, workload, tmp_path, monkeypatch
+    ):
+        reference_workbooks, cases = workload
+        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
+        sheet = workspace.workbooks()[3].get_sheet(self.SHEET)
+        workspace.edit_cell(self.WORKBOOK, self.SHEET, "B21", value=1.0)  # builds the engine
+        before, version = sheet.copy(), sheet.version
+        monkeypatch.setattr(FormulaEngine, "recalculate", lambda engine: 1 / 0)
+        for cell, edit in (("B20", {"formula": "=B19*2"}), ("Z200", {"value": 3.5})):
+            with pytest.raises(ZeroDivisionError):
+                workspace.edit_cell(self.WORKBOOK, self.SHEET, cell, **edit)
+        monkeypatch.undo()
+        assert list(sheet.cells()) == list(before.cells()) and sheet.version > version
+        assert (sheet.n_rows, sheet.n_cols) == (before.n_rows, before.n_cols)
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
     def test_value_written_over_a_formula_cell(self, trained_encoder, workload, tmp_path):
