@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from repro.ann import VectorIndex, create_index
+from repro.ann import VectorIndex
 from repro.baselines import MondrianBaseline, MondrianConfig
 from repro.core import AutoFormula, AutoFormulaConfig
 from repro.corpus import CorpusGenerator, CorpusSpec, build_enterprise_corpus, split_corpus
@@ -170,12 +170,12 @@ def _synthetic_points():
     of short vectors, S2 a pool of long region vectors."""
     rng = np.random.default_rng(0)
     for pool in (250, 500, 1000, 2000, 8000, 20000, 100000):
-        index = create_index("exact", 64)
+        index = VectorIndex(64)
         index.add_batch(list(range(pool)), _unit_rows(rng, pool, 64))
         for n_queries in SWEEP_QUERY_COUNTS:
             if pool * n_queries <= 400_000:  # the plain scorer takes ~0.1 us per pair
                 yield "S1 shape: full store, D=64, k=3", index, _unit_rows(rng, n_queries, 64), 3, None
-    index = create_index("exact", 1280)
+    index = VectorIndex(1280)
     index.add_batch(list(range(4096)), _unit_rows(rng, 4096, 1280))
     for pool in (64, 128, 256, 512, 2048):
         # Scattered rows are gathered; three sheets' worth of consecutive

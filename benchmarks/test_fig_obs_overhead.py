@@ -31,9 +31,12 @@ from repro.corpus import sample_test_cases, split_corpus
 from repro.obs import get_tracer
 from repro.service import FormulaService, RecommendationRequest, Workspace
 
-#: Interleaved measurement rounds per tracer mode (drift cancels out).
-N_ROUNDS = 4
-#: Requests measured per mode per round.
+#: Passes over the request pool.  The tracer mode changes request by
+#: request and rotates between passes, so every third pass runs each
+#: request once in each mode, and a slow spell of the machine lands on all
+#: three modes alike rather than on one mode's block of requests.
+N_ROUNDS = 24
+#: Requests in the pool (at most; the PGE split yields 15).
 N_REQUESTS = 24
 #: Iterations of the disabled-span microbenchmark.
 N_NOOP_CALLS = 200_000
@@ -72,13 +75,13 @@ def test_fig_obs_overhead(encoder, corpora, report_writer):
     try:
         for request in requests:  # warm the lazy fit outside the clock
             workspace.recommend(request)
-        for __ in range(N_ROUNDS):
-            for mode, settings in MODES:
+        for round_index in range(N_ROUNDS):
+            for position, request in enumerate(requests):
+                mode, settings = MODES[(position + round_index) % len(MODES)]
                 tracer.configure(slow_threshold_s=0.0, **settings)
-                for request in requests:
-                    begin = time.perf_counter()
-                    workspace.recommend(request)
-                    latencies[mode].append(time.perf_counter() - begin)
+                begin = time.perf_counter()
+                workspace.recommend(request)
+                latencies[mode].append(time.perf_counter() - begin)
 
         # Per-call price of an instrumented site while tracing is off.
         tracer.configure(enabled=False)
@@ -104,8 +107,8 @@ def test_fig_obs_overhead(encoder, corpora, report_writer):
 
     lines = [
         "Observability overhead: traced vs untraced serving p50",
-        f"({len(requests)} distinct requests x {N_ROUNDS} interleaved rounds "
-        "per mode, PGE workspace, every request cold)",
+        f"({len(requests)} distinct requests x {N_ROUNDS} passes, the tracer mode "
+        "switched request by request; PGE workspace, every request cold)",
         "",
         f"{'tracer mode':>12} {'p50 ms':>9} {'vs disabled':>12}",
     ]

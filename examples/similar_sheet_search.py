@@ -20,7 +20,7 @@ from repro import (
     generate_training_pairs,
     train_models,
 )
-from repro.ann import ExactIndex
+from repro.ann import VectorIndex
 from repro.sheet import CellAddress
 
 
@@ -34,7 +34,7 @@ def main() -> None:
     print("Embedding and indexing the TI corpus at sheet level ...")
     corpus = build_enterprise_corpus("TI")
     sheets = [(workbook.name, sheet) for workbook in corpus.workbooks for sheet in workbook]
-    index = ExactIndex(encoder.coarse_dimension)
+    index = VectorIndex(encoder.coarse_dimension)
     for position, (__, sheet) in enumerate(sheets):
         index.add(position, encoder.embed_sheet(sheet))
 

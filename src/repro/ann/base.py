@@ -37,7 +37,6 @@ the distances nor the order of the pool's columns depend on the split.
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -266,8 +265,8 @@ class SearchResult:
     distance: float
 
 
-class VectorIndex(abc.ABC):
-    """Maps user-provided keys to vectors and answers k-NN queries.
+class VectorIndex:
+    """Maps user-provided keys to vectors and answers exact k-NN queries.
 
     Distances are squared Euclidean; since all embeddings produced by the
     representation models are L2-normalized, the ranking is equivalent to a
@@ -321,7 +320,6 @@ class VectorIndex(abc.ABC):
         #: concurrently under the workspace's read lock, hence instruments.
         self._fallback_rows = Counter()
         self._overflows = Counter()
-        self._exact_fallback_rows = Counter()
         #: Where shared pools lay (see :meth:`counters`).
         self._rows_in_place = Counter()
         self._rows_gathered = Counter()
@@ -359,7 +357,7 @@ class VectorIndex(abc.ABC):
         self.add_batch([key], np.asarray(vector, dtype=np.float32).reshape(1, -1))
 
     def add_batch(self, keys: Sequence[Hashable], vectors: np.ndarray) -> None:
-        """Add many vectors at once (one append plus one subclass hook)."""
+        """Add many vectors at once (one append to the row store)."""
         keys = list(keys)
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim == 1:
@@ -375,22 +373,21 @@ class VectorIndex(abc.ABC):
             raise ValueError(f"{len(keys)} keys for {vectors.shape[0]} vectors")
         if not keys:
             return
-        start = self._store.append(vectors)
+        self._store.append(vectors)
         self._alive = np.concatenate((self._alive, np.ones(len(keys), dtype=bool)))
         self._keys.extend(keys)
         self._live_scan = None
-        self._on_add_batch(start, self._store.rows[start:])
 
     def remove_batch(self, positions: Sequence[int]) -> Optional[np.ndarray]:
         """Tombstone the vectors stored at ``positions``.
 
         Tombstoned positions are excluded from every search path (full
-        scans, subclass candidate pools, and caller-provided ``positions``
-        pools).  Once the dead fraction of the store exceeds
-        ``compaction_fraction`` the store is compacted: live vectors are
-        renumbered contiguously and an ``int64`` remap array is returned
-        with ``remap[old_position] == new_position`` (``-1`` for removed
-        positions) so callers can rewrite any position pools they hold.
+        scans and caller-provided ``positions`` pools).  Once the dead
+        fraction of the store exceeds ``compaction_fraction`` the store is
+        compacted: live vectors are renumbered contiguously and an
+        ``int64`` remap array is returned with ``remap[old_position] ==
+        new_position`` (``-1`` for removed positions) so callers can
+        rewrite any position pools they hold.
         Returns ``None`` when no compaction took place.
         """
         positions = self._checked_live_positions(positions, "remove_batch")
@@ -399,7 +396,6 @@ class VectorIndex(abc.ABC):
         self._alive[positions] = False
         self._n_dead += positions.size
         self._live_scan = None
-        self._on_remove_batch(positions)
         if self._n_dead > self.compaction_fraction * len(self._store):
             return self._compact()
         return None
@@ -410,11 +406,9 @@ class VectorIndex(abc.ABC):
         Keys, positions and liveness stay as they are, so nothing is
         tombstoned and every position pool a caller holds remains valid.
         Dead, duplicate and out-of-range positions are rejected as
-        :meth:`remove_batch` rejects them.  Position-keyed derived
-        structures go through the ``_rebuild`` hook, so the index then
-        answers like a fresh one over the same live vectors: a no-op for
-        the exact index, a lazy quantizer retrain for IVF (what a removal
-        already costs), a re-hash of the whole store for LSH.
+        :meth:`remove_batch` rejects them.  The index then answers like a
+        fresh one over the same live vectors: a search reads nothing but
+        the row store.
         """
         positions = self._checked_live_positions(positions, "update_batch")
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -426,7 +420,6 @@ class VectorIndex(abc.ABC):
         if positions.size == 0:
             return
         self._store.overwrite(positions, vectors)
-        self._rebuild()
 
     def search(self, query: np.ndarray, k: int = 1) -> List[SearchResult]:
         """Return (up to) the ``k`` nearest stored vectors to ``query``."""
@@ -443,10 +436,8 @@ class VectorIndex(abc.ABC):
         ``positions`` restricts scoring to the given stored positions (the
         caller's candidate pool, e.g. the formulas of the sheets retrieved in
         an earlier stage); the whole batch is then scored against that pool
-        with a single matrix product.  Without ``positions`` each query goes
-        through the subclass's candidate selection (cluster probing, hash
-        buckets, ...); rows with private candidate pools are padded into one
-        masked scoring call rather than scored one row at a time.
+        with a single matrix product.  Without ``positions`` every live
+        vector is scored.
         """
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim != 2 or queries.shape[1] != self._dimension:
@@ -454,36 +445,13 @@ class VectorIndex(abc.ABC):
                 f"queries must have shape (n, {self._dimension}), got {queries.shape}"
             )
         n_queries = queries.shape[0]
-        n_alive = len(self)
-        if n_alive == 0 or k <= 0:
+        if len(self) == 0 or k <= 0:
             return [[] for __ in range(n_queries)]
         if positions is not None:
             positions = self._live(np.asarray(positions, dtype=np.int64))
             if positions.size == 0:
                 return [[] for __ in range(n_queries)]
-            return self._score_block(queries, positions, k)
-        results: List[Optional[List[SearchResult]]] = [None] * n_queries
-        full_rows: List[int] = []
-        ragged_rows: List[int] = []
-        ragged_pools: List[np.ndarray] = []
-        for row in range(n_queries):
-            candidates = self._candidates(queries[row], k)
-            if candidates is None or candidates.size >= n_alive:
-                full_rows.append(row)
-            elif candidates.size == 0:
-                results[row] = []
-            else:
-                ragged_rows.append(row)
-                ragged_pools.append(candidates)
-        if ragged_rows:
-            scored = self._score_ragged(queries[np.asarray(ragged_rows)], ragged_pools, k)
-            for row, hits in zip(ragged_rows, scored):
-                results[row] = hits
-        if full_rows:
-            scored = self._score_block(queries[np.asarray(full_rows)], None, k)
-            for row, hits in zip(full_rows, scored):
-                results[row] = hits
-        return [hits if hits is not None else [] for hits in results]
+        return self._score_block(queries, positions, k)
 
     # --------------------------------------------------------------- internal
 
@@ -505,12 +473,6 @@ class VectorIndex(abc.ABC):
             raise ValueError(f"{caller} called on an already-removed position")
         return positions
 
-    def _scan_all(self) -> None:
-        """What ``_candidates`` returns when its probe gives up and the
-        whole store is scanned instead — counted."""
-        self._exact_fallback_rows.inc()
-        return None
-
     def _live(self, positions: np.ndarray) -> np.ndarray:
         """``positions`` with tombstoned entries dropped (order preserved)."""
         if self._n_dead == 0:
@@ -529,7 +491,6 @@ class VectorIndex(abc.ABC):
         self._keys = [self._keys[int(position)] for position in live_positions]
         self._n_dead = 0
         self._live_scan = None
-        self._rebuild()
         return remap
 
     # ---------------------------------------------------------------- scoring
@@ -719,8 +680,8 @@ class VectorIndex(abc.ABC):
         3-operand ``"rd,rld->rl"`` einsum accumulates each element in the
         same fixed order as the shared-pool ``"ij,kj->ik"`` scorer, so the
         per-pair distances are bit-identical to :meth:`_score_exact` —
-        which is what lets the vectorized ragged path and the tier-2
-        re-rank reproduce the plain path's rankings exactly.
+        which is what lets the tier-2 re-rank reproduce the plain path's
+        rankings exactly.
         """
         gathered, sq_norms = self._store.take(absolute)
         distances = (
@@ -742,18 +703,6 @@ class VectorIndex(abc.ABC):
             results.append(hits)
         return results
 
-    def _score_ragged(
-        self, queries: np.ndarray, pools: List[np.ndarray], k: int
-    ) -> List[List[SearchResult]]:
-        """Score rows with private candidate pools (IVF and LSH probes) in
-        one call: padded to the widest and scored through
-        :meth:`_score_padded`, bit-equal to scoring each row alone."""
-        sizes = np.asarray([pool.size for pool in pools])
-        valid = np.arange(sizes.max()) < sizes[:, None]
-        padded = np.zeros(valid.shape, dtype=np.int64)
-        padded[valid] = np.concatenate(pools)
-        return self._score_padded(queries, padded, valid, k)
-
     # ------------------------------------------------------------ observability
 
     def counters(self) -> Dict[str, int]:
@@ -764,12 +713,8 @@ class VectorIndex(abc.ABC):
         (``index.two_tier_overflow``).  And where shared pools lay: pool
         rows scored as views of the store (``index.rows_scored_in_place``)
         against rows copied out of it first (``index.rows_gathered``) — a
-        store fragmented into short runs pushes S2 onto the second.  And
-        query rows whose IVF / LSH probe gave up and scanned the whole store
-        (``index.exact_fallback_rows``: a small IVF index, no candidates,
-        fewer than k; always 0 for the exact index)."""
+        store fragmented into short runs pushes S2 onto the second."""
         return {
-            "index.exact_fallback_rows": self._exact_fallback_rows.value,
             "index.tier2_fallback_rows": self._fallback_rows.value,
             "index.two_tier_overflow": self._overflows.value,
             "index.rows_scored_in_place": self._rows_in_place.value,
@@ -828,11 +773,10 @@ class VectorIndex(abc.ABC):
         """Adopt a previously exported store (the snapshot-load path).
 
         ``matrix`` and ``sq_norms`` may be read-only memory-maps, which the
-        row store never writes through.  ``alive`` is copied because removals flip its entries in
-        place.  Derived structures (inverted lists, hash
-        buckets, quantizers) are rebuilt through the same ``_rebuild``
-        hook compaction uses, which is what makes a restored index answer
-        exactly like a freshly built one over the same live vectors.
+        row store never writes through.  ``alive`` is copied because
+        removals flip its entries in place.  A search reads nothing but the
+        row store, so a restored index answers exactly like a freshly built
+        one over the same live vectors.
         """
         matrix = np.asanyarray(matrix)
         if matrix.ndim != 2 or matrix.shape[1] != self._dimension:
@@ -853,27 +797,3 @@ class VectorIndex(abc.ABC):
         self._keys = list(keys)
         self._n_dead = size - int(np.count_nonzero(self._alive))
         self._live_scan = None
-        self._rebuild()
-
-    # --------------------------------------------------------------- subclass
-
-    def _on_add_batch(self, start: int, vectors: np.ndarray) -> None:
-        """Hook for subclasses: ``vectors`` were stored at ``start``..."""
-
-    def _on_remove_batch(self, positions: np.ndarray) -> None:
-        """Hook for subclasses: ``positions`` were just tombstoned."""
-
-    def _rebuild(self) -> None:
-        """Hook for subclasses: compaction renumbered every stored position
-        (or a restore / ``update_batch`` replaced the vectors behind them),
-        so position-keyed derived structures (buckets, inverted lists) must
-        be rebuilt from the store as it now is."""
-
-    @abc.abstractmethod
-    def _candidates(self, query: np.ndarray, k: int) -> Optional[np.ndarray]:
-        """Positions of candidate vectors to score (``None`` = score all).
-
-        Implementations must exclude tombstoned positions (``_live``) before
-        making any pool-size decisions such as the fall-back-to-exact check,
-        so that a store with tombstones behaves exactly like a freshly built
-        index over the same live vectors."""

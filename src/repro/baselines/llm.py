@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ann import ExactIndex
+from repro.ann import VectorIndex
 from repro.baselines.common import (
     column_header,
     copy_formula_to,
@@ -105,7 +105,7 @@ class SimulatedLLMBaseline(FormulaPredictor):
         self.prompt = prompt or PromptConfig()
         self.name = f"GPT ({self.prompt.label()})"
         self._embedder = WordAveragingEmbedder(dimension=50)
-        self._index: Optional[ExactIndex] = None
+        self._index: Optional[VectorIndex] = None
         self._retrieval_records: List[Tuple[Sheet, CellAddress, str]] = []
 
     # ---------------------------------------------------------------- offline
@@ -121,7 +121,7 @@ class SimulatedLLMBaseline(FormulaPredictor):
     def fit(self, reference_workbooks: Sequence[Workbook]) -> None:
         """Index reference formula regions for the RAG prompt variants."""
         self._retrieval_records = []
-        self._index = ExactIndex(self._embedder.dimension)
+        self._index = VectorIndex(self._embedder.dimension)
         if self.prompt.example_selection != "few_shot_rag":
             return
         for workbook in reference_workbooks:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ann import canonical_index_kind
-
 
 @dataclass
 class AutoFormulaConfig:
@@ -31,13 +29,6 @@ class AutoFormulaConfig:
     #: Per-cell score penalty that breaks embedding ties toward the anchor
     #: locations during parameter re-grounding (S3).
     locality_penalty: float = 0.01
-    #: ANN index used for sheet-level retrieval: "exact", "lsh" or "ivf".
-    sheet_index_kind: str = "exact"
-    #: Index holding the reference formula-region embeddings searched in S2.
-    #: Exact by default: the S1 stage already narrows the pool to the
-    #: formulas of ``top_k_sheets`` sheets, so S2 is one vectorized scoring
-    #: pass over that pool.
-    formula_index_kind: str = "exact"
     #: Number of target sheets whose query embedding, reduced tensor and S3
     #: region store are retained between ``predict`` calls (least recently
     #: used sheets are evicted first, deterministically).
@@ -60,10 +51,3 @@ class AutoFormulaConfig:
             raise ValueError("acceptance_threshold must be in (0, 4]")
         if self.max_cached_target_sheets <= 0:
             raise ValueError("max_cached_target_sheets must be positive")
-        for label in ("sheet_index_kind", "formula_index_kind"):
-            # One spelling from here on: the snapshot echo, the restore-time
-            # comparison and create_index must all see the same string.
-            try:
-                setattr(self, label, canonical_index_kind(getattr(self, label)))
-            except ValueError as error:
-                raise ValueError(f"{label}: {error}") from None

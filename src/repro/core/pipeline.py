@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from repro.ann import SearchResult, canonical_index_kind, create_index
+from repro.ann import SearchResult, VectorIndex
 from repro.ann.base import RowStore, closest_in_blocks
 from repro.core.config import AutoFormulaConfig
 from repro.core.interface import FormulaPredictor, Prediction
@@ -30,6 +30,13 @@ from repro.sheet.workbook import Workbook
 _PER_CELL_LAYERS = (Linear, ReLU, Tanh, Dropout)
 
 _UNSET = object()
+
+#: What a snapshot manifest records as the kind of both indexes, and every
+#: spelling of it a restore accepts (any case, surrounding whitespace
+#: aside): snapshots of predictors that could pick an index kind wrote
+#: these, and any other kind's answers differ from this predictor's.
+_INDEX_KIND = "exact"
+_INDEX_KIND_SPELLINGS = frozenset({"exact", "flat", "brute"})
 
 
 def _reference_parameter_cells(
@@ -381,12 +388,7 @@ class AutoFormula(FormulaPredictor):
     the rows it already owns, keeping its stable id and its place in the
     corpus.  Predictions stay bit-identical to a fresh ``fit`` on the
     equivalent corpus (sheets in the order they were added; an edit never
-    moves one), with one deliberate exception: under ``"ivf"`` index
-    kinds, adding to an *already-queried* predictor keeps the trained
-    quantizer and assigns the new vectors incrementally (recall-tested,
-    retrained on 2x growth) rather than paying a k-means retrain per add —
-    exact/LSH kinds, adds before the first query, and every removal and
-    re-index remain exactly refit-equivalent.
+    moves one).
     """
 
     name = "Auto-Formula"
@@ -675,10 +677,8 @@ class AutoFormula(FormulaPredictor):
             if self.config.granularity == "fine_only"
             else self.encoder.coarse_dimension
         )
-        self._sheet_index = create_index(self.config.sheet_index_kind, sheet_dimension)
-        self._formula_index = create_index(
-            self.config.formula_index_kind, self._region_dimension
-        )
+        self._sheet_index = VectorIndex(sheet_dimension)
+        self._formula_index = VectorIndex(self._region_dimension)
         self._formula_positions = []
         self._sheet_positions = []
         self._sheet_store_size = 0
@@ -765,8 +765,7 @@ class AutoFormula(FormulaPredictor):
 
         Returns the number of sheets added.  Equivalent to a fresh
         :meth:`fit` on the old corpus followed by the new workbooks, with
-        bit-identical predictions — except for the IVF stale-quantizer
-        case spelled out in the class docstring.
+        bit-identical predictions.
         """
         if self._sheet_index is None:
             self.fit(list(workbooks))
@@ -887,7 +886,7 @@ class AutoFormula(FormulaPredictor):
         """Export the fitted state as ``(manifest fragment, raw arrays)``.
 
         The manifest fragment is JSON-ready bookkeeping (reference-sheet
-        registry with tombstones, index kinds for load-time validation);
+        registry with tombstones, the index kind for load-time validation);
         the arrays are the two indexes' contiguous stores plus the
         physical-position maps, kept as raw blocks so a snapshot loader
         can memory-map them.  Embedding caches are deliberately *not*
@@ -898,8 +897,8 @@ class AutoFormula(FormulaPredictor):
         state: Dict[str, object] = {
             "predictor": type(self).__name__,
             "granularity": self.config.granularity,
-            "sheet_index_kind": self.config.sheet_index_kind,
-            "formula_index_kind": self.config.formula_index_kind,
+            "sheet_index_kind": _INDEX_KIND,
+            "formula_index_kind": _INDEX_KIND,
             "fitted": self._sheet_index is not None,
             "sheet_store_size": int(self._sheet_store_size),
             "formula_store_size": int(self._formula_store_size),
@@ -961,24 +960,24 @@ class AutoFormula(FormulaPredictor):
         ``resolve_sheet`` maps ``(workbook name, sheet name)`` to the live
         :class:`Sheet` object of the restored corpus, so reference-sheet
         entries point at the same objects the owning workspace serves and
-        edits.  The configured index kinds must match the snapshot's: the
-        stored vectors are index-kind-agnostic, but silently re-homing an
-        IVF store under an LSH config would not reproduce the snapshotting
-        predictor's answers.  Raises ``ValueError`` on any mismatch.
+        edits.  The snapshot's granularity must match the configured one,
+        and both its index kinds must be the exact index's: the stored
+        vectors would load under any kind, but not reproduce the answers of
+        a predictor that searched them approximately.  Raises
+        ``ValueError`` on any mismatch.
         """
-        snapshot = {
-            "granularity": state.get("granularity"),
-            # Snapshots written before kinds were canonicalised may hold an
-            # alias ("flat", " Exact "); resolve it before comparing.
-            "sheet_index_kind": canonical_index_kind(str(state.get("sheet_index_kind"))),
-            "formula_index_kind": canonical_index_kind(str(state.get("formula_index_kind"))),
-        }
-        for field, theirs in snapshot.items():
-            mine = getattr(self.config, field)
-            if theirs != mine:
+        theirs = state.get("granularity")
+        if theirs != self.config.granularity:
+            raise ValueError(
+                f"snapshot was taken with granularity={theirs!r}, this predictor "
+                f"is configured with {self.config.granularity!r}"
+            )
+        for field in ("sheet_index_kind", "formula_index_kind"):
+            kind = state.get(field)
+            if str(kind).strip().lower() not in _INDEX_KIND_SPELLINGS:
                 raise ValueError(
-                    f"snapshot was taken with {field}={theirs!r}, this predictor "
-                    f"is configured with {mine!r}"
+                    f"snapshot was taken with {field}={kind!r}, this predictor "
+                    f"has only the {_INDEX_KIND!r} index"
                 )
         self.fit([])  # reset indexes, caches and bookkeeping to a blank fit
         references: List[Optional[_ReferenceSheet]] = []

@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.ann import ExactIndex
+from repro.ann import VectorIndex
 from repro.models.encoder import SheetEncoder
 from repro.sheet.addressing import CellAddress
 from repro.sheet.cell import CellValue
@@ -41,12 +41,12 @@ class ValueAutoFill:
         self.top_k_sheets = top_k_sheets
         self.acceptance_threshold = acceptance_threshold
         self._sheets: List[Tuple[str, Sheet]] = []
-        self._index: Optional[ExactIndex] = None
+        self._index: Optional[VectorIndex] = None
 
     def fit(self, reference_workbooks: Sequence[Union[Workbook, Sheet]]) -> None:
         """Index the organization's existing sheets."""
         self._sheets = []
-        self._index = ExactIndex(self.encoder.coarse_dimension)
+        self._index = VectorIndex(self.encoder.coarse_dimension)
         for item in reference_workbooks:
             sheets = [item] if isinstance(item, Sheet) else list(item)
             source = item.name if isinstance(item, Workbook) else "<sheet>"

@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.ann import ExactIndex
+from repro.ann import VectorIndex
 from repro.formula.template import extract_template
 from repro.formula.tokenizer import FormulaSyntaxError
 from repro.models.encoder import SheetEncoder
@@ -52,14 +52,14 @@ class FormulaErrorDetector:
         self.top_k_sheets = top_k_sheets
         self.max_region_distance = max_region_distance
         self._sheets: List[Tuple[str, Sheet]] = []
-        self._index: Optional[ExactIndex] = None
+        self._index: Optional[VectorIndex] = None
 
     # ---------------------------------------------------------------- offline
 
     def fit(self, reference_workbooks: Sequence[Union[Workbook, Sheet]]) -> None:
         """Index the reference sheets used as the consistency oracle."""
         self._sheets = []
-        self._index = ExactIndex(self.encoder.coarse_dimension)
+        self._index = VectorIndex(self.encoder.coarse_dimension)
         for item in reference_workbooks:
             sheets = [item] if isinstance(item, Sheet) else list(item)
             source = item.name if isinstance(item, Workbook) else "<sheet>"

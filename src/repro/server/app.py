@@ -229,6 +229,7 @@ class FormulaServer:
                 try:
                     request = await self._read_request(reader)
                 except _HttpError as exc:
+                    self.registry.counter("server.rejected_frames", {"reason": exc.reason}).inc()
                     await self._write_response(
                         writer, exc.status, encode_error(exc.reason, exc.detail), {}, False
                     )
@@ -424,6 +425,8 @@ class FormulaServer:
             return json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SchemaError(f"body is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise SchemaError("body is not valid JSON: nested too deeply") from None
 
     def _workspace(self, name: str):
         try:

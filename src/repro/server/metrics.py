@@ -18,6 +18,8 @@ copy of every number:
   the workspace idle / it gathered behind a running batch / it hit
   ``max_batch_size`` / it was flushed by a drain) and the derived
   *coalescing ratio* (requests served per ``serve_batch`` dispatch);
+* every frame answered without reaching a route, by why
+  (``server.rejected_frames{reason=bad_request|payload_too_large|request_timeout}``);
 * the **queue wait** histogram (``server.queue_wait``): enqueue →
   dispatch per request, i.e. the time spent behind the batch that was
   running when the request arrived — ≈ 0 for a request that found its
@@ -76,6 +78,7 @@ def stats_body(registry: MetricsRegistry) -> Dict[str, object]:
         sum(by_label("workspace.serve_collapsed_duplicates").values())
     )
     counters["batch_dispatch"] = by_label("server.batch_dispatch")
+    counters["rejected_frames"] = by_label("server.rejected_frames")
     batch_sizes = by_label("server.batch_size")
     depths = by_label("server.queue_depth")
     reindex: Dict[str, Dict[str, int]] = {}

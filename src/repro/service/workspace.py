@@ -104,10 +104,7 @@ class Workspace:
     are mutated in place, all others are refit on the updated corpus —
     either way the workspace stays consistent with its workbook set, and
     predictions are identical to a fresh fit on the equivalent corpus: the
-    workbooks in the order they were added, which an edit never changes
-    (for ``"ivf"`` index kinds, adds into an already-queried workspace are
-    the documented approximate exception — see
-    :class:`~repro.core.AutoFormula`).
+    workbooks in the order they were added, which an edit never changes.
 
     Serving goes through :meth:`recommend` / :meth:`serve_batch`, which
     answer with frozen :class:`RecommendationResponse` objects and record
@@ -437,8 +434,8 @@ class Workspace:
         fresh fit on the equivalent corpus.
 
         ``predictor`` must be a fresh, configuration-compatible predictor
-        (same granularity and index kinds as the saved one); mismatches
-        raise ``ValueError``.
+        (same granularity as the saved one; a snapshot of an approximate
+        index kind is refused); mismatches raise ``ValueError``.
         """
         directory = Path(directory)
         with get_tracer().span(

@@ -62,9 +62,7 @@ class WorkloadConfig:
     re-drawn deterministically, so the realized mix tracks the weights
     only approximately.  Corpus
     parameters are deliberately small: simulations are meant to run in a
-    test suite, and small per-tenant corpora also keep the approximate
-    index kinds (IVF, LSH) in their exact-fallback regime, where a mutated
-    index is provably bit-identical to a fresh fit.
+    test suite.
     """
 
     n_tenants: int = 2

@@ -9,6 +9,8 @@ import random
 import numpy as np
 import pytest
 
+from repro.ann import VectorIndex
+from repro.core import AutoFormulaConfig
 from repro.corpus import build_enterprise_corpus, build_training_universe
 from repro.features import FeatureConfig
 from repro.models import ModelConfig, TrainingConfig, train_models
@@ -71,6 +73,22 @@ def fail_on_asyncio_errors():
     finally:
         logger.removeHandler(handler)
     assert not records, [record.getMessage() for record in records]
+
+
+# The index-contract and fresh-fit parity tests are named by the index
+# kind they run on: ``exact``, the kind a snapshot manifest records.
+
+
+@pytest.fixture(params=[VectorIndex], ids=["exact"])
+def index_factory(request):
+    """Builds the index under test from a dimension."""
+    return request.param
+
+
+@pytest.fixture(params=[AutoFormulaConfig], ids=["exact"])
+def make_config(request):
+    """Builds the predictor config of a parity test (keyword overrides)."""
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,9 @@
-"""Tests for the ANN index substrate."""
+"""Tests for the exact vector index."""
 
 import numpy as np
 import pytest
 
-from repro.ann import ExactIndex, IVFIndex, LSHIndex, create_index
+from repro.ann import VectorIndex
 
 
 def _random_vectors(n: int, dim: int, seed: int = 0) -> np.ndarray:
@@ -17,29 +17,6 @@ def _filled(index, n: int, seed: int = 0):
     vectors = _random_vectors(n, index.dimension, seed)
     index.add_batch(list(range(n)), vectors)
     return index, vectors
-
-
-def _recall_at_5(approximate_index, vectors: np.ndarray, n_queries: int) -> float:
-    exact = ExactIndex(vectors.shape[1])
-    exact.add_batch(list(range(len(vectors))), vectors)
-    approximate_index.add_batch(list(range(len(vectors))), vectors)
-    hits = 0
-    for query in vectors[:n_queries]:
-        truth = {hit.key for hit in exact.search(query, k=5)}
-        approx = {hit.key for hit in approximate_index.search(query, k=5)}
-        hits += len(truth & approx)
-    return hits / (n_queries * 5)
-
-
-@pytest.fixture(params=["exact", "lsh", "ivf"])
-def index_factory(request):
-    kind = request.param
-
-    def factory(dimension: int):
-        return create_index(kind, dimension)
-
-    factory.kind = kind
-    return factory
 
 
 class TestIndexContract:
@@ -85,166 +62,20 @@ class TestIndexContract:
         assert len(index) == 2
 
 
-class TestApproximateRecall:
-    @staticmethod
-    def _clustered_vectors(n: int, dim: int, n_clusters: int = 12, seed: int = 1) -> np.ndarray:
-        """Clustered vectors, the regime embedding corpora actually live in."""
-        rng = np.random.default_rng(seed)
-        centroids = rng.standard_normal((n_clusters, dim)).astype(np.float32)
-        assignment = rng.integers(0, n_clusters, size=n)
-        vectors = centroids[assignment] + 0.15 * rng.standard_normal((n, dim)).astype(np.float32)
-        return (vectors / np.linalg.norm(vectors, axis=1, keepdims=True)).astype(np.float32)
-
-    def test_lsh_recall_against_exact(self):
-        vectors = self._clustered_vectors(400, 32)
-        assert _recall_at_5(LSHIndex(32, n_tables=12, n_bits=8, seed=0), vectors, 30) > 0.6
-
-    def test_ivf_recall_against_exact(self):
-        vectors = self._clustered_vectors(400, 32)
-        assert _recall_at_5(IVFIndex(32, n_clusters=16, n_probe=4, seed=0), vectors, 30) > 0.6
-
-    def test_small_indexes_fall_back_to_exact(self):
-        dim = 16
-        vectors = _random_vectors(5, dim)
-        for index in (LSHIndex(dim), IVFIndex(dim)):
-            index.add_batch(list(range(5)), vectors)
-            hits = index.search(vectors[2], k=1)
-            assert hits[0].key == 2
-
-    def test_ivf_rebuilds_after_additions(self):
-        dim = 8
-        index, first = _filled(IVFIndex(dim, n_clusters=4, n_probe=2), 40, seed=3)
-        index.search(first[0], k=1)  # trains the index
-        extra = _random_vectors(10, dim, seed=4)
-        index.add_batch(list(range(40, 50)), extra)
-        hits = index.search(extra[5], k=1)
-        assert hits[0].key == 45
-
-
-class TestRandomCorpusRecall:
-    """Recall-vs-exact parity on *uniform random* corpora (no cluster
-    structure to help the coarse quantizer or the hash tables)."""
-
-    def test_lsh_recall_on_random_corpus(self):
-        vectors = _random_vectors(300, 24, seed=11)
-        assert _recall_at_5(LSHIndex(24, n_tables=12, n_bits=6, seed=1), vectors, 40) > 0.5
-
-    def test_ivf_recall_on_random_corpus(self):
-        vectors = _random_vectors(300, 24, seed=11)
-        assert _recall_at_5(IVFIndex(24, n_clusters=12, n_probe=5, seed=1), vectors, 40) > 0.6
-
-
-class TestExactScanFallback:
-    """Approximate indexes must fall back to a full scan when their
-    candidate pools cannot satisfy ``k``."""
-
-    @pytest.mark.parametrize("kind", ["lsh", "ivf"])
-    def test_k_larger_than_candidate_pool_matches_exact(self, kind):
-        dim = 16
-        exact, vectors = _filled(ExactIndex(dim), 30, seed=2)
-        index, __ = _filled(create_index(kind, dim), 30, seed=2)
-        for query in vectors[:5]:
-            truth = [hit.key for hit in exact.search(query, k=25)]
-            approx = [hit.key for hit in index.search(query, k=25)]
-            assert approx == truth
-
-    def test_ivf_below_training_threshold_is_exact(self):
-        vectors = _random_vectors(10, 8, seed=5)  # < 2 * n_clusters
-        index, exact = IVFIndex(8, n_clusters=8, n_probe=1), ExactIndex(8)
-        for built in (index, exact):
-            built.add_batch(list(range(10)), vectors)
-        assert index.search_batch(vectors, k=3) == exact.search_batch(vectors, k=3)
-        assert index.counters()["index.exact_fallback_rows"] == 10  # every probe gave up
-        assert exact.counters()["index.exact_fallback_rows"] == 0
-
-
-class TestLSHDeterminism:
-    def test_tied_candidates_rank_deterministically(self):
-        """Duplicate vectors produce exact distance ties; the winner must be
-        the same on every run and every rebuild (lowest position first)."""
-        dim = 16
-        base = _random_vectors(20, dim, seed=7)
-        vectors = np.concatenate([base, base, base])  # every vector x3
-        keys = list(range(len(vectors)))
-
-        def build():
-            index = LSHIndex(dim, n_tables=6, n_bits=4, seed=3)
-            index.add_batch(keys, vectors)
-            return index
-
-        first = build()
-        second = build()
-        for query in base[:10]:
-            hits_first = [(h.key, round(h.distance, 6)) for h in first.search(query, k=4)]
-            hits_second = [(h.key, round(h.distance, 6)) for h in second.search(query, k=4)]
-            assert hits_first == hits_second
-        # among exact ties the lowest stored position wins
-        hits = first.search(base[0], k=3)
-        tied = [hit.key for hit in hits if hit.distance == hits[0].distance]
-        assert tied == sorted(tied)
-
-    def test_candidate_positions_sorted(self):
-        index, vectors = _filled(LSHIndex(8, n_tables=4, n_bits=2, seed=0), 60, seed=9)
-        candidates = index._candidates(vectors[0], k=1)
-        if candidates is not None:
-            assert np.all(np.diff(candidates) > 0)
-
-
-class TestIVFIncrementalAdd:
-    def test_adds_assign_to_existing_centroids_without_retraining(self):
-        dim = 8
-        index, first = _filled(IVFIndex(dim, n_clusters=4, n_probe=2), 40, seed=3)
-        index.search(first[0], k=1)  # trains the quantizer
-        trained_size = index._trained_size
-        centroids = index._centroids.copy()
-
-        extra = _random_vectors(10, dim, seed=4)
-        index.add_batch(list(range(40, 50)), extra)
-        hits = index.search(extra[5], k=1)
-        assert hits[0].key == 45
-        # still the same quantizer: additions were incremental
-        assert index._trained_size == trained_size
-        assert np.array_equal(index._centroids, centroids)
-
-    def test_retrains_after_doubling(self):
-        dim = 8
-        index, first = _filled(IVFIndex(dim, n_clusters=4, n_probe=2, retrain_growth_factor=2.0), 40, seed=3)
-        index.search(first[0], k=1)
-        extra = _random_vectors(40, dim, seed=4)
-        index.add_batch(list(range(40, 80)), extra)
-        index.search(extra[0], k=1)
-        assert index._trained_size == 80
-
-    def test_incremental_index_still_finds_new_vectors(self):
-        dim = 16
-        index = IVFIndex(dim, n_clusters=4, n_probe=2)
-        vectors = _random_vectors(60, dim, seed=6)
-        index.add_batch(list(range(40)), vectors[:40])
-        index.search(vectors[0], k=1)  # train
-        for step, position in enumerate(range(40, 60)):
-            index.add(position, vectors[position])
-            assert index.search(vectors[position], k=1)[0].key == position
-
-
 class TestBatchedSearch:
-    @pytest.fixture(params=["exact", "lsh", "ivf"])
-    def filled_index(self, request):
-        index, vectors = _filled(create_index(request.param, 16), 80, seed=8)
-        return index, vectors
-
-    def test_search_batch_matches_sequential_search(self, filled_index):
-        """Bit for bit, IVF and LSH candidate pools included (the exact
-        index's answers are the reference k-NN's: tests/test_reference.py)."""
-        index, vectors = filled_index
+    def test_search_batch_matches_sequential_search(self, index_factory):
+        """Bit for bit (the index's answers are the reference k-NN's:
+        tests/test_reference.py)."""
+        index, vectors = _filled(index_factory(16), 80, seed=8)
         queries = vectors[:10]
         assert index.search_batch(queries, k=3) == [index.search(query, k=3) for query in queries]
 
     def test_search_batch_on_empty_index(self):
-        index = ExactIndex(4)
+        index = VectorIndex(4)
         assert index.search_batch(np.zeros((3, 4), dtype=np.float32), k=2) == [[], [], []]
 
     def test_positions_restrict_the_candidate_pool(self):
-        index, vectors = _filled(ExactIndex(8), 50, seed=10)
+        index, vectors = _filled(VectorIndex(8), 50, seed=10)
         pool = np.array([3, 7, 11, 19], dtype=np.int64)
         hits = index.search_batch(vectors[:5], k=2, positions=pool)
         for per_query in hits:
@@ -257,7 +88,7 @@ class TestBatchedSearch:
         assert hits[0][0].key == exact_in_pool[0]
 
     def test_contiguous_store_grows(self):
-        index = ExactIndex(4)
+        index = VectorIndex(4)
         for position in range(100):
             index.add(position, np.full(4, position, dtype=np.float32))
         assert len(index) == 100
@@ -265,13 +96,13 @@ class TestBatchedSearch:
         assert np.array_equal(index.vectors[42], np.full(4, 42, dtype=np.float32))
 
     def test_vectors_view_is_read_only(self):
-        index = ExactIndex(4)
+        index = VectorIndex(4)
         index.add("a", np.ones(4, dtype=np.float32))
         with pytest.raises(ValueError):
             index.vectors[0, 0] = 5.0
 
     def test_key_count_mismatch_rejected(self):
-        index = ExactIndex(4)
+        index = VectorIndex(4)
         with pytest.raises(ValueError):
             index.add_batch(["a", "b"], np.ones((3, 4), dtype=np.float32))
 
@@ -280,13 +111,8 @@ class TestRemoveBatch:
     """Tombstone-based removal: excluded from every search path, compacted
     once the dead fraction grows, bit-identical to a freshly built index."""
 
-    @pytest.fixture(params=["exact", "lsh", "ivf"])
-    def kind(self, request):
-        return request.param
-
-    def test_removed_vectors_never_returned(self, kind):
-        index, vectors = _filled(create_index(kind, 16), 40, seed=0)
-        index.search(vectors[0], k=1)  # trains IVF, if applicable
+    def test_removed_vectors_never_returned(self, index_factory):
+        index, vectors = _filled(index_factory(16), 40, seed=0)
         index.remove_batch([3, 7])
         assert len(index) == 38
         assert index.n_tombstones == 2
@@ -294,15 +120,15 @@ class TestRemoveBatch:
             hits = index.search(vectors[removed], k=40)
             assert removed not in {hit.key for hit in hits}
 
-    def test_matches_fresh_index_over_survivors(self, kind):
-        """After removal (and the IVF retrain it forces), results must be
-        identical to an index freshly built from the surviving vectors."""
-        index, vectors = _filled(create_index(kind, 16), 60, seed=1)
+    def test_matches_fresh_index_over_survivors(self, index_factory):
+        """After removal, results must be identical to an index freshly
+        built from the surviving vectors."""
+        index, vectors = _filled(index_factory(16), 60, seed=1)
         index.search(vectors[0], k=1)
         index.remove_batch(list(range(0, 60, 2)))  # evens out, 50% (no compaction)
         assert index.n_tombstones == 30
 
-        fresh = create_index(kind, 16)
+        fresh = index_factory(16)
         fresh.add_batch(list(range(1, 60, 2)), vectors[1::2])
         for query in vectors[:10]:
             got = [(hit.key, round(hit.distance, 6)) for hit in index.search(query, k=5)]
@@ -311,8 +137,8 @@ class TestRemoveBatch:
             ]
             assert got == expected
 
-    def test_compaction_returns_remap(self, kind):
-        index, vectors = _filled(create_index(kind, 8), 30, seed=2)
+    def test_compaction_returns_remap(self, index_factory):
+        index, vectors = _filled(index_factory(8), 30, seed=2)
         removed = list(range(20))
         remap = index.remove_batch(removed)  # 20/30 > 0.5 -> compaction
         assert remap is not None
@@ -329,9 +155,9 @@ class TestRemoveBatch:
         )
         assert hits[0][0].key == 25
 
-    def test_add_after_remove(self, kind):
+    def test_add_after_remove(self, index_factory):
         vectors = _random_vectors(50, 8, seed=3)
-        index = create_index(kind, 8)
+        index = index_factory(8)
         index.add_batch(list(range(40)), vectors[:40])
         index.remove_batch([0, 1, 2])
         index.add_batch(list(range(40, 50)), vectors[40:])
@@ -339,16 +165,16 @@ class TestRemoveBatch:
         for position in range(40, 50):
             assert index.search(vectors[position], k=1)[0].key == position
 
-    def test_positions_pool_excludes_tombstones(self, kind):
-        index, vectors = _filled(create_index(kind, 8), 20, seed=4)
+    def test_positions_pool_excludes_tombstones(self, index_factory):
+        index, vectors = _filled(index_factory(8), 20, seed=4)
         index.remove_batch([5])
         hits = index.search_batch(
             vectors[5:6], k=3, positions=np.array([4, 5, 6], dtype=np.int64)
         )
         assert {hit.key for hit in hits[0]} == {4, 6}
 
-    def test_invalid_removals_rejected(self, kind):
-        index, vectors = _filled(create_index(kind, 8), 10, seed=5)
+    def test_invalid_removals_rejected(self, index_factory):
+        index, vectors = _filled(index_factory(8), 10, seed=5)
         with pytest.raises(IndexError):
             index.remove_batch([10])
         with pytest.raises(ValueError):
@@ -358,29 +184,15 @@ class TestRemoveBatch:
             index.remove_batch([2])
         assert index.remove_batch([]) is None
 
-    def test_remove_everything(self, kind):
-        index, vectors = _filled(create_index(kind, 8), 10, seed=6)
+    def test_remove_everything(self, index_factory):
+        index, vectors = _filled(index_factory(8), 10, seed=6)
         index.remove_batch(list(range(10)))
         assert len(index) == 0
         assert index.search(vectors[0], k=3) == []
 
-    def test_ivf_retrains_on_surviving_corpus_after_removal(self):
-        dim = 8
-        index, vectors = _filled(IVFIndex(dim, n_clusters=4, n_probe=2), 40, seed=7)
-        index.search(vectors[0], k=1)  # train
-        assert index._centroids is not None
-        index.remove_batch([0])
-        assert index._centroids is None  # quantizer invalidated
-        assert index.search(vectors[1], k=1)[0].key == 1  # retrains lazily
-
-
 class TestUpdateBatch:
     """In-place overwrite of live rows: same keys, same positions, no
     tombstones, answers identical to a freshly built index."""
-
-    @pytest.fixture(params=["exact", "lsh", "ivf"])
-    def kind(self, request):
-        return request.param
 
     @staticmethod
     def _hits(index, queries, k=5, positions=None):
@@ -389,12 +201,12 @@ class TestUpdateBatch:
             for hits in index.search_batch(queries, k=k, positions=positions)
         ]
 
-    def test_matches_fresh_index_over_the_same_live_vectors(self, kind):
+    def test_matches_fresh_index_over_the_same_live_vectors(self, index_factory):
         """Full scans, ``search`` and ``positions=`` pools, with tombstones
-        elsewhere in the store, after the index was queried (IVF trained)."""
+        elsewhere in the store, after the index was queried."""
         old = _random_vectors(80, 16, seed=1)
         new = _random_vectors(80, 16, seed=2)
-        index = create_index(kind, 16)
+        index = index_factory(16)
         index.add_batch(list(range(80)), old)
         index.search(old[0], k=1)
         index.remove_batch([3, 40, 41])
@@ -405,7 +217,7 @@ class TestUpdateBatch:
         live = np.setdiff1d(np.arange(80), [3, 40, 41])
         vectors = old.copy()
         vectors[updated] = new[updated]
-        fresh = create_index(kind, 16)
+        fresh = index_factory(16)
         fresh.add_batch(live.tolist(), vectors[live])
 
         queries = np.concatenate([new[updated], old[updated], old[10:14]])
@@ -423,8 +235,8 @@ class TestUpdateBatch:
         assert index.search(new[7], k=1)[0].key == 7
         assert index.search(old[7], k=1)[0].distance > 1e-3
 
-    def test_invalid_updates_rejected(self, kind):
-        index, vectors = _filled(create_index(kind, 8), 10, seed=5)
+    def test_invalid_updates_rejected(self, index_factory):
+        index, vectors = _filled(index_factory(8), 10, seed=5)
         with pytest.raises(IndexError):
             index.update_batch([10], vectors[:1])
         with pytest.raises(IndexError):
@@ -442,13 +254,13 @@ class TestUpdateBatch:
         # Nothing was written by the rejected calls.
         assert np.array_equal(index.vectors, vectors)
 
-    def test_update_on_memory_mapped_store_leaves_the_files_alone(self, kind, tmp_path):
-        source, vectors = _filled(create_index(kind, 8), 40, seed=6)
+    def test_update_on_memory_mapped_store_leaves_the_files_alone(self, index_factory, tmp_path):
+        source, vectors = _filled(index_factory(8), 40, seed=6)
         for name, block in source.store_state().items():
             np.save(tmp_path / f"{name}.npy", block)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
 
-        restored = create_index(kind, 8)
+        restored = index_factory(8)
         restored.restore_store(
             list(range(40)),
             np.load(tmp_path / "matrix.npy", mmap_mode="r"),
@@ -463,31 +275,14 @@ class TestUpdateBatch:
         source.update_batch([4, 9], replacement)
         assert self._hits(restored, vectors[:6]) == self._hits(source, vectors[:6])
 
-    def test_ivf_retrains_after_an_update(self):
-        index, vectors = _filled(IVFIndex(8, n_clusters=4, n_probe=2), 40, seed=7)
-        index.search(vectors[0], k=1)
-        assert index._centroids is not None
-        index.update_batch([0], vectors[1:2])
-        assert index._centroids is None  # the quantizer a removal also resets
-
 
 class TestFactory:
-    def test_known_kinds(self):
-        assert isinstance(create_index("exact", 4), ExactIndex)
-        assert isinstance(create_index("lsh", 4), LSHIndex)
-        assert isinstance(create_index("ivf", 4), IVFIndex)
-
-    def test_known_kinds_exported(self):
-        from repro.ann import KNOWN_INDEX_KINDS
-
-        assert {"exact", "lsh", "ivf"} <= KNOWN_INDEX_KINDS
-        for kind in KNOWN_INDEX_KINDS:
-            assert create_index(kind, 4) is not None
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            create_index("hnsw", 4)
-
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
-            ExactIndex(0)
+            VectorIndex(0)
+
+    def test_layer_methods_are_defined_on_the_class(self):
+        """The benchmark's per-layer shims wrap these four only where they
+        are defined on ``VectorIndex`` itself."""
+        for name in ("search_batch", "search", "add_batch", "remove_batch"):
+            assert name in VectorIndex.__dict__, name

@@ -44,16 +44,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AutoFormulaConfig(acceptance_threshold=0.0)
 
-    @pytest.mark.parametrize("field", ["sheet_index_kind", "formula_index_kind"])
-    def test_unknown_index_kind_rejected_at_construction(self, field):
-        with pytest.raises(ValueError, match="index_kind"):
-            AutoFormulaConfig(**{field: "lshh"})
-
-    def test_index_kind_spellings_normalized(self):
-        # create_index is case-insensitive and whitespace-tolerant, so the
-        # config validation must accept the same spellings.
-        AutoFormulaConfig(sheet_index_kind=" LSH ", formula_index_kind="Flat")
-
     @pytest.mark.parametrize(
         "rows, cols", [(0, 2), (-1, 2), (8, 0), (8, -3)]
     )
@@ -224,18 +214,14 @@ class TestBatchPrediction:
                 reference.predict(reference_workbooks, sheet, cell) for cell in cells
             ]
 
-    @pytest.mark.parametrize("kind", ["exact", "ivf", "lsh"])
-    def test_staged_api_composes_to_predict_batch(self, trained_encoder, pge_workload, kind):
+    def test_staged_api_composes_to_predict_batch(self, trained_encoder, pge_workload, make_config):
         """The public stages, driven from outside — embed once, S1, S2 with
         S3 deferred, threshold, S3 on the winners — must reproduce
         ``predict_batch`` exactly (formula, confidence, provenance), and S2
         bests scored over disjoint sheet subsets must merge back into the
         full-list result by ``(distance, sheet_rank, formula_index)``."""
         cases, reference = pge_workload
-        system = AutoFormula(
-            trained_encoder,
-            AutoFormulaConfig(sheet_index_kind=kind, formula_index_kind=kind),
-        )
+        system = AutoFormula(trained_encoder, make_config())
         system.fit(reference)
         threshold = system.config.acceptance_threshold
         accepted = abstained = 0
@@ -398,15 +384,6 @@ class TestGranularityModes:
         full_run = run_method_on_cases(full, reference, cases, "PGE")
         coarse_run = run_method_on_cases(coarse, reference, cases, "PGE")
         assert full_run.metrics.f1 >= coarse_run.metrics.f1
-
-
-class TestIndexChoices:
-    @pytest.mark.parametrize("kind", ["exact", "lsh", "ivf"])
-    def test_sheet_index_kinds(self, trained_encoder, pge_workload, kind):
-        cases, reference = pge_workload
-        system = AutoFormula(trained_encoder, AutoFormulaConfig(sheet_index_kind=kind))
-        run = run_method_on_cases(system, reference, cases[:15], "PGE")
-        assert run.metrics.recall > 0.4
 
 
 # ---------------------------------------------------------------------- S3

@@ -32,7 +32,6 @@ from repro.server.schemas import SchemaError, decode_recommend_payload
 from repro.service import RecommendationRequest
 
 from test_server import TIMEOUT, _Gate, _stub_service, _target_sheet
-from test_service import _config
 
 
 def _span_names(node, into=None):
@@ -566,7 +565,6 @@ class TestServerObservability:
         with start_server_in_background(service) as handle:
             client = FormulaClient(handle.host, handle.port)
             untouched = {  # no search has run, and none runs below
-                'index_exact_fallback_rows{workspace="pge"}': 0.0,
                 'index_rows_gathered{workspace="pge"}': 0.0,
                 'index_rows_scored_in_place{workspace="pge"}': 0.0,
             }
@@ -653,7 +651,7 @@ class TestRecommendTraceTree:
 
         test_workbooks, reference_workbooks = split_corpus(pge_corpus, 0.15, "timestamp")
         cases = sample_test_cases("PGE", test_workbooks, max_per_sheet=2, seed=0)
-        workspace = Workspace("traced", AutoFormula(trained_encoder, _config("exact")))
+        workspace = Workspace("traced", AutoFormula(trained_encoder, AutoFormulaConfig()))
         workspace.add_workbooks(reference_workbooks[:6])
         case = next(
             case

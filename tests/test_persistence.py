@@ -2,8 +2,8 @@
 
 The acceptance invariant is the existing fresh-fit-parity checker: a
 workspace restored from snapshot (+ mutation-log tail) must answer
-bit-identically to a fresh fit on the equivalent corpus, across the
-exact/lsh/ivf index kinds.  The rest of the suite covers the mechanics:
+bit-identically to a fresh fit on the equivalent corpus.  The rest of
+the suite covers the mechanics:
 format-version enforcement, log replay at load, compaction, tombstone
 state, memory-mapped loading, and the service facade's save/load round
 trip.
@@ -60,21 +60,16 @@ EDIT_WORKLOAD = WorkloadConfig(
     max_cases=5,
 )
 
-INDEX_KINDS = ("exact", "lsh", "ivf")
-
-
-def _config(kind: str, **overrides) -> AutoFormulaConfig:
-    return AutoFormulaConfig(
-        sheet_index_kind=kind, formula_index_kind=kind, **overrides
-    )
-
-
 def _churned_workspace(
-    trained_encoder, kind, seed=11, workload_config=CHURN_WORKLOAD, **config_overrides
+    trained_encoder,
+    seed=11,
+    workload_config=CHURN_WORKLOAD,
+    make_config=AutoFormulaConfig,
+    **config_overrides,
 ):
     """One mutated workspace plus its workload's evaluation cases."""
     workload = generate_workload(seed, workload_config)
-    config = _config(kind, **config_overrides)
+    config = make_config(**config_overrides)
     replay = replay_workload(
         workload,
         lambda tenant: Workspace(tenant, AutoFormula(trained_encoder, config)),
@@ -86,12 +81,11 @@ def _churned_workspace(
 # ---------------------------------------------------------- restore parity
 
 
-@pytest.mark.parametrize("kind", INDEX_KINDS)
 class TestRestoreParity:
     """The acceptance criterion: restored == fresh fit, bit for bit."""
 
-    def test_snapshot_restore_matches_fresh_fit(self, trained_encoder, kind, tmp_path):
-        workspace, cases, config = _churned_workspace(trained_encoder, kind)
+    def test_snapshot_restore_matches_fresh_fit(self, trained_encoder, make_config, tmp_path):
+        workspace, cases, config = _churned_workspace(trained_encoder, make_config=make_config)
         workspace.save(tmp_path / "snap")
         restored = Workspace.load(tmp_path / "snap", AutoFormula(trained_encoder, config))
         assert restored.workbook_names == workspace.workbook_names
@@ -99,15 +93,15 @@ class TestRestoreParity:
             restored,
             lambda: AutoFormula(trained_encoder, config),
             cases,
-            context=f"restored kind={kind}",
+            context="restored",
         )
         assert_tombstone_accounting(restored.predictor)
 
     def test_snapshot_plus_log_tail_matches_fresh_fit(
-        self, trained_encoder, kind, tmp_path
+        self, trained_encoder, make_config, tmp_path
     ):
         workspace, cases, config = _churned_workspace(
-            trained_encoder, kind, seed=29, workload_config=EDIT_WORKLOAD
+            trained_encoder, seed=29, workload_config=EDIT_WORKLOAD, make_config=make_config
         )
         directory = tmp_path / "snap"
         workspace.save(directory)
@@ -130,7 +124,7 @@ class TestRestoreParity:
             restored,
             lambda: AutoFormula(trained_encoder, config),
             cases,
-            context=f"snapshot+log kind={kind}",
+            context="snapshot+log",
         )
         assert restored.workbook_names == workspace.workbook_names
 
@@ -145,7 +139,7 @@ class TestOlderSnapshots:
         """The layout a build with an int8 scan store left on disk: six
         extra ``.npy`` blocks listed in the manifest and two scoring keys
         in the predictor state.  The float32 store is all a restore needs."""
-        workspace, cases, config = _churned_workspace(trained_encoder, "exact")
+        workspace, cases, config = _churned_workspace(trained_encoder)
         directory = tmp_path / "snap"
         workspace.save(directory)
         manifest = read_manifest(directory)
@@ -172,31 +166,41 @@ class TestOlderSnapshots:
         )
         assert_tombstone_accounting(restored.predictor)
 
+    @staticmethod
+    def _saved_with_index_kind(trained_encoder, kind, directory):
+        """A churned workspace saved to ``directory``, its manifest then
+        rewritten to hold ``kind`` as both index kinds (what a build that
+        could pick an index wrote); and its config and cases."""
+        workspace, cases, config = _churned_workspace(trained_encoder)
+        workspace.save(directory)
+        manifest = read_manifest(directory)
+        assert manifest["predictor_state"]["sheet_index_kind"] == "exact"
+        assert manifest["predictor_state"]["formula_index_kind"] == "exact"
+        manifest["predictor_state"].update(sheet_index_kind=kind, formula_index_kind=kind)
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        return config, cases
+
     @pytest.mark.parametrize("alias", ("flat", " Exact "))
     def test_index_kind_alias_restores_under_canonical_name(
         self, trained_encoder, alias, tmp_path
     ):
-        """Every spelling of a kind is one kind: save under an alias, load
-        under the canonical name — also when the manifest itself holds the
-        alias, as snapshots written before canonicalisation do."""
-        workspace, cases, __ = _churned_workspace(trained_encoder, alias)
-        directory = tmp_path / "snap"
-        workspace.save(directory)
-        config = _config("exact")
+        """Every spelling of the exact kind an older build wrote restores
+        to the answers of a fresh fit."""
+        config, cases = self._saved_with_index_kind(trained_encoder, alias, tmp_path / "snap")
+        assert_matches_fresh_fit(
+            Workspace.load(tmp_path / "snap", AutoFormula(trained_encoder, config)),
+            lambda: AutoFormula(trained_encoder, config),
+            cases,
+            context=f"manifest holds {alias!r}",
+        )
 
-        def assert_restores(context):
-            assert_matches_fresh_fit(
-                Workspace.load(directory, AutoFormula(trained_encoder, config)),
-                lambda: AutoFormula(trained_encoder, config),
-                cases,
-                context=context,
-            )
-
-        assert_restores(f"saved under {alias!r}")
-        manifest = read_manifest(directory)
-        manifest["predictor_state"].update(sheet_index_kind=alias, formula_index_kind=alias)
-        (directory / "manifest.json").write_text(json.dumps(manifest))
-        assert_restores(f"manifest holds {alias!r}")
+    @pytest.mark.parametrize("kind", ("ivf", "lsh"))
+    def test_approximate_index_kind_is_refused_by_name(self, trained_encoder, kind, tmp_path):
+        """Vectors an approximate index searched would load, but this build
+        would not give that predictor's answers."""
+        config, __ = self._saved_with_index_kind(trained_encoder, kind, tmp_path / "snap")
+        with pytest.raises(ValueError, match=f"'{kind}'"):
+            Workspace.load(tmp_path / "snap", AutoFormula(trained_encoder, config))
 
 
 # ------------------------------------------------------------ log mechanics
@@ -204,7 +208,7 @@ class TestOlderSnapshots:
 
 class TestMutationLog:
     def test_load_replays_the_log_tail_once(self, trained_encoder, tmp_path):
-        workspace, cases, config = _churned_workspace(trained_encoder, "exact")
+        workspace, cases, config = _churned_workspace(trained_encoder)
         directory = tmp_path / "snap"
         workspace.save(directory)
         removed = workspace.remove_workbook(workspace.workbook_names[-1])
@@ -225,7 +229,7 @@ class TestMutationLog:
         assert len(log) == 2
 
     def test_a_tail_that_cannot_be_replayed_fails_the_load(self, trained_encoder, tmp_path):
-        workspace, __, config = _churned_workspace(trained_encoder, "exact")
+        workspace, __, config = _churned_workspace(trained_encoder)
         directory = tmp_path / "snap"
         workspace.save(directory)
         MutationLog(mutation_log_path(directory)).append(
@@ -237,7 +241,7 @@ class TestMutationLog:
     def test_registry_reads_replay_the_pending_log(self, trained_encoder, tmp_path):
         """A restored workspace must describe its current corpus — snapshot
         plus log tail — before anything has been served."""
-        workspace, __, config = _churned_workspace(trained_encoder, "exact")
+        workspace, __, config = _churned_workspace(trained_encoder)
         directory = tmp_path / "snap"
         workspace.save(directory)
         removed = workspace.remove_workbook(workspace.workbook_names[0])
@@ -265,7 +269,7 @@ class TestMutationLog:
         )
 
     def test_save_compacts_the_log(self, trained_encoder, tmp_path):
-        workspace, __, config = _churned_workspace(trained_encoder, "exact")
+        workspace, __, config = _churned_workspace(trained_encoder)
         directory = tmp_path / "snap"
         workspace.save(directory)
         workspace.remove_workbook(workspace.workbook_names[0])
@@ -376,7 +380,7 @@ class TestMutationLog:
         assert entry["cell"]["value"] == "two\u2028lines\x85here"
 
     def test_workspace_with_a_torn_log_tail_loads_and_reports_it(self, trained_encoder, tmp_path):
-        workspace, cases, config = _churned_workspace(trained_encoder, "exact")
+        workspace, cases, config = _churned_workspace(trained_encoder)
         directory = tmp_path / "snap"
         workspace.save(directory)
         names = workspace.workbook_names
@@ -411,7 +415,7 @@ class TestMutationLog:
 
         workbook_to_dict = log_module.workbook_to_dict
         monkeypatch.setattr(log_module, "workbook_to_dict", counting)
-        corpus = _churned_workspace(trained_encoder, "exact")[0].workbooks()
+        corpus = _churned_workspace(trained_encoder)[0].workbooks()
         service = FormulaService(trained_encoder)
         workspace = service.create_workspace("lazy", workbooks=corpus[:-2])
         workspace.edit_cell(corpus[0].name, corpus[0].sheets[0].name, "A1", value=1.0)
@@ -431,7 +435,7 @@ class TestMutationLog:
 
 class TestSnapshotFormat:
     def test_manifest_version_is_enforced(self, trained_encoder, tmp_path):
-        workspace, __, config = _churned_workspace(trained_encoder, "exact")
+        workspace, __, config = _churned_workspace(trained_encoder)
         directory = tmp_path / "snap"
         workspace.save(directory)
         manifest = read_manifest(directory)
@@ -461,7 +465,7 @@ class TestSnapshotFormat:
                 }
             )
         )
-        config = _config("exact")
+        config = AutoFormulaConfig()
         with pytest.raises(SnapshotFormatError, match="'sharded_workspace'"):
             Workspace.load(tmp_path, AutoFormula(trained_encoder, config))
         service = FormulaService(trained_encoder, config)
@@ -470,16 +474,18 @@ class TestSnapshotFormat:
         assert "old" not in service
 
     def test_config_mismatch_raises(self, trained_encoder, tmp_path):
-        workspace, __, config = _churned_workspace(trained_encoder, "exact")
+        workspace, __, config = _churned_workspace(trained_encoder)
         directory = tmp_path / "snap"
         workspace.save(directory)
-        with pytest.raises(ValueError, match="index"):
-            Workspace.load(directory, AutoFormula(trained_encoder, _config("lsh")))
+        with pytest.raises(ValueError, match="granularity"):
+            Workspace.load(
+                directory, AutoFormula(trained_encoder, AutoFormulaConfig(granularity="coarse_only"))
+            )
 
     def test_mmap_load_is_read_only_until_first_write(
         self, trained_encoder, tmp_path
     ):
-        workspace, cases, config = _churned_workspace(trained_encoder, "exact")
+        workspace, cases, config = _churned_workspace(trained_encoder)
         directory = tmp_path / "snap"
         workspace.save(directory)
         restored = Workspace.load(directory, AutoFormula(trained_encoder, config))
@@ -504,7 +510,7 @@ class TestSnapshotFormat:
         what the indexes hand back as ``SearchResult.key`` must still be
         ``int`` / ``(int, int)``, also with tombstoned sheets in the
         snapshot and with a formula index that holds nothing."""
-        workspace, cases, config = _churned_workspace(trained_encoder, "exact")
+        workspace, cases, config = _churned_workspace(trained_encoder)
         plain = Workbook("no-formulas")
         sheet = plain.add_sheet("Values")
         for row in range(6):
@@ -547,7 +553,7 @@ class TestSnapshotFormat:
 
 class TestServiceFacade:
     def test_save_and_load_workspace_round_trip(self, trained_encoder, tmp_path):
-        config = _config("exact")
+        config = AutoFormulaConfig()
         service = FormulaService(trained_encoder, config)
         workload = generate_workload(11, CHURN_WORKLOAD)
         replay = replay_workload(
@@ -567,7 +573,7 @@ class TestServiceFacade:
             )
 
     def test_duplicate_name_rejected_on_load(self, trained_encoder, tmp_path):
-        service = FormulaService(trained_encoder, _config("exact"))
+        service = FormulaService(trained_encoder, AutoFormulaConfig())
         workspace = service.create_workspace("tenant")
         workbook = Workbook("wb")
         workbook.add_sheet("S").set("A1", 1.0)

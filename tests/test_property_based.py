@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import cache
-from repro.ann import IVFIndex, LSHIndex
 from repro.embedding import HashedSemanticEmbedder
 from repro.formula import (
     FunctionCall,
@@ -629,23 +628,6 @@ class TestNNProperties:
         negative = np.full((3, 4), 10.0, dtype=np.float32)
         loss, *_ = triplet_loss_and_grad(anchor, positive, negative, margin=margin)
         assert loss == 0.0
-
-
-# ------------------------------------------------------------------------- ann
-
-
-class TestANNProperties:
-    @given(st.integers(10, 80), st.integers(0, 2**32 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_approximate_indexes_return_valid_keys(self, n, seed):
-        rng = np.random.default_rng(seed)
-        vectors = rng.standard_normal((n, 16)).astype(np.float32)
-        for index in (LSHIndex(16, seed=1), IVFIndex(16, n_clusters=4, seed=1)):
-            index.add_batch(list(range(n)), vectors)
-            hits = index.search(vectors[0], k=3)
-            assert hits
-            assert all(0 <= hit.key < n for hit in hits)
-            assert all(hit.distance >= 0.0 for hit in hits)
 
 
 # ---------------------------------------------------------------- weak superv.

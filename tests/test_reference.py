@@ -5,7 +5,7 @@ and restored from a snapshot plus its mutation log — must equal the
 reference's, after every op of generated add / remove / edit / recommend
 / serve streams over generated corpora and tie-heavy sheets, with the
 index's BLAS tier at its default gate and forced on at 2 pairs.
-Exact-kind ``search_batch`` must equal the reference k-NN for any pool,
+The index's ``search_batch`` must equal the reference k-NN for any pool,
 store history and k.  Hypothesis runs derandomized: a failure repeats.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AutoFormula, AutoFormulaConfig, RecommendationRequest, Workspace
-from repro.ann import SearchResult, VectorIndex, create_index
+from repro.ann import SearchResult, VectorIndex
 from repro.sheet import CellAddress, Workbook
 from repro.testing import WorkloadConfig, generate_workload, replay_workload
 from repro.testing.reference import ReferenceAutoFormula, answer_of, knn
@@ -172,7 +172,7 @@ def stores(draw):
 def test_exact_search_is_the_reference_knn(case):
     rng = np.random.default_rng(case["seed"])
     d = case["d"]
-    index = create_index("exact", d)
+    index = VectorIndex(d)
     vectors = {}  # key -> the vector its row must hold; removed keys leave
     slots = []  # the key of every store position, tombstones included
 

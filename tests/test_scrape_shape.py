@@ -1,7 +1,7 @@
 """The shape of the two scrape endpoints, pinned as literals.
 
 One fixed script of traffic — a recommend, a batch, an edit, an add, a
-remove and a rejected request — runs against a live ``FormulaServer``;
+remove, a rejected request and a rejected frame — runs against a live ``FormulaServer``;
 what ``/stats`` and ``/metrics`` then *contain* (not the numbers) must
 equal the literals below.  The file was written against the commit before
 the metrics stack was collapsed and passes unmodified on both sides of it:
@@ -27,6 +27,7 @@ from repro.server import (
     ServerError,
     start_server_in_background,
 )
+from test_server import _raw_exchange
 
 pytestmark = pytest.mark.usefixtures("fail_on_asyncio_errors")
 
@@ -59,6 +60,7 @@ STATS_PATHS = sorted(
         "counters.batched_requests",
         "counters.batches",
         "counters.collapsed_duplicates",
+        "counters.rejected_frames.bad_request",
         "counters.rejected_rate_limited",
         "counters.served",
         "in_flight",
@@ -89,7 +91,6 @@ METRIC_FAMILIES = {
     "cache_hit": ("gauge", ("cache",)),
     "cache_miss": ("gauge", ("cache",)),
     "cache_size": ("gauge", ("cache",)),
-    "index_exact_fallback_rows": ("gauge", ("workspace",)),
     "index_rows_gathered": ("gauge", ("workspace",)),
     "index_rows_scored_in_place": ("gauge", ("workspace",)),
     "persistence_log_torn_tail_total": ("gauge", ("workspace",)),
@@ -106,6 +107,7 @@ METRIC_FAMILIES = {
     "server_inflight": ("gauge", ()),
     "server_queue_depth": ("gauge", ("workspace",)),
     "server_queue_wait_seconds": ("summary", ("quantile",)),
+    "server_rejected_frames_total": ("counter", ("reason",)),
     "server_rejected_rate_limited_total": ("counter", ()),
     "server_served_total": ("counter", ()),
     "workspace_index_bytes": ("gauge", ("workspace",)),
@@ -179,6 +181,8 @@ def scrape(trained_encoder, pge_corpus):
         with pytest.raises(ServerError) as excinfo:
             client.recommend("pge", case.target_sheet, case.target_cell.to_a1())
         assert excinfo.value.status == 429
+        frame = b"POST /v1/workspaces/pge/recommend HTTP/1.1\r\nContent-Length: x\r\n\r\n"
+        assert _raw_exchange(handle, frame).startswith(b"HTTP/1.1 400 ")
         # /metrics first: its own endpoint histogram exists when /stats is
         # read, and nothing but the two scrapes runs between them.
         metrics_text = client.metrics_text()
@@ -216,11 +220,12 @@ def test_every_stats_counter_equals_its_metrics_sample(scrape):
     stats, text = scrape
     __, samples = parse_metrics(text)
     counters = dict(stats["counters"])
-    assert counters.pop("batch_dispatch") == {
-        dict(labels)["reason"]: int(value)
-        for (name, labels), value in samples.items()
-        if name == "server_batch_dispatch_total"
-    }
+    for family in ("batch_dispatch", "rejected_frames"):
+        assert counters.pop(family) == {
+            dict(labels)["reason"]: int(value)
+            for (name, labels), value in samples.items()
+            if name == f"server_{family}_total"
+        }
     assert counters.pop("collapsed_duplicates") == sum(
         value
         for (name, __), value in samples.items()

@@ -12,6 +12,8 @@ window: there is none — a batch gathers only behind one that is running.
 """
 
 import gc
+import http.client
+import json
 import socket
 import threading
 import time
@@ -650,7 +652,56 @@ class TestReadTimeouts:
             with FormulaClient(handle.host, handle.port) as probe:
                 counters = probe.stats()["counters"]
         assert counters["read_timeouts"] == 3
+        assert counters["rejected_frames"] == {"request_timeout": 2}
         assert "server_errors" not in counters
+
+
+def _raw_exchange(handle, request: bytes) -> bytes:
+    """Send ``request`` as it is on a fresh connection; everything the
+    server answers before it closes."""
+    with socket.create_connection((handle.host, handle.port), TIMEOUT) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        return sock.makefile("rb").read()
+
+
+class TestMalformedInput:
+    def test_deeply_nested_json_is_a_schema_error(self):
+        """``json.loads`` raises ``RecursionError`` on deep nesting, which
+        used to reach the defensive 500 arm."""
+        body = b"[" * 100_000 + b"]" * 100_000
+        with start_server_in_background(_stub_service()) as handle:
+            for path in ("recommend", "edit-cell", "workbooks"):
+                connection = http.client.HTTPConnection(handle.host, handle.port, timeout=TIMEOUT)
+                try:
+                    connection.request("POST", f"/v1/workspaces/acme/{path}", body=body)
+                    response = connection.getresponse()
+                    status, answer = response.status, json.loads(response.read())
+                finally:
+                    connection.close()
+                assert status == 400 and answer["error"] == "schema_error", (path, answer)
+            counters = FormulaClient(handle.host, handle.port).stats()["counters"]
+        assert "server_errors" not in counters
+
+    def test_every_rejected_frame_is_counted_by_reason(self):
+        config = ServerConfig(max_body_bytes=64)
+        head = b"POST /v1/workspaces/acme/recommend HTTP/1.1\r\nContent-Length: %s\r\n\r\n"
+        with start_server_in_background(_stub_service(), config) as handle:
+            client = FormulaClient(handle.host, handle.port)
+            assert client.stats()["counters"]["rejected_frames"] == {}
+            answer = _raw_exchange(handle, head % b"twelve")
+            assert answer.startswith(b"HTTP/1.1 400 ") and b'"bad_request"' in answer
+            assert client.stats()["counters"]["rejected_frames"] == {"bad_request": 1}
+            # Refused from the head alone: no body, so none is left unread.
+            answer = _raw_exchange(handle, head % b"65")
+            assert answer.startswith(b"HTTP/1.1 413 ") and b'"payload_too_large"' in answer
+            assert client.stats()["counters"]["rejected_frames"] == {
+                "bad_request": 1,
+                "payload_too_large": 1,
+            }
+            metrics = client.metrics_text()
+        assert 'server_rejected_frames_total{reason="bad_request"} 1' in metrics
+        assert 'server_rejected_frames_total{reason="payload_too_large"} 1' in metrics
 
 
 # ----------------------------------------------------------------- internals

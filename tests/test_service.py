@@ -40,10 +40,6 @@ def _reindex_counts(workspace: Workspace) -> dict:
     return {shape: counts[f"workspace.reindex_{shape}"] for shape in ("same", "changed", "refit")}
 
 
-def _config(kind: str) -> AutoFormulaConfig:
-    return AutoFormulaConfig(sheet_index_kind=kind, formula_index_kind=kind)
-
-
 def _assert_matches_prediction(response, prediction):
     """A served response must carry exactly the predictor's output."""
     if prediction is None:
@@ -58,18 +54,17 @@ def _assert_matches_prediction(response, prediction):
         assert response.provenance == prediction.details
 
 
-@pytest.mark.parametrize("kind", ["exact", "lsh", "ivf"])
 class TestIncrementalParity:
     """Mutated workspaces must predict bit-identically to a fresh fit."""
 
     def test_workspace_built_by_adds_matches_fresh_fit(
-        self, trained_encoder, workload, kind
+        self, trained_encoder, workload, make_config
     ):
         references, cases = workload
-        fresh = AutoFormula(trained_encoder, _config(kind))
+        fresh = AutoFormula(trained_encoder, make_config())
         fresh.fit(references)
 
-        service = FormulaService(trained_encoder, _config(kind))
+        service = FormulaService(trained_encoder, make_config())
         workspace = service.create_workspace("incremental")
         for workbook in references:
             workspace.add_workbook(workbook)
@@ -83,12 +78,12 @@ class TestIncrementalParity:
             )
             _assert_matches_prediction(response, expected)
 
-    def test_remove_then_re_add_matches_fresh_fit(self, trained_encoder, workload, kind):
+    def test_remove_then_re_add_matches_fresh_fit(self, trained_encoder, workload, make_config):
         references, cases = workload
-        service = FormulaService(trained_encoder, _config(kind))
+        service = FormulaService(trained_encoder, make_config())
         workspace = service.create_workspace("churn", workbooks=references)
-        # Warm the online path so lazily-trained index state exists before
-        # the mutation, the hardest case for parity.
+        # Warm the online path so cached query state exists before the
+        # mutation, the hardest case for parity.
         workspace.serve_batch(
             [RecommendationRequest(case.target_sheet, case.target_cell) for case in cases]
         )
@@ -97,7 +92,7 @@ class TestIncrementalParity:
         workspace.add_workbook(churned)
 
         # The equivalent corpus: re-added workbooks go to the end.
-        fresh = AutoFormula(trained_encoder, _config(kind))
+        fresh = AutoFormula(trained_encoder, make_config())
         fresh.fit(references[1:] + [references[0]])
 
         for case in cases:
@@ -107,9 +102,9 @@ class TestIncrementalParity:
             )
             _assert_matches_prediction(response, expected)
 
-    def test_removal_until_empty_then_rebuild(self, trained_encoder, workload, kind):
+    def test_removal_until_empty_then_rebuild(self, trained_encoder, workload, make_config):
         references, cases = workload
-        service = FormulaService(trained_encoder, _config(kind))
+        service = FormulaService(trained_encoder, make_config())
         workspace = service.create_workspace("drain", workbooks=references)
         for workbook in list(references):
             workspace.remove_workbook(workbook.name)
@@ -121,7 +116,7 @@ class TestIncrementalParity:
         assert response.abstain_reason == AbstainReason.EMPTY_CORPUS
 
         workspace.add_workbooks(references)
-        fresh = AutoFormula(trained_encoder, _config(kind))
+        fresh = AutoFormula(trained_encoder, make_config())
         fresh.fit(references)
         for case in cases[:4]:
             expected = fresh.predict(case.target_sheet, case.target_cell)
@@ -325,7 +320,7 @@ class TestEditCell:
         return workbook, sheet, _numeric_cells(sheet)[0]
 
     def _workspace(self, trained_encoder, workbooks, directory=None):
-        workspace = Workspace("t", AutoFormula(trained_encoder, _config("exact")))
+        workspace = Workspace("t", AutoFormula(trained_encoder, AutoFormulaConfig()))
         workspace.add_workbooks([wb.copy() for wb in workbooks])
         if directory is not None:
             workspace.save(directory)  # every later edit lands in the log tail
@@ -342,9 +337,9 @@ class TestEditCell:
         == restored from the pre-edit snapshot + the log tail."""
         # Parity cannot see an edit that fell back to a full refit.
         assert workspace.counters()["workspace.reindex_refit"] == 0
-        fresh = AutoFormula(trained_encoder, _config("exact"))
+        fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
         assert_matches_fresh_fit(workspace, lambda: fresh, cases)
-        restored = Workspace.load(directory, AutoFormula(trained_encoder, _config("exact")))
+        restored = Workspace.load(directory, AutoFormula(trained_encoder, AutoFormulaConfig()))
         assert restored.workbook_names == workspace.workbook_names
         assert_responses_match(self._serve(workspace, cases), self._serve(restored, cases))
         assert_same_index_rows(restored.predictor, fresh)
@@ -517,13 +512,13 @@ class TestEditCell:
             child for child in edit["children"] if child["name"] == "workspace.reindex_sheet"
         ]
         assert span["attributes"]["error"].startswith("FloatingPointError")
-        fresh = AutoFormula(trained_encoder, _config("exact"))
+        fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
         assert_matches_fresh_fit(workspace, lambda: fresh, cases)
         # The next edit re-indexes in place again.
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "B13", value=42.5)
         assert _reindex_counts(workspace) == {"same": 1, "changed": 0, "refit": 1}
         assert len(fits) == 1
-        fresh = AutoFormula(trained_encoder, _config("exact"))
+        fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
         assert_matches_fresh_fit(workspace, lambda: fresh, cases)
 
     def test_edit_that_grows_the_used_extent(self, trained_encoder, workload, tmp_path):
@@ -559,13 +554,13 @@ class TestEditCell:
     ):
         reference_workbooks, cases = workload
         live = self._workspace(trained_encoder, reference_workbooks, tmp_path)
-        restored = Workspace.load(tmp_path, AutoFormula(trained_encoder, _config("exact")))
+        restored = Workspace.load(tmp_path, AutoFormula(trained_encoder, AutoFormulaConfig()))
         for workspace in (live, restored):
             # The restored reference stores are still empty here.
             workspace.edit_cell(self.WORKBOOK, self.SHEET, "A34", value=123456.0)
         assert_responses_match(self._serve(live, cases), self._serve(restored, cases))
         assert_matches_fresh_fit(
-            restored, lambda: AutoFormula(trained_encoder, _config("exact")), cases
+            restored, lambda: AutoFormula(trained_encoder, AutoFormulaConfig()), cases
         )
 
     def test_edit_inside_a_parameter_window_refreshes_the_reference_store(
@@ -585,7 +580,7 @@ class TestEditCell:
         stored = reference.store.rows(plan.slots)[0].tobytes()
         # A34 sits in the window of the parameter cell A44 (the range's end).
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "A34", value=123456.0)
-        fresh = AutoFormula(trained_encoder, _config("exact"))
+        fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
         assert_matches_fresh_fit(workspace, lambda: fresh, cases)
 
         # The same through the store itself: the plan and its slots stayed,
@@ -617,7 +612,7 @@ class TestEditCell:
         assert n_edits > 50
         assert_matches_fresh_fit(
             workspace,
-            lambda: AutoFormula(trained_encoder, _config("exact")),
+            lambda: AutoFormula(trained_encoder, AutoFormulaConfig()),
             cases,
             context="after value-to-text edits",
         )

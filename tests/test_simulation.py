@@ -2,7 +2,7 @@
 
 Drives the deterministic workload generator (``repro.testing``) against
 workspaces and asserts the guarantees the service layer documents:
-replay determinism, mutated-corpus/fresh-fit parity across index kinds,
+replay determinism, mutated-corpus/fresh-fit parity,
 tombstone accounting after every mutation, live == fresh fit == restored
 after edit streams (which leave no tombstones and move no workbook),
 incremental == full-pass recalculation under edit streams, and
@@ -26,8 +26,7 @@ from repro.testing import (
 #: The simulator seeds the acceptance invariants are verified across.
 SIMULATOR_SEEDS = (11, 29, 47)
 
-#: Small on purpose: fast, and it keeps IVF/LSH in the exact-fallback
-#: regime where a mutated index is provably bit-identical to a fresh fit.
+#: Small on purpose: the whole churn replays in a test.
 SMALL_WORKLOAD = WorkloadConfig(
     n_tenants=1,
     n_steps=8,
@@ -55,10 +54,6 @@ EDIT_WORKLOAD = WorkloadConfig(
     max_recommend_batch=3,
     max_cases=5,
 )
-
-
-def _config(kind: str) -> AutoFormulaConfig:
-    return AutoFormulaConfig(sheet_index_kind=kind, formula_index_kind=kind)
 
 
 def _signature(workload):
@@ -127,7 +122,7 @@ class TestWorkloadDeterminism:
         workload = generate_workload(7, SMALL_WORKLOAD)
 
         def factory(tenant):
-            return Workspace(tenant, AutoFormula(trained_encoder, _config("exact")))
+            return Workspace(tenant, AutoFormula(trained_encoder, AutoFormulaConfig()))
 
         first = replay_workload(workload, factory)
         second = replay_workload(workload, factory)
@@ -138,13 +133,12 @@ class TestWorkloadDeterminism:
             assert left.evaluation == right.evaluation
 
 
-@pytest.mark.parametrize("kind", ["exact", "lsh", "ivf"])
 class TestFreshFitParity:
     """After arbitrary churn, serving equals a fresh fit on the corpus."""
 
-    def test_mutated_workspace_matches_fresh_fit(self, trained_encoder, kind):
+    def test_mutated_workspace_matches_fresh_fit(self, trained_encoder, make_config):
         workload = generate_workload(SIMULATOR_SEEDS[0], SMALL_WORKLOAD)
-        config = _config(kind)
+        config = make_config()
 
         def audit(op, workspace):
             if op.kind in ("add", "remove", "edit"):
@@ -163,19 +157,20 @@ class TestFreshFitParity:
                 workspace,
                 lambda: AutoFormula(trained_encoder, config),
                 workload.cases[tenant],
-                context=f"kind={kind} tenant={tenant}",
+                context=f"tenant={tenant}",
             )
 
+    @pytest.mark.parametrize("make_config", [AutoFormulaConfig], ids=["exact"])
     @pytest.mark.parametrize("seed", SIMULATOR_SEEDS)
     def test_edit_stream_matches_fresh_fit_and_restore(
-        self, trained_encoder, kind, seed, tmp_path
+        self, trained_encoder, make_config, seed, tmp_path
     ):
         """Every edit re-indexes one sheet where it sits: the registry order
         only ever changes by an add or a remove, a stream without removes
         leaves no tombstone, and at the end live == fresh fit == a restore
         that replays the whole stream from the mutation log."""
         workload = generate_workload(seed, EDIT_WORKLOAD)
-        config = _config(kind)
+        config = make_config()
         removed_from = set()
 
         def workspace_for(tenant):
@@ -208,7 +203,7 @@ class TestFreshFitParity:
                 workspace,
                 lambda: AutoFormula(trained_encoder, config),
                 cases,
-                context=f"edits kind={kind} seed={seed}",
+                context=f"edits seed={seed}",
             )
             restored = Workspace.load(tmp_path / tenant, AutoFormula(trained_encoder, config))
             assert restored.workbook_names == workspace.workbook_names
@@ -218,7 +213,7 @@ class TestFreshFitParity:
             assert_responses_match(
                 workspace.serve_batch(requests),
                 restored.serve_batch(requests),
-                context=f"restored kind={kind} seed={seed}",
+                context=f"restored seed={seed}",
             )
 
 
@@ -254,7 +249,7 @@ class TestEditRecalcParity:
         )
         replay = replay_workload(
             workload,
-            lambda tenant: Workspace(tenant, AutoFormula(trained_encoder, _config("exact"))),
+            lambda tenant: Workspace(tenant, AutoFormula(trained_encoder, AutoFormulaConfig())),
         )
         edits = [outcome for outcome in replay.outcomes if outcome.kind == "edit"]
         assert edits and all(outcome.recalc is not None for outcome in edits)
@@ -282,7 +277,7 @@ class TestLongSimulationStress:
                 max_cases=6,
             ),
         )
-        config = _config("exact")
+        config = AutoFormulaConfig()
 
         def audit(op, workspace):
             if op.kind in ("add", "remove", "edit"):
@@ -316,7 +311,7 @@ class TestInvariantCheckers:
     def test_tombstone_accounting_tracks_mutation(self, trained_encoder):
         workload = generate_workload(3, SMALL_WORKLOAD)
         tenant = workload.tenants[0]
-        predictor = AutoFormula(trained_encoder, _config("exact"))
+        predictor = AutoFormula(trained_encoder, AutoFormulaConfig())
         pool = list(workload.pools[tenant])
         predictor.fit(pool[:2])
         assert_tombstone_accounting(predictor)
@@ -330,7 +325,7 @@ class TestInvariantCheckers:
 
         workload = generate_workload(3, SMALL_WORKLOAD)
         tenant = workload.tenants[0]
-        workspace = Workspace(tenant, AutoFormula(trained_encoder, _config("exact")))
+        workspace = Workspace(tenant, AutoFormula(trained_encoder, AutoFormulaConfig()))
         workspace.add_workbooks(workload.pools[tenant][:2])
         case = workload.cases[tenant][0]
         forged = RecommendationResponse(

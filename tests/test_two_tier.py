@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro import AutoFormula, AutoFormulaConfig, ServerConfig, Workspace
-from repro.ann import SearchResult, create_index
+from repro.ann import SearchResult, VectorIndex
 from repro.core.interface import FormulaPredictor, Prediction
 from repro.obs import MetricsRegistry
 from repro.server.metrics import stats_body
@@ -29,14 +29,12 @@ from repro.sheet import CellAddress, Sheet, Workbook
 from repro.testing.reference import answer_of, knn
 from repro.testing.workload import tie_heavy_vectors
 
-INDEX_KINDS = ("exact", "ivf", "lsh")
-
 #: A gate no call can reach: the index always takes the plain path.
 UNREACHABLE = 1 << 62
 
 
-def _gated_index(kind, d, gate):
-    index = create_index(kind, d)
+def _gated_index(d, gate, make_index=VectorIndex):
+    index = make_index(d)
     index.tier1_min_pairs = gate
     return index
 
@@ -44,8 +42,7 @@ def _gated_index(kind, d, gate):
 class TestTwoPathParity:
     """Final rankings must be bit-identical on both sides of the gate."""
 
-    @pytest.mark.parametrize("kind", ["exact"])  # IVF / LSH pools never take tier 1
-    def test_overflow_falls_back_bit_identical(self, kind):
+    def test_overflow_falls_back_bit_identical(self, index_factory):
         """A pool of near-identical vectors overflows the slice budget:
         every row must fall back to the plain scorer, still bit-equal."""
         rng = np.random.default_rng(3)
@@ -53,8 +50,8 @@ class TestTwoPathParity:
         data = np.tile(rng.standard_normal((1, d)).astype(np.float32), (n, 1))
         data += rng.standard_normal((n, d)).astype(np.float32) * 1e-7
         keys = list(range(n))
-        plain = _gated_index(kind, d, UNREACHABLE)
-        blas = _gated_index(kind, d, 2)
+        plain = _gated_index(d, UNREACHABLE, index_factory)
+        blas = _gated_index(d, 2, index_factory)
         plain.add_batch(keys, data)
         blas.add_batch(keys, data)
         queries = data[:4] + rng.standard_normal((4, d)).astype(np.float32) * 1e-7
@@ -71,7 +68,7 @@ class TestTwoPathParity:
         cluster = np.tile(rng.standard_normal((1, d)).astype(np.float32), (n // 2, 1))
         spread = rng.standard_normal((n // 2, d)).astype(np.float32) * 4.0
         data = np.concatenate([cluster, spread])
-        plain, blas = _gated_index("exact", d, UNREACHABLE), _gated_index("exact", d, 2)
+        plain, blas = _gated_index(d, UNREACHABLE), _gated_index(d, 2)
         for index in (plain, blas):
             index.add_batch(list(range(n)), data)
         mixed = np.concatenate([cluster[:2], spread[:2]])
@@ -120,12 +117,12 @@ def _reference_hits(vectors, queries, pool, k):
 
 
 def _restore_as_memory_map(index, directory):
-    """A fresh index of the same kind over ``index``'s store, its matrix and
+    """A fresh index over ``index``'s store, its matrix and
     norms read-only memory maps (what a lazily loaded snapshot hands over)."""
     state = index.store_state()
     for name in ("matrix", "sq_norms"):
         np.save(Path(directory) / f"{name}.npy", state[name])
-    restored = type(index)(index.dimension)
+    restored = VectorIndex(index.dimension)
     restored.restore_store(
         list(index._keys),
         np.load(Path(directory) / "matrix.npy", mmap_mode="r"),
@@ -146,7 +143,7 @@ class TestPoolWhereItLies:
         place, the rest gathered; the counts and the span's ``runs`` are the
         only place that shows."""
         rng = np.random.default_rng(23)
-        index = _gated_index("exact", 64, gate)
+        index = _gated_index(64, gate)
         data = tie_heavy_vectors(rng, 1000, 64)
         index.add_batch(list(range(1000)), data)
         pool = np.concatenate(
@@ -177,7 +174,7 @@ class TestPoolWhereItLies:
         d = 64
         cluster = np.tile(rng.standard_normal((1, d)).astype(np.float32), (200, 1))
         spread = rng.standard_normal((200, d)).astype(np.float32) * 4.0
-        index = _gated_index("exact", d, 2)
+        index = _gated_index(d, 2)
         data = np.concatenate([cluster, spread])
         index.add_batch(list(range(400)), data)
         pool = np.concatenate([np.arange(250, 380), np.arange(0, 150), [390]])
@@ -201,7 +198,7 @@ class TestPoolWhereItLies:
         than 1 MB on either path (1 query: plain, 4: BLAS + re-rank)."""
         rng = np.random.default_rng(29)
         d = 1280
-        index = create_index("exact", d)
+        index = VectorIndex(d)
         data = rng.standard_normal((2400, d)).astype(np.float32)
         index.add_batch(list(range(2400)), data)
         pool = np.concatenate([np.arange(first, first + 300) for first in (1800, 100, 900)])
@@ -222,14 +219,13 @@ class TestCompactionHeadRoom:
     """``_compact`` gathers the live rows into a store with room to grow."""
 
     @pytest.mark.parametrize("memory_map", [False, True])
-    @pytest.mark.parametrize("kind", INDEX_KINDS)
-    def test_add_after_compaction_does_not_reallocate(self, kind, memory_map, tmp_path):
+    def test_add_after_compaction_does_not_reallocate(self, index_factory, memory_map, tmp_path):
         rng = np.random.default_rng(31)
         d, n = 16, 200
         data = tie_heavy_vectors(rng, n + 60, d)
-        index = create_index(kind, d)
+        index = index_factory(d)
         index.add_batch(list(range(n)), data[:n])
-        fresh = create_index(kind, d)
+        fresh = index_factory(d)
         if memory_map:
             index = _restore_as_memory_map(index, tmp_path)
             mapped = index._store.rows
@@ -269,7 +265,7 @@ class TestGate:
     )
     def test_default_gate_picks_path_by_pairs(self, tracer, pool, n_queries, mode):
         rng = np.random.default_rng(pool + n_queries)
-        index = create_index("exact", 16)
+        index = VectorIndex(16)
         store = pool + 100  # full scan and a strict-subset positions pool, same side
         index.add_batch(list(range(store)), rng.standard_normal((store, 16)).astype(np.float32))
         queries = rng.standard_normal((n_queries, 16)).astype(np.float32)
@@ -286,8 +282,11 @@ class TestGate:
         """The options are gone, not ignored."""
         with pytest.raises(TypeError):
             AutoFormulaConfig(scoring_mode="two_tier")
+        for field in ("sheet_index_kind", "formula_index_kind"):
+            with pytest.raises(TypeError):
+                AutoFormulaConfig(**{field: "exact"})
         with pytest.raises(TypeError):
-            create_index("exact", 4, storage_dtype="int8")
+            VectorIndex(4, storage_dtype="int8")
         with pytest.raises(TypeError):
             ServerConfig(scoring_mode="two_tier")
 
@@ -296,7 +295,7 @@ class TestMemoryStats:
     """The /stats index-memory surface."""
 
     def test_index_memory_accounting(self):
-        index = create_index("exact", 16)
+        index = VectorIndex(16)
         rng = np.random.default_rng(17)
         index.add_batch(list(range(100)), tie_heavy_vectors(rng, 100, 16))
         index.remove_batch([0, 1, 2])
