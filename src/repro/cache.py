@@ -1,12 +1,16 @@
-"""Bounded caches that count themselves: :class:`LRU` and :func:`memoized`.
+"""Bounded caches that count themselves: :class:`LRU`, :class:`RowTable`
+and :func:`memoized`.
 
 Every cache in the system comes from this module, so how a bounded cache
 evicts, locks, validates its entries and reports its traffic is decided here
-and nowhere else.  The rule for picking one of the two:
+and nowhere else.  The rule for picking one of the three:
 
 * :class:`LRU` for values derived from versioned objects (checked against a
   token at every lookup) or weighed in bytes — sheet tensors, query vectors,
-  cell features;
+  region stores;
+* :class:`RowTable` for many fixed-width float32 vectors that are read many
+  keys at a time — cell features — where a read is one C-level dict lookup
+  per key and one gather, not a Python call and an array object per key;
 * :func:`memoized` for pure functions of small hashable arguments whose
   results are immutable — parsed addresses, styles, formula trees, token
   hashes, shared feature parts — where a lookup is one C call and the
@@ -22,12 +26,17 @@ name without a handle being threaded from the encoder up to the server.
 from __future__ import annotations
 
 import functools
+import mmap
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from itertools import repeat
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-_instances: "weakref.WeakSet[LRU]" = weakref.WeakSet()
+import numpy as np
+
+#: Live :class:`LRU` and :class:`RowTable` instances.
+_instances: "weakref.WeakSet" = weakref.WeakSet()
 #: name -> ``functools.lru_cache`` wrapper, for :func:`memoized` functions.
 _memos: Dict[str, Callable] = {}
 _instances_mutex = threading.Lock()
@@ -52,8 +61,7 @@ class LRU:
     Values must be deterministic functions of their key: a miss raced by
     two threads computes the value twice, and :meth:`put` hands both the
     one resident value.  ``hits`` / ``misses`` / ``evictions`` are exact —
-    they change under the mutex every operation takes anyway; a caller with
-    many keys in hand takes it once for all of them (:meth:`get_many`).
+    they change under the mutex every operation takes anyway.
     """
 
     def __init__(
@@ -91,33 +99,22 @@ class LRU:
         self._bytes -= self._entries.pop(slot)[3]
         self.evictions += 1
 
-    def _find(self, key):
-        """:meth:`get` proper; the caller holds the mutex."""
+    def get(self, key):
+        """The value cached for ``key`` (refreshing its recency), or ``None``."""
         slot, token = key, None
         if self._token_of is not None:
             slot, token = id(key), self._token_of(key)
-        entry = self._entries.get(slot)
-        if entry is not None and entry[1] != token:
-            self._drop(slot)
-            entry = None
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(slot)
-        return entry[2]
-
-    def get(self, key):
-        """The value cached for ``key`` (refreshing its recency), or ``None``."""
         with self._mutex:
-            return self._find(key)
-
-    def get_many(self, keys) -> List[object]:
-        """:meth:`get` of every key, in order, as one transaction: the mutex
-        is taken once, and the counts and recency end up exactly as after
-        the same ``get`` calls made one by one."""
-        with self._mutex:
-            return list(map(self._find, keys))
+            entry = self._entries.get(slot)
+            if entry is not None and entry[1] != token:
+                self._drop(slot)
+                entry = None
+            if entry is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self._entries.move_to_end(slot)
+            return entry[2]
 
     def put(self, key, value):
         """Cache ``value`` for ``key`` and return the resident value: the one
@@ -166,6 +163,99 @@ class LRU:
         return counts
 
 
+class RowTable:
+    """A bounded, thread-safe ``key -> float32 row`` table of one width.
+
+    The rows live in one ``(max_rows, width)`` matrix, allocated once as an
+    anonymous memory mapping — the operating system backs a page of it only
+    when a row on that page is first written, so an unfilled bound costs
+    address space, not memory — and a dict maps each key to its row.
+    :meth:`read` of n keys is n C-level dict lookups and one gather, under
+    one mutex.
+
+    When a :meth:`write` finds every row taken, the table *starts over*: all
+    rows drop (counted in ``evictions``) and filling resumes at row 0.  No
+    key is ever answered with another key's row: a read copies its rows out
+    under the same mutex a start-over takes.
+
+    Rows must be deterministic functions of their keys: a miss raced by two
+    threads is computed by both, and the first write wins.  ``hits`` /
+    ``misses`` / ``evictions`` are exact, one lookup per key read.
+    """
+
+    def __init__(self, name: str, max_rows: int, width: int) -> None:
+        if max_rows <= 0:
+            raise ValueError("max_rows must be positive")
+        self.name = name
+        self.max_rows = max_rows
+        # Mapped directly rather than through ``np.empty``: glibc lifts its
+        # mmap threshold to the size of a freed mapping it made (up to 32
+        # MiB), so a freed 25 MiB table would send every later array under
+        # that size to the heap — peak RSS of a benchmark process that sets
+        # up twice rose 6 % that way.
+        self._rows = np.frombuffer(
+            mmap.mmap(-1, max_rows * width * 4), dtype=np.float32
+        ).reshape(max_rows, width)
+        #: key -> row number; rows ``[0, _filled)`` are taken.
+        self._row_of: Dict[Hashable, int] = {}
+        self._filled = 0
+        self._mutex = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        with _instances_mutex:
+            _instances.add(self)
+
+    def __len__(self) -> int:
+        return len(self._row_of)
+
+    def read(self, keys: Sequence[Hashable]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, missed)``: a private ``(len(keys), width)`` matrix whose
+        row i is the row held for ``keys[i]``, and the positions of the keys
+        held nowhere (their rows in the matrix are unspecified).  ``None``
+        is never held, so it always misses."""
+        with self._mutex:
+            ids = np.fromiter(
+                map(self._row_of.get, keys, repeat(-1)), dtype=np.intp, count=len(keys)
+            )
+            rows = self._rows.take(ids, axis=0, mode="clip")
+            missed = np.flatnonzero(ids < 0)
+            self.misses += len(missed)
+            self.hits += len(ids) - len(missed)
+        return rows, missed
+
+    def write(self, keys: Iterable[Hashable], rows: np.ndarray) -> None:
+        """Hold ``rows[i]`` for the i-th of ``keys`` (distinct, not ``None``)
+        unless a row is held for it already."""
+        with self._mutex:
+            row_of = self._row_of
+            start, taken = self._filled, []
+            for position, key in enumerate(keys):
+                if key in row_of:
+                    continue
+                if self._filled == self.max_rows:
+                    # Start over: what this call wrote so far drops too.
+                    self.evictions += len(row_of)
+                    row_of.clear()
+                    start, taken, self._filled = 0, [], 0
+                row_of[key] = self._filled
+                self._filled += 1
+                taken.append(position)
+            if taken:
+                self._rows[start : self._filled] = rows[taken]
+
+    def stats(self) -> Dict[str, int]:
+        """``hit`` / ``miss`` / ``evict`` counts since construction and the
+        ``size`` (keys held) now."""
+        with self._mutex:
+            return {
+                "hit": self.hits,
+                "miss": self.misses,
+                "evict": self.evictions,
+                "size": len(self._row_of),
+            }
+
+
 def memoized(name: str, max_entries: int, typed: bool = False):
     """Decorator: ``functools.lru_cache`` under a name :func:`stats` reports.
 
@@ -190,8 +280,9 @@ def memoized(name: str, max_entries: int, typed: bool = False):
 
 
 def stats() -> Dict[str, Dict[str, int]]:
-    """Every live cache's :meth:`LRU.stats`, summed by instance name, and
-    every :func:`memoized` function's counts under its own."""
+    """Every live :class:`LRU`'s and :class:`RowTable`'s ``stats()``, summed
+    by instance name, and every :func:`memoized` function's counts under its
+    own."""
     with _instances_mutex:
         instances = list(_instances)
         memos = list(_memos.items())

@@ -11,11 +11,13 @@ relies on: textually/semantically similar strings receive nearby vectors.
 * :class:`WordAveragingEmbedder` — word-level hashing only, 50 dimensions by
   default and noticeably cheaper (the GloVe stand-in).
 
-Neither memoizes whole texts: repeated cell texts are absorbed one level up,
-by the cell-feature cache of :class:`repro.features.CellFeaturizer`, which
-keys on everything a feature vector depends on (the text included).  What
-distinct texts share — their words and character n-grams — is hashed once
-(the ``token_hashes`` memo of :mod:`repro.embedding.hashed`).
+Neither memoizes whole texts: a cell text is embedded when its cell's
+content first misses the cell-feature table of
+:class:`repro.features.CellFeaturizer`, which keys on everything a feature
+vector depends on (the text included) and embeds all of one call's misses
+with one :meth:`~TextEmbedder.embed_batch`.  What distinct texts share —
+their words and character n-grams — is hashed once (the ``token_hashes``
+memo of :mod:`repro.embedding.hashed`).
 """
 
 from repro.embedding.base import TextEmbedder

@@ -7,12 +7,17 @@ words or substrings therefore land close together in cosine space — e.g.
 ``"2020-01-01"`` and ``"2020-01-02"`` overlap through most of their
 character trigrams.  That neighbourhood structure is the only property the
 downstream representation models rely on.
+
+A batch of texts is embedded with one scatter-add of every token's signed
+weight and one row-wise normalization, and gives each text the bytes a
+token-by-token loop over that text alone gives (see
+:meth:`HashedSemanticEmbedder.embed_batch`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -61,22 +66,51 @@ class HashedSemanticEmbedder(TextEmbedder):
             return [normalized] if normalized else []
         return [normalized[i : i + n] for i in range(len(normalized) - n + 1)]
 
-    def _hash_into(self, vector: np.ndarray, tokens: Iterable[str], weight: float) -> None:
-        for token in tokens:
-            token_hash = _stable_hash(token)
-            index = token_hash % self._dimension
-            sign = 1.0 if (token_hash >> 32) & 1 else -1.0
-            vector[index] += sign * weight
-
     # ------------------------------------------------------------------- embed
 
     def embed(self, text: str) -> np.ndarray:
-        vector = np.zeros(self._dimension, dtype=np.float32)
-        if not text:
-            return vector
-        self._hash_into(vector, self._word_tokens(text), weight=1.0)
-        self._hash_into(vector, self._char_tokens(text), weight=0.5)
-        norm = float(np.linalg.norm(vector))
-        if norm > 0.0:
-            vector /= norm
-        return vector
+        return self.embed_batch([text])[0]
+
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """Embed ``texts`` into an ``(n, dimension)`` float32 matrix.
+
+        Row i is byte for byte what accumulating text i's tokens one by one
+        in float32 (words at weight 1, then character n-grams at 0.5, each
+        with its hash's sign) and dividing by the vector's
+        ``np.linalg.norm`` gives:
+
+        * the sums are one ``np.add.at``, which adds in float32 in index
+          order — the order of that loop;
+        * the norm is ``sqrt`` of a row-wise float32 sum of squares.  A row
+          whose tokens weigh ``total`` in all has entries that are multiples
+          of 0.5 and a sum of squares of at most ``total ** 2``; below
+          ``2 ** 22`` every square and partial sum is an exact multiple of
+          0.25, so any summation order gives the exact total.  A row with
+          ``total >= 2048`` (texts of about 2 000 characters and more) takes
+          ``np.linalg.norm`` itself.
+        """
+        dimension = self._dimension
+        vectors = np.zeros((len(texts), dimension), dtype=np.float32)
+        cells: List[int] = []  # flat index of each token's bucket, in order
+        signed: List[float] = []  # its weight, signed by its hash
+        long_rows: List[int] = []
+        for row, text in enumerate(texts):
+            if not text:
+                continue
+            offset, total = row * dimension, 0.0
+            for tokens, weight in ((self._word_tokens(text), 1.0), (self._char_tokens(text), 0.5)):
+                for token_hash in map(_stable_hash, tokens):
+                    cells.append(offset + token_hash % dimension)
+                    signed.append(weight if (token_hash >> 32) & 1 else -weight)
+                total += weight * len(tokens)
+            if total >= 2048:
+                long_rows.append(row)
+        if not cells:
+            return vectors
+        np.add.at(vectors.reshape(-1), cells, np.array(signed, dtype=np.float32))
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+        for row in long_rows:
+            norms[row] = np.linalg.norm(vectors[row])
+        norms[norms == 0.0] = 1.0  # an all-zero row stays as it is
+        vectors /= norms[:, None]
+        return vectors

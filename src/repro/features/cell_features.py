@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import itertools
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache import LRU, memoized
+from repro.cache import RowTable, memoized
 from repro.embedding import TextEmbedder
 from repro.features.config import FeatureConfig
 from repro.sheet.cell import Cell, CellType, syntactic_pattern
@@ -31,16 +31,21 @@ _N_PATTERN_FEATURES = 8
 _N_STYLE_FEATURES = 16
 #: Extra indicator features (cell validity inside the sheet bounds).
 _N_INDICATOR_FEATURES = 1
-#: Feature vectors kept per featurizer.
+#: Feature vectors kept per featurizer (rows of its table).  The benchmark
+#: corpora hold 6 163 - 18 430 distinct cell keys.
 _MAX_CACHED_CELLS = 100_000
+#: Style objects pinned, and style field tuples numbered, per featurizer; a
+#: table over the bound is cleared.  The largest benchmark corpus (TI x6)
+#: carries 2 348 style objects of 16 distinct values.
+_MAX_STYLES = 16_384
 #: A style's fields as one tuple, which C hashes and compares (the frozen
 #: dataclass itself does both in Python, per lookup).
 _style_fields = attrgetter(*CellStyle.__dataclass_fields__)
 
+#: The cell-type parts: row ``_TYPE_INDEX[cell_type]`` is that type's one-hot.
 _ONE_HOTS = np.eye(len(_CELL_TYPES), dtype=np.float32)
 _ONE_HOTS.setflags(write=False)
-#: The cell-type part of each type: a read-only row of one shared matrix.
-_TYPE_PARTS = dict(zip(_CELL_TYPES, _ONE_HOTS))
+_TYPE_INDEX = {cell_type: index for index, cell_type in enumerate(_CELL_TYPES)}
 
 
 # Bounds of the part memos: one set-up of a benchmark workload meets 149-161
@@ -68,9 +73,9 @@ def _pattern_part(pattern: str) -> np.ndarray:
 def _style_part(style: CellStyle) -> np.ndarray:
     """The style part of a cell with ``style`` (read-only, shared by every
     cell with an equal style).  Styles share an entry exactly when they
-    share a style number in :meth:`CellFeaturizer._keys` (equal fields): a
-    ``font_size`` of 11 or 11.0, a ``bold`` of 1 or True, which truth and
-    float arithmetic turn into the same features."""
+    share a style number (:meth:`CellFeaturizer._style_number`: equal
+    fields): a ``font_size`` of 11 or 11.0, a ``bold`` of 1 or True, which
+    truth and float arithmetic turn into the same features."""
     features = np.zeros(_N_STYLE_FEATURES, dtype=np.float32)
     features[0:3] = style.background_rgb()
     features[3:6] = style.font_rgb()
@@ -86,6 +91,13 @@ def _style_part(style: CellStyle) -> np.ndarray:
     features[15] = 1.0 if style.border_right else 0.0
     features.setflags(write=False)
     return features
+
+
+def _style_row(style: CellStyle) -> np.ndarray:
+    try:
+        return _style_part(style)
+    except TypeError:  # an unhashable field: computed, never memoized
+        return _style_part.__wrapped__(style)
 
 
 class CellFeaturizer:
@@ -113,16 +125,19 @@ class CellFeaturizer:
         self._config = config
         self._embedder = embedder or config.create_embedder()
         self._content_dim = config.content_embedding_dim
-        #: Full feature vectors, keyed by the cell *content* that determines
-        #: them: (value, has-formula, style, validity).  Corpora repeat the
-        #: same headers, labels and styles across thousands of cells, so
-        #: this removes most per-cell Python work (text embedding included).
-        #: One featurizer is shared by every concurrent serving thread
-        #: driving the same encoder.
-        self._cache = LRU("cell_features", _MAX_CACHED_CELLS)
-        #: Style field tuple -> the number it contributes to a cache key.
-        self._style_ids: Dict[tuple, int] = {}
-        self._next_style_id = itertools.count()
+        #: Feature vectors, one row per cell *content* that determines one:
+        #: (value, has-formula, style, validity).  Corpora repeat the same
+        #: headers, labels and styles across thousands of cells, so this
+        #: removes most per-cell work (text embedding included).  One
+        #: featurizer is shared by every concurrent serving thread driving
+        #: the same encoder.
+        self._table = RowTable("cell_features", _MAX_CACHED_CELLS, self.dimension)
+        #: ``id(style)`` -> (the style, its number); the entry pins the style
+        #: so its ``id()`` is not handed to another object while it lives.
+        self._pinned_styles: Dict[int, Tuple[CellStyle, Optional[int]]] = {}
+        #: Style field tuple -> its number: equal styles share one.
+        self._style_numbers: Dict[tuple, int] = {}
+        self._next_style_number = itertools.count()
 
     # ----------------------------------------------------------------- layout
 
@@ -153,111 +168,119 @@ class CellFeaturizer:
 
     # --------------------------------------------------------------- features
 
-    def _semantic_features(self, cell: Cell) -> np.ndarray:
-        text = cell.display_text()
-        if not text:
-            return np.zeros(self._content_dim, dtype=np.float32)
-        vector = self._embedder.embed(text)
-        if vector.shape[0] == self._content_dim:
-            return vector
-        if vector.shape[0] > self._content_dim:
-            return vector[: self._content_dim]
-        padded = np.zeros(self._content_dim, dtype=np.float32)
-        padded[: vector.shape[0]] = vector
-        return padded
+    def _style_number(self, style: CellStyle) -> Optional[int]:
+        """Number ``style`` by its fields (``None`` when one is unhashable)
+        and pin it under its identity.  Numbers are never handed out twice,
+        so clearing either table orphans table rows and aliases none."""
+        numbers = self._style_numbers
+        fields = _style_fields(style)
+        try:
+            number = numbers.get(fields)
+            if number is None:
+                if len(numbers) >= _MAX_STYLES:
+                    numbers.clear()
+                number = numbers.setdefault(fields, next(self._next_style_number))
+        except TypeError:
+            number = None
+        pinned = self._pinned_styles
+        if len(pinned) >= _MAX_STYLES:
+            pinned.clear()
+        pinned[id(style)] = (style, number)
+        return number
 
     def _keys(self, cells: Sequence[Cell], valid: bool) -> List[Optional[tuple]]:
-        """The cache key of each cell — the content that determines its
+        """The table key of each cell — the content that determines its
         vector — or ``None`` for a cell that cannot be keyed (an unhashable
-        exotic value or style field): that one is never resident, reads as
-        a miss and is computed on every call.
+        exotic value or style field): that one is never held, reads as a
+        miss and is computed on every call.
 
         C hashes and compares every part of a key.  A style contributes a
-        small integer interned from the tuple of its fields, so an entry
-        holds one number for its style, not twelve fields.
+        small integer, found by the style object's identity; only a style
+        object met for the first time has its twelve fields read and hashed.
         """
-        interned = self._style_ids
+        pinned = self._pinned_styles
         keys: List[Optional[tuple]] = []
         for cell in cells:
-            value = cell.value
-            fields = _style_fields(cell.style)
+            value, style = cell.value, cell.style
+            entry = pinned.get(id(style))
+            number = self._style_number(style) if entry is None else entry[1]
             try:
                 hash(value)  # cheap (a string keeps its hash); the key's own is not
-                style_id = interned.get(fields)
-                if style_id is None:
-                    if len(interned) >= _MAX_CACHED_CELLS:
-                        # Numbers are never handed out twice, so forgetting
-                        # them orphans cache entries and aliases none.
-                        interned.clear()
-                    style_id = interned.setdefault(fields, next(self._next_style_id))
             except TypeError:
-                keys.append(None)
-                continue
+                number = None
             # The type disambiguates 1 / 1.0 / True, which compare (and hash)
             # equal as dict keys but featurize differently.
-            keys.append((type(value), value, bool(cell.formula), style_id, valid))
+            keys.append(
+                None if number is None else (type(value), value, bool(cell.formula), number, valid)
+            )
         return keys
 
-    def _fill(self, key: Optional[tuple], cell: Cell, valid: bool) -> np.ndarray:
-        vector = self._featurize_uncached(cell, valid)
-        vector.setflags(write=False)
-        return vector if key is None else self._cache.put(key, vector)
-
     def featurize(self, cell: Cell, valid: bool = True) -> np.ndarray:
-        """Full feature vector for a single cell.
+        """Full feature vector for a single cell: a one-cell
+        :meth:`featurize_many`, returned read-only."""
+        vector = self.featurize_many((cell,), valid)[0]
+        vector.setflags(write=False)
+        return vector
 
-        The returned array is shared through a content-keyed cache and
-        marked read-only; copy it before mutating.
+    def featurize_many(self, cells: Sequence[Cell], valid: bool = True) -> np.ndarray:
+        """The vectors of ``cells``, in order, as a private ``(len(cells),
+        dimension)`` matrix.
+
+        Every cell is looked up in the table in one read (one lookup counted
+        per cell); the keys that miss are featurized together in one
+        :meth:`_featurize_batch`, a key that misses more than once computed
+        once, and written to the table.
         """
-        (key,) = self._keys((cell,), valid)
-        cached = self._cache.get(key)
-        return cached if cached is not None else self._fill(key, cell, valid)
-
-    def featurize_many(self, cells: Sequence[Cell]) -> List[np.ndarray]:
-        """:meth:`featurize` of every cell (as a valid cell), in order.
-
-        The bulk form a whole sheet goes through: all cells are looked up in
-        one cache transaction (:meth:`~repro.cache.LRU.get_many`), which
-        counts one lookup per cell exactly as the single-cell form does.  A
-        key that misses more than once is computed once.
-        """
-        keys = self._keys(cells, True)
-        vectors = self._cache.get_many(keys)
-        fresh: Dict[tuple, np.ndarray] = {}
-        for index, vector in enumerate(vectors):
-            if vector is None:
-                key = keys[index]
-                vector = fresh.get(key)
-                if vector is None:
-                    vector = self._fill(key, cells[index], True)
+        keys = self._keys(cells, valid)
+        vectors, missed = self._table.read(keys)
+        if len(missed):
+            # Distinct missed key -> its row in the batch; a cell with no
+            # key gets a row of its own.
+            batch_row: Dict[object, int] = {}
+            batch: List[Cell] = []
+            rows = []
+            for position in missed.tolist():
+                key = keys[position]
+                row = batch_row.get(key) if key is not None else None
+                if row is None:
+                    row = len(batch)
+                    batch.append(cells[position])
                     if key is not None:
-                        fresh[key] = vector
-                vectors[index] = vector
+                        batch_row[key] = row
+                rows.append(row)
+            fresh = self._featurize_batch(batch, valid)
+            vectors[missed] = fresh[rows]
+            self._table.write(batch_row, fresh[list(batch_row.values())])
         return vectors
 
-    def _featurize_uncached(self, cell: Cell, valid: bool) -> np.ndarray:
-        """The vector of one cell key.  Only the text embedding is computed
-        here per key; the type, pattern and style parts are shared across
-        keys (:data:`_TYPE_PARTS`, :func:`_pattern_part`,
-        :func:`_style_part`)."""
-        parts: List[np.ndarray] = []
+    def _featurize_batch(self, cells: Sequence[Cell], valid: bool) -> np.ndarray:
+        """The vectors of ``cells``, built part by part for all of them at
+        once: one :meth:`~repro.embedding.TextEmbedder.embed_batch` of the
+        non-empty texts, then one column-block write each for the type,
+        pattern and style parts (rows of :data:`_ONE_HOTS` and of the
+        :func:`_pattern_part` / :func:`_style_part` memos).  Disabled groups
+        stay zero."""
+        vectors = np.zeros((len(cells), self.dimension), dtype=np.float32)
+        type_start = self._content_dim
+        pattern_start = type_start + len(_CELL_TYPES)
+        style_start = pattern_start + _N_PATTERN_FEATURES
         if self._config.use_content_features:
-            parts.append(self._semantic_features(cell))
-            parts.append(_TYPE_PARTS[cell.cell_type])
-            parts.append(_pattern_part(syntactic_pattern(cell.value)))
-        else:
-            parts.append(
-                np.zeros(
-                    self._content_dim + len(_CELL_TYPES) + _N_PATTERN_FEATURES,
-                    dtype=np.float32,
-                )
-            )
+            texts = [cell.display_text() for cell in cells]
+            written = [row for row, text in enumerate(texts) if text]
+            if written:
+                embedded = self._embedder.embed_batch([texts[row] for row in written])
+                width = min(embedded.shape[1], self._content_dim)
+                vectors[written, :width] = embedded[:, :width]
+            vectors[:, type_start:pattern_start] = _ONE_HOTS[
+                [_TYPE_INDEX[cell.cell_type] for cell in cells]
+            ]
+            vectors[:, pattern_start:style_start] = [
+                _pattern_part(syntactic_pattern(cell.value)) for cell in cells
+            ]
         if self._config.use_style_features:
-            try:
-                parts.append(_style_part(cell.style))
-            except TypeError:  # an unhashable field: computed, never cached
-                parts.append(_style_part.__wrapped__(cell.style))
-        else:
-            parts.append(np.zeros(_N_STYLE_FEATURES, dtype=np.float32))
-        parts.append(np.array([1.0 if valid else 0.0], dtype=np.float32))
-        return np.concatenate(parts)
+            vectors[:, style_start : style_start + _N_STYLE_FEATURES] = [
+                _style_row(cell.style) for cell in cells
+            ]
+        if valid:
+            vectors[:, -1] = 1.0
+        return vectors

@@ -214,10 +214,11 @@ class WindowFeaturizer:
         """Padded feature tensor: a ``window_rows//2`` / ``window_cols//2``
         border of invalid-padding cells around the sheet's used extent.
 
-        The stored cells are walked once, in storage order, featurized
-        against the cell cache in one transaction
-        (:meth:`CellFeaturizer.featurize_many`) and written with one scatter;
-        the result equals a cell-by-cell ``featurize`` loop byte for byte.
+        The stored cells are walked once, in storage order, read from the
+        cell-feature table in one gather (its misses featurized in one
+        batch: :meth:`CellFeaturizer.featurize_many`) and written with one
+        scatter; the result equals a cell-by-cell ``featurize`` loop byte
+        for byte.
         """
         rows, cols = self.config.window_rows, self.config.window_cols
         pad_row, pad_col = rows // 2, cols // 2
@@ -231,7 +232,7 @@ class WindowFeaturizer:
             addresses, cells = zip(*stored)
             interior[
                 [address.row for address in addresses], [address.col for address in addresses]
-            ] = np.array(self.cell_featurizer.featurize_many(cells))
+            ] = self.cell_featurizer.featurize_many(cells)
         return tensor
 
     def _sheet_tensor(self, sheet: Sheet) -> np.ndarray:

@@ -163,7 +163,7 @@ class TripletTrainer:
                     embeddings[:n], embeddings[n : 2 * n], embeddings[2 * n :], margin=margin
                 )
                 grad = np.concatenate([d_anchor, d_positive, d_negative])
-                model.backward(grad)
+                model.accumulate_gradients(grad)
                 optimizer.step()
                 epoch_losses.append(loss)
             losses.append(float(np.mean(epoch_losses)))

@@ -10,6 +10,8 @@ Conventions
   input and *accumulates* parameter gradients into ``layer.grads`` (so the
   same layer can be traversed several times per step, as triplet training
   requires, before the optimizer consumes the accumulated gradients).
+  ``accumulate_gradients(grad_output)`` does the second half alone: the
+  first layer of a model has no one to hand an input gradient to.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ class Layer:
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def accumulate_gradients(self, grad_output: np.ndarray) -> None:
+        """What :meth:`backward` adds to :attr:`grads`, without the input
+        gradient where a layer can skip computing it."""
+        self.backward(grad_output)
 
     def zero_grad(self) -> None:
         """Reset accumulated parameter gradients to zero."""
@@ -75,13 +82,15 @@ class Linear(Layer):
         self._input = x if training else None
         return x @ self.params["W"] + self.params["b"]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        x = self._saved(self._input)
-        flat_x = x.reshape(-1, self.in_features)
+    def accumulate_gradients(self, grad_output: np.ndarray) -> None:
+        flat_x = self._saved(self._input).reshape(-1, self.in_features)
         flat_grad = grad_output.reshape(-1, self.out_features)
         self.grads["W"] += (flat_x.T @ flat_grad).astype(np.float32)
         self.grads["b"] += flat_grad.sum(axis=0).astype(np.float32)
-        return (grad_output @ self.params["W"].T).reshape(x.shape)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.accumulate_gradients(grad_output)
+        return (grad_output @ self.params["W"].T).reshape(self._input.shape)
 
 
 class PerCellLinear(Linear):
@@ -217,18 +226,19 @@ class Conv2D(Layer):
         self._columns = columns if training else None
         return columns @ self.params["W"] + self.params["b"]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        columns = self._saved(self._columns)
-        batch, rows, cols, __ = self._input_shape
-        k = self.kernel_size
-        channels = self.in_channels
-        fan_in = k * k * channels
-
-        flat_columns = columns.reshape(-1, fan_in)
+    def accumulate_gradients(self, grad_output: np.ndarray) -> None:
+        fan_in = self.kernel_size * self.kernel_size * self.in_channels
+        flat_columns = self._saved(self._columns).reshape(-1, fan_in)
         flat_grad = grad_output.reshape(-1, self.out_channels)
         self.grads["W"] += (flat_columns.T @ flat_grad).astype(np.float32)
         self.grads["b"] += flat_grad.sum(axis=0).astype(np.float32)
 
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.accumulate_gradients(grad_output)
+        batch, rows, cols, __ = self._input_shape
+        k = self.kernel_size
+        channels = self.in_channels
+        fan_in = k * k * channels
         grad_columns = (grad_output @ self.params["W"].T).reshape(
             batch, rows, cols, fan_in
         )

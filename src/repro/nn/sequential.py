@@ -31,6 +31,15 @@ class Sequential(Layer):
             grad = layer.backward(grad)
         return grad
 
+    def accumulate_gradients(self, grad_output: np.ndarray) -> None:
+        """Every parameter gradient :meth:`backward` accumulates, stopping
+        at the first layer's own: the input gradient is not computed."""
+        grad = grad_output
+        for layer in reversed(self.layers[1:]):
+            grad = layer.backward(grad)
+        if self.layers:
+            self.layers[0].accumulate_gradients(grad)
+
     # ------------------------------------------------------------ parameters
 
     def zero_grad(self) -> None:

@@ -1,4 +1,5 @@
-"""Tests for ``repro.cache``: the one bounded LRU every cache is an instance of.
+"""Tests for ``repro.cache``: the bounded LRU and row table every cache is
+an instance of.
 
 The per-class LRU tests that used to repeat these checks (the caching
 embedder's bound, the sheet-keyed LRU's order and version rule) live here
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro import cache
-from repro.cache import LRU
+from repro.cache import LRU, RowTable
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -153,32 +154,6 @@ class TestCounts:
         assert stats["evict"] == inserts - stats["size"] > 0
         assert stats["size"] == len(lru) == 5
 
-    def test_get_many_equals_the_same_gets_made_one_by_one(self):
-        """One transaction, same outcome: values, counts, the entries a stale
-        token drops and the recency order eviction follows — for plain keys
-        and for versioned ones, repeated keys included."""
-        rng = random.Random(11)
-        docs = [Doc() for __ in range(10)]
-        for make, keys in (
-            (lambda: LRU("test", 6), list(range(10))),
-            (lambda: versioned(6), docs),
-        ):
-            one_by_one, bulk = make(), make()
-            for __ in range(300):
-                batch = [rng.choice(keys) for __ in range(rng.randrange(0, 9))]
-                expected = [one_by_one.get(key) for key in batch]
-                assert bulk.get_many(batch) == expected
-                for key, value in zip(batch, expected):
-                    if value is None and rng.random() < 0.7:
-                        filled = object()
-                        assert one_by_one.put(key, filled) is bulk.put(key, filled)
-                if keys is docs and rng.random() < 0.3:
-                    rng.choice(docs).version += 1
-                assert bulk.values() == one_by_one.values()
-                assert bulk.stats() == one_by_one.stats()
-            assert bulk.stats()["hit"] > 100 and bulk.stats()["evict"] > 10
-        assert LRU("test", 1).get_many([]) == []
-
     def test_racing_threads_converge_on_one_resident_value(self):
         """12 threads fill the same misses: ``put`` hands every one of them
         the one resident array, answers equal serial, counts stay exact."""
@@ -222,6 +197,61 @@ class TestCounts:
         stats = lru.stats()
         assert stats["hit"] + stats["miss"] == n_threads * 3 * len(keys)
         assert stats["miss"] >= len(keys) and stats["evict"] == 0 and stats["size"] == len(keys)
+
+
+def rows_of(*values: float) -> np.ndarray:
+    return np.array([[value, -value] for value in values], dtype=np.float32)
+
+
+class TestRowTable:
+    def test_reads_what_was_written_and_counts_one_lookup_per_key(self):
+        table = RowTable("test", 8, 2)
+        rows, missed = table.read(["a", "b", None, "a"])
+        assert rows.shape == (4, 2) and rows.dtype == np.float32
+        assert missed.tolist() == [0, 1, 2, 3]
+        table.write(["a", "b"], rows_of(1.0, 2.0))
+        table.write(["b", "c"], rows_of(9.0, 3.0))  # "b" is held: kept as it was
+        rows, missed = table.read(["c", None, "a", "b", "a", "z"])
+        assert missed.tolist() == [1, 5]
+        assert rows[[0, 2, 3, 4]].tolist() == rows_of(3.0, 1.0, 2.0, 1.0).tolist()
+        assert table.stats() == {"hit": 4, "miss": 6, "evict": 0, "size": 3}
+        assert len(table) == 3
+
+    def test_reads_are_private_copies(self):
+        table = RowTable("test", 4, 2)
+        table.write(["a"], rows_of(1.0))
+        first, __ = table.read(["a"])
+        first[:] = 7.0
+        again, __ = table.read(["a"])
+        assert again.tolist() == rows_of(1.0).tolist() and again.flags.writeable
+
+    def test_a_full_table_starts_over_and_counts_the_drop(self):
+        table = RowTable("test", 4, 2)
+        table.write("abc", rows_of(1.0, 2.0, 3.0))
+        table.write("de", rows_of(4.0, 5.0))  # "e" finds the table full
+        assert table.stats() == {"hit": 0, "miss": 0, "evict": 4, "size": 1}
+        rows, missed = table.read("abcde")
+        assert missed.tolist() == [0, 1, 2, 3] and rows[4].tolist() == [5.0, -5.0]
+        # One write over twice the bound starts over inside itself and keeps
+        # what it wrote last.
+        table.write("fghijklmn", rows_of(*range(6, 15)))
+        assert table.stats()["evict"] == 4 + 4 + 4 and len(table) == 2
+        rows, missed = table.read("lmn")
+        assert missed.tolist() == [0] and rows[1:].tolist() == rows_of(13.0, 14.0).tolist()
+
+    def test_the_bound_must_be_positive(self):
+        with pytest.raises(ValueError):
+            RowTable("test", 0, 2)
+
+    def test_reports_through_the_process_wide_stats(self):
+        name = f"test-{uuid.uuid4().hex}"
+        table = RowTable(name, 4, 2)
+        table.write("a", rows_of(1.0))
+        table.read("ab")
+        assert cache.stats()[name] == {"hit": 1, "miss": 1, "evict": 0, "size": 1}
+        del table
+        gc.collect()
+        assert name not in cache.stats()
 
 
 class TestProcessWideStats:

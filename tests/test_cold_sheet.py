@@ -1,5 +1,6 @@
-"""A cold sheet on arrays: the bulk tensor build, the window gather and
-``im2col`` against the cell-by-cell / ``np.pad`` references they replaced.
+"""A cold sheet on arrays: the cell-feature table and its batch
+featurization, the window gather and ``im2col`` against the cell-by-cell /
+``np.pad`` references they replaced.
 
 Nothing here reads a clock: every test compares bytes or counts, so a
 rewrite of one of the three kernels that moves a value fails here whatever
@@ -9,12 +10,15 @@ the machine's speed.
 import datetime
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import AutoFormula
+from repro.embedding import HashedSemanticEmbedder
+from repro.embedding.hashed import _stable_hash
 from repro.features import FeatureConfig, WindowFeaturizer, cell_features, window as window_module
 from repro.features.window import _window_blocks, gather_windows, window_from_padded
 from repro.formula.errors import ErrorValue
@@ -27,32 +31,77 @@ CONFIG = FeatureConfig(window_rows=10, window_cols=6, content_embedding_dim=16)
 TIMEOUT = 60.0
 
 
+def reference_embed(embedder, text: str, normalize: bool = True) -> np.ndarray:
+    """The hashed embedder's single-text loop as it was: one float32 add per
+    token, then division by ``np.linalg.norm``."""
+    vector = np.zeros(embedder.dimension, dtype=np.float32)
+    if not text:
+        return vector
+    for tokens, weight in ((embedder._word_tokens(text), 1.0), (embedder._char_tokens(text), 0.5)):
+        for token in tokens:
+            token_hash = _stable_hash(token)
+            sign = 1.0 if (token_hash >> 32) & 1 else -1.0
+            vector[token_hash % embedder.dimension] += sign * weight
+    norm = float(np.linalg.norm(vector))
+    if norm > 0.0 and normalize:
+        vector /= norm
+    return vector
+
+
+def reference_vector(featurizer: WindowFeaturizer, cell: Cell, valid: bool) -> np.ndarray:
+    """One cell's vector, written part by part with no table, no batch and
+    no part memo — what a cell-feature cache miss computed."""
+    config = featurizer.config
+    vector = np.zeros(featurizer.cell_featurizer.dimension, dtype=np.float32)
+    width = config.content_embedding_dim
+    types = width + len(cell_features._CELL_TYPES)
+    if config.use_content_features:
+        text = cell.display_text()
+        if text:
+            embedder = featurizer.cell_featurizer.embedder
+            if isinstance(embedder, HashedSemanticEmbedder):
+                embedded = reference_embed(embedder, text)
+            else:  # the base-class loop, unchanged
+                embedded = embedder.embed(text)
+            vector[: min(width, len(embedded))] = embedded[:width]
+        vector[width + cell_features._CELL_TYPES.index(cell.cell_type)] = 1.0
+        vector[types : types + cell_features._N_PATTERN_FEATURES] = (
+            cell_features._pattern_part.__wrapped__(syntactic_pattern(cell.value))
+        )
+    if config.use_style_features:
+        vector[featurizer.cell_featurizer.style_feature_slice()] = (
+            cell_features._style_part.__wrapped__(cell.style)
+        )
+    vector[-1] = 1.0 if valid else 0.0
+    return vector
+
+
 def reference_tensor(featurizer: WindowFeaturizer, sheet: Sheet) -> np.ndarray:
-    """The padded tensor built one ``featurize`` call and one row
+    """The padded tensor built one :func:`reference_vector` and one row
     assignment per cell, in address order — what ``_build_tensor`` was."""
     rows, cols = featurizer.config.window_rows, featurizer.config.window_cols
     tensor = np.empty(
         (sheet.n_rows + rows - 1, sheet.n_cols + cols - 1, featurizer.cell_featurizer.dimension),
         dtype=np.float32,
     )
-    tensor[:] = featurizer.padding_features()
+    tensor[:] = reference_vector(featurizer, Cell(), valid=False)
     interior = tensor[rows // 2 : rows // 2 + sheet.n_rows, cols // 2 : cols // 2 + sheet.n_cols]
-    interior[:] = featurizer.cell_featurizer.featurize(Cell(), valid=True)
+    interior[:] = reference_vector(featurizer, Cell(), valid=True)
     for address, cell in sheet.cells():
-        interior[address.row, address.col] = featurizer.cell_featurizer.featurize(cell, valid=True)
+        interior[address.row, address.col] = reference_vector(featurizer, cell, valid=True)
     return tensor
 
 
-def fresh_featurizer() -> WindowFeaturizer:
+def fresh_featurizer(config: FeatureConfig = None) -> WindowFeaturizer:
     """A cold featurizer whose two constant vectors (padding, empty) are
     already keyed, so a build's lookups are its cells' lookups."""
-    featurizer = WindowFeaturizer(CONFIG)
+    featurizer = WindowFeaturizer(config or CONFIG)
     featurizer.padding_features(), featurizer._empty_features()
     return featurizer
 
 
 def lookups(featurizer: WindowFeaturizer) -> int:
-    stats = featurizer.cell_featurizer._cache.stats()
+    stats = featurizer.cell_featurizer._table.stats()
     return stats["hit"] + stats["miss"]
 
 
@@ -77,6 +126,8 @@ cell_values = st.one_of(
     st.just([1, 2]),  # unhashable: featurized, never cached
 )
 
+_UNHASHABLE_STYLE = CellStyle(bold=[1])
+
 cell_styles = st.one_of(
     st.sampled_from(_SHARED_STYLES),  # one object on many cells
     st.builds(  # an object of its own, often equal to another cell's
@@ -86,6 +137,7 @@ cell_styles = st.one_of(
         font_size=st.sampled_from([11.0, 11, 14.0]),
         border_bottom=st.booleans(),
     ),
+    st.just(_UNHASHABLE_STYLE),  # featurized, never cached
 )
 
 
@@ -107,8 +159,6 @@ def sheets(draw):
 
 # ------------------------------------------------------ shared feature parts
 
-_UNHASHABLE_STYLE = CellStyle(bold=[1])
-
 
 class TestSharedFeatureParts:
     @settings(max_examples=60, deadline=None)
@@ -118,7 +168,7 @@ class TestSharedFeatureParts:
                 Cell,
                 value=cell_values,
                 formula=st.sampled_from([None, "=SUM(A1:A3)"]),
-                style=cell_styles | st.just(_UNHASHABLE_STYLE),
+                style=cell_styles,
             ),
             min_size=1,
             max_size=12,
@@ -126,29 +176,36 @@ class TestSharedFeatureParts:
     )
     def test_a_vector_does_not_depend_on_what_the_part_memos_hold(self, cells):
         """The type, pattern and style parts are shared across cell keys and
-        read-only; building a vector from them gives the bytes a build from
-        emptied memos does, unhashable styles included (computed, never
-        cached)."""
-        featurizer = WindowFeaturizer(CONFIG).cell_featurizer
-        warm = [featurizer._featurize_uncached(cell, True).tobytes() for cell in cells]
+        read-only; a batch built from them gives the bytes a build from
+        emptied memos does, and the reference's, unhashable styles included
+        (computed, never cached)."""
+        featurizer = WindowFeaturizer(CONFIG)
+        warm = featurizer.cell_featurizer._featurize_batch(cells, True).tobytes()
         cell_features._pattern_part.cache_clear()
         cell_features._style_part.cache_clear()
-        assert [featurizer._featurize_uncached(cell, True).tobytes() for cell in cells] == warm
+        assert featurizer.cell_featurizer._featurize_batch(cells, True).tobytes() == warm
+        expected = [reference_vector(featurizer, cell, True) for cell in cells]
+        assert np.stack(expected).tobytes() == warm
         hashable = {cell.style for cell in cells if cell.style is not _UNHASHABLE_STYLE}
         assert cell_features._style_part.cache_info().currsize == len(hashable)
+        assert not cell_features._ONE_HOTS.flags.writeable
         for cell in cells:
-            style = cell.style
-            parts = (
-                cell_features._TYPE_PARTS[cell.cell_type],
-                cell_features._pattern_part(syntactic_pattern(cell.value)),
-                cell_features._style_part.__wrapped__(style)
-                if style is _UNHASHABLE_STYLE
-                else cell_features._style_part(style),
-            )
+            parts = [cell_features._pattern_part(syntactic_pattern(cell.value))]
+            if cell.style is not _UNHASHABLE_STYLE:
+                parts.append(cell_features._style_part(cell.style))
             assert not any(part.flags.writeable for part in parts)
 
 
 # ------------------------------------------------------ the bulk tensor build
+
+#: A feature configuration per group switch and embedder.
+_CONFIGS = [
+    CONFIG,
+    replace(CONFIG, use_content_features=False),
+    replace(CONFIG, use_style_features=False),
+    replace(CONFIG, embedder_name="glove"),
+    FeatureConfig(window_rows=6, window_cols=4, content_embedding_dim=8, embedder_name="glove"),
+]
 
 
 class TestBuildTensor:
@@ -159,50 +216,79 @@ class TestBuildTensor:
         before = lookups(featurizer)
         tensor = featurizer._build_tensor(sheet)
         assert lookups(featurizer) - before == sheet.n_cells
-        assert tensor.tobytes() == reference_tensor(WindowFeaturizer(CONFIG), sheet).tobytes()
-        # A second build is answered by the cache alone, and equally.
-        stats = featurizer.cell_featurizer._cache.stats()
+        assert tensor.tobytes() == reference_tensor(featurizer, sheet).tobytes()
+        # A second build is answered by the table alone, and equally.
+        stats = featurizer.cell_featurizer._table.stats()
         assert featurizer._build_tensor(sheet).tobytes() == tensor.tobytes()
-        again = featurizer.cell_featurizer._cache.stats()
+        again = featurizer.cell_featurizer._table.stats()
         assert again["hit"] + again["miss"] - stats["hit"] - stats["miss"] == sheet.n_cells
         assert again["size"] == stats["size"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(sheets(), min_size=1, max_size=3), st.sampled_from(_CONFIGS), st.booleans())
+    def test_every_configuration_and_a_four_row_table_equal_the_reference(
+        self, drawn, config, tiny
+    ):
+        """Whatever the table holds — a 4-row bound starts it over inside one
+        build — every tensor is the reference's, for both embedders and with
+        either feature group off; every build counts one lookup per cell."""
+        with pytest.MonkeyPatch.context() as patch:
+            if tiny:
+                patch.setattr(cell_features, "_MAX_CACHED_CELLS", 4)
+            featurizer = fresh_featurizer(config)
+        for sheet in drawn + drawn:
+            before = lookups(featurizer)
+            tensor = featurizer._build_tensor(sheet)
+            assert lookups(featurizer) - before == sheet.n_cells
+            assert tensor.tobytes() == reference_tensor(featurizer, sheet).tobytes()
+        stats = featurizer.cell_featurizer._table.stats()
+        assert stats["size"] <= (4 if tiny else cell_features._MAX_CACHED_CELLS)
+        assert featurizer.padding_features().tobytes() == (
+            reference_vector(featurizer, Cell(), valid=False).tobytes()
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(sheets())
     def test_single_cell_and_bulk_paths_share_entries(self, sheet):
         featurizer = fresh_featurizer()
         cells = featurizer.cell_featurizer
-        keyed = [cell for __, cell in sheet.cells() if not isinstance(cell.value, list)]
+        keyed = [
+            cell
+            for __, cell in sheet.cells()
+            if not isinstance(cell.value, list) and cell.style is not _UNHASHABLE_STYLE
+        ]
         if not keyed:
             return
         one = cells.featurize(keyed[0], valid=True)
-        alone = cells._cache.stats()["hit"]
+        alone = cells._table.stats()["hit"]
         featurizer._build_tensor(sheet)
-        hits = cells._cache.stats()["hit"]
+        hits = cells._table.stats()["hit"]
         assert hits > alone  # the cell featurized alone is found by the bulk read
         for cell in keyed:  # ... and what the bulk read filled, by the single one
             cells.featurize(cell, valid=True)
-        assert cells._cache.stats()["hit"] == hits + len(keyed)
-        assert cells.featurize(keyed[0], valid=True) is one
+        assert cells._table.stats()["hit"] == hits + len(keyed)
+        assert cells.featurize(keyed[0], valid=True).tobytes() == one.tobytes()
 
     def test_a_key_that_misses_twice_in_one_sheet_is_computed_once(self, monkeypatch):
         featurizer = fresh_featurizer()
         cells = featurizer.cell_featurizer
-        computed = []
-        uncached = cells._featurize_uncached
+        batches = []
+        batch = cells._featurize_batch
         monkeypatch.setattr(
             cells,
-            "_featurize_uncached",
-            lambda cell, valid: computed.append(cell) or uncached(cell, valid),
+            "_featurize_batch",
+            lambda drawn, valid: batches.append(len(drawn)) or batch(drawn, valid),
         )
         sheet = Sheet()
         for row in range(40):
             sheet.set((row, 0), "Yes" if row % 2 else "No")
             sheet.set((row, 1), [row])  # never cached: computed every time
         tensor = featurizer._build_tensor(sheet)
-        assert len(computed) == 2 + 40
-        assert cells._cache.stats()["size"] == 2 + 2  # + padding and empty
-        assert tensor.tobytes() == reference_tensor(WindowFeaturizer(CONFIG), sheet).tobytes()
+        assert batches == [2 + 40]  # one batch for every miss of the build
+        assert cells._table.stats()["size"] == 2 + 2  # + padding and empty
+        assert tensor.tobytes() == reference_tensor(featurizer, sheet).tobytes()
+        featurizer._build_tensor(sheet)
+        assert batches == [2 + 40, 40]
 
     def test_walks_the_cells_unsorted(self, monkeypatch):
         sheet = Sheet()
@@ -213,51 +299,148 @@ class TestBuildTensor:
         assert tensor.shape[:2] == (6 + 9, 2 + 5)
 
     def test_threads_building_the_same_cold_sheets_agree_and_count_exactly(self):
-        drawn = np.random.default_rng(5)
-        labels = ["Total", "Yes", "No", "Q1", "Q2", 1, 1.0, True, None, 17.5]
-        cold = []
-        for index in range(24):
-            sheet = Sheet(f"cold-{index}")
-            for row in range(12):
-                for col in range(4):
-                    value = labels[int(drawn.integers(len(labels)))]
-                    sheet.set((row, col), value, style=CellStyle(bold=bool((row + index) % 3 == 0)))
-            cold.append(sheet)
-        expected = [reference_tensor(WindowFeaturizer(CONFIG), sheet).tobytes() for sheet in cold]
+        cold = _cold_sheets(24)
+        expected = [reference_tensor(fresh_featurizer(), sheet).tobytes() for sheet in cold]
         featurizer = fresh_featurizer()
         before = lookups(featurizer)
-        n_threads, built, errors = 6, {}, []
-        barrier = threading.Barrier(n_threads)
-
-        def build(worker):
-            try:
-                barrier.wait(TIMEOUT)
-                built[worker] = [featurizer._build_tensor(sheet).tobytes() for sheet in cold]
-            except BaseException as error:  # noqa: BLE001 - reported below
-                errors.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [
-                threading.Thread(target=build, args=(worker,)) for worker in range(n_threads)
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(TIMEOUT)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors and not any(worker.is_alive() for worker in workers)
-        assert all(built[worker] == expected for worker in range(n_threads))
+        n_threads = 6
+        built = _race(
+            [lambda: [featurizer._build_tensor(sheet).tobytes() for sheet in cold]] * n_threads
+        )
+        assert all(result == expected for result in built)
         assert lookups(featurizer) - before == n_threads * sum(sheet.n_cells for sheet in cold)
-        # One resident entry per distinct content, whoever filled it first.
+        # One held row per distinct content, whoever filled it first.
         single = WindowFeaturizer(CONFIG)
         for sheet in cold:
             single._build_tensor(sheet)
-        size = featurizer.cell_featurizer._cache.stats()["size"]
-        assert size == single.cell_featurizer._cache.stats()["size"]
-        assert featurizer.cell_featurizer._cache.stats()["evict"] == 0
+        size = featurizer.cell_featurizer._table.stats()["size"]
+        assert size == single.cell_featurizer._table.stats()["size"]
+        assert featurizer.cell_featurizer._table.stats()["evict"] == 0
+
+    def test_builds_stay_exact_while_another_thread_forces_start_overs(self, monkeypatch):
+        """Two threads build tensors while a third featurizes distinct
+        cells into a 16-row table, starting it over every few calls: a read
+        copies its rows under the mutex a start-over takes, so no build is
+        handed a row rewritten for another key."""
+        monkeypatch.setattr(cell_features, "_MAX_CACHED_CELLS", 16)
+        featurizer = fresh_featurizer()
+        cold = _cold_sheets(12)
+        expected = [reference_tensor(featurizer, sheet).tobytes() for sheet in cold]
+        done = threading.Event()
+
+        def churn():
+            count = 0
+            while not done.is_set():
+                count += 1
+                cells = [Cell(f"churn {count} {index}") for index in range(5)]
+                featurizer.cell_featurizer.featurize_many(cells)
+            return count
+
+        def build():
+            try:
+                return [
+                    featurizer._build_tensor(sheet).tobytes() for __ in range(3) for sheet in cold
+                ]
+            finally:
+                done.set()
+
+        first, second, churned = _race([build, build, churn])
+        assert first == second == expected * 3
+        assert churned > 0 and featurizer.cell_featurizer._table.stats()["evict"] > 0
+
+
+def _cold_sheets(count: int) -> list:
+    drawn = np.random.default_rng(5)
+    labels = ["Total", "Yes", "No", "Q1", "Q2", 1, 1.0, True, None, 17.5]
+    cold = []
+    for index in range(count):
+        sheet = Sheet(f"cold-{index}")
+        for row in range(12):
+            for col in range(4):
+                value = labels[int(drawn.integers(len(labels)))]
+                sheet.set((row, col), value, style=CellStyle(bold=bool((row + index) % 3 == 0)))
+        cold.append(sheet)
+    return cold
+
+
+def _race(tasks) -> list:
+    """Run every task on its own thread from one barrier, with the
+    interpreter switching threads as often as it can; their results."""
+    results, errors = [None] * len(tasks), []
+    barrier = threading.Barrier(len(tasks))
+
+    def run(index):
+        try:
+            barrier.wait(TIMEOUT)
+            results[index] = tasks[index]()
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(index,)) for index in range(len(tasks))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(TIMEOUT)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(worker.is_alive() for worker in workers)
+    return results
+
+
+# ------------------------------------------------------- the batch embedding
+
+#: Texts whose per-text loop the batch must reproduce: empty and blank ones,
+#: ones sharing every token, and long ones — "a" * 5000 puts 4 998 equal
+#: trigrams in one bucket, a sum of squares past the 2**22 bound.
+_EDGE_TEXTS = [
+    "", " ", "\t\n ", "Total", "total", "Total Sales", "2020-01-02", "ab", "a", "ÄÖü ß",
+    "a" * 5000, "ab" * 1500, " ".join(f"w{i}" for i in range(900)),
+]  # fmt: skip
+
+
+class TestEmbedBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=40),
+                st.text(alphabet=st.characters(codec="utf-8"), min_size=2001, max_size=2600),
+                st.sampled_from(_EDGE_TEXTS),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from([384, 32, 16, 7]),
+    )
+    def test_rows_equal_the_single_text_loop(self, texts, dimension):
+        embedder = HashedSemanticEmbedder(dimension)
+        batch = embedder.embed_batch(texts)
+        assert batch.shape == (len(texts), dimension) and batch.dtype == np.float32
+        for text, row in zip(texts, batch):
+            assert row.tobytes() == reference_embed(embedder, text).tobytes()
+            assert embedder.embed(text).tobytes() == row.tobytes()
+
+    def test_edge_texts_and_the_norm_fallback(self, monkeypatch):
+        embedder = HashedSemanticEmbedder(32)
+        unnormalized = reference_embed(embedder, "a" * 5000, normalize=False).astype(np.float64)
+        assert unnormalized @ unnormalized >= 2.0**22
+        norms = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda x: norms.append(len(x)) or norm(x))
+        batch = embedder.embed_batch(_EDGE_TEXTS)
+        monkeypatch.undo()
+        # The rows whose tokens weigh 2048 or more take the loop's norm.
+        heavy = [
+            text
+            for text in _EDGE_TEXTS
+            if len(embedder._word_tokens(text)) + len(embedder._char_tokens(text)) / 2 >= 2048
+        ]
+        assert "a" * 5000 in heavy and norms == [32] * len(heavy)
+        for text, row in zip(_EDGE_TEXTS, batch):
+            assert row.tobytes() == reference_embed(embedder, text).tobytes(), text[:20]
+        assert not batch[:3].any()  # empty and blank texts embed to zeros
 
 
 # ------------------------------------------- the reference path nobody runs

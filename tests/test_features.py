@@ -69,59 +69,70 @@ class TestCellFeaturizer:
         assert sim_related > sim_unrelated
 
     def test_cached_vectors_are_read_only_and_equal_the_embedder(self, featurizer):
-        """The cell-feature cache is the only memo of text embeddings: a hit
-        is the same frozen array, so a caller cannot corrupt later lookups,
-        and its content block is the embedder's vector bit for bit."""
+        """The cell-feature table is the only memo of text embeddings: a hit
+        is a read-only copy of the held row — writing it cannot reach a
+        later lookup, and a start-over cannot rewrite it — and its content
+        block is the embedder's vector bit for bit."""
         first = featurizer.featurize(Cell(value="Revenue"))
         with pytest.raises(ValueError):
             first[0] = 123.0
         again = featurizer.featurize(Cell(value="Revenue"))
-        assert again is first
+        assert not np.shares_memory(again, first) and not again.flags.writeable
+        assert featurizer._table.stats() == {"hit": 1, "miss": 1, "evict": 0, "size": 1}
         expected = featurizer.embedder.embed("Revenue")
         assert expected.dtype == np.float32
         assert np.array_equal(again[:16], expected[:16])
         assert np.array_equal(again, CellFeaturizer(featurizer._config).featurize(Cell(value="Revenue")))
-
+        assert not np.shares_memory(first, featurizer._table._rows)
 
     def test_a_key_is_the_content_not_the_objects(self, featurizer):
-        """Equal styles on different objects share an entry; 1 / 1.0 / True,
+        """Equal styles on different objects share a row; 1 / 1.0 / True,
         equal as dict keys, do not; a formula cell is not its value."""
         first = featurizer.featurize(Cell(value="x", style=CellStyle(bold=True, font_size=12.0)))
-        assert featurizer.featurize(Cell(value="x", style=CellStyle(bold=True, font_size=12))) is first
-        assert featurizer.featurize(Cell(value="x", style=CellStyle(bold=True))) is not first
+        assert featurizer._table.stats()["miss"] == 1
+        same = featurizer.featurize(Cell(value="x", style=CellStyle(bold=True, font_size=12)))
+        assert np.array_equal(same, first) and featurizer._table.stats()["hit"] == 1
+        bold = featurizer.featurize(Cell(value="x", style=CellStyle(bold=True)))
+        assert not np.array_equal(bold, first)
         vectors = [featurizer.featurize(Cell(value=value)) for value in (1, 1.0, True)]
-        assert len({id(vector) for vector in vectors}) == 3
         assert not np.array_equal(vectors[0], vectors[2])
-        assert featurizer.featurize(Cell(value=1, formula="=A1")) is not vectors[0]
-        assert featurizer.featurize(Cell(value=1), valid=False) is not vectors[0]
-        assert featurizer._cache.stats()["size"] == 7
+        featurizer.featurize(Cell(value=1, formula="=A1"))
+        featurizer.featurize(Cell(value=1), valid=False)
+        assert featurizer._table.stats() == {"hit": 1, "miss": 7, "evict": 0, "size": 7}
 
     def test_unhashable_content_is_featurized_and_never_cached(self, featurizer):
         for cell in (Cell(value=[1, 2]), Cell(value="x", style=CellStyle(bold=[1]))):
             first = featurizer.featurize(cell)
             again = featurizer.featurize(cell)
-            assert again is not first and np.array_equal(again, first)
+            assert np.array_equal(again, first)
             assert not first.flags.writeable
         assert np.array_equal(
             featurizer.featurize(Cell(value="x", style=CellStyle(bold=[1]))),
             featurizer.featurize(Cell(value="x", style=CellStyle(bold=True))),
         )
-        assert featurizer._cache.stats() == {"hit": 0, "miss": 6, "evict": 0, "size": 1}
+        assert featurizer._table.stats() == {"hit": 0, "miss": 6, "evict": 0, "size": 1}
 
     def test_forgetting_style_numbers_aliases_no_entry(self, featurizer, monkeypatch):
-        """The style intern table is bounded by clearing it; numbers are not
-        reused, so a style met again gets a new one and its own vectors."""
+        """The style pins and numbers are bounded by clearing them; numbers
+        are not reused, so a style met again gets a new one and its own
+        rows, never a row of another style."""
         from repro.features import cell_features
 
-        monkeypatch.setattr(cell_features, "_MAX_CACHED_CELLS", 4)
+        monkeypatch.setattr(cell_features, "_MAX_STYLES", 4)
         styles = [CellStyle(font_size=float(size)) for size in range(8, 20)]
+        handed_out = []
         for __ in range(3):
             for style in styles:
                 vector = featurizer.featurize(Cell(value="x", style=style))
                 expected = CellFeaturizer(featurizer._config).featurize(Cell(value="x", style=style))
                 assert np.array_equal(vector, expected)
-                assert len(featurizer._style_ids) <= 4
-        assert next(featurizer._next_style_id) == 3 * len(styles)
+                assert len(featurizer._pinned_styles) <= 4 and len(featurizer._style_numbers) <= 4
+                handed_out.append(featurizer._pinned_styles[id(style)][1])
+        # Each style object was pinned again after every clear, under a
+        # number no other style ever had.
+        owner = {}
+        for style, number in zip(styles * 3, handed_out):
+            assert owner.setdefault(number, style) is style
 
 
 class TestWindowBounds:

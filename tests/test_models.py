@@ -70,6 +70,26 @@ class TestNetworkBuilders:
             model.forward(windows)
             assert held_arrays(model) == []
 
+    def test_accumulate_gradients_leaves_the_grads_backward_leaves(self, small_config, data_sheet):
+        """The trainer stops its backward at the first layer's parameter
+        gradients; every gradient must be the bytes a full ``backward``
+        accumulates, twice over (gradients add up within a step)."""
+        encoder = SheetEncoder(small_config)
+        windows = encoder.featurizer.featurize_regions(
+            data_sheet, [CellAddress(row, 1) for row in range(0, 30, 4)]
+        )
+        grad = np.random.default_rng(3).standard_normal((len(windows), 1)).astype(np.float32)
+        for model in (encoder.coarse_model, encoder.fine_model):
+            output = model.forward(windows, training=True)
+            upstream = np.broadcast_to(grad, output.shape).copy()
+            runs = []
+            for step in (model.backward, model.accumulate_gradients):
+                model.zero_grad()
+                step(upstream)
+                step(upstream)
+                runs.append([gradient.tobytes() for __, __, gradient in model.parameter_gradients()])
+            assert runs[0] == runs[1]
+
     def test_window_too_small_for_cnn_rejected(self):
         config = ModelConfig(features=FeatureConfig(window_rows=3, window_cols=3))
         with pytest.raises(ValueError):

@@ -17,7 +17,10 @@ workspace on the reference workbooks and writes
   ``inproc_hot`` workload asks), which does: BLAS scan + exact re-rank,
 * sha256 of the on-disk format: the mutation log after those 30 edits and
   one scripted add, and every corpus file and the manifest of that
-  snapshot (its array blocks are the state digests above).
+  snapshot (its array blocks are the state digests above),
+* sha256 of the padded feature tensor of every reference and held-out
+  sheet, built by a fresh featurizer, and of the six window tensors the
+  trainer stacks (``features``).
 
 The output holds no time, path or commit, so two runs can be compared with
 ``cmp``.  One commit at one BLAS thread count gives one file (CI runs
@@ -45,7 +48,15 @@ sys.path.insert(0, str(ROOT / "benchmarks" / "perf"))
 import numpy as np  # noqa: E402
 
 import perf_workloads as bench  # noqa: E402
-from repro import FormulaService, RecommendationRequest  # noqa: E402
+from repro import (  # noqa: E402
+    FormulaService,
+    RecommendationRequest,
+    build_training_universe,
+    generate_training_pairs,
+)
+from repro.features import WindowFeaturizer  # noqa: E402
+from repro.models import ModelConfig, SheetEncoder, TrainingConfig  # noqa: E402
+from repro.models.trainer import TripletTrainer  # noqa: E402
 
 N_EDITS = 30
 BATCH_SIZE = 16
@@ -70,6 +81,33 @@ def file_digests(directory: Path, *patterns: str) -> dict:
     }
 
 
+def sheet_tensor_digests(workbooks, config) -> list:
+    """sha256 of every sheet's padded feature tensor, in corpus order,
+    from one cold featurizer (so the first sight of each cell content goes
+    through featurization, and every repeat through its cache)."""
+    featurizer = WindowFeaturizer(config)
+    return [
+        array_digest(featurizer.padded_sheet_tensor(sheet))
+        for workbook in workbooks
+        for sheet in workbook
+    ]
+
+
+def trainer_tensor_digests() -> dict:
+    """sha256 of the anchor / positive / negative window tensors of both
+    models, as a trainer with the benchmark encoder's configuration stacks
+    them from the benchmark's training pairs."""
+    universe = build_training_universe(n_families=8, copies_per_family=3, n_singletons=6, seed=7)
+    pairs = generate_training_pairs(universe, seed=0)
+    trainer = TripletTrainer(SheetEncoder(ModelConfig()), TrainingConfig(epochs=8, seed=0))
+    tensors = {"coarse": trainer._coarse_tensors(pairs), "fine": trainer._fine_tensors(pairs)}
+    return {
+        f"{model}.{role}": array_digest(tensor)
+        for model, stacked in tensors.items()
+        for role, tensor in zip(("anchors", "positives", "negatives"), stacked)
+    }
+
+
 def answer_rows(responses) -> list:
     return [[response.formula, repr(float(response.confidence))] for response in responses]
 
@@ -91,7 +129,7 @@ def batched_answers(workspace, test_workbooks) -> list:
     return answer_rows(responses)
 
 
-def corpus_digest(encoder, preset: str, scale: float) -> dict:
+def corpus_digest(encoder, preset: str, scale: float) -> tuple:
     evaluation = bench.build_evaluation(preset, scale)
     workspace = FormulaService(encoder).create_workspace(
         "digest", workbooks=evaluation.reference_workbooks
@@ -104,6 +142,11 @@ def corpus_digest(encoder, preset: str, scale: float) -> dict:
         "state": state_digests(workspace),
         "answers": answers(workspace, requests),
         "answers_batched": batched_answers(workspace, evaluation.test_workbooks),
+    }
+    config = encoder.featurizer.config
+    features = {
+        "reference_sheets": sheet_tensor_digests(evaluation.reference_workbooks, config),
+        "held_out_sheets": sheet_tensor_digests(evaluation.test_workbooks, config),
     }
     values = np.random.default_rng(bench.SCRIPT_SEED)
     targets = bench.fixed_sample(bench.value_slots(evaluation.reference_workbooks), N_EDITS)
@@ -122,7 +165,7 @@ def corpus_digest(encoder, preset: str, scale: float) -> dict:
         entry["files"].update(file_digests(Path(directory), "manifest.json", "workbooks/*.json"))
         restored = FormulaService(encoder).load_workspace(directory)
         entry["answers_restored"] = answers(restored, requests)
-    return entry
+    return entry, features
 
 
 def main() -> int:
@@ -137,16 +180,19 @@ def main() -> int:
         for name, value in getattr(encoder, model).named_parameters()
     }
     corpora = {}
+    features = {"trainer": trainer_tensor_digests()}
     for workload in bench.WORKLOADS.values():
         scale = bench.QUICK_SCALE if args.quick else workload.scale
         name = f"{workload.preset} x{scale:g}"
         if name not in corpora:
-            entry = corpora[name] = corpus_digest(encoder, workload.preset, scale)
+            entry, features[name] = corpus_digest(encoder, workload.preset, scale)
+            corpora[name] = entry
             print(
                 f"{name}: {len(entry['answers'])} cases, {len(entry['answers_batched'])} batched",
                 file=sys.stderr,
             )
-    args.out.write_text(json.dumps({"weights": weights, "corpora": corpora}, indent=1) + "\n")
+    digest = {"weights": weights, "corpora": corpora, "features": features}
+    args.out.write_text(json.dumps(digest, indent=1) + "\n")
     return 0
 
 
