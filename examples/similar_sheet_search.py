@@ -21,7 +21,6 @@ from repro import (
     train_models,
 )
 from repro.ann import VectorIndex
-from repro.sheet import CellAddress
 
 
 def main() -> None:
@@ -53,29 +52,34 @@ def main() -> None:
             f"({sheet.n_rows} rows, {sheet.n_formulas()} formulas)"
         )
 
-    # Region-level: find the most similar formula region for one formula cell.
+    # Region-level: find the most similar formula region for one formula
+    # cell.  Every sheet's formula regions are embedded in one call, with
+    # the center cell blanked as the pipeline's S2 does.
     formula_cells = query_sheet.formula_cells()
     if formula_cells:
         address, cell = formula_cells[0]
         print(f"\nQuery region: around {query_sheet.name}!{address.to_a1()} ({cell.formula})")
-        query_vector = encoder.embed_region(query_sheet, address)
-        best = None
+        query_vector = encoder.embed_regions(
+            query_sheet, np.array([address.row]), np.array([address.col]), blank_center=True
+        )[0]
+        regions = VectorIndex(encoder.fine_dimension)
+        found = []
         for workbook_name, sheet in sheets:
-            if sheet is query_sheet:
+            cells = sheet.formula_cells()
+            if sheet is query_sheet or not cells:
                 continue
-            for other_address, other_cell in sheet.formula_cells():
-                vector = encoder.embed_region(sheet, other_address)
-                distance = float(np.sum((vector - query_vector) ** 2))
-                if best is None or distance < best[0]:
-                    best = (distance, workbook_name, sheet.name, other_address, other_cell.formula)
-        if best is not None:
-            distance, workbook_name, sheet_name, other_address, formula = best
+            rows = np.array([other.row for other, __ in cells])
+            cols = np.array([other.col for other, __ in cells])
+            vectors = encoder.embed_regions(sheet, rows, cols, blank_center=True)
+            regions.add_batch(list(range(len(found), len(found) + len(cells))), vectors)
+            found.extend((workbook_name, sheet.name, other, item.formula) for other, item in cells)
+        for hit in regions.search(query_vector, k=1):
+            workbook_name, sheet_name, other_address, formula = found[int(hit.key)]
             print(
                 f"Most similar region: {workbook_name} / {sheet_name}!{other_address.to_a1()} "
-                f"(distance {distance:.3f})"
+                f"(distance {hit.distance:.3f})"
             )
             print(f"  its formula: {formula}")
-
 
 if __name__ == "__main__":
     main()

@@ -17,9 +17,11 @@ class AutoFormulaConfig:
     embedding distance at which the system still emits a prediction
     (abstaining otherwise keeps precision high at the cost of recall).
 
-    Every field moves answers or memory.  What is bit-identical either way
-    — caching query embeddings, collapsing duplicate requests — is not an
-    option: the pipeline and the workspace always do it.
+    Every field moves answers.  What is bit-identical either way — caching
+    query embeddings, collapsing duplicate requests, how many target
+    sheets' per-sheet values are kept
+    (:data:`repro.features.window.MAX_CACHED_TARGET_SHEETS`) — is not an
+    option: the pipeline, the encoder and the workspace always do it.
     """
 
     top_k_sheets: int = 3
@@ -29,10 +31,6 @@ class AutoFormulaConfig:
     #: Per-cell score penalty that breaks embedding ties toward the anchor
     #: locations during parameter re-grounding (S3).
     locality_penalty: float = 0.01
-    #: Number of target sheets whose query embedding, reduced tensor and S3
-    #: region store are retained between ``predict`` calls (least recently
-    #: used sheets are evicted first, deterministically).
-    max_cached_target_sheets: int = 8
     #: Which model drives which search: "both" (paper), "coarse_only" or
     #: "fine_only" (the Figure 14 ablation).
     granularity: str = "both"
@@ -49,5 +47,3 @@ class AutoFormulaConfig:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         if not 0.0 < self.acceptance_threshold <= 4.0:
             raise ValueError("acceptance_threshold must be in (0, 4]")
-        if self.max_cached_target_sheets <= 0:
-            raise ValueError("max_cached_target_sheets must be positive")

@@ -13,21 +13,16 @@ from repro.ann import SearchResult, VectorIndex
 from repro.ann.base import RowStore, closest_in_blocks
 from repro.core.config import AutoFormulaConfig
 from repro.core.interface import FormulaPredictor, Prediction
-from repro.features.window import MAX_CACHED_TENSOR_BYTES, gather_windows, sheet_cache
+from repro.features.window import MAX_CACHED_TARGET_SHEETS, sheet_cache
 from repro.formula.ast_nodes import ASTNode
 from repro.formula.parser import parse_formula
 from repro.formula.template import formula_references, instantiate_template
 from repro.formula.tokenizer import FormulaSyntaxError
 from repro.models.encoder import SheetEncoder
-from repro.nn.layers import Dropout, Flatten, L2Normalize, Linear, ReLU, Tanh
 from repro.obs import Counter, get_tracer
 from repro.sheet.addressing import CellAddress, RangeAddress
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
-
-#: Layers that act independently on every cell of a window, so they commute
-#: with window extraction (see ``AutoFormula._fine_fast_path``).
-_PER_CELL_LAYERS = (Linear, ReLU, Tanh, Dropout)
 
 _UNSET = object()
 
@@ -421,10 +416,8 @@ class AutoFormula(FormulaPredictor):
         #: at index internals, and rewritten on compaction remaps.
         self._sheet_store_size = 0
         self._formula_store_size = 0
-        # Three caches of per-target-sheet values share one entry bound.
-        bound = self.config.max_cached_target_sheets
         #: Target sheets' region stores (S3 candidate vectors).
-        self._target_cache = sheet_cache("target_stores", bound)
+        self._target_cache = sheet_cache("target_stores", MAX_CACHED_TARGET_SHEETS)
         #: Target-store lookups since construction (see :meth:`counters`);
         #: serves run concurrently, hence instruments.
         self._store_hits = Counter()
@@ -432,157 +425,30 @@ class AutoFormula(FormulaPredictor):
         #: S3 candidates scored, and those re-ranked (see :meth:`counters`).
         self._candidates_scored = Counter()
         self._candidates_reranked = Counter()
-        #: Model-reduced per-sheet tensors (the fine model's per-cell prefix
-        #: applied to a sheet's padded feature tensor once, instead of once
-        #: per overlapping window).
-        self._reduced_cache = sheet_cache("reduced_tensors", bound, MAX_CACHED_TENSOR_BYTES)
-        self._reduced_padding: Optional[np.ndarray] = None
-        self._fine_fast = _UNSET
         #: S1 query embeddings, reused within and across requests.
-        self._query_vector_cache = sheet_cache("query_vectors", bound)
+        self._query_vector_cache = sheet_cache("query_vectors", MAX_CACHED_TARGET_SHEETS)
 
     # --------------------------------------------------------------- encoding
 
-    def _sheet_vector(self, sheet: Sheet) -> np.ndarray:
-        """Sheet-level embedding (coarse model, unless fine-only ablation).
+    def _embed_sheet(self, sheet: Sheet) -> np.ndarray:
+        """S1 embedding: the coarse model's, the fine one's under the
+        fine-only ablation."""
+        return self.encoder.embed_sheet(sheet, fine=self.config.granularity == "fine_only")
 
-        Query-side: reference sheets go through the same one-sheet
-        :meth:`_encode_sheet_vector` uncached, in ``_index_sheets`` and
-        ``reindex_sheet``.  The vector is cached by sheet identity +
-        mutation version, so repeated requests for the same sheet within
-        and across batches encode once and an edited sheet re-encodes.
-        """
-        vector = self._query_vector_cache.get(sheet)
-        if vector is None:
-            vector = self._encode_sheet_vector(sheet)
-            vector.flags.writeable = False
-            vector = self._query_vector_cache.put(sheet, vector)
-        return vector
-
-    @property
-    def _sheet_model(self):
-        """The model behind sheet-level embeddings."""
-        if self.config.granularity == "fine_only":
-            return self.encoder.fine_model
-        return self.encoder.coarse_model
-
-    def _encode_sheet_vector(self, sheet: Sheet) -> np.ndarray:
-        window = self.encoder.featurizer.featurize_sheet(sheet)[None, ...]
-        return self._sheet_model.forward(window)[0]
+    def _embed_regions(
+        self, sheet: Sheet, rows: np.ndarray, cols: np.ndarray, blank_center: bool = False
+    ) -> np.ndarray:
+        """S2 / S3 embeddings of the cells ``(rows[i], cols[i])``: the fine
+        model's, the coarse one's under the coarse-only ablation."""
+        return self.encoder.embed_regions(
+            sheet, rows, cols, blank_center, coarse=self.config.granularity == "coarse_only"
+        )
 
     @property
     def _region_dimension(self) -> int:
         if self.config.granularity == "coarse_only":
             return self.encoder.coarse_dimension
         return self.encoder.fine_dimension
-
-    def _region_vectors(
-        self, sheet: Sheet, centers: Sequence[CellAddress], blank_center: bool = False
-    ) -> np.ndarray:
-        """Region-level embeddings (fine model, unless coarse-only ablation).
-
-        ``blank_center`` masks the center cell of every window; the S2
-        formula-region comparison uses this so that an already-filled
-        reference cell and a still-empty target cell embed comparably.
-        """
-        return self._region_vectors_at(sheet, *_coordinates(centers), blank_center)
-
-    def _region_vectors_at(
-        self, sheet: Sheet, rows: np.ndarray, cols: np.ndarray, blank_center: bool = False
-    ) -> np.ndarray:
-        """:meth:`_region_vectors` of the cells ``(rows[i], cols[i])``."""
-        if not len(rows):
-            return np.zeros((0, self._region_dimension), dtype=np.float32)
-        if self.config.granularity != "coarse_only":
-            vectors = self._fine_region_vectors_fast(sheet, rows, cols, blank_center)
-            if vectors is not None:
-                return vectors
-        centers = [CellAddress(row, col) for row, col in zip(rows.tolist(), cols.tolist())]
-        windows = self.encoder.featurizer.featurize_regions(
-            sheet, centers, blank_center=blank_center
-        )
-        if self.config.granularity == "coarse_only":
-            return self.encoder.coarse_model.forward(windows)
-        return self.encoder.fine_model.forward(windows)
-
-    # ----------------------------------------------------- fine-model fast path
-
-    def _fine_fast_path(self):
-        """``(per-cell prefix layers, normalizer)`` when the fine model is
-        per-cell all the way to its ``Flatten`` + ``L2Normalize`` tail.
-
-        Such a model commutes with window extraction: applying the prefix to
-        a sheet's padded feature tensor once and gathering windows in the
-        reduced space gives the same embeddings as reducing every
-        (heavily overlapping) window separately, at a fraction of the cost.
-        Returns ``None`` for architectures with spatial layers (conv /
-        pooling), which fall back to the general per-window path.
-        """
-        if self._fine_fast is _UNSET:
-            result = None
-            layers = getattr(self.encoder.fine_model, "layers", None)
-            if layers:
-                for index, layer in enumerate(layers):
-                    if isinstance(layer, Flatten):
-                        prefix, tail = layers[:index], layers[index + 1 :]
-                        if (
-                            all(isinstance(item, _PER_CELL_LAYERS) for item in prefix)
-                            and len(tail) == 1
-                            and isinstance(tail[0], L2Normalize)
-                        ):
-                            result = (prefix, tail[0])
-                        break
-                    if not isinstance(layer, _PER_CELL_LAYERS):
-                        break
-            self._fine_fast = result
-        return self._fine_fast
-
-    def _reduced_padding_features(self) -> np.ndarray:
-        if self._reduced_padding is None:
-            prefix, __ = self._fine_fast_path()
-            vector = self.encoder.featurizer.padding_features()[None, :]
-            for layer in prefix:
-                vector = layer.forward(vector, training=False)
-            self._reduced_padding = vector[0]
-        return self._reduced_padding
-
-    def _reduced_sheet_tensor(self, sheet: Sheet) -> Optional[np.ndarray]:
-        """The fine prefix applied to the sheet's padded tensor, memoized."""
-        tensor = self.encoder.featurizer.padded_sheet_tensor(sheet)
-        if tensor is None:  # sheet exceeds the densification budget
-            return None
-        reduced = self._reduced_cache.get(sheet)
-        if reduced is not None:
-            return reduced
-        prefix, __ = self._fine_fast_path()
-        height, width, dim = tensor.shape
-        block = tensor.reshape(-1, dim)
-        for layer in prefix:
-            block = layer.forward(block, training=False)
-        reduced = block.reshape(height, width, -1)
-        reduced.flags.writeable = False
-        return self._reduced_cache.put(sheet, reduced)
-
-    def _fine_region_vectors_fast(
-        self, sheet: Sheet, center_rows: np.ndarray, center_cols: np.ndarray, blank_center: bool
-    ) -> Optional[np.ndarray]:
-        """Fine region embeddings via the reduced per-sheet tensor, or
-        ``None`` when the fast path does not apply."""
-        if self._fine_fast_path() is None:
-            return None
-        reduced = self._reduced_sheet_tensor(sheet)
-        if reduced is None:
-            return None
-        rows = self.encoder.featurizer.config.window_rows
-        cols = self.encoder.featurizer.config.window_cols
-        padding = self._reduced_padding_features()
-        windows = gather_windows(
-            reduced, center_rows, center_cols, sheet.n_rows, sheet.n_cols, rows, cols, padding
-        )
-        if blank_center:
-            windows[:, rows // 2, cols // 2] = padding
-        __, normalizer = self._fine_fast_path()
-        return normalizer.forward(windows.reshape(len(center_rows), -1), training=False)
 
     def _target_store(self, sheet: Sheet) -> _RegionStore:
         """The region store of a target sheet at its current version."""
@@ -598,7 +464,7 @@ class AutoFormula(FormulaPredictor):
         ``parameter_cells`` in one forward pass."""
         store = _RegionStore(sheet, self._region_dimension, capacity=len(parameter_cells))
         if parameter_cells:
-            store.slots_of(*_coordinates(parameter_cells), partial(self._region_vectors_at, sheet))
+            store.slots_of(*_coordinates(parameter_cells), partial(self._embed_regions, sheet))
         return store
 
     def counters(self) -> Dict[str, int]:
@@ -665,12 +531,7 @@ class AutoFormula(FormulaPredictor):
         self._workbook_sheet_ids = {}
         self._sheet_ids = {}
         self._target_cache.clear()
-        self._reduced_cache.clear()
         self._query_vector_cache.clear()
-        # The encoder's models (weights or whole objects) may have changed
-        # since the last fit; drop everything derived from them.
-        self._reduced_padding = None
-        self._fine_fast = _UNSET
 
         sheet_dimension = (
             self.encoder.fine_dimension
@@ -708,7 +569,7 @@ class AutoFormula(FormulaPredictor):
             self._formula_positions.append(self._append_formula_rows(sheet_id, embeddings))
             # One forward per sheet, as ``reindex_sheet`` and the query side
             # run it: a stacked forward rounds every row differently.
-            sheet_vectors.append(self._encode_sheet_vector(sheet))
+            sheet_vectors.append(self._embed_sheet(sheet))
 
         self._sheet_index.add_batch(
             list(range(base_id, base_id + len(sheets))), np.stack(sheet_vectors)
@@ -724,8 +585,8 @@ class AutoFormula(FormulaPredictor):
         """The sheet's formula cells as registry entries, with their
         center-blanked region embeddings (one forward pass)."""
         formula_cells = sheet.formula_cells()
-        embeddings = self._region_vectors(
-            sheet, [address for address, __ in formula_cells], blank_center=True
+        embeddings = self._embed_regions(
+            sheet, *_coordinates([address for address, __ in formula_cells]), blank_center=True
         )
         formulas = [
             _ReferenceFormula(sheet_id, address, cell.formula or "")
@@ -856,9 +717,9 @@ class AutoFormula(FormulaPredictor):
             reference.plans = {}
         else:
             self._formula_index.update_batch(self._formula_positions[sheet_id], embeddings)
-            reference.store.refresh(partial(self._region_vectors_at, sheet))
+            reference.store.refresh(partial(self._embed_regions, sheet))
         self._sheet_index.update_batch(
-            [self._sheet_positions[sheet_id]], self._encode_sheet_vector(sheet)[None, :]
+            [self._sheet_positions[sheet_id]], self._embed_sheet(sheet)[None, :]
         )
         return {
             "n_formulas": len(formulas),
@@ -1092,11 +953,20 @@ class AutoFormula(FormulaPredictor):
     def sheet_query_vector(self, target_sheet: Sheet) -> np.ndarray:
         """The S1 query-side embedding of a target sheet.
 
-        Exposed so a staged caller can embed the query *once* and pass it
-        to :meth:`sheet_hits` (of this or any other predictor over the same
-        encoder: the vector depends only on the encoder).
+        Cached by sheet identity + mutation version, so repeated requests
+        for the same sheet within and across batches encode once and an
+        edited sheet re-encodes; reference sheets go through the same
+        :meth:`_embed_sheet` uncached.  Exposed so a staged caller can embed
+        the query *once* and pass it to :meth:`sheet_hits` (of this or any
+        other predictor over the same encoder: the vector depends only on
+        the encoder).
         """
-        return self._sheet_vector(target_sheet)
+        vector = self._query_vector_cache.get(target_sheet)
+        if vector is None:
+            vector = self._embed_sheet(target_sheet)
+            vector.flags.writeable = False
+            vector = self._query_vector_cache.put(target_sheet, vector)
+        return vector
 
     def region_query_vectors(
         self, target_sheet: Sheet, target_cells: Sequence[CellAddress]
@@ -1106,7 +976,9 @@ class AutoFormula(FormulaPredictor):
         The counterpart of :meth:`sheet_query_vector` for
         :meth:`predict_batch_scored`'s ``target_vectors`` argument.
         """
-        return self._region_vectors(target_sheet, list(target_cells), blank_center=True)
+        return self._embed_regions(
+            target_sheet, *_coordinates(list(target_cells)), blank_center=True
+        )
 
     def sheet_hits(
         self,
@@ -1128,7 +1000,7 @@ class AutoFormula(FormulaPredictor):
             "s1.sheet_hits", k=self.config.top_k_sheets if k is None else k
         ) as span:
             if query_vector is None:
-                query_vector = self._sheet_vector(target_sheet)
+                query_vector = self.sheet_query_vector(target_sheet)
             hits = self._sheet_index.search(
                 query_vector, k=self.config.top_k_sheets if k is None else k
             )
@@ -1189,7 +1061,7 @@ class AutoFormula(FormulaPredictor):
             "s2.score", n_cells=len(cells), pool_size=int(pool.size), adapt=adapt
         ):
             if target_vectors is None:
-                target_vectors = self._region_vectors(target_sheet, cells, blank_center=True)
+                target_vectors = self.region_query_vectors(target_sheet, cells)
             hit_lists = self._formula_index.search_batch(target_vectors, k=1, positions=pool)
 
         results: List[Optional[ScoredPrediction]] = []
@@ -1302,7 +1174,7 @@ class AutoFormula(FormulaPredictor):
             # A restored predictor's reference stores start empty: this is
             # where a formula's parameter regions are embedded, in one pass.
             slots, __ = reference.store.slots_of(
-                *_coordinates(unique), partial(self._region_vectors_at, reference.sheet)
+                *_coordinates(unique), partial(self._embed_regions, reference.sheet)
             )
         plan = _AdaptationPlan(
             formula_cell=reference.formulas[local].address,
@@ -1369,7 +1241,7 @@ class AutoFormula(FormulaPredictor):
                 np.concatenate(axis)[missing] for axis in zip(*(piece.cells() for piece in pieces))
             )
             slots[missing], n_misses = store.slots_of(
-                rows, cols, partial(self._region_vectors_at, target_sheet)
+                rows, cols, partial(self._embed_regions, target_sheet)
             )
         vectors, sq_norms = store.rows(slots)
         # ||r||^2 comes from the reference store as it is now: a value edit

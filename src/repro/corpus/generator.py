@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from repro.corpus.templates import (
     WorkbookTemplate,
 )
 from repro.obs import get_tracer
-from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
 
 
@@ -58,10 +57,6 @@ class EnterpriseCorpus:
     def __len__(self) -> int:
         return len(self.workbooks)
 
-    def all_sheets(self) -> List[Tuple[Workbook, Sheet]]:
-        """Every ``(workbook, sheet)`` pair in the corpus."""
-        return [(workbook, sheet) for workbook in self.workbooks for sheet in workbook]
-
     def n_sheets(self) -> int:
         """Total number of sheets."""
         return sum(len(workbook) for workbook in self.workbooks)
@@ -69,10 +64,6 @@ class EnterpriseCorpus:
     def n_formulas(self) -> int:
         """Total number of formula cells."""
         return sum(workbook.n_formulas() for workbook in self.workbooks)
-
-    def sorted_by_timestamp(self) -> List[Workbook]:
-        """Workbooks ordered by last-modified time (oldest first)."""
-        return sorted(self.workbooks, key=lambda workbook: workbook.last_modified)
 
 
 class CorpusGenerator:

@@ -12,6 +12,7 @@ from repro.formula.template import extract_template
 from repro.formula.tokenizer import FormulaSyntaxError
 from repro.models.encoder import SheetEncoder
 from repro.sheet.addressing import CellAddress
+from repro.sheet.cell import Cell
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
 
@@ -80,6 +81,15 @@ class FormulaErrorDetector:
         except FormulaSyntaxError:
             return None
 
+    def _formula_vectors(
+        self, sheet: Sheet, formula_cells: Sequence[Tuple[CellAddress, Cell]]
+    ) -> np.ndarray:
+        """Center-blanked region embeddings of a sheet's formula cells, in
+        one call: the S2 comparison of the recommendation pipeline."""
+        rows = np.array([address.row for address, __ in formula_cells], dtype=np.int64)
+        cols = np.array([address.col for address, __ in formula_cells], dtype=np.int64)
+        return self.encoder.embed_regions(sheet, rows, cols, blank_center=True)
+
     def audit(self, sheet: Sheet) -> List[FormulaAnomaly]:
         """Audit every formula cell of ``sheet`` and return the anomalies found."""
         if self._index is None or len(self._index) == 0:
@@ -91,25 +101,19 @@ class FormulaErrorDetector:
             if reference_sheet is sheet:
                 continue
             formula_cells = reference_sheet.formula_cells()
-            centers = [address for address, __ in formula_cells]
-            if not centers:
-                continue
-            embeddings = self.encoder.featurizer.featurize_regions(
-                reference_sheet, centers, blank_center=True
-            )
-            vectors = self.encoder.fine_model.forward(embeddings)
+            vectors = self._formula_vectors(reference_sheet, formula_cells)
             for (address, cell), vector in zip(formula_cells, vectors):
                 candidates.append((source, reference_sheet, address, cell.formula or "", vector))
         if not candidates:
             return []
 
         anomalies: List[FormulaAnomaly] = []
-        for address, cell in sheet.formula_cells():
+        formula_cells = sheet.formula_cells()
+        target_vectors = self._formula_vectors(sheet, formula_cells)
+        for (address, cell), target_vector in zip(formula_cells, target_vectors):
             observed_template = self._template(cell.formula or "")
             if observed_template is None:
                 continue
-            window = self.encoder.featurizer.featurize_region(sheet, address, blank_center=True)
-            target_vector = self.encoder.fine_model.forward(window[None, ...])[0]
             best: Optional[Tuple[float, Tuple[str, Sheet, CellAddress, str, np.ndarray]]] = None
             for candidate in candidates:
                 distance = float(np.sum((candidate[4] - target_vector) ** 2))

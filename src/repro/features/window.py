@@ -24,11 +24,15 @@ _MAX_DENSE_BYTES = 1 << 25  # 32 MiB per sheet tensor
 #: Sheets whose padded tensors are kept per featurizer.
 _MAX_CACHED_SHEETS = 64
 #: Byte budget of a cache of per-sheet tensors (the padded tensors here,
-#: the pipeline's reduced tensors), beside its entry bound: entries alone
+#: the encoder's reduced tensors), beside its entry bound: entries alone
 #: would admit ``_MAX_CACHED_SHEETS * _MAX_DENSE_BYTES`` = 2 GiB of two-cell
 #: sheets with far-flung cells.  9x the largest footprint the benchmark
 #: corpora reach at 64 entries (29.3 MiB), so no measured workload meets it.
 MAX_CACHED_TENSOR_BYTES = 1 << 28  # 256 MiB
+#: Target sheets whose per-sheet values — S1 query vector and S3 region
+#: store (per predictor), reduced tensor (per encoder) — are kept between
+#: requests, least recently used evicted first.
+MAX_CACHED_TARGET_SHEETS = 8
 
 
 def sheet_cache(name: str, max_entries: int, max_bytes: Optional[int] = None) -> LRU:
@@ -190,14 +194,11 @@ class WindowFeaturizer:
         """Drop all memoized per-sheet feature tensors."""
         self._tensor_cache.clear()
 
-    def _padding_features(self) -> np.ndarray:
+    def padding_features(self) -> np.ndarray:
+        """Feature vector of an out-of-bounds (invalid) padding cell."""
         if self._padding_vector is None:
             self._padding_vector = self.cell_featurizer.featurize(EMPTY_CELL, valid=False)
         return self._padding_vector
-
-    def padding_features(self) -> np.ndarray:
-        """Feature vector of an out-of-bounds (invalid) padding cell."""
-        return self._padding_features()
 
     def _empty_features(self) -> np.ndarray:
         if self._empty_vector is None:
@@ -224,7 +225,7 @@ class WindowFeaturizer:
         pad_row, pad_col = rows // 2, cols // 2
         height, width = self._padded_shape(sheet)
         tensor = np.empty((height, width, self.cell_featurizer.dimension), dtype=np.float32)
-        tensor[:] = self._padding_features()
+        tensor[:] = self.padding_features()
         interior = tensor[pad_row : pad_row + sheet.n_rows, pad_col : pad_col + sheet.n_cols]
         interior[:] = self._empty_features()
         stored = sheet.items()
@@ -244,7 +245,9 @@ class WindowFeaturizer:
             tensor = self._tensor_cache.put(sheet, tensor)
         return tensor
 
-    def _densifiable(self, sheet: Sheet) -> bool:
+    def densifiable(self, sheet: Sheet) -> bool:
+        """Whether the sheet's padded tensor fits the densification budget
+        (decided from its extent alone)."""
         height, width = self._padded_shape(sheet)
         return height * width * self.cell_featurizer.dimension * 4 <= _MAX_DENSE_BYTES
 
@@ -253,9 +256,9 @@ class WindowFeaturizer:
         the sheet exceeds the densification budget.
 
         Exposed so callers can derive their own per-sheet tensors (e.g. the
-        pipeline's model-reduced tensors) from the same featurization.
+        encoder's model-reduced tensors) from the same featurization.
         """
-        if not self._densifiable(sheet):
+        if not self.densifiable(sheet):
             return None
         return self._sheet_tensor(sheet)
 
@@ -264,7 +267,7 @@ class WindowFeaturizer:
         rows, cols = self.config.window_rows, self.config.window_cols
         tensor = np.zeros(self.window_shape, dtype=np.float32)
         n_rows, n_cols = sheet.n_rows, sheet.n_cols
-        padding = self._padding_features()
+        padding = self.padding_features()
         empty = self._empty_features()
         for row_offset in range(rows):
             row = top + row_offset
@@ -302,13 +305,13 @@ class WindowFeaturizer:
         """Window tensor representing the whole sheet (top-left anchored)."""
         top, left = sheet_window_bounds()
         rows, cols = self.config.window_rows, self.config.window_cols
-        if not self._densifiable(sheet):
+        if not self.densifiable(sheet):
             return self._window_sparse(sheet, top, left)
         tensor = self._sheet_tensor(sheet)
         # Padded coordinates of a window are its sheet coordinates shifted by
         # the border width.
         return window_from_padded(
-            tensor, top + rows // 2, left + cols // 2, rows, cols, self._padding_features()
+            tensor, top + rows // 2, left + cols // 2, rows, cols, self.padding_features()
         )
 
     def featurize_regions(self, sheet: Sheet, centers, blank_center: bool = False) -> np.ndarray:
@@ -317,7 +320,7 @@ class WindowFeaturizer:
         rows, cols, dim = self.window_shape
         if not centers:
             return np.zeros((0, rows, cols, dim), dtype=np.float32)
-        if not self._densifiable(sheet):
+        if not self.densifiable(sheet):
             windows = np.stack(
                 [
                     self._window_sparse(sheet, *region_window_bounds(center, rows, cols))
@@ -333,8 +336,8 @@ class WindowFeaturizer:
                 sheet.n_cols,
                 rows,
                 cols,
-                self._padding_features(),
+                self.padding_features(),
             )
         if blank_center:
-            windows[:, rows // 2, cols // 2] = self._padding_features()
+            windows[:, rows // 2, cols // 2] = self.padding_features()
         return windows

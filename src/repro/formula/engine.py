@@ -160,12 +160,6 @@ class FormulaEngine:
         """The sheet this engine recalculates."""
         return self._sheet
 
-    @property
-    def dirty_count(self) -> int:
-        """Number of formula cells currently marked dirty."""
-        self._sync()
-        return len(self._dirty)
-
     def precedents_of(
         self, address: AddressLike
     ) -> Tuple[Tuple[CellAddress, ...], Tuple[RangeAddress, ...]]:

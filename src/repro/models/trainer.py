@@ -176,15 +176,19 @@ class TripletTrainer:
             n_fine_pairs=len(pairs.positive_region_pairs),
         )
         tracer = get_tracer()
-        with tracer.span("models.train", epochs=self.config.epochs):
-            with tracer.span("models.train.tensors", model="coarse"):
-                coarse = self._coarse_tensors(pairs)
-            with tracer.span("models.train.loop", model="coarse"):
-                history.coarse_losses = self._train_model(self.encoder.coarse_model, *coarse)
-            with tracer.span("models.train.tensors", model="fine"):
-                fine = self._fine_tensors(pairs)
-            with tracer.span("models.train.loop", model="fine"):
-                history.fine_losses = self._train_model(self.encoder.fine_model, *fine)
+        try:
+            with tracer.span("models.train", epochs=self.config.epochs):
+                with tracer.span("models.train.tensors", model="coarse"):
+                    coarse = self._coarse_tensors(pairs)
+                with tracer.span("models.train.loop", model="coarse"):
+                    history.coarse_losses = self._train_model(self.encoder.coarse_model, *coarse)
+                with tracer.span("models.train.tensors", model="fine"):
+                    fine = self._fine_tensors(pairs)
+                with tracer.span("models.train.loop", model="fine"):
+                    history.fine_losses = self._train_model(self.encoder.fine_model, *fine)
+        finally:
+            # The weights moved in place (a failed epoch may have moved some).
+            self.encoder.weights_changed()
         return history
 
 

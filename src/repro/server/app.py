@@ -632,10 +632,6 @@ class ServerHandle:
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def run_coroutine(self, coroutine, timeout: Optional[float] = 30.0):
-        """Run a coroutine on the server's loop and wait for its result."""
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(timeout)
-
     def shutdown(self, drain: bool = True, timeout: Optional[float] = 30.0) -> None:
         """Drain (optionally), close the server, stop the loop, join."""
         if self._stopped:

@@ -20,11 +20,13 @@ batch or index — what every optimisation in ``repro.core.pipeline`` and
 Vectors come in at the encoder boundary: one function gives a sheet's S1
 vector (one sheet per forward) and one gives the region vectors of a
 sheet's cells, row by row — a cell's vector does not depend on the other
-cells of the call.  :meth:`ReferenceAutoFormula.over` binds both to an
-``AutoFormula`` that is never fitted, over the encoder's models and a
-featurizer of its own, so no tensor the pipeline cached is read.
-Everything downstream of the vectors is checked: which sheets, which
-formula, which cells, and every float an answer carries.
+cells of the call.  :meth:`ReferenceAutoFormula.over` binds both to
+:meth:`~repro.models.SheetEncoder.embed_sheet` and
+:meth:`~repro.models.SheetEncoder.embed_regions` — the methods the
+pipeline calls — of an encoder over the same models with a featurizer of
+its own, so no tensor the pipeline's encoder cached is read.  Everything
+downstream of the vectors is checked: which sheets, which formula, which
+cells, and every float an answer carries.
 
 The scores that decide answers are the pipeline's float32 expressions,
 spelled once and plainly: a distance is ``||v||^2 - 2 q.v + ||q||^2``
@@ -36,11 +38,13 @@ anchor, the first minimum winning.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import AutoFormula, AutoFormulaConfig, Prediction
+from repro.core.config import AutoFormulaConfig
+from repro.core.interface import Prediction
 from repro.features import WindowFeaturizer
 from repro.formula.parser import parse_formula
 from repro.formula.template import formula_references, instantiate_template
@@ -147,9 +151,10 @@ class ReferenceAutoFormula:
 
     @classmethod
     def over(cls, encoder, config: Optional[AutoFormulaConfig] = None) -> "ReferenceAutoFormula":
-        """The reference for an ``AutoFormula(encoder, config)``: its two
-        embedding functions, bound to one that is never fitted and reads
-        sheets through a featurizer of its own."""
+        """The reference for an ``AutoFormula(encoder, config)``: the
+        encoder's two embedding methods with the models ``granularity``
+        picks, bound to an encoder over the same models that reads sheets
+        through a featurizer of its own."""
         config = config or AutoFormulaConfig()
         own = SheetEncoder(
             encoder.config,
@@ -157,8 +162,11 @@ class ReferenceAutoFormula:
             encoder.fine_model,
             WindowFeaturizer(encoder.featurizer.config, encoder.featurizer.cell_featurizer),
         )
-        embedder = AutoFormula(own, config)
-        return cls(config, embedder._encode_sheet_vector, embedder._region_vectors_at)
+        return cls(
+            config,
+            partial(own.embed_sheet, fine=config.granularity == "fine_only"),
+            partial(own.embed_regions, coarse=config.granularity == "coarse_only"),
+        )
 
     def _regions(
         self, sheet: Sheet, cells: Sequence[Tuple[int, int]], blank_center: bool = False

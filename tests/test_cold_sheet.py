@@ -1,6 +1,7 @@
 """A cold sheet on arrays: the cell-feature table and its batch
-featurization, the window gather and ``im2col`` against the cell-by-cell /
-``np.pad`` references they replaced.
+featurization, the window gather, the encoder's reduced-tensor region path
+and ``im2col`` against the cell-by-cell / per-window / ``np.pad``
+references they replaced.
 
 Nothing here reads a clock: every test compares bytes or counts, so a
 rewrite of one of the three kernels that moves a value fails here whatever
@@ -22,7 +23,7 @@ from repro.embedding.hashed import _stable_hash
 from repro.features import FeatureConfig, WindowFeaturizer, cell_features, window as window_module
 from repro.features.window import _window_blocks, gather_windows, window_from_padded
 from repro.formula.errors import ErrorValue
-from repro.models import ModelConfig, SheetEncoder, TrainingConfig, train_models
+from repro.models import ModelConfig, SheetEncoder, TrainingConfig, TripletTrainer, train_models
 from repro.nn import Conv2D
 from repro.sheet import Cell, CellAddress, CellStyle, Sheet
 from repro.sheet.cell import syntactic_pattern
@@ -523,9 +524,9 @@ class TestSharedTensorsAreReadOnly:
             tensor[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             tensor += 1.0
-        predictor = AutoFormula(SheetEncoder(ModelConfig(features=CONFIG)))
-        reduced = predictor._reduced_sheet_tensor(sheet)
-        assert predictor._reduced_sheet_tensor(sheet) is reduced
+        encoder = SheetEncoder(ModelConfig(features=CONFIG))
+        reduced = encoder._reduced_sheet_tensor(sheet)
+        assert encoder._reduced_sheet_tensor(sheet) is reduced
         with pytest.raises(ValueError, match="read-only"):
             reduced[0, 0, 0] = 1.0
 
@@ -567,6 +568,110 @@ class TestSharedTensorsAreReadOnly:
             _window_blocks(np.zeros((9, 5, 4), dtype=np.float32), 10, 6)[0, 0]
         with pytest.raises(ValueError):
             _window_blocks(np.zeros((8, 5, 4), dtype=np.float32), 10, 6)
+
+
+# ------------------------------------------------ the encoder's one region path
+
+
+@st.composite
+def sheets_and_centers(draw):
+    """A drawn sheet and centers on it, past its extent on either axis too."""
+    sheet = draw(sheets())
+    centers = draw(
+        st.lists(
+            st.tuples(st.integers(0, sheet.n_rows + 12), st.integers(0, sheet.n_cols + 8)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return sheet, np.array([row for row, __ in centers]), np.array([col for __, col in centers])
+
+
+_CENTER_ROWS = np.array([center.row for center in _CENTERS])
+_CENTER_COLS = np.array([center.col for center in _CENTERS])
+
+
+def _embeddings(encoder: SheetEncoder, sheet: Sheet) -> list:
+    """Bytes of the sheet's vector and of its regions, plain and blanked."""
+    return [encoder.embed_sheet(sheet).tobytes()] + [
+        encoder.embed_regions(sheet, _CENTER_ROWS, _CENTER_COLS, blank_center=blank).tobytes()
+        for blank in (False, True)
+    ]
+
+
+def _fresh_copy(encoder: SheetEncoder) -> SheetEncoder:
+    """An encoder that never embedded anything, with ``encoder``'s weights."""
+    fresh = SheetEncoder(encoder.config)
+    fresh.coarse_model.load_state_dict(encoder.coarse_model.state_dict())
+    fresh.fine_model.load_state_dict(encoder.fine_model.state_dict())
+    return fresh
+
+
+class TestEncoderRegions:
+    @settings(max_examples=60, deadline=None)
+    @given(sheets_and_centers(), st.booleans())
+    def test_embed_regions_equals_the_per_window_forward(self, trained_encoder, drawn, blank):
+        """The reduced-tensor fast path against reducing every window whole:
+        the two blank the center in different spaces, so they agree to
+        rounding, not to the bit."""
+        sheet, rows, cols = drawn
+        assert trained_encoder.featurizer.densifiable(sheet)
+        fast = trained_encoder.embed_regions(sheet, rows, cols, blank_center=blank)
+        centers = [CellAddress(int(row), int(col)) for row, col in zip(rows, cols)]
+        windows = trained_encoder.featurizer.featurize_regions(sheet, centers, blank_center=blank)
+        np.testing.assert_allclose(
+            fast, trained_encoder.fine_model.forward(windows), rtol=0, atol=1e-6
+        )
+
+    def test_a_reduced_hit_reads_no_padded_tensor(self):
+        encoder = SheetEncoder(ModelConfig(features=CONFIG))
+        sheet = _grid_sheet()
+        first = _embeddings(encoder, sheet)
+        tensors = encoder.featurizer._tensor_cache
+        before = tensors.stats()
+        assert _embeddings(encoder, sheet) == first
+        after = tensors.stats()
+        # The sheet vector reads the padded tensor; the regions do not.
+        assert after["hit"] + after["miss"] == before["hit"] + before["miss"] + 1
+        encoder.featurizer.clear_cache()
+        assert encoder.embed_regions(sheet, _CENTER_ROWS, _CENTER_COLS).tobytes() == first[1]
+        assert len(tensors) == 0  # the evicted raw tensor was not rebuilt
+
+    def test_racing_callers_share_the_reduced_tensors(self):
+        """Every predictor, extension and thread over one encoder reads its
+        reduced tensors: callers racing through eviction (more sheets than
+        the cache holds) get a serial run's bytes, and every lookup counts."""
+        cold = _cold_sheets(12)
+
+        def embed_all(encoder):
+            return [
+                encoder.embed_regions(sheet, _CENTER_ROWS, _CENTER_COLS, blank).tobytes()
+                for sheet in cold
+                for blank in (False, True)
+            ]
+
+        expected = embed_all(SheetEncoder(ModelConfig(features=CONFIG)))
+        shared = SheetEncoder(ModelConfig(features=CONFIG))
+        assert _race([lambda: embed_all(shared)] * 3) == [expected] * 3
+        stats = shared._reduced_cache.stats()
+        assert stats["hit"] + stats["miss"] == 3 * len(expected)
+        assert stats["evict"] > 0 and stats["size"] <= window_module.MAX_CACHED_TARGET_SHEETS
+
+    def test_new_weights_drop_what_the_old_ones_derived(self, training_pairs, tmp_path):
+        """``load`` and training change the weights in place: what the
+        encoder derived from them (fast-path decision, reduced padding,
+        reduced tensors) must go, so its vectors equal a fresh encoder's."""
+        config = ModelConfig(features=CONFIG)
+        sheet = _grid_sheet()
+        encoder = SheetEncoder(config)
+        initial = _embeddings(encoder, sheet)
+        SheetEncoder(replace(config, seed=1)).save(tmp_path)
+        encoder.load(tmp_path)
+        loaded = _embeddings(encoder, sheet)
+        assert loaded != initial and loaded == _embeddings(_fresh_copy(encoder), sheet)
+        TripletTrainer(encoder, TrainingConfig(epochs=1, seed=0)).train(training_pairs)
+        trained = _embeddings(encoder, sheet)
+        assert trained != loaded and trained == _embeddings(_fresh_copy(encoder), sheet)
 
 
 # ------------------------------------------------------------- gather_windows

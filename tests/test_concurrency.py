@@ -234,9 +234,7 @@ class TestWorkspaceUnderConcurrency:
         rows, cols = np.nonzero(store._slots >= 0)
         slots = store._slots[rows, cols]
         assert sorted(slots.tolist()) == list(range(len(store)))
-        expected = predictor._region_vectors(
-            shared, [CellAddress(int(row), int(col)) for row, col in zip(rows, cols)]
-        )
+        expected = predictor.encoder.embed_regions(shared, rows, cols)
         assert np.array_equal(store.rows(slots)[0], expected)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ann import base
 from repro.core import AutoFormula, AutoFormulaConfig
+from repro.core import pipeline
 from repro.core.pipeline import _parameter_candidates, _RegionStore
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
@@ -295,13 +296,15 @@ class TestBatchPrediction:
         sheet = Sheet()
         assert system.predict_batch(sheet, [CellAddress(0, 0), CellAddress(1, 1)]) == [None, None]
 
-    def test_target_stores_are_a_bounded_versioned_lru(self, trained_encoder, pge_workload):
+    def test_target_stores_are_a_bounded_versioned_lru(
+        self, trained_encoder, pge_workload, monkeypatch
+    ):
         """Predicting across many target sheets must not grow memory without
         bound: the per-sheet region stores evict least-recently-used, and a
         sheet mutated in place starts a new store."""
         __, reference = pge_workload
-        config = AutoFormulaConfig(max_cached_target_sheets=2)
-        system = AutoFormula(trained_encoder, config)
+        monkeypatch.setattr(pipeline, "MAX_CACHED_TARGET_SHEETS", 2)
+        system = AutoFormula(trained_encoder, AutoFormulaConfig())
         system.fit(reference)
         embed_calls = []
 
@@ -310,7 +313,7 @@ class TestBatchPrediction:
 
             def counting(rows, cols):
                 embed_calls.append(len(rows))
-                return system._region_vectors_at(sheet, rows, cols)
+                return trained_encoder.embed_regions(sheet, rows, cols)
 
             slots, __ = store.slots_of(np.array([cell.row]), np.array([cell.col]), counting)
             return store, store.rows(slots)[0][0]
@@ -323,19 +326,19 @@ class TestBatchPrediction:
                 sheet.set((row, 1), float(row * index))
             sheets.append(sheet)
             gather(sheet, CellAddress(6, 1))
-            # the configured bound reaches the cache (its LRU behaviour is
+            # the module bound reaches the cache (its LRU behaviour is
             # tests/test_cache.py's)
             assert len(system._target_cache) <= 2
         store, vector = gather(sheets[-2], CellAddress(6, 1))
         # stored vectors are reused, and equal a fresh embedding
         assert embed_calls == [1] * 5
-        assert np.array_equal(vector, system._region_vectors(sheets[-2], [CellAddress(6, 1)])[0])
+        assert np.array_equal(vector, trained_encoder.embed_region(sheets[-2], CellAddress(6, 1)))
         # an in-place mutation invalidates the store with everything in it
         sheets[-2].set((6, 1), "now text")
         fresh_store, vector = gather(sheets[-2], CellAddress(6, 1))
         assert fresh_store is not store and len(fresh_store) == 1
         assert embed_calls == [1] * 6
-        assert np.array_equal(vector, system._region_vectors(sheets[-2], [CellAddress(6, 1)])[0])
+        assert np.array_equal(vector, trained_encoder.embed_region(sheets[-2], CellAddress(6, 1)))
         assert system.counters()["workspace.region_store_cells"] == sum(
             len(held) for held in system._target_cache.values()
         )
@@ -359,10 +362,6 @@ class TestBatchPrediction:
         after = fitted_system.predict(sheet, case.target_cell)
         assert after == fitted_system.predict(sheet.copy(), case.target_cell)
         assert after != before
-
-    def test_invalid_cache_bound_rejected(self):
-        with pytest.raises(ValueError):
-            AutoFormulaConfig(max_cached_target_sheets=0)
 
 
 class TestGranularityModes:
@@ -592,7 +591,7 @@ class TestSlicedRegrounding:
         assert norms.tobytes() == fresh_reference.store.rows(fresh_plan.slots)[1].tobytes()
 
         # Re-embed at twice the length: every ||r||^2 moves by 4x.
-        store.refresh(lambda rows, cols: 2.0 * system._region_vectors_at(reference, rows, cols))
+        store.refresh(lambda rows, cols: 2.0 * trained_encoder.embed_regions(reference, rows, cols))
         seen, margin = [], base._tier1_margin
 
         def spy(dimension, qq, sq_norms):

@@ -117,15 +117,18 @@ class TestSheetEncoder:
 
     def test_batch_matches_single(self, small_config, data_sheet):
         encoder = SheetEncoder(small_config)
-        centers = [CellAddress(5, 1), CellAddress(20, 1)]
-        batch = encoder.embed_regions(data_sheet, centers)
+        batch = encoder.embed_regions(data_sheet, np.array([5, 20]), np.array([1, 1]))
         assert batch.shape == (2, encoder.fine_dimension)
-        assert np.allclose(batch[0], encoder.embed_region(data_sheet, centers[0]), atol=1e-5)
+        assert np.allclose(batch[0], encoder.embed_region(data_sheet, CellAddress(5, 1)), atol=1e-5)
 
     def test_empty_batches(self, small_config):
         encoder = SheetEncoder(small_config)
-        assert encoder.embed_sheets([]).shape == (0, encoder.coarse_dimension)
-        assert encoder.embed_regions(Sheet(), []).shape == (0, encoder.fine_dimension)
+        empty = np.empty(0, dtype=np.int64)
+        assert encoder.embed_regions(Sheet(), empty, empty).shape == (0, encoder.fine_dimension)
+        assert encoder.embed_regions(Sheet(), empty, empty, coarse=True).shape == (
+            0,
+            encoder.coarse_dimension,
+        )
 
     def test_coarse_tolerates_row_shift_more_than_fine(self, small_config, trained_encoder, data_sheet):
         """The CNN branch should be less sensitive to a small row shift than the FC branch."""

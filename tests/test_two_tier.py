@@ -286,6 +286,8 @@ class TestGate:
             with pytest.raises(TypeError):
                 AutoFormulaConfig(**{field: "exact"})
         with pytest.raises(TypeError):
+            AutoFormulaConfig(max_cached_target_sheets=8)
+        with pytest.raises(TypeError):
             VectorIndex(4, storage_dtype="int8")
         with pytest.raises(TypeError):
             ServerConfig(scoring_mode="two_tier")
@@ -361,15 +363,19 @@ def _target_sheet(n_rows: int = 12) -> Sheet:
     return sheet
 
 
-def _spied_workspace(trained_encoder, record):
+def _spied_workspace(trained_encoder, record, monkeypatch):
     """A survey workspace, and the list that collects ``record(sheet)`` for
-    every sheet its predictor encodes."""
-    predictor = AutoFormula(trained_encoder, AutoFormulaConfig())
-    workspace = Workspace("w", predictor)
+    every sheet its encoder embeds whole once the corpus is indexed."""
+    workspace = Workspace("w", AutoFormula(trained_encoder, AutoFormulaConfig()))
     workspace.add_workbook(_survey_workbook())
     encodes = []
-    original = predictor._encode_sheet_vector
-    predictor._encode_sheet_vector = lambda sheet: (encodes.append(record(sheet)), original(sheet))[1]
+    original = trained_encoder.embed_sheet
+
+    def spy(sheet, **kwargs):
+        encodes.append(record(sheet))
+        return original(sheet, **kwargs)
+
+    monkeypatch.setattr(trained_encoder, "embed_sheet", spy)
     return workspace, encodes
 
 
@@ -441,8 +447,8 @@ class TestServeLoopSatellites:
             True, True, True, False, True, True, False, True,
         ]
 
-    def test_query_embedding_reused_across_batches(self, trained_encoder):
-        workspace, encodes = _spied_workspace(trained_encoder, id)
+    def test_query_embedding_reused_across_batches(self, trained_encoder, monkeypatch):
+        workspace, encodes = _spied_workspace(trained_encoder, id, monkeypatch)
         target = _target_sheet()
         requests = [
             RecommendationRequest(sheet=target, cell=CellAddress(row, 2)) for row in (4, 6)
@@ -452,8 +458,10 @@ class TestServeLoopSatellites:
         assert encodes == [id(target)]  # one encode across both batches
         assert [answer_of(r) for r in first] == [answer_of(r) for r in second]
 
-    def test_edited_sheet_reencodes(self, trained_encoder):
-        workspace, encodes = _spied_workspace(trained_encoder, lambda sheet: sheet.version)
+    def test_edited_sheet_reencodes(self, trained_encoder, monkeypatch):
+        workspace, encodes = _spied_workspace(
+            trained_encoder, lambda sheet: sheet.version, monkeypatch
+        )
         target = _target_sheet()
         workspace.serve_batch([RecommendationRequest(sheet=target, cell=CellAddress(4, 2))])
         target.set((0, 0), 99.0)  # bumps the sheet's mutation version
