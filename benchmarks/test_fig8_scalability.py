@@ -209,7 +209,10 @@ def _real_points(encoder, preset, scale):
         yield f"{preset} x{scale} S1", system.sheet_index, sheet_queries[:n_queries], 3, None
     for top in (3, 10, 30, len(system.sheet_index)):
         pool = np.concatenate(
-            [system._formula_positions[int(hit.key)] for hit in system.sheet_hits(target, k=top)]
+            [
+                system._reference_sheets[int(hit.key)].formula_rows
+                for hit in system.sheet_hits(target, k=top)
+            ]
         )
         for n_queries in SWEEP_QUERY_COUNTS:
             label = f"{preset} x{scale} S2 top-{top}"

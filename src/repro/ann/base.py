@@ -221,6 +221,10 @@ class RowStore:
         self.overwrite(slice(start, self._size), vectors)
         return start
 
+    def truncate(self, size: int) -> None:
+        """Forget the rows from ``size`` on."""
+        self._size = size
+
     def overwrite(self, positions, vectors: np.ndarray) -> None:
         """Replace the rows at ``positions`` (an index array or a slice)."""
         self._reserve(self._size)
@@ -356,8 +360,9 @@ class VectorIndex:
         """Add one vector under ``key``."""
         self.add_batch([key], np.asarray(vector, dtype=np.float32).reshape(1, -1))
 
-    def add_batch(self, keys: Sequence[Hashable], vectors: np.ndarray) -> None:
-        """Add many vectors at once (one append to the row store)."""
+    def add_batch(self, keys: Sequence[Hashable], vectors: np.ndarray) -> np.ndarray:
+        """Add many vectors at once (one append to the row store); returns
+        the positions they were stored at."""
         keys = list(keys)
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim == 1:
@@ -372,11 +377,21 @@ class VectorIndex:
         if vectors.shape[0] != len(keys):
             raise ValueError(f"{len(keys)} keys for {vectors.shape[0]} vectors")
         if not keys:
-            return
-        self._store.append(vectors)
+            return np.empty(0, dtype=np.int64)
+        first = self._store.append(vectors)
         self._alive = np.concatenate((self._alive, np.ones(len(keys), dtype=bool)))
         self._keys.extend(keys)
         self._live_scan = None
+        return np.arange(first, first + len(keys), dtype=np.int64)
+
+    def truncate(self, size: int) -> None:
+        """Drop every row stored at position ``size`` or after: the undo of
+        the :meth:`add_batch` calls made since the store held ``size`` rows
+        (``len(vectors)``)."""
+        self._store.truncate(size)
+        self._n_dead -= int(np.count_nonzero(~self._alive[size:]))
+        self._alive, self._live_scan = self._alive[:size], None
+        del self._keys[size:]
 
     def remove_batch(self, positions: Sequence[int]) -> Optional[np.ndarray]:
         """Tombstone the vectors stored at ``positions``.

@@ -181,8 +181,8 @@ class _RegionStore:
     A cell's row never changes once assigned, so slots handed out stay
     valid while the store grows.  The store serves one state of its sheet:
     target stores sit in a version-checked :func:`sheet_cache`, reference
-    stores are re-embedded (:meth:`refresh`) or rebuilt when their sheet is
-    re-indexed.
+    stores are re-embedded (:meth:`cells`, :meth:`overwrite`) or rebuilt
+    when their sheet is re-indexed.
 
     Concurrent readers reach one store (the workspace read lock admits
     parallel serves of the same target sheet), so filling and reading run
@@ -265,14 +265,10 @@ class _RegionStore:
         with self._mutex:
             return self._store.take(slots)
 
-    def refresh(self, embed: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
-        """Re-embed every stored cell into the row it already has: the
-        sheet's content changed, the cells stored and the slots handed out
-        did not.  One ``embed(rows, cols)`` call, cells in slot order."""
+    def cells(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the stored cells, in slot order."""
         with self._mutex:
             size = len(self._store)
-            if not size:
-                return
             rows = np.empty(size, dtype=np.int64)
             cols = np.empty(size, dtype=np.int64)
             grid_rows, grid_cols = np.nonzero(self._slots >= 0)
@@ -280,7 +276,14 @@ class _RegionStore:
             rows[slots], cols[slots] = grid_rows, grid_cols
             for (row, col), slot in self._overflow.items():
                 rows[slot], cols[slot] = row, col
-            self._store.overwrite(slice(0, size), embed(rows, cols))
+            return rows, cols
+
+    def overwrite(self, vectors: np.ndarray) -> None:
+        """Replace every stored row with ``vectors``, the embeddings of
+        :meth:`cells` in order: the sheet's content changed, the cells
+        stored and the slots handed out did not."""
+        with self._mutex:
+            self._store.overwrite(slice(0, len(vectors)), vectors)
 
 
 @dataclass
@@ -316,28 +319,30 @@ class _AdaptationPlan:
 class _ReferenceFormula:
     """A formula cell on an indexed reference sheet.
 
-    ``sheet_position`` is the owning sheet's *stable id* (its slot in
+    ``sheet_id`` is the owning sheet's *stable id* (its slot in
     ``AutoFormula._reference_sheets``, which is never renumbered — removed
-    sheets leave ``None`` tombstones).  The formula-region embedding itself
-    lives in the second-stage vector index, at the physical position
-    recorded in the owning sheet's entry of
-    ``AutoFormula._formula_positions``.
+    sheets leave ``None`` tombstones).
     """
 
-    sheet_position: int
+    sheet_id: int
     address: CellAddress
     formula: str
 
 
 @dataclass
 class _ReferenceSheet:
-    """One indexed reference sheet and its formula cells."""
+    """One indexed reference sheet, its formula cells and the index rows
+    it owns."""
 
     workbook_name: str
     sheet: Sheet
     formulas: List[_ReferenceFormula]
     #: Region embeddings of the formulas' parameter cells.
     store: _RegionStore
+    #: Its position in the sheet index (S1).
+    sheet_row: int
+    #: Its formulas' positions in the formula index (S2), in formula order.
+    formula_rows: np.ndarray
     #: Adaptation plans by formula position, built on first use (``None``
     #: for a formula that does not parse: S3 abstains on it every time).
     plans: Dict[int, Optional[_AdaptationPlan]] = field(default_factory=dict)
@@ -405,17 +410,6 @@ class AutoFormula(FormulaPredictor):
         self._sheet_ids: Dict[int, int] = {}
         self._sheet_index = None
         self._formula_index = None
-        #: Per reference sheet (by stable id): physical positions of its
-        #: formulas in the formula index (None once the sheet is removed).
-        self._formula_positions: List[Optional[np.ndarray]] = []
-        #: Per reference sheet (by stable id): its physical position in the
-        #: sheet index (None once the sheet is removed).
-        self._sheet_positions: List[Optional[int]] = []
-        #: Physical store sizes of both indexes (tombstones included); kept
-        #: here so newly added vectors get their positions without peeking
-        #: at index internals, and rewritten on compaction remaps.
-        self._sheet_store_size = 0
-        self._formula_store_size = 0
         #: Target sheets' region stores (S3 candidate vectors).
         self._target_cache = sheet_cache("target_stores", MAX_CACHED_TARGET_SHEETS)
         #: Target-store lookups since construction (see :meth:`counters`);
@@ -540,44 +534,56 @@ class AutoFormula(FormulaPredictor):
         )
         self._sheet_index = VectorIndex(sheet_dimension)
         self._formula_index = VectorIndex(self._region_dimension)
-        self._formula_positions = []
-        self._sheet_positions = []
-        self._sheet_store_size = 0
-        self._formula_store_size = 0
         sheets = self._flatten(reference_workbooks)
         with get_tracer().span("core.fit", sheets=len(sheets)):
             self._index_sheets(sheets)
 
     def _index_sheets(self, sheets: Sequence[Tuple[str, Sheet]]) -> None:
-        """Embed and index new reference sheets, appended after existing ones."""
+        """Embed and index new reference sheets, appended after existing ones.
+
+        All or nothing: registry entries and lookups are written after the
+        last forward, and if one raises both indexes are cut back to the
+        rows they held when the call began (appends only go to the tail,
+        and an add never compacts).
+        """
         if not sheets:
             return
         base_id = len(self._reference_sheets)
-        sheet_vectors: List[np.ndarray] = []
-        for offset, (workbook_name, sheet) in enumerate(sheets):
-            sheet_id = base_id + offset
-            formulas, embeddings = self._formula_entries(sheet_id, sheet)
-            # Pre-embed every formula's parameter regions while this sheet's
-            # feature tensor is hot, so online S3 re-grounding never has to
-            # re-featurize a reference sheet.
-            store = self._reference_store(sheet, self._parameter_cells(formulas))
-            self._reference_sheets.append(
-                _ReferenceSheet(workbook_name, sheet, formulas, store)
-            )
-            self._workbook_sheet_ids.setdefault(workbook_name, []).append(sheet_id)
-            self._sheet_ids[id(sheet)] = sheet_id
-            self._formula_positions.append(self._append_formula_rows(sheet_id, embeddings))
-            # One forward per sheet, as ``reindex_sheet`` and the query side
-            # run it: a stacked forward rounds every row differently.
-            sheet_vectors.append(self._embed_sheet(sheet))
+        indexes = (self._sheet_index, self._formula_index)
+        sizes = [len(index.vectors) for index in indexes]
+        added: List[_ReferenceSheet] = []
+        try:
+            for sheet_id, (workbook_name, sheet) in enumerate(sheets, base_id):
+                formulas, embeddings = self._formula_entries(sheet_id, sheet)
+                # Pre-embed every formula's parameter regions while this
+                # sheet's feature tensor is hot, so online S3 re-grounding
+                # never has to re-featurize a reference sheet.
+                store = self._reference_store(sheet, self._parameter_cells(formulas))
+                formula_rows = self._formula_index.add_batch(
+                    [(sheet_id, local) for local in range(len(formulas))], embeddings
+                )
+                # One forward per sheet, as ``reindex_sheet`` and the query
+                # side run it: a stacked forward rounds every row differently.
+                [sheet_row] = self._sheet_index.add_batch(
+                    [sheet_id], self._embed_sheet(sheet)[None, :]
+                ).tolist()
+                added.append(
+                    _ReferenceSheet(workbook_name, sheet, formulas, store, sheet_row, formula_rows)
+                )
+        except BaseException:
+            for index, size in zip(indexes, sizes):
+                index.truncate(size)
+            raise
+        for reference in added:
+            self._register(reference)
 
-        self._sheet_index.add_batch(
-            list(range(base_id, base_id + len(sheets))), np.stack(sheet_vectors)
-        )
-        self._sheet_positions.extend(
-            range(self._sheet_store_size, self._sheet_store_size + len(sheets))
-        )
-        self._sheet_store_size += len(sheets)
+    def _register(self, reference: Optional[_ReferenceSheet]) -> None:
+        """Append ``reference`` to the registry under the next stable id."""
+        sheet_id = len(self._reference_sheets)
+        self._reference_sheets.append(reference)
+        if reference is not None:
+            self._workbook_sheet_ids.setdefault(reference.workbook_name, []).append(sheet_id)
+            self._sheet_ids[id(reference.sheet)] = sheet_id
 
     def _formula_entries(
         self, sheet_id: int, sheet: Sheet
@@ -594,30 +600,18 @@ class AutoFormula(FormulaPredictor):
         ]
         return formulas, embeddings
 
-    def _append_formula_rows(self, sheet_id: int, embeddings: np.ndarray) -> np.ndarray:
-        """Append a sheet's formula embeddings to the formula index; returns
-        the physical positions they landed on."""
-        count = len(embeddings)
-        self._formula_index.add_batch(
-            [(sheet_id, local) for local in range(count)], embeddings
-        )
-        positions = np.arange(
-            self._formula_store_size, self._formula_store_size + count, dtype=np.int64
-        )
-        self._formula_store_size += count
-        return positions
-
-    def _remove_formula_rows(self, positions: np.ndarray) -> None:
-        """Tombstone formula-index rows, following a compaction's remap."""
-        if not positions.size:
-            return
-        remap = self._formula_index.remove_batch(positions)
-        if remap is not None:
-            self._formula_positions = [
-                remap[kept] if kept is not None else None
-                for kept in self._formula_positions
-            ]
-            self._formula_store_size = len(self._formula_index)
+    def _remove_rows(self, formula_rows: np.ndarray, sheet_rows: Sequence[int] = ()) -> None:
+        """Tombstone index rows; a compaction's remap goes to the live
+        registry entries."""
+        formula_remap = self._formula_index.remove_batch(formula_rows)
+        sheet_remap = self._sheet_index.remove_batch(sheet_rows)
+        if formula_remap is None and sheet_remap is None:
+            return  # no compaction: nothing walks the registry
+        for reference in filter(None, self._reference_sheets):
+            if formula_remap is not None:
+                reference.formula_rows = formula_remap[reference.formula_rows]
+            if sheet_remap is not None:
+                reference.sheet_row = int(sheet_remap[reference.sheet_row])
 
     # ------------------------------------------------------- corpus mutation
 
@@ -644,33 +638,23 @@ class AutoFormula(FormulaPredictor):
 
         Sheets are tombstoned out of the sheet and formula indexes (no
         refit); when an index compacts, the returned remap is applied to the
-        physical-position bookkeeping.  Returns the number of sheets removed
-        and raises ``KeyError`` if the workbook is not indexed.
+        rows the remaining registry entries own.  Returns the number of
+        sheets removed and raises ``KeyError`` if the workbook is not
+        indexed.
         """
         removed_ids = self._workbook_sheet_ids.get(workbook_name)
         if not removed_ids:
             raise KeyError(f"workbook {workbook_name!r} is not indexed")
 
-        self._remove_formula_rows(
-            np.concatenate([self._formula_positions[sheet_id] for sheet_id in removed_ids])
+        removed = [self._reference_sheets[sheet_id] for sheet_id in removed_ids]
+        self._remove_rows(
+            np.concatenate([reference.formula_rows for reference in removed]),
+            [reference.sheet_row for reference in removed],
         )
-
-        sheet_remap = self._sheet_index.remove_batch(
-            [self._sheet_positions[sheet_id] for sheet_id in removed_ids]
-        )
-        if sheet_remap is not None:
-            self._sheet_positions = [
-                int(sheet_remap[position]) if position is not None else None
-                for position in self._sheet_positions
-            ]
-            self._sheet_store_size = len(self._sheet_index)
-
         del self._workbook_sheet_ids[workbook_name]
-        for sheet_id in removed_ids:
-            self._sheet_ids.pop(id(self._reference_sheets[sheet_id].sheet), None)
+        for sheet_id, reference in zip(removed_ids, removed):
+            self._sheet_ids.pop(id(reference.sheet), None)
             self._reference_sheets[sheet_id] = None
-            self._formula_positions[sheet_id] = None
-            self._sheet_positions[sheet_id] = None
         return len(removed_ids)
 
     def reindex_sheet(self, sheet: Sheet) -> Dict[str, object]:
@@ -689,7 +673,9 @@ class AutoFormula(FormulaPredictor):
         adaptation plans stay.  Otherwise the sheet's formula rows alone are
         replaced (tombstone + append: no answer depends on physical order in
         the formula index) and its store and plans are rebuilt.  The S1 row
-        is overwritten either way.
+        is overwritten either way.  Every forward runs before the first
+        write, so one that raises leaves the sheet's rows and store as they
+        were.
 
         Bit-safety rule: every forward pass here has the batch shape a
         fresh fit uses for this sheet — the fine prefix over the *whole*
@@ -710,17 +696,20 @@ class AutoFormula(FormulaPredictor):
         formulas, embeddings = self._formula_entries(sheet_id, sheet)
         changed = formulas != reference.formulas
         if changed:
-            self._remove_formula_rows(self._formula_positions[sheet_id])
-            self._formula_positions[sheet_id] = self._append_formula_rows(sheet_id, embeddings)
-            reference.formulas = formulas
-            reference.store = self._reference_store(sheet, self._parameter_cells(formulas))
-            reference.plans = {}
+            store = self._reference_store(sheet, self._parameter_cells(formulas))
         else:
-            self._formula_index.update_batch(self._formula_positions[sheet_id], embeddings)
-            reference.store.refresh(partial(self._embed_regions, sheet))
-        self._sheet_index.update_batch(
-            [self._sheet_positions[sheet_id]], self._embed_sheet(sheet)[None, :]
-        )
+            store_vectors = self._embed_regions(sheet, *reference.store.cells())
+        sheet_vector = self._embed_sheet(sheet)
+        if changed:
+            self._remove_rows(reference.formula_rows)
+            reference.formula_rows = self._formula_index.add_batch(
+                [(sheet_id, local) for local in range(len(formulas))], embeddings
+            )
+            reference.formulas, reference.store, reference.plans = formulas, store, {}
+        else:
+            self._formula_index.update_batch(reference.formula_rows, embeddings)
+            reference.store.overwrite(store_vectors)
+        self._sheet_index.update_batch([reference.sheet_row], sheet_vector[None, :])
         return {
             "n_formulas": len(formulas),
             "formulas_changed": changed,
@@ -748,21 +737,22 @@ class AutoFormula(FormulaPredictor):
 
         The manifest fragment is JSON-ready bookkeeping (reference-sheet
         registry with tombstones, the index kind for load-time validation);
-        the arrays are the two indexes' contiguous stores plus the
-        physical-position maps, kept as raw blocks so a snapshot loader
+        the arrays are the two indexes' contiguous stores plus the rows
+        each registry entry owns, kept as raw blocks so a snapshot loader
         can memory-map them.  Embedding caches are deliberately *not*
         exported: both a fresh fit and a restored predictor compute
         query-time embeddings with identical batch shapes, so the caches
         are pure warm-up state.
         """
+        fitted = self._sheet_index is not None
         state: Dict[str, object] = {
             "predictor": type(self).__name__,
             "granularity": self.config.granularity,
             "sheet_index_kind": _INDEX_KIND,
             "formula_index_kind": _INDEX_KIND,
-            "fitted": self._sheet_index is not None,
-            "sheet_store_size": int(self._sheet_store_size),
-            "formula_store_size": int(self._formula_store_size),
+            "fitted": fitted,
+            "sheet_store_size": len(self._sheet_index.vectors) if fitted else 0,
+            "formula_store_size": len(self._formula_index.vectors) if fitted else 0,
             "reference_sheets": [
                 None
                 if reference is None
@@ -778,36 +768,24 @@ class AutoFormula(FormulaPredictor):
             ],
         }
         arrays: Dict[str, np.ndarray] = {}
-        if self._sheet_index is not None:
-            for name, block in self._sheet_index.store_state().items():
-                arrays[f"sheet_{name}"] = block
-            arrays["sheet_keys"] = np.asarray(self._sheet_index._keys, dtype=np.int64)
-            for name, block in self._formula_index.store_state().items():
-                arrays[f"formula_{name}"] = block
-            formula_keys = self._formula_index._keys
-            arrays["formula_keys"] = (
-                np.asarray(formula_keys, dtype=np.int64)
-                if formula_keys
-                else np.empty((0, 2), dtype=np.int64)
-            )
+        if fitted:
+            for name, index in (("sheet", self._sheet_index), ("formula", self._formula_index)):
+                for part, block in index.store_state().items():
+                    arrays[f"{name}_{part}"] = block
+                arrays[f"{name}_keys"] = np.asarray(index._keys, dtype=np.int64)
+            # ``(sheet id, formula)`` pairs, also when there are none.
+            arrays["formula_keys"] = arrays["formula_keys"].reshape(-1, 2)
+            references = self._reference_sheets
             arrays["sheet_positions"] = np.asarray(
-                [-1 if position is None else position for position in self._sheet_positions],
+                [-1 if reference is None else reference.sheet_row for reference in references],
                 dtype=np.int64,
             )
-            live_position_blocks = [
-                positions
-                for positions in self._formula_positions
-                if positions is not None
-            ]
-            arrays["formula_positions_flat"] = (
-                np.concatenate(live_position_blocks).astype(np.int64)
-                if live_position_blocks
-                else np.empty(0, dtype=np.int64)
+            arrays["formula_positions_flat"] = np.concatenate(
+                [np.empty(0, dtype=np.int64)]
+                + [reference.formula_rows for reference in filter(None, references)]
             )
-            offsets = [0]
-            for positions in self._formula_positions:
-                offsets.append(offsets[-1] + (0 if positions is None else len(positions)))
-            arrays["formula_positions_offsets"] = np.asarray(offsets, dtype=np.int64)
+            counts = [0 if ref is None else len(ref.formula_rows) for ref in references]
+            arrays["formula_positions_offsets"] = np.cumsum([0] + counts, dtype=np.int64)
         return state, arrays
 
     def restore_snapshot_state(
@@ -824,7 +802,8 @@ class AutoFormula(FormulaPredictor):
         edits.  The snapshot's granularity must match the configured one,
         and both its index kinds must be the exact index's: the stored
         vectors would load under any kind, but not reproduce the answers of
-        a predictor that searched them approximately.  Raises
+        a predictor that searched them approximately, and the store sizes
+        the manifest records must be the restored matrices'.  Raises
         ``ValueError`` on any mismatch.
         """
         theirs = state.get("granularity")
@@ -841,32 +820,8 @@ class AutoFormula(FormulaPredictor):
                     f"has only the {_INDEX_KIND!r} index"
                 )
         self.fit([])  # reset indexes, caches and bookkeeping to a blank fit
-        references: List[Optional[_ReferenceSheet]] = []
-        for sheet_id, entry in enumerate(state.get("reference_sheets", [])):
-            if entry is None:
-                references.append(None)
-                continue
-            sheet = resolve_sheet(str(entry["workbook"]), str(entry["sheet"]))
-            references.append(
-                _ReferenceSheet(
-                    workbook_name=str(entry["workbook"]),
-                    sheet=sheet,
-                    formulas=[
-                        _ReferenceFormula(sheet_id, CellAddress.from_a1(a1), formula)
-                        for a1, formula in entry["formulas"]
-                    ],
-                    # Filled formula by formula, as plans are first built.
-                    store=self._reference_store(sheet),
-                )
-            )
-        self._reference_sheets = references
-        for sheet_id, reference in enumerate(references):
-            if reference is not None:
-                self._workbook_sheet_ids.setdefault(reference.workbook_name, []).append(sheet_id)
-                self._sheet_ids[id(reference.sheet)] = sheet_id
         if not state.get("fitted", False):
-            self._sheet_index = None
-            self._formula_index = None
+            self._sheet_index = self._formula_index = None
             return
         # Key and position blocks may be memory maps: one ``tolist()`` per
         # block, not one ``__getitem__`` per row (keys stay Python ints).
@@ -882,18 +837,35 @@ class AutoFormula(FormulaPredictor):
             arrays["formula_sq_norms"],
             arrays["formula_alive"],
         )
-        self._sheet_positions = [
-            None if position < 0 else position
-            for position in arrays["sheet_positions"].tolist()
-        ]
+        for name, index in (("sheet", self._sheet_index), ("formula", self._formula_index)):
+            size = int(state[f"{name}_store_size"])
+            if size != len(index.vectors):
+                raise ValueError(
+                    f"snapshot manifest records {size} {name}-index rows, its "
+                    f"matrix holds {len(index.vectors)}"
+                )
+        sheet_rows = arrays["sheet_positions"].tolist()
+        offsets = arrays["formula_positions_offsets"].tolist()
         flat = np.array(arrays["formula_positions_flat"], dtype=np.int64)
-        blocks = np.split(flat, arrays["formula_positions_offsets"][1:-1])
-        self._formula_positions = [
-            None if reference is None else block
-            for reference, block in zip(references, blocks)
-        ]
-        self._sheet_store_size = int(state["sheet_store_size"])
-        self._formula_store_size = int(state["formula_store_size"])
+        for sheet_id, entry in enumerate(state.get("reference_sheets", [])):
+            if entry is None:
+                self._register(None)
+                continue
+            sheet = resolve_sheet(str(entry["workbook"]), str(entry["sheet"]))
+            self._register(
+                _ReferenceSheet(
+                    workbook_name=str(entry["workbook"]),
+                    sheet=sheet,
+                    formulas=[
+                        _ReferenceFormula(sheet_id, CellAddress.from_a1(a1), formula)
+                        for a1, formula in entry["formulas"]
+                    ],
+                    # Filled formula by formula, as plans are first built.
+                    store=self._reference_store(sheet),
+                    sheet_row=sheet_rows[sheet_id],
+                    formula_rows=flat[offsets[sheet_id] : offsets[sheet_id + 1]],
+                )
+            )
 
     def memory_stats(self) -> Dict[str, object]:
         """Resident-byte accounting of both vector indexes (JSON-ready).
@@ -1045,14 +1017,12 @@ class AutoFormula(FormulaPredictor):
         pools: List[np.ndarray] = []
         for rank, sheet_id in enumerate(sheet_ids):
             sheet_id = int(sheet_id)
-            positions = self._formula_positions[sheet_id]
-            if positions is None:
+            reference = self._reference_sheets[sheet_id]
+            if reference is None:
                 raise KeyError(f"reference sheet {sheet_id} has been removed")
             rank_of[sheet_id] = rank
-            pools.append(positions)
-        pool = (
-            np.concatenate(pools) if pools else np.empty(0, dtype=np.int64)
-        )
+            pools.append(reference.formula_rows)
+        pool = np.concatenate([np.empty(0, dtype=np.int64)] + pools)
         if pool.size == 0:
             return [None] * len(cells)
 
@@ -1072,13 +1042,11 @@ class AutoFormula(FormulaPredictor):
                 results.append(None)
                 continue
             distance = hits[0].distance
-            sheet_position, local = hits[0].key
+            sheet_id, local = hits[0].key
             if adapt and distance <= self.config.acceptance_threshold:
                 winner_positions.append(len(results))
-                winners.append((target_cell, int(sheet_position), int(local), distance))
-            results.append(
-                ScoredPrediction(None, distance, rank_of[int(sheet_position)], int(local))
-            )
+                winners.append((target_cell, int(sheet_id), int(local), distance))
+            results.append(ScoredPrediction(None, distance, rank_of[int(sheet_id)], int(local)))
         if winners:
             # S3 on the accepted hits, through the staged entry point.
             for position, prediction in zip(

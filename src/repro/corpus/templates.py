@@ -51,13 +51,22 @@ class WorkbookTemplate:
 
     def __init__(self, family_id: int, rng: np.random.Generator) -> None:
         self.family_id = family_id
-        self._style_seed = int(rng.integers(0, 2**31 - 1))
-        style_rng = np.random.default_rng(self._style_seed)
-        self.header_color = pools.pick(style_rng, _HEADER_PALETTE)
-        self.title_size = float(style_rng.choice(_TITLE_SIZES))
+        style_rng = np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
+        header_color = pools.pick(style_rng, _HEADER_PALETTE)
+        title_size = float(style_rng.choice(_TITLE_SIZES))
+        #: The family's four styles, one object each for all of its cells.
+        self.header_style = CellStyle(
+            background_color=header_color,
+            font_color="#FFFFFF",
+            bold=True,
+            font_size=12.0,
+            border_bottom=True,
+        )
+        self.title_style = CellStyle(bold=True, font_size=title_size)
+        self.total_style = CellStyle(bold=True, border_top=True)
+        self.label_style = CellStyle(italic=True)
         #: Base number of data rows for the family; instances perturb this.
         self.base_rows = int(rng.integers(*self.row_range()))
-        self._sheet_name_suffix = ""
 
     # ------------------------------------------------------------- overrides
 
@@ -72,26 +81,6 @@ class WorkbookTemplate:
     def fill_workbook(self, workbook: Workbook, rng: np.random.Generator, n_rows: int) -> None:
         """Populate the workbook's sheets (already created, in order)."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------- styling
-
-    def header_style(self) -> CellStyle:
-        return CellStyle(
-            background_color=self.header_color,
-            font_color="#FFFFFF",
-            bold=True,
-            font_size=12.0,
-            border_bottom=True,
-        )
-
-    def title_style(self) -> CellStyle:
-        return CellStyle(bold=True, font_size=self.title_size)
-
-    def total_style(self) -> CellStyle:
-        return CellStyle(bold=True, border_top=True)
-
-    def label_style(self) -> CellStyle:
-        return CellStyle(italic=True)
 
     # ------------------------------------------------------------ public API
 
@@ -120,11 +109,11 @@ class WorkbookTemplate:
     # --------------------------------------------------------------- helpers
 
     def _write_title(self, sheet: Sheet, row: int, text: str) -> None:
-        sheet.set((row, 0), text, style=self.title_style())
+        sheet.set((row, 0), text, style=self.title_style)
 
     def _write_headers(self, sheet: Sheet, row: int, headers: Sequence[str]) -> None:
         for col, header in enumerate(headers):
-            sheet.set((row, col), header, style=self.header_style())
+            sheet.set((row, col), header, style=self.header_style)
 
 
 class SurveyTemplate(WorkbookTemplate):
@@ -148,7 +137,7 @@ class SurveyTemplate(WorkbookTemplate):
         self._write_title(instructions, 0, f"Survey: {self.question}")
         instructions.set((2, 0), "Please record one response per row on the Responses sheet.")
         instructions.set((3, 0), "Summary counts are computed below the response table.")
-        instructions.set((5, 0), "Owner", style=self.label_style())
+        instructions.set((5, 0), "Owner", style=self.label_style)
         instructions.set((5, 1), pools.full_name(rng))
 
         sheet = workbook.sheets[1]
@@ -163,20 +152,20 @@ class SurveyTemplate(WorkbookTemplate):
             sheet.set((row, 1), pools.full_name(rng))
             sheet.set((row, 2), pools.pick(rng, self.choices))
         summary_start = last_data + 3
-        sheet.set((summary_start - 1, 2), "Answer", style=self.header_style())
-        sheet.set((summary_start - 1, 3), "Count", style=self.header_style())
+        sheet.set((summary_start - 1, 2), "Answer", style=self.header_style)
+        sheet.set((summary_start - 1, 3), "Count", style=self.header_style)
         answer_range = f"C{first_data + 1}:C{last_data + 1}"
         for index, choice in enumerate(self.choices):
             row = summary_start + index
-            sheet.set((row, 2), choice, style=self.label_style())
+            sheet.set((row, 2), choice, style=self.label_style)
             sheet.set(
                 (row, 3),
                 formula=f"=COUNTIF({answer_range},{_a1(row, 2)})",
-                style=self.total_style(),
+                style=self.total_style,
             )
         total_row = summary_start + len(self.choices)
-        sheet.set((total_row, 2), "Total responses", style=self.label_style())
-        sheet.set((total_row, 3), formula=f"=COUNTA({answer_range})", style=self.total_style())
+        sheet.set((total_row, 2), "Total responses", style=self.label_style)
+        sheet.set((total_row, 3), formula=f"=COUNTA({answer_range})", style=self.total_style)
 
 
 class FinancialStatementTemplate(WorkbookTemplate):
@@ -209,28 +198,28 @@ class FinancialStatementTemplate(WorkbookTemplate):
         first_data = header_row + 1
         for offset, item in enumerate(items):
             row = first_data + offset
-            statement.set((row, 0), item, style=self.label_style())
+            statement.set((row, 0), item, style=self.label_style)
             for period_index in range(self.n_periods):
                 statement.set((row, 1 + period_index), pools.money(rng, 1_000, 500_000))
             row_range = f"{_a1(row, 1)}:{_a1(row, self.n_periods)}"
             statement.set((row, 1 + self.n_periods), formula=f"=SUM({row_range})")
         total_row = first_data + len(items)
-        statement.set((total_row, 0), "Total", style=self.total_style())
+        statement.set((total_row, 0), "Total", style=self.total_style)
         for period_index in range(self.n_periods + 1):
             col = 1 + period_index
             col_range = f"{_a1(first_data, col)}:{_a1(total_row - 1, col)}"
-            statement.set((total_row, col), formula=f"=SUM({col_range})", style=self.total_style())
+            statement.set((total_row, col), formula=f"=SUM({col_range})", style=self.total_style)
 
         summary = workbook.sheets[0]
         self._write_title(summary, 0, "Financial Summary")
         self._write_headers(summary, 2, ["Metric", "Value"])
-        summary.set((3, 0), "Revenue (first line)", style=self.label_style())
+        summary.set((3, 0), "Revenue (first line)", style=self.label_style)
         summary.set((3, 1), pools.money(rng, 100_000, 2_000_000))
-        summary.set((4, 0), "Total expense", style=self.label_style())
+        summary.set((4, 0), "Total expense", style=self.label_style)
         summary.set((4, 1), pools.money(rng, 50_000, 1_500_000))
-        summary.set((5, 0), "Net", style=self.label_style())
+        summary.set((5, 0), "Net", style=self.label_style)
         summary.set((5, 1), formula="=B4-B5")
-        summary.set((6, 0), "Margin", style=self.label_style())
+        summary.set((6, 0), "Margin", style=self.label_style)
         summary.set((6, 1), formula="=ROUND(B6/B4,2)")
 
 
@@ -268,10 +257,10 @@ class SalesReportTemplate(WorkbookTemplate):
             log.set((row, 3), int(rng.integers(1, 50)))
             log.set((row, 4), pools.money(rng, 50, 20_000))
         totals_row = last_data + 2
-        log.set((totals_row, 3), "Grand total", style=self.label_style())
+        log.set((totals_row, 3), "Grand total", style=self.label_style)
         amount_range = f"E{first_data + 1}:E{last_data + 1}"
-        log.set((totals_row, 4), formula=f"=SUM({amount_range})", style=self.total_style())
-        log.set((totals_row + 1, 3), "Average sale", style=self.label_style())
+        log.set((totals_row, 4), formula=f"=SUM({amount_range})", style=self.total_style)
+        log.set((totals_row + 1, 3), "Average sale", style=self.label_style)
         log.set((totals_row + 1, 4), formula=f"=ROUND(AVERAGE({amount_range}),2)")
 
         # The roll-up sheet works over a mirrored copy of the (region, amount)
@@ -282,8 +271,8 @@ class SalesReportTemplate(WorkbookTemplate):
         self._write_title(summary, 0, "Regional Summary")
         self._write_headers(summary, 2, ["Region", "Orders", "Revenue"])
         mirror_start = 3 + len(self.regions) + 2
-        summary.set((mirror_start - 1, 0), "Region data", style=self.header_style())
-        summary.set((mirror_start - 1, 1), "Amount", style=self.header_style())
+        summary.set((mirror_start - 1, 0), "Region data", style=self.header_style)
+        summary.set((mirror_start - 1, 1), "Amount", style=self.header_style)
         for offset in range(n_rows):
             source_row = first_data + offset
             summary.set((mirror_start + offset, 0), log.get((source_row, 1)).value)
@@ -292,7 +281,7 @@ class SalesReportTemplate(WorkbookTemplate):
         mirror_amount_range = f"B{mirror_start + 1}:B{mirror_start + n_rows}"
         for index, region in enumerate(self.regions):
             row = 3 + index
-            summary.set((row, 0), region, style=self.label_style())
+            summary.set((row, 0), region, style=self.label_style)
             summary.set(
                 (row, 1),
                 formula=f"=COUNTIF({mirror_region_range},{_a1(row, 0)})",
@@ -343,12 +332,12 @@ class InventoryTemplate(WorkbookTemplate):
         total_row = first_data + len(items)
         value_range = f"{_a1(first_data, 4)}:{_a1(total_row - 1, 4)}"
         qty_range = f"{_a1(first_data, 2)}:{_a1(total_row - 1, 2)}"
-        sheet.set((total_row, 1), "Totals", style=self.total_style())
-        sheet.set((total_row, 2), formula=f"=SUM({qty_range})", style=self.total_style())
-        sheet.set((total_row, 4), formula=f"=SUM({value_range})", style=self.total_style())
-        sheet.set((total_row + 1, 1), "Highest value", style=self.label_style())
+        sheet.set((total_row, 1), "Totals", style=self.total_style)
+        sheet.set((total_row, 2), formula=f"=SUM({qty_range})", style=self.total_style)
+        sheet.set((total_row, 4), formula=f"=SUM({value_range})", style=self.total_style)
+        sheet.set((total_row + 1, 1), "Highest value", style=self.label_style)
         sheet.set((total_row + 1, 4), formula=f"=MAX({value_range})")
-        sheet.set((total_row + 2, 1), "Lowest value", style=self.label_style())
+        sheet.set((total_row + 2, 1), "Lowest value", style=self.label_style)
         sheet.set((total_row + 2, 4), formula=f"=MIN({value_range})")
 
 
@@ -380,7 +369,7 @@ class BudgetTemplate(WorkbookTemplate):
         first_data = header_row + 1
         for offset, category in enumerate(categories):
             row = first_data + offset
-            sheet.set((row, 0), category, style=self.label_style())
+            sheet.set((row, 0), category, style=self.label_style)
             sheet.set((row, 1), pools.money(rng, 5_000, 120_000))
             sheet.set((row, 2), pools.money(rng, 4_000, 140_000))
             sheet.set((row, 3), formula=f"={_a1(row, 2)}-{_a1(row, 1)}")
@@ -390,12 +379,12 @@ class BudgetTemplate(WorkbookTemplate):
                 formula=f'=IF({_a1(row, 2)}>{_a1(row, 1)},"OVER","UNDER")',
             )
         total_row = first_data + len(categories)
-        sheet.set((total_row, 0), "Total", style=self.total_style())
+        sheet.set((total_row, 0), "Total", style=self.total_style)
         for col in (1, 2, 3):
             col_range = f"{_a1(first_data, col)}:{_a1(total_row - 1, col)}"
-            sheet.set((total_row, col), formula=f"=SUM({col_range})", style=self.total_style())
+            sheet.set((total_row, col), formula=f"=SUM({col_range})", style=self.total_style)
         over_range = f"{_a1(first_data, 5)}:{_a1(total_row - 1, 5)}"
-        sheet.set((total_row + 1, 0), "Categories over budget", style=self.label_style())
+        sheet.set((total_row + 1, 0), "Categories over budget", style=self.label_style)
         sheet.set((total_row + 1, 5), formula=f'=COUNTIF({over_range},"OVER")')
 
         notes = workbook.sheets[1]
@@ -422,9 +411,9 @@ class TimesheetTemplate(WorkbookTemplate):
     def fill_workbook(self, workbook: Workbook, rng: np.random.Generator, n_rows: int) -> None:
         sheet = workbook.sheets[0]
         self._write_title(sheet, 0, "Timesheet")
-        sheet.set((1, 0), "Employee", style=self.label_style())
+        sheet.set((1, 0), "Employee", style=self.label_style)
         sheet.set((1, 1), pools.full_name(rng))
-        sheet.set((2, 0), "Hourly rate", style=self.label_style())
+        sheet.set((2, 0), "Hourly rate", style=self.label_style)
         sheet.set((2, 1), float(rng.integers(80, 220)))
         header_row = 3
         self._write_headers(sheet, header_row, ["Date", "Project", "Hours", "Month", "Billable"])
@@ -440,10 +429,10 @@ class TimesheetTemplate(WorkbookTemplate):
         total_row = last_data + 2
         hour_range = f"{_a1(first_data, 2)}:{_a1(last_data, 2)}"
         billable_range = f"{_a1(first_data, 4)}:{_a1(last_data, 4)}"
-        sheet.set((total_row, 1), "Total hours", style=self.label_style())
-        sheet.set((total_row, 2), formula=f"=SUM({hour_range})", style=self.total_style())
-        sheet.set((total_row + 1, 1), "Total billable", style=self.label_style())
-        sheet.set((total_row + 1, 4), formula=f"=ROUND(SUM({billable_range}),2)", style=self.total_style())
+        sheet.set((total_row, 1), "Total hours", style=self.label_style)
+        sheet.set((total_row, 2), formula=f"=SUM({hour_range})", style=self.total_style)
+        sheet.set((total_row + 1, 1), "Total billable", style=self.label_style)
+        sheet.set((total_row + 1, 4), formula=f"=ROUND(SUM({billable_range}),2)", style=self.total_style)
 
 
 class CustomerListTemplate(WorkbookTemplate):
@@ -476,9 +465,9 @@ class CustomerListTemplate(WorkbookTemplate):
             sheet.set((row, 3), formula=f'=CONCATENATE({_a1(row, 0)}," ",{_a1(row, 1)})')
             sheet.set((row, 4), formula=f"=UPPER(LEFT({_a1(row, 1)},3))")
         count_row = last_data + 2
-        sheet.set((count_row, 2), "Customer count", style=self.label_style())
+        sheet.set((count_row, 2), "Customer count", style=self.label_style)
         name_range = f"{_a1(first_data, 0)}:{_a1(last_data, 0)}"
-        sheet.set((count_row, 3), formula=f"=COUNTA({name_range})", style=self.total_style())
+        sheet.set((count_row, 3), formula=f"=COUNTA({name_range})", style=self.total_style)
 
         codes = workbook.sheets[1]
         self._write_headers(codes, 0, ["City", "Prefix"])
@@ -528,10 +517,10 @@ class LargeLedgerTemplate(WorkbookTemplate):
         debit_range = f"{_a1(first_data, 2)}:{_a1(last_data, 2)}"
         credit_range = f"{_a1(first_data, 3)}:{_a1(last_data, 3)}"
         account_range = f"{_a1(first_data, 1)}:{_a1(last_data, 1)}"
-        sheet.set((totals_row, 1), "Totals", style=self.total_style())
-        sheet.set((totals_row, 2), formula=f"=SUM({debit_range})", style=self.total_style())
-        sheet.set((totals_row, 3), formula=f"=SUM({credit_range})", style=self.total_style())
-        sheet.set((totals_row + 1, 1), self.accounts[0], style=self.label_style())
+        sheet.set((totals_row, 1), "Totals", style=self.total_style)
+        sheet.set((totals_row, 2), formula=f"=SUM({debit_range})", style=self.total_style)
+        sheet.set((totals_row, 3), formula=f"=SUM({credit_range})", style=self.total_style)
+        sheet.set((totals_row + 1, 1), self.accounts[0], style=self.label_style)
         sheet.set(
             (totals_row + 1, 2),
             formula=f"=COUNTIF({account_range},{_a1(totals_row + 1, 1)})",
@@ -577,10 +566,10 @@ class SingletonTemplate(WorkbookTemplate):
             for col in range(1, self.n_columns + 1):
                 sheet.set((row, col), pools.money(rng, 1, 10_000))
         total_row = first_data + n_rows
-        sheet.set((total_row, 0), "Total", style=self.total_style())
+        sheet.set((total_row, 0), "Total", style=self.total_style)
         target_col = int(rng.integers(1, self.n_columns + 1))
         col_range = f"{_a1(first_data, target_col)}:{_a1(total_row - 1, target_col)}"
-        sheet.set((total_row, target_col), formula=f"=SUM({col_range})", style=self.total_style())
+        sheet.set((total_row, target_col), formula=f"=SUM({col_range})", style=self.total_style)
 
 
 #: Family templates in rotation order used by the corpus generator.

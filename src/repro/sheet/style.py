@@ -8,9 +8,11 @@ attributes enumerated in Section 4.4.1 of the paper.
 
 from __future__ import annotations
 
+import re
+import reprlib
+import sys
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from sys import getsizeof
 from typing import Dict, Optional, Tuple
 
 from repro.cache import memoized
@@ -77,45 +79,48 @@ class CellStyle:
     def from_dict(cls, data: Dict[str, object]) -> "CellStyle":
         """Reconstruct a style from :meth:`to_dict` output.
 
-        Styles are frozen, so every decode of one distinct value returns the
-        one shared instance (:func:`_shared`): a corpus holds a dozen
-        distinct styles on thousands of cells.
+        This is where outside input becomes a style, so each field is
+        checked: a colour is ``None`` or ``"#RRGGBB"``, a size a
+        non-negative number (not a boolean) that is finite as a float, a
+        flag ``True``, ``False``, 0 or 1.  Anything else raises
+        ``ValueError``.  Styles are frozen, so every decode of one distinct
+        value returns the one shared instance (:func:`_shared`): a corpus
+        holds a dozen distinct styles on thousands of cells.
         """
         values = tuple(map(data.get, _FIELD_NAMES, _FIELD_DEFAULTS))
-        if sum(map(getsizeof, values)) > _MAX_SHARED_BYTES:
-            return cls(*values)  # type: ignore[arg-type]
-        return _shared(*values)
+        try:
+            return _shared(*values)
+        except TypeError:  # an unhashable value, which no field can hold
+            raise ValueError(f"style fields hold JSON scalars: {reprlib.repr(data)}") from None
 
 
 _FIELD_NAMES = tuple(field.name for field in fields(CellStyle))
 _FIELD_DEFAULTS = tuple(field.default for field in fields(CellStyle))
 _FIELD_VALUES = attrgetter(*_FIELD_NAMES)
 
+_COLOR = re.compile(r"#[0-9A-Fa-f]{6}")
 
-#: Twelve ordinary field values weigh about 0.45 kB; a style carrying a
-#: megabyte "colour" is decoded but never pinned, so the table's 4096 entries
-#: of at most 1.5 kB (values, key, style, slot) hold 6 MB at worst.
-_MAX_SHARED_BYTES = 1024
+
+def _holds(name: str, value: object) -> bool:
+    """Whether style field ``name`` may hold ``value``."""
+    if name.endswith("_color"):
+        return value is None or (isinstance(value, str) and bool(_COLOR.fullmatch(value)))
+    if name in ("font_size", "height", "width"):
+        # Compared exactly: an int past the largest float is refused too.
+        return type(value) in (int, float) and 0 <= value <= sys.float_info.max
+    return type(value) in (bool, int) and value in (0, 1)
 
 
 # Typed: 1, 1.0 and True hash alike, and ``font_size: 11`` must not be
-# answered with an 11.0 decoded earlier.
+# answered with an 11.0 decoded earlier.  Checked on a miss only: what
+# hits was checked when it was stored.
 @memoized("cell_styles", max_entries=4096, typed=True)
 def _shared(*values: object) -> CellStyle:
+    for name, value in zip(_FIELD_NAMES, values):
+        if not _holds(name, value):
+            raise ValueError(f"style field {name!r} cannot hold {reprlib.repr(value)}")
     return CellStyle(*values)  # type: ignore[arg-type]
 
 
 #: A plain, unstyled cell.
 DEFAULT_STYLE = CellStyle()
-
-#: Typical header styling used by the synthetic corpus generator.
-HEADER_STYLE = CellStyle(
-    background_color="#4472C4",
-    font_color="#FFFFFF",
-    bold=True,
-    font_size=12.0,
-    border_bottom=True,
-)
-
-#: Typical "total row" styling used by the synthetic corpus generator.
-TOTAL_STYLE = CellStyle(bold=True, border_top=True)

@@ -9,8 +9,9 @@ engine's earlier PRs promised in prose:
   (:func:`assert_responses_match`, :func:`assert_matches_fresh_fit`), and
   a mutated predictor holds a fresh fit's index rows byte for byte
   (:func:`assert_same_index_rows`).
-* **Tombstone accounting** — after any add/remove/edit history, an
-  Auto-Formula predictor's live bookkeeping, its vector indexes' live
+* **Tombstone accounting** — after any add/remove/edit history, failed
+  adds and re-indexes included, an Auto-Formula predictor's registry
+  entries, the index rows each of them owns, its vector indexes' live
   counts and its stable-id maps agree, and no search path can ever
   surface a tombstoned sheet or formula
   (:func:`assert_tombstone_accounting`); a history of adds and value
@@ -20,9 +21,9 @@ engine's earlier PRs promised in prose:
   mutually consistent (:func:`assert_response_wellformed`).
 
 The checkers are *white-box on purpose*: they reach into predictor
-internals (``_reference_sheets``, ``_formula_positions``) because the
-whole point is to catch silent corruption that the public surface would
-mask.  They raise ``AssertionError`` with a descriptive message.
+internals (``_reference_sheets`` and the ``sheet_row`` / ``formula_rows``
+of its entries) because the whole point is to catch silent corruption
+that the public surface would mask.  They raise ``AssertionError`` with a descriptive message.
 """
 
 from __future__ import annotations
@@ -90,11 +91,10 @@ def assert_tombstone_accounting(predictor) -> None:
 
     Verifies that (0) the workbook → ids and sheet → id lookups mirror the
     reference-sheet registry, (1) live counts agree between the registry
-    and both vector indexes, (2) every live sheet's recorded
-    physical positions are alive in the stores and every tombstoned
-    sheet's bookkeeping was cleared, and (3) exhaustive searches surface
-    only live sheets/formulas — i.e. no search path can return a
-    tombstoned position.
+    and both vector indexes, (2) every live entry's ``sheet_row`` and
+    ``formula_rows`` are live rows of the indexes stored under its own keys,
+    one per formula, and (3) exhaustive searches surface only live
+    sheets/formulas — i.e. no search path can return a tombstoned position.
     """
     references = predictor._reference_sheets
     live_ids = [
@@ -124,20 +124,15 @@ def assert_tombstone_accounting(predictor) -> None:
         f"{n_live_formulas} live formulas"
     )
 
-    for sheet_id, reference in enumerate(references):
-        sheet_position = predictor._sheet_positions[sheet_id]
-        formula_positions = predictor._formula_positions[sheet_id]
-        if reference is None:
-            assert sheet_position is None and formula_positions is None, (
-                f"removed sheet {sheet_id} still has physical positions"
-            )
-            continue
-        assert sheet_position is not None and formula_positions is not None, (
-            f"live sheet {sheet_id} lost its physical positions"
+    for sheet_id in live_ids:
+        reference = references[sheet_id]
+        assert _holds(predictor.sheet_index, [reference.sheet_row], [sheet_id]), (
+            f"sheet {sheet_id}: S1 row {reference.sheet_row} is not its own live row"
         )
-        assert len(formula_positions) == len(reference.formulas), (
-            f"sheet {sheet_id}: {len(formula_positions)} stored positions for "
-            f"{len(reference.formulas)} formulas"
+        keys = [(sheet_id, local) for local in range(len(reference.formulas))]
+        assert _holds(predictor.formula_index, reference.formula_rows.tolist(), keys), (
+            f"sheet {sheet_id}: S2 rows {reference.formula_rows.tolist()} are not the "
+            f"live rows of its {len(keys)} formulas"
         )
 
     # Exhaustive-search audit: every reachable hit must be a live sheet.
@@ -169,6 +164,15 @@ def assert_tombstone_accounting(predictor) -> None:
             assert int(local) < len(references[int(sheet_id)].formulas)
 
 
+def _holds(index, rows, keys) -> bool:
+    """``index`` stores ``keys[i]`` live at ``rows[i]``, one row per key."""
+    size = len(index.vectors)
+    return len(rows) == len(keys) and all(
+        0 <= row < size and index._alive[row] and index._keys[row] == key
+        for row, key in zip(rows, keys)
+    )
+
+
 def assert_no_tombstones(predictor) -> None:
     """Neither index holds a dead row.
 
@@ -196,13 +200,8 @@ def _live_rows(predictor):
     each with its workbook and sheet names, and the S2 rows by ``(corpus
     position of the sheet, formula number)``, each with its cell and text."""
     sheet_rows, formula_rows = [], {}
-    for sheet_id, reference in enumerate(predictor._reference_sheets):
-        if reference is None:
-            continue
-        position = predictor._sheet_positions[sheet_id]
-        for local, (formula, row) in enumerate(
-            zip(reference.formulas, predictor._formula_positions[sheet_id])
-        ):
+    for reference in filter(None, predictor._reference_sheets):
+        for local, (formula, row) in enumerate(zip(reference.formulas, reference.formula_rows)):
             formula_rows[(len(sheet_rows), local)] = (
                 formula.address.to_a1(),
                 formula.formula,
@@ -212,7 +211,7 @@ def _live_rows(predictor):
             (
                 reference.workbook_name,
                 reference.sheet.name,
-                predictor.sheet_index.vectors[position].tobytes(),
+                predictor.sheet_index.vectors[reference.sheet_row].tobytes(),
             )
         )
     return sheet_rows, formula_rows

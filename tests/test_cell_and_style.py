@@ -5,7 +5,7 @@ import datetime
 import pytest
 
 from repro.sheet.cell import Cell, CellType, infer_cell_type, syntactic_pattern
-from repro.sheet.style import CellStyle, DEFAULT_STYLE, HEADER_STYLE
+from repro.sheet.style import CellStyle, DEFAULT_STYLE
 
 
 class TestCellTypeInference:
@@ -65,10 +65,11 @@ class TestCell:
         assert Cell.from_dict(cell.to_dict()).value == 12.5
 
     def test_roundtrip_formula_and_style(self):
-        cell = Cell(value=3.0, formula="=SUM(A1:A2)", style=HEADER_STYLE)
+        style = CellStyle(background_color="#4472C4", font_color="#FFFFFF", bold=True)
+        cell = Cell(value=3.0, formula="=SUM(A1:A2)", style=style)
         restored = Cell.from_dict(cell.to_dict())
         assert restored.formula == "=SUM(A1:A2)"
-        assert restored.style == HEADER_STYLE
+        assert restored.style == style
 
     def test_roundtrip_date_value(self):
         cell = Cell(value=datetime.date(2023, 6, 1))

@@ -591,7 +591,7 @@ class TestSlicedRegrounding:
         assert norms.tobytes() == fresh_reference.store.rows(fresh_plan.slots)[1].tobytes()
 
         # Re-embed at twice the length: every ||r||^2 moves by 4x.
-        store.refresh(lambda rows, cols: 2.0 * trained_encoder.embed_regions(reference, rows, cols))
+        store.overwrite(2.0 * trained_encoder.embed_regions(reference, *store.cells()))
         seen, margin = [], base._tier1_margin
 
         def spy(dimension, qq, sq_norms):

@@ -202,6 +202,23 @@ class TestOlderSnapshots:
         with pytest.raises(ValueError, match=f"'{kind}'"):
             Workspace.load(tmp_path / "snap", AutoFormula(trained_encoder, config))
 
+    @pytest.mark.parametrize("name", ("sheet", "formula"))
+    def test_a_store_size_its_matrix_does_not_have_is_refused(
+        self, trained_encoder, name, tmp_path
+    ):
+        """The manifest's store sizes are written from the index matrices
+        and checked against the restored ones."""
+        workspace, __, config = _churned_workspace(trained_encoder)
+        directory = tmp_path / "snap"
+        workspace.save(directory)
+        manifest = read_manifest(directory)
+        __, arrays = workspace.predictor.snapshot_state()
+        assert manifest["predictor_state"][f"{name}_store_size"] == len(arrays[f"{name}_matrix"])
+        manifest["predictor_state"][f"{name}_store_size"] += 1
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"{name}-index rows"):
+            Workspace.load(directory, AutoFormula(trained_encoder, config))
+
 
 # ------------------------------------------------------------ log mechanics
 
@@ -518,7 +535,7 @@ class TestSnapshotFormat:
         workspace.add_workbook(plain)
         workspace.remove_workbook(workspace.workbook_names[0])
         live = workspace.predictor
-        assert live.formula_index.n_tombstones and None in live._formula_positions
+        assert live.formula_index.n_tombstones and None in live._reference_sheets
         empty = Workspace("empty", AutoFormula(trained_encoder, config))
         empty.add_workbook(plain.copy())
         assert len(empty.predictor.formula_index) == 0
@@ -533,15 +550,13 @@ class TestSnapshotFormat:
                 type(key) is tuple and [type(part) for part in key] == [int, int]
                 for key in restored.formula_index._keys
             )
-            assert restored._sheet_positions == expected._sheet_positions
-            assert all(
-                position is None or type(position) is int for position in restored._sheet_positions
-            )
-            assert len(restored._formula_positions) == len(expected._formula_positions)
-            for mine, theirs in zip(restored._formula_positions, expected._formula_positions):
+            assert len(restored._reference_sheets) == len(expected._reference_sheets)
+            for mine, theirs in zip(restored._reference_sheets, expected._reference_sheets):
                 assert (mine is None) == (theirs is None)
                 if mine is not None:
-                    assert mine.dtype == np.int64 and np.array_equal(mine, theirs)
+                    assert type(mine.sheet_row) is int and mine.sheet_row == theirs.sheet_row
+                    assert mine.formula_rows.dtype == np.int64
+                    assert np.array_equal(mine.formula_rows, theirs.formula_rows)
         response = Workspace.load(
             tmp_path / "churned", AutoFormula(trained_encoder, config)
         ).recommend(RecommendationRequest(cases[0].target_sheet, cases[0].target_cell))

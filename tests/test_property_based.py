@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import cache
 from repro.embedding import HashedSemanticEmbedder
+from repro.features import CellFeaturizer, FeatureConfig
 from repro.formula import (
     FunctionCall,
     extract_template,
@@ -28,6 +29,7 @@ from repro.nn import L2Normalize
 from repro.nn.losses import pairwise_squared_distances, triplet_loss_and_grad
 from repro.sheet import Cell, CellAddress, CellStyle, RangeAddress, Sheet, Workbook
 from repro.sheet import parse_cell_address, workbook_from_dict, workbook_to_dict
+from repro.sheet.io import WorkbookFormatError, sheet_from_dict
 from repro.sheet.addressing import column_index_to_letters, column_letters_to_index
 from repro.sheet.style import DEFAULT_STYLE
 from repro.weaksup import SheetNameStatistics
@@ -527,10 +529,34 @@ class TestCodecRoundTrip:
         assert type(as_int.font_size) is int and as_int.bold is not True
         assert type(as_float.font_size) is float and as_float.bold is True
         assert CellStyle.from_dict({"bold": True, "font_size": 12.0}) is as_float
-        # A style too large to be worth pinning is decoded, never shared.
-        huge = {"background_color": "#" + "F" * 5000}
-        assert CellStyle.from_dict(huge) == CellStyle.from_dict(huge)
-        assert CellStyle.from_dict(huge) is not CellStyle.from_dict(huge)
+        # A colour is seven characters: a long one is refused, never pinned.
+        with pytest.raises(ValueError, match="background_color"):
+            CellStyle.from_dict({"background_color": "#" + "F" * 5000})
+
+    @given(
+        field=st.sampled_from([field.name for field in dataclasses.fields(CellStyle)]),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=9),
+            lambda children: st.lists(children, max_size=3)
+            | st.dictionaries(st.text(max_size=3), children, max_size=3),
+            max_leaves=4,
+        )
+        | st.sampled_from(
+            ["#4472c4", "#4472C4", "#4472C", "red", 0, 1, 2, 1.0, 10**400, -0.5, 1e308]
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_in_a_style_field_decodes_or_is_refused(self, field, value):
+        """Whatever JSON a client puts in a style field, the decode either
+        gives a style the featurizer turns into finite features or raises
+        ``WorkbookFormatError`` (a 400 on the wire), never an error later."""
+        record = json.loads(json.dumps({"value": "x", "style": {field: value}}))
+        try:
+            sheet = sheet_from_dict({"name": "S", "cells": {"A1": record}})
+        except WorkbookFormatError:
+            return
+        features = CellFeaturizer(FeatureConfig()).featurize_many([sheet.get("A1")])
+        assert np.isfinite(features).all()
 
 
 # -------------------------------------------------------------------- sheet ops

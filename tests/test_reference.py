@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro import AutoFormula, AutoFormulaConfig, RecommendationRequest, Workspace
 from repro.ann import SearchResult, VectorIndex
-from repro.sheet import CellAddress, Workbook
+from repro.sheet import CellAddress, CellStyle, Workbook
 from repro.testing import WorkloadConfig, generate_workload, replay_workload
 from repro.testing.reference import ReferenceAutoFormula, answer_of, knn
 from repro.testing.workload import TIE_LAYOUTS, tie_heavy_sheet, tie_heavy_vectors
@@ -78,6 +78,15 @@ def _ties(case, rng):
     return workbook, [RecommendationRequest(target, cell) for target, cell in cells]
 
 
+def _unembeddable(ties):
+    """A two-sheet workbook whose second sheet no forward can embed: a cell
+    of it has a font size that is not a number."""
+    workbook = Workbook("unembeddable.xlsx")
+    workbook.add_sheet(next(iter(ties)).copy("fine"))
+    workbook.add_sheet("broken").set((0, 0), "label", style=CellStyle(font_size="big"))
+    return workbook
+
+
 @st.composite
 def streams(draw):
     return dict(
@@ -110,6 +119,10 @@ def test_workspace_answers_like_the_reference(trained_encoder, gate, case):
     def workspace_for(tenant):
         workspace = Workspace(tenant, AutoFormula(trained_encoder, config))
         workspace.add_workbook(ties)
+        # Every later op is checked against the reference over the
+        # workbooks the workspace holds, which a failed add leaves alone.
+        with pytest.raises(TypeError):
+            workspace.add_workbook(_unembeddable(ties))
         return workspace
 
     def after_step(op, workspace):

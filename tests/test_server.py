@@ -38,7 +38,7 @@ from repro.server import (
 from repro.server.schemas import _json_safe
 from repro.service import RecommendationRequest
 from repro.sheet import Sheet, Workbook
-from repro.sheet.io import sheet_to_dict
+from repro.sheet.io import sheet_to_dict, workbook_to_dict
 from repro.testing import WorkloadConfig, generate_workload
 
 
@@ -681,6 +681,33 @@ class TestMalformedInput:
                     connection.close()
                 assert status == 400 and answer["error"] == "schema_error", (path, answer)
             counters = FormulaClient(handle.host, handle.port).stats()["counters"]
+        assert "server_errors" not in counters
+
+    def test_a_style_field_of_the_wrong_type_is_a_400(self):
+        """Such a style used to decode and then raise in the featurizer (a
+        500) or in the add (a 409): now the decode refuses it."""
+        workbook = Workbook("styled")
+        workbook.add_sheet(_target_sheet())
+        probes = [
+            ("font_size", "big"),
+            ("height", None),
+            ("background_color", "red"),
+            ("background_color", 123),
+        ]
+        with start_server_in_background(_stub_service()) as handle:
+            client = FormulaClient(handle.host, handle.port)
+            for field, value in probes:
+                payload = workbook_to_dict(workbook)
+                payload["sheets"][0]["cells"]["A1"]["style"] = {field: value}
+                for path, body in (
+                    ("recommend", {"sheet": payload["sheets"][0], "cell": "A3"}),
+                    ("workbooks", {"workbooks": [payload]}),
+                ):
+                    status, __, answer = client.request(
+                        "POST", f"/v1/workspaces/acme/{path}", body
+                    )
+                    assert status == 400, (field, value, path, answer)
+            counters = client.stats()["counters"]
         assert "server_errors" not in counters
 
     def test_every_rejected_frame_is_counted_by_reason(self):

@@ -3,6 +3,7 @@
 import dataclasses
 import time
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -18,11 +19,13 @@ from repro.baselines import WeakSupervisionBaseline
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
 from repro.formula.engine import FormulaEngine
-from repro.sheet import CellAddress
+from repro.sheet import CellAddress, Workbook
+from repro.sheet.style import CellStyle
 from repro.testing import (
     assert_matches_fresh_fit,
     assert_responses_match,
     assert_same_index_rows,
+    assert_tombstone_accounting,
 )
 
 
@@ -283,6 +286,102 @@ class TestFacade:
         assert references[0].name not in workspace
 
 
+def _unembeddable_workbook(sheet):
+    """A two-sheet workbook whose second sheet no forward can embed: a cell
+    of it has a font size that is not a number."""
+    workbook = Workbook("unembeddable.xlsx")
+    workbook.add_sheet(sheet.copy("Fine"))
+    workbook.add_sheet("Broken").set((0, 0), "label", style=CellStyle(font_size="big"))
+    return workbook
+
+
+def _index_state(predictor):
+    """Copies of both indexes' stores and keys."""
+    return [
+        ({name: block.copy() for name, block in index.store_state().items()}, list(index._keys))
+        for index in (predictor.sheet_index, predictor.formula_index)
+    ]
+
+
+def _assert_same_index_state(left, right):
+    for (blocks, keys), (other_blocks, other_keys) in zip(left, right):
+        assert keys == other_keys
+        assert blocks.keys() == other_blocks.keys()
+        for name, block in blocks.items():
+            assert block.shape == other_blocks[name].shape
+            assert block.tobytes() == other_blocks[name].tobytes(), name
+
+
+class TestAllOrNothing:
+    """A mutation whose forward raises writes nothing: the registry, its
+    lookups and both indexes stay as they were."""
+
+    def test_an_add_that_raises_leaves_the_predictor_as_it_was(
+        self, trained_encoder, workload
+    ):
+        references, cases = workload
+        workspace = Workspace("t", AutoFormula(trained_encoder, AutoFormulaConfig()))
+        workspace.add_workbooks([workbook.copy() for workbook in references[:4]])
+        predictor = workspace.predictor
+        names, n_sheets = workspace.workbook_names, len(predictor._reference_sheets)
+        before = _index_state(predictor)
+        sheet = next(sheet for sheet in references[0] if sheet.n_formulas())
+        with pytest.raises(TypeError):
+            workspace.add_workbook(_unembeddable_workbook(sheet))
+        assert workspace.workbook_names == names
+        assert len(predictor._reference_sheets) == n_sheets
+        assert_tombstone_accounting(predictor)
+        _assert_same_index_state(_index_state(predictor), before)
+
+        fresh = lambda: AutoFormula(trained_encoder, AutoFormulaConfig())  # noqa: E731
+        workspace.add_workbook(references[4].copy())
+        assert_matches_fresh_fit(workspace, fresh, cases, "add")
+        workbook = workspace.workbooks()[0]
+        sheet = next(sheet for sheet in workbook if sheet.n_formulas())
+        workspace.edit_cell(workbook.name, sheet.name, _numeric_cells(sheet)[0], value=41.5)
+        assert workspace.counters()["workspace.reindex_refit"] == 0
+        assert_matches_fresh_fit(workspace, fresh, cases, "value edit")
+        workspace.remove_workbook(references[4].name)
+        assert_matches_fresh_fit(workspace, fresh, cases, "remove")
+        assert_tombstone_accounting(predictor)
+
+    @pytest.mark.parametrize("edit", ["value", "formula"])
+    def test_a_reindex_whose_sheet_forward_raises_writes_nothing(
+        self, trained_encoder, workload, monkeypatch, edit
+    ):
+        references, __ = workload
+        workbooks = [workbook.copy() for workbook in references[:3]]
+        predictor = AutoFormula(trained_encoder, AutoFormulaConfig())
+        predictor.fit(workbooks)
+        sheet = next(sheet for sheet in workbooks[0] if sheet.n_formulas())
+        reference = predictor._reference_sheets[predictor._sheet_ids[id(sheet)]]
+        cell = _numeric_cells(sheet)[0]
+        before = _index_state(predictor)
+        store = reference.store.rows(np.arange(len(reference.store)))
+        if edit == "value":
+            sheet.set(cell, 987654.0)
+        else:
+            sheet.set(cell, formula="=1+2")
+
+        def raising(sheet):
+            raise FloatingPointError("sheet model")
+
+        monkeypatch.setattr(predictor, "_embed_sheet", raising)
+        with pytest.raises(FloatingPointError):
+            predictor.reindex_sheet(sheet)
+        _assert_same_index_state(_index_state(predictor), before)
+        after = reference.store.rows(np.arange(len(reference.store)))
+        assert [block.tobytes() for block in after] == [block.tobytes() for block in store]
+        assert predictor._reference_sheets[predictor._sheet_ids[id(sheet)]] is reference
+        assert_tombstone_accounting(predictor)
+
+        monkeypatch.undo()
+        predictor.reindex_sheet(sheet)
+        fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
+        fresh.fit(workbooks)
+        assert_same_index_rows(predictor, fresh)
+
+
 def _numeric_cells(sheet):
     return [
         address
@@ -295,13 +394,12 @@ def _numeric_cells(sheet):
 
 def _owned_rows(predictor, sheet):
     """Positions and bytes of the index rows one reference sheet owns."""
-    sheet_id = predictor._sheet_ids[id(sheet)]
-    positions = predictor._formula_positions[sheet_id]
+    reference = predictor._reference_sheets[predictor._sheet_ids[id(sheet)]]
     return (
-        predictor._sheet_positions[sheet_id],
-        predictor.sheet_index.vectors[predictor._sheet_positions[sheet_id]].tobytes(),
-        positions.tolist(),
-        predictor.formula_index.vectors[positions].tobytes(),
+        reference.sheet_row,
+        predictor.sheet_index.vectors[reference.sheet_row].tobytes(),
+        reference.formula_rows.tolist(),
+        predictor.formula_index.vectors[reference.formula_rows].tobytes(),
     )
 
 
