@@ -1,19 +1,22 @@
 """Table error detection with the similar-sheet primitive (paper future work).
 
 A spreadsheet copied from a template contains one formula that was
-accidentally overwritten with the wrong logic.  The
-:class:`~repro.extensions.FormulaErrorDetector` cross-checks every formula
-on the audited sheet against the most similar sheets in the organization
-and flags cells whose formula *template* disagrees with its peers.
+accidentally overwritten with the wrong logic.
+:func:`~repro.extensions.audit_sheet` cross-checks every formula on the
+audited sheet against the most similar sheets an Auto-Formula predictor
+has indexed and flags cells whose formula *template* disagrees with its
+peers; :func:`~repro.extensions.suggest_value` fills a blanked cell from
+the same similar sheets.  The script exits with an error unless the
+injected formula is flagged and the blanked header gets its own value back.
 
 Run with:  python examples/error_detection.py
 """
 
 import numpy as np
 
-from repro import ModelConfig, TrainingConfig, build_training_universe, generate_training_pairs, train_models
+from repro import AutoFormula, ModelConfig, TrainingConfig, build_training_universe, generate_training_pairs, train_models
 from repro.corpus import SurveyTemplate
-from repro.extensions import FormulaErrorDetector, ValueAutoFill
+from repro.extensions import audit_sheet, suggest_value
 from repro.sheet import CellAddress
 
 
@@ -40,9 +43,9 @@ def main() -> None:
             corrupted = address
             break
 
-    detector = FormulaErrorDetector(encoder)
-    detector.fit([reference])
-    anomalies = detector.audit(audited_sheet)
+    predictor = AutoFormula(encoder)
+    predictor.fit([reference])
+    anomalies = audit_sheet(predictor, audited_sheet)
 
     print(f"\nAudit found {len(anomalies)} suspicious formula cell(s):")
     for anomaly in anomalies:
@@ -53,19 +56,19 @@ def main() -> None:
             f"(see {anomaly.reference_sheet}!{anomaly.reference_cell}){marker}"
         )
 
+    assert corrupted in {anomaly.cell for anomaly in anomalies}, "the injected error was missed"
+
     # Bonus: the same primitives can auto-fill missing header values.
-    autofill = ValueAutoFill(encoder, acceptance_threshold=2.0)
-    autofill.fit([reference])
     header_cell = CellAddress(5, 2)
     expected = audited_sheet.get(header_cell).value
     probe_sheet = audited_sheet.copy()
     probe_sheet.set(header_cell, value=None)
-    suggestion = autofill.suggest(probe_sheet, header_cell)
-    if suggestion is not None:
-        print(
-            f"\nAuto-fill: cell {header_cell.to_a1()} (blanked) -> suggested {suggestion.value!r} "
-            f"(actual {expected!r}, confidence {suggestion.confidence:.2f})"
-        )
+    suggestion = suggest_value(predictor, probe_sheet, header_cell, acceptance_threshold=2.0)
+    assert suggestion is not None and suggestion.value == expected, suggestion
+    print(
+        f"\nAuto-fill: cell {header_cell.to_a1()} (blanked) -> suggested {suggestion.value!r} "
+        f"(actual {expected!r}, confidence {suggestion.confidence:.2f})"
+    )
 
 
 if __name__ == "__main__":

@@ -315,16 +315,9 @@ class _AdaptationPlan:
         )
 
 
-@dataclass
-class _ReferenceFormula:
-    """A formula cell on an indexed reference sheet.
+class _ReferenceFormula(NamedTuple):
+    """A formula cell on an indexed reference sheet: its address and text."""
 
-    ``sheet_id`` is the owning sheet's *stable id* (its slot in
-    ``AutoFormula._reference_sheets``, which is never renumbered — removed
-    sheets leave ``None`` tombstones).
-    """
-
-    sheet_id: int
     address: CellAddress
     formula: str
 
@@ -554,7 +547,7 @@ class AutoFormula(FormulaPredictor):
         added: List[_ReferenceSheet] = []
         try:
             for sheet_id, (workbook_name, sheet) in enumerate(sheets, base_id):
-                formulas, embeddings = self._formula_entries(sheet_id, sheet)
+                formulas, embeddings = self._formula_entries(sheet)
                 # Pre-embed every formula's parameter regions while this
                 # sheet's feature tensor is hot, so online S3 re-grounding
                 # never has to re-featurize a reference sheet.
@@ -585,9 +578,7 @@ class AutoFormula(FormulaPredictor):
             self._workbook_sheet_ids.setdefault(reference.workbook_name, []).append(sheet_id)
             self._sheet_ids[id(reference.sheet)] = sheet_id
 
-    def _formula_entries(
-        self, sheet_id: int, sheet: Sheet
-    ) -> Tuple[List[_ReferenceFormula], np.ndarray]:
+    def _formula_entries(self, sheet: Sheet) -> Tuple[List[_ReferenceFormula], np.ndarray]:
         """The sheet's formula cells as registry entries, with their
         center-blanked region embeddings (one forward pass)."""
         formula_cells = sheet.formula_cells()
@@ -595,7 +586,7 @@ class AutoFormula(FormulaPredictor):
             sheet, *_coordinates([address for address, __ in formula_cells]), blank_center=True
         )
         formulas = [
-            _ReferenceFormula(sheet_id, address, cell.formula or "")
+            _ReferenceFormula(address, cell.formula or "")
             for address, cell in formula_cells
         ]
         return formulas, embeddings
@@ -693,7 +684,7 @@ class AutoFormula(FormulaPredictor):
         if sheet_id is None:
             raise KeyError(f"sheet {sheet.name!r} is not indexed")
         reference = self._reference_sheets[sheet_id]
-        formulas, embeddings = self._formula_entries(sheet_id, sheet)
+        formulas, embeddings = self._formula_entries(sheet)
         changed = formulas != reference.formulas
         if changed:
             store = self._reference_store(sheet, self._parameter_cells(formulas))
@@ -857,7 +848,7 @@ class AutoFormula(FormulaPredictor):
                     workbook_name=str(entry["workbook"]),
                     sheet=sheet,
                     formulas=[
-                        _ReferenceFormula(sheet_id, CellAddress.from_a1(a1), formula)
+                        _ReferenceFormula(CellAddress.from_a1(a1), formula)
                         for a1, formula in entry["formulas"]
                     ],
                     # Filled formula by formula, as plans are first built.
@@ -979,6 +970,23 @@ class AutoFormula(FormulaPredictor):
             span.set_attribute("n_hits", len(hits))
             return hits
 
+    def _live_reference(self, sheet_id: int) -> _ReferenceSheet:
+        reference = self._reference_sheets[int(sheet_id)]
+        if reference is None:
+            raise KeyError(f"reference sheet {sheet_id} has been removed")
+        return reference
+
+    def reference_sheet(
+        self, sheet_id: int
+    ) -> Tuple[str, Sheet, Tuple[Tuple[CellAddress, str], ...]]:
+        """The indexed sheet with stable id ``sheet_id`` (a :meth:`sheet_hits`
+        key): its workbook name, the sheet, and its ``(address, formula)``
+        pairs in formula order, the order
+        :attr:`ScoredPrediction.formula_index` counts in.  Raises
+        ``KeyError`` if the sheet has been removed."""
+        reference = self._live_reference(sheet_id)
+        return reference.workbook_name, reference.sheet, tuple(reference.formulas)
+
     def predict_batch_scored(
         self,
         target_sheet: Sheet,
@@ -1016,12 +1024,8 @@ class AutoFormula(FormulaPredictor):
         rank_of: Dict[int, int] = {}
         pools: List[np.ndarray] = []
         for rank, sheet_id in enumerate(sheet_ids):
-            sheet_id = int(sheet_id)
-            reference = self._reference_sheets[sheet_id]
-            if reference is None:
-                raise KeyError(f"reference sheet {sheet_id} has been removed")
-            rank_of[sheet_id] = rank
-            pools.append(reference.formula_rows)
+            rank_of[int(sheet_id)] = rank
+            pools.append(self._live_reference(sheet_id).formula_rows)
         pool = np.concatenate([np.empty(0, dtype=np.int64)] + pools)
         if pool.size == 0:
             return [None] * len(cells)

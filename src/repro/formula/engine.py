@@ -391,6 +391,11 @@ class FormulaEngine:
             value: object = ast
         else:
             value = self._evaluate_node(ast, visiting | {address}, height, memo)
+            if isinstance(value, list):
+                # A cell holds one scalar: a range result is its one cell's
+                # value, and #VALUE! when it spans more than one cell.
+                cells = _flatten(value)
+                value = cells[0] if len(cells) == 1 else VALUE_ERROR
         memo[address] = value
         return value
 
@@ -534,7 +539,9 @@ class FormulaEngine:
             return ErrorValue(getattr(exc, "error_code", str(VALUE_ERROR)))
         except ZeroDivisionError:
             return DIV0_ERROR
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
+            # OverflowError: an infinite or huge number where an integer
+            # is needed (``INT``, ``LEFT``, ``DATE`` ...).
             return VALUE_ERROR
 
     # ------------------------------------------------------------- conversions

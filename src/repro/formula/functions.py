@@ -19,6 +19,7 @@ import datetime as _dt
 import math
 import numbers
 import re
+import sys
 from typing import Callable, Dict, Iterable, List, Sequence
 
 
@@ -386,13 +387,23 @@ def fn_round(value, digits=0) -> float:
     return round(_coerce_number(value), int(_coerce_number(digits)))
 
 
+def _decimal_factor(digits) -> float:
+    """``10 ** digits`` of ROUNDUP / ROUNDDOWN.  No float holds a larger
+    one, so past that it raises ``OverflowError`` (an error value) rather
+    than build a power of ten with millions of digits."""
+    exponent = int(_coerce_number(digits))
+    if exponent > sys.float_info.max_10_exp:
+        raise OverflowError(f"10 ** {exponent} is past the float range")
+    return 10 ** exponent
+
+
 def fn_roundup(value, digits=0) -> float:
-    factor = 10 ** int(_coerce_number(digits))
+    factor = _decimal_factor(digits)
     return math.ceil(_coerce_number(value) * factor) / factor
 
 
 def fn_rounddown(value, digits=0) -> float:
-    factor = 10 ** int(_coerce_number(digits))
+    factor = _decimal_factor(digits)
     return math.floor(_coerce_number(value) * factor) / factor
 
 

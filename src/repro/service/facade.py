@@ -55,7 +55,7 @@ class FormulaService:
             raise ValueError(f"workspace {name!r} already exists")
         if predictor is None:
             predictor = self._default_predictor()
-        workspace = Workspace(name, predictor, encoder=self._encoder)
+        workspace = Workspace(name, predictor)
         workspace.add_workbooks(workbooks)
         self._workspaces[name] = workspace
         return workspace
@@ -90,12 +90,7 @@ class FormulaService:
             raise SnapshotFormatError(
                 f"snapshot at {directory} holds unknown workspace kind {kind!r}"
             )
-        workspace = Workspace.load(
-            directory,
-            self._default_predictor(),
-            encoder=self._encoder,
-            name=registered,
-        )
+        workspace = Workspace.load(directory, self._default_predictor(), name=registered)
         self._workspaces[registered] = workspace
         return workspace
 

@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.interface import FormulaPredictor
+from repro.core.pipeline import AutoFormula
 from repro.persistence.log import (
     MutationLog,
     add_entry,
@@ -29,15 +30,14 @@ from repro.evaluation.runner import EvaluationRun, run_method_on_cases
 from repro.obs import Counter, Histogram, get_tracer
 from repro.formula.engine import FormulaEngine, RecalcReport
 from repro.service.concurrency import ReadWriteLock
-from repro.extensions.autofill import AutoFillSuggestion, ValueAutoFill
-from repro.extensions.error_detection import FormulaAnomaly, FormulaErrorDetector
-from repro.models.encoder import SheetEncoder
+from repro.extensions import autofill, error_detection
 from repro.service.types import (
     AbstainReason,
     RecommendationRequest,
     RecommendationResponse,
 )
 from repro.sheet.addressing import CellAddress
+from repro.sheet.cell import decode_cell_value
 from repro.sheet.sheet import AddressLike, Sheet
 from repro.sheet.workbook import Workbook
 
@@ -110,8 +110,9 @@ class Workspace:
     answer with frozen :class:`RecommendationResponse` objects and record
     per-request latency on :attr:`latency`.  The evaluation harness and the
     paper's extension applications (value auto-fill, formula error
-    detection) are reachable as workspace methods so one corpus handle
-    drives every workload.
+    detection, which read an Auto-Formula predictor's own indexes) are
+    reachable as workspace methods so one corpus handle drives every
+    workload.
 
     The workspace is thread-safe: serving takes a shared (read) lock and
     corpus mutation takes an exclusive (write) lock on a writer-preferring
@@ -122,15 +123,9 @@ class Workspace:
     reads are individually thread-safe (see ``repro.service.concurrency``).
     """
 
-    def __init__(
-        self,
-        name: str,
-        predictor: FormulaPredictor,
-        encoder: Optional[SheetEncoder] = None,
-    ) -> None:
+    def __init__(self, name: str, predictor: FormulaPredictor) -> None:
         self.name = name
         self._predictor = predictor
-        self._encoder = encoder
         self._workbooks: Dict[str, Workbook] = {}
         self._fitted = False
         self._incremental = bool(getattr(predictor, "supports_incremental_corpus", False))
@@ -138,7 +133,6 @@ class Workspace:
         self._rwlock = ReadWriteLock()
         #: Per-request serving latencies (amortized for batched requests).
         self.latency = Histogram()
-        self._corpus_version = 0
         #: Per-sheet recalculation engines, built lazily by :meth:`edit_cell`
         #: and kept across edits so repeated edits to one sheet stay
         #: O(dirty subgraph).  Keyed by (workbook name, sheet name); an
@@ -150,10 +144,6 @@ class Workspace:
         #: Counts of engines dropped with their workbook, so that what the
         #: engines report never goes down.
         self._dropped_engine_counts: Dict[str, int] = {}
-        self._autofill: Optional[ValueAutoFill] = None
-        self._autofill_version = -1
-        self._detector: Optional[FormulaErrorDetector] = None
-        self._detector_version = -1
         #: Durability state (see :mod:`repro.persistence`): ``save()``
         #: attaches a mutation log and subsequent corpus mutations append
         #: to it; ``load()`` replays the log's tail, then attaches it.
@@ -216,7 +206,6 @@ class Workspace:
             for workbook in workbooks:
                 self._workbooks[workbook.name] = workbook
                 self._log(add_entry, workbook)
-            self._corpus_version += 1
 
     def add_workbook(self, workbook: Workbook) -> None:
         """Index one additional workbook (see :meth:`add_workbooks`)."""
@@ -252,7 +241,6 @@ class Workspace:
             for engine in drop_engines(self._engines, workbook_name):
                 _add_counts(self._dropped_engine_counts, engine.counters())
             self._log(remove_entry, workbook_name)
-            self._corpus_version += 1
             return workbook
 
     def edit_cell(
@@ -267,7 +255,9 @@ class Workspace:
 
         The live-editing workload: the cell is written through the sheet's
         cached :class:`~repro.formula.engine.FormulaEngine` (pass ``value``
-        for a plain value, ``formula`` for a formula), dependent formulas
+        for a plain value, ``formula`` for a formula; a value means what it
+        means in a workbook payload, see
+        :func:`~repro.sheet.cell.decode_cell_value`), dependent formulas
         are recalculated incrementally — O(dirty subgraph), not O(all
         formulas) — and the edited *sheet* is re-indexed over the index rows
         it already owns (:meth:`AutoFormula.reindex_sheet
@@ -280,11 +270,13 @@ class Workspace:
 
         Raises ``KeyError`` if the workbook is not indexed or has no sheet
         called ``sheet_name``, and ``ValueError`` unless exactly one of
-        ``value`` / ``formula`` is provided.  An edit whose write or
+        ``value`` / ``formula`` is provided or for a value no cell can
+        hold, before any lock is taken.  An edit whose write or
         recalculation raises leaves the workspace as it was, its sheet's
         version aside, and re-raises.
         """
         require_one_edit_operand(value, formula)
+        value = decode_cell_value(value)
         with get_tracer().span(
             "workspace.edit_cell",
             workspace=self.name,
@@ -324,7 +316,6 @@ class Workspace:
             else:
                 self._refit()
             self._log(edit_entry, workbook_name, sheet_name, address, value=value, formula=formula)
-            self._corpus_version += 1
             return report
 
     def _reindex_sheet(self, sheet: Sheet) -> None:
@@ -416,7 +407,6 @@ class Workspace:
         cls,
         directory: Union[str, Path],
         predictor: FormulaPredictor,
-        encoder: Optional[SheetEncoder] = None,
         name: Optional[str] = None,
         mmap: bool = True,
     ) -> "Workspace":
@@ -441,14 +431,13 @@ class Workspace:
         with get_tracer().span(
             "snapshot.load", directory=str(directory), mmap=mmap
         ) as span:
-            return cls._load_traced(directory, predictor, encoder, name, mmap, span)
+            return cls._load_traced(directory, predictor, name, mmap, span)
 
     @classmethod
     def _load_traced(
         cls,
         directory: Path,
         predictor: FormulaPredictor,
-        encoder: Optional[SheetEncoder],
         name: Optional[str],
         mmap: bool,
         span,
@@ -468,9 +457,7 @@ class Workspace:
         workbooks = load_corpus(directory, manifest.get("workbooks", []))
         arrays = load_arrays(directory, manifest.get("arrays", []), mmap=mmap)
         restore(manifest.get("predictor_state", {}), arrays, sheet_resolver(workbooks))
-        workspace = cls(
-            str(name or manifest.get("name") or "restored"), predictor, encoder=encoder
-        )
+        workspace = cls(str(name or manifest.get("name") or "restored"), predictor)
         for workbook in workbooks:
             workspace._workbooks[workbook.name] = workbook
         workspace._fitted = bool(manifest.get("fitted", False))
@@ -656,63 +643,26 @@ class Workspace:
                 fit=False,
             )
 
-    def _require_encoder(self) -> SheetEncoder:
-        if self._encoder is None:
-            raise RuntimeError(
-                "this workspace has no encoder; extensions (auto-fill, error "
-                "detection) need one — create the workspace through a "
-                "FormulaService constructed with an encoder"
+    def _auto_formula(self) -> AutoFormula:
+        if not isinstance(self._predictor, AutoFormula):
+            raise TypeError(
+                f"predictor {self._predictor.name!r} has no similar-sheet index; "
+                "auto-fill and error detection read an AutoFormula's"
             )
-        return self._encoder
-
-    def autofill(self) -> ValueAutoFill:
-        """The value auto-fill extension, fitted on the current corpus.
-
-        The exclusive lock is taken only when the extension actually needs
-        (re)fitting — the common already-fitted case is a plain read, so
-        extension traffic does not stall concurrent serving.
-        """
-        if self._autofill is not None and self._autofill_version == self._corpus_version:
-            return self._autofill
-        with self._rwlock.write_lock():
-            return self._autofill_ready()
-
-    def _autofill_ready(self) -> ValueAutoFill:
-        encoder = self._require_encoder()
-        if self._autofill is None:
-            self._autofill = ValueAutoFill(encoder)
-        if self._autofill_version != self._corpus_version:
-            self._autofill.fit(self.workbooks())
-            self._autofill_version = self._corpus_version
-        return self._autofill
+        return self._predictor
 
     def suggest_value(
         self, sheet: Sheet, cell: CellAddress
-    ) -> Optional[AutoFillSuggestion]:
-        """Suggest a *value* for an empty cell (content auto-filling)."""
-        extension = self.autofill()
+    ) -> Optional[autofill.AutoFillSuggestion]:
+        """Suggest a *value* for an empty cell (content auto-filling, see
+        :func:`repro.extensions.suggest_value`) from the indexed corpus."""
+        predictor = self._auto_formula()
         with self._rwlock.read_lock():
-            return extension.suggest(sheet, cell)
+            return autofill.suggest_value(predictor, sheet, cell)
 
-    def error_detector(self) -> FormulaErrorDetector:
-        """The formula error detector, fitted on the current corpus
-        (write-locked only for the rare refit, like :meth:`autofill`)."""
-        if self._detector is not None and self._detector_version == self._corpus_version:
-            return self._detector
-        with self._rwlock.write_lock():
-            return self._error_detector_ready()
-
-    def _error_detector_ready(self) -> FormulaErrorDetector:
-        encoder = self._require_encoder()
-        if self._detector is None:
-            self._detector = FormulaErrorDetector(encoder)
-        if self._detector_version != self._corpus_version:
-            self._detector.fit(self.workbooks())
-            self._detector_version = self._corpus_version
-        return self._detector
-
-    def audit_sheet(self, sheet: Sheet) -> List[FormulaAnomaly]:
-        """Audit a sheet for formulas that disagree with similar sheets."""
-        detector = self.error_detector()
+    def audit_sheet(self, sheet: Sheet) -> List[error_detection.FormulaAnomaly]:
+        """Audit a sheet for formulas that disagree with similar sheets of
+        the indexed corpus (see :func:`repro.extensions.audit_sheet`)."""
+        predictor = self._auto_formula()
         with self._rwlock.read_lock():
-            return detector.audit(sheet)
+            return error_detection.audit_sheet(predictor, sheet)

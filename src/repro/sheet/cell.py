@@ -6,6 +6,7 @@ import datetime as _dt
 import enum
 import numbers
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
@@ -56,6 +57,36 @@ def infer_cell_type(value: CellValue, formula: Optional[str] = None) -> CellType
             return CellType.NUMERIC
         return CellType.TEXT
     return CellType.TEXT
+
+
+def decode_cell_value(value: object, kind: Optional[str] = None) -> CellValue:
+    """A cell value as it means in a workbook payload, for a workbook's
+    cells (:meth:`Cell.from_dict`) and an edit's value alike.
+
+    Text that is a known Excel-style error code becomes an
+    :class:`~repro.formula.errors.ErrorValue`, so a committed error keeps
+    its type-based error identity (propagation through the engine,
+    ``is_error_value``); text of ``kind`` ``"date"`` becomes a date.  A
+    list or object, and an integer no float can hold, raise
+    ``ValueError``: a cell holds one scalar, and the engine computes in
+    floats.
+    """
+    if isinstance(value, str):
+        if kind == "date":
+            return _dt.date.fromisoformat(value)
+        if value.startswith("#"):
+            # Imported lazily: at module-import time repro.formula (which
+            # pulls in this module) may still be mid-initialization.
+            from repro.formula.errors import ALL_ERROR_VALUES, ErrorValue
+
+            if value in ALL_ERROR_VALUES:
+                return ErrorValue(value)
+        return value
+    if isinstance(value, (list, dict)):
+        raise ValueError(f"a cell value must be a scalar, got a {type(value).__name__}")
+    if isinstance(value, int) and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError("a cell value must fit in a float, got an integer past its range")
+    return value
 
 
 def syntactic_pattern(value: CellValue) -> str:
@@ -133,24 +164,10 @@ class Cell:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Cell":
-        """Reconstruct a cell from :meth:`to_dict` output.
-
-        Strings matching a known Excel-style error code are rehydrated as
-        :class:`~repro.formula.errors.ErrorValue`, so a committed error
-        keeps its type-based error identity (propagation through the
-        engine, ``is_error_value``) across a serialization round-trip.
-        """
-        value = data.get("value")
-        if isinstance(value, str):
-            if data.get("value_kind") == "date":
-                value = _dt.date.fromisoformat(value)
-            elif value.startswith("#"):
-                # Imported lazily: at module-import time repro.formula (which
-                # pulls in this module) may still be mid-initialization.
-                from repro.formula.errors import ALL_ERROR_VALUES, ErrorValue
-
-                if value in ALL_ERROR_VALUES:
-                    value = ErrorValue(value)
+        """Reconstruct a cell from :meth:`to_dict` output; the value goes
+        through :func:`decode_cell_value` (which raises ``ValueError`` for
+        a value no cell can hold)."""
+        value = decode_cell_value(data.get("value"), data.get("value_kind"))
         style_data = data.get("style")
         style = CellStyle.from_dict(style_data) if isinstance(style_data, dict) else DEFAULT_STYLE
         return cls(value=value, formula=data.get("formula"), style=style)

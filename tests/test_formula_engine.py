@@ -280,6 +280,28 @@ class TestCyclesAndErrors:
         assert engine.evaluate_formula("=A1=5") == DIV0_ERROR
 
 
+    def test_a_range_result_commits_one_scalar(self):
+        """A cell holds one scalar, so the sheet's payload decodes again:
+        a one-cell range is that cell's value, a larger one ``#VALUE!``."""
+        from repro.sheet.io import sheet_from_dict, sheet_to_dict
+
+        sheet = Sheet()
+        sheet.set("A1", 4.0)
+        sheet.set("A2", 5.0)
+        sheet.set("B1", formula="=A1:A1")
+        sheet.set("B2", formula="=A1:A2")
+        sheet.set("B3", formula="=SUM(B1:B2)")
+        sheet.set("B4", formula="=B1*2")
+        FormulaEngine(sheet).recalculate()
+        assert sheet.get("B1").value == 4.0
+        assert sheet.get("B2").value == VALUE_ERROR and sheet.get("B3").value == VALUE_ERROR
+        assert sheet.get("B4").value == 8.0
+        restored = sheet_from_dict(sheet_to_dict(sheet))
+        assert [cell.value for __, cell in restored.cells()] == [
+            cell.value for __, cell in sheet.cells()
+        ]
+
+
 class TestEvaluateWithoutCommit:
     def test_evaluate_formula_does_not_write_values(self):
         sheet = _chain_sheet()

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import AutoFormula, AutoFormulaConfig, FormulaService, Workspace
+from repro.formula.errors import ErrorValue
 from repro.persistence import (
     MutationLog,
     MutationLogError,
@@ -127,6 +128,57 @@ class TestRestoreParity:
             context="snapshot+log",
         )
         assert restored.workbook_names == workspace.workbook_names
+
+
+class TestEditValues:
+    """An edit's value means what it means in a workbook payload, so the
+    live workspace and one restored from its snapshot or log agree."""
+
+    @staticmethod
+    def _workspace(trained_encoder) -> Workspace:
+        workbook = Workbook(name="wb")
+        sheet = workbook.add_sheet("Data")
+        sheet.set("A1", 1.0)
+        sheet.set("A2", formula="=A1+1")
+        sheet.set("A3", formula="=SUM(A1:A2)")
+        workspace = Workspace("values", AutoFormula(trained_encoder, AutoFormulaConfig()))
+        workspace.add_workbooks([workbook])
+        return workspace
+
+    @staticmethod
+    def _cells(workspace):
+        return [
+            (workbook.name, sheet.name, address, type(cell.value), cell.value, cell.formula)
+            for workbook in workspace.workbooks()
+            for sheet in workbook
+            for address, cell in sheet.cells()
+        ]
+
+    def test_an_error_code_restores_as_it_reads_live(self, trained_encoder, tmp_path):
+        for through_log in (False, True):
+            workspace = self._workspace(trained_encoder)
+            directory = tmp_path / f"log-{through_log}"
+            if through_log:
+                workspace.save(directory)
+            workspace.edit_cell("wb", "Data", "A1", value="#DIV/0!")
+            if not through_log:
+                workspace.save(directory)
+            sheet = workspace.workbooks()[0].get_sheet("Data")
+            assert type(sheet.get("A1").value) is ErrorValue
+            assert sheet.get("A2").value == sheet.get("A3").value == "#DIV/0!"
+            restored = Workspace.load(directory, AutoFormula(trained_encoder, AutoFormulaConfig()))
+            assert self._cells(restored) == self._cells(workspace), through_log
+
+    def test_a_value_no_cell_can_hold_is_refused_before_the_edit(self, trained_encoder):
+        workspace = self._workspace(trained_encoder)
+        sheet = workspace.workbooks()[0].get_sheet("Data")
+        before, version = self._cells(workspace), sheet.version
+        for value in (10**400, -(10**400), [1, 2], {"a": 1}):
+            with pytest.raises(ValueError, match="cell value"):
+                workspace.edit_cell("wb", "Data", "A1", value=value)
+        assert self._cells(workspace) == before and sheet.version == version
+        workspace.edit_cell("wb", "Data", "A1", value=10**300)
+        assert sheet.get("A2").value == 1e300
 
 
 class TestOlderSnapshots:

@@ -22,6 +22,7 @@ from repro.formula import (
 from repro.formula import parser
 from repro.formula.engine import FormulaEngine
 from repro.formula.errors import ALL_ERROR_VALUES, ErrorValue
+from repro.formula.functions import BUILTIN_FUNCTIONS
 from repro.formula.parser import MAX_AST_HEIGHT
 from repro.formula.template import normalize_formula, shift_formula
 from repro.formula.tokenizer import FormulaSyntaxError, TokenType, tokenize
@@ -557,6 +558,37 @@ class TestCodecRoundTrip:
             return
         features = CellFeaturizer(FeatureConfig()).featurize_many([sheet.get("A1")])
         assert np.isfinite(features).all()
+
+    @given(
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=9),
+            lambda children: st.lists(children, max_size=3)
+            | st.dictionaries(st.text(max_size=3), children, max_size=3),
+            max_leaves=4,
+        )
+        | st.sampled_from(
+            [10**400, -(10**400), 10**308, 1e308, [1, 2], {"a": 1}, *ALL_ERROR_VALUES, "2020-01-31"]
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_in_a_value_field_decodes_or_is_refused(self, value):
+        """Whatever JSON a client puts in a cell's value, the decode either
+        gives one scalar that every builtin function recalculates over
+        without raising, or raises ``WorkbookFormatError`` (a 400 on the
+        wire), never an error in a later recalculation."""
+        formulas = [
+            f"={name}({', '.join(['A1'] * arity)})"
+            for name in BUILTIN_FUNCTIONS
+            for arity in (1, 2, 3)
+        ] + ["=A1+1", "=A1*A1", "=A1/A1", "=A1^A1", "=-A1", "=A1&A1", "=A1>A1", "=A1%"]
+        cells = {"A1": json.loads(json.dumps({"value": value}))}
+        cells.update({f"B{row}": {"formula": formula} for row, formula in enumerate(formulas, 1)})
+        try:
+            sheet = sheet_from_dict({"name": "S", "cells": cells})
+        except WorkbookFormatError:
+            return
+        assert not isinstance(sheet.get("A1").value, (list, dict))
+        FormulaEngine(sheet).recalculate()
 
 
 # -------------------------------------------------------------------- sheet ops

@@ -710,6 +710,33 @@ class TestMalformedInput:
             counters = client.stats()["counters"]
         assert "server_errors" not in counters
 
+    def test_a_value_no_cell_can_hold_is_a_400(self):
+        """Such a value used to be accepted, and the next recalculation
+        over it raised (a 500 on every later edit) or ``SUM`` flattened it."""
+        service = _stub_service()
+        sheet = service.workspace("acme").workbooks()[0].get_sheet("Data")
+        with start_server_in_background(service) as handle:
+            client = FormulaClient(handle.host, handle.port)
+            for value in (10**400, -(10**400), [1, 2], {"a": 1}):
+                status, __, answer = client.request(
+                    "POST",
+                    "/v1/workspaces/acme/edit-cell",
+                    {"workbook": "wb1", "sheet": "Data", "cell": "A1", "value": value},
+                )
+                assert (status, answer["error"]) == (400, "invalid_request"), value
+                payload = workbook_to_dict(_stub_workbook())
+                payload["name"] = "probe"
+                payload["sheets"][0]["cells"]["A1"]["value"] = value
+                status, __, answer = client.request(
+                    "POST", "/v1/workspaces/acme/workbooks", {"workbooks": [payload]}
+                )
+                assert (status, answer["error"]) == (400, "schema_error"), value
+            # The formula over the cell still recalculates.
+            client.edit_cell("acme", "wb1", "Data", "A1", value=5.0)
+            assert sheet.get("A3").value == 7.0
+            counters = client.stats()["counters"]
+        assert "server_errors" not in counters
+
     def test_every_rejected_frame_is_counted_by_reason(self):
         config = ServerConfig(max_body_bytes=64)
         head = b"POST /v1/workspaces/acme/recommend HTTP/1.1\r\nContent-Length: %s\r\n\r\n"

@@ -16,9 +16,10 @@ from repro import (
     Workspace,
 )
 from repro.baselines import WeakSupervisionBaseline
-from repro.corpus import sample_test_cases, split_corpus
+from repro.corpus import SurveyTemplate, sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
 from repro.formula.engine import FormulaEngine
+from repro.models import SheetEncoder
 from repro.sheet import CellAddress, Workbook
 from repro.sheet.style import CellStyle
 from repro.testing import (
@@ -759,23 +760,74 @@ class TestAdapters:
         anomalies = workspace.audit_sheet(references[0][references[0].sheet_names[0]])
         assert isinstance(anomalies, list)
 
-        # Extensions are refit lazily after corpus mutation.
-        autofill_before = workspace.autofill()
-        assert autofill_before.n_reference_sheets == sum(
-            len(workbook) for workbook in workspace.workbooks()
-        )
-        workspace.remove_workbook(references[-1].name)
-        autofill_after = workspace.autofill()
-        assert autofill_after is autofill_before  # same instance, refitted
-        assert autofill_after.n_reference_sheets == sum(
-            len(workbook) for workbook in workspace.workbooks()
-        )
+    def test_extensions_follow_the_corpus(self, trained_encoder, workload):
+        """Both read the workspace's own indexes: a family sibling added is
+        cited at once, and removed workbooks are never cited again."""
+        references, __ = workload
+        rng = np.random.default_rng(42)
+        template = SurveyTemplate(7, rng)
+        sibling, audited = template.instantiate(rng, 0), template.instantiate(rng, 1)
+        target = audited.sheets[1].copy()
+        for address, cell in target.formula_cells():
+            if "COUNTIF" in (cell.formula or ""):
+                target.set(address, formula="=SUM(A1:A2)", style=cell.style)
+                corrupted = address
+                break
+        header = CellAddress(5, 2)
+        target.set(header, value=None)
 
-    def test_extensions_need_encoder(self, workload):
+        workspace = FormulaService(trained_encoder).create_workspace("ext", workbooks=references)
+        workspace.add_workbooks([sibling])
+        anomalies = workspace.audit_sheet(target)
+        assert any(
+            anomaly.cell == corrupted and anomaly.reference_sheet.startswith(f"{sibling.name}/")
+            for anomaly in anomalies
+        )
+        suggestion = workspace.suggest_value(target, header)
+        assert suggestion is not None
+        cited = {sibling.name, suggestion.reference_sheet.split("/")[0]}
+
+        for name in cited:
+            workspace.remove_workbook(name)
+        suggestion = workspace.suggest_value(target, header)
+        citations = [anomaly.reference_sheet for anomaly in workspace.audit_sheet(target)]
+        if suggestion is not None:
+            citations.append(suggestion.reference_sheet)
+        assert citations and not {citation.split("/")[0] for citation in citations} & cited
+
+    def test_an_edit_leaves_the_extensions_nothing_to_refit(
+        self, trained_encoder, workload, monkeypatch
+    ):
+        """After an edit, each call embeds at most the sheet it is asked
+        about (S1's query) and never takes the write lock."""
+        references, cases = workload
+        workspace = FormulaService(trained_encoder).create_workspace("ext", workbooks=references)
+        workbook = references[0]
+        sheet = workbook[workbook.sheet_names[0]]
+        workspace.edit_cell(workbook.name, sheet.name, "Z1", value=1.0)
+
+        def no_write_lock():
+            raise AssertionError("the write lock was taken")
+
+        calls = []
+        embed_sheet = SheetEncoder.embed_sheet
+        monkeypatch.setattr(workspace._rwlock, "write_lock", no_write_lock)
+        monkeypatch.setattr(
+            SheetEncoder,
+            "embed_sheet",
+            lambda encoder, *args, **kwargs: calls.append(1) or embed_sheet(encoder, *args, **kwargs),
+        )
+        workspace.suggest_value(cases[0].target_sheet, cases[0].target_cell)
+        assert len(calls) <= 1
+        calls.clear()
+        workspace.audit_sheet(sheet)
+        assert len(calls) <= 1
+
+    def test_extensions_need_an_auto_formula(self, workload):
         references, cases = workload
         workspace = Workspace("bare", WeakSupervisionBaseline())
         workspace.add_workbooks(references[:2])
-        with pytest.raises(RuntimeError):
-            workspace.autofill()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(TypeError, match="similar-sheet index"):
+            workspace.suggest_value(cases[0].target_sheet, cases[0].target_cell)
+        with pytest.raises(TypeError, match="similar-sheet index"):
             workspace.audit_sheet(cases[0].target_sheet)
