@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -488,15 +488,22 @@ class AutoFormula(FormulaPredictor):
     # ---------------------------------------------------------------- offline
 
     @staticmethod
-    def _parameter_cells(formulas: Sequence[_ReferenceFormula]) -> List[CellAddress]:
-        """Unique cells referenced as parameters by any of ``formulas``."""
+    def _parameter_cells(
+        formulas: Sequence[_ReferenceFormula],
+        trees: Optional[Mapping[CellAddress, object]] = None,
+    ) -> List[CellAddress]:
+        """Unique cells referenced as parameters by any of ``formulas``
+        (one with an entry in ``trees`` is not parsed again)."""
         references: List[Union[CellAddress, RangeAddress]] = []
         for formula in formulas:
-            try:
-                ast = parse_formula(formula.formula)
-            except FormulaSyntaxError:
-                continue
-            references.extend(formula_references(ast))
+            ast = trees.get(formula.address) if trees else None
+            if ast is None:
+                try:
+                    ast = parse_formula(formula.formula)
+                except FormulaSyntaxError:
+                    continue
+            if isinstance(ast, ASTNode):
+                references.extend(formula_references(ast))
         return _reference_parameter_cells(references)
 
     @staticmethod
@@ -648,7 +655,9 @@ class AutoFormula(FormulaPredictor):
             self._reference_sheets[sheet_id] = None
         return len(removed_ids)
 
-    def reindex_sheet(self, sheet: Sheet) -> Dict[str, object]:
+    def reindex_sheet(
+        self, sheet: Sheet, trees: Optional[Mapping[CellAddress, object]] = None
+    ) -> Dict[str, object]:
         """Re-index one reference sheet whose content was edited in place.
 
         Recomputes exactly what indexing computes for this one sheet — its
@@ -676,6 +685,9 @@ class AutoFormula(FormulaPredictor):
         kernel from the operand shapes, and ``X[idx] @ W`` is not bitwise
         ``(X @ W)[idx]``.
 
+        ``trees``: the sheet's parsed formulas, by address, as its engine
+        holds them (:meth:`~repro.formula.engine.FormulaEngine.trees`).
+
         Returns ``n_formulas``, ``formulas_changed`` and ``n_store_cells``
         for the caller's span; raises ``KeyError`` if the sheet is not
         indexed.
@@ -687,7 +699,7 @@ class AutoFormula(FormulaPredictor):
         formulas, embeddings = self._formula_entries(sheet)
         changed = formulas != reference.formulas
         if changed:
-            store = self._reference_store(sheet, self._parameter_cells(formulas))
+            store = self._reference_store(sheet, self._parameter_cells(formulas, trees))
         else:
             store_vectors = self._embed_regions(sheet, *reference.store.cells())
         sheet_vector = self._embed_sheet(sheet)

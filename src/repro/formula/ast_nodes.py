@@ -145,10 +145,15 @@ class FunctionCall(ASTNode):
 
 
 def walk(node: ASTNode) -> Iterator[ASTNode]:
-    """Yield ``node`` and every descendant in pre-order."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+    """Yield ``node`` and every descendant in pre-order.
+
+    Iterative: nested generators would pass every node up through each of
+    its ancestors, O(nodes x height) on a tall tree."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 def node_count(node: ASTNode) -> int:

@@ -1,11 +1,6 @@
 """Incremental dependency-graph recalculation engine.
 
-The seed evaluator (since deleted) treated every evaluation as a one-shot:
-a per-instance value cache that was never invalidated when the sheet
-mutated, exception-based failures that aborted whole-sheet recalculation,
-and ``recalculate()`` silently keeping stale values when a formula failed.
-:class:`FormulaEngine` replaces that substrate with the model real
-spreadsheets use:
+:class:`FormulaEngine` recalculates one sheet the way real spreadsheets do:
 
 * **Dependency graph.**  Every formula cell's AST is parsed once and its
   *precedents* — the single cells and rectangular ranges it references —
@@ -15,18 +10,24 @@ spreadsheets use:
   that rectangle changes.
 * **Dirty-set propagation.**  :meth:`set_value` / :meth:`set_formula`
   mutate the sheet *through* the engine, marking the edited cell's
-  dependents dirty.  :meth:`recalculate` expands the dirty set through the
-  dependents relation and recomputes only that closure — a single-cell
-  edit costs O(dirty subgraph), not O(all formulas).  Recomputation runs
-  as a memoized depth-first pass, which visits the closure in topological
-  (precedents-first) order and detects cycles on the recursion path.
+  dependents dirty; the dirty set is kept closed under the dependents
+  relation, so a single-cell edit costs O(dirty subgraph), not O(all
+  formulas).
+* **Dependency order.**  :meth:`recalculate` evaluates the dirty formulas
+  in one topological pass (Kahn's algorithm over the edges between dirty
+  cells), each once and after every dirty formula it references, so a
+  reference reads a value and the stack holds one tree at a time.  A
+  formula the pass cannot order is on or below a cycle of the (static)
+  graph: it commits ``#CYCLE!`` and stays dirty, so the next pass meets
+  the cycle again.  A value is a function of the sheet, not of its edit
+  history.
 * **Value-based errors.**  Failures evaluate to Excel-style
   :class:`~repro.formula.errors.ErrorValue` objects (``#DIV/0!``,
   ``#REF!``, ``#CYCLE!``, ``#VALUE!``, ``#NAME?``) that propagate through
   operators and function arguments and are caught by ``IFERROR``.  A bad
-  cell no longer aborts recalculation: its error value is written into
-  the cell, its dependents see (and propagate) the error, and every
-  unaffected formula still recomputes.
+  cell does not abort recalculation: its error value is written into the
+  cell, its dependents see (and propagate) the error, and every unaffected
+  formula still recomputes.
 * **External-mutation safety.**  The engine watermarks the sheet's
   mutation :attr:`~repro.sheet.sheet.Sheet.version`; if the sheet was
   edited behind its back (plain ``sheet.set`` calls), the next operation
@@ -43,7 +44,8 @@ from __future__ import annotations
 
 import datetime as _dt
 import numbers
-from typing import Dict, FrozenSet, List, NamedTuple, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.formula.ast_nodes import (
     ASTNode,
@@ -75,21 +77,11 @@ from repro.formula.functions import (
     _flatten,
     _truthy,
 )
-from repro.formula.parser import MAX_AST_HEIGHT, parse_with_height
+from repro.formula.parser import parse_formula
 from repro.formula.tokenizer import FormulaSyntaxError
 from repro.obs.tracing import get_tracer
 from repro.sheet.addressing import AddressError, CellAddress, RangeAddress
 from repro.sheet.sheet import AddressLike, Sheet, _to_address
-
-#: Formula cells on one evaluation path; the next one down is ``#REF!``.
-MAX_CHAIN_CELLS = 64
-
-#: Summed tree height of the formulas on one evaluation path, each charged
-#: in full as the path enters it; a formula that takes the path past it is
-#: ``#REF!``.  It admits every chain of two-level links the chain bound does
-#: (a 128-high tree under 63 ``=SUM(A2:B3)`` links is 254): the deepest takes
-#: 764 frames below ``recalculate``, 772 in a server executor thread.
-MAX_PATH_HEIGHT = 2 * MAX_AST_HEIGHT
 
 
 class RecalcReport(NamedTuple):
@@ -110,12 +102,8 @@ class RecalcReport(NamedTuple):
         return self.recalculated + self.errored
 
     def __bool__(self) -> bool:
-        """Truthy iff the pass recomputed anything.
-
-        Guards callers written against the seed ``recalculate() -> int``
-        contract (``if evaluator.recalculate(): ...``): a bare NamedTuple
-        would be truthy even for a no-op pass.
-        """
+        """Truthy iff the pass recomputed anything (a bare NamedTuple
+        would be truthy even for a no-op pass)."""
         return self.total > 0
 
 
@@ -130,9 +118,9 @@ class FormulaEngine:
 
     def __init__(self, sheet: Sheet) -> None:
         self._sheet = sheet
-        #: Parsed AST per formula cell and its height (an ErrorValue and 0
+        #: Parsed AST per formula cell (the ErrorValue its text evaluates to
         #: when parsing failed).
-        self._asts: Dict[CellAddress, Tuple[object, int]] = {}
+        self._asts: Dict[CellAddress, object] = {}
         #: Single-cell precedent -> formula cells referencing it directly.
         self._cell_dependents: Dict[CellAddress, Set[CellAddress]] = {}
         #: Formula cell -> its single-cell precedents (for edge removal).
@@ -144,10 +132,9 @@ class FormulaEngine:
         self._range_watchers: Dict[CellAddress, Tuple[RangeAddress, ...]] = {}
         #: Formula cells whose committed value may be stale.
         self._dirty: Set[CellAddress] = set()
-        #: Memo shared by evaluate_formula/evaluate_cell across calls (the
-        #: seed evaluator's cross-call cache, made safe: it is cleared
-        #: whenever anything becomes dirty or values are committed).
-        self._eval_memo: Dict[CellAddress, object] = {}
+        #: The dirty formulas' values (:meth:`_evaluate_dirty`); ``None``
+        #: until the pass has run since the last edit.
+        self._eval_memo: Optional[Dict[CellAddress, object]] = None
         self._synced_version = -1
         #: Full resyncs forced by an edit made behind the engine's back.
         self._external_resyncs = 0
@@ -189,7 +176,7 @@ class FormulaEngine:
         style = old.style if addr in self._sheet else None
         self._sheet.set(addr, value, style=style)
         self._synced_version = self._sheet.version
-        self._eval_memo.clear()
+        self._eval_memo = None
         self._mark_dirty(self._dependents_of(addr))
 
     def set_formula(self, address: AddressLike, formula: str) -> None:
@@ -203,7 +190,7 @@ class FormulaEngine:
         style = old.style if addr in self._sheet else None
         self._sheet.set(addr, None, formula=text, style=style)
         self._synced_version = self._sheet.version
-        self._eval_memo.clear()
+        self._eval_memo = None
         self._register(addr)
         self._mark_dirty((addr,))
 
@@ -231,12 +218,11 @@ class FormulaEngine:
     # ------------------------------------------------------------------ recalc
 
     def recalculate(self) -> RecalcReport:
-        """Recompute the dirty closure and commit values into the sheet.
+        """Recompute the dirty formulas and commit their values into the sheet.
 
-        The closure of the dirty set under the dependents relation is
-        evaluated precedents-first (memoized DFS = topological order) and
-        every member's value — proper or error — is written to its cell.
-        Clean formulas outside the closure are not recomputed.
+        Every dirty formula's value — proper or error, ``#CYCLE!`` for one
+        the dependency order cannot reach — is written to its cell.  Clean
+        formulas are not recomputed.
         """
         self._sync()
         if not self._dirty:
@@ -244,24 +230,18 @@ class FormulaEngine:
         with get_tracer().span(
             "engine.recalculate", dirty=len(self._dirty)
         ) as span:
-            # The dirty set is maintained closed under the dependents relation
-            # (see _mark_dirty), so it *is* the recomputation closure; while
-            # the pass runs, reads of not-yet-committed members go through the
-            # memo, never the cell.
-            memo: Dict[CellAddress, object] = {}
-            committed: List[Tuple[CellAddress, object]] = []
-            for address in sorted(self._dirty):
-                value = self._cell_value(address, frozenset(), 0, memo)
-                if self._sheet.get(address).has_formula:
-                    committed.append((address, value))
+            memo = self._evaluate_dirty()
+            committed = [(address, self._read(address)) for address in self._dirty]
             # One commit, one version bump if anything changed; the watermark
             # moves with it, since the engine made the change itself.
             self._sheet.commit_values(committed)
             self._synced_version = self._sheet.version
             errored = sum(1 for __, value in committed if is_error_value(value))
             recalculated = len(committed) - errored
-            self._dirty = set()
-            self._eval_memo.clear()
+            # What the pass could not order stays dirty (the module docstring's
+            # cycle rule).
+            self._dirty.difference_update(memo)
+            self._eval_memo = None
             span.set_attribute("recalculated", recalculated)
             span.set_attribute("errored", errored)
             return RecalcReport(recalculated, errored)
@@ -271,21 +251,28 @@ class FormulaEngine:
     def evaluate_formula(self, formula: str) -> object:
         """Evaluate a formula string against the sheet (no values committed).
 
-        Dirty precedent formulas are computed on the fly into a per-call
-        memo; committed values are read for clean ones.  Failures return
-        :class:`~repro.formula.errors.ErrorValue` objects.  Syntax errors
-        in ``formula`` itself raise
+        It reads the values the next :meth:`recalculate` would commit.
+        Failures return :class:`~repro.formula.errors.ErrorValue` objects.
+        Syntax errors in ``formula`` itself raise
         :class:`~repro.formula.tokenizer.FormulaSyntaxError`, matching
         the parser's contract for caller-supplied text.
         """
         self._sync()
-        ast, height = parse_with_height(formula)
-        return self._evaluate_node(ast, frozenset(), height, self._eval_memo)
+        ast = parse_formula(formula)
+        self._evaluate_dirty()
+        return self._evaluate_node(ast)
 
     def evaluate_cell(self, address: AddressLike) -> object:
         """Evaluate the cell at ``address`` (its formula, or its stored value)."""
         self._sync()
-        return self._cell_value(_to_address(address), frozenset(), 0, self._eval_memo)
+        self._evaluate_dirty()
+        return self._read(_to_address(address))
+
+    def trees(self) -> Mapping[CellAddress, object]:
+        """Every formula cell's parsed tree, or the error value its text
+        evaluates to when it does not parse (a read-only view)."""
+        self._sync()
+        return MappingProxyType(self._asts)
 
     # ------------------------------------------------------------------- graph
 
@@ -307,7 +294,7 @@ class FormulaEngine:
         self._cell_dependents.clear()
         self._precedent_cells.clear()
         self._range_watchers.clear()
-        self._eval_memo.clear()
+        self._eval_memo = None
         self._dirty = set()
         for address, __ in self._sheet.formula_cells():
             self._register(address)
@@ -315,7 +302,7 @@ class FormulaEngine:
         self._synced_version = self._sheet.version
 
     def _register(self, address: CellAddress) -> None:
-        ast, __ = self._asts[address] = self._parse(self._sheet.get(address).formula or "")
+        ast = self._asts[address] = self._parse(self._sheet.get(address).formula or "")
         if isinstance(ast, ErrorValue):
             self._precedent_cells[address] = frozenset()
             return
@@ -352,84 +339,87 @@ class FormulaEngine:
         return dependents
 
     @staticmethod
-    def _parse(formula: str) -> Tuple[object, int]:
+    def _parse(formula: str) -> object:
         try:
-            return parse_with_height(formula)
+            return parse_formula(formula)
         except AddressError:
-            return REF_ERROR, 0
+            return REF_ERROR
         except FormulaSyntaxError:
-            return NAME_ERROR, 0
+            return NAME_ERROR
 
     # -------------------------------------------------------------- internals
 
-    def _cell_value(
-        self,
-        address: CellAddress,
-        visiting: FrozenSet[CellAddress],
-        height: int,
-        memo: Dict[CellAddress, object],
-    ) -> object:
-        cell = self._sheet.get(address)
-        if not cell.has_formula:
-            return cell.value
-        if address in memo:
-            return memo[address]
-        if address not in self._dirty:
-            # Committed by a previous recalculation (or carried by the
-            # sheet itself); the dirty protocol guarantees freshness.
-            return cell.value
-        if address in visiting:
-            return CYCLE_ERROR
-        parsed = self._asts.get(address)
-        if parsed is None:  # formula cell unknown to the graph: parse transiently
-            parsed = self._parse(cell.formula or "")
-        ast, ast_height = parsed
-        height += ast_height
-        if len(visiting) >= MAX_CHAIN_CELLS or height > MAX_PATH_HEIGHT:
-            return REF_ERROR
+    def _evaluate_dirty(self) -> Dict[CellAddress, object]:
+        """The dirty formulas' values, evaluated once per edit in dependency
+        order (Kahn's algorithm): a formula becomes ready when every dirty
+        formula it references has its value.  The ones never ready — on or
+        downstream of a cycle — get no entry, and read as ``#CYCLE!``."""
+        if self._eval_memo is not None:
+            return self._eval_memo
+        memo: Dict[CellAddress, object] = {}
+        self._eval_memo = memo
+        dirty = self._dirty
+        dependents = {
+            address: [dependent for dependent in self._dependents_of(address) if dependent in dirty]
+            for address in dirty
+        }
+        waiting = dict.fromkeys(dirty, 0)
+        for targets in dependents.values():
+            for target in targets:
+                waiting[target] += 1
+        ready = [address for address, count in waiting.items() if not count]
+        while ready:
+            address = ready.pop()
+            memo[address] = self._formula_value(address)
+            for dependent in dependents[address]:
+                waiting[dependent] -= 1
+                if not waiting[dependent]:
+                    ready.append(dependent)
+        return memo
+
+    def _read(self, address: CellAddress) -> object:
+        """A cell's value as the pass sees it: a dirty formula's from the
+        memo, any other cell's as stored (clean formulas are committed)."""
+        if address in self._dirty:
+            return self._eval_memo.get(address, CYCLE_ERROR)
+        return self._sheet.get(address).value
+
+    def _formula_value(self, address: CellAddress) -> object:
+        ast = self._asts[address]
         if isinstance(ast, ErrorValue):
-            value: object = ast
-        else:
-            value = self._evaluate_node(ast, visiting | {address}, height, memo)
-            if isinstance(value, list):
-                # A cell holds one scalar: a range result is its one cell's
-                # value, and #VALUE! when it spans more than one cell.
-                cells = _flatten(value)
-                value = cells[0] if len(cells) == 1 else VALUE_ERROR
-        memo[address] = value
+            return ast
+        value = self._evaluate_node(ast)
+        if isinstance(value, list):
+            # A cell holds one scalar: a range result is its one cell's
+            # value, and #VALUE! when it spans more than one cell.
+            cells = _flatten(value)
+            value = cells[0] if len(cells) == 1 else VALUE_ERROR
         return value
 
-    def _evaluate_node(
-        self,
-        node: ASTNode,
-        visiting: FrozenSet[CellAddress],
-        height: int,
-        memo: Dict[CellAddress, object],
-    ) -> object:
+    def _evaluate_node(self, node: ASTNode) -> object:
+        if isinstance(node, BinaryOp):  # the most common inner node first
+            return self._evaluate_binary(node)
         if isinstance(node, (NumberLiteral, StringLiteral, BooleanLiteral)):
             return node.value
         if isinstance(node, Grouping):
-            return self._evaluate_node(node.inner, visiting, height, memo)
+            return self._evaluate_node(node.inner)
         if isinstance(node, CellReference):
-            return self._cell_value(node.address, visiting, height, memo)
+            return self._read(node.address)
         if isinstance(node, RangeReference):
             cell_range = node.range
             if cell_range.n_cols == 1 or cell_range.n_rows == 1:
-                return [
-                    self._cell_value(addr, visiting, height, memo)
-                    for addr in cell_range.cells()
-                ]
+                return [self._read(addr) for addr in cell_range.cells()]
             # Two-dimensional ranges evaluate to a list of rows so lookup
             # functions (VLOOKUP / INDEX / MATCH) see the table structure.
             return [
                 [
-                    self._cell_value(CellAddress(row, col), visiting, height, memo)
+                    self._read(CellAddress(row, col))
                     for col in range(cell_range.start.col, cell_range.end.col + 1)
                 ]
                 for row in range(cell_range.start.row, cell_range.end.row + 1)
             ]
         if isinstance(node, UnaryOp):
-            operand = self._evaluate_node(node.operand, visiting, height, memo)
+            operand = self._evaluate_node(node.operand)
             if is_error_value(operand):
                 return operand
             number = self._as_number(operand)
@@ -442,23 +432,15 @@ class FormulaEngine:
             if node.op == "%":
                 return number / 100.0
             return NAME_ERROR
-        if isinstance(node, BinaryOp):
-            return self._evaluate_binary(node, visiting, height, memo)
         if isinstance(node, FunctionCall):
-            return self._evaluate_call(node, visiting, height, memo)
+            return self._evaluate_call(node)
         return VALUE_ERROR
 
-    def _evaluate_binary(
-        self,
-        node: BinaryOp,
-        visiting: FrozenSet[CellAddress],
-        height: int,
-        memo: Dict[CellAddress, object],
-    ) -> object:
-        left = self._evaluate_node(node.left, visiting, height, memo)
+    def _evaluate_binary(self, node: BinaryOp) -> object:
+        left = self._evaluate_node(node.left)
         if is_error_value(left):
             return left
-        right = self._evaluate_node(node.right, visiting, height, memo)
+        right = self._evaluate_node(node.right)
         if is_error_value(right):
             return right
         op = node.op
@@ -494,42 +476,36 @@ class FormulaEngine:
             return result
         return NAME_ERROR
 
-    def _evaluate_call(
-        self,
-        node: FunctionCall,
-        visiting: FrozenSet[CellAddress],
-        height: int,
-        memo: Dict[CellAddress, object],
-    ) -> object:
+    def _evaluate_call(self, node: FunctionCall) -> object:
         name = node.name
         if name == "IF":
             # Lazy branches: only the taken arm evaluates, so an error in
             # the untaken arm (e.g. a guarded division) cannot leak out.
             if not 1 <= len(node.args) <= 3:
                 return VALUE_ERROR
-            condition = self._evaluate_node(node.args[0], visiting, height, memo)
+            condition = self._evaluate_node(node.args[0])
             if is_error_value(condition):
                 return condition
             if _truthy(condition):
                 if len(node.args) >= 2:
-                    return self._evaluate_node(node.args[1], visiting, height, memo)
+                    return self._evaluate_node(node.args[1])
                 return True
             if len(node.args) == 3:
-                return self._evaluate_node(node.args[2], visiting, height, memo)
+                return self._evaluate_node(node.args[2])
             return False
         if name == "IFERROR":
             if not 1 <= len(node.args) <= 2:
                 return VALUE_ERROR
-            value = self._evaluate_node(node.args[0], visiting, height, memo)
+            value = self._evaluate_node(node.args[0])
             if not is_error_value(value):
                 return value
             if len(node.args) == 2:
-                return self._evaluate_node(node.args[1], visiting, height, memo)
+                return self._evaluate_node(node.args[1])
             return ""
         function = BUILTIN_FUNCTIONS.get(name)
         if function is None:
             return NAME_ERROR
-        args = [self._evaluate_node(arg, visiting, height, memo) for arg in node.args]
+        args = [self._evaluate_node(arg) for arg in node.args]
         error = first_error(_flatten(args))
         if error is not None:
             return error
@@ -549,6 +525,8 @@ class FormulaEngine:
     @staticmethod
     def _as_number(value) -> object:
         """Coerce a scalar to float, or return ``#VALUE!``."""
+        if type(value) is float:
+            return value
         try:
             return _coerce_number(value)
         except FunctionError:

@@ -53,9 +53,9 @@ class ErrorValue(str):
 
 #: Division by zero, including empty-set aggregations (AVERAGE, STDEV, MOD).
 DIV0_ERROR = ErrorValue("#DIV/0!")
-#: A reference that cannot be resolved (bad address text, depth overflow).
+#: A reference that cannot be resolved (an address no sheet has).
 REF_ERROR = ErrorValue("#REF!")
-#: A circular reference chain.
+#: A formula on a cycle of references, or downstream of one.
 CYCLE_ERROR = ErrorValue("#CYCLE!")
 #: A wrongly-typed operand or function argument.
 VALUE_ERROR = ErrorValue("#VALUE!")

@@ -49,8 +49,8 @@ MAX_NESTING_DEPTH = 64
 #: tree (evaluation, rendering, templates) recurses one to three frames per
 #: level.  At 128, rendering or templating the tallest tree takes 258
 #: frames — no more than parsing the deepest nest takes (711) — of Python's
-#: default 1000; evaluation, which follows references into other formulas,
-#: bounds their summed height (``repro.formula.engine.MAX_PATH_HEIGHT``).
+#: default 1000.  Evaluation walks one tree at a time: a reference to
+#: another formula reads its value, computed before (``repro.formula.engine``).
 #: Excel admits taller formulas (a sum of 255 terms written with ``+``);
 #: those are syntax errors here, and ``#NAME?`` in a cell.
 MAX_AST_HEIGHT = 128
@@ -231,12 +231,6 @@ def parse_formula(formula: str) -> ASTNode:
     S3) parses them again.  An error is raised again on every call and
     never cached.
     """
-    return parse_with_height(formula)[0]
-
-
-def parse_with_height(formula: str) -> _Parsed:
-    """:func:`parse_formula`, and the tree's height (nodes on its longest
-    root-to-leaf path), which the parser counts anyway."""
     if len(formula) <= _MAX_PINNED_LENGTH:
         return _parsed(formula)
     return _parsed.__wrapped__(formula)
@@ -245,5 +239,5 @@ def parse_with_height(formula: str) -> _Parsed:
 # 4096 entries: one set-up of a benchmark workload parses 857-1067 distinct
 # formulas.
 @memoized("parsed_formulas", max_entries=4096)
-def _parsed(formula: str) -> _Parsed:
-    return _Parser(formula).parse()
+def _parsed(formula: str) -> ASTNode:
+    return _Parser(formula).parse()[0]

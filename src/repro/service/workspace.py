@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.interface import FormulaPredictor
 from repro.core.pipeline import AutoFormula
@@ -304,7 +304,7 @@ class Workspace:
                 raise
             if self._incremental and self._fitted:
                 try:
-                    self._reindex_sheet(sheet)
+                    self._reindex_sheet(sheet, engine.trees())
                 except Exception:
                     # A half-applied re-index would leave the predictor
                     # disagreeing with the sheet it serves; a full refit on
@@ -318,9 +318,9 @@ class Workspace:
             self._log(edit_entry, workbook_name, sheet_name, address, value=value, formula=formula)
             return report
 
-    def _reindex_sheet(self, sheet: Sheet) -> None:
+    def _reindex_sheet(self, sheet: Sheet, trees: Mapping[CellAddress, object]) -> None:
         with get_tracer().span("workspace.reindex_sheet") as span:
-            outcome = self._predictor.reindex_sheet(sheet)
+            outcome = self._predictor.reindex_sheet(sheet, trees)
             for key, attribute in outcome.items():
                 span.set_attribute(key, attribute)
         shape = "changed" if outcome["formulas_changed"] else "same"

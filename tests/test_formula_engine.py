@@ -195,6 +195,42 @@ class TestCyclesAndErrors:
         assert report == (3, 0)
         assert sheet.get("D1").value == 2
 
+    def test_a_loop_closed_through_an_untaken_if_arm_is_a_cycle(self):
+        """The graph is static: every reference is an edge, taken or not."""
+        sheet = Sheet()
+        sheet.set("A1", formula="=IF(TRUE,1,B1)")
+        sheet.set("B1", formula="=A1")
+        assert FormulaEngine(sheet).recalculate() == (0, 2)
+        assert sheet.get("A1").value == CYCLE_ERROR
+        assert sheet.get("B1").value == CYCLE_ERROR
+
+    def test_iferror_over_a_cycle_member_is_a_cycle(self):
+        """Whichever cell is read first, neither catches the other's error."""
+        sheet = Sheet()
+        sheet.set("A1", formula="=IFERROR(B1,5)")
+        sheet.set("B1", formula="=A1")
+        engine = FormulaEngine(sheet)
+        assert engine.evaluate_cell("A1") == CYCLE_ERROR
+        assert engine.evaluate_cell("B1") == CYCLE_ERROR
+        engine.recalculate()
+        assert sheet.get("A1").value == CYCLE_ERROR
+        assert sheet.get("B1").value == CYCLE_ERROR
+
+    def test_a_formula_written_downstream_of_a_committed_cycle_is_a_cycle(self):
+        sheet = Sheet()
+        sheet.set("A1", formula="=A2")
+        sheet.set("A2", formula="=A1")
+        engine = FormulaEngine(sheet)
+        engine.recalculate()
+        # The cycle stays dirty, so its #CYCLE! is not a committed error
+        # that IFERROR could catch.
+        engine.set_formula("B1", "=IFERROR(A1,5)")
+        assert engine.recalculate() == (0, 3)
+        assert sheet.get("B1").value == CYCLE_ERROR
+        assert [cell.value for __, cell in _full_pass_copy(sheet).cells()] == [
+            cell.value for __, cell in sheet.cells()
+        ]
+
     def test_breaking_a_cycle_clears_the_error(self):
         sheet = Sheet()
         sheet.set("A1", formula="=A2")
@@ -204,6 +240,7 @@ class TestCyclesAndErrors:
         engine.set_value("A2", 7)
         engine.recalculate()
         assert sheet.get("A1").value == 7
+        assert engine.recalculate().total == 0
 
     def test_errors_propagate_through_operators_and_functions(self):
         sheet = Sheet()
@@ -399,3 +436,78 @@ class TestIncrementalFullPassParity:
         fresh = _full_pass_copy(sheet)
         for address, cell in sheet.cells():
             assert fresh.get(address).value == cell.value
+
+
+def _running_total(engine: FormulaEngine, rows: range) -> None:
+    """``B{r} = B{r+1} + A{r}`` over ``rows``, every ``A`` cell 1: a total
+    whose formulas point down, written top to bottom with a recalculation
+    after every edit."""
+    for row in rows:
+        engine.set_value(f"A{row}", 1.0)
+        engine.set_formula(f"B{row}", f"=B{row + 1}+A{row}")
+        engine.recalculate()
+
+
+def _nested_links(n_links: int, depth: int) -> list:
+    """``(address, formula)`` of a chain whose links are ``depth``-deep
+    ``SUM(SUM(…))`` calls around the next link; the last link reads a 1."""
+    links = [
+        (f"A{row}", "=" + "SUM(" * depth + f"A{row + 1}" + ")" * depth)
+        for row in range(1, n_links + 1)
+    ]
+    return links + [(f"A{n_links + 1}", 1.0)]
+
+
+class TestDependencyOrder:
+    """A cell's value is a function of the sheet, not of the edit history
+    or of where a recalculation happened to start."""
+
+    def test_a_running_total_pointing_down_is_the_same_however_it_was_built(self):
+        whole = Sheet()
+        for row in range(2, 202):
+            whole.set(f"A{row}", 1.0)
+            whole.set(f"B{row}", formula=f"=B{row + 1}+A{row}")
+        FormulaEngine(whole).recalculate()
+        assert whole.get("B2").value == 200.0
+
+        built = Sheet()
+        engine = FormulaEngine(built)
+        _running_total(engine, range(2, 202))
+        assert built.get("B2").value == 200.0
+        engine.set_value("A201", 1.0)
+        engine.recalculate()
+        assert built.get("B2").value == 200.0
+        assert [cell.value for __, cell in built.cells()] == [
+            cell.value for __, cell in whole.cells()
+        ]
+
+    def test_a_chain_of_nested_links_built_edit_by_edit_equals_a_full_pass(self):
+        sheet = Sheet()
+        engine = FormulaEngine(sheet)
+        for address, content in _nested_links(63, 40):
+            if isinstance(content, str):
+                engine.set_formula(address, content)
+            else:
+                engine.set_value(address, content)
+            engine.recalculate()
+        assert sheet.get("A1").value == 1.0
+        fresh = _full_pass_copy(sheet)
+        for address, cell in sheet.cells():
+            assert fresh.get(address).value == cell.value, address.to_a1()
+
+    def test_the_deepest_admitted_chain_recalculates_in_an_executor_thread(self):
+        """As the server's edit path runs it: 500 links, each a tree as tall
+        as the parser admits, and no ``RecursionError``."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.formula.parser import MAX_AST_HEIGHT
+
+        def recalculate():
+            sheet = Sheet()
+            for row in range(1, 501):
+                sheet.set(f"A{row}", formula=f"=A{row + 1}" + "+1" * (MAX_AST_HEIGHT - 1))
+            assert FormulaEngine(sheet).recalculate() == (500, 0)
+            return sheet.get("A1").value
+
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            assert executor.submit(recalculate).result() == 500.0 * (MAX_AST_HEIGHT - 1)

@@ -223,8 +223,8 @@ class TestHeightBound:
     def test_the_tallest_formula_evaluates_renders_and_templates_at_the_end_of_a_chain(
         self, shape, link
     ):
-        """The bound's reason: at the bottom of the engine's 64-deep chain,
-        the tallest tree still evaluates — as does everything that walks it."""
+        """The bound's reason: at the bottom of a 64-link chain, the tallest
+        tree still evaluates — as does everything that walks it."""
         sheet = Sheet()
         for row in range(1, 64):
             sheet.set(f"A{row}", formula=link.format(f"A{row + 1}"))

@@ -275,7 +275,7 @@ class TestParseMemo:
         tree = parse_formula(formula)
         if len(formula) <= parser._MAX_PINNED_LENGTH:
             assert parse_formula(formula) is tree
-        fresh, __ = parser._parsed.__wrapped__(formula)
+        fresh = parser._parsed.__wrapped__(formula)
         assert fresh is not tree
         for node, twin in zip(walk(tree), walk(fresh), strict=True):
             assert type(node) is type(twin) and node == twin
@@ -410,6 +410,77 @@ class TestWorkbookJsonRoundTrip:
         # The explicit blank is still "empty" to the model, the zero is not.
         assert restored_sheet.get(CellAddress(0, 0)).is_empty
         assert not restored_sheet.get(CellAddress(0, 1)).is_empty
+
+
+# ------------------------------------------------------------ recalculation
+
+#: Where a chain's next link sits: below, above or to the right.
+_CHAIN_STEPS = {"down": (1, 0), "up": (-1, 0), "right": (0, 1)}
+
+
+@st.composite
+def _chain_edits(draw, max_links=500):
+    """The edits that build a chain of up to ``max_links`` formulas, each
+    reading the next cell in one direction, in a random order; the last edit
+    rewrites the value the chain ends in.  A few links are drawn from
+    ``rich_formulas`` (whose references may close cycles), the rest add one.
+    An edit is ``(address, formula)``, and a formula of ``None`` writes 1."""
+    n_links = draw(st.integers(1, max_links) | st.just(max_links))
+    d_row, d_col = _CHAIN_STEPS[draw(st.sampled_from(sorted(_CHAIN_STEPS)))]
+    first = CellAddress(n_links if d_row < 0 else 0, 0)
+    cells = [first.shifted(i * d_row, i * d_col) for i in range(n_links + 1)]
+    rich = draw(st.dictionaries(st.integers(0, n_links - 1), rich_formulas, max_size=4))
+    edits = [(cells[-1], None)]
+    for index, cell in enumerate(cells[:-1]):
+        target = cells[index + 1].to_a1()
+        formula = f"=IFERROR(({rich[index]}),{target})" if index in rich else f"={target}+1"
+        edits.append((cell, formula))
+    draw(st.randoms(use_true_random=False)).shuffle(edits)
+    return edits + [(cells[-1], None)]
+
+
+def _assert_edit_order_is_invisible(edits):
+    """Edit by edit, the sheet reads what one recalculation of a copy gives,
+    and a save and load restores it, recalculated or not."""
+    sheet = Sheet("Chain")
+    engine = FormulaEngine(sheet)
+    for address, formula in edits:
+        if formula is None:
+            engine.set_value(address, 1.0)
+        else:
+            engine.set_formula(address, formula)
+        engine.recalculate()
+
+    def assert_reads_as_built(other):
+        for address, cell in sheet.cells():
+            assert _values_bit_equal(other.get(address).value, cell.value), address.to_a1()
+
+    fresh = sheet.copy()
+    FormulaEngine(fresh).recalculate()
+    assert_reads_as_built(fresh)
+    workbook = Workbook("wb")
+    workbook.add_sheet(sheet)
+    restored = _json_round_trip(workbook).get_sheet("Chain")
+    assert_reads_as_built(restored)
+    FormulaEngine(restored).recalculate()
+    assert_reads_as_built(restored)
+
+
+class TestRecalculationOrder:
+    """Chains pointing up, down and right, as long as 500 links: whatever
+    order their cells were written in, their values are one function of the
+    sheet."""
+
+    @given(_chain_edits())
+    @settings(max_examples=10, deadline=None)
+    def test_any_edit_order_reads_one_recalculation_and_a_reload(self, edits):
+        _assert_edit_order_is_invisible(edits)
+
+    @pytest.mark.slow
+    @given(_chain_edits())
+    @settings(max_examples=150, deadline=None)
+    def test_any_edit_order_at_more_examples(self, edits):
+        _assert_edit_order_is_invisible(edits)
 
 
 # ---------------------------------------------------------- the whole codec

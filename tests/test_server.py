@@ -24,6 +24,7 @@ import pytest
 from repro import AutoFormulaConfig, FormulaService
 from repro.core.interface import FormulaPredictor, Prediction
 from repro.corpus import sample_test_cases, split_corpus
+from repro.formula import FormulaEngine
 from repro.server import app as app_module
 from repro.server import (
     AdmissionConfig,
@@ -270,7 +271,13 @@ class TestProtocolBasics:
                 started = time.process_time()
                 client.edit_cell("acme", "wb1", "Data", f"C{row}", formula=f"=C{row + 1}" + "+1" * 119)
                 assert time.process_time() - started < 0.010
-            assert edited.get("C1").value == "#REF!"
+            # Built edit by edit, the sheet reads what one recalculation gives.
+            assert edited.get("C1").value == 6 * 119.0
+            fresh = edited.copy()
+            FormulaEngine(fresh).recalculate()
+            assert [cell.value for __, cell in fresh.cells()] == [
+                cell.value for __, cell in edited.cells()
+            ]
             assert client.stats()["counters"].get("server_errors", 0) == 0
 
     def test_metrics_read_first_has_the_workspace_gauges(self):

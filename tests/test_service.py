@@ -18,6 +18,7 @@ from repro import (
 from repro.baselines import WeakSupervisionBaseline
 from repro.corpus import SurveyTemplate, sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
+from repro.formula import parser
 from repro.formula.engine import FormulaEngine
 from repro.models import SheetEncoder
 from repro.sheet import CellAddress, Workbook
@@ -531,20 +532,31 @@ class TestEditCell:
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
     def test_formula_too_tall_is_an_error_value_in_under_10_ms(
-        self, trained_encoder, workload, tmp_path
+        self, trained_encoder, workload, tmp_path, monkeypatch
     ):
         """``=1+1+…`` with 3 001 terms used to parse into a tree 3 000 levels
-        high, and the edit's recalculation then raised RecursionError."""
+        high, and the edit's recalculation then raised RecursionError.  The
+        refused text is parsed once: the re-index reads the engine's refusal."""
         reference_workbooks, cases = workload
         workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
         sheet = workspace.workbooks()[3].get_sheet(self.SHEET)
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "B21", value=1.0)  # builds the engine
         tall = "=1" + "+1" * 3000
+        parsed = []
+
+        class CountingParser(parser._Parser):
+            def __init__(self, source):
+                parsed.append(source)
+                super().__init__(source)
+
+        monkeypatch.setattr(parser, "_Parser", CountingParser)
         # This thread's CPU time: neither a stalled box nor an idle BLAS
         # thread spinning beside it counts (≈ 4 ms, as an ordinary edit's 3).
         started = time.thread_time()
         report = workspace.edit_cell(self.WORKBOOK, self.SHEET, "B20", formula=tall)
         assert time.thread_time() - started < 0.010
+        monkeypatch.undo()
+        assert parsed.count(tall) == 1
         assert report.errored >= 1 and sheet.get("B20").value == "#NAME?"  # and its dependents
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
@@ -591,7 +603,7 @@ class TestEditCell:
         predictor = workspace.predictor
         reindex, fits = predictor.reindex_sheet, []
 
-        def raise_once(sheet):
+        def raise_once(sheet, trees):
             monkeypatch.setattr(predictor, "reindex_sheet", reindex)
             raise FloatingPointError("featurizer bug")
 
