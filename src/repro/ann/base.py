@@ -95,29 +95,33 @@ def tier1_slice(approx: np.ndarray, margin, k: int) -> np.ndarray:
 
 
 def closest_in_blocks(
-    vectors: np.ndarray,
     sq_norms: np.ndarray,
+    cross: np.ndarray,
     references: np.ndarray,
     reference_sq_norms: np.ndarray,
     penalties: np.ndarray,
     lengths: Sequence[int],
+    vectors_of: Callable[[int, np.ndarray], np.ndarray],
 ) -> Tuple[List[int], int]:
-    """S3's choice for each parameter ``i``: the position of the first row
-    ``j`` of its block (the next ``lengths[i]`` rows of ``vectors``, norms
-    ``sq_norms``) that minimizes ``np.sum((vectors[j] - references[i]) ** 2)
-    + penalties[j]``, and how many rows were re-ranked to find them all.
+    """S3's choice for each parameter ``i``: the position of the first
+    candidate ``j`` of its block (the next ``lengths[i]`` entries of the
+    flat arrays) that minimizes ``np.sum((v[j] - references[i]) ** 2) +
+    penalties[j]``, and how many candidates were re-ranked to find them all.
 
-    Tier 1 scores a block with one BLAS matrix-vector product as
-    ``sq_norm - 2 v.r + ||r||^2 + penalty``, within ``M`` (the index's
-    margin plus the rounding of adding the penalty) of the sequential score;
-    :func:`tier1_slice` with ``k = 1`` keeps the rows that may win, and the
-    sequential expression re-ranks them in block order (a row's ``np.sum``
-    does not depend on the rows beside it).  One product per block, not
-    ``vectors @ references.T``: sgemm packs its operand into a buffer first,
-    a second pass over the rows, and scores every block against every
-    reference.
+    Tier 1 is the caller's: ``sq_norms[j]`` and ``cross[j]`` are ``||v[j]||^2``
+    and ``v[j] . references[i]`` to within float32 rounding of a length-``D``
+    accumulation, however they were computed (a product over the rows, or
+    one over strips of a reduced tensor that never forms them).  A block's
+    tier-1 score ``sq_norm - 2 cross + ||r||^2 + penalty`` is then within
+    ``M`` (the index's margin plus the rounding of adding the penalty) of
+    the sequential score; :func:`tier1_slice` with ``k = 1`` keeps the
+    candidates that may win, and ``vectors_of(i, kept)`` returns a private
+    copy of their float32 rows (block positions ``kept``, ascending), which
+    the sequential expression re-ranks in block order, in place (a row's
+    ``np.sum`` does not depend on the rows beside it).  A one-candidate
+    slice is the answer as it stands and reads no rows.
     """
-    margin = _tier1_margin(vectors.shape[1], reference_sq_norms, sq_norms) + _EPS32 * float(
+    margin = _tier1_margin(references.shape[1], reference_sq_norms, sq_norms) + _EPS32 * float(
         np.abs(penalties).max()
     )
     best: List[int] = []
@@ -127,18 +131,17 @@ def closest_in_blocks(
         stop = start + length
         approx = (
             sq_norms[start:stop]
-            - 2.0 * (vectors[start:stop] @ references[index])
+            - 2.0 * cross[start:stop]
             + reference_sq_norms[index]
             + penalties[start:stop]
         )
         kept = np.flatnonzero(tier1_slice(approx, margin[index], 1))
         choice = int(kept[0])
         if kept.size > 1:
-            rows = start + kept
-            block = vectors[rows]
+            block = vectors_of(index, kept)
             np.subtract(block, references[index], out=block)
             np.square(block, out=block)
-            choice = int(kept[np.argmin(np.sum(block, axis=1) + penalties[rows])])
+            choice = int(kept[np.argmin(np.sum(block, axis=1) + penalties[start + kept])])
             n_reranked += kept.size
         best.append(choice)
         start = stop

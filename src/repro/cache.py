@@ -6,8 +6,8 @@ evicts, locks, validates its entries and reports its traffic is decided here
 and nowhere else.  The rule for picking one of the three:
 
 * :class:`LRU` for values derived from versioned objects (checked against a
-  token at every lookup) or weighed in bytes — sheet tensors, query vectors,
-  region stores;
+  token at every lookup) or weighed in bytes — sheet tensors, reduced
+  tensors, query vectors;
 * :class:`RowTable` for many fixed-width float32 vectors that are read many
   keys at a time — cell features — where a read is one C-level dict lookup
   per key and one gather, not a Python call and an array object per key;

@@ -88,11 +88,14 @@ class _Piece(NamedTuple):
     keep: Optional[np.ndarray]
 
     @property
-    def size(self) -> int:
-        if self.keep is not None:
-            return self.keep.size
+    def area(self) -> int:
+        """Cells of the rectangle, candidates or not."""
         row_lo, row_hi, col_lo, col_hi = self.bounds
         return (row_hi - row_lo + 1) * (col_hi - col_lo + 1)
+
+    @property
+    def size(self) -> int:
+        return self.area if self.keep is None else self.keep.size
 
     def cell(self, position: int) -> CellAddress:
         """The candidate at ``position``."""
@@ -101,11 +104,14 @@ class _Piece(NamedTuple):
         row, col = divmod(offset, col_hi - col_lo + 1)
         return CellAddress(row_lo + row, col_lo + col)
 
+    def offsets(self) -> np.ndarray:
+        """Row-major offsets of the candidates in the rectangle."""
+        return np.arange(self.area) if self.keep is None else self.keep
+
     def cells(self) -> Tuple[np.ndarray, np.ndarray]:
         """Rows and columns of the candidates, in order."""
         row_lo, __, col_lo, col_hi = self.bounds
-        offsets = np.arange(self.size) if self.keep is None else self.keep
-        rows, cols = np.divmod(offsets, col_hi - col_lo + 1)
+        rows, cols = np.divmod(self.offsets(), col_hi - col_lo + 1)
         return rows + row_lo, cols + col_lo
 
 
@@ -123,6 +129,11 @@ class _Candidates(NamedTuple):
                 return piece.cell(position)
             position -= piece.size
         raise IndexError(position)
+
+    def cells(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the candidates, in order."""
+        rows, cols = zip(*(piece.cells() for piece in self.pieces))
+        return np.concatenate(rows), np.concatenate(cols)
 
 
 def _parameter_candidates(
@@ -173,20 +184,21 @@ def _parameter_candidates(
 
 
 class _RegionStore:
-    """Region embeddings of one sheet's cells, as rows of one row store.
+    """Region embeddings of a reference sheet's parameter cells, as rows of
+    one row store.
 
     ``_slots`` maps a cell of the sheet's used extent to its row of
-    ``_store`` (-1 until the cell is embedded); reference parameters may
-    point outside the extent, and those few cells live in ``_overflow``.
-    A cell's row never changes once assigned, so slots handed out stay
-    valid while the store grows.  The store serves one state of its sheet:
-    target stores sit in a version-checked :func:`sheet_cache`, reference
-    stores are re-embedded (:meth:`cells`, :meth:`overwrite`) or rebuilt
-    when their sheet is re-indexed.
+    ``_store`` (-1 until the cell is embedded); parameters may point
+    outside the extent, and those few cells live in ``_overflow``.  A
+    cell's row never changes once assigned, so slots handed out stay valid
+    while the store grows.  The store serves one state of its sheet: it is
+    re-embedded (:meth:`cells`, :meth:`overwrite`) or rebuilt when the
+    sheet is re-indexed.
 
     Concurrent readers reach one store (the workspace read lock admits
-    parallel serves of the same target sheet), so filling and reading run
-    under ``_mutex``, which guards grid and rows together.
+    parallel serves, and a restored store fills as plans are first built),
+    so filling and reading run under ``_mutex``, which guards grid and rows
+    together.
     """
 
     def __init__(self, sheet: Sheet, dimension: int, capacity: int = 0) -> None:
@@ -224,16 +236,6 @@ class _RegionStore:
         for position in np.flatnonzero(~inside):
             key = (int(rows[position]), int(cols[position]))
             self._overflow[key] = int(new_slots[position])
-
-    def grid_slots(self, pieces: Sequence[_Piece]) -> np.ndarray:
-        """Matrix rows of the cells of ``pieces`` — rectangles inside the
-        used extent — in order, -1 for a cell not stored yet."""
-        with self._mutex:
-            blocks = []
-            for (row_lo, row_hi, col_lo, col_hi), keep in pieces:
-                block = self._slots[row_lo : row_hi + 1, col_lo : col_hi + 1]
-                blocks.append(block.ravel() if keep is None else block.ravel()[keep])
-            return np.concatenate(blocks)
 
     def slots_of(
         self,
@@ -403,13 +405,8 @@ class AutoFormula(FormulaPredictor):
         self._sheet_ids: Dict[int, int] = {}
         self._sheet_index = None
         self._formula_index = None
-        #: Target sheets' region stores (S3 candidate vectors).
-        self._target_cache = sheet_cache("target_stores", MAX_CACHED_TARGET_SHEETS)
-        #: Target-store lookups since construction (see :meth:`counters`);
+        #: S3 candidates scored, and those re-ranked (see :meth:`counters`);
         #: serves run concurrently, hence instruments.
-        self._store_hits = Counter()
-        self._store_misses = Counter()
-        #: S3 candidates scored, and those re-ranked (see :meth:`counters`).
         self._candidates_scored = Counter()
         self._candidates_reranked = Counter()
         #: S1 query embeddings, reused within and across requests.
@@ -437,13 +434,6 @@ class AutoFormula(FormulaPredictor):
             return self.encoder.coarse_dimension
         return self.encoder.fine_dimension
 
-    def _target_store(self, sheet: Sheet) -> _RegionStore:
-        """The region store of a target sheet at its current version."""
-        store = self._target_cache.get(sheet)
-        if store is None:
-            store = self._target_cache.put(sheet, _RegionStore(sheet, self._region_dimension))
-        return store
-
     def _reference_store(
         self, sheet: Sheet, parameter_cells: Sequence[CellAddress] = ()
     ) -> _RegionStore:
@@ -458,24 +448,16 @@ class AutoFormula(FormulaPredictor):
         """Everything this predictor and its indexes count, keyed by full
         metric name (the server mirrors each key as a gauge).
 
-        ``workspace.region_store_*`` is the target region-store accounting:
-        candidate lookups that found their cell stored (``hit``) or not
-        (``miss``; a cell two parameters of a cold request both reach
-        counts twice, and is embedded once) since construction, and the
-        ``cells`` held by the cached stores now.  ``s3.candidates_scored`` /
-        ``s3.candidates_reranked`` are S3's candidates since construction and
-        those its tier 1 could not settle alone (rows of re-ranked slices,
-        see :func:`~repro.ann.base.closest_in_blocks`): a rising share means
-        a loose bound or tie-heavy sheets.  The indexes' own
+        ``s3.candidates_scored`` / ``s3.candidates_reranked`` are S3's
+        candidates since construction and those its tier 1 could not settle
+        alone (rows of re-ranked slices, see
+        :func:`~repro.ann.base.closest_in_blocks`; under the fine fast path
+        the only target regions S3 embeds): a rising share means a loose
+        bound or tie-heavy sheets.  The indexes' own
         :meth:`~repro.ann.VectorIndex.counters` are summed over both (a
         ``fit`` builds new indexes, whose counts start again).
         """
         counts = {
-            "workspace.region_store_hit": self._store_hits.value,
-            "workspace.region_store_miss": self._store_misses.value,
-            "workspace.region_store_cells": sum(
-                len(store) for store in self._target_cache.values()
-            ),
             "s3.candidates_scored": self._candidates_scored.value,
             "s3.candidates_reranked": self._candidates_reranked.value,
         }
@@ -524,7 +506,6 @@ class AutoFormula(FormulaPredictor):
         self._reference_sheets = []
         self._workbook_sheet_ids = {}
         self._sheet_ids = {}
-        self._target_cache.clear()
         self._query_vector_cache.clear()
 
         sheet_dimension = (
@@ -949,10 +930,20 @@ class AutoFormula(FormulaPredictor):
         """The S2 query-side embeddings of the target cells (center-blanked).
 
         The counterpart of :meth:`sheet_query_vector` for
-        :meth:`predict_batch_scored`'s ``target_vectors`` argument.
+        :meth:`predict_batch_scored`'s ``target_vectors`` argument.  A
+        cell's vector does not depend on the cells asked beside it: under
+        the coarse-only ablation, whose forward rounds a window's row
+        differently in another batch, each cell goes through a forward of
+        its own.
         """
-        return self._embed_regions(
-            target_sheet, *_coordinates(list(target_cells)), blank_center=True
+        rows, cols = _coordinates(list(target_cells))
+        if self.config.granularity != "coarse_only" or len(rows) < 2:
+            return self._embed_regions(target_sheet, rows, cols, blank_center=True)
+        return np.concatenate(
+            [
+                self._embed_regions(target_sheet, row, col, blank_center=True)
+                for row, col in zip(rows[:, None], cols[:, None])
+            ]
         )
 
     def sheet_hits(
@@ -1090,9 +1081,8 @@ class AutoFormula(FormulaPredictor):
         with get_tracer().span("s3.adapt", n_items=len(items)) as span:
             if not items:
                 return []
-            store = self._target_store(target_sheet)
             predictions: List[Optional[Prediction]] = []
-            n_params = n_candidates = n_misses = n_reranked = 0
+            n_params = n_candidates = n_reranked = 0
             for target_cell, sheet_id, local, distance in items:
                 reference = self._reference_sheets[int(sheet_id)]
                 reference_formula = reference.formulas[int(local)]
@@ -1100,12 +1090,11 @@ class AutoFormula(FormulaPredictor):
                 if plan is None:
                     predictions.append(None)
                     continue
-                mapped, candidates, misses, reranked = self._map_parameters(
-                    reference, plan, store, target_sheet, target_cell
+                mapped, candidates, reranked = self._map_parameters(
+                    reference, plan, target_sheet, target_cell
                 )
                 n_params += len(mapped)
                 n_candidates += candidates
-                n_misses += misses
                 n_reranked += reranked
                 try:
                     formula = plan.instantiate(mapped)
@@ -1125,13 +1114,10 @@ class AutoFormula(FormulaPredictor):
                         },
                     )
                 )
-            self._store_hits.inc(n_candidates - n_misses)
-            self._store_misses.inc(n_misses)
             self._candidates_scored.inc(n_candidates)
             self._candidates_reranked.inc(n_reranked)
             span.set_attribute("n_params", n_params)
             span.set_attribute("n_candidates", n_candidates)
-            span.set_attribute("n_region_misses", n_misses)
             span.set_attribute("n_reranked", n_reranked)
             return predictions
 
@@ -1179,16 +1165,13 @@ class AutoFormula(FormulaPredictor):
         self,
         reference: _ReferenceSheet,
         plan: _AdaptationPlan,
-        store: _RegionStore,
         target_sheet: Sheet,
         target_cell: CellAddress,
-    ) -> Tuple[List[CellAddress], int, int, int]:
-        """Map each unique parameter cell of ``plan`` into the target sheet,
-        whose region store is ``store``.
+    ) -> Tuple[List[CellAddress], int, int]:
+        """Map each unique parameter cell of ``plan`` into the target sheet.
 
-        Also returns the number of candidates scored, how many of them were
-        not in the store yet and how many were re-ranked
-        (:func:`~repro.ann.base.closest_in_blocks`).
+        Also returns the number of candidates scored and how many of them
+        were re-ranked (:func:`~repro.ann.base.closest_in_blocks`).
 
         The primary anchor translates the parameter by the displacement
         between the reference formula cell and the target cell (Algorithm 2
@@ -1212,22 +1195,8 @@ class AutoFormula(FormulaPredictor):
         candidates = [_parameter_candidates(pair, extent, reach) for pair in anchors]
         found = [index for index, cells in enumerate(candidates) if cells is not None]
         if not found:
-            return mapped, 0, 0, 0
+            return mapped, 0, 0
         parts = [candidates[index] for index in found]
-        pieces = [piece for part in parts for piece in part.pieces]
-        slots = store.grid_slots(pieces)
-        missing = np.flatnonzero(slots < 0)
-        n_misses = 0
-        if missing.size:
-            # One call for the whole formula, so everything it is missing
-            # is embedded in a single forward pass.
-            rows, cols = (
-                np.concatenate(axis)[missing] for axis in zip(*(piece.cells() for piece in pieces))
-            )
-            slots[missing], n_misses = store.slots_of(
-                rows, cols, partial(self._embed_regions, target_sheet)
-            )
-        vectors, sq_norms = store.rows(slots)
         # ||r||^2 comes from the reference store as it is now: a value edit
         # refreshes the store under plans that stay.
         references, reference_sq_norms = reference.store.rows(plan.slots[found])
@@ -1235,9 +1204,68 @@ class AutoFormula(FormulaPredictor):
             [part.steps for part in parts]
         ).astype(np.float32)
         lengths = [part.steps.size for part in parts]
+        sq_norms, cross, vectors_of = self._tier1_terms(target_sheet, parts, references, lengths)
         best, n_reranked = closest_in_blocks(
-            vectors, sq_norms, references, reference_sq_norms, penalties, lengths
+            sq_norms, cross, references, reference_sq_norms, penalties, lengths, vectors_of
         )
         for index, part, position in zip(found, parts, best):
             mapped[index] = part.cell(position)
-        return mapped, len(penalties), n_misses, n_reranked
+        return mapped, len(penalties), n_reranked
+
+    def _tier1_terms(
+        self,
+        target_sheet: Sheet,
+        parts: Sequence[_Candidates],
+        references: np.ndarray,
+        lengths: Sequence[int],
+    ) -> Tuple[np.ndarray, np.ndarray, Callable[[int, np.ndarray], np.ndarray]]:
+        """``(sq_norms, cross, vectors_of)`` of every candidate of ``parts``
+        (part ``i`` scored against ``references[i]``), for
+        :func:`~repro.ann.base.closest_in_blocks`.
+
+        Under the fine fast path both terms come off the target's reduced
+        tensor (:meth:`~repro.models.SheetEncoder.region_products`), and
+        only the cells a slice keeps are embedded.  Otherwise — the
+        coarse-only ablation, a sheet over the densification budget — the
+        formula's candidates are embedded in one call and scored as rows.
+        """
+        pieces = [(piece, index) for index, part in enumerate(parts) for piece in part.pieces]
+        products = None
+        if self.config.granularity != "coarse_only":
+            products = self.encoder.region_products(
+                target_sheet,
+                [piece.bounds for piece, __ in pieces],
+                references[[index for __, index in pieces]],
+            )
+        if products is not None:
+            cross, sq_norms = products
+            if any(piece.keep is not None for piece, __ in pieces):
+                # The terms cover whole rectangles; a second rectangle's
+                # candidates are its cells outside the first.
+                starts = np.cumsum([0] + [piece.area for piece, __ in pieces])
+                chosen = np.concatenate(
+                    [start + piece.offsets() for (piece, __), start in zip(pieces, starts)]
+                )
+                cross, sq_norms = cross[chosen], sq_norms[chosen]
+
+            def vectors_of(index: int, kept: np.ndarray) -> np.ndarray:
+                rows, cols = parts[index].cells()
+                return self._embed_regions(target_sheet, rows[kept], cols[kept])
+
+            return sq_norms, cross, vectors_of
+        rows, cols = (np.concatenate(axis) for axis in zip(*(part.cells() for part in parts)))
+        # One call for the whole formula: its rows are a function of the
+        # request, whatever other requests embedded before it.
+        vectors = self._embed_regions(target_sheet, rows, cols)
+        starts = np.cumsum([0] + list(lengths))
+        cross = np.concatenate(
+            [
+                vectors[start:stop] @ reference
+                for start, stop, reference in zip(starts, starts[1:], references)
+            ]
+        )
+        return (
+            np.einsum("ij,ij->i", vectors, vectors),
+            cross,
+            lambda index, kept: vectors[starts[index] + kept],
+        )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -209,7 +210,10 @@ class CellFeaturizer:
             except TypeError:
                 number = None
             # The type disambiguates 1 / 1.0 / True, which compare (and hash)
-            # equal as dict keys but featurize differently.
+            # equal as dict keys but featurize differently; so do 0.0 and
+            # -0.0, whose texts differ.
+            if type(value) is float and not value and math.copysign(1.0, value) < 0:
+                value = "-0.0"
             keys.append(
                 None if number is None else (type(value), value, bool(cell.formula), number, valid)
             )

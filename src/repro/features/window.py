@@ -29,9 +29,10 @@ _MAX_CACHED_SHEETS = 64
 #: sheets with far-flung cells.  9x the largest footprint the benchmark
 #: corpora reach at 64 entries (29.3 MiB), so no measured workload meets it.
 MAX_CACHED_TENSOR_BYTES = 1 << 28  # 256 MiB
-#: Target sheets whose per-sheet values — S1 query vector and S3 region
-#: store (per predictor), reduced tensor (per encoder) — are kept between
-#: requests, least recently used evicted first.
+#: Target sheets whose per-sheet values — S1 query vector (per predictor),
+#: reduced tensor and its window norms (per encoder), which S2's queries and
+#: all of S3 read — are kept between requests, least recently used evicted
+#: first.
 MAX_CACHED_TARGET_SHEETS = 8
 
 

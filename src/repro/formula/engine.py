@@ -23,7 +23,7 @@
   history.
 * **Value-based errors.**  Failures evaluate to Excel-style
   :class:`~repro.formula.errors.ErrorValue` objects (``#DIV/0!``,
-  ``#REF!``, ``#CYCLE!``, ``#VALUE!``, ``#NAME?``) that propagate through
+  ``#CYCLE!``, ``#VALUE!``, ``#NAME?``) that propagate through
   operators and function arguments and are caught by ``IFERROR``.  A bad
   cell does not abort recalculation: its error value is written into the
   cell, its dependents see (and propagate) the error, and every unaffected
@@ -65,7 +65,6 @@ from repro.formula.errors import (
     DIV0_ERROR,
     ErrorValue,
     NAME_ERROR,
-    REF_ERROR,
     VALUE_ERROR,
     first_error,
     is_error_value,
@@ -80,7 +79,7 @@ from repro.formula.functions import (
 from repro.formula.parser import parse_formula
 from repro.formula.tokenizer import FormulaSyntaxError
 from repro.obs.tracing import get_tracer
-from repro.sheet.addressing import AddressError, CellAddress, RangeAddress
+from repro.sheet.addressing import CellAddress, RangeAddress
 from repro.sheet.sheet import AddressLike, Sheet, _to_address
 
 
@@ -342,8 +341,6 @@ class FormulaEngine:
     def _parse(formula: str) -> object:
         try:
             return parse_formula(formula)
-        except AddressError:
-            return REF_ERROR
         except FormulaSyntaxError:
             return NAME_ERROR
 

@@ -8,9 +8,10 @@ whole-sheet recalculation.  The lattice is small and flat:
 ==============  ====================================================
 ``#DIV/0!``     division by zero (also AVERAGE/STDEV/MOD-style
                 aggregations over empty numeric sets)
-``#REF!``       a reference that cannot be resolved (unparseable
-                address text, an evaluation path past the engine's
-                bounds)
+``#REF!``       a reference that cannot be resolved; read from stored
+                values — the engine writes none: a reference that names
+                no cell (row 0, a column past XFD) is a syntax error
+                and ``#NAME?``, as in Excel
 ``#CYCLE!``     the cell participates in (or depends on) a circular
                 reference chain
 ``#VALUE!``     an operand or argument of the wrong type

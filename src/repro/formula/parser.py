@@ -18,7 +18,7 @@ Grammar (lowest to highest precedence)::
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Tuple
+from typing import Callable, List, Tuple, Union
 
 from repro.cache import memoized
 from repro.formula.ast_nodes import (
@@ -34,7 +34,14 @@ from repro.formula.ast_nodes import (
     UnaryOp,
 )
 from repro.formula.tokenizer import FormulaSyntaxError, Token, TokenType, iter_tokens
-from repro.sheet.addressing import parse_cell_address, parse_range_address
+from repro.sheet.addressing import (
+    AddressError,
+    CellAddress,
+    RangeAddress,
+    column_letters_to_index,
+    parse_cell_address,
+    parse_range_address,
+)
 
 #: Deepest nesting of parentheses, function arguments and unary signs the
 #: grammar admits (Excel's own limit on nested functions is 64).  Each level
@@ -60,6 +67,10 @@ MAX_AST_HEIGHT = 128
 #: memo's 4096 entries hold ~23 MB at worst.  The benchmark corpora's
 #: longest formula has 27 characters.
 _MAX_PINNED_LENGTH = 64
+
+#: The last column a reference may name, XFD (Excel's 16 384th).  The
+#: tokenizer admits up to three letters, so up to ZZZ.
+_MAX_COLUMN = column_letters_to_index("XFD")
 
 #: The binary-operator levels, loosest first: token type and operator texts
 #: (no texts: any token of the type).
@@ -186,10 +197,10 @@ class _Parser:
             return BooleanLiteral(token.text.upper() == "TRUE"), 1
         if token.type is TokenType.RANGE:
             self._advance()
-            return RangeReference(parse_range_address(token.text.replace("$", ""))), 1
+            return RangeReference(self._address(parse_range_address, token)), 1
         if token.type is TokenType.CELL:
             self._advance()
-            return CellReference(parse_cell_address(token.text.replace("$", ""))), 1
+            return CellReference(self._address(parse_cell_address, token)), 1
         if token.type is TokenType.IDENT:
             return self._function_call()
         if token.type is TokenType.LPAREN:
@@ -200,6 +211,26 @@ class _Parser:
         raise FormulaSyntaxError(
             f"unexpected token {token.text!r} at position {token.position} in {self._source!r}"
         )
+
+    def _address(
+        self, parse: Callable[[str], Union[CellAddress, RangeAddress]], token: Token
+    ) -> Union[CellAddress, RangeAddress]:
+        """The address a reference token names; a syntax error when it
+        names no cell (row 0, or a column past XFD), as Excel reads such a
+        reference: a name nothing defines."""
+        try:
+            address = parse(token.text.replace("$", ""))
+        except AddressError as error:
+            raise FormulaSyntaxError(
+                f"{error} at position {token.position} in {self._source!r}"
+            ) from None
+        ends = (address.start, address.end) if isinstance(address, RangeAddress) else (address,)
+        if max(end.col for end in ends) > _MAX_COLUMN:
+            raise FormulaSyntaxError(
+                f"column past XFD in {token.text!r} at position {token.position} "
+                f"in {self._source!r}"
+            )
+        return address
 
     def _function_call(self) -> _Parsed:
         name_token = self._expect(TokenType.IDENT)

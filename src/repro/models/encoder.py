@@ -10,7 +10,7 @@ reduced-tensor fast path.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +55,58 @@ def _fast_path(model: Sequential):
     return None
 
 
+def _window_sq_norms(tensor: np.ndarray, window_rows: int, window_cols: int) -> np.ndarray:
+    """Squared norm of every ``window_rows`` x ``window_cols`` block of
+    ``tensor`` (flattened), by the block's top-left: each cell's squared
+    norm in float32, then float64 sliding sums, one axis at a time.  Every
+    term is non-negative, so no sum cancels and an all-zero block is
+    exactly 0."""
+    cells = np.einsum("ijk,ijk->ij", tensor, tensor).astype(np.float64)
+    height = cells.shape[0] - window_rows + 1
+    width = cells.shape[1] - window_cols + 1
+    rows = cells[:height].copy()
+    for offset in range(1, window_rows):
+        rows += cells[offset : offset + height]
+    grid = rows[:, :width].copy()
+    for offset in range(1, window_cols):
+        grid += rows[:, offset : offset + width]
+    return grid
+
+
+class _Reduced:
+    """A sheet's ``reduced_tensors`` entry: the fine prefix applied to its
+    padded tensor, and the squared norm of the flattened reduced window
+    centred on each cell of the used extent — what the fine model's
+    ``L2Normalize`` divides by, before its square root.  The norms are
+    worked out on first use (S3 reads them; indexing a sheet does not).
+    Both arrays are read-only; two threads that race to the norms compute
+    equal grids and either is kept."""
+
+    __slots__ = ("tensor", "_window", "_sq_norms")
+
+    def __init__(self, tensor: np.ndarray, window: Tuple[int, int]) -> None:
+        self.tensor = tensor
+        self._window = window
+        self._sq_norms: Optional[np.ndarray] = None
+
+    @property
+    def nbytes(self) -> int:
+        """The tensor and its norm grid, counted before the grid is made,
+        so the cache's byte bound holds either way."""
+        height, width = self.tensor.shape[:2]
+        return self.tensor.nbytes + 8 * (height - self._window[0] + 1) * (
+            width - self._window[1] + 1
+        )
+
+    def window_sq_norms(self) -> np.ndarray:
+        grid = self._sq_norms
+        if grid is None:
+            grid = _window_sq_norms(self.tensor, *self._window)
+            grid.flags.writeable = False
+            self._sq_norms = grid
+        return grid
+
+
 class SheetEncoder:
     """Embeds sheets (coarse) and regions (fine) with the trained models."""
 
@@ -72,7 +124,7 @@ class SheetEncoder:
         self.fine_model = fine_model or build_fine_model(self.config, cell_dim)
         #: Model-reduced per-sheet tensors (the fine model's per-cell prefix
         #: applied to a sheet's padded feature tensor once, instead of once
-        #: per overlapping window).
+        #: per overlapping window), with their window-norm grids.
         self._reduced_cache = sheet_cache(
             "reduced_tensors", MAX_CACHED_TARGET_SHEETS, MAX_CACHED_TENSOR_BYTES
         )
@@ -154,19 +206,21 @@ class SheetEncoder:
             self._reduced_padding = self._reduce(self.featurizer.padding_features()[None, :])[0]
         return self._reduced_padding
 
-    def _reduced_sheet_tensor(self, sheet: Sheet) -> Optional[np.ndarray]:
-        """The fine prefix applied to the sheet's padded tensor, memoized;
+    def _reduced_entry(self, sheet: Sheet) -> Optional[_Reduced]:
+        """The sheet's reduced tensor (and window norms), memoized;
         ``None`` for a sheet over the densification budget.  The padded
         tensor is read only on a miss."""
         if not self.featurizer.densifiable(sheet):
             return None
-        reduced = self._reduced_cache.get(sheet)
-        if reduced is not None:
-            return reduced
+        entry = self._reduced_cache.get(sheet)
+        if entry is not None:
+            return entry
         tensor = self.featurizer.padded_sheet_tensor(sheet)
         reduced = self._reduce(tensor.reshape(-1, tensor.shape[-1])).reshape(*tensor.shape[:2], -1)
+        reduced = np.ascontiguousarray(reduced)
         reduced.flags.writeable = False
-        return self._reduced_cache.put(sheet, reduced)
+        window = (self.featurizer.config.window_rows, self.featurizer.config.window_cols)
+        return self._reduced_cache.put(sheet, _Reduced(reduced, window))
 
     def _fast_regions(
         self, sheet: Sheet, center_rows: np.ndarray, center_cols: np.ndarray, blank_center: bool
@@ -175,17 +229,80 @@ class SheetEncoder:
         ``None`` when the fast path does not apply."""
         if self._fast is None:
             return None
-        reduced = self._reduced_sheet_tensor(sheet)
-        if reduced is None:
+        entry = self._reduced_entry(sheet)
+        if entry is None:
             return None
         rows, cols = self.featurizer.config.window_rows, self.featurizer.config.window_cols
         padding = self._reduced_padding_features()
         windows = gather_windows(
-            reduced, center_rows, center_cols, sheet.n_rows, sheet.n_cols, rows, cols, padding
+            entry.tensor, center_rows, center_cols, sheet.n_rows, sheet.n_cols, rows, cols, padding
         )
         if blank_center:
             windows[:, rows // 2, cols // 2] = padding
         return self._fast[1].forward(windows.reshape(len(center_rows), -1), training=False)
+
+    def region_products(
+        self,
+        sheet: Sheet,
+        rectangles: Sequence[Tuple[int, int, int, int]],
+        references: np.ndarray,
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """S3's tier-1 terms, read off the reduced tensor without forming a
+        window: for the cells of each rectangle ``(row_lo, row_hi, col_lo,
+        col_hi)`` of centres inside the sheet's used extent, row-major and
+        rectangle after rectangle, the dot products of the fine embeddings
+        :meth:`embed_regions` gives them with ``references[i]`` (rectangle
+        ``i``'s), and those embeddings' squared norms, as float64.  Each is
+        within float32 rounding of a length-``D`` accumulation of the
+        embedding's own (DESIGN.md "S3 — parameter re-grounding").
+        ``None`` when the fine fast path does not apply to the sheet or a
+        rectangle leaves its extent.
+
+        A window's flattened reduced vector ``u`` is ``window_rows`` strips
+        of ``window_cols`` cells, and its embedding is ``u / (||u|| +
+        eps)``.  The strips of a rectangle's windows centred in one column
+        are one run of tensor rows, so one product of every column's run
+        with the reference's strips gives each ``u . r`` as a sum along a
+        diagonal; ``||u||^2`` is read off the entry's window-norm grid.
+        """
+        if self._fast is None:
+            return None
+        entry = self._reduced_entry(sheet)
+        if entry is None:
+            return None
+        tensor, grid = entry.tensor, entry.window_sq_norms()
+        if any(
+            row_hi >= grid.shape[0] or col_hi >= grid.shape[1]
+            for __, row_hi, __, col_hi in rectangles
+        ):
+            return None
+        window_rows = self.featurizer.config.window_rows
+        strip = self.featurizer.config.window_cols * tensor.shape[2]
+        row_stride, col_stride, item_stride = tensor.strides
+        dots, sq_norms = [], []
+        for (row_lo, row_hi, col_lo, col_hi), reference in zip(rectangles, references):
+            height, width = row_hi - row_lo + 1, col_hi - col_lo + 1
+            # strips[b, t]: the strip at padded row row_lo + t of the windows
+            # centred in column col_lo + b (a view of the tensor).
+            strips = np.ndarray(
+                (width, height + window_rows - 1, strip),
+                np.float32,
+                tensor,
+                row_lo * row_stride + col_lo * col_stride,
+                (col_stride, row_stride, item_stride),
+            )
+            partial = strips @ reference.reshape(window_rows, strip).T
+            # The window centred at (row_lo + a, col_lo + b) is the sum of
+            # partial[b, a + i, i] over its strips i.
+            column, row, item = partial.strides
+            diagonals = np.ndarray(
+                (height, width, window_rows), np.float32, partial, 0, (row, column, row + item)
+            )
+            dots.append(diagonals.sum(axis=2).ravel())
+            sq_norms.append(grid[row_lo : row_hi + 1, col_lo : col_hi + 1].ravel())
+        squares = np.concatenate(sq_norms)
+        norms = np.sqrt(squares) + self._fast[1].epsilon
+        return np.concatenate(dots) / norms, squares / (norms * norms)
 
     # ------------------------------------------------------------ persistence
 

@@ -63,10 +63,22 @@ class TestClosestInBlocks:
         penalties = penalty * rng.integers(0, 12, size=n).astype(np.float32)
         sq_norms = np.einsum("ij,ij->i", vectors, vectors)
         reference_sq_norms = np.einsum("ij,ij->i", references, references)
-        best, n_reranked = closest_in_blocks(
-            vectors.copy(), sq_norms, references, reference_sq_norms, penalties, lengths
-        )
         starts = np.cumsum([0] + lengths)
+        cross = np.concatenate(
+            [
+                vectors[start:stop] @ reference
+                for reference, start, stop in zip(references, starts, starts[1:])
+            ]
+        )
+        best, n_reranked = closest_in_blocks(
+            sq_norms,
+            cross,
+            references,
+            reference_sq_norms,
+            penalties,
+            lengths,
+            lambda index, kept: vectors[starts[index] + kept],
+        )
         assert best == [
             closest(vectors[start:stop], reference, penalties[start:stop])
             for reference, start, stop in zip(references, starts, starts[1:])

@@ -225,6 +225,20 @@ class TestBuildTensor:
         assert again["hit"] + again["miss"] - stats["hit"] - stats["miss"] == sheet.n_cells
         assert again["size"] == stats["size"]
 
+    def test_signed_zeros_keep_their_own_features(self):
+        """0.0 and -0.0 compare and hash equal but read "0.0" and "-0.0": a
+        table keyed on the value alone served one's row for the other,
+        whichever came first (a drawn example of the property below)."""
+        featurizer = fresh_featurizer(replace(CONFIG, embedder_name="sbert"))
+        built = []
+        for values in ([0.0], [-0.0], [-0.0, 0.0]):
+            sheet = Sheet("zeros")
+            for col, value in enumerate(values):
+                sheet.set((0, col), value)
+            built.append(featurizer._build_tensor(sheet).tobytes())
+            assert built[-1] == reference_tensor(featurizer, sheet).tobytes()
+        assert built[0] != built[1]
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(sheets(), min_size=1, max_size=3), st.sampled_from(_CONFIGS), st.booleans())
     def test_every_configuration_and_a_four_row_table_equal_the_reference(
@@ -525,8 +539,8 @@ class TestSharedTensorsAreReadOnly:
         with pytest.raises(ValueError, match="read-only"):
             tensor += 1.0
         encoder = SheetEncoder(ModelConfig(features=CONFIG))
-        reduced = encoder._reduced_sheet_tensor(sheet)
-        assert encoder._reduced_sheet_tensor(sheet) is reduced
+        reduced = encoder._reduced_entry(sheet).tensor
+        assert encoder._reduced_entry(sheet).tensor is reduced
         with pytest.raises(ValueError, match="read-only"):
             reduced[0, 0, 0] = 1.0
 

@@ -10,7 +10,6 @@ returns a recommendation grounded in the removed (tombstoned) workbook.
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -168,10 +167,11 @@ class TestWorkspaceUnderConcurrency:
             assert_responses_match(reference, responses, context="concurrent serve")
 
 
-    def test_cold_region_store_filled_by_racing_serves(self, assets):
-        """N threads ask overlapping cells of one *shared* target sheet whose
-        region store is cold, so their S3 fills race: every answer must equal
-        the serial answer and the store must come out consistent."""
+    def test_racing_serves_over_one_cold_sheet_answer_as_serial_serves(self, assets):
+        """N threads ask overlapping cells of one *shared*, cold target
+        sheet, so they race to build its reduced tensor and, in S3, its
+        window-norm grid: every answer must equal the serial answer, and
+        the entry they leave must equal one built alone."""
         pool, cases, factory = assets
         workspace = Workspace("store", factory())
         workspace.add_workbooks(pool)
@@ -180,7 +180,7 @@ class TestWorkspaceUnderConcurrency:
             CellAddress(max(case.target_cell.row + row, 0), max(case.target_cell.col + col, 0))
             for row, col in ((-1, 0), (1, 0), (0, -1), (0, 1), (-2, 0), (2, 1), (3, 0))
         ]
-        # Serial answers come from a copy: the shared sheet's store stays cold.
+        # Serial answers come from a copy: the shared sheet stays cold.
         serial_sheet = case.target_sheet.copy()
         serial = workspace.serve_batch(
             [RecommendationRequest(serial_sheet, cell) for cell in cells]
@@ -226,16 +226,14 @@ class TestWorkspaceUnderConcurrency:
                 [serial[pick] for pick in picks], responses, context="racing fills"
             )
 
-        # Every assigned slot is a distinct row below the fill mark, holding
-        # exactly the embedding of its cell.
-        predictor = workspace.predictor
-        store = predictor._target_cache.get(shared)
-        assert store is not None and len(store) > 0
-        rows, cols = np.nonzero(store._slots >= 0)
-        slots = store._slots[rows, cols]
-        assert sorted(slots.tolist()) == list(range(len(store)))
-        expected = predictor.encoder.embed_regions(shared, rows, cols)
-        assert np.array_equal(store.rows(slots)[0], expected)
+        # What the racers cached is what one caller builds on its own.
+        encoder = workspace.predictor.encoder
+        raced = encoder._reduced_cache.get(shared)
+        assert raced is not None
+        alone = type(encoder)(encoder.config, encoder.coarse_model, encoder.fine_model)
+        built = alone._reduced_entry(shared)
+        assert raced.tensor.tobytes() == built.tensor.tobytes()
+        assert raced.window_sq_norms().tobytes() == built.window_sq_norms().tobytes()
 
 
     def test_in_place_edits_racing_serves_answer_from_one_corpus_state(self, assets):

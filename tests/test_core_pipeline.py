@@ -5,8 +5,7 @@ import pytest
 
 from repro.ann import base
 from repro.core import AutoFormula, AutoFormulaConfig
-from repro.core import pipeline
-from repro.core.pipeline import _parameter_candidates, _RegionStore
+from repro.core.pipeline import _parameter_candidates
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
 from repro.formula.template import extract_template
@@ -296,53 +295,6 @@ class TestBatchPrediction:
         sheet = Sheet()
         assert system.predict_batch(sheet, [CellAddress(0, 0), CellAddress(1, 1)]) == [None, None]
 
-    def test_target_stores_are_a_bounded_versioned_lru(
-        self, trained_encoder, pge_workload, monkeypatch
-    ):
-        """Predicting across many target sheets must not grow memory without
-        bound: the per-sheet region stores evict least-recently-used, and a
-        sheet mutated in place starts a new store."""
-        __, reference = pge_workload
-        monkeypatch.setattr(pipeline, "MAX_CACHED_TARGET_SHEETS", 2)
-        system = AutoFormula(trained_encoder, AutoFormulaConfig())
-        system.fit(reference)
-        embed_calls = []
-
-        def gather(sheet, cell):
-            store = system._target_store(sheet)
-
-            def counting(rows, cols):
-                embed_calls.append(len(rows))
-                return trained_encoder.embed_regions(sheet, rows, cols)
-
-            slots, __ = store.slots_of(np.array([cell.row]), np.array([cell.col]), counting)
-            return store, store.rows(slots)[0][0]
-
-        sheets = []
-        for index in range(5):
-            sheet = Sheet(f"target-{index}")
-            for row in range(12):
-                sheet.set((row, 0), f"label {row}")
-                sheet.set((row, 1), float(row * index))
-            sheets.append(sheet)
-            gather(sheet, CellAddress(6, 1))
-            # the module bound reaches the cache (its LRU behaviour is
-            # tests/test_cache.py's)
-            assert len(system._target_cache) <= 2
-        store, vector = gather(sheets[-2], CellAddress(6, 1))
-        # stored vectors are reused, and equal a fresh embedding
-        assert embed_calls == [1] * 5
-        assert np.array_equal(vector, trained_encoder.embed_region(sheets[-2], CellAddress(6, 1)))
-        # an in-place mutation invalidates the store with everything in it
-        sheets[-2].set((6, 1), "now text")
-        fresh_store, vector = gather(sheets[-2], CellAddress(6, 1))
-        assert fresh_store is not store and len(fresh_store) == 1
-        assert embed_calls == [1] * 6
-        assert np.array_equal(vector, trained_encoder.embed_region(sheets[-2], CellAddress(6, 1)))
-        assert system.counters()["workspace.region_store_cells"] == sum(
-            len(held) for held in system._target_cache.values()
-        )
-
     def test_in_place_mutation_of_a_target_sheet_is_seen(self, fitted_system, pge_workload):
         """Regression: the per-sheet caches were keyed on ``id(sheet)``
         alone, so a target sheet overwritten through ``set`` kept getting
@@ -375,6 +327,38 @@ class TestGranularityModes:
         system.fit(reference)
         prediction = system.predict(cases[0].target_sheet, cases[0].target_cell)
         assert prediction is None or prediction.formula.startswith("=")
+
+    def test_coarse_only_answers_are_a_function_of_the_request(
+        self, trained_encoder, pge_workload
+    ):
+        """A coarse forward rounds a window's row differently in another
+        batch, and the coarse-only ablation embeds S2's query regions and
+        S3's candidates with the coarse model: each query cell goes through
+        a forward of its own and each formula's candidates through one call
+        of their own, so a target's answers cannot depend on which requests
+        came before them or beside them."""
+        cases, reference = pge_workload
+        system = AutoFormula(
+            trained_encoder,
+            AutoFormulaConfig(granularity="coarse_only", acceptance_threshold=2.0),
+        )
+        system.fit(reference)
+        n_answered = 0
+        for case in cases[:8]:
+            row, col = case.target_cell.row, case.target_cell.col
+            cells = [case.target_cell] + [
+                CellAddress(max(row + dr, 0), max(col + dc, 0))
+                for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1), (3, 0))
+            ]
+            # A fresh copy per order: nothing one order embedded is seen by
+            # the next.
+            batch = system.predict_batch(case.target_sheet.copy(), cells)
+            sheet = case.target_sheet.copy()
+            one_at_a_time = [system.predict(sheet, cell) for cell in cells]
+            reverse = system.predict_batch(case.target_sheet.copy(), cells[::-1])[::-1]
+            assert batch == one_at_a_time == reverse
+            n_answered += sum(prediction is not None for prediction in batch)
+        assert n_answered
 
     def test_full_model_not_worse_than_coarse_only(self, trained_encoder, pge_workload):
         cases, reference = pge_workload
@@ -432,12 +416,16 @@ class TestRegrounding:
                 min(abs(row - anchor_row) + abs(col - anchor_col) for anchor_row, anchor_col in anchors)
                 for row, col in expected
             ]
-            # The store reads the same cells, in the same order, off its grid
-            # (one slot per cell of the extent; an empty axis has cell 0).
-            store = _RegionStore(Sheet(), 1)
+            # Terms read rectangle by rectangle off a grid of the extent (an
+            # empty axis has cell 0) select the same cells, in the same order.
             height, width = max(extent[0], 1), max(extent[1], 1)
-            store._slots = np.arange(height * width, dtype=np.int32).reshape(height, width)
-            assert store.grid_slots(found.pieces).tolist() == [r * width + c for r, c in expected]
+            grid = np.arange(height * width).reshape(height, width)
+            read = [
+                grid[row_lo : row_hi + 1, col_lo : col_hi + 1].ravel()[piece.offsets()]
+                for piece in found.pieces
+                for row_lo, row_hi, col_lo, col_hi in [piece.bounds]
+            ]
+            assert np.concatenate(read).tolist() == [r * width + c for r, c in expected]
 
     @pytest.mark.parametrize(
         "formula",
@@ -474,6 +462,23 @@ class TestRegrounding:
                 oracle.adapt(reference, formula_cell, formula, sheet, cell) for cell in cells
             ]
 
+    @pytest.mark.parametrize("formula", ["=A0", "=SUM(B2:B6)+XFE1", "=SUM(A0:B3)"])
+    def test_a_reference_that_names_no_cell_is_indexed_and_abstains(
+        self, trained_encoder, rng, formula
+    ):
+        """The fit indexes the formula (its parameters are skipped, as for
+        any formula that does not parse), and a request whose S2 winner it
+        is abstains in S3 instead of raising."""
+        reference = _table_sheet("reference", 9, 4, rng)
+        reference.set((7, 2), formula=formula)
+        system = AutoFormula(trained_encoder, AutoFormulaConfig(acceptance_threshold=4.0))
+        system.fit([reference])
+        assert system.n_reference_formulas == 1
+        target = reference.copy()
+        assert system.predict(target, CellAddress(7, 2)) is None
+        [scored] = system.predict_batch_scored(target, [CellAddress(7, 2)], [0])
+        assert scored.prediction is None and scored.formula_index == 0
+
     def test_unparseable_reference_formula_abstains_from_the_cached_plan(self, trained_encoder, rng):
         reference = _table_sheet("reference", 6, 3, rng)
         reference.set((5, 2), formula="=SUM(B2:")
@@ -485,34 +490,49 @@ class TestRegrounding:
         assert system._reference_sheets[0].plans == {0: None}
         assert system.adapt_batch(target, [item, item]) == [None, None]
 
-    def test_store_accounting_counts_every_lookup_once(self, tracer, trained_encoder, rng):
-        # B2 and B6 sit 4 rows apart: their +/- 8-row neighborhoods share
-        # most cells, so a cold request reaches shared cells more than once.
+    def test_candidates_are_scored_without_embedding_them(
+        self, tracer, monkeypatch, trained_encoder, rng
+    ):
+        """Under the fine fast path S3 reads its tier-1 terms off the
+        target's reduced tensor: a request embeds no target region but the
+        cells its slices keep for the re-rank, and builds the target's
+        reduced entry once; a repeat builds nothing, and the counts and the
+        span agree."""
         reference = _table_sheet("reference", 9, 4, rng)
         reference.set((7, 2), formula="=SUM(B2:B6)")
         system = AutoFormula(trained_encoder, AutoFormulaConfig())
         system.fit([reference])
         target = _table_sheet("target", 12, 4, rng)
         item = (CellAddress(7, 2), 0, 0, 0.1)
-        stats, spans = [], []
+        embedded = []
+        embed_regions = trained_encoder.embed_regions
+
+        def counting(sheet, rows, *args, **kwargs):
+            if sheet is target:
+                embedded.append(len(rows))
+            return embed_regions(sheet, rows, *args, **kwargs)
+
+        monkeypatch.setattr(trained_encoder, "embed_regions", counting)
+        reduced = trained_encoder._reduced_cache
+        spans = []
         for __ in range(2):
+            before = reduced.stats()["miss"]
+            embedded.clear()
             tracer.reset()
             system.adapt_batch(target, [item])
-            stats.append(
-                {
-                    field: system.counters()[f"workspace.region_store_{field}"]
-                    for field in ("hit", "miss", "cells")
-                }
-            )
-            spans.append(tracer.recent_traces()[-1]["root"]["attributes"])
-        (cold, warm), (first, second) = stats, spans
-        # Nothing was stored before the first request: none of its lookups
-        # hit, and the cells its parameters share were embedded once.
-        assert (cold["hit"], cold["miss"]) == (0, first["n_candidates"])
-        assert first["n_region_misses"] == first["n_candidates"]
-        assert 0 < cold["cells"] < cold["miss"]
-        assert (warm["hit"], warm["miss"]) == (second["n_candidates"], cold["miss"])
-        assert second["n_region_misses"] == 0 and warm["cells"] == cold["cells"]
+            spans.append(dict(tracer.recent_traces()[-1]["root"]["attributes"]))
+            spans[-1]["reduced_misses"] = reduced.stats()["miss"] - before
+            spans[-1]["embedded"] = sum(embedded)
+        (cold, warm) = spans
+        assert cold["n_candidates"] == warm["n_candidates"] > 0
+        assert cold["embedded"] == cold["n_reranked"] == warm["embedded"] == warm["n_reranked"]
+        assert cold["embedded"] < cold["n_candidates"]
+        assert (cold["reduced_misses"], warm["reduced_misses"]) == (1, 0)
+        assert "n_region_misses" not in cold
+        counts = system.counters()
+        assert counts["s3.candidates_scored"] == 2 * cold["n_candidates"]
+        assert counts["s3.candidates_reranked"] == 2 * cold["n_reranked"]
+        assert not any(key.startswith("workspace.region_store") for key in counts)
 
 
 class TestSlicedRegrounding:

@@ -168,6 +168,16 @@ class TestRecalculationMovesTheVersion:
 
 
 class TestCyclesAndErrors:
+    def test_a_reference_that_names_no_cell_is_a_name_error(self):
+        # Excel reads "A0" and "XFE1" as names nothing defines.
+        sheet = Sheet()
+        sheet.set("A1", formula="=A0")
+        sheet.set("A2", formula="=XFE1+1")
+        sheet.set("A3", formula="=IFERROR(A1,7)")
+        FormulaEngine(sheet).recalculate()
+        assert sheet.get("A1").value == sheet.get("A2").value == "#NAME?"
+        assert sheet.get("A3").value == 7
+
     def test_self_reference_is_cycle(self):
         sheet = Sheet()
         sheet.set("A1", formula="=A1+1")

@@ -153,6 +153,18 @@ class TestParser:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("=A1+")
 
+    @pytest.mark.parametrize(
+        "formula", ["=A0", "=$A$0+1", "=SUM(A0:B3)", "=SUM(B3:C0)", "=XFE1", "=SUM(A1:ZZZ9)"]
+    )
+    def test_a_reference_that_names_no_cell_is_a_syntax_error(self, formula):
+        # Row 0 or a column past XFD: every parse guard catches
+        # FormulaSyntaxError, none of them the address parser's AddressError.
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(formula)
+
+    def test_the_last_column_and_row_parse(self):
+        assert str(parse_formula("=SUM(A1:XFD1048576)")) == "SUM(A1:XFD1048576)"
+
 
     @pytest.mark.parametrize(
         "formula",

@@ -661,7 +661,7 @@ class TestRecommendTraceTree:
             ).accepted
         )
         tracer.reset()
-        # A copy: the accepted case's own sheet has a warm region store.
+        # A copy: the accepted case's own sheet has a warm reduced tensor.
         target = case.target_sheet.copy()
         workspace.recommend(RecommendationRequest(target, case.target_cell))
 
@@ -689,23 +689,23 @@ class TestRecommendTraceTree:
             assert "index.search" in _span_names(stage)
         cold = s3["attributes"]
         assert cold["n_items"] == 1 and cold["n_params"] >= 1
-        assert 0 < cold["n_region_misses"] <= cold["n_candidates"]
+        assert 0 <= cold["n_reranked"] <= cold["n_candidates"]
+        assert "n_region_misses" not in cold
 
-        # Asked again, every candidate region comes from the sheet's store.
-        def store_counts():
+        # Asked again, S3 scores the same candidates; the predictor's
+        # counts move by what the spans report.
+        def s3_counts():
             counts = workspace.predictor.counters()
-            return {field: counts[f"workspace.region_store_{field}"] for field in ("hit", "miss", "cells")}
+            return counts["s3.candidates_scored"], counts["s3.candidates_reranked"]
 
-        stats = store_counts()
-        assert stats["cells"] > 0 and stats["miss"] >= cold["n_region_misses"]
+        scored, reranked = s3_counts()
+        assert scored >= cold["n_candidates"] > 0
         tracer.reset()
         workspace.recommend(RecommendationRequest(target, case.target_cell))
         warm = tracer.recent_traces()[-1]["root"]["children"][-1]["attributes"]
-        assert warm["n_region_misses"] == 0
         assert warm["n_candidates"] == cold["n_candidates"]
-        after = store_counts()
-        assert after["hit"] == stats["hit"] + warm["n_candidates"]
-        assert (after["miss"], after["cells"]) == (stats["miss"], stats["cells"])
+        assert warm["n_reranked"] == cold["n_reranked"]
+        assert s3_counts() == (scored + warm["n_candidates"], reranked + warm["n_reranked"])
 
         # Spans carry usable timings: every child fits inside the root.
         def check_bounds(node):

@@ -30,6 +30,7 @@ from repro.testing import (
     assert_matches_fresh_fit,
     assert_responses_match,
     assert_tombstone_accounting,
+    answer_of,
     generate_workload,
     replay_workload,
 )
@@ -168,6 +169,32 @@ class TestEditValues:
             assert sheet.get("A2").value == sheet.get("A3").value == "#DIV/0!"
             restored = Workspace.load(directory, AutoFormula(trained_encoder, AutoFormulaConfig()))
             assert self._cells(restored) == self._cells(workspace), through_log
+
+    def test_a_reference_that_names_no_cell_edits_saves_and_loads(
+        self, trained_encoder, tmp_path
+    ):
+        """Row 0 and a column past XFD are syntax errors (``#NAME?``), never
+        an ``AddressError`` past the re-index's parse guard: the edit lands,
+        and the snapshot and the log restore it as it reads live."""
+        for formula in ("=A0", "=SUM(A0:A1)", "=XFE1+1"):
+            for through_log in (False, True):
+                workspace = self._workspace(trained_encoder)
+                directory = tmp_path / f"{formula.strip('=():+')}-{through_log}"
+                if through_log:
+                    workspace.save(directory)
+                workspace.edit_cell("wb", "Data", "A2", formula=formula)
+                if not through_log:
+                    workspace.save(directory)
+                sheet = workspace.workbooks()[0].get_sheet("Data")
+                assert sheet.get("A2").value == sheet.get("A3").value == "#NAME?"
+                restored = Workspace.load(
+                    directory, AutoFormula(trained_encoder, AutoFormulaConfig())
+                )
+                assert self._cells(restored) == self._cells(workspace), (formula, through_log)
+                request = RecommendationRequest(sheet.copy(), "A2")
+                assert answer_of(restored.recommend(request)) == answer_of(
+                    workspace.recommend(request)
+                )
 
     def test_a_value_no_cell_can_hold_is_refused_before_the_edit(self, trained_encoder):
         workspace = self._workspace(trained_encoder)

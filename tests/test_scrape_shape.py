@@ -112,9 +112,6 @@ METRIC_FAMILIES = {
     "server_served_total": ("counter", ()),
     "workspace_index_bytes": ("gauge", ("workspace",)),
     "workspace_latency_seconds": ("summary", ("quantile", "workspace")),
-    "workspace_region_store_cells": ("gauge", ("workspace",)),
-    "workspace_region_store_hit": ("gauge", ("workspace",)),
-    "workspace_region_store_miss": ("gauge", ("workspace",)),
     "workspace_reindex_changed": ("gauge", ("workspace",)),
     "workspace_reindex_refit": ("gauge", ("workspace",)),
     "workspace_reindex_same": ("gauge", ("workspace",)),

@@ -407,32 +407,31 @@ class TestWireParity:
                     RecommendationRequest(case.target_sheet, case.target_cell)
                 )
                 self._assert_wire_matches_direct(wire, direct_response)
-            # The S3 region stores report through the registry; a scraper
-            # need not have read /stats first for the gauges to exist.
+            # S3's counts report through the registry; a scraper need not
+            # have read /stats first for the gauges to exist.
             metrics = {
                 line.split(" ")[0]: float(line.split(" ")[1])
                 for line in client.metrics_text().splitlines()
                 if not line.startswith("#")
             }
             stats = client.stats()
-            gauges = {
-                name for name in metrics if name.startswith("workspace_region_store_")
-            }
+            gauges = {name for name in metrics if name.startswith("s3_candidates_")}
             assert gauges == {
-                f'workspace_region_store_{field}{{workspace="pge"}}'
-                for field in ("hit", "miss", "cells")
+                f's3_candidates_{field}{{workspace="pge"}}' for field in ("scored", "reranked")
             }
-            assert metrics['workspace_region_store_miss{workspace="pge"}'] > 0
+            assert metrics['s3_candidates_scored{workspace="pge"}'] > 0
+            assert not any(name.startswith("workspace_region_store_") for name in metrics)
             # One gauge family covers every cache, by instance name.
             caches = (
                 "cell_features", "sheet_tensors", "reduced_tensors",
-                "target_stores", "query_vectors", "interned_sheets",
+                "query_vectors", "interned_sheets",
             )
             for cache in caches:
                 for field in ("hit", "miss", "evict", "size"):
                     assert f'cache_{field}{{cache="{cache}"}}' in metrics, (cache, field)
                 assert metrics[f'cache_miss{{cache="{cache}"}}'] > 0, cache
             assert set(caches) <= set(stats["caches"])
+            assert "target_stores" not in stats["caches"]
             assert stats["caches"]["sheet_tensors"]["bytes"] > 0
 
     def test_coalesced_burst_parity_and_ratio(self, trained_encoder, serving_corpus):

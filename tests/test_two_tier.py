@@ -325,19 +325,19 @@ class TestMemoryStats:
         registry.counter("server.accepted").inc()
         labels = {"workspace": "main"}
         registry.gauge("workspace.index_bytes", labels, fn=lambda: 123)
-        counts = {"workspace.region_store_hit": 5, "workspace.region_store_miss": 2}
+        counts = {"workspace.reindex_same": 5, "workspace.reindex_changed": 2}
         registry.mirror(lambda: counts, labels)
         assert registry.snapshot()["workspace"] == {
             "index_bytes": {"workspace=main": 123},
-            "region_store_hit": {"workspace=main": 5},
-            "region_store_miss": {"workspace=main": 2},
+            "reindex_same": {"workspace=main": 5},
+            "reindex_changed": {"workspace=main": 2},
         }
         # The gauges are live, and a key the layer adds appears at the next mirror.
-        counts["workspace.region_store_hit"] = 6
+        counts["workspace.reindex_same"] = 6
         counts["index.two_tier_overflow"] = 1
         registry.mirror(lambda: counts, labels)
         tree = registry.snapshot()
-        assert tree["workspace"]["region_store_hit"] == {"workspace=main": 6}
+        assert tree["workspace"]["reindex_same"] == {"workspace=main": 6}
         assert tree["index"]["two_tier_overflow"] == {"workspace=main": 1}
         registry.prune("workspace", ["other"])
         assert registry.names() == ["server.accepted"]
