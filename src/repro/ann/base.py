@@ -191,15 +191,14 @@ def _pack_mask(mask: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.nda
 class RowStore:
     """Float32 rows and their fixed-order ``einsum("ij,ij->i")`` squared
     norms: every write stores the rows, then their norms read back from the
-    store.  Capacity grows by half, to at least what a write needs, and
-    past ``limit`` rows only when the write needs more.  Rows adopted
-    read-only (a memory map) are copied to private memory before the first
-    write.  No lock: the owner's lock guards the store."""
+    store.  Capacity grows by half, to at least what a write needs.  Rows
+    adopted read-only (a memory map) are copied to private memory before
+    the first write.  No lock: the owner's lock guards the store."""
 
-    def __init__(self, dimension: int, capacity: int = 0, limit: Optional[int] = None) -> None:
+    def __init__(self, dimension: int, capacity: int = 0) -> None:
         self._rows = np.empty((capacity, dimension), dtype=np.float32)
         self._norms = np.empty((capacity,), dtype=np.float32)
-        self._size, self._limit = 0, limit
+        self._size = 0
 
     def __len__(self) -> int:
         return self._size
@@ -258,8 +257,7 @@ class RowStore:
     def _reserve(self, needed: int) -> None:
         capacity = self.capacity
         if needed > capacity:
-            grown = capacity * 3 // 2
-            self.rehouse(max(needed, grown if self._limit is None else min(grown, self._limit)))
+            self.rehouse(max(needed, capacity * 3 // 2))
         elif not (self._rows.flags.writeable and self._norms.flags.writeable):
             self.rehouse(capacity)
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -183,109 +181,36 @@ def _parameter_candidates(
     return _Candidates(pieces, steps[0] if len(steps) == 1 else np.concatenate(steps))
 
 
-class _RegionStore:
-    """Region embeddings of a reference sheet's parameter cells, as rows of
-    one row store.
+class _Regions(NamedTuple):
+    """S3's reference side of one state of a reference sheet: the region
+    embeddings of all its formulas' parameter cells and their squared
+    norms, written once by one exactly sized :meth:`RowStore.append
+    <repro.ann.base.RowStore.append>` (the indexes' norm rule) and then
+    only read.  An edit replaces the block whole."""
 
-    ``_slots`` maps a cell of the sheet's used extent to its row of
-    ``_store`` (-1 until the cell is embedded); parameters may point
-    outside the extent, and those few cells live in ``_overflow``.  A
-    cell's row never changes once assigned, so slots handed out stay valid
-    while the store grows.  The store serves one state of its sheet: it is
-    re-embedded (:meth:`cells`, :meth:`overwrite`) or rebuilt when the
-    sheet is re-indexed.
+    #: The parameter cells, one ``(row, col)`` per row of ``rows`` (an
+    #: array: 16 bytes a cell, where a dict of tuples takes ~150).
+    cells: np.ndarray
+    rows: np.ndarray
+    norms: np.ndarray
 
-    Concurrent readers reach one store (the workspace read lock admits
-    parallel serves, and a restored store fills as plans are first built),
-    so filling and reading run under ``_mutex``, which guards grid and rows
-    together.
-    """
+    @classmethod
+    def of(cls, cells: np.ndarray, vectors: np.ndarray) -> "_Regions":
+        """The block of the ``(n, 2)`` ``cells`` embedded as ``vectors``."""
+        store = RowStore(vectors.shape[1], len(vectors))
+        store.append(vectors)
+        rows, norms = store.rows, store.norms
+        for array in (cells, rows, norms):
+            array.flags.writeable = False
+        return cls(cells, rows, norms)
 
-    def __init__(self, sheet: Sheet, dimension: int, capacity: int = 0) -> None:
-        self._slots = np.full(
-            (max(sheet.n_rows, 1), max(sheet.n_cols, 1)), -1, dtype=np.int32
+    def positions(self, cells: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """The rows holding ``cells`` (``IndexError`` for a cell not in
+        the block: it holds every parameter cell of its sheet)."""
+        return np.array(
+            [np.flatnonzero((self.cells == cell).all(axis=1))[0] for cell in cells],
+            dtype=np.int64,
         )
-        self._overflow: Dict[Tuple[int, int], int] = {}
-        # Never past one row per cell of the extent: a doubling matrix
-        # showed up in peak RSS.
-        self._store = RowStore(dimension, capacity, limit=self._slots.size)
-        self._mutex = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def _on_grid(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return (rows < self._slots.shape[0]) & (cols < self._slots.shape[1])
-
-    def _lookup(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        try:
-            return self._slots[rows, cols]
-        except IndexError:  # some cell lies outside the used extent
-            inside = self._on_grid(rows, cols)
-            slots = np.full(len(rows), -1, dtype=self._slots.dtype)
-            slots[inside] = self._slots[rows[inside], cols[inside]]
-            for position in np.flatnonzero(~inside):
-                key = (int(rows[position]), int(cols[position]))
-                slots[position] = self._overflow.get(key, -1)
-            return slots
-
-    def _append(self, rows: np.ndarray, cols: np.ndarray, vectors: np.ndarray) -> None:
-        new_slots = np.arange(self._store.append(vectors), len(self._store))
-        inside = self._on_grid(rows, cols)
-        self._slots[rows[inside], cols[inside]] = new_slots[inside]
-        for position in np.flatnonzero(~inside):
-            key = (int(rows[position]), int(cols[position]))
-            self._overflow[key] = int(new_slots[position])
-
-    def slots_of(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        embed: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ) -> Tuple[np.ndarray, int]:
-        """Matrix rows of the cells ``(rows[i], cols[i])`` and how many of
-        these lookups found their cell not stored yet.
-
-        All cells not stored yet go through one ``embed(rows, cols)`` call,
-        in first-occurrence order with repeats dropped.
-        """
-        with self._mutex:
-            slots = self._lookup(rows, cols)
-            missing = np.flatnonzero(slots < 0)
-            if not missing.size:
-                return slots, 0
-            n_missing = len(missing)
-            keys = rows[missing] * (int(cols.max()) + 1) + cols[missing]
-            missing = missing[np.sort(np.unique(keys, return_index=True)[1])]
-            rows_missing, cols_missing = rows[missing], cols[missing]
-            self._append(rows_missing, cols_missing, embed(rows_missing, cols_missing))
-            return self._lookup(rows, cols), n_missing
-
-    def rows(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The stored vectors of ``slots`` as a fresh C-contiguous matrix,
-        and their squared norms."""
-        with self._mutex:
-            return self._store.take(slots)
-
-    def cells(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows and columns of the stored cells, in slot order."""
-        with self._mutex:
-            size = len(self._store)
-            rows = np.empty(size, dtype=np.int64)
-            cols = np.empty(size, dtype=np.int64)
-            grid_rows, grid_cols = np.nonzero(self._slots >= 0)
-            slots = self._slots[grid_rows, grid_cols]
-            rows[slots], cols[slots] = grid_rows, grid_cols
-            for (row, col), slot in self._overflow.items():
-                rows[slot], cols[slot] = row, col
-            return rows, cols
-
-    def overwrite(self, vectors: np.ndarray) -> None:
-        """Replace every stored row with ``vectors``, the embeddings of
-        :meth:`cells` in order: the sheet's content changed, the cells
-        stored and the slots handed out did not."""
-        with self._mutex:
-            self._store.overwrite(slice(0, len(vectors)), vectors)
 
 
 @dataclass
@@ -293,7 +218,8 @@ class _AdaptationPlan:
     """What S3 needs from one reference formula, worked out once.
 
     ``cells`` are the unique parameter cells as ``(row, col)`` and ``slots``
-    their rows in the owning reference sheet's region store; ``references``
+    their rows in the owning reference sheet's :class:`_Regions` (an edit
+    that keeps the formula list keeps every cell's row); ``references``
     lists the formula's parameters in template order, each as indexes into
     ``cells``: one for a cell, two (start, end) for a range.
     """
@@ -332,8 +258,9 @@ class _ReferenceSheet:
     workbook_name: str
     sheet: Sheet
     formulas: List[_ReferenceFormula]
-    #: Region embeddings of the formulas' parameter cells.
-    store: _RegionStore
+    #: Region embeddings of the formulas' parameter cells (``None`` until a
+    #: restored sheet's first S3 use).
+    regions: Optional[_Regions]
     #: Its position in the sheet index (S1).
     sheet_row: int
     #: Its formulas' positions in the formula index (S2), in formula order.
@@ -434,15 +361,26 @@ class AutoFormula(FormulaPredictor):
             return self.encoder.coarse_dimension
         return self.encoder.fine_dimension
 
-    def _reference_store(
-        self, sheet: Sheet, parameter_cells: Sequence[CellAddress] = ()
-    ) -> _RegionStore:
-        """A reference sheet's region store, sized for and filled with
-        ``parameter_cells`` in one forward pass."""
-        store = _RegionStore(sheet, self._region_dimension, capacity=len(parameter_cells))
-        if parameter_cells:
-            store.slots_of(*_coordinates(parameter_cells), partial(self._embed_regions, sheet))
-        return store
+    def _reference_regions(self, sheet: Sheet, cells: Sequence[Tuple[int, int]]) -> _Regions:
+        """The S3 block of ``sheet``'s parameter cells ``(row, col)`` — all
+        of them, in :meth:`_parameter_cells` order — embedded in one
+        forward.  Fit, add, re-index and a restored sheet's first S3 use
+        all build it here, so they write the same bytes under every
+        granularity (the coarse forward rounds a row differently in
+        another batch)."""
+        cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
+        return _Regions.of(cells, self._embed_regions(sheet, cells[:, 0], cells[:, 1]))
+
+    def _regions(self, reference: _ReferenceSheet) -> _Regions:
+        """``reference``'s S3 block, built on a restored sheet's first use.
+        Racing first uses build equal blocks and the assignment is atomic,
+        so no lock is taken; writers hold the workspace's write lock."""
+        regions = reference.regions
+        if regions is None:
+            regions = reference.regions = self._reference_regions(
+                reference.sheet, self._parameter_cells(reference.formulas)
+            )
+        return regions
 
     def counters(self) -> Dict[str, int]:
         """Everything this predictor and its indexes count, keyed by full
@@ -473,9 +411,9 @@ class AutoFormula(FormulaPredictor):
     def _parameter_cells(
         formulas: Sequence[_ReferenceFormula],
         trees: Optional[Mapping[CellAddress, object]] = None,
-    ) -> List[CellAddress]:
-        """Unique cells referenced as parameters by any of ``formulas``
-        (one with an entry in ``trees`` is not parsed again)."""
+    ) -> List[Tuple[int, int]]:
+        """Unique cells ``(row, col)`` referenced as parameters by any of
+        ``formulas`` (one with an entry in ``trees`` is not parsed again)."""
         references: List[Union[CellAddress, RangeAddress]] = []
         for formula in formulas:
             ast = trees.get(formula.address) if trees else None
@@ -486,7 +424,7 @@ class AutoFormula(FormulaPredictor):
                     continue
             if isinstance(ast, ASTNode):
                 references.extend(formula_references(ast))
-        return _reference_parameter_cells(references)
+        return [(cell.row, cell.col) for cell in _reference_parameter_cells(references)]
 
     @staticmethod
     def _flatten(
@@ -536,10 +474,10 @@ class AutoFormula(FormulaPredictor):
         try:
             for sheet_id, (workbook_name, sheet) in enumerate(sheets, base_id):
                 formulas, embeddings = self._formula_entries(sheet)
-                # Pre-embed every formula's parameter regions while this
-                # sheet's feature tensor is hot, so online S3 re-grounding
-                # never has to re-featurize a reference sheet.
-                store = self._reference_store(sheet, self._parameter_cells(formulas))
+                # Embed every formula's parameter regions while this sheet's
+                # feature tensor is hot, so online S3 re-grounding never has
+                # to re-featurize a reference sheet.
+                regions = self._reference_regions(sheet, self._parameter_cells(formulas))
                 formula_rows = self._formula_index.add_batch(
                     [(sheet_id, local) for local in range(len(formulas))], embeddings
                 )
@@ -549,7 +487,7 @@ class AutoFormula(FormulaPredictor):
                     [sheet_id], self._embed_sheet(sheet)[None, :]
                 ).tolist()
                 added.append(
-                    _ReferenceSheet(workbook_name, sheet, formulas, store, sheet_row, formula_rows)
+                    _ReferenceSheet(workbook_name, sheet, formulas, regions, sheet_row, formula_rows)
                 )
         except BaseException:
             for index, size in zip(indexes, sizes):
@@ -642,20 +580,21 @@ class AutoFormula(FormulaPredictor):
         """Re-index one reference sheet whose content was edited in place.
 
         Recomputes exactly what indexing computes for this one sheet — its
-        S2 formula-region rows, the region store behind S3, its S1 sheet
-        vector — and writes the result over the rows the sheet already
+        S2 formula-region rows, the S3 block (:class:`_Regions`), its S1
+        sheet vector — and writes the result over the rows the sheet already
         owns.  The sheet keeps its stable id and its place in the corpus, so
         answers equal a fresh :meth:`fit` on the same workbooks in the same
         order.
 
         When the formula list (addresses and texts) is what was indexed —
         every value edit — the formula rows are overwritten where they sit,
-        the region store is re-embedded slot by slot and the cached
+        the S3 block is rebuilt over the same cells in the same order (a
+        restored sheet's block not built yet stays so) and the cached
         adaptation plans stay.  Otherwise the sheet's formula rows alone are
         replaced (tombstone + append: no answer depends on physical order in
-        the formula index) and its store and plans are rebuilt.  The S1 row
+        the formula index) and its block and plans are rebuilt.  The S1 row
         is overwritten either way.  Every forward runs before the first
-        write, so one that raises leaves the sheet's rows and store as they
+        write, so one that raises leaves the sheet's rows and block as they
         were.
 
         Bit-safety rule: every forward pass here has the batch shape a
@@ -679,25 +618,26 @@ class AutoFormula(FormulaPredictor):
         reference = self._reference_sheets[sheet_id]
         formulas, embeddings = self._formula_entries(sheet)
         changed = formulas != reference.formulas
+        regions = reference.regions
         if changed:
-            store = self._reference_store(sheet, self._parameter_cells(formulas, trees))
-        else:
-            store_vectors = self._embed_regions(sheet, *reference.store.cells())
+            regions = self._reference_regions(sheet, self._parameter_cells(formulas, trees))
+        elif regions is not None:  # the same cells in the same order
+            regions = self._reference_regions(sheet, regions.cells)
         sheet_vector = self._embed_sheet(sheet)
         if changed:
             self._remove_rows(reference.formula_rows)
             reference.formula_rows = self._formula_index.add_batch(
                 [(sheet_id, local) for local in range(len(formulas))], embeddings
             )
-            reference.formulas, reference.store, reference.plans = formulas, store, {}
+            reference.formulas, reference.plans = formulas, {}
         else:
             self._formula_index.update_batch(reference.formula_rows, embeddings)
-            reference.store.overwrite(store_vectors)
+        reference.regions = regions
         self._sheet_index.update_batch([reference.sheet_row], sheet_vector[None, :])
         return {
             "n_formulas": len(formulas),
             "formulas_changed": changed,
-            "n_store_cells": len(reference.store),
+            "n_store_cells": 0 if regions is None else len(regions.cells),
         }
 
     @property
@@ -844,8 +784,8 @@ class AutoFormula(FormulaPredictor):
                         _ReferenceFormula(CellAddress.from_a1(a1), formula)
                         for a1, formula in entry["formulas"]
                     ],
-                    # Filled formula by formula, as plans are first built.
-                    store=self._reference_store(sheet),
+                    # Built on the sheet's first S3 use (see ``_regions``).
+                    regions=None,
                     sheet_row=sheet_rows[sheet_id],
                     formula_rows=flat[offsets[sheet_id] : offsets[sheet_id + 1]],
                 )
@@ -1086,12 +1026,13 @@ class AutoFormula(FormulaPredictor):
             for target_cell, sheet_id, local, distance in items:
                 reference = self._reference_sheets[int(sheet_id)]
                 reference_formula = reference.formulas[int(local)]
-                plan = self._adaptation_plan(reference, int(local))
+                regions = self._regions(reference)
+                plan = self._adaptation_plan(reference, int(local), regions)
                 if plan is None:
                     predictions.append(None)
                     continue
                 mapped, candidates, reranked = self._map_parameters(
-                    reference, plan, target_sheet, target_cell
+                    regions, plan, target_sheet, target_cell
                 )
                 n_params += len(mapped)
                 n_candidates += candidates
@@ -1123,11 +1064,13 @@ class AutoFormula(FormulaPredictor):
 
     # --------------------------------------------------------------------- S3
 
+    @staticmethod
     def _adaptation_plan(
-        self, reference: _ReferenceSheet, local: int
+        reference: _ReferenceSheet, local: int, regions: _Regions
     ) -> Optional[_AdaptationPlan]:
-        """The plan of one reference formula, built on first use (``None``
-        for a formula that does not parse)."""
+        """The plan of one reference formula, built on first use from the
+        sheet's block ``regions`` (``None`` for a formula that does not
+        parse)."""
         plan = reference.plans.get(local, _UNSET)
         if plan is not _UNSET:
             return plan
@@ -1139,13 +1082,7 @@ class AutoFormula(FormulaPredictor):
         references = formula_references(ast)
         unique = _reference_parameter_cells(references)
         index_of = {cell: index for index, cell in enumerate(unique)}
-        slots = np.empty(0, dtype=np.int32)
-        if unique:
-            # A restored predictor's reference stores start empty: this is
-            # where a formula's parameter regions are embedded, in one pass.
-            slots, __ = reference.store.slots_of(
-                *_coordinates(unique), partial(self._embed_regions, reference.sheet)
-            )
+        cells = [(cell.row, cell.col) for cell in unique]
         plan = _AdaptationPlan(
             formula_cell=reference.formulas[local].address,
             ast=ast,
@@ -1155,15 +1092,15 @@ class AutoFormula(FormulaPredictor):
                 else (index_of[item],)
                 for item in references
             ],
-            cells=[(cell.row, cell.col) for cell in unique],
-            slots=slots,
+            cells=cells,
+            slots=regions.positions(cells),
         )
         reference.plans[local] = plan
         return plan
 
     def _map_parameters(
         self,
-        reference: _ReferenceSheet,
+        regions: _Regions,
         plan: _AdaptationPlan,
         target_sheet: Sheet,
         target_cell: CellAddress,
@@ -1197,9 +1134,10 @@ class AutoFormula(FormulaPredictor):
         if not found:
             return mapped, 0, 0
         parts = [candidates[index] for index in found]
-        # ||r||^2 comes from the reference store as it is now: a value edit
-        # refreshes the store under plans that stay.
-        references, reference_sq_norms = reference.store.rows(plan.slots[found])
+        # ||r||^2 comes from the block as it is now: a value edit replaces
+        # the block under plans that stay.
+        slots = plan.slots[found]
+        references, reference_sq_norms = regions.rows[slots], regions.norms[slots]
         penalties = self.config.locality_penalty * np.concatenate(
             [part.steps for part in parts]
         ).astype(np.float32)

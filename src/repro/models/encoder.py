@@ -175,8 +175,20 @@ class SheetEncoder:
     ) -> np.ndarray:
         """Embeddings of the windows centered on the cells
         ``(rows[i], cols[i])``: fine-model ones, or the coarse model's with
-        ``coarse=True``.  A row does not depend on the other cells of the
-        call.
+        ``coarse=True``.
+
+        Only under the fine fast path (``coarse=False`` on a densifiable
+        sheet) is a row independent of the other cells of the call: it is a
+        gather from the sheet's reduced tensor and a per-row normalisation.
+        S3's exact re-rank relies on that, embedding only the candidates
+        its tier-1 slice keeps.  The window forwards — the coarse model's,
+        and the fine model's over the densification budget — are
+        batch-dependent (BLAS rounds a row differently in another batch),
+        so the coarse-only S2 query gives each cell a forward of its own
+        (:meth:`~repro.core.pipeline.AutoFormula.region_query_vectors`) and
+        S3 embeds all of a formula's candidates in one call there.  A
+        reference sheet's S2 rows and S3 block need no such property:
+        every writer embeds the same cells in the same order in one call.
 
         ``blank_center`` masks the center cell of every window; the S2
         formula-region comparison uses this so that an already-filled

@@ -59,6 +59,17 @@ def infer_cell_type(value: CellValue, formula: Optional[str] = None) -> CellType
     return CellType.TEXT
 
 
+def _spells_error_code(text: str) -> bool:
+    """Whether ``text`` is a known Excel-style error code."""
+    if not text.startswith("#"):
+        return False
+    # Imported lazily: at module-import time repro.formula (which pulls in
+    # this module) may still be mid-initialization.
+    from repro.formula.errors import ALL_ERROR_VALUES
+
+    return text in ALL_ERROR_VALUES
+
+
 def decode_cell_value(value: object, kind: Optional[str] = None) -> CellValue:
     """A cell value as it means in a workbook payload, for a workbook's
     cells (:meth:`Cell.from_dict`) and an edit's value alike.
@@ -66,21 +77,19 @@ def decode_cell_value(value: object, kind: Optional[str] = None) -> CellValue:
     Text that is a known Excel-style error code becomes an
     :class:`~repro.formula.errors.ErrorValue`, so a committed error keeps
     its type-based error identity (propagation through the engine,
-    ``is_error_value``); text of ``kind`` ``"date"`` becomes a date.  A
-    list or object, and an integer no float can hold, raise
-    ``ValueError``: a cell holds one scalar, and the engine computes in
-    floats.
+    ``is_error_value``), unless its ``kind`` is ``"text"``: a formula can
+    compute text that spells one, and :meth:`Cell.to_dict` tags it so.
+    Text of ``kind`` ``"date"`` becomes a date.  A list or object, and an
+    integer no float can hold, raise ``ValueError``: a cell holds one
+    scalar, and the engine computes in floats.
     """
     if isinstance(value, str):
         if kind == "date":
             return _dt.date.fromisoformat(value)
-        if value.startswith("#"):
-            # Imported lazily: at module-import time repro.formula (which
-            # pulls in this module) may still be mid-initialization.
-            from repro.formula.errors import ALL_ERROR_VALUES, ErrorValue
+        if kind != "text" and _spells_error_code(value):
+            from repro.formula.errors import ErrorValue
 
-            if value in ALL_ERROR_VALUES:
-                return ErrorValue(value)
+            return ErrorValue(value)
         return value
     if isinstance(value, (list, dict)):
         raise ValueError(f"a cell value must be a scalar, got a {type(value).__name__}")
@@ -156,6 +165,8 @@ class Cell:
                 data["value_kind"] = "date"
             else:
                 data["value"] = self.value
+                if type(self.value) is str and _spells_error_code(self.value):
+                    data["value_kind"] = "text"  # not the error it spells
         if self.formula:
             data["formula"] = self.formula
         if self.style is not DEFAULT_STYLE and self.style != DEFAULT_STYLE:

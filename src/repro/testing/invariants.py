@@ -7,8 +7,8 @@ engine's earlier PRs promised in prose:
   mutated vs freshly fitted, or restored vs live) answer every request with
   the same formula, confidence, provenance and abstain reason
   (:func:`assert_responses_match`, :func:`assert_matches_fresh_fit`), and
-  a mutated predictor holds a fresh fit's index rows byte for byte
-  (:func:`assert_same_index_rows`).
+  a mutated predictor holds a fresh fit's index rows and S3 reference
+  blocks byte for byte (:func:`assert_same_index_rows`).
 * **Tombstone accounting** — after any add/remove/edit history, failed
   adds and re-indexes included, an Auto-Formula predictor's registry
   entries, the index rows each of them owns, its vector indexes' live
@@ -22,8 +22,8 @@ engine's earlier PRs promised in prose:
 
 The checkers are *white-box on purpose*: they reach into predictor
 internals (``_reference_sheets`` and the ``sheet_row`` / ``formula_rows``
-of its entries) because the whole point is to catch silent corruption
-that the public surface would mask.  They raise ``AssertionError`` with a descriptive message.
+/ ``regions`` of its entries) because the whole point is to catch silent
+corruption that the public surface would mask.  They raise ``AssertionError`` with a descriptive message.
 """
 
 from __future__ import annotations
@@ -197,10 +197,18 @@ def assert_no_tombstones(predictor) -> None:
 def _live_rows(predictor):
     """An Auto-Formula predictor's live index rows as bytes, keyed as a
     fresh fit on the same corpus keys them: the S1 rows in corpus order,
-    each with its workbook and sheet names, and the S2 rows by ``(corpus
-    position of the sheet, formula number)``, each with its cell and text."""
-    sheet_rows, formula_rows = [], {}
+    each with its workbook and sheet names, the S2 rows by ``(corpus
+    position of the sheet, formula number)``, each with its cell and text,
+    and the S3 reference blocks by corpus position as ``(cells in order,
+    row bytes, norm bytes)`` (``None`` for a block not built yet)."""
+    sheet_rows, formula_rows, blocks = [], {}, []
     for reference in filter(None, predictor._reference_sheets):
+        regions = reference.regions
+        blocks.append(
+            None
+            if regions is None
+            else (regions.cells.tolist(), regions.rows.tobytes(), regions.norms.tobytes())
+        )
         for local, (formula, row) in enumerate(zip(reference.formulas, reference.formula_rows)):
             formula_rows[(len(sheet_rows), local)] = (
                 formula.address.to_a1(),
@@ -214,17 +222,29 @@ def _live_rows(predictor):
                 predictor.sheet_index.vectors[reference.sheet_row].tobytes(),
             )
         )
-    return sheet_rows, formula_rows
+    return sheet_rows, formula_rows, blocks
 
 
 def assert_same_index_rows(predictor, other, context: str = "") -> None:
     """Two Auto-Formula predictors over one corpus hold the same live S1
-    and S2 rows, byte for byte (see :func:`_live_rows` for the keys): fit,
-    add, edit and restore all write what a fresh fit writes."""
+    and S2 rows, byte for byte (see :func:`_live_rows` for the keys), and
+    ``other`` holds every S3 reference block ``predictor`` holds, byte for
+    byte (a restored sheet's is built on its first S3 use; a fresh fit
+    holds all of them): fit, add, edit and restore all write what a fresh
+    fit writes."""
     prefix = f"{context}: " if context else ""
-    (sheets, formulas), (other_sheets, other_formulas) = _live_rows(predictor), _live_rows(other)
+    (sheets, formulas, blocks), (other_sheets, other_formulas, other_blocks) = (
+        _live_rows(predictor),
+        _live_rows(other),
+    )
     assert sheets == other_sheets, f"{prefix}live S1 rows differ"
     assert formulas == other_formulas, f"{prefix}live S2 rows differ"
+    for position, (block, other_block) in enumerate(zip(blocks, other_blocks)):
+        if block is not None:
+            assert block == other_block, (
+                f"{prefix}S3 reference block of live sheet {position} ({sheets[position][:2]}) "
+                + ("is missing on the other side" if other_block is None else "differs")
+            )
 
 
 def assert_matches_fresh_fit(
@@ -239,9 +259,11 @@ def assert_matches_fresh_fit(
     insertion order — exactly what ``workspace.workbooks()`` reports.  An
     edit keeps its workbook's place; only a remove followed by an add moves
     one (to the end).  A brand-new predictor is fitted
-    on it, its live index rows are compared with the workspace predictor's
-    byte for byte (:func:`assert_same_index_rows`), and it is compared
-    prediction-by-prediction against the workspace's serving path.  Both
+    on it and compared prediction-by-prediction against the workspace's
+    serving path; then its live index rows and S3 reference blocks are
+    compared with the workspace predictor's byte for byte
+    (:func:`assert_same_index_rows`; serving first builds a restored
+    workspace's blocks for the sheets the cases cite).  Both
     sides run this package's pipeline, so a bug common to them passes
     here: ``repro.testing.reference`` is the independent check.  The
     factory usually hands the fresh predictor the
@@ -256,13 +278,18 @@ def assert_matches_fresh_fit(
     if encoder is not None:
         encoder.featurizer.clear_cache()
     fresh.fit(workspace.workbooks())
+    answers = [
+        (
+            case,
+            fresh.predict(case.target_sheet, case.target_cell),
+            workspace.recommend(RecommendationRequest(case.target_sheet, case.target_cell)),
+        )
+        for case in cases
+    ]
+    # Rows first: a diverged row explains a diverged answer.
     assert_same_index_rows(workspace.predictor, fresh, context)
     prefix = f"{context}: " if context else ""
-    for case in cases:
-        expected = fresh.predict(case.target_sheet, case.target_cell)
-        response = workspace.recommend(
-            RecommendationRequest(case.target_sheet, case.target_cell)
-        )
+    for case, expected, response in answers:
         if expected is None:
             assert response.formula is None, (
                 f"{prefix}fresh fit abstains on {case.target_cell.to_a1()}, "

@@ -90,11 +90,10 @@ class TestRowStore:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
-        limit=st.sampled_from((None, 12)),  # an index's store, a region store's
         ops=st.lists(st.sampled_from(("append", "overwrite", "compact", "adopt")), max_size=12),
     )
-    def test_random_writes_keep_rows_and_norms_together(self, seed, limit, ops):
-        rng, store, maps = np.random.default_rng(seed), RowStore(5, limit=limit), {}
+    def test_random_writes_keep_rows_and_norms_together(self, seed, ops):
+        rng, store, maps = np.random.default_rng(seed), RowStore(5), {}
         model = np.empty((0, 5), dtype=np.float32)
         with tempfile.TemporaryDirectory() as directory:
             for step, op in enumerate(ops):
@@ -106,7 +105,7 @@ class TestRowStore:
                     positions = rng.permutation(len(model))[: int(rng.integers(1, len(model) + 1))]
                     model[positions] = rng.standard_normal((positions.size, 5))
                     store.overwrite(positions, model[positions])
-                elif op == "compact" and limit is None:  # as the index compacts
+                elif op == "compact":  # as the index compacts
                     keep = np.flatnonzero(rng.random(len(model)) < 0.6)
                     store.rehouse(max(2 * keep.size, 8), keep)
                     model = model[keep]
@@ -118,7 +117,6 @@ class TestRowStore:
                     store.adopt(*(np.load(path, mmap_mode="r") for path in paths))
                 assert np.array_equal(store.rows, model)
                 assert store.norms.tobytes() == np.einsum("ij,ij->i", model, model).tobytes()
-                assert limit is None or store.capacity <= max(limit, len(store))
             assert all(path.read_bytes() == data for path, data in maps.items())
         rows, norms = store.take(np.arange(len(store)))
         rows[...], norms[...] = 0.0, 0.0  # copies

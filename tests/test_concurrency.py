@@ -235,13 +235,64 @@ class TestWorkspaceUnderConcurrency:
         assert raced.tensor.tobytes() == built.tensor.tobytes()
         assert raced.window_sq_norms().tobytes() == built.window_sq_norms().tobytes()
 
+    def test_racing_first_serves_of_a_restored_workspace_build_the_fit_blocks(
+        self, assets, trained_encoder, tmp_path
+    ):
+        """A restored sheet's S3 block is built on its first use, with no
+        lock: racing first serves each build the whole block and the last
+        assignment stays.  Under the coarse-only ablation, whose forward
+        rounds a row differently in another batch, answers must still be
+        the live workspace's and the blocks a fresh fit's."""
+        from repro.testing import assert_responses_match, assert_same_index_rows
+
+        pool, cases, __ = assets
+        config = AutoFormulaConfig(granularity="coarse_only")
+        live = Workspace("live", AutoFormula(trained_encoder, config))
+        live.add_workbooks([workbook.copy() for workbook in pool])
+        requests = [RecommendationRequest(case.target_sheet, case.target_cell) for case in cases]
+        serial = live.serve_batch(requests)
+        assert any(response.accepted for response in serial)
+        live.save(tmp_path)
+        restored = Workspace.load(tmp_path, AutoFormula(trained_encoder, config))
+
+        n_threads = 2 * N_THREADS
+        collected, errors = [None] * n_threads, []
+        gate = threading.Barrier(n_threads)
+
+        def serve(slot):
+            try:
+                gate.wait(timeout=30)
+                collected[slot] = restored.serve_batch(requests)
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=serve, args=(slot,)) for slot in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "deadlocked thread"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, f"racing first serves raised: {errors[:3]}"
+        for responses in collected:
+            assert_responses_match(serial, responses, context="racing first serves")
+        assert any(
+            reference.regions is not None
+            for reference in filter(None, restored.predictor._reference_sheets)
+        )
+        assert_same_index_rows(restored.predictor, live.predictor, "racing first serves")
+
 
     def test_in_place_edits_racing_serves_answer_from_one_corpus_state(self, assets):
         """An edit overwrites index rows that serves are reading.  One cell
         toggles between two values, so the corpus has exactly two states:
         every answer served during the race must be one state's answer in
         full, never a mix of a new S1 row with old S2 rows or an old
-        reference store."""
+        S3 reference block."""
         from repro.testing import response_signature
 
         pool, cases, factory = assets

@@ -5,7 +5,7 @@ import pytest
 
 from repro.ann import base
 from repro.core import AutoFormula, AutoFormulaConfig
-from repro.core.pipeline import _parameter_candidates
+from repro.core.pipeline import _parameter_candidates, _Regions
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
 from repro.formula.template import extract_template
@@ -582,10 +582,10 @@ class TestSlicedRegrounding:
         assert counts["s3.candidates_reranked"] == sum(span["n_reranked"] for span in spans)
 
     def test_reference_norms_are_read_at_call_time(self, monkeypatch, trained_encoder, rng):
-        """A value edit refreshes a reference store under the plans that
-        read it: answers must equal a fresh fit's, the refreshed norms must
-        be the refreshed rows', and the ``||r||^2`` S3 bounds its tier 1
-        with must be the store's now — not one kept from an earlier call."""
+        """A value edit replaces a reference block under the plans that
+        read it: answers must equal a fresh fit's, the new norms must be
+        the new rows', and the ``||r||^2`` S3 bounds its tier 1 with must
+        be the block's now — not one kept from an earlier call."""
         reference = _table_sheet("reference", 12, 4, rng)
         reference.set((10, 2), formula="=SUM(B2:B6)+C8")
         workbook = Workbook("reference.xlsx")
@@ -595,8 +595,8 @@ class TestSlicedRegrounding:
         target = _table_sheet("target", 16, 4, rng)
         items = [(CellAddress(row, 2), 0, 0, 0.1) for row in (10, 13, 4)]
         system.adapt_batch(target, items)  # builds the plan
-        store = system._reference_sheets[0].store
-        plan = system._reference_sheets[0].plans[0]
+        entry = system._reference_sheets[0]
+        plan = entry.plans[0]
 
         reference.set((3, 1), 987654.0)  # inside B2:B6's windows
         system.reindex_sheet(reference)
@@ -604,14 +604,16 @@ class TestSlicedRegrounding:
         fresh.fit([workbook])
         assert system._reference_sheets[0].plans[0] is plan
         assert system.adapt_batch(target, items) == fresh.adapt_batch(target, items)
-        vectors, norms = store.rows(plan.slots)
+        vectors, norms = entry.regions.rows[plan.slots], entry.regions.norms[plan.slots]
         assert norms.tobytes() == np.einsum("ij,ij->i", vectors, vectors).tobytes()
         fresh_reference = fresh._reference_sheets[0]
         fresh_plan = fresh_reference.plans[0]
-        assert norms.tobytes() == fresh_reference.store.rows(fresh_plan.slots)[1].tobytes()
+        assert norms.tobytes() == fresh_reference.regions.norms[fresh_plan.slots].tobytes()
 
         # Re-embed at twice the length: every ||r||^2 moves by 4x.
-        store.overwrite(2.0 * trained_encoder.embed_regions(reference, *store.cells()))
+        cells = entry.regions.cells
+        vectors = trained_encoder.embed_regions(reference, cells[:, 0], cells[:, 1])
+        entry.regions = _Regions.of(cells, 2.0 * vectors)
         seen, margin = [], base._tier1_margin
 
         def spy(dimension, qq, sq_norms):
@@ -620,5 +622,5 @@ class TestSlicedRegrounding:
 
         monkeypatch.setattr(base, "_tier1_margin", spy)
         system.adapt_batch(target, items[:1])
-        assert seen and seen[0].tobytes() == store.rows(plan.slots)[1].tobytes()
+        assert seen and seen[0].tobytes() == entry.regions.norms[plan.slots].tobytes()
         assert np.allclose(seen[0], 4.0 * norms)

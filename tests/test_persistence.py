@@ -10,11 +10,13 @@ trip.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro import AutoFormula, AutoFormulaConfig, FormulaService, Workspace
+from repro.corpus import sample_test_cases
 from repro.formula.errors import ErrorValue
 from repro.persistence import (
     MutationLog,
@@ -83,8 +85,29 @@ def _churned_workspace(
 # ---------------------------------------------------------- restore parity
 
 
+def _with_corpus_cases(workspace, cases):
+    """``cases`` and up to ten formulas a sheet of the workspace's own
+    corpus, asked back: S3 then cites most formulas of the corpus."""
+    return list(cases) + sample_test_cases("corpus", workspace.workbooks())
+
+
 class TestRestoreParity:
-    """The acceptance criterion: restored == fresh fit, bit for bit."""
+    """The acceptance criterion: restored == fresh fit, bit for bit, under
+    every granularity.  ``assert_matches_fresh_fit`` serves the cases before
+    it compares rows, so the restored sheets' S3 blocks it compares are the
+    ones their first serve built.  Under ``coarse_only``, whose forward
+    rounds a row differently in another batch (a one-cell batch rounds
+    every row differently), a block filled formula by formula differs from
+    the fit's."""
+
+    @pytest.fixture(
+        params=["both", "coarse_only", "fine_only"],
+        ids=["exact", "exact-coarse_only", "exact-fine_only"],
+    )
+    def make_config(self, request):
+        """The exact index's config at each granularity (``both`` is the
+        default)."""
+        return partial(AutoFormulaConfig, granularity=request.param)
 
     def test_snapshot_restore_matches_fresh_fit(self, trained_encoder, make_config, tmp_path):
         workspace, cases, config = _churned_workspace(trained_encoder, make_config=make_config)
@@ -94,7 +117,7 @@ class TestRestoreParity:
         assert_matches_fresh_fit(
             restored,
             lambda: AutoFormula(trained_encoder, config),
-            cases,
+            _with_corpus_cases(restored, cases),
             context="restored",
         )
         assert_tombstone_accounting(restored.predictor)
@@ -125,7 +148,7 @@ class TestRestoreParity:
         assert_matches_fresh_fit(
             restored,
             lambda: AutoFormula(trained_encoder, config),
-            cases,
+            _with_corpus_cases(restored, cases),
             context="snapshot+log",
         )
         assert restored.workbook_names == workspace.workbook_names
@@ -167,6 +190,25 @@ class TestEditValues:
             sheet = workspace.workbooks()[0].get_sheet("Data")
             assert type(sheet.get("A1").value) is ErrorValue
             assert sheet.get("A2").value == sheet.get("A3").value == "#DIV/0!"
+            restored = Workspace.load(directory, AutoFormula(trained_encoder, AutoFormulaConfig()))
+            assert self._cells(restored) == self._cells(workspace), through_log
+
+    def test_text_that_spells_an_error_code_restores_as_text(self, trained_encoder, tmp_path):
+        """A formula can compute text that spells an error code: it is the
+        text, not the error, live and restored from the snapshot or the
+        log (the snapshot used to restore it as the error)."""
+        for through_log in (False, True):
+            workspace = self._workspace(trained_encoder)
+            directory = tmp_path / f"log-{through_log}"
+            if through_log:
+                workspace.save(directory)
+            workspace.edit_cell("wb", "Data", "A2", value=1)
+            workspace.edit_cell("wb", "Data", "A1", formula='=IFERROR(("#VALUE!"),A2)')
+            workspace.edit_cell("wb", "Data", "A2", value=1)
+            if not through_log:
+                workspace.save(directory)
+            value = workspace.workbooks()[0].get_sheet("Data").get("A1").value
+            assert (type(value), value) == (str, "#VALUE!")
             restored = Workspace.load(directory, AutoFormula(trained_encoder, AutoFormulaConfig()))
             assert self._cells(restored) == self._cells(workspace), through_log
 

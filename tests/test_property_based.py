@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import cache
 from repro.embedding import HashedSemanticEmbedder
@@ -313,6 +313,8 @@ _scalar_cell_values = st.one_of(
     st.just(""),
     st.dates(datetime.date(1900, 1, 1), datetime.date(2199, 12, 31)),
     st.sampled_from(ALL_ERROR_VALUES),
+    # Text that spells an error code stays text (a formula can compute it).
+    st.sampled_from([str(code) for code in ALL_ERROR_VALUES]),
 )
 
 
@@ -478,6 +480,14 @@ class TestRecalculationOrder:
 
     @pytest.mark.slow
     @given(_chain_edits())
+    @example(
+        # Text that spells an error code: a reload used to read the error.
+        [
+            (CellAddress(1, 0), None),
+            (CellAddress(0, 0), '=IFERROR(("#VALUE!"),A2)'),
+            (CellAddress(1, 0), None),
+        ]
+    )
     @settings(max_examples=150, deadline=None)
     def test_any_edit_order_at_more_examples(self, edits):
         _assert_edit_order_is_invisible(edits)

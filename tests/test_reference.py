@@ -131,9 +131,9 @@ def test_workspace_answers_like_the_reference(trained_encoder, gate, case):
         cases = [RecommendationRequest(c.target_sheet, c.target_cell) for c in op.cases]
         assert_like_reference(workspace, cases + (asked if op.kind in MUTATIONS else []))
         # No answer shows a stale ||r||^2 (S3's tier 1 adds it to a whole
-        # block), so the reference stores' norms are read against their rows.
+        # block), so the reference blocks' norms are read against their rows.
         for entry in filter(None, workspace.predictor._reference_sheets):
-            rows, norms = entry.store.rows(np.arange(len(entry.store)))
+            rows, norms = entry.regions.rows, entry.regions.norms
             assert norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
 
     with tempfile.TemporaryDirectory() as directory, mock.patch.object(

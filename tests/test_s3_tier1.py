@@ -148,9 +148,9 @@ def test_the_slice_holds_the_scan_choice_and_s3_maps_to_it(
         system = AutoFormula(trained_encoder, config)
         system.fit([reference])
         entry = system._reference_sheets[0]
-        plan = system._adaptation_plan(entry, 0)
+        plan = system._adaptation_plan(entry, 0, entry.regions)
         slices.clear()
-        mapped, scored, reranked = system._map_parameters(entry, plan, target, cell)
+        mapped, scored, reranked = system._map_parameters(entry.regions, plan, target, cell)
         n_scored, n_reranked = n_scored + scored, n_reranked + reranked
         moved = (cell.row - plan.formula_cell.row, cell.col - plan.formula_cell.col)
         blocks = iter(slices)

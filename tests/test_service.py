@@ -359,7 +359,7 @@ class TestAllOrNothing:
         reference = predictor._reference_sheets[predictor._sheet_ids[id(sheet)]]
         cell = _numeric_cells(sheet)[0]
         before = _index_state(predictor)
-        store = reference.store.rows(np.arange(len(reference.store)))
+        regions = reference.regions
         if edit == "value":
             sheet.set(cell, 987654.0)
         else:
@@ -372,8 +372,7 @@ class TestAllOrNothing:
         with pytest.raises(FloatingPointError):
             predictor.reindex_sheet(sheet)
         _assert_same_index_state(_index_state(predictor), before)
-        after = reference.store.rows(np.arange(len(reference.store)))
-        assert [block.tobytes() for block in after] == [block.tobytes() for block in store]
+        assert reference.regions is regions  # blocks are replaced whole, never written
         assert predictor._reference_sheets[predictor._sheet_ids[id(sheet)]] is reference
         assert_tombstone_accounting(predictor)
 
@@ -649,15 +648,15 @@ class TestEditCell:
         sibling = workspace.workbooks()[3].get_sheet(self.SIBLING)
         assert sibling.n_formulas()
         before = _owned_rows(workspace.predictor, sibling)
-        store = workspace.predictor._reference_sheets[
+        regions = workspace.predictor._reference_sheets[
             workspace.predictor._sheet_ids[id(sibling)]
-        ].store
+        ].regions
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "B12", value=1.5)
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "B20", formula="=B19*2")
         assert _owned_rows(workspace.predictor, sibling) == before
         assert workspace.predictor._reference_sheets[
             workspace.predictor._sheet_ids[id(sibling)]
-        ].store is store
+        ].regions is regions
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
     def test_restored_workspace_edited_before_its_first_serve(
@@ -667,8 +666,13 @@ class TestEditCell:
         live = self._workspace(trained_encoder, reference_workbooks, tmp_path)
         restored = Workspace.load(tmp_path, AutoFormula(trained_encoder, AutoFormulaConfig()))
         for workspace in (live, restored):
-            # The restored reference stores are still empty here.
             workspace.edit_cell(self.WORKBOOK, self.SHEET, "A34", value=123456.0)
+        # A value edit leaves a restored sheet's S3 block unbuilt: its first
+        # serve builds it from the edited content.
+        assert all(
+            reference.regions is None
+            for reference in filter(None, restored.predictor._reference_sheets)
+        )
         assert_responses_match(self._serve(live, cases), self._serve(restored, cases))
         assert_matches_fresh_fit(
             restored, lambda: AutoFormula(trained_encoder, AutoFormulaConfig()), cases
@@ -677,7 +681,7 @@ class TestEditCell:
     def test_edit_inside_a_parameter_window_refreshes_the_reference_store(
         self, trained_encoder, workload, tmp_path
     ):
-        """S3 reads the reference side from the sheet's region store, which
+        """S3 reads the reference side from the sheet's region block, which
         no index search touches: left stale, the re-grounded range of the
         cited ``SUMIF`` keeps following the pre-edit column."""
         reference_workbooks, cases = workload
@@ -688,22 +692,22 @@ class TestEditCell:
         self._serve(workspace, cases)  # builds the cited formulas' plans
         local = next(i for i, f in enumerate(reference.formulas) if f.address.to_a1() == "C4")
         plan = reference.plans[local]
-        stored = reference.store.rows(plan.slots)[0].tobytes()
+        stored = reference.regions.rows[plan.slots[0]].tobytes()
         # A34 sits in the window of the parameter cell A44 (the range's end).
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "A34", value=123456.0)
         fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
         assert_matches_fresh_fit(workspace, lambda: fresh, cases)
 
-        # The same through the store itself: the plan and its slots stayed,
+        # The same through the block itself: the plan and its slots stayed,
         # the vectors behind them are the fresh fit's.
         assert reference.plans[local] is plan
-        assert reference.store.rows(plan.slots)[0].tobytes() != stored
+        assert reference.regions.rows[plan.slots[0]].tobytes() != stored
         fresh_reference = fresh._reference_sheets[fresh._sheet_ids[id(sheet)]]
-        fresh_plan = fresh._adaptation_plan(fresh_reference, local)
+        fresh_plan = fresh._adaptation_plan(fresh_reference, local, fresh_reference.regions)
         assert fresh_plan.cells == plan.cells
         assert (
-            reference.store.rows(plan.slots)[0].tobytes()
-            == fresh_reference.store.rows(fresh_plan.slots)[0].tobytes()
+            reference.regions.rows[plan.slots[0]].tobytes()
+            == fresh_reference.regions.rows[fresh_plan.slots[0]].tobytes()
         )
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
