@@ -1,9 +1,9 @@
 """Compare Auto-Formula against every baseline on one enterprise corpus.
 
-Reproduces a single column of the paper's Table 2 interactively through
-the service layer: every method — Auto-Formula and the baselines alike —
-is mounted in its own workspace of one FormulaService, fitted on the same
-reference corpus, and evaluated on the same cases.
+Reproduces a single column of the paper's Table 2 interactively: every
+method is fitted on the same reference corpus and evaluated on the same
+cases.  Auto-Formula is served from a workspace of a FormulaService; the
+baselines go through the evaluation harness, which fits each one.
 
 Run with:  python examples/method_comparison.py [corpus]
            (corpus is one of PGE, Cisco, TI, Enron; default PGE)
@@ -29,7 +29,7 @@ from repro.baselines import (
     SpreadsheetCoderBaseline,
     WeakSupervisionBaseline,
 )
-from repro.evaluation import prepare_corpus_evaluation
+from repro.evaluation import prepare_corpus_evaluation, run_method_on_cases
 
 
 def build_baselines():
@@ -61,27 +61,27 @@ def prepare(corpus_name):
 def main(corpus_name: str) -> None:
     encoder, workload = prepare(corpus_name)
 
-    # One service, one workspace per method, all sharing the same corpus:
-    # mounting a workspace fits its predictor on the reference workbooks.
-    # The "auto-formula" workspace uses the service's default predictor.
+    # Auto-Formula's workspace indexes the reference workbooks as they are
+    # added; the harness fits every baseline on the same workbooks.
     service = FormulaService(encoder, AutoFormulaConfig())
-    service.create_workspace("auto-formula", workbooks=workload.reference_workbooks)
-    for method in build_baselines():
-        service.create_workspace(
-            method.name, predictor=method, workbooks=workload.reference_workbooks
-        )
+    workspace = service.create_workspace(
+        "auto-formula", workbooks=workload.reference_workbooks
+    )
+    runs = [workspace.evaluate(workload.cases, corpus_name)] + [
+        run_method_on_cases(method, workload.reference_workbooks, workload.cases, corpus_name)
+        for method in build_baselines()
+    ]
 
-    print(f"{'workspace / method':40s} {'R':>6s} {'P':>6s} {'F1':>6s}")
+    print(f"{'method':40s} {'R':>6s} {'P':>6s} {'F1':>6s}")
     print("-" * 62)
-    for workspace in service:
-        metrics = workspace.evaluate(workload.cases, corpus_name).metrics
+    for run in runs:
+        metrics = run.metrics
         print(
-            f"{workspace.predictor.name[:40]:40s} "
+            f"{run.method[:40]:40s} "
             f"{metrics.recall:6.2f} {metrics.precision:6.2f} {metrics.f1:6.2f}"
         )
 
     print("\nExample Auto-Formula recommendations (served):")
-    workspace = service["auto-formula"]
     responses = workspace.serve_batch(
         [RecommendationRequest(case.target_sheet, case.target_cell) for case in workload.cases]
     )

@@ -32,20 +32,13 @@ class FormulaPredictor(abc.ABC):
     once on the organization's reference workbooks (the offline phase), then
     call ``predict`` per target cell (the online phase).  ``predict`` may
     return ``None`` to abstain; abstentions lower recall but not precision,
-    matching the paper's metric definitions.
+    matching the paper's metric definitions.  A served workspace
+    (``repro.service``) needs more than this: Auto-Formula's in-place
+    corpus mutation, snapshot and counter API.
     """
 
     #: Human-readable method name used in result tables.
     name: str = "predictor"
-
-    #: Whether the fitted corpus can be mutated in place via
-    #: ``add_workbooks`` / ``remove_workbook`` / ``reindex_sheet`` after
-    #: ``fit``.  Methods that
-    #: leave this ``False`` are refit from scratch by the service layer
-    #: (``repro.service``) whenever a workspace's corpus changes; methods
-    #: that set it ``True`` guarantee that incremental mutation produces
-    #: predictions identical to a fresh ``fit`` on the equivalent corpus.
-    supports_incremental_corpus: bool = False
 
     @abc.abstractmethod
     def fit(self, reference_workbooks: Sequence[Workbook]) -> None:

@@ -302,7 +302,8 @@ class AutoFormula(FormulaPredictor):
     winning formula's parameters.  :meth:`predict_batch` runs S1 once and
     featurizes/encodes every target region of a sheet in one forward pass.
 
-    The indexed corpus is mutable after :meth:`fit`: :meth:`add_workbooks`
+    A new predictor indexes an empty corpus, and the corpus is mutable
+    from then on: :meth:`fit` replaces it whole, :meth:`add_workbooks`
     appends new reference sheets without touching the existing ones,
     :meth:`remove_workbook` tombstones a workbook's sheets out of both
     vector indexes (see :meth:`repro.ann.VectorIndex.remove_batch`), and
@@ -314,7 +315,6 @@ class AutoFormula(FormulaPredictor):
     """
 
     name = "Auto-Formula"
-    supports_incremental_corpus = True
 
     def __init__(
         self,
@@ -323,6 +323,18 @@ class AutoFormula(FormulaPredictor):
     ) -> None:
         self.encoder = encoder
         self.config = config or AutoFormulaConfig()
+        #: S3 candidates scored, and those re-ranked (see :meth:`counters`);
+        #: serves run concurrently, hence instruments.
+        self._candidates_scored = Counter()
+        self._candidates_reranked = Counter()
+        #: S1 query embeddings, reused within and across requests.
+        self._query_vector_cache = sheet_cache("query_vectors", MAX_CACHED_TARGET_SHEETS)
+        self._reset()
+
+    def _reset(self) -> None:
+        """An empty corpus (no reference sheet, both indexes empty) and a
+        cold query cache."""
+        self._query_vector_cache.clear()
         #: Reference sheets by stable sheet id; removed sheets become None.
         self._reference_sheets: List[Optional[_ReferenceSheet]] = []
         #: Stable ids of each indexed workbook's sheets, and of each indexed
@@ -330,14 +342,13 @@ class AutoFormula(FormulaPredictor):
         #: no mutation walks the whole registry.
         self._workbook_sheet_ids: Dict[str, List[int]] = {}
         self._sheet_ids: Dict[int, int] = {}
-        self._sheet_index = None
-        self._formula_index = None
-        #: S3 candidates scored, and those re-ranked (see :meth:`counters`);
-        #: serves run concurrently, hence instruments.
-        self._candidates_scored = Counter()
-        self._candidates_reranked = Counter()
-        #: S1 query embeddings, reused within and across requests.
-        self._query_vector_cache = sheet_cache("query_vectors", MAX_CACHED_TARGET_SHEETS)
+        sheet_dimension = (
+            self.encoder.fine_dimension
+            if self.config.granularity == "fine_only"
+            else self.encoder.coarse_dimension
+        )
+        self._sheet_index = VectorIndex(sheet_dimension)
+        self._formula_index = VectorIndex(self._region_dimension)
 
     # --------------------------------------------------------------- encoding
 
@@ -400,9 +411,8 @@ class AutoFormula(FormulaPredictor):
             "s3.candidates_reranked": self._candidates_reranked.value,
         }
         for index in (self._sheet_index, self._formula_index):
-            if index is not None:
-                for key, count in index.counters().items():
-                    counts[key] = counts.get(key, 0) + count
+            for key, count in index.counters().items():
+                counts[key] = counts.get(key, 0) + count
         return counts
 
     # ---------------------------------------------------------------- offline
@@ -440,22 +450,34 @@ class AutoFormula(FormulaPredictor):
         return sheets
 
     def fit(self, reference_workbooks: Sequence[Union[Workbook, Sheet]]) -> None:
-        """Offline phase: embed and index every reference sheet and formula."""
-        self._reference_sheets = []
-        self._workbook_sheet_ids = {}
-        self._sheet_ids = {}
-        self._query_vector_cache.clear()
+        """Offline phase: embed and index every reference sheet and formula,
+        in place of the corpus indexed so far.
 
-        sheet_dimension = (
-            self.encoder.fine_dimension
-            if self.config.granularity == "fine_only"
-            else self.encoder.coarse_dimension
+        All or nothing, as :meth:`_index_sheets` is: the old registry and
+        indexes are kept until the last forward has run, and put back if
+        one raises.
+        """
+        old = (
+            self._reference_sheets,
+            self._workbook_sheet_ids,
+            self._sheet_ids,
+            self._sheet_index,
+            self._formula_index,
         )
-        self._sheet_index = VectorIndex(sheet_dimension)
-        self._formula_index = VectorIndex(self._region_dimension)
         sheets = self._flatten(reference_workbooks)
         with get_tracer().span("core.fit", sheets=len(sheets)):
-            self._index_sheets(sheets)
+            self._reset()
+            try:
+                self._index_sheets(sheets)
+            except BaseException:
+                (
+                    self._reference_sheets,
+                    self._workbook_sheet_ids,
+                    self._sheet_ids,
+                    self._sheet_index,
+                    self._formula_index,
+                ) = old
+                raise
 
     def _index_sheets(self, sheets: Sequence[Tuple[str, Sheet]]) -> None:
         """Embed and index new reference sheets, appended after existing ones.
@@ -539,9 +561,6 @@ class AutoFormula(FormulaPredictor):
         :meth:`fit` on the old corpus followed by the new workbooks, with
         bit-identical predictions.
         """
-        if self._sheet_index is None:
-            self.fit(list(workbooks))
-            return self.n_reference_sheets
         pairs = self._flatten(workbooks)
         self._index_sheets(pairs)
         return len(pairs)
@@ -668,15 +687,16 @@ class AutoFormula(FormulaPredictor):
         query-time embeddings with identical batch shapes, so the caches
         are pure warm-up state.
         """
-        fitted = self._sheet_index is not None
         state: Dict[str, object] = {
             "predictor": type(self).__name__,
             "granularity": self.config.granularity,
             "sheet_index_kind": _INDEX_KIND,
             "formula_index_kind": _INDEX_KIND,
-            "fitted": fitted,
-            "sheet_store_size": len(self._sheet_index.vectors) if fitted else 0,
-            "formula_store_size": len(self._formula_index.vectors) if fitted else 0,
+            # Always true; a snapshot an older build wrote of a workspace
+            # that never indexed a workbook says false and holds no arrays.
+            "fitted": True,
+            "sheet_store_size": len(self._sheet_index.vectors),
+            "formula_store_size": len(self._formula_index.vectors),
             "reference_sheets": [
                 None
                 if reference is None
@@ -692,24 +712,23 @@ class AutoFormula(FormulaPredictor):
             ],
         }
         arrays: Dict[str, np.ndarray] = {}
-        if fitted:
-            for name, index in (("sheet", self._sheet_index), ("formula", self._formula_index)):
-                for part, block in index.store_state().items():
-                    arrays[f"{name}_{part}"] = block
-                arrays[f"{name}_keys"] = np.asarray(index._keys, dtype=np.int64)
-            # ``(sheet id, formula)`` pairs, also when there are none.
-            arrays["formula_keys"] = arrays["formula_keys"].reshape(-1, 2)
-            references = self._reference_sheets
-            arrays["sheet_positions"] = np.asarray(
-                [-1 if reference is None else reference.sheet_row for reference in references],
-                dtype=np.int64,
-            )
-            arrays["formula_positions_flat"] = np.concatenate(
-                [np.empty(0, dtype=np.int64)]
-                + [reference.formula_rows for reference in filter(None, references)]
-            )
-            counts = [0 if ref is None else len(ref.formula_rows) for ref in references]
-            arrays["formula_positions_offsets"] = np.cumsum([0] + counts, dtype=np.int64)
+        for name, index in (("sheet", self._sheet_index), ("formula", self._formula_index)):
+            for part, block in index.store_state().items():
+                arrays[f"{name}_{part}"] = block
+            arrays[f"{name}_keys"] = np.asarray(index._keys, dtype=np.int64)
+        # ``(sheet id, formula)`` pairs, also when there are none.
+        arrays["formula_keys"] = arrays["formula_keys"].reshape(-1, 2)
+        references = self._reference_sheets
+        arrays["sheet_positions"] = np.asarray(
+            [-1 if reference is None else reference.sheet_row for reference in references],
+            dtype=np.int64,
+        )
+        arrays["formula_positions_flat"] = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [reference.formula_rows for reference in filter(None, references)]
+        )
+        counts = [0 if ref is None else len(ref.formula_rows) for ref in references]
+        arrays["formula_positions_offsets"] = np.cumsum([0] + counts, dtype=np.int64)
         return state, arrays
 
     def restore_snapshot_state(
@@ -743,10 +762,9 @@ class AutoFormula(FormulaPredictor):
                     f"snapshot was taken with {field}={kind!r}, this predictor "
                     f"has only the {_INDEX_KIND!r} index"
                 )
-        self.fit([])  # reset indexes, caches and bookkeeping to a blank fit
+        self._reset()
         if not state.get("fitted", False):
-            self._sheet_index = self._formula_index = None
-            return
+            return  # an older build's snapshot of a never-indexed workspace
         # Key and position blocks may be memory maps: one ``tolist()`` per
         # block, not one ``__getitem__`` per row (keys stay Python ints).
         self._sheet_index.restore_store(
@@ -797,24 +815,19 @@ class AutoFormula(FormulaPredictor):
         See :meth:`repro.ann.VectorIndex.memory_stats`; ``total_bytes``
         sums both indexes.
         """
-        sheet = self._sheet_index.memory_stats() if self._sheet_index is not None else None
-        formula = (
-            self._formula_index.memory_stats() if self._formula_index is not None else None
-        )
-        total = 0
-        for stats in (sheet, formula):
-            if stats is not None:
-                total += int(stats["bytes"]["total"])  # type: ignore[index]
+        sheet = self._sheet_index.memory_stats()
+        formula = self._formula_index.memory_stats()
+        total = int(sheet["bytes"]["total"]) + int(formula["bytes"]["total"])  # type: ignore[index]
         return {"sheet_index": sheet, "formula_index": formula, "total_bytes": total}
 
     @property
     def sheet_index(self):
-        """The S1 sheet-level vector index (``None`` before ``fit``)."""
+        """The S1 sheet-level vector index."""
         return self._sheet_index
 
     @property
     def formula_index(self):
-        """The S2 formula-region vector index (``None`` before ``fit``)."""
+        """The S2 formula-region vector index."""
         return self._formula_index
 
     # ----------------------------------------------------------------- online
@@ -900,7 +913,7 @@ class AutoFormula(FormulaPredictor):
         ``top_k_sheets``; ``query_vector`` takes a once-computed
         :meth:`sheet_query_vector` instead of re-embedding the sheet.
         """
-        if not self._reference_sheets or self._sheet_index is None or len(self._sheet_index) == 0:
+        if len(self._sheet_index) == 0:
             return []
         with get_tracer().span(
             "s1.sheet_hits", k=self.config.top_k_sheets if k is None else k

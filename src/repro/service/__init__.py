@@ -8,11 +8,10 @@ API around three pieces:
   :class:`Workspace` objects, one indexed corpus per organization/tenant,
   all sharing one trained encoder;
 * :class:`Workspace` — a mutable corpus handle: ``add_workbooks`` /
-  ``remove_workbook`` update the predictor's indexes in place (for
-  Auto-Formula) or refit (for baselines), with prediction parity to a
-  fresh fit either way; ``edit_cell`` applies live single-cell edits
-  through a per-sheet incremental recalculation engine
-  (``repro.formula.engine``) and re-indexes the workbook; serving goes
+  ``remove_workbook`` update the Auto-Formula predictor's indexes in
+  place, with prediction parity to a fresh fit; ``edit_cell`` applies
+  live single-cell edits through a per-sheet incremental recalculation
+  engine (``repro.formula.engine``) and re-indexes the sheet; serving goes
   through ``recommend`` / ``serve_batch`` and the evaluation harness and
   the paper's extension applications are reachable as workspace methods;
 * typed, frozen request/response objects

@@ -6,10 +6,8 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.core.config import AutoFormulaConfig
-from repro.core.interface import FormulaPredictor
 from repro.core.pipeline import AutoFormula
 from repro.models.encoder import SheetEncoder
-from repro.persistence.snapshot import SnapshotFormatError, read_manifest
 from repro.service.workspace import Workspace
 from repro.sheet.workbook import Workbook
 
@@ -19,10 +17,9 @@ class FormulaService:
 
     One service instance holds the trained :class:`SheetEncoder` (shared
     read-only by every workspace) and manages one :class:`Workspace` per
-    organization/tenant.  Workspaces default to an :class:`AutoFormula`
-    predictor built from the service's encoder and config, but any
-    :class:`FormulaPredictor` (a baseline, an ablation) can be supplied
-    explicitly, so the whole method zoo is servable through one API.
+    organization/tenant, each over an :class:`AutoFormula` predictor built
+    from the service's encoder and config.  The evaluation harness
+    (``repro.evaluation``), not the service, runs the baselines.
     """
 
     def __init__(
@@ -47,10 +44,16 @@ class FormulaService:
     def create_workspace(
         self,
         name: str,
-        predictor: Optional[FormulaPredictor] = None,
+        predictor: Optional[AutoFormula] = None,
         workbooks: Sequence[Workbook] = (),
     ) -> Workspace:
-        """Create (and register) a workspace, optionally pre-loading a corpus."""
+        """Create (and register) a workspace, optionally pre-loading a corpus.
+
+        ``predictor`` overrides the default :class:`AutoFormula`; whatever
+        is passed must have its corpus-mutation API (``add_workbooks``,
+        ``remove_workbook``, ``reindex_sheet``) and its ``counters`` and
+        ``memory_stats``.
+        """
         if name in self._workspaces:
             raise ValueError(f"workspace {name!r} already exists")
         if predictor is None:
@@ -78,20 +81,15 @@ class FormulaService:
 
         The predictor is constructed from the service's shared encoder
         and config, exactly as :meth:`create_workspace` would.  ``name``
-        overrides the snapshot's stored workspace name.  A manifest of
-        any other ``kind`` raises :class:`SnapshotFormatError`.
+        overrides the snapshot's stored workspace name; a name already
+        registered raises ``ValueError``, and a manifest of any other
+        ``kind`` :class:`~repro.persistence.snapshot.SnapshotFormatError`
+        (see :meth:`Workspace.load`).
         """
-        manifest = read_manifest(directory)
-        kind = manifest.get("kind")
-        registered = str(name or manifest.get("name") or "restored")
-        if registered in self._workspaces:
-            raise ValueError(f"workspace {registered!r} already exists")
-        if kind != "workspace":
-            raise SnapshotFormatError(
-                f"snapshot at {directory} holds unknown workspace kind {kind!r}"
-            )
-        workspace = Workspace.load(directory, self._default_predictor(), name=registered)
-        self._workspaces[registered] = workspace
+        workspace = Workspace.load(directory, self._default_predictor(), name=name)
+        if workspace.name in self._workspaces:
+            raise ValueError(f"workspace {workspace.name!r} already exists")
+        self._workspaces[workspace.name] = workspace
         return workspace
 
     def workspace(self, name: str) -> Workspace:

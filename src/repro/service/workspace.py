@@ -6,7 +6,6 @@ import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.interface import FormulaPredictor
 from repro.core.pipeline import AutoFormula
 from repro.persistence.log import (
     MutationLog,
@@ -97,12 +96,12 @@ def require_one_edit_operand(value, formula) -> None:
 class Workspace:
     """One tenant's indexed corpus behind the typed serving API.
 
-    A workspace owns a :class:`FormulaPredictor` and the set of workbooks
-    it is fitted on, keyed by workbook name.  Corpus mutation goes through
-    :meth:`add_workbooks` / :meth:`remove_workbook` / :meth:`edit_cell`:
-    predictors that declare ``supports_incremental_corpus`` (Auto-Formula)
-    are mutated in place, all others are refit on the updated corpus —
-    either way the workspace stays consistent with its workbook set, and
+    A workspace owns an :class:`~repro.core.pipeline.AutoFormula` and the
+    set of workbooks it indexes, keyed by workbook name; the predictor is
+    indexed from construction (an empty corpus at first).  Corpus mutation
+    goes through :meth:`add_workbooks` / :meth:`remove_workbook` /
+    :meth:`edit_cell`, each of which changes the predictor's indexes in
+    place, so the workspace stays consistent with its workbook set and
     predictions are identical to a fresh fit on the equivalent corpus: the
     workbooks in the order they were added, which an edit never changes.
 
@@ -110,7 +109,7 @@ class Workspace:
     answer with frozen :class:`RecommendationResponse` objects and record
     per-request latency on :attr:`latency`.  The evaluation harness and the
     paper's extension applications (value auto-fill, formula error
-    detection, which read an Auto-Formula predictor's own indexes) are
+    detection, which read the predictor's own indexes) are
     reachable as workspace methods so one corpus handle drives every
     workload.
 
@@ -123,12 +122,10 @@ class Workspace:
     reads are individually thread-safe (see ``repro.service.concurrency``).
     """
 
-    def __init__(self, name: str, predictor: FormulaPredictor) -> None:
+    def __init__(self, name: str, predictor: AutoFormula) -> None:
         self.name = name
         self._predictor = predictor
         self._workbooks: Dict[str, Workbook] = {}
-        self._fitted = False
-        self._incremental = bool(getattr(predictor, "supports_incremental_corpus", False))
         #: Serving = shared access, corpus mutation = exclusive access.
         self._rwlock = ReadWriteLock()
         #: Per-request serving latencies (amortized for batched requests).
@@ -152,7 +149,7 @@ class Workspace:
     # ----------------------------------------------------------------- corpus
 
     @property
-    def predictor(self) -> FormulaPredictor:
+    def predictor(self) -> AutoFormula:
         """The wrapped prediction method."""
         return self._predictor
 
@@ -173,12 +170,11 @@ class Workspace:
         return workbook_name in self._workbooks
 
     def add_workbooks(self, workbooks: Iterable[Workbook]) -> None:
-        """Index additional workbooks (incrementally when the predictor
-        supports it, otherwise via a refit on the whole corpus).
+        """Index additional workbooks, appended after the indexed ones.
 
-        The workbooks are registered only after the predictor mutation
-        succeeds, so an embedding/fit failure leaves the workspace's
-        workbook set consistent with what the predictor actually indexed.
+        The workbooks are registered only after the predictor's add
+        succeeds, so an embedding failure leaves the workspace's workbook
+        set consistent with what the predictor actually indexed.
         """
         workbooks = list(workbooks)
         if not workbooks:
@@ -198,11 +194,7 @@ class Workspace:
                 if workbook.name in seen:
                     raise ValueError(f"workbook {workbook.name!r} is already indexed")
                 seen.add(workbook.name)
-            if self._incremental and self._fitted:
-                self._predictor.add_workbooks(workbooks)
-            else:
-                self._predictor.fit(self.workbooks() + workbooks)
-                self._fitted = True
+            self._predictor.add_workbooks(workbooks)
             for workbook in workbooks:
                 self._workbooks[workbook.name] = workbook
                 self._log(add_entry, workbook)
@@ -214,29 +206,18 @@ class Workspace:
     def remove_workbook(self, workbook_name: str) -> Workbook:
         """Drop a workbook from the corpus and return it.
 
-        Raises ``KeyError`` if the workbook is not indexed.  Incremental
-        predictors tombstone the workbook's sheets out of their indexes;
-        others are refit on the remaining corpus.  As with
-        :meth:`add_workbooks`, the workbook stays registered if the
-        predictor mutation fails.
+        Raises ``KeyError`` if the workbook is not indexed.  The
+        predictor tombstones the workbook's sheets out of its indexes; as
+        with :meth:`add_workbooks`, the workbook stays registered if that
+        fails.
         """
         with self._rwlock.write_lock():
             if workbook_name not in self._workbooks:
                 raise KeyError(workbook_name)
-            if self._incremental and self._fitted:
-                # A registered workbook with zero sheets never reached the
-                # predictor's indexes, so there is nothing to remove there.
-                if len(self._workbooks[workbook_name]):
-                    self._predictor.remove_workbook(workbook_name)
-            else:
-                self._predictor.fit(
-                    [
-                        workbook
-                        for name, workbook in self._workbooks.items()
-                        if name != workbook_name
-                    ]
-                )
-                self._fitted = True
+            # A registered workbook with zero sheets never reached the
+            # predictor's indexes, so there is nothing to remove there.
+            if len(self._workbooks[workbook_name]):
+                self._predictor.remove_workbook(workbook_name)
             workbook = self._workbooks.pop(workbook_name)
             for engine in drop_engines(self._engines, workbook_name):
                 _add_counts(self._dropped_engine_counts, engine.counters())
@@ -264,8 +245,7 @@ class Workspace:
         <repro.core.pipeline.AutoFormula.reindex_sheet>`), so subsequent
         recommendations see the new content.  The workbook keeps its place
         in the corpus order and its sibling sheets are not touched; answers
-        equal a fresh fit on :meth:`workbooks`.  Predictors that cannot
-        re-index in place are refit.  Returns the engine's
+        equal a fresh fit on :meth:`workbooks`.  Returns the engine's
         :class:`~repro.formula.engine.RecalcReport`.
 
         Raises ``KeyError`` if the workbook is not indexed or has no sheet
@@ -273,7 +253,10 @@ class Workspace:
         ``value`` / ``formula`` is provided or for a value no cell can
         hold, before any lock is taken.  An edit whose write or
         recalculation raises leaves the workspace as it was, its sheet's
-        version aside, and re-raises.
+        version aside, and re-raises.  A re-index that raises falls back to
+        a full fit on :meth:`workbooks` (counted, see :meth:`counters`);
+        should that raise too, the predictor keeps the indexes it had and
+        the error propagates, the sheet keeping the edited cell.
         """
         require_one_edit_operand(value, formula)
         value = decode_cell_value(value)
@@ -302,19 +285,16 @@ class Workspace:
                 _add_counts(self._dropped_engine_counts, engine.counters())
                 del self._engines[(workbook_name, sheet.name)]
                 raise
-            if self._incremental and self._fitted:
-                try:
-                    self._reindex_sheet(sheet, engine.trees())
-                except Exception:
-                    # A half-applied re-index would leave the predictor
-                    # disagreeing with the sheet it serves; a full refit on
-                    # the registry restores consistency.  If the refit
-                    # itself fails, that error propagates.  Answers do not
-                    # show this path was taken, so it is counted.
-                    self._counts["workspace.reindex_refit"].inc()
-                    self._refit()
-            else:
-                self._refit()
+            try:
+                self._reindex_sheet(sheet, engine.trees())
+            except Exception:
+                # A re-index that raised may have met a sheet changed behind
+                # the workspace's back (a sheet added to a workbook, say); a
+                # full fit on the registry restores consistency.  If the fit
+                # itself fails, that error propagates.  Answers do not show
+                # this path was taken, so it is counted.
+                self._counts["workspace.reindex_refit"].inc()
+                self._predictor.fit(self.workbooks())
             self._log(edit_entry, workbook_name, sheet_name, address, value=value, formula=formula)
             return report
 
@@ -325,26 +305,6 @@ class Workspace:
                 span.set_attribute(key, attribute)
         shape = "changed" if outcome["formulas_changed"] else "same"
         self._counts[f"workspace.reindex_{shape}"].inc()
-
-    def _refit(self) -> None:
-        self._predictor.fit(self.workbooks())
-        self._fitted = True
-
-    def _ensure_fitted(self) -> None:
-        if not self._fitted:
-            self._refit()
-
-    def _ensure_fitted_for_serving(self) -> None:
-        """Fit-before-serve under the write lock (the rare path).
-
-        ``_fitted`` only ever transitions ``False -> True``, so checking it
-        outside the lock is safe: once a serve has seen a fitted predictor
-        no later mutation can unfit it.
-        """
-        if self._fitted or not self._workbooks:
-            return
-        with self._rwlock.write_lock():
-            self._ensure_fitted()
 
     # ------------------------------------------------------------- durability
 
@@ -369,21 +329,12 @@ class Workspace:
         After ``save()`` the workspace keeps logging subsequent
         add/remove/edit calls to ``directory``'s log, so a later
         :meth:`load` restores snapshot + tail.
-
-        Requires a snapshot-capable predictor (Auto-Formula); raises
-        ``TypeError`` for baselines that cannot serialize their state.
         """
         directory = Path(directory)
-        snapshot_state = getattr(self._predictor, "snapshot_state", None)
-        if snapshot_state is None:
-            raise TypeError(
-                f"predictor {self._predictor.name!r} does not support snapshots; "
-                "durable workspaces need a snapshot-capable predictor (AutoFormula)"
-            )
         with get_tracer().span(
             "snapshot.save", workspace=self.name, directory=str(directory)
         ), self._rwlock.write_lock():
-            state, arrays = snapshot_state()
+            state, arrays = self._predictor.snapshot_state()
             files = save_corpus(directory, self.workbooks())
             names = save_arrays(directory, arrays)
             write_manifest(
@@ -392,7 +343,7 @@ class Workspace:
                     "kind": "workspace",
                     "name": self.name,
                     "workbooks": files,
-                    "fitted": self._fitted,
+                    "fitted": True,  # what an older build read; always true
                     "predictor_state": state,
                     "arrays": names,
                 },
@@ -406,7 +357,7 @@ class Workspace:
     def load(
         cls,
         directory: Union[str, Path],
-        predictor: FormulaPredictor,
+        predictor: AutoFormula,
         name: Optional[str] = None,
         mmap: bool = True,
     ) -> "Workspace":
@@ -437,7 +388,7 @@ class Workspace:
     def _load_traced(
         cls,
         directory: Path,
-        predictor: FormulaPredictor,
+        predictor: AutoFormula,
         name: Optional[str],
         mmap: bool,
         span,
@@ -448,19 +399,14 @@ class Workspace:
                 f"snapshot at {directory} holds a {manifest.get('kind')!r}, "
                 "not a workspace"
             )
-        restore = getattr(predictor, "restore_snapshot_state", None)
-        if restore is None:
-            raise TypeError(
-                f"predictor {predictor.name!r} cannot restore snapshots; "
-                "load with a snapshot-capable predictor (AutoFormula)"
-            )
         workbooks = load_corpus(directory, manifest.get("workbooks", []))
         arrays = load_arrays(directory, manifest.get("arrays", []), mmap=mmap)
-        restore(manifest.get("predictor_state", {}), arrays, sheet_resolver(workbooks))
+        predictor.restore_snapshot_state(
+            manifest.get("predictor_state", {}), arrays, sheet_resolver(workbooks)
+        )
         workspace = cls(str(name or manifest.get("name") or "restored"), predictor)
         for workbook in workbooks:
             workspace._workbooks[workbook.name] = workbook
-        workspace._fitted = bool(manifest.get("fitted", False))
         log = MutationLog(mutation_log_path(directory))
         entries = log.read()
         for entry in entries:
@@ -501,10 +447,8 @@ class Workspace:
             return []
         with get_tracer().span(
             "workspace.serve", workspace=self.name, n_requests=len(requests)
-        ) as span:
-            self._ensure_fitted_for_serving()
-            with self._rwlock.read_lock():
-                return self._serve_batch_locked(requests, span)
+        ) as span, self._rwlock.read_lock():
+            return self._serve_batch_locked(requests, span)
 
     def _serve_batch_locked(
         self, requests: List[RecommendationRequest], span
@@ -602,38 +546,27 @@ class Workspace:
           final lines (what a crash during an append leaves) it dropped.
 
         Beside them: the sum of the sheet engines'
-        :meth:`~repro.formula.engine.FormulaEngine.counters` and whatever
-        the predictor's ``counters()`` reports
-        (:meth:`~repro.core.pipeline.AutoFormula.counters`).
+        :meth:`~repro.formula.engine.FormulaEngine.counters` and the
+        predictor's (:meth:`~repro.core.pipeline.AutoFormula.counters`).
         """
         counts = {name: counter.value for name, counter in self._counts.items()}
         _add_counts(counts, self._dropped_engine_counts)
         # list(): an edit on another thread may add an engine meanwhile.
         for engine in list(self._engines.values()):
             _add_counts(counts, engine.counters())
-        predictor_counters = getattr(self._predictor, "counters", None)
-        if predictor_counters is not None:
-            counts.update(predictor_counters())
+        counts.update(self._predictor.counters())
         return counts
 
     def memory_stats(self) -> Dict[str, object]:
-        """Index memory footprint of the predictor (JSON-ready).
-
-        Delegates to the predictor's ``memory_stats`` when it has one (see
-        :meth:`repro.core.pipeline.AutoFormula.memory_stats`); predictors
-        without index stores report zero bytes.
-        """
-        stats = getattr(self._predictor, "memory_stats", None)
-        if stats is None:
-            return {"total_bytes": 0}
+        """Index memory footprint of the predictor (JSON-ready, see
+        :meth:`repro.core.pipeline.AutoFormula.memory_stats`)."""
         with self._rwlock.read_lock():
-            return stats()
+            return self._predictor.memory_stats()
 
     # --------------------------------------------------------------- adapters
 
     def evaluate(self, cases: Sequence, corpus_name: str = "") -> EvaluationRun:
-        """Run the evaluation harness on this workspace's fitted predictor."""
-        self._ensure_fitted_for_serving()
+        """Run the evaluation harness on this workspace's predictor."""
         with self._rwlock.read_lock():
             return run_method_on_cases(
                 self._predictor,
@@ -643,26 +576,16 @@ class Workspace:
                 fit=False,
             )
 
-    def _auto_formula(self) -> AutoFormula:
-        if not isinstance(self._predictor, AutoFormula):
-            raise TypeError(
-                f"predictor {self._predictor.name!r} has no similar-sheet index; "
-                "auto-fill and error detection read an AutoFormula's"
-            )
-        return self._predictor
-
     def suggest_value(
         self, sheet: Sheet, cell: CellAddress
     ) -> Optional[autofill.AutoFillSuggestion]:
         """Suggest a *value* for an empty cell (content auto-filling, see
         :func:`repro.extensions.suggest_value`) from the indexed corpus."""
-        predictor = self._auto_formula()
         with self._rwlock.read_lock():
-            return autofill.suggest_value(predictor, sheet, cell)
+            return autofill.suggest_value(self._predictor, sheet, cell)
 
     def audit_sheet(self, sheet: Sheet) -> List[error_detection.FormulaAnomaly]:
         """Audit a sheet for formulas that disagree with similar sheets of
         the indexed corpus (see :func:`repro.extensions.audit_sheet`)."""
-        predictor = self._auto_formula()
         with self._rwlock.read_lock():
-            return error_detection.audit_sheet(predictor, sheet)
+            return error_detection.audit_sheet(self._predictor, sheet)

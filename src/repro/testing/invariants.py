@@ -109,10 +109,6 @@ def assert_tombstone_accounting(predictor) -> None:
     assert predictor._sheet_ids == {
         id(references[sheet_id].sheet): sheet_id for sheet_id in live_ids
     }, "sheet → sheet-id lookup disagrees with the reference-sheet registry"
-    if predictor.sheet_index is None:
-        assert not live_ids, "fitted sheets but no sheet index"
-        return
-
     n_live_sheets = len(live_ids)
     n_live_formulas = sum(len(references[sheet_id].formulas) for sheet_id in live_ids)
     assert len(predictor.sheet_index) == n_live_sheets, (
@@ -185,7 +181,7 @@ def assert_no_tombstones(predictor) -> None:
         ("sheet", predictor.sheet_index),
         ("formula", predictor.formula_index),
     ):
-        assert index is None or index.n_tombstones == 0, (
+        assert index.n_tombstones == 0, (
             f"{label} index holds {index.n_tombstones} tombstones after a "
             "history without removals"
         )

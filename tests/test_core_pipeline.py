@@ -83,9 +83,6 @@ class TestCorpusMutation:
         with pytest.raises(KeyError):
             system.remove_workbook("no-such-workbook")
 
-    def test_supports_incremental_corpus_flag(self, trained_encoder):
-        assert AutoFormula(trained_encoder).supports_incremental_corpus
-
 
 class TestOfflinePhase:
     def test_fit_indexes_sheets_and_formulas(self, fitted_system, pge_workload):

@@ -287,6 +287,50 @@ class TestOlderSnapshots:
         )
         assert_tombstone_accounting(restored.predictor)
 
+    @pytest.mark.parametrize("mmap", (True, False))
+    def test_a_never_indexed_workspace_round_trips(self, trained_encoder, mmap, tmp_path):
+        config = AutoFormulaConfig()
+        Workspace("empty", AutoFormula(trained_encoder, config)).save(tmp_path / "snap")
+        restored = Workspace.load(tmp_path / "snap", AutoFormula(trained_encoder, config), mmap=mmap)
+        assert restored.name == "empty" and len(restored) == 0
+        assert restored.predictor.n_reference_sheets == 0
+        assert restored.memory_stats()["total_bytes"] == 0
+        workspace, cases, __ = _churned_workspace(trained_encoder)
+        restored.add_workbooks([workbook.copy() for workbook in workspace.workbooks()])
+        assert_matches_fresh_fit(
+            restored,
+            lambda: AutoFormula(trained_encoder, config),
+            cases,
+            context=f"empty snapshot, then an add, mmap={mmap}",
+        )
+
+    def test_an_older_builds_empty_snapshot_loads(self, trained_encoder, tmp_path):
+        """A workspace that never indexed a workbook was saved by an older
+        build with ``fitted: false`` in the manifest and the predictor
+        state and no array block; it loads as an empty workspace that an
+        add turns into a fresh fit's."""
+        config = AutoFormulaConfig()
+        directory = tmp_path / "snap"
+        Workspace("empty", AutoFormula(trained_encoder, config)).save(directory)
+        manifest = read_manifest(directory)
+        assert manifest["fitted"] is manifest["predictor_state"]["fitted"] is True
+        for name in manifest["arrays"]:
+            (directory / "arrays" / f"{name}.npy").unlink()
+        manifest.update(fitted=False, arrays=[])
+        manifest["predictor_state"]["fitted"] = False
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        restored = Workspace.load(directory, AutoFormula(trained_encoder, config))
+        assert len(restored) == 0 and restored.predictor.n_reference_sheets == 0
+        assert_tombstone_accounting(restored.predictor)
+        workspace, cases, __ = _churned_workspace(trained_encoder)
+        restored.add_workbooks([workbook.copy() for workbook in workspace.workbooks()])
+        assert_matches_fresh_fit(
+            restored,
+            lambda: AutoFormula(trained_encoder, config),
+            cases,
+            context="an older build's empty snapshot, then an add",
+        )
+
     @staticmethod
     def _saved_with_index_kind(trained_encoder, kind, directory):
         """A churned workspace saved to ``directory``, its manifest then

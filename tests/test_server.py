@@ -22,7 +22,7 @@ import weakref
 import pytest
 
 from repro import AutoFormulaConfig, FormulaService
-from repro.core.interface import FormulaPredictor, Prediction
+from repro.core.interface import Prediction
 from repro.corpus import sample_test_cases, split_corpus
 from repro.formula import FormulaEngine
 from repro.server import app as app_module
@@ -42,6 +42,8 @@ from repro.sheet import Sheet, Workbook
 from repro.sheet.io import sheet_to_dict, workbook_to_dict
 from repro.testing import WorkloadConfig, generate_workload
 
+from predictor_stub import StubPredictor
+
 
 pytestmark = pytest.mark.usefixtures("fail_on_asyncio_errors")
 
@@ -49,19 +51,13 @@ pytestmark = pytest.mark.usefixtures("fail_on_asyncio_errors")
 TIMEOUT = 30.0
 
 
-class _StubPredictor(FormulaPredictor):
+class _StubPredictor(StubPredictor):
     """Cheap deterministic predictor; optional per-batch serving delay."""
 
     def __init__(self, delay_seconds: float = 0.0, name: str = "stub"):
         self.delay_seconds = delay_seconds
         self.name = name
         self.cells_predicted = 0
-
-    def fit(self, reference_workbooks):
-        pass
-
-    def predict(self, target_sheet, target_cell):
-        return self.predict_batch(target_sheet, [target_cell])[0]
 
     def predict_batch(self, target_sheet, target_cells):
         if self.delay_seconds:

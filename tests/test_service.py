@@ -15,7 +15,6 @@ from repro import (
     RecommendationResponse,
     Workspace,
 )
-from repro.baselines import WeakSupervisionBaseline
 from repro.corpus import SurveyTemplate, sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
 from repro.formula import parser
@@ -24,6 +23,7 @@ from repro.models import SheetEncoder
 from repro.sheet import CellAddress, Workbook
 from repro.sheet.style import CellStyle
 from repro.testing import (
+    answer_of,
     assert_matches_fresh_fit,
     assert_responses_match,
     assert_same_index_rows,
@@ -239,8 +239,6 @@ class TestFacade:
         service = FormulaService()
         with pytest.raises(ValueError):
             service.create_workspace("no-encoder")
-        workspace = service.create_workspace("baseline", predictor=WeakSupervisionBaseline())
-        assert isinstance(workspace.predictor, WeakSupervisionBaseline)
 
     def test_duplicate_workbook_rejected(self, trained_encoder, workload):
         references, __ = workload
@@ -274,18 +272,18 @@ class TestFacade:
         assert removed.name == "empty.xlsx"
         assert "empty.xlsx" not in workspace
 
-    def test_failed_mutation_leaves_registry_consistent(self, workload):
+    def test_failed_mutation_leaves_registry_consistent(self, trained_encoder, workload):
+        """The first add of an empty workspace, failing: nothing registered."""
         references, __ = workload
-
-        class _ExplodingFit(WeakSupervisionBaseline):
-            def fit(self, reference_workbooks):
-                raise RuntimeError("boom")
-
-        workspace = Workspace("failing", _ExplodingFit())
-        with pytest.raises(RuntimeError):
-            workspace.add_workbook(references[0])
+        sheet = next(sheet for sheet in references[0] if sheet.n_formulas())
+        workspace = Workspace("failing", AutoFormula(trained_encoder, AutoFormulaConfig()))
+        workbook = _unembeddable_workbook(sheet)
+        with pytest.raises(TypeError):
+            workspace.add_workbook(workbook)
         assert len(workspace) == 0
-        assert references[0].name not in workspace
+        assert workbook.name not in workspace
+        assert workspace.predictor.n_reference_sheets == 0
+        assert_tombstone_accounting(workspace.predictor)
 
 
 def _unembeddable_workbook(sheet):
@@ -312,6 +310,14 @@ def _assert_same_index_state(left, right):
         for name, block in blocks.items():
             assert block.shape == other_blocks[name].shape
             assert block.tobytes() == other_blocks[name].tobytes(), name
+
+
+def _exported_state(predictor):
+    """``snapshot_state()`` with every array as (dtype, shape, bytes)."""
+    state, arrays = predictor.snapshot_state()
+    return state, {
+        name: (block.dtype.str, block.shape, block.tobytes()) for name, block in arrays.items()
+    }
 
 
 class TestAllOrNothing:
@@ -346,6 +352,30 @@ class TestAllOrNothing:
         workspace.remove_workbook(references[4].name)
         assert_matches_fresh_fit(workspace, fresh, cases, "remove")
         assert_tombstone_accounting(predictor)
+
+    def test_a_fit_that_raises_keeps_the_indexed_corpus(self, trained_encoder, workload):
+        """An edit whose re-index and fallback fit both raise — its sheet
+        was given, behind the workspace's back, a style no forward reads —
+        leaves the predictor's exported state byte for byte as it was and
+        its answers unchanged, not an empty predictor under six registered
+        workbooks."""
+        references, cases = workload
+        workspace = Workspace("t", AutoFormula(trained_encoder, AutoFormulaConfig()))
+        workspace.add_workbooks([workbook.copy() for workbook in references])
+        predictor = workspace.predictor
+        requests = [RecommendationRequest(case.target_sheet, case.target_cell) for case in cases]
+        answers = [answer_of(response) for response in workspace.serve_batch(requests)]
+        before = _exported_state(predictor)
+        workbook = workspace.workbooks()[0]
+        sheet = next(sheet for sheet in workbook if sheet.n_formulas())
+        sheet.set("Z1", "label", style=CellStyle(font_size="big"))
+        with pytest.raises(TypeError):
+            workspace.edit_cell(workbook.name, sheet.name, "A1", value=5.0)
+        assert workspace.counters()["workspace.reindex_refit"] == 1
+        assert _exported_state(predictor) == before
+        assert predictor.n_reference_sheets > 0
+        assert_tombstone_accounting(predictor)
+        assert [answer_of(response) for response in workspace.serve_batch(requests)] == answers
 
     @pytest.mark.parametrize("edit", ["value", "formula"])
     def test_a_reindex_whose_sheet_forward_raises_writes_nothing(
@@ -733,27 +763,6 @@ class TestEditCell:
         )
 
 
-class TestBaselineWorkspace:
-    """Non-incremental predictors are refit on every corpus mutation."""
-
-    def test_mutation_refits_baseline(self, workload):
-        references, cases = workload
-        service = FormulaService()
-        workspace = service.create_workspace(
-            "weak", predictor=WeakSupervisionBaseline(), workbooks=references[:3]
-        )
-        workspace.add_workbook(references[3])
-        workspace.remove_workbook(references[0].name)
-        assert workspace.workbook_names == [
-            workbook.name for workbook in references[1:4]
-        ]
-        response = workspace.recommend(
-            RecommendationRequest(cases[0].target_sheet, cases[0].target_cell)
-        )
-        assert isinstance(response, RecommendationResponse)
-        assert response.method == workspace.predictor.name
-
-
 class TestAdapters:
     def test_evaluate_matches_runner(self, trained_encoder, workload):
         references, cases = workload
@@ -838,12 +847,3 @@ class TestAdapters:
         calls.clear()
         workspace.audit_sheet(sheet)
         assert len(calls) <= 1
-
-    def test_extensions_need_an_auto_formula(self, workload):
-        references, cases = workload
-        workspace = Workspace("bare", WeakSupervisionBaseline())
-        workspace.add_workbooks(references[:2])
-        with pytest.raises(TypeError, match="similar-sheet index"):
-            workspace.suggest_value(cases[0].target_sheet, cases[0].target_cell)
-        with pytest.raises(TypeError, match="similar-sheet index"):
-            workspace.audit_sheet(cases[0].target_sheet)

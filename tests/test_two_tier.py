@@ -21,13 +21,15 @@ import pytest
 
 from repro import AutoFormula, AutoFormulaConfig, ServerConfig, Workspace
 from repro.ann import SearchResult, VectorIndex
-from repro.core.interface import FormulaPredictor, Prediction
+from repro.core.interface import Prediction
 from repro.obs import MetricsRegistry
 from repro.server.metrics import stats_body
 from repro.service import RecommendationRequest
 from repro.sheet import CellAddress, Sheet, Workbook
 from repro.testing.reference import answer_of, knn
 from repro.testing.workload import tie_heavy_vectors
+
+from predictor_stub import StubPredictor
 
 #: A gate no call can reach: the index always takes the plain path.
 UNREACHABLE = 1 << 62
@@ -379,7 +381,7 @@ def _spied_workspace(trained_encoder, record, monkeypatch):
     return workspace, encodes
 
 
-class _CountingPredictor(FormulaPredictor):
+class _CountingPredictor(StubPredictor):
     """A predictor with no ``config``: answers from the cell alone, abstains
     on row 7, and counts the cells it is asked for."""
 
@@ -387,12 +389,6 @@ class _CountingPredictor(FormulaPredictor):
 
     def __init__(self) -> None:
         self.cells_predicted = 0
-
-    def fit(self, reference_workbooks):
-        pass
-
-    def predict(self, target_sheet, target_cell):
-        return self.predict_batch(target_sheet, [target_cell])[0]
 
     def predict_batch(self, target_sheet, target_cells):
         self.cells_predicted += len(target_cells)
