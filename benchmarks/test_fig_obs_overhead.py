@@ -60,7 +60,8 @@ def _serving_workload(encoder, corpora):
     # what the tracer wraps (only the featurizer's 64-entry tensor cache
     # holds all 15).
     service = FormulaService(encoder, AutoFormulaConfig())
-    workspace = service.create_workspace("pge", workbooks=references)
+    # Copies: a workspace seals what it holds, and the corpora are shared.
+    workspace = service.create_workspace("pge", workbooks=[wb.copy() for wb in references])
     requests = [
         RecommendationRequest(case.target_sheet, case.target_cell)
         for case in cases[:N_REQUESTS]
@@ -168,7 +169,7 @@ def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
     workspace = Workspace("traced", AutoFormula(encoder, AutoFormulaConfig()))
     tracer = get_tracer()
     try:
-        workspace.add_workbooks(references)
+        workspace.add_workbooks([workbook.copy() for workbook in references])
         for index in (workspace.predictor.sheet_index, workspace.predictor.formula_index):
             index.tier1_min_pairs = 2
         tracer.configure(enabled=True, sample_rate=1.0, slow_threshold_s=0.0)

@@ -74,7 +74,8 @@ def _measure(encoder, references, tasks, config):
     runs = []
     for __ in range(N_REPEATS):
         service = FormulaService(encoder, AutoFormulaConfig())
-        service.create_workspace("pge", workbooks=references)
+        # Copies: a workspace seals what it holds, and every repeat adds these.
+        service.create_workspace("pge", workbooks=[workbook.copy() for workbook in references])
         with start_server_in_background(service, config) as handle:
             # Warm the predictor's lazy fit outside the timed window.
             FormulaClient(handle.host, handle.port).recommend(

@@ -94,13 +94,6 @@ def _style_part(style: CellStyle) -> np.ndarray:
     return features
 
 
-def _style_row(style: CellStyle) -> np.ndarray:
-    try:
-        return _style_part(style)
-    except TypeError:  # an unhashable field: computed, never memoized
-        return _style_part.__wrapped__(style)
-
-
 class CellFeaturizer:
     """Turns a :class:`Cell` into a fixed-length feature vector.
 
@@ -135,7 +128,7 @@ class CellFeaturizer:
         self._table = RowTable("cell_features", _MAX_CACHED_CELLS, self.dimension)
         #: ``id(style)`` -> (the style, its number); the entry pins the style
         #: so its ``id()`` is not handed to another object while it lives.
-        self._pinned_styles: Dict[int, Tuple[CellStyle, Optional[int]]] = {}
+        self._pinned_styles: Dict[int, Tuple[CellStyle, int]] = {}
         #: Style field tuple -> its number: equal styles share one.
         self._style_numbers: Dict[tuple, int] = {}
         self._next_style_number = itertools.count()
@@ -169,20 +162,17 @@ class CellFeaturizer:
 
     # --------------------------------------------------------------- features
 
-    def _style_number(self, style: CellStyle) -> Optional[int]:
-        """Number ``style`` by its fields (``None`` when one is unhashable)
-        and pin it under its identity.  Numbers are never handed out twice,
-        so clearing either table orphans table rows and aliases none."""
+    def _style_number(self, style: CellStyle) -> int:
+        """Number ``style`` by its fields and pin it under its identity.
+        Numbers are never handed out twice, so clearing either table
+        orphans table rows and aliases none."""
         numbers = self._style_numbers
         fields = _style_fields(style)
-        try:
-            number = numbers.get(fields)
-            if number is None:
-                if len(numbers) >= _MAX_STYLES:
-                    numbers.clear()
-                number = numbers.setdefault(fields, next(self._next_style_number))
-        except TypeError:
-            number = None
+        number = numbers.get(fields)
+        if number is None:
+            if len(numbers) >= _MAX_STYLES:
+                numbers.clear()
+            number = numbers.setdefault(fields, next(self._next_style_number))
         pinned = self._pinned_styles
         if len(pinned) >= _MAX_STYLES:
             pinned.clear()
@@ -192,8 +182,8 @@ class CellFeaturizer:
     def _keys(self, cells: Sequence[Cell], valid: bool) -> List[Optional[tuple]]:
         """The table key of each cell — the content that determines its
         vector — or ``None`` for a cell that cannot be keyed (an unhashable
-        exotic value or style field): that one is never held, reads as a
-        miss and is computed on every call.
+        exotic value): that one is never held, reads as a miss and is
+        computed on every call.
 
         C hashes and compares every part of a key.  A style contributes a
         small integer, found by the style object's identity; only a style
@@ -208,15 +198,14 @@ class CellFeaturizer:
             try:
                 hash(value)  # cheap (a string keeps its hash); the key's own is not
             except TypeError:
-                number = None
+                keys.append(None)
+                continue
             # The type disambiguates 1 / 1.0 / True, which compare (and hash)
             # equal as dict keys but featurize differently; so do 0.0 and
             # -0.0, whose texts differ.
             if type(value) is float and not value and math.copysign(1.0, value) < 0:
                 value = "-0.0"
-            keys.append(
-                None if number is None else (type(value), value, bool(cell.formula), number, valid)
-            )
+            keys.append((type(value), value, bool(cell.formula), number, valid))
         return keys
 
     def featurize(self, cell: Cell, valid: bool = True) -> np.ndarray:
@@ -283,7 +272,7 @@ class CellFeaturizer:
             ]
         if self._config.use_style_features:
             vectors[:, style_start : style_start + _N_STYLE_FEATURES] = [
-                _style_row(cell.style) for cell in cells
+                _style_part(cell.style) for cell in cells
             ]
         if valid:
             vectors[:, -1] = 1.0

@@ -28,16 +28,17 @@
   cell does not abort recalculation: its error value is written into the
   cell, its dependents see (and propagate) the error, and every unaffected
   formula still recomputes.
-* **External-mutation safety.**  The engine watermarks the sheet's
-  mutation :attr:`~repro.sheet.sheet.Sheet.version`; if the sheet was
-  edited behind its back (plain ``sheet.set`` calls), the next operation
-  falls back to a full resync instead of serving stale values (counted:
-  :meth:`FormulaEngine.counters`).  Edits made through the engine keep
-  the watermark current, preserving the incremental fast path.  A
-  recalculation commits its values through
-  :meth:`~repro.sheet.sheet.Sheet.commit_values`, which moves the version
-  when a value changed — so every cache keyed by it sees the new values —
-  and the watermark moves along.
+* **One writer per sheet.**  The engine writes its sheet through the
+  sheet's private writers, so it can write a sheet a workspace has sealed;
+  a recalculation commits its values through
+  :meth:`~repro.sheet.sheet.Sheet._commit_values`, which moves the
+  sheet's :attr:`~repro.sheet.sheet.Sheet.version` when a value changed,
+  so every cache keyed by it sees the new values.  The engine watermarks
+  that version: a standalone engine over an unsealed sheet that was
+  written around it (plain ``sheet.set`` calls) rebuilds its graph on its
+  next operation instead of serving stale values.  A workspace's sheets
+  are sealed, so there the watermark only ever meets the engine's own
+  writes.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from repro.formula.parser import parse_formula
 from repro.formula.tokenizer import FormulaSyntaxError
 from repro.obs.tracing import get_tracer
 from repro.sheet.addressing import CellAddress, RangeAddress
+from repro.sheet.cell import Cell
 from repro.sheet.sheet import AddressLike, Sheet, _to_address
 
 
@@ -135,8 +137,6 @@ class FormulaEngine:
         #: until the pass has run since the last edit.
         self._eval_memo: Optional[Dict[CellAddress, object]] = None
         self._synced_version = -1
-        #: Full resyncs forced by an edit made behind the engine's back.
-        self._external_resyncs = 0
         self._full_resync()
 
     # ------------------------------------------------------------------ state
@@ -169,11 +169,11 @@ class FormulaEngine:
         self._sync()
         addr = _to_address(address)
         old = self._sheet.get(addr)
+        cell = Cell(value, None, old.style)  # a value no cell holds raises here
         if old.has_formula:
             self._unregister(addr)
             self._dirty.discard(addr)
-        style = old.style if addr in self._sheet else None
-        self._sheet.set(addr, value, style=style)
+        self._sheet._put(addr, cell)
         self._synced_version = self._sheet.version
         self._eval_memo = None
         self._mark_dirty(self._dependents_of(addr))
@@ -186,8 +186,7 @@ class FormulaEngine:
         if old.has_formula:
             self._unregister(addr)
         text = formula if str(formula).startswith("=") else f"={formula}"
-        style = old.style if addr in self._sheet else None
-        self._sheet.set(addr, None, formula=text, style=style)
+        self._sheet._put(addr, Cell(None, text, old.style))
         self._synced_version = self._sheet.version
         self._eval_memo = None
         self._register(addr)
@@ -233,7 +232,7 @@ class FormulaEngine:
             committed = [(address, self._read(address)) for address in self._dirty]
             # One commit, one version bump if anything changed; the watermark
             # moves with it, since the engine made the change itself.
-            self._sheet.commit_values(committed)
+            self._sheet._commit_values(committed)
             self._synced_version = self._sheet.version
             errored = sum(1 for __, value in committed if is_error_value(value))
             recalculated = len(committed) - errored
@@ -277,15 +276,7 @@ class FormulaEngine:
 
     def _sync(self) -> None:
         if self._synced_version != self._sheet.version:
-            self._external_resyncs += 1
             self._full_resync()
-
-    def counters(self) -> Dict[str, int]:
-        """``engine.full_resync``: times the version watermark caught an
-        edit made around the engine and the whole graph was rebuilt.  The
-        values come out right either way, so this count is the only sign
-        that the O(dirty subgraph) path was lost."""
-        return {"engine.full_resync": self._external_resyncs}
 
     def _full_resync(self) -> None:
         """Rebuild the graph from scratch; everything becomes dirty."""

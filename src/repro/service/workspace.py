@@ -36,7 +36,7 @@ from repro.service.types import (
     RecommendationResponse,
 )
 from repro.sheet.addressing import CellAddress
-from repro.sheet.cell import decode_cell_value
+from repro.sheet.cell import Cell, decode_cell_value
 from repro.sheet.sheet import AddressLike, Sheet
 from repro.sheet.workbook import Workbook
 
@@ -45,7 +45,6 @@ from repro.sheet.workbook import Workbook
 _COUNTED = (
     "workspace.reindex_same",
     "workspace.reindex_changed",
-    "workspace.reindex_refit",
     "workspace.serve_collapsed_duplicates",
     "persistence.log_replayed_total",
     "persistence.log_torn_tail_total",
@@ -68,17 +67,10 @@ def sheet_engine(
     return engine
 
 
-def drop_engines(
-    cache: Dict[Tuple[str, str], FormulaEngine], workbook_name: str
-) -> List[FormulaEngine]:
-    """Evict and return a workbook's cached engines (counterpart of
-    :func:`sheet_engine`)."""
-    return [cache.pop(key) for key in [key for key in cache if key[0] == workbook_name]]
-
-
-def _add_counts(into: Dict[str, int], counts: Dict[str, int]) -> None:
-    for key, count in counts.items():
-        into[key] = into.get(key, 0) + count
+def drop_engines(cache: Dict[Tuple[str, str], FormulaEngine], workbook_name: str) -> None:
+    """Evict a workbook's cached engines (counterpart of :func:`sheet_engine`)."""
+    for key in [key for key in cache if key[0] == workbook_name]:
+        del cache[key]
 
 
 def require_one_edit_operand(value, formula) -> None:
@@ -104,6 +96,10 @@ class Workspace:
     place, so the workspace stays consistent with its workbook set and
     predictions are identical to a fresh fit on the equivalent corpus: the
     workbooks in the order they were added, which an edit never changes.
+    The workspace is its workbooks' one writer: it seals each workbook it
+    holds, so a write made around it (``sheet.set``, ``add_sheet``, ...)
+    raises :class:`~repro.sheet.sheet.SealedError` instead of putting the
+    sheets, the index and the mutation log out of step.
 
     Serving goes through :meth:`recommend` / :meth:`serve_batch`, which
     answer with frozen :class:`RecommendationResponse` objects and record
@@ -138,9 +134,6 @@ class Workspace:
         #: What :meth:`counters` reports of this layer, by metric name.
         #: Instruments, because serves run concurrently under the read lock.
         self._counts = {name: Counter() for name in _COUNTED}
-        #: Counts of engines dropped with their workbook, so that what the
-        #: engines report never goes down.
-        self._dropped_engine_counts: Dict[str, int] = {}
         #: Durability state (see :mod:`repro.persistence`): ``save()``
         #: attaches a mutation log and subsequent corpus mutations append
         #: to it; ``load()`` replays the log's tail, then attaches it.
@@ -160,7 +153,8 @@ class Workspace:
 
     def workbooks(self) -> List[Workbook]:
         """The indexed workbooks, in the order they were added (an edit
-        never moves one; a removed and re-added workbook goes last)."""
+        never moves one; a removed and re-added workbook goes last).  They
+        are sealed: read them, or edit them through :meth:`edit_cell`."""
         return list(self._workbooks.values())
 
     def __len__(self) -> int:
@@ -170,11 +164,14 @@ class Workspace:
         return workbook_name in self._workbooks
 
     def add_workbooks(self, workbooks: Iterable[Workbook]) -> None:
-        """Index additional workbooks, appended after the indexed ones.
+        """Index additional workbooks, appended after the indexed ones,
+        and seal them (see :class:`Workspace`).
 
         The workbooks are registered only after the predictor's add
         succeeds, so an embedding failure leaves the workspace's workbook
-        set consistent with what the predictor actually indexed.
+        set consistent with what the predictor actually indexed.  A
+        workbook another workspace holds is sealed and raises
+        ``ValueError``: add a :meth:`~repro.sheet.workbook.Workbook.copy`.
         """
         workbooks = list(workbooks)
         if not workbooks:
@@ -193,9 +190,14 @@ class Workspace:
                     )
                 if workbook.name in seen:
                     raise ValueError(f"workbook {workbook.name!r} is already indexed")
+                if workbook._sealed:
+                    raise ValueError(
+                        f"workbook {workbook.name!r} belongs to another workspace; add a copy()"
+                    )
                 seen.add(workbook.name)
             self._predictor.add_workbooks(workbooks)
             for workbook in workbooks:
+                workbook._seal(True)
                 self._workbooks[workbook.name] = workbook
                 self._log(add_entry, workbook)
 
@@ -204,7 +206,7 @@ class Workspace:
         self.add_workbooks([workbook])
 
     def remove_workbook(self, workbook_name: str) -> Workbook:
-        """Drop a workbook from the corpus and return it.
+        """Drop a workbook from the corpus and return it, unsealed.
 
         Raises ``KeyError`` if the workbook is not indexed.  The
         predictor tombstones the workbook's sheets out of its indexes; as
@@ -219,8 +221,8 @@ class Workspace:
             if len(self._workbooks[workbook_name]):
                 self._predictor.remove_workbook(workbook_name)
             workbook = self._workbooks.pop(workbook_name)
-            for engine in drop_engines(self._engines, workbook_name):
-                _add_counts(self._dropped_engine_counts, engine.counters())
+            workbook._seal(False)
+            drop_engines(self._engines, workbook_name)
             self._log(remove_entry, workbook_name)
             return workbook
 
@@ -251,15 +253,15 @@ class Workspace:
         Raises ``KeyError`` if the workbook is not indexed or has no sheet
         called ``sheet_name``, and ``ValueError`` unless exactly one of
         ``value`` / ``formula`` is provided or for a value no cell can
-        hold, before any lock is taken.  An edit whose write or
-        recalculation raises leaves the workspace as it was, its sheet's
-        version aside, and re-raises.  A re-index that raises falls back to
-        a full fit on :meth:`workbooks` (counted, see :meth:`counters`);
-        should that raise too, the predictor keeps the indexes it had and
-        the error propagates, the sheet keeping the edited cell.
+        hold, before any lock is taken.  An edit is all or nothing: the
+        sheet's cells and extent are checkpointed first, and if the write,
+        the recalculation or the re-index raises they are put back (the
+        sheet's version moves on), the sheet's engine is dropped and the
+        error propagates; the re-index runs every forward before its first
+        write, so the index and the log are as they were too.
         """
         require_one_edit_operand(value, formula)
-        value = decode_cell_value(value)
+        value = Cell(decode_cell_value(value)).value  # a value no cell holds raises
         with get_tracer().span(
             "workspace.edit_cell",
             workspace=self.name,
@@ -270,31 +272,20 @@ class Workspace:
                 raise KeyError(workbook_name)
             sheet = self._workbooks[workbook_name].get_sheet(sheet_name)
             engine = sheet_engine(self._engines, workbook_name, sheet)
-            old = sheet.get(address) if address in sheet else None
-            extent = (sheet.n_rows, sheet.n_cols)
+            checkpoint = sheet._checkpoint()
             try:
                 if formula is not None:
                     engine.set_formula(address, formula)
                 else:
                     engine.set_value(address, value)
                 report = engine.recalculate()
+                self._reindex_sheet(sheet, engine.trees())
             except BaseException:
-                # All or nothing: the sheet goes back to what the index and
-                # the log know, and the engine, whose graph saw the edit, goes.
-                sheet.restore_cell(address, old, extent)
-                _add_counts(self._dropped_engine_counts, engine.counters())
+                # The sheet goes back to what the index and the log know,
+                # and the engine, whose graph saw the edit, goes.
+                sheet._restore(checkpoint)
                 del self._engines[(workbook_name, sheet.name)]
                 raise
-            try:
-                self._reindex_sheet(sheet, engine.trees())
-            except Exception:
-                # A re-index that raised may have met a sheet changed behind
-                # the workspace's back (a sheet added to a workbook, say); a
-                # full fit on the registry restores consistency.  If the fit
-                # itself fails, that error propagates.  Answers do not show
-                # this path was taken, so it is counted.
-                self._counts["workspace.reindex_refit"].inc()
-                self._predictor.fit(self.workbooks())
             self._log(edit_entry, workbook_name, sheet_name, address, value=value, formula=formula)
             return report
 
@@ -406,6 +397,7 @@ class Workspace:
         )
         workspace = cls(str(name or manifest.get("name") or "restored"), predictor)
         for workbook in workbooks:
+            workbook._seal(True)
             workspace._workbooks[workbook.name] = workbook
         log = MutationLog(mutation_log_path(directory))
         entries = log.read()
@@ -536,24 +528,16 @@ class Workspace:
         * ``workspace.reindex_same`` / ``_changed`` — edits that re-indexed
           their sheet with its formula list unchanged (rows overwritten in
           place) / changed (the sheet's formula rows replaced);
-          ``workspace.reindex_refit`` — edits whose re-index raised and
-          fell back to a full refit, at equal answers, so a non-zero count
-          is the only sign of it;
         * ``workspace.serve_collapsed_duplicates`` — requests answered from
           another request's prediction in the same ``serve_batch`` call;
         * ``persistence.log_replayed_total`` / ``log_torn_tail_total`` —
           mutation-log entries :meth:`load` replayed, and half-written
           final lines (what a crash during an append leaves) it dropped.
 
-        Beside them: the sum of the sheet engines'
-        :meth:`~repro.formula.engine.FormulaEngine.counters` and the
-        predictor's (:meth:`~repro.core.pipeline.AutoFormula.counters`).
+        Beside them: the predictor's
+        (:meth:`~repro.core.pipeline.AutoFormula.counters`).
         """
         counts = {name: counter.value for name, counter in self._counts.items()}
-        _add_counts(counts, self._dropped_engine_counts)
-        # list(): an edit on another thread may add an engine meanwhile.
-        for engine in list(self._engines.values()):
-            _add_counts(counts, engine.counters())
         counts.update(self._predictor.counters())
         return counts
 

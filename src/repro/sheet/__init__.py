@@ -19,7 +19,7 @@ from repro.sheet.addressing import (
 )
 from repro.sheet.style import CellStyle
 from repro.sheet.cell import Cell, CellType, infer_cell_type
-from repro.sheet.sheet import Sheet
+from repro.sheet.sheet import SealedError, Sheet
 from repro.sheet.workbook import Workbook
 from repro.sheet.io import (
     WorkbookFormatError,
@@ -40,6 +40,7 @@ __all__ = [
     "Cell",
     "CellType",
     "infer_cell_type",
+    "SealedError",
     "Sheet",
     "Workbook",
     "WorkbookFormatError",

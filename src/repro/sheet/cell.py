@@ -7,7 +7,7 @@ import enum
 import numbers
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from repro.sheet.style import CellStyle, DEFAULT_STYLE
@@ -79,23 +79,23 @@ def decode_cell_value(value: object, kind: Optional[str] = None) -> CellValue:
     its type-based error identity (propagation through the engine,
     ``is_error_value``), unless its ``kind`` is ``"text"``: a formula can
     compute text that spells one, and :meth:`Cell.to_dict` tags it so.
-    Text of ``kind`` ``"date"`` becomes a date.  A list or object, and an
-    integer no float can hold, raise ``ValueError``: a cell holds one
-    scalar, and the engine computes in floats.
+    Text of ``kind`` ``"date"`` becomes a datetime when it carries a time
+    and a date otherwise.  Anything else is returned as it is: whether a
+    cell can hold it is :class:`Cell`'s check.
     """
     if isinstance(value, str):
         if kind == "date":
-            return _dt.date.fromisoformat(value)
+            # ``date.isoformat()`` is ten characters; a datetime's is longer.
+            return (_dt.datetime if len(value) > 10 else _dt.date).fromisoformat(value)
         if kind != "text" and _spells_error_code(value):
             from repro.formula.errors import ErrorValue
 
             return ErrorValue(value)
-        return value
-    if isinstance(value, (list, dict)):
-        raise ValueError(f"a cell value must be a scalar, got a {type(value).__name__}")
-    if isinstance(value, int) and not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ValueError("a cell value must fit in a float, got an integer past its range")
     return value
+
+
+#: Value types :class:`Cell` need not check (``bool`` is an ``int`` that fits).
+_PLAIN = frozenset((type(None), float, str, bool))
 
 
 def syntactic_pattern(value: CellValue) -> str:
@@ -121,13 +121,33 @@ def syntactic_pattern(value: CellValue) -> str:
     return "".join(out)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True, init=False)
 class Cell:
-    """A single spreadsheet cell: a value, an optional formula and a style."""
+    """A single spreadsheet cell: a value, an optional formula and a style.
 
-    value: CellValue = None
-    formula: Optional[str] = None
-    style: CellStyle = field(default_factory=lambda: DEFAULT_STYLE)
+    Cells are immutable: a write replaces the cell.  A list or an object,
+    and an integer no float can hold, raise ``ValueError`` here: a cell
+    holds one scalar, the engine computes in floats, and what no payload
+    can carry must not be written and saved either.
+    """
+
+    value: CellValue
+    formula: Optional[str]
+    style: CellStyle
+
+    def __init__(
+        self, value: CellValue = None, formula: Optional[str] = None, style: CellStyle = DEFAULT_STYLE
+    ) -> None:
+        if type(value) not in _PLAIN:
+            if isinstance(value, (list, dict)):
+                raise ValueError(f"a cell value must be a scalar, got a {type(value).__name__}")
+            if isinstance(value, int) and not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ValueError("a cell value must fit in a float, got an integer past its range")
+        # Written once, through the slots: a corpus decode builds every cell,
+        # and the generated frozen __init__ costs twice as much per cell.
+        _set_value(self, value)
+        _set_formula(self, formula)
+        _set_style(self, style)
 
     @property
     def cell_type(self) -> CellType:
@@ -176,13 +196,17 @@ class Cell:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Cell":
         """Reconstruct a cell from :meth:`to_dict` output; the value goes
-        through :func:`decode_cell_value` (which raises ``ValueError`` for
-        a value no cell can hold)."""
+        through :func:`decode_cell_value`, and one no cell can hold raises
+        ``ValueError``."""
         value = decode_cell_value(data.get("value"), data.get("value_kind"))
         style_data = data.get("style")
         style = CellStyle.from_dict(style_data) if isinstance(style_data, dict) else DEFAULT_STYLE
         return cls(value=value, formula=data.get("formula"), style=style)
 
+
+_set_value, _set_formula, _set_style = (
+    Cell.value.__set__, Cell.formula.__set__, Cell.style.__set__  # type: ignore[attr-defined]
+)
 
 #: Shared immutable representation of an empty, unstyled cell.
 EMPTY_CELL = Cell()

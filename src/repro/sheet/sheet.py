@@ -6,7 +6,7 @@ import math
 from typing import Dict, ItemsView, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.sheet.addressing import CellAddress, RangeAddress, parse_cell_address
-from repro.sheet.cell import Cell, CellType, CellValue, EMPTY_CELL
+from repro.sheet.cell import Cell, CellValue, EMPTY_CELL
 from repro.sheet.style import CellStyle, DEFAULT_STYLE
 
 AddressLike = Union[str, CellAddress, Tuple[int, int]]
@@ -37,32 +37,45 @@ def _row_major(item: Tuple[CellAddress, Cell]) -> Tuple[int, int]:
     return (item[0].row, item[0].col)
 
 
+class SealedError(RuntimeError):
+    """A write to a sheet or workbook that a workspace holds, made around
+    the workspace: such a sheet changes only through
+    :meth:`~repro.service.workspace.Workspace.edit_cell`."""
+
+
 class Sheet:
     """A single sheet: a named, sparse grid of :class:`Cell` objects.
 
     Cells are stored in a dictionary keyed by :class:`CellAddress`; any
     address not present reads as an empty cell.  The sheet tracks its used
     extent (``n_rows`` x ``n_cols``) which grows as cells are written.
+
+    A sheet a workspace holds is *sealed*: its public writers raise
+    :class:`SealedError`, and the workspace's formula engine writes it
+    through the private ones.
     """
 
     def __init__(self, name: str = "Sheet1") -> None:
-        self.name = name
+        self._name = name
         self._cells: Dict[CellAddress, Cell] = {}
         self._n_rows = 0
         self._n_cols = 0
         self._version = 0
+        self._sealed = False
+
+    @property
+    def name(self) -> str:
+        """The sheet's name (fixed at construction)."""
+        return self._name
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter, bumped by every structural write.
+        """Monotonic mutation counter, bumped by every write.
 
-        Consumers that derive state from the sheet (notably the formula
-        recalculation engine's dependency graph) watermark this counter to
-        detect mutations made behind their back and resynchronize instead
-        of serving stale values.  In-place edits of a :class:`Cell` object
-        obtained from :meth:`get` are *not* observable here — mutate
-        through :meth:`set`/:meth:`set_cell` (or the engine, which commits
-        what it computes through :meth:`commit_values`) instead.
+        Consumers that derive state from the sheet (feature tensors, query
+        vectors, a standalone formula engine's dependency graph) watermark
+        this counter, so state derived from earlier content is not served.
+        Cells are immutable, so every change of content moves it.
         """
         return self._version
 
@@ -80,49 +93,19 @@ class Sheet:
         style: Optional[CellStyle] = None,
     ) -> Cell:
         """Create or replace the cell at ``address`` and return it."""
-        addr = _to_address(address)
+        self._check_unsealed()
         cell = Cell(value=value, formula=formula, style=style or DEFAULT_STYLE)
-        self._cells[addr] = cell
-        self._n_rows = max(self._n_rows, addr.row + 1)
-        self._n_cols = max(self._n_cols, addr.col + 1)
-        self._version += 1
+        self._put(_to_address(address), cell)
         return cell
 
     def set_cell(self, address: AddressLike, cell: Cell) -> None:
         """Place an already-constructed :class:`Cell` at ``address``."""
-        addr = _to_address(address)
-        self._cells[addr] = cell
-        self._n_rows = max(self._n_rows, addr.row + 1)
-        self._n_cols = max(self._n_cols, addr.col + 1)
-        self._version += 1
-
-    def commit_values(self, values: Iterable[Tuple[CellAddress, CellValue]]) -> None:
-        """Write computed values into the stored cells at their addresses, in
-        place — a recalculation's commit — and bump :attr:`version` once if
-        any cell's content changed, so that state derived from the sheet
-        (feature tensors, query vectors) is not served from before it."""
-        changed = False
-        for address, value in values:
-            cell = self._cells[address]
-            changed = changed or not _same_value(cell.value, value)
-            cell.value = value
-        if changed:
-            self._version += 1
-
-    def restore_cell(
-        self, address: AddressLike, cell: Optional[Cell], extent: Tuple[int, int]
-    ) -> None:
-        """Put back what an edit found: the cell at ``address`` (``None``: no
-        cell) and the extent ``(n_rows, n_cols)``.  The version moves on."""
-        addr = _to_address(address)
-        self._cells.pop(addr, None)
-        if cell is not None:
-            self._cells[addr] = cell
-        self._n_rows, self._n_cols = extent
-        self._version += 1
+        self._check_unsealed()
+        self._put(_to_address(address), cell)
 
     def delete(self, address: AddressLike) -> None:
         """Remove the cell at ``address`` if present (extent is not shrunk)."""
+        self._check_unsealed()
         if self._cells.pop(_to_address(address), None) is not None:
             self._version += 1
 
@@ -175,45 +158,11 @@ class Sheet:
         """All cells that contain formulas, sorted by address."""
         return sorted((item for item in self._cells.items() if item[1].has_formula), key=_row_major)
 
-    def cells_in_range(self, cell_range: RangeAddress) -> Iterator[Tuple[CellAddress, Cell]]:
-        """Iterate ``(address, cell)`` for every address in ``cell_range``.
-
-        Empty addresses yield the shared empty cell, so the iteration always
-        covers the full rectangle.
-        """
-        for addr in cell_range.cells():
-            yield addr, self._cells.get(addr, EMPTY_CELL)
-
-    def values_in_range(self, cell_range: RangeAddress) -> List[CellValue]:
-        """The values of every cell in ``cell_range`` in row-major order."""
-        return [cell.value for __, cell in self.cells_in_range(cell_range)]
-
-    def row_values(self, row: int) -> List[CellValue]:
-        """Values in a row across the used column extent."""
-        return [self.get((row, col)).value for col in range(self._n_cols)]
-
-    def column_values(self, col: int) -> List[CellValue]:
-        """Values in a column across the used row extent."""
-        return [self.get((row, col)).value for row in range(self._n_rows)]
-
     # ------------------------------------------------------------ modification
-
-    def insert_rows(self, at_row: int, count: int = 1) -> None:
-        """Insert ``count`` empty rows starting at ``at_row`` (shifts cells down)."""
-        if count <= 0:
-            return
-        moved: Dict[CellAddress, Cell] = {}
-        for addr, cell in self._cells.items():
-            if addr.row >= at_row:
-                moved[addr.shifted(count, 0)] = cell
-            else:
-                moved[addr] = cell
-        self._cells = moved
-        self._n_rows += count
-        self._version += 1
 
     def delete_rows(self, at_row: int, count: int = 1) -> None:
         """Delete ``count`` rows starting at ``at_row`` (shifts cells up)."""
+        self._check_unsealed()
         if count <= 0:
             return
         moved: Dict[CellAddress, Cell] = {}
@@ -226,22 +175,9 @@ class Sheet:
         self._n_rows = max(0, self._n_rows - count)
         self._version += 1
 
-    def insert_cols(self, at_col: int, count: int = 1) -> None:
-        """Insert ``count`` empty columns starting at ``at_col``."""
-        if count <= 0:
-            return
-        moved: Dict[CellAddress, Cell] = {}
-        for addr, cell in self._cells.items():
-            if addr.col >= at_col:
-                moved[addr.shifted(0, count)] = cell
-            else:
-                moved[addr] = cell
-        self._cells = moved
-        self._n_cols += count
-        self._version += 1
-
     def delete_cols(self, at_col: int, count: int = 1) -> None:
         """Delete ``count`` columns starting at ``at_col``."""
+        self._check_unsealed()
         if count <= 0:
             return
         moved: Dict[CellAddress, Cell] = {}
@@ -255,22 +191,57 @@ class Sheet:
         self._version += 1
 
     def copy(self, name: Optional[str] = None) -> "Sheet":
-        """Return a shallow-per-cell copy of this sheet."""
-        clone = Sheet(name or self.name)
-        for addr, cell in self._cells.items():
-            clone.set_cell(addr, Cell(value=cell.value, formula=cell.formula, style=cell.style))
+        """An unsealed copy of this sheet; the (immutable) cells are shared."""
+        clone = Sheet(name or self._name)
+        clone._cells = dict(self._cells)
         clone._n_rows = self._n_rows
         clone._n_cols = self._n_cols
         return clone
 
-    # ------------------------------------------------------------------ counts
+    # ---------------------------------------------------- the engine's writers
 
-    def count_by_type(self) -> Dict[CellType, int]:
-        """Histogram of stored cells by :class:`CellType`."""
-        counts: Dict[CellType, int] = {}
-        for __, cell in self._cells.items():
-            counts[cell.cell_type] = counts.get(cell.cell_type, 0) + 1
-        return counts
+    def _check_unsealed(self) -> None:
+        if self._sealed:
+            raise SealedError(
+                f"sheet {self._name!r} belongs to a workspace; edit it through the workspace"
+            )
+
+    def _put(self, addr: CellAddress, cell: Cell) -> None:
+        """Place ``cell`` at ``addr``, sealed or not: every public writer
+        and the formula engine's writes come through here."""
+        self._cells[addr] = cell
+        if addr.row >= self._n_rows:
+            self._n_rows = addr.row + 1
+        if addr.col >= self._n_cols:
+            self._n_cols = addr.col + 1
+        self._version += 1
+
+    def _commit_values(self, values: Iterable[Tuple[CellAddress, CellValue]]) -> None:
+        """Replace the stored cells at the given addresses with ones holding
+        the computed values — a recalculation's commit — and bump
+        :attr:`version` once if any cell's content changed, so that state
+        derived from the sheet (feature tensors, query vectors) is not
+        served from before it."""
+        changed = False
+        cells = self._cells
+        for address, value in values:
+            cell = cells[address]
+            if not _same_value(cell.value, value):
+                changed = True
+            cells[address] = Cell(value, cell.formula, cell.style)
+        if changed:
+            self._version += 1
+
+    def _checkpoint(self) -> Tuple[Dict[CellAddress, Cell], int, int]:
+        """What :meth:`_restore` puts back: the cells and the extent."""
+        return dict(self._cells), self._n_rows, self._n_cols
+
+    def _restore(self, checkpoint: Tuple[Dict[CellAddress, Cell], int, int]) -> None:
+        """Put back a :meth:`_checkpoint`.  The version moves on."""
+        self._cells, self._n_rows, self._n_cols = checkpoint
+        self._version += 1
+
+    # ------------------------------------------------------------------ counts
 
     def n_formulas(self) -> int:
         """Number of formula cells in the sheet."""
@@ -278,6 +249,6 @@ class Sheet:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Sheet(name={self.name!r}, rows={self._n_rows}, cols={self._n_cols}, "
+            f"Sheet(name={self._name!r}, rows={self._n_rows}, cols={self._n_cols}, "
             f"cells={len(self._cells)})"
         )

@@ -46,6 +46,11 @@ class CellStyle:
     Attributes mirror the style features listed in the paper: background
     color, font color, font style (bold / italic / underline), font size and
     cell size (height and width).
+
+    Each field is checked on construction: a colour is ``None`` or
+    ``"#RRGGBB"``, a size a non-negative number (not a boolean) that is
+    finite as a float, a flag ``True``, ``False``, 0 or 1.  Anything else
+    raises ``ValueError``.
     """
 
     background_color: Optional[str] = None
@@ -60,6 +65,11 @@ class CellStyle:
     border_bottom: bool = False
     border_left: bool = False
     border_right: bool = False
+
+    def __post_init__(self) -> None:
+        for name, value in zip(_FIELD_NAMES, _FIELD_VALUES(self)):
+            if not _holds(name, value):
+                raise ValueError(f"style field {name!r} cannot hold {reprlib.repr(value)}")
 
     def background_rgb(self) -> Tuple[float, float, float]:
         """Background color as normalized RGB (defaults to white)."""
@@ -77,15 +87,11 @@ class CellStyle:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CellStyle":
-        """Reconstruct a style from :meth:`to_dict` output.
-
-        This is where outside input becomes a style, so each field is
-        checked: a colour is ``None`` or ``"#RRGGBB"``, a size a
-        non-negative number (not a boolean) that is finite as a float, a
-        flag ``True``, ``False``, 0 or 1.  Anything else raises
-        ``ValueError``.  Styles are frozen, so every decode of one distinct
-        value returns the one shared instance (:func:`_shared`): a corpus
-        holds a dozen distinct styles on thousands of cells.
+        """Reconstruct a style from :meth:`to_dict` output; a field no
+        style can hold raises ``ValueError``, as on construction.  Styles
+        are frozen, so every decode of one distinct value returns the one
+        shared instance (:func:`_shared`): a corpus holds a dozen distinct
+        styles on thousands of cells.
         """
         values = tuple(map(data.get, _FIELD_NAMES, _FIELD_DEFAULTS))
         try:
@@ -112,13 +118,9 @@ def _holds(name: str, value: object) -> bool:
 
 
 # Typed: 1, 1.0 and True hash alike, and ``font_size: 11`` must not be
-# answered with an 11.0 decoded earlier.  Checked on a miss only: what
-# hits was checked when it was stored.
+# answered with an 11.0 decoded earlier.
 @memoized("cell_styles", max_entries=4096, typed=True)
 def _shared(*values: object) -> CellStyle:
-    for name, value in zip(_FIELD_NAMES, values):
-        if not _holds(name, value):
-            raise ValueError(f"style field {name!r} cannot hold {reprlib.repr(value)}")
     return CellStyle(*values)  # type: ignore[arg-type]
 
 

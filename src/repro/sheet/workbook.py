@@ -10,23 +10,38 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
-from repro.sheet.sheet import Sheet
+from repro.sheet.sheet import SealedError, Sheet
 
 
 class Workbook:
-    """An ordered collection of :class:`Sheet` objects with unique names."""
+    """An ordered collection of :class:`Sheet` objects with unique names.
+
+    A workbook a workspace holds is sealed with its sheets (see
+    :class:`~repro.sheet.sheet.Sheet`): :meth:`add_sheet` raises
+    :class:`~repro.sheet.sheet.SealedError`.
+    """
 
     def __init__(self, name: str = "workbook", last_modified: float = 0.0) -> None:
-        #: Workbook (file) name, e.g. ``"fy23_budget.xlsx"``.
-        self.name = name
+        self._name = name
         #: Last-modified timestamp (seconds); used for timestamp-based splits.
         self.last_modified = last_modified
         self._sheets: Dict[str, Sheet] = {}
+        self._sealed = False
+
+    @property
+    def name(self) -> str:
+        """Workbook (file) name, e.g. ``"fy23_budget.xlsx"`` (fixed at
+        construction)."""
+        return self._name
 
     # ------------------------------------------------------------------ sheets
 
     def add_sheet(self, sheet_or_name) -> Sheet:
         """Add a sheet (or create one by name) and return it."""
+        if self._sealed:
+            raise SealedError(
+                f"workbook {self._name!r} belongs to a workspace; it takes no new sheets"
+            )
         sheet = sheet_or_name if isinstance(sheet_or_name, Sheet) else Sheet(str(sheet_or_name))
         if sheet.name in self._sheets:
             raise ValueError(f"duplicate sheet name: {sheet.name!r}")
@@ -36,10 +51,6 @@ class Workbook:
     def get_sheet(self, name: str) -> Sheet:
         """Return the sheet called ``name`` (raises ``KeyError`` if missing)."""
         return self._sheets[name]
-
-    def remove_sheet(self, name: str) -> None:
-        """Remove the sheet called ``name`` if present."""
-        self._sheets.pop(name, None)
 
     def __getitem__(self, name: str) -> Sheet:
         return self.get_sheet(name)
@@ -64,16 +75,23 @@ class Workbook:
         return list(self._sheets.keys())
 
     def copy(self, name: Optional[str] = None) -> "Workbook":
-        """A deep-enough copy: fresh sheets and cells, shared styles.
+        """An unsealed copy: fresh sheets sharing the (immutable) cells.
 
-        The workload replay harness edits its workbooks in place; copying
-        at indexing time keeps the generator's shared pools pristine, so
-        two replays of one workload start from identical corpus state.
+        A workspace seals what it holds and edits it in place; adding a
+        copy keeps the original writable and pristine, so two replays of
+        one workload start from identical corpus state.
         """
-        clone = Workbook(name or self.name, last_modified=self.last_modified)
+        clone = Workbook(name or self._name, last_modified=self.last_modified)
         for sheet in self:
             clone.add_sheet(sheet.copy())
         return clone
+
+    def _seal(self, sealed: bool) -> None:
+        """Seal (or unseal) the workbook and its sheets: what a workspace
+        does on adding (removing) it."""
+        self._sealed = sealed
+        for sheet in self._sheets.values():
+            sheet._sealed = sealed
 
     # ------------------------------------------------------------------- stats
 
@@ -86,4 +104,4 @@ class Workbook:
         return sum(sheet.n_cells for sheet in self._sheets.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Workbook(name={self.name!r}, sheets={self.sheet_names})"
+        return f"Workbook(name={self._name!r}, sheets={self.sheet_names})"

@@ -124,10 +124,8 @@ cell_values = st.one_of(
     st.dates(datetime.date(1999, 1, 1), datetime.date(2030, 1, 1)),
     st.just(datetime.datetime(2024, 5, 21, 9, 30)),
     st.sampled_from([ErrorValue("#DIV/0!"), ErrorValue("#REF!")]),
-    st.just([1, 2]),  # unhashable: featurized, never cached
+    st.just({1, 2}),  # unhashable: featurized, never cached
 )
-
-_UNHASHABLE_STYLE = CellStyle(bold=[1])
 
 cell_styles = st.one_of(
     st.sampled_from(_SHARED_STYLES),  # one object on many cells
@@ -138,7 +136,6 @@ cell_styles = st.one_of(
         font_size=st.sampled_from([11.0, 11, 14.0]),
         border_bottom=st.booleans(),
     ),
-    st.just(_UNHASHABLE_STYLE),  # featurized, never cached
 )
 
 
@@ -178,8 +175,7 @@ class TestSharedFeatureParts:
     def test_a_vector_does_not_depend_on_what_the_part_memos_hold(self, cells):
         """The type, pattern and style parts are shared across cell keys and
         read-only; a batch built from them gives the bytes a build from
-        emptied memos does, and the reference's, unhashable styles included
-        (computed, never cached)."""
+        emptied memos does, and the reference's."""
         featurizer = WindowFeaturizer(CONFIG)
         warm = featurizer.cell_featurizer._featurize_batch(cells, True).tobytes()
         cell_features._pattern_part.cache_clear()
@@ -187,13 +183,13 @@ class TestSharedFeatureParts:
         assert featurizer.cell_featurizer._featurize_batch(cells, True).tobytes() == warm
         expected = [reference_vector(featurizer, cell, True) for cell in cells]
         assert np.stack(expected).tobytes() == warm
-        hashable = {cell.style for cell in cells if cell.style is not _UNHASHABLE_STYLE}
-        assert cell_features._style_part.cache_info().currsize == len(hashable)
+        assert cell_features._style_part.cache_info().currsize == len({cell.style for cell in cells})
         assert not cell_features._ONE_HOTS.flags.writeable
         for cell in cells:
-            parts = [cell_features._pattern_part(syntactic_pattern(cell.value))]
-            if cell.style is not _UNHASHABLE_STYLE:
-                parts.append(cell_features._style_part(cell.style))
+            parts = [
+                cell_features._pattern_part(syntactic_pattern(cell.value)),
+                cell_features._style_part(cell.style),
+            ]
             assert not any(part.flags.writeable for part in parts)
 
 
@@ -270,7 +266,7 @@ class TestBuildTensor:
         keyed = [
             cell
             for __, cell in sheet.cells()
-            if not isinstance(cell.value, list) and cell.style is not _UNHASHABLE_STYLE
+            if not isinstance(cell.value, set)
         ]
         if not keyed:
             return
@@ -297,7 +293,7 @@ class TestBuildTensor:
         sheet = Sheet()
         for row in range(40):
             sheet.set((row, 0), "Yes" if row % 2 else "No")
-            sheet.set((row, 1), [row])  # never cached: computed every time
+            sheet.set((row, 1), {row})  # never cached: computed every time
         tensor = featurizer._build_tensor(sheet)
         assert batches == [2 + 40]  # one batch for every miss of the build
         assert cells._table.stats()["size"] == 2 + 2  # + padding and empty

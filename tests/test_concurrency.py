@@ -80,10 +80,8 @@ def _hammer(workspace, pool, cases, churn_name):
         try:
             # Churn a different workbook a few times, then permanently
             # remove `churn_name` and announce it.
-            victim = pool[1]
             for __ in range(2):
-                workspace.remove_workbook(victim.name)
-                workspace.add_workbook(victim)
+                workspace.add_workbook(workspace.remove_workbook(pool[1].name))
             workspace.remove_workbook(churn_name)
             removed_event.set()
         except BaseException as error:  # noqa: BLE001
@@ -113,7 +111,7 @@ class TestWorkspaceUnderConcurrency:
     def test_mixed_recommend_and_mutate_never_raises_or_goes_stale(self, assets):
         pool, cases, factory = assets
         workspace = Workspace("hammer", factory())
-        workspace.add_workbooks(pool)
+        workspace.add_workbooks([workbook.copy() for workbook in pool])
         churn_name = pool[0].name
 
         errors, removed_event, post = _hammer(workspace, pool, cases, churn_name)
@@ -124,7 +122,7 @@ class TestWorkspaceUnderConcurrency:
     def test_serving_still_consistent_after_concurrency(self, assets):
         pool, cases, factory = assets
         workspace = Workspace("after", factory())
-        workspace.add_workbooks(pool)
+        workspace.add_workbooks([workbook.copy() for workbook in pool])
         errors, __, ___ = _hammer(workspace, pool, cases, pool[0].name)
         assert not errors
         # The surviving corpus serves exactly like a fresh fit on it.
@@ -136,7 +134,7 @@ class TestWorkspaceUnderConcurrency:
     def test_concurrent_serves_answer_identically(self, assets):
         pool, cases, factory = assets
         workspace = Workspace("parallel", factory())
-        workspace.add_workbooks(pool)
+        workspace.add_workbooks([workbook.copy() for workbook in pool])
         requests = [
             RecommendationRequest(case.target_sheet, case.target_cell)
             for case in cases
@@ -174,7 +172,7 @@ class TestWorkspaceUnderConcurrency:
         the entry they leave must equal one built alone."""
         pool, cases, factory = assets
         workspace = Workspace("store", factory())
-        workspace.add_workbooks(pool)
+        workspace.add_workbooks([workbook.copy() for workbook in pool])
         case = cases[0]
         cells = [case.target_cell] + [
             CellAddress(max(case.target_cell.row + row, 0), max(case.target_cell.col + col, 0))
@@ -302,7 +300,7 @@ class TestWorkspaceUnderConcurrency:
         # One cited workbook alone, so no unedited sibling copy can take
         # over its answers.
         probe = Workspace("probe", factory())
-        probe.add_workbooks(pool)
+        probe.add_workbooks([workbook.copy() for workbook in pool])
         cited = next(r for r in probe.serve_batch(requests) if r.accepted).provenance
         name, sheet_name = cited["reference_workbook"], cited["reference_sheet"]
         workspace = Workspace("edits", factory())

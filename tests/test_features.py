@@ -101,16 +101,12 @@ class TestCellFeaturizer:
         assert featurizer._table.stats() == {"hit": 1, "miss": 7, "evict": 0, "size": 7}
 
     def test_unhashable_content_is_featurized_and_never_cached(self, featurizer):
-        for cell in (Cell(value=[1, 2]), Cell(value="x", style=CellStyle(bold=[1]))):
-            first = featurizer.featurize(cell)
-            again = featurizer.featurize(cell)
-            assert np.array_equal(again, first)
-            assert not first.flags.writeable
-        assert np.array_equal(
-            featurizer.featurize(Cell(value="x", style=CellStyle(bold=[1]))),
-            featurizer.featurize(Cell(value="x", style=CellStyle(bold=True))),
-        )
-        assert featurizer._table.stats() == {"hit": 0, "miss": 6, "evict": 0, "size": 1}
+        cell = Cell(value={1, 2})
+        first = featurizer.featurize(cell)
+        again = featurizer.featurize(cell)
+        assert np.array_equal(again, first)
+        assert not first.flags.writeable
+        assert featurizer._table.stats() == {"hit": 0, "miss": 2, "evict": 0, "size": 0}
 
     def test_forgetting_style_numbers_aliases_no_entry(self, featurizer, monkeypatch):
         """The style pins and numbers are bounded by clearing them; numbers

@@ -133,8 +133,10 @@ class TestSheetEncoder:
     def test_coarse_tolerates_row_shift_more_than_fine(self, small_config, trained_encoder, data_sheet):
         """The CNN branch should be less sensitive to a small row shift than the FC branch."""
         encoder = trained_encoder
-        shifted = data_sheet.copy()
-        shifted.insert_rows(5, 1)
+        # The sheet with one empty row inserted above row 5.
+        shifted = Sheet(data_sheet.name)
+        for address, cell in data_sheet.items():
+            shifted.set_cell(address.shifted(1, 0) if address.row >= 5 else address, cell)
         coarse_delta = float(
             np.sum((encoder.embed_sheet(data_sheet) - encoder.embed_sheet(shifted)) ** 2)
         )

@@ -30,6 +30,8 @@ from repro.server import (
 )
 from repro.server.schemas import SchemaError, decode_recommend_payload
 from repro.service import RecommendationRequest
+from repro.sheet import SealedError
+from repro.sheet.io import sheet_to_dict
 
 from test_server import TIMEOUT, _Gate, _stub_service, _target_sheet
 
@@ -531,21 +533,21 @@ class TestServerObservability:
                 for line in client.metrics_text().splitlines()
                 if line.startswith("workspace_reindex_")
             }
-            assert client.stats()["reindex"] == {"pge": {"same": 2, "changed": 1, "refit": 0}}
+            assert client.stats()["reindex"] == {"pge": {"same": 2, "changed": 1}}
             assert gauges == {
                 'workspace_reindex_same{workspace="pge"}': 2.0,
                 'workspace_reindex_changed{workspace="pge"}': 1.0,
-                'workspace_reindex_refit{workspace="pge"}': 0.0,
             }
 
 
     def test_fallback_counts_reach_metrics_from_their_own_layers(
         self, trained_encoder, pge_corpus
     ):
-        """The scorer's two fallbacks and the engine's full resync are keys
-        of ``VectorIndex.counters()`` / ``FormulaEngine.counters()``; the
-        predictor and the workspace fold them and the server mirrors what
-        it finds — no server file names them."""
+        """The scorer's two fallbacks are keys of ``VectorIndex.counters()``;
+        the predictor and the workspace fold them and the server mirrors
+        what it finds — no server file names them.  A write around the
+        workspace, which the engine once caught with a counted full resync,
+        is refused, and the workspace's edits go on through it."""
         from repro.corpus import split_corpus
 
         __, references = split_corpus(pge_corpus, 0.15, "timestamp")
@@ -573,26 +575,26 @@ class TestServerObservability:
                 'index_two_tier_overflow{workspace="pge"}': 0.0,
                 **untouched,
             }
-            # The engine is built by the first edit; an edit made around it
-            # is caught by the next one.
+            # The engine is built by the first edit; a write made around it
+            # is refused and changes nothing.
             client.edit_cell("pge", name, "Regional Summary", "B12", value=3.5)
-            assert gauges(client)['engine_full_resync{workspace="pge"}'] == 0.0
-            workspace.workbooks()[0].get_sheet("Regional Summary").set("B13", 4.5)
+            sheet = workspace.workbooks()[0].get_sheet("Regional Summary")
+            before = sheet_to_dict(sheet)
+            with pytest.raises(SealedError):
+                sheet.set("B13", 4.5)
+            assert sheet_to_dict(sheet) == before
             client.edit_cell("pge", name, "Regional Summary", "B12", value=5.5)
+            assert sheet.get("B12").value == 5.5
             # Both indexes' counts are summed.
             workspace.predictor.sheet_index._overflows.inc(2)
             workspace.predictor.formula_index._overflows.inc(3)
             workspace.predictor.formula_index._fallback_rows.inc(7)
             assert gauges(client) == {
-                'engine_full_resync{workspace="pge"}': 1.0,
                 'index_tier2_fallback_rows{workspace="pge"}': 7.0,
                 'index_two_tier_overflow{workspace="pge"}': 5.0,
                 **untouched,
             }
-            # An engine dropped with its workbook keeps what it counted.
-            client.remove_workbook("pge", name)
-            assert gauges(client)['engine_full_resync{workspace="pge"}'] == 1.0
-            assert workspace.counters()["engine.full_resync"] == 1
+            assert not any(key.startswith("engine.") for key in workspace.counters())
 
 
 # ------------------------------------------------------------ set-up spans

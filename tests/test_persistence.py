@@ -9,15 +9,19 @@ state, memory-mapped loading, and the service facade's save/load round
 trip.
 """
 
+import datetime
 import json
+import tempfile
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import AutoFormula, AutoFormulaConfig, FormulaService, Workspace
 from repro.corpus import sample_test_cases
-from repro.formula.errors import ErrorValue
+from repro.formula.errors import ALL_ERROR_VALUES, ErrorValue
 from repro.persistence import (
     MutationLog,
     MutationLogError,
@@ -26,7 +30,8 @@ from repro.persistence import (
 )
 from repro.persistence.snapshot import SNAPSHOT_FORMAT_VERSION, mutation_log_path
 from repro.service import RecommendationRequest
-from repro.sheet import Workbook
+from repro.sheet import CellStyle, Workbook
+from repro.sheet.io import workbook_to_dict
 from repro.testing import (
     WorkloadConfig,
     assert_matches_fresh_fit,
@@ -238,6 +243,27 @@ class TestEditValues:
                     workspace.recommend(request)
                 )
 
+    def test_a_datetime_restores_as_it_reads_live(self, trained_encoder, tmp_path):
+        """A date keeps its time of day through the snapshot and the log;
+        read as a date, its ISO text made ``load`` refuse the snapshot and
+        the replay refuse the edit."""
+        moment = datetime.datetime(2024, 3, 1, 9, 30)
+        for through_log in (False, True):
+            workspace = self._workspace(trained_encoder)
+            directory = tmp_path / f"log-{through_log}"
+            if through_log:
+                workspace.save(directory)
+            workspace.edit_cell("wb", "Data", "B1", value=moment)
+            workspace.edit_cell("wb", "Data", "B2", value=datetime.date(2024, 3, 1))
+            if not through_log:
+                workspace.save(directory)
+            sheet = workspace.workbooks()[0].get_sheet("Data")
+            value = sheet.get("B1").value
+            assert (type(value), value) == (datetime.datetime, moment)
+            assert type(sheet.get("B2").value) is datetime.date
+            restored = Workspace.load(directory, AutoFormula(trained_encoder, AutoFormulaConfig()))
+            assert self._cells(restored) == self._cells(workspace), through_log
+
     def test_a_value_no_cell_can_hold_is_refused_before_the_edit(self, trained_encoder):
         workspace = self._workspace(trained_encoder)
         sheet = workspace.workbooks()[0].get_sheet("Data")
@@ -248,6 +274,63 @@ class TestEditValues:
         assert self._cells(workspace) == before and sheet.version == version
         workspace.edit_cell("wb", "Data", "A1", value=10**300)
         assert sheet.get("A2").value == 1e300
+
+
+_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([10**300, -(10**308), 0.0, -0.0, 1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+    st.sampled_from(sorted(ALL_ERROR_VALUES)),  # text that spells a code
+    st.sampled_from(sorted(ALL_ERROR_VALUES)).map(ErrorValue),
+    st.dates(),
+    st.datetimes(),
+)
+
+_styles = st.builds(
+    CellStyle,
+    background_color=st.none() | st.from_regex(r"#[0-9A-Fa-f]{6}", fullmatch=True),
+    bold=st.booleans() | st.sampled_from([0, 1]),
+    font_size=st.integers(0, 10**300) | st.floats(0, 1e300),
+    border_top=st.booleans(),
+)
+
+
+@st.composite
+def _workbooks(draw):
+    """A workbook built only through public constructors and writers."""
+    workbook = Workbook("drawn.xlsx", last_modified=draw(st.floats(0, 2e9)))
+    for name in draw(st.lists(st.sampled_from(["A", "B b", "Ç"]), min_size=1, unique=True)):
+        sheet = workbook.add_sheet(name)
+        cells = st.tuples(st.integers(0, 12), st.integers(0, 6))
+        for address in draw(st.lists(cells, min_size=1, max_size=12, unique=True)):
+            formula = draw(st.sampled_from([None, None, "=A1+1", "=SUM(A1:B3)"]))
+            sheet.set(address, draw(_values), formula, draw(st.none() | _styles))
+    return workbook
+
+
+class TestWhatAWorkspaceAcceptsRoundTrips:
+    @settings(max_examples=20, deadline=None)
+    @given(workbook=_workbooks())
+    def test_save_and_load_give_back_the_workbook(self, trained_encoder, workbook):
+        """Through the snapshot and through the log alike; compared as JSON
+        text, which tells 1 from 1.0 and 0.0 from -0.0."""
+        expected = json.dumps(workbook_to_dict(workbook))
+        with tempfile.TemporaryDirectory() as directory:
+            for through_log in (False, True):
+                workspace = Workspace("w", AutoFormula(trained_encoder, AutoFormulaConfig()))
+                if through_log:
+                    workspace.save(directory)
+                workspace.add_workbook(workbook.copy())
+                if not through_log:
+                    workspace.save(directory)
+                restored = Workspace.load(
+                    directory, AutoFormula(trained_encoder, AutoFormulaConfig())
+                )
+                [again] = restored.workbooks()
+                assert json.dumps(workbook_to_dict(again)) == expected, through_log
 
 
 class TestOlderSnapshots:
@@ -597,7 +680,8 @@ class TestMutationLog:
 
         workbook_to_dict = log_module.workbook_to_dict
         monkeypatch.setattr(log_module, "workbook_to_dict", counting)
-        corpus = _churned_workspace(trained_encoder)[0].workbooks()
+        churned = _churned_workspace(trained_encoder)[0]
+        corpus = [workbook.copy() for workbook in churned.workbooks()]
         service = FormulaService(trained_encoder)
         workspace = service.create_workspace("lazy", workbooks=corpus[:-2])
         workspace.edit_cell(corpus[0].name, corpus[0].sheets[0].name, "A1", value=1.0)

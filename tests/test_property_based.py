@@ -678,23 +678,6 @@ class TestCodecRoundTrip:
 class TestSheetProperties:
     @given(
         st.lists(
-            st.tuples(st.integers(0, 30), st.integers(0, 8), st.integers(-1000, 1000)),
-            min_size=1,
-            max_size=40,
-        ),
-        st.integers(0, 30),
-    )
-    def test_insert_then_delete_rows_is_identity(self, cells, at_row):
-        sheet = Sheet()
-        for row, col, value in cells:
-            sheet.set((row, col), value)
-        original = {addr: cell.value for addr, cell in sheet.cells()}
-        sheet.insert_rows(at_row, 2)
-        sheet.delete_rows(at_row, 2)
-        assert {addr: cell.value for addr, cell in sheet.cells()} == original
-
-    @given(
-        st.lists(
             st.tuples(st.integers(0, 30), st.integers(0, 8), st.text(max_size=5)),
             min_size=1,
             max_size=30,

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro import AutoFormula, AutoFormulaConfig, RecommendationRequest, Workspace
 from repro.ann import SearchResult, VectorIndex
-from repro.sheet import CellAddress, CellStyle, Workbook
+from repro.models import SheetEncoder
+from repro.sheet import CellAddress, Workbook
 from repro.testing import WorkloadConfig, generate_workload, replay_workload
 from repro.testing.reference import ReferenceAutoFormula, answer_of, knn
 from repro.testing.workload import TIE_LAYOUTS, tie_heavy_sheet, tie_heavy_vectors
@@ -79,12 +80,20 @@ def _ties(case, rng):
 
 
 def _unembeddable(ties):
-    """A two-sheet workbook whose second sheet no forward can embed: a cell
-    of it has a font size that is not a number."""
+    """A two-sheet workbook whose second sheet no forward can embed, and the
+    patch under which the sheet model raises on it."""
     workbook = Workbook("unembeddable.xlsx")
     workbook.add_sheet(next(iter(ties)).copy("fine"))
-    workbook.add_sheet("broken").set((0, 0), "label", style=CellStyle(font_size="big"))
-    return workbook
+    broken = workbook.add_sheet("broken")
+    broken.set((0, 0), "label")
+    embed_sheet = SheetEncoder.embed_sheet
+
+    def raising(encoder, target, *args, **kwargs):
+        if target is broken:
+            raise TypeError("the sheet model cannot embed this sheet")
+        return embed_sheet(encoder, target, *args, **kwargs)
+
+    return workbook, mock.patch.object(SheetEncoder, "embed_sheet", raising)
 
 
 @st.composite
@@ -121,8 +130,9 @@ def test_workspace_answers_like_the_reference(trained_encoder, gate, case):
         workspace.add_workbook(ties)
         # Every later op is checked against the reference over the
         # workbooks the workspace holds, which a failed add leaves alone.
-        with pytest.raises(TypeError):
-            workspace.add_workbook(_unembeddable(ties))
+        workbook, unembeddable = _unembeddable(ties)
+        with unembeddable, pytest.raises(TypeError):
+            workspace.add_workbook(workbook)
         return workspace
 
     def after_step(op, workspace):

@@ -67,7 +67,6 @@ STATS_PATHS = sorted(
         "index_memory.pge.total_bytes",
         "queue_depths.pge",
         "reindex.pge.changed",
-        "reindex.pge.refit",
         "reindex.pge.same",
         "sheet_cache.entries",
         "sheet_cache.hits",
@@ -113,7 +112,6 @@ METRIC_FAMILIES = {
     "workspace_index_bytes": ("gauge", ("workspace",)),
     "workspace_latency_seconds": ("summary", ("quantile", "workspace")),
     "workspace_reindex_changed": ("gauge", ("workspace",)),
-    "workspace_reindex_refit": ("gauge", ("workspace",)),
     "workspace_reindex_same": ("gauge", ("workspace",)),
     "workspace_serve_collapsed_duplicates": ("gauge", ("workspace",)),
 }

@@ -291,7 +291,6 @@ class TestProtocolBasics:
             "workspace_index_bytes",
             "workspace_reindex_same",
             "workspace_reindex_changed",
-            "workspace_reindex_refit",
             "workspace_serve_collapsed_duplicates",
             "persistence_log_torn_tail_total",
             "server_queue_depth",
@@ -370,7 +369,7 @@ def serving_corpus(trained_encoder, pge_corpus):
     references = references[:5]
     cases = sample_test_cases("PGE", test_workbooks, max_per_sheet=2, seed=0)[:8]
     direct = FormulaService(trained_encoder, AutoFormulaConfig())
-    direct.create_workspace("pge", workbooks=references)
+    direct.create_workspace("pge", workbooks=[workbook.copy() for workbook in references])
     return references, cases, direct.workspace("pge")
 
 
@@ -392,7 +391,7 @@ class TestWireParity:
     ):
         references, cases, direct_workspace = serving_corpus
         service = FormulaService(trained_encoder, AutoFormulaConfig())
-        service.create_workspace("pge", workbooks=references)
+        service.create_workspace("pge", workbooks=[workbook.copy() for workbook in references])
         with start_server_in_background(service) as handle:
             client = FormulaClient(handle.host, handle.port)
             for case in cases:
@@ -433,7 +432,8 @@ class TestWireParity:
     def test_coalesced_burst_parity_and_ratio(self, trained_encoder, serving_corpus):
         references, cases, direct_workspace = serving_corpus
         service = FormulaService(trained_encoder, AutoFormulaConfig())
-        gate = _Gate(service.create_workspace("pge", workbooks=references))
+        workbooks = [workbook.copy() for workbook in references]
+        gate = _Gate(service.create_workspace("pge", workbooks=workbooks))
         # Burst: every case fired concurrently at a gated workspace, cap
         # equal to the burst size: the coalescing outcome is deterministic.
         config = ServerConfig(max_batch_size=len(cases))

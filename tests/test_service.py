@@ -1,7 +1,9 @@
 """Tests for the service layer: workspaces, mutation parity, typed serving."""
 
+import contextlib
 import dataclasses
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +22,11 @@ from repro.evaluation import run_method_on_cases
 from repro.formula import parser
 from repro.formula.engine import FormulaEngine
 from repro.models import SheetEncoder
-from repro.sheet import CellAddress, Workbook
-from repro.sheet.style import CellStyle
+from repro.persistence.log import MutationLog
+from repro.persistence.snapshot import mutation_log_path
+from repro.sheet import Cell, CellAddress, SealedError, Workbook
+from repro.sheet.io import workbook_to_dict
 from repro.testing import (
-    answer_of,
     assert_matches_fresh_fit,
     assert_responses_match,
     assert_same_index_rows,
@@ -39,10 +42,16 @@ def workload(pge_corpus):
     return reference_workbooks[:6], cases[:10]
 
 
+def _copies(workbooks):
+    """Copies to add: a workspace seals what it holds, and the module's
+    workbooks are shared by every test."""
+    return [workbook.copy() for workbook in workbooks]
+
+
 def _reindex_counts(workspace: Workspace) -> dict:
-    """``{"same", "changed", "refit"}`` of ``workspace.counters()``."""
+    """``{"same", "changed"}`` of ``workspace.counters()``."""
     counts = workspace.counters()
-    return {shape: counts[f"workspace.reindex_{shape}"] for shape in ("same", "changed", "refit")}
+    return {shape: counts[f"workspace.reindex_{shape}"] for shape in ("same", "changed")}
 
 
 def _assert_matches_prediction(response, prediction):
@@ -72,7 +81,7 @@ class TestIncrementalParity:
         service = FormulaService(trained_encoder, make_config())
         workspace = service.create_workspace("incremental")
         for workbook in references:
-            workspace.add_workbook(workbook)
+            workspace.add_workbook(workbook.copy())
         assert workspace.predictor.n_reference_sheets == fresh.n_reference_sheets
         assert workspace.predictor.n_reference_formulas == fresh.n_reference_formulas
 
@@ -86,7 +95,7 @@ class TestIncrementalParity:
     def test_remove_then_re_add_matches_fresh_fit(self, trained_encoder, workload, make_config):
         references, cases = workload
         service = FormulaService(trained_encoder, make_config())
-        workspace = service.create_workspace("churn", workbooks=references)
+        workspace = service.create_workspace("churn", workbooks=_copies(references))
         # Warm the online path so cached query state exists before the
         # mutation, the hardest case for parity.
         workspace.serve_batch(
@@ -110,7 +119,7 @@ class TestIncrementalParity:
     def test_removal_until_empty_then_rebuild(self, trained_encoder, workload, make_config):
         references, cases = workload
         service = FormulaService(trained_encoder, make_config())
-        workspace = service.create_workspace("drain", workbooks=references)
+        workspace = service.create_workspace("drain", workbooks=_copies(references))
         for workbook in list(references):
             workspace.remove_workbook(workbook.name)
         assert len(workspace) == 0
@@ -120,7 +129,7 @@ class TestIncrementalParity:
         )
         assert response.abstain_reason == AbstainReason.EMPTY_CORPUS
 
-        workspace.add_workbooks(references)
+        workspace.add_workbooks(_copies(references))
         fresh = AutoFormula(trained_encoder, make_config())
         fresh.fit(references)
         for case in cases[:4]:
@@ -135,7 +144,7 @@ class TestServeBatch:
     def test_latency_recorded_per_request(self, trained_encoder, workload):
         references, cases = workload
         service = FormulaService(trained_encoder)
-        workspace = service.create_workspace("timed", workbooks=references)
+        workspace = service.create_workspace("timed", workbooks=_copies(references))
         requests = [
             RecommendationRequest(case.target_sheet, case.target_cell) for case in cases
         ]
@@ -149,7 +158,7 @@ class TestServeBatch:
     def test_empty_request_list(self, trained_encoder, workload):
         references, __ = workload
         service = FormulaService(trained_encoder)
-        workspace = service.create_workspace("empty-batch", workbooks=references)
+        workspace = service.create_workspace("empty-batch", workbooks=_copies(references))
         assert workspace.serve_batch([]) == []
 
 
@@ -170,7 +179,7 @@ class TestAbstention:
         references, cases = workload
         config = AutoFormulaConfig(acceptance_threshold=1e-9)
         service = FormulaService(trained_encoder, config)
-        workspace = service.create_workspace("strict", workbooks=references)
+        workspace = service.create_workspace("strict", workbooks=_copies(references))
         responses = workspace.serve_batch(
             [RecommendationRequest(case.target_sheet, case.target_cell) for case in cases]
         )
@@ -243,7 +252,7 @@ class TestFacade:
     def test_duplicate_workbook_rejected(self, trained_encoder, workload):
         references, __ = workload
         service = FormulaService(trained_encoder)
-        workspace = service.create_workspace("dup", workbooks=references[:1])
+        workspace = service.create_workspace("dup", workbooks=[references[0].copy()])
         with pytest.raises(ValueError):
             workspace.add_workbook(references[0])
         with pytest.raises(KeyError):
@@ -265,7 +274,7 @@ class TestFacade:
 
         references, __ = workload
         service = FormulaService(trained_encoder)
-        workspace = service.create_workspace("hollow", workbooks=references[:1])
+        workspace = service.create_workspace("hollow", workbooks=[references[0].copy()])
         workspace.add_workbook(_Workbook(name="empty.xlsx"))
         assert "empty.xlsx" in workspace
         removed = workspace.remove_workbook("empty.xlsx")
@@ -277,8 +286,7 @@ class TestFacade:
         references, __ = workload
         sheet = next(sheet for sheet in references[0] if sheet.n_formulas())
         workspace = Workspace("failing", AutoFormula(trained_encoder, AutoFormulaConfig()))
-        workbook = _unembeddable_workbook(sheet)
-        with pytest.raises(TypeError):
+        with _unembeddable_workbook(sheet) as workbook, pytest.raises(TypeError):
             workspace.add_workbook(workbook)
         assert len(workspace) == 0
         assert workbook.name not in workspace
@@ -286,13 +294,23 @@ class TestFacade:
         assert_tombstone_accounting(workspace.predictor)
 
 
+@contextlib.contextmanager
 def _unembeddable_workbook(sheet):
-    """A two-sheet workbook whose second sheet no forward can embed: a cell
-    of it has a font size that is not a number."""
+    """A two-sheet workbook whose second sheet no forward can embed: the
+    sheet model raises on it while the context is open."""
     workbook = Workbook("unembeddable.xlsx")
     workbook.add_sheet(sheet.copy("Fine"))
-    workbook.add_sheet("Broken").set((0, 0), "label", style=CellStyle(font_size="big"))
-    return workbook
+    broken = workbook.add_sheet("Broken")
+    broken.set((0, 0), "label")
+    embed_sheet = SheetEncoder.embed_sheet
+
+    def raising(encoder, target, *args, **kwargs):
+        if target is broken:
+            raise TypeError("the sheet model cannot embed this sheet")
+        return embed_sheet(encoder, target, *args, **kwargs)
+
+    with mock.patch.object(SheetEncoder, "embed_sheet", raising):
+        yield workbook
 
 
 def _index_state(predictor):
@@ -334,8 +352,8 @@ class TestAllOrNothing:
         names, n_sheets = workspace.workbook_names, len(predictor._reference_sheets)
         before = _index_state(predictor)
         sheet = next(sheet for sheet in references[0] if sheet.n_formulas())
-        with pytest.raises(TypeError):
-            workspace.add_workbook(_unembeddable_workbook(sheet))
+        with _unembeddable_workbook(sheet) as workbook, pytest.raises(TypeError):
+            workspace.add_workbook(workbook)
         assert workspace.workbook_names == names
         assert len(predictor._reference_sheets) == n_sheets
         assert_tombstone_accounting(predictor)
@@ -347,35 +365,64 @@ class TestAllOrNothing:
         workbook = workspace.workbooks()[0]
         sheet = next(sheet for sheet in workbook if sheet.n_formulas())
         workspace.edit_cell(workbook.name, sheet.name, _numeric_cells(sheet)[0], value=41.5)
-        assert workspace.counters()["workspace.reindex_refit"] == 0
         assert_matches_fresh_fit(workspace, fresh, cases, "value edit")
         workspace.remove_workbook(references[4].name)
         assert_matches_fresh_fit(workspace, fresh, cases, "remove")
         assert_tombstone_accounting(predictor)
 
-    def test_a_fit_that_raises_keeps_the_indexed_corpus(self, trained_encoder, workload):
-        """An edit whose re-index and fallback fit both raise — its sheet
-        was given, behind the workspace's back, a style no forward reads —
-        leaves the predictor's exported state byte for byte as it was and
-        its answers unchanged, not an empty predictor under six registered
-        workbooks."""
+    def test_an_edit_whose_reindex_raises_leaves_the_workspace_as_it_was(
+        self, trained_encoder, workload, tmp_path, monkeypatch, tracer
+    ):
+        """The edit lands whole or not at all: its re-index raising puts the
+        sheet's cells (the edited one and its dependents) and extent back,
+        and the index, the log and a reload stay where they were (not the
+        edited cell and its dependents, as a refit fallback once left)."""
         references, cases = workload
         workspace = Workspace("t", AutoFormula(trained_encoder, AutoFormulaConfig()))
-        workspace.add_workbooks([workbook.copy() for workbook in references])
+        workspace.add_workbooks(_copies(references))
+        workspace.save(tmp_path)
         predictor = workspace.predictor
-        requests = [RecommendationRequest(case.target_sheet, case.target_cell) for case in cases]
-        answers = [answer_of(response) for response in workspace.serve_batch(requests)]
-        before = _exported_state(predictor)
-        workbook = workspace.workbooks()[0]
-        sheet = next(sheet for sheet in workbook if sheet.n_formulas())
-        sheet.set("Z1", "label", style=CellStyle(font_size="big"))
-        with pytest.raises(TypeError):
-            workspace.edit_cell(workbook.name, sheet.name, "A1", value=5.0)
-        assert workspace.counters()["workspace.reindex_refit"] == 1
-        assert _exported_state(predictor) == before
-        assert predictor.n_reference_sheets > 0
-        assert_tombstone_accounting(predictor)
-        assert [answer_of(response) for response in workspace.serve_batch(requests)] == answers
+        workbook = workspace.workbooks()[3]
+        sheet = workbook.get_sheet(TestEditCell.SHEET)
+        engine = FormulaEngine(sheet.copy())
+        address = next(cell for cell in _numeric_cells(sheet) if engine.dependents_of(cell))
+        workspace.edit_cell(workbook.name, sheet.name, "B21", value=1.0)  # builds the engine
+        log = MutationLog(mutation_log_path(tmp_path))
+        cells, extent = list(sheet.cells()), (sheet.n_rows, sheet.n_cols)
+        state, n_entries = _exported_state(predictor), len(log.read())
+
+        def raising(sheet):
+            raise FloatingPointError("sheet model")
+
+        monkeypatch.setattr(predictor, "_embed_sheet", raising)
+        for edit in ({"value": sheet.get(address).value + 1000.0}, {"formula": "=B19*2"}):
+            with pytest.raises(FloatingPointError):
+                workspace.edit_cell(workbook.name, sheet.name, address, **edit)
+        monkeypatch.undo()
+        assert list(sheet.cells()) == cells
+        assert (sheet.n_rows, sheet.n_cols) == extent
+        assert _exported_state(predictor) == state
+        assert len(log.read()) == n_entries
+        assert _reindex_counts(workspace) == {"same": 1, "changed": 0}
+        spans = [
+            child
+            for tree in tracer.recent_traces()
+            if tree["root"]["name"] == "workspace.edit_cell"
+            for child in tree["root"]["children"]
+            if child["name"] == "workspace.reindex_sheet"
+        ]
+        assert spans[-1]["attributes"]["error"].startswith("FloatingPointError")
+        restored = Workspace.load(tmp_path, AutoFormula(trained_encoder, AutoFormulaConfig()))
+        assert [workbook_to_dict(wb) for wb in restored.workbooks()] == [
+            workbook_to_dict(wb) for wb in workspace.workbooks()
+        ]
+        fresh = lambda: AutoFormula(trained_encoder, AutoFormulaConfig())  # noqa: E731
+        assert_matches_fresh_fit(workspace, fresh, cases, "rolled back")
+        assert_matches_fresh_fit(restored, fresh, cases, "reloaded")
+        # The next edit goes through, re-indexing in place.
+        workspace.edit_cell(workbook.name, sheet.name, address, value=41.5)
+        assert _reindex_counts(workspace) == {"same": 2, "changed": 0}
+        assert_matches_fresh_fit(workspace, fresh, cases, "next edit")
 
     @pytest.mark.parametrize("edit", ["value", "formula"])
     def test_a_reindex_whose_sheet_forward_raises_writes_nothing(
@@ -411,6 +458,62 @@ class TestAllOrNothing:
         fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
         fresh.fit(workbooks)
         assert_same_index_rows(predictor, fresh)
+
+
+class TestOneWriter:
+    """A workspace is its sheets' one writer: a write around it is refused
+    and changes nothing, where taking it would leave the index and the log
+    behind the sheet."""
+
+    @staticmethod
+    def _writes(workbook, sheet):
+        return {
+            "set": lambda: sheet.set("A1", 1.0),
+            "set_cell": lambda: sheet.set_cell("A1", Cell(1.0)),
+            "delete": lambda: sheet.delete("A1"),
+            "delete_rows": lambda: sheet.delete_rows(0),
+            "delete_cols": lambda: sheet.delete_cols(0),
+            "add_sheet": lambda: workbook.add_sheet("Extra"),
+        }
+
+    def test_a_write_around_the_workspace_is_refused(self, trained_encoder, workload, tmp_path):
+        references, __ = workload
+        workspace = Workspace("t", AutoFormula(trained_encoder, AutoFormulaConfig()))
+        workspace.add_workbooks([workbook.copy() for workbook in references[:2]])
+        workspace.save(tmp_path)
+        restored = Workspace.load(tmp_path, AutoFormula(trained_encoder, AutoFormulaConfig()))
+        for holder in (workspace, restored):
+            workbook = holder.workbooks()[0]
+            sheet = next(iter(workbook))
+            before = workbook_to_dict(workbook), sheet.version
+            for name, write in self._writes(workbook, sheet).items():
+                with pytest.raises(SealedError):
+                    write()
+            assert (workbook_to_dict(workbook), sheet.version) == before
+            with pytest.raises(AttributeError):
+                sheet.name = "renamed"
+            with pytest.raises(AttributeError):
+                workbook.name = "renamed.xlsx"
+
+    def test_a_held_workbook_is_added_elsewhere_as_a_copy(self, trained_encoder, workload):
+        references, cases = workload
+        workbook = references[0].copy()
+        first = Workspace("first", AutoFormula(trained_encoder, AutoFormulaConfig()))
+        second = Workspace("second", AutoFormula(trained_encoder, AutoFormulaConfig()))
+        first.add_workbook(workbook)
+        with pytest.raises(ValueError, match="copy"):
+            second.add_workbook(workbook)
+        assert len(second) == 0
+        second.add_workbook(workbook.copy())
+        # Removed, the workbook is its caller's again: writable, addable.
+        assert first.remove_workbook(workbook.name) is workbook
+        sheet = next(iter(workbook))
+        for name, write in self._writes(workbook, sheet).items():
+            write()
+        first.add_workbook(workbook)
+        fresh = lambda: AutoFormula(trained_encoder, AutoFormulaConfig())  # noqa: E731
+        assert_matches_fresh_fit(first, fresh, cases)
+        assert_matches_fresh_fit(second, fresh, cases)
 
 
 def _numeric_cells(sheet):
@@ -464,8 +567,6 @@ class TestEditCell:
     def _assert_parity(self, workspace, trained_encoder, cases, directory):
         """live == fresh fit (fresh featurizer, answers and stored vectors)
         == restored from the pre-edit snapshot + the log tail."""
-        # Parity cannot see an edit that fell back to a full refit.
-        assert workspace.counters()["workspace.reindex_refit"] == 0
         fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
         assert_matches_fresh_fit(workspace, lambda: fresh, cases)
         restored = Workspace.load(directory, AutoFormula(trained_encoder, AutoFormulaConfig()))
@@ -508,7 +609,7 @@ class TestEditCell:
         assert predictor.sheet_index.n_tombstones == 0
         assert predictor.formula_index.n_tombstones == 0
         stats = _reindex_counts(workspace)
-        assert stats["changed"] == 0 and stats["refit"] == 0
+        assert stats["changed"] == 0
         assert stats["same"] > 3
 
     def test_value_edit(self, trained_encoder, workload, tmp_path):
@@ -533,7 +634,7 @@ class TestEditCell:
         workspace.edit_cell(self.WORKBOOK, self.SHEET, "C4", formula="=SUMIF(A10:A40,A4,B10:B40)")
         cited = [r for r in self._serve(workspace, cases) if r.provenance.get("reference_cell") == "C4"]
         assert cited and cited[0].provenance["reference_formula"] == "=SUMIF(A10:A40,A4,B10:B40)"
-        assert _reindex_counts(workspace) == {"same": 0, "changed": 1, "refit": 0}
+        assert _reindex_counts(workspace) == {"same": 0, "changed": 1}
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
 
     def test_formula_written_into_a_value_cell(self, trained_encoder, workload, tmp_path):
@@ -621,45 +722,6 @@ class TestEditCell:
             for r in self._serve(workspace, cases)
         )
         self._assert_parity(workspace, trained_encoder, cases, tmp_path)
-
-    def test_a_reindex_that_raises_is_refit_and_counted(
-        self, trained_encoder, workload, tmp_path, monkeypatch, tracer
-    ):
-        """The fallback keeps the answers right, so only its count (and the
-        span's ``error``) can tell that an edit paid for a full fit."""
-        reference_workbooks, cases = workload
-        workspace = self._workspace(trained_encoder, reference_workbooks, tmp_path)
-        predictor = workspace.predictor
-        reindex, fits = predictor.reindex_sheet, []
-
-        def raise_once(sheet, trees):
-            monkeypatch.setattr(predictor, "reindex_sheet", reindex)
-            raise FloatingPointError("featurizer bug")
-
-        monkeypatch.setattr(predictor, "reindex_sheet", raise_once)
-        monkeypatch.setattr(
-            predictor, "fit", lambda workbooks, fit=predictor.fit: fits.append(1) or fit(workbooks)
-        )
-        workspace.edit_cell(self.WORKBOOK, self.SHEET, "B12", value=41.5)
-        assert _reindex_counts(workspace) == {"same": 0, "changed": 0, "refit": 1}
-        assert len(fits) == 1
-        (edit,) = [
-            tree["root"]
-            for tree in tracer.recent_traces()
-            if tree["root"]["name"] == "workspace.edit_cell"
-        ]
-        (span,) = [
-            child for child in edit["children"] if child["name"] == "workspace.reindex_sheet"
-        ]
-        assert span["attributes"]["error"].startswith("FloatingPointError")
-        fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
-        assert_matches_fresh_fit(workspace, lambda: fresh, cases)
-        # The next edit re-indexes in place again.
-        workspace.edit_cell(self.WORKBOOK, self.SHEET, "B13", value=42.5)
-        assert _reindex_counts(workspace) == {"same": 1, "changed": 0, "refit": 1}
-        assert len(fits) == 1
-        fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
-        assert_matches_fresh_fit(workspace, lambda: fresh, cases)
 
     def test_edit_that_grows_the_used_extent(self, trained_encoder, workload, tmp_path):
         reference_workbooks, cases = workload
@@ -767,7 +829,7 @@ class TestAdapters:
     def test_evaluate_matches_runner(self, trained_encoder, workload):
         references, cases = workload
         service = FormulaService(trained_encoder)
-        workspace = service.create_workspace("eval", workbooks=references)
+        workspace = service.create_workspace("eval", workbooks=_copies(references))
         run = workspace.evaluate(cases, corpus_name="PGE")
 
         fresh = AutoFormula(trained_encoder, AutoFormulaConfig())
@@ -778,7 +840,7 @@ class TestAdapters:
     def test_autofill_and_error_detection_adapters(self, trained_encoder, workload):
         references, cases = workload
         service = FormulaService(trained_encoder)
-        workspace = service.create_workspace("ext", workbooks=references)
+        workspace = service.create_workspace("ext", workbooks=_copies(references))
 
         suggestion = workspace.suggest_value(cases[0].target_sheet, cases[0].target_cell)
         assert suggestion is None or suggestion.confidence >= 0.0
@@ -801,7 +863,8 @@ class TestAdapters:
         header = CellAddress(5, 2)
         target.set(header, value=None)
 
-        workspace = FormulaService(trained_encoder).create_workspace("ext", workbooks=references)
+        service = FormulaService(trained_encoder)
+        workspace = service.create_workspace("ext", workbooks=_copies(references))
         workspace.add_workbooks([sibling])
         anomalies = workspace.audit_sheet(target)
         assert any(
@@ -826,7 +889,8 @@ class TestAdapters:
         """After an edit, each call embeds at most the sheet it is asked
         about (S1's query) and never takes the write lock."""
         references, cases = workload
-        workspace = FormulaService(trained_encoder).create_workspace("ext", workbooks=references)
+        service = FormulaService(trained_encoder)
+        workspace = service.create_workspace("ext", workbooks=_copies(references))
         workbook = references[0]
         sheet = workbook[workbook.sheet_names[0]]
         workspace.edit_cell(workbook.name, sheet.name, "Z1", value=1.0)

@@ -54,12 +54,6 @@ class TestWorkbook:
         assert len(simple_workbook) == 2
         assert [sheet.name for sheet in simple_workbook] == ["Data", "Notes"]
 
-    def test_remove_sheet(self):
-        workbook = Workbook()
-        workbook.add_sheet("A")
-        workbook.remove_sheet("A")
-        assert "A" not in workbook
-
     def test_counts(self, simple_workbook):
         assert simple_workbook.n_formulas() == 1
         assert simple_workbook.n_cells() > 10
