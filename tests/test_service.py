@@ -27,6 +27,7 @@ from repro.persistence.snapshot import mutation_log_path
 from repro.sheet import Cell, CellAddress, SealedError, Workbook
 from repro.sheet.io import workbook_to_dict
 from repro.testing import (
+    answer_of,
     assert_matches_fresh_fit,
     assert_responses_match,
     assert_same_index_rows,
@@ -369,6 +370,25 @@ class TestAllOrNothing:
         workspace.remove_workbook(references[4].name)
         assert_matches_fresh_fit(workspace, fresh, cases, "remove")
         assert_tombstone_accounting(predictor)
+
+    def test_a_fit_that_raises_keeps_the_indexed_corpus(self, trained_encoder, workload):
+        """A fit whose last workbook no forward can embed leaves the
+        predictor's exported state byte for byte as it was and its answers
+        unchanged, not an empty predictor under the registered workbooks."""
+        references, cases = workload
+        workspace = Workspace("t", AutoFormula(trained_encoder, AutoFormulaConfig()))
+        workspace.add_workbooks([workbook.copy() for workbook in references])
+        predictor = workspace.predictor
+        requests = [RecommendationRequest(case.target_sheet, case.target_cell) for case in cases]
+        answers = [answer_of(response) for response in workspace.serve_batch(requests)]
+        before = _exported_state(predictor)
+        sheet = next(sheet for sheet in references[0] if sheet.n_formulas())
+        with _unembeddable_workbook(sheet) as workbook, pytest.raises(TypeError):
+            predictor.fit(workspace.workbooks() + [workbook])
+        assert _exported_state(predictor) == before
+        assert predictor.n_reference_sheets > 0
+        assert_tombstone_accounting(predictor)
+        assert [answer_of(response) for response in workspace.serve_batch(requests)] == answers
 
     def test_an_edit_whose_reindex_raises_leaves_the_workspace_as_it_was(
         self, trained_encoder, workload, tmp_path, monkeypatch, tracer
