@@ -419,7 +419,10 @@ def fn_sqrt(value) -> float:
 
 
 def fn_power(base, exponent) -> float:
-    return _coerce_number(base) ** _coerce_number(exponent)
+    result = _coerce_number(base) ** _coerce_number(exponent)
+    if isinstance(result, complex):  # a negative base to a fractional exponent
+        raise FunctionError("POWER has no real result")
+    return result
 
 
 def fn_mod(value, divisor) -> float:

@@ -7,7 +7,7 @@ vocabulary as :data:`repro.testing.workload.OP_KINDS`'s mutating subset
 (``add`` / ``remove`` / ``edit``)::
 
     {"kind": "mutation-log", "format_version": 1}
-    {"op": "add", "workbook": {...workbook_to_dict...}}
+    {"op": "add", "workbook": {...the workbook's corpus line...}}
     {"op": "edit", "workbook_name": "wb", "sheet_name": "S",
      "address": "B2", "cell": {"value": 3.5}}
     {"op": "remove", "workbook_name": "wb"}
@@ -16,8 +16,13 @@ vocabulary as :data:`repro.testing.workload.OP_KINDS`'s mutating subset
 through the workspace's public mutation API (:func:`apply_mutation`) — the
 same writer-preferring lock path live traffic takes — so a
 restore-from-snapshot+log reaches a state bit-identical to a fresh fit on
-the equivalent corpus.  ``save()`` *compacts*: it writes a fresh snapshot
-of the current state and truncates the log back to its header.
+the equivalent corpus.  Each snapshot generation has its own log (see
+:mod:`repro.persistence.snapshot`), so ``save()`` *compacts* by starting
+the new generation's log at a bare header: the old log goes with the old
+generation.  An ``add`` entry embeds the workbook's corpus line
+(:func:`~repro.persistence.snapshot.encode_workbook`) byte for byte, so a
+workspace that already holds that line writes the entry without encoding
+the workbook again.
 
 Edit values are encoded through :meth:`repro.sheet.Cell.to_dict` /
 ``from_dict`` so dates and typed error values survive the round trip
@@ -31,12 +36,14 @@ from pathlib import Path
 from typing import Dict, List, Union
 
 from repro.sheet.cell import Cell
-from repro.sheet.io import workbook_from_dict, workbook_to_dict
+from repro.sheet.io import workbook_from_dict
 
 #: Version of the mutation-log line format.
 LOG_FORMAT_VERSION = 1
 
-_HEADER = {"kind": "mutation-log", "format_version": LOG_FORMAT_VERSION}
+_HEADER_LINE = (
+    json.dumps({"kind": "mutation-log", "format_version": LOG_FORMAT_VERSION}) + "\n"
+).encode("utf-8")
 
 #: The mutating subset of the workload generator's op vocabulary.
 MUTATION_OPS = ("add", "remove", "edit")
@@ -46,9 +53,11 @@ class MutationLogError(ValueError):
     """A mutation log is corrupt or of an unknown version."""
 
 
-def add_entry(workbook) -> Dict[str, object]:
-    """Log entry for an ``add`` of one workbook (state at add time)."""
-    return {"op": "add", "workbook": workbook_to_dict(workbook)}
+def add_entry(workbook_line: bytes) -> bytes:
+    """The encoded log entry for an ``add`` of one workbook, from its corpus
+    line (state at add time): what ``json.dumps`` of the entry as a dict
+    gives, without decoding the line."""
+    return b'{"op": "add", "workbook": ' + workbook_line + b"}"
 
 
 def remove_entry(workbook_name: str) -> Dict[str, object]:
@@ -143,8 +152,13 @@ class MutationLog:
         """Append one mutation entry (writing the header first if new)."""
         if entry.get("op") not in MUTATION_OPS:
             raise MutationLogError(f"unknown mutation op {entry.get('op')!r}")
+        self.append_encoded(json.dumps(entry, ensure_ascii=False).encode("utf-8"))
+
+    def append_encoded(self, entry: bytes) -> None:
+        """Append one entry already encoded as a JSON line without its
+        newline (:func:`add_entry`)."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(entry, ensure_ascii=False) + "\n"
+        line = entry + b"\n"
         with self.path.open("a+b") as handle:
             size = handle.tell()
             if size:
@@ -152,8 +166,8 @@ class MutationLog:
                 if handle.read(1) != b"\n":
                     size = self._mend_tail(handle)
             if not size:
-                line = json.dumps(_HEADER) + "\n" + line
-            handle.write(line.encode("utf-8"))
+                line = _HEADER_LINE + line
+            handle.write(line)
 
     @staticmethod
     def _mend_tail(handle) -> int:
@@ -214,6 +228,9 @@ class MutationLog:
         return len(self.read())
 
     def clear(self) -> None:
-        """Truncate back to a bare header (the compaction step of save)."""
+        """Start the log afresh at a bare header (what a new snapshot
+        generation's log begins as).  Not fsynced: a log that lost its
+        header to a crash reads as empty, which it is, and the next
+        :meth:`append` writes the header first."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(_HEADER) + "\n", encoding="utf-8")
+        self.path.write_bytes(_HEADER_LINE)

@@ -15,13 +15,16 @@ from repro.persistence.log import (
     remove_entry,
 )
 from repro.persistence.snapshot import (
+    MUTATION_LOG_NAME,
     SnapshotFormatError,
+    encode_workbook,
     load_arrays,
-    load_corpus,
+    load_corpus_records,
     mutation_log_path,
     read_manifest,
     save_arrays,
     save_corpus,
+    save_generation,
     sheet_resolver,
     write_manifest,
 )
@@ -48,7 +51,24 @@ _COUNTED = (
     "workspace.serve_collapsed_duplicates",
     "persistence.log_replayed_total",
     "persistence.log_torn_tail_total",
+    "persistence.orphan_generations_total",
 )
+
+#: What a held workbook's kept corpus line was encoded from: each sheet
+#: with its version then.
+_Stamp = Tuple[Tuple[Sheet, int], ...]
+
+
+def _stamp(workbook: Workbook) -> _Stamp:
+    return tuple((sheet, sheet.version) for sheet in workbook)
+
+
+def _same_stamp(kept: _Stamp, now: _Stamp) -> bool:
+    """Whether the sheets are the same objects at the same versions."""
+    return len(kept) == len(now) and all(
+        sheet is other and version == other_version
+        for (sheet, version), (other, other_version) in zip(kept, now)
+    )
 
 
 def sheet_engine(
@@ -138,6 +158,9 @@ class Workspace:
         #: attaches a mutation log and subsequent corpus mutations append
         #: to it; ``load()`` replays the log's tail, then attaches it.
         self._mutation_log: Optional[MutationLog] = None
+        #: The encode memo: each held workbook's corpus line, with the
+        #: stamp it was encoded at (see :meth:`_corpus_line`).
+        self._lines: Dict[str, Tuple[_Stamp, bytes]] = {}
 
     # ----------------------------------------------------------------- corpus
 
@@ -199,7 +222,8 @@ class Workspace:
             for workbook in workbooks:
                 workbook._seal(True)
                 self._workbooks[workbook.name] = workbook
-                self._log(add_entry, workbook)
+                if self._mutation_log is not None:
+                    self._mutation_log.append_encoded(add_entry(self._corpus_line(workbook)))
 
     def add_workbook(self, workbook: Workbook) -> None:
         """Index one additional workbook (see :meth:`add_workbooks`)."""
@@ -222,6 +246,7 @@ class Workspace:
                 self._predictor.remove_workbook(workbook_name)
             workbook = self._workbooks.pop(workbook_name)
             workbook._seal(False)
+            self._lines.pop(workbook_name, None)
             drop_engines(self._engines, workbook_name)
             self._log(remove_entry, workbook_name)
             return workbook
@@ -302,23 +327,50 @@ class Workspace:
     def _log(self, build_entry, *args, **kwargs) -> None:
         """Append one mutation entry, if a log is attached (post save/load).
 
-        The entry is built here, not by the caller: an ``add`` entry is the
-        whole workbook as dicts, which nobody reads without a log.
+        The entry is built here, not by the caller: nobody reads it
+        without a log.
         """
         if self._mutation_log is not None:
             self._mutation_log.append(build_entry(*args, **kwargs))
 
+    def _corpus_line(self, workbook: Workbook) -> bytes:
+        """A held workbook's corpus line, encoded once until it changes.
+
+        The workspace is its workbooks' one writer, and every write it
+        makes moves a sheet's ``version``: a kept line is reused while the
+        workbook's sheets are the same objects at the same versions, and
+        re-encoded otherwise.  (Name and ``last_modified`` are fixed at
+        construction, and a sealed workbook takes no new sheet.)
+        """
+        stamp = _stamp(workbook)
+        kept = self._lines.get(workbook.name)
+        if kept is not None and _same_stamp(kept[0], stamp):
+            return kept[1]
+        line = encode_workbook(workbook)
+        self._lines[workbook.name] = (stamp, line)
+        return line
+
     def save(self, directory: Union[str, Path]) -> Path:
         """Snapshot this workspace to ``directory`` and attach its mutation log.
 
-        Writes the corpus workbooks, the predictor's raw index state
-        (contiguous float32 matrices, tombstone flags, stable-id maps) and
-        a versioned manifest — the layout documented in
-        :mod:`repro.persistence.snapshot`.  The log is then *compacted*:
-        truncated back to its header, because the fresh snapshot now
-        covers its entries.
-        After ``save()`` the workspace keeps logging subsequent
-        add/remove/edit calls to ``directory``'s log, so a later
+        Writes a new generation of the snapshot at ``directory`` — the
+        corpus as ``corpus.jsonl``, the predictor's raw index state
+        (contiguous float32 matrices, tombstone flags, stable-id maps) as
+        ``arrays.bin`` and a versioned manifest, each fsynced, and an empty
+        mutation log — and then makes it current by flipping ``CURRENT``
+        onto it; the layout and the crash rule are
+        :mod:`repro.persistence.snapshot`'s.  A crash at any point leaves
+        either this generation or the previous one whole and current.
+        Older generations are then deleted; any that ``CURRENT`` did not
+        name (left by an interrupted save) are counted as
+        ``persistence.orphan_generations_total``.
+
+        A workbook's line is encoded only if the workbook changed since it
+        was last encoded (:meth:`_corpus_line`): a save re-encodes the
+        workbooks edited or added since the previous one.  The new
+        generation's log starts empty — its snapshot covers every entry
+        of the old one, which goes with the old generation — and the
+        workspace logs subsequent add/remove/edit calls to it, so a later
         :meth:`load` restores snapshot + tail.
         """
         directory = Path(directory)
@@ -326,22 +378,27 @@ class Workspace:
             "snapshot.save", workspace=self.name, directory=str(directory)
         ), self._rwlock.write_lock():
             state, arrays = self._predictor.snapshot_state()
-            files = save_corpus(directory, self.workbooks())
-            names = save_arrays(directory, arrays)
-            write_manifest(
-                directory,
-                {
-                    "kind": "workspace",
-                    "name": self.name,
-                    "workbooks": files,
-                    "fitted": True,  # what an older build read; always true
-                    "predictor_state": state,
-                    "arrays": names,
-                },
-            )
-            log = MutationLog(mutation_log_path(directory))
-            log.clear()
-            self._mutation_log = log
+            workbooks = self.workbooks()
+
+            def write(generation: Path) -> None:
+                names = save_corpus(generation, workbooks, encode=self._corpus_line)
+                table = save_arrays(generation, arrays)
+                write_manifest(
+                    generation,
+                    {
+                        "kind": "workspace",
+                        "name": self.name,
+                        "workbooks": names,
+                        "fitted": True,  # what an older build read; always true
+                        "predictor_state": state,
+                        "arrays": table,
+                    },
+                )
+                MutationLog(generation / MUTATION_LOG_NAME).clear()
+
+            generation, orphans = save_generation(directory, write)
+            self._mutation_log = MutationLog(generation / MUTATION_LOG_NAME)
+            self._counts["persistence.orphan_generations_total"].inc(orphans)
         return directory
 
     @classmethod
@@ -354,16 +411,18 @@ class Workspace:
     ) -> "Workspace":
         """Restore a workspace saved by :meth:`save`.
 
-        The corpus is rebuilt from the stored workbooks and the predictor
-        adopts the stored index state — memory-mapped read-only by default
-        (``mmap=False`` forces eager in-memory copies), which every write
-        path upgrades by reallocating before mutating.  The snapshot's
-        mutation-log tail is then replayed through the public mutation
-        API, before the log is attached (so nothing is appended back to
-        the log it came from): what is returned describes and serves the
-        current corpus, and a tail that cannot be replayed fails the load,
-        not the first request.  Restored answers are bit-identical to a
-        fresh fit on the equivalent corpus.
+        Reads the generation ``CURRENT`` names (or a format-1 snapshot,
+        which has none).  The corpus is rebuilt from ``corpus.jsonl``, whose
+        lines seed the encode memo, and the predictor adopts the stored
+        index state — memory-mapped read-only by default (``mmap=False``
+        reads eager in-memory copies), which every write path upgrades by
+        reallocating before mutating.  The generation's mutation-log tail
+        is then replayed through the public mutation API, before the log
+        is attached (so nothing is appended back to the log it came from):
+        what is returned describes and serves the current corpus, and a
+        tail that cannot be replayed fails the load, not the first
+        request.  Restored answers are bit-identical to a fresh fit on the
+        equivalent corpus.
 
         ``predictor`` must be a fresh, configuration-compatible predictor
         (same granularity as the saved one; a snapshot of an approximate
@@ -390,15 +449,18 @@ class Workspace:
                 f"snapshot at {directory} holds a {manifest.get('kind')!r}, "
                 "not a workspace"
             )
-        workbooks = load_corpus(directory, manifest.get("workbooks", []))
+        records = load_corpus_records(directory, manifest.get("workbooks", []))
+        workbooks = [workbook for workbook, __ in records]
         arrays = load_arrays(directory, manifest.get("arrays", []), mmap=mmap)
         predictor.restore_snapshot_state(
             manifest.get("predictor_state", {}), arrays, sheet_resolver(workbooks)
         )
         workspace = cls(str(name or manifest.get("name") or "restored"), predictor)
-        for workbook in workbooks:
+        for workbook, line in records:
             workbook._seal(True)
             workspace._workbooks[workbook.name] = workbook
+            if line is not None:
+                workspace._lines[workbook.name] = (_stamp(workbook), line)
         log = MutationLog(mutation_log_path(directory))
         entries = log.read()
         for entry in entries:
@@ -532,7 +594,10 @@ class Workspace:
           another request's prediction in the same ``serve_batch`` call;
         * ``persistence.log_replayed_total`` / ``log_torn_tail_total`` —
           mutation-log entries :meth:`load` replayed, and half-written
-          final lines (what a crash during an append leaves) it dropped.
+          final lines (what a crash during an append leaves) it dropped;
+        * ``persistence.orphan_generations_total`` — snapshot generations
+          :meth:`save` found that ``CURRENT`` did not name (what an
+          interrupted save leaves) and deleted.
 
         Beside them: the predictor's
         (:meth:`~repro.core.pipeline.AutoFormula.counters`).

@@ -97,6 +97,10 @@ def decode_cell_value(value: object, kind: Optional[str] = None) -> CellValue:
 #: Value types :class:`Cell` need not check (``bool`` is an ``int`` that fits).
 _PLAIN = frozenset((type(None), float, str, bool))
 
+#: What else a cell holds, subclasses included (``ErrorValue`` is a ``str``,
+#: ``datetime`` a ``date``); ``int`` only within the float range.
+_HELD = (int, float, str, _dt.date)
+
 
 def syntactic_pattern(value: CellValue) -> str:
     """Return the character-class pattern of a value, e.g. ``"DDDD-DD-DD"``.
@@ -125,10 +129,14 @@ def syntactic_pattern(value: CellValue) -> str:
 class Cell:
     """A single spreadsheet cell: a value, an optional formula and a style.
 
-    Cells are immutable: a write replaces the cell.  A list or an object,
-    and an integer no float can hold, raise ``ValueError`` here: a cell
-    holds one scalar, the engine computes in floats, and what no payload
-    can carry must not be written and saved either.
+    Cells are immutable: a write replaces the cell.  A value holds
+    ``None``, a ``bool``, an ``int`` within the float range, a ``float``,
+    a ``str`` or a ``date`` / ``datetime``; anything else (a list, a
+    tuple, a set, ``bytes``, a ``complex``, a ``time``, a NumPy scalar
+    that is not a Python ``float``, an integer no float can hold) raises
+    ``ValueError`` here: a cell holds one scalar, the engine computes in
+    floats, and what the workbook codec cannot write and read back must
+    not be written and saved either.
     """
 
     value: CellValue
@@ -139,8 +147,11 @@ class Cell:
         self, value: CellValue = None, formula: Optional[str] = None, style: CellStyle = DEFAULT_STYLE
     ) -> None:
         if type(value) not in _PLAIN:
-            if isinstance(value, (list, dict)):
-                raise ValueError(f"a cell value must be a scalar, got a {type(value).__name__}")
+            if not isinstance(value, _HELD):
+                raise ValueError(
+                    "a cell value must be None, a bool, a number, text or a date, "
+                    f"got a {type(value).__name__}"
+                )
             if isinstance(value, int) and not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ValueError("a cell value must fit in a float, got an integer past its range")
         # Written once, through the slots: a corpus decode builds every cell,

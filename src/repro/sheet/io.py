@@ -88,9 +88,20 @@ def sheet_from_dict(data: Dict[str, object]) -> Sheet:
     sheet._version = len(cells)
     # The stored extent may exceed the max written cell (deletes never
     # shrink it); older payloads without the fields keep the derived extent.
-    sheet._n_rows = max(n_rows, int(data.get("n_rows", 0)))
-    sheet._n_cols = max(n_cols, int(data.get("n_cols", 0)))
+    sheet._n_rows = max(n_rows, _extent(sheet, data, "n_rows"))
+    sheet._n_cols = max(n_cols, _extent(sheet, data, "n_cols"))
     return sheet
+
+
+def _extent(sheet: Sheet, data: Dict[str, object], field: str) -> int:
+    """A sheet payload's ``n_rows`` / ``n_cols``: a non-negative integer."""
+    value = data.get(field, 0)
+    if type(value) is not int or value < 0:
+        raise WorkbookFormatError(
+            f"sheet {sheet.name!r} has a malformed {field!r}: expected a "
+            f"non-negative integer, got {value!r}"
+        )
+    return value
 
 
 def workbook_to_dict(workbook: Workbook) -> Dict[str, object]:
@@ -121,10 +132,11 @@ def workbook_from_dict(data: Dict[str, object]) -> Workbook:
             f"workbook payload has format_version {data['format_version']!r}; "
             f"this build reads version {FORMAT_VERSION}"
         )
-    workbook = Workbook(
-        name=str(data.get("name", "workbook")),
-        last_modified=float(data.get("last_modified", 0.0)),
-    )
+    name = str(data.get("name", "workbook"))
+    try:
+        workbook = Workbook(name=name, last_modified=data.get("last_modified", 0.0))
+    except ValueError as error:
+        raise WorkbookFormatError(f"workbook {name!r}: {error}") from error
     sheets = data.get("sheets", [])
     if not isinstance(sheets, list):
         raise WorkbookFormatError(

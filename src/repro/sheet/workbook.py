@@ -8,9 +8,22 @@ name sequence directly.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Optional
 
 from repro.sheet.sheet import SealedError, Sheet
+
+
+def _timestamp(value: object) -> float:
+    """``value`` as a finite float; ``ValueError`` for anything else (a
+    ``bool``, text, ``None``, an infinity, NaN)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"last_modified must be a finite number of seconds, got {value!r}")
 
 
 class Workbook:
@@ -23,8 +36,7 @@ class Workbook:
 
     def __init__(self, name: str = "workbook", last_modified: float = 0.0) -> None:
         self._name = name
-        #: Last-modified timestamp (seconds); used for timestamp-based splits.
-        self.last_modified = last_modified
+        self._last_modified = _timestamp(last_modified)
         self._sheets: Dict[str, Sheet] = {}
         self._sealed = False
 
@@ -33,6 +45,12 @@ class Workbook:
         """Workbook (file) name, e.g. ``"fy23_budget.xlsx"`` (fixed at
         construction)."""
         return self._name
+
+    @property
+    def last_modified(self) -> float:
+        """Last-modified timestamp in seconds, a finite float (fixed at
+        construction); used for timestamp-based splits."""
+        return self._last_modified
 
     # ------------------------------------------------------------------ sheets
 

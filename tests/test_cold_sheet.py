@@ -114,6 +114,12 @@ _SHARED_STYLES = [
     CellStyle(background_color="#4472C4", font_color="#FFFFFF", font_size=12.0),
 ]
 
+class _UnhashableText(str):
+    """Text a cell holds (a ``str``) that cannot key the feature table."""
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 cell_values = st.one_of(
     st.none(),
     st.sampled_from(["", "Total", "12.5", "2020-01-02", "#DIV/0!", "n/a", "50%"]),
@@ -124,7 +130,7 @@ cell_values = st.one_of(
     st.dates(datetime.date(1999, 1, 1), datetime.date(2030, 1, 1)),
     st.just(datetime.datetime(2024, 5, 21, 9, 30)),
     st.sampled_from([ErrorValue("#DIV/0!"), ErrorValue("#REF!")]),
-    st.just({1, 2}),  # unhashable: featurized, never cached
+    st.just(_UnhashableText("x")),  # unhashable: featurized, never cached
 )
 
 cell_styles = st.one_of(
@@ -266,7 +272,7 @@ class TestBuildTensor:
         keyed = [
             cell
             for __, cell in sheet.cells()
-            if not isinstance(cell.value, set)
+            if not isinstance(cell.value, _UnhashableText)
         ]
         if not keyed:
             return
@@ -293,7 +299,7 @@ class TestBuildTensor:
         sheet = Sheet()
         for row in range(40):
             sheet.set((row, 0), "Yes" if row % 2 else "No")
-            sheet.set((row, 1), {row})  # never cached: computed every time
+            sheet.set((row, 1), _UnhashableText(row))  # never cached: computed every time
         tensor = featurizer._build_tensor(sheet)
         assert batches == [2 + 40]  # one batch for every miss of the build
         assert cells._table.stats()["size"] == 2 + 2  # + padding and empty

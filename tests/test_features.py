@@ -101,7 +101,10 @@ class TestCellFeaturizer:
         assert featurizer._table.stats() == {"hit": 1, "miss": 7, "evict": 0, "size": 7}
 
     def test_unhashable_content_is_featurized_and_never_cached(self, featurizer):
-        cell = Cell(value={1, 2})
+        class UnhashableText(str):  # a cell holds it (a str); no table key does
+            __hash__ = None
+
+        cell = Cell(value=UnhashableText("x"))
         first = featurizer.featurize(cell)
         again = featurizer.featurize(cell)
         assert np.array_equal(again, first)

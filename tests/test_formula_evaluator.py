@@ -156,6 +156,13 @@ class TestMathTextDate:
         assert evaluator.evaluate_formula("=MOD(A3,7)") == 2
         assert evaluator.evaluate_formula("=INT(7.9)") == 7
 
+    def test_power_without_a_real_result_is_an_error_like_the_operator(self, evaluator):
+        """A negative base to a fractional exponent is complex in Python; a
+        cell cannot hold that (it used to reach the cell and fail the save)."""
+        assert_error(evaluator.evaluate_formula("=POWER(-0.5,-0.5)"), "#VALUE!")
+        assert_error(evaluator.evaluate_formula("=(0-0.5)^(0-0.5)"), "#VALUE!")
+        assert evaluator.evaluate_formula("=POWER(-2,3)") == -8
+
     def test_string_functions(self, evaluator):
         assert evaluator.evaluate_formula('=CONCATENATE(B1," / ",C1)') == "item0 / North"
         assert evaluator.evaluate_formula("=LEFT(C1,2)") == "No"

@@ -191,6 +191,32 @@ class TestWorkbookFormatValidation:
             sheet_from_dict(payload)
 
 
+    @pytest.mark.parametrize("value", ["x", None, float("inf"), float("nan"), True, [1]])
+    def test_a_malformed_timestamp_or_extent_is_a_format_error(self, value):
+        """These used to escape as a bare ``ValueError``, ``TypeError`` or
+        ``OverflowError``."""
+        payload = workbook_to_dict(Workbook("w.xlsx"))
+        with pytest.raises(WorkbookFormatError, match="last_modified"):
+            workbook_from_dict(dict(payload, last_modified=value))
+        for field in ("n_rows", "n_cols"):
+            with pytest.raises(WorkbookFormatError, match=field):
+                sheet_from_dict({"name": "S", "cells": {}, field: value})
+        with pytest.raises(WorkbookFormatError, match="n_rows"):
+            sheet_from_dict({"name": "S", "cells": {}, "n_rows": -1})
+
+
+class TestLastModified:
+    def test_fixed_at_construction_and_checked(self):
+        workbook = Workbook("w.xlsx", last_modified=5)
+        assert workbook.last_modified == 5.0 and type(workbook.last_modified) is float
+        with pytest.raises(AttributeError):
+            workbook.last_modified = "x"
+        for value in ("x", None, float("inf"), float("-inf"), float("nan"), True, 10**400):
+            with pytest.raises(ValueError, match="last_modified"):
+                Workbook("w.xlsx", last_modified=value)
+        assert Workbook("w.xlsx", last_modified=7.25).copy().last_modified == 7.25
+
+
 class TestOneLoopDecoder:
     def test_two_spellings_of_one_cell_count_as_two_writes(self):
         # What a ``set_cell`` per record left: the later record, two bumps.

@@ -15,9 +15,10 @@ workspace on the reference workbooks and writes
 * the same for every formula cell of the held-out sheets through
   ``serve_batch`` in batches of 16 (``answers_batched``; how the
   ``inproc_hot`` workload asks), which does: BLAS scan + exact re-rank,
-* sha256 of the on-disk format: the mutation log after those 30 edits and
-  one scripted add, and every corpus file and the manifest of that
-  snapshot (its array blocks are the state digests above),
+* sha256 of the on-disk format: the current generation's mutation log
+  after those 30 edits and one scripted add, and the ``manifest.json`` and
+  ``corpus.jsonl`` of the generation the next save writes (its
+  ``arrays.bin`` holds the state digests above),
 * sha256 of the padded feature tensor of every reference and held-out
   sheet, built by a fresh featurizer, and of the six window tensors the
   trainer stacks (``features``).
@@ -57,6 +58,7 @@ from repro import (  # noqa: E402
 from repro.features import WindowFeaturizer  # noqa: E402
 from repro.models import ModelConfig, SheetEncoder, TrainingConfig  # noqa: E402
 from repro.models.trainer import TripletTrainer  # noqa: E402
+from repro.persistence import current_generation  # noqa: E402
 
 N_EDITS = 30
 BATCH_SIZE = 16
@@ -159,10 +161,12 @@ def corpus_digest(encoder, preset: str, scale: float) -> tuple:
         entry["answers_after_edits"] = answers(workspace, requests)
         added = evaluation.test_workbooks[0]
         workspace.add_workbook(added)
-        entry["files"] = file_digests(Path(directory), "mutations.log")
+        entry["files"] = file_digests(current_generation(directory), "mutations.log")
         workspace.remove_workbook(added.name)
         workspace.save(directory)
-        entry["files"].update(file_digests(Path(directory), "manifest.json", "workbooks/*.json"))
+        entry["files"].update(
+            file_digests(current_generation(directory), "manifest.json", "corpus.jsonl")
+        )
         restored = FormulaService(encoder).load_workspace(directory)
         entry["answers_restored"] = answers(restored, requests)
     return entry, features
