@@ -33,15 +33,11 @@ from repro.persistence.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotFormatError,
     current_generation,
-    encode_workbook,
     load_arrays,
     load_corpus,
-    load_corpus_records,
-    mutation_log_path,
     read_manifest,
     save_arrays,
     save_corpus,
-    save_generation,
     sheet_resolver,
     write_manifest,
 )
@@ -59,15 +55,11 @@ __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "SnapshotFormatError",
     "current_generation",
-    "encode_workbook",
     "load_arrays",
     "load_corpus",
-    "load_corpus_records",
-    "mutation_log_path",
     "read_manifest",
     "save_arrays",
     "save_corpus",
-    "save_generation",
     "sheet_resolver",
     "write_manifest",
     "LOG_FORMAT_VERSION",

@@ -1080,6 +1080,9 @@ class TestFormatOne:
 #: the template snapshot, makes one more (acknowledged) edit, and saves with
 #: the k-th write, fsync, replace or delete call turned into ``os._exit``.
 #: Stops at the first k the save survives; prints every child's exit code.
+#: Forked rather than one interpreter per k, so the ≈ 35 children share one
+#: import and one encoder load; the forking process starts no thread of its
+#: own (OpenBLAS restarts its pool in a child through its own fork handler).
 _CRASH_SCRIPT = r"""
 import json, os, shutil, sys, traceback
 from pathlib import Path
