@@ -179,27 +179,20 @@ class CellFeaturizer:
         pinned[id(style)] = (style, number)
         return number
 
-    def _keys(self, cells: Sequence[Cell], valid: bool) -> List[Optional[tuple]]:
-        """The table key of each cell — the content that determines its
-        vector — or ``None`` for a cell that cannot be keyed (an unhashable
-        exotic value): that one is never held, reads as a miss and is
-        computed on every call.
+    def _keys(self, cells: Sequence[Cell], valid: bool) -> List[tuple]:
+        """The table key of each cell: the content that determines its
+        vector (a cell's value is hashable: :class:`Cell` checks it).
 
         C hashes and compares every part of a key.  A style contributes a
         small integer, found by the style object's identity; only a style
         object met for the first time has its twelve fields read and hashed.
         """
         pinned = self._pinned_styles
-        keys: List[Optional[tuple]] = []
+        keys: List[tuple] = []
         for cell in cells:
             value, style = cell.value, cell.style
             entry = pinned.get(id(style))
             number = self._style_number(style) if entry is None else entry[1]
-            try:
-                hash(value)  # cheap (a string keeps its hash); the key's own is not
-            except TypeError:
-                keys.append(None)
-                continue
             # The type disambiguates 1 / 1.0 / True, which compare (and hash)
             # equal as dict keys but featurize differently; so do 0.0 and
             # -0.0, whose texts differ.
@@ -227,19 +220,16 @@ class CellFeaturizer:
         keys = self._keys(cells, valid)
         vectors, missed = self._table.read(keys)
         if len(missed):
-            # Distinct missed key -> its row in the batch; a cell with no
-            # key gets a row of its own.
-            batch_row: Dict[object, int] = {}
+            # Distinct missed key -> its row in the batch.
+            batch_row: Dict[tuple, int] = {}
             batch: List[Cell] = []
             rows = []
             for position in missed.tolist():
                 key = keys[position]
-                row = batch_row.get(key) if key is not None else None
+                row = batch_row.get(key)
                 if row is None:
-                    row = len(batch)
+                    row = batch_row[key] = len(batch)
                     batch.append(cells[position])
-                    if key is not None:
-                        batch_row[key] = row
                 rows.append(row)
             fresh = self._featurize_batch(batch, valid)
             vectors[missed] = fresh[rows]

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.features import WindowFeaturizer
 from repro.models.config import ModelConfig, TrainingConfig
 from repro.models.encoder import SheetEncoder
 from repro.nn import Adam, SGD, Sequential, semi_hard_triplets
@@ -29,10 +31,18 @@ class TrainingHistory:
 class TripletTrainer:
     """Trains ``M_c`` and ``M_f`` with semi-hard triplet mining.
 
-    The trainer materializes window tensors for all positive pairs and the
-    negative pools once (applying data augmentation where configured), then
-    per epoch: embeds everything with the current model, mines semi-hard
-    triplets, and takes optimizer steps on mini-batches of those triplets.
+    The two models are independent learners (Algorithm 1), and each draws
+    from its own child stream of ``SeedSequence(config.seed)``: its pair
+    subsampling, augmentation and triplet mining.  The trainer
+    materializes window tensors for all positive pairs and the negative
+    pools of both models once (applying data augmentation where
+    configured), then runs the fine model's epoch loop on a worker thread
+    beside the coarse model's.  Per epoch a loop embeds everything with the
+    current model, mines semi-hard triplets, and takes optimizer steps on
+    mini-batches of those triplets.  The loops share no mutable state —
+    each has its own layers, optimizer, tensors and stream — so the weights
+    are the ones the two loops give run one after the other, whichever
+    finishes first.
     """
 
     def __init__(
@@ -42,58 +52,70 @@ class TripletTrainer:
     ) -> None:
         self.encoder = encoder
         self.config = training_config or TrainingConfig()
-        self._rng = np.random.default_rng(self.config.seed)
+
+    def streams(self) -> Tuple[np.random.Generator, np.random.Generator]:
+        """Fresh coarse and fine random streams: the second and the first
+        child of ``SeedSequence(config.seed)``.  (Which model gets which
+        child picks a training draw; see EXPERIMENTS.md.)"""
+        fine, coarse = np.random.SeedSequence(self.config.seed).spawn(2)
+        return np.random.default_rng(coarse), np.random.default_rng(fine)
+
+    def window_featurizer(self) -> WindowFeaturizer:
+        """A featurizer for the training windows over the encoder's cell
+        features: its per-sheet tensors are dropped with it, so training
+        leaves no training sheet in the encoder's cache."""
+        featurizer = self.encoder.featurizer
+        return WindowFeaturizer(featurizer.config, featurizer.cell_featurizer)
 
     # ------------------------------------------------------------- data prep
 
-    def _subsample(self, items: list, limit: int) -> list:
+    @staticmethod
+    def _subsample(items: list, limit: int, rng: np.random.Generator) -> list:
         """Random subsample of ``items`` down to ``limit`` elements."""
         if limit <= 0 or len(items) <= limit:
             return items
-        chosen = self._rng.choice(len(items), size=limit, replace=False)
+        chosen = rng.choice(len(items), size=limit, replace=False)
         return [items[int(i)] for i in chosen]
 
-    def _coarse_tensors(self, pairs: TrainingPairs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _coarse_tensors(
+        self, pairs: TrainingPairs, featurizer: WindowFeaturizer, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Anchor / positive / negative window tensors for the coarse model."""
-        featurize = self.encoder.featurizer.featurize_sheet
+        featurize = featurizer.featurize_sheet
         augmentation = self.config.augmentation
-        positive_pairs = self._subsample(pairs.positive_sheet_pairs, self.config.max_positive_pairs)
-        negative_pairs = self._subsample(pairs.negative_sheet_pairs, self.config.max_negative_pairs)
+        positive_pairs = self._subsample(pairs.positive_sheet_pairs, self.config.max_positive_pairs, rng)
+        negative_pairs = self._subsample(pairs.negative_sheet_pairs, self.config.max_negative_pairs, rng)
         anchors, positives = [], []
         for pair in positive_pairs:
             right = pair.right
             if augmentation.enabled and augmentation.augment_sheets:
-                right = augment_sheet(right, self._rng, augmentation.max_removal_fraction)
+                right = augment_sheet(right, rng, augmentation.max_removal_fraction)
             anchors.append(featurize(pair.left))
             positives.append(featurize(right))
         negatives = []
         for pair in negative_pairs:
             negatives.append(featurize(pair.right))
-        shape = self.encoder.featurizer.window_shape
-        empty = np.zeros((0,) + shape, dtype=np.float32)
-        return (
-            np.stack(anchors) if anchors else empty,
-            np.stack(positives) if positives else empty,
-            np.stack(negatives) if negatives else empty,
-        )
+        return _stacked(featurizer, anchors, positives, negatives)
 
-    def _fine_tensors(self, pairs: TrainingPairs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _fine_tensors(
+        self, pairs: TrainingPairs, featurizer: WindowFeaturizer, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Anchor / positive / negative window tensors for the fine model."""
-        featurize = self.encoder.featurizer.featurize_region
+        featurize = featurizer.featurize_region
         augmentation = self.config.augmentation
-        positive_pairs = self._subsample(pairs.positive_region_pairs, self.config.max_positive_pairs)
-        negative_pairs = self._subsample(pairs.negative_region_pairs, self.config.max_negative_pairs)
+        positive_pairs = self._subsample(pairs.positive_region_pairs, self.config.max_positive_pairs, rng)
+        negative_pairs = self._subsample(pairs.negative_region_pairs, self.config.max_negative_pairs, rng)
         anchors, positives = [], []
         for pair in positive_pairs:
             right_sheet = pair.right_sheet
             if (
                 augmentation.enabled
                 and augmentation.augment_regions
-                and self._rng.random() < augmentation.region_fraction
+                and rng.random() < augmentation.region_fraction
             ):
                 right_sheet = augment_region_sheet(
                     right_sheet,
-                    self._rng,
+                    rng,
                     augmentation.max_removal_fraction,
                     protect_rows=pair.right_center.row + 1,
                     protect_cols=pair.right_center.col + 1,
@@ -104,13 +126,7 @@ class TripletTrainer:
             featurize(pair.right_sheet, pair.right_center)
             for pair in negative_pairs
         ]
-        shape = self.encoder.featurizer.window_shape
-        empty = np.zeros((0,) + shape, dtype=np.float32)
-        return (
-            np.stack(anchors) if anchors else empty,
-            np.stack(positives) if positives else empty,
-            np.stack(negatives) if negatives else empty,
-        )
+        return _stacked(featurizer, anchors, positives, negatives)
 
     # -------------------------------------------------------------- training
 
@@ -125,6 +141,7 @@ class TripletTrainer:
         anchors: np.ndarray,
         positives: np.ndarray,
         negatives: np.ndarray,
+        rng: np.random.Generator,
     ) -> List[float]:
         """Run the epoch loop for one model, returning per-epoch mean losses."""
         losses: List[float] = []
@@ -142,7 +159,7 @@ class TripletTrainer:
                 negative_embeddings,
                 margin=margin,
                 max_triplets=self.config.max_triplets_per_epoch,
-                rng=self._rng,
+                rng=rng,
             )
             if len(batch) == 0:
                 losses.append(0.0)
@@ -170,26 +187,58 @@ class TripletTrainer:
         return losses
 
     def train(self, pairs: TrainingPairs) -> TrainingHistory:
-        """Train both models from weak-supervision pairs (Algorithm 1)."""
+        """Train both models from weak-supervision pairs (Algorithm 1).
+
+        Both models' window tensors are built here, then the fine model's
+        loop runs on a worker thread while the coarse model's runs on this
+        one.  What either loop raises is raised here once both have
+        stopped.
+        """
         history = TrainingHistory(
             n_coarse_pairs=len(pairs.positive_sheet_pairs),
             n_fine_pairs=len(pairs.positive_region_pairs),
         )
         tracer = get_tracer()
+        coarse_rng, fine_rng = self.streams()
         try:
-            with tracer.span("models.train", epochs=self.config.epochs):
+            with tracer.span("models.train", epochs=self.config.epochs) as train_span:
+                featurizer = self.window_featurizer()
                 with tracer.span("models.train.tensors", model="coarse"):
-                    coarse = self._coarse_tensors(pairs)
-                with tracer.span("models.train.loop", model="coarse"):
-                    history.coarse_losses = self._train_model(self.encoder.coarse_model, *coarse)
+                    coarse = self._coarse_tensors(pairs, featurizer, coarse_rng)
                 with tracer.span("models.train.tensors", model="fine"):
-                    fine = self._fine_tensors(pairs)
-                with tracer.span("models.train.loop", model="fine"):
-                    history.fine_losses = self._train_model(self.encoder.fine_model, *fine)
+                    fine = self._fine_tensors(pairs, featurizer, fine_rng)
+                del featurizer
+
+                def train_fine() -> List[float]:
+                    with tracer.attach(train_span):
+                        with tracer.span("models.train.loop", model="fine"):
+                            return self._train_model(self.encoder.fine_model, *fine, fine_rng)
+
+                # Leaving the pool joins the worker, also when the coarse
+                # loop raised.
+                with ThreadPoolExecutor(max_workers=1, thread_name_prefix="models.train") as pool:
+                    # Opened first, so a trace lists the coarse loop first.
+                    with tracer.span("models.train.loop", model="coarse"):
+                        fine_future = pool.submit(train_fine)
+                        history.coarse_losses = self._train_model(
+                            self.encoder.coarse_model, *coarse, coarse_rng
+                        )
+                history.fine_losses = fine_future.result()
         finally:
-            # The weights moved in place (a failed epoch may have moved some).
+            # Both loops have stopped.  The weights moved in place (a failed
+            # epoch may have moved some); the layers drop the last step's batch.
+            for model in (self.encoder.coarse_model, self.encoder.fine_model):
+                model.clear_saved()
             self.encoder.weights_changed()
         return history
+
+
+def _stacked(
+    featurizer: WindowFeaturizer, anchors: list, positives: list, negatives: list
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three window lists as ``(n, *window_shape)`` tensors."""
+    empty = np.zeros((0,) + featurizer.window_shape, dtype=np.float32)
+    return tuple(np.stack(windows) if windows else empty for windows in (anchors, positives, negatives))
 
 
 def train_models(

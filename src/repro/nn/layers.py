@@ -12,6 +12,12 @@ Conventions
   requires, before the optimizer consumes the accumulated gradients).
   ``accumulate_gradients(grad_output)`` does the second half alone: the
   first layer of a model has no one to hand an input gradient to.
+* A weight gradient ``x.T @ grad`` is summed over fixed blocks of
+  :data:`GRADIENT_CHUNK_ROWS` rows, in order, in float64
+  (:func:`weight_gradient`), so the trained weights do not depend on how
+  many threads BLAS runs.
+* ``clear_saved()`` drops what the last training forward kept; the trainer
+  calls it when training ends, so a trained model pins no batch.
 """
 
 from __future__ import annotations
@@ -20,9 +26,32 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+#: Rows of one block of a weight-gradient reduction (:func:`weight_gradient`).
+GRADIENT_CHUNK_ROWS = 512
+
+
+def weight_gradient(inputs: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
+    """``inputs.T @ grad_output`` over ``(n, in)`` and ``(n, out)`` rows, as
+    one BLAS product per block of :data:`GRADIENT_CHUNK_ROWS` rows, summed
+    in block order in float64.
+
+    One product over all rows is a reduction of thousands of terms that
+    threaded BLAS splits by thread count, and rounds differently at each.
+    A block this short runs on one thread at every count, and the blocks'
+    sum has a fixed order, so the gradient is a function of its operands.
+    """
+    total = np.zeros((inputs.shape[1], grad_output.shape[1]), dtype=np.float64)
+    for start in range(0, len(inputs), GRADIENT_CHUNK_ROWS):
+        stop = start + GRADIENT_CHUNK_ROWS
+        total += inputs[start:stop].T @ grad_output[start:stop]
+    return total
+
 
 class Layer:
     """Base class for all layers."""
+
+    #: Attributes holding the backward state of the last training forward.
+    _saved_fields: tuple = ()
 
     def __init__(self) -> None:
         #: Learnable parameters by name.
@@ -49,6 +78,12 @@ class Layer:
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
 
+    def clear_saved(self) -> None:
+        """Drop the backward state of the last training forward: until the
+        next one, :meth:`backward` raises."""
+        for name in self._saved_fields:
+            setattr(self, name, None)
+
     def _saved(self, state):
         """Backward state kept by the last ``forward(x, training=True)``."""
         if state is None:
@@ -68,6 +103,8 @@ def _he_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 class Linear(Layer):
     """Fully-connected layer: ``y = x @ W + b`` on the last dimension."""
 
+    _saved_fields = ("_input",)
+
     def __init__(self, in_features: int, out_features: int, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
@@ -85,7 +122,7 @@ class Linear(Layer):
     def accumulate_gradients(self, grad_output: np.ndarray) -> None:
         flat_x = self._saved(self._input).reshape(-1, self.in_features)
         flat_grad = grad_output.reshape(-1, self.out_features)
-        self.grads["W"] += (flat_x.T @ flat_grad).astype(np.float32)
+        self.grads["W"] += weight_gradient(flat_x, flat_grad).astype(np.float32)
         self.grads["b"] += flat_grad.sum(axis=0).astype(np.float32)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -109,6 +146,8 @@ class PerCellLinear(Linear):
 class ReLU(Layer):
     """Rectified linear activation."""
 
+    _saved_fields = ("_mask",)
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: Optional[np.ndarray] = None
@@ -125,6 +164,8 @@ class ReLU(Layer):
 class Tanh(Layer):
     """Hyperbolic-tangent activation."""
 
+    _saved_fields = ("_output",)
+
     def __init__(self) -> None:
         super().__init__()
         self._output: Optional[np.ndarray] = None
@@ -140,6 +181,8 @@ class Tanh(Layer):
 
 class Dropout(Layer):
     """Inverted dropout (identity at inference time)."""
+
+    _saved_fields = ("_mask",)
 
     def __init__(self, rate: float = 0.1, seed: int = 0) -> None:
         super().__init__()
@@ -166,17 +209,18 @@ class Dropout(Layer):
 class Flatten(Layer):
     """Flattens everything but the batch dimension."""
 
+    _saved_fields = ("_shape",)
+
     def __init__(self) -> None:
         super().__init__()
         self._shape: Optional[tuple] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = x.shape if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._shape is not None
-        return grad_output.reshape(self._shape)
+        return grad_output.reshape(self._saved(self._shape))
 
 
 class Conv2D(Layer):
@@ -186,6 +230,8 @@ class Conv2D(Layer):
     ``(batch, rows, cols, out_channels)``.  Implemented with im2col so the
     heavy lifting is a single matrix multiply.
     """
+
+    _saved_fields = ("_columns", "_input_shape")
 
     def __init__(
         self,
@@ -221,16 +267,15 @@ class Conv2D(Layer):
         return columns
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._input_shape = x.shape
         columns = self._im2col(x)
-        self._columns = columns if training else None
+        self._columns, self._input_shape = (columns, x.shape) if training else (None, None)
         return columns @ self.params["W"] + self.params["b"]
 
     def accumulate_gradients(self, grad_output: np.ndarray) -> None:
         fan_in = self.kernel_size * self.kernel_size * self.in_channels
         flat_columns = self._saved(self._columns).reshape(-1, fan_in)
         flat_grad = grad_output.reshape(-1, self.out_channels)
-        self.grads["W"] += (flat_columns.T @ flat_grad).astype(np.float32)
+        self.grads["W"] += weight_gradient(flat_columns, flat_grad).astype(np.float32)
         self.grads["b"] += flat_grad.sum(axis=0).astype(np.float32)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -262,6 +307,8 @@ class AvgPool2D(Layer):
     common framework behaviour with ``floor`` output sizing).
     """
 
+    _saved_fields = ("_input_shape",)
+
     def __init__(self, pool_size: int = 2) -> None:
         super().__init__()
         if pool_size <= 0:
@@ -270,7 +317,7 @@ class AvgPool2D(Layer):
         self._input_shape: Optional[tuple] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._input_shape = x.shape
+        self._input_shape = x.shape if training else None
         batch, rows, cols, channels = x.shape
         p = self.pool_size
         out_rows, out_cols = rows // p, cols // p
@@ -279,8 +326,7 @@ class AvgPool2D(Layer):
         return reshaped.mean(axis=(2, 4)).astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        assert self._input_shape is not None
-        batch, rows, cols, channels = self._input_shape
+        batch, rows, cols, channels = self._saved(self._input_shape)
         p = self.pool_size
         out_rows, out_cols = rows // p, cols // p
         grad_input = np.zeros(self._input_shape, dtype=np.float32)
@@ -297,6 +343,8 @@ class AvgPool2D(Layer):
 
 class L2Normalize(Layer):
     """L2-normalizes each row of a ``(batch, features)`` matrix."""
+
+    _saved_fields = ("_input", "_norms")
 
     def __init__(self, epsilon: float = 1e-8) -> None:
         super().__init__()

@@ -40,6 +40,10 @@ class Sequential(Layer):
         if self.layers:
             self.layers[0].accumulate_gradients(grad)
 
+    def clear_saved(self) -> None:
+        for layer in self.layers:
+            layer.clear_saved()
+
     # ------------------------------------------------------------ parameters
 
     def zero_grad(self) -> None:

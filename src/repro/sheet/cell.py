@@ -72,7 +72,7 @@ def _spells_error_code(text: str) -> bool:
 
 def decode_cell_value(value: object, kind: Optional[str] = None) -> CellValue:
     """A cell value as it means in a workbook payload, for a workbook's
-    cells (:meth:`Cell.from_dict`) and an edit's value alike.
+    cells (:func:`cell_from_record`) and an edit's value alike.
 
     Text that is a known Excel-style error code becomes an
     :class:`~repro.formula.errors.ErrorValue`, so a committed error keeps
@@ -133,10 +133,11 @@ class Cell:
     ``None``, a ``bool``, an ``int`` within the float range, a ``float``,
     a ``str`` or a ``date`` / ``datetime``; anything else (a list, a
     tuple, a set, ``bytes``, a ``complex``, a ``time``, a NumPy scalar
-    that is not a Python ``float``, an integer no float can hold) raises
-    ``ValueError`` here: a cell holds one scalar, the engine computes in
-    floats, and what the workbook codec cannot write and read back must
-    not be written and saved either.
+    that is not a Python ``float``, an integer no float can hold, a
+    subclass whose ``hash()`` raises) raises ``ValueError`` here: a cell
+    holds one hashable scalar, the engine computes in floats, and what the
+    workbook codec cannot write and read back must not be written and
+    saved either.
     """
 
     value: CellValue
@@ -147,13 +148,7 @@ class Cell:
         self, value: CellValue = None, formula: Optional[str] = None, style: CellStyle = DEFAULT_STYLE
     ) -> None:
         if type(value) not in _PLAIN:
-            if not isinstance(value, _HELD):
-                raise ValueError(
-                    "a cell value must be None, a bool, a number, text or a date, "
-                    f"got a {type(value).__name__}"
-                )
-            if isinstance(value, int) and not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ValueError("a cell value must fit in a float, got an integer past its range")
+            _check_held(value)
         # Written once, through the slots: a corpus decode builds every cell,
         # and the generated frozen __init__ costs twice as much per cell.
         _set_value(self, value)
@@ -206,18 +201,59 @@ class Cell:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Cell":
-        """Reconstruct a cell from :meth:`to_dict` output; the value goes
-        through :func:`decode_cell_value`, and one no cell can hold raises
-        ``ValueError``."""
-        value = decode_cell_value(data.get("value"), data.get("value_kind"))
-        style_data = data.get("style")
-        style = CellStyle.from_dict(style_data) if isinstance(style_data, dict) else DEFAULT_STYLE
-        return cls(value=value, formula=data.get("formula"), style=style)
+        """Reconstruct a cell from :meth:`to_dict` output
+        (:func:`cell_from_record`)."""
+        return cell_from_record(data)
 
 
 _set_value, _set_formula, _set_style = (
     Cell.value.__set__, Cell.formula.__set__, Cell.style.__set__  # type: ignore[attr-defined]
 )
+_new_cell = object.__new__
+
+
+def _check_held(value: object) -> None:
+    """Raise ``ValueError`` unless a cell can hold ``value``, one whose
+    type is not in :data:`_PLAIN`."""
+    if not isinstance(value, _HELD):
+        raise ValueError(
+            "a cell value must be None, a bool, a number, text or a date, "
+            f"got a {type(value).__name__}"
+        )
+    if isinstance(value, int) and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError("a cell value must fit in a float, got an integer past its range")
+    try:
+        hash(value)
+    except TypeError:
+        # The cell-feature table is keyed by value.
+        raise ValueError(
+            f"a cell value must be hashable, got a {type(value).__name__} whose hash raises"
+        ) from None
+
+
+def cell_from_record(data: Dict[str, object]) -> Cell:
+    """A cell from a :meth:`Cell.to_dict` record, in one pass over it.
+
+    The value means what :func:`decode_cell_value` makes of it — only text
+    that starts with ``#`` or carries a ``value_kind`` is looked at again —
+    and one no cell can hold raises ``ValueError``, as :class:`Cell` does.
+    Every decode of one distinct style returns one shared instance
+    (:meth:`CellStyle.from_dict`).  A workbook decode builds every cell
+    here, so the cell is written through its slots, not its constructor.
+    """
+    value = data.get("value")
+    if type(value) is str:
+        if value[:1] == "#" or "value_kind" in data:
+            value = decode_cell_value(value, data.get("value_kind"))
+    elif type(value) not in _PLAIN:
+        _check_held(value)
+    style = data.get("style")
+    cell = _new_cell(Cell)
+    _set_value(cell, value)
+    _set_formula(cell, data.get("formula"))
+    _set_style(cell, CellStyle.from_dict(style) if isinstance(style, dict) else DEFAULT_STYLE)
+    return cell
+
 
 #: Shared immutable representation of an empty, unstyled cell.
 EMPTY_CELL = Cell()

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Dict, Union
 
 from repro.sheet.addressing import parse_cell_address
-from repro.sheet.cell import Cell
+from repro.sheet.cell import cell_from_record
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
 
@@ -76,7 +76,7 @@ def sheet_from_dict(data: Dict[str, object]) -> Sheet:
                 f"sheet {sheet.name!r} has an invalid cell address {a1!r}: {error}"
             ) from error
         try:
-            stored[address] = Cell.from_dict(cell_data)
+            stored[address] = cell_from_record(cell_data)
         except (TypeError, ValueError, KeyError) as error:
             raise WorkbookFormatError(
                 f"sheet {sheet.name!r} cell {a1!r} cannot be decoded: {error}"

@@ -100,17 +100,6 @@ class TestCellFeaturizer:
         featurizer.featurize(Cell(value=1), valid=False)
         assert featurizer._table.stats() == {"hit": 1, "miss": 7, "evict": 0, "size": 7}
 
-    def test_unhashable_content_is_featurized_and_never_cached(self, featurizer):
-        class UnhashableText(str):  # a cell holds it (a str); no table key does
-            __hash__ = None
-
-        cell = Cell(value=UnhashableText("x"))
-        first = featurizer.featurize(cell)
-        again = featurizer.featurize(cell)
-        assert np.array_equal(again, first)
-        assert not first.flags.writeable
-        assert featurizer._table.stats() == {"hit": 0, "miss": 2, "evict": 0, "size": 0}
-
     def test_forgetting_style_numbers_aliases_no_entry(self, featurizer, monkeypatch):
         """The style pins and numbers are bounded by clearing them; numbers
         are not reused, so a style met again gets a new one and its own

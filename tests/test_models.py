@@ -1,5 +1,9 @@
 """Tests for the representation models, encoder and triplet trainer."""
 
+import dataclasses
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from repro.models import (
     TripletTrainer,
     build_coarse_model,
     build_fine_model,
+    train_models,
 )
 from repro.sheet import CellAddress, Sheet
 
@@ -210,10 +215,101 @@ class TestTripletTrainer:
         trainer = TripletTrainer(
             encoder, TrainingConfig(epochs=1, max_positive_pairs=5, max_negative_pairs=5)
         )
-        anchors, positives, negatives = trainer._coarse_tensors(training_pairs)
+        coarse_rng, __ = trainer.streams()
+        anchors, positives, negatives = trainer._coarse_tensors(
+            training_pairs, trainer.window_featurizer(), coarse_rng
+        )
         assert len(anchors) <= 5
         assert len(negatives) <= 5
         assert len(anchors) == len(positives)
+
+    def test_side_by_side_training_equals_the_two_loops_run_in_turn(self, training_pairs, small_config):
+        """Each model draws only from its own stream and owns its layers,
+        optimizer and tensors, so ``train`` gives the weights and losses of
+        the two per-model loops run one after the other — here the fine
+        model's first, the reverse of which one ``train`` starts first."""
+        config = TrainingConfig(epochs=2, seed=3)
+        encoder = SheetEncoder(small_config)
+        history = TripletTrainer(encoder, config).train(training_pairs)
+
+        serial = SheetEncoder(small_config)
+        trainer = TripletTrainer(serial, config)
+        coarse_rng, fine_rng = trainer.streams()
+        featurizer = trainer.window_featurizer()
+        fine = trainer._fine_tensors(training_pairs, featurizer, fine_rng)
+        fine_losses = trainer._train_model(serial.fine_model, *fine, fine_rng)
+        coarse = trainer._coarse_tensors(training_pairs, featurizer, coarse_rng)
+        coarse_losses = trainer._train_model(serial.coarse_model, *coarse, coarse_rng)
+
+        assert (history.coarse_losses, history.fine_losses) == (coarse_losses, fine_losses)
+        assert len(coarse_losses) == len(fine_losses) == 2
+        assert _weight_bytes(encoder) == _weight_bytes(serial)
+
+    def test_the_fine_model_trains_alike_when_the_coarse_one_gets_no_pairs(
+        self, training_pairs, small_config
+    ):
+        config = TrainingConfig(epochs=2, seed=0)
+        both = SheetEncoder(small_config)
+        TripletTrainer(both, config).train(training_pairs)
+        fine_only = SheetEncoder(small_config)
+        no_sheet_pairs = dataclasses.replace(
+            training_pairs, positive_sheet_pairs=[], negative_sheet_pairs=[]
+        )
+        history = TripletTrainer(fine_only, config).train(no_sheet_pairs)
+
+        assert history.coarse_losses == [] and len(history.fine_losses) == 2
+        assert _weight_bytes(fine_only, "fine_model") == _weight_bytes(both, "fine_model")
+        assert _weight_bytes(fine_only, "coarse_model") == _weight_bytes(
+            SheetEncoder(small_config), "coarse_model"
+        )
+
+    @pytest.mark.parametrize("failing", ["coarse_model", "fine_model"])
+    def test_a_loop_that_raises_raises_from_train_once_both_have_stopped(
+        self, training_pairs, small_config, monkeypatch, failing
+    ):
+        """The other loop runs to its end before ``train`` raises: its
+        weights are a clean run's, read as soon as the error is out (the
+        fine loop is slowed so that it is still running when the coarse
+        one fails at once)."""
+        config = TrainingConfig(epochs=2, seed=0)
+        clean = SheetEncoder(small_config)
+        TripletTrainer(clean, config).train(training_pairs)
+        other = "fine_model" if failing == "coarse_model" else "coarse_model"
+
+        class Boom(Exception):
+            pass
+
+        encoder = SheetEncoder(small_config)
+        forward = {name: getattr(encoder, name).forward for name in (failing, other)}
+
+        def failing_forward(x, training=False):
+            if training:
+                raise Boom(failing)
+            return forward[failing](x, training=training)
+
+        def slow_forward(x, training=False):
+            time.sleep(0.002)
+            return forward[other](x, training=training)
+
+        monkeypatch.setattr(getattr(encoder, failing), "forward", failing_forward)
+        monkeypatch.setattr(getattr(encoder, other), "forward", slow_forward)
+        with pytest.raises(Boom, match=failing):
+            TripletTrainer(encoder, config).train(training_pairs)
+        assert _weight_bytes(encoder, other) == _weight_bytes(clean, other)
+        assert not [thread for thread in threading.enumerate() if thread.name.startswith("models.train")]
+
+    def test_training_leaves_no_step_state_and_no_training_sheet_behind(
+        self, training_pairs, small_config
+    ):
+        """No layer keeps the last step's batch, input, mask or im2col
+        columns, and the encoder's per-sheet tensor cache pins no training
+        sheet (the trainer featurizes through a featurizer of its own)."""
+        encoder, __ = train_models(training_pairs, small_config, TrainingConfig(epochs=1, seed=0))
+        for model in (encoder.coarse_model, encoder.fine_model):
+            for layer in model.layers:
+                with pytest.raises(RuntimeError, match=r"needs a forward\(x, training=True\) first"):
+                    layer.backward(np.zeros((1, 1), dtype=np.float32))
+        assert len(encoder.featurizer._tensor_cache) == 0
 
     def test_trained_encoder_fixture_separates_regions(self, trained_encoder, training_pairs):
         positive = training_pairs.positive_region_pairs[:10]
@@ -243,3 +339,12 @@ class TestTripletTrainer:
             ]
         )
         assert neg > pos
+
+
+def _weight_bytes(encoder, *models):
+    """Every parameter of the named models (both by default), as bytes."""
+    return [
+        (model, name, value.tobytes())
+        for model in models or ("coarse_model", "fine_model")
+        for name, value in getattr(encoder, model).named_parameters()
+    ]

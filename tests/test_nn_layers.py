@@ -138,7 +138,7 @@ class TestConvAndPool:
     def test_avgpool_backward_distributes_evenly(self):
         layer = AvgPool2D(2)
         x = np.ones((1, 4, 4, 1), dtype=np.float32)
-        layer.forward(x)
+        layer.forward(x, training=True)
         grad = layer.backward(np.ones((1, 2, 2, 1), dtype=np.float32))
         assert np.allclose(grad, 0.25)
 
@@ -151,7 +151,7 @@ class TestFlattenAndNormalize:
     def test_flatten_roundtrip(self):
         layer = Flatten()
         x = np.random.default_rng(0).standard_normal((3, 4, 5)).astype(np.float32)
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         assert out.shape == (3, 20)
         assert layer.backward(out).shape == x.shape
 

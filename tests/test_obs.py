@@ -628,8 +628,8 @@ class TestSetUpSpans:
             train = trees[2]["root"]
             assert [(child["name"], child["attributes"]["model"]) for child in train["children"]] == [
                 ("models.train.tensors", "coarse"),
-                ("models.train.loop", "coarse"),
                 ("models.train.tensors", "fine"),
+                ("models.train.loop", "coarse"),
                 ("models.train.loop", "fine"),
             ]
         # Below a phase only what it runs per sheet: the generator's

@@ -145,7 +145,10 @@ class TestCellsAreCheckedWhereMade:
         assert CellStyle(font_size=11, bold=1) == CellStyle(font_size=11, bold=1)
 
     def test_a_value_no_cell_can_hold_raises(self):
-        for value in ([1, 2], {"a": 1}, 10**400, -(10**400)):
+        class Unhashable(str):
+            __hash__ = None
+
+        for value in ([1, 2], {"a": 1}, 10**400, -(10**400), Unhashable("x")):
             with pytest.raises(ValueError, match="cell value"):
                 Cell(value)
         with pytest.raises(ValueError, match="cell value"):
