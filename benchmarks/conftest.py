@@ -4,12 +4,21 @@ The expensive artifacts — the trained representation models, the four
 synthetic enterprise corpora and the Auto-Formula evaluation runs — are
 built once per session and shared by every table/figure benchmark.  Each
 benchmark writes the rows/series it reproduces into
-``benchmarks/results/<experiment>.txt`` (and also returns them through the
-pytest-benchmark timing machinery).
+``benchmarks/out/<experiment>.txt`` (git-ignored; it also returns them
+through the pytest-benchmark timing machinery).
+
+The quality reports (:data:`QUALITY_REPORTS`: Tables 1-5, Figs 7 and 9-15)
+carry no wall clock, so they are a function of the commit: each is
+compared byte for byte with its tracked golden,
+``benchmarks/results/<experiment>.txt``, and a report that differs fails
+its benchmark.  ``pytest benchmarks --update-goldens`` rewrites the
+goldens instead; nothing else writes them.  The timing reports are
+written to the out-dir only.
 """
 
 from __future__ import annotations
 
+import difflib
 from pathlib import Path
 from typing import Dict, List
 
@@ -24,24 +33,65 @@ from repro.weaksup import generate_training_pairs
 #: Corpus evaluation order used by every report (matches the paper's tables).
 CORPUS_ORDER = ("Cisco", "Enron", "PGE", "TI")
 
-RESULTS_DIR = Path(__file__).parent / "results"
+#: Where every run writes its reports and artifacts (git-ignored).
+OUT_DIR = Path(__file__).parent / "out"
+
+#: The tracked goldens of the quality reports.
+GOLDEN_DIR = Path(__file__).parent / "results"
+
+#: The reports compared with their goldens: the ones with no timing in them.
+QUALITY_REPORTS = frozenset(
+    {
+        "table1_statistics",
+        "table2_quality_timestamp",
+        "table3_quality_random",
+        "table4_llm_prompts",
+        "table5_sampled_comparison",
+        "fig7_pr_curves",
+        "fig9_sheet_size",
+        "fig10_formula_complexity",
+        "fig11_formula_types",
+        "fig12_embedders",
+        "fig13_feature_ablation",
+        "fig14_granularity_ablation",
+        "fig15_augmentation_ablation",
+    }
+)
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
+def out_dir() -> Path:
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
+    return OUT_DIR
 
 
 @pytest.fixture(scope="session")
-def report_writer(results_dir):
-    """Write a named experiment report (one text file per table/figure)."""
+def report_writer(out_dir, request):
+    """Write a named experiment report (one text file per table/figure) to
+    the out-dir; a quality report must also equal its golden, byte for
+    byte, unless ``--update-goldens`` asks to rewrite the golden."""
+    update_goldens = request.config.getoption("--update-goldens")
 
     def write(name: str, lines: List[str]) -> Path:
-        path = results_dir / f"{name}.txt"
+        path = out_dir / f"{name}.txt"
         text = "\n".join(lines) + "\n"
         path.write_text(text, encoding="utf-8")
         print(f"\n[{name}]\n{text}")
+        if name in QUALITY_REPORTS:
+            golden = GOLDEN_DIR / f"{name}.txt"
+            if update_goldens:
+                golden.write_text(text, encoding="utf-8")
+            else:
+                expected = golden.read_text(encoding="utf-8") if golden.exists() else ""
+                assert text == expected, (
+                    f"{name} differs from its golden {golden} "
+                    "(pytest benchmarks --update-goldens rewrites it):\n"
+                    + "".join(
+                        difflib.unified_diff(
+                            expected.splitlines(True), text.splitlines(True), "golden", "now"
+                        )
+                    )
+                )
         return path
 
     return write

@@ -15,7 +15,7 @@ Two claims back the ``repro.obs`` tentpole:
    the staged plan (S1 sheet search with tier-1 scan / tier-2 re-rank,
    S2 scoring, S3 re-grounding) plus an edit's
    incremental-recalculation trace.  Both trees are written to
-   ``benchmarks/results/fig_obs_trace.json`` — the artifact the
+   ``benchmarks/out/fig_obs_trace.json`` — the artifact the
    EXPERIMENTS.md trace-reading guide walks through — and the CI slow
    job uploads them.
 """
@@ -149,7 +149,7 @@ def _collect_names(node, into):
     return into
 
 
-def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
+def test_fig_obs_trace_capture(encoder, corpora, out_dir, report_writer):
     """Capture one recommend's full span tree.
 
     The corpus is every enterprise's reference workbooks combined.  One
@@ -225,7 +225,7 @@ def test_fig_obs_trace_capture(encoder, corpora, results_dir, report_writer):
     assert edit_tree["root"]["name"] == "workspace.edit_cell"
     assert "engine.recalculate" in edit_names
 
-    artifact = results_dir / "fig_obs_trace.json"
+    artifact = out_dir / "fig_obs_trace.json"
     artifact.write_text(
         json.dumps(
             {"recommend": recommend_tree, "edit_recalculate": edit_tree},

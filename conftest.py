@@ -22,6 +22,15 @@ def pytest_addoption(parser):
             "and test order cannot leak RNG state between tests."
         ),
     )
+    parser.addoption(
+        "--update-goldens",
+        action="store_true",
+        default=False,
+        help=(
+            "Rewrite the tracked quality reports under benchmarks/results/ "
+            "from this run instead of comparing each report with its golden."
+        ),
+    )
 
 
 def pytest_collection_modifyitems(items):

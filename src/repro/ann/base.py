@@ -318,11 +318,10 @@ class VectorIndex:
         self._n_dead = 0
         #: Memoized live positions of a full scan over a store with
         #: tombstones, with their ``_split_runs`` (None = stale; rebuilt on
-        #: demand, invalidated by add/remove/compaction/restore).  One
-        #: tuple, so a concurrent search never sees one without the other.
+        #: demand, invalidated by add/remove/compaction/restore).
         self._live_scan: Optional[Tuple[np.ndarray, _Runs]] = None
-        #: The scorer's fallbacks (see :meth:`counters`).  Searches run
-        #: concurrently under the workspace's read lock, hence instruments.
+        #: The scorer's fallbacks (see :meth:`counters`).  Scrapes read them
+        #: from other threads than the searches', hence instruments.
         self._fallback_rows = Counter()
         self._overflows = Counter()
         #: Where shared pools lay (see :meth:`counters`).

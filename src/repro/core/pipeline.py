@@ -383,9 +383,8 @@ class AutoFormula(FormulaPredictor):
         return _Regions.of(cells, self._embed_regions(sheet, cells[:, 0], cells[:, 1]))
 
     def _regions(self, reference: _ReferenceSheet) -> _Regions:
-        """``reference``'s S3 block, built on a restored sheet's first use.
-        Racing first uses build equal blocks and the assignment is atomic,
-        so no lock is taken; writers hold the workspace's write lock."""
+        """``reference``'s S3 block, built on a restored sheet's first use
+        (under the workspace's lock, like every other read and write)."""
         regions = reference.regions
         if regions is None:
             regions = reference.regions = self._reference_regions(

@@ -50,7 +50,6 @@ class TrainingConfig:
     learning_rate: float = 2e-3
     margin: float = 0.5
     max_triplets_per_epoch: int = 256
-    optimizer: str = "adam"
     augmentation: AugmentationConfig = field(default_factory=AugmentationConfig)
     seed: int = 0
     #: Caps on how many weak-supervision pairs are materialized as window

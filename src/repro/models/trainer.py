@@ -11,7 +11,7 @@ import numpy as np
 from repro.features import WindowFeaturizer
 from repro.models.config import ModelConfig, TrainingConfig
 from repro.models.encoder import SheetEncoder
-from repro.nn import Adam, SGD, Sequential, semi_hard_triplets
+from repro.nn import Adam, Sequential, semi_hard_triplets
 from repro.nn.losses import triplet_loss_and_grad
 from repro.obs import get_tracer
 from repro.weaksup.augmentation import augment_region_sheet, augment_sheet
@@ -130,11 +130,6 @@ class TripletTrainer:
 
     # -------------------------------------------------------------- training
 
-    def _make_optimizer(self, model: Sequential):
-        if self.config.optimizer.lower() == "sgd":
-            return SGD(model, learning_rate=self.config.learning_rate, momentum=0.9)
-        return Adam(model, learning_rate=self.config.learning_rate)
-
     def _train_model(
         self,
         model: Sequential,
@@ -147,7 +142,7 @@ class TripletTrainer:
         losses: List[float] = []
         if len(anchors) == 0 or len(negatives) == 0:
             return losses
-        optimizer = self._make_optimizer(model)
+        optimizer = Adam(model, learning_rate=self.config.learning_rate)
         margin = self.config.margin
         for __ in range(self.config.epochs):
             anchor_embeddings = model.forward(anchors)

@@ -9,7 +9,7 @@ backpropagation:
   :class:`AvgPool2D`, :class:`Flatten`, :class:`PerCellLinear`,
   :class:`L2Normalize`;
 * :class:`Sequential` containers with parameter collection and persistence;
-* optimizers — :class:`SGD` and :class:`Adam`;
+* the :class:`Adam` optimizer;
 * the triplet loss with its gradient and the semi-hard triplet miner
   (Section 4.5 / FaceNet-style training).
 """
@@ -27,7 +27,7 @@ from repro.nn.layers import (
     Dropout,
 )
 from repro.nn.sequential import Sequential
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.losses import triplet_loss_and_grad, pairwise_squared_distances
 from repro.nn.mining import semi_hard_triplets, TripletBatch
 
@@ -43,7 +43,6 @@ __all__ = [
     "L2Normalize",
     "Dropout",
     "Sequential",
-    "SGD",
     "Adam",
     "Optimizer",
     "triplet_loss_and_grad",

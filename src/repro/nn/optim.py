@@ -1,4 +1,4 @@
-"""Optimizers: plain SGD (with momentum) and Adam."""
+"""The optimizer training uses: Adam."""
 
 from __future__ import annotations
 
@@ -25,36 +25,6 @@ class Optimizer:
     def zero_grad(self) -> None:
         """Clear the model's accumulated gradients."""
         self.model.zero_grad()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        model: Sequential,
-        learning_rate: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(model, learning_rate)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[str, np.ndarray] = {}
-
-    def step(self) -> None:
-        for name, param, grad in self.model.parameter_gradients():
-            update = grad
-            if self.weight_decay:
-                update = update + self.weight_decay * param
-            if self.momentum:
-                velocity = self._velocity.get(name)
-                if velocity is None:
-                    velocity = np.zeros_like(param)
-                velocity = self.momentum * velocity + update
-                self._velocity[name] = velocity
-                update = velocity
-            param -= self.learning_rate * update
 
 
 class Adam(Optimizer):

@@ -165,7 +165,7 @@ class Gauge:
             if fn is None:
                 return self._value
         # Callbacks run outside the gauge mutex: they may take their own
-        # locks (workspace read locks) and must not nest under ours.
+        # locks (a workspace's lock) and must not nest under ours.
         try:
             return fn()
         except Exception:

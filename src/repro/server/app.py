@@ -28,7 +28,11 @@ Serving requests flow admission control → per-workspace micro-batcher →
 ``serve_batch`` on a thread-pool executor, one batch per workspace at a
 time and no batch timer (see ``repro.server.batching``); mutations run
 directly on the executor, serialized against serving by the workspace's
-own reader-writer lock.  Rejections carry ``Retry-After``.
+own lock.  Rejections carry ``Retry-After``.  The ``/stats`` and
+``/metrics`` bodies are built on the executor too, because they read each
+workspace's ``memory_stats`` under that lock: the event-loop thread never
+waits for a workspace, so a scrape during a long edit holds up only
+itself.
 
 :func:`start_server_in_background` runs the whole event loop on a daemon
 thread and hands back a :class:`ServerHandle` — the shape tests, examples
@@ -372,18 +376,10 @@ class FormulaServer:
                 return 200, self._health_body(), {}
             if segments == ["stats"] and request.method == "GET":
                 endpoint = "stats"
-                return 200, self._stats_body(), {}
+                return 200, await self._scrape(self._stats_body), {}
             if segments == ["metrics"] and request.method == "GET":
                 endpoint = "metrics"
-                self._sync_workspaces()
-                return (
-                    200,
-                    _RawBody(
-                        self.registry.render_prometheus(),
-                        "text/plain; version=0.0.4; charset=utf-8",
-                    ),
-                    {},
-                )
+                return 200, await self._scrape(self._metrics_body), {}
             if segments == ["traces"] and request.method == "GET":
                 endpoint = "traces"
                 return 200, self._traces_body(), {}
@@ -535,18 +531,25 @@ class FormulaServer:
             "workspaces": self.service.workspace_names(),
         }
 
-    def _sync_workspaces(self) -> None:
-        """Bring the per-workspace instruments in line with the service.
+    async def _scrape(self, build):
+        """``build(names)`` on the executor, for the service's workspaces.
 
         Workspaces appear and disappear through the service API, which
         the server does not see, so both scrape endpoints (``/stats`` and
-        ``/metrics``) call this first: registration by name is idempotent
-        and rebinds to the current workspace object, and whatever belongs
-        to a workspace that is gone — instruments and batcher — is let go.
+        ``/metrics``) first let go of the batcher of every workspace that
+        is gone — here, on the loop thread that owns the batchers — and
+        then bring the instruments in line (:meth:`_sync_workspaces`).
         """
+        names = self.service.workspace_names()
+        self._batchers.retain(names)
+        return await asyncio.get_running_loop().run_in_executor(self._executor, build, names)
+
+    def _sync_workspaces(self, names: List[str]) -> None:
+        """Register the instruments of the workspaces ``names`` and prune
+        those of any other: registration by name is idempotent and
+        rebinds to the current workspace object."""
         registry = self.registry
         workspace_of = self.service.workspace
-        names = self.service.workspace_names()
         for name in names:
             labels = {"workspace": name}
             # Callbacks look the workspace up by name: they read whatever is
@@ -559,7 +562,6 @@ class FormulaServer:
             registry.histogram("workspace.latency", labels, existing=workspace_of(name).latency)
             registry.mirror(lambda name=name: workspace_of(name).counters(), labels)
         registry.prune("workspace", names)
-        self._batchers.retain(names)
         caches = cache_stats()
         for cache in caches:
             registry.mirror(
@@ -570,12 +572,17 @@ class FormulaServer:
             )
         registry.prune("cache", caches)
 
-    def _stats_body(self) -> Dict[str, object]:
-        self._sync_workspaces()
+    def _metrics_body(self, names: List[str]) -> _RawBody:
+        self._sync_workspaces(names)
+        return _RawBody(
+            self.registry.render_prometheus(), "text/plain; version=0.0.4; charset=utf-8"
+        )
+
+    def _stats_body(self, names: List[str]) -> Dict[str, object]:
+        self._sync_workspaces(names)
         body = stats_body(self.registry)
         body["index_memory"] = {
-            name: self.service.workspace(name).memory_stats()
-            for name in self.service.workspace_names()
+            name: self.service.workspace(name).memory_stats() for name in names
         }
         body["tracing"] = self.tracer.stats()
         body["caches"] = cache_stats()

@@ -10,10 +10,11 @@ is dispatched at once, riders gather only behind a batch that is already
 running, and batch size follows load — 1 when requests trickle in, the
 cap when they flood — so concurrent requests still share the engine's
 vectorized batch path and nobody waits for company that does not come.
-One serve per workspace is deliberate: two serves of one workspace on
-two threads of one process ran at 0.51-0.84 of one (the GIL; DESIGN.md
-"Why there is no batch timer").  The executor's other threads serve
-mutations and other workspaces.
+One serve per workspace is deliberate, and the workspace's one lock
+admits no more: two serves of one workspace on two threads of one
+process ran at 0.51-0.84 of one (the GIL; DESIGN.md "Why there is no
+batch timer").  The executor's other threads serve mutations, scrapes
+and other workspaces.
 
 The one thing that holds a request back is the *idle sweep*: a collector
 woken from an empty queue yields to the event loop (``sleep(0)``, never a

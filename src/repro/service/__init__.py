@@ -17,10 +17,10 @@ API around three pieces:
 * typed, frozen request/response objects
   (:class:`RecommendationRequest`, :class:`RecommendationResponse`)
   carrying provenance, per-request latency, and typed
-  :class:`AbstainReason` values instead of bare ``None``;
-* :class:`~repro.service.concurrency.ReadWriteLock` — the
-  writer-preferring reader-writer lock a workspace uses so concurrent
-  serves interleave safely with corpus mutation.
+  :class:`AbstainReason` values instead of bare ``None``.
+
+Each workspace is guarded by one mutex: serves, mutations and saves of a
+workspace take turns, and workspaces run side by side.
 """
 
 from repro.service.types import (
@@ -28,7 +28,6 @@ from repro.service.types import (
     RecommendationRequest,
     RecommendationResponse,
 )
-from repro.service.concurrency import ReadWriteLock
 from repro.service.workspace import Workspace
 from repro.service.facade import FormulaService
 
@@ -36,7 +35,6 @@ __all__ = [
     "AbstainReason",
     "RecommendationRequest",
     "RecommendationResponse",
-    "ReadWriteLock",
     "Workspace",
     "FormulaService",
 ]

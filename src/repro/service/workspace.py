@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -31,7 +32,6 @@ from repro.persistence.snapshot import (
 from repro.evaluation.runner import EvaluationRun, run_method_on_cases
 from repro.obs import Counter, Histogram, get_tracer
 from repro.formula.engine import FormulaEngine, RecalcReport
-from repro.service.concurrency import ReadWriteLock
 from repro.extensions import autofill, error_detection
 from repro.service.types import (
     AbstainReason,
@@ -71,28 +71,6 @@ def _same_stamp(kept: _Stamp, now: _Stamp) -> bool:
     )
 
 
-def sheet_engine(
-    cache: Dict[Tuple[str, str], FormulaEngine], workbook_name: str, sheet: Sheet
-) -> FormulaEngine:
-    """Get (or build and cache) the recalculation engine for an indexed sheet.
-
-    The staleness rule: rebuild when the cached engine no longer points
-    at this exact sheet object.
-    """
-    key = (workbook_name, sheet.name)
-    engine = cache.get(key)
-    if engine is None or engine.sheet is not sheet:
-        engine = FormulaEngine(sheet)
-        cache[key] = engine
-    return engine
-
-
-def drop_engines(cache: Dict[Tuple[str, str], FormulaEngine], workbook_name: str) -> None:
-    """Evict a workbook's cached engines (counterpart of :func:`sheet_engine`)."""
-    for key in [key for key in cache if key[0] == workbook_name]:
-        del cache[key]
-
-
 def require_one_edit_operand(value, formula) -> None:
     """An edit must say what to write; a defaulted-``None`` value would
     silently blank the cell.  Deliberate blanking is ``value=""``."""
@@ -129,21 +107,21 @@ class Workspace:
     reachable as workspace methods so one corpus handle drives every
     workload.
 
-    The workspace is thread-safe: serving takes a shared (read) lock and
-    corpus mutation takes an exclusive (write) lock on a writer-preferring
-    :class:`~repro.service.concurrency.ReadWriteLock`, so any number of
-    concurrent recommends interleave with ``add_workbooks`` /
-    ``remove_workbook`` / ``edit_cell`` without ever observing a
-    half-mutated index.  The predictor-internal caches raced by concurrent
-    reads are individually thread-safe (see ``repro.service.concurrency``).
+    The workspace is thread-safe: every method that reads or writes the
+    corpus or the index — serves, mutations, ``save``, ``memory_stats``
+    and the adapters — holds the workspace's one mutex, so a serve never
+    observes a half-mutated index.  Two serves of one workspace take turns
+    (the server keeps one in flight per workspace anyway); what threads
+    still share is the encoder's caches, each behind its own mutex, when
+    several workspaces serve on one encoder.
     """
 
     def __init__(self, name: str, predictor: AutoFormula) -> None:
         self.name = name
         self._predictor = predictor
         self._workbooks: Dict[str, Workbook] = {}
-        #: Serving = shared access, corpus mutation = exclusive access.
-        self._rwlock = ReadWriteLock()
+        #: Held by every serve, mutation, save and adapter call.
+        self._lock = threading.Lock()
         #: Per-request serving latencies (amortized for batched requests).
         self.latency = Histogram()
         #: Per-sheet recalculation engines, built lazily by :meth:`edit_cell`
@@ -152,7 +130,7 @@ class Workspace:
         #: entry is dropped when its workbook leaves the corpus.
         self._engines: Dict[Tuple[str, str], FormulaEngine] = {}
         #: What :meth:`counters` reports of this layer, by metric name.
-        #: Instruments, because serves run concurrently under the read lock.
+        #: Instruments, because ``counters()`` reads them without the lock.
         self._counts = {name: Counter() for name in _COUNTED}
         #: Durability state (see :mod:`repro.persistence`): ``save()``
         #: attaches a mutation log and subsequent corpus mutations append
@@ -199,7 +177,7 @@ class Workspace:
         workbooks = list(workbooks)
         if not workbooks:
             return
-        with self._rwlock.write_lock():
+        with self._lock:
             seen = set(self._workbooks)
             for workbook in workbooks:
                 if not isinstance(workbook, Workbook):
@@ -237,7 +215,7 @@ class Workspace:
         with :meth:`add_workbooks`, the workbook stays registered if that
         fails.
         """
-        with self._rwlock.write_lock():
+        with self._lock:
             if workbook_name not in self._workbooks:
                 raise KeyError(workbook_name)
             # A registered workbook with zero sheets never reached the
@@ -247,7 +225,8 @@ class Workspace:
             workbook = self._workbooks.pop(workbook_name)
             workbook._seal(False)
             self._lines.pop(workbook_name, None)
-            drop_engines(self._engines, workbook_name)
+            for key in [key for key in self._engines if key[0] == workbook_name]:
+                del self._engines[key]
             self._log(remove_entry, workbook_name)
             return workbook
 
@@ -292,11 +271,11 @@ class Workspace:
             workspace=self.name,
             workbook=workbook_name,
             sheet=sheet_name,
-        ), self._rwlock.write_lock():
+        ), self._lock:
             if workbook_name not in self._workbooks:
                 raise KeyError(workbook_name)
             sheet = self._workbooks[workbook_name].get_sheet(sheet_name)
-            engine = sheet_engine(self._engines, workbook_name, sheet)
+            engine = self._engine(workbook_name, sheet)
             checkpoint = sheet._checkpoint()
             try:
                 if formula is not None:
@@ -313,6 +292,15 @@ class Workspace:
                 raise
             self._log(edit_entry, workbook_name, sheet_name, address, value=value, formula=formula)
             return report
+
+    def _engine(self, workbook_name: str, sheet: Sheet) -> FormulaEngine:
+        """The sheet's cached recalculation engine, rebuilt when it no
+        longer points at this exact sheet object."""
+        key = (workbook_name, sheet.name)
+        engine = self._engines.get(key)
+        if engine is None or engine.sheet is not sheet:
+            engine = self._engines[key] = FormulaEngine(sheet)
+        return engine
 
     def _reindex_sheet(self, sheet: Sheet, trees: Mapping[CellAddress, object]) -> None:
         with get_tracer().span("workspace.reindex_sheet") as span:
@@ -376,7 +364,7 @@ class Workspace:
         directory = Path(directory)
         with get_tracer().span(
             "snapshot.save", workspace=self.name, directory=str(directory)
-        ), self._rwlock.write_lock():
+        ), self._lock:
             state, arrays = self._predictor.snapshot_state()
             workbooks = self.workbooks()
 
@@ -501,7 +489,7 @@ class Workspace:
             return []
         with get_tracer().span(
             "workspace.serve", workspace=self.name, n_requests=len(requests)
-        ) as span, self._rwlock.read_lock():
+        ) as span, self._lock:
             return self._serve_batch_locked(requests, span)
 
     def _serve_batch_locked(
@@ -609,14 +597,14 @@ class Workspace:
     def memory_stats(self) -> Dict[str, object]:
         """Index memory footprint of the predictor (JSON-ready, see
         :meth:`repro.core.pipeline.AutoFormula.memory_stats`)."""
-        with self._rwlock.read_lock():
+        with self._lock:
             return self._predictor.memory_stats()
 
     # --------------------------------------------------------------- adapters
 
     def evaluate(self, cases: Sequence, corpus_name: str = "") -> EvaluationRun:
         """Run the evaluation harness on this workspace's predictor."""
-        with self._rwlock.read_lock():
+        with self._lock:
             return run_method_on_cases(
                 self._predictor,
                 self.workbooks(),
@@ -630,11 +618,11 @@ class Workspace:
     ) -> Optional[autofill.AutoFillSuggestion]:
         """Suggest a *value* for an empty cell (content auto-filling, see
         :func:`repro.extensions.suggest_value`) from the indexed corpus."""
-        with self._rwlock.read_lock():
+        with self._lock:
             return autofill.suggest_value(self._predictor, sheet, cell)
 
     def audit_sheet(self, sheet: Sheet) -> List[error_detection.FormulaAnomaly]:
         """Audit a sheet for formulas that disagree with similar sheets of
         the indexed corpus (see :func:`repro.extensions.audit_sheet`)."""
-        with self._rwlock.read_lock():
+        with self._lock:
             return error_detection.audit_sheet(self._predictor, sheet)

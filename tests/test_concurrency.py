@@ -20,7 +20,6 @@ from repro import (
     Workspace,
 )
 from repro.obs import Histogram
-from repro.service import ReadWriteLock
 from repro.testing import WorkloadConfig, generate_workload
 
 N_THREADS = 4
@@ -166,13 +165,18 @@ class TestWorkspaceUnderConcurrency:
 
 
     def test_racing_serves_over_one_cold_sheet_answer_as_serial_serves(self, assets):
-        """N threads ask overlapping cells of one *shared*, cold target
-        sheet, so they race to build its reduced tensor and, in S3, its
-        window-norm grid: every answer must equal the serial answer, and
-        the entry they leave must equal one built alone."""
+        """Several workspaces over one encoder — what the server's executor
+        runs side by side — ask overlapping cells of one *shared*, cold
+        target sheet, so they race to build its reduced tensor and, in S3,
+        its window-norm grid in the encoder's caches: every answer must
+        equal the serial answer, and the entry they leave must equal one
+        built alone."""
         pool, cases, factory = assets
-        workspace = Workspace("store", factory())
-        workspace.add_workbooks([workbook.copy() for workbook in pool])
+        workspaces = [Workspace(f"store-{slot}", factory()) for slot in range(N_THREADS)]
+        for workspace in workspaces:
+            workspace.add_workbooks([workbook.copy() for workbook in pool])
+        encoder = workspaces[0].predictor.encoder
+        assert all(workspace.predictor.encoder is encoder for workspace in workspaces)
         case = cases[0]
         cells = [case.target_cell] + [
             CellAddress(max(case.target_cell.row + row, 0), max(case.target_cell.col + col, 0))
@@ -180,12 +184,12 @@ class TestWorkspaceUnderConcurrency:
         ]
         # Serial answers come from a copy: the shared sheet stays cold.
         serial_sheet = case.target_sheet.copy()
-        serial = workspace.serve_batch(
+        serial = workspaces[0].serve_batch(
             [RecommendationRequest(serial_sheet, cell) for cell in cells]
         )
         assert any(response.accepted for response in serial)
 
-        n_threads = 3 * N_THREADS  # more workers than cores
+        n_threads = 3 * N_THREADS  # more workers than cores, three a workspace
         shared = case.target_sheet.copy()
         collected = [None] * n_threads
         errors = []
@@ -196,7 +200,7 @@ class TestWorkspaceUnderConcurrency:
                 # Overlapping windows over the cells, a different one per thread.
                 picks = [(slot + step) % len(cells) for step in range(5)]
                 gate.wait(timeout=30)
-                responses = workspace.serve_batch(
+                responses = workspaces[slot % N_THREADS].serve_batch(
                     [RecommendationRequest(shared, cells[pick]) for pick in picks]
                 )
                 collected[slot] = (picks, responses)
@@ -225,65 +229,12 @@ class TestWorkspaceUnderConcurrency:
             )
 
         # What the racers cached is what one caller builds on its own.
-        encoder = workspace.predictor.encoder
         raced = encoder._reduced_cache.get(shared)
         assert raced is not None
         alone = type(encoder)(encoder.config, encoder.coarse_model, encoder.fine_model)
         built = alone._reduced_entry(shared)
         assert raced.tensor.tobytes() == built.tensor.tobytes()
         assert raced.window_sq_norms().tobytes() == built.window_sq_norms().tobytes()
-
-    def test_racing_first_serves_of_a_restored_workspace_build_the_fit_blocks(
-        self, assets, trained_encoder, tmp_path
-    ):
-        """A restored sheet's S3 block is built on its first use, with no
-        lock: racing first serves each build the whole block and the last
-        assignment stays.  Under the coarse-only ablation, whose forward
-        rounds a row differently in another batch, answers must still be
-        the live workspace's and the blocks a fresh fit's."""
-        from repro.testing import assert_responses_match, assert_same_index_rows
-
-        pool, cases, __ = assets
-        config = AutoFormulaConfig(granularity="coarse_only")
-        live = Workspace("live", AutoFormula(trained_encoder, config))
-        live.add_workbooks([workbook.copy() for workbook in pool])
-        requests = [RecommendationRequest(case.target_sheet, case.target_cell) for case in cases]
-        serial = live.serve_batch(requests)
-        assert any(response.accepted for response in serial)
-        live.save(tmp_path)
-        restored = Workspace.load(tmp_path, AutoFormula(trained_encoder, config))
-
-        n_threads = 2 * N_THREADS
-        collected, errors = [None] * n_threads, []
-        gate = threading.Barrier(n_threads)
-
-        def serve(slot):
-            try:
-                gate.wait(timeout=30)
-                collected[slot] = restored.serve_batch(requests)
-            except BaseException as error:  # noqa: BLE001
-                errors.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=serve, args=(slot,)) for slot in range(n_threads)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-                assert not thread.is_alive(), "deadlocked thread"
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors, f"racing first serves raised: {errors[:3]}"
-        for responses in collected:
-            assert_responses_match(serial, responses, context="racing first serves")
-        assert any(
-            reference.regions is not None
-            for reference in filter(None, restored.predictor._reference_sheets)
-        )
-        assert_same_index_rows(restored.predictor, live.predictor, "racing first serves")
-
 
     def test_in_place_edits_racing_serves_answer_from_one_corpus_state(self, assets):
         """An edit overwrites index rows that serves are reading.  One cell
@@ -361,49 +312,6 @@ class TestWorkspaceUnderConcurrency:
             assert batch in states, "a serve saw a half re-indexed sheet"
         assert answers() == states[1]
         assert workspace.counters()["workspace.reindex_same"] >= 42
-
-
-class TestReadWriteLock:
-    def test_readers_share_writers_exclude(self):
-        lock = ReadWriteLock()
-        state = {"readers": 0, "max_readers": 0, "writer_overlap": False}
-        gate = threading.Barrier(3)
-
-        def reader():
-            gate.wait(timeout=30)
-            with lock.read_lock():
-                state["readers"] += 1
-                state["max_readers"] = max(state["max_readers"], state["readers"])
-                threading.Event().wait(0.05)
-                state["readers"] -= 1
-
-        def writer():
-            gate.wait(timeout=30)
-            with lock.write_lock():
-                if state["readers"]:
-                    state["writer_overlap"] = True
-
-        threads = [threading.Thread(target=reader) for __ in range(2)]
-        threads.append(threading.Thread(target=writer))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not state["writer_overlap"]
-
-    def test_release_without_acquire_raises(self):
-        lock = ReadWriteLock()
-        with pytest.raises(RuntimeError):
-            lock.release_write()
-
-    def test_write_lock_context_manager_releases_on_error(self):
-        lock = ReadWriteLock()
-        with pytest.raises(ValueError):
-            with lock.write_lock():
-                raise ValueError("boom")
-        # Lock must be free again:
-        with lock.write_lock():
-            pass
 
 
 class TestLatencyRecorderThreadSafety:

@@ -8,7 +8,6 @@ from repro.nn import (
     L2Normalize,
     Linear,
     ReLU,
-    SGD,
     Sequential,
     semi_hard_triplets,
     triplet_loss_and_grad,
@@ -38,24 +37,18 @@ class TestOptimizers:
         assert final < initial
         return final
 
-    def test_sgd_reduces_loss(self):
-        assert self._train(SGD, learning_rate=0.05) < 0.05
-
-    def test_sgd_with_momentum(self):
-        assert self._train(SGD, learning_rate=0.02, momentum=0.9) < 0.05
-
     def test_adam_reduces_loss(self):
         assert self._train(Adam, learning_rate=0.01) < 0.05
 
     def test_invalid_learning_rate(self):
         model = Sequential([Linear(2, 1)])
         with pytest.raises(ValueError):
-            SGD(model, learning_rate=0.0)
+            Adam(model, learning_rate=0.0)
 
     def test_weight_decay_shrinks_weights(self):
         model = Sequential([Linear(3, 3)])
         model.layers[0].params["W"] = np.ones((3, 3), dtype=np.float32)
-        optimizer = SGD(model, learning_rate=0.1, weight_decay=1.0)
+        optimizer = Adam(model, learning_rate=0.1, weight_decay=1.0)
         optimizer.zero_grad()
         optimizer.step()
         assert np.all(model.layers[0].params["W"] < 1.0)

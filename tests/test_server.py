@@ -359,6 +359,71 @@ class TestWorkspaceLifecycle:
         assert old_workspace() is None
 
 
+class TestScrapeDuringEdit:
+    def test_a_scrape_waiting_on_an_edit_does_not_hold_up_other_connections(self):
+        """A ``/stats`` scrape reads each workspace's ``memory_stats``,
+        which waits for the workspace's lock while an edit holds it.  It
+        waits on the executor: ``/health`` on another connection answers
+        during the edit, and the scrape answers once the edit ends.  (On
+        the event-loop thread the wait stalled every connection.)"""
+
+        class _SlowReindex(_StubPredictor):
+            def __init__(self):
+                super().__init__()
+                self.reindexing = threading.Event()
+                self.release = threading.Event()
+
+            def reindex_sheet(self, sheet, trees=None):
+                self.reindexing.set()
+                assert self.release.wait(TIMEOUT), "the test never released the edit"
+                return super().reindex_sheet(sheet, trees)
+
+        predictor = _SlowReindex()
+        service = FormulaService()
+        workspace = service.create_workspace(
+            "acme", predictor=predictor, workbooks=[_stub_workbook()]
+        )
+        scraping = threading.Event()
+        memory_stats = workspace.memory_stats
+
+        def scraped_memory_stats():
+            scraping.set()
+            return memory_stats()
+
+        workspace.memory_stats = scraped_memory_stats
+        outcome, threads = {}, []
+
+        def run(name, call):
+            try:
+                with FormulaClient(handle.host, handle.port) as client:
+                    outcome[name] = call(client)
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                outcome[name] = error
+
+        def start(name, call):
+            thread = threading.Thread(target=run, args=(name, call))
+            thread.start()
+            threads.append(thread)
+
+        with start_server_in_background(service) as handle:
+            try:
+                start("edit", lambda client: client.edit_cell("acme", "wb1", "Data", "A1", value=10.0))
+                assert predictor.reindexing.wait(TIMEOUT)
+                start("stats", lambda client: client.stats())
+                assert scraping.wait(TIMEOUT)
+
+                with FormulaClient(handle.host, handle.port, timeout=5.0) as client:
+                    assert client.health()["status"] == "ok"
+                assert "stats" not in outcome and "edit" not in outcome
+            finally:
+                predictor.release.set()
+                for thread in threads:
+                    thread.join(TIMEOUT)
+                    assert not thread.is_alive()
+        assert outcome["edit"]["recalc"]["recalculated"] == 1
+        assert outcome["stats"]["index_memory"] == {"acme": {"total_bytes": 0}}
+
+
 # -------------------------------------------------------------------- parity
 
 

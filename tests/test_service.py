@@ -907,20 +907,18 @@ class TestAdapters:
         self, trained_encoder, workload, monkeypatch
     ):
         """After an edit, each call embeds at most the sheet it is asked
-        about (S1's query) and never takes the write lock."""
+        about (S1's query) and writes nothing: the predictor's exported
+        state is byte-equal before and after."""
         references, cases = workload
         service = FormulaService(trained_encoder)
         workspace = service.create_workspace("ext", workbooks=_copies(references))
         workbook = references[0]
         sheet = workbook[workbook.sheet_names[0]]
         workspace.edit_cell(workbook.name, sheet.name, "Z1", value=1.0)
-
-        def no_write_lock():
-            raise AssertionError("the write lock was taken")
+        before = _exported_state(workspace.predictor)
 
         calls = []
         embed_sheet = SheetEncoder.embed_sheet
-        monkeypatch.setattr(workspace._rwlock, "write_lock", no_write_lock)
         monkeypatch.setattr(
             SheetEncoder,
             "embed_sheet",
@@ -931,3 +929,4 @@ class TestAdapters:
         calls.clear()
         workspace.audit_sheet(sheet)
         assert len(calls) <= 1
+        assert _exported_state(workspace.predictor) == before

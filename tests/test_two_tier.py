@@ -64,7 +64,7 @@ class TestTwoPathParity:
         slices overflow the budget), half is spread out (theirs do not):
         the mixed call re-ranks two rows and falls back on two, the
         all-cluster call overflows outright — and N threads searching at
-        once lose no count (searches share the workspace's read lock)."""
+        once lose no count (the counts are mutex-guarded instruments)."""
         rng = np.random.default_rng(11)
         d, n = 8, 120
         cluster = np.tile(rng.standard_normal((1, d)).astype(np.float32), (n // 2, 1))
