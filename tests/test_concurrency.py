@@ -9,6 +9,7 @@ returns a recommendation grounded in the removed (tombstoned) workbook.
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -236,6 +237,58 @@ class TestWorkspaceUnderConcurrency:
         assert raced.tensor.tobytes() == built.tensor.tobytes()
         assert raced.window_sq_norms().tobytes() == built.window_sq_norms().tobytes()
 
+    def test_racing_first_serves_of_a_restored_workspace_build_the_fit_blocks(
+        self, assets, trained_encoder, tmp_path
+    ):
+        """A restored sheet's S3 block is built on its first use.  Racing
+        first serves of the restored workspace take turns on its lock: the
+        first builds the block and the rest read it.  Under the coarse-only
+        ablation, whose forward rounds a row differently in another batch,
+        answers must still be the live workspace's and the blocks a fresh
+        fit's."""
+        from repro.testing import assert_responses_match, assert_same_index_rows
+
+        pool, cases, __ = assets
+        config = AutoFormulaConfig(granularity="coarse_only")
+        live = Workspace("live", AutoFormula(trained_encoder, config))
+        live.add_workbooks([workbook.copy() for workbook in pool])
+        requests = [RecommendationRequest(case.target_sheet, case.target_cell) for case in cases]
+        serial = live.serve_batch(requests)
+        assert any(response.accepted for response in serial)
+        live.save(tmp_path)
+        restored = Workspace.load(tmp_path, AutoFormula(trained_encoder, config))
+
+        n_threads = 2 * N_THREADS
+        collected, errors = [None] * n_threads, []
+        gate = threading.Barrier(n_threads)
+
+        def serve(slot):
+            try:
+                gate.wait(timeout=30)
+                collected[slot] = restored.serve_batch(requests)
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=serve, args=(slot,)) for slot in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "deadlocked thread"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, f"racing first serves raised: {errors[:3]}"
+        for responses in collected:
+            assert_responses_match(serial, responses, context="racing first serves")
+        assert any(
+            reference.regions is not None
+            for reference in filter(None, restored.predictor._reference_sheets)
+        )
+        assert_same_index_rows(restored.predictor, live.predictor, "racing first serves")
+
     def test_in_place_edits_racing_serves_answer_from_one_corpus_state(self, assets):
         """An edit overwrites index rows that serves are reading.  One cell
         toggles between two values, so the corpus has exactly two states:
@@ -312,6 +365,190 @@ class TestWorkspaceUnderConcurrency:
             assert batch in states, "a serve saw a half re-indexed sheet"
         assert answers() == states[1]
         assert workspace.counters()["workspace.reindex_same"] >= 42
+
+
+def _editable_cell(workspace):
+    """``(workbook, sheet, address)`` of a plain numeric cell to edit."""
+    for workbook in workspace.workbooks():
+        for sheet in workbook:
+            for address, cell in sheet.cells():
+                if not cell.has_formula and isinstance(cell.value, (int, float)):
+                    return workbook.name, sheet.name, address
+    raise AssertionError("no plain numeric cell in the corpus")
+
+
+class _HeldReindex:
+    """Holds the predictor's ``reindex_sheet`` — the inside of an edit,
+    with the workspace's lock taken — until :meth:`release`."""
+
+    def __init__(self, predictor) -> None:
+        self.entered = threading.Event()
+        self._release = threading.Event()
+        reindex_sheet = predictor.reindex_sheet
+
+        def held(*args, **kwargs):
+            self.entered.set()
+            assert self._release.wait(60), "the test never released the edit"
+            return reindex_sheet(*args, **kwargs)
+
+        predictor.reindex_sheet = held
+
+    def release(self) -> None:
+        self._release.set()
+
+
+def _in_thread(call):
+    """Start ``call`` on a thread; return ``(thread, outcome)``, where
+    ``outcome`` gets ``"value"`` or ``"error"`` once it returns."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = call()
+        except BaseException as error:  # noqa: BLE001 - surfaced by the test
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, outcome
+
+
+class TestWorkspaceLock:
+    """Each workspace holds one mutex: its serves, edits and scrapes take
+    turns, an edit that raises lets it go, and workspaces never wait on
+    each other."""
+
+    def test_serves_and_edits_never_overlap(self, assets):
+        pool, cases, factory = assets
+        workspace = Workspace("turns", factory())
+        workspace.add_workbooks([workbook.copy() for workbook in pool])
+        name, sheet_name, address = _editable_cell(workspace)
+        requests = [RecommendationRequest(case.target_sheet, case.target_cell) for case in cases]
+        predictor = workspace.predictor
+        state = {"inside": 0, "most": 0, "calls": Counter()}
+        guard = threading.Lock()
+
+        def counted(label, method):
+            def call(*args, **kwargs):
+                with guard:
+                    state["inside"] += 1
+                    state["most"] = max(state["most"], state["inside"])
+                    state["calls"][label] += 1
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    with guard:
+                        state["inside"] -= 1
+
+            return call
+
+        predictor.predict_batch = counted("serve", predictor.predict_batch)
+        predictor.reindex_sheet = counted("edit", predictor.reindex_sheet)
+        gate = threading.Barrier(N_THREADS + 1)
+
+        def server():
+            gate.wait(timeout=30)
+            for __ in range(ROUNDS_PER_THREAD):
+                workspace.serve_batch(requests)
+
+        def editor():
+            gate.wait(timeout=30)
+            for round_ in range(2 * ROUNDS_PER_THREAD):
+                workspace.edit_cell(name, sheet_name, address, value=float(round_))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            started = [_in_thread(server) for __ in range(N_THREADS)] + [_in_thread(editor)]
+            for thread, __ in started:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "deadlocked thread"
+        finally:
+            sys.setswitchinterval(interval)
+        assert [outcome for __, outcome in started if "error" in outcome] == []
+        assert state["calls"]["serve"] and state["calls"]["edit"] == 2 * ROUNDS_PER_THREAD
+        assert state["most"] == 1
+
+    def test_an_edit_that_raises_lets_the_lock_go(self, assets):
+        pool, cases, factory = assets
+        workspace = Workspace("raises", factory())
+        workspace.add_workbooks([workbook.copy() for workbook in pool])
+        name, sheet_name, address = _editable_cell(workspace)
+        request = RecommendationRequest(cases[0].target_sheet, cases[0].target_cell)
+        before = workspace.recommend(request)
+        predictor = workspace.predictor
+        reindex_sheet = predictor.reindex_sheet
+
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        predictor.reindex_sheet = boom
+        with pytest.raises(ValueError, match="boom"):
+            workspace.edit_cell(name, sheet_name, address, value=7.0)
+        predictor.reindex_sheet = reindex_sheet
+
+        # The lock is free again: a serve and an edit from another thread
+        # both finish.
+        thread, outcome = _in_thread(
+            lambda: (
+                workspace.recommend(request),
+                workspace.edit_cell(name, sheet_name, address, value=7.0),
+            )
+        )
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "the lock stayed taken after the edit raised"
+        assert "error" not in outcome, outcome
+        assert outcome["value"][0].formula == before.formula
+
+    def test_serves_and_memory_stats_wait_for_a_held_edit(self, assets):
+        pool, cases, factory = assets
+        workspace = Workspace("held", factory())
+        workspace.add_workbooks([workbook.copy() for workbook in pool])
+        name, sheet_name, address = _editable_cell(workspace)
+        request = RecommendationRequest(cases[0].target_sheet, cases[0].target_cell)
+        held = _HeldReindex(workspace.predictor)
+
+        edit, edited = _in_thread(
+            lambda: workspace.edit_cell(name, sheet_name, address, value=7.0)
+        )
+        try:
+            assert held.entered.wait(60)
+            waiters = [
+                _in_thread(lambda: workspace.recommend(request)),
+                _in_thread(workspace.memory_stats),
+            ]
+            for thread, outcome in waiters:
+                thread.join(timeout=0.2)
+                assert thread.is_alive() and not outcome, "ran inside a held edit"
+        finally:
+            held.release()
+        for thread, outcome in [(edit, edited)] + waiters:
+            thread.join(timeout=60)
+            assert not thread.is_alive() and "value" in outcome, outcome
+        assert waiters[1][1]["value"]["total_bytes"] > 0
+
+    def test_a_held_edit_does_not_hold_up_another_workspace(self, assets):
+        pool, cases, factory = assets
+        editing, serving = Workspace("editing", factory()), Workspace("serving", factory())
+        for workspace in (editing, serving):
+            workspace.add_workbooks([workbook.copy() for workbook in pool])
+        name, sheet_name, address = _editable_cell(editing)
+        requests = [RecommendationRequest(case.target_sheet, case.target_cell) for case in cases]
+        held = _HeldReindex(editing.predictor)
+
+        edit, edited = _in_thread(lambda: editing.edit_cell(name, sheet_name, address, value=7.0))
+        try:
+            assert held.entered.wait(60)
+            serve, served = _in_thread(lambda: serving.serve_batch(requests))
+            serve.join(timeout=60)
+            assert not serve.is_alive(), "a serve waited on another workspace's edit"
+            assert edit.is_alive() and not edited
+        finally:
+            held.release()
+        edit.join(timeout=60)
+        assert not edit.is_alive() and "value" in edited, edited
+        assert "value" in served, served
+        assert any(response.accepted for response in served["value"])
 
 
 class TestLatencyRecorderThreadSafety:

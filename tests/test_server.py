@@ -360,12 +360,17 @@ class TestWorkspaceLifecycle:
 
 
 class TestScrapeDuringEdit:
-    def test_a_scrape_waiting_on_an_edit_does_not_hold_up_other_connections(self):
-        """A ``/stats`` scrape reads each workspace's ``memory_stats``,
-        which waits for the workspace's lock while an edit holds it.  It
-        waits on the executor: ``/health`` on another connection answers
-        during the edit, and the scrape answers once the edit ends.  (On
-        the event-loop thread the wait stalled every connection.)"""
+    """A scrape reads each workspace's ``memory_stats`` (``/stats`` in its
+    body, ``/metrics`` through the ``workspace.index_bytes`` gauge), which
+    waits for the workspace's lock while an edit holds it.  It waits on
+    the executor: ``/health`` on another connection answers during the
+    edit, and the scrape answers once the edit ends.  (On the event-loop
+    thread the wait stalled every connection.)"""
+
+    @staticmethod
+    def _scrape_during_edit(scrape):
+        """Run ``scrape(client)`` while an edit is held inside its
+        re-index; return the edit's and the scrape's outcomes."""
 
         class _SlowReindex(_StubPredictor):
             def __init__(self):
@@ -409,19 +414,27 @@ class TestScrapeDuringEdit:
             try:
                 start("edit", lambda client: client.edit_cell("acme", "wb1", "Data", "A1", value=10.0))
                 assert predictor.reindexing.wait(TIMEOUT)
-                start("stats", lambda client: client.stats())
+                start("scrape", scrape)
                 assert scraping.wait(TIMEOUT)
 
                 with FormulaClient(handle.host, handle.port, timeout=5.0) as client:
                     assert client.health()["status"] == "ok"
-                assert "stats" not in outcome and "edit" not in outcome
+                assert "scrape" not in outcome and "edit" not in outcome
             finally:
                 predictor.release.set()
                 for thread in threads:
                     thread.join(TIMEOUT)
                     assert not thread.is_alive()
         assert outcome["edit"]["recalc"]["recalculated"] == 1
-        assert outcome["stats"]["index_memory"] == {"acme": {"total_bytes": 0}}
+        return outcome["scrape"]
+
+    def test_a_scrape_waiting_on_an_edit_does_not_hold_up_other_connections(self):
+        stats = self._scrape_during_edit(lambda client: client.stats())
+        assert stats["index_memory"] == {"acme": {"total_bytes": 0}}
+
+    def test_a_metrics_scrape_waiting_on_an_edit_does_not_hold_up_other_connections(self):
+        text = self._scrape_during_edit(lambda client: client.metrics_text())
+        assert 'workspace_index_bytes{workspace="acme"} 0' in text.splitlines()
 
 
 # -------------------------------------------------------------------- parity
