@@ -77,9 +77,13 @@ def _tier1_margin(dimension: int, qq: np.ndarray, sq_norms: np.ndarray) -> np.nd
     """Per-query bound ``M`` on ``|d_hat - d|``, the float32 rounding slack
     between a BLAS distance ``sq_norm - 2 x.v + ||x||^2`` and one computed
     in a fixed order, for queries of squared norms ``qq`` against vectors
-    of squared norms ``sq_norms`` in ``dimension`` dimensions."""
+    of squared norms ``sq_norms`` in ``dimension`` dimensions: one pool for
+    every query, or one row per query (S3: its block's largest)."""
     x_norm = np.sqrt(np.maximum(qq, 0.0))
-    v_max = math.sqrt(max(float(sq_norms.max()), 0.0)) if sq_norms.size else 0.0
+    if sq_norms.ndim == 2:
+        v_max = np.sqrt(np.maximum(sq_norms.max(axis=1), 0.0))
+    else:
+        v_max = math.sqrt(max(float(sq_norms.max()), 0.0)) if sq_norms.size else 0.0
     # Generous cover for float32 rounding in the BLAS dot and the
     # subtract/add chain: length-D accumulations each contribute
     # O(D * eps * magnitude), with an 8x headroom factor.
@@ -100,52 +104,52 @@ def closest_in_blocks(
     references: np.ndarray,
     reference_sq_norms: np.ndarray,
     penalties: np.ndarray,
-    lengths: Sequence[int],
-    vectors_of: Callable[[int, np.ndarray], np.ndarray],
-) -> Tuple[List[int], int]:
-    """S3's choice for each parameter ``i``: the position of the first
-    candidate ``j`` of its block (the next ``lengths[i]`` entries of the
-    flat arrays) that minimizes ``np.sum((v[j] - references[i]) ** 2) +
-    penalties[j]``, and how many candidates were re-ranked to find them all.
+    candidates: np.ndarray,
+    vectors_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, int]:
+    """S3's choice for each parameter ``i``: the first position ``j`` of row
+    ``i`` set in ``candidates`` (every row has one) that minimizes
+    ``np.sum((v[i, j] - references[i]) ** 2) + penalties[i, j]``, and how
+    many candidates were re-ranked to find them all.  Entries outside
+    ``candidates`` are never read.
 
-    Tier 1 is the caller's: ``sq_norms[j]`` and ``cross[j]`` are ``||v[j]||^2``
-    and ``v[j] . references[i]`` to within float32 rounding of a length-``D``
-    accumulation, however they were computed (a product over the rows, or
-    one over strips of a reduced tensor that never forms them).  A block's
-    tier-1 score ``sq_norm - 2 cross + ||r||^2 + penalty`` is then within
-    ``M`` (the index's margin plus the rounding of adding the penalty) of
-    the sequential score; :func:`tier1_slice` with ``k = 1`` keeps the
-    candidates that may win, and ``vectors_of(i, kept)`` returns a private
-    copy of their float32 rows (block positions ``kept``, ascending), which
-    the sequential expression re-ranks in block order, in place (a row's
-    ``np.sum`` does not depend on the rows beside it).  A one-candidate
-    slice is the answer as it stands and reads no rows.
+    Tier 1 is the caller's: ``sq_norms[i, j]`` and ``cross[i, j]`` are
+    ``||v[i, j]||^2`` and ``v[i, j] . references[i]`` to within float32
+    rounding of a length-``D`` accumulation, however they were computed (a
+    product over the rows, or one over strips of a reduced tensor that
+    never forms them).  A candidate's tier-1 score ``sq_norm - 2 cross +
+    ||r||^2 + penalty`` is then within ``M`` of the sequential score: the
+    index's margin over its row's largest ``sq_norm``, plus the rounding
+    of adding the row's largest penalty.  All rows are sliced at once by
+    :func:`tier1_slice` with ``k = 1``, each against its own margin, so a
+    row's slice depends on nothing but the row.  ``vectors_of(rows,
+    positions)`` returns a private copy of the float32 embeddings of the
+    candidates at ``(rows[n], positions[n])`` — every slice of two or more,
+    row-major, in one call — which the sequential expression re-ranks in
+    row order, in place (a row's ``np.sum`` does not depend on the rows
+    beside it).  A one-candidate slice is the answer as it stands and reads
+    no embedding.
     """
-    margin = _tier1_margin(references.shape[1], reference_sq_norms, sq_norms) + _EPS32 * float(
-        np.abs(penalties).max()
+    approx = np.where(
+        candidates, sq_norms - 2.0 * cross + reference_sq_norms[:, None] + penalties, np.inf
     )
-    best: List[int] = []
-    n_reranked = 0
-    start = 0
-    for index, length in enumerate(lengths):
-        stop = start + length
-        approx = (
-            sq_norms[start:stop]
-            - 2.0 * cross[start:stop]
-            + reference_sq_norms[index]
-            + penalties[start:stop]
-        )
-        kept = np.flatnonzero(tier1_slice(approx, margin[index], 1))
-        choice = int(kept[0])
-        if kept.size > 1:
-            block = vectors_of(index, kept)
-            np.subtract(block, references[index], out=block)
-            np.square(block, out=block)
-            choice = int(kept[np.argmin(np.sum(block, axis=1) + penalties[start + kept])])
-            n_reranked += kept.size
-        best.append(choice)
-        start = stop
-    return best, n_reranked
+    largest = sq_norms.max(axis=1, where=candidates, initial=0.0)
+    margin = _tier1_margin(references.shape[1], reference_sq_norms, largest[:, None])
+    margin += _EPS32 * np.abs(penalties).max(axis=1, where=candidates, initial=0.0)
+    kept = tier1_slice(approx, margin, 1)
+    best = kept.argmax(axis=1)
+    tied = np.count_nonzero(kept, axis=1) > 1
+    if not tied.any():
+        return best, 0
+    rows, positions = np.nonzero(kept & tied[:, None])
+    block = vectors_of(rows, positions)
+    np.subtract(block, references[rows], out=block)
+    np.square(block, out=block)
+    scores = np.sum(block, axis=1) + penalties[rows, positions]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    for start, stop in zip(starts, np.append(starts[1:], rows.size)):
+        best[rows[start]] = positions[start + int(np.argmin(scores[start:stop]))]
+    return best, int(rows.size)
 
 
 #: ``_split_runs``' result: each run's offset in the pool, its length, and

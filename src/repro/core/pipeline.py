@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -14,11 +14,11 @@ from repro.core.interface import FormulaPredictor, Prediction
 from repro.features.window import MAX_CACHED_TARGET_SHEETS, sheet_cache
 from repro.formula.ast_nodes import ASTNode
 from repro.formula.parser import parse_formula
-from repro.formula.template import formula_references, instantiate_template
+from repro.formula.template import fill_template, formula_references, template_pieces
 from repro.formula.tokenizer import FormulaSyntaxError
 from repro.models.encoder import SheetEncoder
 from repro.obs import Counter, get_tracer
-from repro.sheet.addressing import CellAddress, RangeAddress
+from repro.sheet.addressing import CellAddress, RangeAddress, column_index_to_letters
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
 
@@ -53,6 +53,11 @@ def _reference_parameter_cells(
     return cells
 
 
+def _a1(row: int, col: int) -> str:
+    """The A1 text of the cell ``(row, col)``, as :meth:`CellAddress.to_a1`."""
+    return f"{column_index_to_letters(col)}{row + 1}"
+
+
 def _coordinates(cells: Sequence[CellAddress]) -> Tuple[np.ndarray, np.ndarray]:
     """Row and column arrays of a list of cells."""
     return (
@@ -61,124 +66,121 @@ def _coordinates(cells: Sequence[CellAddress]) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _rectangle(
-    anchor: Tuple[int, int], extent: Tuple[int, int], reach: Tuple[int, int]
-) -> Optional[Tuple[int, int, int, int]]:
-    """``(row_lo, row_hi, col_lo, col_hi)`` of the +/- ``reach`` neighborhood
-    of ``anchor`` clamped to a sheet of ``extent`` rows x columns, or ``None``
-    when the neighborhood misses the sheet.  An empty axis still has cell 0,
-    so a 0x0 sheet has the one candidate ``(0, 0)``."""
-    row_lo = max(anchor[0] - reach[0], 0)
-    row_hi = min(anchor[0] + reach[0], max(extent[0] - 1, 0))
-    col_lo = max(anchor[1] - reach[1], 0)
-    col_hi = min(anchor[1] + reach[1], max(extent[1] - 1, 0))
-    if row_lo > row_hi or col_lo > col_hi:
-        return None
-    return row_lo, row_hi, col_lo, col_hi
-
-
-class _Piece(NamedTuple):
-    """A clamped rectangle ``(row_lo, row_hi, col_lo, col_hi)`` of S3
-    candidates, and which of its cells are candidates: their row-major
-    offsets (``None``: all of them)."""
-
-    bounds: Tuple[int, int, int, int]
-    keep: Optional[np.ndarray]
-
-    @property
-    def area(self) -> int:
-        """Cells of the rectangle, candidates or not."""
-        row_lo, row_hi, col_lo, col_hi = self.bounds
-        return (row_hi - row_lo + 1) * (col_hi - col_lo + 1)
-
-    @property
-    def size(self) -> int:
-        return self.area if self.keep is None else self.keep.size
-
-    def cell(self, position: int) -> CellAddress:
-        """The candidate at ``position``."""
-        row_lo, __, col_lo, col_hi = self.bounds
-        offset = position if self.keep is None else int(self.keep[position])
-        row, col = divmod(offset, col_hi - col_lo + 1)
-        return CellAddress(row_lo + row, col_lo + col)
-
-    def offsets(self) -> np.ndarray:
-        """Row-major offsets of the candidates in the rectangle."""
-        return np.arange(self.area) if self.keep is None else self.keep
-
-    def cells(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows and columns of the candidates, in order."""
-        row_lo, __, col_lo, col_hi = self.bounds
-        rows, cols = np.divmod(self.offsets(), col_hi - col_lo + 1)
-        return rows + row_lo, cols + col_lo
-
-
 class _Candidates(NamedTuple):
-    """The S3 candidates of one parameter (see :func:`_parameter_candidates`)."""
+    """The S3 candidates of a group's parameters (see :func:`_candidates`).
 
-    pieces: List[_Piece]
-    #: Manhattan distance from each candidate to the nearer anchor.
+    Each parameter that has candidates owns a block of one or two boxes of
+    one shape, laid out as ``(block, box, row, col)`` arrays: its
+    candidates are the set cells of ``mask``, in that order."""
+
+    #: The parameters that have candidates, one per block.
+    found: List[int]
+    #: Top-left cell of each box, ``(block, box, 2)``; ``boxes`` lists the
+    #: boxes that hold candidates, as ``(block, box)`` flattened.
+    origins: np.ndarray
+    boxes: np.ndarray
+    shape: Tuple[int, int]
+    mask: np.ndarray
+    #: Manhattan distance from each cell of the boxes to its parameter's
+    #: nearer anchor (float32).
     steps: np.ndarray
 
-    def cell(self, position: int) -> CellAddress:
-        """The candidate at ``position``."""
-        for piece in self.pieces:
-            if position < piece.size:
-                return piece.cell(position)
-            position -= piece.size
-        raise IndexError(position)
-
-    def cells(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows and columns of the candidates, in order."""
-        rows, cols = zip(*(piece.cells() for piece in self.pieces))
-        return np.concatenate(rows), np.concatenate(cols)
+    def cells(self, blocks: np.ndarray, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows and columns of the cells at ``positions`` (flat over a
+        block's boxes) of ``blocks``."""
+        box, position = np.divmod(positions, self.shape[0] * self.shape[1])
+        row, col = np.divmod(position, self.shape[1])
+        origin = self.origins[blocks, box]
+        return origin[:, 0] + row, origin[:, 1] + col
 
 
-def _parameter_candidates(
-    anchors: Sequence[Tuple[int, int]], extent: Tuple[int, int], reach: Tuple[int, int]
-) -> Optional[_Candidates]:
-    """The S3 candidates of one parameter with anchors ``(moved, own)``, or
-    ``None`` when no anchor's neighborhood touches the sheet.
+def _candidates(
+    anchors: Sequence[Tuple[int, int, int, int]], extent: Tuple[int, int], reach: Tuple[int, int]
+) -> _Candidates:
+    """The S3 candidates of parameters with anchors ``(moved row, moved
+    col, own row, own col)``: translated, then absolute.
 
-    The first anchor's clamped rectangle comes row-major, then the cells of
-    the second's that lie outside the first.  That is the first-occurrence
-    order of the two rectangles enumerated one after the other, so equal
-    scores keep resolving toward the primary anchor, top-left first.  A
-    rectangle's steps are built from its two 1-D ranges and no per-cell row
-    or column array is made: :meth:`_Piece.cells` makes them for the cells
-    that must be embedded.
+    An anchor's neighborhood is the +/- ``reach`` rectangle clamped to a
+    sheet of ``extent`` rows x columns (an empty axis still has cell 0, so
+    a 0x0 sheet has the one candidate ``(0, 0)``); a parameter whose two
+    rectangles both miss the sheet has no candidates.  The first anchor's
+    rectangle comes row-major (the second's, when the first misses), then
+    the cells of the second that lie outside the first.  That is the
+    first-occurrence order of the two rectangles enumerated one after the
+    other, so equal scores keep resolving toward the primary anchor,
+    top-left first.
+
+    Each rectangle lies in a box of one shape — ``2 * reach + 1`` cells a
+    side, or the whole axis when that is shorter — placed inside the
+    sheet, and is a mask of it: a block's first box masks its first
+    rectangle, its second box the second rectangle's cells outside the
+    first (none when the anchors coincide), so the set cells of a block,
+    box after box and row-major, are its candidates in order.
     """
-    rectangles = [
-        bounds
-        for anchor in anchors
-        if (bounds := _rectangle(anchor, extent, reach)) is not None
-    ]
-    if not rectangles:
-        return None
-    first = rectangles[0]
-    pieces = [_Piece(first, None)]
-    if len(rectangles) == 2:
-        row_lo, row_hi, col_lo, col_hi = rectangles[1]
-        # Coincident anchors (a target cell where the reference formula
-        # sits) give the same rectangle twice: nothing outside the first.
-        if row_lo < first[0] or row_hi > first[1] or col_lo < first[2] or col_hi > first[3]:
-            row_range = np.arange(row_lo, row_hi + 1)
-            col_range = np.arange(col_lo, col_hi + 1)
-            outside = ((row_range < first[0]) | (row_range > first[1]))[:, None] | (
-                (col_range < first[2]) | (col_range > first[3])
-            )
-            pieces.append(_Piece(rectangles[1], np.flatnonzero(outside)))
-    steps = []
-    for (row_lo, row_hi, col_lo, col_hi), keep in pieces:
-        block = None
-        for anchor_row, anchor_col in dict.fromkeys(anchors):
-            distance = np.add.outer(
-                np.abs(np.arange(row_lo - anchor_row, row_hi - anchor_row + 1)),
-                np.abs(np.arange(col_lo - anchor_col, col_hi - anchor_col + 1)),
-            )
-            block = distance if block is None else np.minimum(block, distance)
-        steps.append(block.ravel() if keep is None else block.ravel()[keep])
-    return _Candidates(pieces, steps[0] if len(steps) == 1 else np.concatenate(steps))
+    last_row, last_col = max(extent[0], 1) - 1, max(extent[1], 1) - 1
+    shape = (min(2 * reach[0] + 1, last_row + 1), min(2 * reach[1] + 1, last_col + 1))
+    # The last corner at which a box still lies inside the sheet.
+    top, left = last_row + 1 - shape[0], last_col + 1 - shape[1]
+    found: List[int] = []
+    #: Per block, per box: its corner, then the two anchors' offsets from it.
+    corners: List[List[Tuple[int, ...]]] = []
+    #: (block, box, corner row, corner col, rectangle, rectangle left out).
+    pieces: List[Tuple[int, int, int, int, Tuple[int, ...], Optional[Tuple[int, ...]]]] = []
+    for index, (moved_row, moved_col, own_row, own_col) in enumerate(anchors):
+        rectangles = []
+        for row, col in ((moved_row, moved_col), (own_row, own_col)):
+            row_lo, row_hi = max(row - reach[0], 0), min(row + reach[0], last_row)
+            col_lo, col_hi = max(col - reach[1], 0), min(col + reach[1], last_col)
+            if row_lo <= row_hi and col_lo <= col_hi:
+                rectangles.append((row_lo, row_hi, col_lo, col_hi))
+        if not rectangles:
+            continue
+        block = len(found)
+        found.append(index)
+        first = rectangles[0]
+        boxes = [(first, None)]
+        if len(rectangles) == 2:
+            second = rectangles[1]
+            # Coincident anchors (a target cell where the reference formula
+            # sits) give the same rectangle twice: nothing outside the first.
+            if second[0] < first[0] or second[1] > first[1] or second[2] < first[2] or second[3] > first[3]:
+                boxes.append((second, first))
+        corners.append([])
+        for box, (bounds, outside) in enumerate(boxes):
+            row, col = min(bounds[0], top), min(bounds[2], left)
+            pieces.append((block, box, row, col, bounds, outside))
+            corners[-1].append((row, col, moved_row - row, moved_col - col, own_row - row, own_col - col))
+    # Two boxes a block when any block has a second rectangle, else one; a
+    # block without one keeps an empty second box at its first's corner.
+    n_boxes = 2 if len(pieces) > len(found) else 1
+    mask = np.zeros((n_boxes * len(found),) + shape, dtype=bool)
+    for block, box, row, col, bounds, outside in pieces:
+        slot = n_boxes * block + box
+        mask[slot, bounds[0] - row : bounds[1] - row + 1, bounds[2] - col : bounds[3] - col + 1] = True
+        if outside is not None:  # clamped: a negative bound would count from the end
+            mask[
+                slot,
+                max(outside[0] - row, 0) : max(outside[1] - row + 1, 0),
+                max(outside[2] - col, 0) : max(outside[3] - col + 1, 0),
+            ] = False
+    table = np.array(
+        [value for boxes in corners for box in range(n_boxes) for value in boxes[box % len(boxes)]],
+        dtype=np.int64,
+    ).reshape(-1, 6)
+    # A box cell's distance to an anchor, from the anchor's offsets from the
+    # box's corner: |row - anchor row| + |col - anchor col|; the nearer one.
+    rows = np.abs(np.subtract.outer(table[:, 2::2], np.arange(shape[0]), dtype=np.float32))
+    cols = np.abs(np.subtract.outer(table[:, 3::2], np.arange(shape[1]), dtype=np.float32))
+    distances = rows[:, :, :, None] + cols[:, :, None, :]
+    layout = (len(found), n_boxes) + shape
+    return _Candidates(
+        found=found,
+        origins=table[:, :2].reshape(len(found), n_boxes, 2),
+        boxes=np.array([n_boxes * block + box for block, box, *__ in pieces], dtype=np.int64),
+        shape=shape,
+        mask=mask.reshape(layout),
+        steps=np.minimum(distances[:, 0], distances[:, 1]).reshape(layout),
+    )
 
 
 class _Regions(NamedTuple):
@@ -217,30 +219,37 @@ class _Regions(NamedTuple):
 class _AdaptationPlan:
     """What S3 needs from one reference formula, worked out once.
 
-    ``cells`` are the unique parameter cells as ``(row, col)`` and ``slots``
-    their rows in the owning reference sheet's :class:`_Regions` (an edit
-    that keeps the formula list keeps every cell's row); ``references``
-    lists the formula's parameters in template order, each as indexes into
-    ``cells``: one for a cell, two (start, end) for a range.
+    ``cells`` are the unique parameter cells, an ``(n, 2)`` array of
+    ``(row, col)``, and ``slots`` their rows in the owning reference sheet's
+    :class:`_Regions` (an edit that keeps the formula list keeps every
+    cell's row); ``references`` lists the formula's parameters in template
+    order, each as indexes into ``cells``: one for a cell, two (start, end)
+    for a range.
     """
 
     formula_cell: CellAddress
-    ast: ASTNode
+    #: The formula's text around its parameters (:func:`template_pieces`).
+    pieces: Tuple[str, ...]
     references: List[Tuple[int, ...]]
-    cells: List[Tuple[int, int]]
+    cells: np.ndarray
     slots: np.ndarray
 
-    def instantiate(self, mapped: Sequence[CellAddress]) -> str:
-        """The formula with ``cells[i]`` re-grounded to ``mapped[i]``."""
-        return instantiate_template(
-            self.ast,
-            [
-                mapped[ends[0]]
-                if len(ends) == 1
-                else RangeAddress(mapped[ends[0]], mapped[ends[1]])
-                for ends in self.references
-            ],
-        )
+    def instantiate(self, mapped: Sequence[Tuple[int, int]]) -> str:
+        """The formula with ``cells[i]`` re-grounded to the cell
+        ``mapped[i]`` (``(row, col)``); a range is written start:end with
+        start <= end on both axes, as :class:`RangeAddress` normalizes it."""
+        texts = []
+        for ends in self.references:
+            if len(ends) == 1:
+                texts.append(_a1(*mapped[ends[0]]))
+            else:
+                (start_row, start_col), (end_row, end_col) = mapped[ends[0]], mapped[ends[1]]
+                texts.append(
+                    _a1(min(start_row, end_row), min(start_col, end_col))
+                    + ":"
+                    + _a1(max(start_row, end_row), max(start_col, end_col))
+                )
+        return fill_template(self.pieces, texts)
 
 
 class _ReferenceFormula(NamedTuple):
@@ -1011,7 +1020,10 @@ class AutoFormula(FormulaPredictor):
             for position, prediction in zip(
                 winner_positions, self.adapt_batch(target_sheet, winners)
             ):
-                results[position] = replace(results[position], prediction=prediction)
+                scored = results[position]
+                results[position] = ScoredPrediction(
+                    prediction, scored.distance, scored.sheet_rank, scored.formula_index
+                )
         return results
 
     def adapt_batch(
@@ -1029,47 +1041,44 @@ class AutoFormula(FormulaPredictor):
         :meth:`predict_batch_scored` adapts its own winners through this
         method.  The caller is responsible for the acceptance-threshold
         check.
+
+        The items are re-grounded together, in one pass over all their
+        parameters (:meth:`_map_parameters`), and each answer is the one
+        the item would get alone: tier 1 only selects, and the cell is
+        chosen by the sequential expression over the item's own
+        candidates.
         """
         with get_tracer().span("s3.adapt", n_items=len(items)) as span:
             if not items:
                 return []
-            predictions: List[Optional[Prediction]] = []
-            n_params = n_candidates = n_reranked = 0
-            for target_cell, sheet_id, local, distance in items:
+            predictions: List[Optional[Prediction]] = [None] * len(items)
+            jobs: List[Tuple[int, _ReferenceSheet, _Regions, _AdaptationPlan]] = []
+            for position, (__, sheet_id, local, __) in enumerate(items):
                 reference = self._reference_sheets[int(sheet_id)]
-                reference_formula = reference.formulas[int(local)]
                 regions = self._regions(reference)
                 plan = self._adaptation_plan(reference, int(local), regions)
-                if plan is None:
-                    predictions.append(None)
-                    continue
-                mapped, candidates, reranked = self._map_parameters(
-                    regions, plan, target_sheet, target_cell
-                )
-                n_params += len(mapped)
-                n_candidates += candidates
-                n_reranked += reranked
-                try:
-                    formula = plan.instantiate(mapped)
-                except ValueError:
-                    predictions.append(None)
-                    continue
-                predictions.append(
-                    Prediction(
-                        formula=formula,
-                        confidence=max(0.0, 1.0 - distance / 4.0),
-                        details={
-                            "reference_workbook": reference.workbook_name,
-                            "reference_sheet": reference.sheet.name,
-                            "reference_cell": reference_formula.address.to_a1(),
-                            "reference_formula": reference_formula.formula,
-                            "s2_distance": distance,
-                        },
-                    )
+                if plan is not None:
+                    jobs.append((position, reference, regions, plan))
+            mapped, n_candidates, n_reranked = self._map_parameters(
+                target_sheet, [(items[position][0], regions, plan) for position, __, regions, plan in jobs]
+            )
+            for (position, reference, __, plan), cells in zip(jobs, mapped):
+                __, __, local, distance = items[position]
+                reference_formula = reference.formulas[int(local)]
+                predictions[position] = Prediction(
+                    formula=plan.instantiate(cells),
+                    confidence=max(0.0, 1.0 - distance / 4.0),
+                    details={
+                        "reference_workbook": reference.workbook_name,
+                        "reference_sheet": reference.sheet.name,
+                        "reference_cell": reference_formula.address.to_a1(),
+                        "reference_formula": reference_formula.formula,
+                        "s2_distance": distance,
+                    },
                 )
             self._candidates_scored.inc(n_candidates)
             self._candidates_reranked.inc(n_reranked)
-            span.set_attribute("n_params", n_params)
+            span.set_attribute("n_params", sum(len(cells) for cells in mapped))
             span.set_attribute("n_candidates", n_candidates)
             span.set_attribute("n_reranked", n_reranked)
             return predictions
@@ -1094,10 +1103,11 @@ class AutoFormula(FormulaPredictor):
         references = formula_references(ast)
         unique = _reference_parameter_cells(references)
         index_of = {cell: index for index, cell in enumerate(unique)}
-        cells = [(cell.row, cell.col) for cell in unique]
+        cells = np.array([(cell.row, cell.col) for cell in unique], dtype=np.int64).reshape(-1, 2)
+        cells.flags.writeable = False
         plan = _AdaptationPlan(
             formula_cell=reference.formulas[local].address,
-            ast=ast,
+            pieces=template_pieces(ast),
             references=[
                 (index_of[item.start], index_of[item.end])
                 if isinstance(item, RangeAddress)
@@ -1112,12 +1122,12 @@ class AutoFormula(FormulaPredictor):
 
     def _map_parameters(
         self,
-        regions: _Regions,
-        plan: _AdaptationPlan,
         target_sheet: Sheet,
-        target_cell: CellAddress,
-    ) -> Tuple[List[CellAddress], int, int]:
-        """Map each unique parameter cell of ``plan`` into the target sheet.
+        jobs: Sequence[Tuple[CellAddress, _Regions, _AdaptationPlan]],
+    ) -> Tuple[List[List[Tuple[int, int]]], int, int]:
+        """Map each unique parameter cell of every ``(target cell, block,
+        plan)`` job into the target sheet, as ``(row, col)``, all jobs in
+        one pass.
 
         Also returns the number of candidates scored and how many of them
         were re-ranked (:func:`~repro.ann.base.closest_in_blocks`).
@@ -1131,91 +1141,118 @@ class AutoFormula(FormulaPredictor):
         candidates of both anchors, the cell whose fine-grained region is
         most similar to the region around the reference parameter wins; a
         small locality penalty breaks embedding ties in favour of the
-        nearest anchor.
+        nearest anchor.  A parameter with no candidate keeps its translated
+        cell, clamped to the sheet's first row and column.
         """
-        row_delta = target_cell.row - plan.formula_cell.row
-        col_delta = target_cell.col - plan.formula_cell.col
-        extent = (target_sheet.n_rows, target_sheet.n_cols)
-        reach = (self.config.neighborhood_rows, self.config.neighborhood_cols)
-        anchors = [
-            ((row + row_delta, col + col_delta), (row, col)) for row, col in plan.cells
-        ]
-        mapped = [CellAddress(max(moved[0], 0), max(moved[1], 0)) for moved, __ in anchors]
-        candidates = [_parameter_candidates(pair, extent, reach) for pair in anchors]
-        found = [index for index, cells in enumerate(candidates) if cells is not None]
-        if not found:
-            return mapped, 0, 0
-        parts = [candidates[index] for index in found]
-        # ||r||^2 comes from the block as it is now: a value edit replaces
-        # the block under plans that stay.
-        slots = plan.slots[found]
-        references, reference_sq_norms = regions.rows[slots], regions.norms[slots]
-        penalties = self.config.locality_penalty * np.concatenate(
-            [part.steps for part in parts]
-        ).astype(np.float32)
-        lengths = [part.steps.size for part in parts]
-        sq_norms, cross, vectors_of = self._tier1_terms(target_sheet, parts, references, lengths)
-        best, n_reranked = closest_in_blocks(
-            sq_norms, cross, references, reference_sq_norms, penalties, lengths, vectors_of
+        anchors, owners = [], []
+        for job, (cell, __, plan) in enumerate(jobs):
+            row_shift, col_shift = cell.row - plan.formula_cell.row, cell.col - plan.formula_cell.col
+            for row, col in plan.cells.tolist():
+                anchors.append((row + row_shift, col + col_shift, row, col))
+                owners.append(job)
+        found = _candidates(
+            anchors,
+            (target_sheet.n_rows, target_sheet.n_cols),
+            (self.config.neighborhood_rows, self.config.neighborhood_cols),
         )
-        for index, part, position in zip(found, parts, best):
-            mapped[index] = part.cell(position)
-        return mapped, len(penalties), n_reranked
+        mapped = [(max(row, 0), max(col, 0)) for row, col, __, __ in anchors]
+        n_candidates = n_reranked = 0
+        if found.found:
+            n_candidates = int(np.count_nonzero(found.mask))
+            # ||r||^2 comes from each block as it is now: a value edit
+            # replaces the block under plans that stay.
+            references = [regions.rows[plan.slots] for __, regions, plan in jobs]
+            reference_sq_norms = [regions.norms[plan.slots] for __, regions, plan in jobs]
+            if len(jobs) == 1:
+                references, reference_sq_norms = references[0], reference_sq_norms[0]
+            else:
+                references = np.concatenate(references)
+                reference_sq_norms = np.concatenate(reference_sq_norms)
+            if len(found.found) < len(anchors):
+                references = references[found.found]
+                reference_sq_norms = reference_sq_norms[found.found]
+            sq_norms, cross, vectors_of = self._tier1_terms(
+                target_sheet, found, references, [owners[parameter] for parameter in found.found]
+            )
+            best, n_reranked = closest_in_blocks(
+                sq_norms,
+                cross,
+                references,
+                reference_sq_norms,
+                self.config.locality_penalty * found.steps.reshape(len(sq_norms), -1),
+                found.mask.reshape(len(sq_norms), -1),
+                vectors_of,
+            )
+            corners = found.origins.tolist()
+            box_cells, width = found.shape[0] * found.shape[1], found.shape[1]
+            for block, (parameter, position) in enumerate(zip(found.found, best.tolist())):
+                box, position = divmod(position, box_cells)
+                row, col = corners[block][box]
+                mapped[parameter] = (row + position // width, col + position % width)
+        mapped_jobs, start = [], 0
+        for __, __, plan in jobs:
+            mapped_jobs.append(mapped[start : start + len(plan.cells)])
+            start += len(plan.cells)
+        return mapped_jobs, n_candidates, n_reranked
 
     def _tier1_terms(
         self,
         target_sheet: Sheet,
-        parts: Sequence[_Candidates],
+        found: _Candidates,
         references: np.ndarray,
-        lengths: Sequence[int],
-    ) -> Tuple[np.ndarray, np.ndarray, Callable[[int, np.ndarray], np.ndarray]]:
-        """``(sq_norms, cross, vectors_of)`` of every candidate of ``parts``
-        (part ``i`` scored against ``references[i]``), for
-        :func:`~repro.ann.base.closest_in_blocks`.
+        owners: Sequence[int],
+    ) -> Tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+        """``(sq_norms, cross, vectors_of)`` of every cell of ``found``'s
+        boxes, one row per block (block ``i`` scored against
+        ``references[i]``), for :func:`~repro.ann.base.closest_in_blocks`.
 
         Under the fine fast path both terms come off the target's reduced
-        tensor (:meth:`~repro.models.SheetEncoder.region_products`), and
-        only the cells a slice keeps are embedded.  Otherwise — the
-        coarse-only ablation, a sheet over the densification budget — the
-        formula's candidates are embedded in one call and scored as rows.
+        tensor for every box that holds candidates at once
+        (:meth:`~repro.models.SheetEncoder.region_products`), and only the
+        cells a slice keeps are embedded, in one call.  Otherwise — the
+        coarse-only ablation, a sheet over the densification budget, an
+        empty axis — each job's candidates (block ``i`` is job
+        ``owners[i]``'s) are embedded in one call of their own and scored as
+        rows: that forward rounds a row differently in another batch, so a
+        job's rows must not depend on the jobs beside it.
         """
-        pieces = [(piece, index) for index, part in enumerate(parts) for piece in part.pieces]
+        n_blocks, n_boxes = found.mask.shape[:2]
+        width = found.mask[0].size
         products = None
         if self.config.granularity != "coarse_only":
+            # With one box a block every box holds candidates.
+            origins, box_references = found.origins.reshape(-1, 2), references
+            if n_boxes > 1:
+                origins, box_references = origins[found.boxes], references[found.boxes // n_boxes]
             products = self.encoder.region_products(
-                target_sheet,
-                [piece.bounds for piece, __ in pieces],
-                references[[index for __, index in pieces]],
+                target_sheet, origins, found.shape, box_references
             )
         if products is not None:
-            cross, sq_norms = products
-            if any(piece.keep is not None for piece, __ in pieces):
-                # The terms cover whole rectangles; a second rectangle's
-                # candidates are its cells outside the first.
-                starts = np.cumsum([0] + [piece.area for piece, __ in pieces])
-                chosen = np.concatenate(
-                    [start + piece.offsets() for (piece, __), start in zip(pieces, starts)]
-                )
-                cross, sq_norms = cross[chosen], sq_norms[chosen]
+            if n_boxes == 1:
+                cross, sq_norms = (product.reshape(n_blocks, width) for product in products)
+            else:  # an empty second box has no product
+                cross, sq_norms = (np.zeros((n_blocks * n_boxes,) + found.shape) for __ in products)
+                cross[found.boxes], sq_norms[found.boxes] = products
+                cross, sq_norms = cross.reshape(n_blocks, width), sq_norms.reshape(n_blocks, width)
 
-            def vectors_of(index: int, kept: np.ndarray) -> np.ndarray:
-                rows, cols = parts[index].cells()
-                return self._embed_regions(target_sheet, rows[kept], cols[kept])
+            def vectors_of(blocks: np.ndarray, positions: np.ndarray) -> np.ndarray:
+                return self._embed_regions(target_sheet, *found.cells(blocks, positions))
 
             return sq_norms, cross, vectors_of
-        rows, cols = (np.concatenate(axis) for axis in zip(*(part.cells() for part in parts)))
-        # One call for the whole formula: its rows are a function of the
-        # request, whatever other requests embedded before it.
-        vectors = self._embed_regions(target_sheet, rows, cols)
-        starts = np.cumsum([0] + list(lengths))
-        cross = np.concatenate(
+        blocks, positions = np.nonzero(found.mask.reshape(n_blocks, width))
+        rows, cols = found.cells(blocks, positions)
+        splits = np.flatnonzero(np.diff(np.asarray(owners)[blocks])) + 1
+        vectors = np.concatenate(
             [
-                vectors[start:stop] @ reference
-                for start, stop, reference in zip(starts, starts[1:], references)
+                self._embed_regions(target_sheet, job_rows, job_cols)
+                for job_rows, job_cols in zip(np.split(rows, splits), np.split(cols, splits))
             ]
         )
-        return (
-            np.einsum("ij,ij->i", vectors, vectors),
-            cross,
-            lambda index, kept: vectors[starts[index] + kept],
-        )
+        sq_norms = np.zeros((n_blocks, width), dtype=vectors.dtype)
+        cross = np.zeros_like(sq_norms)
+        sq_norms[blocks, positions] = np.einsum("ij,ij->i", vectors, vectors)
+        cross[blocks, positions] = np.einsum("ij,ij->i", vectors, references[blocks])
+        # A candidate's row in ``vectors``: its place in the blocks' order.
+        order = np.zeros(sq_norms.shape, dtype=np.int64)
+        order[blocks, positions] = np.arange(len(blocks))
+        return sq_norms, cross, lambda blocks, positions: vectors[order[blocks, positions]]

@@ -71,6 +71,7 @@ from repro.formula.errors import (
     is_error_value,
 )
 from repro.formula.functions import (
+    BLANK_BLIND,
     BUILTIN_FUNCTIONS,
     FunctionError,
     _coerce_number,
@@ -424,6 +425,17 @@ class FormulaEngine:
             return self._evaluate_call(node)
         return VALUE_ERROR
 
+    def _stored_part(self, cell_range: RangeAddress) -> Tuple[List[object], int]:
+        """The values of ``cell_range``'s cells inside the sheet's used
+        extent, row-major, and how many of its cells lie past it (all
+        blank): what a :data:`~repro.formula.functions.BLANK_BLIND`
+        function reads of a range."""
+        start, end = cell_range.start, cell_range.end
+        rows = range(start.row, min(end.row, self._sheet.n_rows - 1) + 1)
+        cols = range(start.col, min(end.col, self._sheet.n_cols - 1) + 1)
+        values = [self._read(CellAddress(row, col)) for row in rows for col in cols]
+        return values, cell_range.size - len(values)
+
     def _evaluate_binary(self, node: BinaryOp) -> object:
         left = self._evaluate_node(node.left)
         if is_error_value(left):
@@ -493,12 +505,24 @@ class FormulaEngine:
         function = BUILTIN_FUNCTIONS.get(name)
         if function is None:
             return NAME_ERROR
-        args = [self._evaluate_node(arg) for arg in node.args]
+        positions = BLANK_BLIND.get(name, ())
+        args: List[object] = []
+        outside = 0
+        for index, arg in enumerate(node.args):
+            if isinstance(arg, RangeReference) and (positions is None or index in positions):
+                values, missing = self._stored_part(arg.range)
+                if name == "COUNTBLANK":
+                    outside += missing
+                elif missing:
+                    values.append(None)
+                args.append(values)
+            else:
+                args.append(self._evaluate_node(arg))
         error = first_error(_flatten(args))
         if error is not None:
             return error
         try:
-            return function(*args)
+            return function(*args) + outside if outside else function(*args)
         except FunctionError as exc:
             return ErrorValue(getattr(exc, "error_code", str(VALUE_ERROR)))
         except ZeroDivisionError:

@@ -20,7 +20,7 @@ import math
 import numbers
 import re
 import sys
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class FunctionError(ValueError):
@@ -524,6 +524,23 @@ def fn_today() -> _dt.date:
 
 
 # -------------------------------------------------------------------- registry
+
+#: Functions whose value does not depend on how many blank cells a range
+#: argument holds (only on its other cells, in order, and whether it holds
+#: a blank at all), by the argument positions this holds for (``None``: all
+#: of them).  The evaluator reads such a range over the sheet's used extent
+#: and lets one blank stand for the cells past it, so a whole-column range
+#: costs what the sheet stores.  ``COUNTBLANK`` counts those cells instead.
+#: The lookups and the aligned ranges of the ``*IF(S)`` functions are
+#: positional and read every cell.
+BLANK_BLIND: Dict[str, Optional[Tuple[int, ...]]] = {
+    name: None
+    for name in (
+        "SUM", "AVERAGE", "AVG", "COUNT", "COUNTA", "COUNTBLANK", "MAX", "MIN", "MEDIAN",
+        "PRODUCT", "STDEV", "VAR", "AND", "OR", "CONCATENATE", "CONCAT",
+    )
+}
+BLANK_BLIND["COUNTIF"] = (0,)
 
 BUILTIN_FUNCTIONS: Dict[str, Callable] = {
     "SUM": fn_sum,

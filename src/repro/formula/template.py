@@ -11,7 +11,7 @@ that step, plus reference shifting used by the corpus generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.formula.ast_nodes import (
     ASTNode,
@@ -99,6 +99,56 @@ def extract_template(formula: Union[str, ASTNode]) -> FormulaTemplate:
     return FormulaTemplate(signature=_render_with_holes(ast), slots=tuple(slots))
 
 
+def template_pieces(formula: Union[str, ASTNode]) -> Tuple[str, ...]:
+    """The text of a formula around its references, in order: ``n + 1``
+    pieces for ``n`` references (the text before the first, between each
+    two, after the last), without the leading ``=``."""
+    ast = parse_formula(formula) if isinstance(formula, str) else formula
+    pieces: List[str] = []
+    text: List[str] = []
+
+    def render(node: ASTNode) -> None:
+        if isinstance(node, (CellReference, RangeReference)):
+            pieces.append("".join(text))
+            text.clear()
+        elif isinstance(node, FunctionCall):
+            text.append(f"{node.name}(")
+            for index, arg in enumerate(node.args):
+                if index:
+                    text.append(",")
+                render(arg)
+            text.append(")")
+        elif isinstance(node, BinaryOp):
+            render(node.left)
+            text.append(node.op)
+            render(node.right)
+        elif isinstance(node, UnaryOp):
+            if node.op != "%":
+                text.append(node.op)
+            render(node.operand)
+            if node.op == "%":
+                text.append("%")
+        elif isinstance(node, Grouping):
+            text.append("(")
+            render(node.inner)
+            text.append(")")
+        else:
+            text.append(node.to_formula())
+
+    render(ast)
+    pieces.append("".join(text))
+    return tuple(pieces)
+
+
+def fill_template(pieces: Sequence[str], parameters: Sequence[str]) -> str:
+    """The formula of :func:`template_pieces` ``pieces`` with the A1 texts
+    ``parameters`` in its references' places, left to right (one text per
+    reference)."""
+    return "=" + pieces[0] + "".join(
+        parameter + piece for parameter, piece in zip(parameters, pieces[1:])
+    )
+
+
 def instantiate_template(
     formula: Union[str, ASTNode], parameters: Sequence[Reference]
 ) -> str:
@@ -109,36 +159,13 @@ def instantiate_template(
     template's hole count.
     """
     ast = parse_formula(formula) if isinstance(formula, str) else formula
-    n_parameters = len(parameters)
-    holes = 0
-
-    def rebuild(node: ASTNode) -> str:
-        nonlocal holes
-        if isinstance(node, (CellReference, RangeReference)):
-            holes += 1
-            # Past the last parameter the pass only counts: the mismatch is
-            # reported below, with the full hole count.
-            return parameters[holes - 1].to_a1() if holes <= n_parameters else ""
-        if isinstance(node, FunctionCall):
-            args = ",".join(rebuild(arg) for arg in node.args)
-            return f"{node.name}({args})"
-        if isinstance(node, BinaryOp):
-            return f"{rebuild(node.left)}{node.op}{rebuild(node.right)}"
-        if isinstance(node, UnaryOp):
-            if node.op == "%":
-                return f"{rebuild(node.operand)}%"
-            return f"{node.op}{rebuild(node.operand)}"
-        if isinstance(node, Grouping):
-            return f"({rebuild(node.inner)})"
-        return node.to_formula()
-
-    rebuilt = rebuild(ast)
-    if holes != n_parameters:
+    pieces = template_pieces(ast)
+    if len(pieces) != len(parameters) + 1:
         raise ValueError(
-            f"template {extract_template(ast).signature!r} expects {holes} "
-            f"parameters, got {n_parameters}"
+            f"template {extract_template(ast).signature!r} expects {len(pieces) - 1} "
+            f"parameters, got {len(parameters)}"
         )
-    return "=" + rebuilt
+    return fill_template(pieces, [parameter.to_a1() for parameter in parameters])
 
 
 def shift_formula(formula: str, row_delta: int, col_delta: int) -> str:

@@ -10,7 +10,7 @@ reduced-tensor fast path.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -256,26 +256,28 @@ class SheetEncoder:
     def region_products(
         self,
         sheet: Sheet,
-        rectangles: Sequence[Tuple[int, int, int, int]],
+        origins: np.ndarray,
+        shape: Tuple[int, int],
         references: np.ndarray,
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """S3's tier-1 terms, read off the reduced tensor without forming a
-        window: for the cells of each rectangle ``(row_lo, row_hi, col_lo,
-        col_hi)`` of centres inside the sheet's used extent, row-major and
-        rectangle after rectangle, the dot products of the fine embeddings
-        :meth:`embed_regions` gives them with ``references[i]`` (rectangle
-        ``i``'s), and those embeddings' squared norms, as float64.  Each is
+        window: for the cells of each ``shape`` box of centres with top-left
+        ``origins[k]`` (inside the sheet's used extent), as ``(box, row,
+        col)`` float64 arrays, the dot products of the fine embeddings
+        :meth:`embed_regions` gives them with ``references[k]`` (box
+        ``k``'s), and those embeddings' squared norms.  Each is
         within float32 rounding of a length-``D`` accumulation of the
         embedding's own (DESIGN.md "S3 — parameter re-grounding").
-        ``None`` when the fine fast path does not apply to the sheet or a
-        rectangle leaves its extent.
+        ``None`` when the fine fast path does not apply to the sheet or the
+        box shape does not fit in its extent (an empty axis).
 
         A window's flattened reduced vector ``u`` is ``window_rows`` strips
         of ``window_cols`` cells, and its embedding is ``u / (||u|| +
-        eps)``.  The strips of a rectangle's windows centred in one column
-        are one run of tensor rows, so one product of every column's run
-        with the reference's strips gives each ``u . r`` as a sum along a
-        diagonal; ``||u||^2`` is read off the entry's window-norm grid.
+        eps)``.  The strips of a box's windows centred in one column are
+        one run of tensor rows: every box's runs are gathered into one
+        array, and one stacked product with the boxes' reference strips
+        gives each ``u . r`` as a sum along a diagonal; ``||u||^2`` is read
+        off the entry's window-norm grid.
         """
         if self._fast is None:
             return None
@@ -283,38 +285,48 @@ class SheetEncoder:
         if entry is None:
             return None
         tensor, grid = entry.tensor, entry.window_sq_norms()
-        if any(
-            row_hi >= grid.shape[0] or col_hi >= grid.shape[1]
-            for __, row_hi, __, col_hi in rectangles
-        ):
+        height, width = shape
+        if height > grid.shape[0] or width > grid.shape[1]:
             return None
         window_rows = self.featurizer.config.window_rows
         strip = self.featurizer.config.window_cols * tensor.shape[2]
+        n_boxes, span = len(origins), height + window_rows - 1
         row_stride, col_stride, item_stride = tensor.strides
-        dots, sq_norms = [], []
-        for (row_lo, row_hi, col_lo, col_hi), reference in zip(rectangles, references):
-            height, width = row_hi - row_lo + 1, col_hi - col_lo + 1
-            # strips[b, t]: the strip at padded row row_lo + t of the windows
-            # centred in column col_lo + b (a view of the tensor).
-            strips = np.ndarray(
-                (width, height + window_rows - 1, strip),
-                np.float32,
-                tensor,
-                row_lo * row_stride + col_lo * col_stride,
-                (col_stride, row_stride, item_stride),
-            )
-            partial = strips @ reference.reshape(window_rows, strip).T
-            # The window centred at (row_lo + a, col_lo + b) is the sum of
-            # partial[b, a + i, i] over its strips i.
-            column, row, item = partial.strides
-            diagonals = np.ndarray(
-                (height, width, window_rows), np.float32, partial, 0, (row, column, row + item)
-            )
-            dots.append(diagonals.sum(axis=2).ravel())
-            sq_norms.append(grid[row_lo : row_hi + 1, col_lo : col_hi + 1].ravel())
-        squares = np.concatenate(sq_norms)
+        # runs[y, x, t, b]: the strip at padded row y + t of the windows
+        # centred in column x + b (a view of the tensor).
+        runs = np.ndarray(
+            (grid.shape[0] - height + 1, grid.shape[1] - width + 1, span, width, strip),
+            np.float32,
+            tensor,
+            0,
+            (row_stride, col_stride, row_stride, col_stride, item_stride),
+        )[origins[:, 0], origins[:, 1]]
+        # Reference strips as columns, contiguous: the stacked product then
+        # runs one sgemm per box.
+        partial = np.matmul(
+            runs.reshape(n_boxes, span * width, strip),
+            np.ascontiguousarray(references.reshape(n_boxes, window_rows, strip).transpose(0, 2, 1)),
+        )
+        # The window centred at (row + a, col + b) of box k is the sum of
+        # partial[k, a + i, b, i] over its strips i.
+        box, run, column, item = partial.reshape(n_boxes, span, width, window_rows).strides
+        diagonals = np.ndarray(
+            (n_boxes, height, width, window_rows),
+            np.float32,
+            partial,
+            0,
+            (box, run, column, run + item),
+        )
+        grid_rows, grid_cols = grid.strides
+        squares = np.ndarray(
+            (grid.shape[0] - height + 1, grid.shape[1] - width + 1, height, width),
+            grid.dtype,
+            grid,
+            0,
+            (grid_rows, grid_cols, grid_rows, grid_cols),
+        )[origins[:, 0], origins[:, 1]]
         norms = np.sqrt(squares) + self._fast[1].epsilon
-        return np.concatenate(dots) / norms, squares / (norms * norms)
+        return diagonals.sum(axis=3) / norms, squares / (norms * norms)
 
     # ------------------------------------------------------------ persistence
 

@@ -544,22 +544,27 @@ class FormulaServer:
         self._batchers.retain(names)
         return await asyncio.get_running_loop().run_in_executor(self._executor, build, names)
 
-    def _sync_workspaces(self, names: List[str]) -> None:
+    def _sync_workspaces(self, names: List[str]) -> Dict[str, Dict[str, object]]:
         """Register the instruments of the workspaces ``names`` and prune
         those of any other: registration by name is idempotent and
-        rebinds to the current workspace object."""
+        rebinds to the current workspace object.
+
+        Returns each workspace's ``memory_stats()``, read once for this
+        scrape under the workspace's lock: the ``workspace.index_bytes``
+        gauge is bound to that reading, and ``/stats`` reports it whole."""
         registry = self.registry
         workspace_of = self.service.workspace
+        memory = {name: workspace_of(name).memory_stats() for name in names}
         for name in names:
             labels = {"workspace": name}
-            # Callbacks look the workspace up by name: they read whatever is
-            # mounted under it now, and pin no workspace object.
             registry.gauge(
                 "workspace.index_bytes",
                 labels,
-                fn=lambda name=name: workspace_of(name).memory_stats()["total_bytes"],
+                fn=lambda total=memory[name]["total_bytes"]: total,
             )
             registry.histogram("workspace.latency", labels, existing=workspace_of(name).latency)
+            # Counters look the workspace up by name: they read whatever is
+            # mounted under it now, and pin no workspace object.
             registry.mirror(lambda name=name: workspace_of(name).counters(), labels)
         registry.prune("workspace", names)
         caches = cache_stats()
@@ -571,6 +576,7 @@ class FormulaServer:
                 {"cache": cache},
             )
         registry.prune("cache", caches)
+        return memory
 
     def _metrics_body(self, names: List[str]) -> _RawBody:
         self._sync_workspaces(names)
@@ -579,11 +585,9 @@ class FormulaServer:
         )
 
     def _stats_body(self, names: List[str]) -> Dict[str, object]:
-        self._sync_workspaces(names)
+        memory = self._sync_workspaces(names)
         body = stats_body(self.registry)
-        body["index_memory"] = {
-            name: self.service.workspace(name).memory_stats() for name in names
-        }
+        body["index_memory"] = memory
         body["tracing"] = self.tracer.stats()
         body["caches"] = cache_stats()
         body["sheet_cache"] = {

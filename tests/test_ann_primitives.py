@@ -61,26 +61,41 @@ class TestClosestInBlocks:
             base[rng.integers(0, len(base), size=len(lengths))],
         ])[: len(lengths)]
         penalties = penalty * rng.integers(0, 12, size=n).astype(np.float32)
-        sq_norms = np.einsum("ij,ij->i", vectors, vectors)
         reference_sq_norms = np.einsum("ij,ij->i", references, references)
         starts = np.cumsum([0] + lengths)
-        cross = np.concatenate(
+        # Each block's candidates sit at ascending positions of a padded
+        # row; what lies between them is NaN and must never be read.
+        width = max(lengths) + int(rng.integers(0, 5))
+        blocks = np.repeat(np.arange(len(lengths)), lengths)
+        positions = np.concatenate(
+            [np.sort(rng.choice(width, size=length, replace=False)) for length in lengths]
+        )
+        candidates = np.zeros((len(lengths), width), dtype=bool)
+        candidates[blocks, positions] = True
+        sq_norms, cross, padded_penalties = (
+            np.full((len(lengths), width), np.nan, dtype=np.float32) for __ in range(3)
+        )
+        sq_norms[blocks, positions] = np.einsum("ij,ij->i", vectors, vectors)
+        cross[blocks, positions] = np.concatenate(
             [
                 vectors[start:stop] @ reference
                 for reference, start, stop in zip(references, starts, starts[1:])
             ]
         )
+        padded_penalties[blocks, positions] = penalties
+        row_of = np.full((len(lengths), width), -1)
+        row_of[blocks, positions] = np.arange(n)
         best, n_reranked = closest_in_blocks(
             sq_norms,
             cross,
             references,
             reference_sq_norms,
-            penalties,
-            lengths,
-            lambda index, kept: vectors[starts[index] + kept],
+            padded_penalties,
+            candidates,
+            lambda rows, kept: vectors[row_of[rows, kept]],
         )
-        assert best == [
-            closest(vectors[start:stop], reference, penalties[start:stop])
+        assert best.tolist() == [
+            int(positions[start + closest(vectors[start:stop], reference, penalties[start:stop])])
             for reference, start, stop in zip(references, starts, starts[1:])
         ]
         assert 0 <= n_reranked <= n

@@ -5,7 +5,7 @@ import pytest
 
 from repro.ann import base
 from repro.core import AutoFormula, AutoFormulaConfig
-from repro.core.pipeline import _parameter_candidates, _Regions
+from repro.core.pipeline import _candidates, _Regions
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
 from repro.formula.template import extract_template
@@ -393,36 +393,56 @@ class TestRegrounding:
             ([(0, 0), (5, 5)], (0, 0), (8, 2)),  # 0x0 sheet
             ([(7, 7), (0, 1)], (1, 1), (8, 2)),  # 1x1 sheet
             ([(2, 2), (3, 1)], (4, 3), (8, 8)),  # neighborhoods larger than the sheet
+            ([(3, 3), (5, 3)], (20, 10), (2, 1)),  # second reaching below the first
+            ([(6, 3), (3, 3)], (20, 10), (2, 1)),  # second reaching above the first
+            ([(6, 3), (3, 4)], (20, 10), (2, 1)),  # ... and to the right
+            ([(6, 5), (7, 3)], (20, 10), (2, 1)),  # below and to the left
         ]
         for __ in range(300):
-            extent = (int(rng.integers(0, 14)), int(rng.integers(0, 9)))
+            extent = (int(rng.integers(0, 40)), int(rng.integers(0, 12)))
             anchors = [
                 (int(rng.integers(-12, 26)), int(rng.integers(-6, 15))) for __ in range(2)
             ]
             cases.append((anchors, extent, (int(rng.integers(1, 10)), int(rng.integers(1, 4)))))
         for anchors, extent, reach in cases:
-            expected = candidates(anchors, extent, reach)
-            found = _parameter_candidates(anchors, extent, reach)
-            if not expected:
-                assert found is None
-                continue
-            rows, cols = (np.concatenate(axis) for axis in zip(*(p.cells() for p in found.pieces)))
-            assert list(zip(rows.tolist(), cols.tolist())) == expected
-            assert [found.cell(i) for i in range(len(expected))] == [CellAddress(*c) for c in expected]
-            assert found.steps.tolist() == [
+            self._check_group([anchors], extent, reach)
+        # A group of parameters on one sheet gives each the block it gets
+        # alone, in parameter order.
+        for __ in range(60):
+            extent = (int(rng.integers(0, 40)), int(rng.integers(0, 12)))
+            reach = (int(rng.integers(1, 10)), int(rng.integers(1, 4)))
+            group = [
+                [(int(rng.integers(-12, 26)), int(rng.integers(-6, 15))) for __ in range(2)]
+                for __ in range(int(rng.integers(1, 7)))
+            ]
+            if rng.random() < 0.5:
+                group[0][1] = group[0][0]  # coincident anchors
+            self._check_group(group, extent, reach)
+
+    @staticmethod
+    def _check_group(group, extent, reach):
+        found = _candidates([(*moved, *own) for moved, own in group], extent, reach)
+        expected = [candidates(anchors, extent, reach) for anchors in group]
+        assert found.found == [index for index, cells in enumerate(expected) if cells]
+        height, width = max(extent[0], 1), max(extent[1], 1)
+        box_height, box_width = found.shape
+        # Every box lies inside the sheet (an empty axis has cell 0).
+        assert (found.origins >= 0).all()
+        assert (found.origins[..., 0] + box_height <= height).all()
+        assert (found.origins[..., 1] + box_width <= width).all()
+        for block, parameter in enumerate(found.found):
+            anchors, cells = group[parameter], expected[parameter]
+            positions = np.flatnonzero(found.mask[block])
+            rows, cols = found.cells(np.full(positions.size, block), positions)
+            assert list(zip(rows.tolist(), cols.tolist())) == cells
+            assert found.steps[block].ravel()[positions].tolist() == [
                 min(abs(row - anchor_row) + abs(col - anchor_col) for anchor_row, anchor_col in anchors)
-                for row, col in expected
+                for row, col in cells
             ]
-            # Terms read rectangle by rectangle off a grid of the extent (an
-            # empty axis has cell 0) select the same cells, in the same order.
-            height, width = max(extent[0], 1), max(extent[1], 1)
-            grid = np.arange(height * width).reshape(height, width)
-            read = [
-                grid[row_lo : row_hi + 1, col_lo : col_hi + 1].ravel()[piece.offsets()]
-                for piece in found.pieces
-                for row_lo, row_hi, col_lo, col_hi in [piece.bounds]
-            ]
-            assert np.concatenate(read).tolist() == [r * width + c for r, c in expected]
+        # The boxes the products are taken over are the ones holding
+        # candidates.
+        holding = np.flatnonzero(found.mask.any(axis=(2, 3)).ravel())
+        assert found.boxes.tolist() == holding.tolist()
 
     @pytest.mark.parametrize(
         "formula",
@@ -621,3 +641,73 @@ class TestSlicedRegrounding:
         system.adapt_batch(target, items[:1])
         assert seen and seen[0].tobytes() == entry.regions.norms[plan.slots].tobytes()
         assert np.allclose(seen[0], 4.0 * norms)
+
+
+class TestGroupPass:
+    """S3 re-grounds a group of winners in one pass; each answer is the one
+    the winner gets on its own."""
+
+    FORMULAS = (
+        ((9, 3), "=SUM(B2:B9)"),
+        ((9, 4), "=B2+C3*B2"),
+        ((10, 2), "=AVERAGE(C2:D8)/B10"),
+        ((3, 4), "=1+2"),  # no parameters
+        ((0, 5), "=SUM(A1:A40)+G30"),  # parameters past the extent
+    )
+
+    @classmethod
+    def _system(cls, trained_encoder, rng, granularity):
+        references = []
+        for index in range(2):
+            sheet = _table_sheet(f"reference-{index}", 12 + 3 * index, 5, rng)
+            for cell, formula in cls.FORMULAS[index:]:
+                sheet.set(cell, formula=formula)
+            references.append(sheet)
+        system = AutoFormula(trained_encoder, AutoFormulaConfig(granularity=granularity))
+        system.fit(references)
+        return system
+
+    @pytest.mark.parametrize("granularity", ["both", "fine_only", "coarse_only"])
+    @pytest.mark.parametrize("densifiable", [True, False])
+    def test_a_winner_in_a_group_answers_as_it_does_alone(
+        self, monkeypatch, trained_encoder, rng, granularity, densifiable
+    ):
+        """Groups mix reference sheets, formulas and repeated cells; the
+        answers, byte for byte, and the counts equal one pass per item, in
+        any order — also on a target over the densification budget and
+        under the coarse-only ablation, where every formula's candidates
+        go through a forward of their own."""
+        if not densifiable:
+            monkeypatch.setattr("repro.features.window._MAX_DENSE_BYTES", 0)
+        system = self._system(trained_encoder, rng, granularity)
+        target = _table_sheet("target", 20, 6, rng)
+        sizes = [len(system.reference_sheet(sheet_id)[2]) for sheet_id in (0, 1)]
+        items = [
+            (
+                CellAddress(int(rng.integers(0, 24)), int(rng.integers(0, 8))),
+                sheet_id,
+                int(rng.integers(0, sizes[sheet_id])),
+                float(rng.random()),
+            )
+            for sheet_id in rng.integers(0, 2, size=10).tolist()
+        ]
+        items += items[:3]  # the same winners again
+        alone = [system.adapt_batch(target, [item])[0] for item in items]
+        scored = system.counters()["s3.candidates_scored"]
+        assert scored > 0 and any(prediction is not None for prediction in alone)
+        for order in (items, items[::-1]):
+            expected = alone if order is items else alone[::-1]
+            grouped = system.adapt_batch(target, order)
+            assert grouped == expected
+            assert [p.formula.encode() for p in grouped if p] == [
+                p.formula.encode() for p in expected if p
+            ]
+        assert system.counters()["s3.candidates_scored"] == 3 * scored
+
+    def test_an_empty_target_is_a_group_too(self, trained_encoder, rng):
+        """A 0x0 target (an empty axis: no reduced tensor to read) takes the
+        per-formula path, and the group still answers as its items do."""
+        system = self._system(trained_encoder, rng, "both")
+        items = [(CellAddress(row, 3), 0, local, 0.1) for row, local in ((9, 0), (2, 1), (9, 0))]
+        alone = [system.adapt_batch(Sheet("empty"), [item])[0] for item in items]
+        assert system.adapt_batch(Sheet("empty"), items) == alone

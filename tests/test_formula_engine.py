@@ -1,7 +1,11 @@
 """Tests for the incremental dependency-graph recalculation engine."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.formula import (
     CYCLE_ERROR,
@@ -13,6 +17,7 @@ from repro.formula import (
     is_error_value,
 )
 from repro.features import FeatureConfig, WindowFeaturizer
+from repro.formula.functions import BLANK_BLIND
 from repro.sheet import CellAddress, Sheet
 
 
@@ -516,3 +521,77 @@ class TestDependencyOrder:
 
         with ThreadPoolExecutor(max_workers=1) as executor:
             assert executor.submit(recalculate).result() == 500.0 * (MAX_AST_HEIGHT - 1)
+
+
+class TestRangesOverTheExtent:
+    """A blank-blind function (``repro.formula.functions.BLANK_BLIND``)
+    reads a range over the sheet's used extent, with one blank standing for
+    the cells past it (``COUNTBLANK`` counts them): its value is the one
+    the per-address read of every cell gives, error values included."""
+
+    TEMPLATES = [
+        f"{name}({{a}})" for name in sorted(BLANK_BLIND)
+    ] + [f"{name}({{a}},{{b}},2)" for name in sorted(BLANK_BLIND) if name != "COUNTIF"] + [
+        'COUNTIF({a},">2")', 'COUNTIF({a},"a")', 'COUNTIF({a},"")', "COUNTIF({a},{b})",
+        'SUMIF({a},">1")', 'SUMIF({a},">1",{b})', 'AVERAGEIF({a},"<5",{b})',
+        'COUNTIFS({a},">0",{b},"<5")', 'SUMIFS({b},{a},">0")',
+        "VLOOKUP(2,{a},1)", "HLOOKUP(2,{a},1)", "INDEX({a},2,1)", "MATCH(2,{a},0)",
+        "ISBLANK({a})", "SUM({a})+COUNTBLANK({b})",
+    ]
+    VALUES = [None, 0.0, -0.0, 1.0, 2.5, 3.0, 7.0, "", "a", "3", "x y", True, False, DIV0_ERROR]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_per_address_evaluation(self, data):
+        n_rows, n_cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        sheet = Sheet("s")
+        for row in range(n_rows):
+            for col in range(n_cols):
+                value = data.draw(st.sampled_from(self.VALUES))
+                if value is not None:
+                    sheet.set((row, col), value)
+        sheet.set((n_rows - 1, n_cols - 1), 1.0)  # pin the extent
+
+        def span():
+            row, col = data.draw(st.integers(0, n_rows + 1)), data.draw(st.integers(0, n_cols + 1))
+            end = CellAddress(row + data.draw(st.integers(0, 5)), col + data.draw(st.integers(0, 4)))
+            return f"{CellAddress(row, col).to_a1()}:{end.to_a1()}"
+
+        formula = "=" + data.draw(st.sampled_from(self.TEMPLATES)).format(a=span(), b=span())
+        value = FormulaEngine(sheet).evaluate_formula(formula)
+        with mock.patch.dict(BLANK_BLIND, clear=True):  # every cell, by address
+            expected = FormulaEngine(sheet).evaluate_formula(formula)
+        assert type(value) is type(expected) and repr(value) == repr(expected), formula
+
+    @pytest.mark.parametrize(
+        "cell, formula, expected",
+        [
+            ("AA1", "=SUM(A1:Z20000)", 105.0),
+            ("A7", "=SUM(B1:XFD1048576)", 75.0),
+            ("D1", "=COUNTBLANK(A1:A20000)", 19995.0),
+            ("D2", "=AVERAGE(A1:C1048576)", 7.0),
+        ],
+    )
+    def test_a_whole_grid_range_reads_what_the_sheet_stores(
+        self, monkeypatch, cell, formula, expected
+    ):
+        """The probes of a five-row sheet: each answers Excel's value and
+        reads no cell outside the used extent."""
+        sheet = Sheet("s")
+        for row in range(5):
+            for col in range(3):
+                sheet.set((row, col), float(3 * row + col))
+        engine = FormulaEngine(sheet)
+        engine.recalculate()
+        reads = []
+        read = FormulaEngine._read
+
+        def counting(self, address):
+            reads.append(address)
+            return read(self, address)
+
+        monkeypatch.setattr(FormulaEngine, "_read", counting)
+        sheet.set(cell, formula=formula)
+        engine.recalculate()
+        assert sheet.get(cell).value == expected
+        assert len(reads) <= sheet.n_rows * sheet.n_cols

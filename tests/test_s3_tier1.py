@@ -1,7 +1,8 @@
 """S3's tier 1, read off the target's reduced tensor, is sound.
 
-For every parameter S3 re-grounds, the slice ``tier1_slice`` keeps must
-hold the candidate a brute-force scan picks — the first least
+For every parameter S3 re-grounds (a group of target cells, cut in one
+pass), the slice ``tier1_slice`` keeps must hold the candidate a
+brute-force scan picks — the first least
 ``np.sum((embed_regions(every candidate) - r) ** 2, axis=1) + penalty`` —
 and the cell S3 maps the parameter to must be that candidate.  Targets are
 drawn to make the scan's choice hard: rows and columns copied over each
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.ann import base
-from repro.core import AutoFormula, AutoFormulaConfig
+from repro.core import AutoFormula, AutoFormulaConfig, pipeline
 from repro.sheet import CellAddress, Sheet
 from repro.testing.reference import candidates
 from repro.testing.workload import tie_heavy_sheet
@@ -125,16 +126,25 @@ def _constructed_tie(encoder, rng):
 def test_the_slice_holds_the_scan_choice_and_s3_maps_to_it(
     monkeypatch, trained_encoder, penalty
 ):
+    """Each draw is re-grounded as one group: the drawn cell and two more
+    target cells (repeats and cells past the sheet's extent included), so
+    the slice of every parameter of every item is cut in one pass."""
     rng = np.random.default_rng(("tie", 0.0, 0.01).index(penalty) + 37)
-    slices = []
-    rule = base.tier1_slice
+    slices, groups = [], []
+    rule, build = base.tier1_slice, pipeline._candidates
 
     def recording(approx, margin, k):
         mask = rule(approx, margin, k)
-        slices.append(np.flatnonzero(mask))
+        slices.append(mask)
         return mask
 
+    def candidates_of(*args):
+        found = build(*args)
+        groups.append(found)
+        return found
+
     monkeypatch.setattr(base, "tier1_slice", recording)
+    monkeypatch.setattr(pipeline, "_candidates", candidates_of)
     n_scored = n_reranked = n_ties = 0
     for __ in range(N_DRAWS):
         if penalty == "tie":
@@ -148,35 +158,52 @@ def test_the_slice_holds_the_scan_choice_and_s3_maps_to_it(
         system = AutoFormula(trained_encoder, config)
         system.fit([reference])
         entry = system._reference_sheets[0]
-        plan = system._adaptation_plan(entry, 0, entry.regions)
+        cells = [cell] + [
+            CellAddress(int(rng.integers(0, target.n_rows + 3)), int(rng.integers(0, target.n_cols)))
+            for __ in range(2)
+        ]
         slices.clear()
-        mapped, scored, reranked = system._map_parameters(entry.regions, plan, target, cell)
+        groups.clear()
+        system.adapt_batch(target, [(target_cell, 0, 0, 0.1) for target_cell in cells])
+        plan = entry.plans[0]
+        mapped, scored, reranked = system._map_parameters(
+            target, [(target_cell, entry.regions, plan) for target_cell in cells]
+        )
         n_scored, n_reranked = n_scored + scored, n_reranked + reranked
-        moved = (cell.row - plan.formula_cell.row, cell.col - plan.formula_cell.col)
-        blocks = iter(slices)
-        for (row, col), chosen in zip(plan.cells, mapped):
-            anchors = [(row + moved[0], col + moved[1]), (row, col)]
-            cells = candidates(
-                anchors,
-                (target.n_rows, target.n_cols),
-                (config.neighborhood_rows, config.neighborhood_cols),
-            )
-            if not cells:
-                continue
-            vectors = trained_encoder.embed_regions(
-                target, np.array([r for r, __ in cells]), np.array([c for __, c in cells])
-            )
-            r = trained_encoder.embed_regions(reference, np.array([row]), np.array([col]))[0]
-            steps = np.array(
-                [min(abs(a - ar) + abs(b - ac) for ar, ac in anchors) for a, b in cells],
-                dtype=np.float32,
-            )
-            scores = np.sum((vectors - r) ** 2, axis=1) + np.float32(weight) * steps
-            pick = int(np.argmin(scores))
-            n_ties += int(np.count_nonzero(scores == scores[pick]) > 1)
-            assert pick in next(blocks), (cells[pick], reference, target, cell)
-            assert chosen == CellAddress(*cells[pick])
-        assert next(blocks, None) is None
+        # The pass ran twice (adapt_batch, then _map_parameters); read the
+        # second, whose parameters are the jobs' cells in order.
+        found, kept = groups[-1], slices[-1] if slices else None
+        blocks = dict(zip(found.found, range(len(found.found))))
+        for job, target_cell in enumerate(cells):
+            moved = (target_cell.row - plan.formula_cell.row, target_cell.col - plan.formula_cell.col)
+            for index, ((row, col), chosen) in enumerate(zip(plan.cells.tolist(), mapped[job])):
+                anchors = [(row + moved[0], col + moved[1]), (row, col)]
+                cells_of = candidates(
+                    anchors,
+                    (target.n_rows, target.n_cols),
+                    (config.neighborhood_rows, config.neighborhood_cols),
+                )
+                parameter = job * len(plan.cells) + index
+                assert (parameter in blocks) == bool(cells_of)
+                if not cells_of:
+                    continue
+                vectors = trained_encoder.embed_regions(
+                    target, np.array([r for r, __ in cells_of]), np.array([c for __, c in cells_of])
+                )
+                r = trained_encoder.embed_regions(reference, np.array([row]), np.array([col]))[0]
+                steps = np.array(
+                    [min(abs(a - ar) + abs(b - ac) for ar, ac in anchors) for a, b in cells_of],
+                    dtype=np.float32,
+                )
+                scores = np.sum((vectors - r) ** 2, axis=1) + np.float32(weight) * steps
+                pick = int(np.argmin(scores))
+                n_ties += int(np.count_nonzero(scores == scores[pick]) > 1)
+                block = blocks[parameter]
+                positions = np.flatnonzero(kept[block])
+                rows, cols = found.cells(np.full(positions.size, block), positions)
+                held = list(zip(rows.tolist(), cols.tolist()))
+                assert cells_of[pick] in held, (cells_of[pick], reference, target, target_cell)
+                assert chosen == cells_of[pick]
     # The draws reach the re-rank (slices of more than one candidate), and
     # most constructed ties sit at the scan's minimum.
     assert 0 < n_reranked < n_scored

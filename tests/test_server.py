@@ -360,9 +360,9 @@ class TestWorkspaceLifecycle:
 
 
 class TestScrapeDuringEdit:
-    """A scrape reads each workspace's ``memory_stats`` (``/stats`` in its
-    body, ``/metrics`` through the ``workspace.index_bytes`` gauge), which
-    waits for the workspace's lock while an edit holds it.  It waits on
+    """A scrape reads each workspace's ``memory_stats`` once (``/stats``
+    reports it, and both endpoints' ``workspace.index_bytes`` gauge shows
+    it), which waits for the workspace's lock while an edit holds it.  It waits on
     the executor: ``/health`` on another connection answers during the
     edit, and the scrape answers once the edit ends.  (On the event-loop
     thread the wait stalled every connection.)"""
@@ -435,6 +435,35 @@ class TestScrapeDuringEdit:
     def test_a_metrics_scrape_waiting_on_an_edit_does_not_hold_up_other_connections(self):
         text = self._scrape_during_edit(lambda client: client.metrics_text())
         assert 'workspace_index_bytes{workspace="acme"} 0' in text.splitlines()
+
+
+def test_a_scrape_reads_each_workspace_memory_once():
+    """``memory_stats`` takes the workspace's lock: a ``/stats`` scrape reads
+    it once per workspace (its ``index_memory`` and the
+    ``workspace.index_bytes`` gauge share the reading), as ``/metrics``
+    does."""
+    service = FormulaService()
+    calls = {}
+    for name in ("acme", "globex"):
+        workspace = service.create_workspace(
+            name, predictor=_StubPredictor(), workbooks=[_stub_workbook()]
+        )
+
+        def counted(read=workspace.memory_stats, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return read()
+
+        workspace.memory_stats = counted
+    with start_server_in_background(service) as handle:
+        with FormulaClient(handle.host, handle.port) as client:
+            for scrape in (client.stats, client.metrics_text, client.stats):
+                calls.clear()
+                body = scrape()
+                assert calls == {"acme": 1, "globex": 1}, scrape.__name__
+            assert body["index_memory"] == {
+                "acme": {"total_bytes": 0},
+                "globex": {"total_bytes": 0},
+            }
 
 
 # -------------------------------------------------------------------- parity
