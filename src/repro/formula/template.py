@@ -55,26 +55,6 @@ class FormulaTemplate:
         return self.signature
 
 
-def _render_with_holes(node: ASTNode) -> str:
-    """Render an AST to text, replacing every reference with a hole."""
-    if isinstance(node, CellReference):
-        return HOLE_CELL
-    if isinstance(node, RangeReference):
-        return HOLE_RANGE
-    if isinstance(node, FunctionCall):
-        args = ",".join(_render_with_holes(arg) for arg in node.args)
-        return f"{node.name}({args})"
-    if isinstance(node, BinaryOp):
-        return f"{_render_with_holes(node.left)}{node.op}{_render_with_holes(node.right)}"
-    if isinstance(node, UnaryOp):
-        if node.op == "%":
-            return f"{_render_with_holes(node.operand)}%"
-        return f"{node.op}{_render_with_holes(node.operand)}"
-    if isinstance(node, Grouping):
-        return f"({_render_with_holes(node.inner)})"
-    return node.to_formula()
-
-
 def formula_references(formula: Union[str, ASTNode]) -> List[Reference]:
     """Ordered list of cell/range references (the parameters ``R``)."""
     ast = parse_formula(formula) if isinstance(formula, str) else formula
@@ -96,7 +76,12 @@ def extract_template(formula: Union[str, ASTNode]) -> FormulaTemplate:
             slots.append("cell")
         elif isinstance(node, RangeReference):
             slots.append("range")
-    return FormulaTemplate(signature=_render_with_holes(ast), slots=tuple(slots))
+    pieces = template_pieces(ast)
+    signature = pieces[0] + "".join(
+        (HOLE_CELL if slot == "cell" else HOLE_RANGE) + piece
+        for slot, piece in zip(slots, pieces[1:])
+    )
+    return FormulaTemplate(signature=signature, slots=tuple(slots))
 
 
 def template_pieces(formula: Union[str, ASTNode]) -> Tuple[str, ...]:

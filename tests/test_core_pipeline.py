@@ -697,17 +697,5 @@ class TestGroupPass:
         assert scored > 0 and any(prediction is not None for prediction in alone)
         for order in (items, items[::-1]):
             expected = alone if order is items else alone[::-1]
-            grouped = system.adapt_batch(target, order)
-            assert grouped == expected
-            assert [p.formula.encode() for p in grouped if p] == [
-                p.formula.encode() for p in expected if p
-            ]
+            assert system.adapt_batch(target, order) == expected
         assert system.counters()["s3.candidates_scored"] == 3 * scored
-
-    def test_an_empty_target_is_a_group_too(self, trained_encoder, rng):
-        """A 0x0 target (an empty axis: no reduced tensor to read) takes the
-        per-formula path, and the group still answers as its items do."""
-        system = self._system(trained_encoder, rng, "both")
-        items = [(CellAddress(row, 3), 0, local, 0.1) for row, local in ((9, 0), (2, 1), (9, 0))]
-        alone = [system.adapt_batch(Sheet("empty"), [item])[0] for item in items]
-        assert system.adapt_batch(Sheet("empty"), items) == alone
