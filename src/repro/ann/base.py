@@ -73,21 +73,22 @@ def _blas_product(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return queries @ matrix.T
 
 
-def _tier1_margin(dimension: int, qq: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
-    """Per-query bound ``M`` on ``|d_hat - d|``, the float32 rounding slack
-    between a BLAS distance ``sq_norm - 2 x.v + ||x||^2`` and one computed
-    in a fixed order, for queries of squared norms ``qq`` against vectors
-    of squared norms ``sq_norms`` in ``dimension`` dimensions: one pool for
-    every query, or one row per query (S3: its block's largest)."""
-    x_norm = np.sqrt(np.maximum(qq, 0.0))
-    if sq_norms.ndim == 2:
-        v_max = np.sqrt(np.maximum(sq_norms.max(axis=1), 0.0))
-    else:
-        v_max = math.sqrt(max(float(sq_norms.max()), 0.0)) if sq_norms.size else 0.0
+def _margin(dimension: int, x_norm, v_max):
+    """The bound ``M`` on ``|d_hat - d|``, the float32 rounding slack between
+    a BLAS distance ``sq_norm - 2 x.v + ||x||^2`` and one computed in a fixed
+    order, for a query of norm ``x_norm`` against vectors of norm at most
+    ``v_max`` in ``dimension`` dimensions (floats or arrays alike)."""
     # Generous cover for float32 rounding in the BLAS dot and the
     # subtract/add chain: length-D accumulations each contribute
     # O(D * eps * magnitude), with an 8x headroom factor.
     return 8.0 * dimension * _EPS32 * ((x_norm + v_max) ** 2 + 1.0)
+
+
+def _tier1_margin(dimension: int, qq: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+    """Per-query :func:`_margin` for queries of squared norms ``qq``
+    against a pool of vectors of squared norms ``sq_norms``."""
+    v_max = math.sqrt(max(float(sq_norms.max()), 0.0)) if sq_norms.size else 0.0
+    return _margin(dimension, np.sqrt(np.maximum(qq, 0.0)), v_max)
 
 
 def tier1_slice(approx: np.ndarray, margin, k: int) -> np.ndarray:
@@ -130,12 +131,23 @@ def closest_in_blocks(
     beside it).  A one-candidate slice is the answer as it stands and reads
     no embedding.
     """
+    dimension = references.shape[1]
     approx = np.where(
         candidates, sq_norms - 2.0 * cross + reference_sq_norms[:, None] + penalties, np.inf
     )
-    largest = sq_norms.max(axis=1, where=candidates, initial=0.0)
-    margin = _tier1_margin(references.shape[1], reference_sq_norms, largest[:, None])
-    margin += _EPS32 * np.abs(penalties).max(axis=1, where=candidates, initial=0.0)
+    # A row's margin from its own largest norm and penalty, in Python
+    # floats: a group has a handful of rows.
+    margin = np.array(
+        [
+            _margin(dimension, math.sqrt(max(qq, 0.0)), math.sqrt(max(largest, 0.0)))
+            + _EPS32 * heaviest
+            for qq, largest, heaviest in zip(
+                reference_sq_norms.tolist(),
+                sq_norms.max(axis=1, where=candidates, initial=0.0).tolist(),
+                np.abs(penalties).max(axis=1, where=candidates, initial=0.0).tolist(),
+            )
+        ]
+    )
     kept = tier1_slice(approx, margin, 1)
     best = kept.argmax(axis=1)
     tied = np.count_nonzero(kept, axis=1) > 1

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ann import base
 from repro.core import AutoFormula, AutoFormulaConfig
+from repro.core import pipeline
 from repro.core.pipeline import _candidates, _Regions
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
@@ -439,6 +439,7 @@ class TestRegrounding:
                 min(abs(row - anchor_row) + abs(col - anchor_col) for anchor_row, anchor_col in anchors)
                 for row, col in cells
             ]
+        assert found.count == sum(len(cells) for cells in expected)
         # The boxes the products are taken over are the ones holding
         # candidates.
         holding = np.flatnonzero(found.mask.any(axis=(2, 3)).ravel())
@@ -631,13 +632,13 @@ class TestSlicedRegrounding:
         cells = entry.regions.cells
         vectors = trained_encoder.embed_regions(reference, cells[:, 0], cells[:, 1])
         entry.regions = _Regions.of(cells, 2.0 * vectors)
-        seen, margin = [], base._tier1_margin
+        seen, closest = [], pipeline.closest_in_blocks
 
-        def spy(dimension, qq, sq_norms):
-            seen.append(qq.copy())
-            return margin(dimension, qq, sq_norms)
+        def spy(sq_norms, cross, references, reference_sq_norms, *rest):
+            seen.append(reference_sq_norms.copy())
+            return closest(sq_norms, cross, references, reference_sq_norms, *rest)
 
-        monkeypatch.setattr(base, "_tier1_margin", spy)
+        monkeypatch.setattr(pipeline, "closest_in_blocks", spy)
         system.adapt_batch(target, items[:1])
         assert seen and seen[0].tobytes() == entry.regions.norms[plan.slots].tobytes()
         assert np.allclose(seen[0], 4.0 * norms)
