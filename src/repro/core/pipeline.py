@@ -84,8 +84,6 @@ class _Candidates(NamedTuple):
     #: Manhattan distance from each cell of the boxes to its parameter's
     #: nearer anchor (float32).
     steps: np.ndarray
-    #: How many candidates there are (set cells of ``mask``).
-    count: int
 
     def cells(self, blocks: np.ndarray, positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Rows and columns of the cells at ``positions`` (flat over a
@@ -124,7 +122,6 @@ def _candidates(
     # The last corner at which a box still lies inside the sheet.
     top, left = last_row + 1 - shape[0], last_col + 1 - shape[1]
     found: List[int] = []
-    count = 0
     #: Per block, per box: its corner, then the two anchors' offsets from it.
     corners: List[List[Tuple[int, ...]]] = []
     #: (block, box, corner row, corner col, rectangle, rectangle left out).
@@ -148,11 +145,6 @@ def _candidates(
             # sits) give the same rectangle twice: nothing outside the first.
             if second[0] < first[0] or second[1] > first[1] or second[2] < first[2] or second[3] > first[3]:
                 boxes.append((second, first))
-                # Its cells outside the first: its area less the overlap.
-                count += (second[1] - second[0] + 1) * (second[3] - second[2] + 1) - max(
-                    min(first[1], second[1]) - max(first[0], second[0]) + 1, 0
-                ) * max(min(first[3], second[3]) - max(first[2], second[2]) + 1, 0)
-        count += (first[1] - first[0] + 1) * (first[3] - first[2] + 1)
         corners.append([])
         for box, (bounds, outside) in enumerate(boxes):
             row, col = min(bounds[0], top), min(bounds[2], left)
@@ -188,7 +180,6 @@ def _candidates(
         shape=shape,
         mask=mask.reshape(layout),
         steps=np.minimum(distances[:, 0], distances[:, 1]).reshape(layout),
-        count=count,
     )
 
 
@@ -1167,7 +1158,7 @@ class AutoFormula(FormulaPredictor):
         mapped = [(max(row, 0), max(col, 0)) for row, col, __, __ in anchors]
         n_candidates = n_reranked = 0
         if found.found:
-            n_candidates = found.count
+            n_candidates = int(np.count_nonzero(found.mask))
             # ||r||^2 comes from each block as it is now: a value edit
             # replaces the block under plans that stay.
             references = [regions.rows[plan.slots] for __, regions, plan in jobs]
