@@ -73,7 +73,9 @@ from repro.formula.errors import (
 from repro.formula.functions import (
     BLANK_BLIND,
     BUILTIN_FUNCTIONS,
+    POSITIONAL,
     FunctionError,
+    Grid,
     _coerce_number,
     _flatten,
     _truthy,
@@ -425,16 +427,24 @@ class FormulaEngine:
             return self._evaluate_call(node)
         return VALUE_ERROR
 
-    def _stored_part(self, cell_range: RangeAddress) -> Tuple[List[object], int]:
+    def _stored_part(self, cell_range: RangeAddress) -> Tuple[List[object], int, int]:
         """The values of ``cell_range``'s cells inside the sheet's used
-        extent, row-major, and how many of its cells lie past it (all
-        blank): what a :data:`~repro.formula.functions.BLANK_BLIND`
-        function reads of a range."""
+        extent, row-major, and how many rows and columns they span: what a
+        :data:`~repro.formula.functions.BLANK_BLIND` or
+        :data:`~repro.formula.functions.POSITIONAL` function reads of a
+        range (every cell past the extent is blank)."""
         start, end = cell_range.start, cell_range.end
         rows = range(start.row, min(end.row, self._sheet.n_rows - 1) + 1)
         cols = range(start.col, min(end.col, self._sheet.n_cols - 1) + 1)
         values = [self._read(CellAddress(row, col)) for row in rows for col in cols]
-        return values, cell_range.size - len(values)
+        return values, len(rows), len(cols)
+
+    def _grid(self, cell_range: RangeAddress) -> Grid:
+        """A :data:`~repro.formula.functions.POSITIONAL` range argument."""
+        values, held_rows, held_cols = self._stored_part(cell_range)
+        if cell_range.n_rows == 1 or cell_range.n_cols == 1:
+            return Grid(cell_range.size, 1, len(values), 1, values)
+        return Grid(cell_range.n_rows, cell_range.n_cols, held_rows, held_cols, values)
 
     def _evaluate_binary(self, node: BinaryOp) -> object:
         left = self._evaluate_node(node.left)
@@ -506,19 +516,23 @@ class FormulaEngine:
         if function is None:
             return NAME_ERROR
         positions = BLANK_BLIND.get(name, ())
+        positional = POSITIONAL.get(name, ())
         args: List[object] = []
         outside = 0
         for index, arg in enumerate(node.args):
             if isinstance(arg, RangeReference) and (positions is None or index in positions):
-                values, missing = self._stored_part(arg.range)
+                values, __, __ = self._stored_part(arg.range)
+                missing = arg.range.size - len(values)
                 if name == "COUNTBLANK":
                     outside += missing
                 elif missing:
                     values.append(None)
                 args.append(values)
+            elif isinstance(arg, RangeReference) and index in positional:
+                args.append(self._grid(arg.range))
             else:
                 args.append(self._evaluate_node(arg))
-        error = first_error(_flatten(args))
+        error = first_error(_flatten([arg.values if type(arg) is Grid else arg for arg in args]))
         if error is not None:
             return error
         try:

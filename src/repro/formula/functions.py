@@ -20,7 +20,7 @@ import math
 import numbers
 import re
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class FunctionError(ValueError):
@@ -49,6 +49,85 @@ def _flatten(value) -> List:
             out.extend(_flatten(item))
         return out
     return [value]
+
+
+class Grid:
+    """A rectangular range argument of a :data:`POSITIONAL` function:
+    ``rows`` x ``cols`` cells, of which the top-left ``held_rows`` x
+    ``held_cols`` block is held in ``values`` (row-major) and every other
+    cell is blank.  A cell's *position* is its row-major index, the order
+    :func:`_flatten` reads a range in; a range one cell wide either way is
+    one column, as the lookups see it."""
+
+    __slots__ = ("rows", "cols", "held_rows", "held_cols", "values")
+
+    def __init__(self, rows: int, cols: int, held_rows: int, held_cols: int, values: List) -> None:
+        self.rows, self.cols = rows, cols
+        self.held_rows, self.held_cols = held_rows, held_cols
+        self.values = values
+
+    def __len__(self) -> int:
+        return self.rows * self.cols
+
+    def at(self, row: int, col: int):
+        if row < self.held_rows and col < self.held_cols:
+            return self.values[row * self.held_cols + col]
+        return None
+
+    def position(self, position: int):
+        if self.held_cols == self.cols:  # whole rows held: a position is an index
+            return self.values[position] if position < len(self.values) else None
+        return self.at(*divmod(position, self.cols))
+
+    def held(self) -> Iterable[Tuple[int, object]]:
+        """``(position, value)`` of every held cell, in position order."""
+        cols, held_cols = self.cols, self.held_cols
+        if held_cols == cols:
+            return enumerate(self.values)
+        return (
+            (index // held_cols * cols + index % held_cols, value)
+            for index, value in enumerate(self.values)
+        )
+
+    def first_blank(self) -> Optional[int]:
+        """The position of the first cell past the held block, if any."""
+        if not self.held_rows or not self.held_cols:
+            return 0 if len(self) else None
+        if self.held_cols < self.cols:
+            return self.held_cols
+        return self.held_rows * self.cols if self.held_rows < self.rows else None
+
+    def first_column(self) -> Iterable[Tuple[int, object]]:
+        """``(row, value)`` of the first cell of every row, in row order,
+        the rows past the held block as one ``(row, None)``."""
+        held = self.held_rows if self.held_cols else 0
+        for row in range(held):
+            yield row, self.values[row * self.held_cols]
+        if held < self.rows:
+            yield held, None
+
+    def transposed(self) -> "Grid":
+        held_rows, held_cols, values = self.held_rows, self.held_cols, self.values
+        return Grid(
+            self.cols,
+            self.rows,
+            held_cols,
+            held_rows,
+            [values[row * held_cols + col] for col in range(held_cols) for row in range(held_rows)],
+        )
+
+
+def _grid(value) -> Grid:
+    """A range argument as a :class:`Grid`: a range read cell by cell (a
+    list, or a list of rows) or a scalar holds all its cells."""
+    if isinstance(value, Grid):
+        return value
+    if not isinstance(value, list):
+        return Grid(1, 1, 1, 1, [value])
+    if value and isinstance(value[0], list):
+        cols = len(value[0])
+        return Grid(len(value), cols, len(value), cols, [cell for row in value for cell in row])
+    return Grid(len(value), 1, len(value), 1, value)
 
 
 def _numeric_values(args: Iterable) -> List[float]:
@@ -216,12 +295,22 @@ def fn_countif(values, criterion) -> float:
     return float(sum(1 for value in _flatten(values) if value not in (None, "") and matcher(value)))
 
 
+def _aligned(values, out_values) -> Iterable[Tuple[object, object]]:
+    """``(test, out)`` of the aligned cells of a ``*IF`` test range and its
+    output range (the test range itself when ``out_values`` is ``None``),
+    for the held test cells: the others are blank, and a blank test
+    selects nothing.  Past the end of the output range ``out`` is blank,
+    which nothing adds up, as if the pairs stopped at the shorter range."""
+    tests = _grid(values)
+    outs = tests if out_values is None else _grid(out_values)
+    for position, test in tests.held():
+        yield test, outs.position(position)
+
+
 def fn_sumif(values, criterion, sum_values=None) -> float:
     matcher = criterion_matcher(criterion)
-    test_values = _flatten(values)
-    out_values = _flatten(sum_values) if sum_values is not None else test_values
     total = 0.0
-    for test, out in zip(test_values, out_values):
+    for test, out in _aligned(values, sum_values):
         if test in (None, ""):
             continue
         if matcher(test) and isinstance(out, numbers.Number) and not isinstance(out, bool):
@@ -231,11 +320,9 @@ def fn_sumif(values, criterion, sum_values=None) -> float:
 
 def fn_averageif(values, criterion, avg_values=None) -> float:
     matcher = criterion_matcher(criterion)
-    test_values = _flatten(values)
-    out_values = _flatten(avg_values) if avg_values is not None else test_values
     selected = [
         float(out)
-        for test, out in zip(test_values, out_values)
+        for test, out in _aligned(values, avg_values)
         if test not in (None, "")
         and matcher(test)
         and isinstance(out, numbers.Number)
@@ -246,34 +333,40 @@ def fn_averageif(values, criterion, avg_values=None) -> float:
     return sum(selected) / len(selected)
 
 
-def _ifs_pairs(args: Sequence) -> List:
+def _ifs_pairs(args: Sequence) -> List[Tuple[Grid, Callable[[object], bool]]]:
+    """The ``(range, criterion)`` pairs of a ``*IFS`` call, as grids and
+    predicates."""
     if len(args) % 2 != 0:
         raise FunctionError("criteria arguments must come in (range, criterion) pairs")
-    return [(args[i], args[i + 1]) for i in range(0, len(args), 2)]
+    return [(_grid(args[i]), criterion_matcher(args[i + 1])) for i in range(0, len(args), 2)]
 
 
 def fn_countifs(*args) -> float:
     pairs = _ifs_pairs(args)
     if not pairs:
         return 0.0
-    flattened = [( _flatten(values), criterion_matcher(criterion)) for values, criterion in pairs]
-    length = len(flattened[0][0])
-    count = 0
-    for index in range(length):
-        if all(index < len(values) and matcher(values[index]) for values, matcher in flattened):
-            count += 1
+    # A position past the shortest range counts for nothing; one where no
+    # range holds a cell is blank in all of them.
+    end = min(len(grid) for grid, __ in pairs)
+    held = {position for grid, __ in pairs for position, __ in grid.held() if position < end}
+    count = sum(
+        1 for position in held if all(matcher(grid.position(position)) for grid, matcher in pairs)
+    )
+    if all(matcher(None) for __, matcher in pairs):
+        count += end - len(held)
     return float(count)
 
 
 def fn_sumifs(sum_values, *args) -> float:
-    out_values = _flatten(sum_values)
+    outs = _grid(sum_values)
     pairs = _ifs_pairs(args)
-    flattened = [(_flatten(values), criterion_matcher(criterion)) for values, criterion in pairs]
     total = 0.0
-    for index, out in enumerate(out_values):
+    for position, out in outs.held():
         if not isinstance(out, numbers.Number) or isinstance(out, bool):
             continue
-        if all(index < len(values) and matcher(values[index]) for values, matcher in flattened):
+        if all(
+            position < len(grid) and matcher(grid.position(position)) for grid, matcher in pairs
+        ):
             total += float(out)
     return total
 
@@ -314,58 +407,57 @@ def fn_isnumber(value) -> bool:
 # ---------------------------------------------------------------------- lookup
 
 
-def _as_table(values) -> List[List]:
-    """Normalize a range argument to a list of rows."""
-    if not isinstance(values, list):
-        return [[values]]
-    if values and not isinstance(values[0], list):
-        return [[value] for value in values]
-    return values
+def _matching_row(grid: Grid, lookup_value) -> Optional[int]:
+    """The first row whose first cell equals ``lookup_value``."""
+    return next(
+        (row for row, first in grid.first_column() if _loose_equal(first, lookup_value)), None
+    )
 
 
 def fn_vlookup(lookup_value, table, col_index, range_lookup=False):
-    rows = _as_table(table)
+    grid = _grid(table)
     col = int(_coerce_number(col_index)) - 1
     if col < 0:
         raise FunctionError("VLOOKUP column index must be >= 1")
-    for row in rows:
-        if not row:
-            continue
-        if _loose_equal(row[0], lookup_value):
-            if col >= len(row):
-                raise FunctionError("VLOOKUP column index out of range")
-            return row[col]
+    row = _matching_row(grid, lookup_value)
+    if row is not None:
+        if col >= grid.cols:
+            raise FunctionError("VLOOKUP column index out of range")
+        return grid.at(row, col)
     if _truthy(range_lookup):
         best = None
-        for row in rows:
-            if row and _comparable(row[0], lookup_value) and row[0] <= lookup_value:
+        for row, first in grid.first_column():
+            if _comparable(first, lookup_value) and first <= lookup_value:
                 best = row
         if best is not None:
-            return best[col] if col < len(best) else None
+            return grid.at(best, col) if col < grid.cols else None
     raise FunctionError(f"VLOOKUP value {lookup_value!r} not found")
 
 
 def fn_hlookup(lookup_value, table, row_index, range_lookup=False):
-    rows = _as_table(table)
-    transposed = [list(column) for column in zip(*rows)] if rows else []
-    return fn_vlookup(lookup_value, transposed, row_index, range_lookup)
+    return fn_vlookup(lookup_value, _grid(table).transposed(), row_index, range_lookup)
 
 
 def fn_index(table, row_index, col_index=1):
-    rows = _as_table(table)
+    grid = _grid(table)
     row = int(_coerce_number(row_index)) - 1
     col = int(_coerce_number(col_index)) - 1
-    if row < 0 or row >= len(rows) or col < 0 or col >= len(rows[row]):
+    if row < 0 or row >= grid.rows or col < 0 or col >= grid.cols:
         raise FunctionError("INDEX out of range")
-    return rows[row][col]
+    return grid.at(row, col)
 
 
 def fn_match(lookup_value, values, match_type=0):
-    flat = _flatten(values)
-    for position, value in enumerate(flat, start=1):
-        if _loose_equal(value, lookup_value):
-            return float(position)
-    raise FunctionError(f"MATCH value {lookup_value!r} not found")
+    grid = _grid(values)
+    found = next(
+        (position for position, value in grid.held() if _loose_equal(value, lookup_value)), None
+    )
+    blank = grid.first_blank()
+    if blank is not None and (found is None or blank < found) and _loose_equal(None, lookup_value):
+        found = blank
+    if found is None:
+        raise FunctionError(f"MATCH value {lookup_value!r} not found")
+    return float(found + 1)
 
 
 def _loose_equal(left, right) -> bool:
@@ -532,7 +624,7 @@ def fn_today() -> _dt.date:
 #: and lets one blank stand for the cells past it, so a whole-column range
 #: costs what the sheet stores.  ``COUNTBLANK`` counts those cells instead.
 #: The lookups and the aligned ranges of the ``*IF(S)`` functions are
-#: positional and read every cell.
+#: positional: see :data:`POSITIONAL`.
 BLANK_BLIND: Dict[str, Optional[Tuple[int, ...]]] = {
     name: None
     for name in (
@@ -541,6 +633,23 @@ BLANK_BLIND: Dict[str, Optional[Tuple[int, ...]]] = {
     )
 }
 BLANK_BLIND["COUNTIF"] = (0,)
+
+#: The functions that read a range by position, by the argument positions
+#: of such ranges: the lookups and the aligned ranges of the ``*IF(S)``
+#: functions.  The evaluator reads such a range over the sheet's used
+#: extent as well, and hands it over as a :class:`Grid`, in which every
+#: cell keeps its position and the cells past the extent are blank without
+#: being read.  (Past 255 arguments a range is read cell by cell.)
+POSITIONAL: Dict[str, Container[int]] = {
+    "INDEX": (0,),
+    "MATCH": (1,),
+    "VLOOKUP": (1,),
+    "HLOOKUP": (1,),
+    "SUMIF": (0, 2),
+    "AVERAGEIF": (0, 2),
+    "COUNTIFS": range(0, 255, 2),
+    "SUMIFS": frozenset((0, *range(1, 255, 2))),
+}
 
 BUILTIN_FUNCTIONS: Dict[str, Callable] = {
     "SUM": fn_sum,

@@ -62,12 +62,22 @@ import math
 import os
 import re
 import shutil
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.sheet.io import workbook_from_dict, workbook_to_dict
+from repro.obs import Counter, get_tracer
+from repro.sheet.addressing import CellAddress
+from repro.sheet.cell import Cell
+from repro.sheet.io import (
+    WorkbookFormatError,
+    decode_sheet,
+    deferred_workbook,
+    workbook_from_dict,
+    workbook_to_dict,
+)
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
 
@@ -362,10 +372,22 @@ def save_corpus(
 
 
 def load_corpus_records(
-    directory: Union[str, Path], entries: Sequence[object]
+    directory: Union[str, Path], entries: Sequence[object], decoded: Optional[Counter] = None
 ) -> List[Tuple[Workbook, Optional[bytes]]]:
     """The stored workbooks in corpus order, each with its corpus line
-    (``None`` in a format-1 snapshot, which has none)."""
+    (``None`` in a format-1 snapshot, which has none).
+
+    Every line is parsed and checked here — the line count, each line's
+    JSON, its workbook's name and every check of
+    :func:`~repro.sheet.io.workbook_from_dict` but the per-cell one — and
+    a line that fails raises :class:`SnapshotFormatError` (or
+    :class:`~repro.sheet.io.WorkbookFormatError`).  The cells wait: each
+    sheet keeps its line and decodes its cells and extent on its first
+    read (:func:`~repro.sheet.io.deferred_workbook`), under a span
+    ``snapshot.decode_sheet``, adding one to ``decoded``; a cell record
+    that fails then raises :class:`~repro.sheet.io.WorkbookFormatError`
+    naming the line.  A format-1 snapshot decodes every cell here.
+    """
     directory = Path(directory)
     generation = current_generation(directory)
     if generation is None:
@@ -383,18 +405,33 @@ def load_corpus_records(
         )
     records = []
     for number, (line, name) in enumerate(zip(lines, entries), start=1):
+        where = f"corpus line {number} of {path}"
         try:
             data = json.loads(line)
         except ValueError as error:
-            raise SnapshotFormatError(f"corrupt corpus line {number} of {path}: {error}") from error
-        workbook = workbook_from_dict(data)
+            raise SnapshotFormatError(f"corrupt {where}: {error}") from error
+        workbook = deferred_workbook(data, partial(_decode_sheet, line, where, decoded))
         if workbook.name != name:
             raise SnapshotFormatError(
-                f"corpus line {number} of {path} holds {workbook.name!r}; "
-                f"the manifest lists {name!r}"
+                f"{where} holds {workbook.name!r}; the manifest lists {name!r}"
             )
         records.append((workbook, line))
     return records
+
+
+def _decode_sheet(
+    line: bytes, where: str, decoded: Optional[Counter], index: int
+) -> Tuple[Dict[CellAddress, Cell], int, int]:
+    """The cells and extent of sheet ``index`` of a corpus line that
+    :func:`load_corpus_records` accepted."""
+    with get_tracer().span("snapshot.decode_sheet", line=where, sheet=index):
+        try:
+            result = decode_sheet(json.loads(line)["sheets"][index])
+        except WorkbookFormatError as error:
+            raise WorkbookFormatError(f"{where}: {error}") from error
+    if decoded is not None:
+        decoded.inc()
+    return result
 
 
 def load_corpus(directory: Union[str, Path], entries: Sequence[object]) -> List[Workbook]:

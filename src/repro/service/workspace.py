@@ -52,6 +52,8 @@ _COUNTED = (
     "persistence.log_replayed_total",
     "persistence.log_torn_tail_total",
     "persistence.orphan_generations_total",
+    "persistence.sheets_deferred_total",
+    "persistence.sheets_decoded_total",
 )
 
 #: What a held workbook's kept corpus line was encoded from: each sheet
@@ -401,7 +403,15 @@ class Workspace:
 
         Reads the generation ``CURRENT`` names (or a format-1 snapshot,
         which has none).  The corpus is rebuilt from ``corpus.jsonl``, whose
-        lines seed the encode memo, and the predictor adopts the stored
+        lines seed the encode memo: every line is parsed and checked here,
+        but each sheet decodes its cells and extent from its line on its
+        first read, under a lock, so a restore pays for the sheets it reads
+        and a save reuses the lines of the rest byte for byte
+        (:func:`~repro.persistence.snapshot.load_corpus_records`; the
+        ``persistence.sheets_deferred_total`` / ``sheets_decoded_total``
+        counters).  A cell record that fails to decode then raises
+        :class:`~repro.sheet.io.WorkbookFormatError` naming the line, from
+        that first read.  The predictor adopts the stored
         index state — memory-mapped read-only by default (``mmap=False``
         reads eager in-memory copies), which every write path upgrades by
         reallocating before mutating.  The generation's mutation-log tail
@@ -437,25 +447,29 @@ class Workspace:
                 f"snapshot at {directory} holds a {manifest.get('kind')!r}, "
                 "not a workspace"
             )
-        records = load_corpus_records(directory, manifest.get("workbooks", []))
+        workspace = cls(str(name or manifest.get("name") or "restored"), predictor)
+        counts = workspace._counts
+        records = load_corpus_records(
+            directory, manifest.get("workbooks", []), counts["persistence.sheets_decoded_total"]
+        )
         workbooks = [workbook for workbook, __ in records]
         arrays = load_arrays(directory, manifest.get("arrays", []), mmap=mmap)
         predictor.restore_snapshot_state(
             manifest.get("predictor_state", {}), arrays, sheet_resolver(workbooks)
         )
-        workspace = cls(str(name or manifest.get("name") or "restored"), predictor)
         for workbook, line in records:
             workbook._seal(True)
             workspace._workbooks[workbook.name] = workbook
             if line is not None:
                 workspace._lines[workbook.name] = (_stamp(workbook), line)
+                counts["persistence.sheets_deferred_total"].inc(len(workbook))
         log = MutationLog(mutation_log_path(directory))
         entries = log.read()
         for entry in entries:
             apply_mutation(workspace, entry)
         workspace._mutation_log = log
-        workspace._counts["persistence.log_replayed_total"].inc(len(entries))
-        workspace._counts["persistence.log_torn_tail_total"].inc(log.torn_tails)
+        counts["persistence.log_replayed_total"].inc(len(entries))
+        counts["persistence.log_torn_tail_total"].inc(log.torn_tails)
         span.set_attribute("n_workbooks", len(workbooks))
         span.set_attribute("replayed_log_entries", len(entries))
         span.set_attribute("torn_log_tails", log.torn_tails)
@@ -585,7 +599,10 @@ class Workspace:
           final lines (what a crash during an append leaves) it dropped;
         * ``persistence.orphan_generations_total`` — snapshot generations
           :meth:`save` found that ``CURRENT`` did not name (what an
-          interrupted save leaves) and deleted.
+          interrupted save leaves) and deleted;
+        * ``persistence.sheets_deferred_total`` / ``sheets_decoded_total``
+          — sheets :meth:`load` restored with their cells still encoded,
+          and those of them whose cells a first read has decoded since.
 
         Beside them: the predictor's
         (:meth:`~repro.core.pipeline.AutoFormula.counters`).

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, ItemsView, Iterable, Iterator, List, Optional, Tuple, Union
+import threading
+from typing import Callable, Dict, ItemsView, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.sheet.addressing import CellAddress, RangeAddress, parse_cell_address
 from repro.sheet.cell import Cell, CellValue, EMPTY_CELL
 from repro.sheet.style import CellStyle, DEFAULT_STYLE
 
 AddressLike = Union[str, CellAddress, Tuple[int, int]]
+
+#: What a :class:`DeferredSheet` fills on its first read.
+_DEFERRED = frozenset(("_cells", "_n_rows", "_n_cols"))
+#: Held while a deferred sheet decodes, so concurrent first reads decode once.
+_DECODE_LOCK = threading.Lock()
 
 
 def _to_address(address: AddressLike) -> CellAddress:
@@ -252,3 +258,35 @@ class Sheet:
             f"Sheet(name={self._name!r}, rows={self._n_rows}, cols={self._n_cols}, "
             f"cells={len(self._cells)})"
         )
+
+
+class DeferredSheet(Sheet):
+    """A :class:`Sheet` whose cells and extent are ``decode()``'s, decoded
+    on the first read of either: a sheet restored from a snapshot line.
+    Until then it holds its name, ``version`` and seal, and ``decode``.
+
+    The first read decodes under a lock, publishes cells and extent in one
+    ``__dict__`` update, and turns the instance into a plain :class:`Sheet`.
+    Only this class has ``__getattr__``, which Python calls for an
+    attribute the instance lacks; on :class:`Sheet` it would cost every
+    sheet's attribute reads their specialization.
+    """
+
+    def __init__(
+        self, name: str, version: int, decode: Callable[[], Tuple[Dict[CellAddress, Cell], int, int]]
+    ) -> None:
+        self._name, self._version, self._sealed = name, version, False
+        self._decode = decode
+
+    def __getattr__(self, name: str):
+        if name not in _DEFERRED:
+            raise AttributeError(f"'Sheet' object has no attribute {name!r}")
+        state = self.__dict__
+        with _DECODE_LOCK:
+            decode = state.get("_decode")
+            if decode is not None:
+                cells, n_rows, n_cols = decode()
+                state.update(_n_rows=n_rows, _n_cols=n_cols, _cells=cells)
+                del state["_decode"]
+                self.__class__ = Sheet
+        return state[name]

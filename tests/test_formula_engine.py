@@ -17,7 +17,7 @@ from repro.formula import (
     is_error_value,
 )
 from repro.features import FeatureConfig, WindowFeaturizer
-from repro.formula.functions import BLANK_BLIND
+from repro.formula.functions import BLANK_BLIND, POSITIONAL
 from repro.sheet import CellAddress, Sheet
 
 
@@ -594,4 +594,93 @@ class TestRangesOverTheExtent:
         sheet.set(cell, formula=formula)
         engine.recalculate()
         assert sheet.get(cell).value == expected
+        assert len(reads) <= sheet.n_rows * sheet.n_cols
+
+
+class TestPositionalRangesOverTheExtent:
+    """A positional function (``repro.formula.functions.POSITIONAL``: the
+    lookups and the aligned ranges of ``SUMIF``, ``AVERAGEIF``, ``SUMIFS``
+    and ``COUNTIFS``) reads a range over the sheet's used extent and counts
+    the cells past it as blanks by position: its value is the one the
+    per-address read of every cell gives, error values included."""
+
+    TEMPLATES = [
+        "INDEX({a},{i},{j})", "INDEX({a},{i})", "INDEX({a},{x},1)",
+        "MATCH({v},{a},0)", "MATCH({x},{a},0)", "MATCH(Z99,{a},0)",
+        "VLOOKUP({v},{a},{j})", "VLOOKUP({v},{a},{j},TRUE)", "VLOOKUP(Z99,{a},{j})",
+        "HLOOKUP({v},{a},{j})", "HLOOKUP({v},{a},{j},TRUE)", "HLOOKUP(Z99,{a},{i})",
+        'SUMIF({a},">1")', 'SUMIF({a},"<>a",{b})', 'SUMIF({a},{v},{b})',
+        'AVERAGEIF({a},"<5",{b})', 'AVERAGEIF({a},">0")',
+        'COUNTIFS({a},">0",{b},"<5")', 'COUNTIFS({a},"<>3")', 'COUNTIFS({a},"",{b},"<>a")',
+        'COUNTIFS({a},"<>x",{b},"<>y")', 'COUNTIFS({a},">0",{b})',
+        'SUMIFS({b},{a},">0")', 'SUMIFS({b},{a},"<>a",{a},"<9")', 'SUMIFS({a},{b},"")',
+        "SUMIF({a},{v},{b})+MATCH({v},{b},0)",
+    ]
+    VALUES = [None, 0.0, -0.0, 1.0, 2.5, 3.0, 7.0, "", "a", "A", "3", True, False, DIV0_ERROR]
+    LOOKUPS = ["1", "3", "2.5", '"a"', '"3"', '""', "TRUE", "0", "A1", "B2"]
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_per_address_evaluation(self, data):
+        n_rows, n_cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        sheet = Sheet("s")
+        for row in range(n_rows):
+            for col in range(n_cols):
+                value = data.draw(st.sampled_from(self.VALUES))
+                if value is not None:
+                    sheet.set((row, col), value)
+        sheet.set((n_rows - 1, n_cols - 1), 1.0)  # pin the extent
+
+        def span():
+            row, col = data.draw(st.integers(0, n_rows + 1)), data.draw(st.integers(0, n_cols + 1))
+            end = CellAddress(row + data.draw(st.integers(0, 6)), col + data.draw(st.integers(0, 4)))
+            return f"{CellAddress(row, col).to_a1()}:{end.to_a1()}"
+
+        formula = "=" + data.draw(st.sampled_from(self.TEMPLATES)).format(
+            a=span(),
+            b=span(),
+            v=data.draw(st.sampled_from(self.LOOKUPS)),
+            i=data.draw(st.integers(0, 9)),
+            j=data.draw(st.integers(0, 6)),
+            x="Z99+" + str(data.draw(st.integers(1, 9))),
+        )
+        value = FormulaEngine(sheet).evaluate_formula(formula)
+        with mock.patch.dict(POSITIONAL, clear=True):  # every cell, by address
+            expected = FormulaEngine(sheet).evaluate_formula(formula)
+        assert type(value) is type(expected) and repr(value) == repr(expected), formula
+
+    @pytest.mark.parametrize(
+        "formula, expected",
+        [
+            ("=MATCH(5,A1:A100000,0)", "#VALUE!"),
+            ("=MATCH(9,A1:A100000,0)", 4.0),
+            ('=SUMIF(A1:A100000,">2")', 30.0),
+            ("=VLOOKUP(5,A1:B1048576,2)", "#VALUE!"),
+            ("=VLOOKUP(9,A1:B1048576,2)", 10.0),
+            ("=HLOOKUP(1,A1:C1048576,5)", 13.0),
+            ("=INDEX(A1:C1048576,5,3)", 14.0),
+            ('=COUNTIFS(A1:A100000,"<>3",B1:B100000,"<>x")', 99999.0),
+            ('=SUMIFS(C1:C1048576,A1:A1048576,">2")', 38.0),
+        ],
+    )
+    def test_a_whole_column_range_reads_what_the_sheet_stores(self, monkeypatch, formula, expected):
+        """The probes of a five-row sheet: each answers what the per-address
+        read gives and reads no cell outside the used extent."""
+        sheet = Sheet("s")
+        for row in range(5):
+            for col in range(3):
+                sheet.set((row, col), float(3 * row + col))
+        engine = FormulaEngine(sheet)
+        engine.recalculate()
+        reads = []
+        read = FormulaEngine._read
+
+        def counting(self, address):
+            reads.append(address)
+            return read(self, address)
+
+        monkeypatch.setattr(FormulaEngine, "_read", counting)
+        sheet.set("E1", formula=formula)
+        engine.recalculate()
+        assert sheet.get("E1").value == expected
         assert len(reads) <= sheet.n_rows * sheet.n_cols

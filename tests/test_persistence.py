@@ -16,6 +16,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,9 +47,9 @@ from repro.persistence.snapshot import (
     mutation_log_path,
 )
 from repro.service import RecommendationRequest
-from repro.sheet import CellStyle, Workbook
+from repro.sheet import CellStyle, Sheet, Workbook
 from repro.sheet.addressing import parse_cell_address
-from repro.sheet.io import sheet_from_dict, workbook_to_dict
+from repro.sheet.io import WorkbookFormatError, sheet_from_dict, workbook_to_dict
 from repro.testing import (
     WorkloadConfig,
     assert_matches_fresh_fit,
@@ -1283,3 +1285,224 @@ class TestEncodeMemo:
                 restored.predictor.snapshot_state(), workspace.predictor.snapshot_state()
             )
             save_and_check(workspace, directory)
+
+
+# ------------------------------------------------------------ deferred decode
+
+
+def _pending(sheet) -> bool:
+    """Whether a restored sheet still holds its cells encoded."""
+    return "_decode" in vars(sheet)
+
+
+def _sheets(workspace):
+    return [sheet for workbook in workspace.workbooks() for sheet in workbook]
+
+
+class TestDeferredDecode:
+    """A load parses and checks every corpus line, and a sheet decodes its
+    cells and extent from its line on its first read: a restore pays for
+    the sheets it reads, a save reuses the lines of the rest."""
+
+    @pytest.fixture
+    def saved(self, trained_encoder, tmp_path):
+        workspace, cases, config = _churned_workspace(trained_encoder, seed=29)
+        directory = tmp_path / "snap"
+        workspace.save(directory)
+        return SimpleNamespace(
+            workspace=workspace,
+            cases=cases,
+            directory=directory,
+            load=lambda: Workspace.load(directory, AutoFormula(trained_encoder, config)),
+        )
+
+    @staticmethod
+    def _count_cell_decodes(monkeypatch):
+        calls = []
+        decode = repro.sheet.io.cell_from_record
+
+        def counting(record):
+            calls.append(record)
+            return decode(record)
+
+        monkeypatch.setattr(repro.sheet.io, "cell_from_record", counting)
+        return calls
+
+    def test_a_load_decodes_no_cell(self, saved, monkeypatch):
+        calls = self._count_cell_decodes(monkeypatch)
+        restored = saved.load()
+        sheets = _sheets(restored)
+        assert calls == [] and sheets and all(_pending(sheet) for sheet in sheets)
+        counts = restored.counters()
+        assert counts["persistence.sheets_deferred_total"] == len(sheets)
+        assert counts["persistence.sheets_decoded_total"] == 0
+        versions = [sheet.version for sheet in sheets]
+        # Reading decodes, once a sheet, and does not move the version.
+        assert [workbook_to_dict(workbook) for workbook in restored.workbooks()] == [
+            workbook_to_dict(workbook) for workbook in saved.workspace.workbooks()
+        ]
+        assert len(calls) == sum(sheet.n_cells for sheet in sheets)
+        assert not any(_pending(sheet) for sheet in sheets)
+        # A decoded sheet is a plain Sheet, whose attribute reads CPython
+        # specializes: no Sheet pays for the deferral.
+        assert all(type(sheet) is Sheet for sheet in sheets) and "__getattr__" not in vars(Sheet)
+        assert [sheet.version for sheet in sheets] == versions
+        assert all(sheet.version == sheet.n_cells for sheet in sheets)
+        assert restored.counters()["persistence.sheets_decoded_total"] == len(sheets)
+
+    def test_the_first_recommend_decodes_only_the_sheets_s3_reads(self, saved, monkeypatch):
+        restored = saved.load()
+        touched = []
+        regions = AutoFormula._regions
+
+        def spying(predictor, reference):
+            touched.append(reference.sheet)
+            return regions(predictor, reference)
+
+        monkeypatch.setattr(AutoFormula, "_regions", spying)
+        requests = [RecommendationRequest(case.target_sheet, case.target_cell) for case in saved.cases]
+        responses = restored.serve_batch(requests)
+        decoded = [sheet for sheet in _sheets(restored) if not _pending(sheet)]
+        assert touched and {id(sheet) for sheet in decoded} == {id(sheet) for sheet in touched}
+        assert restored.counters()["persistence.sheets_decoded_total"] == len(decoded)
+        assert len(decoded) < len(_sheets(restored))
+        assert [answer_of(response) for response in responses] == [
+            answer_of(response) for response in saved.workspace.serve_batch(requests)
+        ]
+
+    def test_a_save_of_an_untouched_restore_is_byte_identical_and_decodes_nothing(
+        self, saved, monkeypatch, tmp_path
+    ):
+        restored = saved.load()
+        calls = self._count_cell_decodes(monkeypatch)
+        encoded = []
+        encode = repro.service.workspace.encode_workbook
+        monkeypatch.setattr(
+            repro.service.workspace,
+            "encode_workbook",
+            lambda workbook: encoded.append(workbook) or encode(workbook),
+        )
+        again = tmp_path / "again"
+        restored.save(again)
+        corpus = [
+            (current_generation(directory) / "corpus.jsonl").read_bytes()
+            for directory in (saved.directory, again)
+        ]
+        assert corpus[0] == corpus[1]
+        assert calls == [] and encoded == [] and all(_pending(s) for s in _sheets(restored))
+        assert restored.counters()["persistence.sheets_decoded_total"] == 0
+
+    def test_two_threads_reading_one_pending_sheet_decode_it_once(self, saved, monkeypatch):
+        restored = saved.load()
+        sheet = restored.workbooks()[0].sheets[0]
+        decodes = []
+        decode = repro.persistence.snapshot.decode_sheet
+
+        def slow(data):
+            decodes.append(data["name"])
+            time.sleep(0.05)  # the other thread reaches the lock meanwhile
+            return decode(data)
+
+        monkeypatch.setattr(repro.persistence.snapshot, "decode_sheet", slow)
+        barrier, seen = threading.Barrier(2), []
+
+        def read():
+            barrier.wait()
+            seen.append((dict(sheet.items()), sheet.n_rows, sheet.n_cols))
+
+        threads = [threading.Thread(target=read) for __ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert decodes == [sheet.name] and len(seen) == 2 and seen[0] == seen[1]
+        assert seen[0][0] and restored.counters()["persistence.sheets_decoded_total"] == 1
+
+    def test_many_threads_reading_every_pending_sheet_decode_each_once(self, saved):
+        """Eight threads, switching every microsecond, read all sheets in
+        their own orders: each sheet is decoded once, and every thread
+        sees it whole."""
+        restored = saved.load()
+        sheets = _sheets(restored)
+        expected = [
+            (dict(sheet.items()), sheet.n_rows, sheet.n_cols)
+            for workbook in saved.workspace.workbooks()
+            for sheet in workbook
+        ]
+        views, errors = [], []
+
+        def read(order):
+            try:
+                view = {}
+                for position in order:
+                    sheet = sheets[position]
+                    view[position] = (sheet.n_rows, sheet.n_cols, dict(sheet.items()))
+                views.append(view)
+            except BaseException as error:  # reported below, on the test's thread
+                errors.append(error)
+                raise
+
+        orders = [np.random.default_rng(seed).permutation(len(sheets)).tolist() for seed in range(8)]
+        threads = [threading.Thread(target=read, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
+        for view in views:
+            assert [
+                (cells, n_rows, n_cols) for __, (n_rows, n_cols, cells) in sorted(view.items())
+            ] == expected
+        assert restored.counters()["persistence.sheets_decoded_total"] == len(sheets)
+
+    def test_a_bad_cell_record_loads_then_raises_on_first_read(self, saved):
+        corpus = current_generation(saved.directory) / "corpus.jsonl"
+        lines = corpus.read_bytes().split(b"\n")
+        data = json.loads(lines[1])
+        sheet_data = data["sheets"][0]
+        address = next(iter(sheet_data["cells"]))
+        sheet_data["cells"][address] = {"value": [1, 2]}  # a value no cell holds
+        lines[1] = json.dumps(data, ensure_ascii=False).encode("utf-8")
+        corpus.write_bytes(b"\n".join(lines))
+        restored = saved.load()
+        sheet = restored.workbooks()[1].get_sheet(sheet_data["name"])
+        for __ in range(2):  # the sheet stays undecoded, and says so again
+            with pytest.raises(WorkbookFormatError, match=r"corpus line 2 of .*cell"):
+                sheet.get(address)
+        assert _pending(sheet) and restored.counters()["persistence.sheets_decoded_total"] == 0
+        assert workbook_to_dict(restored.workbooks()[0]) == workbook_to_dict(
+            saved.workspace.workbooks()[0]
+        )
+
+    def test_log_replay_and_remove_work_on_pending_sheets(self, saved, trained_encoder):
+        workspace = saved.workspace
+        target, gone = workspace.workbooks()[0], workspace.workbook_names[-1]
+        sheet = target.sheets[0]
+        address = next(addr for addr, cell in sheet.cells() if cell.formula is None)
+        workspace.edit_cell(target.name, sheet.name, address, value=1234.5)
+        workspace.remove_workbook(gone)
+        restored = saved.load()
+        assert restored.counters()["persistence.log_replayed_total"] == 2
+        replayed = restored.workbooks()[0].sheets[0]
+        assert not _pending(replayed) and replayed.get(address).value == 1234.5
+        assert restored.workbook_names == workspace.workbook_names
+        # A pending workbook leaves the workspace undecoded and writable.
+        name = restored.workbook_names[-1]
+        removed = restored.remove_workbook(name)
+        live = workspace.remove_workbook(name)
+        assert all(_pending(sheet) for sheet in removed)
+        assert workbook_to_dict(removed) == workbook_to_dict(live)
+        removed.sheets[0].set("A1", 5.0)
+        assert removed.sheets[0].get("A1").value == 5.0
+        assert_matches_fresh_fit(
+            restored,
+            lambda: AutoFormula(trained_encoder, AutoFormulaConfig()),
+            _with_corpus_cases(restored, saved.cases),
+            context="pending replay",
+        )

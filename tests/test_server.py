@@ -276,6 +276,30 @@ class TestProtocolBasics:
             ]
             assert client.stats()["counters"].get("server_errors", 0) == 0
 
+    def test_a_lookup_over_a_whole_column_is_an_edit_of_a_few_ms(self):
+        """The positional range probes of a five-row sheet, over the wire:
+        each is read over the used extent, not address by address."""
+        workbook = Workbook(name="grid")
+        sheet = workbook.add_sheet("s")
+        for row in range(5):
+            for col in range(3):
+                sheet.set((row, col), float(3 * row + col))
+        service = FormulaService()
+        service.create_workspace("acme", predictor=_StubPredictor(), workbooks=[workbook])
+        with start_server_in_background(service) as handle:
+            client = FormulaClient(handle.host, handle.port)
+            client.edit_cell("acme", "grid", "s", "D1", value=1.0)  # builds the engine
+            for formula, expected in (
+                ("=MATCH(5,A1:A100000,0)", "#VALUE!"),
+                ('=SUMIF(A1:A100000,">2")', 30.0),
+                ("=VLOOKUP(5,A1:B1048576,2)", "#VALUE!"),
+            ):
+                started = time.process_time()  # server and client share this process
+                client.edit_cell("acme", "grid", "s", "E1", formula=formula)
+                assert time.process_time() - started < 0.010, formula
+                assert sheet.get("E1").value == expected, formula
+            assert client.stats()["counters"].get("server_errors", 0) == 0
+
     def test_metrics_read_first_has_the_workspace_gauges(self):
         """A scraper that never reads ``/stats`` still gets every
         per-workspace family (they used to be registered by ``/stats``)."""
