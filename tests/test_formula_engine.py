@@ -524,23 +524,35 @@ class TestDependencyOrder:
 
 
 class TestRangesOverTheExtent:
-    """A blank-blind function (``repro.formula.functions.BLANK_BLIND``)
-    reads a range over the sheet's used extent, with one blank standing for
-    the cells past it (``COUNTBLANK`` counts them): its value is the one
-    the per-address read of every cell gives, error values included."""
+    """A range-taking builtin reads a range over the sheet's used extent:
+    a blank-blind one (``repro.formula.functions.BLANK_BLIND``) with one
+    blank standing for the cells past it (``COUNTBLANK`` counts them), a
+    positional one (``POSITIONAL``: the lookups and the aligned ranges of
+    the ``*IF(S)`` functions) with the cells past it blank by position.
+    Its value is the one the per-address read of every cell gives, error
+    values included."""
 
     TEMPLATES = [
         f"{name}({{a}})" for name in sorted(BLANK_BLIND)
     ] + [f"{name}({{a}},{{b}},2)" for name in sorted(BLANK_BLIND) if name != "COUNTIF"] + [
         'COUNTIF({a},">2")', 'COUNTIF({a},"a")', 'COUNTIF({a},"")', "COUNTIF({a},{b})",
-        'SUMIF({a},">1")', 'SUMIF({a},">1",{b})', 'AVERAGEIF({a},"<5",{b})',
-        'COUNTIFS({a},">0",{b},"<5")', 'SUMIFS({b},{a},">0")',
-        "VLOOKUP(2,{a},1)", "HLOOKUP(2,{a},1)", "INDEX({a},2,1)", "MATCH(2,{a},0)",
         "ISBLANK({a})", "SUM({a})+COUNTBLANK({b})",
+        "INDEX({a},{i},{j})", "INDEX({a},{i})", "INDEX({a},{x},1)",
+        "MATCH({v},{a},0)", "MATCH({x},{a},0)", "MATCH(Z99,{a},0)",
+        "VLOOKUP({v},{a},{j})", "VLOOKUP({v},{a},{j},TRUE)", "VLOOKUP(Z99,{a},{j})",
+        "HLOOKUP({v},{a},{j})", "HLOOKUP({v},{a},{j},TRUE)", "HLOOKUP(Z99,{a},{i})",
+        'SUMIF({a},">1")', 'SUMIF({a},"<>a",{b})', "SUMIF({a},{v},{b})",
+        'AVERAGEIF({a},"<5",{b})', 'AVERAGEIF({a},">0")',
+        'COUNTIFS({a},">0",{b},"<5")', 'COUNTIFS({a},"<>3")', 'COUNTIFS({a},"",{b},"<>a")',
+        'COUNTIFS({a},"<>x",{b},"<>y")', 'COUNTIFS({a},">0",{b})',
+        'SUMIFS({b},{a},">0")', 'SUMIFS({b},{a},"<>a",{a},"<9")', 'SUMIFS({a},{b},"")',
+        "SUMIF({a},{v},{b})+MATCH({v},{b},0)",
     ]
-    VALUES = [None, 0.0, -0.0, 1.0, 2.5, 3.0, 7.0, "", "a", "3", "x y", True, False, DIV0_ERROR]
+    VALUES = [None, 0.0, -0.0, 1.0, 2.5, 3.0, 7.0, "", "a", "A", "3", "x y", True, False, DIV0_ERROR]
+    #: Lookup values; a reference to ``Z99``, past every extent, is a blank.
+    LOOKUPS = ["1", "3", "2.5", '"a"', '"3"', '""', "TRUE", "0", "A1", "B2"]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=800, deadline=None)
     @given(data=st.data())
     def test_equals_the_per_address_evaluation(self, data):
         n_rows, n_cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
@@ -554,12 +566,20 @@ class TestRangesOverTheExtent:
 
         def span():
             row, col = data.draw(st.integers(0, n_rows + 1)), data.draw(st.integers(0, n_cols + 1))
-            end = CellAddress(row + data.draw(st.integers(0, 5)), col + data.draw(st.integers(0, 4)))
+            end = CellAddress(row + data.draw(st.integers(0, 6)), col + data.draw(st.integers(0, 4)))
             return f"{CellAddress(row, col).to_a1()}:{end.to_a1()}"
 
-        formula = "=" + data.draw(st.sampled_from(self.TEMPLATES)).format(a=span(), b=span())
+        formula = "=" + data.draw(st.sampled_from(self.TEMPLATES)).format(
+            a=span(),
+            b=span(),
+            v=data.draw(st.sampled_from(self.LOOKUPS)),
+            i=data.draw(st.integers(0, 9)),
+            j=data.draw(st.integers(0, 6)),
+            x="Z99+" + str(data.draw(st.integers(1, 9))),
+        )
         value = FormulaEngine(sheet).evaluate_formula(formula)
-        with mock.patch.dict(BLANK_BLIND, clear=True):  # every cell, by address
+        # Every cell, by address.
+        with mock.patch.dict(BLANK_BLIND, clear=True), mock.patch.dict(POSITIONAL, clear=True):
             expected = FormulaEngine(sheet).evaluate_formula(formula)
         assert type(value) is type(expected) and repr(value) == repr(expected), formula
 
@@ -570,6 +590,16 @@ class TestRangesOverTheExtent:
             ("A7", "=SUM(B1:XFD1048576)", 75.0),
             ("D1", "=COUNTBLANK(A1:A20000)", 19995.0),
             ("D2", "=AVERAGE(A1:C1048576)", 7.0),
+            ("E1", "=MATCH(5,A1:A100000,0)", "#VALUE!"),
+            ("E1", "=MATCH(9,A1:A100000,0)", 4.0),
+            ("A7", "=MATCH(Z99,A1:D2,0)", 4.0),  # D1, past the extent, comes first
+            ("E1", '=SUMIF(A1:A100000,">2")', 30.0),
+            ("E1", "=VLOOKUP(5,A1:B1048576,2)", "#VALUE!"),
+            ("E1", "=VLOOKUP(9,A1:B1048576,2)", 10.0),
+            ("E1", "=HLOOKUP(1,A1:C1048576,5)", 13.0),
+            ("E1", "=INDEX(A1:C1048576,5,3)", 14.0),
+            ("E1", '=COUNTIFS(A1:A100000,"<>3",B1:B100000,"<>x")', 99999.0),
+            ("E1", '=SUMIFS(C1:C1048576,A1:A1048576,">2")', 38.0),
         ],
     )
     def test_a_whole_grid_range_reads_what_the_sheet_stores(
@@ -596,91 +626,3 @@ class TestRangesOverTheExtent:
         assert sheet.get(cell).value == expected
         assert len(reads) <= sheet.n_rows * sheet.n_cols
 
-
-class TestPositionalRangesOverTheExtent:
-    """A positional function (``repro.formula.functions.POSITIONAL``: the
-    lookups and the aligned ranges of ``SUMIF``, ``AVERAGEIF``, ``SUMIFS``
-    and ``COUNTIFS``) reads a range over the sheet's used extent and counts
-    the cells past it as blanks by position: its value is the one the
-    per-address read of every cell gives, error values included."""
-
-    TEMPLATES = [
-        "INDEX({a},{i},{j})", "INDEX({a},{i})", "INDEX({a},{x},1)",
-        "MATCH({v},{a},0)", "MATCH({x},{a},0)", "MATCH(Z99,{a},0)",
-        "VLOOKUP({v},{a},{j})", "VLOOKUP({v},{a},{j},TRUE)", "VLOOKUP(Z99,{a},{j})",
-        "HLOOKUP({v},{a},{j})", "HLOOKUP({v},{a},{j},TRUE)", "HLOOKUP(Z99,{a},{i})",
-        'SUMIF({a},">1")', 'SUMIF({a},"<>a",{b})', 'SUMIF({a},{v},{b})',
-        'AVERAGEIF({a},"<5",{b})', 'AVERAGEIF({a},">0")',
-        'COUNTIFS({a},">0",{b},"<5")', 'COUNTIFS({a},"<>3")', 'COUNTIFS({a},"",{b},"<>a")',
-        'COUNTIFS({a},"<>x",{b},"<>y")', 'COUNTIFS({a},">0",{b})',
-        'SUMIFS({b},{a},">0")', 'SUMIFS({b},{a},"<>a",{a},"<9")', 'SUMIFS({a},{b},"")',
-        "SUMIF({a},{v},{b})+MATCH({v},{b},0)",
-    ]
-    VALUES = [None, 0.0, -0.0, 1.0, 2.5, 3.0, 7.0, "", "a", "A", "3", True, False, DIV0_ERROR]
-    LOOKUPS = ["1", "3", "2.5", '"a"', '"3"', '""', "TRUE", "0", "A1", "B2"]
-
-    @settings(max_examples=600, deadline=None)
-    @given(data=st.data())
-    def test_equals_the_per_address_evaluation(self, data):
-        n_rows, n_cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
-        sheet = Sheet("s")
-        for row in range(n_rows):
-            for col in range(n_cols):
-                value = data.draw(st.sampled_from(self.VALUES))
-                if value is not None:
-                    sheet.set((row, col), value)
-        sheet.set((n_rows - 1, n_cols - 1), 1.0)  # pin the extent
-
-        def span():
-            row, col = data.draw(st.integers(0, n_rows + 1)), data.draw(st.integers(0, n_cols + 1))
-            end = CellAddress(row + data.draw(st.integers(0, 6)), col + data.draw(st.integers(0, 4)))
-            return f"{CellAddress(row, col).to_a1()}:{end.to_a1()}"
-
-        formula = "=" + data.draw(st.sampled_from(self.TEMPLATES)).format(
-            a=span(),
-            b=span(),
-            v=data.draw(st.sampled_from(self.LOOKUPS)),
-            i=data.draw(st.integers(0, 9)),
-            j=data.draw(st.integers(0, 6)),
-            x="Z99+" + str(data.draw(st.integers(1, 9))),
-        )
-        value = FormulaEngine(sheet).evaluate_formula(formula)
-        with mock.patch.dict(POSITIONAL, clear=True):  # every cell, by address
-            expected = FormulaEngine(sheet).evaluate_formula(formula)
-        assert type(value) is type(expected) and repr(value) == repr(expected), formula
-
-    @pytest.mark.parametrize(
-        "formula, expected",
-        [
-            ("=MATCH(5,A1:A100000,0)", "#VALUE!"),
-            ("=MATCH(9,A1:A100000,0)", 4.0),
-            ('=SUMIF(A1:A100000,">2")', 30.0),
-            ("=VLOOKUP(5,A1:B1048576,2)", "#VALUE!"),
-            ("=VLOOKUP(9,A1:B1048576,2)", 10.0),
-            ("=HLOOKUP(1,A1:C1048576,5)", 13.0),
-            ("=INDEX(A1:C1048576,5,3)", 14.0),
-            ('=COUNTIFS(A1:A100000,"<>3",B1:B100000,"<>x")', 99999.0),
-            ('=SUMIFS(C1:C1048576,A1:A1048576,">2")', 38.0),
-        ],
-    )
-    def test_a_whole_column_range_reads_what_the_sheet_stores(self, monkeypatch, formula, expected):
-        """The probes of a five-row sheet: each answers what the per-address
-        read gives and reads no cell outside the used extent."""
-        sheet = Sheet("s")
-        for row in range(5):
-            for col in range(3):
-                sheet.set((row, col), float(3 * row + col))
-        engine = FormulaEngine(sheet)
-        engine.recalculate()
-        reads = []
-        read = FormulaEngine._read
-
-        def counting(self, address):
-            reads.append(address)
-            return read(self, address)
-
-        monkeypatch.setattr(FormulaEngine, "_read", counting)
-        sheet.set("E1", formula=formula)
-        engine.recalculate()
-        assert sheet.get("E1").value == expected
-        assert len(reads) <= sheet.n_rows * sheet.n_cols
