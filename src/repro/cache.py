@@ -116,6 +116,20 @@ class LRU:
             self._entries.move_to_end(slot)
             return entry[2]
 
+    def get_at(self, key, token):
+        """The value cached for ``key`` (a versioned object) if it was put
+        at ``token``, whatever ``key``'s token is now, or ``None``: what a
+        caller that knows how its key changed since ``token`` can bring up
+        to date and :meth:`put` back.  Counted as a lookup; the entry stays
+        where it is."""
+        with self._mutex:
+            entry = self._entries.get(id(key))
+            if entry is None or entry[1] != token:
+                self.misses += 1
+                return None
+            self.hits += 1
+            return entry[2]
+
     def put(self, key, value):
         """Cache ``value`` for ``key`` and return the resident value: the one
         already there when another thread filled the same miss first."""

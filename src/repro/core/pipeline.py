@@ -19,7 +19,7 @@ from repro.formula.tokenizer import FormulaSyntaxError
 from repro.models.encoder import SheetEncoder
 from repro.obs import Counter, get_tracer
 from repro.sheet.addressing import CellAddress, RangeAddress, column_index_to_letters
-from repro.sheet.sheet import Sheet
+from repro.sheet.sheet import Sheet, SheetEdit
 from repro.sheet.workbook import Workbook
 
 _UNSET = object()
@@ -602,7 +602,10 @@ class AutoFormula(FormulaPredictor):
         return len(removed_ids)
 
     def reindex_sheet(
-        self, sheet: Sheet, trees: Optional[Mapping[CellAddress, object]] = None
+        self,
+        sheet: Sheet,
+        trees: Optional[Mapping[CellAddress, object]] = None,
+        edit: Optional[SheetEdit] = None,
     ) -> Dict[str, object]:
         """Re-index one reference sheet whose content was edited in place.
 
@@ -619,30 +622,51 @@ class AutoFormula(FormulaPredictor):
         restored sheet's block not built yet stays so) and the cached
         adaptation plans stay.  Otherwise the sheet's formula rows alone are
         replaced (tombstone + append: no answer depends on physical order in
-        the formula index) and its block and plans are rebuilt.  The S1 row
-        is overwritten either way.  Every forward runs before the first
-        write, so one that raises leaves the sheet's rows and block as they
-        were.
+        the formula index) and its block and plans are rebuilt.  Every
+        forward runs before the first write, so one that raises leaves the
+        sheet's rows and block as they were.
 
-        Bit-safety rule: every forward pass here has the batch shape a
-        fresh fit uses for this sheet — the fine prefix over the *whole*
-        sheet tensor, then a row-wise gather and ``L2Normalize``; one sheet
-        window through the sheet model, as indexing does for every sheet.
-        Do not reduce only the cells an edit touched: BLAS picks its
-        kernel from the operand shapes, and ``X[idx] @ W`` is not bitwise
-        ``(X @ W)[idx]``.
+        ``edit`` (the workspace passes it; ``None`` assumes nothing) says
+        which cells changed since the version the index holds.  Two things
+        an edit cannot have changed are reused, each byte-identical to what
+        recomputing it gives:
+
+        * **The padded feature tensor** (``tensor_patched``).  When the
+          featurizer holds it at ``edit.version`` and the extent did not
+          move, it is copied and only ``edit.cells`` are re-featurized
+          (:meth:`~repro.features.window.WindowFeaturizer.patch_tensor`):
+          a cell's features are a function of that cell alone.
+        * **The S1 row** (``s1_skipped``).  When no cell of ``edit.cells``
+          lies in the sheet window and the extent did not move, the window
+          the sheet model reads is the one it read for the row the index
+          holds, so the row is kept and the model does not run.
+
+        Bit-safety rule: every forward pass that does run has the batch
+        shape a fresh fit uses for this sheet — the fine prefix over the
+        *whole* sheet tensor, then a row-wise gather and ``L2Normalize``;
+        one sheet window through the sheet model, as indexing does for
+        every sheet.  Do not reduce only the cells an edit touched: BLAS
+        picks its kernel from the operand shapes, and ``X[idx] @ W`` is not
+        bitwise ``(X @ W)[idx]``.
 
         ``trees``: the sheet's parsed formulas, by address, as its engine
         holds them (:meth:`~repro.formula.engine.FormulaEngine.trees`).
 
-        Returns ``n_formulas``, ``formulas_changed`` and ``n_store_cells``
-        for the caller's span; raises ``KeyError`` if the sheet is not
-        indexed.
+        Returns ``n_formulas``, ``formulas_changed``, ``n_store_cells``,
+        ``tensor_patched`` and ``s1_skipped`` for the caller's span; raises
+        ``KeyError`` if the sheet is not indexed.
         """
         sheet_id = self._sheet_ids.get(id(sheet))
         if sheet_id is None:
             raise KeyError(f"sheet {sheet.name!r} is not indexed")
         reference = self._reference_sheets[sheet_id]
+        featurizer = self.encoder.featurizer
+        tensor_patched = edit is not None and featurizer.patch_tensor(sheet, edit)
+        s1_skipped = (
+            edit is not None
+            and (edit.n_rows, edit.n_cols) == (sheet.n_rows, sheet.n_cols)
+            and not featurizer.in_sheet_window(edit.cells)
+        )
         formulas, embeddings = self._formula_entries(sheet)
         changed = formulas != reference.formulas
         regions = reference.regions
@@ -650,7 +674,7 @@ class AutoFormula(FormulaPredictor):
             regions = self._reference_regions(sheet, self._parameter_cells(formulas, trees))
         elif regions is not None:  # the same cells in the same order
             regions = self._reference_regions(sheet, regions.cells)
-        sheet_vector = self._embed_sheet(sheet)
+        sheet_vector = None if s1_skipped else self._embed_sheet(sheet)
         if changed:
             self._remove_rows(reference.formula_rows)
             reference.formula_rows = self._formula_index.add_batch(
@@ -660,11 +684,14 @@ class AutoFormula(FormulaPredictor):
         else:
             self._formula_index.update_batch(reference.formula_rows, embeddings)
         reference.regions = regions
-        self._sheet_index.update_batch([reference.sheet_row], sheet_vector[None, :])
+        if sheet_vector is not None:
+            self._sheet_index.update_batch([reference.sheet_row], sheet_vector[None, :])
         return {
             "n_formulas": len(formulas),
             "formulas_changed": changed,
             "n_store_cells": 0 if regions is None else len(regions.cells),
+            "tensor_patched": tensor_patched,
+            "s1_skipped": s1_skipped,
         }
 
     @property

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -13,7 +13,7 @@ from repro.features.cell_features import CellFeaturizer
 from repro.features.config import FeatureConfig
 from repro.sheet.addressing import CellAddress
 from repro.sheet.cell import EMPTY_CELL
-from repro.sheet.sheet import Sheet
+from repro.sheet.sheet import Sheet, SheetEdit
 
 #: Padded-tensor byte budget above which a sheet is featurized window by
 #: window instead of densified.  Counted in bytes of the dense tensor (cells
@@ -245,6 +245,48 @@ class WindowFeaturizer:
             tensor.flags.writeable = False
             tensor = self._tensor_cache.put(sheet, tensor)
         return tensor
+
+    def patch_tensor(self, sheet: Sheet, edit: SheetEdit) -> bool:
+        """Carry ``sheet``'s padded tensor over ``edit``: when the tensor is
+        cached at the version the edit started from and the extent did not
+        move, cache a copy at the sheet's version now with the edit's cells
+        re-featurized (one :meth:`CellFeaturizer.featurize_many` call).
+        Returns whether it did.
+
+        The copy equals :meth:`_build_tensor` of the edited sheet byte for
+        byte: a cell's row is a function of that cell alone, read from the
+        same cell-feature table, every cell outside ``edit.cells`` holds
+        what it held at ``edit.version``, and the border and the blank
+        cells depend on the extent only.  Every cell of ``edit.cells`` is
+        stored (an edit writes a cell, a recalculation commits formulas);
+        for an edit that names an unstored one, the tensor is built whole.
+        """
+        n_rows, n_cols = sheet.n_rows, sheet.n_cols
+        addresses = list(edit.cells)
+        if (edit.n_rows, edit.n_cols) != (n_rows, n_cols) or not all(
+            address in sheet for address in addresses
+        ):
+            return False
+        before = self._tensor_cache.get_at(sheet, edit.version)
+        if before is None:
+            return False
+        tensor = before.copy()
+        pad_row, pad_col = self.config.window_rows // 2, self.config.window_cols // 2
+        tensor[
+            [pad_row + address.row for address in addresses],
+            [pad_col + address.col for address in addresses],
+        ] = self.cell_featurizer.featurize_many([sheet.get(address) for address in addresses])
+        tensor.flags.writeable = False
+        self._tensor_cache.put(sheet, tensor)
+        return True
+
+    def in_sheet_window(self, cells: Iterable[CellAddress]) -> bool:
+        """Whether any of ``cells`` lies in the window
+        :meth:`featurize_sheet` reads (:func:`sheet_window_bounds` plus the
+        window shape)."""
+        top, left = sheet_window_bounds()
+        bottom, right = top + self.config.window_rows, left + self.config.window_cols
+        return any(top <= cell.row < bottom and left <= cell.col < right for cell in cells)
 
     def densifiable(self, sheet: Sheet) -> bool:
         """Whether the sheet's padded tensor fits the densification budget

@@ -139,6 +139,14 @@ class FormulaEngine:
         #: The dirty formulas' values (:meth:`_evaluate_dirty`); ``None``
         #: until the pass has run since the last edit.
         self._eval_memo: Optional[Dict[CellAddress, object]] = None
+        #: Every stored cell's value by ``(row, col)``: what a read looks
+        #: up, hashed and compared in C (a :class:`CellAddress` key is
+        #: hashed in Python).  The engine's own writes keep it; a write
+        #: made around the engine moves the version, and the next
+        #: operation rebuilds it with the graph.
+        self._stored: Dict[Tuple[int, int], object] = {}
+        #: The cells whose value the last :meth:`recalculate` changed.
+        self.last_changed: Tuple[CellAddress, ...] = ()
         self._synced_version = -1
         self._full_resync()
 
@@ -177,6 +185,7 @@ class FormulaEngine:
             self._unregister(addr)
             self._dirty.discard(addr)
         self._sheet._put(addr, cell)
+        self._stored[addr.row, addr.col] = cell.value
         self._synced_version = self._sheet.version
         self._eval_memo = None
         self._mark_dirty(self._dependents_of(addr))
@@ -190,6 +199,7 @@ class FormulaEngine:
             self._unregister(addr)
         text = formula if str(formula).startswith("=") else f"={formula}"
         self._sheet._put(addr, Cell(None, text, old.style))
+        self._stored[addr.row, addr.col] = None
         self._synced_version = self._sheet.version
         self._eval_memo = None
         self._register(addr)
@@ -226,18 +236,21 @@ class FormulaEngine:
         formulas are not recomputed.
         """
         self._sync()
+        self.last_changed = ()
         if not self._dirty:
             return RecalcReport(0, 0)
         with get_tracer().span(
             "engine.recalculate", dirty=len(self._dirty)
         ) as span:
             memo = self._evaluate_dirty()
-            committed = [(address, self._read(address)) for address in self._dirty]
+            committed = {address: self._read(address) for address in self._dirty}
             # One commit, one version bump if anything changed; the watermark
             # moves with it, since the engine made the change itself.
-            self._sheet._commit_values(committed)
+            self.last_changed = tuple(self._sheet._commit_values(committed.items()))
+            for address in self.last_changed:
+                self._stored[address.row, address.col] = committed[address]
             self._synced_version = self._sheet.version
-            errored = sum(1 for __, value in committed if is_error_value(value))
+            errored = sum(1 for value in committed.values() if is_error_value(value))
             recalculated = len(committed) - errored
             # What the pass could not order stays dirty (the module docstring's
             # cycle rule).
@@ -289,6 +302,9 @@ class FormulaEngine:
         self._range_watchers.clear()
         self._eval_memo = None
         self._dirty = set()
+        self._stored = {
+            (address.row, address.col): cell.value for address, cell in self._sheet.items()
+        }
         for address, __ in self._sheet.formula_cells():
             self._register(address)
             self._dirty.add(address)
@@ -373,7 +389,7 @@ class FormulaEngine:
         memo, any other cell's as stored (clean formulas are committed)."""
         if address in self._dirty:
             return self._eval_memo.get(address, CYCLE_ERROR)
-        return self._sheet.get(address).value
+        return self._stored.get((address.row, address.col))
 
     def _formula_value(self, address: CellAddress) -> object:
         ast = self._asts[address]
@@ -397,18 +413,14 @@ class FormulaEngine:
         if isinstance(node, CellReference):
             return self._read(node.address)
         if isinstance(node, RangeReference):
-            cell_range = node.range
-            if cell_range.n_cols == 1 or cell_range.n_rows == 1:
-                return [self._read(addr) for addr in cell_range.cells()]
+            start, end = node.range.start, node.range.end
+            values = self._values(range(start.row, end.row + 1), range(start.col, end.col + 1))
+            width = end.col - start.col + 1
+            if width == 1 or start.row == end.row:
+                return values
             # Two-dimensional ranges evaluate to a list of rows so lookup
             # functions (VLOOKUP / INDEX / MATCH) see the table structure.
-            return [
-                [
-                    self._read(CellAddress(row, col))
-                    for col in range(cell_range.start.col, cell_range.end.col + 1)
-                ]
-                for row in range(cell_range.start.row, cell_range.end.row + 1)
-            ]
+            return [values[at : at + width] for at in range(0, len(values), width)]
         if isinstance(node, UnaryOp):
             operand = self._evaluate_node(node.operand)
             if is_error_value(operand):
@@ -436,8 +448,26 @@ class FormulaEngine:
         start, end = cell_range.start, cell_range.end
         rows = range(start.row, min(end.row, self._sheet.n_rows - 1) + 1)
         cols = range(start.col, min(end.col, self._sheet.n_cols - 1) + 1)
-        values = [self._read(CellAddress(row, col)) for row in rows for col in cols]
-        return values, len(rows), len(cols)
+        return self._values(rows, cols), len(rows), len(cols)
+
+    def _values(self, rows: range, cols: range) -> List[object]:
+        """The values of the cells ``rows`` x ``cols``, row-major, as
+        :meth:`_read` gives them: read by position in one pass, then the
+        few dirty formulas among them patched in from the memo (a pass
+        with more dirty formulas than the block has cells reads cell by
+        cell)."""
+        dirty = self._dirty
+        if len(dirty) > len(rows) * len(cols):
+            return [self._read(CellAddress(row, col)) for row in rows for col in cols]
+        get = self._stored.get
+        values = [get((row, col)) for row in rows for col in cols]
+        if dirty:
+            memo, width = self._eval_memo, len(cols)
+            for address in dirty:
+                row, col = address.row - rows.start, address.col - cols.start
+                if 0 <= row < len(rows) and 0 <= col < width:
+                    values[row * width + col] = memo.get(address, CYCLE_ERROR)
+        return values
 
     def _grid(self, cell_range: RangeAddress) -> Grid:
         """A :data:`~repro.formula.functions.POSITIONAL` range argument."""

@@ -42,13 +42,17 @@ class FunctionError(ValueError):
 
 
 def _flatten(value) -> List:
-    """Flatten nested lists (range values) into a flat list of scalars."""
-    if isinstance(value, list):
-        out: List = []
-        for item in value:
+    """Flatten nested lists (range values) into a flat list of scalars:
+    one call per list, not per scalar."""
+    if not isinstance(value, list):
+        return [value]
+    out: List = []
+    for item in value:
+        if isinstance(item, list):
             out.extend(_flatten(item))
-        return out
-    return [value]
+        else:
+            out.append(item)
+    return out
 
 
 class Grid:

@@ -40,7 +40,7 @@ from repro.service.types import (
 )
 from repro.sheet.addressing import CellAddress
 from repro.sheet.cell import Cell, decode_cell_value
-from repro.sheet.sheet import AddressLike, Sheet
+from repro.sheet.sheet import AddressLike, Sheet, SheetEdit, _to_address
 from repro.sheet.workbook import Workbook
 
 
@@ -256,6 +256,16 @@ class Workspace:
         equal a fresh fit on :meth:`workbooks`.  Returns the engine's
         :class:`~repro.formula.engine.RecalcReport`.
 
+        The re-index is told what the edit changed
+        (:class:`~repro.sheet.sheet.SheetEdit`: the version and extent
+        before it, the written cell and the cells the recalculation
+        changed), so it recomputes the S2 rows and the S3 block whole but
+        re-featurizes only those cells of a cached feature tensor and keeps
+        the S1 row when none of them lies in the sheet window; both reuses
+        are byte-identical to recomputing (see
+        :meth:`AutoFormula.reindex_sheet
+        <repro.core.pipeline.AutoFormula.reindex_sheet>`).
+
         Raises ``KeyError`` if the workbook is not indexed or has no sheet
         called ``sheet_name``, and ``ValueError`` unless exactly one of
         ``value`` / ``formula`` is provided or for a value no cell can
@@ -279,13 +289,15 @@ class Workspace:
             sheet = self._workbooks[workbook_name].get_sheet(sheet_name)
             engine = self._engine(workbook_name, sheet)
             checkpoint = sheet._checkpoint()
+            before = (sheet.version, sheet.n_rows, sheet.n_cols)
             try:
                 if formula is not None:
                     engine.set_formula(address, formula)
                 else:
                     engine.set_value(address, value)
                 report = engine.recalculate()
-                self._reindex_sheet(sheet, engine.trees())
+                changed = frozenset((_to_address(address), *engine.last_changed))
+                self._reindex_sheet(sheet, engine.trees(), SheetEdit(*before, changed))
             except BaseException:
                 # The sheet goes back to what the index and the log know,
                 # and the engine, whose graph saw the edit, goes.
@@ -304,9 +316,11 @@ class Workspace:
             engine = self._engines[key] = FormulaEngine(sheet)
         return engine
 
-    def _reindex_sheet(self, sheet: Sheet, trees: Mapping[CellAddress, object]) -> None:
+    def _reindex_sheet(
+        self, sheet: Sheet, trees: Mapping[CellAddress, object], edit: SheetEdit
+    ) -> None:
         with get_tracer().span("workspace.reindex_sheet") as span:
-            outcome = self._predictor.reindex_sheet(sheet, trees)
+            outcome = self._predictor.reindex_sheet(sheet, trees, edit)
             for key, attribute in outcome.items():
                 span.set_attribute(key, attribute)
         shape = "changed" if outcome["formulas_changed"] else "same"

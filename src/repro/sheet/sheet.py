@@ -4,7 +4,19 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Dict, ItemsView, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    ItemsView,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.sheet.addressing import CellAddress, RangeAddress, parse_cell_address
 from repro.sheet.cell import Cell, CellValue, EMPTY_CELL
@@ -41,6 +53,18 @@ def _row_major(item: Tuple[CellAddress, Cell]) -> Tuple[int, int]:
     """Sort key of an ``(address, cell)`` pair: the address's own order,
     without a dataclass ``__lt__`` call per comparison."""
     return (item[0].row, item[0].col)
+
+
+class SheetEdit(NamedTuple):
+    """One edit of a sheet as a re-index reads it: the sheet's ``version``
+    and used extent before the edit, and every cell whose content the edit
+    changed (the written cell and the ones its recalculation changed).
+    Every other cell holds what it held at ``version``."""
+
+    version: int
+    n_rows: int
+    n_cols: int
+    cells: FrozenSet[CellAddress]
 
 
 class SealedError(RuntimeError):
@@ -222,21 +246,25 @@ class Sheet:
             self._n_cols = addr.col + 1
         self._version += 1
 
-    def _commit_values(self, values: Iterable[Tuple[CellAddress, CellValue]]) -> None:
+    def _commit_values(
+        self, values: Iterable[Tuple[CellAddress, CellValue]]
+    ) -> List[CellAddress]:
         """Replace the stored cells at the given addresses with ones holding
-        the computed values — a recalculation's commit — and bump
-        :attr:`version` once if any cell's content changed, so that state
-        derived from the sheet (feature tensors, query vectors) is not
-        served from before it."""
-        changed = False
+        the computed values — a recalculation's commit — and return the
+        addresses whose content changed.  A cell that already shows its
+        value is left as it is; if any changed, :attr:`version` moves once,
+        so that state derived from the sheet (feature tensors, query
+        vectors) is not served from before it."""
+        changed: List[CellAddress] = []
         cells = self._cells
         for address, value in values:
             cell = cells[address]
             if not _same_value(cell.value, value):
-                changed = True
-            cells[address] = Cell(value, cell.formula, cell.style)
+                changed.append(address)
+                cells[address] = Cell(value, cell.formula, cell.style)
         if changed:
             self._version += 1
+        return changed
 
     def _checkpoint(self) -> Tuple[Dict[CellAddress, Cell], int, int]:
         """What :meth:`_restore` puts back: the cells and the extent."""

@@ -24,7 +24,7 @@ class StubPredictor(FormulaPredictor):
     def remove_workbook(self, workbook_name):
         return 0
 
-    def reindex_sheet(self, sheet, trees=None):
+    def reindex_sheet(self, sheet, trees=None, edit=None):
         return {"formulas_changed": False}
 
     def counters(self):

@@ -163,8 +163,10 @@ class TestRecalculationMovesTheVersion:
         sheet = Sheet()
         sheet.set("A1", old, formula="=1")
         version = sheet.version
-        sheet._commit_values([(CellAddress(0, 0), new)])
-        assert sheet.get("A1").value is new
+        changed = sheet._commit_values([(CellAddress(0, 0), new)])
+        # A cell that already shows its value is not rewritten.
+        assert sheet.get("A1").value is (old if same else new)
+        assert changed == ([] if same else [CellAddress(0, 0)])
         assert sheet.version == version + (not same)
 
 

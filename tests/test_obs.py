@@ -498,8 +498,8 @@ class TestServerObservability:
             assert client.stats()["in_flight"] == 0
 
     def test_edit_trace_and_reindex_gauges(self, trained_encoder, pge_corpus):
-        """An edit's trace has the re-index as its own span, and ``/metrics``
-        counts re-indexes by shape."""
+        """An edit's trace has the re-index as its own span, which says what
+        it reused, and ``/metrics`` counts re-indexes by shape."""
         from repro.corpus import split_corpus
 
         __, references = split_corpus(pge_corpus, 0.15, "timestamp")
@@ -512,6 +512,8 @@ class TestServerObservability:
             client.edit_cell("pge", name, "Regional Summary", "B12", value=3.5)
             client.edit_cell("pge", name, "Regional Summary", "B13", value=4.5)
             client.edit_cell("pge", name, "Regional Summary", "B20", formula="=B19*2")
+            # Below the 20-row sheet window, read by no formula.
+            client.edit_cell("pge", name, "Regional Summary", "C30", value=1.5)
 
             # The edit runs on the executor thread, as its own trace.
             edits = [
@@ -519,23 +521,28 @@ class TestServerObservability:
                 for tree in client.traces()["recent"]
                 if tree["root"]["name"] == "workspace.edit_cell"
             ]
-            assert len(edits) == 3
+            assert len(edits) == 4
             spans = [
                 next(child for child in root["children"] if child["name"] == "workspace.reindex_sheet")
                 for root in edits
             ]
-            assert [span["attributes"]["formulas_changed"] for span in spans] == [False, False, True]
-            assert [span["attributes"]["n_formulas"] for span in spans] == [8, 8, 9]
-            assert all(span["attributes"]["n_store_cells"] > 0 for span in spans)
+            attributes = [span["attributes"] for span in spans]
+            assert [span["formulas_changed"] for span in attributes] == [False, False, True, False]
+            assert [span["n_formulas"] for span in attributes] == [8, 8, 9, 9]
+            assert all(span["n_store_cells"] > 0 for span in attributes)
+            # The fit cached the sheet's tensor; each edit patches the last
+            # one's, and only the edit outside the window keeps the S1 row.
+            assert [span["tensor_patched"] for span in attributes] == [True] * 4
+            assert [span["s1_skipped"] for span in attributes] == [False, False, False, True]
 
             gauges = {
                 line.split(" ")[0]: float(line.split(" ")[1])
                 for line in client.metrics_text().splitlines()
                 if line.startswith("workspace_reindex_")
             }
-            assert client.stats()["reindex"] == {"pge": {"same": 2, "changed": 1}}
+            assert client.stats()["reindex"] == {"pge": {"same": 3, "changed": 1}}
             assert gauges == {
-                'workspace_reindex_same{workspace="pge"}': 2.0,
+                'workspace_reindex_same{workspace="pge"}': 3.0,
                 'workspace_reindex_changed{workspace="pge"}': 1.0,
             }
 

@@ -402,10 +402,10 @@ class TestScrapeDuringEdit:
                 self.reindexing = threading.Event()
                 self.release = threading.Event()
 
-            def reindex_sheet(self, sheet, trees=None):
+            def reindex_sheet(self, sheet, trees=None, edit=None):
                 self.reindexing.set()
                 assert self.release.wait(TIMEOUT), "the test never released the edit"
-                return super().reindex_sheet(sheet, trees)
+                return super().reindex_sheet(sheet, trees, edit)
 
         predictor = _SlowReindex()
         service = FormulaService()

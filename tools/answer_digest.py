@@ -9,14 +9,16 @@ workspace on the reference workbooks and writes
 * sha256 of the trained weights and of every block of the predictor's
   snapshot state (both index matrices among them),
 * every test case's ``[formula, repr(confidence)]`` after the fit, again
-  after a fixed script of 30 value edits, and from a workspace restored
-  from a snapshot of the edited one — one request at a time, which never
-  scores the 2 000 pairs the index's BLAS scan starts at,
+  after a fixed edit script (:func:`edit_script`: 30 value edits, each
+  target edited again, a value inside and one outside the sheet window,
+  one that grows a sheet's extent and two formula edits), and from a
+  workspace restored from a snapshot of the edited one — one request at a
+  time, which never scores the 2 000 pairs the index's BLAS scan starts at,
 * the same for every formula cell of the held-out sheets through
   ``serve_batch`` in batches of 16 (``answers_batched``; how the
   ``inproc_hot`` workload asks), which does: BLAS scan + exact re-rank,
 * sha256 of the on-disk format: the current generation's mutation log
-  after those 30 edits and one scripted add, and the ``manifest.json`` and
+  after those edits and one scripted add, and the ``manifest.json`` and
   ``corpus.jsonl`` of the generation the next save writes (its
   ``arrays.bin`` holds the state digests above),
 * sha256 of the padded feature tensor of every reference and held-out
@@ -66,6 +68,7 @@ from repro.features import WindowFeaturizer  # noqa: E402
 from repro.models import ModelConfig, SheetEncoder, TrainingConfig  # noqa: E402
 from repro.models.trainer import TripletTrainer  # noqa: E402
 from repro.persistence import current_generation  # noqa: E402
+from repro.sheet.addressing import CellAddress  # noqa: E402
 
 N_EDITS = 30
 BATCH_SIZE = 16
@@ -143,6 +146,43 @@ def batched_answers(workspace, test_workbooks) -> list:
     return answer_rows(responses)
 
 
+def edit_script(workspace, config) -> list:
+    """The scripted edits, as ``(workbook, sheet, cell, edit_cell keywords)``:
+    ``N_EDITS`` value edits, each target once more (its sheet's tensor is
+    then cached from the first), a value inside and one outside the sheet
+    window (the top-left ``window_rows`` x ``window_cols`` cells), one
+    just below a sheet's used extent (it grows) and two formula edits."""
+    values = np.random.default_rng(bench.SCRIPT_SEED)
+
+    def value() -> dict:
+        return {"value": float(np.round(values.uniform(1.0, 10_000.0), 2))}
+
+    slots = bench.value_slots(workspace.workbooks())
+    targets = bench.fixed_sample(slots, N_EDITS)
+    script = [(*target, value()) for target in targets + targets]
+
+    def in_window(slot) -> bool:
+        address = CellAddress.from_a1(slot[2])
+        return address.row < config.window_rows and address.col < config.window_cols
+
+    inside = next(slot for slot in slots if in_window(slot))
+    outside = next((slot for slot in slots if not in_window(slot)), None)
+    script += [(*slot, value()) for slot in (inside, outside) if slot is not None]
+    workbook_name, sheet_name, __ = targets[0]
+    sheet = next(
+        sheet
+        for workbook in workspace.workbooks()
+        if workbook.name == workbook_name
+        for sheet in workbook
+        if sheet.name == sheet_name
+    )
+    script.append((workbook_name, sheet_name, CellAddress(sheet.n_rows, 0).to_a1(), value()))
+    formula_cell, __ = sheet.formula_cells()[0]
+    script.append((*inside, {"formula": f"=SUM({targets[0][2]},1)"}))
+    script.append((workbook_name, sheet_name, formula_cell.to_a1(), {"formula": f"={inside[2]}+1"}))
+    return script
+
+
 def corpus_digest(encoder, preset: str, scale: float) -> tuple:
     evaluation = bench.build_evaluation(preset, scale)
     workspace = FormulaService(encoder).create_workspace(
@@ -162,13 +202,10 @@ def corpus_digest(encoder, preset: str, scale: float) -> tuple:
         "reference_sheets": sheet_tensor_digests(evaluation.reference_workbooks, config),
         "held_out_sheets": sheet_tensor_digests(evaluation.test_workbooks, config),
     }
-    values = np.random.default_rng(bench.SCRIPT_SEED)
-    targets = bench.fixed_sample(bench.value_slots(evaluation.reference_workbooks), N_EDITS)
     with tempfile.TemporaryDirectory() as directory:
         workspace.save(directory)  # attaches the mutation log: the script below is logged
-        for workbook, sheet, cell in targets:
-            value = float(np.round(values.uniform(1.0, 10_000.0), 2))
-            workspace.edit_cell(workbook, sheet, cell, value=value)
+        for workbook, sheet, cell, edit in edit_script(workspace, config):
+            workspace.edit_cell(workbook, sheet, cell, **edit)
         entry["state_after_edits"] = state_digests(workspace)
         entry["answers_after_edits"] = answers(workspace, requests)
         added = evaluation.test_workbooks[0]
