@@ -71,9 +71,7 @@ from repro.formula.errors import (
     is_error_value,
 )
 from repro.formula.functions import (
-    BLANK_BLIND,
     BUILTIN_FUNCTIONS,
-    POSITIONAL,
     FunctionError,
     Grid,
     _coerce_number,
@@ -109,6 +107,14 @@ class RecalcReport(NamedTuple):
         """Truthy iff the pass recomputed anything (a bare NamedTuple
         would be truthy even for a no-op pass)."""
         return self.total > 0
+
+
+def _held(value) -> object:
+    """What a cell holds of a formula's value: a range's one cell, and
+    ``#VALUE!`` for a range of more than one cell."""
+    if type(value) is Grid:
+        return value.position(0) if len(value) == 1 else VALUE_ERROR
+    return value
 
 
 class FormulaEngine:
@@ -265,8 +271,9 @@ class FormulaEngine:
     def evaluate_formula(self, formula: str) -> object:
         """Evaluate a formula string against the sheet (no values committed).
 
-        It reads the values the next :meth:`recalculate` would commit.
-        Failures return :class:`~repro.formula.errors.ErrorValue` objects.
+        It reads the values the next :meth:`recalculate` would commit and
+        returns what a cell holding ``formula`` would hold.  Failures
+        return :class:`~repro.formula.errors.ErrorValue` objects.
         Syntax errors in ``formula`` itself raise
         :class:`~repro.formula.tokenizer.FormulaSyntaxError`, matching
         the parser's contract for caller-supplied text.
@@ -274,7 +281,7 @@ class FormulaEngine:
         self._sync()
         ast = parse_formula(formula)
         self._evaluate_dirty()
-        return self._evaluate_node(ast)
+        return _held(self._evaluate_node(ast))
 
     def evaluate_cell(self, address: AddressLike) -> object:
         """Evaluate the cell at ``address`` (its formula, or its stored value)."""
@@ -395,13 +402,7 @@ class FormulaEngine:
         ast = self._asts[address]
         if isinstance(ast, ErrorValue):
             return ast
-        value = self._evaluate_node(ast)
-        if isinstance(value, list):
-            # A cell holds one scalar: a range result is its one cell's
-            # value, and #VALUE! when it spans more than one cell.
-            cells = _flatten(value)
-            value = cells[0] if len(cells) == 1 else VALUE_ERROR
-        return value
+        return _held(self._evaluate_node(ast))
 
     def _evaluate_node(self, node: ASTNode) -> object:
         if isinstance(node, BinaryOp):  # the most common inner node first
@@ -413,14 +414,7 @@ class FormulaEngine:
         if isinstance(node, CellReference):
             return self._read(node.address)
         if isinstance(node, RangeReference):
-            start, end = node.range.start, node.range.end
-            values = self._values(range(start.row, end.row + 1), range(start.col, end.col + 1))
-            width = end.col - start.col + 1
-            if width == 1 or start.row == end.row:
-                return values
-            # Two-dimensional ranges evaluate to a list of rows so lookup
-            # functions (VLOOKUP / INDEX / MATCH) see the table structure.
-            return [values[at : at + width] for at in range(0, len(values), width)]
+            return self._range(node.range)
         if isinstance(node, UnaryOp):
             operand = self._evaluate_node(node.operand)
             if is_error_value(operand):
@@ -439,42 +433,32 @@ class FormulaEngine:
             return self._evaluate_call(node)
         return VALUE_ERROR
 
-    def _stored_part(self, cell_range: RangeAddress) -> Tuple[List[object], int, int]:
-        """The values of ``cell_range``'s cells inside the sheet's used
-        extent, row-major, and how many rows and columns they span: what a
-        :data:`~repro.formula.functions.BLANK_BLIND` or
-        :data:`~repro.formula.functions.POSITIONAL` function reads of a
-        range (every cell past the extent is blank)."""
+    def _range(self, cell_range: RangeAddress) -> Grid:
+        """A range's value: a :class:`~repro.formula.functions.Grid` of its
+        shape that holds the cells of its intersection with the sheet's
+        used extent (every cell past the extent is blank), so a range costs
+        what the sheet stores.  The held cells are read by position in one
+        pass, as :meth:`_read` gives them, then the few dirty formulas
+        among them are patched in from the memo (a pass with more dirty
+        formulas than the block has cells reads cell by cell).  A range
+        one cell wide either way is one column, as the lookups read it."""
         start, end = cell_range.start, cell_range.end
         rows = range(start.row, min(end.row, self._sheet.n_rows - 1) + 1)
         cols = range(start.col, min(end.col, self._sheet.n_cols - 1) + 1)
-        return self._values(rows, cols), len(rows), len(cols)
-
-    def _values(self, rows: range, cols: range) -> List[object]:
-        """The values of the cells ``rows`` x ``cols``, row-major, as
-        :meth:`_read` gives them: read by position in one pass, then the
-        few dirty formulas among them patched in from the memo (a pass
-        with more dirty formulas than the block has cells reads cell by
-        cell)."""
         dirty = self._dirty
         if len(dirty) > len(rows) * len(cols):
-            return [self._read(CellAddress(row, col)) for row in rows for col in cols]
-        get = self._stored.get
-        values = [get((row, col)) for row in rows for col in cols]
-        if dirty:
+            values = [self._read(CellAddress(row, col)) for row in rows for col in cols]
+        else:
+            get = self._stored.get
+            values = [get((row, col)) for row in rows for col in cols]
             memo, width = self._eval_memo, len(cols)
             for address in dirty:
                 row, col = address.row - rows.start, address.col - cols.start
                 if 0 <= row < len(rows) and 0 <= col < width:
                     values[row * width + col] = memo.get(address, CYCLE_ERROR)
-        return values
-
-    def _grid(self, cell_range: RangeAddress) -> Grid:
-        """A :data:`~repro.formula.functions.POSITIONAL` range argument."""
-        values, held_rows, held_cols = self._stored_part(cell_range)
         if cell_range.n_rows == 1 or cell_range.n_cols == 1:
             return Grid(cell_range.size, 1, len(values), 1, values)
-        return Grid(cell_range.n_rows, cell_range.n_cols, held_rows, held_cols, values)
+        return Grid(cell_range.n_rows, cell_range.n_cols, len(rows), len(cols), values)
 
     def _evaluate_binary(self, node: BinaryOp) -> object:
         left = self._evaluate_node(node.left)
@@ -483,6 +467,8 @@ class FormulaEngine:
         right = self._evaluate_node(node.right)
         if is_error_value(right):
             return right
+        if type(left) is Grid or type(right) is Grid:
+            return VALUE_ERROR  # a range is no one number or text
         op = node.op
         if op == "&":
             return self._as_text(left) + self._as_text(right)
@@ -545,28 +531,12 @@ class FormulaEngine:
         function = BUILTIN_FUNCTIONS.get(name)
         if function is None:
             return NAME_ERROR
-        positions = BLANK_BLIND.get(name, ())
-        positional = POSITIONAL.get(name, ())
-        args: List[object] = []
-        outside = 0
-        for index, arg in enumerate(node.args):
-            if isinstance(arg, RangeReference) and (positions is None or index in positions):
-                values, __, __ = self._stored_part(arg.range)
-                missing = arg.range.size - len(values)
-                if name == "COUNTBLANK":
-                    outside += missing
-                elif missing:
-                    values.append(None)
-                args.append(values)
-            elif isinstance(arg, RangeReference) and index in positional:
-                args.append(self._grid(arg.range))
-            else:
-                args.append(self._evaluate_node(arg))
-        error = first_error(_flatten([arg.values if type(arg) is Grid else arg for arg in args]))
+        args = [self._evaluate_node(arg) for arg in node.args]
+        error = first_error(_flatten(args))
         if error is not None:
             return error
         try:
-            return function(*args) + outside if outside else function(*args)
+            return function(*args)
         except FunctionError as exc:
             return ErrorValue(getattr(exc, "error_code", str(VALUE_ERROR)))
         except ZeroDivisionError:
@@ -616,8 +586,6 @@ class FormulaEngine:
 
     @classmethod
     def _compare(cls, op: str, left, right) -> object:
-        if isinstance(left, list) or isinstance(right, list):
-            return VALUE_ERROR
         # A blank operand adapts to the other side's type (blank = 0,
         # blank = "", blank = FALSE), as in real spreadsheets.
         if left is None and right is None:

@@ -8,9 +8,13 @@ OR, NOT, IFERROR), lookup (VLOOKUP, HLOOKUP, INDEX, MATCH), math (ROUND,
 ABS, ...), text (CONCATENATE, LEFT, RIGHT, MID, LEN, UPPER, LOWER, TRIM,
 TEXT) and date helpers (YEAR, MONTH, DAY, DATE).
 
-Each function receives already-evaluated arguments.  Range arguments arrive
-as (possibly nested) Python lists of cell values; scalar arguments arrive as
-plain values.
+Each function receives already-evaluated arguments.  A range arrives as a
+:class:`Grid`: its shape, and the cells of it that lie inside the sheet's
+used extent (every other cell is blank).  A scalar arrives as a plain
+value.  An aggregate reads a range's cells through :func:`_flatten`, the
+lookups and the aligned ranges of the ``*IF(S)`` functions read them by
+position, and a function that wants one number or one text refuses a
+range (``#VALUE!``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import numbers
 import re
 import sys
-from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class FunctionError(ValueError):
@@ -41,27 +45,30 @@ class FunctionError(ValueError):
 # --------------------------------------------------------------------- helpers
 
 
-def _flatten(value) -> List:
-    """Flatten nested lists (range values) into a flat list of scalars:
-    one call per list, not per scalar."""
-    if not isinstance(value, list):
-        return [value]
+def _flatten(args: Iterable) -> List:
+    """The cells of a list of arguments, in order: a scalar, or a range's
+    held cells and one blank standing for all of its cells past the used
+    extent, if it has any.  That is what every function that reads its
+    cells in order needs of a range: their values do not depend on how
+    many blanks it holds, only on whether it holds one (``COUNTBLANK``
+    counts them itself)."""
     out: List = []
-    for item in value:
-        if isinstance(item, list):
-            out.extend(_flatten(item))
+    for arg in args:
+        if type(arg) is Grid:
+            out.extend(arg.values)
+            if arg.unheld:
+                out.append(None)
         else:
-            out.append(item)
+            out.append(arg)
     return out
 
 
 class Grid:
-    """A rectangular range argument of a :data:`POSITIONAL` function:
-    ``rows`` x ``cols`` cells, of which the top-left ``held_rows`` x
-    ``held_cols`` block is held in ``values`` (row-major) and every other
-    cell is blank.  A cell's *position* is its row-major index, the order
-    :func:`_flatten` reads a range in; a range one cell wide either way is
-    one column, as the lookups see it."""
+    """A range's value: ``rows`` x ``cols`` cells, of which the top-left
+    ``held_rows`` x ``held_cols`` block is held in ``values`` (row-major)
+    and every other cell is blank.  A cell's *position* is its row-major
+    index, the order :func:`_flatten` reads a range in; a range one cell
+    wide either way is one column, as the lookups see it."""
 
     __slots__ = ("rows", "cols", "held_rows", "held_cols", "values")
 
@@ -72,6 +79,11 @@ class Grid:
 
     def __len__(self) -> int:
         return self.rows * self.cols
+
+    @property
+    def unheld(self) -> int:
+        """How many cells lie past the held block (all blank)."""
+        return self.rows * self.cols - len(self.values)
 
     def at(self, row: int, col: int):
         if row < self.held_rows and col < self.held_cols:
@@ -122,22 +134,15 @@ class Grid:
 
 
 def _grid(value) -> Grid:
-    """A range argument as a :class:`Grid`: a range read cell by cell (a
-    list, or a list of rows) or a scalar holds all its cells."""
-    if isinstance(value, Grid):
-        return value
-    if not isinstance(value, list):
-        return Grid(1, 1, 1, 1, [value])
-    if value and isinstance(value[0], list):
-        cols = len(value[0])
-        return Grid(len(value), cols, len(value), cols, [cell for row in value for cell in row])
-    return Grid(len(value), 1, len(value), 1, value)
+    """A range argument as a :class:`Grid`: a scalar is a range of one
+    cell."""
+    return value if type(value) is Grid else Grid(1, 1, 1, 1, [value])
 
 
 def _numeric_values(args: Iterable) -> List[float]:
     """All numeric values across the (flattened) arguments, ignoring text/blank."""
     numbers_out: List[float] = []
-    for value in _flatten(list(args)):
+    for value in _flatten(args):
         if isinstance(value, bool):
             continue
         if isinstance(value, numbers.Number):
@@ -146,13 +151,16 @@ def _numeric_values(args: Iterable) -> List[float]:
 
 
 def _coerce_number(value) -> float:
-    """Coerce a scalar to float (blank -> 0), raising on non-numeric text."""
+    """Coerce a scalar to float (blank -> 0), raising on non-numeric text
+    and on a range."""
     if value is None or value == "":
         return 0.0
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, numbers.Number):
         return float(value)
+    if type(value) is Grid:
+        raise FunctionError("a range is not a number")
     try:
         return float(str(value))
     except ValueError as exc:
@@ -236,11 +244,19 @@ def fn_count(*args) -> float:
 
 
 def fn_counta(*args) -> float:
-    return float(sum(1 for value in _flatten(list(args)) if value not in (None, "")))
+    return float(sum(1 for value in _flatten(args) if value not in (None, "")))
 
 
 def fn_countblank(*args) -> float:
-    return float(sum(1 for value in _flatten(list(args)) if value in (None, "")))
+    """Blank and empty-text cells, a range's cells past the extent among
+    them."""
+    count = 0
+    for arg in args:
+        if type(arg) is Grid:
+            count += arg.unheld + sum(1 for value in arg.values if value in (None, ""))
+        elif arg in (None, ""):
+            count += 1
+    return float(count)
 
 
 def fn_max(*args) -> float:
@@ -296,7 +312,7 @@ def fn_var(*args) -> float:
 
 def fn_countif(values, criterion) -> float:
     matcher = criterion_matcher(criterion)
-    return float(sum(1 for value in _flatten(values) if value not in (None, "") and matcher(value)))
+    return float(sum(1 for value in _flatten((values,)) if value not in (None, "") and matcher(value)))
 
 
 def _aligned(values, out_values) -> Iterable[Tuple[object, object]]:
@@ -389,11 +405,11 @@ def _truthy(value) -> bool:
 
 
 def fn_and(*args) -> bool:
-    return all(_truthy(value) for value in _flatten(list(args)))
+    return all(_truthy(value) for value in _flatten(args))
 
 
 def fn_or(*args) -> bool:
-    return any(_truthy(value) for value in _flatten(list(args)))
+    return any(_truthy(value) for value in _flatten(args))
 
 
 def fn_not(value) -> bool:
@@ -535,44 +551,51 @@ def fn_int(value) -> float:
 # ------------------------------------------------------------------------ text
 
 
+def _text(value) -> str:
+    """A text function's text of a scalar; a range has none."""
+    if type(value) is Grid:
+        raise FunctionError("a range is not a text")
+    return str(value)
+
+
 def fn_concatenate(*args) -> str:
-    return "".join("" if value is None else str(value) for value in _flatten(list(args)))
+    return "".join("" if value is None else str(value) for value in _flatten(args))
 
 
 def fn_left(text, count=1) -> str:
-    return str(text or "")[: int(_coerce_number(count))]
+    return _text(text or "")[: int(_coerce_number(count))]
 
 
 def fn_right(text, count=1) -> str:
     count = int(_coerce_number(count))
-    source = str(text or "")
+    source = _text(text or "")
     return source[-count:] if count else ""
 
 
 def fn_mid(text, start, count) -> str:
     start_index = int(_coerce_number(start)) - 1
-    return str(text or "")[start_index : start_index + int(_coerce_number(count))]
+    return _text(text or "")[start_index : start_index + int(_coerce_number(count))]
 
 
 def fn_len(text) -> float:
-    return float(len(str(text or "")))
+    return float(len(_text(text or "")))
 
 
 def fn_upper(text) -> str:
-    return str(text or "").upper()
+    return _text(text or "").upper()
 
 
 def fn_lower(text) -> str:
-    return str(text or "").lower()
+    return _text(text or "").lower()
 
 
 def fn_trim(text) -> str:
-    return " ".join(str(text or "").split())
+    return " ".join(_text(text or "").split())
 
 
 def fn_text(value, format_text="") -> str:
     number = _coerce_number(value)
-    fmt = str(format_text)
+    fmt = _text(format_text)
     if fmt in ("0", "#"):
         return str(int(round(number)))
     if fmt.startswith("0.") and set(fmt[2:]) <= {"0"}:
@@ -583,7 +606,7 @@ def fn_text(value, format_text="") -> str:
 
 
 def fn_substitute(text, old, new) -> str:
-    return str(text or "").replace(str(old), str(new))
+    return _text(text or "").replace(_text(old), _text(new))
 
 
 # ------------------------------------------------------------------------ date
@@ -620,40 +643,6 @@ def fn_today() -> _dt.date:
 
 
 # -------------------------------------------------------------------- registry
-
-#: Functions whose value does not depend on how many blank cells a range
-#: argument holds (only on its other cells, in order, and whether it holds
-#: a blank at all), by the argument positions this holds for (``None``: all
-#: of them).  The evaluator reads such a range over the sheet's used extent
-#: and lets one blank stand for the cells past it, so a whole-column range
-#: costs what the sheet stores.  ``COUNTBLANK`` counts those cells instead.
-#: The lookups and the aligned ranges of the ``*IF(S)`` functions are
-#: positional: see :data:`POSITIONAL`.
-BLANK_BLIND: Dict[str, Optional[Tuple[int, ...]]] = {
-    name: None
-    for name in (
-        "SUM", "AVERAGE", "AVG", "COUNT", "COUNTA", "COUNTBLANK", "MAX", "MIN", "MEDIAN",
-        "PRODUCT", "STDEV", "VAR", "AND", "OR", "CONCATENATE", "CONCAT",
-    )
-}
-BLANK_BLIND["COUNTIF"] = (0,)
-
-#: The functions that read a range by position, by the argument positions
-#: of such ranges: the lookups and the aligned ranges of the ``*IF(S)``
-#: functions.  The evaluator reads such a range over the sheet's used
-#: extent as well, and hands it over as a :class:`Grid`, in which every
-#: cell keeps its position and the cells past the extent are blank without
-#: being read.  (Past 255 arguments a range is read cell by cell.)
-POSITIONAL: Dict[str, Container[int]] = {
-    "INDEX": (0,),
-    "MATCH": (1,),
-    "VLOOKUP": (1,),
-    "HLOOKUP": (1,),
-    "SUMIF": (0, 2),
-    "AVERAGEIF": (0, 2),
-    "COUNTIFS": range(0, 255, 2),
-    "SUMIFS": frozenset((0, *range(1, 255, 2))),
-}
 
 BUILTIN_FUNCTIONS: Dict[str, Callable] = {
     "SUM": fn_sum,

@@ -17,7 +17,7 @@ from repro.formula import (
     is_error_value,
 )
 from repro.features import FeatureConfig, WindowFeaturizer
-from repro.formula.functions import BLANK_BLIND, POSITIONAL
+from repro.formula.functions import Grid
 from repro.sheet import CellAddress, Sheet
 
 
@@ -351,6 +351,27 @@ class TestCyclesAndErrors:
             cell.value for __, cell in sheet.cells()
         ]
 
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "=LEN(A1:A3)", "=UPPER(A1:A2)", '=A1:A2&"x"', '="x"&A1:A2', "=TRIM(A1:B2)",
+            "=LEFT(A1:A2)", "=RIGHT(A1:A2,1)", "=MID(A1:A2,1,1)", "=LOWER(B1:B2)",
+            '=SUBSTITUTE(B1:B2,"a","b")', '=SUBSTITUTE(B1,A1:A2,"b")', '=TEXT(A1,A1:A2)',
+            "=ROUND(A1:A2)", "=-A1:A2", "=A1:A2+1", "=A1:A2=0",
+        ],
+    )
+    def test_a_range_has_no_text(self, formula):
+        """A range is no one number or text: it used to read Python's text
+        of a list (``=LEN(A1:A3)`` 15.0, ``=UPPER(A1:A2)`` "[0.0, 3.0]",
+        ``=A1:A2&"x"`` "[0.0, 3.0]x", ``=TRIM(A1:B2)``
+        "[[0.0, 'ab'], [3.0, None]]")."""
+        sheet = Sheet()
+        for row, value in enumerate((0.0, 3.0, 6.0)):
+            sheet.set((row, 0), value)
+        sheet.set("B1", "ab")
+        value = FormulaEngine(sheet).evaluate_formula(formula)
+        assert type(value) is ErrorValue and value == VALUE_ERROR
+
 
 class TestEvaluateWithoutCommit:
     def test_evaluate_formula_does_not_write_values(self):
@@ -526,17 +547,21 @@ class TestDependencyOrder:
 
 
 class TestRangesOverTheExtent:
-    """A range-taking builtin reads a range over the sheet's used extent:
-    a blank-blind one (``repro.formula.functions.BLANK_BLIND``) with one
-    blank standing for the cells past it (``COUNTBLANK`` counts them), a
-    positional one (``POSITIONAL``: the lookups and the aligned ranges of
-    the ``*IF(S)`` functions) with the cells past it blank by position.
-    Its value is the one the per-address read of every cell gives, error
-    values included."""
+    """A range's value is a ``repro.formula.functions.Grid`` read over the
+    range's intersection with the sheet's used extent, wherever the range
+    stands: every cell past the extent is blank without being read.  A
+    function that reads a range's cells in order sees one blank for all
+    of them (``COUNTBLANK`` counts them), a lookup or an aligned ``*IF(S)``
+    range sees them blank by position.  Its value is the one a range read
+    address by address gives, error values included."""
 
-    TEMPLATES = [
-        f"{name}({{a}})" for name in sorted(BLANK_BLIND)
-    ] + [f"{name}({{a}},{{b}},2)" for name in sorted(BLANK_BLIND) if name != "COUNTIF"] + [
+    AGGREGATES = (
+        "AND", "AVERAGE", "AVG", "CONCAT", "CONCATENATE", "COUNT", "COUNTA", "COUNTBLANK",
+        "COUNTIF", "MAX", "MEDIAN", "MIN", "OR", "PRODUCT", "STDEV", "SUM", "VAR",
+    )
+    TEMPLATES = [f"{name}({{a}})" for name in AGGREGATES] + [
+        f"{name}({{a}},{{b}},2)" for name in AGGREGATES if name != "COUNTIF"
+    ] + [
         'COUNTIF({a},">2")', 'COUNTIF({a},"a")', 'COUNTIF({a},"")', "COUNTIF({a},{b})",
         "ISBLANK({a})", "SUM({a})+COUNTBLANK({b})",
         "INDEX({a},{i},{j})", "INDEX({a},{i})", "INDEX({a},{x},1)",
@@ -549,10 +574,29 @@ class TestRangesOverTheExtent:
         'COUNTIFS({a},"<>x",{b},"<>y")', 'COUNTIFS({a},">0",{b})',
         'SUMIFS({b},{a},">0")', 'SUMIFS({b},{a},"<>a",{a},"<9")', 'SUMIFS({a},{b},"")',
         "SUMIF({a},{v},{b})+MATCH({v},{b},0)",
+        # A range that is no function's argument.
+        "SUM(IF(TRUE,{a}))", "INDEX(IF({v},{a},{b}),{i},{j})", "IFERROR({a},0)", "{a}+1",
+        "LEN({a})", "{a}", 'IF({v},{a},"n")&"x"', "COUNTBLANK(IF(TRUE,{a},{b}))",
+        "AND(IFERROR({a},{b}))", "MATCH({v},IF({v},{a}),0)",
     ]
     VALUES = [None, 0.0, -0.0, 1.0, 2.5, 3.0, 7.0, "", "a", "A", "3", "x y", True, False, DIV0_ERROR]
     #: Lookup values; a reference to ``Z99``, past every extent, is a blank.
     LOOKUPS = ["1", "3", "2.5", '"a"', '"3"', '""', "TRUE", "0", "A1", "B2"]
+
+    @staticmethod
+    def _every_address(engine, cell_range):
+        """The reference range read: every address read on its own into a
+        grid that holds all of its cells."""
+        start, end = cell_range.start, cell_range.end
+        values = [
+            engine._read(CellAddress(row, col))
+            for row in range(start.row, end.row + 1)
+            for col in range(start.col, end.col + 1)
+        ]
+        if cell_range.n_rows == 1 or cell_range.n_cols == 1:
+            return Grid(len(values), 1, len(values), 1, values)
+        rows, cols = cell_range.n_rows, cell_range.n_cols
+        return Grid(rows, cols, rows, cols, values)
 
     @settings(max_examples=800, deadline=None)
     @given(data=st.data())
@@ -580,10 +624,32 @@ class TestRangesOverTheExtent:
             x="Z99+" + str(data.draw(st.integers(1, 9))),
         )
         value = FormulaEngine(sheet).evaluate_formula(formula)
-        # Every cell, by address.
-        with mock.patch.dict(BLANK_BLIND, clear=True), mock.patch.dict(POSITIONAL, clear=True):
+        with mock.patch.object(FormulaEngine, "_range", self._every_address):
             expected = FormulaEngine(sheet).evaluate_formula(formula)
         assert type(value) is type(expected) and repr(value) == repr(expected), formula
+
+    @staticmethod
+    def _five_rows():
+        sheet = Sheet("s")
+        for row in range(5):
+            for col in range(3):
+                sheet.set((row, col), float(3 * row + col))
+        return sheet
+
+    @staticmethod
+    def _count_reads(engine, budget):
+        """Count every stored value the engine looks up from here on, and
+        fail at the first one past ``budget`` (instead of reading on)."""
+        reads = []
+
+        class Counting(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                assert len(reads) <= budget, "read a cell past the used extent"
+                return dict.get(self, key, default)
+
+        engine._stored = Counting(engine._stored)
+        return reads
 
     @pytest.mark.parametrize(
         "cell, formula, expected",
@@ -602,29 +668,49 @@ class TestRangesOverTheExtent:
             ("E1", "=INDEX(A1:C1048576,5,3)", 14.0),
             ("E1", '=COUNTIFS(A1:A100000,"<>3",B1:B100000,"<>x")', 99999.0),
             ("E1", '=SUMIFS(C1:C1048576,A1:A1048576,">2")', 38.0),
+            # Ranges that are no function's argument.  A range over the whole
+            # sheet holds its own cell (a cycle, decided before any read), so
+            # those in a cell start at column B.
+            ("AA1", "=SUM(IF(TRUE,A1:Z20000))", 105.0),
+            ("A7", "=IF(TRUE,B1:XFD1048576)", "#VALUE!"),
+            ("A7", "=SUM(IF(TRUE,B1:XFD1048576))", 75.0),
+            ("E1", "=INDEX(IF(TRUE,A1:C1048576),5,3)", 14.0),
+            ("A7", "=IFERROR(B1:XFD1048576,0)", "#VALUE!"),
+            ("E1", "=A1:A1048576+1", "#VALUE!"),
+            ("D1", "=COUNTBLANK(IF(TRUE,A1:A20000))", 19995.0),
         ],
     )
-    def test_a_whole_grid_range_reads_what_the_sheet_stores(
-        self, monkeypatch, cell, formula, expected
-    ):
-        """The probes of a five-row sheet: each answers Excel's value and
-        reads no cell outside the used extent."""
-        sheet = Sheet("s")
-        for row in range(5):
-            for col in range(3):
-                sheet.set((row, col), float(3 * row + col))
+    def test_a_whole_grid_range_reads_what_the_sheet_stores(self, cell, formula, expected):
+        """The probes of a five-row sheet: each answers Excel's value (a
+        cell holds ``#VALUE!`` for a range of many cells) and reads no more
+        cells than the used extent holds."""
+        sheet = self._five_rows()
         engine = FormulaEngine(sheet)
         engine.recalculate()
-        reads = []
-        read = FormulaEngine._read
-
-        def counting(self, address):
-            reads.append(address)
-            return read(self, address)
-
-        monkeypatch.setattr(FormulaEngine, "_read", counting)
-        sheet.set(cell, formula=formula)
+        engine.set_formula(cell, formula)
+        reads = self._count_reads(engine, sheet.n_rows * sheet.n_cols)
         engine.recalculate()
         assert sheet.get(cell).value == expected
-        assert len(reads) <= sheet.n_rows * sheet.n_cols
+        assert 0 < len(reads) <= sheet.n_rows * sheet.n_cols
 
+    @pytest.mark.parametrize(
+        "formula, expected",
+        [
+            ("=IF(TRUE,A1:XFD1048576)", "#VALUE!"),
+            ("=SUM(IF(TRUE,B1:XFD1048576))", 75.0),
+            ("=INDEX(IF(TRUE,A1:C1048576),5,3)", 14.0),
+            ("=IFERROR(A1:XFD1048576,0)", "#VALUE!"),
+            ("=A1:A1048576+1", "#VALUE!"),
+        ],
+    )
+    def test_a_formula_evaluated_outside_a_cell_reads_what_the_sheet_stores(
+        self, formula, expected
+    ):
+        """``evaluate_formula`` answers what a cell would hold, over the
+        whole sheet too, and reads no cell past the used extent."""
+        sheet = self._five_rows()
+        engine = FormulaEngine(sheet)
+        engine.recalculate()
+        reads = self._count_reads(engine, sheet.n_rows * sheet.n_cols)
+        assert engine.evaluate_formula(formula) == expected
+        assert 0 < len(reads) <= sheet.n_rows * sheet.n_cols

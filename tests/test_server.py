@@ -277,8 +277,8 @@ class TestProtocolBasics:
             assert client.stats()["counters"].get("server_errors", 0) == 0
 
     def test_a_lookup_over_a_whole_column_is_an_edit_of_a_few_ms(self):
-        """The positional range probes of a five-row sheet, over the wire:
-        each is read over the used extent, not address by address."""
+        """The range probes of a five-row sheet, over the wire: each is read
+        over the used extent, not address by address."""
         workbook = Workbook(name="grid")
         sheet = workbook.add_sheet("s")
         for row in range(5):
@@ -289,15 +289,21 @@ class TestProtocolBasics:
         with start_server_in_background(service) as handle:
             client = FormulaClient(handle.host, handle.port)
             client.edit_cell("acme", "grid", "s", "D1", value=1.0)  # builds the engine
-            for formula, expected in (
-                ("=MATCH(5,A1:A100000,0)", "#VALUE!"),
-                ('=SUMIF(A1:A100000,">2")', 30.0),
-                ("=VLOOKUP(5,A1:B1048576,2)", "#VALUE!"),
+            for cell, formula, expected in (
+                ("E1", "=MATCH(5,A1:A100000,0)", "#VALUE!"),
+                ("E1", '=SUMIF(A1:A100000,">2")', 30.0),
+                ("E1", "=VLOOKUP(5,A1:B1048576,2)", "#VALUE!"),
+                # No function's argument.  E1 goes back to a value first: a
+                # formula there reads column A, and these ranges hold E1.
+                ("E1", None, 2.0),
+                ("A7", "=IF(TRUE,B1:XFD1048576)", "#VALUE!"),
+                ("A8", "=SUM(IF(TRUE,B1:XFD1048576))", 78.0),  # D1 + E1 + 75
             ):
+                edit = {"formula": formula} if formula else {"value": expected}
                 started = time.process_time()  # server and client share this process
-                client.edit_cell("acme", "grid", "s", "E1", formula=formula)
+                client.edit_cell("acme", "grid", "s", cell, **edit)
                 assert time.process_time() - started < 0.010, formula
-                assert sheet.get("E1").value == expected, formula
+                assert sheet.get(cell).value == expected, formula
             assert client.stats()["counters"].get("server_errors", 0) == 0
 
     def test_metrics_read_first_has_the_workspace_gauges(self):

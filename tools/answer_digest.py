@@ -11,7 +11,8 @@ workspace on the reference workbooks and writes
 * every test case's ``[formula, repr(confidence)]`` after the fit, again
   after a fixed edit script (:func:`edit_script`: 30 value edits, each
   target edited again, a value inside and one outside the sheet window,
-  one that grows a sheet's extent and two formula edits), and from a
+  one that grows a sheet's extent and three formula edits, one of them
+  ``=SUM(IF(TRUE,C1:C1048576))`` over a value column), and from a
   workspace restored from a snapshot of the edited one — one request at a
   time, which never scores the 2 000 pairs the index's BLAS scan starts at,
 * the same for every formula cell of the held-out sheets through
@@ -71,6 +72,7 @@ from repro.persistence import current_generation  # noqa: E402
 from repro.sheet.addressing import CellAddress  # noqa: E402
 
 N_EDITS = 30
+MAX_ROWS = 1_048_576  # a spreadsheet's last row
 BATCH_SIZE = 16
 
 
@@ -151,7 +153,8 @@ def edit_script(workspace, config) -> list:
     ``N_EDITS`` value edits, each target once more (its sheet's tensor is
     then cached from the first), a value inside and one outside the sheet
     window (the top-left ``window_rows`` x ``window_cols`` cells), one
-    just below a sheet's used extent (it grows) and two formula edits."""
+    just below a sheet's used extent (it grows) and three formula edits,
+    the last a sum of a whole value column read through an ``IF`` arm."""
     values = np.random.default_rng(bench.SCRIPT_SEED)
 
     def value() -> dict:
@@ -180,6 +183,15 @@ def edit_script(workspace, config) -> list:
     formula_cell, __ = sheet.formula_cells()[0]
     script.append((*inside, {"formula": f"=SUM({targets[0][2]},1)"}))
     script.append((workbook_name, sheet_name, formula_cell.to_a1(), {"formula": f"={inside[2]}+1"}))
+    # A whole value column of the sheet that is no function's argument.
+    total, __ = sheet.formula_cells()[-1]
+    column = next(
+        address.col
+        for address in (CellAddress.from_a1(slot[2]) for slot in slots if slot[:2] == targets[0][:2])
+        if address.col != total.col
+    )
+    whole = f"{CellAddress(0, column).to_a1()}:{CellAddress(MAX_ROWS - 1, column).to_a1()}"
+    script.append((workbook_name, sheet_name, total.to_a1(), {"formula": f"=SUM(IF(TRUE,{whole}))"}))
     return script
 
 
