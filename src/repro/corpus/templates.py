@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.corpus import value_pools as pools
 from repro.formula.engine import FormulaEngine
-from repro.sheet.addressing import CellAddress, column_index_to_letters
+from repro.sheet.addressing import cell_a1
 from repro.sheet.cell import Cell
 from repro.sheet.sheet import Sheet
 from repro.sheet.style import CellStyle
@@ -34,11 +34,6 @@ _HEADER_PALETTE = (
 )
 
 _TITLE_SIZES = (14.0, 16.0, 18.0)
-
-
-def _a1(row: int, col: int) -> str:
-    """0-based (row, col) to A1 text."""
-    return f"{column_index_to_letters(col)}{row + 1}"
 
 
 class WorkbookTemplate:
@@ -160,7 +155,7 @@ class SurveyTemplate(WorkbookTemplate):
             sheet.set((row, 2), choice, style=self.label_style)
             sheet.set(
                 (row, 3),
-                formula=f"=COUNTIF({answer_range},{_a1(row, 2)})",
+                formula=f"=COUNTIF({answer_range},{cell_a1(row, 2)})",
                 style=self.total_style,
             )
         total_row = summary_start + len(self.choices)
@@ -201,13 +196,13 @@ class FinancialStatementTemplate(WorkbookTemplate):
             statement.set((row, 0), item, style=self.label_style)
             for period_index in range(self.n_periods):
                 statement.set((row, 1 + period_index), pools.money(rng, 1_000, 500_000))
-            row_range = f"{_a1(row, 1)}:{_a1(row, self.n_periods)}"
+            row_range = f"{cell_a1(row, 1)}:{cell_a1(row, self.n_periods)}"
             statement.set((row, 1 + self.n_periods), formula=f"=SUM({row_range})")
         total_row = first_data + len(items)
         statement.set((total_row, 0), "Total", style=self.total_style)
         for period_index in range(self.n_periods + 1):
             col = 1 + period_index
-            col_range = f"{_a1(first_data, col)}:{_a1(total_row - 1, col)}"
+            col_range = f"{cell_a1(first_data, col)}:{cell_a1(total_row - 1, col)}"
             statement.set((total_row, col), formula=f"=SUM({col_range})", style=self.total_style)
 
         summary = workbook.sheets[0]
@@ -284,11 +279,11 @@ class SalesReportTemplate(WorkbookTemplate):
             summary.set((row, 0), region, style=self.label_style)
             summary.set(
                 (row, 1),
-                formula=f"=COUNTIF({mirror_region_range},{_a1(row, 0)})",
+                formula=f"=COUNTIF({mirror_region_range},{cell_a1(row, 0)})",
             )
             summary.set(
                 (row, 2),
-                formula=f"=SUMIF({mirror_region_range},{_a1(row, 0)},{mirror_amount_range})",
+                formula=f"=SUMIF({mirror_region_range},{cell_a1(row, 0)},{mirror_amount_range})",
             )
 
 
@@ -324,14 +319,14 @@ class InventoryTemplate(WorkbookTemplate):
             sheet.set((row, 1), product)
             sheet.set((row, 2), int(rng.integers(0, 200)))
             sheet.set((row, 3), pools.money(rng, 5, 2_500))
-            sheet.set((row, 4), formula=f"={_a1(row, 2)}*{_a1(row, 3)}")
+            sheet.set((row, 4), formula=f"={cell_a1(row, 2)}*{cell_a1(row, 3)}")
             sheet.set(
                 (row, 5),
-                formula=f'=IF({_a1(row, 2)}<{self.reorder_level},"REORDER","OK")',
+                formula=f'=IF({cell_a1(row, 2)}<{self.reorder_level},"REORDER","OK")',
             )
         total_row = first_data + len(items)
-        value_range = f"{_a1(first_data, 4)}:{_a1(total_row - 1, 4)}"
-        qty_range = f"{_a1(first_data, 2)}:{_a1(total_row - 1, 2)}"
+        value_range = f"{cell_a1(first_data, 4)}:{cell_a1(total_row - 1, 4)}"
+        qty_range = f"{cell_a1(first_data, 2)}:{cell_a1(total_row - 1, 2)}"
         sheet.set((total_row, 1), "Totals", style=self.total_style)
         sheet.set((total_row, 2), formula=f"=SUM({qty_range})", style=self.total_style)
         sheet.set((total_row, 4), formula=f"=SUM({value_range})", style=self.total_style)
@@ -372,18 +367,18 @@ class BudgetTemplate(WorkbookTemplate):
             sheet.set((row, 0), category, style=self.label_style)
             sheet.set((row, 1), pools.money(rng, 5_000, 120_000))
             sheet.set((row, 2), pools.money(rng, 4_000, 140_000))
-            sheet.set((row, 3), formula=f"={_a1(row, 2)}-{_a1(row, 1)}")
-            sheet.set((row, 4), formula=f"=ROUND({_a1(row, 2)}/{_a1(row, 1)},2)")
+            sheet.set((row, 3), formula=f"={cell_a1(row, 2)}-{cell_a1(row, 1)}")
+            sheet.set((row, 4), formula=f"=ROUND({cell_a1(row, 2)}/{cell_a1(row, 1)},2)")
             sheet.set(
                 (row, 5),
-                formula=f'=IF({_a1(row, 2)}>{_a1(row, 1)},"OVER","UNDER")',
+                formula=f'=IF({cell_a1(row, 2)}>{cell_a1(row, 1)},"OVER","UNDER")',
             )
         total_row = first_data + len(categories)
         sheet.set((total_row, 0), "Total", style=self.total_style)
         for col in (1, 2, 3):
-            col_range = f"{_a1(first_data, col)}:{_a1(total_row - 1, col)}"
+            col_range = f"{cell_a1(first_data, col)}:{cell_a1(total_row - 1, col)}"
             sheet.set((total_row, col), formula=f"=SUM({col_range})", style=self.total_style)
-        over_range = f"{_a1(first_data, 5)}:{_a1(total_row - 1, 5)}"
+        over_range = f"{cell_a1(first_data, 5)}:{cell_a1(total_row - 1, 5)}"
         sheet.set((total_row + 1, 0), "Categories over budget", style=self.label_style)
         sheet.set((total_row + 1, 5), formula=f'=COUNTIF({over_range},"OVER")')
 
@@ -424,11 +419,11 @@ class TimesheetTemplate(WorkbookTemplate):
             sheet.set((row, 0), pools.iso_date(rng))
             sheet.set((row, 1), pools.pick(rng, self.projects))
             sheet.set((row, 2), float(np.round(rng.uniform(0.5, 10.0), 1)))
-            sheet.set((row, 3), formula=f"=MONTH({_a1(row, 0)})")
-            sheet.set((row, 4), formula=f"={_a1(row, 2)}*B3")
+            sheet.set((row, 3), formula=f"=MONTH({cell_a1(row, 0)})")
+            sheet.set((row, 4), formula=f"={cell_a1(row, 2)}*B3")
         total_row = last_data + 2
-        hour_range = f"{_a1(first_data, 2)}:{_a1(last_data, 2)}"
-        billable_range = f"{_a1(first_data, 4)}:{_a1(last_data, 4)}"
+        hour_range = f"{cell_a1(first_data, 2)}:{cell_a1(last_data, 2)}"
+        billable_range = f"{cell_a1(first_data, 4)}:{cell_a1(last_data, 4)}"
         sheet.set((total_row, 1), "Total hours", style=self.label_style)
         sheet.set((total_row, 2), formula=f"=SUM({hour_range})", style=self.total_style)
         sheet.set((total_row + 1, 1), "Total billable", style=self.label_style)
@@ -462,18 +457,18 @@ class CustomerListTemplate(WorkbookTemplate):
             sheet.set((row, 0), pools.pick(rng, pools.FIRST_NAMES))
             sheet.set((row, 1), pools.pick(rng, pools.LAST_NAMES))
             sheet.set((row, 2), pools.pick(rng, self.cities))
-            sheet.set((row, 3), formula=f'=CONCATENATE({_a1(row, 0)}," ",{_a1(row, 1)})')
-            sheet.set((row, 4), formula=f"=UPPER(LEFT({_a1(row, 1)},3))")
+            sheet.set((row, 3), formula=f'=CONCATENATE({cell_a1(row, 0)}," ",{cell_a1(row, 1)})')
+            sheet.set((row, 4), formula=f"=UPPER(LEFT({cell_a1(row, 1)},3))")
         count_row = last_data + 2
         sheet.set((count_row, 2), "Customer count", style=self.label_style)
-        name_range = f"{_a1(first_data, 0)}:{_a1(last_data, 0)}"
+        name_range = f"{cell_a1(first_data, 0)}:{cell_a1(last_data, 0)}"
         sheet.set((count_row, 3), formula=f"=COUNTA({name_range})", style=self.total_style)
 
         codes = workbook.sheets[1]
         self._write_headers(codes, 0, ["City", "Prefix"])
         for index, city in enumerate(self.cities):
             codes.set((1 + index, 0), city)
-            codes.set((1 + index, 1), formula=f"=UPPER(LEFT({_a1(1 + index, 0)},3))")
+            codes.set((1 + index, 1), formula=f"=UPPER(LEFT({cell_a1(1 + index, 0)},3))")
 
 
 class LargeLedgerTemplate(WorkbookTemplate):
@@ -512,18 +507,18 @@ class LargeLedgerTemplate(WorkbookTemplate):
             sheet.set((row, 1), pools.pick(rng, self.accounts))
             sheet.set((row, 2), pools.money(rng, 10, 5_000))
             sheet.set((row, 3), pools.money(rng, 10, 5_000))
-            sheet.set((row, 4), formula=f"={_a1(row, 2)}-{_a1(row, 3)}")
+            sheet.set((row, 4), formula=f"={cell_a1(row, 2)}-{cell_a1(row, 3)}")
         totals_row = last_data + 2
-        debit_range = f"{_a1(first_data, 2)}:{_a1(last_data, 2)}"
-        credit_range = f"{_a1(first_data, 3)}:{_a1(last_data, 3)}"
-        account_range = f"{_a1(first_data, 1)}:{_a1(last_data, 1)}"
+        debit_range = f"{cell_a1(first_data, 2)}:{cell_a1(last_data, 2)}"
+        credit_range = f"{cell_a1(first_data, 3)}:{cell_a1(last_data, 3)}"
+        account_range = f"{cell_a1(first_data, 1)}:{cell_a1(last_data, 1)}"
         sheet.set((totals_row, 1), "Totals", style=self.total_style)
         sheet.set((totals_row, 2), formula=f"=SUM({debit_range})", style=self.total_style)
         sheet.set((totals_row, 3), formula=f"=SUM({credit_range})", style=self.total_style)
         sheet.set((totals_row + 1, 1), self.accounts[0], style=self.label_style)
         sheet.set(
             (totals_row + 1, 2),
-            formula=f"=COUNTIF({account_range},{_a1(totals_row + 1, 1)})",
+            formula=f"=COUNTIF({account_range},{cell_a1(totals_row + 1, 1)})",
         )
 
 
@@ -568,7 +563,7 @@ class SingletonTemplate(WorkbookTemplate):
         total_row = first_data + n_rows
         sheet.set((total_row, 0), "Total", style=self.total_style)
         target_col = int(rng.integers(1, self.n_columns + 1))
-        col_range = f"{_a1(first_data, target_col)}:{_a1(total_row - 1, target_col)}"
+        col_range = f"{cell_a1(first_data, target_col)}:{cell_a1(total_row - 1, target_col)}"
         sheet.set((total_row, target_col), formula=f"=SUM({col_range})", style=self.total_style)
 
 

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 import math
-from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,13 +33,6 @@ _N_INDICATOR_FEATURES = 1
 #: Feature vectors kept per featurizer (rows of its table).  The benchmark
 #: corpora hold 6 163 - 18 430 distinct cell keys.
 _MAX_CACHED_CELLS = 100_000
-#: Style objects pinned, and style field tuples numbered, per featurizer; a
-#: table over the bound is cleared.  The largest benchmark corpus (TI x6)
-#: carries 2 348 style objects of 16 distinct values.
-_MAX_STYLES = 16_384
-#: A style's fields as one tuple, which C hashes and compares (the frozen
-#: dataclass itself does both in Python, per lookup).
-_style_fields = attrgetter(*CellStyle.__dataclass_fields__)
 
 #: The cell-type parts: row ``_TYPE_INDEX[cell_type]`` is that type's one-hot.
 _ONE_HOTS = np.eye(len(_CELL_TYPES), dtype=np.float32)
@@ -74,9 +65,9 @@ def _pattern_part(pattern: str) -> np.ndarray:
 def _style_part(style: CellStyle) -> np.ndarray:
     """The style part of a cell with ``style`` (read-only, shared by every
     cell with an equal style).  Styles share an entry exactly when they
-    share a style number (:meth:`CellFeaturizer._style_number`: equal
-    fields): a ``font_size`` of 11 or 11.0, a ``bold`` of 1 or True, which
-    truth and float arithmetic turn into the same features."""
+    share a table row (:meth:`CellFeaturizer._keys`: equal fields): a
+    ``font_size`` of 11 or 11.0, a ``bold`` of 1 or True, which truth and
+    float arithmetic turn into the same features."""
     features = np.zeros(_N_STYLE_FEATURES, dtype=np.float32)
     features[0:3] = style.background_rgb()
     features[3:6] = style.font_rgb()
@@ -126,12 +117,6 @@ class CellFeaturizer:
         #: featurizer is shared by every concurrent serving thread driving
         #: the same encoder.
         self._table = RowTable("cell_features", _MAX_CACHED_CELLS, self.dimension)
-        #: ``id(style)`` -> (the style, its number); the entry pins the style
-        #: so its ``id()`` is not handed to another object while it lives.
-        self._pinned_styles: Dict[int, Tuple[CellStyle, int]] = {}
-        #: Style field tuple -> its number: equal styles share one.
-        self._style_numbers: Dict[tuple, int] = {}
-        self._next_style_number = itertools.count()
 
     # ----------------------------------------------------------------- layout
 
@@ -162,43 +147,21 @@ class CellFeaturizer:
 
     # --------------------------------------------------------------- features
 
-    def _style_number(self, style: CellStyle) -> int:
-        """Number ``style`` by its fields and pin it under its identity.
-        Numbers are never handed out twice, so clearing either table
-        orphans table rows and aliases none."""
-        numbers = self._style_numbers
-        fields = _style_fields(style)
-        number = numbers.get(fields)
-        if number is None:
-            if len(numbers) >= _MAX_STYLES:
-                numbers.clear()
-            number = numbers.setdefault(fields, next(self._next_style_number))
-        pinned = self._pinned_styles
-        if len(pinned) >= _MAX_STYLES:
-            pinned.clear()
-        pinned[id(style)] = (style, number)
-        return number
-
     def _keys(self, cells: Sequence[Cell], valid: bool) -> List[tuple]:
         """The table key of each cell: the content that determines its
-        vector (a cell's value is hashable: :class:`Cell` checks it).
-
-        C hashes and compares every part of a key.  A style contributes a
-        small integer, found by the style object's identity; only a style
-        object met for the first time has its twelve fields read and hashed.
+        vector (a cell's value is hashable: :class:`Cell` checks it; a
+        style is a tuple of its fields), hashed and compared in C.  Equal
+        styles share a row: a ``font_size`` of 11 or 11.0 featurizes alike.
         """
-        pinned = self._pinned_styles
         keys: List[tuple] = []
         for cell in cells:
-            value, style = cell.value, cell.style
-            entry = pinned.get(id(style))
-            number = self._style_number(style) if entry is None else entry[1]
+            value = cell.value
             # The type disambiguates 1 / 1.0 / True, which compare (and hash)
             # equal as dict keys but featurize differently; so do 0.0 and
             # -0.0, whose texts differ.
             if type(value) is float and not value and math.copysign(1.0, value) < 0:
                 value = "-0.0"
-            keys.append((type(value), value, bool(cell.formula), number, valid))
+            keys.append((type(value), value, bool(cell.formula), cell.style, valid))
         return keys
 
     def featurize(self, cell: Cell, valid: bool = True) -> np.ndarray:

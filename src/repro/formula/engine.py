@@ -77,12 +77,13 @@ from repro.formula.functions import (
     _coerce_number,
     _flatten,
     _truthy,
+    scalar,
 )
 from repro.formula.parser import parse_formula
 from repro.formula.tokenizer import FormulaSyntaxError
 from repro.obs.tracing import get_tracer
 from repro.sheet.addressing import CellAddress, RangeAddress
-from repro.sheet.cell import Cell
+from repro.sheet.cell import EMPTY_CELL, Cell
 from repro.sheet.sheet import AddressLike, Sheet, _to_address
 
 
@@ -110,11 +111,13 @@ class RecalcReport(NamedTuple):
 
 
 def _held(value) -> object:
-    """What a cell holds of a formula's value: a range's one cell, and
-    ``#VALUE!`` for a range of more than one cell."""
-    if type(value) is Grid:
-        return value.position(0) if len(value) == 1 else VALUE_ERROR
-    return value
+    """The one value of ``value`` (:func:`~repro.formula.functions.scalar`),
+    ``#VALUE!`` for a range of more than one cell: what a cell holds of a
+    formula's value, an operand and an ``IF`` condition."""
+    try:
+        return scalar(value)
+    except FunctionError:
+        return VALUE_ERROR
 
 
 class FormulaEngine:
@@ -145,12 +148,6 @@ class FormulaEngine:
         #: The dirty formulas' values (:meth:`_evaluate_dirty`); ``None``
         #: until the pass has run since the last edit.
         self._eval_memo: Optional[Dict[CellAddress, object]] = None
-        #: Every stored cell's value by ``(row, col)``: what a read looks
-        #: up, hashed and compared in C (a :class:`CellAddress` key is
-        #: hashed in Python).  The engine's own writes keep it; a write
-        #: made around the engine moves the version, and the next
-        #: operation rebuilds it with the graph.
-        self._stored: Dict[Tuple[int, int], object] = {}
         #: The cells whose value the last :meth:`recalculate` changed.
         self.last_changed: Tuple[CellAddress, ...] = ()
         self._synced_version = -1
@@ -191,7 +188,6 @@ class FormulaEngine:
             self._unregister(addr)
             self._dirty.discard(addr)
         self._sheet._put(addr, cell)
-        self._stored[addr.row, addr.col] = cell.value
         self._synced_version = self._sheet.version
         self._eval_memo = None
         self._mark_dirty(self._dependents_of(addr))
@@ -205,7 +201,6 @@ class FormulaEngine:
             self._unregister(addr)
         text = formula if str(formula).startswith("=") else f"={formula}"
         self._sheet._put(addr, Cell(None, text, old.style))
-        self._stored[addr.row, addr.col] = None
         self._synced_version = self._sheet.version
         self._eval_memo = None
         self._register(addr)
@@ -253,8 +248,6 @@ class FormulaEngine:
             # One commit, one version bump if anything changed; the watermark
             # moves with it, since the engine made the change itself.
             self.last_changed = tuple(self._sheet._commit_values(committed.items()))
-            for address in self.last_changed:
-                self._stored[address.row, address.col] = committed[address]
             self._synced_version = self._sheet.version
             errored = sum(1 for value in committed.values() if is_error_value(value))
             recalculated = len(committed) - errored
@@ -309,9 +302,6 @@ class FormulaEngine:
         self._range_watchers.clear()
         self._eval_memo = None
         self._dirty = set()
-        self._stored = {
-            (address.row, address.col): cell.value for address, cell in self._sheet.items()
-        }
         for address, __ in self._sheet.formula_cells():
             self._register(address)
             self._dirty.add(address)
@@ -396,7 +386,7 @@ class FormulaEngine:
         memo, any other cell's as stored (clean formulas are committed)."""
         if address in self._dirty:
             return self._eval_memo.get(address, CYCLE_ERROR)
-        return self._stored.get((address.row, address.col))
+        return self._sheet._cells.get(address, EMPTY_CELL).value
 
     def _formula_value(self, address: CellAddress) -> object:
         ast = self._asts[address]
@@ -416,7 +406,7 @@ class FormulaEngine:
         if isinstance(node, RangeReference):
             return self._range(node.range)
         if isinstance(node, UnaryOp):
-            operand = self._evaluate_node(node.operand)
+            operand = _held(self._evaluate_node(node.operand))
             if is_error_value(operand):
                 return operand
             number = self._as_number(operand)
@@ -447,10 +437,10 @@ class FormulaEngine:
         cols = range(start.col, min(end.col, self._sheet.n_cols - 1) + 1)
         dirty = self._dirty
         if len(dirty) > len(rows) * len(cols):
-            values = [self._read(CellAddress(row, col)) for row in rows for col in cols]
+            values = [self._read((row, col)) for row in rows for col in cols]
         else:
-            get = self._stored.get
-            values = [get((row, col)) for row in rows for col in cols]
+            get = self._sheet._cells.get
+            values = [get((row, col), EMPTY_CELL).value for row in rows for col in cols]
             memo, width = self._eval_memo, len(cols)
             for address in dirty:
                 row, col = address.row - rows.start, address.col - cols.start
@@ -461,14 +451,12 @@ class FormulaEngine:
         return Grid(cell_range.n_rows, cell_range.n_cols, len(rows), len(cols), values)
 
     def _evaluate_binary(self, node: BinaryOp) -> object:
-        left = self._evaluate_node(node.left)
+        left = _held(self._evaluate_node(node.left))
         if is_error_value(left):
             return left
-        right = self._evaluate_node(node.right)
+        right = _held(self._evaluate_node(node.right))
         if is_error_value(right):
             return right
-        if type(left) is Grid or type(right) is Grid:
-            return VALUE_ERROR  # a range is no one number or text
         op = node.op
         if op == "&":
             return self._as_text(left) + self._as_text(right)
@@ -509,7 +497,7 @@ class FormulaEngine:
             # the untaken arm (e.g. a guarded division) cannot leak out.
             if not 1 <= len(node.args) <= 3:
                 return VALUE_ERROR
-            condition = self._evaluate_node(node.args[0])
+            condition = _held(self._evaluate_node(node.args[0]))
             if is_error_value(condition):
                 return condition
             if _truthy(condition):

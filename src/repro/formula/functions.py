@@ -13,8 +13,9 @@ Each function receives already-evaluated arguments.  A range arrives as a
 used extent (every other cell is blank).  A scalar arrives as a plain
 value.  An aggregate reads a range's cells through :func:`_flatten`, the
 lookups and the aligned ranges of the ``*IF(S)`` functions read them by
-position, and a function that wants one number or one text refuses a
-range (``#VALUE!``).
+position, and a function that wants one value reads it through
+:func:`scalar`: a range of one cell is that cell, a larger range is
+``#VALUE!``.
 """
 
 from __future__ import annotations
@@ -133,6 +134,16 @@ class Grid:
         )
 
 
+def scalar(value):
+    """The one value of an argument that wants one: a range of one cell is
+    that cell's value, and a larger range has none (``#VALUE!``)."""
+    if type(value) is Grid:
+        if len(value) != 1:
+            raise FunctionError("a range of more than one cell is not one value")
+        return value.position(0)
+    return value
+
+
 def _grid(value) -> Grid:
     """A range argument as a :class:`Grid`: a scalar is a range of one
     cell."""
@@ -151,16 +162,15 @@ def _numeric_values(args: Iterable) -> List[float]:
 
 
 def _coerce_number(value) -> float:
-    """Coerce a scalar to float (blank -> 0), raising on non-numeric text
-    and on a range."""
+    """Coerce one value (:func:`scalar`) to float (blank -> 0), raising on
+    non-numeric text."""
+    value = scalar(value)
     if value is None or value == "":
         return 0.0
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, numbers.Number):
         return float(value)
-    if type(value) is Grid:
-        raise FunctionError("a range is not a number")
     try:
         return float(str(value))
     except ValueError as exc:
@@ -395,7 +405,7 @@ def fn_sumifs(sum_values, *args) -> float:
 
 
 def fn_if(condition, when_true=True, when_false=False):
-    return when_true if _truthy(condition) else when_false
+    return when_true if _truthy(scalar(condition)) else when_false
 
 
 def _truthy(value) -> bool:
@@ -413,7 +423,7 @@ def fn_or(*args) -> bool:
 
 
 def fn_not(value) -> bool:
-    return not _truthy(value)
+    return not _truthy(scalar(value))
 
 
 def fn_isblank(value) -> bool:
@@ -444,7 +454,7 @@ def fn_vlookup(lookup_value, table, col_index, range_lookup=False):
         if col >= grid.cols:
             raise FunctionError("VLOOKUP column index out of range")
         return grid.at(row, col)
-    if _truthy(range_lookup):
+    if _truthy(scalar(range_lookup)):
         best = None
         for row, first in grid.first_column():
             if _comparable(first, lookup_value) and first <= lookup_value:
@@ -552,10 +562,9 @@ def fn_int(value) -> float:
 
 
 def _text(value) -> str:
-    """A text function's text of a scalar; a range has none."""
-    if type(value) is Grid:
-        raise FunctionError("a range is not a text")
-    return str(value)
+    """A text function's text of its text argument, one value
+    (:func:`scalar`): a blank, a zero or FALSE is the empty text."""
+    return str(scalar(value) or "")
 
 
 def fn_concatenate(*args) -> str:
@@ -563,39 +572,40 @@ def fn_concatenate(*args) -> str:
 
 
 def fn_left(text, count=1) -> str:
-    return _text(text or "")[: int(_coerce_number(count))]
+    return _text(text)[: int(_coerce_number(count))]
 
 
 def fn_right(text, count=1) -> str:
     count = int(_coerce_number(count))
-    source = _text(text or "")
+    source = _text(text)
     return source[-count:] if count else ""
 
 
 def fn_mid(text, start, count) -> str:
     start_index = int(_coerce_number(start)) - 1
-    return _text(text or "")[start_index : start_index + int(_coerce_number(count))]
+    return _text(text)[start_index : start_index + int(_coerce_number(count))]
 
 
 def fn_len(text) -> float:
-    return float(len(_text(text or "")))
+    return float(len(_text(text)))
 
 
 def fn_upper(text) -> str:
-    return _text(text or "").upper()
+    return _text(text).upper()
 
 
 def fn_lower(text) -> str:
-    return _text(text or "").lower()
+    return _text(text).lower()
 
 
 def fn_trim(text) -> str:
-    return " ".join(_text(text or "").split())
+    return " ".join(_text(text).split())
 
 
 def fn_text(value, format_text="") -> str:
+    value = scalar(value)
     number = _coerce_number(value)
-    fmt = _text(format_text)
+    fmt = str(scalar(format_text))
     if fmt in ("0", "#"):
         return str(int(round(number)))
     if fmt.startswith("0.") and set(fmt[2:]) <= {"0"}:
@@ -606,13 +616,14 @@ def fn_text(value, format_text="") -> str:
 
 
 def fn_substitute(text, old, new) -> str:
-    return _text(text or "").replace(_text(old), _text(new))
+    return _text(text).replace(str(scalar(old)), str(scalar(new)))
 
 
 # ------------------------------------------------------------------------ date
 
 
 def _as_date(value) -> _dt.date:
+    value = scalar(value)
     if isinstance(value, _dt.datetime):
         return value.date()
     if isinstance(value, _dt.date):

@@ -10,6 +10,7 @@ and provides small value objects for addresses and ranges.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -67,18 +68,33 @@ def column_index_to_letters(index: int) -> str:
     return "".join(reversed(letters))
 
 
-@dataclass(frozen=True, order=True)
-class CellAddress:
-    """A single cell location as 0-based ``(row, col)`` coordinates."""
+def cell_a1(row: int, col: int) -> str:
+    """The A1 text of the cell at 0-based ``(row, col)``.
 
-    row: int
-    col: int
+    >>> cell_a1(40, 2)
+    'C41'
+    """
+    return f"{column_index_to_letters(col)}{row + 1}"
 
-    def __post_init__(self) -> None:
-        if self.row < 0 or self.col < 0:
-            raise AddressError(
-                f"cell coordinates must be non-negative, got ({self.row}, {self.col})"
-            )
+
+class CellAddress(namedtuple("CellAddress", ("row", "col"))):
+    """A single cell location as 0-based ``(row, col)`` coordinates.
+
+    A tuple, so it hashes, compares and orders as ``(row, col)`` does, in C,
+    and equals that plain tuple: ``CellAddress(2, 3) == (2, 3)``.  A
+    negative coordinate raises :class:`AddressError`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, row: int, col: int) -> "CellAddress":
+        if row < 0 or col < 0:
+            raise AddressError(f"cell coordinates must be non-negative, got ({row}, {col})")
+        return tuple.__new__(cls, (row, col))
+
+    @classmethod
+    def _make(cls, iterable) -> "CellAddress":
+        return cls(*iterable)
 
     @classmethod
     def from_a1(cls, text: str) -> "CellAddress":
@@ -87,7 +103,7 @@ class CellAddress:
 
     def to_a1(self) -> str:
         """Render the address in A1 notation."""
-        return f"{column_index_to_letters(self.col)}{self.row + 1}"
+        return cell_a1(*self)
 
     def shifted(self, row_delta: int, col_delta: int) -> "CellAddress":
         """Return a new address displaced by the given row/column deltas."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import threading
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -28,6 +29,8 @@ AddressLike = Union[str, CellAddress, Tuple[int, int]]
 _DEFERRED = frozenset(("_cells", "_n_rows", "_n_cols"))
 #: Held while a deferred sheet decodes, so concurrent first reads decode once.
 _DECODE_LOCK = threading.Lock()
+#: Sort key of an ``(address, cell)`` pair: its address, in row-major order.
+_ADDRESS = itemgetter(0)
 
 
 def _to_address(address: AddressLike) -> CellAddress:
@@ -47,12 +50,6 @@ def _same_value(old: CellValue, new: CellValue) -> bool:
     if type(old) is not type(new) or old != new:
         return False
     return type(new) is not float or math.copysign(1.0, old) == math.copysign(1.0, new)
-
-
-def _row_major(item: Tuple[CellAddress, Cell]) -> Tuple[int, int]:
-    """Sort key of an ``(address, cell)`` pair: the address's own order,
-    without a dataclass ``__lt__`` call per comparison."""
-    return (item[0].row, item[0].col)
 
 
 class SheetEdit(NamedTuple):
@@ -76,7 +73,8 @@ class SealedError(RuntimeError):
 class Sheet:
     """A single sheet: a named, sparse grid of :class:`Cell` objects.
 
-    Cells are stored in a dictionary keyed by :class:`CellAddress`; any
+    Cells are stored in a dictionary keyed by :class:`CellAddress` (equal
+    to its ``(row, col)`` tuple, which finds the same cell); any
     address not present reads as an empty cell.  The sheet tracks its used
     extent (``n_rows`` x ``n_cols``) which grows as cells are written.
 
@@ -176,7 +174,7 @@ class Sheet:
 
     def cells(self) -> Iterator[Tuple[CellAddress, Cell]]:
         """Iterate ``(address, cell)`` pairs for all stored cells."""
-        return iter(sorted(self._cells.items(), key=_row_major))
+        return iter(sorted(self._cells.items(), key=_ADDRESS))
 
     def items(self) -> ItemsView[CellAddress, Cell]:
         """The ``(address, cell)`` pairs of all stored cells in storage
@@ -186,7 +184,7 @@ class Sheet:
 
     def formula_cells(self) -> List[Tuple[CellAddress, Cell]]:
         """All cells that contain formulas, sorted by address."""
-        return sorted((item for item in self._cells.items() if item[1].has_formula), key=_row_major)
+        return sorted((item for item in self._cells.items() if item[1].has_formula), key=_ADDRESS)
 
     # ------------------------------------------------------------ modification
 

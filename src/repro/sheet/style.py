@@ -11,8 +11,7 @@ from __future__ import annotations
 import re
 import reprlib
 import sys
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from collections import namedtuple
 from typing import Dict, Optional, Tuple
 
 from repro.cache import memoized
@@ -39,37 +38,55 @@ def _parse_hex_color(color: Optional[str]) -> Tuple[float, float, float]:
     return (red, green, blue)
 
 
-@dataclass(frozen=True)
-class CellStyle:
+class CellStyle(
+    namedtuple(
+        "CellStyle",
+        "background_color font_color bold italic underline font_size height width"
+        " border_top border_bottom border_left border_right",
+    )
+):
     """Visual attributes of a spreadsheet cell.
 
     Attributes mirror the style features listed in the paper: background
     color, font color, font style (bold / italic / underline), font size and
     cell size (height and width).
 
-    Each field is checked on construction: a colour is ``None`` or
+    A tuple of its fields, so it hashes and compares as that tuple does, in
+    C.  Each field is checked on construction: a colour is ``None`` or
     ``"#RRGGBB"``, a size a non-negative number (not a boolean) that is
     finite as a float, a flag ``True``, ``False``, 0 or 1.  Anything else
     raises ``ValueError``.
     """
 
-    background_color: Optional[str] = None
-    font_color: Optional[str] = None
-    bold: bool = False
-    italic: bool = False
-    underline: bool = False
-    font_size: float = 11.0
-    height: float = DEFAULT_HEIGHT
-    width: float = DEFAULT_WIDTH
-    border_top: bool = False
-    border_bottom: bool = False
-    border_left: bool = False
-    border_right: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in zip(_FIELD_NAMES, _FIELD_VALUES(self)):
+    def __new__(
+        cls,
+        background_color: Optional[str] = None,
+        font_color: Optional[str] = None,
+        bold: bool = False,
+        italic: bool = False,
+        underline: bool = False,
+        font_size: float = 11.0,
+        height: float = DEFAULT_HEIGHT,
+        width: float = DEFAULT_WIDTH,
+        border_top: bool = False,
+        border_bottom: bool = False,
+        border_left: bool = False,
+        border_right: bool = False,
+    ) -> "CellStyle":
+        values = (
+            background_color, font_color, bold, italic, underline, font_size,
+            height, width, border_top, border_bottom, border_left, border_right,
+        )
+        for name, value in zip(cls._fields, values):
             if not _holds(name, value):
                 raise ValueError(f"style field {name!r} cannot hold {reprlib.repr(value)}")
+        return tuple.__new__(cls, values)
+
+    @classmethod
+    def _make(cls, iterable) -> "CellStyle":
+        return cls(*iterable)
 
     def background_rgb(self) -> Tuple[float, float, float]:
         """Background color as normalized RGB (defaults to white)."""
@@ -83,7 +100,7 @@ class CellStyle:
 
     def to_dict(self) -> Dict[str, object]:
         """Serialize to a plain dictionary (JSON friendly)."""
-        return dict(zip(_FIELD_NAMES, _FIELD_VALUES(self)))
+        return dict(zip(self._fields, self))
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CellStyle":
@@ -100,9 +117,8 @@ class CellStyle:
             raise ValueError(f"style fields hold JSON scalars: {reprlib.repr(data)}") from None
 
 
-_FIELD_NAMES = tuple(field.name for field in fields(CellStyle))
-_FIELD_DEFAULTS = tuple(field.default for field in fields(CellStyle))
-_FIELD_VALUES = attrgetter(*_FIELD_NAMES)
+_FIELD_NAMES = CellStyle._fields
+_FIELD_DEFAULTS = CellStyle.__new__.__defaults__
 
 _COLOR = re.compile(r"#[0-9A-Fa-f]{6}")
 

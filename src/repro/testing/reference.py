@@ -201,11 +201,11 @@ class ReferenceAutoFormula:
             return None
         vectors = np.concatenate(
             [
-                self._regions(reference, [(a.row, a.col) for a, __ in reference.formula_cells()], True)
+                self._regions(reference, [a for a, __ in reference.formula_cells()], True)
                 for reference in (corpus[row][1] for row, __ in hits)
             ]
         )
-        query = self._regions(sheet, [(cell.row, cell.col)], True)
+        query = self._regions(sheet, [cell], True)
         [(position, distance)] = knn(query, vectors, 1)[0]
         if distance > self.config.acceptance_threshold:
             return None
@@ -268,7 +268,7 @@ class ReferenceAutoFormula:
             parameter.row + target_cell.row - formula_cell.row,
             parameter.col + target_cell.col - formula_cell.col,
         )
-        anchors = [moved, (parameter.row, parameter.col)]
+        anchors = [moved, parameter]
         cells = candidates(
             anchors,
             (target.n_rows, target.n_cols),
@@ -281,7 +281,7 @@ class ReferenceAutoFormula:
             * np.float32(min(abs(row - a_row) + abs(col - a_col) for a_row, a_col in anchors))
             for row, col in cells
         ]
-        vector = self._regions(reference, [(parameter.row, parameter.col)])[0]
+        vector = self._regions(reference, [parameter])[0]
         return CellAddress(*cells[closest(self._regions(target, cells), vector, penalties)])
 
     # ---------------------------------------------------------- the service

@@ -6,6 +6,7 @@ from repro.sheet.addressing import (
     AddressError,
     CellAddress,
     RangeAddress,
+    cell_a1,
     column_index_to_letters,
     column_letters_to_index,
     is_cell_reference,
@@ -70,6 +71,24 @@ class TestCellAddress:
     def test_negative_coordinates_rejected(self):
         with pytest.raises(AddressError):
             CellAddress(-1, 0)
+        with pytest.raises(AddressError):
+            CellAddress(0, -1)
+        with pytest.raises(AddressError):
+            CellAddress(2, 3)._replace(col=-1)
+
+    def test_an_address_is_its_row_col_tuple(self):
+        """It equals, hashes and sorts as ``(row, col)``, so either finds
+        the other in a dict or a set."""
+        address = CellAddress(2, 3)
+        assert address == (2, 3) and hash(address) == hash((2, 3))
+        assert {(2, 3): "x"}[address] == "x" and (2, 3) in {address}
+        addresses = [CellAddress(2, 0), CellAddress(0, 5), CellAddress(1, 1), CellAddress(0, 2)]
+        assert sorted(addresses) == [(0, 2), (0, 5), (1, 1), (2, 0)]
+        assert repr(address) == "CellAddress(row=2, col=3)" and str(address) == "D3"
+
+    def test_one_a1_writer(self):
+        assert cell_a1(40, 2) == "C41" == CellAddress(40, 2).to_a1()
+        assert cell_a1(0, 16383) == "XFD1"
 
     def test_invalid_text_rejected(self):
         for bad in ["", "41C", "C", "41", "C0"]:

@@ -100,27 +100,22 @@ class TestCellFeaturizer:
         featurizer.featurize(Cell(value=1), valid=False)
         assert featurizer._table.stats() == {"hit": 1, "miss": 7, "evict": 0, "size": 7}
 
-    def test_forgetting_style_numbers_aliases_no_entry(self, featurizer, monkeypatch):
-        """The style pins and numbers are bounded by clearing them; numbers
-        are not reused, so a style met again gets a new one and its own
-        rows, never a row of another style."""
-        from repro.features import cell_features
-
-        monkeypatch.setattr(cell_features, "_MAX_STYLES", 4)
+    def test_equal_styles_share_a_row_and_distinct_styles_never_do(self, featurizer):
+        """A style is its own part of a cell's table key: twelve styles,
+        met three times each, featurize as a fresh featurizer does them,
+        each in a row of its own; a font size of 11 finds the row of 11.0."""
         styles = [CellStyle(font_size=float(size)) for size in range(8, 20)]
-        handed_out = []
+        vectors = {}
         for __ in range(3):
             for style in styles:
                 vector = featurizer.featurize(Cell(value="x", style=style))
                 expected = CellFeaturizer(featurizer._config).featurize(Cell(value="x", style=style))
                 assert np.array_equal(vector, expected)
-                assert len(featurizer._pinned_styles) <= 4 and len(featurizer._style_numbers) <= 4
-                handed_out.append(featurizer._pinned_styles[id(style)][1])
-        # Each style object was pinned again after every clear, under a
-        # number no other style ever had.
-        owner = {}
-        for style, number in zip(styles * 3, handed_out):
-            assert owner.setdefault(number, style) is style
+                vectors[style] = vector.tobytes()
+        assert len(set(vectors.values())) == len(styles)
+        assert featurizer._table.stats()["size"] == len(styles)
+        featurizer.featurize(Cell(value="x", style=CellStyle(font_size=11)))
+        assert featurizer._table.stats()["size"] == len(styles)
 
 
 class TestWindowBounds:

@@ -1,5 +1,7 @@
 """Tests for the incremental dependency-graph recalculation engine."""
 
+import contextlib
+from datetime import date
 from unittest import mock
 
 import numpy as np
@@ -637,9 +639,11 @@ class TestRangesOverTheExtent:
         return sheet
 
     @staticmethod
+    @contextlib.contextmanager
     def _count_reads(engine, budget):
-        """Count every stored value the engine looks up from here on, and
-        fail at the first one past ``budget`` (instead of reading on)."""
+        """Count every stored cell the engine looks up in the sheet inside
+        the block, and fail at the first one past ``budget`` (instead of
+        reading on)."""
         reads = []
 
         class Counting(dict):
@@ -648,8 +652,12 @@ class TestRangesOverTheExtent:
                 assert len(reads) <= budget, "read a cell past the used extent"
                 return dict.get(self, key, default)
 
-        engine._stored = Counting(engine._stored)
-        return reads
+        sheet = engine.sheet
+        sheet._cells = Counting(sheet._cells)
+        try:
+            yield reads
+        finally:
+            sheet._cells = dict(sheet._cells)
 
     @pytest.mark.parametrize(
         "cell, formula, expected",
@@ -688,8 +696,8 @@ class TestRangesOverTheExtent:
         engine = FormulaEngine(sheet)
         engine.recalculate()
         engine.set_formula(cell, formula)
-        reads = self._count_reads(engine, sheet.n_rows * sheet.n_cols)
-        engine.recalculate()
+        with self._count_reads(engine, sheet.n_rows * sheet.n_cols) as reads:
+            engine.recalculate()
         assert sheet.get(cell).value == expected
         assert 0 < len(reads) <= sheet.n_rows * sheet.n_cols
 
@@ -711,6 +719,43 @@ class TestRangesOverTheExtent:
         sheet = self._five_rows()
         engine = FormulaEngine(sheet)
         engine.recalculate()
-        reads = self._count_reads(engine, sheet.n_rows * sheet.n_cols)
-        assert engine.evaluate_formula(formula) == expected
+        with self._count_reads(engine, sheet.n_rows * sheet.n_cols) as reads:
+            assert engine.evaluate_formula(formula) == expected
         assert 0 < len(reads) <= sheet.n_rows * sheet.n_cols
+
+
+class TestOneValue:
+    """Wherever a formula wants one value (an ``IF`` condition, ``NOT``,
+    the ``VLOOKUP`` flag, an operand, a number or text argument), a range
+    of one cell is that cell and a larger range is ``#VALUE!``, as in what
+    a cell holds.  (``AND``, ``OR`` and ``SUM`` read a range's cells:
+    :class:`TestRangesOverTheExtent`.)"""
+
+    @pytest.mark.parametrize(
+        "formula, expected",
+        [
+            ("=IF(B1:B9,1,2)", VALUE_ERROR),
+            ("=IF(A1:A2,1,2)", VALUE_ERROR),
+            ("=NOT(B1:B9)", VALUE_ERROR),
+            ('=C1:C1&"x"', "abcx"),
+            ("=LEN(C1:C1)", 3.0),
+            ("=D1:D1+1", 5.0),
+            ("=ABS(D1:D1)", 4.0),
+            ("=-D1:D1", -4.0),
+            ("=VLOOKUP(5,D1:E1,1,A1:A2)", VALUE_ERROR),
+            ('=TEXT(D1:D1,"0.0")', "4.0"),
+            ("=YEAR(G1:G1)", 2024.0),
+        ],
+    )
+    def test_a_range_where_one_value_is_wanted(self, formula, expected):
+        """A sheet of A1 FALSE, A2 0, C1 "abc", D1 4 and G1 a date:
+        evaluated, and committed into a cell."""
+        sheet = Sheet("s")
+        cells = (("A1", False), ("A2", 0.0), ("C1", "abc"), ("D1", 4.0), ("G1", date(2024, 3, 5)))
+        for address, value in cells:
+            sheet.set(address, value)
+        engine = FormulaEngine(sheet)
+        assert repr(engine.evaluate_formula(formula)) == repr(expected)
+        engine.set_formula("F1", formula)
+        engine.recalculate()
+        assert repr(sheet.get("F1").value) == repr(expected)

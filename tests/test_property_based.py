@@ -616,7 +616,7 @@ class TestCodecRoundTrip:
             CellStyle.from_dict({"background_color": "#" + "F" * 5000})
 
     @given(
-        field=st.sampled_from([field.name for field in dataclasses.fields(CellStyle)]),
+        field=st.sampled_from(CellStyle._fields),
         value=st.recursive(
             st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=9),
             lambda children: st.lists(children, max_size=3)

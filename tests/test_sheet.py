@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from repro.sheet import Cell, CellAddress, CellStyle, Sheet
+from repro.sheet.style import DEFAULT_STYLE
 from repro.sheet.cell import CellType
 from repro.sheet.addressing import RangeAddress, parse_range_address
 
@@ -143,6 +144,25 @@ class TestCellsAreCheckedWhereMade:
             with pytest.raises(ValueError, match="style field"):
                 CellStyle(**fields)
         assert CellStyle(font_size=11, bold=1) == CellStyle(font_size=11, bold=1)
+
+    def test_every_style_field_refuses_a_bad_value(self):
+        """Each field, by keyword, by position and through ``_replace``."""
+        bad = {"background_color": "red", "font_color": "#12345", "font_size": -1.0}
+        bad.update(height=True, width="64")
+        for position, field in enumerate(CellStyle._fields):
+            value = bad.get(field, 2)  # a flag holds 0, 1, False or True
+            with pytest.raises(ValueError, match=f"style field '{field}'"):
+                CellStyle(**{field: value})
+            with pytest.raises(ValueError, match=f"style field '{field}'"):
+                CellStyle(*DEFAULT_STYLE[:position], value)
+            with pytest.raises(ValueError, match=f"style field '{field}'"):
+                DEFAULT_STYLE._replace(**{field: value})
+
+    def test_a_style_is_the_tuple_of_its_fields(self):
+        style = CellStyle(bold=True, font_size=12)
+        assert style == (None, None, True, False, False, 12, 15.0, 64.0) + (False,) * 4
+        assert hash(style) == hash(tuple(style)) and style == CellStyle(bold=1, font_size=12.0)
+        assert style.to_dict() == dict(zip(CellStyle._fields, style))
 
     def test_a_value_no_cell_can_hold_raises(self):
         class Unhashable(str):
