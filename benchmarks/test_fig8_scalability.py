@@ -264,30 +264,28 @@ def _time_point(index, queries, k, positions):
 def test_fig8_two_tier_speedup(benchmark, encoder, report_writer):
     """Fig. 8 scorer sweep: the plain einsum scorer vs the BLAS scan +
     exact re-rank, at the index, over the pairs one search scores — the
-    evidence behind ``VectorIndex.tier1_min_pairs``, and for the large
+    evidence behind ``repro.ann.base.tier1_pays``, and for the large
     side of it, which no ``BENCHMARK.json`` workload reaches."""
 
     def run_sweep():  # generators: each index is dropped once its points are timed
         points = itertools.chain(
             _synthetic_points(), *(_real_points(encoder, *preset) for preset in SWEEP_PRESETS)
         )
-        return [
-            (
-                label,
-                len(index) if positions is None else len(positions),
-                len(queries),
-                _time_point(index, queries, k, positions),
-            )
-            for label, index, queries, k, positions in points
-        ]
+        rows = []
+        for label, index, queries, k, positions in points:
+            pool = len(index) if positions is None else len(positions)
+            row = _time_point(index, queries, k, positions)
+            # The engine's own decision, by the predicate ``search_batch`` asks.
+            row["picks_blas"] = index.takes_tier1(len(queries), pool, k)
+            rows.append((label, pool, len(queries), row))
+        return rows
 
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
 
-    gate = VectorIndex.tier1_min_pairs
     lines = [
         "Figure 8 (scorer sweep): plain fixed-order einsum vs BLAS scan + exact re-rank",
         f"exact index, median of {SWEEP_ROUNDS} interleaved rounds, answers bit-equal at every point;",
-        f"the engine takes the BLAS path from {gate} pairs (n_queries x pool) up.  numpy {np.__version__}, "
+        f"'picks' is the path the engine takes (repro.ann.base.tier1_pays).  numpy {np.__version__}, "
         f"{os.cpu_count()} cpus, OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
         "",
         f"{'scan':44s} {'pool':>7s} {'nq':>3s} {'pairs':>8s} {'plain ms':>9s} {'blas ms':>9s} "
@@ -298,21 +296,20 @@ def test_fig8_two_tier_speedup(benchmark, encoder, report_writer):
         lines.append(
             f"{label:44s} {pool:>7d} {n_queries:>3d} {pairs:>8d} {row['plain']:>9.3f} "
             f"{row['blas']:>9.3f} {row['blas_vs_plain']:>10.2f} "
-            f"{'blas' if pairs >= gate else 'plain':>6s} {row['max_slice']:>9d} {row['fallback_rows']:>13d}"
+            f"{'blas' if row['picks_blas'] else 'plain':>6s} {row['max_slice']:>9d} {row['fallback_rows']:>13d}"
         )
     report_writer("fig8_two_tier_speedup", lines)
 
     # Only what the table supports with margin, whatever BLAS and thread
     # count this runs on: at every point the path the gate picks is the
-    # faster one or close to it (the worst seen is 1.2x, under the gate),
-    # and at 20 000 sheets one query is 3-4x faster than plain.  One band is
-    # wider since pools are scored where they lie: several queries sharing a
-    # D=1280 pool under the gate.  While both paths paid the gather they were
-    # level there (1.03 at 458 x 4); without it the plain path is 1.5-1.65x
-    # behind, and the gate, a count of pairs that the short vectors hold at
-    # 2000, stays (DESIGN.md "The sweep behind the gate", ROADMAP 3(a)).
+    # faster one or close to it, and at 20 000 sheets one query is 3-4x
+    # faster than plain.  One band is wider since pools are scored where
+    # they lie: several queries sharing a D=1280 pool on the plain path,
+    # which is up to 1.5-1.65x behind where BLAS packs the pool cheaply
+    # (two threads) and ahead where it does not (DESIGN.md "The sweep
+    # behind the gate").
     for label, pool, n_queries, row in rows:
-        below = pool * n_queries < gate
+        below = not row["picks_blas"]
         picked_vs_other = row["blas_vs_plain"] ** (-1 if below else 1)
         bound = 2.0 if below and "S2" in label and n_queries > 1 else 1.25
         assert picked_vs_other <= bound, (label, pool, n_queries, row)

@@ -3,18 +3,19 @@
 Vectors live in a :class:`RowStore`.  The index's k-NN (S1, S2) and S3's
 closest candidate (:func:`closest_in_blocks`) select alike: BLAS tier 1
 scores, :func:`tier1_slice` keeps what may win, a fixed-order expression
-decides.  Which path an index search takes is decided from the work it
-does, ``pairs = n_queries * pool``, never from an option:
+decides.  Which path an index search takes is decided from the shape of
+the work it does (:func:`tier1_pays`: the query rows, the pool and
+``k``), never from an option:
 
-* few pairs — the plain path: every candidate is scored with the
-  fixed-order einsum scorer whose distances are bit-identical across
-  pool shapes (what batch/one-at-a-time parity relies on).
-* at least ``VectorIndex.tier1_min_pairs`` pairs over a shared pool —
-  tier 1 scores the pool with one BLAS matmul (ULP drift allowed); tier 2
-  re-scores only the slice with the same fixed-order einsum, so the
-  *final* rankings and distances are bit-identical to the plain path.
-  When the slice exceeds ``max(4k, 16)`` the affected rows transparently
-  fall back to the plain scorer.
+* the plain path: every candidate is scored with the fixed-order einsum
+  scorer whose distances are bit-identical across pool shapes (what
+  batch/one-at-a-time parity relies on).
+* the BLAS path, where it pays — tier 1 scores the pool with one BLAS
+  matmul (ULP drift allowed); tier 2 re-scores only the slice with the
+  same fixed-order einsum, so the *final* rankings and distances are
+  bit-identical to the plain path.  When the slice exceeds
+  ``max(4k, 16)`` the affected rows transparently fall back to the plain
+  scorer.
 
 Why the slice is sound: tier-1 distances are computed as
 ``sq_norms - 2 * x @ v + ||x||^2`` where ``sq_norms`` are the stored
@@ -59,6 +60,31 @@ _VIEW_MIN_BYTES = 32 * 1024
 def _slice_budget(k: int) -> int:
     """Largest slice tier 2 is willing to re-rank for one row."""
     return max(4 * k, 16)
+
+
+def tier1_pays(n_queries: int, pool: int, k: int) -> bool:
+    """Whether ``n_queries`` query rows over a pool of ``pool`` vectors, ``k``
+    nearest each, go through the BLAS scan + re-rank rather than the plain
+    scorer: the crossover of the sweep in DESIGN.md "Scoring: one engine,
+    two paths", at one and two BLAS threads.
+
+    * At least 2400 pairs (``n_queries * pool``), or one query over at
+      least 2000 vectors.  Under that the plain path is faster or level at
+      every swept shape: four queries over 500 short vectors (2000 pairs)
+      read 1.12-1.37x slower on BLAS, one query over 2000 read 0.74-0.81x.
+    * For ``k == 1``, two to five queries only over at least 1000 vectors,
+      and two or three never: the product packs the pool on every call,
+      which for so few rows costs more than the plain path saves at one
+      thread (two queries over 2048 vectors of 1280: 1.9x slower), while
+      one query is a matrix-vector product, which packs nothing.  For
+      ``k > 1`` the plain path also sorts every row of the pool, so BLAS
+      wins there from the first bullet on.
+    """
+    if n_queries * pool < 2400 and (n_queries > 1 or pool < 2000):
+        return False
+    if k > 1 or n_queries == 1 or n_queries >= 6:
+        return True
+    return n_queries >= 4 and pool >= 1000
 
 
 def _fixed_order_product(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -313,16 +339,11 @@ class VectorIndex:
     #: Dead fraction of the store above which ``remove_batch`` compacts.
     compaction_fraction: float = 0.5
 
-    #: Pairs (``n_queries * pool``) a call must score before the BLAS scan
-    #: + exact re-rank replaces the plain scorer.  Fixed from the sweep in
-    #: DESIGN.md "Scoring: one engine, two paths": every point from it up
-    #: is faster (or level) on the BLAS path; below it the plain path is
-    #: faster on short vectors and for a single query at any width, while
-    #: several queries sharing a D=1280 pool already favour BLAS from about
-    #: 1000 pairs — a count of pairs cannot sit right for both widths, and
-    #: the short vectors hold it here.  Class-level so tests can lower it
-    #: to force tier 1 on tiny pools; nothing else sets it.
-    tier1_min_pairs: int = 2000
+    #: ``None``: :func:`tier1_pays` picks each search's path.  A number makes
+    #: the gate a count of pairs (``n_queries * pool``) alone: tests set it
+    #: to 2 to force tier 1 on tiny pools, or to ``1 << 62`` to keep every
+    #: search on the plain path; nothing else sets it.
+    tier1_min_pairs: Optional[int] = None
 
     def __init__(self, dimension: int) -> None:
         if dimension <= 0:
@@ -470,21 +491,63 @@ class VectorIndex:
         with a single matrix product.  Without ``positions`` every live
         vector is scored.
         """
+        queries = self._checked_queries(queries)
+        return self._search_pools(queries, [(queries.shape[0], positions)], k)
+
+    def search_groups(
+        self,
+        queries: np.ndarray,
+        pools: Sequence[Tuple[int, Optional[np.ndarray]]],
+        k: int = 1,
+    ) -> List[List[SearchResult]]:
+        """:meth:`search_batch` of consecutive groups of query rows, each
+        against a pool of its own, in one call: ``pools[g] = (n, positions)``
+        scores the next ``n`` rows of ``queries`` against ``positions``
+        (``None``: every live vector).  One result list per query row, each
+        the one :meth:`search_batch` of its group alone gives (S2 of a batch
+        over several target sheets)."""
+        queries = self._checked_queries(queries)
+        if sum(n for n, __ in pools) != queries.shape[0]:
+            raise ValueError(
+                f"pools hold {sum(n for n, __ in pools)} query rows, got {queries.shape[0]}"
+            )
+        return self._search_pools(queries, pools, k)
+
+    # --------------------------------------------------------------- internal
+
+    def _checked_queries(self, queries: np.ndarray) -> np.ndarray:
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim != 2 or queries.shape[1] != self._dimension:
             raise ValueError(
                 f"queries must have shape (n, {self._dimension}), got {queries.shape}"
             )
-        n_queries = queries.shape[0]
+        return queries
+
+    def _search_pools(
+        self,
+        queries: np.ndarray,
+        pools: Sequence[Tuple[int, Optional[np.ndarray]]],
+        k: int,
+    ) -> List[List[SearchResult]]:
         if len(self) == 0 or k <= 0:
-            return [[] for __ in range(n_queries)]
+            return [[] for __ in range(queries.shape[0])]
+        if len(pools) == 1:
+            return self._search_pool(queries, pools[0][1], k)
+        results: List[List[SearchResult]] = []
+        start = 0
+        for n, positions in pools:
+            results.extend(self._search_pool(queries[start : start + n], positions, k))
+            start += n
+        return results
+
+    def _search_pool(
+        self, queries: np.ndarray, positions: Optional[np.ndarray], k: int
+    ) -> List[List[SearchResult]]:
         if positions is not None:
             positions = self._live(np.asarray(positions, dtype=np.int64))
             if positions.size == 0:
-                return [[] for __ in range(n_queries)]
+                return [[] for __ in range(queries.shape[0])]
         return self._score_block(queries, positions, k)
-
-    # --------------------------------------------------------------- internal
 
     def _checked_live_positions(self, positions: Sequence[int], caller: str) -> np.ndarray:
         """``positions`` as an int64 array, after checking that every one is
@@ -493,12 +556,13 @@ class VectorIndex:
         if positions.size == 0:
             return positions
         size = len(self._store)
-        if int(positions.min()) < 0 or int(positions.max()) >= size:
-            raise IndexError(
-                f"positions must be in [0, {size}), got range "
-                f"[{int(positions.min())}, {int(positions.max())}]"
-            )
-        if np.unique(positions).size != positions.size:
+        # Sorted, not ``np.unique``: its first call imports ``numpy.ma``
+        # (~10 ms), which a server's first edit would pay.
+        ordered = np.sort(positions)
+        low, high = int(ordered[0]), int(ordered[-1])
+        if low < 0 or high >= size:
+            raise IndexError(f"positions must be in [0, {size}), got range [{low}, {high}]")
+        if bool((ordered[1:] == ordered[:-1]).any()):
             raise ValueError(f"duplicate positions in {caller}")
         if not bool(np.all(self._alive[positions])):
             raise ValueError(f"{caller} called on an already-removed position")
@@ -535,10 +599,9 @@ class VectorIndex:
         contiguous matrix view (no gather copy) — the full-scan hot path.
         With tombstones present the full scan scores the live positions,
         which are runs between the dead rows.
-        Calls that score at least ``tier1_min_pairs`` pairs go through
-        the tier-1 scan + tier-2 re-rank; everything else (and any row
-        whose guaranteed slice overflows the slice budget) takes the
-        plain deterministic scorer.
+        Calls :meth:`takes_tier1` admits go through the tier-1 scan +
+        tier-2 re-rank; everything else (and any row whose guaranteed slice
+        overflows the slice budget) takes the plain deterministic scorer.
         """
         runs = None
         if positions is None and self._n_dead:
@@ -555,7 +618,7 @@ class VectorIndex:
         self._rows_in_place.inc(n_in_place)
         self._rows_gathered.inc(pool - n_in_place)
         budget = _slice_budget(k)
-        if queries.shape[0] * pool >= self.tier1_min_pairs and pool >= 2 * budget:
+        if self.takes_tier1(queries.shape[0], pool, k):
             with get_tracer().span(
                 "index.search",
                 mode="two_tier",
@@ -577,6 +640,17 @@ class VectorIndex:
             "index.search", mode="exact", pool=pool, runs=n_runs, k=k, n_queries=queries.shape[0]
         ):
             return self._score_exact(queries, positions, k, runs)
+
+    def takes_tier1(self, n_queries: int, pool: int, k: int) -> bool:
+        """Whether a search of ``n_queries`` rows over ``pool`` live vectors
+        for ``k`` neighbours takes the BLAS scan + re-rank: a pool of at
+        least twice the slice budget, and then :func:`tier1_pays` (or
+        ``tier1_min_pairs`` pairs, when set)."""
+        if pool < 2 * _slice_budget(k):
+            return False
+        if self.tier1_min_pairs is not None:
+            return n_queries * pool >= self.tier1_min_pairs
+        return tier1_pays(n_queries, pool, k)
 
     def _cross_term(
         self,

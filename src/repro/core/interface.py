@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sheet.addressing import CellAddress
 from repro.sheet.sheet import Sheet
@@ -60,3 +60,16 @@ class FormulaPredictor(abc.ABC):
         sequential ``predict`` calls would.
         """
         return [self.predict(target_sheet, target_cell) for target_cell in target_cells]
+
+    def predict_sheets(
+        self, batches: Sequence[Tuple[Sheet, Sequence[CellAddress]]]
+    ) -> List[List[Optional[Prediction]]]:
+        """Recommend formulas for the cells of several sheets: one list of
+        predictions per ``(sheet, cells)`` batch, in order.
+
+        The default implementation loops :meth:`predict_batch` per sheet;
+        Auto-Formula overrides it to run its three stages once for all the
+        sheets.  Implementations must return exactly what the per-sheet
+        calls would.
+        """
+        return [self.predict_batch(sheet, cells) for sheet, cells in batches]

@@ -3,8 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import accumulate, chain
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -31,6 +42,16 @@ _UNSET = object()
 #: these, and any other kind's answers differ from this predictor's.
 _INDEX_KIND = "exact"
 _INDEX_KIND_SPELLINGS = frozenset({"exact", "flat", "brute"})
+
+
+def _coordinates(cells: Iterable[Tuple[int, int]]) -> np.ndarray:
+    """``(row, col)`` cells (addresses among them, or an array of them) as
+    a new ``(n, 2)`` int64 array: ``np.array`` of tuple subclasses probes
+    each one as a sequence, ``fromiter`` over their coordinates is 4x
+    faster."""
+    if isinstance(cells, np.ndarray):
+        return cells.astype(np.int64).reshape(-1, 2)
+    return np.fromiter(chain.from_iterable(cells), np.int64).reshape(-1, 2)
 
 
 def _reference_parameter_cells(
@@ -167,6 +188,58 @@ def _candidates(
         shape=shape,
         mask=mask.reshape(layout),
         steps=np.minimum(distances[:, 0], distances[:, 1]).reshape(layout),
+    )
+
+
+class _Run(NamedTuple):
+    """:func:`~repro.ann.base.closest_in_blocks`'s arguments for S3's jobs
+    on one target sheet that have candidates, a row per block of their
+    :class:`_Candidates` (or for several runs' rows, :func:`_merged`)."""
+
+    #: :meth:`AutoFormula._tier1_terms` of the run.
+    sq_norms: np.ndarray
+    cross: np.ndarray
+    references: np.ndarray
+    reference_sq_norms: np.ndarray
+    penalties: np.ndarray
+    mask: np.ndarray
+    vectors_of: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _merged(runs: Sequence[_Run]) -> _Run:
+    """Several runs' rows as one run, in order: the rows of each padded on
+    the right to the widest run with cells that are no candidate, in the
+    float type that holds every run's terms (a row's choice depends on
+    nothing but the row)."""
+    width = max(run.mask.shape[1] for run in runs)
+    offsets = list(accumulate((len(run.mask) for run in runs), initial=0))
+
+    def padded(blocks: Sequence[np.ndarray]) -> np.ndarray:
+        rows = np.zeros((offsets[-1], width), np.result_type(*blocks))
+        for block, offset in zip(blocks, offsets):
+            rows[offset : offset + len(block), : block.shape[1]] = block
+        return rows
+
+    def vectors_of(rows: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        # ``rows`` ascend: each run's rows are one slice of them.
+        bounds = np.searchsorted(rows, offsets).tolist()
+        return np.concatenate(
+            [
+                run.vectors_of(rows[lo:hi] - offset, positions[lo:hi])
+                for run, offset, lo, hi in zip(runs, offsets, bounds, bounds[1:])
+                if lo < hi
+            ]
+        )
+
+    columns = list(zip(*runs))
+    return _Run(
+        padded(columns[0]),
+        padded(columns[1]),
+        np.concatenate(columns[2]),
+        np.concatenate(columns[3]),
+        padded(columns[4]),
+        padded(columns[5]),
+        vectors_of,
     )
 
 
@@ -375,7 +448,7 @@ class AutoFormula(FormulaPredictor):
         all build it here, so they write the same bytes under every
         granularity (the coarse forward rounds a row differently in
         another batch)."""
-        cells = np.array(cells, dtype=np.int64).reshape(-1, 2)
+        cells = _coordinates(cells)
         return _Regions.of(cells, self._embed_regions(sheet, cells[:, 0], cells[:, 1]))
 
     def _regions(self, reference: _ReferenceSheet) -> _Regions:
@@ -525,8 +598,7 @@ class AutoFormula(FormulaPredictor):
         """The sheet's formula cells as registry entries, with their
         center-blanked region embeddings (one forward pass)."""
         formula_cells = sheet.formula_cells()
-        addresses = [address for address, __ in formula_cells]
-        rows, cols = np.array(addresses, dtype=np.int64).reshape(-1, 2).T
+        rows, cols = _coordinates(address for address, __ in formula_cells).T
         embeddings = self._embed_regions(sheet, rows, cols, blank_center=True)
         formulas = [
             _ReferenceFormula(address, cell.formula or "")
@@ -861,25 +933,41 @@ class AutoFormula(FormulaPredictor):
     def predict_batch(
         self, target_sheet: Sheet, target_cells: Sequence[CellAddress]
     ) -> List[Optional[Prediction]]:
-        """Predict every target cell of one sheet, sharing the per-sheet work.
+        """Predict every target cell of one sheet: :meth:`predict_sheets`
+        of one sheet."""
+        return self.predict_sheets([(target_sheet, target_cells)])[0]
 
-        S1 runs once, all target regions are featurized and encoded in one
-        forward pass, and S2 scores the whole batch against the candidate
-        formula pool with a single matrix product.
+    def predict_sheets(
+        self, batches: Sequence[Tuple[Sheet, Sequence[CellAddress]]]
+    ) -> List[List[Optional[Prediction]]]:
+        """Predict the cells of several target sheets in one pass.
+
+        S1 is one sheet-index search over the stacked query vectors of all
+        the sheets.  S2 embeds every target region in one call and scores,
+        in one formula-index call, each sheet's cells against the formula
+        pool of that sheet's own hit sheets, in hit order so distance ties
+        resolve toward the most similar sheet.  S3 re-grounds every
+        accepted winner of every sheet in one pass.  Each of these steps is
+        row-independent, so every answer is the one its sheet gets alone.
         """
-        cells = list(target_cells)
-        if not cells:
-            return []
-        # S1: similar-sheet search over the coarse index (once per sheet).
-        hits = self.sheet_hits(target_sheet)
-        if not hits:
-            return [None] * len(cells)
-        # S2 + S3 over the hit sheets' formula pools, in hit order so
-        # distance ties resolve toward the most similar sheet.
-        scored = self.predict_batch_scored(
-            target_sheet, cells, [int(hit.key) for hit in hits]
-        )
-        return [item.prediction if item is not None else None for item in scored]
+        batches = [(sheet, list(cells)) for sheet, cells in batches]
+        asked = [batch for batch in batches if batch[1]]
+        hits = self._sheet_hits_of([sheet for sheet, __ in asked])
+        groups = [
+            (sheet, cells, [int(hit.key) for hit in sheet_hits])
+            for (sheet, cells), sheet_hits in zip(asked, hits)
+            if sheet_hits
+        ]
+        # Keyed by the cell lists made above, one per batch.
+        scored = {
+            id(cells): items for (__, cells, __), items in zip(groups, self._score_groups(groups))
+        }
+        return [
+            [None if item is None else item.prediction for item in scored[id(cells)]]
+            if id(cells) in scored
+            else [None] * len(cells)
+            for __, cells in batches
+        ]
 
     def sheet_query_vector(self, target_sheet: Sheet) -> np.ndarray:
         """The S1 query-side embedding of a target sheet.
@@ -906,21 +994,29 @@ class AutoFormula(FormulaPredictor):
 
         The counterpart of :meth:`sheet_query_vector` for
         :meth:`predict_batch_scored`'s ``target_vectors`` argument.  A
-        cell's vector does not depend on the cells asked beside it: under
-        the coarse-only ablation, whose forward rounds a window's row
-        differently in another batch, each cell goes through a forward of
-        its own.
+        cell's vector does not depend on the cells asked beside it, on this
+        sheet or another (see :meth:`_region_queries`).
         """
-        # ``np.array`` of tuple subclasses probes each one as a sequence;
-        # ``fromiter`` over their coordinates is 4x faster per request.
-        rows, cols = np.fromiter(chain.from_iterable(target_cells), np.int64).reshape(-1, 2).T
-        if self.config.granularity != "coarse_only" or len(rows) < 2:
-            return self._embed_regions(target_sheet, rows, cols, blank_center=True)
-        return np.concatenate(
-            [
-                self._embed_regions(target_sheet, row, col, blank_center=True)
-                for row, col in zip(rows[:, None], cols[:, None])
-            ]
+        return self._region_queries([(target_sheet, target_cells)])
+
+    def _region_queries(
+        self, groups: Sequence[Tuple[Sheet, Sequence[CellAddress]]]
+    ) -> np.ndarray:
+        """The S2 query-side embeddings of every ``(sheet, cells)`` group,
+        stacked in order, from one :meth:`~repro.models.SheetEncoder.embed_region_groups`
+        call: under the fine fast path a gather per sheet and one row-wise
+        normalisation.  Under the coarse-only ablation, whose forward rounds
+        a window's row differently in another batch, each cell goes through
+        a forward of its own."""
+        parts = []
+        for sheet, cells in groups:
+            rows, cols = _coordinates(cells).T
+            if self.config.granularity == "coarse_only":
+                parts.extend((sheet, row, col) for row, col in zip(rows[:, None], cols[:, None]))
+            else:
+                parts.append((sheet, rows, cols))
+        return self.encoder.embed_region_groups(
+            parts, blank_center=True, coarse=self.config.granularity == "coarse_only"
         )
 
     def sheet_hits(
@@ -937,17 +1033,23 @@ class AutoFormula(FormulaPredictor):
         ``top_k_sheets``; ``query_vector`` takes a once-computed
         :meth:`sheet_query_vector` instead of re-embedding the sheet.
         """
-        if len(self._sheet_index) == 0:
-            return []
-        with get_tracer().span(
-            "s1.sheet_hits", k=self.config.top_k_sheets if k is None else k
-        ) as span:
-            if query_vector is None:
-                query_vector = self.sheet_query_vector(target_sheet)
-            hits = self._sheet_index.search(
-                query_vector, k=self.config.top_k_sheets if k is None else k
-            )
-            span.set_attribute("n_hits", len(hits))
+        queries = None if query_vector is None else np.asarray(query_vector).reshape(1, -1)
+        return self._sheet_hits_of([target_sheet], k, queries)[0]
+
+    def _sheet_hits_of(
+        self, sheets: Sequence[Sheet], k: Optional[int] = None, queries: Optional[np.ndarray] = None
+    ) -> List[List[SearchResult]]:
+        """:meth:`sheet_hits` of every sheet, from one search over their
+        stacked query vectors (``queries``, when the caller has them)."""
+        if not sheets or len(self._sheet_index) == 0:
+            return [[] for __ in sheets]
+        k = self.config.top_k_sheets if k is None else k
+        with get_tracer().span("s1.sheet_hits", k=k, n_sheets=len(sheets)) as span:
+            if queries is None:
+                vectors = [self.sheet_query_vector(sheet) for sheet in sheets]
+                queries = vectors[0][None, :] if len(vectors) == 1 else np.stack(vectors)
+            hits = self._sheet_index.search_batch(queries, k=k)
+            span.set_attribute("n_hits", sum(len(sheet_hits) for sheet_hits in hits))
             return hits
 
     def _live_reference(self, sheet_id: int) -> _ReferenceSheet:
@@ -995,51 +1097,76 @@ class AutoFormula(FormulaPredictor):
         Raises ``KeyError`` if a sheet id refers to a removed sheet.
         """
         cells = list(target_cells)
-        if not cells:
-            return []
         if target_vectors is not None and len(target_vectors) != len(cells):
             raise ValueError(
                 f"{len(target_vectors)} target vectors for {len(cells)} cells"
             )
-        rank_of: Dict[int, int] = {}
-        pools: List[np.ndarray] = []
-        for rank, sheet_id in enumerate(sheet_ids):
-            rank_of[int(sheet_id)] = rank
-            pools.append(self._live_reference(sheet_id).formula_rows)
-        pool = np.concatenate([np.empty(0, dtype=np.int64)] + pools)
-        if pool.size == 0:
-            return [None] * len(cells)
+        return self._score_groups([(target_sheet, cells, sheet_ids)], target_vectors, adapt)[0]
 
-        # S2: one matmul scoring all target regions against the pool.
+    def _score_groups(
+        self,
+        groups: Sequence[Tuple[Sheet, List[CellAddress], Sequence[int]]],
+        target_vectors: Optional[np.ndarray] = None,
+        adapt: bool = True,
+    ) -> List[List[Optional[ScoredPrediction]]]:
+        """:meth:`predict_batch_scored` of every ``(sheet, cells, sheet ids)``
+        group: one embedding call, one formula-index call scoring each
+        group's cells against its own pool, and one S3 pass over every
+        group's accepted winners.  ``target_vectors``, the staged caller's
+        embeddings, come with a single group."""
+        results: List[List[Optional[ScoredPrediction]]] = [
+            [None] * len(cells) for __, cells, __ in groups
+        ]
+        ranks: List[Dict[int, int]] = []
+        pools: List[np.ndarray] = []
+        for __, __, sheet_ids in groups:
+            rank_of: Dict[int, int] = {}
+            rows: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+            for rank, sheet_id in enumerate(sheet_ids):
+                rank_of[int(sheet_id)] = rank
+                rows.append(self._live_reference(sheet_id).formula_rows)
+            ranks.append(rank_of)
+            pools.append(np.concatenate(rows))
+        scored = [group for group, pool in enumerate(pools) if pool.size and groups[group][1]]
+        if not scored:
+            return results
+
+        # S2: one formula-index call, each group's rows against its pool.
+        searched = [(len(groups[group][1]), pools[group]) for group in scored]
         with get_tracer().span(
-            "s2.score", n_cells=len(cells), pool_size=int(pool.size), adapt=adapt
+            "s2.score",
+            n_cells=sum(n for n, __ in searched),
+            pool_size=sum(pool.size for __, pool in searched),
+            adapt=adapt,
         ):
             if target_vectors is None:
-                target_vectors = self.region_query_vectors(target_sheet, cells)
-            hit_lists = self._formula_index.search_batch(target_vectors, k=1, positions=pool)
+                target_vectors = self._region_queries([groups[group][:2] for group in scored])
+            hit_lists = iter(self._formula_index.search_groups(target_vectors, searched, k=1))
 
-        results: List[Optional[ScoredPrediction]] = []
-        winners: List[Tuple[CellAddress, int, int, float]] = []
-        winner_positions: List[int] = []
-        for target_cell, hits in zip(cells, hit_lists):
-            if not hits:
-                results.append(None)
-                continue
-            distance = hits[0].distance
-            sheet_id, local = hits[0].key
-            if adapt and distance <= self.config.acceptance_threshold:
-                winner_positions.append(len(results))
-                winners.append((target_cell, int(sheet_id), int(local), distance))
-            results.append(ScoredPrediction(None, distance, rank_of[int(sheet_id)], int(local)))
-        if winners:
-            # S3 on the accepted hits, through the staged entry point.
-            for position, prediction in zip(
-                winner_positions, self.adapt_batch(target_sheet, winners)
-            ):
-                scored = results[position]
-                results[position] = ScoredPrediction(
-                    prediction, scored.distance, scored.sheet_rank, scored.formula_index
-                )
+        winners: List[Tuple[Sheet, List[Tuple[CellAddress, int, int, float]]]] = []
+        #: Per accepted hit: its group, position and pool coordinates.
+        accepted: List[Tuple[int, int, float, int, int]] = []
+        for group in scored:
+            sheet, cells, __ = groups[group]
+            items: List[Tuple[CellAddress, int, int, float]] = []
+            for position, target_cell in enumerate(cells):
+                hits = next(hit_lists)
+                if not hits:
+                    continue
+                distance = hits[0].distance
+                sheet_id, local = int(hits[0].key[0]), int(hits[0].key[1])
+                rank = ranks[group][sheet_id]
+                if adapt and distance <= self.config.acceptance_threshold:
+                    accepted.append((group, position, distance, rank, local))
+                    items.append((target_cell, sheet_id, local, distance))
+                else:
+                    results[group][position] = ScoredPrediction(None, distance, rank, local)
+            if items:
+                winners.append((sheet, items))
+        # S3 on every group's accepted hits, in one pass.
+        adapted = chain.from_iterable(self._adapt_groups(winners)) if winners else ()
+        for (group, position, distance, rank, local), prediction in zip(accepted, adapted):
+            results[group][position] = ScoredPrediction(prediction, distance, rank, local)
         return results
 
     def adapt_batch(
@@ -1054,9 +1181,9 @@ class AutoFormula(FormulaPredictor):
         hit after merging :meth:`predict_batch_scored` results.
         Returns the finished predictions (``None`` where re-grounding
         fails), identical to what the un-split pipeline would produce:
-        :meth:`predict_batch_scored` adapts its own winners through this
-        method.  The caller is responsible for the acceptance-threshold
-        check.
+        :meth:`predict_sheets` adapts its winners through the same pass
+        (:meth:`_adapt_groups`).  The caller is responsible for the
+        acceptance-threshold check.
 
         The items are re-grounded together, in one pass over all their
         parameters (:meth:`_map_parameters`), and each answer is the one
@@ -1064,24 +1191,32 @@ class AutoFormula(FormulaPredictor):
         chosen by the sequential expression over the item's own
         candidates.
         """
-        with get_tracer().span("s3.adapt", n_items=len(items)) as span:
-            if not items:
-                return []
-            predictions: List[Optional[Prediction]] = [None] * len(items)
-            jobs: List[Tuple[int, _ReferenceSheet, _Regions, _AdaptationPlan]] = []
-            for position, (__, sheet_id, local, __) in enumerate(items):
-                reference = self._reference_sheets[int(sheet_id)]
-                regions = self._regions(reference)
-                plan = self._adaptation_plan(reference, int(local), regions)
-                if plan is not None:
-                    jobs.append((position, reference, regions, plan))
-            mapped, n_candidates, n_reranked = self._map_parameters(
-                target_sheet, [(items[position][0], regions, plan) for position, __, regions, plan in jobs]
-            )
-            for (position, reference, __, plan), cells in zip(jobs, mapped):
-                __, __, local, distance = items[position]
+        return self._adapt_groups([(target_sheet, items)])[0]
+
+    def _adapt_groups(
+        self, groups: Sequence[Tuple[Sheet, Sequence[Tuple[CellAddress, int, int, float]]]]
+    ) -> List[List[Optional[Prediction]]]:
+        """:meth:`adapt_batch` of every ``(target sheet, items)`` group, in
+        one pass over all their parameters."""
+        with get_tracer().span("s3.adapt", n_items=sum(len(items) for __, items in groups)) as span:
+            predictions: List[List[Optional[Prediction]]] = [
+                [None] * len(items) for __, items in groups
+            ]
+            jobs: List[Tuple[int, int, _ReferenceSheet, _AdaptationPlan]] = []
+            pass_jobs: List[Tuple[Sheet, CellAddress, _Regions, _AdaptationPlan]] = []
+            for group, (target_sheet, items) in enumerate(groups):
+                for position, (cell, sheet_id, local, __) in enumerate(items):
+                    reference = self._reference_sheets[int(sheet_id)]
+                    regions = self._regions(reference)
+                    plan = self._adaptation_plan(reference, int(local), regions)
+                    if plan is not None:
+                        jobs.append((group, position, reference, plan))
+                        pass_jobs.append((target_sheet, cell, regions, plan))
+            mapped, n_candidates, n_reranked = self._map_parameters(pass_jobs)
+            for (group, position, reference, plan), cells in zip(jobs, mapped):
+                __, __, local, distance = groups[group][1][position]
                 reference_formula = reference.formulas[int(local)]
-                predictions[position] = Prediction(
+                predictions[group][position] = Prediction(
                     formula=plan.instantiate(cells),
                     confidence=max(0.0, 1.0 - distance / 4.0),
                     details={
@@ -1119,7 +1254,7 @@ class AutoFormula(FormulaPredictor):
         references = formula_references(ast)
         unique = _reference_parameter_cells(references)
         index_of = {cell: index for index, cell in enumerate(unique)}
-        cells = np.array(unique, dtype=np.int64).reshape(-1, 2)
+        cells = _coordinates(unique)
         cells.flags.writeable = False
         plan = _AdaptationPlan(
             formula_cell=reference.formulas[local].address,
@@ -1137,13 +1272,11 @@ class AutoFormula(FormulaPredictor):
         return plan
 
     def _map_parameters(
-        self,
-        target_sheet: Sheet,
-        jobs: Sequence[Tuple[CellAddress, _Regions, _AdaptationPlan]],
+        self, jobs: Sequence[Tuple[Sheet, CellAddress, _Regions, _AdaptationPlan]]
     ) -> Tuple[List[List[Tuple[int, int]]], int, int]:
-        """Map each unique parameter cell of every ``(target cell, block,
-        plan)`` job into the target sheet, as ``(row, col)``, all jobs in
-        one pass.
+        """Map each unique parameter cell of every ``(target sheet, target
+        cell, block, plan)`` job into its target sheet, as ``(row, col)``,
+        all jobs in one pass.
 
         Also returns the number of candidates scored and how many of them
         were re-ranked (:func:`~repro.ann.base.closest_in_blocks`).
@@ -1159,54 +1292,84 @@ class AutoFormula(FormulaPredictor):
         small locality penalty breaks embedding ties in favour of the
         nearest anchor.  A parameter with no candidate keeps its translated
         cell, clamped to the sheet's first row and column.
+
+        Candidates and tier-1 terms are worked out per run of consecutive
+        jobs on one target sheet (a box is placed inside its sheet, and its
+        terms come off that sheet's tensor); every run's rows then go
+        through one :func:`~repro.ann.base.closest_in_blocks` call, each
+        run's rows padded to the widest with cells that are no candidate.
         """
         anchors, owners = [], []
-        for job, (cell, __, plan) in enumerate(jobs):
+        for job, (__, cell, __, plan) in enumerate(jobs):
             row_shift, col_shift = cell.row - plan.formula_cell.row, cell.col - plan.formula_cell.col
             for row, col in plan.cells.tolist():
                 anchors.append((row + row_shift, col + col_shift, row, col))
                 owners.append(job)
-        found = _candidates(
-            anchors,
-            (target_sheet.n_rows, target_sheet.n_cols),
-            (self.config.neighborhood_rows, self.config.neighborhood_cols),
-        )
         mapped = [(max(row, 0), max(col, 0)) for row, col, __, __ in anchors]
+        #: Per run of jobs on one target sheet with candidates: its first
+        #: parameter, its candidates and its rows.
+        runs: List[Tuple[int, _Candidates, _Run]] = []
         n_candidates = n_reranked = 0
-        if found.found:
-            n_candidates = int(np.count_nonzero(found.mask))
-            # ||r||^2 comes from each block as it is now: a value edit
-            # replaces the block under plans that stay.
-            references = [regions.rows[plan.slots] for __, regions, plan in jobs]
-            reference_sq_norms = [regions.norms[plan.slots] for __, regions, plan in jobs]
-            if len(jobs) == 1:
-                references, reference_sq_norms = references[0], reference_sq_norms[0]
-            else:
-                references = np.concatenate(references)
-                reference_sq_norms = np.concatenate(reference_sq_norms)
-            if len(found.found) < len(anchors):
-                references = references[found.found]
-                reference_sq_norms = reference_sq_norms[found.found]
-            sq_norms, cross, vectors_of = self._tier1_terms(
-                target_sheet, found, references, [owners[parameter] for parameter in found.found]
+        first = start = 0
+        for stop in range(1, len(jobs) + 1):
+            sheet = jobs[first][0]
+            if stop < len(jobs) and jobs[stop][0] is sheet:
+                continue
+            run = jobs[first:stop]
+            size = sum(len(plan.cells) for __, __, __, plan in run)
+            found = _candidates(
+                anchors[start : start + size],
+                (sheet.n_rows, sheet.n_cols),
+                (self.config.neighborhood_rows, self.config.neighborhood_cols),
             )
+            if found.found:
+                n_candidates += int(np.count_nonzero(found.mask))
+                # ||r||^2 comes from each block as it is now: a value edit
+                # replaces the block under plans that stay.
+                references = [regions.rows[plan.slots] for __, __, regions, plan in run]
+                reference_sq_norms = [regions.norms[plan.slots] for __, __, regions, plan in run]
+                if len(run) == 1:
+                    references, reference_sq_norms = references[0], reference_sq_norms[0]
+                else:
+                    references = np.concatenate(references)
+                    reference_sq_norms = np.concatenate(reference_sq_norms)
+                if len(found.found) < size:
+                    references = references[found.found]
+                    reference_sq_norms = reference_sq_norms[found.found]
+                sq_norms, cross, vectors_of = self._tier1_terms(
+                    sheet, found, references, [owners[start + parameter] for parameter in found.found]
+                )
+                rows = len(sq_norms)
+                runs.append(
+                    (
+                        start,
+                        found,
+                        _Run(
+                            sq_norms,
+                            cross,
+                            references,
+                            reference_sq_norms,
+                            self.config.locality_penalty * found.steps.reshape(rows, -1),
+                            found.mask.reshape(rows, -1),
+                            vectors_of,
+                        ),
+                    )
+                )
+            first, start = stop, start + size
+        if runs:
             best, n_reranked = closest_in_blocks(
-                sq_norms,
-                cross,
-                references,
-                reference_sq_norms,
-                self.config.locality_penalty * found.steps.reshape(len(sq_norms), -1),
-                found.mask.reshape(len(sq_norms), -1),
-                vectors_of,
+                *(runs[0][2] if len(runs) == 1 else _merged([run for __, __, run in runs]))
             )
-            corners = found.origins.tolist()
-            box_cells, width = found.shape[0] * found.shape[1], found.shape[1]
-            for block, (parameter, position) in enumerate(zip(found.found, best.tolist())):
-                box, position = divmod(position, box_cells)
-                row, col = corners[block][box]
-                mapped[parameter] = (row + position // width, col + position % width)
+            best = iter(best.tolist())
+            for start, found, __ in runs:
+                corners = found.origins.tolist()
+                box_cells, width = found.shape[0] * found.shape[1], found.shape[1]
+                for block, parameter in enumerate(found.found):
+                    box, position = divmod(next(best), box_cells)
+                    row, col = corners[block][box]
+                    mapped[start + parameter] = (row + position // width, col + position % width)
         mapped_jobs, start = [], 0
-        for __, __, plan in jobs:
+        for __, __, __, plan in jobs:
             mapped_jobs.append(mapped[start : start + len(plan.cells)])
             start += len(plan.cells)
         return mapped_jobs, n_candidates, n_reranked

@@ -2,15 +2,17 @@
 
 The encoder is the one place a sheet or a region becomes a vector: the
 pipeline, both extensions and the reference oracle call
-:meth:`SheetEncoder.embed_sheet` and :meth:`SheetEncoder.embed_regions`,
-which hide the featurizer, the two networks and the fine model's
-reduced-tensor fast path.
+:meth:`SheetEncoder.embed_sheet` and :meth:`SheetEncoder.embed_regions`
+(the pipeline's S2 queries :meth:`SheetEncoder.embed_region_groups`, its
+several-sheet form), which hide the featurizer, the two networks and the
+fine model's reduced-tensor fast path.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -193,17 +195,52 @@ class SheetEncoder:
         ``blank_center`` masks the center cell of every window; the S2
         formula-region comparison uses this so that an already-filled
         reference cell and a still-empty target cell embed comparably.
+
+        This is :meth:`embed_region_groups` of one sheet.
         """
-        if not len(rows):
-            dimension = self.coarse_dimension if coarse else self.fine_dimension
-            return np.zeros((0, dimension), dtype=np.float32)
-        if not coarse:
-            vectors = self._fast_regions(sheet, rows, cols, blank_center)
-            if vectors is not None:
-                return vectors
-        centers = [CellAddress(row, col) for row, col in zip(rows.tolist(), cols.tolist())]
-        windows = self.featurizer.featurize_regions(sheet, centers, blank_center=blank_center)
-        return (self.coarse_model if coarse else self.fine_model).forward(windows)
+        return self.embed_region_groups([(sheet, rows, cols)], blank_center, coarse)
+
+    def embed_region_groups(
+        self,
+        groups: Sequence[Tuple[Sheet, np.ndarray, np.ndarray]],
+        blank_center: bool = False,
+        coarse: bool = False,
+    ) -> np.ndarray:
+        """:meth:`embed_regions` of several ``(sheet, rows, cols)`` groups at
+        once, their rows stacked in group order.
+
+        Under the fine fast path every group's windows are gathered from
+        its sheet's reduced tensor and all of them go through one row-wise
+        normalisation, so each row is the one the group alone gets.  A
+        group the fast path does not take (``coarse=True``, a sheet over
+        the densification budget) has a window forward of its own, as it
+        has alone.
+        """
+        dimension = self.coarse_dimension if coarse else self.fine_dimension
+        parts: List[Optional[np.ndarray]] = []
+        gathered: List[np.ndarray] = []
+        for sheet, rows, cols in groups:
+            windows = None
+            if not coarse and len(rows):
+                windows = self._fast_windows(sheet, rows, cols, blank_center)
+            if windows is not None:
+                gathered.append(windows)
+                parts.append(None)
+            elif not len(rows):
+                parts.append(np.zeros((0, dimension), dtype=np.float32))
+            else:
+                centers = [CellAddress(row, col) for row, col in zip(rows.tolist(), cols.tolist())]
+                windows = self.featurizer.featurize_regions(sheet, centers, blank_center=blank_center)
+                parts.append((self.coarse_model if coarse else self.fine_model).forward(windows))
+        if gathered:
+            stacked = gathered[0] if len(gathered) == 1 else np.concatenate(gathered)
+            normalized = self._fast[1].forward(stacked, training=False)
+            if len(gathered) == len(parts):
+                return normalized
+            starts = list(accumulate((len(windows) for windows in gathered), initial=0))
+            fast = iter(normalized[start:stop] for start, stop in zip(starts, starts[1:]))
+            parts = [next(fast) if part is None else part for part in parts]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # ----------------------------------------------------- fine-model fast path
 
@@ -234,10 +271,11 @@ class SheetEncoder:
         window = (self.featurizer.config.window_rows, self.featurizer.config.window_cols)
         return self._reduced_cache.put(sheet, _Reduced(reduced, window))
 
-    def _fast_regions(
+    def _fast_windows(
         self, sheet: Sheet, center_rows: np.ndarray, center_cols: np.ndarray, blank_center: bool
     ) -> Optional[np.ndarray]:
-        """Fine region embeddings via the reduced per-sheet tensor, or
+        """The flattened reduced windows of the fine fast path, one row per
+        centre, that its ``L2Normalize`` turns into region embeddings; or
         ``None`` when the fast path does not apply."""
         if self._fast is None:
             return None
@@ -251,7 +289,7 @@ class SheetEncoder:
         )
         if blank_center:
             windows[:, rows // 2, cols // 2] = padding
-        return self._fast[1].forward(windows.reshape(len(center_rows), -1), training=False)
+        return windows.reshape(len(center_rows), -1)
 
     def region_products(
         self,

@@ -500,16 +500,18 @@ class Workspace:
     ) -> List[RecommendationResponse]:
         """Serve a mixed stream of requests, in request order.
 
-        Requests are grouped by target sheet and each group is dispatched
-        through the predictor's vectorized :meth:`predict_batch`, so a batch
-        returns exactly what sequential single-request serving would while
-        sharing per-sheet featurization and retrieval.  Duplicate
+        Requests are grouped by target sheet and the whole batch goes
+        through one call of the predictor's :meth:`predict_sheets
+        <repro.core.interface.FormulaPredictor.predict_sheets>` (for
+        Auto-Formula, one pass of S1, S2 and S3 for all the sheets), so a
+        batch returns exactly what sequential single-request serving would
+        while sharing featurization and retrieval.  Duplicate
         ``(sheet, cell)`` requests are collapsed, for every predictor and
         only here: a prediction is a pure function of (corpus, sheet, cell),
         so each distinct cell of a group is predicted once and the result
         fanned out to every requester, each keeping its own ``request``
-        echo (:meth:`serve_stats` counts them).  Each response's
-        ``latency_seconds`` is its amortized share of its group's wall
+        echo (:meth:`counters` counts them).  Each response's
+        ``latency_seconds`` is its amortized share of the batch's wall
         clock, recorded on :attr:`latency`.
         """
         requests = list(requests)
@@ -530,33 +532,33 @@ class Workspace:
             return [self._abstain(request, AbstainReason.EMPTY_CORPUS) for request in requests]
 
         # Group request positions by target-sheet identity, preserving the
-        # first-seen order of sheets and the request order within a group.
-        groups: Dict[int, List[int]] = {}
+        # first-seen order of sheets and the request order within a group;
+        # within a group, distinct cells in first-occurrence order, and the
+        # slot of each request's cell.
+        groups: Dict[int, Tuple[Sheet, Dict[CellAddress, int], List[Tuple[int, int]]]] = {}
         for position, request in enumerate(requests):
-            groups.setdefault(id(request.sheet), []).append(position)
+            group = groups.get(id(request.sheet))
+            if group is None:
+                group = groups[id(request.sheet)] = (request.sheet, {}, [])
+            __, slot_of, slots = group
+            slots.append((position, slot_of.setdefault(request.cell, len(slot_of))))
+        batches = [(sheet, list(slot_of)) for sheet, slot_of, __ in groups.values()]
+        start = time.perf_counter()
+        predictions = self._predictor.predict_sheets(batches)
+        per_request = (time.perf_counter() - start) / len(requests)
+        if len(predictions) != len(batches) or any(
+            len(predicted) != len(cells) for predicted, (__, cells) in zip(predictions, batches)
+        ):
+            raise RuntimeError(
+                f"{self._predictor.name}.predict_sheets violated its contract: "
+                f"{[len(predicted) for predicted in predictions]} predictions for "
+                f"{[len(cells) for __, cells in batches]} cells"
+            )
 
         responses: List[Optional[RecommendationResponse]] = [None] * len(requests)
-        n_collapsed = 0
-        for positions in groups.values():
-            sheet = requests[positions[0]].sheet
-            # Distinct cells in first-occurrence order; slots[i] is the cell
-            # (and prediction) of the group's i-th request.
-            slot_of: Dict[CellAddress, int] = {}
-            slots = [
-                slot_of.setdefault(requests[position].cell, len(slot_of))
-                for position in positions
-            ]
-            cells = list(slot_of)
-            n_collapsed += len(positions) - len(cells)
-            start = time.perf_counter()
-            predictions = self._predictor.predict_batch(sheet, cells)
-            per_request = (time.perf_counter() - start) / len(positions)
-            if len(predictions) != len(cells):
-                raise RuntimeError(
-                    f"{self._predictor.name}.predict_batch violated its contract: "
-                    f"{len(predictions)} predictions for {len(cells)} cells"
-                )
-            for position, prediction in zip(positions, (predictions[slot] for slot in slots)):
+        for predicted, (__, __, slots) in zip(predictions, groups.values()):
+            for position, slot in slots:
+                prediction = predicted[slot]
                 self.latency.observe(per_request)
                 request = requests[position]
                 if prediction is None:
@@ -573,6 +575,7 @@ class Workspace:
                         provenance=dict(prediction.details),
                         latency_seconds=per_request,
                     )
+        n_collapsed = len(requests) - sum(len(cells) for __, cells in batches)
         span.set_attribute("n_collapsed", n_collapsed)
         if n_collapsed:
             self._counts["workspace.serve_collapsed_duplicates"].inc(n_collapsed)

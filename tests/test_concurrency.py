@@ -442,7 +442,7 @@ class TestWorkspaceLock:
 
             return call
 
-        predictor.predict_batch = counted("serve", predictor.predict_batch)
+        predictor.predict_sheets = counted("serve", predictor.predict_sheets)
         predictor.reindex_sheet = counted("edit", predictor.reindex_sheet)
         gate = threading.Barrier(N_THREADS + 1)
 

@@ -1,13 +1,19 @@
 """Tests for the end-to-end Auto-Formula pipeline (S1/S2/S3)."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro import Workspace
+from repro.ann import VectorIndex
 from repro.core import AutoFormula, AutoFormulaConfig
 from repro.core import pipeline
 from repro.core.pipeline import _candidates, _Regions
 from repro.corpus import sample_test_cases, split_corpus
 from repro.evaluation import run_method_on_cases
+from repro.service import RecommendationRequest
 from repro.formula.template import extract_template
 from repro.sheet import CellAddress, Sheet, Workbook
 from repro.testing.reference import ReferenceAutoFormula, candidates
@@ -699,3 +705,115 @@ class TestGroupPass:
             expected = alone if order is items else alone[::-1]
             assert system.adapt_batch(target, order) == expected
         assert system.counters()["s3.candidates_scored"] == 3 * scored
+
+
+class TestOnePass:
+    """A ``serve_batch`` over several target sheets is one pass of S1, S2
+    and S3 (``AutoFormula.predict_sheets``); every answer is the one its
+    request gets alone."""
+
+    @staticmethod
+    def _workspace(trained_encoder, references, granularity):
+        """The PGE references, plus a workbook of three copies of a sheet
+        with no formula: a fourth copy's S1 hits are those three, so its S2
+        pool is empty."""
+        blank = Workbook("blank.xlsx")
+        for copy in range(3):
+            sheet = blank.add_sheet(f"Blank {copy}")
+            for row in range(12):
+                sheet.set((row, 0), f"qqq{row}zzz")
+                sheet.set((row, 1), float(row * row))
+        predictor = AutoFormula(trained_encoder, AutoFormulaConfig(granularity=granularity))
+        workspace = Workspace("one-pass", predictor)
+        workspace.add_workbooks([workbook.copy() for workbook in references] + [blank])
+        return workspace, blank.get_sheet("Blank 0").copy("Blank target")
+
+    @staticmethod
+    def _requests(cases, empty_pool):
+        """Cells of six case sheets dealt round-robin, repeats included, a
+        sheet that abstains, a sheet with an empty pool and a copy of a
+        case sheet over the densification budget (a cell far below its
+        extent)."""
+        sheets = {}
+        for case in cases:
+            sheet = sheets.setdefault(id(case.target_sheet), (case.target_sheet, []))
+            sheet[1].append(case.target_cell)
+        chosen = list(sheets.values())[:6]
+        unrelated = Sheet("unrelated")
+        for row in range(15):
+            unrelated.set((row, 0), f"zzz{row}qqq")
+        sheet, cells = chosen[0]
+        huge = sheet.copy("huge")
+        huge.set((100_000, 0), 1.0)
+        chosen += [
+            (unrelated, [CellAddress(20, 5), CellAddress(3, 1)]),
+            (empty_pool, [CellAddress(12, 1), CellAddress(5, 1)]),
+            (huge, cells[:2] + [CellAddress(sheet.n_rows, 2)]),
+        ]
+        requests = []
+        for deal in itertools.zip_longest(*[cells for __, cells in chosen]):
+            for (sheet, __), cell in zip(chosen, deal):
+                if cell is not None:
+                    requests.append(RecommendationRequest(sheet, cell))
+        return requests + requests[:5]
+
+    @staticmethod
+    def _answers(responses):
+        return [
+            (response.formula, repr(response.confidence), response.provenance)
+            for response in responses
+        ]
+
+    @pytest.mark.parametrize("granularity", ["both", "fine_only", "coarse_only"])
+    @pytest.mark.parametrize("gate", [None, 2], ids=["default_gate", "blas_forced"])
+    def test_a_batch_answers_as_each_request_alone(
+        self, monkeypatch, trained_encoder, pge_workload, granularity, gate
+    ):
+        """Formula, ``repr(confidence)`` and provenance, byte for byte, on
+        the default gate and with the BLAS tier forced."""
+        monkeypatch.setattr(VectorIndex, "tier1_min_pairs", gate)
+        cases, references = pge_workload
+        workspace, empty_pool = self._workspace(trained_encoder, references, granularity)
+        requests = self._requests(cases, empty_pool)
+        names = [request.sheet.name for request in requests]
+        huge = next(request.sheet for request in requests if request.sheet.name == "huge")
+        assert not workspace.predictor.encoder.featurizer.densifiable(huge)
+        alone = self._answers([workspace.recommend(request) for request in requests])
+        assert self._answers(workspace.serve_batch(requests)) == alone
+        assert self._answers(workspace.serve_batch(requests[::-1])) == alone[::-1]
+        formulas = [formula for formula, __, __ in alone]
+        assert sum(formula is not None for formula in formulas) >= 6
+        # The empty pool's and the unrelated sheet's cells abstain.
+        abstaining = ("unrelated", "Blank target")
+        assert {formula for name, formula in zip(names, formulas) if name in abstaining} == {None}
+
+    def test_a_batch_over_several_sheets_searches_and_reranks_once(
+        self, monkeypatch, trained_encoder, pge_workload
+    ):
+        """Accepted cells of four sheets: one sheet-index search, one
+        ``closest_in_blocks`` call."""
+        cases, references = pge_workload
+        workspace, __ = self._workspace(trained_encoder, references, "both")
+        predictor = workspace.predictor
+        sheets = {}
+        for case in cases:
+            request = RecommendationRequest(case.target_sheet, case.target_cell)
+            if workspace.recommend(request).formula:
+                sheets.setdefault(id(case.target_sheet), []).append(request)
+        requests = [request for batch in list(sheets.values())[:4] for request in batch]
+        assert len({id(request.sheet) for request in requests}) >= 3
+        calls = Counter()
+        search_batch, closest = predictor.sheet_index.search_batch, pipeline.closest_in_blocks
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(predictor.sheet_index, "search_batch", counted("s1", search_batch))
+        monkeypatch.setattr(pipeline, "closest_in_blocks", counted("s3", closest))
+        responses = workspace.serve_batch(requests)
+        assert all(response.formula for response in responses)
+        assert calls == {"s1": 1, "s3": 1}

@@ -167,7 +167,7 @@ def test_the_slice_holds_the_scan_choice_and_s3_maps_to_it(
         system.adapt_batch(target, [(target_cell, 0, 0, 0.1) for target_cell in cells])
         plan = entry.plans[0]
         mapped, scored, reranked = system._map_parameters(
-            target, [(target_cell, entry.regions, plan) for target_cell in cells]
+            [(target, target_cell, entry.regions, plan) for target_cell in cells]
         )
         n_scored, n_reranked = n_scored + scored, n_reranked + reranked
         # The pass ran twice (adapt_batch, then _map_parameters); read the

@@ -2,7 +2,11 @@
 
 import contextlib
 import dataclasses
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -555,6 +559,43 @@ def _owned_rows(predictor, sheet):
         reference.formula_rows.tolist(),
         predictor.formula_index.vectors[reference.formula_rows].tobytes(),
     )
+
+
+#: Run in a fresh interpreter: one edit of a served workbook, then which
+#: of the modules the edit might import are loaded.
+_FIRST_EDIT_SCRIPT = """
+import sys
+from repro import FormulaService
+from repro.models import SheetEncoder
+from repro.sheet import Workbook
+
+workbook = Workbook("book.xlsx")
+sheet = workbook.add_sheet("Data")
+for row in range(6):
+    sheet.set((row, 0), float(row))
+sheet.set((6, 0), formula="=SUM(A1:A6)")
+workspace = FormulaService(SheetEncoder()).create_workspace("w", workbooks=[workbook])
+loaded = "numpy.ma" in sys.modules
+workspace.edit_cell("book.xlsx", "Data", "A1", value=7.0)
+print(loaded, "numpy.ma" in sys.modules)
+"""
+
+
+def test_a_first_edit_imports_no_numpy_ma():
+    """An edit checks the index positions it overwrites for repeats by
+    sorting them: ``np.unique``'s first call imports ``numpy.ma`` (~10 ms),
+    which a server's first edit would pay."""
+    import repro
+
+    result = subprocess.run(
+        [sys.executable, "-c", _FIRST_EDIT_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False"]
 
 
 class TestEditCell:

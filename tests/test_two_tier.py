@@ -2,7 +2,8 @@
 
 Which path a search takes — the plain fixed-order einsum, or the BLAS
 tier-1 scan + exact re-rank of a guaranteed slice — is chosen from the
-pairs it scores (``n_queries * pool`` vs ``VectorIndex.tier1_min_pairs``),
+shape of the call (``VectorIndex.takes_tier1``: query rows, pool and
+``k``; a set ``VectorIndex.tier1_min_pairs`` makes it a count of pairs),
 and a caller's pool is scored run by run, long runs as views of the
 store.  The answers of the exact index on either path, for any pool, are
 the reference k-NN's (``tests/test_reference.py``); here: the overflow
@@ -259,7 +260,27 @@ def _search_span(tracer, search):
 
 
 class TestGate:
-    """The default gate picks the path from the pairs a call scores."""
+    """The default gate picks the path from the shape of a call."""
+
+    @pytest.mark.parametrize(
+        "n_queries, pool, k, blas",
+        [
+            (4, 500, 3, False),  # 2000 pairs: BLAS read 1.12-1.37x slower
+            (4, 600, 3, True),
+            (1, 1999, 3, False),
+            (1, 2000, 3, True),
+            (2, 5000, 1, False),  # BLAS packs the pool for two rows
+            (3, 5000, 1, False),
+            (4, 999, 1, False),
+            (4, 1000, 1, True),
+            (6, 399, 1, False),
+            (6, 400, 1, True),
+            (1, 2000, 1, True),
+            (200, 31, 1, False),  # a pool under twice the slice budget
+        ],
+    )
+    def test_the_gate_is_the_swept_crossover(self, n_queries, pool, k, blas):
+        assert VectorIndex(8).takes_tier1(n_queries, pool, k) is blas
 
     @pytest.mark.parametrize(
         "pool, n_queries, mode",

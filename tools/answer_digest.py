@@ -14,10 +14,12 @@ workspace on the reference workbooks and writes
   one that grows a sheet's extent and three formula edits, one of them
   ``=SUM(IF(TRUE,C1:C1048576))`` over a value column), and from a
   workspace restored from a snapshot of the edited one — one request at a
-  time, which never scores the 2 000 pairs the index's BLAS scan starts at,
+  time, which does not reach the index's BLAS scan on these corpora,
 * the same for every formula cell of the held-out sheets through
   ``serve_batch`` in batches of 16 (``answers_batched``; how the
   ``inproc_hot`` workload asks), which does: BLAS scan + exact re-rank,
+  and again with the cells dealt round-robin over the held-out sheets
+  (``answers_interleaved``), so that a batch spans many target sheets,
 * sha256 of the on-disk format: the current generation's mutation log
   after those edits and one scripted add, and the ``manifest.json`` and
   ``corpus.jsonl`` of the generation the next save writes (its
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
@@ -148,6 +151,26 @@ def batched_answers(workspace, test_workbooks) -> list:
     return answer_rows(responses)
 
 
+def interleaved_answers(workspace, test_workbooks) -> list:
+    """The held-out formula cells dealt round-robin over the held-out
+    sheets, served in batches of 16: each batch spans up to 16 sheets."""
+    cells = [
+        [RecommendationRequest(sheet, address) for address, __ in sheet.formula_cells()]
+        for workbook in test_workbooks
+        for sheet in workbook
+    ]
+    requests = [
+        request
+        for deal in itertools.zip_longest(*cells)
+        for request in deal
+        if request is not None
+    ]
+    responses = []
+    for start in range(0, len(requests), BATCH_SIZE):
+        responses.extend(workspace.serve_batch(requests[start : start + BATCH_SIZE]))
+    return answer_rows(responses)
+
+
 def edit_script(workspace, config) -> list:
     """The scripted edits, as ``(workbook, sheet, cell, edit_cell keywords)``:
     ``N_EDITS`` value edits, each target once more (its sheet's tensor is
@@ -208,6 +231,7 @@ def corpus_digest(encoder, preset: str, scale: float) -> tuple:
         "state": state_digests(workspace),
         "answers": answers(workspace, requests),
         "answers_batched": batched_answers(workspace, evaluation.test_workbooks),
+        "answers_interleaved": interleaved_answers(workspace, evaluation.test_workbooks),
     }
     config = encoder.featurizer.config
     features = {
@@ -253,7 +277,8 @@ def main() -> int:
             entry, features[name] = corpus_digest(encoder, workload.preset, scale)
             corpora[name] = entry
             print(
-                f"{name}: {len(entry['answers'])} cases, {len(entry['answers_batched'])} batched",
+                f"{name}: {len(entry['answers'])} cases, {len(entry['answers_batched'])} batched, "
+                f"{len(entry['answers_interleaved'])} interleaved",
                 file=sys.stderr,
             )
     digest = {"weights": weights, "corpora": corpora, "features": features}
